@@ -1,0 +1,8 @@
+"""``python3 -m perfbench`` entry point."""
+
+import sys
+
+from perfbench.cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())
