@@ -129,7 +129,8 @@ def canonical_state_bytes(job) -> bytes:
         (key, _canonical(job.instance(key).operator.states.snapshot()))
         for key in job.instance_keys()
     )
-    return pickle.dumps(payload)
+    # protocol pinned: tests/data/engine_golden.json stores digests of this
+    return pickle.dumps(payload, protocol=4)
 
 
 @pytest.fixture

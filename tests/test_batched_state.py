@@ -1,6 +1,6 @@
 """Batched keyed-state kernels and default sharding (DESIGN.md section 16).
 
-Two acceptance properties ride on this file:
+Three acceptance properties ride on this file:
 
 * **kernel equivalence** — every batch kernel on the state layer
   (``get_many``/``put_many``/``delete_many``/``append_many``) must be
@@ -10,6 +10,10 @@ Two acceptance properties ride on this file:
   payloads (which must also round-trip through ``apply_delta``) and
   ``delta_bytes`` — armed or unarmed, i.e. under both the full-snapshot
   and changelog backends' views of the state;
+* **split invariance** — every library operator's ``process_batch`` must
+  produce the same outputs, state, delta and timers whether a batch
+  arrives whole or cut into pieces (down to singletons), so a grouped
+  kernel can never diverge from the record-at-a-time fold it replaces;
 * **auto-shard neutrality** — ``--shards auto`` (the figure harness's
   default sharding) must engage only when the key-group split is
   output-preserving, and an auto-sharded figure run must match the
@@ -19,12 +23,33 @@ Two acceptance properties ride on this file:
 from __future__ import annotations
 
 import argparse
+import inspect
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
+import repro.dataflow.operators as operators
 import repro.experiments.sharding as sharding
 from repro import cli
+from repro.dataflow.batch import RecordBatch
+from repro.dataflow.operators import (
+    FilterOperator,
+    FilterStage,
+    FlatMapOperator,
+    FusedStatelessOperator,
+    IncrementalJoinOperator,
+    MapOperator,
+    MapStage,
+    MaxPerKeyOperator,
+    Operator,
+    OperatorContext,
+    SinkOperator,
+    SlidingWindowCountOperator,
+    SourceOperator,
+    WindowedCountOperator,
+    WindowedJoinOperator,
+)
 from repro.dataflow.state import KeyedListState, KeyedMapState
 from repro.experiments import figures
 from repro.experiments.parallel import (
@@ -171,6 +196,160 @@ def test_empty_batch_kernels_are_no_ops():
     lists.mark_clean()
     lists.append_many([])
     assert lists.snapshot_delta() is None
+
+
+# --------------------------------------------------------------------- #
+# process_batch is split-invariant (hypothesis)
+# --------------------------------------------------------------------- #
+
+
+class _FixedNowContext(OperatorContext):
+    """Recording context with a pinned clock.
+
+    Virtual time is constant inside one task, and a task is the only
+    place a batch can be cut (router thresholds, marker-forced drains),
+    so the pieces of one batch always observe the same ``now()``.
+    """
+
+    op_name = "op"
+
+    def __init__(self) -> None:
+        self.timers: list[tuple[float, object]] = []
+        self.sunk: list[float] = []
+
+    def now(self) -> float:
+        return 23.7
+
+    def register_timer(self, at, tag) -> None:
+        self.timers.append((at, tag))
+
+    def record_outputs(self, source_ts) -> None:
+        self.sunk.extend(source_ts)
+
+
+def _key(p):
+    return p["k"]
+
+
+def _value(p):
+    return p["v"]
+
+
+def _bump(p):
+    return {"k": p["k"], "v": p["v"] + 1}
+
+
+def _keep(p):
+    return p["v"] % 3 != 0
+
+
+def _sized(p):
+    return 8 + p["v"] % 5
+
+
+def _pair(left, right):
+    return (left["v"], right["v"])
+
+
+#: name -> (factory, input ports); one entry per library operator
+_LIBRARY_OPERATORS = {
+    "source": (SourceOperator, ("in",)),
+    "map": (lambda: MapOperator(_bump, out_size=_sized), ("in",)),
+    "filter": (lambda: FilterOperator(_keep), ("in",)),
+    "flatmap": (lambda: FlatMapOperator(lambda p: [p] * (p["v"] % 3)),
+                ("in",)),
+    "incremental_join": (lambda: IncrementalJoinOperator(_key, _key, _pair),
+                         ("left", "right")),
+    "windowed_join": (lambda: WindowedJoinOperator(_key, _key, _pair,
+                                                   window=10.0),
+                      ("left", "right")),
+    "windowed_count": (lambda: WindowedCountOperator(_key, window=10.0),
+                       ("in",)),
+    "sliding_count": (lambda: SlidingWindowCountOperator(
+        _key, window_range=10.0, slide=2.0), ("in",)),
+    "max_per_key": (lambda: MaxPerKeyOperator(_key, _value,
+                                              lambda p: p["v"] % 3), ("in",)),
+    "sink": (SinkOperator, ("in",)),
+    "fused": (lambda: FusedStatelessOperator([
+        MapStage("m1", _bump),
+        FilterStage("keep", _keep),
+        MapStage("m2", _bump, out_size=_sized),
+    ]), ("in",)),
+}
+
+_PAYLOADS = st.fixed_dictionaries({"k": st.integers(0, 3),
+                                   "v": st.integers(-20, 20)})
+_ROWS = st.tuples(_PAYLOADS, st.integers(0, 64))  # (payload, size_bytes)
+
+
+def _batch(rows, first_rid: int) -> RecordBatch:
+    return RecordBatch(
+        rids=[first_rid + i for i in range(len(rows))],
+        payloads=[payload for payload, _ in rows],
+        source_ts=[0.25 * i for i in range(len(rows))],
+        sizes=[size for _, size in rows],
+    )
+
+
+def _feed(name, prefix, pieces, port, armed):
+    """Open a fresh operator, pre-populate it, feed ``pieces`` in order;
+    returns everything a batch boundary could possibly have changed."""
+    factory, ports = _LIBRARY_OPERATORS[name]
+    op = factory()
+    ctx = _FixedNowContext()
+    op.open(ctx)
+    if len(prefix):
+        for side in ports:
+            op.process_batch(prefix, side)
+    if armed:
+        op.states.mark_clean()
+    out = RecordBatch()
+    for piece in pieces:
+        produced = op.process_batch(piece, port)
+        if produced is not None:
+            out.extend(produced)
+    return ((out.rids, out.payloads, out.source_ts, out.sizes),
+            pickle.dumps(op.states.snapshot()),
+            op.states.snapshot_delta(), ctx.timers, ctx.sunk)
+
+
+def _cut(batch: RecordBatch, cuts) -> list[RecordBatch]:
+    bounds = [0, *sorted(c for c in cuts if c < len(batch)), len(batch)]
+    return [batch.select(list(range(lo, hi)))
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
+def test_split_invariance_table_covers_every_library_operator():
+    kernels = {
+        cls for _, cls in inspect.getmembers(operators, inspect.isclass)
+        if issubclass(cls, Operator) and cls is not Operator
+        and "process_batch" in vars(cls)
+    }
+    covered = {type(factory()) for factory, _ in _LIBRARY_OPERATORS.values()}
+    assert covered == kernels and len(kernels) == 11
+
+
+@pytest.mark.parametrize("name", sorted(_LIBRARY_OPERATORS))
+@given(prefix=st.lists(_ROWS, max_size=6),
+       rows=st.lists(_ROWS, min_size=1, max_size=12),
+       cuts=st.sets(st.integers(1, 11)),
+       right_port=st.booleans(), armed=st.booleans())
+def test_process_batch_is_split_invariant(name, prefix, rows, cuts,
+                                          right_port, armed):
+    """A batch fed whole, cut at random points, or one record at a time
+    yields the same four output columns, state snapshot bytes,
+    ``snapshot_delta`` and registered timers — on either port of the
+    joins, from empty and from pre-populated state, tracking armed or
+    not.  This is "grouped kernel == sequential fold" without a second
+    implementation to compare against."""
+    ports = _LIBRARY_OPERATORS[name][1]
+    port = ports[-1] if right_port else ports[0]
+    seeded = _batch(prefix, first_rid=1)
+    batch = _batch(rows, first_rid=1000)
+    whole = _feed(name, seeded, [batch], port, armed)
+    assert _feed(name, seeded, _cut(batch, cuts), port, armed) == whole
+    assert _feed(name, seeded, _cut(batch, range(1, len(batch))),
+                 port, armed) == whole
 
 
 # --------------------------------------------------------------------- #

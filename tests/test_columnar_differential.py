@@ -48,10 +48,34 @@ from tests.conftest import (
     make_event_log,
     run_count_job,
 )
+from tests.golden import CASES, load_golden, signature
 from tests.test_exactly_once import expected_counts, measured_counts
 
 BACKENDS = ["full", "changelog"]
 ALL_PROTOCOLS = ["coor", "coor-unaligned", "unc", "cic"]
+
+
+# --------------------------------------------------------------------- #
+# Both engines against the recorded fixture (tests/golden.py)
+# --------------------------------------------------------------------- #
+
+
+def test_golden_fixture_lists_exactly_the_registered_cases():
+    assert sorted(load_golden()) == sorted(CASES)
+
+
+@pytest.mark.parametrize("columnar", [False, True],
+                         ids=["per-record", "columnar"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_engine_matches_golden(case, columnar):
+    """``tests/data/engine_golden.json`` was recorded from the per-record
+    engine; the per-record run proves that, the columnar run proves the
+    surviving engine reproduces it.  The count-job cases are also audited
+    against the input log, so neither can pass on a shared mistake."""
+    job = CASES[case](columnar=columnar)
+    assert signature(job) == load_golden()[case]
+    if case.startswith("count-"):
+        assert measured_counts(job) == expected_counts(job)
 
 
 # --------------------------------------------------------------------- #
