@@ -1,36 +1,30 @@
-"""Columnar record batches for the simulator hot path (DESIGN.md section 15).
+"""Columnar record batches: the engine's one data representation
+(DESIGN.md section 15).
 
 A :class:`RecordBatch` carries the four per-record fields of
 :class:`~repro.dataflow.records.StreamRecord` as parallel columns
 (``rids``, ``payloads``, ``source_ts``, ``sizes``) instead of a list of
-record objects.  The layout exists for one reason: the seed engine walked
-every record as an individual Python object (attribute loads, per-record
-``route`` calls, per-record rid mixing), which capped end-to-end
-throughput around 313k records/s (``results/BENCH_transport.json``) and
-forced the paper's protocol sweeps to quick scale.  Columns let the hot
-loops move to C-speed primitives — list ``extend`` for routing,
-``set.update``/``set.isdisjoint`` for rid dedup, numpy uint64 kernels for
-lineage derivation (:func:`~repro.dataflow.records.derived_rids`).
+record objects.  Router buffers, messages, replay and channel state all
+hold batches, so the hot loops run on C-speed primitives — list
+``extend`` for routing, ``set.update``/``set.isdisjoint`` for rid dedup,
+numpy uint64 kernels for lineage derivation
+(:func:`~repro.dataflow.records.derived_rids`).
 
-Three invariants keep the columnar path byte-identical to the per-record
-path (the differential suite in ``tests/test_columnar_differential.py``
-enforces them):
+Two properties the rest of the engine relies on:
 
-* **identical values** — rids come from the same mix arithmetic
-  (vectorized with wraparound uint64 multiplies, converted back to Python
-  ints), payloads/timestamps/sizes are the same objects;
-* **identical boundaries** — a batch staged onto a
-  :class:`~repro.dataflow.channels.RouterBuffer` crosses the batch-size
-  threshold at exactly the same record as the per-record ``route`` loop,
-  so messages, sequence numbers and checkpoint cursors match;
-* **identical ordering** — iteration (replay, channel-state capture)
-  yields :class:`StreamRecord` views in column order, and destination
-  buffers are created in first-occurrence order like the scalar router.
+* **boundaries** — a batch staged onto a
+  :class:`~repro.dataflow.channels.RouterBuffer` makes a buffer ready at
+  exactly the record that crosses the batch-size threshold, and
+  destination buffers are created in first-occurrence order, so
+  messages, sequence numbers and checkpoint cursors do not depend on how
+  the producer's output happened to be batched;
+* **ordering** — iteration yields :class:`StreamRecord` views in column
+  order (the fallback for operators that only define ``process``).
 
 Batches are *logically immutable once routed*: the builder methods
-(``append``/``extend*``) are for constructing a batch; after a batch is
-handed to the router or a message, nothing mutates its columns, so
-downstream kernels may alias them (e.g. a map output sharing the input's
+(``extend*``) are for constructing a batch; after a batch is handed to
+the router or a message, nothing mutates its columns, so downstream
+kernels may alias them (e.g. a map output sharing the input's
 ``source_ts`` column).
 """
 
@@ -101,30 +95,17 @@ class RecordBatch:
     # -- record views ------------------------------------------------------ #
 
     def __iter__(self) -> Iterator[StreamRecord]:
-        """Yield per-record views in column order (replay/channel-state path)."""
+        """Yield per-record views in column order (``process`` fallback)."""
         for rid, payload, ts, size in zip(self.rids, self.payloads,
                                           self.source_ts, self.sizes):
             yield StreamRecord(rid=rid, payload=payload, source_ts=ts,
                                size_bytes=size)
-
-    def __getitem__(self, index: int) -> StreamRecord:
-        """Materialize the record at ``index`` as a :class:`StreamRecord`."""
-        return StreamRecord(rid=self.rids[index], payload=self.payloads[index],
-                            source_ts=self.source_ts[index],
-                            size_bytes=self.sizes[index])
 
     def __repr__(self) -> str:
         """Compact debugging form (count and byte total only)."""
         return f"RecordBatch(n={len(self.rids)}, bytes={sum(self.sizes)})"
 
     # -- builders ----------------------------------------------------------- #
-
-    def append(self, record: StreamRecord) -> None:
-        """Append one record, decomposed into the columns."""
-        self.rids.append(record.rid)
-        self.payloads.append(record.payload)
-        self.source_ts.append(record.source_ts)
-        self.sizes.append(record.size_bytes)
 
     def extend_records(self, records: Iterable[StreamRecord]) -> None:
         """Append per-record objects, decomposed into the columns."""

@@ -24,10 +24,6 @@ from repro.dataflow.records import StreamRecord
 
 ChannelId = tuple[int, int, int]
 
-#: what a message/buffer may carry: per-record objects or a columnar batch
-#: (both expose ``len``, iteration in record order, and truthiness)
-Records = list[StreamRecord] | RecordBatch
-
 DATA = 0
 MARKER = 1
 CONTROL = 2
@@ -40,7 +36,7 @@ class Message:
     channel: ChannelId
     seq: int
     kind: int
-    records: Records | None
+    records: RecordBatch | None
     payload_bytes: int
     protocol_bytes: int = 0
     piggyback: Any = None
@@ -105,33 +101,17 @@ class Partitioner:
 
 @dataclass(slots=True)
 class _Buffer:
-    records: Records = field(default_factory=list)
+    records: RecordBatch = field(default_factory=RecordBatch)
     bytes: int = 0
 
 
 def _extend_buffer(buf: _Buffer, batch: RecordBatch,
                    indices: list[int] | None) -> int:
-    """Append (selected rows of) ``batch`` to a buffer; returns bytes added.
-
-    Handles both buffer representations: columnar buffers extend
-    column-wise; list buffers (a per-record ``route`` call interleaved
-    with batch routing) materialize :class:`StreamRecord` views.
-    """
-    recs = buf.records
+    """Append (selected rows of) ``batch`` to a buffer; returns bytes added."""
     if indices is None:
-        if type(recs) is RecordBatch:
-            added = recs.extend(batch)
-        else:
-            added = batch.payload_bytes()
-            recs.extend(batch)
-    elif type(recs) is RecordBatch:
-        added = recs.extend_select(batch, indices)
+        added = buf.records.extend(batch)
     else:
-        sizes = batch.sizes
-        added = 0
-        for i in indices:
-            recs.append(batch[i])
-            added += sizes[i]
+        added = buf.records.extend_select(batch, indices)
     buf.bytes += added
     return added
 
@@ -139,9 +119,9 @@ def _extend_buffer(buf: _Buffer, batch: RecordBatch,
 class RouterBuffer:
     """Outbound batching for one producer instance.
 
-    ``route`` stages records; ``take_ready`` drains buffers that reached the
-    batch-size threshold; ``take_all`` (linger flush, markers, shutdown)
-    drains everything.
+    ``route_batch`` stages records; ``take_ready`` drains buffers that
+    reached the batch-size threshold; ``take_all`` (linger flush, markers,
+    shutdown) drains everything.
 
     Routing is precomputed per edge at construction: FORWARD and BROADCAST
     destinations are constant, only KEY edges hash per record.  Staged and
@@ -194,8 +174,18 @@ class RouterBuffer:
         self._staged_bytes = 0
         self._n_ready = 0
 
-    def route(self, records: list[StreamRecord]) -> None:
-        """Stage output records onto (edge, destination) buffers."""
+    def route_batch(self, batch: RecordBatch) -> None:
+        """Stage one batch onto (edge, destination) buffers.
+
+        Buffers are created in first-occurrence order of their destination
+        and become ready exactly when a record crosses the batch threshold.
+        The per-record Python loop survives only on KEY edges (one memoised
+        dict probe per record); FORWARD/BROADCAST edges stage whole columns
+        with one ``extend``.
+        """
+        n = len(batch)
+        if not n:
+            return
         batch_max = self._batch_max
         blocked = self._blocked
         n_ready = 0
@@ -210,64 +200,6 @@ class RouterBuffer:
                 # once per record.  Routers are rebuilt on rescale, which
                 # invalidates the memo with them; the cap bounds memory
                 # against pathological key cardinalities.
-                for record in records:
-                    routing_key = key_fn(record.payload)
-                    dst = memo.get(routing_key)
-                    if dst is None:
-                        group = key_group(hash_key(routing_key), max_groups)
-                        dst = group * parallelism // max_groups
-                        if len(memo) >= 1 << 17:
-                            memo.clear()
-                        memo[routing_key] = dst
-                    buf = buffers.get(dst)
-                    if buf is None:
-                        buf = _Buffer()
-                        buffers[dst] = buf
-                    recs = buf.records
-                    recs.append(record)
-                    buf.bytes += record.size_bytes
-                    staged_bytes += record.size_bytes
-                    if len(recs) == batch_max and (edge_id, dst) not in blocked:
-                        n_ready += 1
-                staged += len(records)
-            else:  # FORWARD / BROADCAST: constant destination set
-                for record in records:
-                    for dst in static:
-                        buf = buffers.get(dst)
-                        if buf is None:
-                            buf = _Buffer()
-                            buffers[dst] = buf
-                        recs = buf.records
-                        recs.append(record)
-                        buf.bytes += record.size_bytes
-                        staged_bytes += record.size_bytes
-                        if len(recs) == batch_max and (edge_id, dst) not in blocked:
-                            n_ready += 1
-                staged += len(records) * len(static)
-        self._n_ready += n_ready
-        self._staged += staged
-        self._staged_bytes += staged_bytes
-
-    def route_batch(self, batch: RecordBatch) -> None:
-        """Stage one columnar batch onto (edge, destination) buffers.
-
-        Equivalent to :meth:`route` over the batch's records — same
-        first-occurrence buffer creation order, same ready-threshold
-        crossings, same staged counters — but the per-record Python loop
-        survives only on KEY edges (one memoised dict probe per record);
-        FORWARD/BROADCAST edges stage whole columns with one ``extend``.
-        """
-        n = len(batch)
-        if not n:
-            return
-        batch_max = self._batch_max
-        blocked = self._blocked
-        n_ready = 0
-        staged = 0
-        staged_bytes = 0
-        for edge_id, buffers, static, key_fn, parallelism, max_groups, memo \
-                in self._plans:
-            if static is None:  # KEY partitioning: hash per record
                 payloads = batch.payloads
                 by_dst: dict[int, list[int]] = {}
                 for i in range(n):
@@ -287,7 +219,7 @@ class RouterBuffer:
                 for dst, idxs in by_dst.items():
                     buf = buffers.get(dst)
                     if buf is None:
-                        buf = _Buffer(records=RecordBatch())
+                        buf = _Buffer()
                         buffers[dst] = buf
                     before = len(buf.records)
                     staged_bytes += _extend_buffer(
@@ -300,7 +232,7 @@ class RouterBuffer:
                 for dst in static:
                     buf = buffers.get(dst)
                     if buf is None:
-                        buf = _Buffer(records=RecordBatch())
+                        buf = _Buffer()
                         buffers[dst] = buf
                     before = len(buf.records)
                     staged_bytes += _extend_buffer(buf, batch, None)
@@ -346,7 +278,7 @@ class RouterBuffer:
 
     def take_ready(
         self, gate: Callable[[int, int, int, int], bool] | None = None,
-    ) -> list[tuple[int, int, Records, int]]:
+    ) -> list[tuple[int, int, RecordBatch, int]]:
         """Drain buffers at/over the batch threshold -> (edge, dst, records, bytes).
 
         ``gate(edge_id, dst, nbytes, nrecords)`` is the transport's credit
@@ -377,7 +309,7 @@ class RouterBuffer:
 
     def take_all(
         self, gate: Callable[[int, int, int, int], bool] | None = None,
-    ) -> list[tuple[int, int, Records, int]]:
+    ) -> list[tuple[int, int, RecordBatch, int]]:
         """Drain every non-empty buffer.
 
         With a ``gate`` (linger flush): blocked buffers stay parked and
@@ -404,7 +336,7 @@ class RouterBuffer:
                 drained.append((edge_id, dst, buf.records, buf.bytes))
         return drained
 
-    def take_edge(self, edge_id: int) -> list[tuple[int, int, Records, int]]:
+    def take_edge(self, edge_id: int) -> list[tuple[int, int, RecordBatch, int]]:
         """Drain buffers of one edge (used before emitting a marker).
 
         Always forced — a marker must follow every record produced before
@@ -423,7 +355,7 @@ class RouterBuffer:
             drained.append((edge_id, dst, buf.records, buf.bytes))
         return drained
 
-    def take_channel(self, edge_id: int, dst: int) -> tuple[Records, int] | None:
+    def take_channel(self, edge_id: int, dst: int) -> tuple[RecordBatch, int] | None:
         """Forcibly drain one (edge, dst) buffer -> (records, bytes) or None.
 
         Used when credits return to a parked channel: the whole buffer

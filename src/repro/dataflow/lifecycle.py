@@ -15,10 +15,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.base import CheckpointMeta, RecoveryPlan
+from repro.dataflow.batch import RecordBatch, group_indices
 from repro.dataflow.channels import ChannelId, DATA, Message, Partitioner, hash_key
 from repro.dataflow.graph import Partitioning, validate_rescale
 from repro.dataflow.keygroups import group_range, key_group
-from repro.dataflow.records import StreamRecord
 from repro.metrics.collectors import KIND_INITIAL, KIND_RESCALE
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -510,26 +510,29 @@ class LifecycleManager:
         job = self.job
         edges_by_id = {edge.edge_id: edge for edge in job.graph.edges}
         groups = job.max_key_groups
-        buckets: dict[tuple[int, int, int], list[StreamRecord]] = {}
+        buckets: dict[tuple[int, int, int], RecordBatch] = {}
         for channel in sorted(plan.replay):
             edge = edges_by_id[channel[0]]
             src = channel[1] % p_new
             for msg in plan.replay[channel]:
-                if not msg.records:
+                batch = msg.records
+                if not batch:
                     continue
-                for record in msg.records:
-                    if edge.partitioning is Partitioning.KEY:
-                        group = key_group(hash_key(edge.key_fn(record.payload)),
-                                          groups)
-                        dst = group * p_new // groups
-                    else:  # FORWARD (BROADCAST was rejected by validation)
-                        dst = src
-                    buckets.setdefault((edge.edge_id, src, dst), []).append(record)
+                if edge.partitioning is Partitioning.KEY:
+                    dsts = [key_group(hash_key(edge.key_fn(p)), groups)
+                            * p_new // groups for p in batch.payloads]
+                    for dst, idxs in group_indices(dsts).items():
+                        buckets.setdefault(
+                            (edge.edge_id, src, dst), RecordBatch()
+                        ).extend_select(batch, idxs)
+                else:  # FORWARD (BROADCAST was rejected by validation)
+                    buckets.setdefault(
+                        (edge.edge_id, src, src), RecordBatch()).extend(batch)
         injected: dict[ChannelId, list[Message]] = {}
         for (edge_id, src, dst) in sorted(buckets):
             records = buckets[(edge_id, src, dst)]
             sender = job.instance((edges_by_id[edge_id].src, src))
-            nbytes = sum(r.size_bytes for r in records)
+            nbytes = records.payload_bytes()
             channel = (edge_id, src, dst)
             seq = sender.out_seq.get(channel, 0) + 1
             sender.out_seq[channel] = seq

@@ -96,17 +96,16 @@ class OperatorContext:
         """Ask for ``on_timer(tag)`` at virtual time ``at`` (fires once)."""
         raise NotImplementedError
 
-    def record_output(self, record: StreamRecord) -> None:
-        """Sink hook: report a record as final output (drives latency metrics)."""
-        raise NotImplementedError
-
     def record_outputs(self, source_ts: list[float]) -> None:
-        """Batch sink hook: report one output per origin timestamp."""
+        """Sink hook: report one final output per origin timestamp
+        (drives latency metrics)."""
         raise NotImplementedError
 
 
 class Operator:
-    """Base operator; subclasses override :meth:`process` (and maybe timers)."""
+    """Base operator; subclasses override :meth:`process_batch` — or only
+    :meth:`process`, which the base :meth:`process_batch` loops over —
+    and maybe timers."""
 
     #: virtual CPU seconds charged per processed record
     cpu_per_record: float = 0.0008
@@ -127,18 +126,22 @@ class Operator:
     # -- processing ------------------------------------------------------ #
 
     def process(self, record: StreamRecord, port: str) -> list[StreamRecord]:
-        """Consume one record, return output records."""
+        """Consume one record, return output records.
+
+        Only called by the base :meth:`process_batch`; the library
+        operators override that instead and define no ``process``.
+        """
         raise NotImplementedError
 
     def process_batch(self, batch: RecordBatch, port: str) -> RecordBatch | None:
         """Consume a columnar batch, return an output batch (or None).
 
-        The base implementation is the per-record fallback: it materializes
-        record views, calls :meth:`process`, and re-columnarizes the
-        outputs — semantically identical to the per-record path (stateful
-        operators rely on this), while still letting the runtime route and
-        flush once per batch.  Stateless operators override it with a
-        column-wise kernel (DESIGN.md section 15 lists the fusion rules).
+        The base implementation is the fallback for operators that only
+        define :meth:`process`: it materializes record views, calls
+        :meth:`process` on each, and re-columnarizes the outputs, while
+        still letting the runtime route and flush once per batch.  Every
+        library operator overrides it with a column-wise or grouped kernel
+        (DESIGN.md sections 15 and 16).
         """
         out = RecordBatch()
         process = self.process
@@ -167,10 +170,6 @@ class SourceOperator(Operator):
 
     cpu_per_record = 0.0012
 
-    def process(self, record: StreamRecord, port: str) -> list[StreamRecord]:
-        """Forward the log record into the pipeline unchanged."""
-        return [record]
-
     def process_batch(self, batch: RecordBatch, port: str) -> RecordBatch | None:
         """Forward the polled batch into the pipeline unchanged."""
         return batch
@@ -185,12 +184,6 @@ class MapOperator(Operator):
         super().__init__()
         self._fn = fn
         self._out_size = out_size
-
-    def process(self, record: StreamRecord, port: str) -> list[StreamRecord]:
-        """Apply the mapping function to one record."""
-        payload = self._fn(record.payload)
-        size = self._out_size(payload) if self._out_size else record.size_bytes
-        return [record.derive(self.ctx.op_name, payload, size)]
 
     def process_batch(self, batch: RecordBatch, port: str) -> RecordBatch | None:
         """Apply the mapping function across the whole batch in one call.
@@ -220,12 +213,6 @@ class FilterOperator(Operator):
         super().__init__()
         self._predicate = predicate
 
-    def process(self, record: StreamRecord, port: str) -> list[StreamRecord]:
-        """Forward the record iff the predicate holds."""
-        if self._predicate(record.payload):
-            return [record]
-        return []
-
     def process_batch(self, batch: RecordBatch, port: str) -> RecordBatch | None:
         """Apply the predicate column-wise; survivors keep their rids."""
         predicate = self._predicate
@@ -247,14 +234,6 @@ class FlatMapOperator(Operator):
         super().__init__()
         self._fn = fn
         self._out_size = out_size
-
-    def process(self, record: StreamRecord, port: str) -> list[StreamRecord]:
-        """Expand one record into zero or more outputs."""
-        outputs = []
-        for i, payload in enumerate(self._fn(record.payload)):
-            size = self._out_size(payload) if self._out_size else record.size_bytes
-            outputs.append(record.derive(self.ctx.op_name, payload, size, emission_index=i))
-        return outputs
 
     def process_batch(self, batch: RecordBatch, port: str) -> RecordBatch | None:
         """Expand each record, building the output columns directly."""
@@ -308,40 +287,6 @@ class IncrementalJoinOperator(Operator):
         super().open(ctx)
         self._left = self.states.register("left", KeyedListState(entry_bytes=96))
         self._right = self.states.register("right", KeyedListState(entry_bytes=96))
-
-    def process(self, record: StreamRecord, port: str) -> list[StreamRecord]:
-        """Insert the record on its side and probe the other side."""
-        op = self.ctx.op_name
-        outputs = []
-        if port == "left":
-            key = self._left_key(record.payload)
-            self._left.append(key, (record.rid, record.payload, record.source_ts))
-            for other_rid, other_payload, other_ts in self._right.get(key):
-                payload = self._combine(record.payload, other_payload)
-                outputs.append(
-                    StreamRecord(
-                        rid=joined_rid(op, record.rid, other_rid),
-                        payload=payload,
-                        source_ts=max(record.source_ts, other_ts),
-                        size_bytes=self._out_size,
-                    )
-                )
-        elif port == "right":
-            key = self._right_key(record.payload)
-            self._right.append(key, (record.rid, record.payload, record.source_ts))
-            for other_rid, other_payload, other_ts in self._left.get(key):
-                payload = self._combine(other_payload, record.payload)
-                outputs.append(
-                    StreamRecord(
-                        rid=joined_rid(op, other_rid, record.rid),
-                        payload=payload,
-                        source_ts=max(record.source_ts, other_ts),
-                        size_bytes=self._out_size,
-                    )
-                )
-        else:
-            raise ValueError(f"unknown join port {port!r}")
-        return outputs
 
     def process_batch(self, batch: RecordBatch, port: str) -> RecordBatch | None:
         """Insert the whole batch on its side, then probe the other side."""
@@ -404,47 +349,11 @@ class WindowedJoinOperator(Operator):
         current = int(self.ctx.now() // self.window)
         self.ctx.register_timer((current + 1) * self.window, ("window", current + 1))
 
-    def process(self, record: StreamRecord, port: str) -> list[StreamRecord]:
-        """Roll the window if needed, then insert-and-probe."""
-        self._roll_window()
-        op = self.ctx.op_name
-        outputs = []
-        if port == "left":
-            key = self._left_key(record.payload)
-            self._left.append(key, (record.rid, record.payload, record.source_ts))
-            probe = self._right.get(key)
-            first = record.payload
-            for other_rid, other_payload, other_ts in probe:
-                outputs.append(
-                    StreamRecord(
-                        rid=joined_rid(op, record.rid, other_rid),
-                        payload=self._combine(first, other_payload),
-                        source_ts=max(record.source_ts, other_ts),
-                        size_bytes=self._out_size,
-                    )
-                )
-        elif port == "right":
-            key = self._right_key(record.payload)
-            self._right.append(key, (record.rid, record.payload, record.source_ts))
-            for other_rid, other_payload, other_ts in self._left.get(key):
-                outputs.append(
-                    StreamRecord(
-                        rid=joined_rid(op, other_rid, record.rid),
-                        payload=self._combine(other_payload, record.payload),
-                        source_ts=max(record.source_ts, other_ts),
-                        size_bytes=self._out_size,
-                    )
-                )
-        else:
-            raise ValueError(f"unknown join port {port!r}")
-        return outputs
-
     def process_batch(self, batch: RecordBatch, port: str) -> RecordBatch | None:
         """Roll the window once (virtual time is batch-constant), then join.
 
-        ``ctx.now()`` cannot advance inside one batch task, so the
-        per-record path rolls at most once per batch too — on its first
-        record — and every later roll call is a no-op.
+        ``ctx.now()`` cannot advance inside one batch task, so rolling
+        before every record would only ever act on the first one.
         """
         self._roll_window()
         return _join_batch(
@@ -487,22 +396,6 @@ class WindowedCountOperator(Operator):
         self._counts.delete_many(stale)
         self.ctx.register_timer((window_id + 1) * self.window, ("sweep", window_id + 1))
         return []
-
-    def process(self, record: StreamRecord, port: str) -> list[StreamRecord]:
-        """Bump the record's key counter in the current window."""
-        now = self.ctx.now()
-        current = int(now // self.window)
-        key = self._key_fn(record.payload)
-        stored = self._counts.get(key)
-        if stored is None or stored[0] != current:
-            if len(self._counts) == 0:
-                self.ctx.register_timer((current + 1) * self.window, ("sweep", current + 1))
-            count = 1
-        else:
-            count = stored[1] + 1
-        self._counts.put(key, (current, count), 40)
-        payload = {"key": key, "window": current, "count": count}
-        return [record.derive(self.ctx.op_name, payload, self._out_size)]
 
     def process_batch(self, batch: RecordBatch, port: str) -> RecordBatch | None:
         """Fold the batch per key; one state get/put per distinct key.
@@ -594,24 +487,6 @@ class SlidingWindowCountOperator(Operator):
         self._counts.delete_many(stale)
         return []
 
-    def process(self, record: StreamRecord, port: str) -> list[StreamRecord]:
-        """Count the record into every window covering its time."""
-        now = self.ctx.now()
-        key = self._key_fn(record.payload)
-        newest = int(now // self.slide)
-        for window_id in self._windows_for(now):
-            slot = (window_id, key)
-            count = (self._counts.get(slot) or 0) + 1
-            if self._counts.get(slot) is None and window_id == newest:
-                self._schedule_sweep(window_id)
-            self._counts.put(slot, count, 32)
-        payload = {
-            "key": key,
-            "window": newest,
-            "count": self._counts.get((newest, key)),
-        }
-        return [record.derive(self.ctx.op_name, payload, self._out_size)]
-
     def process_batch(self, batch: RecordBatch, port: str) -> RecordBatch | None:
         """Fold the batch per key; one put per touched (window, key) slot.
 
@@ -684,18 +559,6 @@ class MaxPerKeyOperator(Operator):
         #: group -> (best value, best item)
         self._best = self.states.register("best", KeyedMapState())
 
-    def process(self, record: StreamRecord, port: str) -> list[StreamRecord]:
-        """Emit only when the record beats the group's current best."""
-        group = self._group_fn(record.payload)
-        value = self._value_fn(record.payload)
-        item = self._item_fn(record.payload)
-        current = self._best.get(group)
-        if current is not None and current[0] >= value:
-            return []
-        self._best.put(group, (value, item), 32)
-        payload = {"group": group, "item": item, "value": value}
-        return [record.derive(self.ctx.op_name, payload, self._out_size)]
-
     def process_batch(self, batch: RecordBatch, port: str) -> RecordBatch | None:
         """Sequential fold over the batch; one put per improved group.
 
@@ -749,11 +612,6 @@ class SinkOperator(Operator):
     """Terminal operator: reports records as pipeline output."""
 
     cpu_per_record = 0.0006
-
-    def process(self, record: StreamRecord, port: str) -> list[StreamRecord]:
-        """Report the record as final pipeline output."""
-        self.ctx.record_output(record)
-        return []
 
     def process_batch(self, batch: RecordBatch, port: str) -> RecordBatch | None:
         """Report the whole batch as final pipeline output (one metrics call)."""
@@ -821,19 +679,6 @@ class FusedStatelessOperator(Operator):
                 for stage in self.stages
             )
         self.cpu_per_record = cpu_per_record
-
-    def process(self, record: StreamRecord, port: str) -> list[StreamRecord]:
-        """Apply every stage to one record (reference per-record path)."""
-        for stage in self.stages:
-            if type(stage) is FilterStage:
-                if not stage.predicate(record.payload):
-                    return []
-            else:
-                payload = stage.fn(record.payload)
-                size = (stage.out_size(payload) if stage.out_size
-                        else record.size_bytes)
-                record = record.derive(stage.name, payload, size)
-        return [record]
 
     def process_batch(self, batch: RecordBatch, port: str) -> RecordBatch | None:
         """Apply every stage column-wise; the batch crosses the chain once."""

@@ -30,7 +30,7 @@ from typing import Any, Callable
 
 from repro.core.base import CheckpointMeta, CheckpointRegistry, create_protocol
 from repro.dataflow.batch import RecordBatch
-from repro.dataflow.channels import ChannelId, Message, Partitioner, Records
+from repro.dataflow.channels import ChannelId, Message, Partitioner
 from repro.dataflow.coordinator import Coordinator
 from repro.dataflow.graph import (
     EdgeSpec,
@@ -40,11 +40,7 @@ from repro.dataflow.graph import (
 )
 from repro.dataflow.keygroups import validate_key_space
 from repro.dataflow.lifecycle import LifecycleManager
-from repro.dataflow.records import (
-    StreamRecord,
-    source_rid_from_prefix,
-    source_rids_from_prefix,
-)
+from repro.dataflow.records import StreamRecord, source_rids_from_prefix
 from repro.dataflow.results import RunResult
 from repro.dataflow.state import create_state_backend
 from repro.dataflow.transport import Transport
@@ -78,10 +74,6 @@ class Job:
         self.initial_parallelism = parallelism
         self.config = config or RuntimeConfig()
         self.cost = self.config.cost_model
-        #: columnar batch processing (DESIGN.md section 15): the default
-        #: data path; ``columnar=False`` keeps the per-record reference
-        #: path alive for the differential suites
-        self.columnar = bool(self.config.columnar)
         self.max_key_groups = self.config.max_key_groups
         validate_key_space(parallelism, self.max_key_groups, context="job deployment")
         #: input-log partitions per topic are fixed at deployment time; a
@@ -187,57 +179,20 @@ class Job:
     # Data path (flushing and transmission delegate to the transport)
     # ------------------------------------------------------------------ #
 
-    def process_records(self, instance: InstanceRuntime, records: Records | None,
-                        port: str) -> float:
+    def process_records(self, instance: InstanceRuntime,
+                        batch: RecordBatch | None, port: str) -> float:
         """Run operator logic over a batch; returns virtual CPU cost.
 
-        In columnar mode every input — polled batches, replayed
-        per-record lists, reinjected channel state — is processed through
-        the batch path, so router buffers stay uniformly columnar.  The
-        per-record reference path (``columnar=False``) is retained for
-        the differential suites; both paths charge CPU as
-        ``cpu_per_record * records_processed`` so their virtual-time
-        arithmetic is bit-identical.
+        Every input — polled batches, delivered messages, replayed and
+        reinjected channel state — takes this one path.  Dedup filters the
+        rid column (C-speed set operations on the no-duplicate fast path),
+        the operator consumes the whole batch in one
+        :meth:`~repro.dataflow.operators.Operator.process_batch` call, and
+        the outputs route once.  CPU is charged as
+        ``cpu_per_record * records_processed``.
         """
-        if not records:
+        if not batch:
             return 0.0
-        if self.columnar:
-            if type(records) is not RecordBatch:
-                records = RecordBatch.from_records(records)
-            return self._process_batch(instance, records, port)
-        dedup = self.protocol.requires_dedup
-        operator = instance.operator
-        seen = instance.processed_rids
-        journal = instance.rid_journal
-        router = instance.router
-        processed = 0
-        for record in records:
-            if dedup:
-                if record.rid in seen:
-                    self.metrics.duplicates_skipped += 1
-                    continue
-                seen.add(record.rid)
-                if journal is not None:
-                    journal.append(record.rid)
-            outputs = operator.process(record, port)
-            processed += 1
-            if outputs:
-                router.route(outputs)
-        cost = operator.cpu_per_record * processed
-        cost += self.flush_ready(instance)
-        return cost
-
-    def _process_batch(self, instance: InstanceRuntime, batch: RecordBatch,
-                       port: str) -> float:
-        """Columnar twin of the per-record loop in :meth:`process_records`.
-
-        Dedup filters the rid column (C-speed set operations on the
-        no-duplicate fast path), the operator consumes the whole batch in
-        one :meth:`~repro.dataflow.operators.Operator.process_batch` call,
-        and the outputs route once — the three per-record Python costs the
-        seed engine paid (dedup bookkeeping, ``process``, ``route``) each
-        collapse to per-batch calls.
-        """
         if self.protocol.requires_dedup:
             rids = batch.rids
             seen = instance.processed_rids
@@ -265,8 +220,8 @@ class Job:
                      batch: RecordBatch) -> RecordBatch:
         """Drop already-processed rids from a batch (slow path, dups present).
 
-        Mirrors the per-record dedup exactly: first occurrence wins (also
-        within the batch), survivors journal in arrival order.
+        First occurrence wins (also within the batch); survivors journal
+        in arrival order.
         """
         seen = instance.processed_rids
         journal = instance.rid_journal
@@ -287,15 +242,8 @@ class Job:
 
     def route_outputs(self, instance: InstanceRuntime,
                       outputs: list[StreamRecord]) -> None:
-        """Stage per-record outputs produced outside the data path (timers).
-
-        In columnar mode they are columnarized first so the instance's
-        router buffers keep a uniform representation.
-        """
-        if self.columnar:
-            instance.router.route_batch(RecordBatch.from_records(outputs))
-        else:
-            instance.router.route(outputs)
+        """Stage per-record outputs produced outside the data path (timers)."""
+        instance.router.route_batch(RecordBatch.from_records(outputs))
 
     def flush_ready(self, instance: InstanceRuntime) -> float:
         """Send router buffers that reached the batch threshold."""
@@ -357,28 +305,16 @@ class Job:
             if not log_records:
                 continue
             self.metrics.record_ingest(self.sim.now, len(log_records))
-            prefix = instance.rid_prefixes[part_index]
-            records: Records
-            if self.columnar:
-                records = RecordBatch(
-                    rids=source_rids_from_prefix(
-                        prefix, [r.offset for r in log_records]),
-                    payloads=[r.payload for r in log_records],
-                    source_ts=[r.available_at for r in log_records],
-                    sizes=[r.size_bytes for r in log_records],
-                )
-            else:
-                records = [
-                    StreamRecord(
-                        rid=source_rid_from_prefix(prefix, r.offset),
-                        payload=r.payload,
-                        source_ts=r.available_at,
-                        size_bytes=r.size_bytes,
-                    )
-                    for r in log_records
-                ]
+            batch = RecordBatch(
+                rids=source_rids_from_prefix(
+                    instance.rid_prefixes[part_index],
+                    [r.offset for r in log_records]),
+                payloads=[r.payload for r in log_records],
+                source_ts=[r.available_at for r in log_records],
+                sizes=[r.size_bytes for r in log_records],
+            )
             instance.source_cursors[part_index] = log_records[-1].offset + 1
-            cost += self.process_records(instance, records, "in")
+            cost += self.process_records(instance, batch, "in")
         # repro-lint: disable=RL006 -- self-clocking poll chain; the guard lives in _enqueue_poll, which re-checks liveness at fire time
         self.sim.schedule(self.cost.source_poll_interval, self._enqueue_poll, instance)
         return cost

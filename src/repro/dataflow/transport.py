@@ -35,9 +35,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from repro.dataflow.channels import ChannelId, DATA, MARKER, Message, Records
+from repro.dataflow.channels import ChannelId, DATA, MARKER, Message
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.dataflow.batch import RecordBatch
     from repro.dataflow.runtime import Job
     from repro.dataflow.worker import InstanceRuntime
 
@@ -295,7 +296,7 @@ class Transport:
     # ------------------------------------------------------------------ #
 
     def send_data(self, instance: "InstanceRuntime", edge_id: int, dst: int,
-                  records: "Records", payload_bytes: int) -> float:
+                  records: RecordBatch, payload_bytes: int) -> float:
         """Build, account and transmit one DATA message; returns CPU cost."""
         job = self.job
         channel = (edge_id, instance.index, dst)

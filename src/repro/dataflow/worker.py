@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Any
 from repro.dataflow.channels import ChannelId, Message, RouterBuffer, MARKER
 from repro.dataflow.graph import EdgeSpec, OperatorSpec
 from repro.dataflow.operators import OperatorContext
-from repro.dataflow.records import StreamRecord, source_rid_prefix
+from repro.dataflow.records import source_rid_prefix
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dataflow.runtime import Job
@@ -113,10 +113,6 @@ class InstanceRuntime(OperatorContext):
     def register_timer(self, at: float, tag: Any) -> None:
         """Forward a timer registration to the job (OperatorContext hook)."""
         self.job.register_timer(self, at, tag)
-
-    def record_output(self, record: StreamRecord) -> None:
-        """Report a sink record to the metrics (OperatorContext hook)."""
-        self.job.metrics.record_output(self.job.sim.now, record.source_ts)
 
     def record_outputs(self, source_ts: list[float]) -> None:
         """Report a batch of sink records to the metrics (OperatorContext hook)."""

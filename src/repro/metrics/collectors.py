@@ -158,19 +158,9 @@ class MetricsCollector:
     # Recording
     # ------------------------------------------------------------------ #
 
-    def record_output(self, now: float, source_ts: float) -> None:
-        """Count one sink record and its end-to-end latency."""
-        second = int(now)
-        self.latencies.setdefault(second, []).append(now - source_ts)
-        self.sink_counts[second] = self.sink_counts.get(second, 0) + 1
-
     def record_output_batch(self, now: float, source_ts: list[float]) -> None:
-        """Count a batch of sink records and their end-to-end latencies.
-
-        One call per delivered batch on the columnar path; the appended
-        values (and their order) are identical to per-record
-        :meth:`record_output` calls.
-        """
+        """Count a batch of sink records and their end-to-end latencies
+        (one call per batch delivered to a sink, values in column order)."""
         second = int(now)
         self.latencies.setdefault(second, []).extend(now - ts for ts in source_ts)
         self.sink_counts[second] = self.sink_counts.get(second, 0) + len(source_ts)

@@ -178,12 +178,6 @@ class RuntimeConfig:
     #: size of the key-group address space routing and keyed state are
     #: partitioned over; fixed per deployment, bounds useful parallelism
     max_key_groups: int = 128
-    #: columnar batch processing (DESIGN.md section 15): messages carry
-    #: column arrays instead of per-record objects and operators consume
-    #: whole batches per call.  Byte-identical final state to the
-    #: per-record path by construction; ``False`` selects the per-record
-    #: reference path (kept for the differential suites)
-    columnar: bool = True
     #: per-channel credit budget in bytes for credit-based flow control
     #: (DESIGN.md section 13): senders whose channel holds this many
     #: unconsumed in-flight bytes park further batches and block until the

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.dataflow.batch import RecordBatch
 from repro.dataflow.graph import LogicalGraph, Partitioning
 from repro.dataflow.operators import Operator, OperatorContext, SinkOperator, SourceOperator
 from repro.dataflow.records import StreamRecord
@@ -48,6 +49,12 @@ class CountPerKeyOperator(Operator):
         return [record.derive(self.ctx.op_name, payload, 40)]
 
 
+def process_one(op: Operator, record: StreamRecord, port: str) -> list[StreamRecord]:
+    """Feed one record through ``op.process_batch``; the output records."""
+    out = op.process_batch(RecordBatch.from_records([record]), port)
+    return list(out) if out is not None else []
+
+
 def build_count_graph() -> LogicalGraph:
     graph = LogicalGraph("count")
     graph.add_source("src", "events", SourceOperator)
@@ -79,7 +86,7 @@ def run_count_job(protocol: str, parallelism: int = 3, rate: float = 300.0,
                   checkpoint_interval: float = 3.0, seed: int = 3,
                   state_backend: str = "full", changelog_max_chain: int = 4,
                   rescale_to: int | None = None, rescale_at: int = 1,
-                  channel_capacity_bytes: int = 0, columnar: bool = True):
+                  channel_capacity_bytes: int = 0):
     """Run the counting pipeline; input stops early so queues drain."""
     if input_until is None:
         input_until = warmup + duration - 4.0
@@ -94,7 +101,6 @@ def run_count_job(protocol: str, parallelism: int = 3, rate: float = 300.0,
         rescale_to=rescale_to,
         rescale_at=rescale_at,
         channel_capacity_bytes=channel_capacity_bytes,
-        columnar=columnar,
     )
     log = make_event_log(rate, input_until, parallelism, seed=seed)
     job = Job(build_count_graph(), protocol, parallelism, {"events": log}, config)

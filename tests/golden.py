@@ -4,11 +4,13 @@
 sha256 of the canonicalised final operator state, the recovery lines
 (count and sha256 of their repr), sink record total, messages sent,
 duplicates skipped and the final virtual time.  The file was recorded
-from the per-record engine (``RuntimeConfig.columnar=False``) and covers
-the matrix that engine used to be the reference for — count job and
-q12 x 4 protocols x 2 backends through a failure, rescaled recoveries,
-marker-split partial batches, a fused and an unfused stateless chain,
-the two-port joins and the sliding-window/max chain.
+from the per-record engine this codebase used to carry next to the
+batch engine (``RuntimeConfig.columnar=False``, asserted against both
+in the commit that added it) and covers the matrix that engine was the
+reference for — count job and q12 x 4 protocols x 2 backends through a
+failure, rescaled recoveries, marker-split partial batches, a fused and
+an unfused stateless chain, the two-port joins and the
+sliding-window/max chain.
 
 ``tests/test_columnar_differential.py`` runs every case against the
 fixture.  Regenerate after an *intentional* semantic change with
@@ -83,17 +85,16 @@ def load_golden() -> dict[str, dict]:
 # --------------------------------------------------------------------- #
 
 
-def run_count_case(protocol: str, *, columnar: bool, **kwargs) -> Job:
+def run_count_case(protocol: str, **kwargs) -> Job:
     """The conftest counting pipeline (input stops early, queues drain)."""
-    job, _ = run_count_job(protocol, columnar=columnar, **kwargs)
+    job, _ = run_count_job(protocol, **kwargs)
     return job
 
 
-def run_marker_split_count_case(protocol: str, *, columnar: bool) -> Job:
+def run_marker_split_count_case(protocol: str) -> Job:
     """Counting pipeline whose buffers only leave via checkpoint drains."""
     config = RuntimeConfig(checkpoint_interval=1.0, duration=10.0,
                            warmup=2.0, failure_at=5.0, seed=11,
-                           columnar=columnar,
                            cost_model=MARKER_SPLIT_COST)
     log = make_event_log(200.0, 8.0, 2, seed=11)
     job = Job(build_count_graph(), protocol, 2, {"events": log}, config)
@@ -141,18 +142,17 @@ def chain_graph(fused: bool) -> LogicalGraph:
     return graph
 
 
-def run_chain_case(fused: bool, *, columnar: bool) -> Job:
+def run_chain_case(fused: bool) -> Job:
     """The stateless chain under UNC through a failure + dedup-heavy replay."""
     config = RuntimeConfig(checkpoint_interval=3.0, duration=16.0,
-                           warmup=2.0, failure_at=6.0, seed=5,
-                           columnar=columnar)
+                           warmup=2.0, failure_at=6.0, seed=5)
     log = make_event_log(150.0, 10.0, 2, seed=5)
     job = Job(chain_graph(fused), "unc", 2, {"events": log}, config)
     job.run(drain=True)
     return job
 
 
-def run_spec_case(query: str, protocol: str, *, columnar: bool,
+def run_spec_case(query: str, protocol: str, *,
                   state_backend: str = "full", rate: float = 250.0,
                   parallelism: int = 2, duration: float = 14.0,
                   warmup: float = 2.0, failure_at: float = 6.0,
@@ -168,7 +168,6 @@ def run_spec_case(query: str, protocol: str, *, columnar: bool,
                            duration=duration, warmup=warmup,
                            failure_at=failure_at, rescale_to=rescale_to,
                            seed=seed, state_backend=state_backend,
-                           columnar=columnar,
                            cost_model=cost if cost is not None else CostModel())
     graph = spec.build_graph(parallelism)
     inputs = spec.make_job_inputs(rate, warmup + duration - 4.0, parallelism,
@@ -182,9 +181,8 @@ def run_spec_case(query: str, protocol: str, *, columnar: bool,
 # The matrix
 # --------------------------------------------------------------------- #
 
-#: case id -> runner; every runner takes the engine as ``columnar=`` and
-#: returns the finished job
-CASES: dict[str, Callable[..., Job]] = {}
+#: case id -> runner returning the finished job
+CASES: dict[str, Callable[[], Job]] = {}
 
 for _protocol in ALL_PROTOCOLS:
     for _backend in BACKENDS:
@@ -214,9 +212,8 @@ CASES["chain-unfused"] = partial(run_chain_case, False)
 
 
 def main() -> None:
-    """Re-record the fixture from the per-record reference engine."""
-    golden = {case: signature(CASES[case](columnar=False))
-              for case in sorted(CASES)}
+    """Re-record the fixture from the engine as it is now."""
+    golden = {case: signature(CASES[case]()) for case in sorted(CASES)}
     FIXTURE.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(golden)} cases to {FIXTURE}")
 

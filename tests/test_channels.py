@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.dataflow.batch import RecordBatch
 from repro.dataflow.channels import (
     DATA,
     Message,
@@ -16,6 +17,10 @@ from repro.dataflow.records import StreamRecord
 
 def rec(key: int, size: int = 10) -> StreamRecord:
     return StreamRecord(rid=key, payload=key, source_ts=0.0, size_bytes=size)
+
+
+def batch(*keys: int) -> RecordBatch:
+    return RecordBatch.from_records([rec(key) for key in keys])
 
 
 def make_edge(partitioning, key_fn=None, edge_id=0):
@@ -97,9 +102,9 @@ def make_router(batch_max=3, partitioning=Partitioning.KEY):
 
 def test_router_batches_until_threshold():
     router, edge = make_router(batch_max=3)
-    router.route([rec(2), rec(3)])  # both key groups owned by dst 0
+    router.route_batch(batch(2, 3))  # both key groups owned by dst 0
     assert router.take_ready() == []
-    router.route([rec(4)])
+    router.route_batch(batch(4))
     ready = router.take_ready()
     assert len(ready) == 1
     edge_id, dst, records, nbytes = ready[0]
@@ -109,7 +114,7 @@ def test_router_batches_until_threshold():
 def test_router_take_all_flushes_partial():
     # keys 2 and 0 fall in groups owned by different instances at p=2
     router, _ = make_router(batch_max=100)
-    router.route([rec(2), rec(0)])
+    router.route_batch(batch(2, 0))
     drained = router.take_all()
     assert len(drained) == 2  # one buffer per destination
     assert router.staged_records == 0
@@ -123,7 +128,7 @@ def test_router_take_edge_only_flushes_that_edge():
         {0: Partitioner(edge0, 2), 1: Partitioner(edge1, 2)},
         src_index=0, batch_max=100,
     )
-    router.route([rec(5)])
+    router.route_batch(batch(5))
     drained = router.take_edge(0)
     assert len(drained) == 1
     assert router.staged_records == 1  # edge1's copy remains
@@ -138,14 +143,14 @@ def test_router_routes_to_all_outgoing_edges():
         {0: Partitioner(edge0, 2), 1: Partitioner(edge1, 2)},
         src_index=1, batch_max=1,
     )
-    router.route([rec(9)])
+    router.route_batch(batch(9))
     ready = router.take_ready()
     assert {(e, d) for e, d, _, _ in ready} == {(0, 1), (1, 1)}
 
 
 def test_router_clear():
     router, _ = make_router()
-    router.route([rec(0)])
+    router.route_batch(batch(0))
     router.clear()
     assert router.staged_records == 0
     assert router.take_all() == []
@@ -153,8 +158,7 @@ def test_router_clear():
 
 def test_router_preserves_record_order_per_destination():
     router, _ = make_router(batch_max=100)
-    records = [rec(2), rec(3), rec(4)]  # all key groups owned by dst 0
-    router.route(records)
+    router.route_batch(batch(2, 3, 4))  # all key groups owned by dst 0
     drained = router.take_all()
     (edge_id, dst, out, _), = [d for d in drained if d[1] == 0]
     assert [r.rid for r in out] == [2, 3, 4]
@@ -167,7 +171,7 @@ def test_router_preserves_record_order_per_destination():
 def test_message_totals():
     msg = Message(
         channel=(0, 0, 1), seq=1, kind=DATA,
-        records=[rec(1), rec(2)], payload_bytes=20, protocol_bytes=5,
+        records=batch(1, 2), payload_bytes=20, protocol_bytes=5,
     )
     assert msg.total_bytes == 25
     assert msg.record_count == 2

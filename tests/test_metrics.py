@@ -44,9 +44,9 @@ def test_percentile_monotone_in_pct():
 
 def test_record_output_buckets_by_second():
     m = MetricsCollector()
-    m.record_output(now=3.4, source_ts=3.0)
-    m.record_output(now=3.9, source_ts=3.0)
-    m.record_output(now=4.1, source_ts=4.0)
+    m.record_output_batch(now=3.4, source_ts=[3.0])
+    m.record_output_batch(now=3.9, source_ts=[3.0])
+    m.record_output_batch(now=4.1, source_ts=[4.0])
     assert len(m.latencies[3]) == 2
     assert m.sink_counts == {3: 2, 4: 1}
 

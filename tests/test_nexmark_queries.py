@@ -8,6 +8,8 @@ from repro.workloads.nexmark import QUERIES
 from repro.workloads.nexmark.model import Q3_STATES
 from repro.workloads.nexmark.queries import EXCHANGE_RATE
 
+from tests.conftest import process_one
+
 
 def run_query_job(name, parallelism=2, rate=200.0, duration=10.0, warmup=2.0):
     spec = QUERIES[name]
@@ -43,7 +45,7 @@ def test_q1_price_conversion_factor():
         op_name = "map_convert"
 
     op.ctx = Ctx()
-    out = op.process(StreamRecord(1, bid, 0.0, 100), "in")
+    out = process_one(op, StreamRecord(1, bid, 0.0, 100), "in")
     assert out[0].payload.price == int(1000 * EXCHANGE_RATE)
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.base import CheckpointMeta, initial_checkpoint
 from repro.core.checkpoint_graph import CheckpointGraph, maximal_consistent_line
 from repro.core.recovery import build_replay_sets
+from repro.dataflow.batch import RecordBatch
 from repro.dataflow.channels import DATA, Message, Partitioner, hash_key
 from repro.dataflow.graph import EdgeSpec, Partitioning
 from repro.dataflow.records import StreamRecord
@@ -146,11 +147,11 @@ def test_dedup_processing_is_idempotent(seed):
     job = Job(build_count_graph(), "unc", 1, {"events": log},
               RuntimeConfig(duration=2.0, warmup=0.5))
     instance = job.instance(("count", 0))
-    records = [
+    records = RecordBatch.from_records(
         StreamRecord(rid=1000 + i, payload=r.payload, source_ts=0.0,
                      size_bytes=r.size_bytes)
         for i, r in enumerate(log.partition(0).records[:5])
-    ]
+    )
     job.process_records(instance, records, "in")
     total_after_first = sum(v for _, v in instance.operator.states["counts"].items())
     job.process_records(instance, records, "in")  # replayed duplicate batch

@@ -20,7 +20,12 @@ from repro.dataflow.operators import (
 from repro.dataflow.runtime import Job
 from repro.sim.costs import RuntimeConfig
 
-from tests.conftest import CountPerKeyOperator, KeyedEvent, make_event_log
+from tests.conftest import (
+    CountPerKeyOperator,
+    KeyedEvent,
+    make_event_log,
+    process_one,
+)
 
 
 def build_random_graph(rng: random.Random) -> tuple[LogicalGraph, float]:
@@ -72,7 +77,7 @@ def passes_stages(graph: LogicalGraph, payload) -> bool:
         operator.ctx = _Ctx()
         from repro.dataflow.records import StreamRecord
 
-        outs = operator.process(StreamRecord(1, value, 0.0, 40), "in")
+        outs = process_one(operator, StreamRecord(1, value, 0.0, 40), "in")
         if not outs:
             return False
         value = outs[0].payload

@@ -8,6 +8,7 @@ from repro.dataflow.runtime import Job
 from repro.sim.costs import RuntimeConfig
 from repro.workloads.nexmark import QUERIES
 
+from tests.conftest import process_one
 from tests.test_operators import StubContext
 
 
@@ -38,7 +39,7 @@ def test_invalid_parameters_rejected():
 def test_record_updates_all_overlapping_windows():
     op, ctx = make_sliding(window_range=10.0, slide=2.0)
     ctx.time = 9.0  # windows 0..4 cover t=9 (starts 0,2,4,6,8)
-    op.process(rec({"k": "a"}, rid=1), "in")
+    process_one(op, rec({"k": "a"}, rid=1), "in")
     counts = op.states["counts"]
     assert {w for (w, k) in [key for key in counts.keys()]} == {0, 1, 2, 3, 4}
 
@@ -46,15 +47,15 @@ def test_record_updates_all_overlapping_windows():
 def test_early_records_do_not_create_negative_windows():
     op, ctx = make_sliding(window_range=10.0, slide=2.0)
     ctx.time = 1.0
-    op.process(rec({"k": "a"}, rid=1), "in")
+    process_one(op, rec({"k": "a"}, rid=1), "in")
     assert all(w >= 0 for (w, _) in op.states["counts"].keys())
 
 
 def test_emits_newest_window_running_count():
     op, ctx = make_sliding(window_range=10.0, slide=2.0)
     ctx.time = 4.5
-    first = op.process(rec({"k": "a"}, rid=1), "in")[0]
-    second = op.process(rec({"k": "a"}, rid=2), "in")[0]
+    first = process_one(op, rec({"k": "a"}, rid=1), "in")[0]
+    second = process_one(op, rec({"k": "a"}, rid=2), "in")[0]
     assert first.payload == {"key": "a", "window": 2, "count": 1}
     assert second.payload["count"] == 2
 
@@ -63,9 +64,9 @@ def test_sliding_counts_roll_off():
     """A record only counts in windows whose range still covers it."""
     op, ctx = make_sliding(window_range=10.0, slide=2.0)
     ctx.time = 1.0
-    op.process(rec({"k": "a"}, rid=1), "in")
+    process_one(op, rec({"k": "a"}, rid=1), "in")
     ctx.time = 11.0  # newest window = 5, starts at 10: old record outside
-    out = op.process(rec({"k": "a"}, rid=2), "in")[0]
+    out = process_one(op, rec({"k": "a"}, rid=2), "in")[0]
     assert out.payload["window"] == 5
     assert out.payload["count"] == 1
 
@@ -73,7 +74,7 @@ def test_sliding_counts_roll_off():
 def test_sweep_timer_drops_expired_windows():
     op, ctx = make_sliding(window_range=10.0, slide=2.0)
     ctx.time = 1.0
-    op.process(rec({"k": "a"}, rid=1), "in")
+    process_one(op, rec({"k": "a"}, rid=1), "in")
     before = len(op.states["counts"])
     op.on_timer(("sweep", 4))  # everything through window 4 expires
     assert len(op.states["counts"]) < before
@@ -82,8 +83,8 @@ def test_sweep_timer_drops_expired_windows():
 def test_distinct_keys_counted_separately():
     op, ctx = make_sliding()
     ctx.time = 1.0
-    op.process(rec({"k": "a"}, rid=1), "in")
-    out = op.process(rec({"k": "b"}, rid=2), "in")[0]
+    process_one(op, rec({"k": "a"}, rid=1), "in")
+    out = process_one(op, rec({"k": "b"}, rid=2), "in")[0]
     assert out.payload["count"] == 1
 
 
@@ -104,9 +105,9 @@ def make_max():
 
 def test_max_emits_only_on_improvement():
     op = make_max()
-    out1 = op.process(rec({"window": 0, "key": "a", "count": 3}, rid=1), "in")
-    out2 = op.process(rec({"window": 0, "key": "b", "count": 2}, rid=2), "in")
-    out3 = op.process(rec({"window": 0, "key": "b", "count": 5}, rid=3), "in")
+    out1 = process_one(op, rec({"window": 0, "key": "a", "count": 3}, rid=1), "in")
+    out2 = process_one(op, rec({"window": 0, "key": "b", "count": 2}, rid=2), "in")
+    out3 = process_one(op, rec({"window": 0, "key": "b", "count": 5}, rid=3), "in")
     assert len(out1) == 1 and out1[0].payload["item"] == "a"
     assert out2 == []  # 2 < 3: not a new leader
     assert len(out3) == 1 and out3[0].payload["item"] == "b"
@@ -114,8 +115,8 @@ def test_max_emits_only_on_improvement():
 
 def test_max_tracks_groups_independently():
     op = make_max()
-    op.process(rec({"window": 0, "key": "a", "count": 9}, rid=1), "in")
-    out = op.process(rec({"window": 1, "key": "b", "count": 1}, rid=2), "in")
+    process_one(op, rec({"window": 0, "key": "a", "count": 9}, rid=1), "in")
+    out = process_one(op, rec({"window": 1, "key": "b", "count": 1}, rid=2), "in")
     assert len(out) == 1  # first value of a new group always leads
 
 

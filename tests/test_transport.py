@@ -16,6 +16,7 @@ Three levels (DESIGN.md section 13):
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.dataflow.batch import RecordBatch
 from repro.dataflow.channels import Partitioner, RouterBuffer
 from repro.dataflow.graph import LogicalGraph, Partitioning, UnsupportedTopologyError
 from repro.dataflow.operators import SinkOperator, SourceOperator
@@ -66,15 +67,16 @@ def _make_router(n_edges: int = 3, parallelism: int = 4, batch_max: int = 4):
     return RouterBuffer(edges, partitioners, 0, batch_max), edges
 
 
-def _records(keys):
-    return [StreamRecord(rid=i, payload=KeyedEvent(k, i), source_ts=0.0,
-                         size_bytes=40)
-            for i, k in enumerate(keys)]
+def _batch(keys) -> RecordBatch:
+    return RecordBatch.from_records(
+        [StreamRecord(rid=i, payload=KeyedEvent(k, i), source_ts=0.0,
+                      size_bytes=40)
+         for i, k in enumerate(keys)])
 
 
 def test_take_edge_returns_only_that_edge():
     router, edges = _make_router()
-    router.route(_records([0, 1, 2, 3, 4, 5]))
+    router.route_batch(_batch([0, 1, 2, 3, 4, 5]))
     drained = router.take_edge(edges[1].edge_id)
     assert drained
     assert all(eid == edges[1].edge_id for eid, *_ in drained)
@@ -84,9 +86,9 @@ def test_take_edge_returns_only_that_edge():
 
 def test_blocked_key_skipped_by_gated_drains_but_forced_out():
     router, edges = _make_router(n_edges=1, batch_max=2)
-    router.route(_records([0, 0, 0, 0]))  # one hot destination, full batch
+    router.route_batch(_batch([0, 0, 0, 0]))  # one hot destination, full batch
     [(edge_id, dst, _, _)] = router.take_ready()
-    router.route(_records([0, 0, 0]))
+    router.route_batch(_batch([0, 0, 0]))
     router.block(edge_id, dst)
     assert router.is_blocked(edge_id, dst)
     assert router.take_ready() == []          # blocked: gated drain skips
@@ -100,7 +102,7 @@ def test_blocked_key_skipped_by_gated_drains_but_forced_out():
 
 def test_gate_refusal_blocks_in_place():
     router, edges = _make_router(n_edges=1, batch_max=2)
-    router.route(_records([0, 0]))
+    router.route_batch(_batch([0, 0]))
     refused = router.take_ready(gate=lambda eid, dst, nbytes, nrecords: False)
     assert refused == []
     [(eid, dst)] = list(router.blocked_keys)
@@ -121,16 +123,13 @@ def test_gate_refusal_blocks_in_place():
 def test_router_never_loses_or_duplicates_records(ops):
     """Property: routed records == drained records, per (edge, dst), in order.
 
-    Random interleavings of route / route_batch / take_ready / take_all /
+    Random interleavings of route_batch (one record, or a batch of two to
+    four — up to past the batch threshold) / take_ready / take_all /
     take_edge / block / unblock must conserve every record exactly once
     and keep per-destination FIFO order; the incremental counters must
     match the buffered reality at every step.  Records include size 0
-    (the record counter, not just the byte counter, must track them) and
-    the columnar ``route_batch`` path interleaves with per-record
-    ``route`` so both feed the same bookkeeping.
+    (the record counter, not just the byte counter, must track them).
     """
-    from repro.dataflow.batch import RecordBatch
-
     router, edges = _make_router(n_edges=3, parallelism=3, batch_max=3)
     partitioner = Partitioner(edges[0], 3)
     routed: dict[tuple[int, int], list[int]] = {}
@@ -162,11 +161,10 @@ def test_router_never_loses_or_duplicates_records(ops):
     for action, key, edge_sel in ops:
         edge = edges[edge_sel]
         if action <= 1:  # route one record (weighted: most common op)
-            router.route([make_record(key)])
-        elif action == 2:  # columnar path: route a two-record batch
-            batch = RecordBatch.from_records(
-                [make_record(key), make_record((key + 5) % 8)])
-            router.route_batch(batch)
+            router.route_batch(RecordBatch.from_records([make_record(key)]))
+        elif action == 2:  # route a batch of 2..4 records over several keys
+            router.route_batch(RecordBatch.from_records(
+                [make_record((key + 5 * i) % 8) for i in range(2 + edge_sel)]))
         elif action == 3:
             collect(router.take_ready())
         elif action == 4:
@@ -288,7 +286,8 @@ def test_zero_size_records_consume_credit_units():
     records = [StreamRecord(rid=i, payload=KeyedEvent(0, i), source_ts=0.0,
                             size_bytes=0) for i in range(10)]
     assert transport.has_credit(channel, 0, 10)  # empty channel accepts
-    msg = Message(channel=channel, seq=1, kind=DATA, records=records,
+    msg = Message(channel=channel, seq=1, kind=DATA,
+                  records=RecordBatch.from_records(records),
                   payload_bytes=0, sent_at=0.0)
     transport.transmit(channel, msg)
     # ten zero-byte records hold ten credit units, not zero
@@ -398,7 +397,8 @@ def test_release_instance_never_runs_tasks_synchronously():
     worker = count.worker
     record = StreamRecord(rid=1, payload=KeyedEvent(0, 1), source_ts=0.0,
                           size_bytes=40)
-    msg = Message(channel=channel, seq=1, kind=DATA, records=[record],
+    msg = Message(channel=channel, seq=1, kind=DATA,
+                  records=RecordBatch.from_records([record]),
                   payload_bytes=40, sent_at=0.0)
     count.credit_blocked = True
     worker._tasks.append(("data", channel, msg))

@@ -49,7 +49,8 @@ class RuleScope:
 
 #: hot-path modules where RL005 additionally demands slotted dataclasses
 #: (records and messages are allocated per event; attribute dicts there
-#: cost measurable simulator throughput — see BENCH_transport.json)
+#: cost measurable simulator throughput — `python3 -m perfbench --trace 1`
+#: shows it under dataflow.batch / dataflow.transport)
 HOT_PATH = (
     "src/repro/dataflow/records.py",
     "src/repro/dataflow/batch.py",
