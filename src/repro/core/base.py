@@ -184,16 +184,12 @@ class CheckpointProtocol:
 
     def __init__(self, job: "Job") -> None:
         self.job = job
-
-    @property
-    def requires_dedup(self) -> bool:
-        """Should receivers deduplicate by lineage id?
-
-        Defaults to ``requires_logging`` (log-based recovery needs dedup for
-        exactly-once); the uncoordinated protocol overrides this for its
-        weaker processing-semantics modes (paper Definitions 1-3).
-        """
-        return self.requires_logging
+        #: should receivers deduplicate by lineage id?  Log-based recovery
+        #: needs dedup for exactly-once, so the default follows
+        #: ``requires_logging``; the uncoordinated protocol narrows it for
+        #: its weaker processing-semantics modes (paper Definitions 1-3).
+        #: Fixed at construction — the data path reads it on every batch
+        self.requires_dedup: bool = self.requires_logging
 
     # -- lifecycle ------------------------------------------------------ #
 

@@ -135,11 +135,24 @@ class CommunicationInducedProtocol(UncoordinatedProtocol):
         super().on_job_start()
 
     def _install_states(self) -> None:
-        n = self.job.n_instances
-        for instance in self.job.instances():
+        """Build everything sized by the current deployment.
+
+        Besides the per-instance HMNR state: each channel's receiver
+        ordinal and the per-record piggyback size, both constant until the
+        next rescale, so ``on_send`` looks them up instead of re-deriving
+        them for every message.
+        """
+        job = self.job
+        n = job.n_instances
+        for instance in job.instances():
             instance.proto = CicState(
-                ordinal=self.job.instance_ordinal(instance.key), n=n
+                ordinal=job.instance_ordinal(instance.key), n=n
             )
+        self._receiver_ordinal: dict[ChannelId, int] = {
+            channel: receiver.proto.ordinal
+            for channel, receiver in job.channel_dst.items()
+        }
+        self._piggyback_per_record = job.cost.cic_piggyback_bytes(n)
 
     def on_rescaled(self, plan: RecoveryPlan) -> None:
         """HMNR vectors are sized by instance count: rebuild them fresh.
@@ -160,12 +173,11 @@ class CommunicationInducedProtocol(UncoordinatedProtocol):
         """Attach the piggyback, log the message, note the destination."""
         cost = super().on_send(instance, channel, msg)  # upstream backup log
         state: CicState = instance.proto
-        receiver_ordinal = self.job.instance_ordinal(self.job.channel_dst[channel].key)
-        state.sent_to.add(receiver_ordinal)
+        state.sent_to.add(self._receiver_ordinal[channel])
         msg.piggyback = state.snapshot()
         # one piggyback per logical (per-record) message — see CostModel
-        per_record = self.job.cost.cic_piggyback_bytes(self.job.n_instances)
-        msg.protocol_bytes += per_record * max(1, msg.record_count)
+        msg.protocol_bytes += self._piggyback_per_record * max(
+            1, len(msg.records.rids))
         return cost
 
     def on_data_received(self, instance: "InstanceRuntime", channel: ChannelId,

@@ -114,7 +114,7 @@ class CoordinatedProtocol(CheckpointProtocol):
         """Forward markers downstream and release the aligned channels."""
         if kind != KIND_COOR:
             return 0.0
-        cost = self.job.send_marker(instance, round_id)
+        cost = self.job.transport.send_marker(instance, round_id)
         state = self._align.pop(instance.key, None)
         if state is not None:
             for channel in state["got"]:

@@ -132,7 +132,7 @@ class UnalignedCoordinatedProtocol(CoordinatedProtocol):
         # CPU time for the flush + sync capture is charged as a priority
         # task; the flush is forced so batches parked by credit exhaustion
         # drain before the sent-cursor is captured
-        cost = job.flush_all(instance, force=True)
+        cost = job.transport.flush_all(instance, force=True)
         instance.checkpoint_counter += 1
         blob_key = (f"{instance.key[0]}/{instance.key[1]}/"
                     f"{instance.checkpoint_counter}")
@@ -158,7 +158,7 @@ class UnalignedCoordinatedProtocol(CoordinatedProtocol):
             restore_bytes=captured.restore_bytes,
         )
         # forward markers immediately — they must not wait behind the queue
-        cost += job.send_marker(instance, round_id)
+        cost += job.transport.send_marker(instance, round_id)
         instance.worker.charge_cpu(cost)
         pending = set(instance.in_channels)
         pending.discard(first_channel)
@@ -235,7 +235,7 @@ class UnalignedCoordinatedProtocol(CoordinatedProtocol):
             return 0.0
         # sources: snapshot (already captured by the runtime) then markers;
         # there are no inbound channels so nothing to unblock
-        return self.job.send_marker(instance, round_id)
+        return self.job.transport.send_marker(instance, round_id)
 
     # ------------------------------------------------------------------ #
     # Recovery — COOR's line plus channel-state replay

@@ -37,6 +37,7 @@ from repro.dataflow.channels import ChannelId, Message
 from repro.metrics.collectors import KIND_LOCAL
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.dataflow.runtime import Job
     from repro.dataflow.worker import InstanceRuntime
 
 
@@ -54,9 +55,8 @@ class UncoordinatedProtocol(CheckpointProtocol):
     # Processing semantics (paper Definitions 1-3)
     # ------------------------------------------------------------------ #
 
-    @property
-    def semantics(self) -> str:
-        """The configured processing guarantee.
+    def __init__(self, job: "Job") -> None:
+        """Resolve the configured processing guarantee once, at deploy time.
 
         * ``exactly-once`` — the paper's evaluated mode: message logging,
           recovery-line search, replay, lineage-id dedup.
@@ -67,23 +67,21 @@ class UncoordinatedProtocol(CheckpointProtocol):
           line is still chosen (duplicates are forbidden) but nothing is
           logged or replayed, so in-flight messages are lost — the paper's
           *gap recovery*.
+
+        An unknown value raises here, so a bad ``unc_semantics`` fails
+        ``Job(...)`` instead of the first worker task in virtual time.
         """
-        value = self.job.config.unc_semantics
-        if value not in self.VALID_SEMANTICS:
+        super().__init__(job)
+        semantics = job.config.unc_semantics
+        if semantics not in self.VALID_SEMANTICS:
             raise ValueError(
-                f"unc_semantics={value!r}; choose one of {self.VALID_SEMANTICS}"
+                f"unc_semantics={semantics!r}; choose one of {self.VALID_SEMANTICS}"
             )
-        return value
-
-    @property
-    def logs_messages(self) -> bool:
-        """Does this semantics mode append to the durable send log?"""
-        return self.semantics != "at-most-once"
-
-    @property
-    def requires_dedup(self) -> bool:
-        """Exactly-once needs lineage-id dedup at receivers."""
-        return self.semantics == "exactly-once"
+        #: the configured processing guarantee
+        self.semantics: str = semantics
+        #: does this semantics mode append to the durable send log?
+        self.logs_messages: bool = semantics != "at-most-once"
+        self.requires_dedup = semantics == "exactly-once"
 
     # ------------------------------------------------------------------ #
     # Local checkpoint timers
@@ -163,8 +161,9 @@ class UncoordinatedProtocol(CheckpointProtocol):
         """Append the message to the durable per-channel send log."""
         if not self.logs_messages:
             return 0.0
-        self.job.send_log.setdefault(channel, []).append(msg)
-        return self.job.cost.log_append_cost(msg.record_count, msg.payload_bytes)
+        job = self.job
+        job.send_log.setdefault(channel, []).append(msg)
+        return job.cost.log_append_cost(len(msg.records.rids), msg.payload_bytes)
 
     # ------------------------------------------------------------------ #
     # Recovery

@@ -40,11 +40,10 @@ __all__ = ["RecordBatch", "group_indices"]
 def group_indices(keys: Sequence[Any]) -> dict[Any, list[int]]:
     """Group column positions by key, in first-occurrence order.
 
-    The scatter idiom shared with ``route_batch``: one pass over the key
-    column builds ``key -> [positions]`` with dict insertion order equal to
-    the order each key first appears, so batched keyed-state kernels touch
-    (and create) state entries in exactly the order the per-record loop
-    would (DESIGN.md section 16).
+    One pass over the key column builds ``key -> [positions]`` with dict
+    insertion order equal to the order each key first appears, so batched
+    keyed-state kernels touch (and create) state entries in exactly the
+    order the per-record loop would (DESIGN.md section 16).
     """
     groups: dict[Any, list[int]] = {}
     get = groups.get

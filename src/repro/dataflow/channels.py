@@ -105,17 +105,6 @@ class _Buffer:
     bytes: int = 0
 
 
-def _extend_buffer(buf: _Buffer, batch: RecordBatch,
-                   indices: list[int] | None) -> int:
-    """Append (selected rows of) ``batch`` to a buffer; returns bytes added."""
-    if indices is None:
-        added = buf.records.extend(batch)
-    else:
-        added = buf.records.extend_select(batch, indices)
-    buf.bytes += added
-    return added
-
-
 class RouterBuffer:
     """Outbound batching for one producer instance.
 
@@ -128,6 +117,10 @@ class RouterBuffer:
     batch-ready record counts are tracked incrementally, so the per-message
     ``take_ready`` poll and the per-linger-tick staged check are O(1) when
     nothing is due — the hot path never rescans the buffer map.
+
+    The two counters behind that, ``_n_ready`` and ``_staged``, are read
+    directly by the engine (``Job.process_records``, the worker's linger
+    flush): a property would put a Python frame on every batch.
 
     Buffers are indexed **per edge** (``edge_id -> dst -> _Buffer``), so
     the marker-path ``take_edge`` — on the barrier-alignment hot path — is
@@ -178,12 +171,19 @@ class RouterBuffer:
         """Stage one batch onto (edge, destination) buffers.
 
         Buffers are created in first-occurrence order of their destination
-        and become ready exactly when a record crosses the batch threshold.
-        The per-record Python loop survives only on KEY edges (one memoised
-        dict probe per record); FORWARD/BROADCAST edges stage whole columns
-        with one ``extend``.
+        and become ready exactly when a record crosses the batch threshold,
+        so the staged state does not depend on how the producer's output
+        happened to be batched.  FORWARD/BROADCAST edges stage whole
+        columns with one ``extend``; KEY edges append row by row onto the
+        destination's columns (one memoised dict probe per record).  At
+        the paper's rates four in five KEY batches carry at most four
+        records, where a ``dst -> [positions]`` scatter map costs more to
+        build than the appends it saves; on 256-record batches the scatter
+        would be ~15 % cheaper per row, which is ~1 % of a dense run —
+        not worth a second path.
         """
-        n = len(batch)
+        rids = batch.rids
+        n = len(rids)
         if not n:
             return
         batch_max = self._batch_max
@@ -193,53 +193,52 @@ class RouterBuffer:
         staged_bytes = 0
         for edge_id, buffers, static, key_fn, parallelism, max_groups, memo \
                 in self._plans:
-            if static is None:  # KEY partitioning: hash per record
-                # the routing key -> destination map is deterministic per
-                # deployment, so it is memoised: the crc32 double hash
-                # (hash_key + key_group) runs once per distinct key, not
-                # once per record.  Routers are rebuilt on rescale, which
-                # invalidates the memo with them; the cap bounds memory
-                # against pathological key cardinalities.
-                payloads = batch.payloads
-                by_dst: dict[int, list[int]] = {}
-                for i in range(n):
-                    routing_key = key_fn(payloads[i])
-                    dst = memo.get(routing_key)
-                    if dst is None:
-                        group = key_group(hash_key(routing_key), max_groups)
-                        dst = group * parallelism // max_groups
-                        if len(memo) >= 1 << 17:
-                            memo.clear()
-                        memo[routing_key] = dst
-                    idxs = by_dst.get(dst)
-                    if idxs is None:
-                        by_dst[dst] = [i]
-                    else:
-                        idxs.append(i)
-                for dst, idxs in by_dst.items():
-                    buf = buffers.get(dst)
-                    if buf is None:
-                        buf = _Buffer()
-                        buffers[dst] = buf
-                    before = len(buf.records)
-                    staged_bytes += _extend_buffer(
-                        buf, batch, None if len(idxs) == n else idxs)
-                    if before < batch_max <= before + len(idxs) \
-                            and (edge_id, dst) not in blocked:
-                        n_ready += 1
-                staged += n
-            else:  # FORWARD / BROADCAST: constant destination set
+            if static is not None:  # FORWARD / BROADCAST: constant destinations
                 for dst in static:
                     buf = buffers.get(dst)
                     if buf is None:
                         buf = _Buffer()
                         buffers[dst] = buf
-                    before = len(buf.records)
-                    staged_bytes += _extend_buffer(buf, batch, None)
+                    before = len(buf.records.rids)
+                    added = buf.records.extend(batch)
+                    buf.bytes += added
+                    staged_bytes += added
                     if before < batch_max <= before + n \
                             and (edge_id, dst) not in blocked:
                         n_ready += 1
                 staged += n * len(static)
+                continue
+            # KEY partitioning: one memoised probe and four appends per
+            # row.  The routing key -> destination map is deterministic per
+            # deployment, so the crc32 double hash (hash_key + key_group)
+            # runs once per distinct key, not once per record.  Routers
+            # are rebuilt on rescale, which invalidates the memo with them;
+            # the cap bounds memory against pathological key cardinalities.
+            for rid, payload, ts, size in zip(rids, batch.payloads,
+                                              batch.source_ts, batch.sizes):
+                routing_key = key_fn(payload)
+                dst = memo.get(routing_key)
+                if dst is None:
+                    group = key_group(hash_key(routing_key), max_groups)
+                    dst = group * parallelism // max_groups
+                    if len(memo) >= 1 << 17:
+                        memo.clear()
+                    memo[routing_key] = dst
+                buf = buffers.get(dst)
+                if buf is None:
+                    buf = _Buffer()
+                    buffers[dst] = buf
+                records = buf.records
+                records.rids.append(rid)
+                records.payloads.append(payload)
+                records.source_ts.append(ts)
+                records.sizes.append(size)
+                buf.bytes += size
+                staged_bytes += size
+                if len(records.rids) == batch_max \
+                        and (edge_id, dst) not in blocked:
+                    n_ready += 1
+            staged += n
         self._n_ready += n_ready
         self._staged += staged
         self._staged_bytes += staged_bytes
@@ -253,7 +252,7 @@ class RouterBuffer:
             return
         self._blocked.add(key)
         buf = self._by_edge[edge_id].get(dst)
-        if buf is not None and len(buf.records) >= self._batch_max:
+        if buf is not None and len(buf.records.rids) >= self._batch_max:
             self._n_ready -= 1
 
     def is_blocked(self, edge_id: int, dst: int) -> bool:
@@ -269,11 +268,11 @@ class RouterBuffer:
              blocked: bool) -> None:
         """Remove a drained buffer and update the incremental counters."""
         del self._by_edge[edge_id][dst]
-        self._staged -= len(buf.records)
+        self._staged -= len(buf.records.rids)
         self._staged_bytes -= buf.bytes
         if blocked:
             self._blocked.discard((edge_id, dst))
-        elif len(buf.records) >= self._batch_max:
+        elif len(buf.records.rids) >= self._batch_max:
             self._n_ready -= 1
 
     def take_ready(
@@ -297,10 +296,10 @@ class RouterBuffer:
                 continue
             for dst in list(buffers):
                 buf = buffers[dst]
-                if len(buf.records) < batch_max or (edge_id, dst) in blocked:
+                if len(buf.records.rids) < batch_max or (edge_id, dst) in blocked:
                     continue
                 if gate is not None and not gate(edge_id, dst, buf.bytes,
-                                                 len(buf.records)):
+                                                 len(buf.records.rids)):
                     self.block(edge_id, dst)
                     continue
                 self._pop(edge_id, dst, buf, blocked=False)
@@ -327,7 +326,7 @@ class RouterBuffer:
                 if gate is not None:
                     if (edge_id, dst) in blocked:
                         continue
-                    if not gate(edge_id, dst, buf.bytes, len(buf.records)):
+                    if not gate(edge_id, dst, buf.bytes, len(buf.records.rids)):
                         self.block(edge_id, dst)
                         continue
                     self._pop(edge_id, dst, buf, blocked=False)
@@ -379,7 +378,7 @@ class RouterBuffer:
         buf = self._by_edge[edge_id].get(dst)
         if buf is None:
             return 0, 0
-        return buf.bytes, len(buf.records)
+        return buf.bytes, len(buf.records.rids)
 
     @property
     def staged_records(self) -> int:

@@ -340,7 +340,7 @@ class LifecycleManager:
         # replay in-flight messages (UNC/CIC): deterministic channel order
         for channel in sorted(plan.replay):
             for msg in plan.replay[channel]:
-                job._transmit(channel, msg)
+                job.transport.transmit(channel, msg)
         self.resume_after_recovery()
 
     def resume_after_recovery(self) -> None:
@@ -543,7 +543,7 @@ class LifecycleManager:
             job.protocol.on_send(sender, channel, msg)
             job.metrics.record_message(msg.payload_bytes, msg.protocol_bytes,
                                        len(records))
-            job._transmit(channel, msg)
+            job.transport.transmit(channel, msg)
             injected.setdefault(channel, []).append(msg)
         return injected
 

@@ -176,7 +176,7 @@ class Job:
         return order * self.parallelism + key[1]
 
     # ------------------------------------------------------------------ #
-    # Data path (flushing and transmission delegate to the transport)
+    # Data path (flushing and transmission live in job.transport)
     # ------------------------------------------------------------------ #
 
     def process_records(self, instance: InstanceRuntime,
@@ -191,7 +191,7 @@ class Job:
         the outputs route once.  CPU is charged as
         ``cpu_per_record * records_processed``.
         """
-        if not batch:
+        if batch is None or not batch.rids:
             return 0.0
         if self.protocol.requires_dedup:
             rids = batch.rids
@@ -205,15 +205,18 @@ class Job:
                     journal.extend(rids)
             else:
                 batch = self._dedup_batch(instance, batch)
+        router = instance.router
         n = len(batch.rids)
         if not n:
-            return self.flush_ready(instance)
+            return self.transport.flush_ready(instance) if router._n_ready else 0.0
         operator = instance.operator
         outputs = operator.process_batch(batch, port)
         cost = operator.cpu_per_record * n
-        if outputs is not None and len(outputs.rids):
-            instance.router.route_batch(outputs)
-        cost += self.flush_ready(instance)
+        if outputs is not None and outputs.rids:
+            router.route_batch(outputs)
+        if router._n_ready:
+            # only a router with a buffer at the batch threshold is asked
+            cost += self.transport.flush_ready(instance)
         return cost
 
     def _dedup_batch(self, instance: InstanceRuntime,
@@ -245,30 +248,6 @@ class Job:
         """Stage per-record outputs produced outside the data path (timers)."""
         instance.router.route_batch(RecordBatch.from_records(outputs))
 
-    def flush_ready(self, instance: InstanceRuntime) -> float:
-        """Send router buffers that reached the batch threshold."""
-        return self.transport.flush_ready(instance)
-
-    def flush_all(self, instance: InstanceRuntime, force: bool = False) -> float:
-        """Send every staged router buffer regardless of fill.
-
-        ``force=True`` is the checkpoint-capture flush: parked batches
-        drain with a credit overdraft so the snapshot's sent-cursor covers
-        every produced record (see :meth:`Transport.flush_all`).
-        """
-        return self.transport.flush_all(instance, force=force)
-
-    def send_marker(self, instance: InstanceRuntime, round_id: int) -> float:
-        """Flush staged data, then emit a marker on every outgoing channel."""
-        return self.transport.send_marker(instance, round_id)
-
-    def _transmit(self, channel: ChannelId, msg: Message) -> None:
-        self.transport.transmit(channel, msg)
-
-    def _deliver(self, channel: ChannelId, msg: Message,
-                 deploy_epoch: int = 0) -> None:
-        self.transport.deliver(channel, msg, deploy_epoch)
-
     # -- sources ----------------------------------------------------------- #
 
     def start_source_polls(self) -> None:
@@ -295,16 +274,15 @@ class Job:
         per owned partition, so the per-record work in this loop is a
         single mix step plus the record construction.
         """
-        topic = instance.spec.source_topic
-        log = self.inputs[topic]
+        log = self.inputs[instance.spec.source_topic]
+        now = self.sim.now
+        max_poll = self.cost.source_max_poll
         cost = 1e-5
         for part_index, cursor in instance.source_cursors.items():
-            log_records = log.partition(part_index).poll(
-                cursor, self.sim.now, self.cost.source_max_poll
-            )
+            log_records = log.partition(part_index).poll(cursor, now, max_poll)
             if not log_records:
                 continue
-            self.metrics.record_ingest(self.sim.now, len(log_records))
+            self.metrics.record_ingest(now, len(log_records))
             batch = RecordBatch(
                 rids=source_rids_from_prefix(
                     instance.rid_prefixes[part_index],
@@ -341,7 +319,7 @@ class Job:
         """
         if not self.recovering:
             for worker in self.workers:
-                if worker.alive and worker.staged_records():
+                if worker.alive and worker.has_staged_records():
                     worker.enqueue(("flush",))
         # repro-lint: disable=RL006 -- perpetual global tick; deliberately survives every epoch and re-checks recovering each firing
         self.sim.schedule(self.cost.linger, self._linger_tick)
@@ -380,7 +358,7 @@ class Job:
         (otherwise those records would be dropped by a rollback — see the
         no-dropping half of the consistency definition).
         """
-        cost = self.flush_all(instance, force=True)
+        cost = self.transport.flush_all(instance, force=True)
         cost += self.protocol.on_checkpoint_started(instance, kind, round_id)
         instance.checkpoint_counter += 1
         blob_key = f"{instance.key[0]}/{instance.key[1]}/{instance.checkpoint_counter}"

@@ -33,6 +33,7 @@ deterministic function of its request, and changing the capacity changes
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING, Callable
 
 from repro.dataflow.channels import ChannelId, DATA, MARKER, Message
@@ -65,10 +66,17 @@ class Transport:
     """Channel transmission and credit-based flow control for one job."""
 
     __slots__ = ("job", "capacity", "_last_arrival", "in_flight_bytes",
-                 "total_in_flight", "_parked", "_claimed", "pending_data")
+                 "total_in_flight", "_parked", "_claimed", "pending_data",
+                 "arrive")
 
     def __init__(self, job: "Job") -> None:
         self.job = job
+        #: the callable :meth:`transmit` schedules for every arrival —
+        #: :meth:`deliver` itself.  It is the transport's one observation
+        #: seam: a test or tracer that must see each message as it lands
+        #: wraps this attribute (same ``(channel, msg, deploy_epoch)``
+        #: signature) and calls the original from inside
+        self.arrive: Callable[[ChannelId, Message, int], None] = self.deliver
         #: per-channel credit budget in bytes; 0 disables flow control
         self.capacity = int(job.config.channel_capacity_bytes or 0)
         self._last_arrival: dict[ChannelId, float] = {}
@@ -302,18 +310,16 @@ class Transport:
         channel = (edge_id, instance.index, dst)
         seq = instance.out_seq.get(channel, 0) + 1
         instance.out_seq[channel] = seq
-        msg = Message(
-            channel=channel,
-            seq=seq,
-            kind=DATA,
-            records=records,
-            payload_bytes=payload_bytes,
-            sent_at=job.sim.now,
-        )
+        msg = Message(channel, seq, DATA, records, payload_bytes, 0, None,
+                      None, job.sim.now)
         extra_cost = job.protocol.on_send(instance, channel, msg)
-        cost = job.cost.serialize_cost(msg.total_bytes) + extra_cost
-        job.metrics.record_message(msg.payload_bytes, msg.protocol_bytes,
-                                  len(records))
+        protocol_bytes = msg.protocol_bytes
+        cost = job.cost.serialize_cost(payload_bytes + protocol_bytes) + extra_cost
+        metrics = job.metrics
+        metrics.data_bytes += payload_bytes
+        metrics.protocol_bytes += protocol_bytes
+        metrics.messages_sent += 1
+        metrics.records_sent += len(records.rids)
         self.transmit(channel, msg)
         return cost
 
@@ -326,6 +332,7 @@ class Transport:
         themselves carry no payload and consume no credits.
         """
         job = self.job
+        marker_bytes = job.cost.marker_bytes
         cost = 0.0
         for edge in instance.out_edges:
             for edge_id, dst, records, nbytes in instance.router.take_edge(
@@ -334,20 +341,13 @@ class Transport:
                 cost += self.send_data(instance, edge_id, dst, records, nbytes)
             for dst in job.edge_channel_dsts(edge, instance.index):
                 channel = (edge.edge_id, instance.index, dst)
-                msg = Message(
-                    channel=channel,
-                    seq=0,
-                    kind=MARKER,
-                    records=None,
-                    payload_bytes=0,
-                    protocol_bytes=job.cost.marker_bytes,
-                    # (round, sender's send-cursor): the cursor lets the
-                    # unaligned variant identify in-flight channel state
-                    meta=(round_id, instance.out_seq.get(channel, 0)),
-                    sent_at=job.sim.now,
-                )
-                cost += job.cost.serialize_cost(msg.protocol_bytes)
-                job.metrics.record_message(0, msg.protocol_bytes, 0)
+                # meta = (round, sender's send-cursor): the cursor lets the
+                # unaligned variant identify in-flight channel state
+                msg = Message(channel, 0, MARKER, None, 0, marker_bytes, None,
+                              (round_id, instance.out_seq.get(channel, 0)),
+                              job.sim.now)
+                cost += job.cost.serialize_cost(marker_bytes)
+                job.metrics.record_message(0, marker_bytes, 0)
                 self.transmit(channel, msg)
         return cost
 
@@ -358,25 +358,33 @@ class Transport:
     def transmit(self, channel: ChannelId, msg: Message) -> None:
         """Schedule delivery with per-channel FIFO arrival ordering."""
         job = self.job
+        total_bytes = msg.payload_bytes + msg.protocol_bytes
         if msg.kind == DATA:
             self.pending_data += 1
             if self.capacity > 0:
-                cost = max(msg.total_bytes, msg.record_count)
+                cost = max(total_bytes, msg.record_count)
                 depth = self.in_flight_bytes.get(channel, 0) + cost
                 self.in_flight_bytes[channel] = depth
                 self.total_in_flight += cost
                 job.metrics.note_queue_depth(channel, depth, self.total_in_flight)
-        arrival = job.sim.now + job.cost.network_delay(msg.total_bytes)
+        arrival = job.sim.now + job.cost.network_delay(total_bytes)
         last = self._last_arrival.get(channel, 0.0)
         if arrival <= last:
             arrival = last + job.cost.channel_epsilon
         self._last_arrival[channel] = arrival
-        job.sim.schedule_at(arrival, job._deliver, channel, msg,
+        job.sim.schedule_at(arrival, self.arrive, channel, msg,
                             job.deploy_epoch)
 
     def deliver(self, channel: ChannelId, msg: Message,
                 deploy_epoch: int = 0) -> None:
-        """Hand an arrived message to the destination worker (or drop it)."""
+        """A message arrived: hand it to its destination worker (or drop it).
+
+        DATA lands on the worker's CPU queue — or in its alignment buffer
+        while the channel is barrier-blocked — and starts the CPU if it is
+        idle; a MARKER is handled by the protocol at arrival.  This is
+        the whole arrival path: the message's next frame is the worker's
+        task dispatch.
+        """
         job = self.job
         if msg.kind == DATA and self.pending_data > 0:
             # counted down even when the message is about to be dropped —
@@ -385,7 +393,16 @@ class Transport:
         if job.recovering or deploy_epoch != job.deploy_epoch:
             return  # dropped, or addressed to a pre-rescale topology
         worker = job.workers[channel[2]]
-        worker.deliver(channel, msg)
+        if not worker.alive:
+            return
+        if msg.kind == MARKER:
+            job.protocol.on_marker(job.channel_dst[channel], channel, msg)
+        elif channel in worker.blocked:
+            worker._blocked_buf.setdefault(channel, deque()).append(msg)
+        else:
+            worker._tasks.append(("data", channel, msg))
+            if not worker._busy:
+                worker._start_next()
 
     # ------------------------------------------------------------------ #
     # Resets

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any
 
-from repro.dataflow.channels import ChannelId, Message, RouterBuffer, MARKER
+from repro.dataflow.channels import ChannelId, Message, RouterBuffer
 from repro.dataflow.graph import EdgeSpec, OperatorSpec
 from repro.dataflow.operators import OperatorContext
 from repro.dataflow.records import source_rid_prefix
@@ -288,21 +288,8 @@ class WorkerRuntime:
         self._deferred: dict[str, deque[tuple]] = {}
 
     # ------------------------------------------------------------------ #
-    # Delivery and channel blocking
+    # Channel blocking (arrivals themselves land through Transport.deliver)
     # ------------------------------------------------------------------ #
-
-    def deliver(self, channel: ChannelId, msg: Message) -> None:
-        """A message arrived over the network for an instance on this worker."""
-        if not self.alive or self.job.recovering:
-            return
-        if msg.kind == MARKER:
-            instance = self.job.channel_dst[channel]
-            self.job.protocol.on_marker(instance, channel, msg)
-            return
-        if channel in self.blocked:
-            self._blocked_buf.setdefault(channel, deque()).append(msg)
-            return
-        self.enqueue(("data", channel, msg))
 
     def block_channel(self, channel: ChannelId) -> None:
         """Buffer instead of deliver on ``channel`` (COOR alignment)."""
@@ -390,37 +377,44 @@ class WorkerRuntime:
             queued.extend(buffered)
         return queued
 
-    def _task_instance(self, task: tuple) -> "InstanceRuntime | None":
-        """The instance a task belongs to, for credit-block deferral.
-
-        ``flush``/``cpu``/``unpark`` tasks return None: the linger flush is
-        worker-wide (its gated drains skip parked buffers anyway), charged
-        CPU is already-spent time, and the unpark task is the unblocking
-        event itself — deferring any of them could never make progress.
-        """
-        kind = task[0]
-        if kind == "data":
-            return self.job.channel_dst.get(task[1])
-        if kind in ("ckpt", "timer", "poll"):
-            return task[1]
-        return None
-
     def _start_next(self) -> None:
-        if not self.alive or self.job.recovering:
+        """Run the next runnable task; also the task-completion callback.
+
+        ``data`` and ``poll`` tasks — five in six of everything a worker
+        runs — dispatch straight from here; the rare kinds go through
+        :meth:`_run`.  A task whose instance is credit-blocked is deferred
+        (in order) so the rest of the worker progresses.  ``flush``/
+        ``cpu``/``unpark`` tasks belong to no instance and are never
+        deferred: the linger flush is worker-wide (its gated drains skip
+        parked buffers anyway), charged CPU is already-spent time, and
+        the unpark task is the unblocking event itself.
+        """
+        job = self.job
+        if not self.alive or job.recovering:
             self._busy = False
             return
         tasks = self._tasks
         while tasks:
             task = tasks.popleft()
-            instance = self._task_instance(task)
-            if instance is not None and instance.credit_blocked:
-                # the instance is waiting for channel credits: defer its
-                # work (in order) and let the rest of the worker progress
-                self._deferred.setdefault(instance.op_name, deque()).append(task)
+            kind = task[0]
+            owner: InstanceRuntime | None
+            if kind == "data":
+                owner = job.channel_dst[task[1]]
+            elif kind in ("poll", "ckpt", "timer"):
+                owner = task[1]
+            else:
+                owner = None
+            if owner is not None and owner.credit_blocked:
+                self._deferred.setdefault(owner.op_name, deque()).append(task)
                 continue
             self._busy = True
-            duration = self._run(task)
-            self.job.sim.schedule(duration, self._complete)
+            if kind == "data":
+                duration = self._run_data(task[1], task[2])
+            elif kind == "poll":
+                duration = job.run_source_poll(task[1])
+            else:
+                duration = self._run(task)
+            job.sim.schedule(duration, self._start_next)
             return
         self._busy = False
 
@@ -440,22 +434,14 @@ class WorkerRuntime:
         if not self._busy and self._tasks:
             self.job.sim.schedule(0.0, self.kick)
 
-    def _complete(self) -> None:
-        self._busy = False
-        if self.alive and not self.job.recovering:
-            self._start_next()
-
     def _run(self, task: tuple) -> float:
+        """Dispatch the rare task kinds (everything but ``data``/``poll``)."""
         kind = task[0]
-        if kind == "data":
-            return self._run_data(task[1], task[2])
         if kind == "ckpt":
             _, instance, ckpt_kind, round_id = task
             return self.job.execute_checkpoint(instance, ckpt_kind, round_id)
         if kind == "timer":
             return self._run_timer(task[1], task[2], task[3])
-        if kind == "poll":
-            return self.job.run_source_poll(task[1])
         if kind == "flush":
             return self._run_flush()
         if kind == "cpu":
@@ -468,33 +454,36 @@ class WorkerRuntime:
     def _run_data(self, channel: ChannelId, msg: Message) -> float:
         job = self.job
         transport = job.transport
-        if transport.bounded:
+        if transport.capacity > 0:
             # consuming the message returns its credits to the sender
             transport.on_consumed(channel, msg)
         instance = job.channel_dst[channel]
-        cost = job.cost.serialize_cost(msg.total_bytes)
+        cost = job.cost.serialize_cost(msg.payload_bytes + msg.protocol_bytes)
         cost += job.protocol.on_data_received(instance, channel, msg)
-        previous = instance.last_received.get(channel, 0)
-        if msg.seq > previous:
+        if msg.seq > instance.last_received.get(channel, 0):
             instance.last_received[channel] = msg.seq
-        port = instance.in_port_by_edge[channel[0]]
-        cost += job.process_records(instance, msg.records, port)
+        cost += job.process_records(instance, msg.records,
+                                    instance.in_port_by_edge[channel[0]])
         return cost
 
     def _run_timer(self, instance: InstanceRuntime, tag: Any, epoch: int) -> float:
-        if epoch != self.job.epoch:
+        job = self.job
+        if epoch != job.epoch:
             return 1e-6  # stale timer from before a rollback
         outputs = instance.operator.on_timer(tag)
         cost = 0.0002
         if outputs:
-            self.job.route_outputs(instance, outputs)
-        cost += self.job.flush_ready(instance)
+            job.route_outputs(instance, outputs)
+        cost += job.transport.flush_ready(instance)
         return cost
 
     def _run_flush(self) -> float:
+        """Linger flush: drain every router that has something staged."""
+        transport = self.job.transport
         cost = 1e-5
         for instance in self.instances.values():
-            cost += self.job.flush_all(instance)
+            if instance.router._staged:
+                cost += transport.flush_all(instance)
         return cost
 
     # ------------------------------------------------------------------ #
@@ -521,9 +510,12 @@ class WorkerRuntime:
             if instance.router is not None:
                 instance.router.clear()
 
-    def staged_records(self) -> int:
-        """Records staged in the worker's router buffers (linger check)."""
-        return sum(i.router.staged_records for i in self.instances.values() if i.router)
+    def has_staged_records(self) -> bool:
+        """Does any router of this worker hold staged records (linger check)?"""
+        for instance in self.instances.values():
+            if instance.router._staged:
+                return True
+        return False
 
     def has_record_work(self) -> bool:
         """Does this worker hold any record-bearing work right now?

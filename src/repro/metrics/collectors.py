@@ -162,7 +162,7 @@ class MetricsCollector:
         """Count a batch of sink records and their end-to-end latencies
         (one call per batch delivered to a sink, values in column order)."""
         second = int(now)
-        self.latencies.setdefault(second, []).extend(now - ts for ts in source_ts)
+        self.latencies.setdefault(second, []).extend([now - ts for ts in source_ts])
         self.sink_counts[second] = self.sink_counts.get(second, 0) + len(source_ts)
 
     def record_ingest(self, now: float, count: int) -> None:

@@ -6,68 +6,38 @@ deterministic for a given schedule order — a requirement for reproducible
 experiments and for the exactly-once recovery tests, which re-run the same
 workload twice and compare state.
 
-The heap stores ``(time, seq, handle)`` tuples rather than the handles
-themselves: tuple comparison runs entirely in C (floats, then ints) and
-never falls back to a Python-level ``__lt__`` call, which measurably
-cheapens every push/pop on the simulator's hottest path.
+A scheduled event *is* its heap entry: the four-slot list
+``[time, seq, fn, args]`` that :meth:`EventQueue.push` builds is both what
+the heap orders and the handle the caller gets back — one allocation per
+event.  List comparison runs entirely in C (floats, then ints) and, since
+sequence numbers are unique, never reaches the callback slot.
 
-Cancellation is lazy (the entry stays in the heap and is skipped when it
-surfaces), which keeps scheduling O(log n) — but a workload that cancels
-and reschedules constantly (the adaptive checkpoint-interval controller
-re-consults on every observation) would grow the heap without bound.  The
-queue therefore tracks its cancelled debt and compacts when cancelled
-entries are both numerous and the majority of the heap; compaction only
-removes entries ``pop`` would skip anyway, and heap order is a total
-order on unique ``(time, seq)`` pairs, so the live-event pop sequence is
-provably unchanged.
+Cancellation is lazy (:meth:`EventQueue.cancel` blanks the callback slot,
+the entry stays in the heap and is skipped when it surfaces), which keeps
+scheduling O(log n) — but a workload that cancels and reschedules
+constantly would grow the heap without bound.  The queue therefore tracks
+its cancelled debt and compacts when cancelled entries are both numerous
+and the majority of the heap; compaction only removes entries ``pop``
+would skip anyway, and heap order is a total order on unique
+``(time, seq)`` pairs, so the live-event pop sequence is provably
+unchanged.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable
 
-
-class EventHandle:
-    """Handle returned by scheduling calls; supports cancellation.
-
-    Cancellation is lazy: the entry stays in the heap and is skipped when it
-    surfaces.  This keeps scheduling O(log n) without heap surgery.  The
-    owning queue is notified so it can count its cancelled debt and compact
-    when that debt dominates the heap.
-    """
-
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_queue")
-
-    def __init__(self, time: float, seq: int, fn: Callable[..., Any], args: tuple) -> None:
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        self._queue: EventQueue | None = None
-
-    def cancel(self) -> None:
-        """Mark the event so the simulator skips it (idempotent)."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        queue = self._queue
-        if queue is not None:
-            queue._note_cancel()
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"EventHandle(t={self.time:.6f}, seq={self.seq}, {state})"
+#: a scheduled event, which is its own heap entry: ``[time, seq, fn, args]``
+#: (``fn`` is ``None`` once cancelled).  Treat it as opaque outside
+#: ``repro.sim`` — hand it back to :meth:`EventQueue.cancel` /
+#: :meth:`repro.sim.simulator.Simulator.cancel`.
+EventHandle = list[Any]
 
 
 class EventQueue:
-    """A priority queue of :class:`EventHandle` with deterministic ordering."""
+    """A priority queue of :data:`EventHandle` entries, deterministically ordered."""
 
     __slots__ = ("_heap", "_seq", "_cancelled")
 
@@ -78,7 +48,7 @@ class EventQueue:
     COMPACT_MIN_CANCELLED = 256
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, EventHandle]] = []
+        self._heap: list[EventHandle] = []
         self._seq = 0
         self._cancelled = 0
 
@@ -90,42 +60,46 @@ class EventQueue:
         """Schedule ``fn(*args)`` at virtual time ``time``."""
         seq = self._seq
         self._seq = seq + 1
-        handle = EventHandle(time, seq, fn, args)
-        handle._queue = self
-        heapq.heappush(self._heap, (time, seq, handle))
-        return handle
+        entry: EventHandle = [time, seq, fn, args]
+        heapq.heappush(self._heap, entry)
+        return entry
 
-    def pop(self) -> EventHandle | None:
-        """Remove and return the next non-cancelled event, or None if empty."""
+    def pop(self, limit: float = math.inf) -> EventHandle | None:
+        """Remove and return the next live event no later than ``limit``.
+
+        Returns ``None`` when the queue is empty or its next event lies
+        after ``limit`` (an event at exactly ``limit`` is returned).
+        Cancelled entries surfacing on the way are discarded.
+        """
         heap = self._heap
         while heap:
-            handle = heapq.heappop(heap)[2]
-            if not handle.cancelled:
-                return handle
+            if heap[0][0] > limit:
+                return None
+            entry = heapq.heappop(heap)
+            if entry[2] is not None:
+                return entry
             self._cancelled -= 1
         return None
 
-    def peek_time(self) -> float | None:
-        """Return the timestamp of the next live event without removing it."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-            self._cancelled -= 1
-        if not heap:
-            return None
-        return heap[0][0]
+    def cancel(self, entry: EventHandle) -> None:
+        """Mark a pending event so :meth:`pop` skips it (idempotent).
+
+        Only for entries still in the queue: an already executed event
+        has nothing left to cancel.
+        """
+        if entry[2] is None:
+            return
+        entry[2] = None
+        entry[3] = ()
+        self._cancelled += 1
+        if (self._cancelled >= self.COMPACT_MIN_CANCELLED
+                and self._cancelled * 2 >= len(self._heap)):
+            self._compact()
 
     def clear(self) -> None:
         """Drop every pending event."""
         self._heap.clear()
         self._cancelled = 0
-
-    def _note_cancel(self) -> None:
-        """Count one cancellation; compact when the debt dominates."""
-        self._cancelled += 1
-        if (self._cancelled >= self.COMPACT_MIN_CANCELLED
-                and self._cancelled * 2 >= len(self._heap)):
-            self._compact()
 
     def _compact(self) -> None:
         """Rebuild the heap without its cancelled entries.
@@ -135,7 +109,6 @@ class EventQueue:
         are unique — whatever its internal layout, and compaction only
         removes entries :meth:`pop` would skip anyway.
         """
-        self._heap = [entry for entry in self._heap
-                      if not entry[2].cancelled]
+        self._heap = [entry for entry in self._heap if entry[2] is not None]
         heapq.heapify(self._heap)
         self._cancelled = 0

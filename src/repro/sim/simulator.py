@@ -9,6 +9,9 @@ seconds are free — only the *number* of events costs wall-clock time.
 
 from __future__ import annotations
 
+import gc
+import math
+from heapq import heappush
 from typing import Any, Callable
 
 from repro.sim.events import EventHandle, EventQueue
@@ -34,17 +37,34 @@ class Simulator:
     # Scheduling
     # ------------------------------------------------------------------ #
 
+    # Both scheduling calls push the heap entry themselves (the body of
+    # EventQueue.push, minus its frame): they run twice per record.
+
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Run ``fn(*args)`` after ``delay`` virtual seconds."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self._queue.push(self.now + delay, fn, args)
+        queue = self._queue
+        seq = queue._seq
+        queue._seq = seq + 1
+        entry: EventHandle = [self.now + delay, seq, fn, args]
+        heappush(queue._heap, entry)
+        return entry
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Run ``fn(*args)`` at absolute virtual time ``time``."""
         if time < self.now:
             raise SimulationError(f"cannot schedule at {time!r}, now is {self.now!r}")
-        return self._queue.push(time, fn, args)
+        queue = self._queue
+        seq = queue._seq
+        queue._seq = seq + 1
+        entry: EventHandle = [time, seq, fn, args]
+        heappush(queue._heap, entry)
+        return entry
+
+    def cancel(self, handle: EventHandle) -> None:
+        """Cancel a still-pending event returned by a scheduling call."""
+        self._queue.cancel(handle)
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -64,45 +84,46 @@ class Simulator:
         """Request the run loop to halt after the current event."""
         self._stopped = True
 
-    def run_until(self, t_end: float) -> None:
-        """Execute events with timestamp <= ``t_end``; clock ends at ``t_end``.
+    def _loop(self, limit: float) -> None:
+        """Execute events no later than ``limit`` until none is left.
 
-        Events scheduled exactly at ``t_end`` are executed.
+        The cyclic collector is paused for the duration of the loop and
+        the caller's setting restored on the way out: the loop allocates
+        millions of containers (heap entries, batches, messages) that die
+        by reference count, while every collection it would trigger
+        re-traverses the live input logs, send logs and operator state to
+        find nothing — simulator callbacks leave no unreachable cycles
+        (``tests/test_sim_simulator.py`` guards that on real runs).
         """
         if self._running:
             raise SimulationError("simulator is re-entrant only via schedule()")
         self._running = True
         self._stopped = False
-        queue = self._queue
+        pop = self._queue.pop
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             while not self._stopped:
-                next_time = queue.peek_time()
-                if next_time is None or next_time > t_end:
+                entry = pop(limit)
+                if entry is None:
                     break
-                handle = queue.pop()
-                assert handle is not None  # peek said there is one
-                self.now = handle.time
+                self.now = entry[0]
                 self._executed += 1
-                handle.fn(*handle.args)
+                entry[2](*entry[3])
         finally:
             self._running = False
+            if collecting:
+                gc.enable()
+
+    def run_until(self, t_end: float) -> None:
+        """Execute events with timestamp <= ``t_end``; clock ends at ``t_end``.
+
+        Events scheduled exactly at ``t_end`` are executed.
+        """
+        self._loop(t_end)
         if not self._stopped and self.now < t_end:
             self.now = t_end
 
     def run(self) -> None:
         """Execute until the event queue drains (or :meth:`stop` is called)."""
-        if self._running:
-            raise SimulationError("simulator is re-entrant only via schedule()")
-        self._running = True
-        self._stopped = False
-        queue = self._queue
-        try:
-            while not self._stopped:
-                handle = queue.pop()
-                if handle is None:
-                    break
-                self.now = handle.time
-                self._executed += 1
-                handle.fn(*handle.args)
-        finally:
-            self._running = False
+        self._loop(math.inf)

@@ -1,7 +1,7 @@
 """Unit and property tests for routing, batching and messages."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.dataflow.batch import RecordBatch
 from repro.dataflow.channels import (
@@ -167,6 +167,91 @@ def test_router_preserves_record_order_per_destination():
 # --------------------------------------------------------------------- #
 # Message
 # --------------------------------------------------------------------- #
+
+# --------------------------------------------------------------------- #
+# route_batch is independent of how the producer's output was batched
+# --------------------------------------------------------------------- #
+
+_SPLIT_PARALLELISM = 4
+
+
+def _three_edge_router(batch_max, blocked):
+    """KEY + FORWARD + BROADCAST edges, some (edge, dst) pairs parked."""
+    edges = [make_edge(Partitioning.KEY, key_fn=lambda p: p, edge_id=0),
+             make_edge(Partitioning.FORWARD, edge_id=1),
+             make_edge(Partitioning.BROADCAST, edge_id=2)]
+    router = RouterBuffer(
+        edges, {e.edge_id: Partitioner(e, _SPLIT_PARALLELISM) for e in edges},
+        src_index=1, batch_max=batch_max)
+    for edge_id, dst in blocked:
+        router.block(edge_id, dst)
+    return router
+
+
+def _router_state(router):
+    """Buffers (contents *and* destination creation order) and counters."""
+    buffers = {
+        edge_id: [(dst, buf.records.rids, buf.records.payloads,
+                   buf.records.source_ts, buf.records.sizes, buf.bytes)
+                  for dst, buf in by_dst.items()]
+        for edge_id, by_dst in router._by_edge.items()
+    }
+    return (buffers, router._n_ready, router._staged, router._staged_bytes,
+            router.blocked_keys)
+
+
+def _drained(ready):
+    return [(edge_id, dst, records.rids, records.payloads, records.source_ts,
+             records.sizes, nbytes)
+            for edge_id, dst, records, nbytes in ready]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 30)),
+                  min_size=1, max_size=40),
+    cuts=st.sets(st.integers(1, 39), max_size=6),
+    batch_max=st.integers(1, 9),
+    blocked=st.sets(st.tuples(st.integers(0, 2),
+                              st.integers(0, _SPLIT_PARALLELISM - 1)),
+                    max_size=4),
+)
+def test_route_batch_is_split_invariant(rows, cuts, batch_max, blocked):
+    """Property: a batch routed whole, cut at arbitrary points, or record
+    by record leaves identical buffers (contents and destination creation
+    order), ``_n_ready``, ``_staged`` and ``_staged_bytes`` — with parked
+    ``(edge, dst)`` keys and zero-size records in play — and the same
+    ``take_ready`` messages, so sequence numbers and checkpoint cursors do
+    not depend on how a producer's output happened to be batched."""
+    records = [StreamRecord(rid=1000 + i, payload=key, source_ts=i * 0.5,
+                            size_bytes=size)
+               for i, (key, size) in enumerate(rows)]
+    bounds = [0, *sorted(c for c in cuts if c < len(records)), len(records)]
+    splits = {
+        "whole": [records],
+        "cut": [records[a:b] for a, b in zip(bounds, bounds[1:])],
+        "singletons": [[record] for record in records],
+    }
+    states, drains = {}, {}
+    for name, pieces in splits.items():
+        router = _three_edge_router(batch_max, sorted(blocked))
+        for piece in pieces:
+            router.route_batch(RecordBatch.from_records(piece))
+        states[name] = _router_state(router)
+        drains[name] = (_drained(router.take_ready()), _router_state(router))
+    assert states["cut"] == states["whole"]
+    assert states["singletons"] == states["whole"]
+    assert drains["cut"] == drains["whole"]
+    assert drains["singletons"] == drains["whole"]
+    # the counters are the truth about the buffers, not just consistent
+    _, n_ready, staged, staged_bytes, _ = states["whole"]
+    buffers = states["whole"][0]
+    assert staged == sum(len(b[1]) for bs in buffers.values() for b in bs)
+    assert staged_bytes == sum(b[5] for bs in buffers.values() for b in bs)
+    assert n_ready == sum(
+        1 for edge_id, bs in buffers.items() for b in bs
+        if len(b[1]) >= batch_max and (edge_id, b[0]) not in blocked)
+
 
 def test_message_totals():
     msg = Message(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dataflow.batch import RecordBatch
 from repro.dataflow.channels import DATA, MARKER, Message
 from repro.dataflow.runtime import Job
 from repro.metrics.mst import MstResult, estimate_capacity, find_mst, probe_run
@@ -58,6 +59,11 @@ def make_job(protocol="none", parallelism=2):
                RuntimeConfig(duration=8.0, warmup=1.0, failure_at=None))
 
 
+def arrive(job, channel, msg):
+    """Land ``msg`` on its destination worker, as the wire would."""
+    job.transport.arrive(channel, msg, job.deploy_epoch)
+
+
 def test_blocked_channel_buffers_and_releases_in_order():
     job = make_job()
     worker = job.workers[0]
@@ -66,11 +72,11 @@ def test_blocked_channel_buffers_and_releases_in_order():
     channel = next(c for c, inst in job.channel_dst.items() if c[2] == 0)
     worker.block_channel(channel)
     msgs = [
-        Message(channel=channel, seq=s, kind=DATA, records=[], payload_bytes=0)
+        Message(channel=channel, seq=s, kind=DATA, records=RecordBatch(), payload_bytes=0)
         for s in (1, 2, 3)
     ]
     for m in msgs:
-        worker.deliver(channel, m)
+        arrive(job, channel, m)
     assert worker.queued_tasks == 0  # all buffered
     worker.unblock_channel(channel)
     assert worker.queued_tasks in (2, 3)  # first may already be running
@@ -94,8 +100,8 @@ def test_dead_worker_drops_deliveries():
     worker = job.workers[0]
     channel = next(c for c, inst in job.channel_dst.items() if c[2] == 0)
     worker.kill()
-    worker.deliver(channel, Message(channel=channel, seq=1, kind=DATA,
-                                    records=[], payload_bytes=0))
+    arrive(job, channel, Message(channel=channel, seq=1, kind=DATA,
+                                 records=RecordBatch(), payload_bytes=0))
     assert worker.queued_tasks == 0
 
 
@@ -104,8 +110,8 @@ def test_reset_for_recovery_clears_buffers():
     worker = job.workers[0]
     channel = next(c for c, inst in job.channel_dst.items() if c[2] == 0)
     worker.block_channel(channel)
-    worker.deliver(channel, Message(channel=channel, seq=1, kind=DATA,
-                                    records=[], payload_bytes=0))
+    arrive(job, channel, Message(channel=channel, seq=1, kind=DATA,
+                                 records=RecordBatch(), payload_bytes=0))
     worker.reset_for_recovery()
     assert worker.blocked == set()
     assert worker.queued_tasks == 0
@@ -118,7 +124,7 @@ def test_marker_messages_bypass_data_queue():
     channel = next(c for c, inst in job.channel_dst.items() if c[2] == 0)
     marker = Message(channel=channel, seq=0, kind=MARKER, records=None,
                      payload_bytes=0, meta=(1, 0))  # (round, sender cursor)
-    worker.deliver(channel, marker)
+    arrive(job, channel, marker)
     assert channel in worker.blocked  # COOR blocked the channel immediately
 
 

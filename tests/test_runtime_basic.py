@@ -83,7 +83,7 @@ def test_channel_fifo_order_preserved():
     """Per-channel sequence numbers must arrive monotonically."""
     job, _ = simple_job()
     seen: dict[tuple, int] = {}
-    original = job._deliver
+    original = job.transport.arrive
 
     def checking_deliver(channel, msg, deploy_epoch=0):
         if msg.kind == 0 and msg.seq:
@@ -92,10 +92,9 @@ def test_channel_fifo_order_preserved():
             seen[channel] = msg.seq
         original(channel, msg, deploy_epoch)
 
-    job._deliver = checking_deliver
-    # rewire scheduled callbacks through the checker by running normally:
-    # _transmit captured self._deliver late? It does sim.schedule_at with
-    # bound method, so patching the attribute is enough only for new sends.
+    job.transport.arrive = checking_deliver
+    # transmit reads transport.arrive at send time, and nothing has been
+    # sent before run(): every delivery goes through the checker
     job.run()
     assert seen  # at least some data messages flowed
 

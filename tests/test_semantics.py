@@ -74,8 +74,14 @@ def test_without_failure_all_semantics_agree():
 
 
 def test_invalid_semantics_rejected():
-    with pytest.raises(ValueError):
-        run_with_semantics("exactly-twice")
+    """A bad ``unc_semantics`` fails the deployment, not the first worker
+    task in virtual time: ``Job(...)`` itself raises, no event has run."""
+    config = RuntimeConfig(unc_semantics="exactly-twice")
+    log = make_event_log(300.0, 2.0, 3)
+    with pytest.raises(ValueError, match="exactly-twice"):
+        Job(build_count_graph(), "unc", 3, {"events": log}, config)
+    with pytest.raises(ValueError, match="exactly-twice"):
+        Job(build_count_graph(), "cic", 3, {"events": log}, config)
 
 
 def test_dedup_state_not_tracked_when_unneeded():

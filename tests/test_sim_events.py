@@ -1,10 +1,16 @@
-"""Unit tests for the event queue primitives."""
+"""Unit tests for the event queue primitives.
+
+A handle is the heap entry itself, ``[time, seq, fn, args]``; it is
+cancelled through the queue that holds it.
+"""
 
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.events import EventHandle, EventQueue
+
+TIME, SEQ, FN, ARGS = range(4)
 
 
 def test_push_pop_orders_by_time():
@@ -14,7 +20,7 @@ def test_push_pop_orders_by_time():
     q.push(1.0, order.append, ("a",))
     q.push(2.0, order.append, ("b",))
     while (h := q.pop()) is not None:
-        h.fn(*h.args)
+        h[FN](*h[ARGS])
     assert order == ["a", "b", "c"]
 
 
@@ -36,13 +42,14 @@ def test_len_counts_entries():
 
 def test_pop_empty_returns_none():
     assert EventQueue().pop() is None
+    assert EventQueue().pop(5.0) is None
 
 
 def test_cancelled_events_are_skipped():
     q = EventQueue()
     h1 = q.push(1.0, lambda: None)
     h2 = q.push(2.0, lambda: None)
-    h1.cancel()
+    q.cancel(h1)
     assert q.pop() is h2
     assert q.pop() is None
 
@@ -51,29 +58,63 @@ def test_cancel_all_leaves_queue_empty_on_pop():
     q = EventQueue()
     handles = [q.push(float(i), lambda: None) for i in range(5)]
     for h in handles:
-        h.cancel()
+        q.cancel(h)
     assert q.pop() is None
 
 
-def test_peek_time_returns_next_live_time():
+def test_pop_limit_skips_cancelled_heads():
     q = EventQueue()
     h1 = q.push(1.0, lambda: None)
-    q.push(2.0, lambda: None)
-    assert q.peek_time() == 1.0
-    h1.cancel()
-    assert q.peek_time() == 2.0
+    h2 = q.push(2.0, lambda: None)
+    q.cancel(h1)
+    assert q.pop(1.5) is None  # the only live event lies after the limit
+    assert len(q) == 1
+    assert q.pop(2.0) is h2
 
 
-def test_peek_time_empty_is_none():
-    assert EventQueue().peek_time() is None
-
-
-def test_peek_does_not_remove():
+def test_pop_at_exactly_the_limit_returns_the_event():
+    """The ``run_until`` contract: events at ``t_end`` execute."""
     q = EventQueue()
-    q.push(1.0, lambda: None)
-    assert q.peek_time() == 1.0
-    assert q.peek_time() == 1.0
-    assert q.pop() is not None
+    h = q.push(1.0, lambda: None)
+    assert q.pop(1.0) is h
+
+
+def test_pop_beyond_limit_does_not_remove():
+    q = EventQueue()
+    h = q.push(1.0, lambda: None)
+    assert q.pop(0.5) is None
+    assert q.pop(0.5) is None
+    assert len(q) == 1
+    assert q.pop() is h
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+                       st.booleans()), max_size=48),
+    st.lists(st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+             max_size=8),
+)
+def test_pop_limit_never_returns_a_later_event(plan, limits):
+    """Property: draining under a rising sequence of limits yields only
+    live events, none later than the limit in force, in (time, seq) order,
+    and leaves exactly the live events beyond the last limit."""
+    q = EventQueue()
+    live = []
+    for time, cancel in plan:
+        h = q.push(time, lambda: None)
+        if cancel:
+            q.cancel(h)
+        else:
+            live.append((time, h[SEQ]))
+    popped = []
+    for limit in sorted(limits):
+        while (h := q.pop(limit)) is not None:
+            assert h[FN] is not None and h[TIME] <= limit
+            popped.append((h[TIME], h[SEQ]))
+    reach = max(limits, default=-1.0)
+    assert popped == sorted(key for key in live if key[0] <= reach)
+    assert len(q) == len(live) - len(popped)
 
 
 def test_clear_drops_everything():
@@ -85,17 +126,12 @@ def test_clear_drops_everything():
 
 
 def test_handle_ordering_operator():
-    a = EventHandle(1.0, 0, lambda: None, ())
-    b = EventHandle(1.0, 1, lambda: None, ())
-    c = EventHandle(0.5, 2, lambda: None, ())
+    """Entries order by (time, seq) and never compare their callbacks."""
+    q = EventQueue()
+    a = q.push(1.0, lambda: None)
+    b = q.push(1.0, lambda: None)
+    c = q.push(0.5, lambda: None)
     assert c < a < b
-
-
-def test_handle_repr_mentions_state():
-    h = EventHandle(1.0, 0, lambda: None, ())
-    assert "pending" in repr(h)
-    h.cancel()
-    assert "cancelled" in repr(h)
 
 
 def test_args_are_preserved():
@@ -103,7 +139,7 @@ def test_args_are_preserved():
     seen = []
     q.push(1.0, lambda a, b: seen.append((a, b)), (1, 2))
     h = q.pop()
-    h.fn(*h.args)
+    h[FN](*h[ARGS])
     assert seen == [(1, 2)]
 
 
@@ -117,7 +153,7 @@ def test_many_events_stay_sorted():
         q.push(t, lambda: None)
     popped = []
     while (h := q.pop()) is not None:
-        popped.append(h.time)
+        popped.append(h[TIME])
     assert popped == sorted(times)
 
 
@@ -135,7 +171,7 @@ class _EagerQueue(EventQueue):
 def _drain(queue: EventQueue) -> list[int]:
     out = []
     while (h := queue.pop()) is not None:
-        out.append(h.seq)
+        out.append(h[SEQ])
     return out
 
 
@@ -155,8 +191,8 @@ def test_compaction_never_changes_live_event_order(plan):
         a = compacting.push(time, lambda: None)
         b = reference.push(time, lambda: None)
         if cancel:
-            a.cancel()
-            b.cancel()
+            compacting.cancel(a)
+            reference.cancel(b)
         else:
             live_reference.append(b)
         assert len(compacting) == len(live_reference)
@@ -168,20 +204,20 @@ def test_compaction_fires_and_shrinks_the_heap():
     q = _EagerQueue()
     handles = [q.push(float(i), lambda: None) for i in range(16)]
     for h in handles[:12]:
-        h.cancel()
+        q.cancel(h)
     # 12 cancelled >= floor(4) and >= half of 16: the heap was rebuilt
     assert len(q._heap) == 4
     assert q._cancelled == 0
     assert len(q) == 4
-    assert [h.seq for h in iter(q.pop, None)] == [12, 13, 14, 15]
+    assert [h[SEQ] for h in iter(q.pop, None)] == [12, 13, 14, 15]
 
 
 def test_double_cancel_counts_once():
     q = _EagerQueue()
     keep = q.push(1.0, lambda: None)
     victim = q.push(2.0, lambda: None)
-    victim.cancel()
-    victim.cancel()  # idempotent: debt counted once, no double decrement
+    q.cancel(victim)
+    q.cancel(victim)  # idempotent: debt counted once, no double decrement
     assert q._cancelled == 1
     assert len(q) == 1
     assert q.pop() is keep

@@ -1,5 +1,7 @@
 """Unit tests for the virtual-time simulator."""
 
+import gc
+
 import pytest
 
 from repro.sim.simulator import SimulationError, Simulator
@@ -115,7 +117,7 @@ def test_cancelled_event_not_executed():
     sim = Simulator()
     seen = []
     handle = sim.schedule(1.0, seen.append, "no")
-    handle.cancel()
+    sim.cancel(handle)
     sim.run_until(2.0)
     assert seen == []
     assert sim.events_executed == 0
@@ -139,3 +141,95 @@ def test_determinism_same_schedule_same_order():
         return seen
 
     assert run_once() == run_once()
+
+
+# --------------------------------------------------------------------- #
+# The collector pause is scoped to the loop
+# --------------------------------------------------------------------- #
+
+@pytest.fixture
+def restore_collector():
+    """Leave the collector the way pytest had it, whatever the test did."""
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def _drive(sim, entry):
+    if entry == "run":
+        sim.run()
+    else:
+        sim.run_until(5.0)
+
+
+@pytest.mark.parametrize("entry", ["run", "run_until"])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_loop_pauses_collector_and_restores_callers_setting(
+        restore_collector, entry, enabled):
+    (gc.enable if enabled else gc.disable)()
+    sim = Simulator()
+    inside = []
+    sim.schedule(1.0, lambda: inside.append(gc.isenabled()))
+    _drive(sim, entry)
+    assert inside == [False]
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("entry", ["run", "run_until"])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_loop_restores_collector_when_a_callback_raises(
+        restore_collector, entry, enabled):
+    (gc.enable if enabled else gc.disable)()
+    sim = Simulator()
+
+    def boom():
+        raise RuntimeError("callback failed")
+
+    sim.schedule(1.0, boom)
+    with pytest.raises(RuntimeError, match="callback failed"):
+        _drive(sim, entry)
+    assert gc.isenabled() is enabled
+    _drive(sim, entry)  # and the simulator is usable again
+
+
+def _cyclic_garbage_of_a_run(query, protocol, **knobs):
+    """Unreachable objects ``gc.collect()`` finds right after one full run."""
+    from repro.dataflow.runtime import Job
+    from repro.experiments.parallel import RunRequest
+    from repro.workloads.nexmark import QUERIES
+
+    spec = QUERIES[query]
+    request = RunRequest(query=query, protocol=protocol, parallelism=3,
+                         rate=600.0, duration=5.0, warmup=1.0,
+                         checkpoint_interval=1.5, seed=7, **knobs)
+    inputs = spec.make_job_inputs(request.rate, 7.0, 3, 0.0, request.seed)
+    job = Job(spec.build_graph(3), protocol, 3, inputs,
+              request.effective_config())
+    gc.collect()
+    gc.disable()  # nothing may be collected before we count it
+    result = job.run(rate=request.rate)
+    unreachable = gc.collect()
+    assert sum(result.metrics.sink_counts.values()) > 0
+    if "failure_at" in knobs:
+        assert result.metrics.n_recoveries == 1
+    return unreachable
+
+
+@pytest.mark.parametrize("query, protocol, knobs", [
+    ("q12", "none", {}),
+    ("q12", "coor", {}),
+    ("q3", "coor-unaligned", {}),
+    ("q3", "unc", {}),
+    ("q12", "cic", {"failure_at": 2.0}),
+    ("q3", "coor", {"failure_at": 2.0, "state_backend": "changelog"}),
+    ("q8", "unc", {"failure_at": 2.0, "rescale_to": 4}),
+])
+def test_a_run_leaves_no_cyclic_garbage(restore_collector, query, protocol,
+                                        knobs):
+    """The invariant the collector pause rests on (DESIGN.md section 19).
+
+    Everything the event loop allocates dies by reference count; a change
+    that makes simulator callbacks leave unreachable cycles behind would
+    grow memory for the length of a run, and must fail here first.
+    """
+    assert _cyclic_garbage_of_a_run(query, protocol, **knobs) == 0

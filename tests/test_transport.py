@@ -205,7 +205,7 @@ def test_fifo_order_preserved_under_credit_exhaustion():
     log = c.make_event_log(300.0, 10.0, 3, seed=3)
     job = Job(c.build_count_graph(), "unc", 3, {"events": log}, config)
     seen: dict[tuple, tuple[int, int]] = {}
-    original = job._deliver
+    original = job.transport.arrive
     checked = [0]
 
     def checking_deliver(channel, msg, deploy_epoch=0):
@@ -223,7 +223,7 @@ def test_fifo_order_preserved_under_credit_exhaustion():
             seen[channel] = (epoch, msg.seq)
         original(channel, msg, deploy_epoch)
 
-    job._deliver = checking_deliver
+    job.transport.arrive = checking_deliver
     job.run()
     assert checked[0] > 100
     assert job.metrics.sends_parked > 0  # the bound actually bit
@@ -242,7 +242,7 @@ def test_queue_depth_accounting_invariant_at_every_event():
     log = c.make_event_log(300.0, 10.0, 3, seed=3)
     job = Job(c.build_count_graph(), "unc", 3, {"events": log}, config)
     transport = job.transport
-    original = job._deliver
+    original = job.transport.arrive
     events = [0]
 
     def checking_deliver(channel, msg, deploy_epoch=0):
@@ -259,7 +259,7 @@ def test_queue_depth_accounting_invariant_at_every_event():
             assert instance.router.staged_bytes >= 0
         original(channel, msg, deploy_epoch)
 
-    job._deliver = checking_deliver
+    job.transport.arrive = checking_deliver
     job.run()
     assert events[0] > 100
     assert measured_counts(job) == expected_counts(job)

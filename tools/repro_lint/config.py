@@ -59,6 +59,7 @@ HOT_PATH = (
     "src/repro/dataflow/state.py",
     "src/repro/dataflow/operators.py",
     "src/repro/sim/events.py",
+    "src/repro/sim/simulator.py",
 )
 
 _DETERMINISTIC_LAYERS = (
