@@ -24,4 +24,4 @@ def emit(name: str, text: str) -> None:
 
 
 def checks_pass(out: dict) -> bool:
-    return all(ok for _, ok in out.get("checks", []))
+    return all(ok for _, ok in out["checks"])

@@ -14,7 +14,7 @@ import dataclasses
 from repro.dataflow.runtime import Job
 from repro.experiments.config import current_scale
 from repro.metrics.mst import find_mst
-from repro.metrics.report import format_table
+from repro.metrics.report import format_table, shape_report
 from repro.sim.costs import CostModel, RuntimeConfig
 from repro.workloads.nexmark import QUERIES
 
@@ -75,6 +75,7 @@ def run_logging_sweep() -> dict:
         + "\n\n"
         + format_table(["participants", "checkpoints", "blob bytes"], count_rows,
                        title="Ablation — UNC checkpoint participation")
+        + "\n" + shape_report("shape checks:", checks)
     )
     return {"rows": rows + count_rows, "checks": checks, "text": text}
 

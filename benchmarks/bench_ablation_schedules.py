@@ -12,7 +12,7 @@ identical exactly-once guarantees.
 
 from repro.dataflow.runtime import Job
 from repro.experiments.config import current_scale
-from repro.metrics.report import format_table
+from repro.metrics.report import format_table, shape_report
 from repro.sim.costs import RuntimeConfig
 from repro.workloads.nexmark import QUERIES
 from repro.workloads.nexmark.queries import WINDOW_SECONDS
@@ -66,9 +66,7 @@ def run_comparison() -> dict:
         ["window-operator schedule", "checkpoints", "avg ckpt bytes"],
         rows,
         title="Ablation — per-operator checkpoint schedules (Q12, UNC)",
-    ) + "\n" + "\n".join(
-        f"  [{'PASS' if ok else 'FAIL'}] {claim}" for claim, ok in checks
-    )
+    ) + "\n" + shape_report("shape checks:", checks)
     return {"rows": rows, "checks": checks, "text": text}
 
 

@@ -10,7 +10,7 @@ backlog into channel state).
 
 from repro.experiments.config import current_scale
 from repro.experiments.runner import run_query
-from repro.metrics.report import format_table
+from repro.metrics.report import format_table, shape_report
 from repro.metrics.series import percentile
 from repro.workloads.nexmark import QUERIES
 
@@ -53,9 +53,7 @@ def run_comparison() -> dict:
         ["protocol", "hot items", "p50 (ms)", "avg CT (ms)", "max ckpt bytes"],
         rows,
         title="Ablation — aligned vs unaligned COOR under skew (Q12, 10 workers)",
-    ) + "\n" + "\n".join(
-        f"  [{'PASS' if ok else 'FAIL'}] {claim}" for claim, ok in checks
-    )
+    ) + "\n" + shape_report("shape checks:", checks)
     return {"rows": rows, "checks": checks, "text": text}
 
 

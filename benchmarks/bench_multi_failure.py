@@ -10,16 +10,14 @@ is tracked across revisions, not just steady-state throughput.
 import json
 
 from repro.experiments import figures
-from repro.experiments.config import current_scale
 
 from benchmarks._common import RESULTS_DIR, checks_pass, emit
 
 
 def test_multi_failure_scenarios(benchmark):
     """Run the multi_failure figure once and persist its measurements."""
-    scale = current_scale()
     out = benchmark.pedantic(
-        lambda: figures.multi_failure(scale), rounds=1, iterations=1
+        figures.ALL_EXPERIMENTS["multi_failure"], rounds=1, iterations=1
     )
     emit("multi_failure", out["text"])
     payload = {

@@ -185,9 +185,8 @@ def _resolve_scale(args):
 
 def _cmd_list() -> int:
     print("experiments (paper artifacts):")
-    for name, fn in sorted(figures.ALL_EXPERIMENTS.items()):
-        doc = (fn.__doc__ or "").strip().splitlines()[0]
-        print(f"  {name:<8} {doc}")
+    for name, spec in sorted(figures.SPECS.items()):
+        print(f"  {name:<8} {spec.heading}")
     print("\nscales: quick (CI smoke), default (shape grid), full (paper grid)")
     return 0
 
@@ -201,7 +200,11 @@ def _emit(out_dir: str, name: str, text: str) -> None:
 
 
 def _install_runner(args) -> ParallelRunner | None:
-    """Wire a parallel executor / run cache into the figure harness."""
+    """Wire a parallel executor / run cache into the figure harness.
+
+    Returns None when neither is asked for: the harness then runs on its
+    own serial runner.
+    """
     figures.set_auto_shard(not args.no_auto_shard)
     jobs = _resolve_jobs(args.jobs)
     if jobs <= 1 and args.cache_dir is None:
@@ -233,7 +236,7 @@ def _cmd_run(args) -> int:
     _emit(args.out, args.experiment, out["text"])
     print(f"[{args.experiment}] scale={scale.name} "
           f"wall={time.time() - started:.1f}s")
-    return 0 if all(ok for _, ok in out.get("checks", [])) else 1
+    return 0 if all(ok for _, ok in out["checks"]) else 1
 
 
 def _cmd_all(args) -> int:
@@ -251,7 +254,7 @@ def _cmd_all(args) -> int:
                 continue
             _emit(args.out, name, out["text"])
             print(f"[{name}] scale={scale.name} wall={time.time() - started:.1f}s\n")
-            if not all(ok for _, ok in out.get("checks", [])):
+            if not all(ok for _, ok in out["checks"]):
                 status = 1
     finally:
         _teardown_runner(runner)

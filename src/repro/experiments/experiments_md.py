@@ -11,99 +11,11 @@ from __future__ import annotations
 import pathlib
 from datetime import date
 
+from repro.experiments.figures import SPECS
+
+#: the ablation sections that follow the figures' own (name, heading,
+#: note of each figure come from its spec)
 _SECTIONS = (
-    ("fig7", "Figure 7 — normalized maximum sustainable throughput",
-     "Paper: COOR tracks the checkpoint-free baseline (within ~10% up to "
-     "high parallelism), UNC trails COOR by ~10%, CIC collapses with "
-     "parallelism (below 50% at scale)."),
-    ("table2", "Table II — message overhead ratio",
-     "Paper: COOR/UNC 1.00-1.01x everywhere; CIC 1.74-2.10x at 10 workers, "
-     "2.49-2.58x at 50 workers."),
-    ("fig8", "Figure 8 — average checkpointing time",
-     "Paper: UNC/CIC a few ms on every query; COOR up to two orders of "
-     "magnitude higher on the shuffling queries, growing with parallelism."),
-    ("fig9", "Figure 9 — p50 latency around the failure",
-     "Paper: similar pre-failure latency across protocols; spike at the "
-     "failure; COOR returns to the stable band first (~10 s for Q1 at 10 "
-     "workers), UNC/CIC pay replay."),
-    ("fig10", "Figure 10 — p99 latency around the failure",
-     "Paper: same pattern as p50 with larger spikes."),
-    ("fig11", "Figure 11 — restart time",
-     "Paper: COOR restarts fastest; UNC/CIC up to ~10x slower at high "
-     "parallelism (fetching and preparing replay messages)."),
-    ("table3", "Table III — total and invalid checkpoints",
-     "Paper: COOR 0% invalid; UNC/CIC 0-4% on the NexMark queries with "
-     "slightly more total checkpoints than COOR."),
-    ("fig12", "Figure 12 — skewed workloads",
-     "Paper: the crossover — COOR's p50 latency and checkpointing time "
-     "grow by at least an order of magnitude as the hot-item ratio rises; "
-     "UNC/CIC keep both low.\n\n"
-     "Fidelity note: the checkpoint-time explosion (the robust signal) "
-     "reproduces at every operating point (COOR seconds vs UNC/CIC ~5 ms). "
-     "The per-point p50 ranking can flip once a straggler saturates — at "
-     "50% MST / 30% hot on Q3 the uncoordinated straggler's queue keeps "
-     "growing while COOR's alignment throttles its inflow — so the "
-     "latency claim is checked as a majority over (fraction, query) "
-     "combinations, which it passes."),
-    ("fig13", "Figure 13 — restart under skew",
-     "Paper: the restart-time differences between protocols vanish."),
-    ("table4", "Table IV — cyclic reachability query",
-     "Paper: UNC CT 0.01-1.38 ms vs CIC 2.73-8.39 ms; restarts 344-620 ms; "
-     "invalid 1.4-1.7% for both; no domino effect.\n\n"
-     "Fidelity note: our simulated feedback traffic is denser relative to "
-     "the checkpoint interval than the paper's testbed, so UNC's rollback "
-     "on the cycle is deeper than their 1.4% (mutual rollback around the "
-     "loop — the theoretical domino mechanism — partially materialises). "
-     "It stays bounded well above scratch, and CIC's forced checkpoints "
-     "visibly cap it (~5-6%), which is precisely the behaviour the CIC "
-     "family was designed for."),
-    ("state_size", "State-size scaling — full vs changelog checkpoint backends",
-     "Extension (DESIGN.md section 10): incremental (changelog) checkpoints "
-     "upload only the writes since the last checkpoint, chained onto it; "
-     "the sweep quantifies the upload savings as operator state grows and "
-     "the restart cost of base+delta chain restores."),
-    ("rescale", "Rescale-on-recovery — protocol x scale factor",
-     "Extension (DESIGN.md section 11): recovery redeploys the job at a "
-     "different parallelism, repartitioning keyed state along key groups "
-     "and rebinding input-partition cursors; the sweep compares restart "
-     "and recovery when the restore also scales down / stays / scales up, "
-     "a dimension the paper never measured."),
-    ("multi_failure", "Multi-failure scenarios — protocol x scenario",
-     "Extension (DESIGN.md section 12): every protocol rides through a "
-     "no-failure baseline, a deterministic double kill, a Poisson/MTBF "
-     "failure stream, a correlated two-worker kill and a flaky node with "
-     "slowed detection, reporting availability (fraction of the window "
-     "the pipeline was up), goodput (sink records per second of uptime) "
-     "and recovery counts.  The Poisson stream additionally runs under "
-     "the adaptive (Young–Daly) checkpoint-interval policy.  "
-     "Reproduce one cell with `python -m repro query q12 --protocol unc "
-     "--failure-scenario 'poisson:mtbf=12' --interval-policy adaptive`; "
-     "the `--failure-scenario` spec grammar and `--interval-policy "
-     "{fixed,adaptive}` are documented in DESIGN.md section 12."),
-    ("backpressure", "Backpressure — bounded channels x protocol x skew",
-     "Extension (DESIGN.md section 13): channels carry a per-channel byte "
-     "budget under credit-based flow control — a sender whose channel is "
-     "out of credits parks its batch and blocks until the receiver "
-     "consumes.  With bounds on, COOR's barrier alignment genuinely "
-     "stalls upstream senders under hot-key skew (a channel blocked for "
-     "alignment stops being consumed, so its credits stay held), while "
-     "the unaligned variant and UNC drain past barriers: their "
-     "alignment-attributed blocked time is ~zero and their backpressure "
-     "is pure queue saturation.  Reproduce one cell with `python -m repro "
-     "query q12 --protocol coor --hot-ratio 0.3 --channel-capacity 1024`."),
-    ("arrivals", "Arrival processes — protocols under moving load",
-     "Extension (DESIGN.md section 17): every protocol rides a mid-window "
-     "failure under five arrival shapes — steady (the paper's regime), a "
-     "diurnal cycle, a flash crowd, MMPP bursts and drifting hot-key "
-     "popularity — at unbounded and tight channel capacity, with the "
-     "adaptive checkpoint-interval policy active.  The shape checks pin "
-     "the contrast that motivates the axis: flash crowds park senders at "
-     "tight capacity while steady load at the same *mean* rate does not, "
-     "and the adaptive controller records a retuning trajectory under "
-     "every moving shape.  Reproduce one cell with `python -m repro query "
-     "q12 --protocol cic --failure-at 18 --arrival 'flash:at=12;30,mag=4' "
-     "--interval-policy adaptive`; the `--arrival` spec grammar is "
-     "documented in DESIGN.md section 17."),
     ("ablation_interval", "Ablation — checkpoint-interval sweep", ""),
     ("ablation_logging", "Ablation — UNC logging tax & participation", ""),
     ("ablation_schedules", "Ablation — per-operator checkpoint schedules", ""),
@@ -136,7 +48,9 @@ def assemble(results_dir: str = "results", scale: str = "default") -> str:
     directory = pathlib.Path(results_dir)
     # repro-lint: disable=RL003 -- document timestamp for the reader; runs post-simulation, never on simulated time
     parts = [_HEADER.format(scale=scale, generated=date.today().isoformat())]
-    for name, title, paper_note in _SECTIONS:
+    sections = tuple((spec.name, spec.heading, spec.note)
+                     for spec in SPECS.values()) + _SECTIONS
+    for name, title, paper_note in sections:
         path = directory / f"{name}.txt"
         parts.append(f"\n## {title}\n")
         if paper_note:

@@ -1,44 +1,51 @@
-"""One entry point per paper table and figure (DESIGN.md section 5).
+"""Every paper table and figure as a :class:`FigureSpec` (DESIGN.md section 5).
 
-Every function returns a dict with raw ``rows`` plus a rendered ``text``
-block that prints the measured values next to the paper's reported values
-or shape claims.  Expensive intermediates (MST searches, failure runs) are
-cached per process so Figs. 9, 10, 11 and Table III can share runs.
+A spec states what differs between figures — the grid of cells, the
+operating point of each cell, what is measured there, how a row shows it
+and which shape claims are checked — and :func:`run_figure` does the rest
+for all of them: prefetch the MST searches and runs the grid needs, fetch
+them through the harness runner, check, render.  ``ALL_EXPERIMENTS`` maps
+each spec's name to a callable returning ``{name, rows, measured, checks,
+text}``.
+
+Every run goes through one :class:`ParallelRunner` — the one installed
+with :func:`set_runner`, else a serial one created on first use — whose
+in-process memo, keyed by ``request_key``, is what lets Figs. 9, 10 and 11
+share failure runs and every MST-relative figure share MST searches.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Any, Callable, Iterable
 
-from repro.dataflow.runtime import RunResult
 from repro.experiments import paper_reference as ref
 from repro.experiments.config import ExperimentScale, current_scale
 from repro.experiments.parallel import (
     MstRequest,
     ParallelRunner,
     RunRequest,
-    execute_request,
+    estimate_cost,
+    resolve_spec,
 )
 from repro.experiments.sharding import (
     auto_shard_count,
     run_sharded,
     submit_sharded,
 )
-from repro.metrics.mst import find_mst
 from repro.metrics.report import format_table, shape_report
 from repro.metrics.series import percentile
-from repro.workloads.cyclic import REACHABILITY
-from repro.workloads.nexmark import QUERIES
 
 PROTOCOL_ORDER = ("coor", "unc", "cic")
 NEXMARK_ORDER = ("q1", "q3", "q8", "q12")
 
-#: process-level caches keyed by (kind, query, protocol, parallelism, scale, ...)
-_CACHE: dict[tuple, object] = {}
-
-#: optional parallel executor + run cache; installed by the CLI's
+#: parallel executor + run cache installed by the CLI's
 #: ``--jobs/--cache-dir`` flags (or tests) via :func:`set_runner`
-_RUNNER: ParallelRunner | None = None
+_installed: ParallelRunner | None = None
+
+#: the runner used while none is installed: serial, created on first use
+_serial: ParallelRunner | None = None
 
 #: default-on intra-run sharding of large shardable steady runs
 #: (DESIGN.md section 16); the CLI's ``--no-auto-shard`` clears it
@@ -46,14 +53,20 @@ _AUTO_SHARD = True
 
 
 def set_runner(runner: ParallelRunner | None) -> None:
-    """Route every figure/table run through ``runner`` (None = serial)."""
-    global _RUNNER
-    _RUNNER = runner
+    """Route every figure/table run through ``runner`` (None: back to
+    the serial default)."""
+    global _installed
+    _installed = runner
 
 
-def get_runner() -> ParallelRunner | None:
-    """The installed parallel runner (None when running serially)."""
-    return _RUNNER
+def get_runner() -> ParallelRunner:
+    """The runner every figure/table run goes through."""
+    global _serial
+    if _installed is not None:
+        return _installed
+    if _serial is None:
+        _serial = ParallelRunner(jobs=1)
+    return _serial
 
 
 def set_auto_shard(enabled: bool) -> None:
@@ -67,65 +80,75 @@ def get_auto_shard() -> bool:
     return _AUTO_SHARD
 
 
-def _shards_for(request: RunRequest) -> int:
-    """Shard count this request runs at under the installed runner.
+def clear_cache() -> None:
+    """Forget the default runner's MSTs and runs (tests use this for
+    isolation); an installed runner belongs to whoever installed it."""
+    global _serial
+    _serial = None
+
+
+def _shards_for(request: RunRequest | MstRequest) -> int:
+    """Shard count this request runs at under the current runner.
 
     Sharding needs the runner's worker pool to win wall-clock, so the
-    policy only engages with a multi-process runner installed; the
-    correctness gates live in :func:`auto_shard_count`.
+    policy is capped by its job count (a serial runner never shards);
+    the correctness gates live in :func:`auto_shard_count`.
     """
-    if not _AUTO_SHARD or _RUNNER is None or type(request) is not RunRequest:
+    if not _AUTO_SHARD or type(request) is not RunRequest:
         return 1
-    return auto_shard_count(request, jobs=_RUNNER.jobs)
+    return auto_shard_count(request, jobs=get_runner().jobs)
 
 
-def clear_cache() -> None:
-    """Forget cached MSTs and runs (tests use this for isolation)."""
-    _CACHE.clear()
-
-
-def _execute(request: RunRequest) -> RunResult:
-    """One run, through the installed runner (cache-first) or inline.
+def _fetch(request: RunRequest | MstRequest) -> Any:
+    """One result, through the runner (memo, then disk cache, then run).
 
     Large shardable steady runs auto-split into key-group shards first
     (DESIGN.md section 16): :func:`_shards_for` picks the count, and the
     additive merge in :mod:`repro.experiments.sharding` keeps the fields
     figures consume identical to the unsharded run.
     """
+    runner = get_runner()
     shards = _shards_for(request)
     if shards > 1:
-        return run_sharded(request, shards, runner=_RUNNER)
-    if _RUNNER is not None:
-        return _RUNNER.run(request)
-    return execute_request(request)
+        return run_sharded(request, shards, runner=runner)
+    result = runner.run(request)
+    if isinstance(request, MstRequest) and result.bracket_exhausted:
+        # fail here with the real cause — an MST of 0.0 would otherwise
+        # surface as a cryptic "rate must be positive" deep in the
+        # input generator of whichever figure asked first
+        raise RuntimeError(
+            f"MST search exhausted its bracket for {request.query}"
+            f"/{request.protocol}/p={request.parallelism} with "
+            f"{request.probe_duration:g} s probes: no probed rate "
+            "was sustainable (check the cost model calibration or "
+            "lengthen the probe window)"
+        )
+    return result
 
 
-def _warm(requests: list[RunRequest]) -> None:
-    """Stream a batch of independent runs through the shared scheduler.
+def _prefetch(requests: Iterable[RunRequest | MstRequest]) -> None:
+    """Stream a batch of independent requests through the shared scheduler.
 
-    Results land in the runner's cache, so the per-combination ``_execute``
-    calls that follow are pure cache hits.  A no-op without a multi-process
-    runner — the serial path then computes each run on first use.  Requests
-    the auto-shard policy would split are submitted as shard groups whose
-    merge fires the moment their last shard lands
+    Results land in the runner's memo, so the per-cell :func:`_fetch`
+    calls that follow are pure hits.  A no-op on a serial runner, which
+    computes each request on first use.  Requests the auto-shard policy
+    would split are submitted as shard groups whose merge fires the
+    moment their last shard lands
     (:func:`~repro.experiments.sharding.submit_sharded`), so the later
     :func:`run_sharded` call is a pure memo hit; everything shares the
     runner's one pool, longest-first, with short runs backfilling the tail.
     """
-    if _RUNNER is None or _RUNNER.jobs <= 1:
+    runner = get_runner()
+    if runner.jobs <= 1:
         return
-    for request in requests:
+    for request in sorted(requests, key=estimate_cost, reverse=True):
         shards = _shards_for(request)
         if shards > 1:
-            submit_sharded(request, shards, _RUNNER)
+            submit_sharded(request, shards, runner)
         else:
-            _RUNNER.submit(request)
-    _RUNNER.drain()
+            runner.submit(request)
+    runner.drain()
 
-
-# --------------------------------------------------------------------- #
-# Shared building blocks
-# --------------------------------------------------------------------- #
 
 def _mst_request(query: str, protocol: str, parallelism: int,
                  scale: ExperimentScale) -> MstRequest:
@@ -138,119 +161,81 @@ def _mst_request(query: str, protocol: str, parallelism: int,
     )
 
 
-def _warm_msts(combos, scale: ExperimentScale) -> None:
-    """Fan whole MST searches (one per combination) across workers."""
-    if _RUNNER is not None and _RUNNER.jobs > 1:
-        _RUNNER.map([_mst_request(q, proto, p, scale) for q, proto, p in combos])
-
-
 def get_mst(query: str, protocol: str, parallelism: int,
             scale: ExperimentScale) -> float:
-    """Cached maximum sustainable throughput for one combination."""
-    spec = REACHABILITY if query == "reachability" else QUERIES[query]
-    key = ("mst", query, protocol, parallelism, scale.name)
-    if key not in _CACHE:
-        if _RUNNER is not None:
-            result = _RUNNER.run(_mst_request(query, protocol, parallelism, scale))
-        else:
-            result = find_mst(
-                spec, protocol, parallelism,
-                probe_duration=scale.probe_duration,
-                warmup=scale.probe_warmup,
-                iterations=scale.mst_iterations,
-                seed=scale.seed,
-            )
-        if result.bracket_exhausted:
-            # fail here with the real cause — an MST of 0.0 would otherwise
-            # surface as a cryptic "rate must be positive" deep in the
-            # input generator of whichever figure asked first
-            raise RuntimeError(
-                f"MST search exhausted its bracket for {query}/{protocol}"
-                f"/p={parallelism} at scale {scale.name!r}: no probed rate "
-                "was sustainable (check the cost model calibration or "
-                "lengthen the probe window)"
-            )
-        _CACHE[key] = result.mst
-    return _CACHE[key]  # type: ignore[return-value]
+    """Maximum sustainable throughput for one combination (memoised)."""
+    return _fetch(_mst_request(query, protocol, parallelism, scale)).mst
 
 
-def _failure_request(query: str, protocol: str, parallelism: int,
-                     scale: ExperimentScale, rate_fraction: float = 0.8,
-                     hot_ratio: float = 0.0) -> RunRequest:
-    mst = get_mst(query, protocol, parallelism, scale)
-    return RunRequest(
-        query=query, protocol=protocol, parallelism=parallelism,
-        rate=mst * rate_fraction,
-        duration=scale.duration,
-        warmup=scale.warmup,
-        failure_at=scale.failure_at,
-        hot_ratio=hot_ratio,
-        seed=scale.seed,
-    )
+# --------------------------------------------------------------------- #
+# Specs and the driver
+# --------------------------------------------------------------------- #
+
+@dataclass(frozen=True)
+class AtMst:
+    """Operating point: ``run`` offered ``fraction`` of the MST of its own
+    (query, protocol, parallelism); ``run.rate`` is a placeholder until
+    the driver has searched that MST."""
+
+    fraction: float
+    run: RunRequest
 
 
-def get_failure_run(query: str, protocol: str, parallelism: int,
-                    scale: ExperimentScale, rate_fraction: float = 0.8,
-                    hot_ratio: float = 0.0) -> RunResult:
-    """One 'paper run': fixed fraction of that protocol's MST, with failure."""
-    key = ("failrun", query, protocol, parallelism, scale.name, rate_fraction, hot_ratio)
-    if key not in _CACHE:
-        _CACHE[key] = _execute(
-            _failure_request(query, protocol, parallelism, scale,
-                             rate_fraction, hot_ratio)
-        )
-    return _CACHE[key]  # type: ignore[return-value]
+#: what a cell runs at: a request, or several when the statistic needs
+#: more than one (Fig. 7 normalises by the checkpoint-free MST)
+Point = RunRequest | MstRequest | AtMst
 
 
-def _steady_request(query: str, protocol: str, parallelism: int,
-                    scale: ExperimentScale, rate_fraction: float = 0.8,
-                    hot_ratio: float = 0.0) -> RunRequest:
-    mst = get_mst(query, protocol, parallelism, scale)
-    return RunRequest(
-        query=query, protocol=protocol, parallelism=parallelism,
-        rate=mst * rate_fraction,
-        duration=min(scale.duration, 30.0),
-        warmup=min(scale.warmup, 10.0),
-        hot_ratio=hot_ratio,
-        seed=scale.seed,
-    )
+@dataclass(frozen=True)
+class FigureSpec:
+    """One paper artifact, as data.
 
-
-def get_steady_run(query: str, protocol: str, parallelism: int,
-                   scale: ExperimentScale, rate_fraction: float = 0.8,
-                   hot_ratio: float = 0.0) -> RunResult:
-    """A failure-free run at a fraction of the protocol's MST.
-
-    Checkpoint-time statistics stabilise after a handful of rounds, so the
-    window is capped at 30 s to keep the full parameter sweep tractable.
+    A *cell* is one grid point and also its key in ``measured``; the
+    callables take the scale, then the cell's fields.
     """
-    key = ("steadyrun", query, protocol, parallelism, scale.name, rate_fraction, hot_ratio)
-    if key not in _CACHE:
-        _CACHE[key] = _execute(
-            _steady_request(query, protocol, parallelism, scale,
-                            rate_fraction, hot_ratio)
-        )
-    return _CACHE[key]  # type: ignore[return-value]
+
+    #: registry key, ``results/<name>.txt`` and EXPERIMENTS.md section
+    name: str
+    #: EXPERIMENTS.md section heading (``repro list`` shows it too) and
+    #: the paragraph under it
+    heading: str
+    note: str
+    #: table title (a callable where it depends on the scale)
+    title: str | Callable[[ExperimentScale], str]
+    headers: tuple[str, ...]
+    #: the grid, in row order: ``cells(scale)`` yields cell tuples
+    cells: Callable[[ExperimentScale], Iterable[tuple]]
+    #: ``point(scale, *cell)``: the operating point(s) of one cell
+    point: Callable[..., Point | tuple[Point, ...]]
+    #: ``measure(result, scale, *cell)``: the cell's ``measured`` entry
+    #: (``result`` is a tuple when ``point`` returned one)
+    measure: Callable[..., Any]
+    #: ``row(entry, result, scale, *cell)``: the rendered row
+    row: Callable[..., list]
+    #: ``checks(measured, scale, results)``: the ``(claim, verdict)`` list
+    checks: Callable[[dict, ExperimentScale, dict],
+                     list[tuple[str, bool]]] | None = None
+    #: heading of the verdict block
+    report: str = "shape vs paper:"
+    #: claims printed unchecked (a figure without ``checks``)
+    shapes: tuple[str, ...] = ()
 
 
-def _capacity_failure_request(query: str, protocol: str, parallelism: int,
-                              scale: ExperimentScale,
-                              rate_fraction: float = 0.4) -> RunRequest:
-    spec = REACHABILITY if query == "reachability" else QUERIES[query]
-    return RunRequest(
-        query=query, protocol=protocol, parallelism=parallelism,
-        rate=spec.capacity_per_worker * parallelism * rate_fraction,
-        duration=scale.duration,
-        warmup=scale.warmup,
-        failure_at=scale.failure_at,
-        seed=scale.seed,
-    )
+def _run(scale: ExperimentScale, query: str, protocol: str, parallelism: int,
+         rate: float, **fields: Any) -> RunRequest:
+    return RunRequest(query=query, protocol=protocol, parallelism=parallelism,
+                      rate=rate, seed=scale.seed, **fields)
 
 
-def get_capacity_failure_run(query: str, protocol: str, parallelism: int,
-                             scale: ExperimentScale,
-                             rate_fraction: float = 0.4) -> RunResult:
-    """Failure run at a fraction of the *analytic capacity* (no MST search).
+def _at_mst(scale: ExperimentScale, fraction: float, query: str,
+            protocol: str, parallelism: int, **fields: Any) -> AtMst:
+    """The "fraction of that protocol's MST" rate rule."""
+    return AtMst(fraction, _run(scale, query, protocol, parallelism, 0.0,
+                                **fields))
+
+
+def _capacity(query: str, workers: int, fraction: float) -> float:
+    """The "fraction of analytic capacity" rate rule (no MST search).
 
     Used where the measured quantity (checkpoint counts, invalid
     percentage) is insensitive to the exact operating point but an MST
@@ -259,13 +244,57 @@ def get_capacity_failure_run(query: str, protocol: str, parallelism: int,
     high parallelism is roughly half the baseline), or its checkpoint
     tasks queue behind the backlog and never complete.
     """
-    key = ("capfailrun", query, protocol, parallelism, scale.name, rate_fraction)
-    if key not in _CACHE:
-        _CACHE[key] = _execute(
-            _capacity_failure_request(query, protocol, parallelism, scale,
-                                      rate_fraction)
-        )
-    return _CACHE[key]  # type: ignore[return-value]
+    return resolve_spec(query).capacity_per_worker * workers * fraction
+
+
+def _mst_of(point: Point, scale: ExperimentScale) -> MstRequest:
+    """The MST search ``point`` is (Fig. 7) or waits for (:class:`AtMst`)."""
+    if isinstance(point, MstRequest):
+        return point
+    run = point.run
+    return _mst_request(run.query, run.protocol, run.parallelism, scale)
+
+
+def _resolve(point: Point, scale: ExperimentScale) -> RunRequest | MstRequest:
+    if not isinstance(point, AtMst):
+        return point
+    return replace(point.run,
+                   rate=_fetch(_mst_of(point, scale)).mst * point.fraction)
+
+
+def run_figure(spec: FigureSpec, scale: ExperimentScale | None = None) -> dict:
+    """Regenerate one artifact: prefetch, collect, check, render."""
+    scale = scale or current_scale()
+    cells = list(spec.cells(scale))
+    points = [spec.point(scale, *cell) for cell in cells]
+    groups = [p if isinstance(p, tuple) else (p,) for p in points]
+    _prefetch(_mst_of(p, scale) for group in groups for p in group
+              if not isinstance(p, RunRequest))
+    groups = [[_resolve(p, scale) for p in group] for group in groups]
+    _prefetch(r for group in groups for r in group
+              if isinstance(r, RunRequest))
+    rows, measured, results = [], {}, {}
+    for cell, point, group in zip(cells, points, groups):
+        fetched = [_fetch(request) for request in group]
+        result = tuple(fetched) if isinstance(point, tuple) else fetched[0]
+        results[cell] = result
+        measured[cell] = spec.measure(result, scale, *cell)
+        rows.append(spec.row(measured[cell], result, scale, *cell))
+    checks = spec.checks(measured, scale, results) if spec.checks else []
+    title = spec.title(scale) if callable(spec.title) else spec.title
+    text = format_table(spec.headers, rows, title=title) + "\n" + (
+        shape_report(spec.report, checks) if spec.checks
+        else "\n".join(f"  shape: {s}" for s in spec.shapes))
+    return {"name": spec.name, "rows": rows, "measured": measured,
+            "checks": checks, "text": text}
+
+
+def _nexmark_grid(workers: Iterable[int],
+                  protocols: tuple[str, ...] = PROTOCOL_ORDER) -> Iterable[tuple]:
+    """``(query, protocol, parallelism)`` cells, one table block per
+    parallelism."""
+    return ((q, proto, p) for p in workers for q in NEXMARK_ORDER
+            for proto in protocols)
 
 
 def _median_positive(values: Iterable[float]) -> float:
@@ -273,40 +302,30 @@ def _median_positive(values: Iterable[float]) -> float:
     return percentile(cleaned, 50) if cleaned else 0.0
 
 
+def _paper(table: dict, key: tuple, query: str) -> Any:
+    """The paper's value for one cell of a per-query table, or ``-``."""
+    value = table.get(key, {}).get(query)
+    return value if value is not None else "-"
+
+
+def _failure_point(scale: ExperimentScale, query: str, protocol: str,
+                   parallelism: int, fraction: float = 0.8,
+                   hot: float = 0.0) -> AtMst:
+    """One 'paper run': fixed fraction of that protocol's MST, with failure."""
+    return _at_mst(scale, fraction, query, protocol, parallelism,
+                   duration=scale.duration, warmup=scale.warmup,
+                   failure_at=scale.failure_at, hot_ratio=hot)
+
+
+def _restart_ms(result, scale, *cell) -> float:
+    return result.restart_time() * 1000.0
+
+
 # --------------------------------------------------------------------- #
 # Figure 7 — normalized maximum sustainable throughput
 # --------------------------------------------------------------------- #
 
-def fig7_mst(scale: ExperimentScale | None = None) -> dict:
-    """Normalized MST per query/protocol/parallelism (paper Fig. 7)."""
-    scale = scale or current_scale()
-    rows = []
-    normalized: dict[tuple[str, str, int], float] = {}
-    _warm_msts([
-        (query, protocol, parallelism)
-        for parallelism in scale.parallelism_grid
-        for query in NEXMARK_ORDER
-        for protocol in ("none",) + PROTOCOL_ORDER
-    ], scale)
-    for parallelism in scale.parallelism_grid:
-        for query in NEXMARK_ORDER:
-            base = get_mst(query, "none", parallelism, scale)
-            for protocol in PROTOCOL_ORDER:
-                mst = get_mst(query, protocol, parallelism, scale)
-                norm = min(mst / base, 1.0) if base > 0 else 0.0
-                normalized[(query, protocol, parallelism)] = norm
-                paper = ref.FIG7_NORMALIZED_MST.get((protocol, parallelism), {}).get(query)
-                rows.append([parallelism, query, protocol, round(mst), norm,
-                             paper if paper is not None else "-"])
-    checks = _fig7_checks(normalized, scale)
-    text = format_table(
-        ["workers", "query", "protocol", "MST (rec/s)", "normalized", "paper~"],
-        rows, title="Figure 7 — normalized maximum sustainable throughput",
-    ) + "\n" + shape_report("shape vs paper:", checks)
-    return {"rows": rows, "normalized": normalized, "checks": checks, "text": text}
-
-
-def _fig7_checks(normalized: dict, scale: ExperimentScale) -> list[tuple[str, bool]]:
+def _fig7_checks(normalized, scale, _results) -> list[tuple[str, bool]]:
     slack = 1.06  # probe granularity tolerance
     coor_ge_unc = all(
         normalized[(q, "coor", p)] * slack >= normalized[(q, "unc", p)]
@@ -327,240 +346,177 @@ def _fig7_checks(normalized: dict, scale: ExperimentScale) -> list[tuple[str, bo
     ]
 
 
+FIG7 = FigureSpec(
+    name="fig7",
+    heading="Figure 7 — normalized maximum sustainable throughput",
+    note=ref.FIG7_NOTE,
+    title="Figure 7 — normalized maximum sustainable throughput",
+    headers=("workers", "query", "protocol", "MST (rec/s)", "normalized",
+             "paper~"),
+    cells=lambda s: _nexmark_grid(s.parallelism_grid),
+    point=lambda s, q, proto, p: (_mst_request(q, proto, p, s),
+                                  _mst_request(q, "none", p, s)),
+    measure=lambda r, s, q, proto, p: (
+        min(r[0].mst / r[1].mst, 1.0) if r[1].mst > 0 else 0.0),
+    row=lambda m, r, s, q, proto, p: [
+        p, q, proto, round(r[0].mst), m,
+        _paper(ref.FIG7_NORMALIZED_MST, (proto, p), q)],
+    checks=_fig7_checks,
+)
+
+
 # --------------------------------------------------------------------- #
 # Table II — message overhead
 # --------------------------------------------------------------------- #
 
-def _table2_request(query: str, protocol: str, workers: int,
-                    scale: ExperimentScale) -> RunRequest:
-    spec = QUERIES[query]
-    return RunRequest(
-        query=query, protocol=protocol, parallelism=workers,
-        rate=spec.capacity_per_worker * workers * 0.5,
-        duration=min(scale.duration, 20.0),
-        warmup=min(scale.warmup, 5.0),
-        seed=scale.seed,
-    )
-
-
-def table2_message_overhead(scale: ExperimentScale | None = None) -> dict:
-    """Protocol message-byte overhead vs checkpoint-free (paper Table II)."""
-    scale = scale or current_scale()
-    rows = []
-    measured: dict[tuple[str, int, str], float] = {}
-    _warm([
-        _table2_request(query, protocol, workers, scale)
-        for workers in scale.table_workers
-        for protocol in PROTOCOL_ORDER
-        for query in NEXMARK_ORDER
-    ])
-    for workers in scale.table_workers:
-        for protocol in PROTOCOL_ORDER:
-            for query in NEXMARK_ORDER:
-                key = ("table2", query, protocol, workers, scale.name)
-                if key not in _CACHE:
-                    _CACHE[key] = _execute(
-                        _table2_request(query, protocol, workers, scale)
-                    )
-                result: RunResult = _CACHE[key]  # type: ignore[assignment]
-                ratio = result.metrics.overhead_ratio()
-                measured[(protocol, workers, query)] = ratio
-                paper = ref.TABLE2_OVERHEAD.get((protocol, workers), {}).get(query)
-                rows.append([workers, protocol, query, ratio,
-                             paper if paper is not None else "-"])
-    checks = [
+TABLE2 = FigureSpec(
+    name="table2",
+    heading="Table II — message overhead ratio",
+    note=ref.TABLE2_NOTE,
+    title="Table II — message overhead ratio",
+    headers=("workers", "protocol", "query", "overhead x", "paper"),
+    cells=lambda s: ((proto, w, q) for w in s.table_workers
+                     for proto in PROTOCOL_ORDER for q in NEXMARK_ORDER),
+    point=lambda s, proto, w, q: _run(
+        s, q, proto, w, _capacity(q, w, 0.5),
+        duration=min(s.duration, 20.0), warmup=min(s.warmup, 5.0)),
+    measure=lambda r, s, proto, w, q: r.metrics.overhead_ratio(),
+    row=lambda m, r, s, proto, w, q: [
+        w, proto, q, m, _paper(ref.TABLE2_OVERHEAD, (proto, w), q)],
+    checks=lambda measured, s, _results: [
         ("COOR and UNC overhead is negligible (<= 1.05x)",
          all(v <= 1.05 for (proto, _, _), v in measured.items() if proto in ("coor", "unc"))),
         ("CIC overhead is large (>= 1.5x) and grows with workers",
          all(v >= 1.5 for (proto, _, _), v in measured.items() if proto == "cic")),
-    ]
-    text = format_table(
-        ["workers", "protocol", "query", "overhead x", "paper"],
-        rows, title="Table II — message overhead ratio",
-    ) + "\n" + shape_report("shape vs paper:", checks)
-    return {"rows": rows, "measured": measured, "checks": checks, "text": text}
+    ],
+)
 
 
 # --------------------------------------------------------------------- #
 # Figure 8 — average checkpointing time
 # --------------------------------------------------------------------- #
 
-def fig8_checkpoint_time(scale: ExperimentScale | None = None) -> dict:
-    """Average checkpoint duration per protocol (paper Fig. 8)."""
-    scale = scale or current_scale()
-    rows = []
-    measured: dict[tuple[str, str, int], float] = {}
-    _warm_msts([
-        (query, protocol, parallelism)
-        for parallelism in scale.parallelism_grid
-        for query in NEXMARK_ORDER
-        for protocol in PROTOCOL_ORDER
-    ], scale)
-    _warm([
-        _steady_request(query, protocol, parallelism, scale)
-        for parallelism in scale.parallelism_grid
-        for query in NEXMARK_ORDER
-        for protocol in PROTOCOL_ORDER
-    ])
-    for parallelism in scale.parallelism_grid:
-        for query in NEXMARK_ORDER:
-            for protocol in PROTOCOL_ORDER:
-                result = get_steady_run(query, protocol, parallelism, scale)
-                ct_ms = result.avg_checkpoint_time() * 1000.0
-                measured[(query, protocol, parallelism)] = ct_ms
-                paper = ref.FIG8_CHECKPOINT_TIME_MS.get((protocol, parallelism), {}).get(query)
-                rows.append([parallelism, query, protocol, ct_ms,
-                             paper if paper is not None else "-"])
+def _fig8_checks(measured, scale, _results) -> list[tuple[str, bool]]:
     shuffling = [q for q in NEXMARK_ORDER if q != "q1"]
-    checks = [
+    return [
         (ref.FIG8_SHAPE[0],
          all(measured[(q, proto, p)] <= 30.0
-             for (q, proto, p) in measured if proto in ("unc", "cic")
-             for _ in [0])),
+             for (q, proto, p) in measured if proto in ("unc", "cic"))),
         (ref.FIG8_SHAPE[1],
          all(measured[(q, "coor", p)] >= 5 * measured[(q, "unc", p)]
              for p in scale.parallelism_grid for q in shuffling)),
     ]
-    text = format_table(
-        ["workers", "query", "protocol", "avg CT (ms)", "paper~ (ms)"],
-        rows, title="Figure 8 — average checkpointing time",
-    ) + "\n" + shape_report("shape vs paper:", checks)
-    return {"rows": rows, "measured": measured, "checks": checks, "text": text}
+
+
+FIG8 = FigureSpec(
+    name="fig8",
+    heading="Figure 8 — average checkpointing time",
+    note=ref.FIG8_NOTE,
+    title="Figure 8 — average checkpointing time",
+    headers=("workers", "query", "protocol", "avg CT (ms)", "paper~ (ms)"),
+    cells=lambda s: _nexmark_grid(s.parallelism_grid),
+    # a failure-free run at a fraction of the protocol's MST:
+    # checkpoint-time statistics stabilise after a handful of rounds, so
+    # the window is capped at 30 s to keep the full sweep tractable
+    point=lambda s, q, proto, p: _at_mst(
+        s, 0.8, q, proto, p,
+        duration=min(s.duration, 30.0), warmup=min(s.warmup, 10.0)),
+    measure=lambda r, s, q, proto, p: r.avg_checkpoint_time() * 1000.0,
+    row=lambda m, r, s, q, proto, p: [
+        p, q, proto, m, _paper(ref.FIG8_CHECKPOINT_TIME_MS, (proto, p), q)],
+    checks=_fig8_checks,
+)
 
 
 # --------------------------------------------------------------------- #
 # Figures 9 / 10 — latency series with failure
 # --------------------------------------------------------------------- #
 
-def _latency_figure(pct: int, shape: tuple, scale: ExperimentScale) -> dict:
-    rows = []
-    series: dict[tuple[str, str, int], list[float]] = {}
-    protocols = ("none",) + PROTOCOL_ORDER
-    _warm_msts([
-        (query, protocol, parallelism)
-        for parallelism in scale.latency_grid
-        for query in NEXMARK_ORDER
-        for protocol in protocols
-    ], scale)
-    _warm([
-        _failure_request(query, protocol, parallelism, scale)
-        for parallelism in scale.latency_grid
-        for query in NEXMARK_ORDER
-        for protocol in protocols
-    ])
-    for parallelism in scale.latency_grid:
-        for query in NEXMARK_ORDER:
-            for protocol in protocols:
-                result = get_failure_run(query, protocol, parallelism, scale)
-                lat = result.latency_series()
-                values = lat.series(pct)
-                series[(query, protocol, parallelism)] = values
-                pre = _median_positive(
-                    v for s, v in zip(lat.seconds, values) if s < scale.failure_at
-                )
-                post_start = scale.failure_at + 2
-                spike = max(
-                    [v for s, v in zip(lat.seconds, values) if s >= post_start] or [0.0]
-                )
-                rows.append([
-                    parallelism, query, protocol,
-                    pre * 1000.0, spike * 1000.0,
-                    result.recovery_time(),
-                ])
-    text = format_table(
-        ["workers", "query", "protocol", f"pre-failure p{pct} (ms)",
-         "post-failure peak (ms)", "recovery (s)"],
-        rows, title=f"Figures 9/10 — per-second p{pct} latency around the failure",
-    ) + "\n" + "\n".join(f"  shape: {s}" for s in shape)
-    return {"rows": rows, "series": series, "text": text}
+def _latency_row(values, result, scale, query, protocol, parallelism) -> list:
+    # ``values`` is the per-second series: entry ``s`` is window second ``s``
+    pre = _median_positive(
+        v for s, v in enumerate(values) if s < scale.failure_at
+    )
+    post_start = scale.failure_at + 2
+    spike = max(
+        [v for s, v in enumerate(values) if s >= post_start] or [0.0]
+    )
+    return [parallelism, query, protocol, pre * 1000.0, spike * 1000.0,
+            result.recovery_time()]
 
 
-def fig9_latency_p50(scale: ExperimentScale | None = None) -> dict:
-    """50th-percentile latency per second with a failure (paper Fig. 9)."""
-    return _latency_figure(50, ref.FIG9_SHAPE, scale or current_scale())
+def _latency_spec(name: str, pct: int, heading: str, note: str,
+                  shapes: tuple[str, ...]) -> FigureSpec:
+    return FigureSpec(
+        name=name, heading=heading, note=note, shapes=shapes,
+        title=f"Figures 9/10 — per-second p{pct} latency around the failure",
+        headers=("workers", "query", "protocol", f"pre-failure p{pct} (ms)",
+                 "post-failure peak (ms)", "recovery (s)"),
+        cells=lambda s: _nexmark_grid(s.latency_grid,
+                                      ("none",) + PROTOCOL_ORDER),
+        point=_failure_point,
+        measure=lambda r, s, q, proto, p: r.latency_series().series(pct),
+        row=_latency_row,
+    )
 
 
-def fig10_latency_p99(scale: ExperimentScale | None = None) -> dict:
-    """99th-percentile latency per second with a failure (paper Fig. 10)."""
-    return _latency_figure(99, ref.FIG10_SHAPE, scale or current_scale())
+FIG9 = _latency_spec(
+    "fig9", 50,
+    heading="Figure 9 — p50 latency around the failure",
+    note=ref.FIG9_NOTE,
+    shapes=ref.FIG9_SHAPE,
+)
+
+FIG10 = _latency_spec(
+    "fig10", 99,
+    heading="Figure 10 — p99 latency around the failure",
+    note=ref.FIG10_NOTE,
+    shapes=ref.FIG10_SHAPE,
+)
 
 
 # --------------------------------------------------------------------- #
 # Figure 11 — restart time
 # --------------------------------------------------------------------- #
 
-def fig11_restart(scale: ExperimentScale | None = None) -> dict:
-    """Restart time after the injected failure (paper Fig. 11)."""
-    scale = scale or current_scale()
-    rows = []
-    measured: dict[tuple[str, str, int], float] = {}
-    _warm_msts([
-        (query, protocol, parallelism)
-        for parallelism in scale.parallelism_grid
-        for query in NEXMARK_ORDER
-        for protocol in PROTOCOL_ORDER
-    ], scale)
-    _warm([
-        _failure_request(query, protocol, parallelism, scale)
-        for parallelism in scale.parallelism_grid
-        for query in NEXMARK_ORDER
-        for protocol in PROTOCOL_ORDER
-    ])
-    for parallelism in scale.parallelism_grid:
-        for query in NEXMARK_ORDER:
-            for protocol in PROTOCOL_ORDER:
-                result = get_failure_run(query, protocol, parallelism, scale)
-                rt_ms = result.restart_time() * 1000.0
-                measured[(query, protocol, parallelism)] = rt_ms
-                paper = ref.FIG11_RESTART_MS.get((protocol, parallelism), {}).get(query)
-                rows.append([parallelism, query, protocol, rt_ms,
-                             paper if paper is not None else "-"])
-    checks = [
+FIG11 = FigureSpec(
+    name="fig11",
+    heading="Figure 11 — restart time",
+    note=ref.FIG11_NOTE,
+    title="Figure 11 — restart time after failure",
+    headers=("workers", "query", "protocol", "restart (ms)", "paper~ (ms)"),
+    cells=lambda s: _nexmark_grid(s.parallelism_grid),
+    point=_failure_point,
+    measure=_restart_ms,
+    row=lambda m, r, s, q, proto, p: [
+        p, q, proto, m, _paper(ref.FIG11_RESTART_MS, (proto, p), q)],
+    checks=lambda measured, scale, _results: [
         (ref.FIG11_SHAPE[0],
          all(measured[(q, "coor", p)] <= measured[(q, proto, p)] * 1.05
              for p in scale.parallelism_grid for q in NEXMARK_ORDER
              for proto in ("unc", "cic"))),
-    ]
-    text = format_table(
-        ["workers", "query", "protocol", "restart (ms)", "paper~ (ms)"],
-        rows, title="Figure 11 — restart time after failure",
-    ) + "\n" + shape_report("shape vs paper:", checks)
-    return {"rows": rows, "measured": measured, "checks": checks, "text": text}
+    ],
+)
 
 
 # --------------------------------------------------------------------- #
 # Table III — total and invalid checkpoints
 # --------------------------------------------------------------------- #
 
-def table3_invalid(scale: ExperimentScale | None = None) -> dict:
-    """Checkpoint totals and invalid percentage at failure (paper Table III)."""
-    scale = scale or current_scale()
-    rows = []
-    measured: dict[tuple[int, str, str], tuple[int, float]] = {}
-    invalid_counts: dict[tuple[int, str, str], tuple[int, int]] = {}
-    _warm([
-        _capacity_failure_request(query, protocol, workers, scale)
-        for workers in scale.table_workers
-        for query in NEXMARK_ORDER
-        for protocol in ("unc", "cic", "coor")
-    ])
-    for workers in scale.table_workers:
-        for query in NEXMARK_ORDER:
-            n_instances = len(QUERIES[query].build_graph(2).operators) * workers
-            for protocol in ("unc", "cic", "coor"):
-                result = get_capacity_failure_run(query, protocol, workers, scale)
-                total = result.total_checkpoints()
-                invalid = result.invalid_percentage()
-                measured[(workers, query, protocol)] = (total, invalid)
-                invalid_counts[(workers, query, protocol)] = (
-                    result.metrics.invalid_checkpoints, n_instances
-                )
-                paper = ref.TABLE3_CHECKPOINTS.get((workers, query, protocol))
-                rows.append([
-                    workers, query, protocol, total, invalid,
-                    f"{paper[0]}({paper[1]:.0f}%)" if paper else "-",
-                ])
-    checks = [
+def _table3_row(m, result, scale, workers, query, protocol) -> list:
+    paper = ref.TABLE3_CHECKPOINTS.get((workers, query, protocol))
+    return [workers, query, protocol, m[0], m[1],
+            f"{paper[0]}({paper[1]:.0f}%)" if paper else "-"]
+
+
+def _table3_checks(measured, scale, results) -> list[tuple[str, bool]]:
+    operators = {q: len(resolve_spec(q).build_graph(2).operators)
+                 for q in NEXMARK_ORDER}
+    invalid_counts = {
+        (w, q, proto): (result.metrics.invalid_checkpoints, operators[q] * w)
+        for (w, q, proto), result in results.items()
+    }
+    return [
         ("COOR has zero invalid checkpoints",
          all(count == 0
              for (w, q, proto), (count, _) in invalid_counts.items()
@@ -575,11 +531,26 @@ def table3_invalid(scale: ExperimentScale | None = None) -> dict:
          all(measured[(w, q, proto)][0] >= measured[(w, q, "coor")][0] * 0.9
              for (w, q, proto) in measured if proto in ("unc", "cic"))),
     ]
-    text = format_table(
-        ["workers", "query", "protocol", "total ckpts", "invalid %", "paper"],
-        rows, title="Table III — total checkpoints (invalid %)",
-    ) + "\n" + shape_report("shape vs paper:", checks)
-    return {"rows": rows, "measured": measured, "checks": checks, "text": text}
+
+
+TABLE3 = FigureSpec(
+    name="table3",
+    heading="Table III — total and invalid checkpoints",
+    note=ref.TABLE3_NOTE,
+    title="Table III — total checkpoints (invalid %)",
+    headers=("workers", "query", "protocol", "total ckpts", "invalid %",
+             "paper"),
+    cells=lambda s: ((w, q, proto) for w in s.table_workers
+                     for q in NEXMARK_ORDER
+                     for proto in ("unc", "cic", "coor")),
+    point=lambda s, w, q, proto: _run(
+        s, q, proto, w, _capacity(q, w, 0.4), duration=s.duration,
+        warmup=s.warmup, failure_at=s.failure_at),
+    measure=lambda r, s, w, q, proto: (r.total_checkpoints(),
+                                       r.invalid_percentage()),
+    row=_table3_row,
+    checks=_table3_checks,
+)
 
 
 # --------------------------------------------------------------------- #
@@ -587,65 +558,21 @@ def table3_invalid(scale: ExperimentScale | None = None) -> dict:
 # --------------------------------------------------------------------- #
 
 SKEW_QUERIES = ("q3", "q8", "q12")
+FIG12_RATE_FRACTIONS = (0.5, 0.8)
 
 
-def _fig12_request(query: str, protocol: str, workers: int,
-                   scale: ExperimentScale, fraction: float,
-                   hot: float) -> RunRequest:
-    mst = get_mst(query, protocol, workers, scale)
-    return RunRequest(
-        query=query, protocol=protocol, parallelism=workers,
-        rate=mst * fraction,
-        duration=scale.duration, warmup=scale.warmup,
-        hot_ratio=hot, seed=scale.seed,
-    )
+def _skew_workers(scale: ExperimentScale) -> int:
+    """Figs. 12/13 run at the paper's 10 workers where the grid has them."""
+    return 10 if 10 in scale.parallelism_grid else scale.parallelism_grid[0]
 
 
-def fig12_skew(scale: ExperimentScale | None = None,
-               rate_fractions: tuple[float, ...] = (0.5, 0.8)) -> dict:
-    """p50 latency and avg checkpoint time under hot-item skew (Fig. 12)."""
-    scale = scale or current_scale()
-    workers = 10 if 10 in scale.parallelism_grid else scale.parallelism_grid[0]
-    rows = []
-    measured: dict[tuple, tuple[float, float]] = {}
-    _warm_msts([
-        (query, protocol, workers)
-        for query in SKEW_QUERIES
-        for protocol in PROTOCOL_ORDER
-    ], scale)
-    _warm([
-        _fig12_request(query, protocol, workers, scale, fraction, hot)
-        for fraction in rate_fractions
-        for query in SKEW_QUERIES
-        for hot in scale.hot_ratios
-        for protocol in PROTOCOL_ORDER
-    ])
-    for fraction in rate_fractions:
-        for query in SKEW_QUERIES:
-            for hot in scale.hot_ratios:
-                for protocol in PROTOCOL_ORDER:
-                    key = ("fig12", query, protocol, workers, scale.name, fraction, hot)
-                    if key not in _CACHE:
-                        _CACHE[key] = _execute(
-                            _fig12_request(query, protocol, workers, scale,
-                                           fraction, hot)
-                        )
-                    result: RunResult = _CACHE[key]  # type: ignore[assignment]
-                    lat = result.latency_series()
-                    p50 = _median_positive(lat.p50)
-                    ct = result.avg_checkpoint_time() * 1000.0
-                    measured[(fraction, query, hot, protocol)] = (p50 * 1000.0, ct)
-                    rows.append([f"{fraction:.0%}", query, f"{hot:.0%}",
-                                 protocol, p50 * 1000.0, ct])
-    checks = _fig12_checks(measured, scale, rate_fractions)
-    text = format_table(
-        ["MST frac", "query", "hot", "protocol", "p50 (ms)", "avg CT (ms)"],
-        rows, title="Figure 12 — skewed workloads (10 workers)",
-    ) + "\n" + shape_report("shape vs paper:", checks)
-    return {"rows": rows, "measured": measured, "checks": checks, "text": text}
+def _fig12_measure(result, scale, *cell) -> tuple[float, float]:
+    p50 = _median_positive(result.latency_series().p50)
+    return p50 * 1000.0, result.avg_checkpoint_time() * 1000.0
 
 
-def _fig12_checks(measured, scale, rate_fractions) -> list[tuple[str, bool]]:
+def _fig12_checks(measured, scale, _results) -> list[tuple[str, bool]]:
+    rate_fractions = FIG12_RATE_FRACTIONS
     top_hot = max(scale.hot_ratios)
     coor_blows_up = all(
         measured[(f, q, top_hot, "coor")][1] >=
@@ -673,47 +600,29 @@ def _fig12_checks(measured, scale, rate_fractions) -> list[tuple[str, bool]]:
     ]
 
 
+FIG12 = FigureSpec(
+    name="fig12",
+    heading="Figure 12 — skewed workloads",
+    note=ref.FIG12_NOTE,
+    title="Figure 12 — skewed workloads (10 workers)",
+    headers=("MST frac", "query", "hot", "protocol", "p50 (ms)",
+             "avg CT (ms)"),
+    cells=lambda s: ((f, q, hot, proto) for f in FIG12_RATE_FRACTIONS
+                     for q in SKEW_QUERIES for hot in s.hot_ratios
+                     for proto in PROTOCOL_ORDER),
+    point=lambda s, f, q, hot, proto: _at_mst(
+        s, f, q, proto, _skew_workers(s),
+        duration=s.duration, warmup=s.warmup, hot_ratio=hot),
+    measure=_fig12_measure,
+    row=lambda m, r, s, f, q, hot, proto: [
+        f"{f:.0%}", q, f"{hot:.0%}", proto, m[0], m[1]],
+    checks=_fig12_checks,
+)
+
+
 # --------------------------------------------------------------------- #
 # Figure 13 — restart time under skew
 # --------------------------------------------------------------------- #
-
-def fig13_skew_restart(scale: ExperimentScale | None = None) -> dict:
-    """Restart time with failure at 50% MST under skew (paper Fig. 13)."""
-    scale = scale or current_scale()
-    workers = 10 if 10 in scale.parallelism_grid else scale.parallelism_grid[0]
-    rows = []
-    measured: dict[tuple, float] = {}
-    _warm_msts([
-        (query, protocol, workers)
-        for query in SKEW_QUERIES
-        for protocol in PROTOCOL_ORDER
-    ], scale)
-    _warm([
-        _failure_request(query, protocol, workers, scale,
-                         rate_fraction=0.5, hot_ratio=hot)
-        for query in SKEW_QUERIES
-        for hot in scale.hot_ratios
-        for protocol in PROTOCOL_ORDER
-    ])
-    for query in SKEW_QUERIES:
-        for hot in scale.hot_ratios:
-            for protocol in PROTOCOL_ORDER:
-                result = get_failure_run(
-                    query, protocol, workers, scale,
-                    rate_fraction=0.5, hot_ratio=hot,
-                )
-                rt_ms = result.restart_time() * 1000.0
-                measured[(query, hot, protocol)] = rt_ms
-                rows.append([query, f"{hot:.0%}", protocol, rt_ms])
-    checks = [
-        (ref.FIG13_SHAPE[0], _restart_gap_small(measured, scale)),
-    ]
-    text = format_table(
-        ["query", "hot", "protocol", "restart (ms)"],
-        rows, title="Figure 13 — restart time under skew (10 workers, 50% MST)",
-    ) + "\n" + shape_report("shape vs paper:", checks)
-    return {"rows": rows, "measured": measured, "checks": checks, "text": text}
-
 
 def _restart_gap_small(measured, scale) -> bool:
     """Protocols should land within ~one order of magnitude of each other."""
@@ -723,6 +632,67 @@ def _restart_gap_small(measured, scale) -> bool:
             if min(values) > 0 and max(values) / min(values) > 12.0:
                 return False
     return True
+
+
+FIG13 = FigureSpec(
+    name="fig13",
+    heading="Figure 13 — restart under skew",
+    note=ref.FIG13_NOTE,
+    title="Figure 13 — restart time under skew (10 workers, 50% MST)",
+    headers=("query", "hot", "protocol", "restart (ms)"),
+    cells=lambda s: ((q, hot, proto) for q in SKEW_QUERIES
+                     for hot in s.hot_ratios for proto in PROTOCOL_ORDER),
+    point=lambda s, q, hot, proto: _failure_point(
+        s, q, proto, _skew_workers(s), fraction=0.5, hot=hot),
+    measure=_restart_ms,
+    row=lambda m, r, s, q, hot, proto: [q, f"{hot:.0%}", proto, m],
+    checks=lambda measured, scale, _results: [
+        (ref.FIG13_SHAPE[0], _restart_gap_small(measured, scale)),
+    ],
+)
+
+
+# --------------------------------------------------------------------- #
+# Table IV — cyclic query
+# --------------------------------------------------------------------- #
+
+def _table4_row(m, result, scale, protocol, workers) -> list:
+    paper = ref.TABLE4_CYCLIC.get((protocol, workers))
+    return [workers, protocol, *m,
+            f"{paper[0]}ms/{paper[1]:.0f}ms/{paper[2]}%" if paper else "-"]
+
+
+TABLE4 = FigureSpec(
+    name="table4",
+    heading="Table IV — cyclic reachability query",
+    note=ref.TABLE4_NOTE,
+    title="Table IV — cyclic reachability query",
+    headers=("workers", "protocol", "avg CT (ms)", "restart (ms)",
+             "invalid %", "paper (CT/RT/IC)"),
+    cells=lambda s: ((proto, w) for w in s.cyclic_workers
+                     for proto in ("unc", "cic")),
+    point=lambda s, proto, w: _at_mst(
+        s, 0.75, "reachability", proto, w, duration=s.duration,
+        warmup=s.warmup, failure_at=s.duration * 0.8),
+    measure=lambda r, s, proto, w: (
+        r.avg_checkpoint_time() * 1000.0, r.restart_time() * 1000.0,
+        r.invalid_percentage()),
+    row=_table4_row,
+    checks=lambda measured, scale, _results: [
+        ("UNC checkpoint time <= CIC checkpoint time",
+         all(measured[("unc", w)][0] <= measured[("cic", w)][0] * 1.2
+             for w in scale.cyclic_workers)),
+        # Our simulated feedback traffic is denser (relative to the
+        # checkpoint interval) than the paper's testbed, so UNC's rollback
+        # on the cycle is deeper than their 1.4% — but it stays bounded
+        # (no *unbounded* domino back to scratch), which is the claim.
+        ("no unbounded domino: rollback never erases the full history",
+         all(m[2] < 60.0 for m in measured.values())),
+        ("CIC's forced checkpoints bound the rollback tighter than UNC",
+         all(measured[("cic", w)][2] <= measured[("unc", w)][2] + 1.0
+             for w in scale.cyclic_workers)),
+    ],
+)
 
 
 # --------------------------------------------------------------------- #
@@ -742,80 +712,37 @@ def _state_size_durations(scale: ExperimentScale) -> tuple[float, ...]:
     return (12.0, 24.0, 48.0)
 
 
-def _state_size_request(protocol: str, backend: str, duration: float,
-                        scale: ExperimentScale) -> RunRequest:
-    spec = QUERIES[STATE_SIZE_QUERY]
+def _state_size_point(scale: ExperimentScale, duration: float, protocol: str,
+                      backend: str) -> RunRequest:
     parallelism = scale.parallelism_grid[0]
     # fraction of analytic capacity below every protocol's MST (cf. the
     # Table III rationale); checkpoint interval is fixed so longer runs
     # mean more checkpoints of ever-larger state, not larger intervals
-    return RunRequest(
-        query=STATE_SIZE_QUERY, protocol=protocol, parallelism=parallelism,
-        rate=spec.capacity_per_worker * parallelism * 0.4,
+    return _run(
+        scale, STATE_SIZE_QUERY, protocol, parallelism,
+        _capacity(STATE_SIZE_QUERY, parallelism, 0.4),
         duration=duration,
         warmup=min(scale.warmup, 5.0),
         failure_at=duration * 0.75,
         checkpoint_interval=2.0,
-        seed=scale.seed,
         state_backend=backend,
     )
 
 
-def state_size_backends(scale: ExperimentScale | None = None) -> dict:
-    """Checkpoint bytes uploaded vs materialized: full vs changelog backend.
+def _state_size_measure(result, scale, *cell) -> dict:
+    uploaded = result.metrics.checkpoint_bytes_uploaded
+    materialized = result.metrics.checkpoint_bytes_materialized
+    return {
+        "uploaded": uploaded,
+        "materialized": materialized,
+        "ratio": uploaded / materialized if materialized else 1.0,
+        "ct_ms": result.avg_checkpoint_time() * 1000.0,
+        "restart_ms": result.restart_time() * 1000.0,
+    }
 
-    Extension beyond the paper (DESIGN.md section 10): sweeps state size
-    (via run length of the growing-state query Q3) x protocol x state
-    backend and reports the upload savings of incremental (changelog)
-    checkpoints, their checkpoint durations, and the restart cost of
-    base+delta chain restores after the injected failure.
-    """
-    scale = scale or current_scale()
+
+def _state_size_checks(measured, scale, _results) -> list[tuple[str, bool]]:
     durations = _state_size_durations(scale)
-    rows = []
-    measured: dict[tuple[float, str, str], dict] = {}
-    _warm([
-        _state_size_request(protocol, backend, duration, scale)
-        for duration in durations
-        for protocol in PROTOCOL_ORDER
-        for backend in STATE_BACKEND_ORDER
-    ])
-    for duration in durations:
-        for protocol in PROTOCOL_ORDER:
-            for backend in STATE_BACKEND_ORDER:
-                key = ("statesize", protocol, backend, duration, scale.name)
-                if key not in _CACHE:
-                    _CACHE[key] = _execute(
-                        _state_size_request(protocol, backend, duration, scale)
-                    )
-                result: RunResult = _CACHE[key]  # type: ignore[assignment]
-                uploaded = result.metrics.checkpoint_bytes_uploaded
-                materialized = result.metrics.checkpoint_bytes_materialized
-                ratio = uploaded / materialized if materialized else 1.0
-                measured[(duration, protocol, backend)] = {
-                    "uploaded": uploaded,
-                    "materialized": materialized,
-                    "ratio": ratio,
-                    "ct_ms": result.avg_checkpoint_time() * 1000.0,
-                    "restart_ms": result.restart_time() * 1000.0,
-                }
-                rows.append([
-                    duration, protocol, backend,
-                    result.total_checkpoints(),
-                    uploaded / 1e6, materialized / 1e6, ratio,
-                    result.avg_checkpoint_time() * 1000.0,
-                    result.restart_time() * 1000.0,
-                ])
-    checks = _state_size_checks(measured, durations)
-    text = format_table(
-        ["state (run s)", "protocol", "backend", "ckpts", "uploaded MB",
-         "materialized MB", "upload ratio", "avg CT (ms)", "restart (ms)"],
-        rows, title="State-size scaling — full vs changelog checkpoints (Q3)",
-    ) + "\n" + shape_report("shape checks:", checks)
-    return {"rows": rows, "measured": measured, "checks": checks, "text": text}
-
-
-def _state_size_checks(measured, durations) -> list[tuple[str, bool]]:
     largest = max(durations)
     full_accounts_exactly = all(
         m["uploaded"] == m["materialized"]
@@ -845,6 +772,28 @@ def _state_size_checks(measured, durations) -> list[tuple[str, bool]]:
     ]
 
 
+STATE_SIZE = FigureSpec(
+    name="state_size",
+    heading="State-size scaling — full vs changelog checkpoint backends",
+    note=ref.STATE_SIZE_NOTE,
+    title="State-size scaling — full vs changelog checkpoints (Q3)",
+    headers=("state (run s)", "protocol", "backend", "ckpts", "uploaded MB",
+             "materialized MB", "upload ratio", "avg CT (ms)", "restart (ms)"),
+    cells=lambda s: ((duration, proto, backend)
+                     for duration in _state_size_durations(s)
+                     for proto in PROTOCOL_ORDER
+                     for backend in STATE_BACKEND_ORDER),
+    point=_state_size_point,
+    measure=_state_size_measure,
+    row=lambda m, r, s, duration, proto, backend: [
+        duration, proto, backend, r.total_checkpoints(),
+        m["uploaded"] / 1e6, m["materialized"] / 1e6, m["ratio"],
+        m["ct_ms"], m["restart_ms"]],
+    checks=_state_size_checks,
+    report="shape checks:",
+)
+
+
 # --------------------------------------------------------------------- #
 # Rescale-on-recovery — protocol x scale factor (extension)
 # --------------------------------------------------------------------- #
@@ -863,81 +812,38 @@ def _rescale_factors(parallelism: int) -> dict[str, int | None]:
     }
 
 
-def _rescale_request(protocol: str, parallelism: int, rescale_to: int | None,
-                     scale: ExperimentScale) -> RunRequest:
-    spec = QUERIES[RESCALE_QUERY]
+def _rescale_point(scale: ExperimentScale, protocol: str,
+                   factor: str) -> RunRequest:
+    parallelism = scale.parallelism_grid[0]
     # fraction of analytic capacity below every protocol's MST (cf. the
     # Table III rationale) — low enough that even the down-scaled
     # deployment sustains the offered rate after recovery
-    return RunRequest(
-        query=RESCALE_QUERY, protocol=protocol, parallelism=parallelism,
-        rate=spec.capacity_per_worker * max(parallelism // 2, 1) * 0.4,
+    return _run(
+        scale, RESCALE_QUERY, protocol, parallelism,
+        _capacity(RESCALE_QUERY, max(parallelism // 2, 1), 0.4),
         duration=scale.duration,
         warmup=scale.warmup,
         failure_at=scale.failure_at,
-        seed=scale.seed,
-        rescale_to=rescale_to,
+        rescale_to=_rescale_factors(parallelism)[factor],
     )
 
 
-def rescale_recovery(scale: ExperimentScale | None = None) -> dict:
-    """Recovery that also rescales: protocol x down/same/up (extension).
+def _rescale_measure(result, scale, *cell) -> dict:
+    return {
+        "restart_ms": result.restart_time() * 1000.0,
+        "recovery_s": result.recovery_time(),
+        "post_records": result.metrics.total_sink_records(
+            start=result.metrics.restart_completed_at + 1.0
+        ),
+        "final_parallelism": result.final_parallelism,
+        "rescaled_at": result.metrics.rescaled_at,
+        "imbalance": result.metrics.group_imbalance(),
+    }
 
-    Extension beyond the paper (DESIGN.md section 11): the failure run of
-    every protocol is repeated with a recovery that redeploys the job at a
-    different parallelism — keyed state is repartitioned along key groups,
-    input-partition cursors re-bound, in-flight replay re-routed.  The
-    sweep reports restart time, recovery time and post-recovery output for
-    scale factors down (p/2), same (p) and up (p+2).
-    """
-    scale = scale or current_scale()
+
+def _rescale_checks(measured, scale, _results) -> list[tuple[str, bool]]:
     parallelism = scale.parallelism_grid[0]
     factors = _rescale_factors(parallelism)
-    rows = []
-    measured: dict[tuple[str, str], dict] = {}
-    _warm([
-        _rescale_request(protocol, parallelism, target, scale)
-        for protocol in RESCALE_PROTOCOLS
-        for target in factors.values()
-    ])
-    for protocol in RESCALE_PROTOCOLS:
-        for factor, target in factors.items():
-            key = ("rescale", protocol, factor, parallelism, scale.name)
-            if key not in _CACHE:
-                _CACHE[key] = _execute(
-                    _rescale_request(protocol, parallelism, target, scale)
-                )
-            result: RunResult = _CACHE[key]  # type: ignore[assignment]
-            post = result.metrics.total_sink_records(
-                start=result.metrics.restart_completed_at + 1.0
-            )
-            measured[(protocol, factor)] = {
-                "restart_ms": result.restart_time() * 1000.0,
-                "recovery_s": result.recovery_time(),
-                "post_records": post,
-                "final_parallelism": result.final_parallelism,
-                "rescaled_at": result.metrics.rescaled_at,
-                "imbalance": result.metrics.group_imbalance(),
-            }
-            rows.append([
-                protocol, factor,
-                f"{parallelism}->{result.final_parallelism}",
-                result.restart_time() * 1000.0,
-                result.recovery_time(),
-                post,
-                result.metrics.group_imbalance(),
-            ])
-    checks = _rescale_checks(measured, factors, parallelism)
-    text = format_table(
-        ["protocol", "factor", "workers", "restart (ms)", "recovery (s)",
-         "post-recovery records", "group imbalance"],
-        rows, title=f"Rescale-on-recovery — {RESCALE_QUERY}, "
-                    f"{parallelism} workers at failure",
-    ) + "\n" + shape_report("shape checks:", checks)
-    return {"rows": rows, "measured": measured, "checks": checks, "text": text}
-
-
-def _rescale_checks(measured, factors, parallelism) -> list[tuple[str, bool]]:
     rescaled = [(proto, factor) for proto in RESCALE_PROTOCOLS
                 for factor in ("down", "up")]
     applied = all(
@@ -974,6 +880,26 @@ def _rescale_checks(measured, factors, parallelism) -> list[tuple[str, bool]]:
     ]
 
 
+RESCALE = FigureSpec(
+    name="rescale",
+    heading="Rescale-on-recovery — protocol x scale factor",
+    note=ref.RESCALE_NOTE,
+    title=lambda s: (f"Rescale-on-recovery — {RESCALE_QUERY}, "
+                     f"{s.parallelism_grid[0]} workers at failure"),
+    headers=("protocol", "factor", "workers", "restart (ms)", "recovery (s)",
+             "post-recovery records", "group imbalance"),
+    cells=lambda s: ((proto, factor) for proto in RESCALE_PROTOCOLS
+                     for factor in _rescale_factors(s.parallelism_grid[0])),
+    point=_rescale_point,
+    measure=_rescale_measure,
+    row=lambda m, r, s, proto, factor: [
+        proto, factor, f"{r.parallelism}->{m['final_parallelism']}",
+        m["restart_ms"], m["recovery_s"], m["post_records"], m["imbalance"]],
+    checks=_rescale_checks,
+    report="shape checks:",
+)
+
+
 # --------------------------------------------------------------------- #
 # Multi-failure scenarios — protocol x scenario (extension)
 # --------------------------------------------------------------------- #
@@ -1000,87 +926,36 @@ def _multi_failure_scenarios(scale: ExperimentScale) -> dict[str, str | None]:
     }
 
 
-def _multi_failure_request(protocol: str, scenario: str | None,
-                           scale: ExperimentScale,
-                           interval_policy: str = "fixed") -> RunRequest:
-    spec = QUERIES[MULTI_FAILURE_QUERY]
+def _multi_failure_point(scale: ExperimentScale, protocol: str, label: str,
+                         policy: str) -> RunRequest:
     parallelism = scale.parallelism_grid[0]
     # fraction of analytic capacity below every protocol's MST (cf. the
     # Table III rationale) — low enough that repeated replay storms drain
-    return RunRequest(
-        query=MULTI_FAILURE_QUERY, protocol=protocol, parallelism=parallelism,
-        rate=spec.capacity_per_worker * parallelism * 0.4,
+    return _run(
+        scale, MULTI_FAILURE_QUERY, protocol, parallelism,
+        _capacity(MULTI_FAILURE_QUERY, parallelism, 0.4),
         duration=scale.duration,
         warmup=scale.warmup,
         checkpoint_interval=2.0,
-        seed=scale.seed,
-        failure_scenario=scenario,
-        interval_policy=interval_policy,
+        failure_scenario=_multi_failure_scenarios(scale)[label],
+        interval_policy=policy,
     )
 
 
-def multi_failure(scale: ExperimentScale | None = None) -> dict:
-    """Availability/goodput under multi-failure scenarios (extension).
-
-    Extension beyond the paper (DESIGN.md section 12): each protocol
-    rides through a no-failure baseline, a deterministic double kill, a
-    Poisson/MTBF failure stream, a correlated two-worker kill and a
-    flaky node with slowed detection; the Poisson stream is additionally
-    run under the adaptive (Young–Daly) checkpoint-interval policy.  The
-    sweep reports availability (fraction of the window the pipeline was
-    up), goodput (sink records per second of uptime), injected failures
-    vs applied recoveries, and restart time.
-    """
-    scale = scale or current_scale()
-    scenarios = _multi_failure_scenarios(scale)
-    variants: list[tuple[str, str | None, str]] = [
-        (label, spec, "fixed") for label, spec in scenarios.items()
-    ]
-    variants.append(("poisson", scenarios["poisson"], "adaptive"))
-    rows = []
-    measured: dict[tuple[str, str, str], dict] = {}
-    _warm([
-        _multi_failure_request(protocol, spec, scale, policy)
-        for protocol in MULTI_FAILURE_PROTOCOLS
-        for _, spec, policy in variants
-    ])
-    for protocol in MULTI_FAILURE_PROTOCOLS:
-        for label, spec, policy in variants:
-            key = ("multifail", protocol, label, policy, scale.name)
-            if key not in _CACHE:
-                _CACHE[key] = _execute(
-                    _multi_failure_request(protocol, spec, scale, policy)
-                )
-            result: RunResult = _CACHE[key]  # type: ignore[assignment]
-            m = result.metrics
-            last_sink = max(m.sink_counts) if m.sink_counts else 0
-            measured[(protocol, label, policy)] = {
-                "availability": result.availability(),
-                "goodput": result.goodput(),
-                "failures": m.n_failures,
-                "recoveries": m.n_recoveries,
-                "restart_ms": result.restart_time() * 1000.0,
-                "last_sink_second": last_sink,
-                "interval_updates": len(m.interval_updates),
-            }
-            rows.append([
-                protocol, label, policy,
-                m.n_failures, m.n_recoveries,
-                result.availability(),
-                result.goodput(),
-                result.restart_time() * 1000.0,
-            ])
-    checks = _multi_failure_checks(measured, scale)
-    text = format_table(
-        ["protocol", "scenario", "policy", "failures", "recoveries",
-         "availability", "goodput (rec/s)", "restart (ms)"],
-        rows, title=f"Multi-failure scenarios — {MULTI_FAILURE_QUERY}, "
-                    f"{scale.parallelism_grid[0]} workers",
-    ) + "\n" + shape_report("shape checks:", checks)
-    return {"rows": rows, "measured": measured, "checks": checks, "text": text}
+def _multi_failure_measure(result, scale, *cell) -> dict:
+    m = result.metrics
+    return {
+        "availability": result.availability(),
+        "goodput": result.goodput(),
+        "failures": m.n_failures,
+        "recoveries": m.n_recoveries,
+        "restart_ms": result.restart_time() * 1000.0,
+        "last_sink_second": max(m.sink_counts) if m.sink_counts else 0,
+        "interval_updates": len(m.interval_updates),
+    }
 
 
-def _multi_failure_checks(measured, scale) -> list[tuple[str, bool]]:
+def _multi_failure_checks(measured, scale, _results) -> list[tuple[str, bool]]:
     protocols = MULTI_FAILURE_PROTOCOLS
     failure_labels = ("double", "poisson", "correlated", "flaky")
     end = scale.warmup + scale.duration
@@ -1129,6 +1004,32 @@ def _multi_failure_checks(measured, scale) -> list[tuple[str, bool]]:
     ]
 
 
+MULTI_FAILURE = FigureSpec(
+    name="multi_failure",
+    heading="Multi-failure scenarios — protocol x scenario",
+    note=ref.MULTI_FAILURE_NOTE,
+    title=lambda s: (f"Multi-failure scenarios — {MULTI_FAILURE_QUERY}, "
+                     f"{s.parallelism_grid[0]} workers"),
+    headers=("protocol", "scenario", "policy", "failures", "recoveries",
+             "availability", "goodput (rec/s)", "restart (ms)"),
+    # every scenario under the fixed interval, plus the Poisson stream
+    # again under the adaptive (Young–Daly) policy
+    cells=lambda s: ((proto, label, policy)
+                     for proto in MULTI_FAILURE_PROTOCOLS
+                     for label, policy in [
+                         *((label, "fixed")
+                           for label in _multi_failure_scenarios(s)),
+                         ("poisson", "adaptive")]),
+    point=_multi_failure_point,
+    measure=_multi_failure_measure,
+    row=lambda m, r, s, proto, label, policy: [
+        proto, label, policy, m["failures"], m["recoveries"],
+        m["availability"], m["goodput"], m["restart_ms"]],
+    checks=_multi_failure_checks,
+    report="shape checks:",
+)
+
+
 # --------------------------------------------------------------------- #
 # Backpressure — bounded channels x protocol x skew (extension)
 # --------------------------------------------------------------------- #
@@ -1142,7 +1043,7 @@ BACKPRESSURE_PROTOCOLS = ("coor", "coor-unaligned", "unc")
 #: operating point: high enough that a skewed straggler has a deep queue
 #: (alignment stretches), low enough that the no-skew runs keep up
 BACKPRESSURE_RATE_FRACTION = 0.85
-BACKPRESSURE_HOT = 0.3
+BACKPRESSURE_HOTS = (0.0, 0.3)
 
 
 def _backpressure_capacities(scale: ExperimentScale) -> dict[str, int]:
@@ -1153,80 +1054,34 @@ def _backpressure_capacities(scale: ExperimentScale) -> dict[str, int]:
     return caps
 
 
-def _backpressure_request(protocol: str, capacity: int, hot: float,
-                          scale: ExperimentScale) -> RunRequest:
-    spec = QUERIES[BACKPRESSURE_QUERY]
+def _bounded_point(scale: ExperimentScale, query: str, protocol: str,
+                   fraction: float, capacity: int, **fields: Any) -> RunRequest:
+    """A short run on bounded channels (backpressure and arrivals figures)."""
     parallelism = 4 if scale.name == "quick" else scale.parallelism_grid[0]
-    return RunRequest(
-        query=BACKPRESSURE_QUERY, protocol=protocol, parallelism=parallelism,
-        rate=(spec.capacity_per_worker * parallelism
-              * BACKPRESSURE_RATE_FRACTION),
+    return _run(
+        scale, query, protocol, parallelism,
+        _capacity(query, parallelism, fraction),
         duration=min(scale.duration, 18.0),
         warmup=min(scale.warmup, 6.0),
         checkpoint_interval=2.0,
-        hot_ratio=hot,
-        seed=scale.seed,
         channel_capacity_bytes=capacity,
+        **fields,
     )
 
 
-def backpressure(scale: ExperimentScale | None = None) -> dict:
-    """Blocked time under bounded channels: protocol x capacity x skew.
-
-    Extension beyond the paper (DESIGN.md section 13): with credit-based
-    flow control on, barrier alignment in COOR genuinely stalls upstream
-    senders — a channel blocked for alignment stops being consumed, its
-    credits stay held, and the sender parks — while the unaligned variant
-    and UNC keep draining.  The sweep reports total blocked time (queue
-    saturation + alignment), the alignment-attributed share, parked
-    batches, and peak queue depth for every protocol x capacity x
-    hot-ratio combination.
-    """
-    scale = scale or current_scale()
-    capacities = _backpressure_capacities(scale)
-    hots = (0.0, BACKPRESSURE_HOT)
-    rows = []
-    measured: dict[tuple[str, str, float], dict] = {}
-    _warm([
-        _backpressure_request(protocol, capacity, hot, scale)
-        for protocol in BACKPRESSURE_PROTOCOLS
-        for capacity in capacities.values()
-        for hot in hots
-    ])
-    for protocol in BACKPRESSURE_PROTOCOLS:
-        for label, capacity in capacities.items():
-            for hot in hots:
-                key = ("backpressure", protocol, label, hot, scale.name)
-                if key not in _CACHE:
-                    _CACHE[key] = _execute(
-                        _backpressure_request(protocol, capacity, hot, scale)
-                    )
-                result: RunResult = _CACHE[key]  # type: ignore[assignment]
-                m = result.metrics
-                measured[(protocol, label, hot)] = {
-                    "blocked_s": m.blocked_time_total,
-                    "aligned_s": m.blocked_time_aligned,
-                    "parked": m.sends_parked,
-                    "peak_queue": m.peak_total_in_flight_bytes,
-                    "sink": sum(m.sink_counts.values()),
-                }
-                rows.append([
-                    protocol, label, f"{hot:.0%}",
-                    m.blocked_time_total, m.blocked_time_aligned,
-                    m.sends_parked, m.peak_total_in_flight_bytes,
-                    sum(m.sink_counts.values()),
-                ])
-    checks = _backpressure_checks(measured, capacities, hots)
-    text = format_table(
-        ["protocol", "capacity", "hot", "blocked (s)", "aligned-blocked (s)",
-         "parks", "peak queue (B)", "sink records"],
-        rows, title=f"Backpressure — bounded channels, {BACKPRESSURE_QUERY} "
-                    f"at {BACKPRESSURE_RATE_FRACTION:.0%} capacity",
-    ) + "\n" + shape_report("shape checks:", checks)
-    return {"rows": rows, "measured": measured, "checks": checks, "text": text}
+def _backpressure_measure(result, scale, *cell) -> dict:
+    m = result.metrics
+    return {
+        "blocked_s": m.blocked_time_total,
+        "aligned_s": m.blocked_time_aligned,
+        "parked": m.sends_parked,
+        "peak_queue": m.peak_total_in_flight_bytes,
+        "sink": sum(m.sink_counts.values()),
+    }
 
 
-def _backpressure_checks(measured, capacities, hots) -> list[tuple[str, bool]]:
+def _backpressure_checks(measured, _scale, _results) -> list[tuple[str, bool]]:
+    hots = BACKPRESSURE_HOTS
     top_hot = max(hots)
     unbounded_free = all(
         m["blocked_s"] <= 1e-9 and m["parked"] == 0
@@ -1266,72 +1121,27 @@ def _backpressure_checks(measured, capacities, hots) -> list[tuple[str, bool]]:
     ]
 
 
-# --------------------------------------------------------------------- #
-# Table IV — cyclic query
-# --------------------------------------------------------------------- #
-
-def _table4_request(protocol: str, workers: int,
-                    scale: ExperimentScale) -> RunRequest:
-    mst = get_mst("reachability", protocol, workers, scale)
-    return RunRequest(
-        query="reachability", protocol=protocol, parallelism=workers,
-        rate=mst * 0.75,
-        duration=scale.duration, warmup=scale.warmup,
-        failure_at=scale.duration * 0.8,
-        seed=scale.seed,
-    )
-
-
-def table4_cyclic(scale: ExperimentScale | None = None) -> dict:
-    """CT / restart / invalid for the cyclic query, UNC vs CIC (Table IV)."""
-    scale = scale or current_scale()
-    rows = []
-    measured: dict[tuple[str, int], tuple[float, float, float]] = {}
-    _warm_msts([
-        ("reachability", protocol, workers)
-        for workers in scale.cyclic_workers
-        for protocol in ("unc", "cic")
-    ], scale)
-    _warm([
-        _table4_request(protocol, workers, scale)
-        for workers in scale.cyclic_workers
-        for protocol in ("unc", "cic")
-    ])
-    for workers in scale.cyclic_workers:
-        for protocol in ("unc", "cic"):
-            key = ("table4", protocol, workers, scale.name)
-            if key not in _CACHE:
-                _CACHE[key] = _execute(_table4_request(protocol, workers, scale))
-            result: RunResult = _CACHE[key]  # type: ignore[assignment]
-            ct = result.avg_checkpoint_time() * 1000.0
-            rt = result.restart_time() * 1000.0
-            invalid = result.invalid_percentage()
-            measured[(protocol, workers)] = (ct, rt, invalid)
-            paper = ref.TABLE4_CYCLIC.get((protocol, workers))
-            rows.append([
-                workers, protocol, ct, rt, invalid,
-                f"{paper[0]}ms/{paper[1]:.0f}ms/{paper[2]}%" if paper else "-",
-            ])
-    checks = [
-        ("UNC checkpoint time <= CIC checkpoint time",
-         all(measured[("unc", w)][0] <= measured[("cic", w)][0] * 1.2
-             for w in scale.cyclic_workers)),
-        # Our simulated feedback traffic is denser (relative to the
-        # checkpoint interval) than the paper's testbed, so UNC's rollback
-        # on the cycle is deeper than their 1.4% — but it stays bounded
-        # (no *unbounded* domino back to scratch), which is the claim.
-        ("no unbounded domino: rollback never erases the full history",
-         all(m[2] < 60.0 for m in measured.values())),
-        ("CIC's forced checkpoints bound the rollback tighter than UNC",
-         all(measured[("cic", w)][2] <= measured[("unc", w)][2] + 1.0
-             for w in scale.cyclic_workers)),
-    ]
-    text = format_table(
-        ["workers", "protocol", "avg CT (ms)", "restart (ms)", "invalid %",
-         "paper (CT/RT/IC)"],
-        rows, title="Table IV — cyclic reachability query",
-    ) + "\n" + shape_report("shape vs paper:", checks)
-    return {"rows": rows, "measured": measured, "checks": checks, "text": text}
+BACKPRESSURE = FigureSpec(
+    name="backpressure",
+    heading="Backpressure — bounded channels x protocol x skew",
+    note=ref.BACKPRESSURE_NOTE,
+    title=f"Backpressure — bounded channels, {BACKPRESSURE_QUERY} "
+          f"at {BACKPRESSURE_RATE_FRACTION:.0%} capacity",
+    headers=("protocol", "capacity", "hot", "blocked (s)",
+             "aligned-blocked (s)", "parks", "peak queue (B)", "sink records"),
+    cells=lambda s: ((proto, label, hot) for proto in BACKPRESSURE_PROTOCOLS
+                     for label in _backpressure_capacities(s)
+                     for hot in BACKPRESSURE_HOTS),
+    point=lambda s, proto, label, hot: _bounded_point(
+        s, BACKPRESSURE_QUERY, proto, BACKPRESSURE_RATE_FRACTION,
+        _backpressure_capacities(s)[label], hot_ratio=hot),
+    measure=_backpressure_measure,
+    row=lambda m, r, s, proto, label, hot: [
+        proto, label, f"{hot:.0%}", m["blocked_s"], m["aligned_s"],
+        m["parked"], m["peak_queue"], m["sink"]],
+    checks=_backpressure_checks,
+    report="shape checks:",
+)
 
 
 # --------------------------------------------------------------------- #
@@ -1348,10 +1158,17 @@ ARRIVALS_PROTOCOLS = ("coor", "coor-unaligned", "unc", "cic")
 ARRIVALS_RATE_FRACTION = 0.5
 #: hot-item ratio for the drift runs (key popularity migrates under it)
 ARRIVALS_HOT = 0.25
+#: channel capacities per label.  ``tight`` is wider than the backpressure
+#: figure's 1024 B: it must absorb the post-failure replay burst at steady
+#: load (no parks — the figure's contrast is *load shape*, not recovery)
+#: while still saturating under a flash crowd's sustained 2x overdrive
+ARRIVALS_CAPACITIES = {"unbounded": 0, "tight": 20480}
 
 
-def _arrivals_specs(duration: float, warmup: float) -> dict[str, str | None]:
+def _arrivals_specs(scale: ExperimentScale) -> dict[str, str | None]:
     """Arrival spec per label, shaped to the measured window."""
+    duration = min(scale.duration, 18.0)
+    warmup = min(scale.warmup, 6.0)
     return {
         "steady": None,
         "diurnal": f"diurnal:period={duration / 2:g},amp=0.6",
@@ -1363,107 +1180,34 @@ def _arrivals_specs(duration: float, warmup: float) -> dict[str, str | None]:
     }
 
 
-def _arrivals_capacities(scale: ExperimentScale) -> dict[str, int]:
-    """Channel capacities per label.
-
-    ``tight`` is wider than the backpressure figure's 1024 B: it must
-    absorb the post-failure replay burst at steady load (no parks — the
-    figure's contrast is *load shape*, not recovery) while still
-    saturating under a flash crowd's sustained 2x overdrive.
-    """
-    return {"unbounded": 0, "tight": 20480}
-
-
-def _arrivals_request(protocol: str, arrival: str | None, capacity: int,
-                      scale: ExperimentScale) -> RunRequest:
-    spec = QUERIES[ARRIVALS_QUERY]
-    parallelism = 4 if scale.name == "quick" else scale.parallelism_grid[0]
-    duration = min(scale.duration, 18.0)
-    warmup = min(scale.warmup, 6.0)
-    return RunRequest(
-        query=ARRIVALS_QUERY, protocol=protocol, parallelism=parallelism,
-        rate=(spec.capacity_per_worker * parallelism
-              * ARRIVALS_RATE_FRACTION),
-        duration=duration,
-        warmup=warmup,
-        failure_at=warmup + 0.5 * duration,
-        checkpoint_interval=2.0,
+def _arrivals_point(scale: ExperimentScale, protocol: str, label: str,
+                    capacity: str) -> RunRequest:
+    return _bounded_point(
+        scale, ARRIVALS_QUERY, protocol, ARRIVALS_RATE_FRACTION,
+        ARRIVALS_CAPACITIES[capacity],
+        failure_at=min(scale.warmup, 6.0) + 0.5 * min(scale.duration, 18.0),
         interval_policy="adaptive",
-        hot_ratio=(ARRIVALS_HOT
-                   if arrival is not None and arrival.startswith("drift")
-                   else 0.0),
-        seed=scale.seed,
-        channel_capacity_bytes=capacity,
-        arrival=arrival,
+        hot_ratio=ARRIVALS_HOT if label == "drift" else 0.0,
+        arrival=_arrivals_specs(scale)[label],
     )
 
 
-def arrivals(scale: ExperimentScale | None = None) -> dict:
-    """Protocols under moving load: arrival process x capacity (extension).
-
-    Extension beyond the paper (DESIGN.md section 17): every protocol
-    rides a failure under five arrival shapes — steady (the paper's
-    regime), a diurnal cycle, a flash crowd, MMPP bursts and drifting
-    hot-key popularity — at unbounded and tight channel capacity,
-    reporting availability, p99 latency, backpressure (blocked time and
-    parks) and the adaptive interval controller's trajectory.  The
-    defining contrast: a flash crowd transiently offers ~1.5x capacity
-    and must park senders at tight capacity, while steady load at the
-    same *mean* rate never does.
-    """
-    scale = scale or current_scale()
-    duration = min(scale.duration, 18.0)
-    warmup = min(scale.warmup, 6.0)
-    specs = _arrivals_specs(duration, warmup)
-    capacities = _arrivals_capacities(scale)
-    rows = []
-    measured: dict[tuple[str, str, str], dict] = {}
-    _warm([
-        _arrivals_request(protocol, spec, capacity, scale)
-        for protocol in ARRIVALS_PROTOCOLS
-        for spec in specs.values()
-        for capacity in capacities.values()
-    ])
-    for protocol in ARRIVALS_PROTOCOLS:
-        for label, spec in specs.items():
-            for cap_label, capacity in capacities.items():
-                key = ("arrivals", protocol, label, cap_label, scale.name)
-                if key not in _CACHE:
-                    _CACHE[key] = _execute(
-                        _arrivals_request(protocol, spec, capacity, scale)
-                    )
-                result: RunResult = _CACHE[key]  # type: ignore[assignment]
-                m = result.metrics
-                series = result.latency_series()
-                p99 = percentile([v for v in series.p99 if v > 0], 50)
-                measured[(protocol, label, cap_label)] = {
-                    "availability": result.availability(),
-                    "p99_ms": p99 * 1000.0,
-                    "blocked_s": m.blocked_time_total,
-                    "parked": m.sends_parked,
-                    "interval_updates": len(m.interval_updates),
-                    "recoveries": m.n_recoveries,
-                    "sink": sum(m.sink_counts.values()),
-                }
-                rows.append([
-                    protocol, label, cap_label,
-                    result.availability(), p99 * 1000.0,
-                    m.blocked_time_total, m.sends_parked,
-                    len(m.interval_updates),
-                    sum(m.sink_counts.values()),
-                ])
-    checks = _arrivals_checks(measured)
-    text = format_table(
-        ["protocol", "arrival", "capacity", "availability", "p99 (ms)",
-         "blocked (s)", "parks", "interval adj", "sink records"],
-        rows, title=f"Arrival processes — {ARRIVALS_QUERY} at "
-                    f"{ARRIVALS_RATE_FRACTION:.0%} mean capacity, "
-                    f"failure mid-window, adaptive interval",
-    ) + "\n" + shape_report("shape checks:", checks)
-    return {"rows": rows, "measured": measured, "checks": checks, "text": text}
+def _arrivals_measure(result, scale, *cell) -> dict:
+    m = result.metrics
+    series = result.latency_series()
+    p99 = percentile([v for v in series.p99 if v > 0], 50)
+    return {
+        "availability": result.availability(),
+        "p99_ms": p99 * 1000.0,
+        "blocked_s": m.blocked_time_total,
+        "parked": m.sends_parked,
+        "interval_updates": len(m.interval_updates),
+        "recoveries": m.n_recoveries,
+        "sink": sum(m.sink_counts.values()),
+    }
 
 
-def _arrivals_checks(measured) -> list[tuple[str, bool]]:
+def _arrivals_checks(measured, _scale, _results) -> list[tuple[str, bool]]:
     flash_parks = all(
         measured[(proto, "flash", "tight")]["parked"] > 0
         for proto in ARRIVALS_PROTOCOLS
@@ -1499,20 +1243,34 @@ def _arrivals_checks(measured) -> list[tuple[str, bool]]:
     ]
 
 
-ALL_EXPERIMENTS = {
-    "fig7": fig7_mst,
-    "table2": table2_message_overhead,
-    "fig8": fig8_checkpoint_time,
-    "fig9": fig9_latency_p50,
-    "fig10": fig10_latency_p99,
-    "fig11": fig11_restart,
-    "table3": table3_invalid,
-    "fig12": fig12_skew,
-    "fig13": fig13_skew_restart,
-    "table4": table4_cyclic,
-    "state_size": state_size_backends,
-    "rescale": rescale_recovery,
-    "multi_failure": multi_failure,
-    "backpressure": backpressure,
-    "arrivals": arrivals,
-}
+ARRIVALS = FigureSpec(
+    name="arrivals",
+    heading="Arrival processes — protocols under moving load",
+    note=ref.ARRIVALS_NOTE,
+    title=f"Arrival processes — {ARRIVALS_QUERY} at "
+          f"{ARRIVALS_RATE_FRACTION:.0%} mean capacity, "
+          f"failure mid-window, adaptive interval",
+    headers=("protocol", "arrival", "capacity", "availability", "p99 (ms)",
+             "blocked (s)", "parks", "interval adj", "sink records"),
+    cells=lambda s: ((proto, label, capacity) for proto in ARRIVALS_PROTOCOLS
+                     for label in _arrivals_specs(s)
+                     for capacity in ARRIVALS_CAPACITIES),
+    point=_arrivals_point,
+    measure=_arrivals_measure,
+    row=lambda m, r, s, proto, label, capacity: [
+        proto, label, capacity, m["availability"], m["p99_ms"],
+        m["blocked_s"], m["parked"], m["interval_updates"], m["sink"]],
+    checks=_arrivals_checks,
+    report="shape checks:",
+)
+
+
+#: every artifact, in EXPERIMENTS.md order
+SPECS: dict[str, FigureSpec] = {spec.name: spec for spec in (
+    FIG7, TABLE2, FIG8, FIG9, FIG10, FIG11, TABLE3, FIG12, FIG13, TABLE4,
+    STATE_SIZE, RESCALE, MULTI_FAILURE, BACKPRESSURE, ARRIVALS,
+)}
+
+#: the registry: ``name -> callable(scale=None)`` regenerating one artifact
+ALL_EXPERIMENTS = {name: partial(run_figure, spec)
+                   for name, spec in SPECS.items()}

@@ -91,7 +91,7 @@ def test_capacity_is_part_of_the_cache_key():
 
 
 def test_backpressure_figure_structure():
-    out = figures.backpressure(scale_by_name("quick"))
+    out = figures.ALL_EXPERIMENTS["backpressure"](scale_by_name("quick"))
     protocols = {p for (p, _, _) in out["measured"]}
     assert protocols == {"coor", "coor-unaligned", "unc"}
     labels = {label for (_, label, _) in out["measured"]}

@@ -393,7 +393,7 @@ def test_auto_shard_declines_requests_that_are_already_shards():
 
 def test_shards_for_requires_a_runner_and_the_flag():
     request = RunRequest(**_BIG)
-    assert figures._shards_for(request) == 1  # no runner installed
+    assert figures._shards_for(request) == 1  # no runner installed: serial
     figures.set_auto_shard(False)
     try:
         assert figures.get_auto_shard() is False
@@ -443,7 +443,7 @@ def _probe_spec() -> QuerySpec:
 
 
 def test_auto_sharded_figure_run_matches_unsharded(tmp_path, monkeypatch):
-    """With the size threshold lowered, ``_execute`` auto-splits the run
+    """With the size threshold lowered, ``_fetch`` auto-splits the run
     and the merged result matches the serial unsharded run on every field
     the figures consume (sink/ingest totals, records sent)."""
     monkeypatch.setattr(sharding, "AUTO_SHARD_MIN_RECORDS", 1_000)
@@ -458,12 +458,12 @@ def test_auto_sharded_figure_run_matches_unsharded(tmp_path, monkeypatch):
             figures.set_runner(runner)
             try:
                 assert figures._shards_for(request) == 2
-                result = figures._execute(request)
-                # _warm expands shardable requests, so a later _execute
+                result = figures._fetch(request)
+                # _prefetch expands shardable requests, so a later _fetch
                 # is served entirely from the per-shard cache
-                figures._warm([request])
+                figures._prefetch([request])
                 misses = runner.misses
-                again = figures._execute(request)
+                again = figures._fetch(request)
             finally:
                 figures.set_runner(None)
         assert runner.misses == misses

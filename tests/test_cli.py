@@ -94,7 +94,7 @@ def test_run_command_writes_results(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "Table IV" in out
     assert (tmp_path / "table4.txt").exists()
-    assert code in (0, 1)  # shape checks may be noisy at quick scale
+    assert code == 0  # deterministic per seed; every check holds at quick scale
 
 
 def test_unknown_experiment_rejected():

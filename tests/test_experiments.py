@@ -10,9 +10,10 @@ from repro.workloads.nexmark import QUERIES
 QUICK = scale_by_name("quick")
 
 
-@pytest.fixture(autouse=True)
-def fresh_cache():
-    yield  # share the cache across tests in this module (it is per-process)
+def run(name: str) -> dict:
+    """Regenerate one registry entry at quick scale (the harness runner's
+    memo is per-process, so tests and modules share every run)."""
+    return figures.ALL_EXPERIMENTS[name](QUICK)
 
 
 def test_scales_are_well_formed():
@@ -39,60 +40,63 @@ def test_run_query_basic():
 
 
 def test_get_mst_is_cached():
-    figures.clear_cache()
+    runner = figures.get_runner()
     first = figures.get_mst("q1", "none", QUICK.parallelism_grid[0], QUICK)
+    assert runner.misses > 0
+    misses = runner.misses
     second = figures.get_mst("q1", "none", QUICK.parallelism_grid[0], QUICK)
     assert first == second
-    assert ("mst", "q1", "none", QUICK.parallelism_grid[0], "quick") in figures._CACHE
+    assert runner.misses == misses  # the second search simulated nothing
 
 
 def test_fig7_structure():
-    out = figures.fig7_mst(QUICK)
+    out = run("fig7")
     assert out["rows"]
     assert "Figure 7" in out["text"]
     # every (query, protocol, parallelism) combination present
     expected = 4 * 3 * len(QUICK.parallelism_grid)
-    assert len(out["normalized"]) == expected
-    assert all(0.0 <= v <= 1.0 for v in out["normalized"].values())
+    assert len(out["measured"]) == expected
+    assert all(0.0 <= v <= 1.0 for v in out["measured"].values())
 
 
 def test_table2_structure():
-    out = figures.table2_message_overhead(QUICK)
+    out = run("table2")
     assert all(ratio >= 1.0 for (_, _, _), ratio in out["measured"].items())
     assert "Table II" in out["text"]
 
 
 def test_fig8_unc_cic_fast():
-    out = figures.fig8_checkpoint_time(QUICK)
+    out = run("fig8")
     for (query, protocol, parallelism), ct in out["measured"].items():
         if protocol in ("unc", "cic"):
             assert ct < 50.0, (query, protocol, ct)
 
 
 def test_fig9_and_fig10_share_runs():
-    before = len(figures._CACHE)
-    figures.fig9_latency_p50(QUICK)
-    mid = len(figures._CACHE)
-    figures.fig10_latency_p99(QUICK)
-    after = len(figures._CACHE)
+    runner = figures.get_runner()
+    before = runner.misses
+    run("fig9")
+    mid = runner.misses
+    run("fig10")
+    after = runner.misses
     assert mid > before
-    assert after == mid  # p99 reuses the p50 runs
+    assert after == mid  # p99 reuses the p50 runs: nothing simulated
 
 
 def test_fig11_restart_positive():
-    out = figures.fig11_restart(QUICK)
+    out = run("fig11")
     assert all(rt > 0 for rt in out["measured"].values())
 
 
 def test_table3_coor_never_invalid():
-    out = figures.table3_invalid(QUICK)
+    out = run("table3")
     for (workers, query, protocol), (total, invalid) in out["measured"].items():
         if protocol == "coor":
             assert invalid == 0.0
 
 
 def test_table4_runs_unc_and_cic_only():
-    out = figures.table4_cyclic(QUICK)
+    out = run("table4")
     protocols = {p for p, _ in out["measured"]}
     assert protocols == {"unc", "cic"}
 
@@ -106,7 +110,7 @@ def test_all_experiments_registry():
 
 
 def test_rescale_figure_structure():
-    out = figures.rescale_recovery(QUICK)
+    out = run("rescale")
     factors = {f for (_, f) in out["measured"]}
     assert factors == {"down", "same", "up"}
     protocols = {p for (p, _) in out["measured"]}
@@ -121,7 +125,7 @@ def test_rescale_figure_structure():
 
 
 def test_multi_failure_figure_structure():
-    out = figures.multi_failure(QUICK)
+    out = run("multi_failure")
     protocols = {p for (p, _, _) in out["measured"]}
     assert protocols == {"coor", "coor-unaligned", "unc", "cic"}
     labels = {label for (_, label, _) in out["measured"]}
@@ -134,7 +138,7 @@ def test_multi_failure_figure_structure():
 
 
 def test_state_size_figure_structure():
-    out = figures.state_size_backends(QUICK)
+    out = run("state_size")
     backends = {b for (_, _, b) in out["measured"]}
     assert backends == {"full", "changelog"}
     # the acceptance check of the backend figure must hold at smoke scale
@@ -148,7 +152,7 @@ def test_state_size_figure_structure():
 
 
 def test_arrivals_figure_structure():
-    out = figures.arrivals(QUICK)
+    out = run("arrivals")
     protocols = {p for (p, _, _) in out["measured"]}
     assert protocols == {"coor", "coor-unaligned", "unc", "cic"}
     labels = {label for (_, label, _) in out["measured"]}

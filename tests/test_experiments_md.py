@@ -3,6 +3,7 @@
 import pathlib
 import re
 
+from repro.experiments import figures
 from repro.experiments.experiments_md import assemble, write
 
 
@@ -57,3 +58,31 @@ def test_assemble_matches_the_recorded_document(tmp_path):
     hand-written section table produced (recorded before the notes moved
     into the figure specs)."""
     assert _assemble_over_fixture_dir(tmp_path) == GOLDEN.read_text()
+
+
+def test_bench_emits_the_files_assemble_reads(tmp_path, monkeypatch):
+    """``pytest benchmarks/`` feeds EXPERIMENTS.md: for every registry
+    name, the block the figure bench writes is the block ``assemble``
+    reads (the per-figure benches used to write ``fig07_mst.txt`` & co.,
+    which nothing read)."""
+    from benchmarks import _common, bench_figures
+
+    class Once:
+        """Stands in for the ``benchmark`` fixture: one plain call."""
+
+        @staticmethod
+        def pedantic(fn, rounds, iterations):
+            return fn()
+
+    monkeypatch.setattr(_common, "RESULTS_DIR", tmp_path)
+    for name in figures.ALL_EXPERIMENTS:
+        monkeypatch.setitem(
+            figures.ALL_EXPERIMENTS, name,
+            lambda name=name: {"rows": [[name]], "checks": [],
+                               "text": f"{name} block"})
+        bench_figures.test_figure(Once, name)
+    text = assemble(results_dir=str(tmp_path))
+    for name in figures.ALL_EXPERIMENTS:
+        assert f"```\n{name} block\n```" in text
+    # only the four ablation sections (their own benches) are missing
+    assert text.count("_(not regenerated in the latest run)_") == 4

@@ -5,11 +5,15 @@ what the figure must produce at quick scale: the rendered ``text``, the
 measured mapping (``repr`` of its canonically sorted items), the
 ``(claim, verdict)`` list and the sorted set of ``request_key``s the
 figure asked its runner for.  It was recorded from the hand-written
-builders this harness used to consist of, in the commit before they were
-replaced, so it is the reference the figure harness is held to.
+builders this harness used to consist of, in the commit before the
+``FigureSpec`` table replaced them, so it is the reference the specs and
+their one driver are held to.  Below it: the spec-table invariants that
+hand-written code could break silently (a prefetch list drifting from its
+collection loop, an empty grid, two cells on one request).
 
-All figures run through one recording runner whose memo is shared across
-the module, so every distinct simulation is paid for once.  Regenerate
+All figures run through one recording runner that adopts the harness's
+process-wide memo, so every distinct simulation is paid for once per
+session, whichever test module asks first.  Regenerate
 after an *intentional* change of a figure with
 
     PYTHONPATH=src python -m tests.test_figures_golden
@@ -28,6 +32,8 @@ import pytest
 from repro.experiments import figures
 from repro.experiments.config import scale_by_name
 from repro.experiments.parallel import ParallelRunner, request_key
+
+from tests.test_scheduler_determinism import InterleavedRunner
 
 FIXTURE = Path(__file__).parent / "data" / "figures_golden.json"
 QUICK = scale_by_name("quick")
@@ -70,15 +76,12 @@ def _canonical(value):
 
 def snapshot(name: str, runner: RecordingRunner) -> dict:
     """Run figure ``name`` at quick scale; what the fixture pins of it."""
-    figures.clear_cache()
     runner.issued.clear()
     out = figures.ALL_EXPERIMENTS[name](QUICK)
-    measured = next(out[k] for k in ("measured", "normalized", "series")
-                    if k in out)
     return {
         "text": out["text"],
-        "measured": repr(_canonical(measured)),
-        "checks": [[claim, bool(ok)] for claim, ok in out.get("checks", [])],
+        "measured": repr(_canonical(out["measured"])),
+        "checks": [[claim, bool(ok)] for claim, ok in out["checks"]],
         "request_keys": sorted(set(runner.issued)),
     }
 
@@ -87,6 +90,9 @@ def snapshot(name: str, runner: RecordingRunner) -> dict:
 def recorder():
     """One recording runner installed for the whole module."""
     runner = RecordingRunner()
+    # adopt the process memo: what other modules already simulated is a
+    # hit here, and what this module simulates serves the tests after it
+    runner._memory = figures.get_runner()._memory
     figures.set_runner(runner)
     yield runner
     figures.set_runner(None)
@@ -108,6 +114,65 @@ def test_figure_matches_golden(name, recorder):
     for field in ("measured", "checks", "request_keys"):
         assert actual[field] == expected[field], f"{name}: {field} moved"
     assert all(ok for _, ok in actual["checks"]), f"{name}: a shape check fails"
+
+
+# --------------------------------------------------------------------- #
+# Spec-table invariants
+# --------------------------------------------------------------------- #
+
+
+class PrefetchRecorder(InterleavedRunner):
+    """Two-worker runner on a synchronous fake pool that logs what the
+    driver submits ahead of time and what it then fetches."""
+
+    def __init__(self) -> None:
+        super().__init__(picks=(), jobs=2)
+        self.submitted: set[str] = set()
+        self.fetched: set[str] = set()
+
+    def submit(self, request):
+        """Log a prefetched request."""
+        self.submitted.add(request_key(request))
+        return super().submit(request)
+
+    def run(self, request):
+        """Log a collected request."""
+        self.fetched.add(request_key(request))
+        return super().run(request)
+
+
+@pytest.mark.parametrize("name", ["table4", "rescale"])
+def test_every_fetched_key_was_prefetched(name, recorder):
+    """With workers to fan out to, collection only reads what prefetch
+    submitted — otherwise ``--jobs N`` silently degrades to serial."""
+    runner = PrefetchRecorder()
+    runner._memory = recorder._memory
+    figures.set_runner(runner)
+    try:
+        figures.ALL_EXPERIMENTS[name](QUICK)
+    finally:
+        figures.set_runner(recorder)
+    assert runner.fetched and runner.fetched <= runner.submitted
+
+
+@pytest.mark.parametrize("name", list(figures.SPECS))
+def test_every_spec_has_cells_at_every_scale(name):
+    for scale in ("quick", "default", "full"):
+        assert list(figures.SPECS[name].cells(scale_by_name(scale))), scale
+
+
+@pytest.mark.parametrize("name", list(figures.SPECS))
+def test_every_cell_runs_at_its_own_request(name, recorder):
+    """No two cells of a figure share an operating point (the MSTs the
+    rates derive from are memoised by the golden test above)."""
+    spec = figures.SPECS[name]
+    keys = []
+    for cell in spec.cells(QUICK):
+        point = spec.point(QUICK, *cell)
+        group = point if isinstance(point, tuple) else (point,)
+        keys.append(tuple(request_key(figures._resolve(p, QUICK))
+                          for p in group))
+    assert len(set(keys)) == len(keys) > 0
 
 
 def record() -> None:

@@ -161,18 +161,22 @@ def test_probe_requests_preserve_config_knobs(monkeypatch):
 
 def test_get_mst_raises_clearly_on_exhausted_bracket(monkeypatch):
     """An exhausted MST must not reach the figures as rate=0.0."""
-    import pytest as _pytest
-
     from repro.experiments import figures
     from repro.experiments.config import scale_by_name
+    from repro.experiments.parallel import ParallelRunner
+    from repro.metrics import mst
     from repro.metrics.mst import MstResult
 
-    figures.clear_cache()
+    # the runner executes a missed MstRequest through find_mst
     monkeypatch.setattr(
-        figures, "find_mst",
+        mst, "find_mst",
         lambda *a, **k: MstResult(query="q1", protocol="unc", parallelism=2,
                                   mst=0.0, bracket_exhausted=True),
     )
-    with _pytest.raises(RuntimeError, match="exhausted its bracket"):
-        figures.get_mst("q1", "unc", 2, scale_by_name("quick"))
-    figures.clear_cache()
+    figures.set_runner(ParallelRunner(jobs=1))  # nothing memoised yet
+    try:
+        with pytest.raises(RuntimeError, match="exhausted its bracket") as err:
+            figures.get_mst("q1", "unc", 2, scale_by_name("quick"))
+    finally:
+        figures.set_runner(None)
+    assert "q1/unc/p=2" in str(err.value)
