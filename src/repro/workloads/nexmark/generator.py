@@ -176,7 +176,9 @@ class NexmarkGenerator:
                 person = Person(
                     id=hot_id,
                     name=f"hot-person-{hot_id}",
-                    state=next(iter(Q3_STATES)),
+                    # min(), not next(iter()): set order follows the
+                    # per-process str hash salt
+                    state=min(Q3_STATES),
                     created_at=t,
                 )
                 persons.partition(person_counter % self.parallelism).append(

@@ -105,6 +105,9 @@ def test_hot_persons_preseeded_with_q3_state():
     hot = [(t, p) for t, p in all_persons if p.id in gen.hot_keys]
     assert {p.id for _, p in hot} == set(gen.hot_keys)
     assert all(p.state in Q3_STATES for _, p in hot)
+    # one fixed state, not whichever the salted set order yields first:
+    # generated payloads must be identical across processes
+    assert {p.state for _, p in hot} == {min(Q3_STATES)}
     # hot persons are available no later than any regular person
     first_regular = min(t for t, p in all_persons if p.id not in gen.hot_keys)
     assert all(t <= first_regular for t, _ in hot)
