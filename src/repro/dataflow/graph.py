@@ -139,24 +139,27 @@ class LogicalGraph:
         return list(self.operators)
 
     def has_cycle(self) -> bool:
-        """True if the edge set contains a directed cycle."""
+        """True if the edge set contains a directed cycle.
+
+        Kahn's algorithm: peel operators with no remaining inbound edge;
+        whatever cannot be peeled sits on (or behind) a cycle.  Iterative
+        on purpose — a recursive local function is a reference cycle of
+        its own, i.e. cyclic garbage per call (DESIGN.md section 20).
+        """
         adjacency: dict[str, list[str]] = {name: [] for name in self.operators}
+        inbound = {name: 0 for name in self.operators}
         for edge in self.edges:
             adjacency[edge.src].append(edge.dst)
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = {name: WHITE for name in self.operators}
-
-        def visit(node: str) -> bool:
-            color[node] = GRAY
-            for nxt in adjacency[node]:
-                if color[nxt] == GRAY:
-                    return True
-                if color[nxt] == WHITE and visit(nxt):
-                    return True
-            color[node] = BLACK
-            return False
-
-        return any(color[name] == WHITE and visit(name) for name in self.operators)
+            inbound[edge.dst] += 1
+        ready = [name for name, count in inbound.items() if count == 0]
+        peeled = 0
+        while ready:
+            peeled += 1
+            for nxt in adjacency[ready.pop()]:
+                inbound[nxt] -= 1
+                if inbound[nxt] == 0:
+                    ready.append(nxt)
+        return peeled < len(self.operators)
 
     def validate(self, allow_cycles: bool = False) -> None:
         """Check structural invariants; raise :class:`GraphError` on problems."""

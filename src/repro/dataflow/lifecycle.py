@@ -24,6 +24,7 @@ from repro.metrics.collectors import KIND_INITIAL, KIND_RESCALE
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dataflow.graph import OperatorSpec
     from repro.dataflow.runtime import InstanceKey, Job
+    from repro.dataflow.worker import WorkerRuntime
     from repro.sim.failure import AdaptiveIntervalController, RescalePlan
 
 
@@ -39,6 +40,10 @@ class LifecycleManager:
 
     def __init__(self, job: "Job") -> None:
         self.job = job
+        #: workers of the deployments a rescale replaced.  Pending timers
+        #: may still name their instances, so they stay intact (dead) to
+        #: the end of the run, where :meth:`Job.release` takes them apart
+        self.retired_workers: list[WorkerRuntime] = []
 
     # ------------------------------------------------------------------ #
     # Deployment wiring
@@ -476,6 +481,7 @@ class LifecycleManager:
         }
         for worker in job.workers:
             worker.kill()
+        self.retired_workers.extend(job.workers)
         job.deploy_epoch += 1
         job.parallelism = p_new
         job.coordinator.registry.clear()

@@ -49,11 +49,30 @@ from repro.metrics.collectors import UNCOORDINATED_KINDS, CheckpointEvent, Metri
 from repro.sim.costs import RuntimeConfig
 from repro.sim.rng import RngRegistry
 from repro.sim.simulator import Simulator
-from repro.storage.kafka import PartitionedLog
+from repro.storage.kafka import Partition, PartitionedLog
 
 __all__ = ["InstanceKey", "Job", "RunResult"]
 
 InstanceKey = tuple[str, int]
+
+
+def source_rids(partition: Partition, prefix: int) -> list[int]:
+    """The lineage id of every offset of ``partition``, derived once.
+
+    The ids are a function of ``prefix`` (topic and partition index) and
+    the offset alone, so every job replaying the log reads the same
+    column: the runs sharing a memoised log, and a rescaled deployment
+    whose sources own other partitions than before.  The prefix is kept
+    beside the column, so a job naming the topic differently derives its
+    own instead of reading another's; the partition drops the cache on
+    every write.
+    """
+    cached = partition.rid_cache
+    if cached is None or cached[0] != prefix:
+        cached = partition.rid_cache = (
+            prefix,
+            source_rids_from_prefix(prefix, range(len(partition.times))))
+    return cached[1]
 
 
 class Job:
@@ -269,29 +288,30 @@ class Job:
         """Poll task: pull one batch of available records through the source op.
 
         The instance polls every input partition it owns — exactly one
-        before a rescale, a contiguous balanced range after one.  The
-        (topic, partition) part of every record's lineage id is precomputed
-        per owned partition, so the per-record work in this loop is a
-        single mix step plus the record construction.
+        before a rescale, a contiguous balanced range after one.  The log
+        is columnar (DESIGN.md section 20), so a poll is a bisect for the
+        high-watermark and one slice per batch column; the lineage ids
+        come from the partition's cached rid column.
         """
-        log = self.inputs[instance.spec.source_topic]
+        partitions = self.inputs[instance.spec.source_topic].partitions
         now = self.sim.now
         max_poll = self.cost.source_max_poll
+        cursors = instance.source_cursors
         cost = 1e-5
-        for part_index, cursor in instance.source_cursors.items():
-            log_records = log.partition(part_index).poll(cursor, now, max_poll)
-            if not log_records:
+        for part_index, cursor in cursors.items():
+            partition = partitions[part_index]
+            end = partition.poll_end(cursor, now, max_poll)
+            if end <= cursor:
                 continue
-            self.metrics.record_ingest(now, len(log_records))
+            self.metrics.record_ingest(now, end - cursor)
+            rids = source_rids(partition, instance.rid_prefixes[part_index])
             batch = RecordBatch(
-                rids=source_rids_from_prefix(
-                    instance.rid_prefixes[part_index],
-                    [r.offset for r in log_records]),
-                payloads=[r.payload for r in log_records],
-                source_ts=[r.available_at for r in log_records],
-                sizes=[r.size_bytes for r in log_records],
+                rids=rids[cursor:end],
+                payloads=partition.payloads[cursor:end],
+                source_ts=partition.times[cursor:end],
+                sizes=partition.sizes[cursor:end],
             )
-            instance.source_cursors[part_index] = log_records[-1].offset + 1
+            cursors[part_index] = end
             cost += self.process_records(instance, batch, "in")
         # repro-lint: disable=RL006 -- self-clocking poll chain; the guard lives in _enqueue_poll, which re-checks liveness at fire time
         self.sim.schedule(self.cost.source_poll_interval, self._enqueue_poll, instance)
@@ -493,6 +513,29 @@ class Job:
                 )
             self.sim.run_until(min(self.sim.now + step, deadline))
         return self.sim.now
+
+    def release(self) -> None:
+        """Take a finished job apart so that it dies by reference count.
+
+        A deployment is a web of back-references — instance -> worker ->
+        job, operator -> its context, the poll task naming its own
+        instance, the transport's bound arrival seam, timers and callbacks
+        pending in the event queue — so dropping the last outside
+        reference to a job frees nothing: send log, operator state and
+        dedup sets wait for whenever a full collection next happens to
+        run (DESIGN.md section 20).  This cuts every such edge at the few
+        hubs they all pass through; the pieces then go as the caller's
+        reference does.  The :class:`RunResult` holds only the metrics and
+        stays valid; the job itself is unusable afterwards, so only the
+        owner of a job that nothing will inspect again may call this.
+        """
+        self.sim.clear()
+        del self.transport.arrive
+        for worker in (*self.lifecycle.retired_workers, *self.workers):
+            for instance in worker.instances.values():
+                vars(instance).clear()
+            vars(worker).clear()
+        vars(self).clear()
 
     def run(self, rate: float = 0.0, query_name: str = "",
             drain: bool = False) -> RunResult:

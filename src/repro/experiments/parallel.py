@@ -270,7 +270,10 @@ def run_with_spec(spec: "QuerySpec", request: RunRequest) -> "RunResult":
         inputs = shard_inputs(graph, inputs, request.shard_index,
                               request.shard_count, request.max_key_groups)
     job = Job(graph, request.protocol, request.parallelism, inputs, config)
-    return job.run(rate=request.rate, query_name=spec.name)
+    try:
+        return job.run(rate=request.rate, query_name=spec.name)
+    finally:
+        job.release()
 
 
 # --------------------------------------------------------------------- #

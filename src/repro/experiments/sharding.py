@@ -120,26 +120,41 @@ def shard_inputs(graph: LogicalGraph, inputs: dict[str, PartitionedLog],
     sharded = dict(inputs)
     for spec in graph.sources():
         log = inputs[spec.source_topic]
-        key_fns = [edge.key_fn for edge in graph.out_edges(spec.name)]
+        key_fn, *other_fns = [edge.key_fn
+                              for edge in graph.out_edges(spec.name)]
+        #: key -> key group; keys repeat, and the mapping is a pure function
+        group_of: dict[Any, int] = {}
         filtered = PartitionedLog(log.topic, len(log.partitions))
-        for index, partition in enumerate(log.partitions):
-            slice_partition = filtered.partition(index)
-            for record in partition.records:
-                payload = record.payload
-                owners = {
-                    key_group(hash_key(fn(payload)), max_key_groups)
-                    for fn in key_fns
-                }
-                if len(owners) > 1:
-                    raise ShardingError(
-                        f"cannot shard: out-edges of source {spec.name!r} "
-                        "route one record to different key groups "
-                        f"({sorted(owners)}); sharding needs a single "
-                        "owner per record"
-                    )
-                if owners.pop() in groups:
-                    slice_partition.append(record.available_at, payload,
-                                           record.size_bytes)
+        for partition, slice_partition in zip(log.partitions,
+                                              filtered.partitions):
+            keep: list[int] = []
+            for offset, payload in enumerate(partition.payloads):
+                key = key_fn(payload)
+                owner = group_of.get(key)
+                if owner is None:
+                    owner = group_of[key] = key_group(hash_key(key),
+                                                      max_key_groups)
+                if other_fns:
+                    owners = {owner} | {
+                        key_group(hash_key(fn(payload)), max_key_groups)
+                        for fn in other_fns
+                    }
+                    if len(owners) > 1:
+                        raise ShardingError(
+                            f"cannot shard: out-edges of source {spec.name!r} "
+                            "route one record to different key groups "
+                            f"({sorted(owners)}); sharding needs a single "
+                            "owner per record"
+                        )
+                if owner in groups:
+                    keep.append(offset)
+            # the slice is a new partition: renumbered offsets, and its
+            # own rid column (never the parent's) once a run polls it
+            slice_partition.extend_columns(
+                [partition.times[offset] for offset in keep],
+                [partition.payloads[offset] for offset in keep],
+                [partition.sizes[offset] for offset in keep],
+            )
         sharded[spec.source_topic] = filtered
     return sharded
 

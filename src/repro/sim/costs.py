@@ -103,6 +103,14 @@ class CostModel:
     #: linger before flushing non-full outbound buffers
     linger: float = 0.050
 
+    def __post_init__(self) -> None:
+        # a zero poll or batch bound reads nothing and still "succeeds";
+        # a negative one silently reads wrong slices
+        if self.source_max_poll <= 0:
+            raise ValueError("source_max_poll must be positive")
+        if self.batch_max_records <= 0:
+            raise ValueError("batch_max_records must be positive")
+
     def network_delay(self, size_bytes: int) -> float:
         """One-way delivery delay for a message of ``size_bytes``."""
         return self.network_latency + size_bytes / self.network_bandwidth

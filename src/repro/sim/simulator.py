@@ -9,11 +9,11 @@ seconds are free — only the *number* of events costs wall-clock time.
 
 from __future__ import annotations
 
-import gc
 import math
 from heapq import heappush
 from typing import Any, Callable
 
+from repro.sim.collector import collector_paused
 from repro.sim.events import EventHandle, EventQueue
 
 
@@ -66,6 +66,10 @@ class Simulator:
         """Cancel a still-pending event returned by a scheduling call."""
         self._queue.cancel(handle)
 
+    def clear(self) -> None:
+        """Drop every pending event (and the callbacks they hold)."""
+        self._queue.clear()
+
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
@@ -87,12 +91,10 @@ class Simulator:
     def _loop(self, limit: float) -> None:
         """Execute events no later than ``limit`` until none is left.
 
-        The cyclic collector is paused for the duration of the loop and
-        the caller's setting restored on the way out: the loop allocates
-        millions of containers (heap entries, batches, messages) that die
-        by reference count, while every collection it would trigger
-        re-traverses the live input logs, send logs and operator state to
-        find nothing — simulator callbacks leave no unreachable cycles
+        The cyclic collector is paused for the duration of the loop (see
+        :mod:`repro.sim.collector`): the loop allocates millions of
+        containers (heap entries, batches, messages) that die by reference
+        count — simulator callbacks leave no unreachable cycles
         (``tests/test_sim_simulator.py`` guards that on real runs).
         """
         if self._running:
@@ -100,20 +102,17 @@ class Simulator:
         self._running = True
         self._stopped = False
         pop = self._queue.pop
-        collecting = gc.isenabled()
-        gc.disable()
         try:
-            while not self._stopped:
-                entry = pop(limit)
-                if entry is None:
-                    break
-                self.now = entry[0]
-                self._executed += 1
-                entry[2](*entry[3])
+            with collector_paused():
+                while not self._stopped:
+                    entry = pop(limit)
+                    if entry is None:
+                        break
+                    self.now = entry[0]
+                    self._executed += 1
+                    entry[2](*entry[3])
         finally:
             self._running = False
-            if collecting:
-                gc.enable()
 
     def run_until(self, t_end: float) -> None:
         """Execute events with timestamp <= ``t_end``; clock ends at ``t_end``.

@@ -16,19 +16,22 @@ Section V: "from the moment it is available in the input queue").
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from itertools import count
+from operator import lt
+from typing import Any, Iterable, Iterator, overload
 
 
 @dataclass(slots=True)
 class LogRecord:
-    """One record in a partition — treat as immutable once appended.
+    """One record of a partition, as ``Partition.records``/``poll`` show it.
 
     ``available_at`` is the virtual time at which the record exists for
     consumers; ``payload`` is the workload event; ``size_bytes`` drives the
-    serialization/network cost model.  (Not ``frozen=True``: generators
-    construct hundreds of thousands of these per sweep and a frozen
-    dataclass pays ``object.__setattr__`` per field.)
+    serialization/network cost model.  The log does not store these: a
+    partition keeps columns and builds a ``LogRecord`` per record read
+    through the row views, so mutating one changes nothing.
     """
 
     offset: int
@@ -37,54 +40,133 @@ class LogRecord:
     size_bytes: int
 
 
-class Partition:
-    """An append-only, offset-addressed record sequence."""
+class _RecordView(Sequence[LogRecord]):
+    """Read-only row view of a partition's columns, in offset order."""
 
-    __slots__ = ("topic", "index", "_records", "_times")
+    __slots__ = ("_partition",)
+
+    def __init__(self, partition: Partition) -> None:
+        self._partition = partition
+
+    def __len__(self) -> int:
+        return len(self._partition.times)
+
+    @overload
+    def __getitem__(self, item: int) -> LogRecord: ...
+    @overload
+    def __getitem__(self, item: slice) -> list[LogRecord]: ...
+
+    def __getitem__(self, item: int | slice) -> LogRecord | list[LogRecord]:
+        partition = self._partition
+        if isinstance(item, slice):
+            offsets = range(len(partition.times))[item]
+            return list(map(LogRecord, offsets, partition.times[item],
+                            partition.payloads[item], partition.sizes[item]))
+        offset = range(len(partition.times))[item]
+        return LogRecord(offset, partition.times[offset],
+                         partition.payloads[offset], partition.sizes[offset])
+
+    def __iter__(self) -> Iterator[LogRecord]:
+        partition = self._partition
+        return map(LogRecord, count(), partition.times, partition.payloads,
+                   partition.sizes)
+
+
+class Partition:
+    """An append-only, offset-addressed record sequence, stored as columns.
+
+    ``times``, ``payloads`` and ``sizes`` are parallel lists indexed by
+    offset; readers slice them and must not mutate them.  Writers go
+    through :meth:`append` / :meth:`extend_columns`, which keep
+    availability non-decreasing (``times`` is bisected on every poll).
+    """
+
+    __slots__ = ("topic", "index", "times", "payloads", "sizes", "rid_cache")
 
     def __init__(self, topic: str, index: int):
         self.topic = topic
         self.index = index
-        self._records: list[LogRecord] = []
-        self._times: list[float] = []
+        self.times: list[float] = []
+        self.payloads: list[Any] = []
+        self.sizes: list[int] = []
+        #: the consuming engine's ``(rid prefix, lineage id per offset)``,
+        #: derived on first poll and shared by every run replaying this
+        #: log; any write drops it, so a short column is never served
+        self.rid_cache: tuple[int, list[int]] | None = None
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self.times)
 
     @property
     def records(self) -> Sequence[LogRecord]:
-        """Every appended record, in offset order."""
-        return self._records
+        """Every appended record, in offset order (a read-only row view)."""
+        return _RecordView(self)
 
-    def append(self, available_at: float, payload: Any, size_bytes: int) -> LogRecord:
-        """Append one record; availability timestamps must be non-decreasing."""
-        if self._times and available_at < self._times[-1]:
+    def append(self, available_at: float, payload: Any, size_bytes: int) -> int:
+        """Append one record and return its offset.
+
+        Availability timestamps must be non-decreasing.
+        """
+        times = self.times
+        if times and available_at < times[-1]:
             raise ValueError(
-                f"out-of-order availability: {available_at} < {self._times[-1]}"
+                f"out-of-order availability: {available_at} < {times[-1]}"
             )
-        record = LogRecord(len(self._records), available_at, payload, size_bytes)
-        self._records.append(record)
-        self._times.append(available_at)
-        return record
+        times.append(available_at)
+        self.payloads.append(payload)
+        self.sizes.append(size_bytes)
+        self.rid_cache = None
+        return len(times) - 1
+
+    def extend_columns(self, times: list[float], payloads: list[Any],
+                       sizes: list[int]) -> None:
+        """Bulk append of three parallel columns.
+
+        Accepts and rejects exactly what appending the rows one by one
+        would (same ``ValueError``), except that a rejected call appends
+        nothing at all.
+        """
+        if not len(times) == len(payloads) == len(sizes):
+            raise ValueError(
+                f"unequal column lengths: {len(times)} times, "
+                f"{len(payloads)} payloads, {len(sizes)} sizes"
+            )
+        # the comparison ``append`` makes, over the last stored time and
+        # the new ones, in one C-level pass
+        joined = [*self.times[-1:], *times]
+        out_of_order = list(map(lt, joined[1:], joined))
+        if True in out_of_order:
+            first = out_of_order.index(True)
+            raise ValueError(
+                f"out-of-order availability: {joined[first + 1]} < {joined[first]}"
+            )
+        self.times.extend(times)
+        self.payloads.extend(payloads)
+        self.sizes.extend(sizes)
+        self.rid_cache = None
 
     def extend(self, items: Iterable[tuple[float, Any, int]]) -> None:
         """Bulk append of ``(available_at, payload, size_bytes)`` tuples."""
-        for available_at, payload, size_bytes in items:
-            self.append(available_at, payload, size_bytes)
+        columns = [list(column) for column in zip(*items)]
+        if columns:
+            self.extend_columns(*columns)
+
+    def poll_end(self, offset: int, now: float, max_records: int) -> int:
+        """One past the last offset a poll from ``offset`` may read at ``now``.
+
+        At most ``max_records`` records, none available later than ``now``;
+        a result ``<= offset`` means there is nothing to read.
+        """
+        return min(bisect_right(self.times, now), offset + max_records)
 
     def poll(self, offset: int, now: float, max_records: int) -> list[LogRecord]:
         """Read up to ``max_records`` records from ``offset`` available by ``now``."""
-        if offset >= len(self._records):
-            return []
-        limit = bisect_right(self._times, now)
-        if offset >= limit:
-            return []
-        end = min(limit, offset + max_records)
-        return self._records[offset:end]
+        end = self.poll_end(offset, now, max_records)
+        return self.records[offset:end] if end > offset else []
 
     def available_by(self, now: float) -> int:
         """Number of records available at time ``now`` (high-watermark)."""
-        return bisect_right(self._times, now)
+        return bisect_right(self.times, now)
 
 
 class PartitionedLog:
@@ -96,6 +178,24 @@ class PartitionedLog:
         self.topic = topic
         self.partitions = [Partition(topic, i) for i in range(num_partitions)]
 
+    @classmethod
+    def round_robin(cls, topic: str, num_partitions: int, times: list[float],
+                    payloads: list[Any], size_bytes: int) -> PartitionedLog:
+        """Deal one global timeline out to ``num_partitions`` partitions.
+
+        Partition ``i`` takes every ``num_partitions``-th row starting at
+        ``i`` — what appending row ``k`` to partition ``k % num_partitions``
+        builds.  A stride of a non-decreasing timeline is non-decreasing,
+        which :meth:`Partition.extend_columns` checks all the same.  Every
+        row carries the one modelled wire size of the topic's event class.
+        """
+        log = cls(topic, num_partitions)
+        for i, partition in enumerate(log.partitions):
+            stride = times[i::num_partitions]
+            partition.extend_columns(stride, payloads[i::num_partitions],
+                                     [size_bytes] * len(stride))
+        return log
+
     def __len__(self) -> int:
         return sum(len(p) for p in self.partitions)
 
@@ -104,5 +204,5 @@ class PartitionedLog:
         return self.partitions[index]
 
     def total_available_by(self, now: float) -> int:
-        """Records whose availability time is <= ``t`` across partitions."""
+        """Records whose availability time is <= ``now`` across partitions."""
         return sum(p.available_by(now) for p in self.partitions)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro.sim.collector import collector_paused
 from repro.sim.rng import RngRegistry
 from repro.storage.kafka import PartitionedLog
 from repro.workloads.arrivals import ArrivalProcess
@@ -84,65 +85,67 @@ class CyclicGenerator:
             raise ValueError("rate and until must be positive")
         cfg = self.config
         rng = RngRegistry(self.seed).stream("workload.cyclic.events")
-        links = PartitionedLog("links", self.parallelism)
-        srcnodes = PartitionedLog("srcnodes", self.parallelism)
         live_links: list[tuple[int, int]] = []
         live_sources: list[int] = []
-        link_counter = 0
-        source_counter = 0
         if arrival is None or arrival.kind == "steady":
             # the legacy closed form, bit-for-bit: this generator divides
             # ((k+0.5)/rate) where NexMark multiplies by 1/rate — a 1-ulp
             # difference SteadyArrivals resolves in NexMark's favour, so
             # the steady path stays inline here
-            timestamps: Iterator[float] = (
-                (k + 0.5) / rate for k in range(int(rate * until))
+            timestamps: Iterator[float] = iter(
+                [(k + 0.5) / rate for k in range(int(rate * until))]
             )
         else:
             arrival_rng = RngRegistry(self.seed).stream(
                 "workload.arrivals.cyclic")
             timestamps = arrival.timestamps(rate, until, arrival_rng)
-        for t in timestamps:
-            roll = rng.random()
-            if roll < cfg.p_new_link or (roll >= cfg.p_new_link + cfg.p_new_source
-                                         and not live_links and not live_sources):
-                src = rng.randrange(cfg.num_nodes)
-                dst = rng.randrange(cfg.num_nodes)
-                live_links.append((src, dst))
-                event = LinkEvent(src, dst, add=True)
-                links.partition(link_counter % self.parallelism).append(
-                    t, event, event.size_bytes
-                )
-                link_counter += 1
-            elif roll < cfg.p_new_link + cfg.p_new_source:
-                node = rng.randrange(cfg.num_nodes)
-                live_sources.append(node)
-                event = SourceEvent(node, add=True)
-                srcnodes.partition(source_counter % self.parallelism).append(
-                    t, event, event.size_bytes
-                )
-                source_counter += 1
-            elif roll < cfg.p_new_link + cfg.p_new_source + cfg.p_del_link and live_links:
-                src, dst = live_links.pop(rng.randrange(len(live_links)))
-                event = LinkEvent(src, dst, add=False)
-                links.partition(link_counter % self.parallelism).append(
-                    t, event, event.size_bytes
-                )
-                link_counter += 1
-            elif live_sources:
-                node = live_sources.pop(rng.randrange(len(live_sources)))
-                event = SourceEvent(node, add=False)
-                srcnodes.partition(source_counter % self.parallelism).append(
-                    t, event, event.size_bytes
-                )
-                source_counter += 1
-            else:  # nothing to delete yet: emit a link instead
-                src = rng.randrange(cfg.num_nodes)
-                dst = rng.randrange(cfg.num_nodes)
-                live_links.append((src, dst))
-                event = LinkEvent(src, dst, add=True)
-                links.partition(link_counter % self.parallelism).append(
-                    t, event, event.size_bytes
-                )
-                link_counter += 1
-        return links, srcnodes
+        # both topics are built as columns on the one global timeline and
+        # dealt out round-robin at the end (DESIGN.md section 20)
+        link_times: list[float] = []
+        link_events: list[LinkEvent] = []
+        source_times: list[float] = []
+        source_events: list[SourceEvent] = []
+        random_ = rng.random
+        randrange = rng.randrange
+        num_nodes = cfg.num_nodes
+        new_link_below = cfg.p_new_link
+        new_source_below = cfg.p_new_link + cfg.p_new_source
+        del_link_below = cfg.p_new_link + cfg.p_new_source + cfg.p_del_link
+        with collector_paused():
+            for t in timestamps:
+                roll = random_()
+                if roll < new_link_below or (
+                        roll >= new_source_below
+                        and not live_links and not live_sources):
+                    src = randrange(num_nodes)
+                    dst = randrange(num_nodes)
+                    live_links.append((src, dst))
+                    link = LinkEvent(src, dst, True)
+                elif roll < new_source_below:
+                    node = randrange(num_nodes)
+                    live_sources.append(node)
+                    source_times.append(t)
+                    source_events.append(SourceEvent(node, True))
+                    continue
+                elif roll < del_link_below and live_links:
+                    src, dst = live_links.pop(randrange(len(live_links)))
+                    link = LinkEvent(src, dst, False)
+                elif live_sources:
+                    node = live_sources.pop(randrange(len(live_sources)))
+                    source_times.append(t)
+                    source_events.append(SourceEvent(node, False))
+                    continue
+                else:  # nothing to delete yet: emit a link instead
+                    src = randrange(num_nodes)
+                    dst = randrange(num_nodes)
+                    live_links.append((src, dst))
+                    link = LinkEvent(src, dst, True)
+                link_times.append(t)
+                link_events.append(link)
+            return (
+                PartitionedLog.round_robin("links", self.parallelism,
+                                           link_times, link_events, LINK_SIZE),
+                PartitionedLog.round_robin("srcnodes", self.parallelism,
+                                           source_times, source_events,
+                                           SOURCE_SIZE),
+            )

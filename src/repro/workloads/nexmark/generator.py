@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.sim.collector import collector_paused
 from repro.sim.rng import RngRegistry
 from repro.storage.kafka import PartitionedLog
 from repro.workloads.arrivals import ArrivalProcess, SteadyArrivals
@@ -28,9 +29,12 @@ from repro.workloads.arrivals import ArrivalProcess, SteadyArrivals
 if TYPE_CHECKING:  # annotation-only: draws flow through RngRegistry streams
     import random
 from repro.workloads.nexmark.model import (
+    AUCTION_SIZE,
+    BID_SIZE,
+    NUM_CATEGORIES,
+    PERSON_SIZE,
     Auction,
     Bid,
-    NUM_CATEGORIES,
     Person,
     Q3_STATES,
     US_STATES,
@@ -110,7 +114,6 @@ class NexmarkGenerator:
         process = arrival if arrival is not None else _STEADY
         arrival_rng = RngRegistry(self.seed).stream(
             f"workload.arrivals.{topic}")
-        log = PartitionedLog(topic, self.parallelism)
         bidder_space = self.config.bidder_space_per_worker * self.parallelism
         auction_base = 5000
         # this loop generates hundreds of thousands of events per sweep and
@@ -118,25 +121,27 @@ class NexmarkGenerator:
         # (int(random()*n) instead of randrange) and all lookups are hoisted
         random_ = rng.random
         parallelism = self.parallelism
-        partitions = [log.partition(i) for i in range(parallelism)]
-        appends = [p.append for p in partitions]
         auction_window = self.config.auction_window
         hot_ratio = self.config.hot_ratio
         hot_keys = self.hot_keys
         hot_pick = process.hot_key
-        for k, t in enumerate(process.timestamps(rate, until, arrival_rng)):
-            if hot_ratio > 0.0 and random_() < hot_ratio:
-                bidder = hot_pick(t, random_(), hot_keys, parallelism)
-            else:
-                bidder = 10_000 + int(random_() * bidder_space)
-            bid = Bid(
-                auction=auction_base + int(random_() * auction_window),
-                bidder=bidder,
-                price=100 + int(random_() * 10_000),
-                created_at=t,
-            )
-            appends[k % parallelism](t, bid, bid.size_bytes)
-        return log
+        bids: list[Bid] = []
+        add = bids.append
+        with collector_paused():
+            # the arrival process draws from its own stream, so taking all
+            # of its timestamps first leaves the payload draws where they were
+            times = list(process.timestamps(rate, until, arrival_rng))
+            for t in times:
+                if hot_ratio > 0.0 and random_() < hot_ratio:
+                    bidder = hot_pick(t, random_(), hot_keys, parallelism)
+                else:
+                    bidder = 10_000 + int(random_() * bidder_space)
+                # positional (auction, bidder, price, created_at): keyword
+                # binding costs a quarter of the frozen constructor's time
+                add(Bid(auction_base + int(random_() * auction_window),
+                        bidder, 100 + int(random_() * 10_000), t))
+            return PartitionedLog.round_robin(
+                topic, parallelism, times, bids, BID_SIZE)
 
     def person_auction_logs(
         self, rate: float, until: float,
@@ -160,70 +165,63 @@ class NexmarkGenerator:
         arrival_rng = RngRegistry(self.seed).stream(
             f"workload.arrivals.{persons_topic}+{auctions_topic}"
         )
-        persons = PartitionedLog(persons_topic, self.parallelism)
-        auctions = PartitionedLog(auctions_topic, self.parallelism)
         person_share = self.config.person_share
         person_pool: list[int] = []
         next_person_id = 10_000
         next_auction_id = 1
-        person_counter = 0
-        auction_counter = 0
-        # pre-seed hot persons at t=0 so hot auctions can join immediately
+        persons: list[Person] = []
+        auctions: list[Auction] = []
+        # pre-seed hot persons at t=0 so hot auctions can join immediately;
+        # they head the persons column, which offsets every later person's
+        # round-robin slot by their count
         if self.config.hot_ratio > 0:
             for hot_id in process.hot_seed_keys(self.hot_keys,
                                                 self.parallelism):
-                t = 0.0
-                person = Person(
+                persons.append(Person(
                     id=hot_id,
                     name=f"hot-person-{hot_id}",
                     # min(), not next(iter()): set order follows the
                     # per-process str hash salt
                     state=min(Q3_STATES),
-                    created_at=t,
-                )
-                persons.partition(person_counter % self.parallelism).append(
-                    t, person, person.size_bytes
-                )
-                person_counter += 1
+                    created_at=0.0,
+                ))
                 person_pool.append(hot_id)
         # hot loop: see bids_log — single random() draws, hoisted lookups
         random_ = rng.random
         parallelism = self.parallelism
-        person_appends = [persons.partition(i).append for i in range(parallelism)]
-        auction_appends = [auctions.partition(i).append for i in range(parallelism)]
         num_states = len(US_STATES)
         hot_ratio = self.config.hot_ratio
         hot_keys = self.hot_keys
         hot_pick = process.hot_key
-        for t in process.timestamps(rate, until, arrival_rng):
-            if random_() < person_share or not person_pool:
-                person = Person(
-                    id=next_person_id,
-                    name=f"person-{next_person_id}",
-                    state=US_STATES[int(random_() * num_states)],
-                    created_at=t,
-                )
-                next_person_id += 1
-                person_pool.append(person.id)
-                person_appends[person_counter % parallelism](
-                    t, person, person.size_bytes
-                )
-                person_counter += 1
-            else:
-                if hot_ratio > 0.0 and random_() < hot_ratio:
-                    seller = hot_pick(t, random_(), hot_keys, parallelism)
+        add_person = persons.append
+        add_auction = auctions.append
+        add_to_pool = person_pool.append
+        with collector_paused():
+            for t in process.timestamps(rate, until, arrival_rng):
+                if random_() < person_share or not person_pool:
+                    add_person(Person(
+                        next_person_id, f"person-{next_person_id}",
+                        US_STATES[int(random_() * num_states)], t))
+                    add_to_pool(next_person_id)
+                    next_person_id += 1
                 else:
-                    seller = person_pool[int(random_() * len(person_pool))]
-                auction = Auction(
-                    id=next_auction_id,
-                    seller=seller,
-                    category=int(random_() * NUM_CATEGORIES),
-                    initial_bid=100 + int(random_() * 1_000),
-                    created_at=t,
-                )
-                next_auction_id += 1
-                auction_appends[auction_counter % parallelism](
-                    t, auction, auction.size_bytes
-                )
-                auction_counter += 1
-        return persons, auctions
+                    if hot_ratio > 0.0 and random_() < hot_ratio:
+                        seller = hot_pick(t, random_(), hot_keys, parallelism)
+                    else:
+                        seller = person_pool[int(random_() * len(person_pool))]
+                    add_auction(Auction(
+                        next_auction_id, seller,
+                        int(random_() * NUM_CATEGORIES),
+                        100 + int(random_() * 1_000), t))
+                    next_auction_id += 1
+            # an event is available the moment it was created
+            return (
+                PartitionedLog.round_robin(
+                    persons_topic, parallelism,
+                    [person.created_at for person in persons], persons,
+                    PERSON_SIZE),
+                PartitionedLog.round_robin(
+                    auctions_topic, parallelism,
+                    [auction.created_at for auction in auctions], auctions,
+                    AUCTION_SIZE),
+            )

@@ -14,9 +14,14 @@ from repro.workloads.arrivals import ArrivalProcess, parse_arrival
 #: short probe runs (it is a tight RNG loop over hundreds of thousands of
 #: events), and an MST bisection re-probes nearby configurations; logs are
 #: read-only during runs (sources track their own cursors), so sharing one
-#: log object between runs is safe.  Both bounds guard memory: few entries,
-#: and no memoisation at all for full-scale logs (millions of records each
-#: — pinning several of those would add GBs of resident state per process).
+#: log object between runs is safe.  An entry also pins what the engine
+#: caches on its partitions — the source rid column, one int per polled
+#: record, derived once and shared by every run replaying the log
+#: (DESIGN.md section 20); the bounds did not move for it, since per record
+#: it weighs less than the row object the log used to keep.
+#: Both bounds guard memory: few entries, and no memoisation at all for
+#: full-scale logs (millions of records each — pinning several of those
+#: would add GBs of resident state per process).
 #: entries are (build_inputs callable, generated logs) — see identity check
 _INPUT_MEMO: OrderedDict[tuple, tuple[Callable, dict[str, PartitionedLog]]] = OrderedDict()
 _INPUT_MEMO_LIMIT = 3

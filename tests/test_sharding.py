@@ -98,6 +98,33 @@ def test_shard_inputs_never_mutate_the_original_log():
     assert len(log) == before
 
 
+def _two_consumer_graph(second_key_fn) -> LogicalGraph:
+    graph = LogicalGraph("fanout")
+    graph.add_source("src", "events", SourceOperator)
+    graph.add_operator("count", CountPerKeyOperator, stateful=True)
+    graph.add_operator("audit", CountPerKeyOperator, stateful=True)
+    graph.connect("src", "count", Partitioning.KEY, key_fn=lambda e: e.key)
+    graph.connect("src", "audit", Partitioning.KEY, key_fn=second_key_fn)
+    return graph
+
+
+def test_shard_inputs_with_agreeing_source_out_edges():
+    """Two out-edges keyed alike shard exactly as one does."""
+    log = make_event_log(200.0, 4.0, 2)
+    one = shard_inputs(build_count_graph(), {"events": log}, 1, 2, 128)
+    two = shard_inputs(_two_consumer_graph(lambda e: e.key),
+                       {"events": log}, 1, 2, 128)
+    for a, b in zip(one["events"].partitions, two["events"].partitions):
+        assert a.records[:] == b.records[:]
+
+
+def test_shard_inputs_reject_out_edges_that_disagree_on_the_owner():
+    log = make_event_log(200.0, 4.0, 2)
+    graph = _two_consumer_graph(lambda e: e.key + 1)
+    with pytest.raises(ShardingError, match="different key groups"):
+        shard_inputs(graph, {"events": log}, 0, 2, 128)
+
+
 # --------------------------------------------------------------------- #
 # Structural validation
 # --------------------------------------------------------------------- #

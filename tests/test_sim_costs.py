@@ -77,3 +77,14 @@ def test_detection_delay_positive(cost_model):
 
 def test_channel_epsilon_tiny(cost_model):
     assert 0 < cost_model.channel_epsilon < 1e-3
+
+
+@pytest.mark.parametrize("field", ["source_max_poll", "batch_max_records"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_non_positive_poll_and_batch_bounds_rejected(field, value):
+    """0 used to run to completion with nothing ingested; -3 read wrong slices."""
+    from repro.sim.costs import CostModel
+
+    with pytest.raises(ValueError, match=f"{field} must be positive"):
+        CostModel(**{field: value})
+    assert getattr(CostModel(**{field: 1}), field) == 1

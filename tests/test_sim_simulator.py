@@ -215,7 +215,7 @@ def _cyclic_garbage_of_a_run(query, protocol, **knobs):
     return unreachable
 
 
-@pytest.mark.parametrize("query, protocol, knobs", [
+GARBAGE_CASES = [
     ("q12", "none", {}),
     ("q12", "coor", {}),
     ("q3", "coor-unaligned", {}),
@@ -223,7 +223,10 @@ def _cyclic_garbage_of_a_run(query, protocol, **knobs):
     ("q12", "cic", {"failure_at": 2.0}),
     ("q3", "coor", {"failure_at": 2.0, "state_backend": "changelog"}),
     ("q8", "unc", {"failure_at": 2.0, "rescale_to": 4}),
-])
+]
+
+
+@pytest.mark.parametrize("query, protocol, knobs", GARBAGE_CASES)
 def test_a_run_leaves_no_cyclic_garbage(restore_collector, query, protocol,
                                         knobs):
     """The invariant the collector pause rests on (DESIGN.md section 19).
@@ -233,3 +236,63 @@ def test_a_run_leaves_no_cyclic_garbage(restore_collector, query, protocol,
     grow memory for the length of a run, and must fail here first.
     """
     assert _cyclic_garbage_of_a_run(query, protocol, **knobs) == 0
+
+
+@pytest.mark.parametrize("query, protocol, knobs", GARBAGE_CASES)
+def test_a_finished_request_leaves_no_job_behind(restore_collector, query,
+                                                 protocol, knobs):
+    """``run_with_spec`` releases its job (DESIGN.md section 20).
+
+    A deployment is full of back-references, so an unreleased job — send
+    log, operator state, dedup sets — is cyclic garbage that waits for
+    whichever full collection comes next, and a sweep's resident memory
+    then depends on how often unrelated allocations trigger one.  After
+    ``execute_request`` nothing unreachable may be left, and nothing of
+    the deployment (retired workers of a rescale included) may be alive.
+    """
+    from repro.dataflow.runtime import Job
+    from repro.dataflow.worker import InstanceRuntime, WorkerRuntime
+    from repro.experiments.parallel import RunRequest, execute_request
+
+    request = RunRequest(query=query, protocol=protocol, parallelism=3,
+                         rate=600.0, duration=5.0, warmup=1.0,
+                         checkpoint_interval=1.5, seed=7, **knobs)
+    execute_request(request)  # the input memo and lazy imports, once
+    gc.collect()
+    gc.disable()  # nothing may be collected before we count it
+    result = execute_request(request)
+    alive = [type(obj).__name__ for obj in gc.get_objects()
+             if isinstance(obj, (Job, WorkerRuntime, InstanceRuntime))]
+    assert gc.collect() == 0
+    assert alive == []
+    # the result outlives the job it came from
+    assert sum(result.metrics.sink_counts.values()) > 0
+    assert result.total_checkpoints() >= 0 and result.latency_series() is not None
+    if "failure_at" in knobs:
+        assert result.metrics.n_recoveries == 1
+
+
+@pytest.mark.parametrize("query, hot_ratio, arrival", [
+    ("q12", 0.3, None),
+    ("q8", 0.3, "flash:at=1;3,mag=3,ramp=0.5,hold=1"),
+    ("reachability", 0.0, "diurnal:period=5,amp=0.5"),
+])
+def test_generating_inputs_leaves_no_cyclic_garbage(restore_collector, query,
+                                                    hot_ratio, arrival):
+    """The invariant the generators' collector pause rests on."""
+    from repro.experiments.parallel import resolve_spec
+    from repro.experiments.sharding import shard_inputs
+    from repro.workloads.arrivals import parse_arrival
+
+    spec = resolve_spec(query)
+    process = parse_arrival(arrival) if arrival else None
+    gc.collect()
+    gc.disable()
+    inputs = spec.build_inputs(2000.0, 4.0, 4, hot_ratio, 7, process)
+    assert gc.isenabled() is False  # the pause restored *our* setting
+    assert gc.collect() == 0
+    assert sum(len(log) for log in inputs.values()) > 0
+    if query == "q12":
+        sliced = shard_inputs(spec.build_graph(4), inputs, 0, 2, 128)
+        assert gc.collect() == 0
+        assert 0 < len(sliced["bids"]) < len(inputs["bids"])

@@ -1,9 +1,12 @@
 """Unit tests for the Kafka-like log and the blob store."""
 
 import pytest
+from hypothesis import given, strategies as st
 
+from repro.dataflow.records import source_rid, source_rid_prefix
+from repro.dataflow.runtime import source_rids
 from repro.storage.blobstore import BlobStore
-from repro.storage.kafka import Partition, PartitionedLog
+from repro.storage.kafka import LogRecord, Partition, PartitionedLog
 
 
 # --------------------------------------------------------------------- #
@@ -12,9 +15,8 @@ from repro.storage.kafka import Partition, PartitionedLog
 
 def test_append_assigns_sequential_offsets():
     p = Partition("t", 0)
-    r0 = p.append(1.0, "a", 10)
-    r1 = p.append(2.0, "b", 10)
-    assert (r0.offset, r1.offset) == (0, 1)
+    assert (p.append(1.0, "a", 10), p.append(2.0, "b", 10)) == (0, 1)
+    assert [r.offset for r in p.records] == [0, 1]
 
 
 def test_append_rejects_out_of_order_timestamps():
@@ -78,9 +80,150 @@ def test_extend_bulk_append():
     assert len(p) == 2
 
 
+def test_records_view_is_a_read_only_sequence():
+    p = Partition("t", 0)
+    p.extend_columns([1.0, 2.0, 3.0], ["a", "b", "c"], [5, 6, 7])
+    view = p.records
+    assert len(view) == 3
+    assert view[1] == LogRecord(1, 2.0, "b", 6) == view[-2]
+    assert view[1:] == [LogRecord(1, 2.0, "b", 6), LogRecord(2, 3.0, "c", 7)]
+    assert [r.offset for r in view[::-1]] == [2, 1, 0]
+    assert list(view) == view[:]
+    with pytest.raises(IndexError):
+        view[3]
+    # rows are built per read: writing to one changes nothing in the log
+    view[0].payload = "z"
+    assert p.payloads == ["a", "b", "c"]
+    with pytest.raises(TypeError):
+        view[0] = LogRecord(0, 0.0, "z", 1)
+
+
+# --------------------------------------------------------------------- #
+# Columns vs. the row views (hypothesis)
+# --------------------------------------------------------------------- #
+
+_TIMES = st.lists(st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
+                  max_size=40)
+
+
+def _filled(times):
+    p = Partition("t", 0)
+    p.extend_columns(sorted(times), [f"p{i}" for i in range(len(times))],
+                     [10 + i for i in range(len(times))])
+    return p
+
+
+@given(_TIMES, st.integers(min_value=0, max_value=45),
+       st.floats(min_value=-1.0, max_value=60.0, allow_nan=False),
+       st.integers(min_value=1, max_value=50))
+def test_column_read_equals_the_row_views(times, offset, now, max_records):
+    """What the engine slices is what ``poll`` and ``records`` show."""
+    p = _filled(times)
+    end = p.poll_end(offset, now, max_records)
+    rows = p.poll(offset, now, max_records)
+    if end <= offset:
+        assert rows == []
+        return
+    assert rows == p.records[offset:end]
+    assert [r.offset for r in rows] == list(range(offset, end))
+    assert [r.available_at for r in rows] == p.times[offset:end]
+    assert [r.payload for r in rows] == p.payloads[offset:end]
+    assert [r.size_bytes for r in rows] == p.sizes[offset:end]
+    # the poll contract: bounded, nothing from the future, nothing skipped
+    assert len(rows) <= max_records
+    assert all(r.available_at <= now for r in rows)
+    assert end == len(p) or len(rows) == max_records or p.times[end] > now
+
+
+def _append_all(partition, rows):
+    """Row-by-row reference: the error (or None) and how many rows landed."""
+    for n, row in enumerate(rows):
+        try:
+            partition.append(*row)
+        except ValueError as error:
+            return str(error), n
+    return None, len(rows)
+
+
+@given(_TIMES, st.lists(st.one_of(st.floats(min_value=0.0, max_value=50.0),
+                                   st.just(float("nan"))), max_size=12))
+def test_extend_columns_accepts_and_rejects_what_appends_do(prior, times):
+    """Same verdict and message as the equivalent appends, NaN included;
+    a rejected bulk append leaves the partition exactly as it was."""
+    rows = [(t, f"n{i}", i) for i, t in enumerate(times)]
+    reference = _filled(prior)
+    error, landed = _append_all(reference, rows)
+    bulk = _filled(prior)
+    before = (list(bulk.times), list(bulk.payloads), list(bulk.sizes))
+    columns = [list(column) for column in zip(*rows)] or [[], [], []]
+    if error is None:
+        bulk.extend_columns(*columns)
+        assert bulk.records[:] == reference.records[:]
+    else:
+        with pytest.raises(ValueError) as caught:
+            bulk.extend_columns(*columns)
+        assert str(caught.value) == error
+        assert (bulk.times, bulk.payloads, bulk.sizes) == before
+        assert landed < len(rows)
+
+
+@pytest.mark.parametrize("columns", [
+    ([1.0, 2.0], ["a"], [1, 1]),
+    ([1.0], ["a", "b"], [1]),
+    ([1.0], ["a"], []),
+])
+def test_extend_columns_rejects_unequal_lengths(columns):
+    p = Partition("t", 0)
+    with pytest.raises(ValueError, match="unequal column lengths"):
+        p.extend_columns(*columns)
+    assert len(p) == 0
+
+
+@given(st.lists(st.sampled_from(["append", "extend", "read"]), min_size=1,
+                max_size=12))
+def test_rid_column_never_served_short(steps):
+    """Any write after the rid column was derived drops it; the next read
+    covers every offset again."""
+    p = Partition("topic", 3)
+    prefix = source_rid_prefix("topic", 3)
+    for step in steps:
+        t = float(len(p))
+        if step == "append":
+            p.append(t, "x", 1)
+        elif step == "extend":
+            p.extend_columns([t, t + 0.5], ["y", "z"], [1, 1])
+        else:
+            assert source_rids(p, prefix) == [
+                source_rid("topic", 3, offset) for offset in range(len(p))]
+    assert source_rids(p, prefix) is source_rids(p, prefix)
+    assert len(source_rids(p, prefix)) == len(p)
+
+
+def test_rid_column_is_per_prefix():
+    """A job naming the topic differently never reads another's column."""
+    p = _filled([1.0, 2.0, 3.0])
+    mine = source_rids(p, source_rid_prefix("t", 0))
+    theirs = source_rids(p, source_rid_prefix("other", 0))
+    assert theirs == [source_rid("other", 0, offset) for offset in range(3)]
+    assert mine != theirs
+
+
 # --------------------------------------------------------------------- #
 # PartitionedLog
 # --------------------------------------------------------------------- #
+
+@given(_TIMES, st.integers(min_value=1, max_value=7))
+def test_round_robin_equals_appending_row_k_to_partition_k_mod_n(times, n):
+    times = sorted(times)
+    payloads = [f"p{i}" for i in range(len(times))]
+    dealt = PartitionedLog.round_robin("t", n, times, payloads, 9)
+    reference = PartitionedLog("t", n)
+    for k, (t, payload) in enumerate(zip(times, payloads)):
+        reference.partition(k % n).append(t, payload, 9)
+    for a, b in zip(dealt.partitions, reference.partitions):
+        assert a.records[:] == b.records[:]
+        assert (a.topic, a.index) == (b.topic, b.index)
+
 
 def test_partitioned_log_structure():
     log = PartitionedLog("topic", 4)

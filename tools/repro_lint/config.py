@@ -60,6 +60,7 @@ HOT_PATH = (
     "src/repro/dataflow/operators.py",
     "src/repro/sim/events.py",
     "src/repro/sim/simulator.py",
+    "src/repro/storage/kafka.py",
 )
 
 _DETERMINISTIC_LAYERS = (
