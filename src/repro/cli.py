@@ -396,6 +396,9 @@ def _cmd_cache_stats(args) -> int:
     if stats["stale_files"]:
         print(f"  stale files      : {int(stats['stale_files'])} "
               "(older cache format; read as misses)")
+    if stats["quarantined"]:
+        print(f"  quarantined      : {int(stats['quarantined'])} "
+              "(damaged entries moved aside as *.pkl.bad)")
     print(f"  entry bytes      : {int(stats['entry_bytes'])} on disk / "
           f"{int(stats['raw_bytes'])} raw")
     print(f"  total bytes      : {int(stats['total_bytes'])}")

@@ -19,12 +19,12 @@ from repro.dataflow.batch import RecordBatch, group_indices
 from repro.dataflow.channels import ChannelId, DATA, Message, Partitioner, hash_key
 from repro.dataflow.graph import Partitioning, validate_rescale
 from repro.dataflow.keygroups import group_range, key_group
+from repro.dataflow.worker import NO_RIDS, InstanceRuntime, WorkerRuntime
 from repro.metrics.collectors import KIND_INITIAL, KIND_RESCALE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dataflow.graph import OperatorSpec
     from repro.dataflow.runtime import InstanceKey, Job
-    from repro.dataflow.worker import WorkerRuntime
     from repro.sim.failure import AdaptiveIntervalController, RescalePlan
 
 
@@ -86,14 +86,12 @@ class LifecycleManager:
         """Deploy instances, partitioners, routers and channels at the
         job's current parallelism (initial deploy and rescaled redeploys)."""
         from repro.dataflow.channels import RouterBuffer
-        from repro.dataflow.worker import InstanceRuntime
 
         job = self.job
         for name, spec in job.graph.operators.items():
             for idx in range(job.parallelism):
-                instance = InstanceRuntime(job, spec, idx, job.workers[idx])
-                job.state_backend.prepare_instance(instance)
-                job.workers[idx].instances[name] = instance
+                job.workers[idx].instances[name] = InstanceRuntime(
+                    job, spec, idx, job.workers[idx])
         for edge in job.graph.edges:
             job._partitioners[edge.edge_id] = Partitioner(
                 edge, job.parallelism, job.max_key_groups
@@ -435,10 +433,10 @@ class LifecycleManager:
         scratch = spec.factory()
         scratch.open(None)
         scratch.states.restore(payloads[0]["states"])
-        rids = set(payloads[0]["processed_rids"])
+        rids = payloads[0]["processed_rids"]
         for delta in payloads[1:]:
             scratch.states.apply_delta(delta["states"])
-            rids.update(delta["new_rids"])
+            rids = rids.extend(delta["new_rids"])
         last = payloads[-1]
         return {
             "states": scratch.states.snapshot(),
@@ -457,7 +455,7 @@ class LifecycleManager:
             "states": scratch.states.snapshot(),
             "out_seq": {},
             "last_received": {},
-            "processed_rids": set(),
+            "processed_rids": NO_RIDS,
             "source_cursors": {},
             "extra": None,
         }
@@ -489,8 +487,6 @@ class LifecycleManager:
         job.transport.reset()
         job.channel_dst.clear()
         job._partitioners = {}
-        from repro.dataflow.worker import WorkerRuntime
-
         job.workers = [WorkerRuntime(job, i) for i in range(p_new)]
         self.wire_topology()
         for name, spec in job.graph.operators.items():

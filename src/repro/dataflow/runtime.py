@@ -219,9 +219,7 @@ class Job:
                 # fast path: nothing already processed, no intra-batch
                 # duplicates — admit the whole rid column at C speed
                 seen.update(rids)
-                journal = instance.rid_journal
-                if journal is not None:
-                    journal.extend(rids)
+                instance.rid_journal.extend(rids)
             else:
                 batch = self._dedup_batch(instance, batch)
         router = instance.router
@@ -254,8 +252,7 @@ class Job:
                 duplicates += 1
                 continue
             seen.add(rid)
-            if journal is not None:
-                journal.append(rid)
+            journal.append(rid)
             keep.append(i)
         self.metrics.duplicates_skipped += duplicates
         if len(keep) == len(batch.rids):

@@ -690,9 +690,6 @@ class StateBackend:
         self.cost_model = cost_model
         self.max_chain = max_chain
 
-    def prepare_instance(self, instance: "InstanceRuntime") -> None:
-        """Install per-instance tracking hooks (called at wiring time)."""
-
     def capture(self, instance: "InstanceRuntime", blob_key: str) -> CapturedState:
         """Turn the instance's state into a checkpoint payload."""
         raise NotImplementedError
@@ -745,13 +742,13 @@ class ChangelogBackend(StateBackend):
     """Incremental checkpoints: base snapshot + dirty-key deltas.
 
     Between checkpoints every state primitive records which keys were
-    written and the runtime journals newly deduplicated lineage ids; a
-    checkpoint uploads only that delta, chained onto the previous
-    checkpoint's blob via ``base_key``.  After a rollback (or a virgin
-    reset) the chain is broken and the next checkpoint is forced to be a
-    fresh base; chains are also compacted into a fresh base once they reach
-    ``max_chain`` deltas, bounding both restore fan-in and the blobs GC
-    must keep pinned.
+    written, and every instance journals the lineage ids it admits
+    (whatever the backend); a checkpoint uploads only that delta, chained
+    onto the previous checkpoint's blob via ``base_key``.  After a
+    rollback (or a virgin reset) the chain is broken and the next
+    checkpoint is forced to be a fresh base; chains are also compacted
+    into a fresh base once they reach ``max_chain`` deltas, bounding both
+    restore fan-in and the blobs GC must keep pinned.
     """
 
     name = "changelog"
@@ -767,18 +764,13 @@ class ChangelogBackend(StateBackend):
             track = self._track[instance.key] = _ChainTrack()
         return track
 
-    def prepare_instance(self, instance: "InstanceRuntime") -> None:
-        """Give the instance a rid journal and a chain tracker."""
-        instance.rid_journal = []
-        self._track_for(instance)
-
     def capture(self, instance: "InstanceRuntime", blob_key: str) -> CapturedState:
         """Capture a fresh base or a dirty-key delta chained on the last blob."""
         track = self._track_for(instance)
         if (track.force_base or track.parent_key is None
                 or track.chain_length >= self.max_chain):
             payload = instance.capture_snapshot()
-            instance.mark_checkpoint_clean()
+            instance.operator.states.mark_clean()
             state_bytes = instance.state_bytes
             track.parent_key = blob_key
             track.chain_length = 0
@@ -821,8 +813,6 @@ class ChangelogBackend(StateBackend):
         track.parent_key = None
         track.chain_length = 0
         track.chain_bytes = 0
-        if instance.rid_journal is not None:
-            instance.rid_journal.clear()
 
 
 STATE_BACKENDS: dict[str, type[StateBackend]] = {

@@ -21,6 +21,57 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.dataflow.runtime import Job
 
 
+class RidSnapshot:
+    """An immutable dedup set, stored as what it added to its parent's.
+
+    A checkpoint payload holds one node; the set it stands for is the
+    union of ``added`` along the ``parent`` links.  ``added`` is the
+    instance's rid journal at the moment of the checkpoint, handed over
+    rather than copied, so taking a checkpoint costs what was admitted
+    since the previous one and every checkpoint of an instance shares its
+    history with the ones before it.  Nodes are never changed after
+    construction: a rollback continues from the node it restored, and the
+    checkpoints of the timeline it abandoned stay restorable
+    (DESIGN.md section 21).
+    """
+
+    __slots__ = ("parent", "added", "count")
+
+    def __init__(self, parent: "RidSnapshot | None", added: list[int],
+                 count: int) -> None:
+        self.parent = parent
+        self.added = added
+        #: size of the set this node stands for
+        self.count = count
+
+    @classmethod
+    def root(cls, rids: set[int]) -> "RidSnapshot":
+        """A self-contained node standing for ``rids``."""
+        return cls(None, sorted(rids), len(rids))
+
+    def extend(self, added: list[int]) -> "RidSnapshot":
+        """The node standing for this set plus the new rids ``added``."""
+        return RidSnapshot(self, added, self.count + len(added))
+
+    def segments(self) -> list[list[int]]:
+        """The ``added`` lists whose union is this set, root first."""
+        segments = []
+        node: RidSnapshot | None = self
+        while node is not None:
+            segments.append(node.added)
+            node = node.parent
+        segments.reverse()
+        return segments
+
+    def materialize(self) -> set[int]:
+        """A fresh ``set`` of the rids."""
+        return set().union(*self.segments())
+
+
+#: the dedup set of an instance that has processed nothing
+NO_RIDS = RidSnapshot(None, [], 0)
+
+
 class InstanceRuntime(OperatorContext):
     """One parallel instance of an operator, hosted on one worker."""
 
@@ -45,11 +96,12 @@ class InstanceRuntime(OperatorContext):
         self.last_received: dict[ChannelId, int] = {}
         #: lineage ids already applied to state (UNC/CIC dedup)
         self.processed_rids: set[int] = set()
-        #: rids newly deduplicated since the last checkpoint, in order —
-        #: installed (as a list) by the changelog state backend so deltas
-        #: can ship only the new part of the dedup set; None under the
-        #: full-snapshot backend (DESIGN.md section 10)
-        self.rid_journal: list[int] | None = None
+        #: rids admitted to ``processed_rids`` since ``rid_head``, in
+        #: order; the next checkpoint seals it into a node (and a
+        #: changelog delta ships exactly that segment)
+        self.rid_journal: list[int] = []
+        #: the dedup set as of the last checkpoint or restore
+        self.rid_head = NO_RIDS
         self.checkpoint_counter = 0
         #: monotone floor for checkpoint durability: a later checkpoint of
         #: this instance never becomes durable before an earlier one (a
@@ -138,11 +190,35 @@ class InstanceRuntime(OperatorContext):
         self.operator.open(self)
         self.out_seq.clear()
         self.last_received.clear()
-        self.processed_rids.clear()
+        self.install_rids(NO_RIDS)
         self.source_cursors = {q: 0 for q in self.source_cursors}
         if self.router is not None:
             self.router.clear()
         self.job.state_backend.on_reset(self)
+
+    def seal_rids(self) -> RidSnapshot:
+        """Close the journal into a node standing for ``processed_rids``.
+
+        The journal is handed to the node and a new one started.  Should
+        the set ever have been changed behind the journal, the sizes no
+        longer add up and the node is a self-contained root instead — a
+        checkpoint never stands for less than the live set.
+        """
+        head = self.rid_head
+        journal = self.rid_journal
+        if head.count + len(journal) == len(self.processed_rids):
+            head = head.extend(journal)
+        else:
+            head = RidSnapshot.root(self.processed_rids)
+        self.rid_head = head
+        self.rid_journal = []
+        return head
+
+    def install_rids(self, head: RidSnapshot) -> None:
+        """Make ``head`` the dedup set; later checkpoints branch from it."""
+        self.processed_rids = head.materialize()
+        self.rid_head = head
+        self.rid_journal = []
 
     def capture_snapshot(self) -> dict[str, Any]:
         """Copy everything a rollback needs to reinstall this instance."""
@@ -150,27 +226,21 @@ class InstanceRuntime(OperatorContext):
             "states": self.operator.states.snapshot(),
             "out_seq": dict(self.out_seq),
             "last_received": dict(self.last_received),
-            "processed_rids": set(self.processed_rids),
+            "processed_rids": self.seal_rids(),
             "source_cursors": dict(self.source_cursors),
             "extra": self.job.protocol.capture_extra(self),
         }
-
-    def mark_checkpoint_clean(self) -> None:
-        """Reset changelog tracking after a full (base) capture."""
-        self.operator.states.mark_clean()
-        if self.rid_journal is not None:
-            self.rid_journal.clear()
 
     def capture_delta(self) -> tuple[dict[str, Any], int]:
         """Capture only what changed since the last checkpoint.
 
         Returns ``(payload, delta_bytes)``; cursors and protocol extras are
         small and always shipped whole, operator states as per-state deltas
-        and the dedup set as the journal of newly seen rids.  Tracking is
-        reset, so the next delta starts from this checkpoint.
+        and the dedup set as the segment this checkpoint sealed.  Tracking
+        is reset, so the next delta starts from this checkpoint.
         """
         states_delta, delta_bytes = self.operator.states.snapshot_delta()
-        new_rids = list(self.rid_journal) if self.rid_journal else []
+        new_rids = self.seal_rids().added
         payload = {
             "delta": True,
             "states": states_delta,
@@ -182,7 +252,7 @@ class InstanceRuntime(OperatorContext):
         }
         delta_bytes += len(new_rids) * 8
         delta_bytes += (len(self.out_seq) + len(self.last_received)) * 12
-        self.mark_checkpoint_clean()
+        self.operator.states.mark_clean()
         return payload, delta_bytes
 
     def restore_snapshot(self, snapshot: dict[str, Any]) -> None:
@@ -192,7 +262,7 @@ class InstanceRuntime(OperatorContext):
         self.operator.states.restore(snapshot["states"])
         self.out_seq = dict(snapshot["out_seq"])
         self.last_received = dict(snapshot["last_received"])
-        self.processed_rids = set(snapshot["processed_rids"])
+        self.install_rids(snapshot["processed_rids"])
         self.source_cursors = dict(snapshot["source_cursors"])
         if self.router is not None:
             self.router.clear()
@@ -203,21 +273,22 @@ class InstanceRuntime(OperatorContext):
         """Restore a changelog checkpoint: base payload + deltas, in order.
 
         The base is a full snapshot; each delta folds its per-state diffs
-        and newly journaled rids on top.  Cursors and protocol extras are
-        taken from the last payload — every payload carries them whole.
+        on top and hangs its sealed rid segment onto the base's node.
+        Cursors and protocol extras are taken from the last payload —
+        every payload carries them whole.
         """
         base = payloads[0]
         self.operator = self.spec.factory()
         self.operator.open(self)
         self.operator.states.restore(base["states"])
-        rids = set(base["processed_rids"])
+        head = base["processed_rids"]
         for delta in payloads[1:]:
             self.operator.states.apply_delta(delta["states"])
-            rids.update(delta["new_rids"])
+            head = head.extend(delta["new_rids"])
         last = payloads[-1]
         self.out_seq = dict(last["out_seq"])
         self.last_received = dict(last["last_received"])
-        self.processed_rids = rids
+        self.install_rids(head)
         self.source_cursors = dict(last["source_cursors"])
         if self.router is not None:
             self.router.clear()
@@ -255,8 +326,11 @@ class InstanceRuntime(OperatorContext):
         self.last_received = {}
         rids: set[int] = set()
         for part in parts:
-            rids.update(part["processed_rids"])
+            rids.update(*part["processed_rids"].segments())
+        # the union has no history in the new topology: a root of its own
         self.processed_rids = rids
+        self.rid_head = RidSnapshot.root(rids)
+        self.rid_journal = []
         if self.spec.is_source:
             self.source_cursors = {
                 q: parts[group_owner(q, p_old, num_source_partitions)]

@@ -26,7 +26,7 @@ _HEADER = """# EXPERIMENTS — paper vs measured
 
 Every table and figure of the paper's evaluation (Section VII),
 regenerated by this repository's benchmark harness
-(`pytest benchmarks/ --benchmark-only`, or `python -m repro all`).
+(`pytest benchmarks/bench_*.py --benchmark-only`, or `python -m repro all`).
 
 Absolute numbers are simulation-scale (the substrate is a discrete-event
 simulator, not the authors' cluster — see DESIGN.md section 2); the

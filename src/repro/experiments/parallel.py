@@ -51,6 +51,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.sim.collector import collector_paused
 from repro.sim.costs import RuntimeConfig
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -269,11 +270,15 @@ def run_with_spec(spec: "QuerySpec", request: RunRequest) -> "RunResult":
         # owns (the filter copies; the memoised logs are never mutated)
         inputs = shard_inputs(graph, inputs, request.shard_index,
                               request.shard_count, request.max_key_groups)
-    job = Job(graph, request.protocol, request.parallelism, inputs, config)
-    try:
-        return job.run(rate=request.rate, query_name=spec.name)
-    finally:
-        job.release()
+    # one pause from deployment to release: the collector comes back on
+    # only once the job has died by reference count, so its first sweep
+    # meets a RunResult, not a live deployment (DESIGN.md section 21)
+    with collector_paused():
+        job = Job(graph, request.protocol, request.parallelism, inputs, config)
+        try:
+            return job.run(rate=request.rate, query_name=spec.name)
+        finally:
+            job.release()
 
 
 # --------------------------------------------------------------------- #
@@ -395,8 +400,8 @@ class RunCache:
     Entries are compacted results pickled and zlib-compressed (format v8,
     see :data:`_ENTRY_MAGIC`).  Writes are atomic (tempfile + rename), so
     concurrent workers and concurrent sweeps can share a cache directory;
-    a corrupt, truncated or older-format entry reads as a miss and is
-    rewritten.
+    an older-format file reads as a miss and is overwritten, a corrupt or
+    truncated v8 entry reads as a miss and is quarantined (:meth:`get`).
     """
 
     def __init__(self, directory: str | os.PathLike):
@@ -411,26 +416,44 @@ class RunCache:
         return self.directory / f"{key}.pkl"
 
     def get(self, key: str) -> tuple[bool, Any]:
-        """(found, value) for ``key``; corrupt entries read as a miss."""
+        """(found, value) for ``key``; a damaged entry is a quarantined miss.
+
+        A file that is not a v8 entry at all (a v7 plain pickle, foreign
+        bytes) is a plain miss and is left alone.  One that claims to be —
+        it has the magic — but fails the length check, decompression or
+        unpickling is damage: it reads as a miss and is moved aside as
+        ``<key>.pkl.bad``, so the evidence survives the rewrite and
+        :meth:`stats` can count it.
+        """
+        path = self.path(key)
         try:
-            blob = self.path(key).read_bytes()
+            blob = path.read_bytes()
         except OSError:
             return False, None
         if not blob.startswith(_ENTRY_MAGIC):
-            # v7 plain pickle or foreign bytes: a miss, never an error
             return False, None
         try:
             offset = len(_ENTRY_MAGIC) + _ENTRY_HEADER.size
             (raw_length,) = _ENTRY_HEADER.unpack_from(blob, len(_ENTRY_MAGIC))
             raw = zlib.decompress(blob[offset:])
-            if len(raw) != raw_length:
-                return False, None
-            return True, pickle.loads(raw)
+            if len(raw) == raw_length:
+                return True, pickle.loads(raw)
         except Exception:
             # decompressing/unpickling corrupt bytes can raise nearly
             # anything (error, ValueError, EOFError, ImportError, ...);
-            # a damaged entry must always read as a miss and be rewritten
-            return False, None
+            # a damaged entry must always read as a miss
+            pass
+        self._quarantine(path)
+        return False, None
+
+    def _quarantine(self, path: Path) -> None:
+        """Move a damaged entry aside; best effort, atomic when it works."""
+        try:
+            os.replace(path, path.with_name(path.name + ".bad"))
+        except OSError:
+            return  # already moved or rewritten by another process
+        if self._count is not None:
+            self._count -= 1
 
     def put(self, key: str, value: Any) -> None:
         """Atomically write ``value`` under ``key`` (tempfile + rename)."""
@@ -466,6 +489,8 @@ class RunCache:
         entries (``ratio`` is compressed over raw for those);
         ``stale_files`` counts files of other formats — e.g. a v7 cache
         dir — which read as misses; ``total_bytes`` covers both.
+        ``quarantined`` counts the damaged entries :meth:`get` moved
+        aside (``*.pkl.bad``), which nothing reads again.
         """
         entries = stale = 0
         entry_bytes = raw_bytes = total_bytes = 0
@@ -493,6 +518,7 @@ class RunCache:
             "raw_bytes": raw_bytes,
             "total_bytes": total_bytes,
             "ratio": entry_bytes / raw_bytes if raw_bytes else 0.0,
+            "quarantined": sum(1 for _ in self.directory.glob("*.pkl.bad")),
         }
 
 

@@ -164,7 +164,16 @@ def test_cache_stats_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "entries          : 1" in out
     assert "stale files      : 1" in out
+    assert "quarantined" not in out
     assert "compressed ratio" in out
+    # a damaged entry, once read, is moved aside and reported
+    path = cache.path("deadbeef")
+    path.write_bytes(path.read_bytes()[:-7])
+    assert cache.get("deadbeef") == (False, None)
+    assert main(["cache-stats", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "entries          : 0" in out
+    assert "quarantined      : 1" in out
 
 
 def test_cache_stats_missing_directory(tmp_path, capsys):

@@ -83,6 +83,81 @@ def test_run_cache_roundtrip_and_corruption(tmp_path):
     assert found and value == {"x": 2}  # rewritten cleanly
 
 
+def _truncate(blob: bytes) -> bytes:
+    return blob[:len(blob) // 2]
+
+
+def _flip_a_bit(blob: bytes) -> bytes:
+    middle = len(blob) // 2
+    return blob[:middle] + bytes([blob[middle] ^ 0x10]) + blob[middle + 1:]
+
+
+def _lie_about_length(blob: bytes) -> bytes:
+    # magic (5 bytes), then the raw pickle length as uint64 LE
+    return blob[:5] + (int.from_bytes(blob[5:13], "little") + 1).to_bytes(
+        8, "little") + blob[13:]
+
+
+def _cut_inside_the_header(blob: bytes) -> bytes:
+    return blob[:9]
+
+
+@pytest.mark.parametrize("damage", [_truncate, _flip_a_bit, _lie_about_length,
+                                    _cut_inside_the_header])
+def test_a_damaged_entry_is_quarantined_not_silently_rewritten(tmp_path, damage):
+    cache = RunCache(tmp_path)
+    cache.put("k", {"x": list(range(500))})
+    cache.put("other", {"y": 2})
+    assert len(cache) == 2
+    good = cache.path("k").read_bytes()
+    cache.path("k").write_bytes(damage(good))
+    found, value = cache.get("k")
+    assert (found, value) == (False, None)  # still a miss, never an error
+    bad = tmp_path / "k.pkl.bad"
+    assert bad.read_bytes() == damage(good)  # the evidence is kept
+    assert not cache.path("k").exists()
+    assert len(cache) == 1
+    stats = cache.stats()
+    assert (stats["entries"], stats["stale_files"], stats["quarantined"]) == (1, 0, 1)
+    assert cache.get("k") == (False, None)  # and nothing reads it again
+    cache.put("k", {"x": 3})  # the rewrite starts clean
+    assert cache.get("k") == (True, {"x": 3})
+    assert cache.get("other") == (True, {"y": 2})
+    assert len(cache) == 2 and bad.exists()
+    # a second casualty under the same key replaces the first
+    cache.path("k").write_bytes(good[:20])
+    assert cache.get("k") == (False, None)
+    assert bad.read_bytes() == good[:20]
+    assert cache.stats()["quarantined"] == 1
+
+
+def test_foreign_and_older_format_files_stay_plain_misses(tmp_path):
+    cache = RunCache(tmp_path)
+    for name, blob in (("v7", pickle.dumps({"y": 1})), ("junk", b"garbage\n"),
+                       ("empty", b""), ("half-magic", b"RPR")):
+        cache.path(name).write_bytes(blob)
+        assert cache.get(name) == (False, None)
+        assert cache.path(name).read_bytes() == blob  # left where it was
+    stats = cache.stats()
+    assert (stats["stale_files"], stats["quarantined"]) == (4, 0)
+    assert not list(tmp_path.glob("*.bad"))
+
+
+def test_runner_recomputes_over_a_quarantined_entry(tmp_path):
+    first = ParallelRunner(jobs=1, cache_dir=tmp_path)
+    result = first.run(req())
+    (path,) = tmp_path.glob("*.pkl")
+    path.write_bytes(_flip_a_bit(path.read_bytes()))
+    second = ParallelRunner(jobs=1, cache_dir=tmp_path)
+    again = second.run(req())
+    assert (second.hits, second.misses) == (0, 1)
+    assert pickle.dumps(again.metrics) == pickle.dumps(result.metrics)
+    assert path.exists() and path.with_name(path.name + ".bad").exists()
+    third = ParallelRunner(jobs=1, cache_dir=tmp_path)
+    third.run(req())
+    assert (third.hits, third.misses) == (1, 0)
+
+
 def test_runner_hits_disk_cache_across_instances(tmp_path):
     first = ParallelRunner(jobs=1, cache_dir=tmp_path)
     result = first.run(req())

@@ -272,6 +272,87 @@ def test_a_finished_request_leaves_no_job_behind(restore_collector, query,
         assert result.metrics.n_recoveries == 1
 
 
+@pytest.mark.parametrize("query, protocol, knobs", GARBAGE_CASES)
+def test_no_collection_runs_while_a_request_holds_its_job(
+        restore_collector, monkeypatch, query, protocol, knobs):
+    """``run_with_spec`` pauses the collector from deploy to release.
+
+    A collection while the deployment is alive traverses send log,
+    operator state and dedup history to free nothing (DESIGN.md section
+    21).  ``gc.callbacks`` must see none between the start of
+    ``Job.__init__`` and the end of ``Job.release`` — with the collector
+    *enabled* around the request, where the loop's own pause would let
+    one fire between ``run_until`` returning and the release.
+    """
+    from repro.dataflow.runtime import Job
+    from repro.experiments.parallel import RunRequest, execute_request
+
+    request = RunRequest(query=query, protocol=protocol, parallelism=3,
+                         rate=600.0, duration=5.0, warmup=1.0,
+                         checkpoint_interval=1.5, seed=7, **knobs)
+    seen = {"inside": 0, "outside": 0, "deployed": 0, "released": 0}
+    holding = []
+    init, release = Job.__init__, Job.release
+
+    def deploy(job, *args, **kwargs):
+        holding.append(job)
+        seen["deployed"] += 1
+        init(job, *args, **kwargs)
+
+    def let_go(job):
+        release(job)
+        holding.clear()
+        seen["released"] += 1
+
+    def on_collection(phase, info):
+        if phase == "start":
+            seen["inside" if holding else "outside"] += 1
+
+    monkeypatch.setattr(Job, "__init__", deploy)
+    monkeypatch.setattr(Job, "release", let_go)
+    gc.enable()
+    gc.callbacks.append(on_collection)
+    try:
+        result = execute_request(request)
+        gc.collect()  # the probe does see collections
+    finally:
+        gc.callbacks.remove(on_collection)
+    assert seen["deployed"] == seen["released"] == 1
+    assert seen["inside"] == 0
+    assert seen["outside"] >= 1
+    assert gc.isenabled()
+    assert sum(result.metrics.sink_counts.values()) > 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("outcome", ["returns", "deploy-raises", "callback-raises"])
+def test_a_request_restores_the_callers_collector_setting(
+        restore_collector, monkeypatch, enabled, outcome):
+    from repro.dataflow.runtime import Job
+    from repro.experiments.parallel import RunRequest, execute_request
+    from repro.sim.costs import RuntimeConfig
+
+    config = None
+    if outcome == "deploy-raises":
+        config = RuntimeConfig(unc_semantics="exactly-twice")
+    elif outcome == "callback-raises":
+        def boom(job, instance):
+            raise RuntimeError("poll failed")
+
+        monkeypatch.setattr(Job, "_enqueue_poll", boom)
+    request = RunRequest(query="q12", protocol="unc", parallelism=2,
+                         rate=300.0, duration=3.0, warmup=1.0, seed=7,
+                         config=config)
+    (gc.enable if enabled else gc.disable)()
+    if outcome == "returns":
+        execute_request(request)
+    else:
+        error = ValueError if outcome == "deploy-raises" else RuntimeError
+        with pytest.raises(error, match="exactly-twice|poll failed"):
+            execute_request(request)
+    assert gc.isenabled() is enabled
+
+
 @pytest.mark.parametrize("query, hot_ratio, arrival", [
     ("q12", 0.3, None),
     ("q8", 0.3, "flash:at=1;3,mag=3,ramp=0.5,hold=1"),

@@ -7,9 +7,13 @@ bookkeeping of the ChangelogBackend against a real job (base/delta
 cadence, compaction, forced base after recovery).
 """
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.dataflow.batch import RecordBatch
+from repro.dataflow.runtime import Job
 from repro.dataflow.state import (
     ChangelogBackend,
     FullSnapshotBackend,
@@ -19,8 +23,10 @@ from repro.dataflow.state import (
     ValueState,
     create_state_backend,
 )
+from repro.dataflow.worker import NO_RIDS, RidSnapshot
+from repro.sim.costs import RuntimeConfig
 
-from tests.conftest import run_count_job
+from tests.conftest import KeyedEvent, build_count_graph, make_event_log, run_count_job
 
 
 # --------------------------------------------------------------------- #
@@ -238,12 +244,45 @@ def test_first_checkpoint_after_recovery_is_a_base():
             assert first.chain_length == 0
 
 
-def test_full_backend_leaves_rid_journal_uninstalled():
-    job, _ = run_count_job("unc", failure_at=None, duration=10.0)
-    assert all(i.rid_journal is None for i in job.instances())
-    job2, _ = run_count_job("unc", failure_at=None, duration=10.0,
-                            state_backend="changelog")
-    assert all(i.rid_journal is not None for i in job2.instances())
+def checkpoint_rids(store, blob_key):
+    """The dedup set a restore of ``blob_key`` installs (base + deltas)."""
+    payloads = [store.get(key) for key in store.chain_keys(blob_key)]
+    head = payloads[0]["processed_rids"]
+    for delta in payloads[1:]:
+        head = head.extend(delta["new_rids"])
+    return head.materialize()
+
+
+def test_every_backend_journals_rids_and_checkpoints_complete_dedup_sets():
+    """The journal belongs to the instance, not to a backend.
+
+    Both backends leave a plain list on every instance, whose head node
+    plus journal is the live set; every durable checkpoint materialises
+    to a set the run really went through (failure-free: nested, growing
+    with the checkpoint id); and both end in the same dedup sets.
+    """
+    final = {}
+    for backend in ("full", "changelog"):
+        job, _ = run_count_job("unc", failure_at=None, duration=10.0,
+                               state_backend=backend)
+        store = job.coordinator.blobstore
+        saw_rids = False
+        for instance in job.instances():
+            assert type(instance.rid_journal) is list
+            head = instance.rid_head
+            assert head.count + len(instance.rid_journal) == len(
+                instance.processed_rids)
+            assert (head.materialize() | set(instance.rid_journal)
+                    == instance.processed_rids)
+            previous: set[int] = set()
+            for meta in job.registry.for_instance(instance.key):
+                rids = checkpoint_rids(store, meta.blob_key)
+                assert previous <= rids <= instance.processed_rids
+                previous = rids
+            saw_rids = saw_rids or bool(previous)
+        assert saw_rids
+        final[backend] = {i.key: set(i.processed_rids) for i in job.instances()}
+    assert final["full"] == final["changelog"]
 
 
 def test_delta_blobs_store_less_than_full_state():
@@ -254,3 +293,210 @@ def test_delta_blobs_store_less_than_full_state():
     full_store = job_full.coordinator.blobstore
     chg_store = job_chg.coordinator.blobstore
     assert chg_store.bytes_written < full_store.bytes_written
+
+
+# --------------------------------------------------------------------- #
+# The shared dedup-set history (DESIGN.md section 21)
+# --------------------------------------------------------------------- #
+
+def test_rid_snapshot_nodes():
+    assert NO_RIDS.materialize() == set() and NO_RIDS.count == 0
+    first = NO_RIDS.extend([3, 1])
+    second = first.extend([7])
+    branch = first.extend([9, 8])
+    assert first.segments() == [[], [3, 1]]
+    assert second.materialize() == {1, 3, 7} and second.count == 3
+    assert branch.materialize() == {1, 3, 8, 9} and branch.count == 4
+    assert first.materialize() == {1, 3}  # untouched by its two children
+    root = RidSnapshot.root({5, 2, 9})
+    assert root.parent is None and root.added == [2, 5, 9] and root.count == 3
+    # a fresh set every time: the caller may mutate what it gets
+    assert second.materialize() is not second.materialize()
+
+
+def _dedup_job(backend: str) -> Job:
+    config = RuntimeConfig(duration=8.0, warmup=1.0, failure_at=None,
+                           state_backend=backend, changelog_max_chain=3)
+    return Job(build_count_graph(), "unc", 2,
+               {"events": make_event_log(10.0, 1.0, 2)}, config)
+
+
+def _admit(job: Job, instance, rids: list[int]) -> None:
+    """Push one batch with these lineage ids through the real data path."""
+    job.process_records(instance, RecordBatch(
+        rids=list(rids),
+        payloads=[KeyedEvent(rid % 5, rid) for rid in rids],
+        source_ts=[0.0] * len(rids),
+        sizes=[40] * len(rids),
+    ), "in")
+
+
+_RIDS = st.lists(st.integers(0, 40), max_size=10)
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("admit"), _RIDS),
+    st.tuples(st.just("seal"), st.none()),
+    st.tuples(st.just("restore"), st.integers(0, 10_000)),
+    st.tuples(st.just("merge"), st.tuples(st.integers(0, 10_000),
+                                          st.integers(0, 10_000))),
+), max_size=40)
+
+
+@pytest.mark.parametrize("backend", ["full", "changelog"])
+@settings(max_examples=60, deadline=None)
+@given(ops=_OPS)
+def test_dedup_history_matches_eager_copies(backend, ops):
+    """Property: a checkpoint stands for the set an eager copy would hold.
+
+    Random admissions (a small rid space, so batches repeat rids within
+    themselves and across batches), checkpoints through the real backend
+    (base/delta cadence and compaction under ``changelog``), rollbacks to
+    *any* checkpoint taken so far — also one of a timeline an earlier
+    rollback abandoned — and rescale-merges of two of them.  The model
+    copies the set at every checkpoint; at the end every checkpoint ever
+    taken must still restore to its copy.
+    """
+    job = _dedup_job(backend)
+    store = job.coordinator.blobstore
+    instance = job.instance(("count", 0))
+    model: set[int] = set()
+    taken: list[tuple[str, set[int]]] = []
+
+    def restore(blob_key: str) -> None:
+        # as LifecycleManager.apply_recovery does
+        payloads = [store.get(key) for key in store.chain_keys(blob_key)]
+        if len(payloads) == 1:
+            instance.restore_snapshot(payloads[0])
+        else:
+            instance.restore_from_chain(payloads)
+        job.state_backend.on_restored(instance)
+
+    for op, arg in ops:
+        if op == "admit":
+            _admit(job, instance, arg)
+            model |= set(arg)
+        elif op == "seal":
+            blob_key = f"count/0/{len(taken) + 1}"
+            captured = job.state_backend.capture(instance, blob_key)
+            store.put(blob_key, captured.payload, captured.upload_bytes, 0.0,
+                      base_key=captured.base_key,
+                      chain_length=captured.chain_length)
+            taken.append((blob_key, set(model)))
+        elif op == "restore" and taken:
+            blob_key, copy = taken[arg % len(taken)]
+            restore(blob_key)
+            model = set(copy)
+        elif op == "merge" and taken:
+            picks = [taken[index % len(taken)] for index in arg]
+            parts = [job.lifecycle.materialize_line_payload(
+                instance.key, SimpleNamespace(kind="local", blob_key=key))
+                for key, _ in picks]
+            instance.restore_rescaled(parts, 2, job.num_source_partitions)
+            job.state_backend.on_restored(instance)
+            model = picks[0][1] | picks[1][1]
+        assert instance.processed_rids == model
+        assert (instance.rid_head.count + len(instance.rid_journal)
+                == len(model))
+    for blob_key, copy in taken:
+        assert checkpoint_rids(store, blob_key) == copy
+        restore(blob_key)
+        assert instance.processed_rids == copy
+
+
+def test_rollback_branches_and_the_abandoned_timeline_stays_restorable():
+    job = _dedup_job("full")
+    instance = job.instance(("count", 0))
+    _admit(job, instance, [1, 2])
+    first = instance.capture_snapshot()
+    _admit(job, instance, [3])
+    abandoned = instance.capture_snapshot()
+    instance.restore_snapshot(first)
+    _admit(job, instance, [4, 5])
+    kept = instance.capture_snapshot()
+    # both timelines hang off the same node, which neither changed
+    assert abandoned["processed_rids"].parent is first["processed_rids"]
+    assert kept["processed_rids"].parent is first["processed_rids"]
+    assert first["processed_rids"].materialize() == {1, 2}
+    assert abandoned["processed_rids"].materialize() == {1, 2, 3}
+    assert kept["processed_rids"].materialize() == {1, 2, 4, 5}
+    instance.restore_snapshot(abandoned)
+    assert instance.processed_rids == {1, 2, 3}
+
+
+@pytest.mark.parametrize("backend", ["full", "changelog"])
+def test_a_set_changed_behind_the_journal_still_checkpoints_whole(backend):
+    """The seal-time size check: a short snapshot is impossible.
+
+    ``tests/test_mst_and_worker.py`` grows ``processed_rids`` directly;
+    nothing journals that.  The sizes then no longer add up, and the
+    checkpoint is a self-contained sorted root — under the changelog
+    backend the *delta* ships the whole set, so its chain restores whole.
+    """
+    job = _dedup_job(backend)
+    store = job.coordinator.blobstore
+    instance = job.instance(("count", 0))
+    keys = []
+
+    def checkpoint() -> None:
+        keys.append(f"count/0/{len(keys) + 1}")
+        captured = job.state_backend.capture(instance, keys[-1])
+        store.put(keys[-1], captured.payload, captured.upload_bytes, 0.0,
+                  base_key=captured.base_key,
+                  chain_length=captured.chain_length)
+
+    _admit(job, instance, [200, 201])
+    checkpoint()
+    instance.processed_rids.update(range(100))
+    _admit(job, instance, [300])
+    checkpoint()
+    expected = {200, 201, 300, *range(100)}
+    assert instance.rid_head.parent is None
+    assert instance.rid_head.added == sorted(expected)
+    assert checkpoint_rids(store, keys[-1]) == expected
+    # and the history is sound again from here on
+    _admit(job, instance, [301])
+    checkpoint()
+    assert instance.rid_head.parent is not None
+    assert checkpoint_rids(store, keys[-1]) == expected | {301}
+    assert checkpoint_rids(store, keys[0]) == {200, 201}
+
+
+def test_checkpoints_of_a_run_share_their_history():
+    """Over a UNC run an instance's checkpoints hold each rid at most once.
+
+    Deterministic stand-in for a timing claim: the rids stored over all
+    nodes reachable from an instance's checkpoints number no more than
+    the rids it admitted, where eager copies held the sum of the sets.
+    """
+    log = make_event_log(300.0, 10.0, 3)
+    job = Job(build_count_graph(), "unc", 3, {"events": log},
+              RuntimeConfig(checkpoint_interval=1.0, duration=12.0, warmup=2.0,
+                            failure_at=None, seed=3))
+    store = job.coordinator.blobstore
+    heads: dict[tuple, list[RidSnapshot]] = {}
+    put = store.put
+
+    def recording_put(key, value, *args, **kwargs):
+        name, index, _ = key.split("/")
+        heads.setdefault((name, int(index)), []).append(value["processed_rids"])
+        return put(key, value, *args, **kwargs)
+
+    store.put = recording_put
+    job.run(rate=300.0, query_name="count")
+    shared_anything = False
+    for instance in job.instances():
+        snapshots = heads[instance.key]
+        assert len(snapshots) >= 8
+        nodes = {}
+        for head in snapshots:
+            node = head
+            while node is not None:
+                nodes[id(node)] = node
+                node = node.parent
+        stored = sum(len(node.added) for node in nodes.values())
+        admitted = len(instance.processed_rids)  # failure-free: no re-admission
+        assert stored <= admitted
+        eager = sum(head.count for head in snapshots)
+        if admitted:
+            assert eager > 3 * stored
+            shared_anything = True
+    assert shared_anything
