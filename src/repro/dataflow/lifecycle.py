@@ -433,16 +433,16 @@ class LifecycleManager:
         scratch = spec.factory()
         scratch.open(None)
         scratch.states.restore(payloads[0]["states"])
-        rids = payloads[0]["processed_rids"]
+        head = payloads[0]["processed_rids"]
         for delta in payloads[1:]:
             scratch.states.apply_delta(delta["states"])
-            rids = rids.extend(delta["new_rids"])
+            head = head.extend(delta["new_rids"])
         last = payloads[-1]
         return {
             "states": scratch.states.snapshot(),
             "out_seq": dict(last["out_seq"]),
             "last_received": dict(last["last_received"]),
-            "processed_rids": rids,
+            "processed_rids": head,
             "source_cursors": dict(last["source_cursors"]),
             "extra": last["extra"],
         }

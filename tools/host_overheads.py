@@ -34,9 +34,6 @@ from pathlib import Path
 from typing import Any
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT))
-
-from perfbench.env import ensure_repro, scratch_dir  # noqa: E402
 
 
 class CollectorClock:
@@ -210,6 +207,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-collector-share", type=float, default=None)
     parser.add_argument("--max-snapshot-share", type=float, default=None)
     args = parser.parse_args(argv)
+
+    sys.path.insert(0, str(ROOT))  # perfbench lives beside tools/
+    from perfbench.env import ensure_repro, scratch_dir
 
     ensure_repro()
     from perfbench import workloads
