@@ -3,11 +3,12 @@
 Commands
 --------
 list
-    Show the available experiments (paper tables/figures + ablations).
+    Show the available experiments (paper tables/figures, extension
+    sweeps and ablations).
 run EXPERIMENT [--scale quick|default|full] [--out DIR] [--jobs N]
         [--cache-dir DIR]
-    Regenerate one paper artifact and print the paper-vs-measured table.
-    ``--jobs N`` fans independent runs (sweeps, MST bracket probes)
+    Regenerate one artifact and print the paper-vs-measured table.
+    ``--jobs N`` fans independent runs (sweeps, MST searches)
     across N worker processes; ``--cache-dir`` reuses finished runs from
     a content-addressed on-disk cache across invocations.
 all [--scale ...] [--out DIR] [--jobs N] [--cache-dir DIR]
@@ -33,8 +34,11 @@ import time
 
 from repro.experiments import figures
 from repro.experiments.config import scale_by_name
-from repro.experiments.parallel import ParallelRunner
-from repro.experiments.runner import run_query
+from repro.experiments.parallel import (
+    ParallelRunner,
+    RunRequest,
+    execute_request,
+)
 from repro.metrics.report import format_failure_records
 from repro.metrics.series import percentile
 from repro.sim.costs import RuntimeConfig
@@ -184,9 +188,10 @@ def _resolve_scale(args):
 
 
 def _cmd_list() -> int:
-    print("experiments (paper artifacts):")
+    print("experiments (paper artifacts, extensions, ablations):")
+    width = max(map(len, figures.SPECS))
     for name, spec in sorted(figures.SPECS.items()):
-        print(f"  {name:<8} {spec.heading}")
+        print(f"  {name:<{width}} {spec.heading}")
     print("\nscales: quick (CI smoke), default (shape grid), full (paper grid)")
     return 0
 
@@ -278,7 +283,6 @@ def _cmd_query(args) -> int:
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-    from repro.experiments.parallel import RunRequest
     from repro.experiments.sharding import auto_shard_count, run_sharded
 
     request = RunRequest(
@@ -308,19 +312,7 @@ def _cmd_query(args) -> int:
         print(f"[sharded] {shards} key-group shards across "
               f"{jobs} worker processes")
     else:
-        result = run_query(
-            spec, args.protocol, args.parallelism, rate=rate,
-            duration=args.duration, warmup=args.warmup,
-            failure_at=args.failure_at, hot_ratio=args.hot_ratio,
-            checkpoint_interval=args.checkpoint_interval, seed=args.seed,
-            state_backend=args.state_backend,
-            rescale_to=args.rescale_to, rescale_at=args.rescale_at,
-            max_key_groups=args.max_key_groups,
-            failure_scenario=args.failure_scenario,
-            interval_policy=args.interval_policy,
-            channel_capacity_bytes=args.channel_capacity,
-            arrival=args.arrival,
-        )
+        result = execute_request(request)
     series = result.latency_series()
     p50 = percentile([v for v in series.p50 if v > 0], 50)
     p99 = percentile([v for v in series.p99 if v > 0], 50)

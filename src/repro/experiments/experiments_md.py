@@ -1,9 +1,10 @@
 """Assemble EXPERIMENTS.md from the rendered result blocks.
 
 ``python -m repro all`` (or the benchmark harness) writes one text block
-per paper artifact into ``results/``; this module stitches them into the
+per artifact into ``results/``; this module stitches them into the
 EXPERIMENTS.md deliverable, recording paper-vs-measured for every table
-and figure plus the extension ablations.
+and figure plus the extension sweeps and ablations — one section per
+entry of the spec table, in its order.
 """
 
 from __future__ import annotations
@@ -12,15 +13,6 @@ import pathlib
 from datetime import date
 
 from repro.experiments.figures import SPECS
-
-#: the ablation sections that follow the figures' own (name, heading,
-#: note of each figure come from its spec)
-_SECTIONS = (
-    ("ablation_interval", "Ablation — checkpoint-interval sweep", ""),
-    ("ablation_logging", "Ablation — UNC logging tax & participation", ""),
-    ("ablation_schedules", "Ablation — per-operator checkpoint schedules", ""),
-    ("ablation_unaligned", "Ablation — aligned vs unaligned COOR under skew", ""),
-)
 
 _HEADER = """# EXPERIMENTS — paper vs measured
 
@@ -48,13 +40,10 @@ def assemble(results_dir: str = "results", scale: str = "default") -> str:
     directory = pathlib.Path(results_dir)
     # repro-lint: disable=RL003 -- document timestamp for the reader; runs post-simulation, never on simulated time
     parts = [_HEADER.format(scale=scale, generated=date.today().isoformat())]
-    sections = tuple((spec.name, spec.heading, spec.note)
-                     for spec in SPECS.values()) + _SECTIONS
-    for name, title, paper_note in sections:
-        path = directory / f"{name}.txt"
-        parts.append(f"\n## {title}\n")
-        if paper_note:
-            parts.append(f"{paper_note}\n")
+    for spec in SPECS.values():
+        path = directory / f"{spec.name}.txt"
+        parts.append(f"\n## {spec.heading}\n")
+        parts.append(f"{spec.note}\n")
         if path.exists():
             parts.append("```\n" + path.read_text(encoding="utf-8").rstrip()
                          + "\n```\n")

@@ -1,4 +1,5 @@
-"""Every paper table and figure as a :class:`FigureSpec` (DESIGN.md section 5).
+"""Every paper table and figure, extension sweep and ablation as a
+:class:`FigureSpec` (DESIGN.md section 5).
 
 A spec states what differs between figures — the grid of cells, the
 operating point of each cell, what is measured there, how a row shows it
@@ -36,6 +37,8 @@ from repro.experiments.sharding import (
 )
 from repro.metrics.report import format_table, shape_report
 from repro.metrics.series import percentile
+from repro.sim.costs import CostModel, RuntimeConfig
+from repro.workloads.nexmark.queries import WINDOW_SECONDS
 
 PROTOCOL_ORDER = ("coor", "unc", "cic")
 NEXMARK_ORDER = ("q1", "q3", "q8", "q12")
@@ -1265,10 +1268,188 @@ ARRIVALS = FigureSpec(
 )
 
 
+# --------------------------------------------------------------------- #
+# Ablations — claims the paper's text makes in passing (Section III-B)
+# --------------------------------------------------------------------- #
+# Knobs no scalar RunRequest field covers (cost model, participation,
+# per-operator schedules) ride in the request's ``config``.
+
+ABLATION_INTERVALS = (1.5, 3.0, 5.0, 10.0)
+
+ABLATION_INTERVAL = FigureSpec(
+    name="ablation_interval",
+    heading="Ablation — checkpoint-interval sweep",
+    note=ref.ABLATION_INTERVAL_NOTE,
+    title="Ablation — checkpoint interval sweep (Q12, 4 workers)",
+    headers=("protocol", "interval (s)", "checkpoints", "avg CT (ms)",
+             "recovery (s)", "replayed records"),
+    cells=lambda s: ((proto, interval) for proto in ("coor", "unc")
+                     for interval in ABLATION_INTERVALS),
+    point=lambda s, proto, interval: _run(
+        s, "q12", proto, 4, _capacity("q12", 4, 0.55),
+        duration=s.duration, warmup=s.warmup, failure_at=s.failure_at,
+        checkpoint_interval=interval),
+    measure=lambda r, s, proto, interval: (
+        r.total_checkpoints(), r.recovery_time(), r.metrics.replayed_records),
+    row=lambda m, r, s, proto, interval: [
+        proto, interval, m[0], r.avg_checkpoint_time() * 1000.0, m[1], m[2]],
+    checks=lambda measured, s, _results: [
+        ("shorter intervals mean more checkpoints for both protocols",
+         all(measured[(proto, ABLATION_INTERVALS[0])][0]
+             > measured[(proto, ABLATION_INTERVALS[-1])][0]
+             for proto in ("coor", "unc"))),
+        ("UNC's replay volume grows with the interval (rollback window)",
+         measured[("unc", ABLATION_INTERVALS[0])][2]
+         <= measured[("unc", ABLATION_INTERVALS[-1])][2]),
+    ],
+    report="shape checks:",
+)
+
+
+#: multipliers on the per-record and per-byte log-append CPU cost
+LOG_COST_MULTIPLIERS = (0.0, 1.0, 2.0, 4.0)
+
+
+def _logging_point(scale: ExperimentScale, mult: float) -> MstRequest:
+    base = CostModel()
+    cost_model = replace(
+        base,
+        log_append_per_record=base.log_append_per_record * mult,
+        log_append_per_byte=base.log_append_per_byte * mult,
+    )
+    return replace(_mst_request("q1", "unc", 4, scale),
+                   config=RuntimeConfig(cost_model=cost_model))
+
+
+ABLATION_LOGGING = FigureSpec(
+    name="ablation_logging",
+    heading="Ablation — UNC logging tax",
+    note=ref.ABLATION_LOGGING_NOTE,
+    title="Ablation — UNC logging tax (Q1, 4 workers)",
+    headers=("protocol", "log cost", "MST (rec/s)"),
+    cells=lambda s: ((mult,) for mult in LOG_COST_MULTIPLIERS),
+    point=_logging_point,
+    measure=lambda r, s, mult: r.mst,
+    row=lambda m, r, s, mult: ["unc", f"{mult:.1f}x", round(m)],
+    checks=lambda measured, s, _results: [
+        ("MST decreases monotonically with the logging cost",
+         all(measured[(a,)] >= measured[(b,)] * 0.97
+             for a, b in zip(LOG_COST_MULTIPLIERS, LOG_COST_MULTIPLIERS[1:]))),
+    ],
+    report="shape checks:",
+)
+
+
+#: participants label -> ``RuntimeConfig.unc_checkpoint_stateless``
+PARTICIPATION = {"all operators": True, "stateful+sources only": False}
+
+ABLATION_PARTICIPATION = FigureSpec(
+    name="ablation_participation",
+    heading="Ablation — UNC checkpoint participation",
+    note=ref.ABLATION_PARTICIPATION_NOTE,
+    title="Ablation — UNC checkpoint participation",
+    headers=("participants", "checkpoints", "blob bytes"),
+    cells=lambda s: ((label,) for label in PARTICIPATION),
+    point=lambda s, label: _run(
+        s, "q1", "unc", 4, _capacity("q1", 4, 0.5),
+        duration=min(s.duration, 30.0), warmup=min(s.warmup, 5.0),
+        config=RuntimeConfig(unc_checkpoint_stateless=PARTICIPATION[label])),
+    measure=lambda r, s, label: (r.total_checkpoints(),
+                                 r.metrics.checkpoint_bytes_uploaded),
+    row=lambda m, r, s, label: [label, *m],
+    checks=lambda measured, s, _results: [
+        ("excluding stateless operators takes fewer checkpoints",
+         measured[("stateful+sources only",)][0]
+         < measured[("all operators",)][0]),
+    ],
+    report="shape checks:",
+)
+
+
+#: schedule label -> ``per_operator_schedules`` (``(interval, phase)`` per
+#: operator) for Q12's tumbling-window counter
+WINDOW_SCHEDULES = {
+    "default (jittered 5s)": None,
+    # fire 0.4 s after each window closes: state near-empty
+    "window-boundary": {"count_window": (WINDOW_SECONDS, WINDOW_SECONDS + 0.4)},
+    # fire halfway through each window: state at its fullest
+    "mid-window": {"count_window": (WINDOW_SECONDS, WINDOW_SECONDS / 2)},
+}
+
+
+def _schedules_measure(result, scale, label) -> tuple[int, float]:
+    """Count and mean size of the window operator's own checkpoints."""
+    sizes = [e.state_bytes for e in result.metrics.checkpoints
+             if e.kind == "local" and e.instance[0] == "count_window"]
+    return len(sizes), sum(sizes) / len(sizes) if sizes else 0.0
+
+
+ABLATION_SCHEDULES = FigureSpec(
+    name="ablation_schedules",
+    heading="Ablation — per-operator checkpoint schedules",
+    note=ref.ABLATION_SCHEDULES_NOTE,
+    title="Ablation — per-operator checkpoint schedules (Q12, UNC)",
+    headers=("window-operator schedule", "checkpoints", "avg ckpt bytes"),
+    cells=lambda s: ((label,) for label in WINDOW_SCHEDULES),
+    point=lambda s, label: _run(
+        s, "q12", "unc", 4, _capacity("q12", 4, 0.5),
+        duration=min(s.duration, 40.0), warmup=min(s.warmup, 5.0),
+        config=RuntimeConfig(per_operator_schedules=WINDOW_SCHEDULES[label])),
+    measure=_schedules_measure,
+    row=lambda m, r, s, label: [label, *m],
+    checks=lambda measured, s, _results: [
+        ("boundary-aligned snapshots are smaller than mid-window ones",
+         measured[("window-boundary",)][1] < measured[("mid-window",)][1]),
+    ],
+    report="shape checks:",
+)
+
+
+def _unaligned_measure(result, scale, *cell) -> tuple[float, float, int]:
+    """Fig. 12's (p50, round duration) plus the largest round's bytes."""
+    biggest = max((e.state_bytes for e in result.metrics.checkpoints
+                   if e.kind == "coor"), default=0)
+    return (*_fig12_measure(result, scale), biggest)
+
+
+def _unaligned_checks(measured, scale, _results) -> list[tuple[str, bool]]:
+    top = max(scale.hot_ratios)
+    return [
+        ("aligned rounds explode under skew (>= 5x their uniform duration)",
+         measured[("coor", top)][1] >= 5 * measured[("coor", 0.0)][1]),
+        ("unaligned rounds stay at least 5x faster than aligned under skew",
+         measured[("coor-unaligned", top)][1] <= measured[("coor", top)][1] / 5),
+        ("unaligned checkpoints absorb backlog (bytes grow with skew)",
+         measured[("coor-unaligned", top)][2]
+         >= measured[("coor-unaligned", 0.0)][2]),
+    ]
+
+
+ABLATION_UNALIGNED = FigureSpec(
+    name="ablation_unaligned",
+    heading="Ablation — aligned vs unaligned COOR under skew",
+    note=ref.ABLATION_UNALIGNED_NOTE,
+    title="Ablation — aligned vs unaligned COOR under skew (Q12, 10 workers)",
+    headers=("protocol", "hot items", "p50 (ms)", "avg CT (ms)",
+             "max ckpt bytes"),
+    cells=lambda s: ((proto, hot) for hot in (0.0, *s.hot_ratios)
+                     for proto in ("coor", "coor-unaligned")),
+    point=lambda s, proto, hot: _run(
+        s, "q12", proto, 10, _capacity("q12", 10, 0.5),
+        duration=s.duration, warmup=s.warmup, hot_ratio=hot),
+    measure=_unaligned_measure,
+    row=lambda m, r, s, proto, hot: [proto, f"{hot:.0%}", *m],
+    checks=_unaligned_checks,
+    report="shape checks:",
+)
+
+
 #: every artifact, in EXPERIMENTS.md order
 SPECS: dict[str, FigureSpec] = {spec.name: spec for spec in (
     FIG7, TABLE2, FIG8, FIG9, FIG10, FIG11, TABLE3, FIG12, FIG13, TABLE4,
     STATE_SIZE, RESCALE, MULTI_FAILURE, BACKPRESSURE, ARRIVALS,
+    ABLATION_INTERVAL, ABLATION_LOGGING, ABLATION_PARTICIPATION,
+    ABLATION_SCHEDULES, ABLATION_UNALIGNED,
 )}
 
 #: the registry: ``name -> callable(scale=None)`` regenerating one artifact

@@ -18,7 +18,7 @@ its :class:`RunRequest`, so two things follow (DESIGN.md section 9):
 by :func:`estimate_cost`, so stragglers start early and short runs
 backfill the tail) and drains completions as they land instead of
 barriering on a ``pool.map``.  Shard fan-outs, figure-harness batches and
-MST bracket generations all submit into this one shared pool — no nested
+whole MST searches all submit into this one shared pool — no nested
 pools, no per-figure pool churn — and dependency-aware completion
 callbacks (:meth:`ParallelRunner.submit_merged`) run shard merges the
 moment the last shard lands.
@@ -77,7 +77,7 @@ class RunRequest:
     so requests pickle cheaply across processes and hash stably for the
     run cache.  ``config`` optionally carries the long-tail knobs
     (schedules, semantics, cost model); the scalar fields below override
-    their counterparts in it, mirroring ``run_query``'s signature.
+    their counterparts in it (:meth:`effective_config`).
     """
 
     query: str
@@ -143,11 +143,11 @@ class RunRequest:
 class MstRequest:
     """One full MST search, by value (cacheable / process-shippable).
 
-    Executed through :meth:`ParallelRunner.run` the search fans its
-    bracket probes across the runner's workers; shipped to a worker via
-    :meth:`ParallelRunner.map` it runs the classic sequential search —
-    fanning across independent searches is the efficient shape for grid
-    sweeps, fanning within one bracket generation for a lone search.
+    A search is sequential — each probe decides the next rate — so the
+    harness fans across independent searches, one per worker
+    (:meth:`ParallelRunner.map` / ``submit``); executed through
+    :meth:`ParallelRunner.run` its probes go through the runner's cache.
+    ``config`` carries the long-tail knobs into every probe.
     """
 
     query: str
@@ -222,21 +222,15 @@ def execute_request(request: RunRequest) -> "RunResult":
     return run_with_spec(resolve_spec(request.query), request)
 
 
-def execute_mst(request: MstRequest, runner: "ParallelRunner | None" = None,
-                fan_probes: bool | None = None):
-    """Run one MST search.
-
-    ``fan_probes=False`` forces the classic sequential bracket algorithm
-    even when a multi-worker runner is attached — the cached-request path
-    uses this so one cache key always maps to one algorithm's result.
-    """
+def execute_mst(request: MstRequest, runner: "ParallelRunner | None" = None):
+    """Run one MST search (its probes through ``runner`` when given)."""
     from repro.metrics.mst import find_mst
 
     return find_mst(
         resolve_spec(request.query), request.protocol, request.parallelism,
         probe_duration=request.probe_duration, warmup=request.warmup,
         iterations=request.iterations, seed=request.seed,
-        config=request.config, runner=runner, fan_probes=fan_probes,
+        config=request.config, runner=runner,
     )
 
 
@@ -586,8 +580,8 @@ class ParallelRunner:
     Results are additionally memoised in-process, so repeated ``run()``
     calls inside one harness invocation never touch the disk twice.
 
-    With ``jobs>1`` every miss — figure batch, shard fan-out, MST bracket
-    generation — is a ``submit()`` into one persistent process pool;
+    With ``jobs>1`` every miss — figure batch, shard fan-out, MST
+    search — is a ``submit()`` into one persistent process pool;
     batches submit longest-first (:func:`estimate_cost`) and completions
     stream back as they land, so a straggler never idles the other
     workers behind a batch barrier.
@@ -785,14 +779,10 @@ class ParallelRunner:
     def run(self, request: "RunRequest | MstRequest") -> Any:
         """Execute one request, cache-first, in this process.
 
-        A cache-missed :class:`MstRequest` runs the *sequential* bracket
-        algorithm — the same one ``map()`` ships to workers — so a cache
-        key always maps to one algorithm's result no matter which entry
-        point computed it first.  Its probes still route back through
-        this runner, landing in the shared run cache individually so a
-        later re-bracketing reuses them.  (The generation-parallel ladder
-        remains available by calling ``find_mst(..., runner=...)``
-        directly; those searches are not MstRequest-cached.)
+        A cache-missed :class:`MstRequest` runs the same search ``map()``
+        ships to workers; its probes route back through this runner,
+        landing in the shared run cache individually so a later
+        re-bracketing reuses them.
         """
         key = request_key(request)
         pending = self._pending.get(key)
@@ -806,7 +796,7 @@ class ParallelRunner:
             return value
         self.misses += 1
         if isinstance(request, MstRequest):
-            result = execute_mst(request, runner=self, fan_probes=False)
+            result = execute_mst(request, runner=self)
         else:
             result = compact_result(request, execute_request(request))
         self._store(key, result)

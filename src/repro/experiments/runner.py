@@ -1,12 +1,17 @@
-"""Run one (query, protocol, parallelism, rate, skew, failure) configuration.
+"""Run one configuration against an explicit spec object.
 
-``run_query`` is the classic by-value entry point; it now builds a
-:class:`~repro.experiments.parallel.RunRequest` and executes it through
-the same code path the parallel executor uses, so a serial run and a
-``--jobs N`` run of the same configuration are byte-identical.
+A run is said once, as a :class:`~repro.experiments.parallel.RunRequest`;
+``run_query`` is the by-spec entry point for callers holding a
+:class:`~repro.workloads.spec.QuerySpec` (the examples, ad-hoc test
+pipelines not in the name registry).  It executes through the same code
+path the parallel executor uses, so a serial run and a ``--jobs N`` run
+of the same configuration are byte-identical.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
+from typing import Any
 
 from repro.dataflow.runtime import RunResult
 from repro.experiments.parallel import RunRequest, run_with_spec
@@ -14,59 +19,22 @@ from repro.sim.costs import CostModel, RuntimeConfig
 from repro.workloads.spec import QuerySpec
 
 
-def run_query(
-    spec: QuerySpec,
-    protocol: str,
-    parallelism: int,
-    rate: float,
-    duration: float = 60.0,
-    warmup: float = 10.0,
-    failure_at: float | None = None,
-    failure_worker: int = 0,
-    hot_ratio: float = 0.0,
-    checkpoint_interval: float = 5.0,
-    seed: int = 7,
-    cost_model: CostModel | None = None,
-    state_backend: str = "full",
-    rescale_to: int | None = None,
-    rescale_at: int = 1,
-    max_key_groups: int = 128,
-    failure_scenario: str | None = None,
-    interval_policy: str = "fixed",
-    channel_capacity_bytes: int = 0,
-    arrival: str | None = None,
-) -> RunResult:
+def run_query(spec: QuerySpec, protocol: str, parallelism: int, rate: float,
+              *, cost_model: CostModel | None = None,
+              **request_fields: Any) -> RunResult:
     """Deploy ``spec`` under ``protocol`` and execute one measured run.
 
     ``rate`` is the aggregate input rate (records/second across all source
     partitions); input logs are pre-generated to cover the full run plus a
-    safety margin so sources never starve artificially.  ``arrival``
-    optionally shapes the rate over time (``--arrival`` spec grammar,
-    DESIGN.md section 17); ``None`` keeps it constant.
+    safety margin so sources never starve artificially.
+    ``request_fields`` are :class:`RunRequest` fields by name (``duration``,
+    ``failure_at``, ``arrival``, ...; an unknown one is a ``TypeError``);
+    ``cost_model`` is shorthand for a ``config`` carrying it.
     """
-    config = None
     if cost_model is not None:
-        config = RuntimeConfig(cost_model=cost_model)
-    request = RunRequest(
-        query=spec.name,
-        protocol=protocol,
-        parallelism=parallelism,
-        rate=rate,
-        duration=duration,
-        warmup=warmup,
-        failure_at=failure_at,
-        failure_worker=failure_worker,
-        hot_ratio=hot_ratio,
-        checkpoint_interval=checkpoint_interval,
-        seed=seed,
-        state_backend=state_backend,
-        rescale_to=rescale_to,
-        rescale_at=rescale_at,
-        max_key_groups=max_key_groups,
-        failure_scenario=failure_scenario,
-        interval_policy=interval_policy,
-        channel_capacity_bytes=channel_capacity_bytes,
-        arrival=arrival,
-        config=config,
-    )
-    return run_with_spec(spec, request)
+        request_fields["config"] = replace(
+            request_fields.get("config") or RuntimeConfig(),
+            cost_model=cost_model)
+    return run_with_spec(spec, RunRequest(
+        query=spec.name, protocol=protocol, parallelism=parallelism,
+        rate=rate, **request_fields))

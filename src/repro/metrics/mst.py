@@ -4,31 +4,28 @@ MST is the largest input rate the system sustains without backpressure:
 latency must not grow monotonically and the sources must keep pace with the
 offered rate.  The search seeds a bracket from the query's analytic
 capacity hint, expands it geometrically until it straddles the boundary,
-then bisects with short probe runs.
+then bisects with short probe runs — one probe at a time, each deciding
+the next rate.
 
 When a :class:`~repro.experiments.parallel.ParallelRunner` is supplied,
-every *bracket generation* (the geometric ladder, then each bisection
-refinement) is probed as one batch submitted into the runner's shared
-machine-wide scheduler — the same persistent pool figure batches and
-shard fan-outs use, with the highest (costliest) rungs submitted first
-and completions streamed back as they land — and the probe runs land in
-the runner's content-addressed cache so a re-bracketing sweep reuses
-them.  If every probe of the bracket phase is unsustainable
-the search keeps shrinking; a bracket that never finds a sustainable rate
-returns ``mst=0.0`` with ``bracket_exhausted=True`` instead of reporting a
-rate that was never validated.
+every probe goes through it, so the probe runs land in the runner's
+content-addressed cache and a re-bracketing sweep reuses them.  If every
+probe of the bracket phase is unsustainable the search keeps shrinking; a
+bracket that never finds a sustainable rate returns ``mst=0.0`` with
+``bracket_exhausted=True`` instead of reporting a rate that was never
+validated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.dataflow.runtime import RunResult
 from repro.sim.costs import RuntimeConfig
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.experiments.parallel import ParallelRunner
+    from repro.experiments.parallel import ParallelRunner, RunRequest
     from repro.workloads.spec import QuerySpec
 
 #: geometric step of the bracket phase
@@ -57,7 +54,7 @@ def estimate_capacity(spec: "QuerySpec", parallelism: int) -> float:
     return spec.capacity_per_worker * parallelism
 
 
-def probe_run(
+def probe_request(
     spec: "QuerySpec",
     protocol: str,
     parallelism: int,
@@ -67,20 +64,19 @@ def probe_run(
     hot_ratio: float = 0.0,
     seed: int = 7,
     config: RuntimeConfig | None = None,
-) -> RunResult:
-    """One fixed-rate run used as a sustainability probe.
+) -> "RunRequest":
+    """One fixed-rate sustainability probe, as a request.
 
-    Built from the same :class:`RunRequest` a parallel probe would ship
-    to a worker, so a probe's configuration cannot drift between the
-    serial and fanned executions of the search.  The request's
+    The one place a probe's configuration is spelled, whether the search
+    then runs it in-process or hands it to a runner.  The request's
     ``effective_config`` is a ``dataclasses.replace`` copy of ``config``
     — every knob (schedules, semantics, cost model, ...) survives into
     the probe; only the window, failure and seed scalars are overridden.
     """
-    from repro.experiments.parallel import RunRequest, run_with_spec
+    from repro.experiments.parallel import RunRequest
 
     base = config if config is not None else RuntimeConfig()
-    request = RunRequest(
+    return RunRequest(
         query=spec.name, protocol=protocol, parallelism=parallelism,
         rate=rate, duration=duration, warmup=warmup, failure_at=None,
         hot_ratio=hot_ratio,
@@ -88,7 +84,16 @@ def probe_run(
         failure_worker=base.failure_worker,
         seed=seed, config=config,
     )
-    return run_with_spec(spec, request)
+
+
+def probe_run(spec: "QuerySpec", protocol: str, parallelism: int,
+              rate: float, **probe_fields: Any) -> RunResult:
+    """Run one :func:`probe_request` in this process (the seam the
+    bracket tests replace with a stub)."""
+    from repro.experiments.parallel import run_with_spec
+
+    return run_with_spec(spec, probe_request(spec, protocol, parallelism,
+                                             rate, **probe_fields))
 
 
 def find_mst(
@@ -101,67 +106,28 @@ def find_mst(
     seed: int = 7,
     config: RuntimeConfig | None = None,
     runner: "ParallelRunner | None" = None,
-    fan_probes: bool | None = None,
 ) -> MstResult:
     """Bracket + bisect the sustainability boundary.
 
-    Every probe — serial or fanned — is built from the same
-    :class:`RunRequest`, so the probe configuration (including every
+    Every probe is the same :func:`probe_request` (including every
     ``RuntimeConfig`` knob and the ``seed``, which governs both input
-    generation and runtime jitter) is identical no matter which executor
-    runs it.  With a ``runner``, probes go through its cache; batches fan
-    across its workers.
-
-    ``fan_probes`` picks the bracket algorithm: the generation-parallel
-    ladder (default when the runner has more than one worker) or the
-    classic sequential expand-then-bisect.  The two algorithms probe
-    different rate sequences and may settle on slightly different
-    boundaries; the cached :class:`MstRequest` path always runs the
-    sequential algorithm so a cached value never depends on which
-    executor computed it.
+    generation and runtime jitter) whether it runs in-process or, with a
+    ``runner``, through the runner's cache — so the search settles on the
+    same boundary no matter which executor ran it.
     """
-    from repro.experiments.parallel import RunRequest
-
     probes: list[tuple[float, bool]] = []
-    base = config if config is not None else RuntimeConfig()
+    fields = dict(duration=probe_duration, warmup=warmup, seed=seed,
+                  config=config)
 
-    def build(rate: float) -> "RunRequest":
-        return RunRequest(
-            query=spec.name, protocol=protocol, parallelism=parallelism,
-            rate=rate, duration=probe_duration, warmup=warmup,
-            failure_at=None,
-            checkpoint_interval=base.checkpoint_interval,
-            failure_worker=base.failure_worker,
-            seed=seed, config=config,
-        )
-
-    def probe_many(rates: list[float]) -> list[bool]:
-        """Probe a batch of rates; one generation of the bracket search.
-
-        Multi-rate generations go through ``runner.map`` — i.e. the
-        shared streaming scheduler, not a private pool — so ladder rungs
-        interleave with whatever else the harness has in flight; a lone
-        rate runs in-process via ``runner.run`` (still cache-first).
-        """
+    def probe(rate: float) -> bool:
         if runner is not None:
-            requests = [build(rate) for rate in rates]
-            results = (runner.map(requests) if len(requests) > 1
-                       else [runner.run(requests[0])])
+            result = runner.run(probe_request(spec, protocol, parallelism,
+                                              rate, **fields))
         else:
-            results = [
-                probe_run(
-                    spec, protocol, parallelism, rate,
-                    duration=probe_duration, warmup=warmup, seed=seed,
-                    config=config,
-                )
-                for rate in rates
-            ]
-        oks = []
-        for rate, result in zip(rates, results):
-            ok = result.sustainable(rate)
-            probes.append((rate, ok))
-            oks.append(ok)
-        return oks
+            result = probe_run(spec, protocol, parallelism, rate, **fields)
+        ok = result.sustainable(rate)
+        probes.append((rate, ok))
+        return ok
 
     def result(mst: float, exhausted: bool = False) -> MstResult:
         return MstResult(
@@ -169,45 +135,26 @@ def find_mst(
             mst=mst, probes=probes, bracket_exhausted=exhausted,
         )
 
-    if fan_probes is None:
-        fan_probes = runner is not None and runner.jobs > 1
-    seed_rate = estimate_capacity(spec, parallelism)
-    if fan_probes:
-        bracket = _bracket_parallel(seed_rate, probe_many)
-    else:
-        bracket = _bracket_serial(seed_rate, probe_many)
+    bracket = _bracket(estimate_capacity(spec, parallelism), probe)
     if bracket is None:
         return result(0.0, exhausted=True)
     low, high = bracket
-
-    if fan_probes:
-        fan = max(2, min(runner.jobs, 4)) if runner is not None else 2
-        for _ in range(iterations):
-            width = high - low
-            points = [low + width * i / (fan + 1) for i in range(1, fan + 1)]
-            oks = probe_many(points)
-            sustainable = [p for p, ok in zip(points, oks) if ok]
-            if sustainable:
-                low = max(sustainable)
-            unsustainable = [p for p, ok in zip(points, oks) if not ok and p > low]
-            if unsustainable:
-                high = min(unsustainable)
-    else:
-        for _ in range(iterations):
-            mid = (low + high) / 2
-            if probe_many([mid])[0]:
-                low = mid
-            else:
-                high = mid
+    for _ in range(iterations):
+        mid = (low + high) / 2
+        if probe(mid):
+            low = mid
+        else:
+            high = mid
     return result(low)
 
 
-def _bracket_serial(seed_rate, probe_many) -> tuple[float, float] | None:
-    """Sequential geometric bracketing; None when the bracket is exhausted."""
+def _bracket(seed_rate: float,
+             probe: Callable[[float], bool]) -> tuple[float, float] | None:
+    """Geometric bracketing; None when the bracket is exhausted."""
     low, high = None, None
     rate = seed_rate
     for _ in range(MAX_BRACKET_PROBES):
-        if probe_many([rate])[0]:
+        if probe(rate):
             low = rate
             rate *= BRACKET_FACTOR
         else:
@@ -220,38 +167,3 @@ def _bracket_serial(seed_rate, probe_many) -> tuple[float, float] | None:
     if high is None:
         high = low * BRACKET_FACTOR
     return low, high
-
-
-def _bracket_parallel(seed_rate, probe_many) -> tuple[float, float] | None:
-    """Probe a geometric ladder per generation, shifting it until it
-    straddles the boundary (or the bracket is exhausted).
-
-    The ladder shifts in *both* directions: all-unsustainable generations
-    shift down (the exhausted-bracket case), all-sustainable generations
-    shift up — otherwise a low analytic capacity hint would silently cap
-    the reported MST at the top rung while the serial search kept
-    expanding.
-    """
-    span = 6  # rungs per generation; generations stay within the shared budget
-    ladder = [seed_rate * BRACKET_FACTOR ** k for k in range(-3, span - 3)]
-    seen: list[tuple[float, bool]] = []
-    for _ in range(max(1, MAX_BRACKET_PROBES // span)):
-        oks = probe_many(ladder)
-        seen.extend(zip(ladder, oks))
-        sustainable = [r for r, ok in seen if ok]
-        if sustainable:
-            low = max(sustainable)
-            above = [r for r, ok in seen if not ok and r > low]
-            if above:
-                return low, min(above)
-            # everything probed so far passed: the boundary is above
-            ladder = [r * BRACKET_FACTOR ** span for r in ladder]
-        else:
-            # everything probed so far failed: the boundary is below
-            ladder = [r / BRACKET_FACTOR ** span for r in ladder]
-    sustainable = [r for r, ok in seen if ok]
-    if sustainable:
-        # shift budget exhausted while still all-sustainable: report the
-        # highest validated rate (the serial search gives up the same way)
-        return max(sustainable), max(sustainable) * BRACKET_FACTOR
-    return None

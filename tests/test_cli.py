@@ -20,6 +20,19 @@ def test_query_command(capsys):
     out = capsys.readouterr().out
     assert "protocol=coor" in out
     assert "checkpoints" in out
+    # the summary is that of the equivalent RunRequest, said once
+    from repro.experiments.parallel import RunRequest, execute_request
+
+    result = execute_request(RunRequest(
+        query="q1", protocol="coor", parallelism=2, rate=200.0,
+        duration=10.0, warmup=2.0))
+    m = result.metrics
+    assert f"sink records     : {sum(m.sink_counts.values())}\n" in out
+    assert (f"checkpoints      : {result.total_checkpoints()} "
+            f"(avg {result.avg_checkpoint_time() * 1000:.2f} ms)") in out
+    assert (f"ckpt bytes       : {m.checkpoint_bytes_uploaded} uploaded / "
+            f"{m.checkpoint_bytes_materialized} materialized") in out
+    assert f"message overhead : {m.overhead_ratio():.2f}x" in out
 
 
 def test_query_with_failure(capsys):

@@ -39,6 +39,26 @@ def test_run_query_basic():
     assert sum(result.metrics.sink_counts.values()) > 0
 
 
+def test_run_query_rejects_a_field_runrequest_does_not_have():
+    with pytest.raises(TypeError, match="not_a_field"):
+        run_query(QUERIES["q1"], "coor", 2, rate=200.0, not_a_field=1)
+
+
+def test_run_query_cost_model_is_shorthand_for_a_config_carrying_it(monkeypatch):
+    from repro.experiments import runner
+    from repro.sim.costs import CostModel, RuntimeConfig
+
+    sent = []
+    monkeypatch.setattr(runner, "run_with_spec",
+                        lambda spec, request: sent.append(request))
+    costly = CostModel(log_append_per_record=1e-3)
+    run_query(QUERIES["q1"], "unc", 2, rate=200.0, cost_model=costly)
+    run_query(QUERIES["q1"], "unc", 2, rate=200.0, cost_model=costly,
+              config=RuntimeConfig(unc_checkpoint_stateless=False))
+    assert [r.config.cost_model for r in sent] == [costly, costly]
+    assert [r.config.unc_checkpoint_stateless for r in sent] == [True, False]
+
+
 def test_get_mst_is_cached():
     runner = figures.get_runner()
     first = figures.get_mst("q1", "none", QUICK.parallelism_grid[0], QUICK)
@@ -106,6 +126,8 @@ def test_all_experiments_registry():
         "fig7", "table2", "fig8", "fig9", "fig10", "fig11",
         "table3", "fig12", "fig13", "table4", "state_size", "rescale",
         "multi_failure", "backpressure", "arrivals",
+        "ablation_interval", "ablation_logging", "ablation_participation",
+        "ablation_schedules", "ablation_unaligned",
     }
 
 

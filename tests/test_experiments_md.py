@@ -33,12 +33,7 @@ def test_write_creates_file(tmp_path):
 
 
 #: every section EXPERIMENTS.md carries, in document order
-SECTION_NAMES = [
-    "fig7", "table2", "fig8", "fig9", "fig10", "fig11", "table3", "fig12",
-    "fig13", "table4", "state_size", "rescale", "multi_failure",
-    "backpressure", "arrivals", "ablation_interval", "ablation_logging",
-    "ablation_schedules", "ablation_unaligned",
-]
+SECTION_NAMES = list(figures.SPECS)
 GOLDEN = pathlib.Path(__file__).parent / "data" / "experiments_md_golden.md"
 
 
@@ -56,7 +51,8 @@ def _assemble_over_fixture_dir(directory: pathlib.Path) -> str:
 def test_assemble_matches_the_recorded_document(tmp_path):
     """Titles, notes, order and layout are pinned to the document the
     hand-written section table produced (recorded before the notes moved
-    into the figure specs)."""
+    into the figure specs; re-recorded once when the ablations became
+    specs: their five notes and the participation heading)."""
     assert _assemble_over_fixture_dir(tmp_path) == GOLDEN.read_text()
 
 
@@ -65,7 +61,7 @@ def test_bench_emits_the_files_assemble_reads(tmp_path, monkeypatch):
     name, the block the figure bench writes is the block ``assemble``
     reads (the per-figure benches used to write ``fig07_mst.txt`` & co.,
     which nothing read)."""
-    from benchmarks import _common, bench_figures
+    from benchmarks import bench_figures
 
     class Once:
         """Stands in for the ``benchmark`` fixture: one plain call."""
@@ -74,7 +70,7 @@ def test_bench_emits_the_files_assemble_reads(tmp_path, monkeypatch):
         def pedantic(fn, rounds, iterations):
             return fn()
 
-    monkeypatch.setattr(_common, "RESULTS_DIR", tmp_path)
+    monkeypatch.setattr(bench_figures, "RESULTS_DIR", tmp_path)
     for name in figures.ALL_EXPERIMENTS:
         monkeypatch.setitem(
             figures.ALL_EXPERIMENTS, name,
@@ -84,5 +80,4 @@ def test_bench_emits_the_files_assemble_reads(tmp_path, monkeypatch):
     text = assemble(results_dir=str(tmp_path))
     for name in figures.ALL_EXPERIMENTS:
         assert f"```\n{name} block\n```" in text
-    # only the four ablation sections (their own benches) are missing
-    assert text.count("_(not regenerated in the latest run)_") == 4
+    assert "_(not regenerated in the latest run)_" not in text

@@ -7,7 +7,9 @@ measured mapping (``repr`` of its canonically sorted items), the
 figure asked its runner for.  It was recorded from the hand-written
 builders this harness used to consist of, in the commit before the
 ``FigureSpec`` table replaced them, so it is the reference the specs and
-their one driver are held to.  Below it: the spec-table invariants that
+their one driver are held to (the five ablations: ``text`` and verdicts
+from the stand-alone bench scripts they used to be, in the commit before
+they joined the table).  Below it: the spec-table invariants that
 hand-written code could break silently (a prefetch list drifting from its
 collection loop, an empty grid, two cells on one request).
 
@@ -99,55 +101,7 @@ def recorder():
 
 
 def test_golden_fixture_lists_exactly_the_registered_figures():
-    assert sorted(json.loads(FIXTURE.read_text())) == sorted(
-        [*figures.ALL_EXPERIMENTS, *ABLATIONS])
-
-
-# --------------------------------------------------------------------- #
-# The ablations, pinned from their bench scripts before they become specs
-# --------------------------------------------------------------------- #
-
-#: fixture name -> (bench module, function); ``ablation_logging``'s one
-#: function renders two tables, pinned as two artifacts
-ABLATIONS = {
-    "ablation_interval": ("bench_ablation_interval", "run_sweep"),
-    "ablation_unaligned": ("bench_ablation_unaligned", "run_comparison"),
-    "ablation_schedules": ("bench_ablation_schedules", "run_comparison"),
-    "ablation_logging": ("bench_ablation_logging", "run_logging_sweep"),
-    "ablation_participation": ("bench_ablation_logging", "run_logging_sweep"),
-}
-
-
-def ablation_snapshot(name: str) -> dict:
-    """``text`` and verdicts of one ablation, from its bench function
-    (the caller selects quick scale through ``CHECKMATE_SCALE``).
-
-    ``bench_ablation_logging`` prints its two tables one blank line
-    apart over a shared verdict block: each half keeps its table and the
-    one verdict that reads it.
-    """
-    import importlib
-
-    from repro.metrics.report import shape_report
-
-    module, function = ABLATIONS[name]
-    out = getattr(importlib.import_module(f"benchmarks.{module}"), function)()
-    text, checks = out["text"], out["checks"]
-    if module == "bench_ablation_logging":
-        half = ("ablation_logging", "ablation_participation").index(name)
-        checks = [checks[half]]
-        tables = text[:text.index("\nshape checks:")].split("\n\n")
-        text = tables[half] + "\n" + shape_report("shape checks:", checks)
-    return {"text": text,
-            "checks": [[claim, bool(ok)] for claim, ok in checks]}
-
-
-@pytest.mark.parametrize("name", list(ABLATIONS))
-def test_ablation_bench_matches_golden(name, monkeypatch):
-    monkeypatch.setenv("CHECKMATE_SCALE", "quick")
-    expected = json.loads(FIXTURE.read_text())[name]
-    assert ablation_snapshot(name) == expected
-    assert all(ok for _, ok in expected["checks"]), f"{name}: a shape check fails"
+    assert sorted(json.loads(FIXTURE.read_text())) == sorted(figures.ALL_EXPERIMENTS)
 
 
 @pytest.mark.parametrize("name", list(figures.ALL_EXPERIMENTS))
@@ -225,8 +179,6 @@ def test_every_cell_runs_at_its_own_request(name, recorder):
 
 def record() -> None:
     """Re-record the fixture from the current code."""
-    import os
-
     runner = RecordingRunner()
     figures.set_runner(runner)
     try:
@@ -234,8 +186,6 @@ def record() -> None:
                   for name in figures.ALL_EXPERIMENTS}
     finally:
         figures.set_runner(None)
-    os.environ["CHECKMATE_SCALE"] = "quick"
-    golden.update((name, ablation_snapshot(name)) for name in ABLATIONS)
     FIXTURE.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n",
                        encoding="utf-8")
     checks = sum(len(entry["checks"]) for entry in golden.values())

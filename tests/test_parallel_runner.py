@@ -9,11 +9,14 @@ from repro.experiments.parallel import (
     ParallelRunner,
     RunCache,
     RunRequest,
+    estimate_cost,
     execute_request,
     request_key,
     resolve_spec,
 )
 from repro.sim.costs import RuntimeConfig
+
+from tests.test_scheduler_determinism import InterleavedRunner, _FakePool
 
 
 def req(**overrides) -> RunRequest:
@@ -234,6 +237,57 @@ def test_map_preserves_request_order():
     requests = [req(rate=r) for r in (250.0, 350.0, 300.0)]
     results = runner.map(requests)
     assert [r.rate for r in results] == [250.0, 350.0, 300.0]
+
+
+class _LaunchLog(InterleavedRunner):
+    """Two-worker runner on the synchronous fake pool that logs the
+    order requests are handed to the pool."""
+
+    def __init__(self) -> None:
+        super().__init__(picks=(), jobs=2)
+        self.launched: list[RunRequest] = []
+
+    def _make_pool(self):
+        log = self.launched
+
+        class Pool(_FakePool):
+            def submit(self, fn, request, cache_dir):
+                log.append(request)
+                return super().submit(fn, request, cache_dir)
+
+        return Pool()
+
+
+def test_map_launches_longest_first_ties_in_request_order():
+    """The straggler-last batch — the list-scheduling adversary a FIFO
+    barrier parks behind the shorts — starts its straggler first, then
+    the rest by descending estimated cost, equal costs as submitted."""
+    shorts = [req(rate=rate, duration=2.0, warmup=1.0, seed=seed)
+              for seed, rate in enumerate((200.0, 240.0) * 4)]
+    straggler = req(rate=200.0, duration=9.0, warmup=1.0, seed=99)
+    runner = _LaunchLog()
+    results = runner.map(shorts + [straggler])
+    assert runner.launched == [straggler, *shorts[1::2], *shorts[0::2]]
+    costs = [estimate_cost(r) for r in runner.launched]
+    assert costs == sorted(costs, reverse=True) and costs[0] > costs[1]
+    # results still come back in request order
+    assert [r.duration for r in results] == [2.0] * 8 + [9.0]
+
+
+def test_compact_entry_is_a_third_of_raw_pickle(tmp_path):
+    """A v8 cache entry (compacted + compressed) vs the raw v7 pickle."""
+    request = RunRequest(query="q1", protocol="coor", parallelism=4,
+                         rate=1500.0, duration=12.0, warmup=3.0, seed=7)
+    raw_bytes = len(pickle.dumps(execute_request(request),
+                                 protocol=pickle.HIGHEST_PROTOCOL))
+    runner = ParallelRunner(jobs=1, cache_dir=tmp_path)
+    runner.run(request)
+    (entry,) = tmp_path.glob("*.pkl")
+    entry_bytes = entry.stat().st_size
+    assert entry_bytes <= raw_bytes / 3, (
+        f"compact entry {entry_bytes} B exceeds a third of the raw "
+        f"pickle ({raw_bytes} B)"
+    )
 
 
 # --------------------------------------------------------------------- #
