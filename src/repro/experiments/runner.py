@@ -10,7 +10,6 @@ of the same configuration are byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any
 
 from repro.dataflow.runtime import RunResult
@@ -29,12 +28,11 @@ def run_query(spec: QuerySpec, protocol: str, parallelism: int, rate: float,
     safety margin so sources never starve artificially.
     ``request_fields`` are :class:`RunRequest` fields by name (``duration``,
     ``failure_at``, ``arrival``, ...; an unknown one is a ``TypeError``);
-    ``cost_model`` is shorthand for a ``config`` carrying it.
+    ``cost_model`` is shorthand for ``config=RuntimeConfig(cost_model=...)``
+    (giving both is a ``TypeError`` too).
     """
-    if cost_model is not None:
-        request_fields["config"] = replace(
-            request_fields.get("config") or RuntimeConfig(),
-            cost_model=cost_model)
+    shorthand = ({} if cost_model is None
+                 else {"config": RuntimeConfig(cost_model=cost_model)})
     return run_with_spec(spec, RunRequest(
         query=spec.name, protocol=protocol, parallelism=parallelism,
-        rate=rate, **request_fields))
+        rate=rate, **shorthand, **request_fields))

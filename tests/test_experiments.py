@@ -53,10 +53,10 @@ def test_run_query_cost_model_is_shorthand_for_a_config_carrying_it(monkeypatch)
                         lambda spec, request: sent.append(request))
     costly = CostModel(log_append_per_record=1e-3)
     run_query(QUERIES["q1"], "unc", 2, rate=200.0, cost_model=costly)
-    run_query(QUERIES["q1"], "unc", 2, rate=200.0, cost_model=costly,
-              config=RuntimeConfig(unc_checkpoint_stateless=False))
-    assert [r.config.cost_model for r in sent] == [costly, costly]
-    assert [r.config.unc_checkpoint_stateless for r in sent] == [True, False]
+    assert sent[0].config == RuntimeConfig(cost_model=costly)
+    with pytest.raises(TypeError, match="config"):
+        run_query(QUERIES["q1"], "unc", 2, rate=200.0, cost_model=costly,
+                  config=RuntimeConfig())
 
 
 def test_get_mst_is_cached():

@@ -239,23 +239,15 @@ def test_map_preserves_request_order():
     assert [r.rate for r in results] == [250.0, 350.0, 300.0]
 
 
-class _LaunchLog(InterleavedRunner):
-    """Two-worker runner on the synchronous fake pool that logs the
-    order requests are handed to the pool."""
+class _LoggingPool(_FakePool):
+    """The synchronous fake pool, logging the order requests arrive in."""
 
     def __init__(self) -> None:
-        super().__init__(picks=(), jobs=2)
         self.launched: list[RunRequest] = []
 
-    def _make_pool(self):
-        log = self.launched
-
-        class Pool(_FakePool):
-            def submit(self, fn, request, cache_dir):
-                log.append(request)
-                return super().submit(fn, request, cache_dir)
-
-        return Pool()
+    def submit(self, fn, request, cache_dir):
+        self.launched.append(request)
+        return super().submit(fn, request, cache_dir)
 
 
 def test_map_launches_longest_first_ties_in_request_order():
@@ -265,10 +257,11 @@ def test_map_launches_longest_first_ties_in_request_order():
     shorts = [req(rate=rate, duration=2.0, warmup=1.0, seed=seed)
               for seed, rate in enumerate((200.0, 240.0) * 4)]
     straggler = req(rate=200.0, duration=9.0, warmup=1.0, seed=99)
-    runner = _LaunchLog()
+    runner = InterleavedRunner(picks=(), jobs=2)
+    runner._pool = pool = _LoggingPool()
     results = runner.map(shorts + [straggler])
-    assert runner.launched == [straggler, *shorts[1::2], *shorts[0::2]]
-    costs = [estimate_cost(r) for r in runner.launched]
+    assert pool.launched == [straggler, *shorts[1::2], *shorts[0::2]]
+    costs = [estimate_cost(r) for r in pool.launched]
     assert costs == sorted(costs, reverse=True) and costs[0] > costs[1]
     # results still come back in request order
     assert [r.duration for r in results] == [2.0] * 8 + [9.0]
