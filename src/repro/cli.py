@@ -27,6 +27,7 @@ cache-stats DIR
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import pathlib
 import sys
@@ -58,6 +59,23 @@ def _jobs_spec(value: str) -> int | str:
     if value == "auto":
         return value
     return int(value)
+
+
+def _positive_float(value: str) -> float:
+    """Parse ``--rate`` / ``--duration``: a finite number above zero."""
+    number = float(value)
+    if not 0.0 < number < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {value!r}")
+    return number
+
+
+def _ratio(value: str) -> float:
+    """Parse ``--hot-ratio``: a share in [0, 1]."""
+    number = float(value)
+    if not 0.0 <= number <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value!r}")
+    return number
 
 
 def _resolve_jobs(jobs: int | str) -> int:
@@ -96,9 +114,9 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument("--protocol", default="coor",
                        choices=["none", "coor", "coor-unaligned", "unc", "cic"])
     query.add_argument("--parallelism", type=int, default=4)
-    query.add_argument("--rate", type=float, default=None,
+    query.add_argument("--rate", type=_positive_float, default=None,
                        help="records/second (default: 60%% of capacity hint)")
-    query.add_argument("--duration", type=float, default=30.0)
+    query.add_argument("--duration", type=_positive_float, default=30.0)
     query.add_argument("--warmup", type=float, default=5.0)
     query.add_argument("--failure-at", type=float, default=None)
     query.add_argument("--failure-scenario", default=None,
@@ -107,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "'poisson:mtbf=12', 'correlated:at=10,k=2', "
                             "'flaky:worker=1,mtbf=8,slowdown=3'; "
                             "overrides --failure-at")
-    query.add_argument("--hot-ratio", type=float, default=0.0)
+    query.add_argument("--hot-ratio", type=_ratio, default=0.0)
     query.add_argument("--arrival", default=None,
                        help="arrival-process spec (DESIGN.md §17): "
                             "'steady', 'diurnal:period=60,amp=0.6', "
@@ -268,7 +286,8 @@ def _cmd_all(args) -> int:
 
 def _cmd_query(args) -> int:
     spec = REACHABILITY if args.name == "reachability" else QUERIES[args.name]
-    rate = args.rate or spec.capacity_per_worker * args.parallelism * 0.6
+    rate = (args.rate if args.rate is not None
+            else spec.capacity_per_worker * args.parallelism * 0.6)
     has_failures = args.failure_at is not None or args.failure_scenario
     if args.rescale_to is not None and not has_failures:
         print("--rescale-to requires --failure-at or --failure-scenario "

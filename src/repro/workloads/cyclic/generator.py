@@ -8,6 +8,7 @@ nodes to the ``srcnodes`` topic; both are round-robin partitioned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -68,6 +69,8 @@ class CyclicGenerator:
 
     def __init__(self, parallelism: int, seed: int = 7,
                  config: CyclicConfig | None = None):
+        if parallelism <= 0:
+            raise ValueError("parallelism must be positive")
         self.parallelism = parallelism
         self.seed = seed
         self.config = config or CyclicConfig()
@@ -81,7 +84,8 @@ class CyclicGenerator:
         its draws come from a dedicated registry stream, so the event
         mix below rolls the same dice regardless of the process.
         """
-        if rate <= 0 or until <= 0:
+        # NaN fails both comparisons, so it is rejected with the rest
+        if not (0 < rate < math.inf and 0 < until < math.inf):
             raise ValueError("rate and until must be positive")
         cfg = self.config
         rng = RngRegistry(self.seed).stream("workload.cyclic.events")

@@ -18,6 +18,7 @@ timestamps monotonic as the Kafka substrate requires.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -65,6 +66,8 @@ class GeneratorConfig:
             raise ValueError("hot_ratio must be in [0, 1]")
         if self.num_hot_keys <= 0:
             raise ValueError("num_hot_keys must be positive")
+        if not 0.0 < self.person_share <= 1.0:
+            raise ValueError("person_share must be in (0, 1]")
 
 
 class NexmarkGenerator:
@@ -105,7 +108,8 @@ class NexmarkGenerator:
         arrival process draws from its own registry stream, so enabling
         one never perturbs the payload draws below.
         """
-        if rate <= 0 or until <= 0:
+        # NaN fails both comparisons, so it is rejected with the rest
+        if not (0 < rate < math.inf and 0 < until < math.inf):
             raise ValueError("rate and until must be positive")
         # a named registry stream (crc32-derived, never hash()) keeps the
         # generated inputs reproducible across runs/workers and independent
@@ -156,7 +160,8 @@ class NexmarkGenerator:
         ``arrival`` widens the pre-seed to every key its ``hot_key`` hook
         can return, so migrated hot auctions still find a join partner.
         """
-        if rate <= 0 or until <= 0:
+        # NaN fails both comparisons, so it is rejected with the rest
+        if not (0 < rate < math.inf and 0 < until < math.inf):
             raise ValueError("rate and until must be positive")
         rng = RngRegistry(self.seed).stream(
             f"workload.nexmark.{persons_topic}+{auctions_topic}"

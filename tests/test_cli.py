@@ -93,6 +93,22 @@ def test_query_rejects_rescale_without_failure(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--rate", "nan"), ("--rate", "inf"), ("--rate", "-5"), ("--rate", "0"),
+    ("--rate", "fast"), ("--duration", "nan"), ("--duration", "inf"),
+    ("--duration", "-3"), ("--hot-ratio", "2"), ("--hot-ratio", "-0.1"),
+    ("--hot-ratio", "nan"),
+])
+def test_query_rejects_a_bad_number_as_a_usage_error(capsys, flag, value):
+    # each of these was a traceback out of the generators (exit 1)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["query", "q12", "--parallelism", "2", flag, value])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}:" in err
+    assert "Traceback" not in err
+
+
 def test_query_cyclic_with_unc(capsys):
     code = main([
         "query", "reachability", "--protocol", "unc", "--parallelism", "2",

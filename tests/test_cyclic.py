@@ -46,6 +46,18 @@ def test_generator_probabilities_validated():
                      p_del_source=0.1)
 
 
+def test_generator_rejects_bad_arguments_before_generating():
+    # CyclicGenerator(0) used to generate everything, then fail in the log
+    with pytest.raises(ValueError, match="parallelism must be positive"):
+        CyclicGenerator(0)
+    gen = CyclicGenerator(2)
+    for rate, until in ((float("nan"), 1.0), (float("inf"), 1.0),
+                        (10.0, float("nan")), (10.0, float("inf")),
+                        (-5.0, 1.0), (10.0, 0.0)):
+        with pytest.raises(ValueError, match="rate and until must be positive"):
+            gen.logs(rate, until)
+
+
 def test_generator_determinism():
     a = CyclicGenerator(2, seed=5).logs(300.0, 2.0)
     b = CyclicGenerator(2, seed=5).logs(300.0, 2.0)

@@ -136,3 +136,20 @@ def test_invalid_config_rejected():
         gen.bids_log(0.0, 1.0)
     with pytest.raises(ValueError):
         gen.person_auction_logs(10.0, -1.0)
+    for share in (0.0, 1.5, -0.25, float("nan")):
+        with pytest.raises(ValueError, match="person_share"):
+            GeneratorConfig(person_share=share)
+    GeneratorConfig(person_share=1.0)  # persons only: allowed
+
+
+@pytest.mark.parametrize("rate, until", [
+    (float("nan"), 1.0), (float("inf"), 1.0), (10.0, float("nan")),
+    (10.0, float("inf")), (-5.0, 1.0), (10.0, 0.0),
+])
+def test_non_finite_or_non_positive_rate_and_horizon_rejected(rate, until):
+    # NaN passed the old ``rate <= 0`` guard and died in int(nan)
+    gen = NexmarkGenerator(2)
+    with pytest.raises(ValueError, match="rate and until must be positive"):
+        gen.bids_log(rate, until)
+    with pytest.raises(ValueError, match="rate and until must be positive"):
+        gen.person_auction_logs(rate, until)
