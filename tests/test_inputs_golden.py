@@ -6,13 +6,24 @@
 order, plus a sha256 over the source lineage ids of partition 0 of each
 topic.  ``perfbench``'s ``inputs`` digests cover lengths, bytes and
 timestamps; this covers the payloads too.  The cases are every registered
-query under steady arrivals, hot keys, the three shaped arrival processes
-and a drifting hot set at ``p=16``, and one sharded slice.
+query under steady arrivals, hot keys, the three shaped arrival processes,
+a drifting hot set at ``p=16``, a second seed and two long logs (24,000
+events, uniform and hot: several draw blocks, and for q3/q8 several
+stride carry-overs between them), and one sharded slice.
+
+Under ``payload_pickles`` it also holds, per case and partition, a sha256
+over ``pickle.dumps(partition.payloads, protocol=4)``.  ``repr`` cannot
+tell two equal strings from one shared string; pickle memoises by
+identity, and event pickles are inside the state hashes the engine
+fixtures pin, so which ``str`` objects the payloads share is part of what
+a generator produces.
 
 The fixture was recorded through ``Partition.records`` from the
 row-object log (one ``LogRecord`` per record) in the commit before the
-log became columnar, so it is the reference the column generators are
-held to.  Regenerate after an *intentional* change of a generator with
+log became columnar, and extended (second seed, long logs, pickles) from
+the row-by-row generators in the commit before they drew columns, so it
+is the reference the column generators are held to.  Regenerate after an
+*intentional* change of a generator with
 
     PYTHONPATH=src python -m tests.test_inputs_golden
 
@@ -23,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pickle
 from pathlib import Path
 
 import pytest
@@ -36,30 +48,33 @@ from repro.workloads.arrivals import parse_arrival
 FIXTURE = Path(__file__).parent / "data" / "inputs_golden.json"
 
 QUERIES = ("q12", "q1", "q5", "q3", "q8", "reachability")
-SEED = 7
-RATE = 1500.0
 UNTIL = 4.0
 
-#: variant -> (parallelism, hot_ratio, arrival spec)
+#: variant -> (parallelism, hot_ratio, arrival spec, seed, rate)
 VARIANTS = {
-    "steady": (4, 0.0, None),
-    "hot": (4, 0.3, None),
-    "diurnal": (4, 0.0, "diurnal:period=5,amp=0.5"),
-    "flash": (4, 0.0, "flash:at=1;3,mag=3,ramp=0.5,hold=1"),
-    "mmpp": (4, 0.0, "mmpp:low=0.5,high=2,dwell_low=2,dwell_high=1"),
-    "drift-p16": (16, 0.2, "drift:period=4,zipf=1.2"),
+    "steady": (4, 0.0, None, 7, 1500.0),
+    "hot": (4, 0.3, None, 7, 1500.0),
+    "diurnal": (4, 0.0, "diurnal:period=5,amp=0.5", 7, 1500.0),
+    "flash": (4, 0.0, "flash:at=1;3,mag=3,ramp=0.5,hold=1", 7, 1500.0),
+    "mmpp": (4, 0.0, "mmpp:low=0.5,high=2,dwell_low=2,dwell_high=1",
+             7, 1500.0),
+    "drift-p16": (16, 0.2, "drift:period=4,zipf=1.2", 7, 1500.0),
+    "seed13": (4, 0.0, None, 13, 1500.0),
+    "long": (4, 0.0, None, 7, 6000.0),
+    "long-hot": (4, 0.3, None, 7, 6000.0),
 }
 
 CASES = [f"{query}-{variant}" for query in QUERIES for variant in VARIANTS]
 SHARD_CASE = "q12-shard-0-of-2"
+PICKLES = "payload_pickles"
 
 
 def generate(query: str, variant: str) -> dict[str, PartitionedLog]:
     """``build_inputs`` directly (no memo) for one case of the matrix."""
-    parallelism, hot_ratio, arrival = VARIANTS[variant]
+    parallelism, hot_ratio, arrival, seed, rate = VARIANTS[variant]
     process = parse_arrival(arrival) if arrival is not None else None
     return resolve_spec(query).build_inputs(
-        RATE, UNTIL, parallelism, hot_ratio, SEED, process)
+        rate, UNTIL, parallelism, hot_ratio, seed, process)
 
 
 def build_case(case: str) -> dict[str, PartitionedLog]:
@@ -100,24 +115,45 @@ def signature(inputs: dict[str, PartitionedLog]) -> dict[str, list | str]:
     return out
 
 
+def pickle_signature(inputs: dict[str, PartitionedLog]) -> dict[str, str]:
+    """Per partition, a sha256 over the pickle of its payload column."""
+    return {
+        f"{topic}[{partition.index}]": hashlib.sha256(
+            pickle.dumps(partition.payloads, protocol=4)).hexdigest()
+        for topic in sorted(inputs)
+        for partition in inputs[topic].partitions
+    }
+
+
 def test_fixture_lists_exactly_the_cases():
-    assert sorted(json.loads(FIXTURE.read_text())) == sorted(CASES + [SHARD_CASE])
+    golden = json.loads(FIXTURE.read_text())
+    assert sorted(golden) == sorted(CASES + [SHARD_CASE, PICKLES])
+    assert sorted(golden[PICKLES]) == sorted(CASES + [SHARD_CASE])
 
 
 @pytest.mark.parametrize("case", CASES + [SHARD_CASE])
 def test_generated_inputs_match_golden(case):
-    expected = json.loads(FIXTURE.read_text())[case]
-    actual = signature(build_case(case))
+    golden = json.loads(FIXTURE.read_text())
+    expected = golden[case]
+    inputs = build_case(case)
+    actual = signature(inputs)
     assert sorted(actual) == sorted(expected), f"{case}: topics/partitions moved"
     for name, value in expected.items():
         assert actual[name] == value, f"{case}: {name} moved off the fixture"
+    assert pickle_signature(inputs) == golden[PICKLES][case], (
+        f"{case}: payload pickles moved off the fixture "
+        "(equal reprs: a shared str object became a copy, or a copy shared)")
 
 
 def main() -> None:
     """Re-record the fixture (see the module docstring)."""
-    golden = {case: signature(build_case(case)) for case in CASES + [SHARD_CASE]}
+    golden: dict[str, dict] = {PICKLES: {}}
+    for case in CASES + [SHARD_CASE]:
+        inputs = build_case(case)
+        golden[case] = signature(inputs)
+        golden[PICKLES][case] = pickle_signature(inputs)
     FIXTURE.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {FIXTURE} ({len(golden)} cases)")
+    print(f"wrote {FIXTURE} ({len(golden) - 1} cases)")
 
 
 if __name__ == "__main__":
