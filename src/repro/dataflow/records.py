@@ -16,10 +16,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-try:  # numpy accelerates the columnar rid kernels; everything below
-    import numpy as _np  # degrades to pure-Python loops without it
-except ImportError:  # pragma: no cover
-    _np = None  # type: ignore[assignment]
+import numpy as _np
 
 _MASK64 = (1 << 64) - 1
 _PRIME = 0x9E3779B97F4A7C15
@@ -125,7 +122,7 @@ def derived_rids(op_name: str, parent_rids: Sequence[int],
     per-record path.
     """
     prefix = derived_rid_prefix(op_name)
-    if _np is None or len(parent_rids) < _VECTOR_MIN:
+    if len(parent_rids) < _VECTOR_MIN:
         return [_finish_derived(prefix, rid, emission_index) for rid in parent_rids]
     acc = _np.array(parent_rids, dtype=_np.uint64)
     acc ^= _np.uint64(prefix)
@@ -140,7 +137,7 @@ def derived_rids(op_name: str, parent_rids: Sequence[int],
 
 def source_rids_from_prefix(prefix: int, offsets: Sequence[int]) -> list[int]:
     """Column form of :func:`source_rid_from_prefix` (one poll's offsets)."""
-    if _np is None or len(offsets) < _VECTOR_MIN:
+    if len(offsets) < _VECTOR_MIN:
         return [source_rid_from_prefix(prefix, offset) for offset in offsets]
     acc = _np.array(offsets, dtype=_np.uint64)
     acc += _np.uint64(1)

@@ -9,6 +9,12 @@ from __future__ import annotations
 
 import random
 import zlib
+from typing import TYPE_CHECKING
+
+import numpy
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 
 class RngRegistry:
@@ -31,3 +37,23 @@ class RngRegistry:
             rng = random.Random(derived)
             self._streams[name] = rng
         return rng
+
+
+def uniform_block(stream: random.Random, n: int) -> NDArray[numpy.float64]:
+    """The next ``n`` values of ``stream.random()``, as one float64 array.
+
+    Bit for bit what ``n`` calls would return, and the stream is left
+    exactly ``n`` draws further: ``random()`` is ``(a >> 5, b >> 6)`` of
+    two consecutive 32-bit Mersenne outputs, combined as
+    ``(a * 2**26 + b) / 2**53``, and ``getrandbits(64 * n)`` returns those
+    same ``2 * n`` outputs as one integer, first output in the lowest 32
+    bits — so its little-endian bytes read as ``<u4`` are the outputs in
+    draw order.  Every step below is exact in float64 (``a * 2**26 + b``
+    is below ``2**53``), so there is no rounding to differ in.  One
+    generator, no mirrored state; ``numpy.random`` is not involved
+    (DESIGN.md section 20).
+    """
+    words = numpy.frombuffer(
+        stream.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u4")
+    return (((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6))
+            * (1.0 / 9007199254740992.0))

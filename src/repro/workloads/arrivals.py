@@ -36,6 +36,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
+import numpy
+
 if TYPE_CHECKING:  # annotation-only: draws flow through RngRegistry streams
     import random
 
@@ -118,6 +120,17 @@ def emit_timestamps(segments: list[RateSegment]) -> Iterator[float]:
         done = end
 
 
+def check_rate_and_horizon(rate: float, until: float) -> None:
+    """Reject a rate or horizon that is not a finite number above zero.
+
+    The guard of every generator entry point: NaN fails both comparisons,
+    so it is rejected with the negatives, zero and infinity — before
+    ``int(rate * until)`` can die on it.
+    """
+    if not (0 < rate < math.inf and 0 < until < math.inf):
+        raise ValueError("rate and until must be positive")
+
+
 def _steady_timestamps(mean_rate: float, until: float) -> Iterator[float]:
     """The legacy NexMark closed form, bit-for-bit.
 
@@ -127,10 +140,13 @@ def _steady_timestamps(mean_rate: float, until: float) -> Iterator[float]:
     the differential suite demands byte identity.
     """
     inv = 1.0 / mean_rate
-    # one comprehension, not a generator: the input generators consume
-    # every timestamp anyway, and a resumed frame per event costs more
-    # than the event's arithmetic
-    return iter([(k + 0.5) * inv for k in range(int(mean_rate * until))])
+    # one array expression, not a generator: the input generators consume
+    # every timestamp anyway.  Same operands in the same order as the
+    # scalar form — (k + 0.5) is exact, the product rounds once — so the
+    # same floats; ``tolist`` hands back Python floats
+    stamps: list[float] = (
+        (numpy.arange(int(mean_rate * until)) + 0.5) * inv).tolist()
+    return iter(stamps)
 
 
 class ArrivalProcess:

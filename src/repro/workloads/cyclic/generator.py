@@ -8,14 +8,20 @@ nodes to the ``srcnodes`` topic; both are round-robin partitioned.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import islice
+from typing import Any, TypeVar
+
+import numpy
 
 from repro.sim.collector import collector_paused
 from repro.sim.rng import RngRegistry
 from repro.storage.kafka import PartitionedLog
-from repro.workloads.arrivals import ArrivalProcess
+from repro.workloads import columns
+from repro.workloads.arrivals import ArrivalProcess, check_rate_and_horizon
+from repro.workloads.columns import rows_from_columns
+
+T = TypeVar("T")
 
 LINK_SIZE = 64
 SOURCE_SIZE = 48
@@ -84,9 +90,7 @@ class CyclicGenerator:
         its draws come from a dedicated registry stream, so the event
         mix below rolls the same dice regardless of the process.
         """
-        # NaN fails both comparisons, so it is rejected with the rest
-        if not (0 < rate < math.inf and 0 < until < math.inf):
-            raise ValueError("rate and until must be positive")
+        check_rate_and_horizon(rate, until)
         cfg = self.config
         rng = RngRegistry(self.seed).stream("workload.cyclic.events")
         live_links: list[tuple[int, int]] = []
@@ -95,20 +99,32 @@ class CyclicGenerator:
             # the legacy closed form, bit-for-bit: this generator divides
             # ((k+0.5)/rate) where NexMark multiplies by 1/rate — a 1-ulp
             # difference SteadyArrivals resolves in NexMark's favour, so
-            # the steady path stays inline here
-            timestamps: Iterator[float] = iter(
-                [(k + 0.5) / rate for k in range(int(rate * until))]
-            )
+            # the steady path stays inline here.  As an array expression
+            # it has the same operands in the same order, so the same
+            # floats, and ``tolist`` hands back Python floats
+            stamps: list[float] = (
+                (numpy.arange(int(rate * until)) + 0.5) / rate).tolist()
+            timestamps = iter(stamps)
         else:
             arrival_rng = RngRegistry(self.seed).stream(
                 "workload.arrivals.cyclic")
             timestamps = arrival.timestamps(rate, until, arrival_rng)
         # both topics are built as columns on the one global timeline and
-        # dealt out round-robin at the end (DESIGN.md section 20)
+        # dealt out round-robin at the end (DESIGN.md section 20).  The
+        # draws stay row by row: ``randrange`` rejects and redraws, and a
+        # deletion's range is the live set the rows before it left, so no
+        # draw's place in the stream is known before the one before it
+        # was made.  What a row appends is a ``(time, *fields)`` tuple; a
+        # block of tuples is transposed and turned into event objects
+        # column by column
         link_times: list[float] = []
         link_events: list[LinkEvent] = []
         source_times: list[float] = []
         source_events: list[SourceEvent] = []
+        link_rows: list[tuple[Any, ...]] = []
+        source_rows: list[tuple[Any, ...]] = []
+        add_link = link_rows.append
+        add_source = source_rows.append
         random_ = rng.random
         randrange = rng.randrange
         num_nodes = cfg.num_nodes
@@ -116,36 +132,34 @@ class CyclicGenerator:
         new_source_below = cfg.p_new_link + cfg.p_new_source
         del_link_below = cfg.p_new_link + cfg.p_new_source + cfg.p_del_link
         with collector_paused():
-            for t in timestamps:
-                roll = random_()
-                if roll < new_link_below or (
-                        roll >= new_source_below
-                        and not live_links and not live_sources):
-                    src = randrange(num_nodes)
-                    dst = randrange(num_nodes)
-                    live_links.append((src, dst))
-                    link = LinkEvent(src, dst, True)
-                elif roll < new_source_below:
-                    node = randrange(num_nodes)
-                    live_sources.append(node)
-                    source_times.append(t)
-                    source_events.append(SourceEvent(node, True))
-                    continue
-                elif roll < del_link_below and live_links:
-                    src, dst = live_links.pop(randrange(len(live_links)))
-                    link = LinkEvent(src, dst, False)
-                elif live_sources:
-                    node = live_sources.pop(randrange(len(live_sources)))
-                    source_times.append(t)
-                    source_events.append(SourceEvent(node, False))
-                    continue
-                else:  # nothing to delete yet: emit a link instead
-                    src = randrange(num_nodes)
-                    dst = randrange(num_nodes)
-                    live_links.append((src, dst))
-                    link = LinkEvent(src, dst, True)
-                link_times.append(t)
-                link_events.append(link)
+            while block_times := list(islice(timestamps,
+                                             columns.BLOCK_EVENTS)):
+                for t in block_times:
+                    roll = random_()
+                    if roll < new_link_below or (
+                            roll >= new_source_below
+                            and not live_links and not live_sources):
+                        src = randrange(num_nodes)
+                        dst = randrange(num_nodes)
+                        live_links.append((src, dst))
+                        add_link((t, src, dst, True))
+                    elif roll < new_source_below:
+                        node = randrange(num_nodes)
+                        live_sources.append(node)
+                        add_source((t, node, True))
+                    elif roll < del_link_below and live_links:
+                        src, dst = live_links.pop(randrange(len(live_links)))
+                        add_link((t, src, dst, False))
+                    elif live_sources:
+                        node = live_sources.pop(randrange(len(live_sources)))
+                        add_source((t, node, False))
+                    else:  # nothing to delete yet: emit a link instead
+                        src = randrange(num_nodes)
+                        dst = randrange(num_nodes)
+                        live_links.append((src, dst))
+                        add_link((t, src, dst, True))
+                _flush(link_rows, LinkEvent, link_times, link_events)
+                _flush(source_rows, SourceEvent, source_times, source_events)
             return (
                 PartitionedLog.round_robin("links", self.parallelism,
                                            link_times, link_events, LINK_SIZE),
@@ -153,3 +167,13 @@ class CyclicGenerator:
                                            source_times, source_events,
                                            SOURCE_SIZE),
             )
+
+
+def _flush(rows: list[tuple[Any, ...]], event_class: type[T],
+           times: list[float], events: list[T]) -> None:
+    """Move a block of ``(time, *fields)`` rows onto a topic's columns."""
+    if rows:
+        block_times, *fields = zip(*rows)
+        times += block_times
+        events += rows_from_columns(event_class, *fields)
+        rows.clear()

@@ -18,17 +18,22 @@ timestamps monotonic as the Kafka substrate requires.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import compress, islice
 from typing import TYPE_CHECKING
 
-from repro.sim.collector import collector_paused
-from repro.sim.rng import RngRegistry
-from repro.storage.kafka import PartitionedLog
-from repro.workloads.arrivals import ArrivalProcess, SteadyArrivals
+import numpy
 
-if TYPE_CHECKING:  # annotation-only: draws flow through RngRegistry streams
-    import random
+from repro.sim.collector import collector_paused
+from repro.sim.rng import RngRegistry, uniform_block
+from repro.storage.kafka import PartitionedLog
+from repro.workloads import columns
+from repro.workloads.arrivals import (
+    ArrivalProcess,
+    SteadyArrivals,
+    check_rate_and_horizon,
+)
+from repro.workloads.columns import rows_from_columns
 from repro.workloads.nexmark.model import (
     AUCTION_SIZE,
     BID_SIZE,
@@ -40,6 +45,9 @@ from repro.workloads.nexmark.model import (
     Q3_STATES,
     US_STATES,
 )
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 
 #: shared default — stateless, reproduces the legacy constant-rate loops
@@ -87,17 +95,21 @@ class NexmarkGenerator:
         ]
 
     # ------------------------------------------------------------------ #
-    # Key choices
-    # ------------------------------------------------------------------ #
-
-    def _maybe_hot(self, rng: random.Random, uniform_key: int) -> int:
-        if self.config.hot_ratio > 0 and rng.random() < self.config.hot_ratio:
-            return rng.choice(self.hot_keys)
-        return uniform_key
-
-    # ------------------------------------------------------------------ #
     # Topic builders
     # ------------------------------------------------------------------ #
+
+    def _place_hot_keys(self, process: ArrivalProcess, keys: list[int],
+                        times: list[float], tests: NDArray[numpy.float64],
+                        picks: NDArray[numpy.float64]) -> None:
+        """Overwrite ``keys[row]`` with a hot key where ``tests[row]`` says so.
+
+        ``process.hot_key`` is a user hook taking one event's time and its
+        one uniform draw; it is called for the hot rows only.
+        """
+        hot = numpy.flatnonzero(tests < self.config.hot_ratio)
+        for row, draw in zip(hot.tolist(), picks[hot].tolist()):
+            keys[row] = process.hot_key(times[row], draw, self.hot_keys,
+                                        self.parallelism)
 
     def bids_log(self, rate: float, until: float, topic: str = "bids",
                  arrival: ArrivalProcess | None = None) -> PartitionedLog:
@@ -108,9 +120,7 @@ class NexmarkGenerator:
         arrival process draws from its own registry stream, so enabling
         one never perturbs the payload draws below.
         """
-        # NaN fails both comparisons, so it is rejected with the rest
-        if not (0 < rate < math.inf and 0 < until < math.inf):
-            raise ValueError("rate and until must be positive")
+        check_rate_and_horizon(rate, until)
         # a named registry stream (crc32-derived, never hash()) keeps the
         # generated inputs reproducible across runs/workers and independent
         # of any other consumer of the experiment seed
@@ -119,33 +129,32 @@ class NexmarkGenerator:
         arrival_rng = RngRegistry(self.seed).stream(
             f"workload.arrivals.{topic}")
         bidder_space = self.config.bidder_space_per_worker * self.parallelism
-        auction_base = 5000
-        # this loop generates hundreds of thousands of events per sweep and
-        # dominates short runs, so draws use one C-level random() call each
-        # (int(random()*n) instead of randrange) and all lookups are hoisted
-        random_ = rng.random
-        parallelism = self.parallelism
-        auction_window = self.config.auction_window
-        hot_ratio = self.config.hot_ratio
-        hot_keys = self.hot_keys
-        hot_pick = process.hot_key
+        hot_mode = self.config.hot_ratio > 0.0
+        # a bid takes a fixed number of draws — [hot test, hot pick or]
+        # bidder, auction, price, in that order — so a block of draws is
+        # a table with one row per bid (DESIGN.md section 20)
+        width = 4 if hot_mode else 3
+        times: list[float] = []
         bids: list[Bid] = []
-        add = bids.append
         with collector_paused():
-            # the arrival process draws from its own stream, so taking all
-            # of its timestamps first leaves the payload draws where they were
-            times = list(process.timestamps(rate, until, arrival_rng))
-            for t in times:
-                if hot_ratio > 0.0 and random_() < hot_ratio:
-                    bidder = hot_pick(t, random_(), hot_keys, parallelism)
-                else:
-                    bidder = 10_000 + int(random_() * bidder_space)
-                # positional (auction, bidder, price, created_at): keyword
-                # binding costs a quarter of the frozen constructor's time
-                add(Bid(auction_base + int(random_() * auction_window),
-                        bidder, 100 + int(random_() * 10_000), t))
+            timestamps = process.timestamps(rate, until, arrival_rng)
+            while block_times := list(islice(timestamps,
+                                             columns.BLOCK_EVENTS)):
+                draws = uniform_block(
+                    rng, width * len(block_times)).reshape(-1, width)
+                bidders = (10_000 + _below(draws[:, -3], bidder_space)).tolist()
+                if hot_mode:
+                    self._place_hot_keys(process, bidders, block_times,
+                                         draws[:, 0], draws[:, 1])
+                times += block_times
+                bids += rows_from_columns(
+                    Bid,
+                    5000 + _below(draws[:, -2], self.config.auction_window),
+                    bidders,
+                    100 + _below(draws[:, -1], 10_000),
+                    block_times)
             return PartitionedLog.round_robin(
-                topic, parallelism, times, bids, BID_SIZE)
+                topic, self.parallelism, times, bids, BID_SIZE)
 
     def person_auction_logs(
         self, rate: float, until: float,
@@ -160,9 +169,7 @@ class NexmarkGenerator:
         ``arrival`` widens the pre-seed to every key its ``hot_key`` hook
         can return, so migrated hot auctions still find a join partner.
         """
-        # NaN fails both comparisons, so it is rejected with the rest
-        if not (0 < rate < math.inf and 0 < until < math.inf):
-            raise ValueError("rate and until must be positive")
+        check_rate_and_horizon(rate, until)
         rng = RngRegistry(self.seed).stream(
             f"workload.nexmark.{persons_topic}+{auctions_topic}"
         )
@@ -170,63 +177,111 @@ class NexmarkGenerator:
         arrival_rng = RngRegistry(self.seed).stream(
             f"workload.arrivals.{persons_topic}+{auctions_topic}"
         )
-        person_share = self.config.person_share
-        person_pool: list[int] = []
-        next_person_id = 10_000
-        next_auction_id = 1
-        persons: list[Person] = []
+        hot_mode = self.config.hot_ratio > 0.0
+        # the ids an auction's seller is picked from: the hot persons,
+        # pre-seeded at t=0 so hot auctions can join immediately, then
+        # every person in order of creation.  The pre-seeded head the
+        # persons column, which offsets every later person's round-robin
+        # slot by their count
+        pool = (process.hot_seed_keys(self.hot_keys, self.parallelism)
+                if hot_mode else [])
+        person_times = [0.0] * len(pool)
+        persons = rows_from_columns(
+            Person, pool, [f"hot-person-{key}" for key in pool],
+            # min(), not next(iter()): set order follows the per-process
+            # str hash salt
+            [min(Q3_STATES)] * len(pool), person_times)
+        auction_times: list[float] = []
         auctions: list[Auction] = []
-        # pre-seed hot persons at t=0 so hot auctions can join immediately;
-        # they head the persons column, which offsets every later person's
-        # round-robin slot by their count
-        if self.config.hot_ratio > 0:
-            for hot_id in process.hot_seed_keys(self.hot_keys,
-                                                self.parallelism):
-                persons.append(Person(
-                    id=hot_id,
-                    name=f"hot-person-{hot_id}",
-                    # min(), not next(iter()): set order follows the
-                    # per-process str hash salt
-                    state=min(Q3_STATES),
-                    created_at=0.0,
-                ))
-                person_pool.append(hot_id)
-        # hot loop: see bids_log — single random() draws, hoisted lookups
-        random_ = rng.random
-        parallelism = self.parallelism
-        num_states = len(US_STATES)
-        hot_ratio = self.config.hot_ratio
-        hot_keys = self.hot_keys
-        hot_pick = process.hot_key
-        add_person = persons.append
-        add_auction = auctions.append
-        add_to_pool = person_pool.append
+        next_person_id = 10_000
+        # an event's draws, in order — person: [person test, state];
+        # auction: [person test, (hot test,) seller or hot pick, category,
+        # price].  Which draw is an event's first depends on the kind of
+        # every event before it (DESIGN.md section 20 has the table)
+        stride = 5 if hot_mode else 4
+        unread = numpy.empty(0)
         with collector_paused():
-            for t in process.timestamps(rate, until, arrival_rng):
-                if random_() < person_share or not person_pool:
-                    add_person(Person(
-                        next_person_id, f"person-{next_person_id}",
-                        US_STATES[int(random_() * num_states)], t))
-                    add_to_pool(next_person_id)
-                    next_person_id += 1
-                else:
-                    if hot_ratio > 0.0 and random_() < hot_ratio:
-                        seller = hot_pick(t, random_(), hot_keys, parallelism)
-                    else:
-                        seller = person_pool[int(random_() * len(person_pool))]
-                    add_auction(Auction(
-                        next_auction_id, seller,
-                        int(random_() * NUM_CATEGORIES),
-                        100 + int(random_() * 1_000), t))
-                    next_auction_id += 1
+            timestamps = process.timestamps(rate, until, arrival_rng)
+            while block_times := list(islice(timestamps,
+                                             columns.BLOCK_EVENTS)):
+                # enough draws for a block of auctions; what the persons
+                # among them leave unread heads the next block
+                draws = numpy.concatenate((unread, uniform_block(
+                    rng, max(0, stride * len(block_times) - len(unread)))))
+                person_at = draws < self.config.person_share
+                if not pool:
+                    # nobody to sell yet: the first event is a person
+                    # whatever its test draw says, and keeps its two draws
+                    person_at[0] = True
+                # the walk from one event's first draw to the next reads
+                # a precomputed list; it draws and builds nothing
+                step = numpy.where(person_at, 2, stride).tolist()
+                at = 0
+                firsts = []
+                for _ in block_times:
+                    firsts.append(at)
+                    at += step[at]
+                unread = draws[at:]
+                first = numpy.array(firsts, dtype=numpy.int64)
+                is_person = person_at[first]
+
+                born = first[is_person]
+                ids = list(range(next_person_id, next_person_id + len(born)))
+                next_person_id += len(born)
+                born_times = list(compress(block_times, is_person.tolist()))
+                person_times += born_times
+                persons += rows_from_columns(
+                    Person, ids, [f"person-{id_}" for id_ in ids],
+                    # the tuple's own str objects, never copies: pickle
+                    # memoises by identity
+                    list(map(US_STATES.__getitem__,
+                             _below(draws[born + 1], len(US_STATES)).tolist())),
+                    born_times)
+
+                is_auction = ~is_person
+                opened = first[is_auction]
+                opened_times = list(compress(block_times,
+                                             is_auction.tolist()))
+                # an auction's last three draws, whatever its stride
+                seller_draw, category_draw, price_draw = (
+                    draws[opened + offset]
+                    for offset in range(stride - 3, stride))
+                # an auction picks among the persons born before it: the
+                # pool as it stood then is a prefix of the pool now
+                pool_size = len(pool) + numpy.cumsum(is_person)[is_auction]
+                pool += ids
+                # the pool's own int objects: a person's id and its
+                # auctions' seller were one object in the row loop too
+                sellers = list(map(pool.__getitem__,
+                                   _below(seller_draw, pool_size).tolist()))
+                if hot_mode:
+                    self._place_hot_keys(process, sellers, opened_times,
+                                         draws[opened + 1], seller_draw)
+                auction_times += opened_times
+                auctions += rows_from_columns(
+                    Auction,
+                    range(len(auctions) + 1,
+                          len(auctions) + 1 + len(sellers)),
+                    sellers,
+                    _below(category_draw, NUM_CATEGORIES),
+                    100 + _below(price_draw, 1_000),
+                    opened_times)
             # an event is available the moment it was created
             return (
                 PartitionedLog.round_robin(
-                    persons_topic, parallelism,
-                    [person.created_at for person in persons], persons,
+                    persons_topic, self.parallelism, person_times, persons,
                     PERSON_SIZE),
                 PartitionedLog.round_robin(
-                    auctions_topic, parallelism,
-                    [auction.created_at for auction in auctions], auctions,
-                    AUCTION_SIZE),
+                    auctions_topic, self.parallelism, auction_times,
+                    auctions, AUCTION_SIZE),
             )
+
+
+def _below(draws: NDArray[numpy.float64],
+           bound: int | NDArray[numpy.int64]) -> NDArray[numpy.int64]:
+    """``int(random() * bound)`` for a column of draws.
+
+    The product is the same float64 product and ``astype`` truncates
+    toward zero as ``int()`` does, so each element is the scalar result.
+    """
+    return (draws * bound).astype(numpy.int64)

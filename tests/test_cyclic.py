@@ -1,15 +1,23 @@
 """Tests for the cyclic reachability query and its generator."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dataflow.runtime import Job
 from repro.sim.costs import RuntimeConfig
 from repro.storage.kafka import PartitionedLog
+from repro.workloads import columns
+from repro.workloads.arrivals import parse_arrival
 from repro.workloads.cyclic import REACHABILITY, CyclicConfig, CyclicGenerator
 from repro.workloads.cyclic.generator import LinkEvent, SourceEvent
 from repro.workloads.cyclic.reachability import (
     ReachFact,
     build_reachability,
+)
+
+from tests.test_nexmark_generator import (
+    assert_rows_equal_constructed,
+    log_columns,
 )
 
 
@@ -63,6 +71,32 @@ def test_generator_determinism():
     b = CyclicGenerator(2, seed=5).logs(300.0, 2.0)
     assert [r.payload for r in a[0].partition(0).records] == \
            [r.payload for r in b[0].partition(0).records]
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6),
+                               st.booleans()), max_size=30))
+def test_bulk_events_equal_constructed_events(rows):
+    srcs, dsts, adds = ([row[i] for row in rows] for i in range(3))
+    assert_rows_equal_constructed(LinkEvent, srcs, dsts, adds)
+    assert_rows_equal_constructed(SourceEvent, srcs, adds)
+
+
+@pytest.mark.parametrize("arrival", [
+    None, "mmpp:low=0.5,high=2,dwell_low=0.4,dwell_high=0.2"])
+def test_block_size_does_not_show_in_the_logs(arrival, monkeypatch):
+    """Rows are turned into event objects a block at a time; 7 events per
+    block, with blocks that hold no source event at all, produces the
+    default's logs, payload pickles included."""
+    def generate():
+        process = parse_arrival(arrival) if arrival else None
+        return [log_columns(log) for log in
+                CyclicGenerator(3, seed=11).logs(900.0, 2.0, arrival=process)]
+
+    assert 900 * 2 < columns.BLOCK_EVENTS  # the default: one block
+    whole = generate()
+    monkeypatch.setattr(columns, "BLOCK_EVENTS", 7)
+    assert generate() == whole
 
 
 # --------------------------------------------------------------------- #

@@ -1,9 +1,28 @@
 """Tests for the NexMark generator (uniform and hot-item modes)."""
 
-import pytest
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.storage.kafka import PartitionedLog
+from repro.workloads import columns
+from repro.workloads.arrivals import parse_arrival
+from repro.workloads.columns import rows_from_columns
 from repro.workloads.nexmark.generator import GeneratorConfig, NexmarkGenerator
-from repro.workloads.nexmark.model import Bid, Q3_STATES
+from repro.workloads.nexmark.model import (
+    Auction,
+    Bid,
+    Person,
+    Q3_STATES,
+    US_STATES,
+)
 
 
 def test_bids_log_rate_and_partitions():
@@ -153,3 +172,171 @@ def test_non_finite_or_non_positive_rate_and_horizon_rejected(rate, until):
         gen.bids_log(rate, until)
     with pytest.raises(ValueError, match="rate and until must be positive"):
         gen.person_auction_logs(rate, until)
+
+
+# --------------------------------------------------------------------- #
+# Rows from columns (DESIGN.md section 20)
+# --------------------------------------------------------------------- #
+
+def assert_rows_equal_constructed(cls, *cols):
+    """``rows_from_columns(cls, *cols)`` against ``cls(*row)`` per row.
+
+    ``cols`` may hold numpy arrays; the reference is built from their
+    ``tolist()``.  Shared with ``tests/test_cyclic.py``.
+    """
+    plain = [col.tolist() if isinstance(col, numpy.ndarray) else list(col)
+             for col in cols]
+    built = rows_from_columns(cls, *cols)
+    reference = [cls(*row) for row in zip(*plain)]
+    assert built == reference
+    assert repr(built) == repr(reference)
+    assert [hash(row) for row in built] == [hash(row) for row in reference]
+    assert pickle.dumps(built, protocol=4) == pickle.dumps(reference, protocol=4)
+    field_names = [f.name for f in dataclasses.fields(cls)]
+    for row, expected in zip(built, reference):
+        assert type(row) is cls
+        for name in field_names:
+            # a Python int/float/str/bool, never a numpy scalar
+            assert type(getattr(row, name)) is type(getattr(expected, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(row, field_names[0], getattr(row, field_names[0]))
+    return built
+
+
+_ints = st.integers(0, 2**40)
+_floats = st.floats(0.0, 1e6, allow_nan=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.lists(st.tuples(_ints, _ints, _ints, _floats), max_size=30),
+       as_arrays=st.booleans())
+def test_bulk_bids_equal_constructed_bids(rows, as_arrays):
+    cols = [list(col) for col in zip(*rows)] or [[], [], [], []]
+    if as_arrays:
+        cols = [numpy.array(cols[0], dtype=numpy.int64),
+                numpy.array(cols[1], dtype=numpy.int64),
+                numpy.array(cols[2], dtype=numpy.int64),
+                numpy.array(cols[3], dtype=numpy.float64)]
+    assert_rows_equal_constructed(Bid, *cols)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.lists(st.tuples(_ints, _ints, st.integers(0, 9), _ints, _floats),
+                     max_size=30))
+def test_bulk_auctions_equal_constructed_auctions(rows):
+    cols = [list(col) for col in zip(*rows)] or [[], [], [], [], []]
+    assert_rows_equal_constructed(
+        Auction, range(1, len(rows) + 1), cols[1],
+        numpy.array(cols[2], dtype=numpy.int64), cols[3], cols[4])
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.lists(st.tuples(_ints, st.integers(0, len(US_STATES) - 1),
+                               _floats), max_size=30))
+def test_bulk_persons_equal_constructed_persons(rows):
+    ids = [row[0] for row in rows]
+    indices = [row[1] for row in rows]
+    built = assert_rows_equal_constructed(
+        Person, ids, [f"person-{id_}" for id_ in ids],
+        list(map(US_STATES.__getitem__, indices)), [row[2] for row in rows])
+    # the tuple's own strings: pickle memoises by identity
+    assert all(person.state is US_STATES[index]
+               for person, index in zip(built, indices))
+
+
+def test_rows_from_columns_rejects_ragged_or_miscounted_columns():
+    with pytest.raises(ValueError, match="unequal column lengths"):
+        rows_from_columns(Bid, [1, 2], [1, 2], [1], [0.5, 1.5])
+    with pytest.raises(TypeError, match="got 3 columns"):
+        rows_from_columns(Bid, [1], [1], [1])
+
+
+# --------------------------------------------------------------------- #
+# Columns are drawn in blocks: the block size must not show
+# --------------------------------------------------------------------- #
+
+def log_columns(log: PartitionedLog):
+    """Everything a log holds, per partition (payloads as pickles too)."""
+    return [(p.times, p.payloads, p.sizes,
+             pickle.dumps(p.payloads, protocol=4)) for p in log.partitions]
+
+
+#: mode -> (parallelism, hot_ratio, arrival spec)
+_MODES = {
+    "uniform": (3, 0.0, None),
+    "hot": (3, 0.3, None),
+    "drift": (5, 0.25, "drift:period=1.5,zipf=1.2"),
+    "flash": (3, 0.1, "flash:at=0.5,mag=3,ramp=0.2,hold=0.3"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_MODES))
+def test_block_size_does_not_show_in_the_logs(mode, monkeypatch):
+    """The module constant patched to 7 events per block — hundreds of
+    block boundaries and stride carry-overs on a short log — produces
+    the default's logs, payload pickles included."""
+    parallelism, hot_ratio, arrival = _MODES[mode]
+
+    def generate():
+        gen = NexmarkGenerator(parallelism, seed=11,
+                               config=GeneratorConfig(hot_ratio=hot_ratio))
+        process = parse_arrival(arrival) if arrival else None
+        bids = gen.bids_log(900.0, 2.0, arrival=process)
+        persons, auctions = gen.person_auction_logs(900.0, 2.0,
+                                                    arrival=process)
+        return [log_columns(log) for log in (bids, persons, auctions)]
+
+    assert 900 * 2 < columns.BLOCK_EVENTS  # the default: one block
+    whole = generate()
+    monkeypatch.setattr(columns, "BLOCK_EVENTS", 7)
+    assert generate() == whole
+
+
+@pytest.mark.parametrize("hot_ratio", [0.0, 0.3])
+def test_generated_payloads_hold_python_values(hot_ratio):
+    gen = NexmarkGenerator(4, seed=3,
+                           config=GeneratorConfig(hot_ratio=hot_ratio))
+    logs = (gen.bids_log(500.0, 2.0), *gen.person_auction_logs(500.0, 2.0))
+    expected = {"id": int, "seller": int, "category": int, "initial_bid": int,
+                "auction": int, "bidder": int, "price": int,
+                "created_at": float, "name": str, "state": str}
+    for log in logs:
+        for partition in log.partitions:
+            assert all(type(t) is float for t in partition.times)
+            for payload in partition.payloads:
+                for name in payload.__slots__:
+                    assert type(getattr(payload, name)) is expected[name]
+    persons = [p for part in logs[1].partitions for p in part.payloads]
+    assert all(any(p.state is state for state in US_STATES) for p in persons)
+
+
+def test_first_event_is_a_person_whatever_its_draw_says():
+    # uniform mode starts with an empty seller pool: seeds 1..40 cover
+    # both a first test draw below person_share and one above it
+    for seed in range(1, 41):
+        persons, auctions = NexmarkGenerator(2, seed=seed).person_auction_logs(
+            50.0, 1.0)
+        first_person = persons.partition(0).times[0]
+        first_auction = min(p.times[0] for p in auctions.partitions if p.times)
+        assert first_person == 0.5 / 50.0 < first_auction
+
+
+def test_generating_and_running_never_imports_numpy_random():
+    """``uniform_block`` reads the one Mersenne stream through
+    ``getrandbits``; ``numpy.random`` (a second generator, +6.8 MiB RSS in
+    every process) must stay unimported through generation and a run."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys\n"
+        "from repro.experiments.parallel import RunRequest, execute_request\n"
+        "result = execute_request(RunRequest(query='q12', protocol='unc',\n"
+        "    parallelism=2, rate=300.0, duration=3.0, warmup=1.0,\n"
+        "    hot_ratio=0.2))\n"
+        "assert sum(result.metrics.sink_counts.values()) > 0\n"
+        "assert 'numpy' in sys.modules\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random imported'\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -112,6 +112,24 @@ def test_default_scopes_exempt_the_allowlisted_files():
     assert config.scope_for("RL003").matches("src/repro/experiments/figures.py")
 
 
+def test_event_model_is_held_to_slotted_dataclasses():
+    """``rows_from_columns`` fills the NexMark event classes through their
+    slot descriptors, so ``model.py`` is a hot-path module: the shipped
+    file is clean, the same file without ``slots=True`` trips RL005."""
+    rel = "src/repro/workloads/nexmark/model.py"
+    text = (REPO / rel).read_text(encoding="utf-8")
+    assert "slots=True" in text
+
+    def rl005(source: str) -> list:
+        src = SourceFile(path=REPO / rel, rel=rel, text=source,
+                         lines=source.splitlines(), tree=ast.parse(source))
+        return [f for f in scan_file(src, default_config())
+                if f.code == "RL005"]
+
+    assert rl005(text) == []
+    assert len(rl005(text.replace(", slots=True", ""))) == 3
+
+
 def test_shipped_tree_is_clean_and_baseline_matches_fresh_scan(monkeypatch):
     """`python -m tools.repro_lint src/repro` must exit 0 on the shipped
     tree, and the checked-in baseline must equal a fresh scan (empty)."""

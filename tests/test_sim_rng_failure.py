@@ -1,8 +1,13 @@
 """Unit tests for RNG streams and failure injection."""
 
+import numpy
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from repro.sim.failure import FailureEvent, FailureInjector
-from repro.sim.rng import RngRegistry
+from repro.sim.rng import RngRegistry, uniform_block
 from repro.sim.simulator import Simulator
+from repro.workloads.columns import BLOCK_EVENTS
 
 
 def test_same_seed_same_stream():
@@ -39,6 +44,42 @@ def test_adding_stream_does_not_perturb_existing():
     second = reg2.stream("x")
     values_after = [second.random() for _ in range(3)]
     assert values_before == values_after
+
+
+#: the Mersenne state is 624 words = 312 draws: block lengths around the
+#: refill, around a generator block, and spanning several of either
+_BLOCK_LENGTHS = (0, 1, 2, 3, 311, 312, 313, 625, 937,
+                  BLOCK_EVENTS - 1, BLOCK_EVENTS, BLOCK_EVENTS + 1,
+                  3 * BLOCK_EVENTS + 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), prior=st.integers(0, 700),
+       n=st.one_of(st.sampled_from(_BLOCK_LENGTHS), st.integers(0, 1500)))
+def test_uniform_block_is_the_next_n_draws_of_the_stream(seed, prior, n):
+    """``uniform_block(stream, n)`` returns what ``n`` calls of
+    ``stream.random()`` would, bit for bit, and leaves the stream where
+    they would: the next ``random()``, the next ``randrange`` and the
+    whole state agree with a twin that made the calls one by one."""
+    blocked = RngRegistry(seed).stream("x")
+    twin = RngRegistry(seed).stream("x")
+    for _ in range(prior):
+        assert blocked.random() == twin.random()
+    block = uniform_block(blocked, n)
+    assert block.dtype == numpy.float64 and block.shape == (n,)
+    assert block.tolist() == [twin.random() for _ in range(n)]
+    assert blocked.getstate() == twin.getstate()
+    assert blocked.random() == twin.random()
+    assert blocked.randrange(10**6) == twin.randrange(10**6)
+    assert blocked.getstate() == twin.getstate()
+
+
+def test_uniform_block_rejects_a_negative_length():
+    stream = RngRegistry(7).stream("x")
+    before = stream.getstate()
+    with pytest.raises(ValueError):
+        uniform_block(stream, -1)
+    assert stream.getstate() == before
 
 
 def test_failure_fires_at_planned_time():

@@ -50,7 +50,11 @@ class RuleScope:
 #: hot-path modules where RL005 additionally demands slotted dataclasses
 #: (records and messages are allocated per event; attribute dicts there
 #: cost measurable simulator throughput — `python3 -m perfbench --trace 1`
-#: shows it under dataflow.batch / dataflow.transport)
+#: shows it under dataflow.batch / dataflow.transport).  The NexMark event
+#: model is here for a second reason: ``rows_from_columns`` fills its
+#: classes slot by slot through their member descriptors, which only a
+#: slotted class has.  The generator modules are not: their config
+#: dataclasses are built once per run and are deliberately plain
 HOT_PATH = (
     "src/repro/dataflow/records.py",
     "src/repro/dataflow/batch.py",
@@ -61,6 +65,7 @@ HOT_PATH = (
     "src/repro/sim/events.py",
     "src/repro/sim/simulator.py",
     "src/repro/storage/kafka.py",
+    "src/repro/workloads/nexmark/model.py",
 )
 
 _DETERMINISTIC_LAYERS = (
