@@ -331,7 +331,76 @@ def _admit(job: Job, instance, rids: list[int]) -> None:
     ), "in")
 
 
-_RIDS = st.lists(st.integers(0, 40), max_size=10)
+#: one admitted batch is four rids at the most; the rest of the
+#: admission matrix reads off these (1 and 2 are already in the set)
+_ADMISSIONS = {
+    # name: (batch, survivors in order, duplicates skipped)
+    "all-new": ([3, 4, 5], [3, 4, 5], 0),
+    "repeats-an-unseen-rid": ([3, 4, 3], [3, 4], 1),
+    "overlaps-the-set": ([2, 3, 4], [3, 4], 1),
+    "repeats-and-overlaps": ([3, 1, 3, 4], [3, 4], 2),
+    "one-rid-thrice": ([3, 3, 3], [3], 2),
+    "all-seen": ([2, 1], [], 2),
+    "singleton-new": ([3], [3], 0),
+    "singleton-seen": ([2], [], 1),
+}
+
+
+@pytest.mark.parametrize("backend", ["full", "changelog"])
+@pytest.mark.parametrize("case", sorted(_ADMISSIONS))
+def test_admission_drops_duplicates_first_occurrence_wins(backend, case):
+    """One batch through ``Job.process_records``: who survives, in what
+    order, and what admission leaves behind.
+
+    The operator sees exactly the first occurrence of every rid the set
+    did not hold, in batch order; the set gains exactly those; the
+    journal gains them in that order; every other row counts as a
+    skipped duplicate — and no rid is left in the set that the journal
+    does not know, so the next checkpoint still seals in O(1) (a node
+    hanging off the previous head) instead of re-rooting.
+    """
+    batch, survivors, duplicates = _ADMISSIONS[case]
+    job = _dedup_job(backend)
+    instance = job.instance(("count", 0))
+    _admit(job, instance, [1, 2])
+    previous = instance.seal_rids()
+    _admit(job, instance, [6])  # a journal that is not empty to begin with
+    delivered: list[list[int]] = []
+    process_batch = instance.operator.process_batch
+
+    def spy(records: RecordBatch, port: str):
+        delivered.append(list(records.rids))
+        return process_batch(records, port)
+
+    instance.operator.process_batch = spy
+    skipped = job.metrics.duplicates_skipped
+    _admit(job, instance, batch)
+    assert delivered == ([survivors] if survivors else [])
+    assert instance.processed_rids == {1, 2, 6, *survivors}
+    assert instance.rid_journal == [6, *survivors]
+    assert job.metrics.duplicates_skipped - skipped == duplicates
+    assert (instance.rid_head.count + len(instance.rid_journal)
+            == len(instance.processed_rids))
+    sealed = instance.seal_rids()
+    assert sealed.parent is previous and sealed.added == [6, *survivors]
+    assert sealed.materialize() == instance.processed_rids
+
+
+def _with_a_repeat(rids: list[int]) -> list[int]:
+    return [*rids, rids[0]]
+
+
+#: mostly what the paper traffic admits — one to three rids a batch —
+#: and often a batch that repeats one of its own rids, which only the
+#: slow path may admit; the long lists keep the old coverage
+_SHORT = st.lists(st.integers(0, 40), min_size=1, max_size=3)
+_RIDS = st.one_of(
+    _SHORT,
+    _SHORT.map(_with_a_repeat),
+    st.lists(st.integers(41, 10_000), min_size=1, max_size=3,
+             unique=True).map(_with_a_repeat),
+    st.lists(st.integers(0, 40), max_size=10),
+)
 _OPS = st.lists(st.one_of(
     st.tuples(st.just("admit"), _RIDS),
     st.tuples(st.just("seal"), st.none()),
@@ -347,8 +416,10 @@ _OPS = st.lists(st.one_of(
 def test_dedup_history_matches_eager_copies(backend, ops):
     """Property: a checkpoint stands for the set an eager copy would hold.
 
-    Random admissions (a small rid space, so batches repeat rids within
-    themselves and across batches), checkpoints through the real backend
+    Random admissions (mostly one to three rids; a small rid space, so
+    batches repeat rids within themselves and across batches, and a large
+    one, so a batch repeats a rid the set has never held), checkpoints
+    through the real backend
     (base/delta cadence and compaction under ``changelog``), rollbacks to
     *any* checkpoint taken so far — also one of a timeline an earlier
     rollback abandoned — and rescale-merges of two of them.  The model
