@@ -318,6 +318,18 @@ def _cmd_query(args) -> int:
         channel_capacity_bytes=args.channel_capacity,
         arrival=args.arrival,
     )
+    try:
+        request.effective_config()  # RuntimeConfig names the bad field
+        for flag, workers in (("--parallelism", args.parallelism),
+                              ("--rescale-to", args.rescale_to)):
+            if workers is not None \
+                    and not 1 <= workers <= args.max_key_groups:
+                raise ValueError(
+                    f"{flag} must be between 1 and --max-key-groups "
+                    f"({args.max_key_groups}), got {workers}")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     jobs = _resolve_jobs(args.jobs)
     shards = args.shards
     if shards == "auto":

@@ -12,6 +12,7 @@ Units: seconds and bytes.  These are *virtual* seconds — see repro.sim.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -223,3 +224,27 @@ class RuntimeConfig:
     #: random seed for generators and jitter
     seed: int = 7
     cost_model: CostModel = field(default_factory=CostModel)
+
+    def __post_init__(self) -> None:
+        # a zero interval re-arms the round / local checkpoint timer at
+        # the same virtual instant, so the run never advances (and a pool
+        # worker given such a request never returns); NaN compares false
+        # both ways, hence the chained form
+        if not 0.0 < self.checkpoint_interval < math.inf:
+            raise ValueError("checkpoint_interval must be a finite number "
+                             f"> 0, got {self.checkpoint_interval!r}")
+        for name, (interval, _phase) in (
+                self.per_operator_schedules or {}).items():
+            if interval is not None and not 0.0 < interval < math.inf:
+                raise ValueError(
+                    f"per_operator_schedules[{name!r}]: interval must be a "
+                    f"finite number > 0, got {interval!r}")
+        if not 0.0 <= self.warmup < math.inf:
+            raise ValueError("warmup must be a finite number >= 0, "
+                             f"got {self.warmup!r}")
+        if (self.channel_capacity_bytes or 0) < 0:
+            raise ValueError("channel_capacity_bytes must be >= 0, "
+                             f"got {self.channel_capacity_bytes!r}")
+        if self.max_key_groups < 1:
+            raise ValueError("max_key_groups must be >= 1, "
+                             f"got {self.max_key_groups!r}")

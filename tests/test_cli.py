@@ -109,6 +109,32 @@ def test_query_rejects_a_bad_number_as_a_usage_error(capsys, flag, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags, names", [
+    # a zero interval spun forever at 100 % CPU; the next four died as
+    # SimulationError / ValueError / GraphError tracebacks; the rest ran
+    (["--checkpoint-interval", "0"], "checkpoint_interval"),
+    (["--checkpoint-interval", "-1"], "checkpoint_interval"),
+    (["--parallelism", "0"], "--parallelism"),
+    (["--parallelism", "200"], "--parallelism"),
+    (["--max-key-groups", "1"], "--max-key-groups"),
+    (["--failure-at", "1", "--rescale-to", "200"], "--rescale-to"),
+    (["--checkpoint-interval", "nan"], "checkpoint_interval"),
+    (["--checkpoint-interval", "inf"], "checkpoint_interval"),
+    (["--max-key-groups", "0"], "max_key_groups"),
+    (["--warmup", "-1"], "warmup"),
+    (["--warmup", "nan"], "warmup"),
+    (["--channel-capacity", "-5"], "channel_capacity_bytes"),
+])
+def test_query_rejects_a_bad_run_shape_as_a_usage_error(capsys, flags, names):
+    code = main(["query", "q12", "--parallelism", "2", "--duration", "2",
+                 "--warmup", "1", *flags])
+    assert code == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and names in line
+    assert "sink records" not in captured.out  # nothing ran
+
+
 def test_query_cyclic_with_unc(capsys):
     code = main([
         "query", "reachability", "--protocol", "unc", "--parallelism", "2",

@@ -88,3 +88,57 @@ def test_non_positive_poll_and_batch_bounds_rejected(field, value):
     with pytest.raises(ValueError, match=f"{field} must be positive"):
         CostModel(**{field: value})
     assert getattr(CostModel(**{field: 1}), field) == 1
+
+
+@pytest.mark.parametrize("field, value", [
+    ("checkpoint_interval", 0.0), ("checkpoint_interval", -1.0),
+    ("checkpoint_interval", float("nan")), ("checkpoint_interval", float("inf")),
+    ("warmup", -1.0), ("warmup", float("nan")), ("warmup", float("inf")),
+    ("channel_capacity_bytes", -5), ("max_key_groups", 0),
+    ("per_operator_schedules", {"count": (0.0, 1.0)}),
+    ("per_operator_schedules", {"count": (-2.0, 1.0)}),
+])
+def test_runtime_config_rejects_a_run_shape_that_cannot_run(field, value):
+    """Each of these hung, died later as a traceback, or ran silently."""
+    from repro.sim.costs import RuntimeConfig
+
+    with pytest.raises(ValueError, match=field):
+        RuntimeConfig(**{field: value})
+
+
+def test_runtime_config_accepts_the_boundaries():
+    from repro.sim.costs import RuntimeConfig
+
+    config = RuntimeConfig(
+        checkpoint_interval=1e-3, warmup=0.0, channel_capacity_bytes=0,
+        max_key_groups=1,
+        per_operator_schedules={"count": (10.0, 0.0), "other": (None, 2.0)})
+    assert config.warmup == 0.0 and config.max_key_groups == 1
+
+
+@pytest.mark.parametrize("protocol", ["coor", "unc"])
+def test_a_zero_interval_request_fails_at_once_instead_of_spinning(protocol):
+    """The round / local timer re-armed itself at the same virtual
+    instant, so the run (or the pool worker given it) never returned."""
+    import signal
+
+    from repro.experiments.parallel import (
+        RunRequest, execute_request, request_key)
+
+    def too_slow(signum, frame):
+        raise AssertionError("a zero checkpoint interval is still spinning")
+
+    request = RunRequest(query="q12", protocol=protocol, parallelism=2,
+                         rate=200.0, duration=2.0, warmup=1.0,
+                         checkpoint_interval=0.0)
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        with pytest.raises(ValueError, match="checkpoint_interval"):
+            execute_request(request)
+        # a --jobs sweep keys the request before any worker sees it
+        with pytest.raises(ValueError, match="checkpoint_interval"):
+            request_key(request)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
