@@ -32,6 +32,7 @@ import os
 import pathlib
 import sys
 import time
+import traceback
 
 from repro.experiments import figures
 from repro.experiments.config import scale_by_name
@@ -272,7 +273,10 @@ def _cmd_all(args) -> int:
             try:
                 out = fn(scale)
             except Exception as exc:  # one broken figure must not kill the sweep
-                print(f"[{name}] FAILED: {exc}\n")
+                # str() of an AssertionError or KeyError is empty or one
+                # word: name the type here, the place on stderr
+                print(f"[{name}] FAILED: {type(exc).__name__}: {exc}\n")
+                traceback.print_exc()
                 status = 1
                 continue
             _emit(args.out, name, out["text"])

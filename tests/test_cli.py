@@ -152,6 +152,34 @@ def test_run_command_writes_results(tmp_path, capsys, monkeypatch):
     assert code == 0  # deterministic per seed; every check holds at quick scale
 
 
+def test_all_names_what_killed_a_figure_and_keeps_going(tmp_path, capsys,
+                                                        monkeypatch):
+    """``str()`` of an AssertionError is empty and of a KeyError one word:
+    the sweep prints the exception type, the traceback goes to stderr,
+    the remaining figures still run, and the exit status says 1."""
+    from repro.experiments import figures
+
+    def silent(scale):
+        assert scale is None, ""
+
+    def missing(scale):
+        return {}["rate"]
+
+    monkeypatch.setenv("CHECKMATE_SCALE", "quick")
+    monkeypatch.setattr(figures, "ALL_EXPERIMENTS", {
+        "silent": silent, "missing": missing,
+        "fine": lambda scale: {"text": "all is well", "checks": []},
+    })
+    assert main(["all", "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "[silent] FAILED: AssertionError: \n" in captured.out
+    assert "[missing] FAILED: KeyError: 'rate'\n" in captured.out
+    assert captured.err.count("Traceback (most recent call last)") == 2
+    assert "in silent" in captured.err and "in missing" in captured.err
+    assert "all is well" in captured.out
+    assert (tmp_path / "fine.txt").exists()
+
+
 def test_unknown_experiment_rejected():
     with pytest.raises(SystemExit):
         main(["run", "fig99"])
