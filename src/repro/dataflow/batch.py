@@ -6,8 +6,10 @@ A :class:`RecordBatch` carries the four per-record fields of
 (``rids``, ``payloads``, ``source_ts``, ``sizes``) instead of a list of
 record objects.  Router buffers, messages, replay and channel state all
 hold batches, so the hot loops run on C-speed primitives — list
-``extend`` for routing, ``set.update``/``set.isdisjoint`` for rid dedup,
-numpy uint64 kernels for lineage derivation
+``extend`` for routing, one ``set.isdisjoint`` probe and one
+``set.update`` insert for rid dedup
+(:meth:`~repro.dataflow.runtime.Job.process_records`), numpy uint64
+kernels for lineage derivation
 (:func:`~repro.dataflow.records.derived_rids`).
 
 Two properties the rest of the engine relies on:
@@ -41,9 +43,11 @@ def group_indices(keys: Sequence[Any]) -> dict[Any, list[int]]:
     """Group column positions by key, in first-occurrence order.
 
     One pass over the key column builds ``key -> [positions]`` with dict
-    insertion order equal to the order each key first appears, so batched
-    keyed-state kernels touch (and create) state entries in exactly the
-    order the per-record loop would (DESIGN.md section 16).
+    insertion order equal to the order each key first appears.  The
+    rescaled-replay reinjection scatters old-topology messages over the
+    new destinations with it; the keyed operator kernels fold a batch in
+    one pass over a running ``key -> value`` dict instead and need no
+    positions (DESIGN.md sections 16 and 22).
     """
     groups: dict[Any, list[int]] = {}
     get = groups.get
@@ -142,8 +146,8 @@ class RecordBatch:
         source_ts = self.source_ts
         sizes = self.sizes
         return RecordBatch(
-            rids=[rids[i] for i in indices],
-            payloads=[payloads[i] for i in indices],
-            source_ts=[source_ts[i] for i in indices],
-            sizes=[sizes[i] for i in indices],
+            [rids[i] for i in indices],
+            [payloads[i] for i in indices],
+            [source_ts[i] for i in indices],
+            [sizes[i] for i in indices],
         )

@@ -14,7 +14,7 @@ engines; serialization and network costs are charged per flushed message.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.dataflow.batch import RecordBatch
@@ -70,6 +70,67 @@ def hash_key(key: Any) -> int:
     raise TypeError(f"unsupported routing key type: {type(key).__name__}")
 
 
+class KeyDestinations:
+    """``routing key -> destination instance`` for one key-space shape.
+
+    The mapping ``group_owner(key_group(hash_key(key), G), p, G)`` is a
+    pure function of the key and of ``(p, G)``, so it is derived once per
+    distinct key *per process* — not once per router per run: every
+    router of every job deployed at the same shape reads the one table
+    (:func:`key_destinations`), and a rescaled deployment simply reads
+    the table of its new shape.  A router probes :attr:`entries` itself
+    (a plain ``dict.get``) and calls :meth:`derive` on a miss.  An
+    unsupported key type raises ``TypeError`` from :func:`hash_key`
+    before anything is stored, on every occurrence.
+
+    The table calls the two hash functions it was *created with* and is
+    registered under them, so its entries are only ever served to
+    routers whose ``hash_key`` / ``key_group`` are the ones that
+    computed them (a test replacing either gets a table of its own).
+    """
+
+    __slots__ = ("entries", "_hash_key", "_key_group", "_parallelism",
+                 "_max_key_groups")
+
+    #: entries a table may hold; one more distinct key empties it first,
+    #: which bounds memory against pathological key cardinalities
+    MAX_ENTRIES = 1 << 17
+
+    def __init__(self, hash_fn: Callable[[Any], int],
+                 group_fn: Callable[[int, int], int],
+                 parallelism: int, max_key_groups: int) -> None:
+        self.entries: dict[Any, int] = {}
+        self._hash_key = hash_fn
+        self._key_group = group_fn
+        self._parallelism = parallelism
+        self._max_key_groups = max_key_groups
+
+    def derive(self, routing_key: Any) -> int:
+        """Derive, memoise and return the destination of a new key."""
+        max_groups = self._max_key_groups
+        group = self._key_group(self._hash_key(routing_key), max_groups)
+        dst = group * self._parallelism // max_groups  # = group_owner(...)
+        entries = self.entries
+        if len(entries) >= self.MAX_ENTRIES:
+            entries.clear()
+        entries[routing_key] = dst
+        return dst
+
+
+#: (hash_key, key_group, parallelism, max_key_groups) -> the one table
+_KEY_DESTINATIONS: dict[tuple[Any, Any, int, int], KeyDestinations] = {}
+
+
+def key_destinations(parallelism: int,
+                     max_key_groups: int) -> KeyDestinations:
+    """The process-wide :class:`KeyDestinations` of one key-space shape."""
+    shape = (hash_key, key_group, parallelism, max_key_groups)
+    table = _KEY_DESTINATIONS.get(shape)
+    if table is None:
+        table = _KEY_DESTINATIONS[shape] = KeyDestinations(*shape)
+    return table
+
+
 class Partitioner:
     """Maps an output record to destination instance indices for one edge.
 
@@ -99,10 +160,14 @@ class Partitioner:
         raise GraphError(f"unhandled partitioning {mode}")
 
 
-@dataclass(slots=True)
 class _Buffer:
-    records: RecordBatch = field(default_factory=RecordBatch)
-    bytes: int = 0
+    """The staged batch of one ``(edge, destination)`` and its byte total."""
+
+    __slots__ = ("records", "bytes")
+
+    def __init__(self) -> None:
+        self.records = RecordBatch([], [], [], [])
+        self.bytes = 0
 
 
 class RouterBuffer:
@@ -113,7 +178,8 @@ class RouterBuffer:
     shutdown) drains everything.
 
     Routing is precomputed per edge at construction: FORWARD and BROADCAST
-    destinations are constant, only KEY edges hash per record.  Staged and
+    destinations are constant, KEY edges read the process-wide
+    :class:`KeyDestinations` table of the deployment's shape.  Staged and
     batch-ready record counts are tracked incrementally, so the per-message
     ``take_ready`` poll and the per-linger-tick staged check are O(1) when
     nothing is due — the hot path never rescans the buffer map.
@@ -147,21 +213,24 @@ class RouterBuffer:
         #: (edge_id, dst) pairs parked by credit exhaustion
         self._blocked: set[tuple[int, int]] = set()
         #: per edge: (edge_id, dst buffers, static destinations | None,
-        #: key_fn, parallelism, max_key_groups, key -> destination memo)
-        self._plans: list[tuple[int, dict, tuple[int, ...] | None, Any, int,
-                               int, dict]] = []
+        #: key_fn, memoised routing key -> destination, its miss handler)
+        self._plans: list[tuple[int, dict, tuple[int, ...] | None, Any,
+                               Any, Any]] = []
         for edge in edges:
             partitioner = partitioners[edge.edge_id]
+            static: tuple[int, ...] | None = None
+            lookup = derive = None
             if edge.partitioning is Partitioning.FORWARD:
-                static: tuple[int, ...] | None = (src_index,)
+                static = (src_index,)
             elif edge.partitioning is Partitioning.BROADCAST:
                 static = tuple(range(partitioner.parallelism))
             else:
-                static = None
+                table = key_destinations(partitioner.parallelism,
+                                         partitioner.max_key_groups)
+                lookup, derive = table.entries.get, table.derive
             self._plans.append(
                 (edge.edge_id, self._by_edge[edge.edge_id], static,
-                 edge.key_fn, partitioner.parallelism,
-                 partitioner.max_key_groups, {})
+                 edge.key_fn, lookup, derive)
             )
         self._staged = 0
         self._staged_bytes = 0
@@ -173,61 +242,62 @@ class RouterBuffer:
         Buffers are created in first-occurrence order of their destination
         and become ready exactly when a record crosses the batch threshold,
         so the staged state does not depend on how the producer's output
-        happened to be batched.  FORWARD/BROADCAST edges stage whole
-        columns with one ``extend``; KEY edges append row by row onto the
-        destination's columns (one memoised dict probe per record).  At
-        the paper's rates four in five KEY batches carry at most four
-        records, where a ``dst -> [positions]`` scatter map costs more to
-        build than the appends it saves; on 256-record batches the scatter
-        would be ~15 % cheaper per row, which is ~1 % of a dense run —
-        not worth a second path.
+        happened to be batched.  FORWARD/BROADCAST edges extend the
+        destination's four columns with the batch's; KEY edges append row
+        by row onto them (one probe of the shared
+        :class:`KeyDestinations` table per record).  At the paper's rates
+        four in five KEY batches carry at most four records, where a
+        ``dst -> [positions]`` scatter costs more to build than the
+        appends it saves: measured again for DESIGN.md section 22, a
+        scatter-by-destination gains 3.5 % on 256-record batches and
+        loses 2.5 % on the paper traffic — not worth a second path.
         """
         rids = batch.rids
         n = len(rids)
         if not n:
             return
+        payloads = batch.payloads
+        source_ts = batch.source_ts
+        sizes = batch.sizes
         batch_max = self._batch_max
         blocked = self._blocked
         n_ready = 0
         staged = 0
         staged_bytes = 0
-        for edge_id, buffers, static, key_fn, parallelism, max_groups, memo \
-                in self._plans:
+        nbytes = -1  # of the whole batch; summed when a static edge asks
+        for edge_id, buffers, static, key_fn, lookup, derive in self._plans:
             if static is not None:  # FORWARD / BROADCAST: constant destinations
+                if nbytes < 0:
+                    nbytes = sum(sizes)
                 for dst in static:
                     buf = buffers.get(dst)
                     if buf is None:
-                        buf = _Buffer()
-                        buffers[dst] = buf
-                    before = len(buf.records.rids)
-                    added = buf.records.extend(batch)
-                    buf.bytes += added
-                    staged_bytes += added
+                        buf = buffers[dst] = _Buffer()
+                    records = buf.records
+                    before = len(records.rids)
+                    records.rids.extend(rids)
+                    records.payloads.extend(payloads)
+                    records.source_ts.extend(source_ts)
+                    records.sizes.extend(sizes)
+                    buf.bytes += nbytes
+                    staged_bytes += nbytes
                     if before < batch_max <= before + n \
                             and (edge_id, dst) not in blocked:
                         n_ready += 1
                 staged += n * len(static)
                 continue
             # KEY partitioning: one memoised probe and four appends per
-            # row.  The routing key -> destination map is deterministic per
-            # deployment, so the crc32 double hash (hash_key + key_group)
-            # runs once per distinct key, not once per record.  Routers
-            # are rebuilt on rescale, which invalidates the memo with them;
-            # the cap bounds memory against pathological key cardinalities.
-            for rid, payload, ts, size in zip(rids, batch.payloads,
-                                              batch.source_ts, batch.sizes):
+            # row; the crc32 double hash (hash_key + key_group) runs once
+            # per distinct key per process, inside the shared table
+            for rid, payload, ts, size in zip(rids, payloads, source_ts,
+                                              sizes):
                 routing_key = key_fn(payload)
-                dst = memo.get(routing_key)
+                dst = lookup(routing_key)
                 if dst is None:
-                    group = key_group(hash_key(routing_key), max_groups)
-                    dst = group * parallelism // max_groups
-                    if len(memo) >= 1 << 17:
-                        memo.clear()
-                    memo[routing_key] = dst
+                    dst = derive(routing_key)
                 buf = buffers.get(dst)
                 if buf is None:
-                    buf = _Buffer()
-                    buffers[dst] = buf
+                    buf = buffers[dst] = _Buffer()
                 records = buf.records
                 records.rids.append(rid)
                 records.payloads.append(payload)
@@ -268,11 +338,12 @@ class RouterBuffer:
              blocked: bool) -> None:
         """Remove a drained buffer and update the incremental counters."""
         del self._by_edge[edge_id][dst]
-        self._staged -= len(buf.records.rids)
+        count = len(buf.records.rids)
+        self._staged -= count
         self._staged_bytes -= buf.bytes
         if blocked:
             self._blocked.discard((edge_id, dst))
-        elif len(buf.records.rids) >= self._batch_max:
+        elif count >= self._batch_max:
             self._n_ready -= 1
 
     def take_ready(
@@ -291,7 +362,7 @@ class RouterBuffer:
         ready = []
         batch_max = self._batch_max
         blocked = self._blocked
-        for edge_id, buffers, *_ in self._plans:
+        for edge_id, buffers in self._by_edge.items():
             if not buffers:
                 continue
             for dst in list(buffers):
@@ -318,20 +389,27 @@ class RouterBuffer:
         """
         drained = []
         blocked = self._blocked
-        for edge_id, buffers, *_ in self._plans:
+        if gate is None:
+            # every buffer goes, so the counters need no per-buffer upkeep
+            for edge_id, buffers in self._by_edge.items():
+                for dst, buf in buffers.items():
+                    drained.append((edge_id, dst, buf.records, buf.bytes))
+                    if blocked:
+                        blocked.discard((edge_id, dst))
+                buffers.clear()
+            self._staged = self._staged_bytes = self._n_ready = 0
+            return drained
+        for edge_id, buffers in self._by_edge.items():
             if not buffers:
                 continue
             for dst in list(buffers):
                 buf = buffers[dst]
-                if gate is not None:
-                    if (edge_id, dst) in blocked:
-                        continue
-                    if not gate(edge_id, dst, buf.bytes, len(buf.records.rids)):
-                        self.block(edge_id, dst)
-                        continue
-                    self._pop(edge_id, dst, buf, blocked=False)
-                else:
-                    self._pop(edge_id, dst, buf, blocked=(edge_id, dst) in blocked)
+                if (edge_id, dst) in blocked:
+                    continue
+                if not gate(edge_id, dst, buf.bytes, len(buf.records.rids)):
+                    self.block(edge_id, dst)
+                    continue
+                self._pop(edge_id, dst, buf, blocked=False)
                 drained.append((edge_id, dst, buf.records, buf.bytes))
         return drained
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from repro.dataflow.batch import RecordBatch, group_indices
+from repro.dataflow.batch import RecordBatch
 from repro.dataflow.records import StreamRecord, derived_rid, derived_rids, joined_rid
 from repro.dataflow.state import KeyedListState, KeyedMapState, StateRegistry, ValueState
 
@@ -33,39 +33,30 @@ def _join_batch(
     right_state: KeyedListState,
     out_size: int,
 ) -> RecordBatch | None:
-    """Batched insert-then-probe shared by both join operators.
+    """Batched insert-and-probe shared by both join operators.
 
-    A batch arrives on exactly one port, so the probed side is constant for
-    the whole batch: appending the key column in one :meth:`append_many`
-    and then probing per record reproduces the per-record interleaving
-    byte-for-byte — same stored lists, same match order, same
+    A batch arrives on exactly one port, so the probed side is constant
+    for the whole batch and no row of it can match another: one pass
+    computes each row's key, queues its insert and probes the other side,
+    and one :meth:`append_many` stores the queued rows — the per-record
+    interleaving byte for byte: same stored lists, same match order, same
     order-invariant ``joined_rid`` lineage (DESIGN.md section 16).
     """
-    payloads = batch.payloads
-    in_rids = batch.rids
-    in_ts = batch.source_ts
     if port == "left":
-        keys = [left_key(p) for p in payloads]
-        own, other, flip = left_state, right_state, False
+        key_of, own, other, flip = left_key, left_state, right_state, False
     elif port == "right":
-        keys = [right_key(p) for p in payloads]
-        own, other, flip = right_state, left_state, True
+        key_of, own, other, flip = right_key, right_state, left_state, True
     else:
         raise ValueError(f"unknown join port {port!r}")
-    own.append_many(
-        [(keys[i], (in_rids[i], payloads[i], in_ts[i]), None)
-         for i in range(len(keys))]
-    )
-    out = RecordBatch()
-    out_rids, out_payloads = out.rids, out.payloads
-    out_ts, out_sizes = out.source_ts, out.sizes
+    inserts: list[tuple[Any, Any, None]] = []
+    out_rids: list[int] = []
+    out_payloads: list[Any] = []
+    out_ts: list[float] = []
     probe = other.get
-    for i, key in enumerate(keys):
-        matches = probe(key)
-        if not matches:
-            continue
-        rid, payload, ts = in_rids[i], payloads[i], in_ts[i]
-        for other_rid, other_payload, other_ts in matches:
+    for rid, payload, ts in zip(batch.rids, batch.payloads, batch.source_ts):
+        key = key_of(payload)
+        inserts.append((key, (rid, payload, ts), None))
+        for other_rid, other_payload, other_ts in probe(key):
             if flip:
                 out_rids.append(joined_rid(op, other_rid, rid))
                 out_payloads.append(combine(other_payload, payload))
@@ -73,8 +64,11 @@ def _join_batch(
                 out_rids.append(joined_rid(op, rid, other_rid))
                 out_payloads.append(combine(payload, other_payload))
             out_ts.append(ts if ts >= other_ts else other_ts)
-            out_sizes.append(out_size)
-    return out if len(out_rids) else None
+    own.append_many(inserts)
+    if not out_rids:
+        return None
+    return RecordBatch(out_rids, out_payloads, out_ts,
+                       [out_size] * len(out_rids))
 
 
 class OperatorContext:
@@ -192,15 +186,13 @@ class MapOperator(Operator):
         (and, without ``out_size``, the size) columns are aliased from the
         input — batches are immutable once routed, so sharing is safe.
         """
-        fn = self._fn
-        payloads = [fn(p) for p in batch.payloads]
+        payloads = list(map(self._fn, batch.payloads))
         out_size = self._out_size
-        sizes = [out_size(p) for p in payloads] if out_size else batch.sizes
         return RecordBatch(
-            rids=derived_rids(self.ctx.op_name, batch.rids),
-            payloads=payloads,
-            source_ts=batch.source_ts,
-            sizes=sizes,
+            derived_rids(self.ctx.op_name, batch.rids),
+            payloads,
+            batch.source_ts,
+            list(map(out_size, payloads)) if out_size else batch.sizes,
         )
 
 
@@ -400,41 +392,38 @@ class WindowedCountOperator(Operator):
     def process_batch(self, batch: RecordBatch, port: str) -> RecordBatch | None:
         """Fold the batch per key; one state get/put per distinct key.
 
-        Grouping by key in first-occurrence order keeps state-dict
-        insertion order identical to the per-record loop; counters never
-        shrink mid-batch, so the sweep-timer arming condition (state empty)
-        is checked once up front exactly as the first record would.
+        One pass over a running ``key -> count`` dict: a key's first row
+        reads the stored counter, every row bumps the running one and
+        emits it.  The dict's insertion order is first-occurrence order,
+        so the one :meth:`put_many` creates state entries in exactly the
+        order the per-record loop would; counters never shrink mid-batch,
+        so the sweep-timer arming condition (state empty) is checked once
+        up front exactly as the first record would.
         """
-        ctx = self.ctx
-        current = int(ctx.now() // self.window)
-        key_fn = self._key_fn
-        keys = [key_fn(p) for p in batch.payloads]
-        n = len(keys)
+        n = len(batch.rids)
         if not n:
             return None
+        ctx = self.ctx
+        current = int(ctx.now() // self.window)
         counts = self._counts
-        if len(counts) == 0:
+        if not len(counts):
             ctx.register_timer((current + 1) * self.window, ("sweep", current + 1))
-        out_counts = [0] * n
-        puts: list[tuple[Any, Any, int]] = []
-        get = counts.get
-        for key, idxs in group_indices(keys).items():
-            stored = get(key)
-            base = 0 if stored is None or stored[0] != current else stored[1]
-            for j, i in enumerate(idxs, start=1):
-                out_counts[i] = base + j
-            puts.append((key, (current, base + len(idxs)), 40))
-        counts.put_many(puts)
-        payloads = [
-            {"key": keys[i], "window": current, "count": out_counts[i]}
-            for i in range(n)
-        ]
-        return RecordBatch(
-            rids=derived_rids(ctx.op_name, batch.rids),
-            payloads=payloads,
-            source_ts=batch.source_ts,
-            sizes=[self._out_size] * n,
-        )
+        key_fn = self._key_fn
+        stored_count = counts.get
+        running: dict[Any, int] = {}
+        payloads = []
+        for payload in batch.payloads:
+            key = key_fn(payload)
+            count = running.get(key)
+            if count is None:
+                stored = stored_count(key)
+                count = 0 if stored is None or stored[0] != current else stored[1]
+            running[key] = count = count + 1
+            payloads.append({"key": key, "window": current, "count": count})
+        counts.put_many([(key, (current, count), 40)
+                         for key, count in running.items()])
+        return RecordBatch(derived_rids(ctx.op_name, batch.rids), payloads,
+                           batch.source_ts, [self._out_size] * n)
 
 
 class SlidingWindowCountOperator(Operator):
@@ -491,48 +480,48 @@ class SlidingWindowCountOperator(Operator):
         """Fold the batch per key; one put per touched (window, key) slot.
 
         The covered window set is batch-constant (virtual time does not
-        advance mid-batch), so each key group folds ``len(group)`` arrivals
-        into every covered slot at once.  Slots are created in the same
-        key-major, window-minor order as the per-record loop, and the
+        advance mid-batch).  One pass keeps, per key, the running count of
+        the *newest* window — read from state at the key's first row,
+        bumped and emitted at every row; the older covered slots then take
+        the key's arrivals in one addition each.  Slots are created in the
+        same key-major, window-minor order as the per-record loop, and the
         expiry sweep is scheduled exactly when a record would first create
         its key's newest slot.
         """
-        ctx = self.ctx
-        now = ctx.now()
-        key_fn = self._key_fn
-        keys = [key_fn(p) for p in batch.payloads]
-        n = len(keys)
+        n = len(batch.rids)
         if not n:
             return None
+        ctx = self.ctx
+        now = ctx.now()
         newest = int(now // self.slide)
-        windows = self._windows_for(now)
+        older = self._windows_for(now)[:-1]
         counts = self._counts
-        get = counts.get
-        out_counts = [0] * n
-        puts: list[tuple[Any, Any, int]] = []
-        for key, idxs in group_indices(keys).items():
-            arrivals = len(idxs)
-            for window_id in windows:
-                slot = (window_id, key)
-                stored = get(slot)
-                if stored is None and window_id == newest:
+        stored_count = counts.get
+        key_fn = self._key_fn
+        #: key -> [newest-window count before the batch, running count]
+        running: dict[Any, list[int]] = {}
+        payloads = []
+        for payload in batch.payloads:
+            key = key_fn(payload)
+            pair = running.get(key)
+            if pair is None:
+                stored = stored_count((newest, key))
+                if stored is None:
                     self._schedule_sweep(newest)
-                base = stored or 0
-                puts.append((slot, base + arrivals, 32))
-                if window_id == newest:
-                    for j, i in enumerate(idxs, start=1):
-                        out_counts[i] = base + j
+                    stored = 0
+                pair = running[key] = [stored, stored]
+            pair[1] = count = pair[1] + 1
+            payloads.append({"key": key, "window": newest, "count": count})
+        puts: list[tuple[Any, Any, int]] = []
+        for key, (base, count) in running.items():
+            arrivals = count - base
+            for window_id in older:
+                slot = (window_id, key)
+                puts.append((slot, (stored_count(slot) or 0) + arrivals, 32))
+            puts.append(((newest, key), count, 32))
         counts.put_many(puts)
-        payloads = [
-            {"key": keys[i], "window": newest, "count": out_counts[i]}
-            for i in range(n)
-        ]
-        return RecordBatch(
-            rids=derived_rids(ctx.op_name, batch.rids),
-            payloads=payloads,
-            source_ts=batch.source_ts,
-            sizes=[self._out_size] * n,
-        )
+        return RecordBatch(derived_rids(ctx.op_name, batch.rids), payloads,
+                           batch.source_ts, [self._out_size] * n)
 
 
 class MaxPerKeyOperator(Operator):
@@ -574,12 +563,13 @@ class MaxPerKeyOperator(Operator):
         group_fn = self._group_fn
         value_fn = self._value_fn
         item_fn = self._item_fn
-        payloads = batch.payloads
         local: dict[Any, tuple[Any, Any]] = {}
         local_get = local.get
-        keep: list[int] = []
+        rids: list[int] = []
+        ts_col: list[float] = []
         out_payloads: list[Any] = []
-        for i, payload in enumerate(payloads):
+        for rid, payload, ts in zip(batch.rids, batch.payloads,
+                                    batch.source_ts):
             group = group_fn(payload)
             value = value_fn(payload)
             cur = local_get(group)
@@ -589,23 +579,14 @@ class MaxPerKeyOperator(Operator):
                 continue
             item = item_fn(payload)
             local[group] = (value, item)
-            keep.append(i)
+            rids.append(rid)
+            ts_col.append(ts)
             out_payloads.append({"group": group, "item": item, "value": value})
-        if not keep:
+        if not rids:
             return None
         best.put_many([(g, vi, 32) for g, vi in local.items()])
-        if len(keep) == len(payloads):
-            rids, ts = batch.rids, batch.source_ts
-        else:
-            in_rids, in_ts = batch.rids, batch.source_ts
-            rids = [in_rids[i] for i in keep]
-            ts = [in_ts[i] for i in keep]
-        return RecordBatch(
-            rids=derived_rids(self.ctx.op_name, rids),
-            payloads=out_payloads,
-            source_ts=ts,
-            sizes=[self._out_size] * len(keep),
-        )
+        return RecordBatch(derived_rids(self.ctx.op_name, rids), out_payloads,
+                           ts_col, [self._out_size] * len(rids))
 
 
 class SinkOperator(Operator):
@@ -693,15 +674,12 @@ class FusedStatelessOperator(Operator):
                 if len(keep) != len(payloads):
                     batch = batch.select(keep)
             else:
-                fn = stage.fn
-                payloads = [fn(p) for p in batch.payloads]
+                payloads = list(map(stage.fn, batch.payloads))
                 out_size = stage.out_size
-                sizes = ([out_size(p) for p in payloads] if out_size
-                         else batch.sizes)
                 batch = RecordBatch(
-                    rids=derived_rids(stage.name, batch.rids),
-                    payloads=payloads,
-                    source_ts=batch.source_ts,
-                    sizes=sizes,
+                    derived_rids(stage.name, batch.rids),
+                    payloads,
+                    batch.source_ts,
+                    list(map(out_size, payloads)) if out_size else batch.sizes,
                 )
         return batch if len(batch.rids) else None

@@ -101,16 +101,6 @@ def derived_rid_prefix(op_name: str) -> int:
     return acc
 
 
-def _finish_derived(prefix: int, parent_rid: int, emission_index: int) -> int:
-    """Finish a prefixed derived rid (two mix steps)."""
-    acc = prefix ^ (parent_rid & _MASK64)
-    acc = (acc * _PRIME) & _MASK64
-    acc ^= acc >> 29
-    acc ^= (emission_index + 1) & _MASK64
-    acc = (acc * _PRIME) & _MASK64
-    return acc ^ (acc >> 29)
-
-
 def derived_rids(op_name: str, parent_rids: Sequence[int],
                  emission_index: int = 0) -> list[int]:
     """Column form of :func:`derived_rid`, bit-identical to the scalar loop.
@@ -119,11 +109,21 @@ def derived_rids(op_name: str, parent_rids: Sequence[int],
     the ``& _MASK64`` masking) when the column is long enough to amortize
     the array round-trip; results convert back to Python ints so dedup
     sets, rid journals and pickled snapshots stay byte-identical to the
-    per-record path.
+    per-record path.  Below that length the two remaining mix steps run
+    inline, row by row: most batches carry one to four rids, and a call
+    per rid would cost more than the arithmetic.
     """
-    prefix = derived_rid_prefix(op_name)
+    prefix = _DERIVE_PREFIXES.get(op_name)
+    if prefix is None:
+        prefix = derived_rid_prefix(op_name)
     if len(parent_rids) < _VECTOR_MIN:
-        return [_finish_derived(prefix, rid, emission_index) for rid in parent_rids]
+        emission = (emission_index + 1) & _MASK64
+        rids = []
+        for rid in parent_rids:
+            mix = ((prefix ^ (rid & _MASK64)) * _PRIME) & _MASK64
+            mix = (((mix ^ (mix >> 29)) ^ emission) * _PRIME) & _MASK64
+            rids.append(mix ^ (mix >> 29))
+        return rids
     acc = _np.array(parent_rids, dtype=_np.uint64)
     acc ^= _np.uint64(prefix)
     acc *= _np.uint64(_PRIME)

@@ -203,29 +203,41 @@ class Job:
         """Run operator logic over a batch; returns virtual CPU cost.
 
         Every input — polled batches, delivered messages, replayed and
-        reinjected channel state — takes this one path.  Dedup filters the
-        rid column (C-speed set operations on the no-duplicate fast path),
-        the operator consumes the whole batch in one
+        reinjected channel state — takes this one path.  Dedup admits the
+        rid column with one probe and one insert (below), the operator
+        consumes the whole batch in one
         :meth:`~repro.dataflow.operators.Operator.process_batch` call, and
         the outputs route once.  CPU is charged as
         ``cpu_per_record * records_processed``.
         """
-        if batch is None or not batch.rids:
+        if batch is None:
             return 0.0
+        rids = batch.rids
+        n = len(rids)
+        if not n:
+            return 0.0
+        router = instance.router
         if self.protocol.requires_dedup:
-            rids = batch.rids
             seen = instance.processed_rids
-            if seen.isdisjoint(rids) and len(set(rids)) == len(rids):
-                # fast path: nothing already processed, no intra-batch
-                # duplicates — admit the whole rid column at C speed
+            fresh = seen.isdisjoint(rids)
+            if fresh:
+                # nothing already processed: insert the whole column.  The
+                # set then grew by n, or the batch repeats a rid — and
+                # since none of them was in the set before, taking them
+                # all out again restores exactly the state before
+                grown = len(seen) + n
                 seen.update(rids)
+                if len(seen) != grown:
+                    seen.difference_update(rids)
+                    fresh = False
+            if fresh:
                 instance.rid_journal.extend(rids)
             else:
                 batch = self._dedup_batch(instance, batch)
-        router = instance.router
-        n = len(batch.rids)
-        if not n:
-            return self.transport.flush_ready(instance) if router._n_ready else 0.0
+                n = len(batch.rids)
+                if not n:
+                    return (self.transport.flush_ready(instance)
+                            if router._n_ready else 0.0)
         operator = instance.operator
         outputs = operator.process_batch(batch, port)
         cost = operator.cpu_per_record * n
@@ -303,10 +315,10 @@ class Job:
             self.metrics.record_ingest(now, end - cursor)
             rids = source_rids(partition, instance.rid_prefixes[part_index])
             batch = RecordBatch(
-                rids=rids[cursor:end],
-                payloads=partition.payloads[cursor:end],
-                source_ts=partition.times[cursor:end],
-                sizes=partition.sizes[cursor:end],
+                rids[cursor:end],
+                partition.payloads[cursor:end],
+                partition.times[cursor:end],
+                partition.sizes[cursor:end],
             )
             cursors[part_index] = end
             cost += self.process_records(instance, batch, "in")

@@ -473,7 +473,9 @@ class WorkerRuntime:
             kind = task[0]
             owner: InstanceRuntime | None
             if kind == "data":
-                owner = job.channel_dst[task[1]]
+                # the one lookup of the message's receiver: _run_data
+                # takes it from here
+                owner = receiver = job.channel_dst[task[1]]
             elif kind in ("poll", "ckpt", "timer"):
                 owner = task[1]
             else:
@@ -483,7 +485,7 @@ class WorkerRuntime:
                 continue
             self._busy = True
             if kind == "data":
-                duration = self._run_data(task[1], task[2])
+                duration = self._run_data(receiver, task[1], task[2])
             elif kind == "poll":
                 duration = job.run_source_poll(task[1])
             else:
@@ -525,13 +527,14 @@ class WorkerRuntime:
             return self.job.transport.finish_unpark(instance, edge_id, dst)
         raise AssertionError(f"unknown task kind {kind!r}")
 
-    def _run_data(self, channel: ChannelId, msg: Message) -> float:
+    def _run_data(self, instance: InstanceRuntime, channel: ChannelId,
+                  msg: Message) -> float:
+        """Consume one data message on ``instance``, the channel's receiver."""
         job = self.job
         transport = job.transport
         if transport.capacity > 0:
             # consuming the message returns its credits to the sender
             transport.on_consumed(channel, msg)
-        instance = job.channel_dst[channel]
         cost = job.cost.serialize_cost(msg.payload_bytes + msg.protocol_bytes)
         cost += job.protocol.on_data_received(instance, channel, msg)
         if msg.seq > instance.last_received.get(channel, 0):

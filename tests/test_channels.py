@@ -165,6 +165,145 @@ def test_router_preserves_record_order_per_destination():
 
 
 # --------------------------------------------------------------------- #
+# The shared routing key -> destination table (DESIGN.md section 22)
+# --------------------------------------------------------------------- #
+
+#: every supported key type, the awkward members included
+_ROUTING_KEYS = [
+    0, 7, -1, -(2 ** 40), 2 ** 64, 2 ** 64 + 5, 10 ** 30,
+    True, False,
+    "", "bidder-17", "ключ",
+    (), (1, "x"), ((1, 2), ("a", (3, False)), -9),
+]
+
+
+def _key_router(parallelism, groups=128, batch_max=1000):
+    edge = make_edge(Partitioning.KEY, key_fn=lambda p: p)
+    router = RouterBuffer(
+        [edge], {0: Partitioner(edge, parallelism, max_key_groups=groups)},
+        src_index=0, batch_max=batch_max)
+    return router
+
+
+def _routed(router, keys):
+    """Route ``keys`` as one batch; the destination each landed on."""
+    router.route_batch(RecordBatch(
+        list(range(len(keys))), list(keys), [0.0] * len(keys),
+        [8] * len(keys)))
+    landed = {}
+    for _, dst, records, _ in router.take_all():
+        for rid in records.rids:
+            landed[rid] = dst
+    return [landed[i] for i in range(len(keys))]
+
+
+def _expected(keys, parallelism, groups=128):
+    """What the definition says (this module's ``hash_key`` is the real
+    one, whatever a test patches into ``channels``)."""
+    from repro.dataflow.keygroups import group_owner, key_group
+
+    return [group_owner(key_group(hash_key(k), groups), parallelism, groups)
+            for k in keys]
+
+
+@pytest.mark.parametrize("parallelism, groups", [(4, 128), (6, 128), (3, 7)])
+def test_every_key_type_routes_to_its_group_owner_cold_and_warm(parallelism,
+                                                                groups):
+    from repro.dataflow.channels import key_destinations
+
+    expected = _expected(_ROUTING_KEYS, parallelism, groups)
+    first = _key_router(parallelism, groups)
+    entries = key_destinations(parallelism, groups).entries
+    entries.clear()  # a pure memo: emptying it only makes the next pass cold
+    assert _routed(first, _ROUTING_KEYS) == expected
+    assert all(entries[key] == dst
+               for key, dst in zip(_ROUTING_KEYS, expected))
+    assert _routed(first, _ROUTING_KEYS) == expected  # warm
+    # another router of the same shape reads what the first one derived
+    assert _routed(_key_router(parallelism, groups), _ROUTING_KEYS) == expected
+
+
+def test_routers_of_two_shapes_never_serve_each_others_destinations():
+    """A rescale 4 -> 6 is a second table, not an invalidation."""
+    from repro.dataflow.channels import key_destinations
+
+    keys = list(range(200)) + ["a", "b", (1, 2)]
+    four, six = _key_router(4), _key_router(6)
+    for _ in range(2):  # cold, then warm, interleaved
+        assert _routed(four, keys) == _expected(keys, 4)
+        assert _routed(six, keys) == _expected(keys, 6)
+    assert _expected(keys, 4) != _expected(keys, 6)
+    assert key_destinations(4, 128) is key_destinations(4, 128)
+    assert key_destinations(4, 128) is not key_destinations(6, 128)
+    assert key_destinations(4, 128) is not key_destinations(4, 64)
+
+
+def test_destination_table_never_exceeds_its_bound(monkeypatch):
+    from repro.dataflow.channels import KeyDestinations, key_destinations
+
+    monkeypatch.setattr(KeyDestinations, "MAX_ENTRIES", 8)
+    parallelism, groups = 5, 11  # a shape no other test routes at
+    router = _key_router(parallelism, groups)
+    table = key_destinations(parallelism, groups)
+    keys = list(range(1000, 1100))
+    for key in keys:
+        assert _routed(router, [key]) == _expected([key], parallelism, groups)
+        assert len(table.entries) <= 8
+    # emptied on the way, and right all the same
+    assert _routed(router, keys) == _expected(keys, parallelism, groups)
+    assert len(table.entries) <= 8
+
+
+@pytest.mark.parametrize("key", [3.14, None, frozenset({1}), b"raw", [1]])
+def test_unsupported_key_type_raises_on_every_occurrence(key):
+    """Never memoised: the third occurrence fails like the first."""
+    from repro.dataflow.channels import key_destinations
+
+    router = _key_router(4)
+    for _ in range(3):
+        with pytest.raises(TypeError):
+            router.route_batch(RecordBatch([1], [key], [0.0], [8]))
+    try:
+        assert key not in key_destinations(4, 128).entries
+    except TypeError:
+        pass  # unhashable: it cannot be in any dict
+
+
+def test_replaced_hash_functions_get_a_table_of_their_own(monkeypatch):
+    """The table is registered under the functions that fill it.
+
+    A test that swaps ``hash_key`` or ``key_group`` is never served a
+    destination the real ones derived, a router built before the swap
+    keeps deriving with the functions its table was created with, and
+    nothing the fakes derived is left behind for the next test.
+    """
+    import repro.dataflow.channels as channels
+
+    keys = list(range(300, 340))
+    real = _expected(keys, 4)
+    before = _key_router(4)
+    assert _routed(before, keys) == real  # the real table holds them now
+    real_table = channels.key_destinations(4, 128)
+
+    monkeypatch.setattr(channels, "hash_key", lambda key: 12345)
+    everything_on_one = _expected([12345], 4) * len(keys)
+    assert everything_on_one != real
+    assert _routed(_key_router(4), keys) == everything_on_one
+    assert channels.key_destinations(4, 128) is not real_table
+    # new keys through the router that predates the swap: the real hash
+    more = list(range(900, 940))
+    assert _routed(before, more) == _expected(more, 4)
+    monkeypatch.undo()
+
+    monkeypatch.setattr(channels, "key_group", lambda key_hash, groups: 127)
+    assert _routed(_key_router(4), keys) == [3] * len(keys)
+    monkeypatch.undo()
+
+    assert channels.key_destinations(4, 128) is real_table
+    assert _routed(_key_router(4), keys + more) == _expected(keys + more, 4)
+
+
+# --------------------------------------------------------------------- #
 # Message
 # --------------------------------------------------------------------- #
 

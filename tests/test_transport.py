@@ -100,6 +100,37 @@ def test_blocked_key_skipped_by_gated_drains_but_forced_out():
     assert router.staged_records == 0
 
 
+def test_ungated_take_all_drains_everything_and_settles_the_counters():
+    """The checkpoint flush (and every flush of an unbounded job): parked
+    buffers leave too and are unparked, a parked pair that holds nothing
+    stays parked, and the counters read zero — for what is routed next."""
+    router, edges = _make_router(n_edges=2, batch_max=2)
+    first, second = edges[0].edge_id, edges[1].edge_id
+    owner = {key: Partitioner(edges[0], 4).destinations(
+        0, StreamRecord(0, KeyedEvent(key, 0), 0.0, 40))[0] for key in range(9)}
+    hot = owner[0]
+    lone = next(key for key in owner if owner[key] != hot)
+    idle = next(d for d in range(4) if d not in (hot, owner[lone]))
+    router.route_batch(_batch([0, lone, 0]))
+    staged = {(eid, dst): list(buf.records.rids)
+              for eid, by_dst in router._by_edge.items()
+              for dst, buf in by_dst.items()}
+    assert [len(rids) for rids in staged.values()] == [2, 1, 2, 1]
+    router.block(first, hot)     # holds a full batch
+    router.block(second, idle)   # holds nothing
+    assert router._n_ready == 1  # the hot pair of the second edge
+    drained = router.take_all()
+    assert [(eid, dst, records.rids) for eid, dst, records, _ in drained] \
+        == [(eid, dst, rids) for (eid, dst), rids in staged.items()]
+    assert all(nbytes == 40 * len(records) for _, _, records, nbytes in drained)
+    assert (router.staged_records, router.staged_bytes, router._n_ready) \
+        == (0, 0, 0)
+    assert router.blocked_keys == {(second, idle)}
+    router.route_batch(_batch([0, 0]))
+    assert router._n_ready == 2 and router.staged_records == 4
+    assert len(router.take_ready()) == 2
+
+
 def test_gate_refusal_blocks_in_place():
     router, edges = _make_router(n_edges=1, batch_max=2)
     router.route_batch(_batch([0, 0]))
