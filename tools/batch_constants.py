@@ -14,8 +14,8 @@ batch::
 
     python tools/batch_constants.py
     python tools/batch_constants.py --calls
-    python tools/batch_constants.py --calls --max-admit-calls 6 \
-        --max-count-calls 20 --max-key-route-calls 12
+    python tools/batch_constants.py --calls --max-admit-calls 5 \
+        --max-count-calls 20 --max-key-route-calls 17
 
 Without ``--calls`` it prints per stage the microseconds per call (the
 fastest of ``--reps`` repetitions) and the fitted ``a + b*n`` (least

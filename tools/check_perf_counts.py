@@ -1,19 +1,21 @@
 #!/usr/bin/env python
-"""Count ratchet for the message hop, the input log and the generators
-(DESIGN.md 19, 20).
+"""Count ratchet for the message hop, the batch constants, the input log
+and the generators (DESIGN.md 19, 20, 22).
 
 Reads the output of ``python3 -m perfbench --workload paper --workload
-inputs --trace 1`` (seed 7) on stdin — one ``== NAME: ...`` header and one
-result object per workload — and fails when a *count* of a traced pass
-left its pinned range.  Counts repeat exactly per seed and interpreter
-version, so this gates a regression of the per-event Python chain, or of
+dense --workload inputs --trace 1`` (seed 7) on stdin — one ``== NAME:
+...`` header and one result object per workload — and fails when a
+*count* of a traced pass left its pinned range.  Counts repeat exactly
+per seed and interpreter version, so this gates a regression of the
+per-event or per-batch Python chain, of a kernel's per-row calls, or of
 the per-record log append or draw loop, without any timing noise::
 
-    python3 -m perfbench --workload paper --workload inputs --seconds 5 \
-        --trace 1 | python tools/check_perf_counts.py
+    python3 -m perfbench --workload paper --workload dense \
+        --workload inputs --seconds 5 --trace 1 \
+        | python tools/check_perf_counts.py
 
-Exit status 0 when every count of both workloads holds, 1 otherwise (a
-missing workload is a failure: a gate that was not run did not pass).
+Exit status 0 when every count of all three workloads holds, 1 otherwise
+(a missing workload is a failure: a gate that was not run did not pass).
 """
 
 from __future__ import annotations
@@ -21,10 +23,15 @@ from __future__ import annotations
 import json
 import sys
 
-#: ``paper``, Python calls per offered record: ~5 % above the 71.6 the
-#: columnar input log landed at on CPython 3.11 (the shortened hop read
+#: ``paper``, Python calls per offered record: ~5 % above the 63.10 the
+#: cut batch constants landed at on CPython 3.11 (the generators drawing
+#: columns read 69.56, the columnar input log 71.6, the shortened hop
 #: 77.6, the commit before it 119.1)
-CALLS_PER_RECORD_CEILING = 75.2
+CALLS_PER_RECORD_CEILING = 66.3
+#: ``dense``, Python calls per offered record: 17.31 landed (18.44 before
+#: the kernels folded a batch in one pass); one more call per row in a
+#: kernel or in KEY routing reads +1.0
+DENSE_CALLS_PER_RECORD_CEILING = 18.0
 #: ``inputs``, calls into ``repro.storage`` per generated record: the
 #: generators hand whole columns over, a few calls per partition (0.002);
 #: one checked ``append`` per record reads 1.0 and a row object per
@@ -61,6 +68,17 @@ def check_paper(metrics: dict[str, dict[str, float]]) -> list[str]:
     return problems
 
 
+def check_dense(metrics: dict[str, dict[str, float]]) -> list[str]:
+    """The violated bounds of the ``dense`` pass, one message each."""
+    calls = metrics["total.calls_per_record"]["value"]
+    if calls > DENSE_CALLS_PER_RECORD_CEILING:
+        return [
+            f"dense: total.calls_per_record = {calls:.2f} exceeds the "
+            f"ceiling {DENSE_CALLS_PER_RECORD_CEILING} (a call per row "
+            "crept into a kernel or into routing?)"]
+    return []
+
+
 def check_inputs(metrics: dict[str, dict[str, float]]) -> list[str]:
     """The violated bounds of the ``inputs`` pass, one message each."""
     problems = []
@@ -79,7 +97,7 @@ def check_inputs(metrics: dict[str, dict[str, float]]) -> list[str]:
     return problems
 
 
-CHECKS = {"paper": check_paper, "inputs": check_inputs}
+CHECKS = {"paper": check_paper, "dense": check_dense, "inputs": check_inputs}
 
 
 def parse(text: str) -> dict[str, dict[str, dict[str, float]]]:
@@ -108,6 +126,8 @@ def main() -> int:
         print("check_perf_counts: ok "
               f"({results['paper']['total.calls_per_record']['value']:.2f} "
               "calls/record on paper, "
+              f"{results['dense']['total.calls_per_record']['value']:.2f} "
+              "on dense, "
               f"{results['inputs']['storage.calls_per_record']['value']:.3f} "
               "storage and "
               f"{results['inputs']['workloads.generators.calls_per_record']['value']:.2f} "
