@@ -331,8 +331,8 @@ def _admit(job: Job, instance, rids: list[int]) -> None:
     ), "in")
 
 
-#: one admitted batch is four rids at the most; the rest of the
-#: admission matrix reads off these (1 and 2 are already in the set)
+#: every shape of batch admission has to tell apart, against a dedup
+#: set that already holds rids 1 and 2
 _ADMISSIONS = {
     # name: (batch, survivors in order, duplicates skipped)
     "all-new": ([3, 4, 5], [3, 4, 5], 0),

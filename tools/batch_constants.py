@@ -38,6 +38,7 @@ import argparse
 import cProfile
 import gc
 import inspect
+import itertools
 import pstats
 import sys
 import time
@@ -214,7 +215,7 @@ def _operator(factory: Callable[[], Any], port: str) -> Stage:
 
 #: a fresh block of integers per cold-routing fixture, so no routing key
 #: repeats within the process whatever memo the router keeps
-_cold_blocks = iter(range(1, 1 << 30))
+_cold_blocks = itertools.count(1)
 
 
 def _route(partitioning_name: str, cold: bool = False) -> Stage:
