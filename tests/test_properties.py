@@ -138,7 +138,11 @@ def test_latency_series_covers_requested_window(latencies):
 @given(st.integers(min_value=0, max_value=2**31))
 @settings(max_examples=10, deadline=None)
 def test_dedup_processing_is_idempotent(seed):
-    """Processing the same batch twice must apply effects once (UNC path)."""
+    """Processing the same batch twice must apply effects once (UNC path).
+
+    A batch is replayed to an instance only after a rollback, so the
+    instance is restored (to where it stands) before the repeat.
+    """
     from tests.conftest import build_count_graph, make_event_log
     from repro.dataflow.runtime import Job
     from repro.sim.costs import RuntimeConfig
@@ -154,6 +158,7 @@ def test_dedup_processing_is_idempotent(seed):
     )
     job.process_records(instance, records, "in")
     total_after_first = sum(v for _, v in instance.operator.states["counts"].items())
+    instance.restore_snapshot(instance.capture_snapshot())
     job.process_records(instance, records, "in")  # replayed duplicate batch
     total_after_second = sum(v for _, v in instance.operator.states["counts"].items())
     assert total_after_first == total_after_second == len(records)

@@ -358,12 +358,18 @@ def test_admission_drops_duplicates_first_occurrence_wins(backend, case):
     skipped duplicate — and no rid is left in the set that the journal
     does not know, so the next checkpoint still seals in O(1) (a node
     hanging off the previous head) instead of re-rooting.
+
+    A repeated rid reaches an instance only after a rollback (channels
+    are FIFO and exactly-once until a worker fails), so the instance is
+    restored to a checkpoint holding rids 1 and 2 first.
     """
     batch, survivors, duplicates = _ADMISSIONS[case]
     job = _dedup_job(backend)
     instance = job.instance(("count", 0))
     _admit(job, instance, [1, 2])
-    previous = instance.seal_rids()
+    instance.restore_snapshot(instance.capture_snapshot())
+    previous = instance.rid_head
+    assert previous.materialize() == {1, 2}
     _admit(job, instance, [6])  # a journal that is not empty to begin with
     delivered: list[list[int]] = []
     process_batch = instance.operator.process_batch
@@ -384,6 +390,53 @@ def test_admission_drops_duplicates_first_occurrence_wins(backend, case):
     sealed = instance.seal_rids()
     assert sealed.parent is previous and sealed.added == [6, *survivors]
     assert sealed.materialize() == instance.processed_rids
+
+
+def _dedup_bytes(instance) -> int:
+    """The share of ``state_bytes`` that stands for the dedup history."""
+    return (instance.state_bytes - instance.operator.state_bytes
+            - 12 * (len(instance.out_seq) + len(instance.last_received)))
+
+
+@pytest.mark.parametrize("backend", ["full", "changelog"])
+@pytest.mark.parametrize("case", sorted(
+    case for case, (batch, survivors, _) in _ADMISSIONS.items()
+    if survivors == batch))
+def test_admission_before_any_rollback_journals_the_batch(backend, case):
+    """The other half of the matrix: an instance never rolled back.
+
+    No rid can be offered twice there, so only the all-new rows apply.
+    The operator sees the batch whole; the journal gains it in batch
+    order; ``state_bytes`` grows by the 8 bytes a rid is charged; and
+    the next checkpoint seals in O(1) into a child of the previous head
+    that stands for exactly what was admitted.
+    """
+    batch, _, _ = _ADMISSIONS[case]
+    job = _dedup_job(backend)
+    instance = job.instance(("count", 0))
+    _admit(job, instance, [1, 2])
+    previous = instance.seal_rids()
+    _admit(job, instance, [6])  # a journal that is not empty to begin with
+    delivered: list[list[int]] = []
+    process_batch = instance.operator.process_batch
+
+    def spy(records: RecordBatch, port: str):
+        delivered.append(list(records.rids))
+        return process_batch(records, port)
+
+    instance.operator.process_batch = spy
+    charged = _dedup_bytes(instance)
+    _admit(job, instance, batch)
+    assert delivered == [batch]
+    assert instance.rid_journal == [6, *batch]
+    assert _dedup_bytes(instance) - charged == 8 * len(batch)
+    assert job.metrics.duplicates_skipped == 0
+    sealed = instance.seal_rids()
+    assert sealed.parent is previous and sealed.added == [6, *batch]
+    assert sealed.count == 3 + len(batch)
+    assert sealed.materialize() == {1, 2, 6, *batch}
+    assert instance.rid_journal == []
+    assert _dedup_bytes(instance) == 8 * sealed.count
 
 
 def _with_a_repeat(rids: list[int]) -> list[int]:
@@ -425,10 +478,15 @@ def test_dedup_history_matches_eager_copies(backend, ops):
     rollback abandoned — and rescale-merges of two of them.  The model
     copies the set at every checkpoint; at the end every checkpoint ever
     taken must still restore to its copy.
+
+    Batches repeat rids from the first admission on, which only an
+    instance that has been rolled back can meet: the sequence starts
+    from a restore of the (empty) initial state.
     """
     job = _dedup_job(backend)
     store = job.coordinator.blobstore
     instance = job.instance(("count", 0))
+    instance.restore_snapshot(instance.capture_snapshot())
     model: set[int] = set()
     taken: list[tuple[str, set[int]]] = []
 
