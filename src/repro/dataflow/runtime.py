@@ -203,8 +203,16 @@ class Job:
         """Run operator logic over a batch; returns virtual CPU cost.
 
         Every input — polled batches, delivered messages, replayed and
-        reinjected channel state — takes this one path.  Dedup admits the
-        rid column with one probe and one insert (below), the operator
+        reinjected channel state — takes this one path.  Under a protocol
+        that dedups, admission depends on whether the instance has ever
+        been rolled back.  Until then nothing can be offered twice —
+        channels are FIFO and exactly-once while no worker has failed,
+        and a lineage id is a bijection of its parent's — so the instance
+        holds no set and the rid column is only journaled.  Every restore
+        installs the set (``InstanceRuntime.install_rids`` /
+        ``restore_rescaled``), and from then on the column is admitted
+        with one probe and one insert (below), repeats dropped first
+        occurrence wins (DESIGN.md sections 22 and 23).  The operator
         consumes the whole batch in one
         :meth:`~repro.dataflow.operators.Operator.process_batch` call, and
         the outputs route once.  CPU is charged as
@@ -218,26 +226,30 @@ class Job:
             return 0.0
         router = instance.router
         if self.protocol.requires_dedup:
-            seen = instance.processed_rids
-            fresh = seen.isdisjoint(rids)
-            if fresh:
-                # nothing already processed: insert the whole column.  The
-                # set then grew by n, or the batch repeats a rid — and
-                # since none of them was in the set before, taking them
-                # all out again restores exactly the state before
-                grown = len(seen) + n
-                seen.update(rids)
-                if len(seen) != grown:
-                    seen.difference_update(rids)
-                    fresh = False
-            if fresh:
+            seen = instance.rid_set
+            if seen is None:
+                # never restored, so nothing can be offered twice
                 instance.rid_journal.extend(rids)
             else:
-                batch = self._dedup_batch(instance, batch)
-                n = len(batch.rids)
-                if not n:
-                    return (self.transport.flush_ready(instance)
-                            if router._n_ready else 0.0)
+                fresh = seen.isdisjoint(rids)
+                if fresh:
+                    # nothing already processed: insert the whole column.
+                    # The set then grew by n, or the batch repeats a rid —
+                    # and since none of them was in the set before, taking
+                    # them all out again restores exactly the state before
+                    grown = len(seen) + n
+                    seen.update(rids)
+                    if len(seen) != grown:
+                        seen.difference_update(rids)
+                        fresh = False
+                if fresh:
+                    instance.rid_journal.extend(rids)
+                else:
+                    batch = self._dedup_batch(instance, batch)
+                    n = len(batch.rids)
+                    if not n:
+                        return (self.transport.flush_ready(instance)
+                                if router._n_ready else 0.0)
         operator = instance.operator
         outputs = operator.process_batch(batch, port)
         cost = operator.cpu_per_record * n

@@ -72,6 +72,31 @@ class RidSnapshot:
 NO_RIDS = RidSnapshot(None, [], 0)
 
 
+class RepeatedRidError(RuntimeError):
+    """An instance that was never rolled back journaled a lineage id twice.
+
+    Until its first restore an instance admits without probing: channels
+    are FIFO and exactly-once while no worker has failed and a lineage id
+    is a bijection of its parent's, so nothing can be offered twice
+    (DESIGN.md section 23).  The first time such a history becomes a set
+    its size must therefore equal the number of rids journaled; when it
+    does not, the engine delivered a record twice with no failure to
+    excuse it, and a dedup probe would have hidden that as a skipped
+    duplicate.
+    """
+
+    def __init__(self, instance: tuple[str, int], journaled: int,
+                 distinct: int) -> None:
+        super().__init__(
+            f"{instance}: {journaled} lineage ids journaled before the "
+            f"first restore, {distinct} distinct — a record was admitted "
+            "twice while nothing could repeat"
+        )
+        self.instance = instance
+        self.journaled = journaled
+        self.distinct = distinct
+
+
 class InstanceRuntime(OperatorContext):
     """One parallel instance of an operator, hosted on one worker."""
 
@@ -94,11 +119,15 @@ class InstanceRuntime(OperatorContext):
         self.out_seq: dict[ChannelId, int] = {}
         #: per inbound channel: last processed message sequence number
         self.last_received: dict[ChannelId, int] = {}
-        #: lineage ids already applied to state (UNC/CIC dedup)
-        self.processed_rids: set[int] = set()
-        #: rids admitted to ``processed_rids`` since ``rid_head``, in
-        #: order; the next checkpoint seals it into a node (and a
-        #: changelog delta ships exactly that segment)
+        #: lineage ids already applied to state (UNC/CIC dedup), as the
+        #: set admission probes — ``None`` until the first restore: no
+        #: rid can be offered twice before a rollback, so until then the
+        #: history exists as ``rid_head`` + ``rid_journal`` only
+        #: (DESIGN.md section 23); read it through ``processed_rids``
+        self.rid_set: set[int] | None = None
+        #: rids admitted since ``rid_head``, in order; the next
+        #: checkpoint seals it into a node (and a changelog delta ships
+        #: exactly that segment)
         self.rid_journal: list[int] = []
         #: the dedup set as of the last checkpoint or restore
         self.rid_head = NO_RIDS
@@ -173,10 +202,42 @@ class InstanceRuntime(OperatorContext):
     # -- bookkeeping -------------------------------------------------------- #
 
     @property
+    def processed_rids(self) -> set[int]:
+        """Every lineage id admitted so far, as the live dedup set.
+
+        An instance that has never been restored holds no set
+        (``rid_set`` is ``None``); reading this builds it from
+        ``rid_head`` and ``rid_journal``, checks that no rid was
+        journaled twice (:class:`RepeatedRidError`) and installs it, so
+        admission probes it from then on — the same transition a restore
+        makes.  For tests and tools: the data path reads ``rid_set``.
+        """
+        rids = self.rid_set
+        if rids is None:
+            rids = self.rid_head.materialize()
+            rids.update(self.rid_journal)
+            self._start_probing(
+                rids, self.rid_head.count + len(self.rid_journal))
+        return rids
+
+    def _start_probing(self, rids: set[int], journaled: int) -> None:
+        """Install the first set of a history that was only journaled."""
+        if len(rids) != journaled:
+            raise RepeatedRidError(self.key, journaled, len(rids))
+        self.rid_set = rids
+
+    @property
     def state_bytes(self) -> int:
-        """Approximate checkpoint payload: operator state + dedup set + cursors."""
+        """Approximate checkpoint payload: operator state + dedup set + cursors.
+
+        The dedup set is charged 8 bytes per lineage id whether or not
+        the host holds it as a set: before the first restore its size is
+        that of the sealed history plus the journal.
+        """
         base = self.operator.state_bytes
-        base += len(self.processed_rids) * 8
+        rids = self.rid_set
+        base += (self.rid_head.count + len(self.rid_journal)
+                 if rids is None else len(rids)) * 8
         base += (len(self.out_seq) + len(self.last_received)) * 12
         return base
 
@@ -197,26 +258,40 @@ class InstanceRuntime(OperatorContext):
         self.job.state_backend.on_reset(self)
 
     def seal_rids(self) -> RidSnapshot:
-        """Close the journal into a node standing for ``processed_rids``.
+        """Close the journal into a node standing for the dedup history.
 
-        The journal is handed to the node and a new one started.  Should
-        the set ever have been changed behind the journal, the sizes no
-        longer add up and the node is a self-contained root instead — a
-        checkpoint never stands for less than the live set.
+        The journal is handed to the node and a new one started.  While
+        there is no set the journal *is* the history since the head.
+        Once there is one, should it ever have been changed behind the
+        journal, the sizes no longer add up and the node is a
+        self-contained root instead — a checkpoint never stands for less
+        than the live set.
         """
         head = self.rid_head
         journal = self.rid_journal
-        if head.count + len(journal) == len(self.processed_rids):
+        rids = self.rid_set
+        if rids is None or head.count + len(journal) == len(rids):
             head = head.extend(journal)
         else:
-            head = RidSnapshot.root(self.processed_rids)
+            head = RidSnapshot.root(rids)
         self.rid_head = head
         self.rid_journal = []
         return head
 
     def install_rids(self, head: RidSnapshot) -> None:
-        """Make ``head`` the dedup set; later checkpoints branch from it."""
-        self.processed_rids = head.materialize()
+        """Make ``head`` the dedup set; later checkpoints branch from it.
+
+        Every rollback ends here (or in :meth:`restore_rescaled`), and a
+        rollback is what makes a repeated rid possible: from this call
+        on the instance holds a set and admission probes it.  The first
+        call is also where a history that was only journaled is checked
+        (:class:`RepeatedRidError`).
+        """
+        rids = head.materialize()
+        if self.rid_set is None:
+            self._start_probing(rids, head.count)
+        else:
+            self.rid_set = rids
         self.rid_head = head
         self.rid_journal = []
 
@@ -327,8 +402,10 @@ class InstanceRuntime(OperatorContext):
         rids: set[int] = set()
         for part in parts:
             rids.update(*part["processed_rids"].segments())
-        # the union has no history in the new topology: a root of its own
-        self.processed_rids = rids
+        # the union has no history in the new topology: a root of its
+        # own (and no count to hold it to — after an earlier rescale the
+        # contributors overlap by construction)
+        self.rid_set = rids
         self.rid_head = RidSnapshot.root(rids)
         self.rid_journal = []
         if self.spec.is_source:

@@ -427,6 +427,7 @@ def test_admission_before_any_rollback_journals_the_batch(backend, case):
     instance.operator.process_batch = spy
     charged = _dedup_bytes(instance)
     _admit(job, instance, batch)
+    assert instance.rid_set is None  # nothing to probe, nothing built
     assert delivered == [batch]
     assert instance.rid_journal == [6, *batch]
     assert _dedup_bytes(instance) - charged == 8 * len(batch)
@@ -529,6 +530,126 @@ def test_dedup_history_matches_eager_copies(backend, ops):
         assert checkpoint_rids(store, blob_key) == copy
         restore(blob_key)
         assert instance.processed_rids == copy
+
+
+#: a step of the lifecycle property.  ``offer`` carries how many rids
+#: never seen before it admits and which earlier rids (positions into
+#: everything offered so far, in any timeline) it repeats — the repeats
+#: are dropped from the batch while the instance has never been restored
+_LIFECYCLE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("offer"), st.tuples(
+        st.integers(0, 4), st.lists(st.integers(0, 10_000), max_size=4))),
+    st.tuples(st.just("checkpoint"), st.none()),
+    st.tuples(st.just("restore"), st.integers(0, 10_000)),
+    st.tuples(st.just("merge"), st.tuples(st.integers(0, 10_000),
+                                          st.integers(0, 10_000))),
+), max_size=40)
+
+
+@pytest.mark.parametrize("backend", ["full", "changelog"])
+@settings(max_examples=80, deadline=None)
+@given(ops=_LIFECYCLE_OPS)
+def test_dedup_lifecycle_matches_an_eager_set_model(backend, ops):
+    """Property: journal-only, then live — indistinguishable from a set.
+
+    The model is what the engine used to be: one eager ``set`` probed on
+    every admission and copied at every checkpoint.  Random sequences of
+    admissions, checkpoints through the real backend (full, or base /
+    delta / compaction under ``changelog``), rollbacks to *any*
+    checkpoint taken so far and rescale-merges of two of them; a batch
+    repeats earlier rids — of this timeline or an abandoned one, also
+    one of its own — only once the instance has been restored, as in the
+    engine.  After every step the operator has seen exactly the
+    survivors the model admits, in order; ``duplicates_skipped`` and the
+    dedup share of ``state_bytes`` are the model's; the instance holds a
+    set if and only if a restore has happened, and then it is the
+    model's; and every checkpoint ever taken stands for the copy made
+    when it was.
+
+    Mutations this must fail on (checked by hand when it was written):
+    an ``install_rids`` that leaves a never-restored instance without a
+    set (the transition assert, then the first repeated rid survives);
+    a ``state_bytes`` that forgets the journal while there is no set.
+    """
+    job = _dedup_job(backend)
+    store = job.coordinator.blobstore
+    instance = job.instance(("count", 0))
+    model: set[int] = set()
+    restored = False
+    skipped = 0
+    offered: list[int] = []
+    taken: list[tuple[str, set[int]]] = []
+    delivered: list[list[int]] = []
+
+    def watch_operator() -> None:
+        # a restore reinstalls the operator: spy on the current one
+        process_batch = instance.operator.process_batch
+
+        def spy(records: RecordBatch, port: str):
+            delivered.append(list(records.rids))
+            return process_batch(records, port)
+
+        instance.operator.process_batch = spy
+
+    watch_operator()
+    for op, arg in ops:
+        if op == "offer":
+            fresh, repeats = arg
+            batch = list(range(len(offered) + 1, len(offered) + 1 + fresh))
+            if restored and offered:
+                for position in repeats:
+                    batch.insert(position % (len(batch) + 1),
+                                 offered[position % len(offered)])
+            if restored and batch and repeats and repeats[0] % 3 == 0:
+                batch.append(batch[0])  # a batch repeating a rid of its own
+            survivors = list(dict.fromkeys(
+                rid for rid in batch if rid not in model))
+            delivered.clear()
+            _admit(job, instance, batch)
+            assert delivered == ([survivors] if survivors else [])
+            skipped += len(batch) - len(survivors)
+            model.update(survivors)
+            offered.extend(range(len(offered) + 1, len(offered) + 1 + fresh))
+        elif op == "checkpoint":
+            blob_key = f"count/0/{len(taken) + 1}"
+            captured = job.state_backend.capture(instance, blob_key)
+            store.put(blob_key, captured.payload, captured.upload_bytes, 0.0,
+                      base_key=captured.base_key,
+                      chain_length=captured.chain_length)
+            taken.append((blob_key, set(model)))
+            assert instance.rid_head.materialize() == model
+            assert instance.rid_journal == []
+        elif op == "restore" and taken:
+            blob_key, copy = taken[arg % len(taken)]
+            payloads = [store.get(key) for key in store.chain_keys(blob_key)]
+            if len(payloads) == 1:
+                instance.restore_snapshot(payloads[0])
+            else:
+                instance.restore_from_chain(payloads)
+            job.state_backend.on_restored(instance)
+            model, restored = set(copy), True
+            watch_operator()
+        elif op == "merge" and taken:
+            picks = [taken[index % len(taken)] for index in arg]
+            parts = [job.lifecycle.materialize_line_payload(
+                instance.key, SimpleNamespace(kind="local", blob_key=key))
+                for key, _ in picks]
+            instance.restore_rescaled(parts, 2, job.num_source_partitions)
+            job.state_backend.on_restored(instance)
+            model, restored = picks[0][1] | picks[1][1], True
+            watch_operator()
+        assert (instance.rid_set is not None) == restored
+        if restored:
+            assert instance.rid_set == model
+        assert job.metrics.duplicates_skipped == skipped
+        assert _dedup_bytes(instance) == 8 * len(model)
+        assert (instance.rid_head.count + len(instance.rid_journal)
+                == len(model))
+    for blob_key, copy in taken:
+        assert checkpoint_rids(store, blob_key) == copy
+    # the first read builds (and checks) what was only journaled
+    assert instance.processed_rids == model
+    assert instance.rid_set is instance.processed_rids
 
 
 def test_rollback_branches_and_the_abandoned_timeline_stays_restorable():
