@@ -274,7 +274,9 @@ def _cmd_all(args) -> int:
                 out = fn(scale)
             except Exception as exc:  # one broken figure must not kill the sweep
                 # str() of an AssertionError or KeyError is empty or one
-                # word: name the type here, the place on stderr
+                # word: name the type here, the place on stderr.  A run
+                # that died arrives as RunFailed, whose message names the
+                # request (query, protocol, parallelism, rate, seed, shard)
                 print(f"[{name}] FAILED: {type(exc).__name__}: {exc}\n")
                 traceback.print_exc()
                 status = 1

@@ -46,7 +46,12 @@ import pickle
 import struct
 import tempfile
 import zlib
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    BrokenExecutor,
+    ProcessPoolExecutor,
+    wait,
+)
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
@@ -239,6 +244,36 @@ def execute_any(request: "RunRequest | MstRequest") -> Any:
     if isinstance(request, MstRequest):
         return execute_mst(request)
     return execute_request(request)
+
+
+class RunFailed(RuntimeError):
+    """A request raised, or its worker died, instead of returning a result.
+
+    Raised by the runner in place of whatever the run raised (which is
+    chained as ``__cause__``, a worker's remote traceback included), so
+    that a sweep of hundreds of runs says *which* one died: the message
+    names the request's coordinates and the head of its cache key.
+    """
+
+    def __init__(self, request: "RunRequest | MstRequest", key: str,
+                 cause: BaseException) -> None:
+        if isinstance(request, MstRequest):
+            coordinates = (f"mst query={request.query} "
+                           f"protocol={request.protocol} "
+                           f"parallelism={request.parallelism} "
+                           f"seed={request.seed}")
+        else:
+            shard = ("-" if request.shard_index is None
+                     else f"{request.shard_index}/{request.shard_count}")
+            coordinates = (f"query={request.query} "
+                           f"protocol={request.protocol} "
+                           f"parallelism={request.parallelism} "
+                           f"rate={request.rate:g} seed={request.seed} "
+                           f"shard={shard}")
+        super().__init__(f"{coordinates} key={key[:12]}: "
+                         f"{type(cause).__name__}: {cause}")
+        self.request = request
+        self.key = key
 
 
 def run_with_spec(spec: "QuerySpec", request: RunRequest) -> "RunResult":
@@ -538,17 +573,18 @@ class RunHandle:
     future lands (shard merges ride on these).
     """
 
-    __slots__ = ("key", "_runner", "_result", "_done", "_callbacks")
+    __slots__ = ("key", "_runner", "_result", "_error", "_done", "_callbacks")
 
     def __init__(self, key: str, runner: "ParallelRunner"):
         self.key = key
         self._runner = runner
         self._result: Any = None
+        self._error: RunFailed | None = None
         self._done = False
         self._callbacks: list[Callable[["RunHandle"], None]] = []
 
     def done(self) -> bool:
-        """Has the result landed?"""
+        """Has the result (or the failure) landed?"""
         return self._done
 
     def add_done_callback(self, fn: Callable[["RunHandle"], None]) -> None:
@@ -559,13 +595,22 @@ class RunHandle:
             self._callbacks.append(fn)
 
     def result(self) -> Any:
-        """The resolved value, draining the scheduler until it lands."""
+        """The resolved value, draining the scheduler until it lands.
+
+        A handle whose run failed re-raises its :class:`RunFailed`, for
+        every waiter: the submitter, a deduped second submitter, the
+        merge of a shard group it was a part of.
+        """
         if not self._done:
             self._runner._drain_until(self)
+        if self._error is not None:
+            raise self._error
         return self._result
 
-    def _resolve(self, value: Any) -> None:
+    def _resolve(self, value: Any = None,
+                 error: RunFailed | None = None) -> None:
         self._result = value
+        self._error = error
         self._done = True
         callbacks, self._callbacks = self._callbacks, []
         for fn in callbacks:
@@ -585,6 +630,11 @@ class ParallelRunner:
     batches submit longest-first (:func:`estimate_cost`) and completions
     stream back as they land, so a straggler never idles the other
     workers behind a batch barrier.
+
+    A run that raises — in this process or in a worker, a worker's death
+    included — surfaces as :class:`RunFailed` naming the request, to
+    whoever drains and to every holder of its handle, and leaves nothing
+    behind: the same request submitted again is a fresh miss.
     """
 
     def __init__(self, jobs: int = 1, cache_dir: str | os.PathLike | None = None):
@@ -693,7 +743,12 @@ class ParallelRunner:
         merged = RunHandle(key, self)
         remaining = [len(handles)]
 
-        def _on_part_done(_: RunHandle) -> None:
+        def _on_part_done(part: RunHandle) -> None:
+            if merged._done:
+                return  # an earlier part already failed the group
+            if part._error is not None:
+                merged._resolve(error=part._error)
+                return
             remaining[0] -= 1
             if remaining[0] == 0:
                 value = merge([handle._result for handle in handles])
@@ -717,7 +772,10 @@ class ParallelRunner:
     def _launch(self, key: str, request: "RunRequest | MstRequest") -> RunHandle:
         handle = RunHandle(key, self)
         if self.jobs <= 1:
-            value = compact_result(request, self._execute_inline(request))
+            try:
+                value = compact_result(request, self._execute_inline(request))
+            except Exception as exc:
+                raise RunFailed(request, key, exc) from exc
             self._store(key, value)
             handle._resolve(value)
             return handle
@@ -742,17 +800,41 @@ class ParallelRunner:
         return done
 
     def _wait_some(self) -> None:
-        """Drain at least one completion; fire its callbacks."""
+        """Drain at least one completion; fire its callbacks.
+
+        A future that raised — the run itself, or ``BrokenProcessPool``
+        when its worker died — leaves the scheduler as clean as one that
+        returned: its entries are dropped (a re-submission is a fresh
+        miss), its handle resolves with a :class:`RunFailed` that every
+        waiter re-raises, and once everything that landed in this wait
+        is settled the first such failure is raised to whoever drains.
+        """
         if not self._inflight:
             raise RuntimeError("scheduler drain with nothing in flight")
         done = self._wait_any(set(self._inflight))
+        failed: RunFailed | None = None
         # resolve in submission order so callback order is deterministic
         # even when several futures land in one wait
         for future in sorted(done, key=lambda f: self._inflight[f][0]):
             _, key, request, handle = self._inflight.pop(future)
-            value = self._admit(key, request, future.result())
             self._pending.pop(key, None)
-            handle._resolve(value)
+            try:
+                value = self._admit(key, request, future.result())
+            except Exception as exc:
+                if isinstance(exc, BrokenExecutor) and self._pool is not None:
+                    # a dead worker broke the whole pool: every other
+                    # in-flight future fails the same way, and the next
+                    # launch builds a new one
+                    self._pool.shutdown(wait=False)
+                    self._pool = None
+                error = RunFailed(request, key, exc)
+                error.__cause__ = exc
+                handle._resolve(error=error)
+                failed = failed or error
+            else:
+                handle._resolve(value)
+        if failed is not None:
+            raise failed
 
     def _admit(self, key: str, request: Any, value: Any) -> Any:
         """Turn a worker's return into the cached result value."""
@@ -795,10 +877,15 @@ class ParallelRunner:
             self.hits += 1
             return value
         self.misses += 1
-        if isinstance(request, MstRequest):
-            result = execute_mst(request, runner=self)
-        else:
-            result = compact_result(request, execute_request(request))
+        try:
+            if isinstance(request, MstRequest):
+                result = execute_mst(request, runner=self)
+            else:
+                result = compact_result(request, execute_request(request))
+        except RunFailed:
+            raise  # a probe of this search: already names what died
+        except Exception as exc:
+            raise RunFailed(request, key, exc) from exc
         self._store(key, result)
         return result
 
@@ -843,6 +930,6 @@ class ParallelRunner:
         for key, request in order:
             handles[key] = self._launch(key, request)
         for handle in handles.values():
-            self._drain_until(handle)
+            handle.result()
         return [resolved[key] if key in resolved else handles[key]._result
                 for key in keys]

@@ -180,6 +180,39 @@ def test_all_names_what_killed_a_figure_and_keeps_going(tmp_path, capsys,
     assert (tmp_path / "fine.txt").exists()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_all_names_the_request_that_killed_a_figure(tmp_path, capsys,
+                                                    monkeypatch, jobs):
+    """A run that raises is reported with its coordinates — and again,
+    with the same real error, by a later figure sharing the request: the
+    sweep keeps one runner across figures, which a failure must not
+    poison."""
+    from repro.experiments import figures
+    from repro.experiments.parallel import RunRequest
+
+    bad = RunRequest(query="q1", protocol="nope", parallelism=2, rate=220.0,
+                     duration=3.0, warmup=1.0)
+
+    def broken(scale):
+        figures._prefetch([bad])
+        return figures._fetch(bad)
+
+    monkeypatch.setenv("CHECKMATE_SCALE", "quick")
+    monkeypatch.setattr(figures, "ALL_EXPERIMENTS", {
+        "first": broken, "second": broken,
+        "fine": lambda scale: {"text": "all is well", "checks": []},
+    })
+    assert main(["all", "--jobs", jobs, "--cache-dir", str(tmp_path / "cache"),
+                 "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    for name in ("first", "second"):
+        assert (f"[{name}] FAILED: RunFailed: query=q1 protocol=nope "
+                "parallelism=2 rate=220 seed=7 shard=- key=") in out
+    assert out.count("ValueError: unknown protocol 'nope'") == 2
+    assert "nothing in flight" not in out
+    assert "all is well" in out
+
+
 def test_unknown_experiment_rejected():
     with pytest.raises(SystemExit):
         main(["run", "fig99"])

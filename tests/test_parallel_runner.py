@@ -8,6 +8,7 @@ from repro.experiments.parallel import (
     MstRequest,
     ParallelRunner,
     RunCache,
+    RunFailed,
     RunRequest,
     estimate_cost,
     execute_request,
@@ -237,6 +238,76 @@ def test_map_preserves_request_order():
     requests = [req(rate=r) for r in (250.0, 350.0, 300.0)]
     results = runner.map(requests)
     assert [r.rate for r in results] == [250.0, 350.0, 300.0]
+
+
+# --------------------------------------------------------------------- #
+# A run that fails (the real pool; the fake-pool half is in
+# tests/test_scheduler_determinism.py)
+# --------------------------------------------------------------------- #
+
+def test_a_run_raising_in_a_pool_worker_names_its_request_and_poisons_nothing():
+    """An unknown protocol dies in ``Job(...)``, milliseconds in."""
+    good, bad = req(duration=3.0, warmup=1.0), req(protocol="nope")
+    with ParallelRunner(jobs=2) as runner:
+        with pytest.raises(RunFailed) as raised:
+            runner.map([good, bad])
+        failure = raised.value
+        assert failure.request is bad and failure.key == request_key(bad)
+        assert str(failure).startswith(
+            "query=q1 protocol=nope parallelism=2 rate=300 seed=7 shard=- "
+            f"key={request_key(bad)[:12]}: ValueError: unknown protocol")
+        assert isinstance(failure.__cause__, ValueError)
+        assert request_key(bad) not in runner._pending
+        runner.drain()  # the good run was never part of the failure
+        assert runner._pending == {} and runner._inflight == {}
+        # the same request again is a fresh miss with the real error
+        with pytest.raises(RunFailed, match="unknown protocol 'nope'"):
+            runner.submit(bad).result()
+        assert (runner.hits, runner.misses) == (0, 3)
+        assert runner.run(good).query == "q1"
+        assert runner.hits == 1
+        assert runner._pending == {} and runner._inflight == {}
+
+
+def test_a_dead_worker_fails_its_requests_by_name_and_the_pool_is_replaced(
+        monkeypatch):
+    """``BrokenProcessPool`` is a failed run like any other."""
+    import os
+    from concurrent.futures import BrokenExecutor
+
+    import repro.experiments.parallel as parallel
+
+    def dying_resolve_spec(name: str):
+        if name == "die":
+            os._exit(3)  # the forked worker, never this process
+        return resolve_spec(name)
+
+    # workers fork on the first launch, after this patch
+    monkeypatch.setattr(parallel, "resolve_spec", dying_resolve_spec)
+    good, fatal = req(duration=3.0, warmup=1.0), req(query="die")
+    with ParallelRunner(jobs=2) as runner:
+        with pytest.raises(RunFailed, match="query=die") as raised:
+            runner.submit(fatal).result()
+        assert isinstance(raised.value.__cause__, BrokenExecutor)
+        assert runner._pending == {} and runner._inflight == {}
+        assert runner.submit(good).result().query == "q1"  # a new pool
+
+
+def test_a_run_raising_inline_is_named_too():
+    bad = req(protocol="nope")
+    runner = ParallelRunner(jobs=1)
+    for entry in (runner.submit, runner.run, lambda r: runner.map([r])):
+        with pytest.raises(RunFailed, match="protocol=nope") as raised:
+            entry(bad)
+        assert isinstance(raised.value.__cause__, ValueError)
+    assert runner.misses == 3 and runner._pending == {}
+    search = MstRequest(query="q1", protocol="nope", parallelism=2,
+                        probe_duration=3.0, warmup=1.0, iterations=1)
+    with pytest.raises(RunFailed, match="protocol=nope") as raised:
+        runner.run(search)
+    # the probe that died is what is named, once
+    assert isinstance(raised.value.request, RunRequest)
+    assert isinstance(raised.value.__cause__, ValueError)
 
 
 class _LoggingPool(_FakePool):

@@ -15,8 +15,14 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.parallel import ParallelRunner, RunRequest
-from repro.experiments.sharding import run_sharded, submit_sharded
+import pytest
+
+from repro.experiments.parallel import ParallelRunner, RunFailed, RunRequest
+from repro.experiments.sharding import (
+    merged_result_key,
+    run_sharded,
+    submit_sharded,
+)
 
 
 def req(**overrides) -> RunRequest:
@@ -41,14 +47,21 @@ class _FakeFuture:
         self._fn = fn
         self._args = args
         self._value = None
+        self._error = None
 
     def run(self) -> None:
         # the pickle roundtrip emulates the IPC pipe: the parent receives
-        # a deserialized copy, never the worker's in-process objects
-        self._value = pickle.loads(pickle.dumps(
-            self._fn(*self._args), protocol=pickle.HIGHEST_PROTOCOL))
+        # a deserialized copy, never the worker's in-process objects —
+        # and, like a real future, what the work raised
+        try:
+            self._value = pickle.loads(pickle.dumps(
+                self._fn(*self._args), protocol=pickle.HIGHEST_PROTOCOL))
+        except Exception as exc:
+            self._error = pickle.loads(pickle.dumps(exc))
 
     def result(self):
+        if self._error is not None:
+            raise self._error
         return self._value
 
 
@@ -105,3 +118,64 @@ def test_any_interleaving_matches_serial(picks):
     assert batch[0] is batch[2]
     assert runner.deduped == 1
     assert runner.misses == 3 + SHARDS  # three unique batch runs + shards
+
+
+#: dies in ``Job(...)``, milliseconds into the run
+BAD = req(protocol="nope")
+
+
+def _drain_collecting_failures(runner: ParallelRunner) -> list[RunFailed]:
+    """Drain to the end, as a sweep that catches per-figure errors does."""
+    failures = []
+    while runner._inflight:
+        try:
+            runner.drain()
+        except RunFailed as failure:
+            failures.append(failure)
+    return failures
+
+
+@settings(max_examples=8, deadline=None)
+@given(picks=st.lists(st.integers(min_value=0, max_value=7), max_size=12))
+def test_a_failed_run_in_any_interleaving_poisons_nothing(picks):
+    """One request of the batch raises: wherever its completion lands,
+    the others resolve to what serial execution returns, every waiter of
+    the failed one is handed the same named error, and the scheduler's
+    tables end empty."""
+    expected_batch, _ = _serial_baseline()
+    runner = InterleavedRunner(picks, jobs=3)
+    bad = runner.submit(BAD)
+    handles = [runner.submit(request) for request in BATCH]
+    assert runner.submit(BAD) is bad  # folded into the pending launch
+    failures = _drain_collecting_failures(runner)
+    assert [failure.request for failure in failures] == [BAD]
+    assert runner._pending == {} and runner._inflight == {}
+    assert [pickle.dumps(h.result()) for h in handles] == expected_batch
+    for _ in range(2):  # every waiter, every time
+        with pytest.raises(RunFailed) as raised:
+            bad.result()
+        assert raised.value is failures[0]
+    assert isinstance(failures[0].__cause__, ValueError)
+    assert "protocol=nope" in str(failures[0])
+    # a re-submission is a fresh miss, not a drain of nothing
+    misses = runner.misses
+    again = runner.submit(BAD)
+    assert again is not bad and runner.misses == misses + 1
+    with pytest.raises(RunFailed, match="unknown protocol"):
+        again.result()
+
+
+def test_a_failed_shard_fails_the_merge_and_writes_no_merged_result():
+    bad = req(query="q12", protocol="nope", rate=240.0)
+    runner = InterleavedRunner((1, 0), jobs=3)
+    merged = submit_sharded(bad, SHARDS, runner)
+    good = runner.submit(req())
+    failures = _drain_collecting_failures(runner)
+    # both shards die; the group fails once, with the first to land
+    assert sorted(f.request.shard_index for f in failures) == [0, 1]
+    with pytest.raises(RunFailed, match=r"shard=1/2") as raised:
+        merged.result()
+    assert raised.value is failures[0]
+    assert merged_result_key(bad, SHARDS) not in runner._memory
+    assert good.result() is not None
+    assert runner._pending == {} and runner._inflight == {}
