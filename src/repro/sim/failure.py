@@ -389,11 +389,6 @@ class FailureInjector:
         #: pass a shared list (the runtime hands in its metrics sink)
         self.records: list[FailureRecord] = records if records is not None else []
 
-    @property
-    def record(self) -> FailureRecord:
-        """The most recent record (legacy single-kill accessor)."""
-        return self.records[-1] if self.records else FailureRecord()
-
     def arm(self) -> None:
         """Schedule every kill event of the scenario."""
         for event in self._events:

@@ -103,9 +103,9 @@ def test_failure_record_populated():
     )
     injector.arm()
     sim.run_until(10.0)
-    assert injector.record.failed_at == 3.0
-    assert injector.record.detected_at == 3.5
-    assert injector.record.worker_index == 1
+    assert injector.records[-1].failed_at == 3.0
+    assert injector.records[-1].detected_at == 3.5
+    assert injector.records[-1].worker_index == 1
 
 
 def test_repeated_kills_accumulate_records():
@@ -149,7 +149,7 @@ def test_detection_delay_factor_slows_detection():
     )
     injector.arm()
     sim.run_until(10.0)
-    assert injector.record.detected_at == 5.0
+    assert injector.records[-1].detected_at == 5.0
 
 
 def test_unarmed_injector_does_nothing():
@@ -160,4 +160,4 @@ def test_unarmed_injector_does_nothing():
         on_detect=lambda w: None,
     )
     sim.run_until(5.0)
-    assert injector.record.failed_at == -1.0
+    assert injector.records == []
