@@ -6,16 +6,20 @@ At the rates every figure runs at, half the batches entering
 ``Job.process_records`` carry one record, so what a record costs is
 mostly what its *batch* costs.  This drives the real classes of the one
 path every input takes — admission through ``Job.process_records`` on a
-deployed instance, every library operator's ``process_batch`` (opened
-against a deployed instance as its context), KEY and FORWARD
-``RouterBuffer.route_batch`` + ``take_all`` with routing keys the process
-has seen (warm) and has not (cold) — at n = 1, 2, 4, 16, 64 rows per
-batch::
+deployed instance, in each phase of the instance's life: never restored
+(no dedup set; the rid column is journaled) and restored against a
+resident set of 0, 60k and 600k rids (one probe, one insert; a failure-
+free ``dense`` instance ends at 50-60k, DESIGN.md section 23) — every
+library operator's ``process_batch`` (opened against a deployed instance
+as its context), KEY and FORWARD ``RouterBuffer.route_batch`` +
+``take_all`` with routing keys the process has seen (warm) and has not
+(cold) — at n = 1, 2, 4, 16, 64 rows per batch::
 
     python tools/batch_constants.py
     python tools/batch_constants.py --calls
-    python tools/batch_constants.py --calls --max-admit-calls 5 \
-        --max-count-calls 20 --max-key-route-calls 17
+    python tools/batch_constants.py --calls --max-admit-calls 1 \
+        --max-restored-admit-calls 5 --max-count-calls 20 \
+        --max-key-route-calls 17
 
 Without ``--calls`` it prints per stage the microseconds per call (the
 fastest of ``--reps`` repetitions) and the fitted ``a + b*n`` (least
@@ -129,10 +133,25 @@ def _deployed(protocol: str) -> Any:
                RuntimeConfig())
 
 
-def _process_records(protocol: str) -> Stage:
+def _process_records(protocol: str, resident: int | None = None) -> Stage:
+    """``process_records`` on an instance that was never restored
+    (``resident`` None) or was restored to a dedup set of ``resident``
+    rids — real 64-bit ids from another prefix than the batches'."""
     def build(n: int, calls: int) -> Callable[[], None]:
+        from repro.dataflow.batch import RecordBatch
+        from repro.dataflow.records import source_rids_from_prefix
+
         job = _deployed(protocol)
         instance = job.instance(("probe", 0))
+        if resident is not None:
+            # admitted through the real path, then rolled back to where
+            # it stands: what a recovery leaves behind
+            rids = source_rids_from_prefix(
+                0xD1B54A32D192ED03, range(resident))
+            job.process_records(instance, RecordBatch(
+                rids, [None] * resident, [0.0] * resident, [0] * resident),
+                "in")
+            instance.restore_snapshot(instance.capture_snapshot())
         batches = _batches(n, calls)
         process_records = job.process_records
 
@@ -253,8 +272,10 @@ def stages() -> dict[str, Stage]:
     """Every measured stage, in data-path order."""
     table: dict[str, Stage] = {
         "process_records coor (no dedup)": _process_records("coor"),
-        "process_records unc (admits)": _process_records("unc"),
     }
+    for phase, resident in ADMISSION_PHASES.items():
+        table[f"process_records unc {phase}"] = _process_records(
+            "unc", resident)
     for name, (factory, port) in _library_operators().items():
         table[f"{name}.process_batch"] = _operator(factory, port)
     table["route KEY warm + take_all"] = _route("KEY")
@@ -263,14 +284,25 @@ def stages() -> dict[str, Stage]:
     return table
 
 
+#: admission phase -> rids resident in the instance's dedup set when the
+#: timed batches arrive; ``None`` is an instance never restored, which
+#: has no set
+ADMISSION_PHASES: dict[str, int | None] = {
+    "never restored": None,
+    "restored/0": 0,
+    "restored/60k": 60_000,
+    "restored/600k": 600_000,
+}
 #: derived rows: name -> (minuend stage, subtrahend stage)
 DERIVED = {
-    "admit (unc - coor)": ("process_records unc (admits)",
-                           "process_records coor (no dedup)"),
+    f"admit {phase} (unc - coor)": (f"process_records unc {phase}",
+                                    "process_records coor (no dedup)")
+    for phase in ADMISSION_PHASES
 }
 #: ``--max-*-calls`` option -> the row it bounds
 GATES = {
-    "max_admit_calls": "admit (unc - coor)",
+    "max_admit_calls": "admit never restored (unc - coor)",
+    "max_restored_admit_calls": "admit restored/0 (unc - coor)",
     "max_count_calls": "windowed_count.process_batch",
     "max_key_route_calls": "route KEY warm + take_all",
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env python
-"""Count ratchet for the message hop, the batch constants, the input log
-and the generators (DESIGN.md 19, 20, 22).
+"""Count ratchet for the message hop, the batch constants, admission, the
+input log and the generators (DESIGN.md 19, 20, 22, 23).
 
 Reads the output of ``python3 -m perfbench --workload paper --workload
 dense --workload inputs --trace 1`` (seed 7) on stdin — one ``== NAME:
@@ -23,14 +23,16 @@ from __future__ import annotations
 import json
 import sys
 
-#: ``paper``, Python calls per offered record: ~5 % above the 63.10 the
-#: cut batch constants landed at on CPython 3.11 (the generators drawing
-#: columns read 69.56, the columnar input log 71.6, the shortened hop
-#: 77.6, the commit before it 119.1)
-CALLS_PER_RECORD_CEILING = 66.3
-#: ``dense``, Python calls per offered record: 17.31 landed (18.44 before
-#: the kernels folded a batch in one pass); one more call per row in a
-#: kernel or in KEY routing reads +1.0
+#: ``paper``, Python calls per offered record: ~5 % above the 60.73 that
+#: journal-only admission landed at on CPython 3.11 (the cut batch
+#: constants read 63.10, the generators drawing columns 69.56, the
+#: columnar input log 71.6, the shortened hop 77.6, the commit before it
+#: 119.1)
+CALLS_PER_RECORD_CEILING = 63.8
+#: ``dense``, Python calls per offered record: 17.28 landed (17.31 while
+#: every admission probed a set, 18.44 before the kernels folded a batch
+#: in one pass); one more call per row in a kernel or in KEY routing
+#: reads +1.0
 DENSE_CALLS_PER_RECORD_CEILING = 18.0
 #: ``inputs``, calls into ``repro.storage`` per generated record: the
 #: generators hand whole columns over, a few calls per partition (0.002);

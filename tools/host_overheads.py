@@ -8,19 +8,23 @@ in-process cases of one ``perfbench`` workload under perfbench's own
 procedure — cases built once, ``gc.collect()`` + ``gc.freeze()`` after
 set-up, ``gc.collect()`` before every timed section — and reports per
 case the wall time, the collector's time and collections by generation
-(``gc.callbacks``), and the time and number of
-``InstanceRuntime.capture_snapshot`` calls::
+(``gc.callbacks``), the time and number of
+``InstanceRuntime.capture_snapshot`` calls, and what the exactly-once
+dedup history cost the host: how many non-empty dedup sets were built and
+how many lineage ids were journaled (DESIGN.md section 23)::
 
     python tools/host_overheads.py dense
     python tools/host_overheads.py paper --events
     python tools/host_overheads.py dense --max-collector-share 0.10 \
-        --max-snapshot-share 0.02
+        --max-snapshot-share 0.02 --check-dedup-sets
 
 ``--events`` adds the event-kind ledger: simulator events per offered
 record by callback, how many task completions found an empty queue and
 how many arrivals landed on an idle CPU.  The ``--max-*-share`` bounds
 are shares of the timed wall, not times, so a slow host cannot flake
-them; exceeding one exits 1.
+them; ``--check-dedup-sets`` holds every case to "a dedup set is built
+if and only if a recovery was applied under a protocol that dedups" — a
+count, which repeats exactly.  Failing a bound or the check exits 1.
 """
 
 from __future__ import annotations
@@ -78,6 +82,69 @@ class SnapshotClock:
         InstanceRuntime.capture_snapshot = timed  # type: ignore[method-assign]
 
 
+class DedupLedger:
+    """Count what the dedup history makes the host do, by wrapping.
+
+    ``sets`` — non-empty dedup sets built: every set comes out of
+    ``RidSnapshot.materialize`` (a restore, or a read of
+    ``processed_rids``) or ``InstanceRuntime.restore_rescaled``;
+    ``journaled`` — lineage ids handed to a checkpoint by ``seal_rids``
+    plus the journals' tails when ``Job.run`` returns (a tail dropped by
+    a rollback is not counted);
+    ``recoveries`` — recoveries applied under a protocol that dedups,
+    the only thing that should ever make ``sets`` non-zero.
+    """
+
+    def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
+        """Zero the counters (before each timed section)."""
+        self.sets = 0
+        self.journaled = 0
+        self.recoveries = 0
+
+    def install(self) -> None:
+        from repro.dataflow.lifecycle import LifecycleManager
+        from repro.dataflow.runtime import Job
+        from repro.dataflow.worker import InstanceRuntime, RidSnapshot
+
+        materialize = RidSnapshot.materialize
+        restore_rescaled = InstanceRuntime.restore_rescaled
+        seal_rids = InstanceRuntime.seal_rids
+        run = Job.run
+        apply_recovery = LifecycleManager.apply_recovery
+
+        def counted_materialize(node: Any) -> Any:
+            rids = materialize(node)
+            self.sets += bool(rids)
+            return rids
+
+        def counted_rescaled(instance: Any, *args: Any) -> None:
+            restore_rescaled(instance, *args)
+            self.sets += bool(instance.rid_set)
+
+        def counted_seal(instance: Any) -> Any:
+            self.journaled += len(instance.rid_journal)
+            return seal_rids(instance)
+
+        def counted_run(job: Any, *args: Any, **kwargs: Any) -> Any:
+            result = run(job, *args, **kwargs)
+            self.journaled += sum(len(instance.rid_journal)
+                                  for instance in job.instances())
+            return result
+
+        def counted_recovery(lifecycle: Any, plan: Any) -> None:
+            self.recoveries += lifecycle.job.protocol.requires_dedup
+            apply_recovery(lifecycle, plan)
+
+        RidSnapshot.materialize = counted_materialize  # type: ignore[method-assign]
+        InstanceRuntime.restore_rescaled = counted_rescaled  # type: ignore[method-assign]
+        InstanceRuntime.seal_rids = counted_seal  # type: ignore[method-assign]
+        Job.run = counted_run  # type: ignore[method-assign]
+        LifecycleManager.apply_recovery = counted_recovery  # type: ignore[method-assign]
+
+
 class EventLedger:
     """Count executed simulator events by callback (wraps ``EventQueue.pop``)."""
 
@@ -124,10 +191,12 @@ class EventLedger:
 
 
 def measure(cases: list[Any], reps: int, collector: CollectorClock,
-            snapshots: SnapshotClock) -> tuple[list[dict[str, Any]], int]:
+            snapshots: SnapshotClock,
+            dedup: DedupLedger) -> tuple[list[dict[str, Any]], int]:
     """One untimed warm-up repetition, then ``reps`` timed ones, summed."""
     rows = [{"id": case.id, "wall": 0.0, "gc": 0.0, "gens": [0, 0, 0],
-             "snap": 0.0, "snaps": 0} for case in cases]
+             "snap": 0.0, "snaps": 0, "sets": 0, "journaled": 0,
+             "recoveries": 0} for case in cases]
     records = 0
     for rep in range(reps + 1):
         for case, row in zip(cases, rows):
@@ -135,6 +204,7 @@ def measure(cases: list[Any], reps: int, collector: CollectorClock,
             collector.seconds = snapshots.seconds = 0.0
             collector.collections = [0, 0, 0]
             snapshots.calls = 0
+            dedup.reset()
             collector.timing = True
             start = time.perf_counter()
             output = case.run()
@@ -150,6 +220,9 @@ def measure(cases: list[Any], reps: int, collector: CollectorClock,
             row["gc"] += collector.seconds
             row["snap"] += snapshots.seconds
             row["snaps"] += snapshots.calls
+            row["sets"] += dedup.sets
+            row["journaled"] += dedup.journaled
+            row["recoveries"] += dedup.recoveries
             for generation, count in enumerate(collector.collections):
                 row["gens"][generation] += count
     return rows, records
@@ -160,13 +233,14 @@ def report(name: str, rows: list[dict[str, Any]], reps: int) -> tuple[float, flo
     print(f"== {name}: {len(rows)} in-process cases, {reps} timed "
           "repetitions each (per-repetition means)")
     print(f"  {'case':<34}{'wall ms':>9}{'gc ms':>8}{'gen0/1/2':>11}"
-          f"{'snap ms':>9}{'snaps':>7}")
+          f"{'snap ms':>9}{'snaps':>7}{'rid sets':>10}{'rids jrnl':>11}")
     total = {"wall": 0.0, "gc": 0.0, "snap": 0.0}
     for row in rows:
         gens = "/".join(str(round(count / reps)) for count in row["gens"])
         print(f"  {row['id']:<34}{row['wall'] / reps * 1e3:>9.1f}"
               f"{row['gc'] / reps * 1e3:>8.2f}{gens:>11}"
-              f"{row['snap'] / reps * 1e3:>9.2f}{row['snaps'] // reps:>7}")
+              f"{row['snap'] / reps * 1e3:>9.2f}{row['snaps'] // reps:>7}"
+              f"{row['sets'] // reps:>10}{row['journaled'] // reps:>11}")
         for key in total:
             total[key] += row[key]
     collector_share = total["gc"] / total["wall"]
@@ -177,6 +251,18 @@ def report(name: str, rows: list[dict[str, Any]], reps: int) -> tuple[float, flo
     print(f"  collector share of timed wall       {collector_share:.4f}")
     print(f"  capture_snapshot share of timed wall {snapshot_share:.4f}")
     return collector_share, snapshot_share
+
+
+def check_dedup_sets(rows: list[dict[str, Any]]) -> bool:
+    """A set is built iff a deduping protocol recovered; prints offenders."""
+    ok = True
+    for row in rows:
+        if (row["sets"] > 0) != (row["recoveries"] > 0):
+            print(f"FAILED: {row['id']}: {row['sets']} non-empty dedup sets "
+                  f"built over {row['recoveries']} recoveries under a "
+                  "protocol that dedups")
+            ok = False
+    return ok
 
 
 def report_events(ledger: EventLedger, records: int, repetitions: int) -> None:
@@ -206,6 +292,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="also print the event-kind ledger")
     parser.add_argument("--max-collector-share", type=float, default=None)
     parser.add_argument("--max-snapshot-share", type=float, default=None)
+    parser.add_argument("--check-dedup-sets", action="store_true",
+                        help="fail unless dedup sets are built exactly in "
+                             "the cases that recover under a protocol that "
+                             "dedups")
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(ROOT))  # perfbench lives beside tools/
@@ -217,8 +307,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.workload not in workloads.BUILDERS:
         parser.error(f"unknown workload {args.workload!r}; choose from "
                      f"{', '.join(workloads.BUILDERS)}")
-    collector, snapshots = CollectorClock(), SnapshotClock()
+    collector, snapshots, dedup = CollectorClock(), SnapshotClock(), DedupLedger()
     snapshots.install()
+    dedup.install()
     ledger = EventLedger() if args.events else None
     if ledger is not None:
         ledger.install()
@@ -230,14 +321,15 @@ def main(argv: list[str] | None = None) -> int:
         gc.freeze()
         gc.callbacks.append(collector)
         try:
-            rows, records = measure(cases, args.reps, collector, snapshots)
+            rows, records = measure(cases, args.reps, collector, snapshots,
+                                    dedup)
         finally:
             gc.callbacks.remove(collector)
             gc.unfreeze()
     collector_share, snapshot_share = report(args.workload, rows, args.reps)
     if ledger is not None:
         report_events(ledger, records, args.reps + 1)
-    failed = False
+    failed = args.check_dedup_sets and not check_dedup_sets(rows)
     for label, share, bound in (
             ("collector", collector_share, args.max_collector_share),
             ("capture_snapshot", snapshot_share, args.max_snapshot_share)):
