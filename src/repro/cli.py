@@ -276,7 +276,7 @@ def _cmd_all(args) -> int:
                 # str() of an AssertionError or KeyError is empty or one
                 # word: name the type here, the place on stderr.  A run
                 # that died arrives as RunFailed, whose message names the
-                # request (query, protocol, parallelism, rate, seed, shard)
+                # request (query, protocol, parallelism, seed, rate, shard)
                 print(f"[{name}] FAILED: {type(exc).__name__}: {exc}\n")
                 traceback.print_exc()
                 status = 1

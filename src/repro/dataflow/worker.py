@@ -216,15 +216,11 @@ class InstanceRuntime(OperatorContext):
         if rids is None:
             rids = self.rid_head.materialize()
             rids.update(self.rid_journal)
-            self._start_probing(
-                rids, self.rid_head.count + len(self.rid_journal))
+            journaled = self.rid_head.count + len(self.rid_journal)
+            if len(rids) != journaled:
+                raise RepeatedRidError(self.key, journaled, len(rids))
+            self.rid_set = rids
         return rids
-
-    def _start_probing(self, rids: set[int], journaled: int) -> None:
-        """Install the first set of a history that was only journaled."""
-        if len(rids) != journaled:
-            raise RepeatedRidError(self.key, journaled, len(rids))
-        self.rid_set = rids
 
     @property
     def state_bytes(self) -> int:
@@ -288,10 +284,9 @@ class InstanceRuntime(OperatorContext):
         (:class:`RepeatedRidError`).
         """
         rids = head.materialize()
-        if self.rid_set is None:
-            self._start_probing(rids, head.count)
-        else:
-            self.rid_set = rids
+        if self.rid_set is None and len(rids) != head.count:
+            raise RepeatedRidError(self.key, head.count, len(rids))
+        self.rid_set = rids
         self.rid_head = head
         self.rid_journal = []
 

@@ -249,7 +249,7 @@ def execute_any(request: "RunRequest | MstRequest") -> Any:
 class RunFailed(RuntimeError):
     """A request raised, or its worker died, instead of returning a result.
 
-    Raised by the runner in place of whatever the run raised (which is
+    Raised by the runner in place of whatever the run raised (``cause``,
     chained as ``__cause__``, a worker's remote traceback included), so
     that a sweep of hundreds of runs says *which* one died: the message
     names the request's coordinates and the head of its cache key.
@@ -257,21 +257,18 @@ class RunFailed(RuntimeError):
 
     def __init__(self, request: "RunRequest | MstRequest", key: str,
                  cause: BaseException) -> None:
+        coordinates = (f"query={request.query} protocol={request.protocol} "
+                       f"parallelism={request.parallelism} "
+                       f"seed={request.seed}")
         if isinstance(request, MstRequest):
-            coordinates = (f"mst query={request.query} "
-                           f"protocol={request.protocol} "
-                           f"parallelism={request.parallelism} "
-                           f"seed={request.seed}")
+            coordinates = f"mst {coordinates}"
         else:
             shard = ("-" if request.shard_index is None
                      else f"{request.shard_index}/{request.shard_count}")
-            coordinates = (f"query={request.query} "
-                           f"protocol={request.protocol} "
-                           f"parallelism={request.parallelism} "
-                           f"rate={request.rate:g} seed={request.seed} "
-                           f"shard={shard}")
+            coordinates += f" rate={request.rate:g} shard={shard}"
         super().__init__(f"{coordinates} key={key[:12]}: "
                          f"{type(cause).__name__}: {cause}")
+        self.__cause__ = cause
         self.request = request
         self.key = key
 
@@ -775,7 +772,7 @@ class ParallelRunner:
             try:
                 value = compact_result(request, self._execute_inline(request))
             except Exception as exc:
-                raise RunFailed(request, key, exc) from exc
+                raise RunFailed(request, key, exc)
             self._store(key, value)
             handle._resolve(value)
             return handle
@@ -828,7 +825,6 @@ class ParallelRunner:
                     self._pool.shutdown(wait=False)
                     self._pool = None
                 error = RunFailed(request, key, exc)
-                error.__cause__ = exc
                 handle._resolve(error=error)
                 failed = failed or error
             else:
@@ -885,7 +881,7 @@ class ParallelRunner:
         except RunFailed:
             raise  # a probe of this search: already names what died
         except Exception as exc:
-            raise RunFailed(request, key, exc) from exc
+            raise RunFailed(request, key, exc)
         self._store(key, result)
         return result
 

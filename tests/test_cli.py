@@ -207,7 +207,7 @@ def test_all_names_the_request_that_killed_a_figure(tmp_path, capsys,
     out = capsys.readouterr().out
     for name in ("first", "second"):
         assert (f"[{name}] FAILED: RunFailed: query=q1 protocol=nope "
-                "parallelism=2 rate=220 seed=7 shard=- key=") in out
+                "parallelism=2 seed=7 rate=220 shard=- key=") in out
     assert out.count("ValueError: unknown protocol 'nope'") == 2
     assert "nothing in flight" not in out
     assert "all is well" in out

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dataflow.batch import RecordBatch
 from repro.dataflow.runtime import Job
 from repro.dataflow.worker import RepeatedRidError
 from repro.experiments.parallel import resolve_spec
@@ -30,26 +29,10 @@ from repro.sim.costs import CostModel, RuntimeConfig
 from repro.workloads.cyclic import REACHABILITY
 from repro.workloads.nexmark import QUERIES
 
-from tests.conftest import KeyedEvent, build_count_graph, make_event_log
+from tests.conftest import build_count_graph, make_event_log
+from tests.test_state_backends import _admit, _dedup_job
 
 DEDUP_PROTOCOLS = ["unc", "cic"]
-
-
-def _count_job(**config) -> Job:
-    config.setdefault("duration", 8.0)
-    config.setdefault("warmup", 1.0)
-    return Job(build_count_graph(), "unc", 2,
-               {"events": make_event_log(10.0, 1.0, 2)},
-               RuntimeConfig(**config))
-
-
-def _admit(job: Job, instance, rids: list[int]) -> None:
-    job.process_records(instance, RecordBatch(
-        rids=list(rids),
-        payloads=[KeyedEvent(rid % 5, rid) for rid in rids],
-        source_ts=[0.0] * len(rids),
-        sizes=[40] * len(rids),
-    ), "in")
 
 
 # --------------------------------------------------------------------- #
@@ -57,7 +40,7 @@ def _admit(job: Job, instance, rids: list[int]) -> None:
 # --------------------------------------------------------------------- #
 
 def test_a_rid_journaled_twice_is_named_at_the_first_restore():
-    job = _count_job()
+    job = _dedup_job("full")
     instance = job.instance(("count", 0))
     instance.rid_journal.extend([11, 12, 11])  # what a broken engine would do
     snapshot = instance.capture_snapshot()
@@ -72,7 +55,7 @@ def test_a_rid_journaled_twice_is_named_at_the_first_restore():
 
 
 def test_a_rid_journaled_twice_is_named_at_the_first_read():
-    job = _count_job()
+    job = _dedup_job("full")
     instance = job.instance(("count", 1))
     _admit(job, instance, [21, 22])
     instance.seal_rids()
@@ -83,7 +66,7 @@ def test_a_rid_journaled_twice_is_named_at_the_first_read():
 
 
 def test_the_first_read_builds_the_set_and_admission_probes_from_then_on():
-    job = _count_job()
+    job = _dedup_job("full")
     instance = job.instance(("count", 0))
     _admit(job, instance, [1, 2])
     head = instance.seal_rids()

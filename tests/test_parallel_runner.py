@@ -254,7 +254,7 @@ def test_a_run_raising_in_a_pool_worker_names_its_request_and_poisons_nothing():
         failure = raised.value
         assert failure.request is bad and failure.key == request_key(bad)
         assert str(failure).startswith(
-            "query=q1 protocol=nope parallelism=2 rate=300 seed=7 shard=- "
+            "query=q1 protocol=nope parallelism=2 seed=7 rate=300 shard=- "
             f"key={request_key(bad)[:12]}: ValueError: unknown protocol")
         assert isinstance(failure.__cause__, ValueError)
         assert request_key(bad) not in runner._pending

@@ -331,6 +331,20 @@ def _admit(job: Job, instance, rids: list[int]) -> None:
     ), "in")
 
 
+def _record_deliveries(instance) -> list[list[int]]:
+    """The rid column of every batch the instance's operator is handed
+    from now on (a restore reinstalls the operator: call this again)."""
+    delivered: list[list[int]] = []
+    process_batch = instance.operator.process_batch
+
+    def spy(records: RecordBatch, port: str):
+        delivered.append(list(records.rids))
+        return process_batch(records, port)
+
+    instance.operator.process_batch = spy
+    return delivered
+
+
 #: every shape of batch admission has to tell apart, against a dedup
 #: set that already holds rids 1 and 2
 _ADMISSIONS = {
@@ -371,14 +385,7 @@ def test_admission_drops_duplicates_first_occurrence_wins(backend, case):
     previous = instance.rid_head
     assert previous.materialize() == {1, 2}
     _admit(job, instance, [6])  # a journal that is not empty to begin with
-    delivered: list[list[int]] = []
-    process_batch = instance.operator.process_batch
-
-    def spy(records: RecordBatch, port: str):
-        delivered.append(list(records.rids))
-        return process_batch(records, port)
-
-    instance.operator.process_batch = spy
+    delivered = _record_deliveries(instance)
     skipped = job.metrics.duplicates_skipped
     _admit(job, instance, batch)
     assert delivered == ([survivors] if survivors else [])
@@ -417,14 +424,7 @@ def test_admission_before_any_rollback_journals_the_batch(backend, case):
     _admit(job, instance, [1, 2])
     previous = instance.seal_rids()
     _admit(job, instance, [6])  # a journal that is not empty to begin with
-    delivered: list[list[int]] = []
-    process_batch = instance.operator.process_batch
-
-    def spy(records: RecordBatch, port: str):
-        delivered.append(list(records.rids))
-        return process_batch(records, port)
-
-    instance.operator.process_batch = spy
+    delivered = _record_deliveries(instance)
     charged = _dedup_bytes(instance)
     _admit(job, instance, batch)
     assert instance.rid_set is None  # nothing to probe, nothing built
@@ -579,19 +579,7 @@ def test_dedup_lifecycle_matches_an_eager_set_model(backend, ops):
     skipped = 0
     offered: list[int] = []
     taken: list[tuple[str, set[int]]] = []
-    delivered: list[list[int]] = []
-
-    def watch_operator() -> None:
-        # a restore reinstalls the operator: spy on the current one
-        process_batch = instance.operator.process_batch
-
-        def spy(records: RecordBatch, port: str):
-            delivered.append(list(records.rids))
-            return process_batch(records, port)
-
-        instance.operator.process_batch = spy
-
-    watch_operator()
+    delivered = _record_deliveries(instance)
     for op, arg in ops:
         if op == "offer":
             fresh, repeats = arg
@@ -604,9 +592,9 @@ def test_dedup_lifecycle_matches_an_eager_set_model(backend, ops):
                 batch.append(batch[0])  # a batch repeating a rid of its own
             survivors = list(dict.fromkeys(
                 rid for rid in batch if rid not in model))
-            delivered.clear()
             _admit(job, instance, batch)
             assert delivered == ([survivors] if survivors else [])
+            delivered.clear()
             skipped += len(batch) - len(survivors)
             model.update(survivors)
             offered.extend(range(len(offered) + 1, len(offered) + 1 + fresh))
@@ -628,7 +616,7 @@ def test_dedup_lifecycle_matches_an_eager_set_model(backend, ops):
                 instance.restore_from_chain(payloads)
             job.state_backend.on_restored(instance)
             model, restored = set(copy), True
-            watch_operator()
+            delivered = _record_deliveries(instance)
         elif op == "merge" and taken:
             picks = [taken[index % len(taken)] for index in arg]
             parts = [job.lifecycle.materialize_line_payload(
@@ -637,7 +625,7 @@ def test_dedup_lifecycle_matches_an_eager_set_model(backend, ops):
             instance.restore_rescaled(parts, 2, job.num_source_partitions)
             job.state_backend.on_restored(instance)
             model, restored = picks[0][1] | picks[1][1], True
-            watch_operator()
+            delivered = _record_deliveries(instance)
         assert (instance.rid_set is not None) == restored
         if restored:
             assert instance.rid_set == model

@@ -220,9 +220,8 @@ def measure(cases: list[Any], reps: int, collector: CollectorClock,
             row["gc"] += collector.seconds
             row["snap"] += snapshots.seconds
             row["snaps"] += snapshots.calls
-            row["sets"] += dedup.sets
-            row["journaled"] += dedup.journaled
-            row["recoveries"] += dedup.recoveries
+            for count in ("sets", "journaled", "recoveries"):
+                row[count] += getattr(dedup, count)
             for generation, count in enumerate(collector.collections):
                 row["gens"][generation] += count
     return rows, records
