@@ -19,7 +19,12 @@ bijection of its parent's.  Three things hold that premise:
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.dataflow.runtime import Job
 from repro.dataflow.worker import RepeatedRidError
@@ -200,3 +205,26 @@ def test_a_rescaled_recovery_leaves_every_new_instance_with_a_set(protocol):
     assert job.parallelism == 6
     assert observed == [[True] * job.n_instances]
     assert job.n_instances == 3 * 6
+
+
+def test_only_the_restore_paths_and_the_accessor_assign_the_set():
+    """The list of section 23 is closed: whoever adds an assignment of
+    ``rid_set`` has to decide which side of a rollback it is on."""
+    assigned_in = set()
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        for function in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target] if isinstance(node, ast.AnnAssign)
+                           else [])
+                if any(isinstance(target, ast.Attribute)
+                       and target.attr == "rid_set" for target in targets):
+                    assigned_in.add((path.name, function.name))
+    assert assigned_in == {
+        ("worker.py", "__init__"),          # None: never restored
+        ("worker.py", "processed_rids"),    # the accessor (tests, tools)
+        ("worker.py", "install_rids"),      # every same-parallelism restore
+        ("worker.py", "restore_rescaled"),  # every rescaled restore
+    }

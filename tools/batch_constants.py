@@ -8,8 +8,9 @@ mostly what its *batch* costs.  This drives the real classes of the one
 path every input takes — admission through ``Job.process_records`` on a
 deployed instance, in each phase of the instance's life: never restored
 (no dedup set; the rid column is journaled) and restored against a
-resident set of 0, 60k and 600k rids (one probe, one insert; a failure-
-free ``dense`` instance ends at 50-60k, DESIGN.md section 23) — every
+resident set of 0, 60k and 600k rids (one probe, one insert; an instance
+of a ``dense`` case ends at 12,500 rids, one of a minute at a few
+thousand records per second at 60k and more, DESIGN.md section 23) — every
 library operator's ``process_batch`` (opened against a deployed instance
 as its context), KEY and FORWARD ``RouterBuffer.route_batch`` +
 ``take_all`` with routing keys the process has seen (warm) and has not
