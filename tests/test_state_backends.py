@@ -345,6 +345,35 @@ def _record_deliveries(instance) -> list[list[int]]:
     return delivered
 
 
+def _checkpoint(job: Job, instance) -> str:
+    """Checkpoint ``instance`` through the job's backend and make the blob
+    durable at once; returns its key (``count/<index>/<n>`` for the n-th)."""
+    instance.checkpoint_counter += 1
+    blob_key = (f"{instance.key[0]}/{instance.key[1]}/"
+                f"{instance.checkpoint_counter}")
+    captured = job.state_backend.capture(instance, blob_key)
+    job.coordinator.blobstore.put(
+        blob_key, captured.payload, captured.upload_bytes, 0.0,
+        base_key=captured.base_key, chain_length=captured.chain_length)
+    return blob_key
+
+
+def _restore(job: Job, instance, blob_key: str | None) -> list[dict]:
+    """Roll ``instance`` back as ``LifecycleManager.apply_recovery`` does;
+    ``None`` is the initial checkpoint.  Returns the payloads folded."""
+    if blob_key is None:
+        instance.reset_to_virgin()
+        return []
+    store = job.coordinator.blobstore
+    payloads = [store.get(key) for key in store.chain_keys(blob_key)]
+    if len(payloads) == 1:
+        instance.restore_snapshot(payloads[0])
+    else:
+        instance.restore_from_chain(payloads)
+    job.state_backend.on_restored(instance)
+    return payloads
+
+
 #: every shape of batch admission has to tell apart, against a dedup
 #: set that already holds rids 1 and 2
 _ADMISSIONS = {
@@ -491,29 +520,15 @@ def test_dedup_history_matches_eager_copies(backend, ops):
     model: set[int] = set()
     taken: list[tuple[str, set[int]]] = []
 
-    def restore(blob_key: str) -> None:
-        # as LifecycleManager.apply_recovery does
-        payloads = [store.get(key) for key in store.chain_keys(blob_key)]
-        if len(payloads) == 1:
-            instance.restore_snapshot(payloads[0])
-        else:
-            instance.restore_from_chain(payloads)
-        job.state_backend.on_restored(instance)
-
     for op, arg in ops:
         if op == "admit":
             _admit(job, instance, arg)
             model |= set(arg)
         elif op == "seal":
-            blob_key = f"count/0/{len(taken) + 1}"
-            captured = job.state_backend.capture(instance, blob_key)
-            store.put(blob_key, captured.payload, captured.upload_bytes, 0.0,
-                      base_key=captured.base_key,
-                      chain_length=captured.chain_length)
-            taken.append((blob_key, set(model)))
+            taken.append((_checkpoint(job, instance), set(model)))
         elif op == "restore" and taken:
             blob_key, copy = taken[arg % len(taken)]
-            restore(blob_key)
+            _restore(job, instance, blob_key)
             model = set(copy)
         elif op == "merge" and taken:
             picks = [taken[index % len(taken)] for index in arg]
@@ -528,7 +543,7 @@ def test_dedup_history_matches_eager_copies(backend, ops):
                 == len(model))
     for blob_key, copy in taken:
         assert checkpoint_rids(store, blob_key) == copy
-        restore(blob_key)
+        _restore(job, instance, blob_key)
         assert instance.processed_rids == copy
 
 
@@ -599,22 +614,12 @@ def test_dedup_lifecycle_matches_an_eager_set_model(backend, ops):
             model.update(survivors)
             offered.extend(range(len(offered) + 1, len(offered) + 1 + fresh))
         elif op == "checkpoint":
-            blob_key = f"count/0/{len(taken) + 1}"
-            captured = job.state_backend.capture(instance, blob_key)
-            store.put(blob_key, captured.payload, captured.upload_bytes, 0.0,
-                      base_key=captured.base_key,
-                      chain_length=captured.chain_length)
-            taken.append((blob_key, set(model)))
+            taken.append((_checkpoint(job, instance), set(model)))
             assert instance.rid_head.materialize() == model
             assert instance.rid_journal == []
         elif op == "restore" and taken:
             blob_key, copy = taken[arg % len(taken)]
-            payloads = [store.get(key) for key in store.chain_keys(blob_key)]
-            if len(payloads) == 1:
-                instance.restore_snapshot(payloads[0])
-            else:
-                instance.restore_from_chain(payloads)
-            job.state_backend.on_restored(instance)
+            _restore(job, instance, blob_key)
             model, restored = set(copy), True
             delivered = _record_deliveries(instance)
         elif op == "merge" and taken:
@@ -660,6 +665,130 @@ def test_rollback_branches_and_the_abandoned_timeline_stays_restorable():
     assert instance.processed_rids == {1, 2, 3}
 
 
+# --------------------------------------------------------------------- #
+# One restore: nothing, a snapshot, or a base and its deltas
+# --------------------------------------------------------------------- #
+
+def _standing(instance) -> dict:
+    """Everything a rollback reinstalls, as plain values."""
+    return {
+        "states": instance.operator.states.snapshot(),
+        "out_seq": dict(instance.out_seq),
+        "last_received": dict(instance.last_received),
+        "source_cursors": dict(instance.source_cursors),
+        "rids": instance.rid_head.materialize() | set(instance.rid_journal),
+        "state_bytes": instance.state_bytes,
+    }
+
+
+@pytest.mark.parametrize("backend", ["full", "changelog"])
+@pytest.mark.parametrize("checkpoints", [0, 1, 3])
+def test_restore_reinstalls_what_the_checkpoint_held(backend, checkpoints):
+    """Chain lengths 0 / 1 / n through the one restore.
+
+    No checkpoint is the initial state, one is a snapshot, and three are
+    a base and two deltas under ``changelog`` (compaction bound 3) and
+    the newest of three snapshots under ``full``.  Either way the
+    instance stands where it stood at the last checkpoint: state,
+    cursors, dedup history and the bytes they are charged; what came
+    after is gone, the operator is a new object, the router is empty and
+    the next checkpoint starts a chain of its own.
+    """
+    job = _dedup_job(backend)
+    store = job.coordinator.blobstore
+    instance = job.instance(("count", 0))
+    sent, received = (1, 0, 0), (0, 1, 0)
+    blob_key = None
+    for n in range(checkpoints):
+        _admit(job, instance, [10 * n + 1, 10 * n + 2])
+        instance.out_seq[sent] = n + 1
+        instance.last_received[received] = 7 * (n + 1)
+        blob_key = _checkpoint(job, instance)
+    held = _standing(instance)
+    assert len(held["rids"]) == 2 * checkpoints
+    before = instance.operator
+    _admit(job, instance, [900, 901])      # what the rollback throws away
+    instance.out_seq[sent] = 99
+    instance.last_received[received] = 99
+    instance.router.route_batch(RecordBatch(
+        rids=[5], payloads=[KeyedEvent(1, 1)], source_ts=[0.0], sizes=[40]))
+    assert instance.router.staged_records
+
+    payloads = _restore(job, instance, blob_key)
+
+    deltas = checkpoints - 1 if backend == "changelog" else 0
+    assert len(payloads) == (1 + deltas if checkpoints else 0)
+    assert [bool(p.get("delta")) for p in payloads] == (
+        [False] + [True] * deltas if checkpoints else [])
+    assert _standing(instance) == held
+    assert instance.operator is not before
+    assert instance.rid_set == held["rids"]          # a rollback: a live set
+    assert instance.rid_head.count == len(held["rids"])
+    assert instance.rid_journal == []
+    assert not instance.router.staged_records
+    following = _checkpoint(job, instance)
+    assert store.meta(following).base_key is None
+    assert store.meta(following).chain_length == 0
+
+
+def _windowed_job() -> Job:
+    """src -> tumbling windowed count -> sink: an operator whose
+    ``on_restore`` registers a timer."""
+    from repro.dataflow.graph import LogicalGraph, Partitioning
+    from repro.dataflow.operators import (
+        SinkOperator, SourceOperator, WindowedCountOperator)
+
+    graph = LogicalGraph("windowed")
+    graph.add_source("src", "events", SourceOperator)
+    graph.add_operator(
+        "count", lambda: WindowedCountOperator(lambda e: e.key, window=2.0),
+        stateful=True)
+    graph.add_operator("sink", SinkOperator)
+    graph.connect("src", "count", Partitioning.KEY, key_fn=lambda e: e.key)
+    graph.connect("count", "sink", Partitioning.FORWARD)
+    return Job(graph, "unc", 2, {"events": make_event_log(10.0, 1.0, 2)},
+               RuntimeConfig(duration=8.0, warmup=1.0, failure_at=None))
+
+
+@pytest.mark.parametrize("name", ["src", "count", "sink"])
+def test_restoring_nothing_is_a_freshly_wired_instance(name):
+    """The initial checkpoint holds what deployment wired, no more.
+
+    After work, a checkpoint and a rollback to *nothing*, the instance
+    equals its twin in a job that never ran: state, cursors (a source
+    back at offset 0 of the partitions it owns), an empty dedup history
+    and the bytes charged for them.  Unlike a restore of a checkpoint it
+    calls neither ``protocol.restore_extra`` nor ``operator.on_restore``:
+    nothing was captured to reinstall, and the timer ``on_restore``
+    would register is one the instance does not have at deployment.
+    """
+    job, twin = _windowed_job(), _windowed_job()
+    instance, fresh = job.instance((name, 1)), twin.instance((name, 1))
+    _admit(job, instance, [1, 2, 3])
+    instance.out_seq[(1, 1, 1)] = 4
+    instance.last_received[(0, 0, 1)] = 9
+    if instance.source_cursors:
+        instance.source_cursors[1] = 5
+    checkpointed = _checkpoint(job, instance)
+    _admit(job, instance, [4])
+
+    timers: list[tuple] = []
+    extras: list[object] = []
+    job.register_timer = lambda *args: timers.append(args)
+    job.protocol.restore_extra = lambda inst, extra: extras.append(extra)
+
+    _restore(job, instance, None)
+    assert _standing(instance) == _standing(fresh)
+    assert instance.source_cursors == ({1: 0} if name == "src" else {})
+    assert instance.rid_head is NO_RIDS and instance.rid_set == set()
+    assert timers == [] and extras == []
+
+    # the same instance from a checkpoint: both hooks run, once
+    _restore(job, instance, checkpointed)
+    assert len(extras) == 1
+    assert len(timers) == (1 if name == "count" else 0)
+
+
 @pytest.mark.parametrize("backend", ["full", "changelog"])
 def test_a_set_changed_behind_the_journal_still_checkpoints_whole(backend):
     """The seal-time size check: a short snapshot is impossible.
@@ -675,11 +804,7 @@ def test_a_set_changed_behind_the_journal_still_checkpoints_whole(backend):
     keys = []
 
     def checkpoint() -> None:
-        keys.append(f"count/0/{len(keys) + 1}")
-        captured = job.state_backend.capture(instance, keys[-1])
-        store.put(keys[-1], captured.payload, captured.upload_bytes, 0.0,
-                  base_key=captured.base_key,
-                  chain_length=captured.chain_length)
+        keys.append(_checkpoint(job, instance))
 
     _admit(job, instance, [200, 201])
     checkpoint()
