@@ -118,16 +118,6 @@ class CheckpointRegistry:
         entries = self._by_instance.get(instance)
         return entries[-1] if entries else None
 
-    def prune_older_than(self, instance: InstanceKey, checkpoint_id: int) -> list[CheckpointMeta]:
-        """Drop (and return) checkpoints with id < ``checkpoint_id`` (GC)."""
-        entries = self._by_instance.get(instance, [])
-        dropped = [m for m in entries if m.checkpoint_id < checkpoint_id]
-        if dropped:
-            self._by_instance[instance] = [
-                m for m in entries if m.checkpoint_id >= checkpoint_id
-            ]
-        return dropped
-
     def total(self) -> int:
         """Durable checkpoints across all instances."""
         return sum(len(v) for v in self._by_instance.values())

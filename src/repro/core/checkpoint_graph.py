@@ -205,6 +205,27 @@ def maximal_consistent_line(graph: CheckpointGraph) -> RecoveryLineResult:
     return RecoveryLineResult(line=line, pruned=pruned)
 
 
+def reclaimable_checkpoints(graph: CheckpointGraph) -> list[Node]:
+    """Checkpoints strictly older than the current maximal consistent line.
+
+    The classic reclamation result (Wang et al. [47]): once a consistent
+    line ``L`` exists, rollback propagation never moves below it —
+    rolling an instance back to its ``L`` checkpoint leaves no orphans
+    against any combination of newer checkpoints, because sent-cursors
+    are monotone — so nothing older than ``L`` is ever restored again.
+    An analysis result only: no run collects anything (DESIGN.md
+    section 8).  The implicit initial checkpoints are never reported
+    (there is nothing stored for them).
+    """
+    line = maximal_consistent_line(graph).line
+    return [
+        (instance, meta.checkpoint_id)
+        for instance, metas in graph.checkpoints.items()
+        for meta in metas
+        if 0 < meta.checkpoint_id < line[instance].checkpoint_id
+    ]
+
+
 def invalid_checkpoint_count(
     graph: CheckpointGraph, line: dict[InstanceKey, CheckpointMeta]
 ) -> int:

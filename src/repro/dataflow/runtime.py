@@ -118,10 +118,6 @@ class Job:
         self.deploy_epoch = 0
         self.recoveries_applied = 0
         self.completed_rounds: set[int] = set()
-        #: blobs whose checkpoint metadata was GC-pruned while a retained
-        #: delta chain still pinned them; later GC passes re-examine these
-        #: so a retired chain's base is eventually reclaimed (core.gc)
-        self.gc_deferred_blobs: set[str] = set()
 
         self.protocol = create_protocol(protocol, self)
         if graph.has_cycle() and not self.protocol.supports_cycles:

@@ -10,8 +10,8 @@ Incremental (changelog) checkpoints store **delta blobs** that are only
 meaningful relative to a predecessor: ``BlobMeta.base_key`` links a delta
 to the blob it chains onto and ``chain_length`` counts the hops back to the
 self-contained base (DESIGN.md section 10).  :meth:`BlobStore.chain_keys`
-walks that chain so recovery can plan a base+delta restore and GC can pin
-every ancestor a live checkpoint still depends on.
+walks that chain so recovery can plan a base+delta restore.  Blobs are
+never deleted (DESIGN.md section 8), so every link of a chain is there.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ class BlobStore:
     _meta: dict[str, BlobMeta] = field(default_factory=dict)
     bytes_written: int = 0
     bytes_read: int = 0
-    bytes_deleted: int = 0
 
     def put(self, key: str, value: Any, size_bytes: int, now: float,
             base_key: str | None = None, chain_length: int = 0) -> BlobMeta:
@@ -78,11 +77,6 @@ class BlobStore:
     def __len__(self) -> int:
         return len(self._blobs)
 
-    def delete(self, key: str) -> None:
-        """Remove a blob (checkpoint garbage collection)."""
-        del self._blobs[key]
-        self.bytes_deleted += self._meta.pop(key).size_bytes
-
     def total_bytes(self) -> int:
         """Billed bytes currently retained."""
         return sum(m.size_bytes for m in self._meta.values())
@@ -93,8 +87,7 @@ class BlobStore:
         """The blob keys a restore of ``key`` must fetch, base first.
 
         A self-contained blob yields ``[key]``; a delta yields its whole
-        ancestor chain down to the base.  Raises KeyError if any link is
-        missing — the GC pinning invariant makes that a caller bug.
+        ancestor chain down to the base.
         """
         chain = [key]
         meta = self._meta[key]

@@ -1,5 +1,7 @@
 """Unit and property tests for the checkpoint graph and Algorithm 1."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +10,7 @@ from repro.core.checkpoint_graph import (
     CheckpointGraph,
     invalid_checkpoint_count,
     maximal_consistent_line,
+    reclaimable_checkpoints,
     rollback_propagation,
 )
 
@@ -220,3 +223,86 @@ def test_line_dominates_every_consistent_line(graph):
         if graph.line_is_consistent(line):
             for inst in instances:
                 assert line[inst].checkpoint_id <= result.line[inst].checkpoint_id
+
+
+# --------------------------------------------------------------------- #
+# Reclamation analysis: what lies below the line is never restored
+# --------------------------------------------------------------------- #
+
+def test_reclaimable_is_everything_below_the_line():
+    graph = CheckpointGraph(
+        checkpoints={
+            A: [initial_checkpoint(A), ckpt(A, 1, sent={CH: 5}),
+                ckpt(A, 2, sent={CH: 9})],
+            B: [initial_checkpoint(B), ckpt(B, 1, received={CH: 4}),
+                ckpt(B, 2, received={CH: 9})],
+        },
+        channels=[(CH, A, B)],
+    )
+    # line = (A2, B2): everything older is reclaimable
+    assert set(reclaimable_checkpoints(graph)) == {(A, 1), (B, 1)}
+
+
+def test_initial_checkpoints_never_reported():
+    graph = CheckpointGraph(
+        checkpoints={A: [initial_checkpoint(A)], B: [initial_checkpoint(B)]},
+        channels=[(CH, A, B)],
+    )
+    assert reclaimable_checkpoints(graph) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31))
+def test_line_never_regresses_when_execution_extends(seed):
+    """Safety of reclamation: adding newer checkpoints cannot move the
+    recovery line below the previously consistent one."""
+    rng = random.Random(seed)
+    channels = [(CH, A, B)]
+
+    def extend(sent, recv, prefix_a, prefix_b, start_id, steps):
+        a, b = list(prefix_a), list(prefix_b)
+        for k in range(start_id, start_id + steps):
+            sent[CH] = sent.get(CH, 0) + rng.randint(0, 4)
+            recv[CH] = min(sent[CH], recv.get(CH, 0) + rng.randint(0, 4))
+            a.append(ckpt(A, k, sent=dict(sent)))
+            b.append(ckpt(B, k, received=dict(recv)))
+        return a, b
+
+    sent, recv = {}, {}
+    a1, b1 = extend(sent, recv, [initial_checkpoint(A)], [initial_checkpoint(B)], 1, 3)
+    graph1 = CheckpointGraph(checkpoints={A: a1, B: b1}, channels=channels)
+    line1 = maximal_consistent_line(graph1).line
+
+    a2, b2 = extend(sent, recv, a1, b1, 4, 3)
+    graph2 = CheckpointGraph(checkpoints={A: a2, B: b2}, channels=channels)
+    line2 = maximal_consistent_line(graph2).line
+
+    assert line2[A].checkpoint_id >= line1[A].checkpoint_id
+    assert line2[B].checkpoint_id >= line1[B].checkpoint_id
+
+
+def test_compaction_never_moves_the_line_backwards():
+    """Observed recovery lines are monotone while chains compact."""
+    from repro.dataflow.runtime import Job
+    from repro.sim.costs import RuntimeConfig
+    from tests.conftest import build_count_graph, make_event_log
+
+    config = RuntimeConfig(checkpoint_interval=2.0, duration=16.0, warmup=2.0,
+                           failure_at=None, seed=3, state_backend="changelog",
+                           changelog_max_chain=1)
+    log = make_event_log(300.0, 12.0, 3, seed=3)
+    job = Job(build_count_graph(), "unc", 3, {"events": log}, config)
+    observed: list[dict] = []
+
+    def probe() -> None:
+        plan = job.protocol.build_recovery_plan(job.sim.now)
+        observed.append({k: m.checkpoint_id for k, m in plan.line.items()})
+
+    for at in (5.0, 8.0, 11.0, 14.0):
+        job.sim.schedule_at(at, probe)
+    job.run()
+    assert len(observed) == 4
+    assert observed[-1] != observed[0]  # the line did move: forwards
+    for earlier, later in zip(observed, observed[1:]):
+        for key, cid in earlier.items():
+            assert later[key] >= cid

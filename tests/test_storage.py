@@ -287,39 +287,18 @@ def test_blobstore_byte_accounting():
     assert store.total_bytes() == 40
 
 
-def test_blobstore_accounting_across_overwrite_get_delete():
-    """Every counter over a realistic put/overwrite/get/delete sequence."""
+def test_blobstore_accounting_across_overwrite_and_get():
+    """Every counter over a put/overwrite/get sequence."""
     store = BlobStore()
     store.put("a", "v1", 100, now=1.0)
     store.put("a", "v2", 60, now=2.0)   # overwrite: both writes billed
     store.put("b", "w", 40, now=2.0)
     store.get("a")                       # reads the overwritten size
     store.get("a")
-    store.delete("b")
     assert store.bytes_written == 200
     assert store.bytes_read == 120
-    assert store.bytes_deleted == 40
-    assert store.total_bytes() == 60     # only the live overwrite remains
-    assert len(store) == 1
-
-
-def test_blobstore_bytes_deleted_observes_gc_reclamation():
-    store = BlobStore()
-    for i in range(5):
-        store.put(f"ckpt/{i}", i, 100, now=float(i))
-    for i in range(3):
-        store.delete(f"ckpt/{i}")
-    assert store.bytes_deleted == 300
-    assert store.total_bytes() == 200
-    assert store.bytes_written == 500
-
-
-def test_blobstore_delete():
-    store = BlobStore()
-    store.put("k", "v", 10, now=1.0)
-    store.delete("k")
-    assert "k" not in store
-    assert len(store) == 0
+    assert store.total_bytes() == 100    # the live overwrite and b
+    assert len(store) == 2
 
 
 def test_blobstore_negative_size_rejected():
