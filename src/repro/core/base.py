@@ -42,26 +42,16 @@ class CheckpointMeta:
     last_received: dict[ChannelId, int]
     #: per owned input partition: next offset to read (sources; None else)
     source_offsets: dict[int, int] | None
-    clock: int = 0
     #: bytes actually uploaded for this checkpoint (< state_bytes for a
-    #: changelog delta); -1 means "same as state_bytes" (legacy callers)
-    upload_bytes: int = -1
+    #: changelog delta, 0 for the baseline of a rescaled restore)
+    upload_bytes: int
+    #: total bytes a restore must fetch (the snapshot and every delta)
+    restore_bytes: int
+    clock: int = 0
     #: blob this checkpoint's delta chains onto (None: self-contained)
     base_key: str | None = None
     #: delta hops back to the chain's base (0 for a full snapshot)
     chain_length: int = 0
-    #: total bytes a restore must fetch (base + deltas); -1: state_bytes
-    restore_bytes: int = -1
-
-    @property
-    def uploaded_bytes(self) -> int:
-        """Bytes that crossed the wire (state_bytes if unrecorded)."""
-        return self.state_bytes if self.upload_bytes < 0 else self.upload_bytes
-
-    @property
-    def restored_bytes(self) -> int:
-        """Bytes a restore must fetch (state_bytes if unrecorded)."""
-        return self.state_bytes if self.restore_bytes < 0 else self.restore_bytes
 
     def sent_cursor(self, channel: ChannelId) -> int:
         """Send cursor captured for ``channel`` (0 if never sent)."""
@@ -86,6 +76,8 @@ def initial_checkpoint(instance: InstanceKey) -> CheckpointMeta:
         last_sent={},
         last_received={},
         source_offsets={},
+        upload_bytes=0,
+        restore_bytes=0,
     )
 
 

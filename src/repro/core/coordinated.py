@@ -44,6 +44,8 @@ class CoordinatedProtocol(CheckpointProtocol):
     name = "coor"
     requires_logging = False
     supports_cycles = False
+    #: does a round's trigger jump the source's task queue?
+    trigger_priority = False
 
     def __init__(self, job: "Job") -> None:
         super().__init__(job)
@@ -90,7 +92,8 @@ class CoordinatedProtocol(CheckpointProtocol):
                 job.coordinator.send_control_to_worker(
                     idx,
                     size,
-                    (lambda inst=instance: job.enqueue_checkpoint(inst, KIND_COOR, round_id)),
+                    (lambda inst=instance: job.enqueue_checkpoint(
+                        inst, KIND_COOR, round_id, self.trigger_priority)),
                 )
 
     # ------------------------------------------------------------------ #
@@ -146,8 +149,8 @@ class CoordinatedProtocol(CheckpointProtocol):
                 started_at=self._round_started[round_id],
                 durable_at=job.sim.now,
                 state_bytes=sum(m.state_bytes for m in round_metas),
+                upload_bytes=sum(m.upload_bytes for m in round_metas),
                 round_id=round_id,
-                upload_bytes=sum(m.uploaded_bytes for m in round_metas),
             )
         )
         if self._active_round == round_id:

@@ -5,7 +5,8 @@ behind stragglers and marker starvation under backpressure — and cites
 Flink's *unaligned checkpoints* as the production response.  This module
 implements that variant so the repository can quantify the fix:
 
-* rounds are scheduled exactly like COOR (same coordinator logic);
+* rounds are scheduled exactly like COOR (same coordinator logic), except
+  that the source trigger jumps the task queue;
 * on the **first** marker of a round, an instance snapshots immediately
   (the marker "overtakes" the queued data: capture happens at arrival,
   the CPU time is charged as a priority task) and forwards markers on all
@@ -32,7 +33,7 @@ from typing import TYPE_CHECKING
 from repro.core.base import CheckpointMeta, register_protocol
 from repro.core.coordinated import CoordinatedProtocol
 from repro.dataflow.channels import ChannelId, Message
-from repro.metrics.collectors import KIND_COOR, KIND_INITIAL, CheckpointEvent
+from repro.metrics.collectors import KIND_COOR, KIND_INITIAL
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.base import RecoveryPlan
@@ -43,18 +44,16 @@ if TYPE_CHECKING:  # pragma: no cover
 class _PendingCheckpoint:
     """An unaligned checkpoint waiting for the remaining channel markers."""
 
-    __slots__ = ("round_id", "pending", "snapshot", "meta", "channel_state",
-                 "channel_bytes", "started_at")
+    __slots__ = ("pending", "snapshot", "meta", "channel_state",
+                 "channel_bytes")
 
-    def __init__(self, round_id: int, pending: set[ChannelId],
-                 snapshot: dict, meta: CheckpointMeta, started_at: float) -> None:
-        self.round_id = round_id
+    def __init__(self, pending: set[ChannelId], snapshot: dict,
+                 meta: CheckpointMeta) -> None:
         self.pending = pending
         self.snapshot = snapshot
         self.meta = meta
         self.channel_state: dict[ChannelId, list[Message]] = {}
         self.channel_bytes = 0
-        self.started_at = started_at
 
 
 @register_protocol
@@ -67,35 +66,14 @@ class UnalignedCoordinatedProtocol(CoordinatedProtocol):
     #: checkpoint blobs persist in-flight channel state; a rescaled
     #: restore must carry the re-routed replay into its baseline blobs
     channel_state_in_snapshot = True
+    #: the trigger is a control RPC: a backlogged worker still snapshots
+    #: its source promptly, so markers enter the pipeline immediately —
+    #: the whole point of the unaligned variant
+    trigger_priority = True
 
     def __init__(self, job: "Job") -> None:
         super().__init__(job)
         self._pending: dict[tuple, _PendingCheckpoint] = {}
-
-    def _start_round(self) -> None:
-        """Like COOR, but the source trigger jumps the task queue.
-
-        The trigger is a control RPC: a backlogged worker still snapshots
-        its source promptly, so markers enter the pipeline immediately —
-        the whole point of the unaligned variant.
-        """
-        job = self.job
-        self._round += 1
-        round_id = self._round
-        self._active_round = round_id
-        self._round_started[round_id] = job.sim.now
-        self._round_durable[round_id] = set()
-        self._round_metas[round_id] = {}
-        size = job.cost.metadata_message_bytes
-        for spec in job.graph.sources():
-            for idx in range(job.parallelism):
-                instance = job.instance((spec.name, idx))
-                job.coordinator.send_control_to_worker(
-                    idx,
-                    size,
-                    (lambda inst=instance: job.enqueue_checkpoint(
-                        inst, KIND_COOR, round_id, priority=True)),
-                )
 
     # ------------------------------------------------------------------ #
     # Marker handling — no blocking, snapshot at first arrival
@@ -106,7 +84,7 @@ class UnalignedCoordinatedProtocol(CoordinatedProtocol):
         """Snapshot on the first marker; absorb late channels' in-flight data."""
         round_id, sender_cursor = msg.meta
         pending = self._pending.get(instance.key)
-        if pending is None or pending.round_id != round_id:
+        if pending is None or pending.meta.round_id != round_id:
             pending = self._begin_checkpoint(instance, round_id, first_channel=channel)
             self._pending[instance.key] = pending
         else:
@@ -133,36 +111,14 @@ class UnalignedCoordinatedProtocol(CoordinatedProtocol):
         # task; the flush is forced so batches parked by credit exhaustion
         # drain before the sent-cursor is captured
         cost = job.transport.flush_all(instance, force=True)
-        instance.checkpoint_counter += 1
-        blob_key = (f"{instance.key[0]}/{instance.key[1]}/"
-                    f"{instance.checkpoint_counter}")
-        captured = job.state_backend.capture(instance, blob_key)
-        cost += job.cost.snapshot_sync_cost(captured.upload_bytes)
-        snapshot = captured.payload
-        meta = CheckpointMeta(
-            instance=instance.key,
-            checkpoint_id=instance.checkpoint_counter,
-            kind=KIND_COOR,
-            round_id=round_id,
-            started_at=job.sim.now,
-            durable_at=-1.0,
-            state_bytes=captured.state_bytes,
-            blob_key=blob_key,
-            last_sent=dict(instance.out_seq),
-            last_received=dict(instance.last_received),
-            source_offsets=(dict(instance.source_cursors)
-                            if instance.spec.is_source else None),
-            upload_bytes=captured.upload_bytes,
-            base_key=captured.base_key,
-            chain_length=captured.chain_length,
-            restore_bytes=captured.restore_bytes,
-        )
+        meta, snapshot = job.capture_checkpoint(instance, KIND_COOR, round_id)
+        cost += job.cost.snapshot_sync_cost(meta.upload_bytes)
         # forward markers immediately — they must not wait behind the queue
         cost += job.transport.send_marker(instance, round_id)
         instance.worker.charge_cpu(cost)
         pending = set(instance.in_channels)
         pending.discard(first_channel)
-        return _PendingCheckpoint(round_id, pending, snapshot, meta, job.sim.now)
+        return _PendingCheckpoint(pending, snapshot, meta)
 
     def on_data_received(self, instance: "InstanceRuntime", channel: ChannelId,
                          msg: Message) -> float:
@@ -191,38 +147,16 @@ class UnalignedCoordinatedProtocol(CoordinatedProtocol):
         }
         # channel state is always persisted whole — it is new by definition —
         # and enlarges the stored blob, so future deltas' chains include it
-        job.state_backend.note_extra_upload(instance, channel_bytes)
+        job.chain_tracker.note_extra_upload(instance, channel_bytes)
         meta = replace(
             pending.meta,
-            round_id=pending.round_id,
-            started_at=pending.started_at,
             state_bytes=pending.meta.state_bytes + channel_bytes,
             upload_bytes=pending.meta.upload_bytes + channel_bytes,
             restore_bytes=pending.meta.restore_bytes + channel_bytes,
         )
         job.schedule_durable(
-            instance,
-            job.cost.blob_upload_delay(meta.upload_bytes),
-            self._unaligned_durable, meta, snapshot, job.deploy_epoch,
-        )
-
-    def _unaligned_durable(self, meta: CheckpointMeta, snapshot: dict,
-                           deploy_epoch: int = 0) -> None:
-        job = self.job
-        if deploy_epoch != job.deploy_epoch:
-            return  # upload outlived a rescaled redeploy; its instance is gone
-        durable = replace(meta, durable_at=job.sim.now)
-        job.coordinator.blobstore.put(
-            durable.blob_key, snapshot, durable.uploaded_bytes, job.sim.now,
-            base_key=durable.base_key, chain_length=durable.chain_length,
-        )
-        job.metrics.record_checkpoint(CheckpointEvent(
-            instance=durable.instance, kind=durable.kind,
-            started_at=durable.started_at, durable_at=durable.durable_at,
-            state_bytes=durable.state_bytes, round_id=durable.round_id,
-            upload_bytes=durable.uploaded_bytes,
-        ))
-        job.coordinator.send_metadata(durable)
+            instance, job.cost.blob_upload_delay(meta.upload_bytes),
+            meta, snapshot)
 
     # ------------------------------------------------------------------ #
     # Checkpoint lifecycle (sources still go through execute_checkpoint)

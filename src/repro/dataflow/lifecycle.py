@@ -12,6 +12,7 @@ of those entry points lives here.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from repro.core.base import CheckpointMeta, RecoveryPlan
@@ -19,12 +20,11 @@ from repro.dataflow.batch import RecordBatch, group_indices
 from repro.dataflow.channels import ChannelId, DATA, Message, Partitioner, hash_key
 from repro.dataflow.graph import Partitioning, validate_rescale
 from repro.dataflow.keygroups import group_range, key_group
-from repro.dataflow.worker import NO_RIDS, InstanceRuntime, WorkerRuntime
+from repro.dataflow.worker import InstanceRuntime, WorkerRuntime, folded_snapshot
 from repro.metrics.collectors import KIND_INITIAL, KIND_RESCALE
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.dataflow.graph import OperatorSpec
-    from repro.dataflow.runtime import InstanceKey, Job
+    from repro.dataflow.runtime import Job
     from repro.sim.failure import AdaptiveIntervalController, RescalePlan
 
 
@@ -258,7 +258,7 @@ class LifecycleManager:
         for key, meta in plan.line.items():
             if meta.kind != KIND_INITIAL:
                 per_worker[key[1]] += cost_model.chain_restore_delay(
-                    meta.restored_bytes, meta.chain_length + 1
+                    meta.restore_bytes, meta.chain_length + 1
                 )
         for channel, messages in plan.replay.items():
             if not messages:
@@ -298,7 +298,7 @@ class LifecycleManager:
                     continue
                 share = overlap / len(old_range)
                 per_worker[j] += cost_model.chain_restore_delay(
-                    int(meta.restored_bytes * share), meta.chain_length + 1
+                    int(meta.restore_bytes * share), meta.chain_length + 1
                 )
         for channel, messages in plan.replay.items():
             if not messages:
@@ -319,18 +319,8 @@ class LifecycleManager:
         if target != job.parallelism or line_parallelism != job.parallelism:
             self.apply_rescaled_recovery(plan, target)
             return
-        store = job.coordinator.blobstore
         for key, meta in plan.line.items():
-            instance = job.instance(key)
-            if meta.kind == KIND_INITIAL:
-                instance.reset_to_virgin()
-            else:
-                payloads = [store.get(k) for k in store.chain_keys(meta.blob_key)]
-                if len(payloads) == 1:
-                    instance.restore_snapshot(payloads[0])
-                else:
-                    instance.restore_from_chain(payloads)
-                job.state_backend.on_restored(instance)
+            job.instance(key).restore(self.line_payloads(meta))
         job.transport.reset()
         for worker in job.workers:
             worker.alive = True  # replacement container
@@ -374,28 +364,20 @@ class LifecycleManager:
         graph = job.graph
         p_old = 1 + max(idx for _, idx in plan.line)
         validate_rescale(graph, p_old, p_new, job.max_key_groups)
-        # materialize every old instance's state before the topology goes
-        # away: base+delta chains fold into one self-contained payload
-        materialized: dict = {
-            key: self.materialize_line_payload(key, meta)
-            for key, meta in plan.line.items()
+        # fold every old instance's checkpoint (base + delta chain, or
+        # nothing) into the one snapshot the new instances merge from
+        parts: dict[str, list[dict]] = {
+            name: [
+                folded_snapshot(spec, self.line_payloads(plan.line[(name, i)]))
+                for i in range(p_old)
+            ]
+            for name, spec in graph.operators.items()
         }
         self.rebuild_topology(p_new)
-        virgin: dict[str, dict] = {}
-        for name, spec in graph.operators.items():
-            parts = []
-            for i in range(p_old):
-                payload = materialized.get((name, i))
-                if payload is None:
-                    if name not in virgin:
-                        virgin[name] = self.virgin_payload(spec)
-                    payload = virgin[name]
-                parts.append(payload)
+        for name in graph.operators:
             for j in range(p_new):
-                instance = job.instance((name, j))
-                instance.restore_rescaled(parts, p_old,
-                                          job.num_source_partitions)
-                job.state_backend.on_restored(instance)
+                job.instance((name, j)).restore_rescaled(
+                    parts[name], p_old, job.num_source_partitions)
         job.protocol.on_rescaled(plan)
         for worker in job.workers:
             worker.alive = True
@@ -419,46 +401,16 @@ class LifecycleManager:
         job.protocol.on_recovery_applied(plan)
         self.resume_after_recovery()
 
-    def materialize_line_payload(self, key: "InstanceKey",
-                                 meta: CheckpointMeta) -> dict | None:
-        """Fold a checkpoint (and its delta chain) into one full payload."""
-        if meta.kind == KIND_INITIAL:
-            return None
-        job = self.job
-        store = job.coordinator.blobstore
-        payloads = [store.get(k) for k in store.chain_keys(meta.blob_key)]
-        if len(payloads) == 1 and not payloads[0].get("delta"):
-            return payloads[0]
-        spec = job.graph.operators[key[0]]
-        scratch = spec.factory()
-        scratch.open(None)
-        scratch.states.restore(payloads[0]["states"])
-        head = payloads[0]["processed_rids"]
-        for delta in payloads[1:]:
-            scratch.states.apply_delta(delta["states"])
-            head = head.extend(delta["new_rids"])
-        last = payloads[-1]
-        return {
-            "states": scratch.states.snapshot(),
-            "out_seq": dict(last["out_seq"]),
-            "last_received": dict(last["last_received"]),
-            "processed_rids": head,
-            "source_cursors": dict(last["source_cursors"]),
-            "extra": last["extra"],
-        }
+    def line_payloads(self, meta: CheckpointMeta) -> list[dict]:
+        """The payloads a restore of ``meta`` folds, base first.
 
-    def virgin_payload(self, spec: OperatorSpec) -> dict:
-        """A virgin instance's contribution to a rescaled merge."""
-        scratch = spec.factory()
-        scratch.open(None)
-        return {
-            "states": scratch.states.snapshot(),
-            "out_seq": {},
-            "last_received": {},
-            "processed_rids": NO_RIDS,
-            "source_cursors": {},
-            "extra": None,
-        }
+        None for the initial checkpoint, one for a full snapshot, the
+        snapshot and every delta since for a changelog checkpoint.
+        """
+        if meta.kind == KIND_INITIAL:
+            return []
+        store = self.job.coordinator.blobstore
+        return [store.get(key) for key in store.chain_keys(meta.blob_key)]
 
     def rebuild_topology(self, p_new: int) -> None:
         """Tear the physical deployment down and re-wire it at ``p_new``.
@@ -564,35 +516,14 @@ class LifecycleManager:
         metas: dict = {}
         now = job.sim.now
         store = job.coordinator.blobstore
-        for key in job.instance_keys():
-            instance = job.instance(key)
-            instance.checkpoint_counter += 1
-            blob_key = f"{key[0]}/{key[1]}/{instance.checkpoint_counter}"
-            payload = instance.capture_snapshot()
+        for instance in job.instances():
+            meta, payload = job.capture_checkpoint(instance, KIND_RESCALE, None)
             if job.protocol.channel_state_in_snapshot:
                 payload["channel_state"] = {
                     channel: list(messages)
                     for channel, messages in injected.items()
                     if job.channel_dst.get(channel) is instance
                 }
-            state_bytes = instance.state_bytes
-            meta = CheckpointMeta(
-                instance=key,
-                checkpoint_id=instance.checkpoint_counter,
-                kind=KIND_RESCALE,
-                round_id=None,
-                started_at=now,
-                durable_at=now,
-                state_bytes=state_bytes,
-                blob_key=blob_key,
-                last_sent=dict(instance.out_seq),
-                last_received=dict(instance.last_received),
-                source_offsets=(dict(instance.source_cursors)
-                                if instance.spec.is_source else None),
-                clock=job.protocol.instance_clock(instance),
-                upload_bytes=0,
-                restore_bytes=state_bytes,
-            )
-            store.put(blob_key, payload, state_bytes, now)
-            metas[key] = meta
+            store.put(meta.blob_key, payload, meta.state_bytes, now)
+            metas[instance.key] = replace(meta, durable_at=now)
         job.protocol.install_rescale_baseline(metas)

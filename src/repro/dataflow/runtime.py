@@ -9,7 +9,7 @@ protocol-agnostic; all checkpointing behaviour is injected through the
 The module is a façade over four layers (DESIGN.md sections 3 and 13):
 
 * :mod:`repro.dataflow.results` — :class:`RunResult` and its derived
-  metrics (re-exported here for compatibility);
+  metrics;
 * :mod:`repro.dataflow.transport` — message transmission, per-channel
   FIFO ordering, and bounded channels with credit-based flow control;
 * :mod:`repro.dataflow.lifecycle` — the failure -> detect -> recover ->
@@ -26,7 +26,7 @@ kill workers mid-run and detection triggers the protocol's recovery plan.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Callable
+from typing import Any
 
 from repro.core.base import CheckpointMeta, CheckpointRegistry, create_protocol
 from repro.dataflow.batch import RecordBatch
@@ -42,16 +42,21 @@ from repro.dataflow.keygroups import validate_key_space
 from repro.dataflow.lifecycle import LifecycleManager
 from repro.dataflow.records import StreamRecord, source_rids_from_prefix
 from repro.dataflow.results import RunResult
-from repro.dataflow.state import create_state_backend
+from repro.dataflow.state import ChainTracker
 from repro.dataflow.transport import Transport
 from repro.dataflow.worker import InstanceRuntime, WorkerRuntime
-from repro.metrics.collectors import UNCOORDINATED_KINDS, CheckpointEvent, MetricsCollector
+from repro.metrics.collectors import (
+    KIND_RESCALE,
+    UNCOORDINATED_KINDS,
+    CheckpointEvent,
+    MetricsCollector,
+)
 from repro.sim.costs import RuntimeConfig
 from repro.sim.rng import RngRegistry
 from repro.sim.simulator import Simulator
 from repro.storage.kafka import Partition, PartitionedLog
 
-__all__ = ["InstanceKey", "Job", "RunResult"]
+__all__ = ["InstanceKey", "Job"]
 
 InstanceKey = tuple[str, int]
 
@@ -102,9 +107,9 @@ class Job:
         self.sim = Simulator()
         self.metrics = MetricsCollector()
         self.rng = RngRegistry(self.config.seed)
-        self.state_backend = create_state_backend(
-            self.config.state_backend, self.cost,
-            max_chain=self.config.changelog_max_chain,
+        self.chain_tracker = ChainTracker(
+            self.config.state_backend, self.config.changelog_max_chain,
+            self.cost.delta_overhead_bytes,
         )
         self.lifecycle = LifecycleManager(self)
         self.rescale_plan = self.lifecycle.build_rescale_plan()
@@ -397,39 +402,70 @@ class Job:
         """
         cost = self.transport.flush_all(instance, force=True)
         cost += self.protocol.on_checkpoint_started(instance, kind, round_id)
-        instance.checkpoint_counter += 1
-        blob_key = f"{instance.key[0]}/{instance.key[1]}/{instance.checkpoint_counter}"
-        captured = self.state_backend.capture(instance, blob_key)
+        meta, payload = self.capture_checkpoint(instance, kind, round_id)
         # the synchronous part serializes what gets written: a changelog
         # delta forks/encodes only the dirty entries
-        cost += self.cost.snapshot_sync_cost(captured.upload_bytes)
+        cost += self.cost.snapshot_sync_cost(meta.upload_bytes)
+        self.schedule_durable(
+            instance, cost + self.cost.blob_upload_delay(meta.upload_bytes),
+            meta, payload)
+        return cost
+
+    def capture_checkpoint(self, instance: InstanceRuntime, kind: str,
+                           round_id: int | None,
+                           ) -> tuple[CheckpointMeta, dict[str, Any]]:
+        """The one write step: capture ``instance`` now and describe it.
+
+        Allocates the checkpoint id and blob key, has the chain tracker
+        capture a snapshot or a delta, and stamps the metadata with the
+        cursors as they stand — so it runs after whatever the caller
+        flushes or sends first (a marker sent before it is covered by
+        ``last_sent``, one sent after it is not).  Returns the metadata,
+        not yet durable, and the payload for the blob store; the caller
+        charges the synchronous cost and decides when durability is
+        scheduled (:meth:`schedule_durable`).
+
+        The synthetic baseline of a rescaled restore
+        (:data:`~repro.metrics.collectors.KIND_RESCALE`) goes around the
+        tracker: its bytes already live in the store, so it is a whole
+        snapshot that uploads nothing, and the instance's next checkpoint
+        starts a chain of its own instead of a delta onto it.
+        """
+        instance.checkpoint_counter += 1
+        name, index = instance.key
+        blob_key = f"{name}/{index}/{instance.checkpoint_counter}"
+        base_key: str | None = None
+        chain_length = 0
+        if kind == KIND_RESCALE:
+            payload = instance.capture_snapshot()
+            upload_bytes, restore_bytes = 0, instance.state_bytes
+        else:
+            (payload, upload_bytes, base_key, chain_length,
+             restore_bytes) = self.chain_tracker.capture(instance, blob_key)
         meta = CheckpointMeta(
             instance=instance.key,
             checkpoint_id=instance.checkpoint_counter,
             kind=kind,
             round_id=round_id,
             started_at=self.sim.now,
-            durable_at=-1.0,  # replaced below
-            state_bytes=captured.state_bytes,
+            durable_at=-1.0,  # stamped when the upload is acknowledged
+            state_bytes=instance.state_bytes,
             blob_key=blob_key,
             last_sent=dict(instance.out_seq),
             last_received=dict(instance.last_received),
             source_offsets=(dict(instance.source_cursors)
                             if instance.spec.is_source else None),
+            upload_bytes=upload_bytes,
+            restore_bytes=restore_bytes,
             clock=self.protocol.instance_clock(instance),
-            upload_bytes=captured.upload_bytes,
-            base_key=captured.base_key,
-            chain_length=captured.chain_length,
-            restore_bytes=captured.restore_bytes,
+            base_key=base_key,
+            chain_length=chain_length,
         )
-        upload_done = cost + self.cost.blob_upload_delay(captured.upload_bytes)
-        self.schedule_durable(instance, upload_done, self._checkpoint_durable,
-                              meta, captured.payload, self.deploy_epoch)
-        return cost
+        return meta, payload
 
     def schedule_durable(self, instance: InstanceRuntime, delay: float,
-                         fn: Callable[..., None], *args: Any) -> None:
-        """Schedule a durability callback, clamped to per-instance order.
+                         meta: CheckpointMeta, payload: dict[str, Any]) -> None:
+        """Schedule a checkpoint's durability, clamped to per-instance order.
 
         A small changelog delta could finish uploading before its larger,
         earlier-started parent; registering it first would break both the
@@ -440,16 +476,20 @@ class Job:
         at = max(self.sim.now + delay,
                  instance.durable_floor + self.cost.channel_epsilon)
         instance.durable_floor = at
-        # repro-lint: disable=RL006 -- dispatcher: callers pass deploy_epoch in args and the callee (_checkpoint_durable) performs the guard
-        self.sim.schedule_at(at, fn, *args)
+        # the callee is handed the deploy epoch and drops itself if a
+        # rescaled redeploy came in between
+        self.sim.schedule_at(at, self._checkpoint_durable, meta, payload,
+                             self.deploy_epoch)
 
-    def _checkpoint_durable(self, meta: CheckpointMeta, snapshot: dict,
-                            deploy_epoch: int = 0) -> None:
+    def _checkpoint_durable(self, meta: CheckpointMeta, payload: dict[str, Any],
+                            deploy_epoch: int) -> None:
+        """The one commit: the upload is acknowledged, the checkpoint exists."""
         if deploy_epoch != self.deploy_epoch:
             return  # upload outlived a rescaled redeploy; its instance is gone
-        durable = replace(meta, durable_at=self.sim.now)
+        now = self.sim.now
+        durable = replace(meta, durable_at=now)
         self.coordinator.blobstore.put(
-            durable.blob_key, snapshot, durable.uploaded_bytes, self.sim.now,
+            durable.blob_key, payload, durable.upload_bytes, now,
             base_key=durable.base_key, chain_length=durable.chain_length,
         )
         self.metrics.record_checkpoint(
@@ -457,17 +497,17 @@ class Job:
                 instance=durable.instance,
                 kind=durable.kind,
                 started_at=durable.started_at,
-                durable_at=durable.durable_at,
+                durable_at=now,
                 state_bytes=durable.state_bytes,
+                upload_bytes=durable.upload_bytes,
                 round_id=durable.round_id,
-                upload_bytes=durable.uploaded_bytes,
             )
         )
         self.coordinator.send_metadata(durable)
         if durable.kind in UNCOORDINATED_KINDS:
             # the uncoordinated family's unit of checkpoint cost; the
             # coordinated family reports round durations instead
-            self.note_checkpoint_duration(durable.durable_at - durable.started_at)
+            self.note_checkpoint_duration(now - durable.started_at)
 
     # ------------------------------------------------------------------ #
     # Failure and recovery (delegated to the lifecycle layer)

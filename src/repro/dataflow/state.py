@@ -1,4 +1,4 @@
-"""Operator state backends with byte-size accounting.
+"""Operator state with byte-size accounting, and what a checkpoint uploads of it.
 
 Checkpoint and restore durations in the cost model scale with state size, so
 every state primitive tracks an approximate byte footprint.  Snapshots are
@@ -7,18 +7,15 @@ them in place (the query implementations in :mod:`repro.workloads` follow
 this rule; :class:`KeyedListState` copies lists on snapshot so appends stay
 safe).
 
-Two checkpoint **state backends** build on the primitives (DESIGN.md
-section 10):
-
-* :class:`FullSnapshotBackend` — every checkpoint uploads the complete
-  operator state as one self-contained blob (the default, and the paper's
-  behaviour);
-* :class:`ChangelogBackend` — state primitives additionally track the keys
-  written since the last checkpoint, and a checkpoint uploads only that
-  **delta**, chained onto the previous checkpoint's blob.  Restoring a
-  delta checkpoint fetches its base snapshot plus every delta in between
-  and replays them in order; once a chain reaches ``max_chain`` deltas the
-  next checkpoint is compacted into a fresh base.
+A checkpoint uploads the complete state as one self-contained snapshot,
+or — state primitives can track the keys written since the last
+checkpoint — only that **delta**, chained onto the previous checkpoint's
+blob.  Restoring a delta checkpoint fetches its snapshot plus every delta
+in between and folds them in order.  :class:`ChainTracker` decides which
+one the next checkpoint is; the two state backends are two bounds on the
+chain's length (``full``: no deltas, the default and the paper's
+behaviour; ``changelog``: at most ``changelog_max_chain``; DESIGN.md
+section 10).
 
 Both backends produce byte-identical restored state — the differential
 suite in ``tests/test_exactly_once.py`` locks that equivalence down for
@@ -27,12 +24,10 @@ every protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Container, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dataflow.worker import InstanceRuntime
-    from repro.sim.costs import CostModel
 
 
 def _state_key_group(key: Any, max_key_groups: int) -> int:
@@ -656,178 +651,79 @@ class StateRegistry:
 
 
 # --------------------------------------------------------------------- #
-# State backends (DESIGN.md section 10)
+# The chain tracker (DESIGN.md section 10)
 # --------------------------------------------------------------------- #
 
-@dataclass(frozen=True, slots=True)
-class CapturedState:
-    """What one checkpoint capture produced, backend-independently.
+class _Chain:
+    """Where one instance's live chain stands."""
 
-    ``payload`` goes to the blob store verbatim; ``upload_bytes`` is what
-    crosses the wire (and what the store bills), ``state_bytes`` is the full
-    materialized state the checkpoint represents.  ``base_key`` links a
-    delta to its predecessor blob (``None`` marks a self-contained base);
-    ``chain_length`` counts delta hops back to the base and
-    ``restore_bytes`` pre-aggregates the bytes a restore of this checkpoint
-    must fetch (base + all deltas).
+    __slots__ = ("newest_key", "deltas", "restore_bytes")
+
+    def __init__(self, newest_key: str, restore_bytes: int) -> None:
+        #: blob of the instance's latest checkpoint: the next delta's base
+        self.newest_key = newest_key
+        #: delta hops from that blob back to the chain's full snapshot
+        self.deltas = 0
+        #: bytes a restore of that blob fetches (snapshot + every delta)
+        self.restore_bytes = restore_bytes
+
+
+class ChainTracker:
+    """What an instance's next checkpoint uploads: a snapshot or a delta.
+
+    A checkpoint is a full snapshot, or the writes since the previous
+    checkpoint chained onto its blob (``base_key``); a chain is cut and
+    the next checkpoint a snapshot again once it holds ``max_chain``
+    deltas, and after every rollback.  The two backends are two bounds:
+    ``full`` is a chain of no deltas, ``changelog`` one of at most
+    ``changelog_max_chain`` (at least 1).  Under ``full`` nothing ever
+    arms the state primitives' change tracking, so the state kernels
+    stay on their untracked arm.
     """
 
-    payload: dict
-    upload_bytes: int
-    state_bytes: int
-    base_key: str | None
-    chain_length: int
-    restore_bytes: int
+    def __init__(self, backend: str, changelog_max_chain: int,
+                 delta_overhead_bytes: int) -> None:
+        bounds = {"full": 0, "changelog": max(1, changelog_max_chain)}
+        if backend not in bounds:
+            raise ValueError(f"unknown state backend {backend!r}; "
+                             f"known: {sorted(bounds)}")
+        self.max_chain = bounds[backend]
+        self.delta_overhead_bytes = delta_overhead_bytes
+        self._chains: dict[tuple[str, int], _Chain] = {}
 
+    def capture(self, instance: "InstanceRuntime", blob_key: str,
+                ) -> tuple[dict[str, Any], int, str | None, int, int]:
+        """Capture the instance for the checkpoint stored under ``blob_key``.
 
-class StateBackend:
-    """How an instance's state becomes a durable checkpoint payload."""
-
-    name = "full"
-
-    def __init__(self, cost_model: "CostModel | None" = None,
-                 max_chain: int = 0) -> None:
-        self.cost_model = cost_model
-        self.max_chain = max_chain
-
-    def capture(self, instance: "InstanceRuntime", blob_key: str) -> CapturedState:
-        """Turn the instance's state into a checkpoint payload."""
-        raise NotImplementedError
+        Returns ``(payload, upload_bytes, base_key, chain_length,
+        restore_bytes)``: what goes to the blob store verbatim, what
+        crosses the wire (and the store bills), the blob a delta chains
+        onto (``None`` for a snapshot), the delta hops back to the
+        snapshot, and the bytes a restore of this checkpoint fetches.
+        """
+        chain = self._chains.get(instance.key)
+        if chain is None or chain.deltas >= self.max_chain:
+            payload = instance.capture_snapshot()
+            if self.max_chain:
+                instance.operator.states.mark_clean()
+            state_bytes = instance.state_bytes
+            self._chains[instance.key] = _Chain(blob_key, state_bytes)
+            return payload, state_bytes, None, 0, state_bytes
+        payload, delta_bytes = instance.capture_delta()
+        upload_bytes = delta_bytes + self.delta_overhead_bytes
+        base_key = chain.newest_key
+        chain.newest_key = blob_key
+        chain.deltas += 1
+        chain.restore_bytes += upload_bytes
+        return (payload, upload_bytes, base_key, chain.deltas,
+                chain.restore_bytes)
 
     def note_extra_upload(self, instance: "InstanceRuntime",
                           extra_bytes: int) -> None:
         """Bytes a protocol appended to the last captured blob after the
-        fact (unaligned channel state); they enlarge the live chain."""
+        fact (unaligned channel state): restores of the chain fetch them."""
+        self._chains[instance.key].restore_bytes += extra_bytes
 
     def on_restored(self, instance: "InstanceRuntime") -> None:
-        """The instance was rolled back; reset any incremental tracking."""
-
-    def on_reset(self, instance: "InstanceRuntime") -> None:
-        """The instance was reset to virgin state (initial checkpoint)."""
-        self.on_restored(instance)
-
-
-class FullSnapshotBackend(StateBackend):
-    """Every checkpoint is a complete, self-contained snapshot blob."""
-
-    name = "full"
-
-    def capture(self, instance: "InstanceRuntime", blob_key: str) -> CapturedState:
-        """Capture the complete state as one self-contained blob."""
-        payload = instance.capture_snapshot()
-        state_bytes = instance.state_bytes
-        return CapturedState(
-            payload=payload,
-            upload_bytes=state_bytes,
-            state_bytes=state_bytes,
-            base_key=None,
-            chain_length=0,
-            restore_bytes=state_bytes,
-        )
-
-
-class _ChainTrack:
-    """Per-instance changelog bookkeeping: where the live chain stands."""
-
-    __slots__ = ("parent_key", "chain_length", "chain_bytes", "force_base")
-
-    def __init__(self) -> None:
-        self.parent_key: str | None = None
-        self.chain_length = 0
-        self.chain_bytes = 0
-        self.force_base = True
-
-
-class ChangelogBackend(StateBackend):
-    """Incremental checkpoints: base snapshot + dirty-key deltas.
-
-    Between checkpoints every state primitive records which keys were
-    written, and every instance journals the lineage ids it admits
-    (whatever the backend); a checkpoint uploads only that delta, chained
-    onto the previous checkpoint's blob via ``base_key``.  After a
-    rollback (or a virgin reset) the chain is broken and the next
-    checkpoint is forced to be a fresh base; chains are also compacted
-    into a fresh base once they reach ``max_chain`` deltas, bounding both
-    restore fan-in and the blobs GC must keep pinned.
-    """
-
-    name = "changelog"
-
-    def __init__(self, cost_model: "CostModel | None" = None,
-                 max_chain: int = 4) -> None:
-        super().__init__(cost_model, max_chain=max(1, max_chain))
-        self._track: dict[tuple, _ChainTrack] = {}
-
-    def _track_for(self, instance: "InstanceRuntime") -> _ChainTrack:
-        track = self._track.get(instance.key)
-        if track is None:
-            track = self._track[instance.key] = _ChainTrack()
-        return track
-
-    def capture(self, instance: "InstanceRuntime", blob_key: str) -> CapturedState:
-        """Capture a fresh base or a dirty-key delta chained on the last blob."""
-        track = self._track_for(instance)
-        if (track.force_base or track.parent_key is None
-                or track.chain_length >= self.max_chain):
-            payload = instance.capture_snapshot()
-            instance.operator.states.mark_clean()
-            state_bytes = instance.state_bytes
-            track.parent_key = blob_key
-            track.chain_length = 0
-            track.chain_bytes = state_bytes
-            track.force_base = False
-            return CapturedState(
-                payload=payload,
-                upload_bytes=state_bytes,
-                state_bytes=state_bytes,
-                base_key=None,
-                chain_length=0,
-                restore_bytes=state_bytes,
-            )
-        payload, delta_bytes = instance.capture_delta()
-        overhead = (self.cost_model.delta_overhead_bytes
-                    if self.cost_model is not None else 64)
-        upload_bytes = delta_bytes + overhead
-        base_key = track.parent_key
-        track.parent_key = blob_key
-        track.chain_length += 1
-        track.chain_bytes += upload_bytes
-        return CapturedState(
-            payload=payload,
-            upload_bytes=upload_bytes,
-            state_bytes=instance.state_bytes,
-            base_key=base_key,
-            chain_length=track.chain_length,
-            restore_bytes=track.chain_bytes,
-        )
-
-    def note_extra_upload(self, instance: "InstanceRuntime",
-                          extra_bytes: int) -> None:
-        """Bill protocol-appended bytes (channel state) to the live chain."""
-        self._track_for(instance).chain_bytes += extra_bytes
-
-    def on_restored(self, instance: "InstanceRuntime") -> None:
-        """Break the chain: the next checkpoint must be a fresh base."""
-        track = self._track_for(instance)
-        track.force_base = True
-        track.parent_key = None
-        track.chain_length = 0
-        track.chain_bytes = 0
-
-
-STATE_BACKENDS: dict[str, type[StateBackend]] = {
-    FullSnapshotBackend.name: FullSnapshotBackend,
-    ChangelogBackend.name: ChangelogBackend,
-}
-
-
-def create_state_backend(name: str, cost_model: "CostModel | None" = None,
-                         max_chain: int = 4) -> StateBackend:
-    """Instantiate a registered state backend ('full' | 'changelog')."""
-    try:
-        cls = STATE_BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown state backend {name!r}; known: {sorted(STATE_BACKENDS)}"
-        ) from None
-    return cls(cost_model, max_chain=max_chain)
+        """The instance was rolled back: its next checkpoint is a snapshot."""
+        self._chains.pop(instance.key, None)

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.dataflow.channels import ChannelId, Message, RouterBuffer
 from repro.dataflow.graph import EdgeSpec, OperatorSpec
-from repro.dataflow.operators import OperatorContext
+from repro.dataflow.operators import Operator, OperatorContext
 from repro.dataflow.records import source_rid_prefix
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -97,6 +97,54 @@ class RepeatedRidError(RuntimeError):
         self.distinct = distinct
 
 
+#: what the payload of an initial checkpoint would hold beside its state
+_NOTHING_DONE: dict[str, Any] = {
+    "out_seq": {}, "last_received": {}, "source_cursors": {}}
+
+
+def fold_chain(spec: OperatorSpec, payloads: list[dict[str, Any]],
+               context: OperatorContext | None = None,
+               ) -> tuple[Operator, RidSnapshot]:
+    """The operator and the dedup history a list of payloads stands for.
+
+    ``[]`` is the initial checkpoint, ``[snapshot]`` a full one,
+    ``[snapshot, *deltas]`` a changelog chain, base first: a fresh
+    operator opened against ``context``, the snapshot restored into it,
+    each delta's per-state diffs folded on top and its sealed rid
+    segment hung onto the snapshot's node.  Every restore starts here:
+    :meth:`InstanceRuntime.restore` keeps the operator, a rescaled
+    restore (``context=None``) reads the state back out of it and merges
+    several (DESIGN.md sections 10 and 11).
+    """
+    operator = spec.factory()
+    operator.open(context)
+    head = NO_RIDS
+    if payloads:
+        operator.states.restore(payloads[0]["states"])
+        head = payloads[0]["processed_rids"]
+        for delta in payloads[1:]:
+            operator.states.apply_delta(delta["states"])
+            head = head.extend(delta["new_rids"])
+    return operator, head
+
+
+def folded_snapshot(spec: OperatorSpec,
+                    payloads: list[dict[str, Any]]) -> dict[str, Any]:
+    """What a rescaled restore reads of one old instance's checkpoint.
+
+    The chain folded on a scratch operator and read back out as one
+    state snapshot, beside the dedup history and the source cursors:
+    the part :meth:`InstanceRuntime.restore_rescaled` merges.
+    """
+    operator, head = fold_chain(spec, payloads)
+    last = payloads[-1] if payloads else _NOTHING_DONE
+    return {
+        "states": operator.states.snapshot(),
+        "processed_rids": head,
+        "source_cursors": last["source_cursors"],
+    }
+
+
 class InstanceRuntime(OperatorContext):
     """One parallel instance of an operator, hosted on one worker."""
 
@@ -168,16 +216,6 @@ class InstanceRuntime(OperatorContext):
             q: source_rid_prefix(self.spec.source_topic, q) for q in partitions
         }
 
-    @property
-    def source_cursor(self) -> int:
-        """Cursor of the single owned partition (pre-rescale deployments)."""
-        if len(self.source_cursors) != 1:
-            raise ValueError(
-                f"{self.key}: owns {len(self.source_cursors)} partitions; "
-                "use source_cursors"
-            )
-        return next(iter(self.source_cursors.values()))
-
     # -- OperatorContext ------------------------------------------------- #
 
     def now(self) -> float:
@@ -240,18 +278,6 @@ class InstanceRuntime(OperatorContext):
     def open(self) -> None:
         """Instantiate and open the operator against this context."""
         self.operator.open(self)
-
-    def reset_to_virgin(self) -> None:
-        """Reinstall a fresh operator and clear all cursors (initial state)."""
-        self.operator = self.spec.factory()
-        self.operator.open(self)
-        self.out_seq.clear()
-        self.last_received.clear()
-        self.install_rids(NO_RIDS)
-        self.source_cursors = {q: 0 for q in self.source_cursors}
-        if self.router is not None:
-            self.router.clear()
-        self.job.state_backend.on_reset(self)
 
     def seal_rids(self) -> RidSnapshot:
         """Close the journal into a node standing for the dedup history.
@@ -325,51 +351,38 @@ class InstanceRuntime(OperatorContext):
         self.operator.states.mark_clean()
         return payload, delta_bytes
 
-    def restore_snapshot(self, snapshot: dict[str, Any]) -> None:
-        """Reinstall a full checkpoint payload (state, cursors, dedup set)."""
-        self.operator = self.spec.factory()
-        self.operator.open(self)
-        self.operator.states.restore(snapshot["states"])
-        self.out_seq = dict(snapshot["out_seq"])
-        self.last_received = dict(snapshot["last_received"])
-        self.install_rids(snapshot["processed_rids"])
-        self.source_cursors = dict(snapshot["source_cursors"])
-        if self.router is not None:
-            self.router.clear()
-        self.job.protocol.restore_extra(self, snapshot["extra"])
-        self.operator.on_restore()
+    def restore(self, payloads: list[dict[str, Any]]) -> None:
+        """Roll back to the checkpoint ``payloads`` stands for.
 
-    def restore_from_chain(self, payloads: list[dict[str, Any]]) -> None:
-        """Restore a changelog checkpoint: base payload + deltas, in order.
-
-        The base is a full snapshot; each delta folds its per-state diffs
-        on top and hangs its sealed rid segment onto the base's node.
-        Cursors and protocol extras are taken from the last payload —
-        every payload carries them whole.
+        What :func:`fold_chain` folds becomes the operator and the dedup
+        set; cursors and protocol extras come from the last payload —
+        every payload carries them whole — and the chain the instance's
+        checkpoints were building is cut.  ``[]``, the initial
+        checkpoint, puts a source back at the start of the partitions it
+        owns and runs neither restore hook: no extra was captured, and
+        the timer ``on_restore`` re-registers is one a freshly deployed
+        operator does not have.
         """
-        base = payloads[0]
-        self.operator = self.spec.factory()
-        self.operator.open(self)
-        self.operator.states.restore(base["states"])
-        head = base["processed_rids"]
-        for delta in payloads[1:]:
-            self.operator.states.apply_delta(delta["states"])
-            head = head.extend(delta["new_rids"])
-        last = payloads[-1]
+        self.operator, head = fold_chain(self.spec, payloads, self)
+        last = payloads[-1] if payloads else _NOTHING_DONE
         self.out_seq = dict(last["out_seq"])
         self.last_received = dict(last["last_received"])
         self.install_rids(head)
-        self.source_cursors = dict(last["source_cursors"])
+        cursors = last["source_cursors"]
+        self.source_cursors = {q: cursors.get(q, 0)
+                               for q in self.source_cursors}
         if self.router is not None:
             self.router.clear()
-        self.job.protocol.restore_extra(self, last["extra"])
-        self.operator.on_restore()
+        self.job.chain_tracker.on_restored(self)
+        if payloads:
+            self.job.protocol.restore_extra(self, last["extra"])
+            self.operator.on_restore()
 
     def restore_rescaled(self, parts: list[dict[str, Any]], p_old: int,
                          num_source_partitions: int) -> None:
         """Restore this instance from the *old* topology's checkpoints.
 
-        ``parts`` holds one materialized snapshot payload per old instance
+        ``parts`` holds the :func:`folded_snapshot` of each old instance
         of this operator, in instance order.  Keyed state is merged from
         the group slices this instance now owns; dedup sets are the union
         of every contributor's (sound because a rescalable graph has no
@@ -411,6 +424,7 @@ class InstanceRuntime(OperatorContext):
             }
         if self.router is not None:
             self.router.clear()
+        self.job.chain_tracker.on_restored(self)
         # protocol extras (e.g. CIC vectors) are sized for the old
         # instance count; the protocol rebuilds them in on_rescaled
         self.job.protocol.restore_extra(self, None)

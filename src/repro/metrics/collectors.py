@@ -52,21 +52,16 @@ class CheckpointEvent:
     started_at: float
     durable_at: float
     state_bytes: int
-    round_id: int | None = None
-    #: bytes that actually crossed the wire for this checkpoint; equals
+    #: bytes that actually crossed the wire for this checkpoint: equal to
     #: state_bytes for a full snapshot, the delta size for a changelog
-    #: checkpoint (-1: unknown, treated as state_bytes)
-    upload_bytes: int = -1
+    #: checkpoint
+    upload_bytes: int
+    round_id: int | None = None
 
     @property
     def duration(self) -> float:
         """Capture-start to durable duration."""
         return self.durable_at - self.started_at
-
-    @property
-    def uploaded_bytes(self) -> int:
-        """Bytes that crossed the wire (state_bytes if unrecorded)."""
-        return self.state_bytes if self.upload_bytes < 0 else self.upload_bytes
 
 
 @dataclass
@@ -181,7 +176,7 @@ class MetricsCollector:
         """Append a durable checkpoint event and its byte accounting."""
         self.checkpoints.append(event)
         if event.kind != KIND_ROUND:
-            self.checkpoint_bytes_uploaded += event.uploaded_bytes
+            self.checkpoint_bytes_uploaded += event.upload_bytes
             self.checkpoint_bytes_materialized += event.state_bytes
 
     def record_recovery_line(self, line_signature: tuple,

@@ -39,12 +39,14 @@ def round_events(round_id, started, durable, instances=2):
     """A completed coordinated round: per-instance events + the summary."""
     events = [
         CheckpointEvent(instance=("op", i), kind=KIND_COOR, started_at=started,
-                        durable_at=durable, state_bytes=10, round_id=round_id)
+                        durable_at=durable, state_bytes=10, upload_bytes=10,
+                        round_id=round_id)
         for i in range(instances)
     ]
     events.append(
         CheckpointEvent(instance=None, kind=KIND_ROUND, started_at=started,
-                        durable_at=durable, state_bytes=20, round_id=round_id)
+                        durable_at=durable, state_bytes=20, upload_bytes=20,
+                        round_id=round_id)
     )
     return events
 
@@ -65,9 +67,9 @@ def test_coordinated_average_excludes_warmup_rounds():
 def test_uncoordinated_average_excludes_warmup_checkpoints():
     events = [
         CheckpointEvent(instance=("op", 0), kind=KIND_LOCAL, started_at=1.0,
-                        durable_at=1.5, state_bytes=10),
+                        durable_at=1.5, state_bytes=10, upload_bytes=10),
         CheckpointEvent(instance=("op", 0), kind=KIND_LOCAL, started_at=15.0,
-                        durable_at=15.1, state_bytes=10),
+                        durable_at=15.1, state_bytes=10, upload_bytes=10),
     ]
     result = make_result("unc", events)
     assert result.total_checkpoints() == 1
@@ -93,9 +95,9 @@ def test_incomplete_round_is_invisible_to_both_metrics():
 def test_forced_checkpoints_count_for_cic():
     events = [
         CheckpointEvent(instance=("op", 0), kind=KIND_LOCAL, started_at=12.0,
-                        durable_at=12.2, state_bytes=10),
+                        durable_at=12.2, state_bytes=10, upload_bytes=10),
         CheckpointEvent(instance=("op", 1), kind=KIND_FORCED, started_at=14.0,
-                        durable_at=14.4, state_bytes=10),
+                        durable_at=14.4, state_bytes=10, upload_bytes=10),
     ]
     result = make_result("cic", events)
     assert result.total_checkpoints() == 2

@@ -10,8 +10,6 @@ adds a second site has to come here and say why.
 import ast
 from pathlib import Path
 
-import pytest
-
 import repro
 
 #: every function of the package, as (file name, function name, node)
@@ -21,11 +19,6 @@ FUNCTIONS = [
     for node in ast.walk(ast.parse(path.read_text()))
     if isinstance(node, ast.FunctionDef)
 ]
-
-#: strict, so the marker cannot outlive the rewrite it waits for
-_pending = pytest.mark.xfail(
-    strict=True, reason="pins the one write / read path the next commit builds")
-
 
 def _callers_of(name: str) -> set[tuple[str, str]]:
     """The functions whose body calls ``name(...)`` directly."""
@@ -38,7 +31,6 @@ def _callers_of(name: str) -> set[tuple[str, str]]:
     }
 
 
-@_pending
 def test_one_function_describes_a_checkpoint():
     assert _callers_of("CheckpointMeta") == {
         ("base.py", "initial_checkpoint"),     # the implicit virgin state
@@ -46,7 +38,6 @@ def test_one_function_describes_a_checkpoint():
     }
 
 
-@_pending
 def test_the_blob_key_is_spelled_once():
     """``<operator>/<index>/<counter>``: three fields joined by slashes."""
     spelled = [
@@ -61,7 +52,6 @@ def test_the_blob_key_is_spelled_once():
     assert spelled == [("runtime.py", "capture_checkpoint")]
 
 
-@_pending
 def test_one_function_reports_an_instance_checkpoint():
     assert _callers_of("CheckpointEvent") == {
         ("runtime.py", "_checkpoint_durable"),  # every instance checkpoint
@@ -69,7 +59,6 @@ def test_one_function_reports_an_instance_checkpoint():
     }
 
 
-@_pending
 def test_an_instance_is_put_back_through_two_methods():
     """Same parallelism or another one; nothing else restores or resets."""
     tree = ast.parse(
@@ -85,7 +74,6 @@ def test_an_instance_is_put_back_through_two_methods():
     assert putting_back == {"restore", "restore_rescaled"}
 
 
-@_pending
 def test_the_chain_is_folded_once():
     """Base restored, deltas applied: ``apply_delta`` on an operator's
     state registry is called from the one fold."""

@@ -51,7 +51,7 @@ def test_a_rid_journaled_twice_is_named_at_the_first_restore():
     snapshot = instance.capture_snapshot()
     assert snapshot["processed_rids"].count == 3  # sealed blind, as journaled
     with pytest.raises(RepeatedRidError) as raised:
-        instance.restore_snapshot(snapshot)
+        instance.restore([snapshot])
     error = raised.value
     assert (error.instance, error.journaled, error.distinct) == (
         ("count", 0), 3, 2)
@@ -190,7 +190,7 @@ def test_a_rollback_leaves_every_instance_with_a_set(protocol):
 @pytest.mark.parametrize("protocol", DEDUP_PROTOCOLS)
 def test_a_rollback_to_the_initial_state_leaves_every_instance_with_a_set(
         protocol):
-    # the kill lands before any checkpoint is durable: reset_to_virgin
+    # the kill lands before any checkpoint is durable: the line restores nothing
     job, observed = _run_through_a_recovery(
         protocol, failure_at=0.5, checkpoint_interval=30.0)
     assert _line_kinds(job) == {KIND_INITIAL}

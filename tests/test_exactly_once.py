@@ -151,4 +151,5 @@ def test_source_cursors_cover_all_input(protocol):
     job, _ = run_count_job(protocol, failure_at=6.0)
     for idx in range(job.parallelism):
         instance = job.instance(("src", idx))
-        assert instance.source_cursor == len(job.inputs["events"].partition(idx))
+        assert instance.source_cursors == {
+            idx: len(job.inputs["events"].partition(idx))}

@@ -75,15 +75,15 @@ def test_overhead_ratio_no_data():
 
 
 def test_checkpoint_event_duration():
-    e = CheckpointEvent(("op", 0), "local", 1.0, 1.25, 100)
+    e = CheckpointEvent(("op", 0), "local", 1.0, 1.25, 100, 100)
     assert e.duration == pytest.approx(0.25)
 
 
 def test_avg_checkpoint_time_filters_kinds():
     m = MetricsCollector()
-    m.record_checkpoint(CheckpointEvent(("a", 0), "local", 0.0, 0.1, 0))
-    m.record_checkpoint(CheckpointEvent(("a", 0), "forced", 0.0, 0.3, 0))
-    m.record_checkpoint(CheckpointEvent(None, "round", 0.0, 1.0, 0))
+    m.record_checkpoint(CheckpointEvent(("a", 0), "local", 0.0, 0.1, 0, 0))
+    m.record_checkpoint(CheckpointEvent(("a", 0), "forced", 0.0, 0.3, 0, 0))
+    m.record_checkpoint(CheckpointEvent(None, "round", 0.0, 1.0, 0, 0))
     assert m.avg_checkpoint_time(("local",)) == pytest.approx(0.1)
     assert m.avg_checkpoint_time(("local", "forced")) == pytest.approx(0.2)
     assert m.avg_checkpoint_time(("round",)) == pytest.approx(1.0)

@@ -52,8 +52,10 @@ def test_replay_window_bounds(recv, sent, n_log):
     a, b = ("a", 0), ("b", 0)
     ch = (0, 0, 0)
     line = {
-        a: CheckpointMeta(a, 1, "local", None, 0, 0, 0, "", {ch: sent}, {}, None),
-        b: CheckpointMeta(b, 1, "local", None, 0, 0, 0, "", {}, {ch: recv}, None),
+        a: CheckpointMeta(a, 1, "local", None, 0, 0, 0, "", {ch: sent}, {}, None,
+                          0, 0),
+        b: CheckpointMeta(b, 1, "local", None, 0, 0, 0, "", {}, {ch: recv}, None,
+                          0, 0),
     }
     log = {ch: [Message(channel=ch, seq=s, kind=DATA, records=[], payload_bytes=0)
                 for s in range(1, n_log + 1)]}
@@ -86,7 +88,7 @@ def test_recovery_line_idempotent(seed):
                 if r == inst:
                     recv[ch] = recv.get(ch, 0) + rng.randint(0, 4)
             metas.append(CheckpointMeta(inst, k, "local", None, 0, 0, 0, "",
-                                        dict(sent), dict(recv), None))
+                                        dict(sent), dict(recv), None, 0, 0))
         checkpoints[inst] = metas
     graph = CheckpointGraph(checkpoints=checkpoints, channels=channels)
     first = maximal_consistent_line(graph)
@@ -158,7 +160,7 @@ def test_dedup_processing_is_idempotent(seed):
     )
     job.process_records(instance, records, "in")
     total_after_first = sum(v for _, v in instance.operator.states["counts"].items())
-    instance.restore_snapshot(instance.capture_snapshot())
+    instance.restore([instance.capture_snapshot()])
     job.process_records(instance, records, "in")  # replayed duplicate batch
     total_after_second = sum(v for _, v in instance.operator.states["counts"].items())
     assert total_after_first == total_after_second == len(records)

@@ -3,7 +3,7 @@
 Two levels: the dirty-tracking/delta protocol of the state primitives
 (delta folded onto a base snapshot must equal a direct snapshot, for any
 operation sequence — checked by example and by property), and the chain
-bookkeeping of the ChangelogBackend against a real job (base/delta
+bookkeeping of the chain tracker against a real job (base/delta
 cadence, compaction, forced base after recovery).
 """
 
@@ -15,15 +15,13 @@ from hypothesis import given, settings, strategies as st
 from repro.dataflow.batch import RecordBatch
 from repro.dataflow.runtime import Job
 from repro.dataflow.state import (
-    ChangelogBackend,
-    FullSnapshotBackend,
+    ChainTracker,
     KeyedListState,
     KeyedMapState,
     StateRegistry,
     ValueState,
-    create_state_backend,
 )
-from repro.dataflow.worker import NO_RIDS, RidSnapshot
+from repro.dataflow.worker import NO_RIDS, RidSnapshot, folded_snapshot
 from repro.sim.costs import RuntimeConfig
 
 from tests.conftest import KeyedEvent, build_count_graph, make_event_log, run_count_job
@@ -201,12 +199,16 @@ def test_list_base_plus_deltas_equals_direct_snapshot(ops):
 # --------------------------------------------------------------------- #
 
 def test_create_state_backend():
-    assert isinstance(create_state_backend("full"), FullSnapshotBackend)
-    backend = create_state_backend("changelog", max_chain=7)
-    assert isinstance(backend, ChangelogBackend)
-    assert backend.max_chain == 7
-    with pytest.raises(ValueError):
-        create_state_backend("rocksdb")
+    """A backend is a bound on the chain: none, or at least one delta."""
+    assert ChainTracker("full", 4, 64).max_chain == 0
+    assert ChainTracker("changelog", 7, 64).max_chain == 7
+    assert ChainTracker("changelog", 0, 64).max_chain == 1
+    with pytest.raises(ValueError, match="unknown state backend 'rocksdb'"):
+        ChainTracker("rocksdb", 4, 64)
+    with pytest.raises(ValueError, match="known: .'changelog', 'full'."):
+        Job(build_count_graph(), "unc", 2,
+            {"events": make_event_log(10.0, 1.0, 2)},
+            RuntimeConfig(state_backend="bogus"))
 
 
 @pytest.mark.parametrize("max_chain", [1, 2, 4])
@@ -346,31 +348,27 @@ def _record_deliveries(instance) -> list[list[int]]:
 
 
 def _checkpoint(job: Job, instance) -> str:
-    """Checkpoint ``instance`` through the job's backend and make the blob
-    durable at once; returns its key (``count/<index>/<n>`` for the n-th)."""
-    instance.checkpoint_counter += 1
-    blob_key = (f"{instance.key[0]}/{instance.key[1]}/"
-                f"{instance.checkpoint_counter}")
-    captured = job.state_backend.capture(instance, blob_key)
+    """Checkpoint ``instance`` through the job's write step and make the
+    blob durable at once; returns its key (``count/<index>/<n>``)."""
+    meta, payload = job.capture_checkpoint(instance, "local", None)
     job.coordinator.blobstore.put(
-        blob_key, captured.payload, captured.upload_bytes, 0.0,
-        base_key=captured.base_key, chain_length=captured.chain_length)
-    return blob_key
+        meta.blob_key, payload, meta.upload_bytes, 0.0,
+        base_key=meta.base_key, chain_length=meta.chain_length)
+    return meta.blob_key
+
+
+def _line_payloads(job: Job, blob_key: str | None) -> list[dict]:
+    """What a restore of the checkpoint stored under ``blob_key`` folds;
+    ``None`` is the initial checkpoint."""
+    return job.lifecycle.line_payloads(SimpleNamespace(
+        kind="initial" if blob_key is None else "local", blob_key=blob_key))
 
 
 def _restore(job: Job, instance, blob_key: str | None) -> list[dict]:
-    """Roll ``instance`` back as ``LifecycleManager.apply_recovery`` does;
-    ``None`` is the initial checkpoint.  Returns the payloads folded."""
-    if blob_key is None:
-        instance.reset_to_virgin()
-        return []
-    store = job.coordinator.blobstore
-    payloads = [store.get(key) for key in store.chain_keys(blob_key)]
-    if len(payloads) == 1:
-        instance.restore_snapshot(payloads[0])
-    else:
-        instance.restore_from_chain(payloads)
-    job.state_backend.on_restored(instance)
+    """Roll ``instance`` back as ``LifecycleManager.apply_recovery`` does.
+    Returns the payloads folded."""
+    payloads = _line_payloads(job, blob_key)
+    instance.restore(payloads)
     return payloads
 
 
@@ -410,7 +408,7 @@ def test_admission_drops_duplicates_first_occurrence_wins(backend, case):
     job = _dedup_job(backend)
     instance = job.instance(("count", 0))
     _admit(job, instance, [1, 2])
-    instance.restore_snapshot(instance.capture_snapshot())
+    instance.restore([instance.capture_snapshot()])
     previous = instance.rid_head
     assert previous.materialize() == {1, 2}
     _admit(job, instance, [6])  # a journal that is not empty to begin with
@@ -516,7 +514,7 @@ def test_dedup_history_matches_eager_copies(backend, ops):
     job = _dedup_job(backend)
     store = job.coordinator.blobstore
     instance = job.instance(("count", 0))
-    instance.restore_snapshot(instance.capture_snapshot())
+    instance.restore([instance.capture_snapshot()])
     model: set[int] = set()
     taken: list[tuple[str, set[int]]] = []
 
@@ -532,11 +530,9 @@ def test_dedup_history_matches_eager_copies(backend, ops):
             model = set(copy)
         elif op == "merge" and taken:
             picks = [taken[index % len(taken)] for index in arg]
-            parts = [job.lifecycle.materialize_line_payload(
-                instance.key, SimpleNamespace(kind="local", blob_key=key))
-                for key, _ in picks]
+            parts = [folded_snapshot(instance.spec, _line_payloads(job, key))
+                     for key, _ in picks]
             instance.restore_rescaled(parts, 2, job.num_source_partitions)
-            job.state_backend.on_restored(instance)
             model = picks[0][1] | picks[1][1]
         assert instance.processed_rids == model
         assert (instance.rid_head.count + len(instance.rid_journal)
@@ -624,11 +620,9 @@ def test_dedup_lifecycle_matches_an_eager_set_model(backend, ops):
             delivered = _record_deliveries(instance)
         elif op == "merge" and taken:
             picks = [taken[index % len(taken)] for index in arg]
-            parts = [job.lifecycle.materialize_line_payload(
-                instance.key, SimpleNamespace(kind="local", blob_key=key))
-                for key, _ in picks]
+            parts = [folded_snapshot(instance.spec, _line_payloads(job, key))
+                     for key, _ in picks]
             instance.restore_rescaled(parts, 2, job.num_source_partitions)
-            job.state_backend.on_restored(instance)
             model, restored = picks[0][1] | picks[1][1], True
             delivered = _record_deliveries(instance)
         assert (instance.rid_set is not None) == restored
@@ -652,7 +646,7 @@ def test_rollback_branches_and_the_abandoned_timeline_stays_restorable():
     first = instance.capture_snapshot()
     _admit(job, instance, [3])
     abandoned = instance.capture_snapshot()
-    instance.restore_snapshot(first)
+    instance.restore([first])
     _admit(job, instance, [4, 5])
     kept = instance.capture_snapshot()
     # both timelines hang off the same node, which neither changed
@@ -661,7 +655,7 @@ def test_rollback_branches_and_the_abandoned_timeline_stays_restorable():
     assert first["processed_rids"].materialize() == {1, 2}
     assert abandoned["processed_rids"].materialize() == {1, 2, 3}
     assert kept["processed_rids"].materialize() == {1, 2, 4, 5}
-    instance.restore_snapshot(abandoned)
+    instance.restore([abandoned])
     assert instance.processed_rids == {1, 2, 3}
 
 

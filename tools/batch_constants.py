@@ -152,7 +152,7 @@ def _process_records(protocol: str, resident: int | None = None) -> Stage:
             job.process_records(instance, RecordBatch(
                 rids, [None] * resident, [0.0] * resident, [0] * resident),
                 "in")
-            instance.restore_snapshot(instance.capture_snapshot())
+            instance.restore([instance.capture_snapshot()])
         batches = _batches(n, calls)
         process_records = job.process_records
 
