@@ -248,3 +248,12 @@ class RuntimeConfig:
         if self.max_key_groups < 1:
             raise ValueError("max_key_groups must be >= 1, "
                              f"got {self.max_key_groups!r}")
+        if self.failure_at is not None and not math.isfinite(self.failure_at):
+            raise ValueError("failure_at must be a finite number, "
+                             f"got {self.failure_at!r}")
+        if self.failure_scenario:
+            # a spec that cannot be parsed would otherwise surface when
+            # the run arms its injector — or, for a NaN, never
+            from repro.sim.failure import parse_scenario
+
+            parse_scenario(self.failure_scenario)

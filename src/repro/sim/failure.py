@@ -260,8 +260,8 @@ class FlakyNodeScenario(FailureScenario):
 # Scenario spec parsing (CLI `--failure-scenario`)
 # --------------------------------------------------------------------- #
 
-def _parse_kv(body: str) -> dict[str, str]:
-    """Split ``a=1,b=2`` into a dict (shared by every spec kind)."""
+def _parse_kv(body: str, known: tuple[str, ...]) -> dict[str, str]:
+    """Split ``a=1,b=2`` into a dict of the ``known`` parameters."""
     out: dict[str, str] = {}
     for part in body.split(","):
         part = part.strip()
@@ -269,9 +269,21 @@ def _parse_kv(body: str) -> dict[str, str]:
             continue
         if "=" not in part:
             raise ValueError(f"expected key=value, got {part!r}")
-        key, value = part.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (side.strip() for side in part.split("=", 1))
+        if key not in known:
+            raise ValueError(f"unknown parameter {key!r} "
+                             f"(expected: {', '.join(known)})")
+        out[key] = value
     return out
+
+
+def _finite(text: str) -> float:
+    """A number a kill can be scheduled by: ``nan`` compares false with
+    every horizon and injects nothing, ``inf`` never comes."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def parse_scenario(spec: str) -> FailureScenario:
@@ -285,14 +297,16 @@ def parse_scenario(spec: str) -> FailureScenario:
         correlated:at=10,k=2,worker=0
         flaky:worker=1,mtbf=8,slowdown=3
 
-    Raises ``ValueError`` with the offending token on malformed input.
+    Raises ``ValueError`` with the offending token on malformed input: an
+    unknown kind or parameter, a missing one, a number that is not one or
+    not finite, an empty field.
     """
     kind, _, body = spec.partition(":")
     kind = kind.strip().lower()
     try:
         if kind == "single":
-            kv = _parse_kv(body)
-            return SingleKillScenario(at=float(kv["at"]),
+            kv = _parse_kv(body, ("at", "worker"))
+            return SingleKillScenario(at=_finite(kv["at"]),
                                       worker=int(kv.get("worker", 0)))
         if kind == "trace":
             kills = []
@@ -300,31 +314,37 @@ def parse_scenario(spec: str) -> FailureScenario:
                 token = token.strip()
                 if not token:
                     continue
-                at, _, worker = token.partition("@")
-                kills.append((float(at), int(worker or 0)))
+                at, named, worker = token.partition("@")
+                if named and not worker.strip():
+                    raise ValueError(f"kill {token!r} names no worker "
+                                     "after '@'")
+                kills.append((_finite(at), int(worker or 0)))
             return TraceScenario(tuple(kills))
         if kind == "poisson":
-            kv = _parse_kv(body)
+            kv = _parse_kv(body, ("mtbf", "min_gap", "first_offset"))
             return PoissonScenario(
-                mtbf=float(kv["mtbf"]),
-                min_gap=float(kv.get("min_gap", 4.0)),
-                first_offset=(float(kv["first_offset"])
+                mtbf=_finite(kv["mtbf"]),
+                min_gap=_finite(kv.get("min_gap", "4")),
+                first_offset=(_finite(kv["first_offset"])
                               if "first_offset" in kv else None),
             )
         if kind == "correlated":
-            kv = _parse_kv(body)
-            return CorrelatedScenario(at=float(kv["at"]),
+            kv = _parse_kv(body, ("at", "k", "worker"))
+            return CorrelatedScenario(at=_finite(kv["at"]),
                                       k=int(kv.get("k", 2)),
                                       worker=int(kv.get("worker", 0)))
         if kind == "flaky":
-            kv = _parse_kv(body)
+            kv = _parse_kv(body, ("worker", "mtbf", "slowdown", "min_gap"))
             return FlakyNodeScenario(
                 worker=int(kv.get("worker", 0)),
-                mtbf=float(kv["mtbf"]),
-                slowdown=float(kv.get("slowdown", 2.0)),
-                min_gap=float(kv.get("min_gap", 4.0)),
+                mtbf=_finite(kv["mtbf"]),
+                slowdown=_finite(kv.get("slowdown", "2")),
+                min_gap=_finite(kv.get("min_gap", "4")),
             )
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:
+        raise ValueError(f"malformed failure scenario {spec!r}: "
+                         f"missing parameter {exc}") from None
+    except ValueError as exc:
         raise ValueError(
             f"malformed failure scenario {spec!r}: {exc}"
         ) from None

@@ -135,6 +135,31 @@ def test_query_rejects_a_bad_run_shape_as_a_usage_error(capsys, flags, names):
     assert "sink records" not in captured.out  # nothing ran
 
 
+@pytest.mark.parametrize("flags, names", [
+    # the first two were ValueError tracebacks (exit 1); the next two ran
+    # to the end, injected nothing and reported 100 % availability (a NaN
+    # compares false with every horizon) or read the empty field as
+    # worker 0; so did a misspelt parameter and a NaN --failure-at
+    (["--failure-scenario", "single:at=x"], "'x'"),
+    (["--failure-scenario", "poisson:mtbf=0"], "mtbf must be positive"),
+    (["--failure-scenario", "poisson:mtbf=nan"], "finite number, got 'nan'"),
+    (["--failure-scenario", "trace:5@"], "names no worker"),
+    (["--failure-scenario", "single:at=3,wrker=1"], "'wrker'"),
+    (["--failure-scenario", "flaky:mtbf=inf"], "finite number, got 'inf'"),
+    (["--failure-at", "nan"], "failure_at"),
+])
+def test_query_rejects_a_malformed_failure_scenario_as_a_usage_error(
+        capsys, flags, names):
+    code = main(["query", "q1", "--parallelism", "2", "--rate", "100",
+                 "--duration", "2", "--warmup", "1", *flags])
+    assert code == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and names in line
+    assert "Traceback" not in captured.err
+    assert "sink records" not in captured.out  # nothing ran
+
+
 def test_query_cyclic_with_unc(capsys):
     code = main([
         "query", "reachability", "--protocol", "unc", "--parallelism", "2",

@@ -142,6 +142,56 @@ def test_parse_scenario_rejects_malformed(spec):
         parse_scenario(spec)
 
 
+@pytest.mark.parametrize("spec, names", [
+    # accepted before: 0 failures injected, availability 100 %
+    ("poisson:mtbf=nan", "finite number, got 'nan'"),
+    ("poisson:mtbf=inf", "finite number, got 'inf'"),
+    ("poisson:mtbf=9,min_gap=nan", "finite number, got 'nan'"),
+    ("single:at=nan", "finite number, got 'nan'"),
+    ("correlated:at=inf", "finite number, got 'inf'"),
+    ("flaky:mtbf=5,slowdown=inf", "finite number, got 'inf'"),
+    ("trace:nan@0", "finite number, got 'nan'"),
+    # accepted before: the empty field read as worker 0
+    ("trace:5@", "'5@' names no worker"),
+    ("trace:5@0;13@", "'13@' names no worker"),
+    # accepted before: the misspelt parameter was dropped
+    ("single:at=3,wrker=1", "unknown parameter 'wrker' (expected: at, worker)"),
+    ("poisson:mtbf=9,gap=2", "unknown parameter 'gap'"),
+    # rejected before too; the message names the token
+    ("single:at=x", "could not convert string to float: 'x'"),
+    ("poisson:mtbf=0", "mtbf must be positive"),
+    ("trace:@1", "could not convert string to float"),
+    ("single:worker=0", "missing parameter 'at'"),
+])
+def test_parse_scenario_names_what_is_wrong(spec, names):
+    with pytest.raises(ValueError) as raised:
+        parse_scenario(spec)
+    message = str(raised.value)
+    assert message.startswith(f"malformed failure scenario {spec!r}: ")
+    assert names in message
+
+
+@pytest.mark.parametrize("spec", [
+    "single:at=x", "poisson:mtbf=0", "poisson:mtbf=nan", "trace:5@"])
+def test_a_config_with_a_malformed_scenario_cannot_be_built(spec):
+    """``RunRequest`` users meet the same ``ValueError``, at construction:
+    nothing gets as far as a pool worker or a cache key."""
+    from repro.experiments.parallel import RunRequest, request_key
+
+    with pytest.raises(ValueError, match="malformed failure scenario"):
+        RuntimeConfig(failure_scenario=spec)
+    request = RunRequest(query="q1", protocol="coor", parallelism=2,
+                         rate=100.0, failure_scenario=spec)
+    with pytest.raises(ValueError, match="malformed failure scenario"):
+        request.effective_config()
+    with pytest.raises(ValueError, match="malformed failure scenario"):
+        request_key(request)
+
+
+def test_a_trace_kill_without_a_worker_field_hits_worker_zero():
+    assert parse_scenario("trace:5;13@1").kills == ((5.0, 0), (13.0, 1))
+
+
 def test_scenario_from_config_legacy_mapping():
     assert scenario_from_config(RuntimeConfig()) is None
     single = scenario_from_config(RuntimeConfig(failure_at=6.0, failure_worker=1))
