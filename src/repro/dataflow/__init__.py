@@ -20,7 +20,8 @@ from repro.dataflow.operators import (
     SinkOperator,
 )
 from repro.dataflow.state import ValueState, KeyedMapState, KeyedListState
-from repro.dataflow.runtime import Job, RunResult
+from repro.dataflow.results import RunResult
+from repro.dataflow.runtime import Job
 
 __all__ = [
     "LogicalGraph",

@@ -60,7 +60,7 @@ from repro.sim.collector import collector_paused
 from repro.sim.costs import RuntimeConfig
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.dataflow.runtime import RunResult
+    from repro.dataflow.results import RunResult
     from repro.workloads.spec import QuerySpec
 
 #: bump when RunResult / metrics layout or the entry encoding changes so

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.dataflow.runtime import RunResult
+from repro.dataflow.results import RunResult
 from repro.experiments.parallel import RunRequest, run_with_spec
 from repro.sim.costs import CostModel, RuntimeConfig
 from repro.workloads.spec import QuerySpec

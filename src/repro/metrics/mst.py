@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.dataflow.runtime import RunResult
+from repro.dataflow.results import RunResult
 from repro.sim.costs import RuntimeConfig
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -10,7 +10,7 @@ checkpoint could inflate the average while being excluded from the count.
 
 import pytest
 
-from repro.dataflow.runtime import RunResult
+from repro.dataflow.results import RunResult
 from repro.metrics.collectors import (
     CheckpointEvent,
     KIND_COOR,

@@ -29,17 +29,19 @@ TIGHT = 1500  # ~one full 32-record batch of 40-byte events, plus headroom
 
 
 # --------------------------------------------------------------------- #
-# Back-compat shim: the runtime façade re-exports everything
+# The runtime façade exports the engine, the results module its results
 # --------------------------------------------------------------------- #
 
 def test_runtime_facade_reexports_public_names():
-    """The split must not break ``from repro.dataflow.runtime import ...``."""
-    from repro.dataflow.runtime import InstanceKey, Job, RunResult  # noqa: F401
+    """``repro.dataflow.runtime`` is ``Job`` and ``InstanceKey``;
+    ``RunResult`` has one home, ``repro.dataflow.results``."""
+    from repro.dataflow import runtime
     from repro.dataflow import Job as PkgJob, RunResult as PkgRunResult
-    from repro.dataflow.results import RunResult as ResultsRunResult
+    from repro.dataflow.results import RunResult
 
-    assert PkgJob is Job
-    assert PkgRunResult is RunResult is ResultsRunResult
+    assert runtime.__all__ == ["InstanceKey", "Job"]
+    assert PkgJob is runtime.Job
+    assert PkgRunResult is RunResult
 
 
 def test_job_wires_transport_and_lifecycle_layers():
