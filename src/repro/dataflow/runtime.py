@@ -434,14 +434,18 @@ class Job:
         instance.checkpoint_counter += 1
         name, index = instance.key
         blob_key = f"{name}/{index}/{instance.checkpoint_counter}"
+        # capturing seals the rid journal and re-arms change tracking: it
+        # moves no byte, so the size is read once, here
+        state_bytes = instance.state_bytes
         base_key: str | None = None
         chain_length = 0
         if kind == KIND_RESCALE:
             payload = instance.capture_snapshot()
-            upload_bytes, restore_bytes = 0, instance.state_bytes
+            upload_bytes, restore_bytes = 0, state_bytes
         else:
             (payload, upload_bytes, base_key, chain_length,
-             restore_bytes) = self.chain_tracker.capture(instance, blob_key)
+             restore_bytes) = self.chain_tracker.capture(
+                 instance, blob_key, state_bytes)
         meta = CheckpointMeta(
             instance=instance.key,
             checkpoint_id=instance.checkpoint_counter,
@@ -449,7 +453,7 @@ class Job:
             round_id=round_id,
             started_at=self.sim.now,
             durable_at=-1.0,  # stamped when the upload is acknowledged
-            state_bytes=instance.state_bytes,
+            state_bytes=state_bytes,
             blob_key=blob_key,
             last_sent=dict(instance.out_seq),
             last_received=dict(instance.last_received),

@@ -692,8 +692,10 @@ class ChainTracker:
         self._chains: dict[tuple[str, int], _Chain] = {}
 
     def capture(self, instance: "InstanceRuntime", blob_key: str,
+                state_bytes: int,
                 ) -> tuple[dict[str, Any], int, str | None, int, int]:
-        """Capture the instance for the checkpoint stored under ``blob_key``.
+        """Capture the instance, whose state measures ``state_bytes``, for
+        the checkpoint stored under ``blob_key``.
 
         Returns ``(payload, upload_bytes, base_key, chain_length,
         restore_bytes)``: what goes to the blob store verbatim, what
@@ -706,7 +708,6 @@ class ChainTracker:
             payload = instance.capture_snapshot()
             if self.max_chain:
                 instance.operator.states.mark_clean()
-            state_bytes = instance.state_bytes
             self._chains[instance.key] = _Chain(blob_key, state_bytes)
             return payload, state_bytes, None, 0, state_bytes
         payload, delta_bytes = instance.capture_delta()
