@@ -211,9 +211,6 @@ class CheckpointProtocol:
         """Hook at snapshot capture; returns extra CPU cost (e.g. markers)."""
         return 0.0
 
-    def on_checkpoint_durable(self, meta: CheckpointMeta) -> None:
-        """Hook when the blob upload is acked and metadata registered."""
-
     # -- recovery ---------------------------------------------------------- #
 
     def build_recovery_plan(self, now: float) -> RecoveryPlan:

@@ -4,9 +4,7 @@
 harness: the raw :class:`~repro.metrics.collectors.MetricsCollector` plus
 the protocol-aware derived metrics the paper's tables and figures are
 built from (checkpoint accounting, restart/recovery times, availability,
-goodput, sustainability).  It used to live inside the ``runtime`` module;
-the runtime re-exports it, so ``from repro.dataflow.runtime import
-RunResult`` keeps working.
+goodput, sustainability).
 """
 
 from __future__ import annotations
