@@ -20,6 +20,7 @@ FUNCTIONS = [
     if isinstance(node, ast.FunctionDef)
 ]
 
+
 def _callers_of(name: str) -> set[tuple[str, str]]:
     """The functions whose body calls ``name(...)`` directly."""
     return {
