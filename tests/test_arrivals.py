@@ -19,8 +19,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim.rng import RngRegistry
 from repro.workloads.arrivals import (
+    DiurnalArrivals,
     DriftArrivals,
+    FlashArrivals,
     KNOWN_ARRIVALS,
+    MmppArrivals,
+    SteadyArrivals,
     TraceArrivals,
     parse_arrival,
     rate_at,
@@ -283,6 +287,78 @@ INVALID_SPECS = [
 def test_invalid_specs_raise_actionable_errors(spec, message):
     with pytest.raises(ValueError, match=message):
         parse_arrival(spec)
+
+
+#: one row per spec string: the class and ``describe()`` text of an
+#: accepted spec, ``None`` for a rejected one.  Every spec of the two
+#: tables above is here, with every spec string DESIGN.md section 17,
+#: README, the CLI help, ``figures.py``, ``perfbench/workloads.py`` and
+#: the examples spell; a rewrite of the parser may move messages, never a
+#: row of this table
+ARRIVAL_VERDICTS = [
+    ("steady", SteadyArrivals, "steady (constant rate)"),
+    ("steady:", SteadyArrivals, "steady (constant rate)"),
+    ("diurnal:period=60", DiurnalArrivals,
+     "diurnal (period=60s, amp=0.5, phase=0)"),
+    ("Diurnal:period=60", DiurnalArrivals,
+     "diurnal (period=60s, amp=0.5, phase=0)"),
+    ("diurnal:period=60,", DiurnalArrivals,
+     "diurnal (period=60s, amp=0.5, phase=0)"),
+    ("diurnal:period=60,amp=0.6", DiurnalArrivals,
+     "diurnal (period=60s, amp=0.6, phase=0)"),
+    ("diurnal:period=60,amp=0.6,phase=1.0", DiurnalArrivals,
+     "diurnal (period=60s, amp=0.6, phase=1)"),
+    ("diurnal:period=5,amp=0.5", DiurnalArrivals,
+     "diurnal (period=5s, amp=0.5, phase=0)"),
+    ("flash:at=20", FlashArrivals,
+     "flash (spikes at 20, x4, ramp=2s, hold=4s)"),
+    ("flash:at=20;45,mag=4,ramp=2,hold=4", FlashArrivals,
+     "flash (spikes at 20;45, x4, ramp=2s, hold=4s)"),
+    ("flash:at=20;45,mag=4,ramp=2,hold=4,base=0.8", FlashArrivals,
+     "flash (spikes at 20;45, x4, ramp=2s, hold=4s)"),
+    ("flash:at=20;;45", FlashArrivals,
+     "flash (spikes at 20;45, x4, ramp=2s, hold=4s)"),
+    ("flash:at=12;30,mag=4", FlashArrivals,
+     "flash (spikes at 12;30, x4, ramp=2s, hold=4s)"),
+    ("flash:at=2;5,mag=3,ramp=0.5,hold=1", FlashArrivals,
+     "flash (spikes at 2;5, x3, ramp=0.5s, hold=1s)"),
+    ("flash:at=3;7,mag=3,ramp=0.5,hold=1", FlashArrivals,
+     "flash (spikes at 3;7, x3, ramp=0.5s, hold=1s)"),
+    ("flash:at=10;22,mag=4,ramp=1.5,hold=3", FlashArrivals,
+     "flash (spikes at 10;22, x4, ramp=1.5s, hold=3s)"),
+    ("flash:at=4,mag=3,ramp=1,hold=2", FlashArrivals,
+     "flash (spikes at 4, x3, ramp=1s, hold=2s)"),
+    ("mmpp", MmppArrivals, "mmpp (low=x0.5/8s, high=x2.5/4s)"),
+    ("mmpp:", MmppArrivals, "mmpp (low=x0.5/8s, high=x2.5/4s)"),
+    ("mmpp:low=0.5,high=2.5", MmppArrivals,
+     "mmpp (low=x0.5/8s, high=x2.5/4s)"),
+    ("mmpp:low=0.5,high=2.5,dwell_low=8,dwell_high=4", MmppArrivals,
+     "mmpp (low=x0.5/8s, high=x2.5/4s)"),
+    ("mmpp:low=0.5,high=2,dwell_low=2,dwell_high=1", MmppArrivals,
+     "mmpp (low=x0.5/2s, high=x2/1s)"),
+    ("drift:period=30", DriftArrivals, "drift (period=30s, zipf=1)"),
+    ("drift:period=30,zipf=1.0", DriftArrivals, "drift (period=30s, zipf=1)"),
+    ("drift:period=30,zipf=1.5", DriftArrivals,
+     "drift (period=30s, zipf=1.5)"),
+    ("drift:period=4,zipf=1.2", DriftArrivals, "drift (period=4s, zipf=1.2)"),
+    (f"trace:{FIXTURE_TRACE}", TraceArrivals,
+     f"trace ({FIXTURE_TRACE}, 5 knots, crc32=73bc92ce)"),
+] + [(spec, None, None) for spec, _ in INVALID_SPECS] + [
+    (spec, None, None) for spec in (
+        "bursty:rate=2", "drift", "steady:x=1", "flash:at=;",
+        "diurnal:=3", "diurnal:period=",
+    )]
+
+
+@pytest.mark.parametrize("spec, cls, text", ARRIVAL_VERDICTS)
+def test_arrival_grammar_verdicts(spec, cls, text):
+    if cls is None:
+        with pytest.raises(ValueError):
+            parse_arrival(spec)
+        return
+    process = parse_arrival(spec)
+    assert type(process) is cls
+    assert process.describe() == text
 
 
 @pytest.mark.parametrize("content,message", [

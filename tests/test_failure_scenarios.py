@@ -188,6 +188,84 @@ def test_a_config_with_a_malformed_scenario_cannot_be_built(spec):
         request_key(request)
 
 
+#: one row per spec string: the class and ``describe()`` text of an
+#: accepted spec, ``None`` for a rejected one.  Every spec of the tables
+#: above is here, with every spec string DESIGN.md section 12, README, the
+#: CLI help, ``figures.py`` (quick scale) and the examples spell; a
+#: rewrite of the parser may move messages, never a row of this table
+SCENARIO_VERDICTS = [
+    ("single:at=18,worker=1", SingleKillScenario,
+     "single kill of worker 1 at +18s"),
+    ("single:at=18,worker=0", SingleKillScenario,
+     "single kill of worker 0 at +18s"),
+    ("single:at=18", SingleKillScenario, "single kill of worker 0 at +18s"),
+    ("Single:at=3", SingleKillScenario, "single kill of worker 0 at +3s"),
+    (" single : at = 3 , worker = 1 ", SingleKillScenario,
+     "single kill of worker 1 at +3s"),
+    ("single:at=3,,worker=1", SingleKillScenario,
+     "single kill of worker 1 at +3s"),
+    ("single:at=3,", SingleKillScenario, "single kill of worker 0 at +3s"),
+    ("trace:5@0;13@1", TraceScenario, "deterministic trace: +5s@w0, +13s@w1"),
+    ("trace:5;13@1", TraceScenario, "deterministic trace: +5s@w0, +13s@w1"),
+    ("trace:4@0;10@1", TraceScenario, "deterministic trace: +4s@w0, +10s@w1"),
+    ("trace:1.8@0;3.6@1", TraceScenario,
+     "deterministic trace: +1.8s@w0, +3.6s@w1"),
+    ("poisson:mtbf=12,min_gap=2", PoissonScenario,
+     "poisson failures, MTBF 12s (min gap 2s)"),
+    ("poisson:mtbf=12,min_gap=4", PoissonScenario,
+     "poisson failures, MTBF 12s (min gap 4s)"),
+    ("poisson:mtbf=12", PoissonScenario,
+     "poisson failures, MTBF 12s (min gap 4s)"),
+    ("poisson:mtbf=2.4", PoissonScenario,
+     "poisson failures, MTBF 2.4s (min gap 4s)"),
+    ("poisson:mtbf=5,min_gap=4", PoissonScenario,
+     "poisson failures, MTBF 5s (min gap 4s)"),
+    ("poisson:mtbf=6,min_gap=5", PoissonScenario,
+     "poisson failures, MTBF 6s (min gap 5s)"),
+    ("poisson:mtbf=8,min_gap=5", PoissonScenario,
+     "poisson failures, MTBF 8s (min gap 5s)"),
+    ("poisson:mtbf=9,first_offset=1", PoissonScenario,
+     "poisson failures, MTBF 9s (min gap 4s)"),
+    ("correlated:at=10,k=2", CorrelatedScenario,
+     "correlated kill of 2 workers (w0..) at +10s"),
+    ("correlated:at=10,k=2,worker=0", CorrelatedScenario,
+     "correlated kill of 2 workers (w0..) at +10s"),
+    ("correlated:at=2,k=2", CorrelatedScenario,
+     "correlated kill of 2 workers (w0..) at +2s"),
+    ("correlated:at=6,k=2", CorrelatedScenario,
+     "correlated kill of 2 workers (w0..) at +6s"),
+    ("flaky:worker=1,mtbf=8,slowdown=3", FlakyNodeScenario,
+     "flaky worker 1: MTBF 8s, 3x slower detection"),
+    ("flaky:worker=1,mtbf=8,slowdown=3,min_gap=6", FlakyNodeScenario,
+     "flaky worker 1: MTBF 8s, 3x slower detection"),
+    ("flaky:worker=0,mtbf=2.4,slowdown=2", FlakyNodeScenario,
+     "flaky worker 0: MTBF 2.4s, 2x slower detection"),
+    ("flaky:mtbf=5", FlakyNodeScenario,
+     "flaky worker 0: MTBF 5s, 2x slower detection"),
+] + [(spec, None, None) for spec in (
+    "nope:at=1", "", "poisson:mtbf=-1", "poisson:", "single:worker=0",
+    "flaky:mtbf=5,slowdown=0.5", "correlated:at=2,k=0", "trace:",
+    "single:at", "single:at=", "single:=3",
+    "poisson:mtbf=nan", "poisson:mtbf=inf", "poisson:mtbf=9,min_gap=nan",
+    "single:at=nan", "correlated:at=inf", "flaky:mtbf=5,slowdown=inf",
+    "flaky:mtbf=inf", "trace:nan@0", "trace:5@", "trace:5@0;13@",
+    "single:at=3,wrker=1", "poisson:mtbf=9,gap=2", "single:at=x",
+    "poisson:mtbf=0", "trace:@1", "single:at=3,worker=1.5",
+    "correlated:at=2,k=two",
+)]
+
+
+@pytest.mark.parametrize("spec, cls, text", SCENARIO_VERDICTS)
+def test_scenario_grammar_verdicts(spec, cls, text):
+    if cls is None:
+        with pytest.raises(ValueError):
+            parse_scenario(spec)
+        return
+    scenario = parse_scenario(spec)
+    assert type(scenario) is cls
+    assert scenario.describe() == text
+
+
 def test_a_trace_kill_without_a_worker_field_hits_worker_zero():
     assert parse_scenario("trace:5;13@1").kills == ((5.0, 0), (13.0, 1))
 
