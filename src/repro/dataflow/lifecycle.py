@@ -249,40 +249,19 @@ class LifecycleManager:
         job.sim.schedule(restart, self.apply_recovery, plan)
 
     def restart_duration(self, plan: RecoveryPlan) -> float:
-        """How long until every worker is restored and ready (paper Fig. 11)."""
-        job = self.job
-        if plan.rescale_to is not None and plan.rescale_to != job.parallelism:
-            return self.rescaled_restart_duration(plan, plan.rescale_to)
-        cost_model = job.cost
-        per_worker = [0.0] * job.parallelism
-        for key, meta in plan.line.items():
-            if meta.kind != KIND_INITIAL:
-                per_worker[key[1]] += cost_model.chain_restore_delay(
-                    meta.restore_bytes, meta.chain_length + 1
-                )
-        for channel, messages in plan.replay.items():
-            if not messages:
-                continue
-            dst_worker = channel[2]
-            nbytes = sum(m.total_bytes for m in messages)
-            per_worker[dst_worker] += nbytes / cost_model.log_fetch_bandwidth
-            per_worker[dst_worker] += len(messages) * cost_model.replay_prep_per_message
-        orchestration = (cost_model.restart_base
-                         + cost_model.restart_per_worker * job.parallelism)
-        return orchestration + max(per_worker)
+        """How long until every worker is restored and ready (paper Fig. 11).
 
-    def rescaled_restart_duration(self, plan: RecoveryPlan, p_new: int) -> float:
-        """Restart cost of a rescaled restore.
-
-        Every new worker issues ranged fetches against the blobs of the old
-        instances whose group ranges overlap its own: it pays the full
-        per-blob chain latency but only its byte share of each chain.
-        Replay-log fetches re-home to ``old destination % p_new``, where
-        the re-injected messages originate.
+        Every new worker issues ranged fetches against the blobs of the
+        old instances whose group ranges overlap its own — at an unchanged
+        parallelism, its own instances' — paying the full per-blob chain
+        latency but only its byte share of each chain.  Replay-log fetches
+        re-home to ``old destination % p_new``.
         """
-        cost_model = self.job.cost
-        groups = self.job.max_key_groups
+        job = self.job
+        cost_model = job.cost
+        groups = job.max_key_groups
         p_old = 1 + max(idx for _, idx in plan.line)
+        p_new = plan.rescale_to or job.parallelism
         new_ranges = [group_range(j, p_new, groups) for j in range(p_new)]
         per_worker = [0.0] * p_new
         for key, meta in plan.line.items():
@@ -307,8 +286,11 @@ class LifecycleManager:
             nbytes = sum(m.total_bytes for m in messages)
             per_worker[dst_worker] += nbytes / cost_model.log_fetch_bandwidth
             per_worker[dst_worker] += len(messages) * cost_model.replay_prep_per_message
-        orchestration = (cost_model.restart_base + cost_model.rescale_base
-                         + cost_model.restart_per_worker * max(p_old, p_new))
+        # each case keeps its own addition order: one ulp here moves
+        # restart_time in every recorded digest
+        base = (cost_model.restart_base if p_new == p_old
+                else cost_model.restart_base + cost_model.rescale_base)
+        orchestration = base + cost_model.restart_per_worker * max(p_old, p_new)
         return orchestration + max(per_worker)
 
     def apply_recovery(self, plan: RecoveryPlan) -> None:
