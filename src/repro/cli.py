@@ -48,15 +48,8 @@ from repro.workloads.cyclic import REACHABILITY
 from repro.workloads.nexmark import QUERIES
 
 
-def _shard_spec(value: str) -> int | str:
-    """Parse ``--shards``: an integer count or the literal ``auto``."""
-    if value == "auto":
-        return value
-    return int(value)
-
-
-def _jobs_spec(value: str) -> int | str:
-    """Parse ``--jobs``: an integer count or the literal ``auto``."""
+def _count_or_auto(value: str) -> int | str:
+    """Parse ``--shards`` / ``--jobs``: an integer count or ``auto``."""
     if value == "auto":
         return value
     return int(value)
@@ -160,14 +153,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="per-channel credit budget in bytes for "
                             "credit-based flow control; 0 (default) keeps "
                             "channels unbounded (DESIGN.md §13)")
-    query.add_argument("--shards", type=_shard_spec, default=1,
+    query.add_argument("--shards", type=_count_or_auto, default=1,
                        help="split this one run into N independent "
                             "key-group shards and merge their results "
                             "(requires all source out-edges to be "
                             "KEY-partitioned; DESIGN.md §15); 'auto' "
                             "picks a count from the run size and the "
                             "DESIGN.md §16 eligibility gates")
-    query.add_argument("--jobs", type=_jobs_spec, default=0,
+    query.add_argument("--jobs", type=_count_or_auto, default=0,
                        help="worker processes for --shards; 0 or 'auto' "
                             "(the default) resolves to os.cpu_count()")
     query.add_argument("--seed", type=int, default=7)
@@ -186,7 +179,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="overrides CHECKMATE_SCALE")
     sub.add_argument("--out", default="results",
                      help="directory for the rendered text blocks")
-    sub.add_argument("--jobs", type=_jobs_spec, default=1,
+    sub.add_argument("--jobs", type=_count_or_auto, default=1,
                      help="worker processes for independent runs "
                           "(default: 1; 0 or 'auto': one per CPU)")
     sub.add_argument("--cache-dir", default=None,

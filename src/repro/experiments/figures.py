@@ -83,13 +83,6 @@ def get_auto_shard() -> bool:
     return _AUTO_SHARD
 
 
-def clear_cache() -> None:
-    """Forget the default runner's MSTs and runs (tests use this for
-    isolation); an installed runner belongs to whoever installed it."""
-    global _serial
-    _serial = None
-
-
 def _shards_for(request: RunRequest | MstRequest) -> int:
     """Shard count this request runs at under the current runner.
 

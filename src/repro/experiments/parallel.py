@@ -26,9 +26,9 @@ moment the last shard lands.
 What moves between processes is slimmed and compressed: workers compact
 top-level results (:meth:`repro.dataflow.results.RunResult.compact`),
 persist the cache entry themselves (zlib-compressed, format v8) and
-return only the key plus a scalar summary, so big pickles never cross
-the pipe.  Byte-identical results to serial execution stay the
-invariant: scheduling order may change, result content may not.
+return only the key, so big pickles never cross the pipe.
+Byte-identical results to serial execution stay the invariant:
+scheduling order may change, result content may not.
 
 The MST search (:func:`repro.metrics.mst.find_mst`) and the figure
 harness (:mod:`repro.experiments.figures`) route their runs through a
@@ -360,23 +360,11 @@ class StoredResult:
     """Marker a worker returns instead of a full result.
 
     The worker already persisted the entry under ``key`` in the shared
-    cache directory; only this key plus a few scalars cross the IPC pipe.
-    The parent loads the entry from disk on admission.
+    cache directory; only this key crosses the IPC pipe.  The parent
+    loads the entry from disk on admission.
     """
 
     key: str
-    summary: tuple[tuple[str, float], ...] = ()
-
-
-def _summarize(result: Any) -> tuple[tuple[str, float], ...]:
-    """A few scalars describing ``result`` (debuggability, not data)."""
-    sink_counts = getattr(getattr(result, "metrics", None), "sink_counts", None)
-    if sink_counts is not None:
-        return (("sink_records", float(sum(sink_counts.values()))),)
-    mst = getattr(result, "mst", None)
-    if mst is not None:
-        return (("mst", float(mst)),)
-    return ()
 
 
 def compact_result(request: "RunRequest | MstRequest", result: Any) -> Any:
@@ -405,7 +393,7 @@ def execute_and_store(request: "RunRequest | MstRequest",
         return result
     key = request_key(request)
     RunCache(cache_dir).put(key, result)
-    return StoredResult(key=key, summary=_summarize(result))
+    return StoredResult(key=key)
 
 
 # --------------------------------------------------------------------- #

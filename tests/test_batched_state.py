@@ -412,10 +412,10 @@ def test_cli_no_auto_shard_flag_wires_through_install():
 
 
 def test_cli_shards_arg_accepts_auto_and_integers():
-    assert cli._shard_spec("auto") == "auto"
-    assert cli._shard_spec("3") == 3
+    assert cli._count_or_auto("auto") == "auto"
+    assert cli._count_or_auto("3") == 3
     with pytest.raises(ValueError):
-        cli._shard_spec("many")
+        cli._count_or_auto("many")
 
 
 # --------------------------------------------------------------------- #
