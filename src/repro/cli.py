@@ -44,6 +44,9 @@ from repro.experiments.parallel import (
 from repro.metrics.report import format_failure_records
 from repro.metrics.series import percentile
 from repro.sim.costs import RuntimeConfig
+from repro.sim.failure import SCENARIOS, scenario_from_config
+from repro.sim.specs import usage
+from repro.workloads.arrivals import ARRIVALS, parse_arrival
 from repro.workloads.cyclic import REACHABILITY
 from repro.workloads.nexmark import QUERIES
 
@@ -114,20 +117,14 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument("--warmup", type=float, default=5.0)
     query.add_argument("--failure-at", type=float, default=None)
     query.add_argument("--failure-scenario", default=None,
-                       help="failure-scenario spec (DESIGN.md §12): "
-                            "'single:at=18', 'trace:5@0;13@1', "
-                            "'poisson:mtbf=12', 'correlated:at=10,k=2', "
-                            "'flaky:worker=1,mtbf=8,slowdown=3'; "
-                            "overrides --failure-at")
+                       help="failure-scenario spec (DESIGN.md §12), one of "
+                            f"{', '.join(usage(SCENARIOS))}; overrides "
+                            "--failure-at")
     query.add_argument("--hot-ratio", type=_ratio, default=0.0)
     query.add_argument("--arrival", default=None,
-                       help="arrival-process spec (DESIGN.md §17): "
-                            "'steady', 'diurnal:period=60,amp=0.6', "
-                            "'flash:at=20;45,mag=4,ramp=2,hold=4', "
-                            "'mmpp:low=0.5,high=2.5', "
-                            "'drift:period=30,zipf=1.0', "
-                            "'trace:<path>'; default keeps the rate "
-                            "constant (steady)")
+                       help="arrival-process spec (DESIGN.md §17), one of "
+                            f"{', '.join(usage(ARRIVALS))}; default keeps "
+                            "the rate constant (steady)")
     query.add_argument("--checkpoint-interval", type=float, default=5.0)
     query.add_argument("--interval-policy", default="fixed",
                        choices=["fixed", "adaptive"],
@@ -287,20 +284,6 @@ def _cmd_query(args) -> int:
     spec = REACHABILITY if args.name == "reachability" else QUERIES[args.name]
     rate = (args.rate if args.rate is not None
             else spec.capacity_per_worker * args.parallelism * 0.6)
-    has_failures = args.failure_at is not None or args.failure_scenario
-    if args.rescale_to is not None and not has_failures:
-        print("--rescale-to requires --failure-at or --failure-scenario "
-              "(the rescale is applied by a recovery)", file=sys.stderr)
-        return 2
-    arrival_banner = None
-    if args.arrival is not None:
-        from repro.workloads.arrivals import parse_arrival
-
-        try:
-            arrival_banner = parse_arrival(args.arrival).describe()
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
     from repro.experiments.sharding import auto_shard_count, run_sharded
 
     request = RunRequest(
@@ -318,7 +301,14 @@ def _cmd_query(args) -> int:
         arrival=args.arrival,
     )
     try:
-        request.effective_config()  # RuntimeConfig names the bad field
+        # RuntimeConfig names the bad field, the parser the bad spec token
+        scenario = scenario_from_config(request.effective_config())
+        arrival_banner = (parse_arrival(args.arrival).describe()
+                          if args.arrival is not None else None)
+        if args.rescale_to is not None and scenario is None:
+            raise ValueError(
+                "--rescale-to requires --failure-at or --failure-scenario "
+                "(the rescale is applied by a recovery)")
         for flag, workers in (("--parallelism", args.parallelism),
                               ("--rescale-to", args.rescale_to)):
             if workers is not None \
@@ -380,8 +370,13 @@ def _cmd_query(args) -> int:
                         defaults.interval_max)
         print(f"  adaptive interval: {final:.2f} s "
               f"({len(updates)} adjustments)")
-    if has_failures:
+    if scenario is not None:
         m = result.metrics
+        print(f"  failure scenario : {scenario.describe()}")
+        wrapped = scenario.wrapped(args.parallelism)
+        if wrapped:
+            print(f"  wrapped indices  : {wrapped} (a worker index is "
+                  "taken modulo the live parallelism)")
         print(f"  failures injected: {m.n_failures} "
               f"({m.n_recoveries} recoveries)")
         if m.failure_records:

@@ -124,7 +124,13 @@ class RunRequest:
     config: RuntimeConfig | None = None
 
     def effective_config(self) -> RuntimeConfig:
-        """The full :class:`RuntimeConfig` this request runs under."""
+        """The full :class:`RuntimeConfig` this request runs under; a
+        malformed spec string of either grammar is a ``ValueError`` here,
+        before a cache key or a pool worker sees it."""
+        if self.arrival is not None:
+            from repro.workloads.arrivals import check_arrival
+
+            check_arrival(self.arrival)
         base = self.config if self.config is not None else RuntimeConfig()
         return replace(
             base,

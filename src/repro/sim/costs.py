@@ -251,9 +251,16 @@ class RuntimeConfig:
         if self.failure_at is not None and not math.isfinite(self.failure_at):
             raise ValueError("failure_at must be a finite number, "
                              f"got {self.failure_at!r}")
-        if self.failure_scenario:
-            # a spec that cannot be parsed would otherwise surface when
-            # the run arms its injector — or, for a NaN, never
-            from repro.sim.failure import parse_scenario
+        # a spec that cannot be parsed would otherwise surface when the
+        # run arms its injector — or, for a NaN, never; so would a kill
+        # planned outside the measured window, which can never fire
+        from repro.sim.failure import scenario_from_config
 
-            parse_scenario(self.failure_scenario)
+        scenario = scenario_from_config(self)
+        for at, _ in scenario.scripted if scenario is not None else ():
+            if not 0.0 <= at < self.duration:
+                spec = self.failure_scenario or scenario.describe()
+                raise ValueError(
+                    f"malformed failure scenario {spec!r}: a kill at "
+                    f"+{at:g}s can never fire, the measured window is "
+                    f"[0, {self.duration:g})s")

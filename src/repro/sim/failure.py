@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.sim.simulator import Simulator
+from repro.sim.specs import REQUIRED, Kinds, index, number, parse_spec
 
 if TYPE_CHECKING:  # annotation-only: scenarios draw from registry streams
     import random
@@ -89,7 +90,8 @@ class FailureRecord:
 class FailureScenario:
     """Turns a run's time horizon into a deterministic list of kills.
 
-    Subclasses implement :meth:`events`.  They must obey the determinism
+    A kind either scripts its kills (:attr:`scripted`) or overrides
+    :meth:`events` to draw them.  Either way it obeys the determinism
     rules in the module docstring: randomness only from the ``rng``
     argument (an :class:`~repro.sim.rng.RngRegistry` stream), no wall
     clock, and the whole event list generated up front.
@@ -97,15 +99,31 @@ class FailureScenario:
 
     #: short name used by the CLI spec syntax and figure labels
     kind = "?"
+    #: the kills the spec scripts, ``(offset into the measured window,
+    #: worker indices)`` per instant; the random kinds script none
+    scripted: tuple[tuple[float, tuple[int, ...]], ...] = ()
 
     def events(self, start: float, end: float,
                rng: random.Random) -> list[FailureEvent]:
         """Kill events for the horizon ``[start, end)``, sorted by time."""
-        raise NotImplementedError
+        return [FailureEvent(at=start + offset, worker_indices=workers)
+                for offset, workers in self.scripted]
 
     def describe(self) -> str:
         """One-line human-readable summary (CLI / figure output)."""
         return self.kind
+
+    def named_workers(self) -> tuple[int, ...]:
+        """Every worker index the spec names."""
+        return tuple(w for _, workers in self.scripted for w in workers)
+
+    def wrapped(self, parallelism: int) -> str:
+        """``worker 9 -> 1 of 2`` for each named index beyond a deployment
+        of ``parallelism`` workers (the injector takes an index modulo the
+        live parallelism); empty when every index is live."""
+        return ", ".join(
+            f"worker {index} -> {index % parallelism} of {parallelism}"
+            for index in self.named_workers() if index >= parallelism)
 
 
 class SingleKillScenario(FailureScenario):
@@ -116,12 +134,7 @@ class SingleKillScenario(FailureScenario):
     def __init__(self, at: float, worker: int = 0) -> None:
         self.at = at
         self.worker = worker
-
-    def events(self, start: float, end: float,
-               rng: random.Random) -> list[FailureEvent]:
-        """One event at ``start + at`` hitting ``worker``."""
-        return [FailureEvent(at=start + self.at,
-                             worker_indices=(self.worker,))]
+        self.scripted = ((at, (worker,)),)
 
     def describe(self) -> str:
         """Summary naming the offset and target worker."""
@@ -137,14 +150,7 @@ class TraceScenario(FailureScenario):
         if not kills:
             raise ValueError("a trace scenario needs at least one kill")
         self.kills = tuple(sorted(kills))
-
-    def events(self, start: float, end: float,
-               rng: random.Random) -> list[FailureEvent]:
-        """One event per scripted kill, offsets relative to ``start``."""
-        return [
-            FailureEvent(at=start + offset, worker_indices=(worker,))
-            for offset, worker in self.kills
-        ]
+        self.scripted = tuple((at, (worker,)) for at, worker in self.kills)
 
     def describe(self) -> str:
         """Summary listing every scripted kill."""
@@ -167,6 +173,8 @@ class PoissonScenario(FailureScenario):
                  first_offset: float | None = None) -> None:
         if mtbf <= 0:
             raise ValueError("mtbf must be positive")
+        if min_gap < 0 or (first_offset or 0.0) < 0:  # a kill before t=0
+            raise ValueError("min_gap and first_offset must be >= 0")
         self.mtbf = mtbf
         self.min_gap = min_gap
         #: offset of the earliest possible kill (default: one min_gap in,
@@ -195,17 +203,13 @@ class CorrelatedScenario(FailureScenario):
     kind = "correlated"
 
     def __init__(self, at: float, k: int = 2, worker: int = 0) -> None:
-        if k < 1:
-            raise ValueError("k must be at least 1")
+        if not 1 <= k <= 1 << 16:
+            raise ValueError("k must be at least 1 and at most 65536")
         self.at = at
         self.k = k
         self.worker = worker
-
-    def events(self, start: float, end: float,
-               rng: random.Random) -> list[FailureEvent]:
-        """One event hitting ``k`` consecutive worker indices."""
-        indices = tuple(self.worker + i for i in range(self.k))
-        return [FailureEvent(at=start + self.at, worker_indices=indices)]
+        # one instant, ``k`` consecutive worker indices
+        self.scripted = ((at, tuple(range(worker, worker + k))),)
 
     def describe(self) -> str:
         """Summary naming the blast radius."""
@@ -236,6 +240,10 @@ class FlakyNodeScenario(FailureScenario):
         self.slowdown = slowdown
         self.min_gap = min_gap
 
+    def named_workers(self) -> tuple[int, ...]:
+        """The victim."""
+        return (self.worker,)
+
     def events(self, start: float, end: float,
                rng: random.Random) -> list[FailureEvent]:
         """Repeated kills of one worker with slowed detection."""
@@ -257,101 +265,44 @@ class FlakyNodeScenario(FailureScenario):
 
 
 # --------------------------------------------------------------------- #
-# Scenario spec parsing (CLI `--failure-scenario`)
+# The `--failure-scenario` grammar (DESIGN.md section 12)
 # --------------------------------------------------------------------- #
 
-def _parse_kv(body: str, known: tuple[str, ...]) -> dict[str, str]:
-    """Split ``a=1,b=2`` into a dict of the ``known`` parameters."""
-    out: dict[str, str] = {}
-    for part in body.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise ValueError(f"expected key=value, got {part!r}")
-        key, value = (side.strip() for side in part.split("=", 1))
-        if key not in known:
-            raise ValueError(f"unknown parameter {key!r} "
-                             f"(expected: {', '.join(known)})")
-        out[key] = value
-    return out
+def _kills(body: str) -> tuple[tuple[float, int], ...]:
+    """``5@0;13@1``: ';'-separated ``at[@worker]`` kills, worker 0 if unnamed."""
+    kills = []
+    for token in filter(None, map(str.strip, body.split(";"))):
+        at, named, worker = map(str.strip, token.partition("@"))
+        if named and not worker:
+            raise ValueError(f"kill {token!r} names no worker after '@'")
+        try:
+            kills.append((number(at), index(worker or "0")))
+        except ValueError as exc:
+            raise ValueError(f"kill {token!r}: {exc}") from None
+    return tuple(kills)
 
 
-def _finite(text: str) -> float:
-    """A number a kill can be scheduled by: ``nan`` compares false with
-    every horizon and injects nothing, ``inf`` never comes."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {text!r}")
-    return value
+#: kind -> (constructor, parameters | positional body); offsets are
+#: seconds into the measured window
+SCENARIOS: Kinds = {
+    "single": (SingleKillScenario,
+               {"at": (number, REQUIRED), "worker": (index, 0)}),
+    "trace": (TraceScenario, ("at[@worker];at[@worker];…", _kills)),
+    "poisson": (PoissonScenario,
+                {"mtbf": (number, REQUIRED), "min_gap": (number, 4.0),
+                 "first_offset": (number, None)}),
+    "correlated": (CorrelatedScenario,
+                   {"at": (number, REQUIRED), "k": (index, 2),
+                    "worker": (index, 0)}),
+    "flaky": (FlakyNodeScenario,
+              {"worker": (index, 0), "mtbf": (number, REQUIRED),
+               "slowdown": (number, 2.0), "min_gap": (number, 4.0)}),
+}
 
 
 def parse_scenario(spec: str) -> FailureScenario:
-    """Parse a ``--failure-scenario`` spec string into a scenario.
-
-    Syntax (offsets are seconds into the measured window)::
-
-        single:at=18,worker=0
-        trace:5@0;13@1                  # at@worker pairs, ';'-separated
-        poisson:mtbf=12,min_gap=4
-        correlated:at=10,k=2,worker=0
-        flaky:worker=1,mtbf=8,slowdown=3
-
-    Raises ``ValueError`` with the offending token on malformed input: an
-    unknown kind or parameter, a missing one, a number that is not one or
-    not finite, an empty field.
-    """
-    kind, _, body = spec.partition(":")
-    kind = kind.strip().lower()
-    try:
-        if kind == "single":
-            kv = _parse_kv(body, ("at", "worker"))
-            return SingleKillScenario(at=_finite(kv["at"]),
-                                      worker=int(kv.get("worker", 0)))
-        if kind == "trace":
-            kills = []
-            for token in body.split(";"):
-                token = token.strip()
-                if not token:
-                    continue
-                at, named, worker = token.partition("@")
-                if named and not worker.strip():
-                    raise ValueError(f"kill {token!r} names no worker "
-                                     "after '@'")
-                kills.append((_finite(at), int(worker or 0)))
-            return TraceScenario(tuple(kills))
-        if kind == "poisson":
-            kv = _parse_kv(body, ("mtbf", "min_gap", "first_offset"))
-            return PoissonScenario(
-                mtbf=_finite(kv["mtbf"]),
-                min_gap=_finite(kv.get("min_gap", "4")),
-                first_offset=(_finite(kv["first_offset"])
-                              if "first_offset" in kv else None),
-            )
-        if kind == "correlated":
-            kv = _parse_kv(body, ("at", "k", "worker"))
-            return CorrelatedScenario(at=_finite(kv["at"]),
-                                      k=int(kv.get("k", 2)),
-                                      worker=int(kv.get("worker", 0)))
-        if kind == "flaky":
-            kv = _parse_kv(body, ("worker", "mtbf", "slowdown", "min_gap"))
-            return FlakyNodeScenario(
-                worker=int(kv.get("worker", 0)),
-                mtbf=_finite(kv["mtbf"]),
-                slowdown=_finite(kv.get("slowdown", "2")),
-                min_gap=_finite(kv.get("min_gap", "4")),
-            )
-    except KeyError as exc:
-        raise ValueError(f"malformed failure scenario {spec!r}: "
-                         f"missing parameter {exc}") from None
-    except ValueError as exc:
-        raise ValueError(
-            f"malformed failure scenario {spec!r}: {exc}"
-        ) from None
-    raise ValueError(
-        f"unknown failure scenario kind {kind!r}; known: single, trace, "
-        "poisson, correlated, flaky"
-    )
+    """The scenario a ``--failure-scenario`` string describes (:data:`SCENARIOS`)."""
+    return parse_spec("failure scenario", spec, SCENARIOS)
 
 
 def scenario_from_config(config: RuntimeConfig) -> FailureScenario | None:

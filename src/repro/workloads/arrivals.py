@@ -10,15 +10,11 @@ that need randomness draw exclusively from the :class:`~repro.sim.rng.
 RngRegistry` stream handed to them (repro-lint RL002), so two runs with
 the same seed and spec produce byte-identical inputs.
 
-Five generative processes plus trace replay, parseable from one spec
-grammar (mirroring ``--failure-scenario``)::
-
-    steady                                    today's behavior (default)
-    diurnal:period=60,amp=0.6[,phase=0]       sinusoidal day/night cycle
-    flash:at=20;45,mag=4[,ramp=2,hold=4]      baseline + scheduled spikes
-    mmpp:low=0.5,high=2.5[,dwell_low=8,dwell_high=4]   2-state MMPP bursts
-    drift:period=30[,zipf=1.0]                hot-key popularity migration
-    trace:<path>                              replay a (timestamp,rate[,hot_key]) CSV
+Five generative processes plus trace replay — ``steady`` (the default),
+``diurnal``, ``flash``, ``mmpp``, ``drift``, ``trace:<path>`` — built from
+``--arrival`` spec strings; the grammar is the :data:`ARRIVALS` table at
+the end of this module (DESIGN.md section 17), read by the parser it
+shares with ``--failure-scenario``.
 
 Rates in specs are dimensionless multipliers of the run's ``--rate``
 (the *mean* for steady/diurnal, the *baseline* for flash), so one spec
@@ -38,11 +34,10 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy
 
+from repro.sim.specs import REQUIRED, Kinds, number, numbers, parse_spec
+
 if TYPE_CHECKING:  # annotation-only: draws flow through RngRegistry streams
     import random
-
-#: spec kinds accepted by :func:`parse_arrival`
-KNOWN_ARRIVALS = ("steady", "diurnal", "flash", "mmpp", "drift", "trace")
 
 #: piecewise-linear knots per diurnal period (error of the chord vs the
 #: sinusoid is O(1/KNOTS^2) in rate — far below the half-event tolerance
@@ -570,116 +565,42 @@ def _load_trace(path: str) -> list[tuple[float, float, int | None]]:
 
 
 # --------------------------------------------------------------------- #
-# Spec grammar
+# The `--arrival` grammar (DESIGN.md section 17)
 # --------------------------------------------------------------------- #
 
-def _parse_kv(body: str) -> dict[str, str]:
-    """``a=1,b=2`` -> dict; raises ValueError on malformed pairs."""
-    out: dict[str, str] = {}
-    for part in body.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, sep, value = part.partition("=")
-        if not sep or not key.strip() or not value.strip():
-            raise ValueError(f"expected key=value, got {part!r}")
-        out[key.strip()] = value.strip()
-    return out
+def _path(body: str) -> str:
+    if not body:
+        raise ValueError("trace needs a file path (trace:<path>)")
+    return body
 
 
-def _take(kv: dict[str, str], kind: str, known: tuple[str, ...],
-          key: str, default: float | None = None) -> float:
-    """Pop a float parameter with actionable missing/non-numeric errors."""
-    if key not in kv:
-        if default is None:
-            raise ValueError(
-                f"{kind} requires parameter {key!r} "
-                f"(expected: {', '.join(known)})")
-        return default
-    raw = kv.pop(key)
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"parameter {key!r} must be a number, "
-                         f"got {raw!r}") from None
-
-
-def _reject_unknown(kv: dict[str, str], kind: str,
-                    known: tuple[str, ...]) -> None:
-    if kv:
-        extra = ", ".join(sorted(kv))
-        raise ValueError(f"unknown parameter(s) for {kind}: {extra} "
-                         f"(expected: {', '.join(known)})")
+#: kind -> (constructor, parameters | positional body); rates are
+#: multipliers of the run's ``--rate``
+ARRIVALS: Kinds = {
+    "steady": (SteadyArrivals, {}),
+    "diurnal": (DiurnalArrivals,
+                {"period": (number, REQUIRED), "amp": (number, 0.5),
+                 "phase": (number, 0.0)}),
+    "flash": (FlashArrivals,
+              {"at": (numbers, REQUIRED), "mag": (number, 4.0),
+               "ramp": (number, 2.0), "hold": (number, 4.0),
+               "base": (number, 1.0)}),
+    "mmpp": (MmppArrivals,
+             {"low": (number, 0.5), "high": (number, 2.5),
+              "dwell_low": (number, 8.0), "dwell_high": (number, 4.0)}),
+    "drift": (DriftArrivals,
+              {"period": (number, REQUIRED), "zipf": (number, 1.0)}),
+    "trace": (TraceArrivals, ("<path>", _path)),
+}
 
 
 def parse_arrival(spec: str) -> ArrivalProcess:
-    """Parse an ``--arrival`` spec into an :class:`ArrivalProcess`.
+    """The process an ``--arrival`` string describes (:data:`ARRIVALS`)."""
+    return parse_spec("arrival process", spec, ARRIVALS)
 
-    Grammar (mirrors ``--failure-scenario``): ``kind[:k=v,k=v,...]``,
-    except ``trace:<path>``.  Raises :class:`ValueError` with an
-    actionable message on unknown kinds, missing/unknown/non-numeric
-    parameters, constraint violations and malformed trace files.
-    """
-    kind, _, body = spec.partition(":")
-    kind = kind.strip().lower()
-    if kind not in KNOWN_ARRIVALS:
-        raise ValueError(
-            f"unknown arrival process {kind!r} in {spec!r}; known kinds: "
-            f"{', '.join(KNOWN_ARRIVALS[:-1])}, trace:<path>")
-    if kind == "trace":
-        path = body.strip()
-        if not path:
-            raise ValueError(f"malformed arrival spec {spec!r}: "
-                             f"trace needs a file path (trace:<path>)")
-        return TraceArrivals(path)
-    try:
-        if kind == "steady":
-            if body.strip():
-                raise ValueError("steady takes no parameters")
-            return SteadyArrivals()
-        kv = _parse_kv(body)
-        if kind == "diurnal":
-            known = ("period", "amp", "phase")
-            process: ArrivalProcess = DiurnalArrivals(
-                period=_take(kv, kind, known, "period"),
-                amp=_take(kv, kind, known, "amp", 0.5),
-                phase=_take(kv, kind, known, "phase", 0.0),
-            )
-        elif kind == "flash":
-            known = ("at", "mag", "ramp", "hold", "base")
-            if "at" not in kv:
-                raise ValueError(
-                    f"flash requires parameter 'at' "
-                    f"(expected: {', '.join(known)})")
-            raw_at = kv.pop("at")
-            try:
-                at = tuple(float(a) for a in raw_at.split(";") if a.strip())
-            except ValueError:
-                raise ValueError(
-                    f"parameter 'at' must be ';'-separated numbers, "
-                    f"got {raw_at!r}") from None
-            process = FlashArrivals(
-                at=at,
-                mag=_take(kv, kind, known, "mag", 4.0),
-                ramp=_take(kv, kind, known, "ramp", 2.0),
-                hold=_take(kv, kind, known, "hold", 4.0),
-                base=_take(kv, kind, known, "base", 1.0),
-            )
-        elif kind == "mmpp":
-            known = ("low", "high", "dwell_low", "dwell_high")
-            process = MmppArrivals(
-                low=_take(kv, kind, known, "low", 0.5),
-                high=_take(kv, kind, known, "high", 2.5),
-                dwell_low=_take(kv, kind, known, "dwell_low", 8.0),
-                dwell_high=_take(kv, kind, known, "dwell_high", 4.0),
-            )
-        else:  # drift
-            known = ("period", "zipf")
-            process = DriftArrivals(
-                period=_take(kv, kind, known, "period"),
-                zipf=_take(kv, kind, known, "zipf", 1.0),
-            )
-        _reject_unknown(kv, kind, known)
-        return process
-    except ValueError as exc:
-        raise ValueError(f"malformed arrival spec {spec!r}: {exc}") from None
+
+def check_arrival(spec: str) -> None:
+    """:func:`parse_arrival`'s verdict without opening a trace file (a
+    request is checked when it is hashed, its inputs read when it runs)."""
+    parse_spec("arrival process", spec,
+               {**ARRIVALS, "trace": (str, ARRIVALS["trace"][1])})

@@ -272,6 +272,66 @@ def test_query_rejects_malformed_arrival_spec(capsys):
     assert "requires parameter 'period'" in err
 
 
+@pytest.mark.parametrize("flags, names", [
+    # each of the first nine ran to the end with 0 sink records and an
+    # "infx" message overhead, or died as a ZeroDivisionError traceback;
+    # the repeated parameter kept its last value; the bare message of a
+    # bad --arrival lacked the "error: " the other flag's had
+    (["--arrival", "diurnal:period=nan"], "'period' must be a finite number"),
+    (["--arrival", "diurnal:period=inf"], "'period' must be a finite number"),
+    (["--arrival", "flash:at=nan"], "'at' must be ';'-separated numbers"),
+    (["--arrival", "flash:at=10,mag=inf"], "'mag' must be a finite number"),
+    (["--arrival", "mmpp:low=nan"], "'low' must be a finite number"),
+    (["--arrival", "mmpp:dwell_low=inf"], "'dwell_low' must be a finite"),
+    (["--arrival", "drift:period=nan"], "'period' must be a finite number"),
+    (["--arrival", "drift:period=30,zipf=nan"], "'zipf' must be a finite"),
+    (["--arrival", "diurnal:period=60,phase=inf"], "'phase' must be a finite"),
+    (["--arrival", "diurnal:period=60,period=30"], "'period' given twice"),
+    (["--arrival", "diurnal:amp=0.5"], "requires parameter 'period'"),
+    (["--failure-scenario", "single:at=3,at=4"], "'at' given twice"),
+    (["--failure-scenario", "single:at=3,worker=-1"],
+     "'worker' must be a whole number >= 0, got '-1'"),
+    # a planned kill outside the measured window can never fire
+    (["--failure-scenario", "single:at=1e9"], "+1e+09s can never fire"),
+    (["--failure-scenario", "trace:1@0;4@1"], "+4s can never fire"),
+    (["--failure-scenario", "correlated:at=-1"], "+-1s can never fire"),
+])
+def test_query_rejects_a_malformed_spec_of_either_grammar_the_same_way(
+        capsys, flags, names):
+    code = main(["query", "q12", "--parallelism", "2", "--duration", "4",
+                 "--warmup", "1", *flags])
+    assert code == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: malformed ") and names in line
+    assert "sink records" not in captured.out  # nothing ran
+
+
+def test_query_rejects_a_failure_at_outside_the_window(capsys):
+    code = main(["query", "q12", "--parallelism", "2", "--duration", "4",
+                 "--warmup", "1", "--failure-at", "9"])
+    assert code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == ("error: malformed failure scenario 'single kill of "
+                    "worker 0 at +9s': a kill at +9s can never fire, the "
+                    "measured window is [0, 4)s")
+
+
+def test_query_says_when_a_worker_index_wraps(capsys):
+    """The modulo wrap of an index beyond the deployment is the contract
+    (a rescale can shrink the deployment under a planned kill); the
+    failure block says so when it applies, and only then."""
+    base = ["query", "q12", "--parallelism", "2", "--rate", "200",
+            "--duration", "8", "--warmup", "1", "--failure-scenario"]
+    assert main([*base, "correlated:at=3,k=2,worker=9"]) == 0
+    out = capsys.readouterr().out
+    assert ("failure scenario : correlated kill of 2 workers (w9..) at +3s"
+            in out)
+    assert "wrapped indices  : worker 9 -> 1 of 2, worker 10 -> 0 of 2" in out
+    assert main([*base, "single:at=3,worker=1"]) == 0
+    assert "wrapped indices" not in capsys.readouterr().out
+
+
 def test_query_jobs_auto_banner(capsys):
     # --jobs defaults to 0 == auto: the banner announces the resolution
     code = main([

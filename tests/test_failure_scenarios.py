@@ -161,7 +161,12 @@ def test_parse_scenario_rejects_malformed(spec):
     ("single:at=x", "could not convert string to float: 'x'"),
     ("poisson:mtbf=0", "mtbf must be positive"),
     ("trace:@1", "could not convert string to float"),
-    ("single:worker=0", "missing parameter 'at'"),
+    ("single:worker=0", "requires parameter 'at'"),
+    # accepted before: the last value won; the index wrapped to a worker
+    ("single:at=3,at=4", "parameter 'at' given twice"),
+    ("single:at=3,worker=-1", "'worker' must be a whole number >= 0, got '-1'"),
+    ("trace:5@-1", "kill '5@-1': must be a whole number >= 0, got '-1'"),
+    ("correlated:at=3,k=-2", "'k' must be a whole number >= 0, got '-2'"),
 ])
 def test_parse_scenario_names_what_is_wrong(spec, names):
     with pytest.raises(ValueError) as raised:
@@ -252,6 +257,9 @@ SCENARIO_VERDICTS = [
     "single:at=3,wrker=1", "poisson:mtbf=9,gap=2", "single:at=x",
     "poisson:mtbf=0", "trace:@1", "single:at=3,worker=1.5",
     "correlated:at=2,k=two",
+    # rejected since the two grammars share a parser
+    "single:at=3,at=4", "single:at=3,worker=-1", "trace:5@-1",
+    "correlated:at=3,k=-2",
 )]
 
 
@@ -264,6 +272,65 @@ def test_scenario_grammar_verdicts(spec, cls, text):
     scenario = parse_scenario(spec)
     assert type(scenario) is cls
     assert scenario.describe() == text
+
+
+@pytest.mark.parametrize("spec", [
+    "diurnal:period=sixty", "diurnal:period=nan", "mmpp:dwell_low=inf",
+    "diurnal:period=60,period=30", "flash:at=10;11,ramp=2,hold=4", "trace:"])
+def test_a_request_with_a_malformed_arrival_cannot_be_built(spec):
+    """The other spec string fails at the same boundary: before a cache
+    key exists, so before a ``--jobs`` sweep hands it to a pool worker."""
+    from repro.experiments.parallel import RunRequest, request_key
+
+    request = RunRequest(query="q1", protocol="coor", parallelism=2,
+                         rate=100.0, arrival=spec)
+    with pytest.raises(ValueError, match="malformed arrival process"):
+        request.effective_config()
+    with pytest.raises(ValueError, match="malformed arrival process"):
+        request_key(request)
+
+
+def test_a_trace_file_is_not_opened_when_the_request_is_hashed(tmp_path):
+    from repro.experiments.parallel import RunRequest, request_key
+
+    missing = RunRequest(query="q1", protocol="coor", parallelism=2,
+                         rate=100.0, arrival=f"trace:{tmp_path / 'later.csv'}")
+    assert len(request_key(missing)) == 64
+
+
+@pytest.mark.parametrize("knobs, names", [
+    (dict(failure_scenario="single:at=24"), "+24s can never fire"),
+    (dict(failure_scenario="single:at=-0.5"), "+-0.5s can never fire"),
+    (dict(failure_scenario="trace:5@0;30@1"), "+30s can never fire"),
+    (dict(failure_scenario="correlated:at=1e9,k=2"), "+1e+09s can never"),
+    (dict(failure_at=24.0), "at +24s': a kill at +24s can never fire"),
+    (dict(failure_at=5.0, extra_failures=((40.0, 1),)), "+40s can never"),
+])
+def test_a_planned_kill_outside_the_window_cannot_be_configured(knobs, names):
+    """Decision (ROADMAP, small and open): an offset the spec fixes and
+    the window excludes is a usage error where the window is known."""
+    with pytest.raises(ValueError) as raised:
+        RuntimeConfig(duration=24.0, **knobs)
+    assert names in str(raised.value)
+    assert "measured window is [0, 24)s" in str(raised.value)
+    # the random kinds fix no offset; the last instant inside is fine
+    RuntimeConfig(duration=24.0, failure_scenario="poisson:mtbf=500")
+    RuntimeConfig(duration=24.0, failure_at=23.999)
+
+
+def test_a_worker_index_beyond_the_deployment_wraps_and_says_so():
+    """The other half of the decision: the wrap stays the contract."""
+    scenario = parse_scenario("correlated:at=10,k=99")
+    assert scenario.wrapped(128) == ""
+    assert scenario.wrapped(98) == "worker 98 -> 0 of 98"
+    assert parse_scenario("flaky:worker=9,mtbf=1").wrapped(2) \
+        == "worker 9 -> 1 of 2"
+    assert parse_scenario("trace:5@0;13@7").wrapped(4) == "worker 7 -> 3 of 4"
+    assert parse_scenario("poisson:mtbf=5").wrapped(2) == ""  # raw draws
+    _, result, expected, measured = run_scenario_job(
+        "coor", "single:at=6,worker=9")
+    assert measured == expected
+    assert [r.worker_index for r in result.metrics.failure_records] == [0]
 
 
 def test_a_trace_kill_without_a_worker_field_hits_worker_zero():
