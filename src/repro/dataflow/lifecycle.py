@@ -290,7 +290,8 @@ class LifecycleManager:
         # restart_time in every recorded digest
         base = (cost_model.restart_base if p_new == p_old
                 else cost_model.restart_base + cost_model.rescale_base)
-        orchestration = base + cost_model.restart_per_worker * max(p_old, p_new)
+        workers = max(p_old, p_new)
+        orchestration = base + cost_model.restart_per_worker * workers
         return orchestration + max(per_worker)
 
     def apply_recovery(self, plan: RecoveryPlan) -> None:

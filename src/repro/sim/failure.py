@@ -269,7 +269,7 @@ class FlakyNodeScenario(FailureScenario):
 # --------------------------------------------------------------------- #
 
 def _kills(body: str) -> tuple[tuple[float, int], ...]:
-    """``5@0;13@1``: ';'-separated ``at[@worker]`` kills, worker 0 if unnamed."""
+    """``5@0;13@1``: ';'-separated ``at[@worker]`` kills (default worker 0)."""
     kills = []
     for token in filter(None, map(str.strip, body.split(";"))):
         at, named, worker = map(str.strip, token.partition("@"))
@@ -301,7 +301,7 @@ SCENARIOS: Kinds = {
 
 
 def parse_scenario(spec: str) -> FailureScenario:
-    """The scenario a ``--failure-scenario`` string describes (:data:`SCENARIOS`)."""
+    """The scenario a ``--failure-scenario`` string describes."""
     return parse_spec("failure scenario", spec, SCENARIOS)
 
 
