@@ -112,7 +112,7 @@ def test_a_damaged_entry_is_quarantined_not_silently_rewritten(tmp_path, damage)
     cache = RunCache(tmp_path)
     cache.put("k", {"x": list(range(500))})
     cache.put("other", {"y": 2})
-    assert len(cache) == 2
+    assert cache.stats()["entries"] == 2
     good = cache.path("k").read_bytes()
     cache.path("k").write_bytes(damage(good))
     found, value = cache.get("k")
@@ -120,14 +120,13 @@ def test_a_damaged_entry_is_quarantined_not_silently_rewritten(tmp_path, damage)
     bad = tmp_path / "k.pkl.bad"
     assert bad.read_bytes() == damage(good)  # the evidence is kept
     assert not cache.path("k").exists()
-    assert len(cache) == 1
     stats = cache.stats()
     assert (stats["entries"], stats["stale_files"], stats["quarantined"]) == (1, 0, 1)
     assert cache.get("k") == (False, None)  # and nothing reads it again
     cache.put("k", {"x": 3})  # the rewrite starts clean
     assert cache.get("k") == (True, {"x": 3})
     assert cache.get("other") == (True, {"y": 2})
-    assert len(cache) == 2 and bad.exists()
+    assert cache.stats()["entries"] == 2 and bad.exists()
     # a second casualty under the same key replaces the first
     cache.path("k").write_bytes(good[:20])
     assert cache.get("k") == (False, None)
@@ -369,3 +368,104 @@ def test_mst_request_cached_and_probes_shared(tmp_path):
         second = runner.run(request)
         assert second.mst == first.mst
         assert runner.misses == misses_after_first  # served from cache
+
+
+# --------------------------------------------------------------------- #
+# Accounting: what each entry point counts, scenario by scenario
+# --------------------------------------------------------------------- #
+
+def _short(**overrides) -> RunRequest:
+    return req(rate=220.0, duration=3.0, warmup=1.0, **overrides)
+
+
+def _enter(runner: ParallelRunner, entry: str, request: RunRequest):
+    """One request through one of the three public entries, to its value."""
+    if entry == "run":
+        return runner.run(request)
+    if entry == "submit":
+        return runner.submit(request).result()
+    return runner.map([request])[0]
+
+
+def _cold_miss(entry, jobs, tmp_path):
+    with ParallelRunner(jobs=jobs) as runner:
+        _enter(runner, entry, _short())
+        return runner
+
+
+def _memo_hit(entry, jobs, tmp_path):
+    with ParallelRunner(jobs=jobs) as runner:
+        first = _enter(runner, entry, _short())
+        assert _enter(runner, entry, _short()) is first
+        return runner
+
+
+def _disk_hit_from_a_fresh_runner(entry, jobs, tmp_path):
+    with ParallelRunner(jobs=jobs, cache_dir=tmp_path) as first:
+        _enter(first, entry, _short())
+    with ParallelRunner(jobs=jobs, cache_dir=tmp_path) as fresh:
+        _enter(fresh, entry, _short())
+        return fresh
+
+
+def _duplicate_of_a_pending_key(entry, jobs, tmp_path):
+    # at jobs=1 a submit has run by the time it returns: nothing is ever
+    # pending there, and the duplicate is a memo hit
+    with ParallelRunner(jobs=jobs) as runner:
+        pending = runner.submit(_short())
+        assert pending.done() == (jobs == 1)
+        assert _enter(runner, entry, _short()) is pending.result()
+        return runner
+
+
+def _duplicates_inside_one_batch(entry, jobs, tmp_path):
+    with ParallelRunner(jobs=jobs) as runner:
+        results = runner.map([_short(), _short(protocol="coor"), _short(),
+                              _short()])
+        assert results[0] is results[2] is results[3]
+        return runner
+
+
+def _a_failed_run_resubmitted(entry, jobs, tmp_path):
+    with ParallelRunner(jobs=jobs) as runner:
+        for _ in range(2):
+            with pytest.raises(RunFailed, match="protocol=nope"):
+                _enter(runner, entry, _short(protocol="nope"))
+        assert runner._pending == {} and runner._inflight == {}
+        return runner
+
+
+#: (scenario, entry) -> (hits, misses, deduped) at jobs=1, at jobs=2
+_ACCOUNTING = {
+    (_cold_miss, "run"): ((0, 1, 0), (0, 1, 0)),
+    (_cold_miss, "submit"): ((0, 1, 0), (0, 1, 0)),
+    (_cold_miss, "map"): ((0, 1, 0), (0, 1, 0)),
+    (_memo_hit, "run"): ((1, 1, 0), (1, 1, 0)),
+    (_memo_hit, "submit"): ((1, 1, 0), (1, 1, 0)),
+    (_memo_hit, "map"): ((1, 1, 0), (1, 1, 0)),
+    (_disk_hit_from_a_fresh_runner, "run"): ((1, 0, 0), (1, 0, 0)),
+    (_disk_hit_from_a_fresh_runner, "submit"): ((1, 0, 0), (1, 0, 0)),
+    (_disk_hit_from_a_fresh_runner, "map"): ((1, 0, 0), (1, 0, 0)),
+    (_duplicate_of_a_pending_key, "run"): ((1, 1, 0), (0, 1, 1)),
+    (_duplicate_of_a_pending_key, "submit"): ((1, 1, 0), (0, 1, 1)),
+    (_duplicate_of_a_pending_key, "map"): ((1, 1, 0), (0, 1, 1)),
+    (_duplicates_inside_one_batch, "map"): ((0, 2, 2), (0, 2, 2)),
+    (_a_failed_run_resubmitted, "run"): ((0, 2, 0), (0, 2, 0)),
+    (_a_failed_run_resubmitted, "submit"): ((0, 2, 0), (0, 2, 0)),
+    (_a_failed_run_resubmitted, "map"): ((0, 2, 0), (0, 2, 0)),
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "scenario, entry", list(_ACCOUNTING),
+    ids=[f"{scenario.__name__.strip('_')}-{entry}"
+         for scenario, entry in _ACCOUNTING])
+def test_what_each_entry_point_counts(scenario, entry, jobs, tmp_path):
+    """``run`` / ``submit`` / ``map`` admit a request the same way: a
+    pending key is ``deduped``, a memo or disk entry a hit, anything else
+    a miss — serially and on the pool (perfbench's ``sweep`` checks the
+    same three counters on a whole pass)."""
+    runner = scenario(entry, jobs, tmp_path)
+    assert (runner.hits, runner.misses, runner.deduped) \
+        == _ACCOUNTING[scenario, entry][jobs - 1]

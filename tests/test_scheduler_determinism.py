@@ -5,8 +5,8 @@ any order the pool produces them.  This suite swaps the process pool for a
 synchronous fake whose completion order is chosen by hypothesis — every
 "worker" runs in-process when the drain loop picks it, and its return
 value is pickle-roundtripped to emulate the IPC pipe — and asserts the
-results of a batch containing duplicates *and* a shard group are
-byte-identical to serial single-process execution.
+results of a batch containing duplicates *and* a shard group sharing the
+scheduler with it are byte-identical to serial single-process execution.
 """
 
 import pickle
@@ -17,12 +17,13 @@ from hypothesis import strategies as st
 
 import pytest
 
-from repro.experiments.parallel import ParallelRunner, RunFailed, RunRequest
-from repro.experiments.sharding import (
-    merged_result_key,
-    run_sharded,
-    submit_sharded,
+from repro.experiments.parallel import (
+    ParallelRunner,
+    RunFailed,
+    RunRequest,
+    request_key,
 )
+from repro.experiments.sharding import run_sharded
 
 
 def req(**overrides) -> RunRequest:
@@ -105,12 +106,12 @@ def _serial_baseline():
 @given(picks=st.lists(st.integers(min_value=0, max_value=7), max_size=12))
 def test_any_interleaving_matches_serial(picks):
     """Byte-identity to serial execution holds for every completion order,
-    with duplicate and sharded requests sharing one batch."""
+    with a batch holding a duplicate in flight while a shard group maps."""
     expected_batch, expected_merged = _serial_baseline()
     runner = InterleavedRunner(picks, jobs=3)
-    handle = submit_sharded(SHARDED, SHARDS, runner)
-    batch = runner.map(BATCH)
-    merged = handle.result()
+    handles = [runner.submit(request) for request in BATCH]
+    merged = run_sharded(SHARDED, SHARDS, runner)
+    batch = [handle.result() for handle in handles]
     runner.drain()
     assert [pickle.dumps(r) for r in batch] == expected_batch
     assert pickle.dumps(merged) == expected_merged
@@ -167,15 +168,16 @@ def test_a_failed_run_in_any_interleaving_poisons_nothing(picks):
 
 def test_a_failed_shard_fails_the_merge_and_writes_no_merged_result():
     bad = req(query="q12", protocol="nope", rate=240.0)
-    runner = InterleavedRunner((1, 0), jobs=3)
-    merged = submit_sharded(bad, SHARDS, runner)
+    runner = InterleavedRunner((2, 0), jobs=3)
     good = runner.submit(req())
-    failures = _drain_collecting_failures(runner)
-    # both shards die; the group fails once, with the first to land
-    assert sorted(f.request.shard_index for f in failures) == [0, 1]
+    # the group fails with the first shard to land, by name
     with pytest.raises(RunFailed, match=r"shard=1/2") as raised:
-        merged.result()
-    assert raised.value is failures[0]
-    assert merged_result_key(bad, SHARDS) not in runner._memory
+        run_sharded(bad, SHARDS, runner)
+    assert raised.value.request.shard_index == 1
+    # the other shard dies too, to whoever drains; nothing else does
+    failures = _drain_collecting_failures(runner)
+    assert [f.request.shard_index for f in failures] == [0]
     assert good.result() is not None
     assert runner._pending == {} and runner._inflight == {}
+    # the memo holds results under request keys, and nothing merged
+    assert set(runner._memory) == {request_key(req())}

@@ -9,6 +9,9 @@ the structural validation, and pins the shard coordinates into the run
 cache's address.
 """
 
+import hashlib
+import pickle
+
 import pytest
 
 from repro.dataflow.graph import GraphError, LogicalGraph, Partitioning
@@ -320,6 +323,31 @@ def test_run_sharded_matches_unsharded_through_runner(tmp_path):
             assert runner.misses == misses_before
     finally:
         QUERIES.pop(spec.name, None)
+
+
+#: sha256 of ``pickle.dumps`` of the merged result of a 2-way split of
+#: q12 at 240 rec/s, recorded before ``run_sharded`` became a ``map``
+_MERGED_PICKLES = {
+    "unc": "04a13b587fb83c3facb51cc1d3f0d1c8e395af62b6025ab839b1e25fd9aac6ee",
+    "none": "405341c51dd18df66f957942dedbbb979ab3777966ded60d3357afa1e5f22b2b",
+}
+
+
+@pytest.mark.parametrize("jobs", [None, 1, 2])
+@pytest.mark.parametrize("protocol", sorted(_MERGED_PICKLES))
+def test_merged_result_is_the_same_bytes_whoever_ran_the_shards(protocol,
+                                                                jobs):
+    """No runner, a serial one, a pool: one merged pickle, two misses."""
+    request = RunRequest("q12", protocol, 2, 240.0, duration=3.0, warmup=1.0,
+                         checkpoint_interval=1.0, seed=7)
+    if jobs is None:
+        merged = run_sharded(request, 2)
+    else:
+        with ParallelRunner(jobs=jobs) as runner:
+            merged = run_sharded(request, 2, runner)
+        assert (runner.hits, runner.misses, runner.deduped) == (0, 2, 0)
+    assert hashlib.sha256(pickle.dumps(merged)).hexdigest() \
+        == _MERGED_PICKLES[protocol]
 
 
 def test_sharded_latency_samples_union_to_the_unsharded_population():

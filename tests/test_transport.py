@@ -139,7 +139,7 @@ def test_gate_refusal_blocks_in_place():
     refused = router.take_ready(gate=lambda eid, dst, nbytes, nrecords: False)
     assert refused == []
     [(eid, dst)] = list(router.blocked_keys)
-    assert router.staged_bytes_for(eid, dst) == 80
+    assert router.staged_for(eid, dst)[0] == 80
     # credit returns: the whole buffer leaves as one message
     records, nbytes = router.take_channel(eid, dst)
     assert len(records) == 2 and nbytes == 80
