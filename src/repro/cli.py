@@ -20,8 +20,9 @@ cache-stats DIR
     Inspect a run-cache directory: entries, bytes, compression ratio.
 
 ``--jobs 0`` (or ``--jobs auto``) resolves to ``os.cpu_count()`` on
-``run``/``all``/``query``, announced in the banner the same way
-``--shards auto`` announces its resolution.
+``run``/``all``/``query``, announced in a banner.  Ctrl-C on any of the
+three prints ``interrupted: <n> finished, <m> in flight abandoned`` on
+stderr and exits 130; finished runs stay in ``--cache-dir``.
 """
 
 from __future__ import annotations
@@ -52,10 +53,18 @@ from repro.workloads.nexmark import QUERIES
 
 
 def _count_or_auto(value: str) -> int | str:
-    """Parse ``--shards`` / ``--jobs``: an integer count or ``auto``."""
+    """Parse ``--jobs``: an integer count or ``auto``."""
     if value == "auto":
         return value
     return int(value)
+
+
+def _positive_int(value: str) -> int:
+    """Parse ``--shards``: a whole number of at least one."""
+    number = int(value)
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value!r}")
+    return number
 
 
 def _positive_float(value: str) -> float:
@@ -76,11 +85,8 @@ def _ratio(value: str) -> float:
 
 
 def _resolve_jobs(jobs: int | str) -> int:
-    """Resolve ``--jobs``: 0 / ``auto`` means one worker per CPU.
-
-    Prints a banner when a resolution actually happened, mirroring the
-    ``--shards auto`` announcement.
-    """
+    """Resolve ``--jobs``: 0 / ``auto`` means one worker per CPU (a
+    banner says so when a resolution actually happened)."""
     if jobs == "auto" or jobs == 0:
         resolved = max(1, os.cpu_count() or 1)
         print(f"[jobs] resolved to {resolved} worker process(es) "
@@ -150,13 +156,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="per-channel credit budget in bytes for "
                             "credit-based flow control; 0 (default) keeps "
                             "channels unbounded (DESIGN.md §13)")
-    query.add_argument("--shards", type=_count_or_auto, default=1,
+    query.add_argument("--shards", type=_positive_int, default=1,
                        help="split this one run into N independent "
                             "key-group shards and merge their results "
                             "(requires all source out-edges to be "
-                            "KEY-partitioned; DESIGN.md §15); 'auto' "
-                            "picks a count from the run size and the "
-                            "DESIGN.md §16 eligibility gates")
+                            "KEY-partitioned); only the record-additive "
+                            "statistics equal the unsharded run's "
+                            "(DESIGN.md §15)")
     query.add_argument("--jobs", type=_count_or_auto, default=0,
                        help="worker processes for --shards; 0 or 'auto' "
                             "(the default) resolves to os.cpu_count()")
@@ -181,10 +187,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                           "(default: 1; 0 or 'auto': one per CPU)")
     sub.add_argument("--cache-dir", default=None,
                      help="content-addressed run cache shared across invocations")
-    sub.add_argument("--no-auto-shard", action="store_true",
-                     help="keep large shardable runs unsharded instead of "
-                          "auto-splitting them along key groups when "
-                          "--jobs > 1 (DESIGN.md §16)")
 
 
 def _resolve_scale(args):
@@ -219,7 +221,6 @@ def _install_runner(args) -> ParallelRunner | None:
     Returns None when neither is asked for: the harness then runs on its
     own serial runner.
     """
-    figures.set_auto_shard(not args.no_auto_shard)
     jobs = _resolve_jobs(args.jobs)
     if jobs <= 1 and args.cache_dir is None:
         return None
@@ -229,13 +230,20 @@ def _install_runner(args) -> ParallelRunner | None:
 
 
 def _teardown_runner(runner: ParallelRunner | None) -> None:
-    figures.set_auto_shard(True)
     if runner is None:
         return
     figures.set_runner(None)
     runner.close()
     print(f"[cache] served={runner.hits} simulated={runner.misses} "
           f"hit-ratio={runner.hit_ratio:.0%}")
+
+
+def _interrupted(runner: ParallelRunner) -> int:
+    """Ctrl-C: drop the pool and what is in flight, say so, exit 130."""
+    finished, abandoned = runner.finished, runner.close()
+    print(f"interrupted: {finished} finished, {abandoned} in flight "
+          "abandoned", file=sys.stderr)
+    return 130
 
 
 def _cmd_run(args) -> int:
@@ -245,6 +253,8 @@ def _cmd_run(args) -> int:
     started = time.time()
     try:
         out = fn(scale)
+    except KeyboardInterrupt:
+        return _interrupted(figures.get_runner())
     finally:
         _teardown_runner(runner)
     _emit(args.out, args.experiment, out["text"])
@@ -275,6 +285,8 @@ def _cmd_all(args) -> int:
             print(f"[{name}] scale={scale.name} wall={time.time() - started:.1f}s\n")
             if not all(ok for _, ok in out["checks"]):
                 status = 1
+    except KeyboardInterrupt:
+        return _interrupted(figures.get_runner())
     finally:
         _teardown_runner(runner)
     return status
@@ -284,7 +296,7 @@ def _cmd_query(args) -> int:
     spec = REACHABILITY if args.name == "reachability" else QUERIES[args.name]
     rate = (args.rate if args.rate is not None
             else spec.capacity_per_worker * args.parallelism * 0.6)
-    from repro.experiments.sharding import auto_shard_count, run_sharded
+    from repro.experiments.sharding import run_sharded
 
     request = RunRequest(
         query=spec.name, protocol=args.protocol,
@@ -319,20 +331,19 @@ def _cmd_query(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    jobs = _resolve_jobs(args.jobs)
-    shards = args.shards
-    if shards == "auto":
-        shards = auto_shard_count(request, jobs=jobs)
-        print(f"[auto-shard] resolved to {shards} shard(s) "
-              "(DESIGN.md §16 gates)")
-    if shards > 1:
-        jobs = min(jobs, shards)
-        with ParallelRunner(jobs=jobs) as runner:
-            result = run_sharded(request, shards, runner=runner)
-        print(f"[sharded] {shards} key-group shards across "
+    jobs = min(_resolve_jobs(args.jobs), args.shards)
+    with ParallelRunner(jobs=jobs) as runner:
+        try:
+            result = (run_sharded(request, args.shards, runner)
+                      if args.shards > 1 else execute_request(request))
+        except KeyboardInterrupt:
+            return _interrupted(runner)
+    if args.shards > 1:
+        print(f"[sharded] {args.shards} key-group shards across "
               f"{jobs} worker processes")
-    else:
-        result = execute_request(request)
+        print("[sharded] only record counts and data bytes equal the "
+              "unsharded run's: checkpoint counts are per-shard sums, "
+              "durations are over shard-sized state (DESIGN.md §15)")
     series = result.latency_series()
     p50 = percentile([v for v in series.p50 if v > 0], 50)
     p99 = percentile([v for v in series.p99 if v > 0], 50)

@@ -446,11 +446,6 @@ class RouterBuffer:
         self._pop(edge_id, dst, buf, blocked=(edge_id, dst) in self._blocked)
         return buf.records, buf.bytes
 
-    def staged_bytes_for(self, edge_id: int, dst: int) -> int:
-        """Bytes currently staged for one (edge, dst) buffer."""
-        buf = self._by_edge[edge_id].get(dst)
-        return buf.bytes if buf is not None else 0
-
     def staged_for(self, edge_id: int, dst: int) -> tuple[int, int]:
         """(bytes, records) currently staged for one (edge, dst) buffer."""
         buf = self._by_edge[edge_id].get(dst)

@@ -26,11 +26,6 @@ comparisons that matter are the *shapes*: who wins, by what factor, and
 where the crossovers sit.  Each block below ends with the shape claims
 checked programmatically against the measured data ([PASS]/[FAIL]).
 
-Large shardable steady-state runs are split across key-group shards by
-default and merged additively (DESIGN.md section 16) — an
-output-preserving transformation, so the numbers below are unaffected;
-pass `--no-auto-shard` to force every run unsharded.
-
 Scale: `{scale}`.  Generated: {generated}.
 """
 

@@ -27,13 +27,7 @@ from repro.experiments.parallel import (
     MstRequest,
     ParallelRunner,
     RunRequest,
-    estimate_cost,
     resolve_spec,
-)
-from repro.experiments.sharding import (
-    auto_shard_count,
-    run_sharded,
-    submit_sharded,
 )
 from repro.metrics.report import format_table, shape_report
 from repro.metrics.series import percentile
@@ -49,10 +43,6 @@ _installed: ParallelRunner | None = None
 
 #: the runner used while none is installed: serial, created on first use
 _serial: ParallelRunner | None = None
-
-#: default-on intra-run sharding of large shardable steady runs
-#: (DESIGN.md section 16); the CLI's ``--no-auto-shard`` clears it
-_AUTO_SHARD = True
 
 
 def set_runner(runner: ParallelRunner | None) -> None:
@@ -72,42 +62,13 @@ def get_runner() -> ParallelRunner:
     return _serial
 
 
-def set_auto_shard(enabled: bool) -> None:
-    """Enable/disable default sharding of large figure runs."""
-    global _AUTO_SHARD
-    _AUTO_SHARD = enabled
-
-
-def get_auto_shard() -> bool:
-    """Whether large shardable runs auto-split (DESIGN.md section 16)."""
-    return _AUTO_SHARD
-
-
-def _shards_for(request: RunRequest | MstRequest) -> int:
-    """Shard count this request runs at under the current runner.
-
-    Sharding needs the runner's worker pool to win wall-clock, so the
-    policy is capped by its job count (a serial runner never shards);
-    the correctness gates live in :func:`auto_shard_count`.
-    """
-    if not _AUTO_SHARD or type(request) is not RunRequest:
-        return 1
-    return auto_shard_count(request, jobs=get_runner().jobs)
-
-
 def _fetch(request: RunRequest | MstRequest) -> Any:
     """One result, through the runner (memo, then disk cache, then run).
 
-    Large shardable steady runs auto-split into key-group shards first
-    (DESIGN.md section 16): :func:`_shards_for` picks the count, and the
-    additive merge in :mod:`repro.experiments.sharding` keeps the fields
-    figures consume identical to the unsharded run.
+    A request is always executed as itself: what a figure reports never
+    depends on the runner's worker count (DESIGN.md section 16).
     """
-    runner = get_runner()
-    shards = _shards_for(request)
-    if shards > 1:
-        return run_sharded(request, shards, runner=runner)
-    result = runner.run(request)
+    result = get_runner().run(request)
     if isinstance(request, MstRequest) and result.bracket_exhausted:
         # fail here with the real cause — an MST of 0.0 would otherwise
         # surface as a cryptic "rate must be positive" deep in the
@@ -126,24 +87,14 @@ def _prefetch(requests: Iterable[RunRequest | MstRequest]) -> None:
     """Stream a batch of independent requests through the shared scheduler.
 
     Results land in the runner's memo, so the per-cell :func:`_fetch`
-    calls that follow are pure hits.  A no-op on a serial runner, which
-    computes each request on first use.  Requests the auto-shard policy
-    would split are submitted as shard groups whose merge fires the
-    moment their last shard lands
-    (:func:`~repro.experiments.sharding.submit_sharded`), so the later
-    :func:`run_sharded` call is a pure memo hit; everything shares the
-    runner's one pool, longest-first, with short runs backfilling the tail.
+    calls that follow are pure hits: one ``map()`` — longest-first,
+    duplicates folded, short runs backfilling the tail.  A no-op on a
+    serial runner, which computes each request on first use (an MST
+    search then routes its probes through the cache one by one).
     """
     runner = get_runner()
-    if runner.jobs <= 1:
-        return
-    for request in sorted(requests, key=estimate_cost, reverse=True):
-        shards = _shards_for(request)
-        if shards > 1:
-            submit_sharded(request, shards, runner)
-        else:
-            runner.submit(request)
-    runner.drain()
+    if runner.jobs > 1:
+        runner.map(list(requests))
 
 
 def _mst_request(query: str, protocol: str, parallelism: int,

@@ -17,11 +17,10 @@ its :class:`RunRequest`, so two things follow (DESIGN.md section 9):
 :class:`RunHandle`, ``map()`` submits a batch **longest-first** (ordered
 by :func:`estimate_cost`, so stragglers start early and short runs
 backfill the tail) and drains completions as they land instead of
-barriering on a ``pool.map``.  Shard fan-outs, figure-harness batches and
-whole MST searches all submit into this one shared pool — no nested
-pools, no per-figure pool churn — and dependency-aware completion
-callbacks (:meth:`ParallelRunner.submit_merged`) run shard merges the
-moment the last shard lands.
+barriering on a ``pool.map``.  Shard groups, figure-harness batches and
+whole MST searches all go into this one shared pool — no nested pools,
+no per-figure pool churn; a dependent group (the shards of one run) is a
+``map()`` batch whose results its caller merges.
 
 What moves between processes is slimmed and compressed: workers compact
 top-level results (:meth:`repro.dataflow.results.RunResult.compact`),
@@ -43,6 +42,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import signal
 import struct
 import tempfile
 import zlib
@@ -54,7 +54,7 @@ from concurrent.futures import (
 )
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from repro.sim.collector import collector_paused
 from repro.sim.costs import RuntimeConfig
@@ -427,9 +427,6 @@ class RunCache:
     def __init__(self, directory: str | os.PathLike):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        #: entry-file count, maintained by ``put`` after the first count
-        #: so ``len(cache)`` stops re-globbing the directory per call
-        self._count: int | None = None
 
     def path(self, key: str) -> Path:
         """On-disk path of the entry stored under ``key``."""
@@ -471,24 +468,20 @@ class RunCache:
         try:
             os.replace(path, path.with_name(path.name + ".bad"))
         except OSError:
-            return  # already moved or rewritten by another process
-        if self._count is not None:
-            self._count -= 1
+            pass  # already moved or rewritten by another process
 
     def put(self, key: str, value: Any) -> None:
         """Atomically write ``value`` under ``key`` (tempfile + rename)."""
         raw = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         payload = (_ENTRY_MAGIC + _ENTRY_HEADER.pack(len(raw))
                    + zlib.compress(raw, 6))
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        # the writer's pid in the name: see discard_partial
+        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp",
+                                   prefix=f"{os.getpid()}-")
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(payload)
-            target = self.path(key)
-            existed = target.exists()
-            os.replace(tmp, target)
-            if self._count is not None and not existed:
-                self._count += 1
+            os.replace(tmp, self.path(key))
         except BaseException:
             try:
                 os.unlink(tmp)
@@ -496,11 +489,11 @@ class RunCache:
                 pass
             raise
 
-    def __len__(self) -> int:
-        """Entry files present (first call globs, then ``put`` maintains)."""
-        if self._count is None:
-            self._count = sum(1 for _ in self.directory.glob("*.pkl"))
-        return self._count
+    def discard_partial(self, pid: int | None) -> None:
+        """Remove the temp files of a writer process that is gone (one
+        killed inside :meth:`put` cannot unlink its own)."""
+        for path in self.directory.glob(f"{pid}-*.tmp"):
+            path.unlink(missing_ok=True)
 
     def stats(self) -> dict[str, float]:
         """One directory scan: entry count, bytes, compression ratio.
@@ -530,7 +523,6 @@ class RunCache:
                     head, len(_ENTRY_MAGIC))[0]
             else:
                 stale += 1
-        self._count = entries + stale
         return {
             "entries": entries,
             "stale_files": stale,
@@ -558,13 +550,11 @@ def _mp_context():
 class RunHandle:
     """One submitted request: resolves as the scheduler drains.
 
-    Handles dedup naturally — every submission of the same request key
-    returns the same handle — and carry completion callbacks, which the
-    drain loop fires in the parent process the moment the underlying
-    future lands (shard merges ride on these).
+    Handles dedup naturally: every submission of a key that is still in
+    flight returns the same handle.
     """
 
-    __slots__ = ("key", "_runner", "_result", "_error", "_done", "_callbacks")
+    __slots__ = ("key", "_runner", "_result", "_error", "_done")
 
     def __init__(self, key: str, runner: "ParallelRunner"):
         self.key = key
@@ -572,28 +562,20 @@ class RunHandle:
         self._result: Any = None
         self._error: RunFailed | None = None
         self._done = False
-        self._callbacks: list[Callable[["RunHandle"], None]] = []
 
     def done(self) -> bool:
         """Has the result (or the failure) landed?"""
         return self._done
-
-    def add_done_callback(self, fn: Callable[["RunHandle"], None]) -> None:
-        """Run ``fn(self)`` on resolution (immediately if already done)."""
-        if self._done:
-            fn(self)
-        else:
-            self._callbacks.append(fn)
 
     def result(self) -> Any:
         """The resolved value, draining the scheduler until it lands.
 
         A handle whose run failed re-raises its :class:`RunFailed`, for
         every waiter: the submitter, a deduped second submitter, the
-        merge of a shard group it was a part of.
+        ``map()`` of a shard group it was a part of.
         """
-        if not self._done:
-            self._runner._drain_until(self)
+        while not self._done:
+            self._runner._wait_some()
         if self._error is not None:
             raise self._error
         return self._result
@@ -603,9 +585,6 @@ class RunHandle:
         self._result = value
         self._error = error
         self._done = True
-        callbacks, self._callbacks = self._callbacks, []
-        for fn in callbacks:
-            fn(self)
 
 
 class ParallelRunner:
@@ -646,11 +625,30 @@ class ParallelRunner:
         #: executing, but not from the cache, so not a hit
         self.deduped = 0
 
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+    def close(self) -> int:
+        """Shut the worker pool down (idempotent); how many runs it dropped.
+
+        Nothing is in flight when a sweep ends normally.  After Ctrl-C or
+        a failure that ended the sweep something may be, and nobody will
+        read it: queued futures are cancelled, the workers terminated,
+        and what a worker killed inside ``RunCache.put`` left behind is
+        removed.  Finished entries stay; the directory is reusable.
+        """
+        abandoned = len(self._inflight)
+        self._inflight.clear()
+        self._pending.clear()
+        pool, self._pool = self._pool, None
+        if pool is None:
+            return abandoned
+        workers = list(pool._processes.values()) if abandoned else []
+        pool.shutdown(wait=not abandoned, cancel_futures=True)
+        for worker in workers:
+            worker.terminate()
+        for worker in workers:
+            worker.join()
+            if self.cache is not None:
+                self.cache.discard_partial(worker.pid)
+        return abandoned
 
     def __enter__(self) -> "ParallelRunner":
         return self
@@ -659,15 +657,17 @@ class ParallelRunner:
         self.close()
 
     def _make_pool(self) -> ProcessPoolExecutor:
-        """Build the persistent worker pool (scheduler tests override)."""
-        return ProcessPoolExecutor(
-            max_workers=self.jobs, mp_context=_mp_context()
-        )
+        """Build the persistent worker pool (scheduler tests override).
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = self._make_pool()
-        return self._pool
+        Workers ignore SIGINT: a terminal's Ctrl-C reaches the whole
+        process group, and it is the parent that decides what happens to
+        them (:meth:`close`).
+        """
+        return ProcessPoolExecutor(
+            max_workers=self.jobs, mp_context=_mp_context(),
+            initializer=signal.signal,
+            initargs=(signal.SIGINT, signal.SIG_IGN),
+        )
 
     # -- cache plumbing ------------------------------------------------- #
 
@@ -687,12 +687,37 @@ class ParallelRunner:
             self.cache.put(key, value)
 
     @property
+    def finished(self) -> int:
+        """Distinct results this runner holds, served or simulated."""
+        return len(self._memory)
+
+    @property
     def hit_ratio(self) -> float:
         """Cache hits over all cache-consulting requests."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
     # -- scheduler core -------------------------------------------------- #
+
+    def _claim(self, key: str) -> RunHandle | None:
+        """The one admission step behind ``run`` / ``submit`` / ``map``.
+
+        The handle of a key already in flight (``deduped``), a resolved
+        one for a key the memo or the disk cache holds (``hits``), or
+        ``None`` — a miss, counted here, that the caller must execute.
+        """
+        pending = self._pending.get(key)
+        if pending is not None:
+            self.deduped += 1
+            return pending
+        found, value = self._lookup(key)
+        if not found:
+            self.misses += 1
+            return None
+        self.hits += 1
+        handle = RunHandle(key, self)
+        handle._resolve(value)
+        return handle
 
     def submit(self, request: "RunRequest | MstRequest") -> RunHandle:
         """Enqueue one request into the shared scheduler, cache-first.
@@ -702,69 +727,18 @@ class ParallelRunner:
         (or, with ``jobs=1``, executed inline before returning).
         """
         key = request_key(request)
-        pending = self._pending.get(key)
-        if pending is not None:
-            self.deduped += 1
-            return pending
-        found, value = self._lookup(key)
-        if found:
-            self.hits += 1
-            return self._resolved_handle(key, value)
-        self.misses += 1
-        return self._launch(key, request)
-
-    def submit_merged(self, key: str, requests: "list[RunRequest]",
-                      merge: Callable[[list[Any]], Any]) -> RunHandle:
-        """Submit a dependent group; ``merge`` runs when the last lands.
-
-        The merged value is memoised in-process under ``key`` (the parts
-        are what the disk cache holds), and the merge callback fires from
-        the drain loop the moment the final part resolves — shard merges
-        do not wait for unrelated work elsewhere in the batch.
-        """
-        if key in self._memory:
-            self.hits += 1
-            return self._resolved_handle(key, self._memory[key])
-        parts = [(index, estimate_cost(request))
-                 for index, request in enumerate(requests)]
-        parts.sort(key=lambda part: -part[1])  # stable: ties keep order
-        handles: list[RunHandle] = [None] * len(requests)  # type: ignore[list-item]
-        for index, _ in parts:
-            handles[index] = self.submit(requests[index])
-        merged = RunHandle(key, self)
-        remaining = [len(handles)]
-
-        def _on_part_done(part: RunHandle) -> None:
-            if merged._done:
-                return  # an earlier part already failed the group
-            if part._error is not None:
-                merged._resolve(error=part._error)
-                return
-            remaining[0] -= 1
-            if remaining[0] == 0:
-                value = merge([handle._result for handle in handles])
-                self._memory[key] = value
-                merged._resolve(value)
-
-        for handle in handles:
-            handle.add_done_callback(_on_part_done)
-        return merged
+        return self._claim(key) or self._launch(key, request)
 
     def drain(self) -> None:
         """Block until every in-flight submission has resolved."""
         while self._inflight:
             self._wait_some()
 
-    def _resolved_handle(self, key: str, value: Any) -> RunHandle:
-        handle = RunHandle(key, self)
-        handle._resolve(value)
-        return handle
-
     def _launch(self, key: str, request: "RunRequest | MstRequest") -> RunHandle:
         handle = RunHandle(key, self)
         if self.jobs <= 1:
             try:
-                value = compact_result(request, self._execute_inline(request))
+                value = compact_result(request, execute_any(request))
             except Exception as exc:
                 raise RunFailed(request, key, exc)
             self._store(key, value)
@@ -773,15 +747,12 @@ class ParallelRunner:
         self._pending[key] = handle
         cache_dir = (str(self.cache.directory)
                      if self.cache is not None else None)
-        future = self._ensure_pool().submit(
-            execute_and_store, request, cache_dir)
+        if self._pool is None:
+            self._pool = self._make_pool()
+        future = self._pool.submit(execute_and_store, request, cache_dir)
         self._inflight[future] = (self._submit_seq, key, request, handle)
         self._submit_seq += 1
         return handle
-
-    def _execute_inline(self, request: "RunRequest | MstRequest") -> Any:
-        """Serial in-process execution (the ``jobs=1`` degradation)."""
-        return execute_any(request)
 
     def _wait_any(self, futures: "set[Any]") -> "set[Any]":
         """Block until at least one future completes (test seam: the
@@ -838,13 +809,9 @@ class ParallelRunner:
             # (e.g. a concurrent cache prune); the marker alone cannot
             # rebuild the result, so recompute inline — correctness over
             # speed on this cold path
-            value = compact_result(request, self._execute_inline(request))
+            value = compact_result(request, execute_any(request))
         self._store(key, value)
         return value
-
-    def _drain_until(self, handle: RunHandle) -> None:
-        while not handle._done:
-            self._wait_some()
 
     # -- execution ------------------------------------------------------ #
 
@@ -857,16 +824,9 @@ class ParallelRunner:
         re-bracketing reuses them.
         """
         key = request_key(request)
-        pending = self._pending.get(key)
-        if pending is not None:
-            # already in flight from an earlier submit: wait for it
-            self.deduped += 1
-            return pending.result()
-        found, value = self._lookup(key)
-        if found:
-            self.hits += 1
-            return value
-        self.misses += 1
+        claimed = self._claim(key)
+        if claimed is not None:
+            return claimed.result()  # a hit, or the wait for one in flight
         try:
             if isinstance(request, MstRequest):
                 result = execute_mst(request, runner=self)
@@ -891,35 +851,21 @@ class ParallelRunner:
         the tail instead of waiting behind a batch barrier.
         """
         keys = [request_key(r) for r in requests]
-        resolved: dict[str, Any] = {}
         handles: dict[str, RunHandle] = {}
         missing: dict[str, Any] = {}
         for key, request in zip(keys, requests):
-            if key in resolved:
-                self.hits += 1
-                continue
-            if key in missing or key in handles:
+            if key in missing:
+                # a miss of this batch, not launched yet: nothing for
+                # _claim to find, so the fold is counted here
                 self.deduped += 1
                 continue
-            pending = self._pending.get(key)
-            if pending is not None:
-                # in flight from an earlier submit (cross-batch dedup)
-                self.deduped += 1
-                handles[key] = pending
-                continue
-            found, value = self._lookup(key)
-            if found:
-                self.hits += 1
-                resolved[key] = value
-            else:
-                self.misses += 1
+            claimed = self._claim(key)
+            if claimed is None:
                 missing[key] = request
-        order = list(missing.items())
-        order.sort(key=lambda item: -estimate_cost(item[1]))  # stable sort:
-        # equal-cost requests keep submission (request) order
-        for key, request in order:
+            else:
+                handles[key] = claimed
+        # stable sort: equal-cost requests keep request order
+        for key, request in sorted(missing.items(),
+                                   key=lambda item: -estimate_cost(item[1])):
             handles[key] = self._launch(key, request)
-        for handle in handles.values():
-            handle.result()
-        return [resolved[key] if key in resolved else handles[key]._result
-                for key in keys]
+        return [handles[key].result() for key in keys]

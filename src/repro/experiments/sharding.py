@@ -23,12 +23,16 @@ Soundness rests on key-group isolation, checked structurally by
 
 Under those checks every input record's entire downstream effect (derived
 records, keyed state, sink outputs) stays inside its own shard, so for a
-drained run the merged per-key state and the additive counters (sink /
-ingest counts, data and protocol bytes, checkpoint accounting) equal the
-unsharded run's.  Load-dependent measurements — latencies, queue peaks,
-blocked time — reflect each shard running at ``1/shard_count`` of the
-offered load and are merged best-effort, never invented; the docstring of
-:func:`merge_metrics` spells out each field's rule.
+drained run the merged per-key state and the record-additive counters
+(sink / ingest counts, records sent, data bytes) equal the unsharded
+run's.  Nothing else does: every shard runs the full deployment and its
+own checkpoint schedule over ``1/shard_count`` of the load, so checkpoint
+counts are per-shard sums, checkpoint durations are taken over
+shard-sized state, and latencies, queue peaks and blocked time are what
+the lighter load produced — merged best-effort, never invented; the
+docstring of :func:`merge_metrics` spells out each field's rule.  A
+sharded run is therefore something a caller asks for by count
+(``repro query --shards N``), never a substitute the harness picks.
 """
 
 from __future__ import annotations
@@ -187,77 +191,6 @@ def shard_requests(request: "RunRequest",
             for index in range(shard_count)]
 
 
-#: target records per shard for ``--shards auto``: below roughly twice
-#: this the fixed per-shard overhead (graph build, checkpoint streams,
-#: result merge) outweighs the fan-out win
-AUTO_SHARD_MIN_RECORDS = 100_000
-
-#: hard cap on what the auto policy ever picks; beyond this the merge
-#: and per-shard warmup costs dominate on the shipped workloads
-AUTO_SHARD_MAX = 8
-
-
-def auto_shard_count(request: "RunRequest", jobs: int = 0) -> int:
-    """The shard count ``--shards auto`` resolves to (1 = run unsharded).
-
-    Auto-sharding must never change what a figure reports, so it engages
-    only when the split is provably output-preserving for the fields the
-    harness consumes — the record-additive ones (sink/ingest counts,
-    records sent, data bytes, per-key state).  Every gate below guards
-    one way that guarantee can break:
-
-    * already a shard, or the graph fails :func:`validate_shardable`
-      (re-keying, broadcast) — the split is structurally unsound;
-    * failure, rescale, or a failure scenario — those inject *global
-      instants* (detection, restart, availability) that a merge of
-      independent sub-runs can only approximate;
-    * adaptive checkpoint intervals — the controller feeds on run-wide
-      load, which each shard would observe at ``1/shard_count``;
-    * bounded channels (backpressure) or hot-key skew — load-dependent
-      behaviour, and each shard runs at a fraction of the offered load;
-    * a non-steady arrival process — its load shape (spikes, bursts,
-      key drift) is likewise observed at a fraction per shard;
-    * estimated input below ``2 * AUTO_SHARD_MIN_RECORDS`` — too small
-      for the split overhead to pay for itself.
-
-    The count is the estimated record volume over
-    :data:`AUTO_SHARD_MIN_RECORDS`, capped by :data:`AUTO_SHARD_MAX`,
-    the key-group space, and ``jobs`` when positive (shards beyond the
-    worker count only add merge overhead).
-    """
-    from repro.experiments.parallel import resolve_spec
-
-    if request.shard_index is not None:
-        return 1
-    if request.failure_at is not None or request.failure_scenario:
-        return 1
-    if request.rescale_to is not None:
-        return 1
-    if request.interval_policy != "fixed":
-        return 1
-    if request.channel_capacity_bytes:
-        return 1
-    if request.hot_ratio > 0:
-        return 1
-    if request.arrival is not None:
-        return 1
-    estimated = request.rate * (request.warmup + request.duration)
-    count = int(estimated // AUTO_SHARD_MIN_RECORDS)
-    if count < 2:
-        return 1
-    count = min(count, AUTO_SHARD_MAX, request.max_key_groups)
-    if jobs > 0:
-        count = min(count, jobs)
-    if count < 2:
-        return 1
-    try:
-        spec = resolve_spec(request.query)
-        validate_shardable(spec.build_graph(request.parallelism))
-    except (GraphError, KeyError, ValueError):
-        return 1
-    return count
-
-
 # --------------------------------------------------------------------- #
 # Merging
 # --------------------------------------------------------------------- #
@@ -282,10 +215,20 @@ def _merge_outages(parts: list[MetricsCollector]) -> list[list[float]]:
 def merge_metrics(parts: list[MetricsCollector]) -> MetricsCollector:
     """Merge per-shard collectors into one run-level collector.
 
-    Additive fields (exact — every record lives in exactly one shard):
-    sink/ingest counts, latency samples, data/protocol/message/record
-    counters, checkpoint events and byte accounting, replay counters,
-    blocked-time totals, per-group state bytes.
+    Record-additive fields — the only ones that equal the unsharded
+    run's, because every record lives in exactly one shard: sink/ingest
+    counts, the latency sample *population*, records sent, data bytes,
+    per-group state bytes.
+
+    Per-shard sums that do **not** equal the unsharded run's: each shard
+    is a full deployment on its own checkpoint schedule, so checkpoint
+    events, forced checkpoints and checkpoint bytes add up to
+    ``shard_count`` runs' worth, each taken over shard-sized state (a
+    2-way split of q12/coor at p=8: 192 checkpoints for the unsharded
+    run's 96, averaging 70.61 ms against 117.33 ms — the table is in
+    DESIGN.md section 15); protocol bytes, message
+    counts, replay counters and blocked-time totals likewise add what
+    each shard saw at ``1/shard_count`` of the load.
 
     Best-effort fields (shards are separate processes, so no global
     instant exists): failure stamps take the earliest detection and the
@@ -434,48 +377,17 @@ def merge_shard_results(results: list[RunResult]) -> RunResult:
     ))
 
 
-def merged_result_key(request: "RunRequest", shard_count: int) -> str:
-    """In-process memo key for the merged result of a shard group.
-
-    Distinct from every request key (the disk cache holds the per-shard
-    parts; the merged result is memoised in the runner only), and bound
-    to the shard count — the same run merged from a different split is a
-    different computation.
-    """
-    from repro.experiments.parallel import request_key
-
-    return f"{request_key(request)}:merged{shard_count}"
-
-
-def submit_sharded(request: "RunRequest", shard_count: int,
-                   runner: "ParallelRunner"):
-    """Submit a shard group into the runner's machine-wide scheduler.
-
-    Returns a :class:`~repro.experiments.parallel.RunHandle` whose value
-    is the merged :class:`~repro.dataflow.results.RunResult`.  Shards are
-    submitted longest-first alongside whatever else is in flight, and the
-    merge runs as a completion callback the moment the last shard lands —
-    it never waits for unrelated runs in the same batch.
-    """
-    requests = shard_requests(request, shard_count)
-    return runner.submit_merged(merged_result_key(request, shard_count),
-                                requests, merge_shard_results)
-
-
 def run_sharded(request: "RunRequest", shard_count: int,
                 runner: "ParallelRunner | None" = None) -> RunResult:
     """Execute ``request`` as ``shard_count`` key-group shards and merge.
 
-    With a :class:`~repro.experiments.parallel.ParallelRunner` attached
-    the shards stream through its shared scheduler (and land in its run
-    cache individually — a later re-run at a different shard count reuses
-    nothing, a re-run at the same count reuses everything); without one
-    they execute serially in-process, which is still useful for the
-    differential tests and for cache warming.
+    The shards are one :meth:`~repro.experiments.parallel.ParallelRunner.map`
+    batch — through ``runner``'s scheduler and cache next to whatever else
+    is in flight there, or through a serial runner of their own.  The
+    parts are what a cache holds (a re-run at the same count reuses them
+    all, at another count none); the merged result is stored nowhere.
     """
-    from repro.experiments.parallel import execute_request
+    from repro.experiments.parallel import ParallelRunner
 
-    if runner is not None:
-        return submit_sharded(request, shard_count, runner).result()
-    requests = shard_requests(request, shard_count)
-    return merge_shard_results([execute_request(shard) for shard in requests])
+    return merge_shard_results((runner or ParallelRunner()).map(
+        shard_requests(request, shard_count)))

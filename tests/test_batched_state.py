@@ -1,6 +1,6 @@
-"""Batched keyed-state kernels and default sharding (DESIGN.md section 16).
+"""Batched keyed-state kernels (DESIGN.md section 16).
 
-Three acceptance properties ride on this file:
+Two acceptance properties ride on this file:
 
 * **kernel equivalence** — every batch kernel on the state layer
   (``get_many``/``put_many``/``delete_many``/``append_many``) must be
@@ -13,16 +13,11 @@ Three acceptance properties ride on this file:
 * **split invariance** — every library operator's ``process_batch`` must
   produce the same outputs, state, delta and timers whether a batch
   arrives whole or cut into pieces (down to singletons), so a grouped
-  kernel can never diverge from the record-at-a-time fold it replaces;
-* **auto-shard neutrality** — ``--shards auto`` (the figure harness's
-  default sharding) must engage only when the key-group split is
-  output-preserving, and an auto-sharded figure run must match the
-  unsharded ground truth on every record-additive field.
+  kernel can never diverge from the record-at-a-time fold it replaces.
 """
 
 from __future__ import annotations
 
-import argparse
 import inspect
 import pickle
 
@@ -30,8 +25,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 import repro.dataflow.operators as operators
-import repro.experiments.sharding as sharding
-from repro import cli
 from repro.dataflow.batch import RecordBatch
 from repro.dataflow.operators import (
     FilterOperator,
@@ -51,17 +44,6 @@ from repro.dataflow.operators import (
     WindowedJoinOperator,
 )
 from repro.dataflow.state import KeyedListState, KeyedMapState
-from repro.experiments import figures
-from repro.experiments.parallel import (
-    ParallelRunner,
-    RunRequest,
-    execute_request,
-)
-from repro.experiments.sharding import AUTO_SHARD_MAX, auto_shard_count
-from repro.workloads.nexmark.queries import QUERIES
-from repro.workloads.spec import QuerySpec
-
-from tests.conftest import build_count_graph, make_event_log
 
 
 # --------------------------------------------------------------------- #
@@ -350,128 +332,3 @@ def test_process_batch_is_split_invariant(name, prefix, rows, cuts,
     assert _feed(name, seeded, _cut(batch, cuts), port, armed) == whole
     assert _feed(name, seeded, _cut(batch, range(1, len(batch))),
                  port, armed) == whole
-
-
-# --------------------------------------------------------------------- #
-# Auto-shard policy gates
-# --------------------------------------------------------------------- #
-
-_BIG = dict(query="q12", protocol="unc", parallelism=4, rate=10_000.0,
-            duration=60.0, warmup=10.0)
-
-
-def test_auto_shard_engages_on_large_shardable_steady_run():
-    count = auto_shard_count(RunRequest(**_BIG))
-    assert 2 <= count <= AUTO_SHARD_MAX
-
-
-def test_auto_shard_caps_at_the_worker_count():
-    assert auto_shard_count(RunRequest(**_BIG), jobs=2) == 2
-    assert auto_shard_count(RunRequest(**_BIG), jobs=1) == 1
-
-
-@pytest.mark.parametrize("override", [
-    {"rate": 500.0},                      # below the size threshold
-    {"failure_at": 10.0},                 # global failure instant
-    {"failure_scenario": "single:at=18"},
-    {"failure_at": 10.0, "rescale_to": 6},
-    {"interval_policy": "adaptive"},      # run-wide feedback controller
-    {"hot_ratio": 0.5},                   # load-dependent skew
-    {"channel_capacity_bytes": 4096},     # load-dependent backpressure
-    {"query": "q1"},                      # forward source edge: unshardable
-])
-def test_auto_shard_declines_non_neutral_requests(override):
-    assert auto_shard_count(RunRequest(**{**_BIG, **override})) == 1
-
-
-def test_auto_shard_declines_requests_that_are_already_shards():
-    from dataclasses import replace
-
-    shard = replace(RunRequest(**_BIG), shard_index=0, shard_count=4)
-    assert auto_shard_count(shard) == 1
-
-
-def test_shards_for_requires_a_runner_and_the_flag():
-    request = RunRequest(**_BIG)
-    assert figures._shards_for(request) == 1  # no runner installed: serial
-    figures.set_auto_shard(False)
-    try:
-        assert figures.get_auto_shard() is False
-    finally:
-        figures.set_auto_shard(True)
-
-
-def test_cli_no_auto_shard_flag_wires_through_install():
-    args = argparse.Namespace(jobs=1, cache_dir=None, no_auto_shard=True)
-    assert cli._install_runner(args) is None
-    try:
-        assert figures.get_auto_shard() is False
-    finally:
-        cli._teardown_runner(None)
-    assert figures.get_auto_shard() is True
-
-
-def test_cli_shards_arg_accepts_auto_and_integers():
-    assert cli._count_or_auto("auto") == "auto"
-    assert cli._count_or_auto("3") == 3
-    with pytest.raises(ValueError):
-        cli._count_or_auto("many")
-
-
-# --------------------------------------------------------------------- #
-# Auto-sharded figure runs == unsharded ground truth
-# --------------------------------------------------------------------- #
-
-
-def _probe_spec() -> QuerySpec:
-    """Registered-by-name shardable spec whose input stops early, so the
-    unsharded run drains and additive totals are exact."""
-
-    def build_graph(parallelism: int):
-        return build_count_graph()
-
-    def build_inputs(rate, until, parallelism, hot_ratio, seed, arrival=None):
-        return {"events": make_event_log(rate, 8.0, parallelism, seed=seed)}
-
-    return QuerySpec(
-        name="_auto_shard_probe",
-        description="auto-sharding integration probe",
-        build_graph=build_graph,
-        build_inputs=build_inputs,
-        capacity_per_worker=500.0,
-    )
-
-
-def test_auto_sharded_figure_run_matches_unsharded(tmp_path, monkeypatch):
-    """With the size threshold lowered, ``_fetch`` auto-splits the run
-    and the merged result matches the serial unsharded run on every field
-    the figures consume (sink/ingest totals, records sent)."""
-    monkeypatch.setattr(sharding, "AUTO_SHARD_MIN_RECORDS", 1_000)
-    spec = _probe_spec()
-    QUERIES[spec.name] = spec
-    try:
-        request = RunRequest(spec.name, "unc", 2, 240.0,
-                             duration=16.0, warmup=2.0, seed=3)
-        assert auto_shard_count(request, jobs=2) == 2
-        ground = execute_request(request)
-        with ParallelRunner(jobs=2, cache_dir=tmp_path) as runner:
-            figures.set_runner(runner)
-            try:
-                assert figures._shards_for(request) == 2
-                result = figures._fetch(request)
-                # _prefetch expands shardable requests, so a later _fetch
-                # is served entirely from the per-shard cache
-                figures._prefetch([request])
-                misses = runner.misses
-                again = figures._fetch(request)
-            finally:
-                figures.set_runner(None)
-        assert runner.misses == misses
-        for merged in (result, again):
-            assert (merged.metrics.total_sink_records()
-                    == ground.metrics.total_sink_records() > 0)
-            assert merged.metrics.records_sent == ground.metrics.records_sent
-            assert (sum(merged.metrics.ingest_counts.values())
-                    == sum(ground.metrics.ingest_counts.values()))
-    finally:
-        QUERIES.pop(spec.name, None)

@@ -1,8 +1,15 @@
 """CLI smoke tests."""
 
+import os
+import re
+import signal
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
+from repro.experiments import figures
 
 
 def test_list_command(capsys):
@@ -97,7 +104,7 @@ def test_query_rejects_rescale_without_failure(capsys):
     ("--rate", "nan"), ("--rate", "inf"), ("--rate", "-5"), ("--rate", "0"),
     ("--rate", "fast"), ("--duration", "nan"), ("--duration", "inf"),
     ("--duration", "-3"), ("--hot-ratio", "2"), ("--hot-ratio", "-0.1"),
-    ("--hot-ratio", "nan"),
+    ("--hot-ratio", "nan"), ("--shards", "auto"), ("--shards", "0"),
 ])
 def test_query_rejects_a_bad_number_as_a_usage_error(capsys, flag, value):
     # each of these was a traceback out of the generators (exit 1)
@@ -332,6 +339,15 @@ def test_query_says_when_a_worker_index_wraps(capsys):
     assert "wrapped indices" not in capsys.readouterr().out
 
 
+def test_jobs_arg_accepts_auto_and_integers():
+    from repro import cli
+
+    assert cli._count_or_auto("auto") == "auto"
+    assert cli._count_or_auto("3") == 3
+    with pytest.raises(ValueError):
+        cli._count_or_auto("many")
+
+
 def test_query_jobs_auto_banner(capsys):
     # --jobs defaults to 0 == auto: the banner announces the resolution
     code = main([
@@ -380,3 +396,38 @@ def test_cache_stats_command(tmp_path, capsys):
 def test_cache_stats_missing_directory(tmp_path, capsys):
     assert main(["cache-stats", str(tmp_path / "nope")]) == 2
     assert "no cache directory" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(os.name != "posix", reason="process groups and SIGINT")
+def test_ctrl_c_ends_a_sweep_cleanly_and_leaves_the_cache_reusable(tmp_path):
+    """SIGINT to the whole process group, as a terminal sends it: one
+    line on stderr, exit 130, no worker left, no ``*.tmp``, and what had
+    finished is served to the next invocation."""
+    cache, out = tmp_path / "cache", tmp_path / "out"
+    command = [sys.executable, "-m", "repro", "all", "--scale", "quick",
+               "--jobs", "2", "--cache-dir", str(cache), "--out", str(out)]
+    env = {**os.environ, "PYTHONUNBUFFERED": "1",
+           "PYTHONPATH": os.pathsep.join(sys.path)}
+    sweep = subprocess.Popen(command, env=env, text=True,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             start_new_session=True)
+    first = next(iter(figures.ALL_EXPERIMENTS))
+    for line in sweep.stdout:
+        if line.startswith(f"[{first}] scale=quick"):
+            break  # the first figure block is out; the second is running
+    else:
+        pytest.fail("the sweep ended before its first figure block")
+    os.killpg(sweep.pid, signal.SIGINT)
+    _, err = sweep.communicate(timeout=60)
+    assert sweep.returncode == 130
+    assert re.fullmatch(
+        r"interrupted: \d+ finished, \d+ in flight abandoned\n", err), err
+    with pytest.raises(ProcessLookupError):
+        os.killpg(sweep.pid, 0)  # the pool's workers went with it
+    assert list(cache.glob("*.pkl")) and not list(cache.glob("*.tmp"))
+    again = subprocess.run(
+        [sys.executable, "-m", "repro", "run", first, "--scale", "quick",
+         "--jobs", "2", "--cache-dir", str(cache), "--out", str(out)],
+        env=env, text=True, capture_output=True, timeout=120)
+    assert again.returncode == 0, again.stderr
+    assert "simulated=0 hit-ratio=100%" in again.stdout

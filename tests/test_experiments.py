@@ -191,3 +191,50 @@ def test_arrivals_figure_structure():
             assert m["parked"] > 0
         if cap == "tight" and label == "steady":
             assert m["parked"] == 0
+
+
+class _RecordingRunner:
+    """Stands where a ``ParallelRunner(jobs=8)`` would: records every
+    request it is asked for and answers with a canned result."""
+
+    jobs = 8
+
+    def __init__(self):
+        self.asked = []
+
+    def run(self, request):
+        self.asked.append(request)
+        return "canned"
+
+    def submit(self, request):
+        raise AssertionError("the figure driver submits nothing one by one")
+
+    def map(self, requests):
+        return [self.run(request) for request in requests]
+
+
+def test_a_figure_request_is_executed_as_itself_whatever_the_worker_count():
+    """q12 at 10 000 rec/s for 70 s is 700k records — what the auto-shard
+    policy used to split 7 ways on an 8-worker runner, changing fig8's
+    checkpoint statistics with ``--jobs`` (DESIGN.md section 16)."""
+    from repro.experiments.parallel import RunRequest, request_key
+
+    request = RunRequest("q12", "unc", 4, 10_000.0, duration=60.0, warmup=10.0)
+    spec = figures.FigureSpec(
+        name="_one_cell", heading="", note="", title="one cell",
+        headers=("query", "result"),
+        cells=lambda scale: [("q12",)],
+        point=lambda scale, query: request,
+        measure=lambda result, scale, query: result,
+        row=lambda entry, result, scale, query: [query, entry],
+    )
+    runner = _RecordingRunner()
+    figures.set_runner(runner)
+    try:
+        out = figures.run_figure(spec, QUICK)
+    finally:
+        figures.set_runner(None)
+    assert out["measured"] == {("q12",): "canned"}
+    assert {request_key(asked) for asked in runner.asked} \
+        == {request_key(request)}
+    assert all(asked.shard_index is None for asked in runner.asked)

@@ -125,17 +125,17 @@ def test_figure_matches_golden(name, recorder):
 
 class PrefetchRecorder(InterleavedRunner):
     """Two-worker runner on a synchronous fake pool that logs what the
-    driver submits ahead of time and what it then fetches."""
+    driver maps ahead of time and what it then fetches."""
 
     def __init__(self) -> None:
         super().__init__(picks=(), jobs=2)
         self.submitted: set[str] = set()
         self.fetched: set[str] = set()
 
-    def submit(self, request):
-        """Log a prefetched request."""
-        self.submitted.add(request_key(request))
-        return super().submit(request)
+    def map(self, requests):
+        """Log a prefetched batch."""
+        self.submitted.update(map(request_key, requests))
+        return super().map(requests)
 
     def run(self, request):
         """Log a collected request."""

@@ -326,7 +326,7 @@ def test_run_sharded_matches_unsharded_through_runner(tmp_path):
 
 
 #: sha256 of ``pickle.dumps`` of the merged result of a 2-way split of
-#: q12 at 240 rec/s, recorded before ``run_sharded`` became a ``map``
+#: q12 at 240 rec/s, by protocol
 _MERGED_PICKLES = {
     "unc": "04a13b587fb83c3facb51cc1d3f0d1c8e395af62b6025ab839b1e25fd9aac6ee",
     "none": "405341c51dd18df66f957942dedbbb979ab3777966ded60d3357afa1e5f22b2b",
