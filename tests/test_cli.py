@@ -1,6 +1,7 @@
 """CLI smoke tests."""
 
 import os
+import pathlib
 import re
 import signal
 import subprocess
@@ -407,7 +408,7 @@ def test_ctrl_c_ends_a_sweep_cleanly_and_leaves_the_cache_reusable(tmp_path):
     command = [sys.executable, "-m", "repro", "all", "--scale", "quick",
                "--jobs", "2", "--cache-dir", str(cache), "--out", str(out)]
     env = {**os.environ, "PYTHONUNBUFFERED": "1",
-           "PYTHONPATH": os.pathsep.join(sys.path)}
+           "PYTHONPATH": str(pathlib.Path(figures.__file__).parents[2])}
     sweep = subprocess.Popen(command, env=env, text=True,
                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                              start_new_session=True)
