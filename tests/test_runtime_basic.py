@@ -181,3 +181,28 @@ def test_overloaded_run_reports_unsustainable():
         duration=16.0, input_until=18.0,
     )
     assert not result.sustainable(4000.0)
+
+
+@pytest.mark.parametrize("negative", ["src", "count"])
+def test_a_negative_task_duration_is_refused_when_the_task_completes(negative):
+    """An operator whose ``cpu_per_record`` is negative makes a poll or a
+    data task last less than nothing; the completion it schedules is
+    refused with :class:`SimulationError`, not run in the past."""
+    from repro.dataflow.operators import Operator
+    from repro.sim.simulator import SimulationError
+
+    graph = build_count_graph()
+    spec = graph.operators[negative]
+    factory = spec.factory
+
+    def backwards() -> Operator:
+        operator = factory()
+        operator.cpu_per_record = -1.0
+        return operator
+
+    spec.factory = backwards
+    log = make_event_log(200.0, 4.0, 2)
+    job = Job(graph, "none", 2, {"events": log},
+              RuntimeConfig(duration=4.0, warmup=1.0))
+    with pytest.raises(SimulationError, match="negative delay"):
+        job.run()

@@ -461,3 +461,51 @@ def test_bounded_channels_reject_cyclic_graphs():
     # without the bound the same deployment is legal
     inputs2 = REACHABILITY.make_job_inputs(50.0, 5.0, 2, 0.0, 7)
     Job(REACHABILITY.build_graph(2), "unc", 2, inputs2, RuntimeConfig())
+
+
+@pytest.mark.parametrize("protocol, capacity", [
+    ("coor", 0), ("coor-unaligned", 0), ("cic", 0), ("coor", TIGHT)])
+def test_a_wrapped_arrival_seam_sees_every_message(monkeypatch, protocol,
+                                                   capacity):
+    """``Transport.arrive`` is read at send time for DATA messages and
+    markers alike: every message a failure-free run sends either arrived
+    through the wrapper or is still scheduled to arrive through it."""
+    import tests.conftest as c
+    from repro.dataflow.channels import DATA, MARKER
+    from repro.dataflow.runtime import Job
+    from repro.dataflow.transport import Transport
+    from repro.sim.costs import RuntimeConfig
+
+    markers = []
+    transmit = Transport.transmit
+
+    def counting_transmit(transport, channel, msg):
+        if msg.kind == MARKER:
+            markers.append(msg)
+        transmit(transport, channel, msg)
+
+    monkeypatch.setattr(Transport, "transmit", counting_transmit)
+    config = RuntimeConfig(checkpoint_interval=1.0, duration=5.0, warmup=1.0,
+                           seed=3, channel_capacity_bytes=capacity)
+    log = c.make_event_log(300.0, 5.0, 3, seed=3)
+    job = Job(c.build_count_graph(), protocol, 3, {"events": log}, config)
+    original = job.transport.arrive
+    landed = []
+
+    def wrapped(channel, msg, deploy_epoch=0):
+        landed.append(msg)
+        original(channel, msg, deploy_epoch)
+
+    job.transport.arrive = wrapped
+    job.run()
+    heap = job.sim._queue._heap
+    assert all(entry[2] is not original for entry in heap)
+    seen = landed + [entry[3][1] for entry in heap if entry[2] is wrapped]
+    data = [msg for msg in seen if msg.kind == DATA]
+    assert len(data) > 50
+    assert (len(markers) > 10) == protocol.startswith("coor")  # CIC: none
+    assert len(seen) == len(data) + len(markers)
+    # sequence numbers count the DATA messages each channel sent
+    assert len(data) == sum(sum(instance.out_seq.values())
+                            for instance in job.instances())
+    assert sum(msg.record_count for msg in data) == job.metrics.records_sent
