@@ -37,11 +37,7 @@ import traceback
 
 from repro.experiments import figures
 from repro.experiments.config import scale_by_name
-from repro.experiments.parallel import (
-    ParallelRunner,
-    RunRequest,
-    execute_request,
-)
+from repro.experiments.parallel import ParallelRunner, RunRequest
 from repro.metrics.report import format_failure_records
 from repro.metrics.series import percentile
 from repro.sim.costs import RuntimeConfig
@@ -335,7 +331,7 @@ def _cmd_query(args) -> int:
     with ParallelRunner(jobs=jobs) as runner:
         try:
             result = (run_sharded(request, args.shards, runner)
-                      if args.shards > 1 else execute_request(request))
+                      if args.shards > 1 else runner.run(request))
         except KeyboardInterrupt:
             return _interrupted(runner)
     if args.shards > 1:

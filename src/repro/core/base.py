@@ -172,6 +172,14 @@ class CheckpointProtocol:
         #: its weaker processing-semantics modes (paper Definitions 1-3).
         #: Fixed at construction — the data path reads it on every batch
         self.requires_dedup: bool = self.requires_logging
+        # the data path calls a per-message hook only where the class
+        # overrides it: the base hooks are no-ops (DESIGN.md section 19)
+        cls = type(self)
+        #: does :meth:`on_send` need calling for each DATA message sent?
+        self.hooks_send = cls.on_send is not CheckpointProtocol.on_send
+        #: does :meth:`on_data_received` need calling for each one processed?
+        self.hooks_receive = (cls.on_data_received
+                              is not CheckpointProtocol.on_data_received)
 
     # -- lifecycle ------------------------------------------------------ #
 
@@ -179,6 +187,8 @@ class CheckpointProtocol:
         """Install timers (checkpoint triggers / round scheduling)."""
 
     # -- data path hooks (return extra CPU seconds to charge) ------------- #
+    # A subclass that leaves one of these two alone is never called for it
+    # (``hooks_send`` / ``hooks_receive``, decided at construction).
 
     def on_send(self, instance: "InstanceRuntime", channel: ChannelId, msg: Message) -> float:
         """Called before a data message leaves the producer."""

@@ -477,7 +477,8 @@ class LifecycleManager:
                 channel=channel, seq=seq, kind=DATA, records=records,
                 payload_bytes=nbytes, sent_at=job.sim.now,
             )
-            job.protocol.on_send(sender, channel, msg)
+            if job.protocol.hooks_send:
+                job.protocol.on_send(sender, channel, msg)
             job.metrics.record_message(msg.payload_bytes, msg.protocol_bytes,
                                        len(records))
             job.transport.transmit(channel, msg)

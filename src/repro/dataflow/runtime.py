@@ -26,6 +26,7 @@ kill workers mid-run and detection triggers the protocol's recovery plan.
 from __future__ import annotations
 
 from dataclasses import replace
+from heapq import heappush
 from typing import Any
 
 from repro.core.base import CheckpointMeta, CheckpointRegistry, create_protocol
@@ -53,7 +54,7 @@ from repro.metrics.collectors import (
 )
 from repro.sim.costs import RuntimeConfig
 from repro.sim.rng import RngRegistry
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import SimulationError, Simulator
 from repro.storage.kafka import Partition, PartitionedLog
 
 __all__ = ["InstanceKey", "Job"]
@@ -335,8 +336,16 @@ class Job:
             )
             cursors[part_index] = end
             cost += self.process_records(instance, batch, "in")
-        # repro-lint: disable=RL006 -- self-clocking poll chain; the guard lives in _enqueue_poll, which re-checks liveness at fire time
-        self.sim.schedule(self.cost.source_poll_interval, self._enqueue_poll, instance)
+        # the next poll: Simulator.schedule's guard and push, inline.  The
+        # chain is epoch-agnostic: _enqueue_poll re-checks liveness and
+        # recovery when it fires
+        delay = self.cost.source_poll_interval
+        if not delay >= 0:
+            raise SimulationError(f"negative or NaN delay {delay!r}")
+        queue = self.sim._queue
+        seq = queue._seq
+        queue._seq = seq + 1
+        heappush(queue._heap, [now + delay, seq, self._enqueue_poll, (instance,)])
         return cost
 
     # -- timers and linger flushes ------------------------------------------ #

@@ -34,9 +34,11 @@ deterministic function of its request, and changing the capacity changes
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import TYPE_CHECKING, Callable
 
 from repro.dataflow.channels import ChannelId, DATA, MARKER, Message
+from repro.sim.simulator import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dataflow.batch import RecordBatch
@@ -289,11 +291,24 @@ class Transport:
         with a credit overdraft: the snapshot's sent-cursor must cover
         every record produced from pre-checkpoint input, or a rollback
         would drop them.  The linger flush uses ``force=False`` and
-        leaves parked batches waiting for their credits.
+        leaves parked batches waiting for their credits; on unbounded
+        channels it has no gate to ask and nothing parked, so it sends
+        the router's buffers as they stand, in ``take_all``'s order,
+        without collecting them first.
         """
         gate = None if force else self._gate(instance)
         cost = 0.0
-        for edge_id, dst, records, nbytes in instance.router.take_all(gate):
+        router = instance.router
+        if gate is None and not force:
+            for edge_id, buffers in router._by_edge.items():
+                if buffers:
+                    for dst, buf in buffers.items():
+                        cost += self.send_data(instance, edge_id, dst,
+                                               buf.records, buf.bytes)
+                    buffers.clear()
+            router._staged = router._staged_bytes = router._n_ready = 0
+            return cost
+        for edge_id, dst, records, nbytes in router.take_all(gate):
             if force:
                 self._settle_forced(instance, edge_id, dst)
             cost += self.send_data(instance, edge_id, dst, records, nbytes)
@@ -305,22 +320,55 @@ class Transport:
 
     def send_data(self, instance: "InstanceRuntime", edge_id: int, dst: int,
                   records: RecordBatch, payload_bytes: int) -> float:
-        """Build, account and transmit one DATA message; returns CPU cost."""
+        """Build, account and transmit one DATA message; returns CPU cost.
+
+        The whole DATA hop in one frame: ``CostModel.serialize_cost`` and
+        ``network_delay`` written out (operands in their order, so every
+        float is the same bit for bit), :meth:`transmit`'s FIFO clamp and
+        ``Simulator.schedule_at``'s guard and heap push.  The arrival
+        event calls :attr:`arrive` as read here, at send time.  The
+        protocol's ``on_send`` runs only if its class has one
+        (``hooks_send``).
+        """
         job = self.job
         channel = (edge_id, instance.index, dst)
         seq = instance.out_seq.get(channel, 0) + 1
         instance.out_seq[channel] = seq
+        sim = job.sim
+        now = sim.now
         msg = Message(channel, seq, DATA, records, payload_bytes, 0, None,
-                      None, job.sim.now)
-        extra_cost = job.protocol.on_send(instance, channel, msg)
+                      None, now)
+        protocol = job.protocol
+        cost_model = job.cost
+        extra_cost = (protocol.on_send(instance, channel, msg)
+                      if protocol.hooks_send else 0.0)
         protocol_bytes = msg.protocol_bytes
-        cost = job.cost.serialize_cost(payload_bytes + protocol_bytes) + extra_cost
+        total_bytes = payload_bytes + protocol_bytes
+        cost = (cost_model.serialize_message_base
+                + total_bytes * cost_model.serialize_per_byte) + extra_cost
         metrics = job.metrics
         metrics.data_bytes += payload_bytes
         metrics.protocol_bytes += protocol_bytes
         metrics.messages_sent += 1
         metrics.records_sent += len(records.rids)
-        self.transmit(channel, msg)
+        self.pending_data += 1
+        if self.capacity > 0:
+            self._debit(channel, msg, total_bytes)
+        arrival = now + (cost_model.network_latency
+                         + total_bytes / cost_model.network_bandwidth)
+        last_arrival = self._last_arrival
+        last = last_arrival.get(channel, 0.0)
+        if arrival <= last:
+            arrival = last + cost_model.channel_epsilon
+        last_arrival[channel] = arrival
+        if not arrival >= now:
+            raise SimulationError(
+                f"cannot schedule at {arrival!r}, now is {now!r}")
+        queue = sim._queue
+        event_seq = queue._seq
+        queue._seq = event_seq + 1
+        heappush(queue._heap, [arrival, event_seq, self.arrive,
+                               (channel, msg, job.deploy_epoch)])
         return cost
 
     def send_marker(self, instance: "InstanceRuntime", round_id: int) -> float:
@@ -356,17 +404,17 @@ class Transport:
     # ------------------------------------------------------------------ #
 
     def transmit(self, channel: ChannelId, msg: Message) -> None:
-        """Schedule delivery with per-channel FIFO arrival ordering."""
+        """Schedule delivery with per-channel FIFO arrival ordering.
+
+        The path of markers and of replayed or re-routed DATA;
+        :meth:`send_data` carries its own copy of the arithmetic.
+        """
         job = self.job
         total_bytes = msg.payload_bytes + msg.protocol_bytes
         if msg.kind == DATA:
             self.pending_data += 1
             if self.capacity > 0:
-                cost = max(total_bytes, msg.record_count)
-                depth = self.in_flight_bytes.get(channel, 0) + cost
-                self.in_flight_bytes[channel] = depth
-                self.total_in_flight += cost
-                job.metrics.note_queue_depth(channel, depth, self.total_in_flight)
+                self._debit(channel, msg, total_bytes)
         arrival = job.sim.now + job.cost.network_delay(total_bytes)
         last = self._last_arrival.get(channel, 0.0)
         if arrival <= last:
@@ -374,6 +422,14 @@ class Transport:
         self._last_arrival[channel] = arrival
         job.sim.schedule_at(arrival, self.arrive, channel, msg,
                             job.deploy_epoch)
+
+    def _debit(self, channel: ChannelId, msg: Message, total_bytes: int) -> None:
+        """Charge a DATA message's credit units to its channel (bounded runs)."""
+        units = max(total_bytes, msg.record_count)
+        depth = self.in_flight_bytes.get(channel, 0) + units
+        self.in_flight_bytes[channel] = depth
+        self.total_in_flight += units
+        self.job.metrics.note_queue_depth(channel, depth, self.total_in_flight)
 
     def deliver(self, channel: ChannelId, msg: Message,
                 deploy_epoch: int = 0) -> None:

@@ -10,12 +10,14 @@ blocked channel is buffered and re-enqueued in order on unblock.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import TYPE_CHECKING, Any
 
 from repro.dataflow.channels import ChannelId, Message, RouterBuffer
 from repro.dataflow.graph import EdgeSpec, OperatorSpec
 from repro.dataflow.operators import Operator, OperatorContext
 from repro.dataflow.records import source_rid_prefix
+from repro.sim.simulator import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dataflow.runtime import Job
@@ -547,7 +549,10 @@ class WorkerRuntime:
         ``cpu``/``unpark`` tasks belong to no instance and are never
         deferred: the linger flush is worker-wide (its gated drains skip
         parked buffers anyway), charged CPU is already-spent time, and
-        the unpark task is the unblocking event itself.
+        the unpark task is the unblocking event itself.  The task's
+        completion — this method again, after its virtual duration — is
+        pushed onto the event heap here, behind ``Simulator.schedule``'s
+        guard (DESIGN.md section 19).
         """
         job = self.job
         if not self.alive or job.recovering:
@@ -576,7 +581,14 @@ class WorkerRuntime:
                 duration = job.run_source_poll(task[1])
             else:
                 duration = self._run(task)
-            job.sim.schedule(duration, self._start_next)
+            # the completion: Simulator.schedule's guard and push, inline
+            if not duration >= 0:
+                raise SimulationError(f"negative or NaN delay {duration!r}")
+            sim = job.sim
+            queue = sim._queue
+            seq = queue._seq
+            queue._seq = seq + 1
+            heappush(queue._heap, [sim.now + duration, seq, self._start_next, ()])
             return
         self._busy = False
 
@@ -615,14 +627,23 @@ class WorkerRuntime:
 
     def _run_data(self, instance: InstanceRuntime, channel: ChannelId,
                   msg: Message) -> float:
-        """Consume one data message on ``instance``, the channel's receiver."""
+        """Consume one data message on ``instance``, the channel's receiver.
+
+        The deserialization cost is ``CostModel.serialize_cost`` written
+        out, operands in its order, so the float is the same bit for bit.
+        """
         job = self.job
         transport = job.transport
         if transport.capacity > 0:
             # consuming the message returns its credits to the sender
             transport.on_consumed(channel, msg)
-        cost = job.cost.serialize_cost(msg.payload_bytes + msg.protocol_bytes)
-        cost += job.protocol.on_data_received(instance, channel, msg)
+        cost_model = job.cost
+        cost = (cost_model.serialize_message_base
+                + (msg.payload_bytes + msg.protocol_bytes)
+                * cost_model.serialize_per_byte)
+        protocol = job.protocol
+        if protocol.hooks_receive:
+            cost += protocol.on_data_received(instance, channel, msg)
         if msg.seq > instance.last_received.get(channel, 0):
             instance.last_received[channel] = msg.seq
         cost += job.process_records(instance, msg.records,

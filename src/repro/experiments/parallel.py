@@ -617,6 +617,9 @@ class ParallelRunner:
         #: unresolved handles by key (cross-batch dedup table)
         self._pending: dict[str, RunHandle] = {}
         self._submit_seq = 0
+        #: runs executing inline in this process right now (an MST search
+        #: and the probe it is running are two)
+        self._inline = 0
         #: requests served from the cache (memory or disk)
         self.hits = 0
         #: requests that had to be simulated
@@ -632,9 +635,12 @@ class ParallelRunner:
         a failure that ended the sweep something may be, and nobody will
         read it: queued futures are cancelled, the workers terminated,
         and what a worker killed inside ``RunCache.put`` left behind is
-        removed.  Finished entries stay; the directory is reusable.
+        removed.  Finished entries stay; the directory is reusable.  A
+        run the interrupt caught executing inline (``jobs=1``, or
+        :meth:`run`) is dropped too, and counted.
         """
-        abandoned = len(self._inflight)
+        abandoned = len(self._inflight) + self._inline
+        self._inline = 0
         self._inflight.clear()
         self._pending.clear()
         pool, self._pool = self._pool, None
@@ -737,10 +743,7 @@ class ParallelRunner:
     def _launch(self, key: str, request: "RunRequest | MstRequest") -> RunHandle:
         handle = RunHandle(key, self)
         if self.jobs <= 1:
-            try:
-                value = compact_result(request, execute_any(request))
-            except Exception as exc:
-                raise RunFailed(request, key, exc)
+            value = self._execute_inline(key, request)
             self._store(key, value)
             handle._resolve(value)
             return handle
@@ -827,17 +830,35 @@ class ParallelRunner:
         claimed = self._claim(key)
         if claimed is not None:
             return claimed.result()  # a hit, or the wait for one in flight
-        try:
-            if isinstance(request, MstRequest):
-                result = execute_mst(request, runner=self)
-            else:
-                result = compact_result(request, execute_request(request))
-        except RunFailed:
-            raise  # a probe of this search: already names what died
-        except Exception as exc:
-            raise RunFailed(request, key, exc)
+        result = self._execute_inline(key, request, probes=self)
         self._store(key, result)
         return result
+
+    def _execute_inline(self, key: str, request: "RunRequest | MstRequest",
+                        probes: "ParallelRunner | None" = None) -> Any:
+        """Execute ``request`` in this process, counted while it runs.
+
+        An MST search sends its probes through ``probes`` when given.  An
+        exception becomes :class:`RunFailed` naming the request (a
+        probe's ``RunFailed`` already names what died and passes through)
+        and the run stops counting; ``KeyboardInterrupt`` is not an
+        ``Exception``, so an interrupted run stays counted for
+        :meth:`close`.
+        """
+        self._inline += 1
+        try:
+            if isinstance(request, MstRequest):
+                value = execute_mst(request, runner=probes)
+            else:
+                value = compact_result(request, execute_request(request))
+        except RunFailed:
+            self._inline -= 1
+            raise
+        except Exception as exc:
+            self._inline -= 1
+            raise RunFailed(request, key, exc)
+        self._inline -= 1
+        return value
 
     def map(self, requests: "list[RunRequest] | list[MstRequest]") -> list[Any]:
         """Execute a batch; misses stream through the shared scheduler.

@@ -38,12 +38,16 @@ class Simulator:
     # ------------------------------------------------------------------ #
 
     # Both scheduling calls push the heap entry themselves (the body of
-    # EventQueue.push, minus its frame): they run twice per record.
+    # EventQueue.push, minus its frame), and so do the engine's three
+    # per-message callers (the task completion, the DATA arrival, the
+    # poll reschedule — DESIGN.md section 19), each behind the same guard.
+    # The guards are written so that NaN fails them: a NaN time would
+    # become ``now`` and every later relative schedule would inherit it.
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Run ``fn(*args)`` after ``delay`` virtual seconds."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
+        if not delay >= 0:
+            raise SimulationError(f"negative or NaN delay {delay!r}")
         queue = self._queue
         seq = queue._seq
         queue._seq = seq + 1
@@ -53,7 +57,7 @@ class Simulator:
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Run ``fn(*args)`` at absolute virtual time ``time``."""
-        if time < self.now:
+        if not time >= self.now:
             raise SimulationError(f"cannot schedule at {time!r}, now is {self.now!r}")
         queue = self._queue
         seq = queue._seq

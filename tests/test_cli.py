@@ -432,3 +432,27 @@ def test_ctrl_c_ends_a_sweep_cleanly_and_leaves_the_cache_reusable(tmp_path):
         env=env, text=True, capture_output=True, timeout=120)
     assert again.returncode == 0, again.stderr
     assert "simulated=0 hit-ratio=100%" in again.stdout
+
+
+def test_ctrl_c_on_a_serial_sweep_counts_the_run_it_interrupted(
+        tmp_path, monkeypatch, capsys):
+    """A serial runner executes inline: Ctrl-C lands inside a run, and
+    that run is the one abandoned — not "0 in flight"."""
+    from repro.experiments import parallel
+
+    executed = []
+    execute_request = parallel.execute_request
+
+    def interrupted_third(request):
+        executed.append(request)
+        if len(executed) == 3:
+            raise KeyboardInterrupt
+        return execute_request(request)
+
+    monkeypatch.setattr(parallel, "execute_request", interrupted_third)
+    monkeypatch.setattr(figures, "_serial", None)  # a fresh serial runner
+    status = main(["run", "table2", "--scale", "quick", "--jobs", "1",
+                   "--out", str(tmp_path)])
+    assert status == 130
+    assert capsys.readouterr().err == (
+        "interrupted: 2 finished, 1 in flight abandoned\n")

@@ -155,8 +155,6 @@ def test_an_overriding_protocol_sees_every_data_message_once(monkeypatch):
     assert calls["send"] == job.metrics.messages_sent  # no markers here
 
 
-@pytest.mark.xfail(strict=True, reason="the base no-op hooks are still "
-                   "called once per DATA message")
 @pytest.mark.parametrize("protocol", ["none", "coor", "coor-unaligned", "unc"])
 def test_the_base_no_op_hooks_are_never_called(monkeypatch, protocol):
     """Where a protocol keeps the base's no-op hook, the data path does

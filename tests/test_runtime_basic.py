@@ -204,5 +204,5 @@ def test_a_negative_task_duration_is_refused_when_the_task_completes(negative):
     log = make_event_log(200.0, 4.0, 2)
     job = Job(graph, "none", 2, {"events": log},
               RuntimeConfig(duration=4.0, warmup=1.0))
-    with pytest.raises(SimulationError, match="negative delay"):
+    with pytest.raises(SimulationError, match="negative or NaN delay"):
         job.run()

@@ -1,6 +1,7 @@
 """Unit tests for the virtual-time simulator."""
 
 import gc
+import math
 
 import pytest
 
@@ -74,6 +75,33 @@ def test_schedule_at_in_past_rejected():
     sim.run_until(1.0)
     with pytest.raises(SimulationError):
         sim.schedule_at(0.5, lambda: None)
+
+
+@pytest.mark.parametrize("call", ["schedule", "schedule_at"])
+def test_nan_times_are_rejected(call):
+    """NaN fails ``delay < 0`` and ``time < now`` alike; accepted, it
+    would become the clock and poison every later relative schedule."""
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="nan"):
+        getattr(sim, call)(float("nan"), lambda: None)
+    assert sim.pending_events == 0
+
+
+def test_a_nan_network_latency_stops_the_run():
+    """The reachable NaN: a cost model whose latency is NaN makes every
+    arrival time NaN, and the message hop refuses the first one."""
+    from repro.dataflow.runtime import Job
+    from repro.sim.costs import CostModel, RuntimeConfig
+
+    from tests.conftest import build_count_graph, make_event_log
+
+    config = RuntimeConfig(duration=2.0, warmup=1.0,
+                           cost_model=CostModel(network_latency=float("nan")))
+    job = Job(build_count_graph(), "none", 2,
+              {"events": make_event_log(100.0, 2.0, 2)}, config)
+    with pytest.raises(SimulationError, match="nan"):
+        job.run()
+    assert not math.isnan(job.sim.now)
 
 
 def test_schedule_at_absolute_time():
