@@ -18,9 +18,9 @@ as its context), KEY and FORWARD ``RouterBuffer.route_batch`` +
 
     python tools/batch_constants.py
     python tools/batch_constants.py --calls
-    python tools/batch_constants.py --calls --max-admit-calls 1 \
-        --max-restored-admit-calls 5 --max-count-calls 20 \
-        --max-key-route-calls 17
+    python tools/batch_constants.py --calls --max-hop-calls 22 \
+        --max-admit-calls 1 --max-restored-admit-calls 5 \
+        --max-count-calls 20 --max-key-route-calls 17
 
 Without ``--calls`` it prints per stage the microseconds per call (the
 fastest of ``--reps`` repetitions) and the fitted ``a + b*n`` (least
@@ -165,6 +165,38 @@ def _process_records(protocol: str, resident: int | None = None) -> Stage:
     return build
 
 
+def _hop(protocol: str) -> Stage:
+    """One DATA message of ``n`` rows through the whole hop on a deployed
+    job: ``Transport.send_data`` on the source instance, the arrival
+    event (``Transport.deliver`` -> the receiver's ``_start_next`` ->
+    ``_run_data`` -> ``process_records`` into an operator that does
+    nothing), then the task's completion event, which finds the queue
+    empty.  The two events run as the simulator loop runs them — one
+    ``EventQueue.pop`` each, the clock set, the callback called — without
+    the loop's per-run set-up."""
+    def build(n: int, calls: int) -> Callable[[], None]:
+        job = _deployed(protocol)
+        source = job.instance(("src", 0))
+        (edge,) = source.out_edges
+        batches = [(batch, sum(batch.sizes)) for batch in _batches(n, calls)]
+        send_data = job.transport.send_data
+        sim = job.sim
+        pop = sim._queue.pop
+
+        def run() -> None:
+            for batch, nbytes in batches:
+                send_data(source, edge.edge_id, 1, batch, nbytes)
+                entry = pop()
+                while entry is not None:  # the arrival, then the completion
+                    sim.now = entry[0]
+                    entry[2](*entry[3])
+                    entry = pop()
+
+        return run
+
+    return build
+
+
 def _library_operators() -> dict[str, tuple[Callable[[], Any], str]]:
     """name -> (factory, the port batches arrive on), one per kernel."""
     import repro.dataflow.operators as operators
@@ -272,6 +304,7 @@ def _route(partitioning_name: str, cold: bool = False) -> Stage:
 def stages() -> dict[str, Stage]:
     """Every measured stage, in data-path order."""
     table: dict[str, Stage] = {
+        "hop coor (send -> completion)": _hop("coor"),
         "process_records coor (no dedup)": _process_records("coor"),
     }
     for phase, resident in ADMISSION_PHASES.items():
@@ -302,6 +335,7 @@ DERIVED = {
 }
 #: ``--max-*-calls`` option -> the row it bounds
 GATES = {
+    "max_hop_calls": "hop coor (send -> completion)",
     "max_admit_calls": "admit never restored (unc - coor)",
     "max_restored_admit_calls": "admit restored/0 (unc - coor)",
     "max_count_calls": "windowed_count.process_batch",
