@@ -413,6 +413,25 @@ class RouterBuffer:
                 drained.append((edge_id, dst, buf.records, buf.bytes))
         return drained
 
+    def send_all(self, send: Callable[[int, int, RecordBatch, int], float]) -> float:
+        """``take_all()`` handed straight to ``send``, without the list.
+
+        ``send(edge_id, dst, records, bytes)`` is called for every
+        non-empty buffer in ``take_all``'s order (the unbounded linger
+        flush, DESIGN.md section 19); returns the sum of what it returned.
+        """
+        cost = 0.0
+        blocked = self._blocked
+        for edge_id, buffers in self._by_edge.items():
+            if buffers:
+                for dst, buf in buffers.items():
+                    cost += send(edge_id, dst, buf.records, buf.bytes)
+                    if blocked:
+                        blocked.discard((edge_id, dst))
+                buffers.clear()
+        self._staged = self._staged_bytes = self._n_ready = 0
+        return cost
+
     def take_edge(self, edge_id: int) -> list[tuple[int, int, RecordBatch, int]]:
         """Drain buffers of one edge (used before emitting a marker).
 

@@ -34,6 +34,7 @@ deterministic function of its request, and changing the capacity changes
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from heapq import heappush
 from typing import TYPE_CHECKING, Callable
 
@@ -292,23 +293,14 @@ class Transport:
         every record produced from pre-checkpoint input, or a rollback
         would drop them.  The linger flush uses ``force=False`` and
         leaves parked batches waiting for their credits; on unbounded
-        channels it has no gate to ask and nothing parked, so it sends
-        the router's buffers as they stand, in ``take_all``'s order,
-        without collecting them first.
+        channels it has no gate to ask and nothing parked, so the router
+        sends its buffers as they stand (``RouterBuffer.send_all``).
         """
         gate = None if force else self._gate(instance)
-        cost = 0.0
-        router = instance.router
         if gate is None and not force:
-            for edge_id, buffers in router._by_edge.items():
-                if buffers:
-                    for dst, buf in buffers.items():
-                        cost += self.send_data(instance, edge_id, dst,
-                                               buf.records, buf.bytes)
-                    buffers.clear()
-            router._staged = router._staged_bytes = router._n_ready = 0
-            return cost
-        for edge_id, dst, records, nbytes in router.take_all(gate):
+            return instance.router.send_all(partial(self.send_data, instance))
+        cost = 0.0
+        for edge_id, dst, records, nbytes in instance.router.take_all(gate):
             if force:
                 self._settle_forced(instance, edge_id, dst)
             cost += self.send_data(instance, edge_id, dst, records, nbytes)

@@ -851,11 +851,10 @@ class ParallelRunner:
                 value = execute_mst(request, runner=probes)
             else:
                 value = compact_result(request, execute_request(request))
-        except RunFailed:
-            self._inline -= 1
-            raise
         except Exception as exc:
             self._inline -= 1
+            if isinstance(exc, RunFailed):
+                raise
             raise RunFailed(request, key, exc)
         self._inline -= 1
         return value

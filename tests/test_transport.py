@@ -133,6 +133,33 @@ def test_ungated_take_all_drains_everything_and_settles_the_counters():
     assert len(router.take_ready()) == 2
 
 
+def test_send_all_is_the_ungated_take_all_without_the_list():
+    """The unbounded linger flush: the same buffers, in the same order,
+    handed to ``send`` one by one, and the same state left behind."""
+    routers = [_make_router(n_edges=2, batch_max=2)[0] for _ in range(2)]
+    for router in routers:
+        router.route_batch(_batch([0, 1, 0, 2, 5]))
+    edge_id, buffers = next(iter(routers[0]._by_edge.items()))
+    idle = (edge_id, next(d for d in range(4) if d not in buffers))
+    for router in routers:
+        router.block(*idle)  # a parked pair that holds nothing stays parked
+    reference, router = routers
+    expected = [(eid, dst, records.rids, nbytes)
+                for eid, dst, records, nbytes in reference.take_all()]
+    sent = []
+
+    def send(eid, dst, records, nbytes):
+        sent.append((eid, dst, records.rids, nbytes))
+        return 0.5
+
+    assert router.send_all(send) == 0.5 * len(expected)
+    assert sent == expected and len(sent) > 2
+    for drained in routers:
+        assert (drained.staged_records, drained.staged_bytes,
+                drained._n_ready) == (0, 0, 0)
+    assert router.blocked_keys == reference.blocked_keys == {idle}
+
+
 def test_gate_refusal_blocks_in_place():
     router, edges = _make_router(n_edges=1, batch_max=2)
     router.route_batch(_batch([0, 0]))
