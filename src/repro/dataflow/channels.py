@@ -413,19 +413,22 @@ class RouterBuffer:
                 drained.append((edge_id, dst, buf.records, buf.bytes))
         return drained
 
-    def send_all(self, send: Callable[[int, int, RecordBatch, int], float]) -> float:
+    def send_all(self, send: Callable[..., float], owner: Any) -> float:
         """``take_all()`` handed straight to ``send``, without the list.
 
-        ``send(edge_id, dst, records, bytes)`` is called for every
+        ``send(owner, edge_id, dst, records, bytes)`` is called for every
         non-empty buffer in ``take_all``'s order (the unbounded linger
-        flush, DESIGN.md section 19); returns the sum of what it returned.
+        flush, DESIGN.md section 19: ``Transport.send_data`` and the
+        sending instance); returns the sum of what it returned.  The
+        owner is passed through rather than bound with ``partial``, which
+        measured 1.4 % of ``paper``.
         """
         cost = 0.0
         blocked = self._blocked
         for edge_id, buffers in self._by_edge.items():
             if buffers:
                 for dst, buf in buffers.items():
-                    cost += send(edge_id, dst, buf.records, buf.bytes)
+                    cost += send(owner, edge_id, dst, buf.records, buf.bytes)
                     if blocked:
                         blocked.discard((edge_id, dst))
                 buffers.clear()

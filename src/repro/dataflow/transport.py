@@ -34,7 +34,6 @@ deterministic function of its request, and changing the capacity changes
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
 from heapq import heappush
 from typing import TYPE_CHECKING, Callable
 
@@ -298,7 +297,7 @@ class Transport:
         """
         gate = None if force else self._gate(instance)
         if gate is None and not force:
-            return instance.router.send_all(partial(self.send_data, instance))
+            return instance.router.send_all(self.send_data, instance)
         cost = 0.0
         for edge_id, dst, records, nbytes in instance.router.take_all(gate):
             if force:

@@ -148,11 +148,12 @@ def test_send_all_is_the_ungated_take_all_without_the_list():
                 for eid, dst, records, nbytes in reference.take_all()]
     sent = []
 
-    def send(eid, dst, records, nbytes):
+    def send(owner, eid, dst, records, nbytes):
+        assert owner == "instance"
         sent.append((eid, dst, records.rids, nbytes))
         return 0.5
 
-    assert router.send_all(send) == 0.5 * len(expected)
+    assert router.send_all(send, "instance") == 0.5 * len(expected)
     assert sent == expected and len(sent) > 2
     for drained in routers:
         assert (drained.staged_records, drained.staged_bytes,
