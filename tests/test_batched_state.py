@@ -285,7 +285,7 @@ def _feed(name, prefix, pieces, port, armed):
             op.process_batch(prefix, side)
     if armed:
         op.states.mark_clean()
-    out = RecordBatch()
+    out = RecordBatch([], [], [], [])
     for piece in pieces:
         produced = op.process_batch(piece, port)
         if produced is not None:

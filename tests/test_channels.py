@@ -328,21 +328,22 @@ def _three_edge_router(batch_max, blocked):
 
 
 def _router_state(router):
-    """Buffers (contents *and* destination creation order) and counters."""
-    buffers = {
-        edge_id: [(dst, buf.records.rids, buf.records.payloads,
-                   buf.records.source_ts, buf.records.sizes, buf.bytes)
-                  for dst, buf in by_dst.items()]
-        for edge_id, by_dst in router._by_edge.items()
-    }
-    return (buffers, router._n_ready, router._staged, router._staged_bytes,
-            router.blocked_keys)
+    """``(bytes, records)`` staged per ``(edge, dst)`` pair, and counters.
+
+    The contents and the destination creation order are what the drains
+    hand out (:func:`_drained`)."""
+    staged = {(edge_id, dst): router.staged_for(edge_id, dst)
+              for edge_id in range(3) for dst in range(_SPLIT_PARALLELISM)}
+    return (staged, router._n_ready, router.staged_records,
+            router.staged_bytes, router.blocked_keys)
 
 
 def _drained(ready):
-    return [(edge_id, dst, records.rids, records.payloads, records.source_ts,
-             records.sizes, nbytes)
-            for edge_id, dst, records, nbytes in ready]
+    drained = [(edge_id, dst, records.rids, records.payloads,
+                records.source_ts, records.sizes, nbytes)
+               for edge_id, dst, records, nbytes in ready]
+    assert all(nbytes == sum(sizes) for *_, sizes, nbytes in drained)
+    return drained
 
 
 @settings(max_examples=300, deadline=None)
@@ -358,10 +359,11 @@ def _drained(ready):
 def test_route_batch_is_split_invariant(rows, cuts, batch_max, blocked):
     """Property: a batch routed whole, cut at arbitrary points, or record
     by record leaves identical buffers (contents and destination creation
-    order), ``_n_ready``, ``_staged`` and ``_staged_bytes`` — with parked
-    ``(edge, dst)`` keys and zero-size records in play — and the same
-    ``take_ready`` messages, so sequence numbers and checkpoint cursors do
-    not depend on how a producer's output happened to be batched."""
+    order), ``_n_ready``, ``staged_records`` and ``staged_bytes`` — with
+    parked ``(edge, dst)`` keys and zero-size records in play — and the
+    same ``take_ready`` messages, then the same ``take_all`` messages, so
+    sequence numbers and checkpoint cursors do not depend on how a
+    producer's output happened to be batched."""
     records = [StreamRecord(rid=1000 + i, payload=key, source_ts=i * 0.5,
                             size_bytes=size)
                for i, (key, size) in enumerate(rows)]
@@ -377,19 +379,27 @@ def test_route_batch_is_split_invariant(rows, cuts, batch_max, blocked):
         for piece in pieces:
             router.route_batch(RecordBatch.from_records(piece))
         states[name] = _router_state(router)
-        drains[name] = (_drained(router.take_ready()), _router_state(router))
+        ready = _drained(router.take_ready())
+        after = _router_state(router)
+        drains[name] = (ready, after, _drained(router.take_all()))
+        assert _router_state(router)[1:4] == (0, 0, 0)
     assert states["cut"] == states["whole"]
     assert states["singletons"] == states["whole"]
     assert drains["cut"] == drains["whole"]
     assert drains["singletons"] == drains["whole"]
     # the counters are the truth about the buffers, not just consistent
-    _, n_ready, staged, staged_bytes, _ = states["whole"]
-    buffers = states["whole"][0]
-    assert staged == sum(len(b[1]) for bs in buffers.values() for b in bs)
-    assert staged_bytes == sum(b[5] for bs in buffers.values() for b in bs)
-    assert n_ready == sum(
-        1 for edge_id, bs in buffers.items() for b in bs
-        if len(b[1]) >= batch_max and (edge_id, b[0]) not in blocked)
+    staged, n_ready, staged_records, staged_bytes, _ = states["whole"]
+    assert staged_records == sum(n for _, n in staged.values()) == len(
+        records) * (2 + _SPLIT_PARALLELISM)
+    assert staged_bytes == sum(nbytes for nbytes, _ in staged.values())
+    assert n_ready == sum(1 for pair, (_, n) in staged.items()
+                          if n >= batch_max and pair not in blocked)
+    # and every record staged leaves by one drain or the other
+    ready, _, rest = drains["whole"]
+    assert sorted((edge_id, dst, len(rids), nbytes)
+                  for edge_id, dst, rids, *_, nbytes in ready + rest) \
+        == sorted((*pair, n, nbytes)
+                  for pair, (nbytes, n) in staged.items() if n)
 
 
 def test_message_totals():

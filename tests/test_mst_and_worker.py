@@ -72,7 +72,8 @@ def test_blocked_channel_buffers_and_releases_in_order():
     channel = next(c for c, inst in job.channel_dst.items() if c[2] == 0)
     worker.block_channel(channel)
     msgs = [
-        Message(channel=channel, seq=s, kind=DATA, records=RecordBatch(), payload_bytes=0)
+        Message(channel=channel, seq=s, kind=DATA,
+                records=RecordBatch([], [], [], []), payload_bytes=0)
         for s in (1, 2, 3)
     ]
     for m in msgs:
@@ -101,7 +102,8 @@ def test_dead_worker_drops_deliveries():
     channel = next(c for c, inst in job.channel_dst.items() if c[2] == 0)
     worker.kill()
     arrive(job, channel, Message(channel=channel, seq=1, kind=DATA,
-                                 records=RecordBatch(), payload_bytes=0))
+                                 records=RecordBatch([], [], [], []),
+                                 payload_bytes=0))
     assert worker.queued_tasks == 0
 
 
@@ -111,7 +113,8 @@ def test_reset_for_recovery_clears_buffers():
     channel = next(c for c, inst in job.channel_dst.items() if c[2] == 0)
     worker.block_channel(channel)
     arrive(job, channel, Message(channel=channel, seq=1, kind=DATA,
-                                 records=RecordBatch(), payload_bytes=0))
+                                 records=RecordBatch([], [], [], []),
+                                 payload_bytes=0))
     worker.reset_for_recovery()
     assert worker.blocked == set()
     assert worker.queued_tasks == 0

@@ -113,11 +113,12 @@ def test_ungated_take_all_drains_everything_and_settles_the_counters():
     hot = owner[0]
     lone = next(key for key in owner if owner[key] != hot)
     idle = next(d for d in range(4) if d not in (hot, owner[lone]))
-    router.route_batch(_batch([0, lone, 0]))
-    staged = {(eid, dst): list(buf.records.rids)
-              for eid, by_dst in router._by_edge.items()
-              for dst, buf in by_dst.items()}
-    assert [len(rids) for rids in staged.values()] == [2, 1, 2, 1]
+    router.route_batch(_batch([0, lone, 0]))  # rids 0, 1, 2
+    staged = {(eid, dst): rids for eid in (first, second)
+              for dst, rids in ((hot, [0, 2]), (owner[lone], [1]))}
+    assert [router.staged_for(*pair) for pair in staged] \
+        == [(80, 2), (40, 1), (80, 2), (40, 1)]
+    assert router.staged_for(second, idle) == (0, 0)
     router.block(first, hot)     # holds a full batch
     router.block(second, idle)   # holds nothing
     assert router._n_ready == 1  # the hot pair of the second edge
@@ -349,7 +350,7 @@ def test_zero_size_records_consume_credit_units():
     assert transport.has_credit(channel, 0, 10)  # empty channel accepts
     msg = Message(channel=channel, seq=1, kind=DATA,
                   records=RecordBatch.from_records(records),
-                  payload_bytes=0, sent_at=0.0)
+                  payload_bytes=0)
     transport.transmit(channel, msg)
     # ten zero-byte records hold ten credit units, not zero
     assert transport.in_flight_bytes[channel] == 10
@@ -428,9 +429,9 @@ def test_pending_data_messages_includes_credit_deferred_tasks():
     channel = count.in_channels[0]
     worker = count.worker
     older = Message(channel=channel, seq=1, kind=DATA, records=[],
-                    payload_bytes=10, sent_at=0.0)
+                    payload_bytes=10)
     newer = Message(channel=channel, seq=2, kind=DATA, records=[],
-                    payload_bytes=10, sent_at=0.0)
+                    payload_bytes=10)
     count.credit_blocked = True
     worker._tasks.append(("data", channel, older))
     worker._start_next()  # defers the data task (instance is blocked)
@@ -460,7 +461,7 @@ def test_release_instance_never_runs_tasks_synchronously():
                           size_bytes=40)
     msg = Message(channel=channel, seq=1, kind=DATA,
                   records=RecordBatch.from_records([record]),
-                  payload_bytes=40, sent_at=0.0)
+                  payload_bytes=40)
     count.credit_blocked = True
     worker._tasks.append(("data", channel, msg))
     worker._start_next()
@@ -537,3 +538,48 @@ def test_a_wrapped_arrival_seam_sees_every_message(monkeypatch, protocol,
     assert len(data) == sum(sum(instance.out_seq.values())
                             for instance in job.instances())
     assert sum(msg.record_count for msg in data) == job.metrics.records_sent
+
+
+@pytest.mark.parametrize("query, protocol, knobs", [
+    ("q12", "coor", {"channel_capacity_bytes": 1024, "failure_at": 3.0}),
+    ("q12", "unc", {"channel_capacity_bytes": 1024, "failure_at": 3.0}),
+    ("q12", "cic", {"channel_capacity_bytes": 1024, "failure_at": 3.0}),
+    ("q8", "unc", {"failure_at": 3.0, "rescale_to": 6}),
+])
+def test_a_message_carries_its_records_bytes_and_a_drained_job_stages_none(
+        query, protocol, knobs):
+    """On real runs, through parks, a rollback or a rescale: every DATA
+    message that arrives says its records weigh what their size column
+    sums to, and once the job has drained no router stages anything."""
+    from repro.dataflow.channels import DATA
+    from repro.dataflow.runtime import Job
+    from repro.experiments.parallel import resolve_spec
+    from repro.sim.costs import RuntimeConfig
+
+    spec = resolve_spec(query)
+    parallelism = 4
+    rate = spec.capacity_per_worker * parallelism * 0.5
+    inputs = spec.make_job_inputs(rate, 7.0, parallelism, 0.0, 7)
+    job = Job(spec.build_graph(parallelism), protocol, parallelism, inputs,
+              RuntimeConfig(duration=5.0, warmup=1.0, checkpoint_interval=1.0,
+                            seed=7, **knobs))
+    original = job.transport.arrive
+    checked = [0]
+
+    def checking(channel, msg, deploy_epoch=0):
+        if msg.kind == DATA:
+            assert msg.payload_bytes == sum(msg.records.sizes), channel
+            checked[0] += 1
+        original(channel, msg, deploy_epoch)
+
+    job.transport.arrive = checking
+    result = job.run(rate=rate, query_name=query, drain=True)
+    assert checked[0] > 200
+    assert result.metrics.n_recoveries == 1
+    assert job.parallelism == knobs.get("rescale_to", parallelism)
+    if "channel_capacity_bytes" in knobs:
+        assert result.metrics.sends_parked > 0  # the bound bit
+    routers = [i.router for i in job.instances() if i.router is not None]
+    assert routers
+    for router in routers:
+        assert (router.staged_records, router.staged_bytes) == (0, 0)
