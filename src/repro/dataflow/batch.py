@@ -65,23 +65,18 @@ class RecordBatch:
 
     __slots__ = ("rids", "payloads", "source_ts", "sizes")
 
-    def __init__(
-        self,
-        rids: list[int] | None = None,
-        payloads: list[Any] | None = None,
-        source_ts: list[float] | None = None,
-        sizes: list[int] | None = None,
-    ) -> None:
-        """Wrap the given columns (shared, not copied); empty by default."""
-        self.rids: list[int] = rids if rids is not None else []
-        self.payloads: list[Any] = payloads if payloads is not None else []
-        self.source_ts: list[float] = source_ts if source_ts is not None else []
-        self.sizes: list[int] = sizes if sizes is not None else []
+    def __init__(self, rids: list[int], payloads: list[Any],
+                 source_ts: list[float], sizes: list[int]) -> None:
+        """Wrap the four given columns (shared, not copied)."""
+        self.rids = rids
+        self.payloads = payloads
+        self.source_ts = source_ts
+        self.sizes = sizes
 
     @classmethod
     def from_records(cls, records: Iterable[StreamRecord]) -> "RecordBatch":
         """Decompose per-record objects into a columnar batch."""
-        batch = cls()
+        batch = cls([], [], [], [])
         batch.extend_records(records)
         return batch
 
@@ -90,10 +85,6 @@ class RecordBatch:
     def __len__(self) -> int:
         """Number of records in the batch."""
         return len(self.rids)
-
-    def payload_bytes(self) -> int:
-        """Total payload bytes across the batch (sum of the size column)."""
-        return sum(self.sizes)
 
     # -- record views ------------------------------------------------------ #
 
@@ -118,16 +109,15 @@ class RecordBatch:
             self.source_ts.append(record.source_ts)
             self.sizes.append(record.size_bytes)
 
-    def extend(self, other: "RecordBatch") -> int:
-        """Append every row of ``other`` (column-wise); returns bytes added."""
+    def extend(self, other: "RecordBatch") -> None:
+        """Append every row of ``other`` (column-wise)."""
         self.rids.extend(other.rids)
         self.payloads.extend(other.payloads)
         self.source_ts.extend(other.source_ts)
         self.sizes.extend(other.sizes)
-        return sum(other.sizes)
 
-    def extend_select(self, other: "RecordBatch", indices: list[int]) -> int:
-        """Append the selected rows of ``other``; returns bytes added."""
+    def extend_select(self, other: "RecordBatch", indices: list[int]) -> None:
+        """Append the selected rows of ``other``."""
         rids = other.rids
         payloads = other.payloads
         source_ts = other.source_ts
@@ -135,9 +125,7 @@ class RecordBatch:
         self.rids.extend([rids[i] for i in indices])
         self.payloads.extend([payloads[i] for i in indices])
         self.source_ts.extend([source_ts[i] for i in indices])
-        added = [sizes[i] for i in indices]
-        self.sizes.extend(added)
-        return sum(added)
+        self.sizes.extend([sizes[i] for i in indices])
 
     def select(self, indices: list[int]) -> "RecordBatch":
         """A new batch holding the selected rows (filter/dedup survivors)."""

@@ -9,6 +9,8 @@ stores per-channel sequence cursors.
 Producers batch records per channel in a :class:`RouterBuffer` (flushed when
 full or on a linger timer), mirroring the network-buffer behaviour of real
 engines; serialization and network costs are charged per flushed message.
+A channel's staged records are one :class:`RecordBatch`, and that batch is
+what its message carries.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ class Message:
     protocol_bytes: int = 0
     piggyback: Any = None
     meta: Any = None
-    sent_at: float = 0.0
 
     @property
     def total_bytes(self) -> int:
@@ -160,22 +161,18 @@ class Partitioner:
         raise GraphError(f"unhandled partitioning {mode}")
 
 
-class _Buffer:
-    """The staged batch of one ``(edge, destination)`` and its byte total."""
-
-    __slots__ = ("records", "bytes")
-
-    def __init__(self) -> None:
-        self.records = RecordBatch([], [], [], [])
-        self.bytes = 0
-
-
 class RouterBuffer:
     """Outbound batching for one producer instance.
 
     ``route_batch`` stages records; ``take_ready`` drains buffers that
     reached the batch-size threshold; ``take_all`` (linger flush, markers,
     shutdown) drains everything.
+
+    A staged destination *is* its message's batch: the
+    :class:`RecordBatch` a buffer grows in place is the one the drain
+    hands to ``Transport.send_data`` and the message carries.  Its bytes
+    are summed once, when it is gated or leaves — the drains return
+    ``(edge, dst, records, bytes)`` — never per routed row.
 
     Routing is precomputed per edge at construction: FORWARD and BROADCAST
     destinations are constant, KEY edges read the process-wide
@@ -188,9 +185,9 @@ class RouterBuffer:
     directly by the engine (``Job.process_records``, the worker's linger
     flush): a property would put a Python frame on every batch.
 
-    Buffers are indexed **per edge** (``edge_id -> dst -> _Buffer``), so
-    the marker-path ``take_edge`` — on the barrier-alignment hot path — is
-    O(destinations of that edge) instead of a scan over every staged
+    Buffers are indexed **per edge** (``edge_id -> dst -> RecordBatch``),
+    so the marker-path ``take_edge`` — on the barrier-alignment hot path —
+    is O(destinations of that edge) instead of a scan over every staged
     buffer of every edge.
 
     Credit-based flow control (DESIGN.md section 13) parks batches here:
@@ -200,14 +197,14 @@ class RouterBuffer:
     a forced drain (checkpoint flush, marker emission) pushes it out.
     """
 
-    __slots__ = ("_batch_max", "_by_edge", "_plans", "_staged",
-                 "_staged_bytes", "_n_ready", "_blocked")
+    __slots__ = ("_batch_max", "_by_edge", "_plans", "_staged", "_n_ready",
+                 "_blocked")
 
     def __init__(self, edges: list[EdgeSpec], partitioners: dict[int, Partitioner],
                  src_index: int, batch_max: int) -> None:
         self._batch_max = batch_max
-        #: edge_id -> dst -> staged buffer (created lazily per dst)
-        self._by_edge: dict[int, dict[int, _Buffer]] = {
+        #: edge_id -> dst -> staged batch (created lazily per dst)
+        self._by_edge: dict[int, dict[int, RecordBatch]] = {
             edge.edge_id: {} for edge in edges
         }
         #: (edge_id, dst) pairs parked by credit exhaustion
@@ -233,7 +230,6 @@ class RouterBuffer:
                  edge.key_fn, lookup, derive)
             )
         self._staged = 0
-        self._staged_bytes = 0
         self._n_ready = 0
 
     def route_batch(self, batch: RecordBatch) -> None:
@@ -263,24 +259,17 @@ class RouterBuffer:
         blocked = self._blocked
         n_ready = 0
         staged = 0
-        staged_bytes = 0
-        nbytes = -1  # of the whole batch; summed when a static edge asks
         for edge_id, buffers, static, key_fn, lookup, derive in self._plans:
             if static is not None:  # FORWARD / BROADCAST: constant destinations
-                if nbytes < 0:
-                    nbytes = sum(sizes)
                 for dst in static:
                     buf = buffers.get(dst)
                     if buf is None:
-                        buf = buffers[dst] = _Buffer()
-                    records = buf.records
-                    before = len(records.rids)
-                    records.rids.extend(rids)
-                    records.payloads.extend(payloads)
-                    records.source_ts.extend(source_ts)
-                    records.sizes.extend(sizes)
-                    buf.bytes += nbytes
-                    staged_bytes += nbytes
+                        buf = buffers[dst] = RecordBatch([], [], [], [])
+                    before = len(buf.rids)
+                    buf.rids.extend(rids)
+                    buf.payloads.extend(payloads)
+                    buf.source_ts.extend(source_ts)
+                    buf.sizes.extend(sizes)
                     if before < batch_max <= before + n \
                             and (edge_id, dst) not in blocked:
                         n_ready += 1
@@ -297,21 +286,17 @@ class RouterBuffer:
                     dst = derive(routing_key)
                 buf = buffers.get(dst)
                 if buf is None:
-                    buf = buffers[dst] = _Buffer()
-                records = buf.records
-                records.rids.append(rid)
-                records.payloads.append(payload)
-                records.source_ts.append(ts)
-                records.sizes.append(size)
-                buf.bytes += size
-                staged_bytes += size
-                if len(records.rids) == batch_max \
+                    buf = buffers[dst] = RecordBatch([], [], [], [])
+                buf.rids.append(rid)
+                buf.payloads.append(payload)
+                buf.source_ts.append(ts)
+                buf.sizes.append(size)
+                if len(buf.rids) == batch_max \
                         and (edge_id, dst) not in blocked:
                     n_ready += 1
             staged += n
         self._n_ready += n_ready
         self._staged += staged
-        self._staged_bytes += staged_bytes
 
     # -- credit blocking ------------------------------------------------- #
 
@@ -322,7 +307,7 @@ class RouterBuffer:
             return
         self._blocked.add(key)
         buf = self._by_edge[edge_id].get(dst)
-        if buf is not None and len(buf.records.rids) >= self._batch_max:
+        if buf is not None and len(buf.rids) >= self._batch_max:
             self._n_ready -= 1
 
     def is_blocked(self, edge_id: int, dst: int) -> bool:
@@ -334,13 +319,10 @@ class RouterBuffer:
         """The parked ``(edge, dst)`` pairs (introspection/tests)."""
         return frozenset(self._blocked)
 
-    def _pop(self, edge_id: int, dst: int, buf: _Buffer,
-             blocked: bool) -> None:
-        """Remove a drained buffer and update the incremental counters."""
+    def _pop(self, edge_id: int, dst: int, count: int, blocked: bool) -> None:
+        """Remove a drained buffer of ``count`` records; settle the counters."""
         del self._by_edge[edge_id][dst]
-        count = len(buf.records.rids)
         self._staged -= count
-        self._staged_bytes -= buf.bytes
         if blocked:
             self._blocked.discard((edge_id, dst))
         elif count >= self._batch_max:
@@ -366,15 +348,16 @@ class RouterBuffer:
             if not buffers:
                 continue
             for dst in list(buffers):
-                buf = buffers[dst]
-                if len(buf.records.rids) < batch_max or (edge_id, dst) in blocked:
+                records = buffers[dst]
+                count = len(records.rids)
+                if count < batch_max or (edge_id, dst) in blocked:
                     continue
-                if gate is not None and not gate(edge_id, dst, buf.bytes,
-                                                 len(buf.records.rids)):
+                nbytes = sum(records.sizes)
+                if gate is not None and not gate(edge_id, dst, nbytes, count):
                     self.block(edge_id, dst)
                     continue
-                self._pop(edge_id, dst, buf, blocked=False)
-                ready.append((edge_id, dst, buf.records, buf.bytes))
+                self._pop(edge_id, dst, count, blocked=False)
+                ready.append((edge_id, dst, records, nbytes))
         return ready
 
     def take_all(
@@ -392,25 +375,27 @@ class RouterBuffer:
         if gate is None:
             # every buffer goes, so the counters need no per-buffer upkeep
             for edge_id, buffers in self._by_edge.items():
-                for dst, buf in buffers.items():
-                    drained.append((edge_id, dst, buf.records, buf.bytes))
+                for dst, records in buffers.items():
+                    drained.append((edge_id, dst, records, sum(records.sizes)))
                     if blocked:
                         blocked.discard((edge_id, dst))
                 buffers.clear()
-            self._staged = self._staged_bytes = self._n_ready = 0
+            self._staged = self._n_ready = 0
             return drained
         for edge_id, buffers in self._by_edge.items():
             if not buffers:
                 continue
             for dst in list(buffers):
-                buf = buffers[dst]
                 if (edge_id, dst) in blocked:
                     continue
-                if not gate(edge_id, dst, buf.bytes, len(buf.records.rids)):
+                records = buffers[dst]
+                count = len(records.rids)
+                nbytes = sum(records.sizes)
+                if not gate(edge_id, dst, nbytes, count):
                     self.block(edge_id, dst)
                     continue
-                self._pop(edge_id, dst, buf, blocked=False)
-                drained.append((edge_id, dst, buf.records, buf.bytes))
+                self._pop(edge_id, dst, count, blocked=False)
+                drained.append((edge_id, dst, records, nbytes))
         return drained
 
     def send_all(self, send: Callable[..., float], owner: Any) -> float:
@@ -427,12 +412,13 @@ class RouterBuffer:
         blocked = self._blocked
         for edge_id, buffers in self._by_edge.items():
             if buffers:
-                for dst, buf in buffers.items():
-                    cost += send(owner, edge_id, dst, buf.records, buf.bytes)
+                for dst, records in buffers.items():
+                    cost += send(owner, edge_id, dst, records,
+                                 sum(records.sizes))
                     if blocked:
                         blocked.discard((edge_id, dst))
                 buffers.clear()
-        self._staged = self._staged_bytes = self._n_ready = 0
+        self._staged = self._n_ready = 0
         return cost
 
     def take_edge(self, edge_id: int) -> list[tuple[int, int, RecordBatch, int]]:
@@ -449,9 +435,10 @@ class RouterBuffer:
         blocked = self._blocked
         drained = []
         for dst in list(buffers):
-            buf = buffers[dst]
-            self._pop(edge_id, dst, buf, blocked=(edge_id, dst) in blocked)
-            drained.append((edge_id, dst, buf.records, buf.bytes))
+            records = buffers[dst]
+            self._pop(edge_id, dst, len(records.rids),
+                      blocked=(edge_id, dst) in blocked)
+            drained.append((edge_id, dst, records, sum(records.sizes)))
         return drained
 
     def take_channel(self, edge_id: int, dst: int) -> tuple[RecordBatch, int] | None:
@@ -461,19 +448,20 @@ class RouterBuffer:
         (which may have outgrown the batch threshold while parked) leaves
         as one message, preserving per-channel FIFO order.
         """
-        buf = self._by_edge[edge_id].get(dst)
-        if buf is None:
+        records = self._by_edge[edge_id].get(dst)
+        if records is None:
             self._blocked.discard((edge_id, dst))
             return None
-        self._pop(edge_id, dst, buf, blocked=(edge_id, dst) in self._blocked)
-        return buf.records, buf.bytes
+        self._pop(edge_id, dst, len(records.rids),
+                  blocked=(edge_id, dst) in self._blocked)
+        return records, sum(records.sizes)
 
     def staged_for(self, edge_id: int, dst: int) -> tuple[int, int]:
         """(bytes, records) currently staged for one (edge, dst) buffer."""
-        buf = self._by_edge[edge_id].get(dst)
-        if buf is None:
+        records = self._by_edge[edge_id].get(dst)
+        if records is None:
             return 0, 0
-        return buf.bytes, len(buf.records.rids)
+        return sum(records.sizes), len(records.rids)
 
     @property
     def staged_records(self) -> int:
@@ -482,8 +470,9 @@ class RouterBuffer:
 
     @property
     def staged_bytes(self) -> int:
-        """Bytes currently staged across all buffers."""
-        return self._staged_bytes
+        """Bytes currently staged across all buffers (summed on demand)."""
+        return sum(sum(records.sizes) for buffers in self._by_edge.values()
+                   for records in buffers.values())
 
     def clear(self) -> None:
         """Drop every staged buffer (rollback/rescale reset)."""
@@ -491,5 +480,4 @@ class RouterBuffer:
             buffers.clear()
         self._blocked.clear()
         self._staged = 0
-        self._staged_bytes = 0
         self._n_ready = 0

@@ -460,22 +460,24 @@ class LifecycleManager:
                             * p_new // groups for p in batch.payloads]
                     for dst, idxs in group_indices(dsts).items():
                         buckets.setdefault(
-                            (edge.edge_id, src, dst), RecordBatch()
+                            (edge.edge_id, src, dst),
+                            RecordBatch([], [], [], [])
                         ).extend_select(batch, idxs)
                 else:  # FORWARD (BROADCAST was rejected by validation)
                     buckets.setdefault(
-                        (edge.edge_id, src, src), RecordBatch()).extend(batch)
+                        (edge.edge_id, src, src),
+                        RecordBatch([], [], [], [])).extend(batch)
         injected: dict[ChannelId, list[Message]] = {}
         for (edge_id, src, dst) in sorted(buckets):
             records = buckets[(edge_id, src, dst)]
             sender = job.instance((edges_by_id[edge_id].src, src))
-            nbytes = records.payload_bytes()
+            nbytes = sum(records.sizes)
             channel = (edge_id, src, dst)
             seq = sender.out_seq.get(channel, 0) + 1
             sender.out_seq[channel] = seq
             msg = Message(
                 channel=channel, seq=seq, kind=DATA, records=records,
-                payload_bytes=nbytes, sent_at=job.sim.now,
+                payload_bytes=nbytes,
             )
             if job.protocol.hooks_send:
                 job.protocol.on_send(sender, channel, msg)

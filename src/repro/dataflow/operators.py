@@ -137,7 +137,7 @@ class Operator:
         library operator overrides it with a column-wise or grouped kernel
         (DESIGN.md sections 15 and 16).
         """
-        out = RecordBatch()
+        out = RecordBatch([], [], [], [])
         process = self.process
         for record in batch:
             outputs = process(record, port)
@@ -232,7 +232,7 @@ class FlatMapOperator(Operator):
         op = self.ctx.op_name
         fn = self._fn
         out_size = self._out_size
-        out = RecordBatch()
+        out = RecordBatch([], [], [], [])
         rids, payloads = out.rids, out.payloads
         ts_col, sizes = out.source_ts, out.sizes
         in_rids, in_ts, in_sizes = batch.rids, batch.source_ts, batch.sizes

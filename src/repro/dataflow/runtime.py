@@ -154,6 +154,9 @@ class Job:
         self.send_log: dict[ChannelId, list[Message]] = {}
         self.channel_dst: dict[ChannelId, InstanceRuntime] = {}
         self._partitioners: dict[int, Partitioner] = {}
+        #: :meth:`_enqueue_poll` bound once: the callback every poll
+        #: reschedule pushes (:meth:`release` clears it with the rest)
+        self._poll_callback = self._enqueue_poll
         self.transport = Transport(self)
         self.lifecycle.wire_topology()
 
@@ -345,7 +348,7 @@ class Job:
         queue = self.sim._queue
         seq = queue._seq
         queue._seq = seq + 1
-        heappush(queue._heap, [now + delay, seq, self._enqueue_poll, (instance,)])
+        heappush(queue._heap, [now + delay, seq, self._poll_callback, (instance,)])
         return cost
 
     # -- timers and linger flushes ------------------------------------------ #

@@ -328,7 +328,7 @@ class Transport:
         sim = job.sim
         now = sim.now
         msg = Message(channel, seq, DATA, records, payload_bytes, 0, None,
-                      None, now)
+                      None)
         protocol = job.protocol
         cost_model = job.cost
         extra_cost = (protocol.on_send(instance, channel, msg)
@@ -383,8 +383,7 @@ class Transport:
                 # meta = (round, sender's send-cursor): the cursor lets the
                 # unaligned variant identify in-flight channel state
                 msg = Message(channel, 0, MARKER, None, 0, marker_bytes, None,
-                              (round_id, instance.out_seq.get(channel, 0)),
-                              job.sim.now)
+                              (round_id, instance.out_seq.get(channel, 0)))
                 cost += job.cost.serialize_cost(marker_bytes)
                 job.metrics.record_message(0, marker_bytes, 0)
                 self.transmit(channel, msg)

@@ -448,6 +448,9 @@ class WorkerRuntime:
         #: tasks deferred because their instance is credit-blocked,
         #: per operator name, in arrival order
         self._deferred: dict[str, deque[tuple]] = {}
+        #: :meth:`_start_next` bound once: the task-completion callback
+        #: every task pushes (``Job.release`` clears it with the rest)
+        self._completion = self._start_next
 
     # ------------------------------------------------------------------ #
     # Channel blocking (arrivals themselves land through Transport.deliver)
@@ -588,7 +591,7 @@ class WorkerRuntime:
             queue = sim._queue
             seq = queue._seq
             queue._seq = seq + 1
-            heappush(queue._heap, [sim.now + duration, seq, self._start_next, ()])
+            heappush(queue._heap, [sim.now + duration, seq, self._completion, ()])
             return
         self._busy = False
 

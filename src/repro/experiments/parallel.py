@@ -604,7 +604,8 @@ class ParallelRunner:
     A run that raises — in this process or in a worker, a worker's death
     included — surfaces as :class:`RunFailed` naming the request, to
     whoever drains and to every holder of its handle, and leaves nothing
-    behind: the same request submitted again is a fresh miss.
+    behind: the same request submitted again is a fresh miss.  Only a
+    worker's death is retried first, once (:meth:`_wait_some`).
     """
 
     def __init__(self, jobs: int = 1, cache_dir: str | os.PathLike | None = None):
@@ -612,8 +613,9 @@ class ParallelRunner:
         self.cache = RunCache(cache_dir) if cache_dir is not None else None
         self._memory: dict[str, Any] = {}
         self._pool: ProcessPoolExecutor | None = None
-        #: in-flight futures: future -> (submit seq, key, request, handle)
-        self._inflight: dict[Any, tuple[int, str, Any, RunHandle]] = {}
+        #: in-flight futures: future -> (submit seq, key, request, handle,
+        #: the pool running it, whether this attempt is the retry)
+        self._inflight: dict[Any, tuple] = {}
         #: unresolved handles by key (cross-batch dedup table)
         self._pending: dict[str, RunHandle] = {}
         self._submit_seq = 0
@@ -740,8 +742,9 @@ class ParallelRunner:
         while self._inflight:
             self._wait_some()
 
-    def _launch(self, key: str, request: "RunRequest | MstRequest") -> RunHandle:
-        handle = RunHandle(key, self)
+    def _launch(self, key: str, request: "RunRequest | MstRequest",
+                retry_of: RunHandle | None = None) -> RunHandle:
+        handle = retry_of or RunHandle(key, self)
         if self.jobs <= 1:
             value = self._execute_inline(key, request)
             self._store(key, value)
@@ -753,7 +756,8 @@ class ParallelRunner:
         if self._pool is None:
             self._pool = self._make_pool()
         future = self._pool.submit(execute_and_store, request, cache_dir)
-        self._inflight[future] = (self._submit_seq, key, request, handle)
+        self._inflight[future] = (self._submit_seq, key, request, handle,
+                                  self._pool, retry_of is not None)
         self._submit_seq += 1
         return handle
 
@@ -773,6 +777,9 @@ class ParallelRunner:
         miss), its handle resolves with a :class:`RunFailed` that every
         waiter re-raises, and once everything that landed in this wait
         is settled the first such failure is raised to whoever drains.
+        A dead worker fails every run its pool had in flight, so one that
+        failed with ``BrokenExecutor`` is first resubmitted, once, to a
+        rebuilt pool (not a second miss); nothing else is retried.
         """
         if not self._inflight:
             raise RuntimeError("scheduler drain with nothing in flight")
@@ -781,17 +788,21 @@ class ParallelRunner:
         # resolve in submission order so callback order is deterministic
         # even when several futures land in one wait
         for future in sorted(done, key=lambda f: self._inflight[f][0]):
-            _, key, request, handle = self._inflight.pop(future)
+            _, key, request, handle, pool, retried = self._inflight.pop(future)
             self._pending.pop(key, None)
             try:
                 value = self._admit(key, request, future.result())
             except Exception as exc:
-                if isinstance(exc, BrokenExecutor) and self._pool is not None:
-                    # a dead worker broke the whole pool: every other
-                    # in-flight future fails the same way, and the next
-                    # launch builds a new one
-                    self._pool.shutdown(wait=False)
-                    self._pool = None
+                if isinstance(exc, BrokenExecutor):
+                    if pool is self._pool:
+                        # a dead worker broke the whole pool: every other
+                        # in-flight future of it fails the same way, and
+                        # the next launch builds a new one
+                        pool.shutdown(wait=False)
+                        self._pool = None
+                    if not retried:
+                        self._launch(key, request, retry_of=handle)
+                        continue
                 error = RunFailed(request, key, exc)
                 handle._resolve(error=error)
                 failed = failed or error

@@ -1,7 +1,7 @@
 """Arrival processes: virtual time -> instantaneous rate -> timestamps.
 
 The paper's evaluation drives every query at a constant rate; production
-load *moves* (ROADMAP item 2).  This module decouples *when events
+load *moves* (DESIGN.md section 17).  This module decouples *when events
 arrive* from *what the events are*: an :class:`ArrivalProcess` maps
 virtual time to an instantaneous rate (a piecewise-linear intensity) and
 emits per-event timestamps by inverting the cumulative intensity, while

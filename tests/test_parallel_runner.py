@@ -290,6 +290,89 @@ def test_a_dead_worker_fails_its_requests_by_name_and_the_pool_is_replaced(
         assert isinstance(raised.value.__cause__, BrokenExecutor)
         assert runner._pending == {} and runner._inflight == {}
         assert runner.submit(good).result().query == "q1"  # a new pool
+        # the fatal request was tried twice, and counted once
+        assert runner.misses == 2
+
+
+def _await(path, seconds: float = 30.0) -> None:
+    """Poll for a marker file another worker process creates."""
+    import time
+
+    deadline = time.monotonic() + seconds
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
+def test_a_worker_death_is_retried_once_and_the_request_returns(
+        monkeypatch, tmp_path):
+    """The request that killed its worker on the first attempt only."""
+    import os
+
+    import repro.experiments.parallel as parallel
+
+    died = tmp_path / "died"
+
+    def dying_once(name: str):
+        if not died.exists():
+            died.touch()
+            os._exit(3)  # the forked worker, never this process
+        return resolve_spec(name)
+
+    monkeypatch.setattr(parallel, "resolve_spec", dying_once)
+    request = req(duration=3.0, warmup=1.0)
+    with ParallelRunner(jobs=2) as runner:
+        assert runner.submit(request).result().query == "q1"
+        assert died.exists()
+        assert (runner.hits, runner.misses) == (0, 1)
+        assert runner._pending == {} and runner._inflight == {}
+
+
+def test_a_bystander_of_a_worker_death_is_retried_and_returns(
+        monkeypatch, tmp_path):
+    """A run in flight when another request's worker died is not failed:
+    the pool breaks under it, and it is resubmitted with the culprit."""
+    import os
+    import time
+
+    import repro.experiments.parallel as parallel
+
+    running, died = tmp_path / "bystander-running", tmp_path / "died"
+
+    def patched(name: str):
+        if name == "q1" and not running.exists():
+            # the bystander's first attempt: in flight until the pool
+            # breaks under it
+            running.touch()
+            time.sleep(30.0)
+        if name == "q3" and not died.exists():
+            _await(running)  # the bystander is in flight: die now
+            died.touch()
+            os._exit(3)
+        return resolve_spec(name)
+
+    monkeypatch.setattr(parallel, "resolve_spec", patched)
+    bystander = req(duration=3.0, warmup=1.0)
+    culprit = req(query="q3", duration=3.0, warmup=1.0)
+    started = time.monotonic()
+    with ParallelRunner(jobs=2) as runner:
+        handles = [runner.submit(bystander), runner.submit(culprit)]
+        assert [h.result().query for h in handles] == ["q1", "q3"]
+        assert running.exists() and died.exists()
+        assert (runner.hits, runner.misses, runner.deduped) == (0, 2, 0)
+        assert runner._pending == {} and runner._inflight == {}
+    # the bystander's first attempt was killed, not waited out
+    assert time.monotonic() - started < 25.0
+
+
+def test_a_run_that_raises_is_never_retried():
+    """Only a worker's death is retried: an exception of the run itself
+    would only raise again."""
+    bad = req(protocol="nope")
+    runner = InterleavedRunner(picks=(), jobs=2)
+    runner._pool = pool = _LoggingPool()
+    with pytest.raises(RunFailed, match="unknown protocol"):
+        runner.submit(bad).result()
+    assert pool.launched == [bad] and runner.misses == 1
 
 
 def test_a_run_raising_inline_is_named_too():

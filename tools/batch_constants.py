@@ -20,7 +20,8 @@ as its context), KEY and FORWARD ``RouterBuffer.route_batch`` +
     python tools/batch_constants.py --calls
     python tools/batch_constants.py --calls --max-hop-calls 22 \
         --max-admit-calls 1 --max-restored-admit-calls 5 \
-        --max-count-calls 20 --max-key-route-calls 17
+        --max-count-calls 20 --max-key-route-calls 17 \
+        --max-forward-route-calls 16
 
 Without ``--calls`` it prints per stage the microseconds per call (the
 fastest of ``--reps`` repetitions) and the fitted ``a + b*n`` (least
@@ -340,6 +341,7 @@ GATES = {
     "max_restored_admit_calls": "admit restored/0 (unc - coor)",
     "max_count_calls": "windowed_count.process_batch",
     "max_key_route_calls": "route KEY warm + take_all",
+    "max_forward_route_calls": "route FORWARD + take_all",
 }
 
 

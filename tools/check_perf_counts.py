@@ -23,17 +23,18 @@ from __future__ import annotations
 import json
 import sys
 
-#: ``paper``, Python calls per offered record: ~5 % above the 55.14 that
-#: the message hop without its helper frames landed at on CPython 3.11
-#: (journal-only admission read 60.74, the cut batch constants 63.10,
-#: the generators drawing columns 69.56, the columnar input log 71.6, the
+#: ``paper``, Python calls per offered record: ~5 % above the 54.79 that
+#: staging each destination as its message's batch landed at on CPython
+#: 3.11 (the message hop without its helper frames read 55.14,
+#: journal-only admission 60.74, the cut batch constants 63.10, the
+#: generators drawing columns 69.56, the columnar input log 71.6, the
 #: shortened hop 77.6, the commit before it 119.1)
-CALLS_PER_RECORD_CEILING = 57.9
-#: ``dense``, Python calls per offered record: 17.28 landed (17.31 while
-#: every admission probed a set, 18.44 before the kernels folded a batch
-#: in one pass); one more call per row in a kernel or in KEY routing
-#: reads +1.0
-DENSE_CALLS_PER_RECORD_CEILING = 18.0
+CALLS_PER_RECORD_CEILING = 57.5
+#: ``dense``, Python calls per offered record: 17.15 landed (17.28 with a
+#: buffer object per staged destination, 17.31 while every admission
+#: probed a set, 18.44 before the kernels folded a batch in one pass);
+#: one more call per row in a kernel or in KEY routing reads +1.0
+DENSE_CALLS_PER_RECORD_CEILING = 17.9
 #: ``inputs``, calls into ``repro.storage`` per generated record: the
 #: generators hand whole columns over, a few calls per partition (0.002);
 #: one checked ``append`` per record reads 1.0 and a row object per
