@@ -327,8 +327,7 @@ class Transport:
         instance.out_seq[channel] = seq
         sim = job.sim
         now = sim.now
-        msg = Message(channel, seq, DATA, records, payload_bytes, 0, None,
-                      None)
+        msg = Message(channel, seq, DATA, records, payload_bytes)
         protocol = job.protocol
         cost_model = job.cost
         extra_cost = (protocol.on_send(instance, channel, msg)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import sys
 
-#: ``paper``, Python calls per offered record: ~5 % above the 54.79 that
+#: ``paper``, Python calls per offered record: ~5 % above the 54.78 that
 #: staging each destination as its message's batch landed at on CPython
 #: 3.11 (the message hop without its helper frames read 55.14,
 #: journal-only admission 60.74, the cut batch constants 63.10, the
