@@ -7,9 +7,11 @@ order, plus a sha256 over the source lineage ids of partition 0 of each
 topic.  ``perfbench``'s ``inputs`` digests cover lengths, bytes and
 timestamps; this covers the payloads too.  The cases are every registered
 query under steady arrivals, hot keys, the three shaped arrival processes,
-a drifting hot set at ``p=16``, a second seed and two long logs (24,000
+a drifting hot set at ``p=16``, a second seed, two long logs (24,000
 events, uniform and hot: several draw blocks, and for q3/q8 several
-stride carry-overs between them), and one sharded slice.
+stride carry-overs between them), hot keys under a flash crowd and under
+the replayed ``tests/data/arrival_trace.csv`` (past all five knots, so
+the trace's hot-key shifts show), and one sharded slice.
 
 Under ``payload_pickles`` it also holds, per case and partition, a sha256
 over ``pickle.dumps(partition.payloads, protocol=4)``.  ``repr`` cannot
@@ -49,19 +51,24 @@ FIXTURE = Path(__file__).parent / "data" / "inputs_golden.json"
 
 QUERIES = ("q12", "q1", "q5", "q3", "q8", "reachability")
 UNTIL = 4.0
+TRACE = Path(__file__).parent / "data" / "arrival_trace.csv"
 
-#: variant -> (parallelism, hot_ratio, arrival spec, seed, rate)
+#: variant -> (parallelism, hot_ratio, arrival spec, seed, rate, until)
 VARIANTS = {
-    "steady": (4, 0.0, None, 7, 1500.0),
-    "hot": (4, 0.3, None, 7, 1500.0),
-    "diurnal": (4, 0.0, "diurnal:period=5,amp=0.5", 7, 1500.0),
-    "flash": (4, 0.0, "flash:at=1;3,mag=3,ramp=0.5,hold=1", 7, 1500.0),
+    "steady": (4, 0.0, None, 7, 1500.0, UNTIL),
+    "hot": (4, 0.3, None, 7, 1500.0, UNTIL),
+    "diurnal": (4, 0.0, "diurnal:period=5,amp=0.5", 7, 1500.0, UNTIL),
+    "flash": (4, 0.0, "flash:at=1;3,mag=3,ramp=0.5,hold=1", 7, 1500.0,
+              UNTIL),
     "mmpp": (4, 0.0, "mmpp:low=0.5,high=2,dwell_low=2,dwell_high=1",
-             7, 1500.0),
-    "drift-p16": (16, 0.2, "drift:period=4,zipf=1.2", 7, 1500.0),
-    "seed13": (4, 0.0, None, 13, 1500.0),
-    "long": (4, 0.0, None, 7, 6000.0),
-    "long-hot": (4, 0.3, None, 7, 6000.0),
+             7, 1500.0, UNTIL),
+    "drift-p16": (16, 0.2, "drift:period=4,zipf=1.2", 7, 1500.0, UNTIL),
+    "seed13": (4, 0.0, None, 13, 1500.0, UNTIL),
+    "long": (4, 0.0, None, 7, 6000.0, UNTIL),
+    "long-hot": (4, 0.3, None, 7, 6000.0, UNTIL),
+    "trace-hot": (4, 0.3, f"trace:{TRACE}", 7, 500.0, 18.0),
+    "flash-hot": (4, 0.3, "flash:at=1;3,mag=3,ramp=0.5,hold=1", 7, 1500.0,
+                  UNTIL),
 }
 
 CASES = [f"{query}-{variant}" for query in QUERIES for variant in VARIANTS]
@@ -71,10 +78,10 @@ PICKLES = "payload_pickles"
 
 def generate(query: str, variant: str) -> dict[str, PartitionedLog]:
     """``build_inputs`` directly (no memo) for one case of the matrix."""
-    parallelism, hot_ratio, arrival, seed, rate = VARIANTS[variant]
+    parallelism, hot_ratio, arrival, seed, rate, until = VARIANTS[variant]
     process = parse_arrival(arrival) if arrival is not None else None
     return resolve_spec(query).build_inputs(
-        rate, UNTIL, parallelism, hot_ratio, seed, process)
+        rate, until, parallelism, hot_ratio, seed, process)
 
 
 def build_case(case: str) -> dict[str, PartitionedLog]:

@@ -1,5 +1,9 @@
 """Unit tests for the Kafka-like log and the blob store."""
 
+import itertools
+import math
+from operator import lt
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -165,6 +169,59 @@ def test_extend_columns_accepts_and_rejects_what_appends_do(prior, times):
         assert str(caught.value) == error
         assert (bulk.times, bulk.payloads, bulk.sizes) == before
         assert landed < len(rows)
+
+
+def _pairwise_verdict(last, times):
+    """The order check as one pass of ``<`` over neighbours: the message
+    naming the first pair out of order, or None to accept."""
+    joined = [*last, *times]
+    out_of_order = list(map(lt, joined[1:], joined))
+    if True in out_of_order:
+        first = out_of_order.index(True)
+        return f"out-of-order availability: {joined[first + 1]} < {joined[first]}"
+    return None
+
+
+_NAN = float("nan")
+#: NaN (one object twice, and a second NaN object), both infinities, both
+#: zeros and a few duplicated finite values
+_EDGE_FLOATS = [_NAN, _NAN, float("nan"), math.inf, -math.inf, -0.0, 0.0,
+                1.0, 1.0, 2.5, -3.0]
+
+
+def _check_verdict(last, times):
+    p = Partition("t", 0)
+    for t in last:
+        p.append(t, "prior", 1)
+    before = list(p.times)
+    expected = _pairwise_verdict(last, times)
+    columns = (times, [f"n{i}" for i in range(len(times))], [1] * len(times))
+    if expected is None:
+        p.extend_columns(*columns)
+        assert p.times == before + times
+        assert all(a is b for a, b in zip(p.times, before + times))
+    else:
+        with pytest.raises(ValueError) as caught:
+            p.extend_columns(*columns)
+        assert str(caught.value) == expected
+        assert p.times == before and len(p) == len(last)
+
+
+@given(st.lists(st.sampled_from(_EDGE_FLOATS), max_size=1),
+       st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS),
+                          st.floats(allow_nan=True)), max_size=30))
+def test_extend_columns_verdict_is_the_pairwise_scan(last, times):
+    """Accepts and rejects exactly the columns one ``<`` pass over
+    neighbours accepts, NaN, infinities, signed zeros, duplicates and a
+    repeated float object included, with the same message."""
+    _check_verdict(last, times)
+
+
+def test_extend_columns_verdict_on_every_short_edge_column():
+    pool = [_NAN, float("nan"), math.inf, -math.inf, -0.0, 0.0, 1.0, 2.5]
+    for n in range(1, 6):
+        for column in itertools.product(pool, repeat=n):
+            _check_verdict([column[0]], list(column[1:]))
 
 
 @pytest.mark.parametrize("columns", [
