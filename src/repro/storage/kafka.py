@@ -132,14 +132,21 @@ class Partition:
                 f"{len(payloads)} payloads, {len(sizes)} sizes"
             )
         # the comparison ``append`` makes, over the last stored time and
-        # the new ones, in one C-level pass
+        # the new ones.  With no neighbour ``<`` its predecessor the list
+        # is one timsort run, so ``sorted`` is one C pass that returns
+        # the same objects in the same order; and ``sorted`` never leaves
+        # such a neighbour pair behind, so an equal result means there is
+        # none (DESIGN.md section 20).  Only a mismatch pays for the
+        # pairwise scan that names the first pair
         joined = [*self.times[-1:], *times]
-        out_of_order = list(map(lt, joined[1:], joined))
-        if True in out_of_order:
-            first = out_of_order.index(True)
-            raise ValueError(
-                f"out-of-order availability: {joined[first + 1]} < {joined[first]}"
-            )
+        if sorted(joined) != joined:
+            out_of_order = list(map(lt, joined[1:], joined))
+            if True in out_of_order:
+                first = out_of_order.index(True)
+                raise ValueError(
+                    f"out-of-order availability: {joined[first + 1]} < "
+                    f"{joined[first]}"
+                )
         self.times.extend(times)
         self.payloads.extend(payloads)
         self.sizes.extend(sizes)

@@ -29,8 +29,9 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy
 
@@ -38,6 +39,8 @@ from repro.sim.specs import REQUIRED, Kinds, number, numbers, parse_spec
 
 if TYPE_CHECKING:  # annotation-only: draws flow through RngRegistry streams
     import random
+
+    from numpy.typing import NDArray
 
 #: piecewise-linear knots per diurnal period (error of the chord vs the
 #: sinusoid is O(1/KNOTS^2) in rate — far below the half-event tolerance
@@ -92,26 +95,47 @@ def emit_timestamps(segments: list[RateSegment]) -> Iterator[float]:
     Event ``k`` is emitted where Lambda crosses ``k + 0.5`` — the
     midpoint convention of the legacy steady generators, so a constant
     segment reproduces their ``(k + 0.5) / rate`` spacing.  Lambda is
-    piecewise-quadratic, so each crossing is a closed-form root.
+    piecewise-quadratic, so each crossing is a closed-form root.  The
+    roots of one segment are one array expression, taken a segment at a
+    time (DESIGN.md section 17).
     """
-    target = 0.5
+    return chain.from_iterable(_segment_timestamps(segments))
+
+
+def _segment_timestamps(segments: list[RateSegment]) -> Iterator[list[float]]:
+    """Per segment, the times of the crossings ``k + 0.5 <= end`` in it.
+
+    The per-event form is ``need = (k + 0.5) - done``, then the root of
+    ``0.5*slope*x^2 + r0*x = need``, clipped to the segment.  Each array
+    operation below is that form's scalar operation, with its operands in
+    its order, applied elementwise: it rounds once, as the scalar does,
+    so the floats are the per-event loop's (held to a copy of that loop
+    in ``tests/test_generator_oracles.py``).
+    """
+    first = 0  # the next event's k; ``k + 0.5`` is exact in float64
     done = 0.0
     for seg in segments:
         span = seg.t1 - seg.t0
         if span <= 0.0:
             continue
         end = done + seg.area
-        slope = (seg.r1 - seg.r0) / span
-        while target <= end:
-            need = target - done
+        if first + 0.5 <= end:  # false for a NaN end, as the loop's test
+            # every k below floor(end) crosses; floor(end) itself does
+            # when its half does
+            stop = math.floor(end)
+            if stop + 0.5 <= end:
+                stop += 1
+            need = (numpy.arange(first, stop) + 0.5) - done
+            slope = (seg.r1 - seg.r0) / span
             if abs(slope) < 1e-12:
-                x = need / seg.r0 if seg.r0 > 0.0 else span
+                x = need / seg.r0 if seg.r0 > 0.0 else numpy.full_like(
+                    need, span)
             else:
-                # solve 0.5*slope*x^2 + r0*x = need for the root in [0, span]
                 disc = seg.r0 * seg.r0 + 2.0 * slope * need
-                x = (math.sqrt(disc if disc > 0.0 else 0.0) - seg.r0) / slope
-            yield seg.t0 + (x if x < span else span)
-            target += 1.0
+                x = (numpy.sqrt(numpy.where(disc > 0.0, disc, 0.0))
+                     - seg.r0) / slope
+            yield (seg.t0 + numpy.where(x < span, x, span)).tolist()
+            first = stop
         done = end
 
 
@@ -144,13 +168,23 @@ def _steady_timestamps(mean_rate: float, until: float) -> Iterator[float]:
     return iter(stamps)
 
 
+def _uniform_picks(draws: NDArray[numpy.float64],
+                   hot_keys: list[int]) -> NDArray[numpy.int64]:
+    """``hot_keys[int(u * len(hot_keys))]`` for a column of draws ``u``.
+
+    The same float64 product, truncated toward zero as ``int()`` does.
+    """
+    return numpy.asarray(hot_keys)[
+        (draws * len(hot_keys)).astype(numpy.int64)]
+
+
 class ArrivalProcess:
     """Base arrival process: shaped timestamps plus hot-key placement.
 
     Subclasses implement :meth:`segments` (the piecewise-linear rate
     profile) and may override :meth:`timestamps` (exact closed forms),
-    :meth:`hot_key` / :meth:`hot_seed_keys` (key-popularity drift) and
-    :meth:`uses_rng` (whether :meth:`timestamps` consumes draws).
+    :meth:`pick_hot_keys` / :meth:`hot_seed_keys` (key-popularity drift)
+    and :meth:`uses_rng` (whether :meth:`timestamps` consumes draws).
     """
 
     #: spec-grammar kind (``steady``, ``diurnal``, ...)
@@ -170,15 +204,17 @@ class ArrivalProcess:
         """Does :meth:`timestamps`/:meth:`segments` consume RNG draws?"""
         return False
 
-    def hot_key(self, t: float, u: float, hot_keys: list[int],
-                parallelism: int) -> int:
-        """Pick the hot key for a skewed event at time ``t``.
+    def pick_hot_keys(self, times: Sequence[float],
+                      draws: NDArray[numpy.float64], hot_keys: list[int],
+                      parallelism: int) -> list[int]:
+        """The hot key of each skewed event of a block, as one column.
 
-        ``u`` is the single uniform draw the generator made for this
-        event; the default reproduces the legacy generators exactly:
-        a uniform pick over ``hot_keys``, all routed to worker 0.
+        ``times`` and ``draws`` are the skewed events' arrival times and
+        the one uniform draw the generator made for each; the default
+        reproduces the legacy generators exactly: a uniform pick over
+        ``hot_keys``, all routed to worker 0.
         """
-        return hot_keys[int(u * len(hot_keys))]
+        return _uniform_picks(draws, hot_keys).tolist()
 
     def hot_weights(self, t: float, num_hot: int) -> list[float]:
         """Popularity weights over hot-key ranks at ``t`` (sum to 1)."""
@@ -186,7 +222,7 @@ class ArrivalProcess:
 
     def hot_seed_keys(self, hot_keys: list[int],
                       parallelism: int) -> list[int]:
-        """Every key :meth:`hot_key` may return (for join pre-seeding)."""
+        """Every key :meth:`pick_hot_keys` may return (join pre-seeding)."""
         return list(hot_keys)
 
     def describe(self) -> str:
@@ -410,31 +446,36 @@ class DriftArrivals(ArrivalProcess):
         """Steady timing (the legacy closed form)."""
         return _steady_timestamps(mean_rate, until)
 
-    def hot_weights(self, t: float, num_hot: int) -> list[float]:
-        """Zipf weights over ranks, rotated by the phase at ``t``."""
+    def _zipf_weights(self, num_hot: int) -> list[float]:
         raw = [(i + 1) ** -self.zipf for i in range(num_hot)]
         total = sum(raw)
-        weights = [w / total for w in raw]
+        return [w / total for w in raw]
+
+    def hot_weights(self, t: float, num_hot: int) -> list[float]:
+        """Zipf weights over ranks, rotated by the phase at ``t``."""
+        weights = self._zipf_weights(num_hot)
         rot = int(((t / self.period) % 1.0) * num_hot) % num_hot
         return weights[-rot:] + weights[:-rot] if rot else weights
 
-    def hot_key(self, t: float, u: float, hot_keys: list[int],
-                parallelism: int) -> int:
-        """Zipf-rank pick, rotated and shifted by the phase at ``t``."""
+    def pick_hot_keys(self, times: Sequence[float],
+                      draws: NDArray[numpy.float64], hot_keys: list[int],
+                      parallelism: int) -> list[int]:
+        """Zipf-rank picks, rotated and shifted by the phase at each time.
+
+        An event's rank is the first whose cumulative weight exceeds its
+        draw (the last rank if none does): a sorted search over the
+        running sums, added in rank order.  Phase, rotation and shift are
+        the per-event float products and ``%``, elementwise.
+        """
         num_hot = len(hot_keys)
-        phase = (t / self.period) % 1.0
-        raw = [(i + 1) ** -self.zipf for i in range(num_hot)]
-        total = sum(raw)
-        acc = 0.0
-        rank = num_hot - 1
-        for i, w in enumerate(raw):
-            acc += w / total
-            if u < acc:
-                rank = i
-                break
-        rot = int(phase * num_hot) % num_hot
-        shift = int(phase * parallelism) % parallelism
-        return hot_keys[(rank + rot) % num_hot] + shift
+        cumulative = list(accumulate(self._zipf_weights(num_hot)))
+        rank = numpy.minimum(
+            numpy.searchsorted(cumulative, draws, side="right"), num_hot - 1)
+        phase = (numpy.asarray(times, dtype=numpy.float64) / self.period) % 1.0
+        rot = (phase * num_hot).astype(numpy.int64) % num_hot
+        shift = (phase * parallelism).astype(numpy.int64) % parallelism
+        return (numpy.asarray(hot_keys)[(rank + rot) % num_hot]
+                + shift).tolist()
 
     def hot_seed_keys(self, hot_keys: list[int],
                       parallelism: int) -> list[int]:
@@ -494,19 +535,22 @@ class TraceArrivals(ArrivalProcess):
                                    mean_rate * last_r, mean_rate * last_r))
         return out
 
-    def _hot_shift(self, t: float, parallelism: int) -> int:
-        shift = 0
-        for knot_t, _, hot in self.knots:
-            if knot_t > t:
-                break
-            if hot is not None:
-                shift = hot % parallelism
-        return shift
+    def pick_hot_keys(self, times: Sequence[float],
+                      draws: NDArray[numpy.float64], hot_keys: list[int],
+                      parallelism: int) -> list[int]:
+        """Uniform hot picks, worker-shifted by the trace's hot_key column.
 
-    def hot_key(self, t: float, u: float, hot_keys: list[int],
-                parallelism: int) -> int:
-        """Uniform hot pick, worker-shifted by the trace's hot_key column."""
-        return hot_keys[int(u * len(hot_keys))] + self._hot_shift(t, parallelism)
+        An event's shift is the last ``hot_key`` given at a knot at or
+        before its time (0 before any): the column carried forward, read
+        at the number of knots not after the event.
+        """
+        shifts = [0]
+        for _, _, hot in self.knots:
+            shifts.append(shifts[-1] if hot is None else hot % parallelism)
+        knots_by = numpy.searchsorted([t for t, _, _ in self.knots], times,
+                                      side="right")
+        return (_uniform_picks(draws, hot_keys)
+                + numpy.asarray(shifts)[knots_by]).tolist()
 
     def hot_seed_keys(self, hot_keys: list[int],
                       parallelism: int) -> list[int]:

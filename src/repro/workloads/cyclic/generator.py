@@ -65,6 +65,15 @@ class CyclicConfig:
     p_del_source: float = 0.05
 
     def __post_init__(self) -> None:
+        # an int: node ids are drawn as ``getrandbits(num_nodes.bit_length())``
+        if not (isinstance(self.num_nodes, int) and self.num_nodes >= 1):
+            raise ValueError(
+                f"num_nodes must be a positive int, got {self.num_nodes!r}")
+        for name in ("p_new_link", "p_new_source", "p_del_link",
+                     "p_del_source"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(
+                    f"{name} must be in [0, 1], got {getattr(self, name)!r}")
         total = self.p_new_link + self.p_new_source + self.p_del_link + self.p_del_source
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"probabilities must sum to 1, got {total}")
@@ -111,12 +120,16 @@ class CyclicGenerator:
             timestamps = arrival.timestamps(rate, until, arrival_rng)
         # both topics are built as columns on the one global timeline and
         # dealt out round-robin at the end (DESIGN.md section 20).  The
-        # draws stay row by row: ``randrange`` rejects and redraws, and a
-        # deletion's range is the live set the rows before it left, so no
-        # draw's place in the stream is known before the one before it
-        # was made.  What a row appends is a ``(time, *fields)`` tuple; a
-        # block of tuples is transposed and turned into event objects
-        # column by column
+        # draws stay row by row: a deletion's range is the live set the
+        # rows before it left, and a draw below ``n`` rejects and redraws,
+        # so no draw's place in the stream is known before the one before
+        # it was made.  Every such draw is ``randrange(n)`` written out —
+        # ``getrandbits(n.bit_length())`` until the value is below ``n``,
+        # what CPython's ``randrange`` runs in two Python frames (the same
+        # values and stream state, ``tests/test_generator_oracles.py``).
+        # What a row appends is a ``(time, *fields)`` tuple; a block of
+        # tuples is transposed and turned into event objects column by
+        # column
         link_times: list[float] = []
         link_events: list[LinkEvent] = []
         source_times: list[float] = []
@@ -126,8 +139,9 @@ class CyclicGenerator:
         add_link = link_rows.append
         add_source = source_rows.append
         random_ = rng.random
-        randrange = rng.randrange
+        getrandbits = rng.getrandbits
         num_nodes = cfg.num_nodes
+        node_bits = num_nodes.bit_length()
         new_link_below = cfg.p_new_link
         new_source_below = cfg.p_new_link + cfg.p_new_source
         del_link_below = cfg.p_new_link + cfg.p_new_source + cfg.p_del_link
@@ -136,26 +150,33 @@ class CyclicGenerator:
                                              columns.BLOCK_EVENTS)):
                 for t in block_times:
                     roll = random_()
-                    if roll < new_link_below or (
-                            roll >= new_source_below
-                            and not live_links and not live_sources):
-                        src = randrange(num_nodes)
-                        dst = randrange(num_nodes)
-                        live_links.append((src, dst))
-                        add_link((t, src, dst, True))
-                    elif roll < new_source_below:
-                        node = randrange(num_nodes)
+                    if new_link_below <= roll < new_source_below:
+                        node = getrandbits(node_bits)
+                        while node >= num_nodes:
+                            node = getrandbits(node_bits)
                         live_sources.append(node)
                         add_source((t, node, True))
-                    elif roll < del_link_below and live_links:
-                        src, dst = live_links.pop(randrange(len(live_links)))
+                    elif (new_source_below <= roll < del_link_below
+                          and live_links):
+                        n = len(live_links)
+                        i = getrandbits(n.bit_length())
+                        while i >= n:
+                            i = getrandbits(n.bit_length())
+                        src, dst = live_links.pop(i)
                         add_link((t, src, dst, False))
-                    elif live_sources:
-                        node = live_sources.pop(randrange(len(live_sources)))
-                        add_source((t, node, False))
-                    else:  # nothing to delete yet: emit a link instead
-                        src = randrange(num_nodes)
-                        dst = randrange(num_nodes)
+                    elif roll >= new_source_below and live_sources:
+                        n = len(live_sources)
+                        i = getrandbits(n.bit_length())
+                        while i >= n:
+                            i = getrandbits(n.bit_length())
+                        add_source((t, live_sources.pop(i), False))
+                    else:  # a new link; also a deletion with nothing to delete
+                        src = getrandbits(node_bits)
+                        while src >= num_nodes:
+                            src = getrandbits(node_bits)
+                        dst = getrandbits(node_bits)
+                        while dst >= num_nodes:
+                            dst = getrandbits(node_bits)
                         live_links.append((src, dst))
                         add_link((t, src, dst, True))
                 _flush(link_rows, LinkEvent, link_times, link_events)

@@ -72,8 +72,11 @@ class GeneratorConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.hot_ratio <= 1.0:
             raise ValueError("hot_ratio must be in [0, 1]")
-        if self.num_hot_keys <= 0:
-            raise ValueError("num_hot_keys must be positive")
+        for name in ("num_hot_keys", "bidder_space_per_worker",
+                     "auction_window"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be positive, "
+                                 f"got {getattr(self, name)!r}")
         if not 0.0 < self.person_share <= 1.0:
             raise ValueError("person_share must be in (0, 1]")
 
@@ -103,13 +106,16 @@ class NexmarkGenerator:
                         picks: NDArray[numpy.float64]) -> None:
         """Overwrite ``keys[row]`` with a hot key where ``tests[row]`` says so.
 
-        ``process.hot_key`` is a user hook taking one event's time and its
-        one uniform draw; it is called for the hot rows only.
+        ``process.pick_hot_keys`` is a column hook: it takes the hot rows'
+        times and their one uniform draw each, once per block.
         """
         hot = numpy.flatnonzero(tests < self.config.hot_ratio)
-        for row, draw in zip(hot.tolist(), picks[hot].tolist()):
-            keys[row] = process.hot_key(times[row], draw, self.hot_keys,
-                                        self.parallelism)
+        rows = hot.tolist()
+        placed = process.pick_hot_keys(list(map(times.__getitem__, rows)),
+                                       picks[hot], self.hot_keys,
+                                       self.parallelism)
+        for row, key in zip(rows, placed):
+            keys[row] = key
 
     def bids_log(self, rate: float, until: float, topic: str = "bids",
                  arrival: ArrivalProcess | None = None) -> PartitionedLog:
@@ -166,8 +172,8 @@ class NexmarkGenerator:
         Hot mode pre-seeds the hot persons (with a Q3-passing state) so that
         hot auctions always find their join partner, concentrating both the
         routing load and the join state on instance 0.  A drifting
-        ``arrival`` widens the pre-seed to every key its ``hot_key`` hook
-        can return, so migrated hot auctions still find a join partner.
+        ``arrival`` widens the pre-seed to every key its ``pick_hot_keys``
+        hook can return, so migrated hot auctions still find a join partner.
         """
         check_rate_and_horizon(rate, until)
         rng = RngRegistry(self.seed).stream(

@@ -14,6 +14,7 @@ fails with an actionable message.
 import math
 import pathlib
 
+import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -187,7 +188,8 @@ def test_drift_preserves_total_key_mass(period, zipf, t_a, t_b, num_hot):
 def test_drift_hot_keys_stay_in_the_shifted_key_set(period, zipf, t, u, parallelism):
     process = DriftArrivals(period=period, zipf=zipf)
     hot_keys = [parallelism * (i + 1) for i in range(3)]
-    key = process.hot_key(t, u, hot_keys, parallelism)
+    [key] = process.pick_hot_keys([t], numpy.array([u]), hot_keys,
+                                  parallelism)
     assert key in set(process.hot_seed_keys(hot_keys, parallelism))
     # the shift never leaves the worker address space
     assert 0 <= key % parallelism < parallelism
@@ -223,10 +225,10 @@ def test_trace_fixture_replays_with_hot_shifts():
     process = parse_arrival(f"trace:{FIXTURE_TRACE}")
     hot_keys = [4, 8]
     # knots: hot 0 at t=0, carried through t=4 (blank), 1 at t=8, 3 at t=12
-    assert process.hot_key(1.0, 0.0, hot_keys, 4) == 4
-    assert process.hot_key(9.0, 0.0, hot_keys, 4) == 5
-    assert process.hot_key(13.0, 0.0, hot_keys, 4) == 7  # 3 % 4 == 3
-    assert process.hot_key(13.0, 0.9, hot_keys, 4) == 11
+    # (3 % 4 == 3)
+    assert process.pick_hot_keys([1.0, 9.0, 13.0, 13.0],
+                                 numpy.array([0.0, 0.0, 0.0, 0.9]),
+                                 hot_keys, 4) == [4, 5, 7, 11]
     seeds = process.hot_seed_keys(hot_keys, 4)
     assert set(seeds) == {4 + s for s in range(4)} | {8 + s for s in range(4)}
 

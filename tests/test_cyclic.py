@@ -54,6 +54,32 @@ def test_generator_probabilities_validated():
                      p_del_source=0.1)
 
 
+@pytest.mark.parametrize("fields, named", [
+    # summed to 1 and generated 500 links and no source event at all
+    ({"p_new_link": 1.2, "p_del_link": -0.4}, "p_new_link"),
+    ({"p_new_link": 0.8, "p_del_link": -0.4, "p_del_source": 0.45},
+     "p_del_link"),
+    ({"p_new_source": float("nan")}, "p_new_source"),
+    ({"p_del_source": float("inf")}, "p_del_source"),
+    # died in randrange, and would spin on getrandbits(0) inline
+    ({"num_nodes": 0}, "num_nodes"),
+    ({"num_nodes": -3}, "num_nodes"),
+    ({"num_nodes": 1e6}, "num_nodes"),
+])
+def test_config_rejects_a_nonsense_field_by_name(fields, named):
+    with pytest.raises(ValueError, match=named):
+        CyclicConfig(**fields)
+
+
+def test_a_one_node_space_generates():
+    links, srcnodes = CyclicGenerator(
+        2, seed=3, config=CyclicConfig(num_nodes=1)).logs(300.0, 1.0)
+    payloads = [r.payload for log in (links, srcnodes)
+                for p in log.partitions for r in p.records]
+    assert len(payloads) == 300
+    assert {getattr(e, "src", getattr(e, "node", None)) for e in payloads} == {0}
+
+
 def test_generator_rejects_bad_arguments_before_generating():
     # CyclicGenerator(0) used to generate everything, then fail in the log
     with pytest.raises(ValueError, match="parallelism must be positive"):

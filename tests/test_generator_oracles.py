@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -170,9 +171,11 @@ def trace_pick(knots, t, u, hot_keys, parallelism):
 
 
 def production_picks(process, times, draws, hot_keys, parallelism):
-    """What the generators place on a block's hot rows."""
-    return [process.hot_key(t, u, hot_keys, parallelism)
-            for t, u in zip(times, draws)]
+    """What the generators place on a block's hot rows: one column."""
+    picks = process.pick_hot_keys(list(times), numpy.array(draws, dtype=float),
+                                  hot_keys, parallelism)
+    assert all(type(key) is int for key in picks)
+    return picks
 
 
 _TIMES = st.lists(st.floats(0.0, 100.0), min_size=1, max_size=40)

@@ -161,6 +161,20 @@ def test_invalid_config_rejected():
     GeneratorConfig(person_share=1.0)  # persons only: allowed
 
 
+@pytest.mark.parametrize("fields, named", [
+    # accepted, and every bid's bidder was 10000
+    ({"bidder_space_per_worker": 0}, "bidder_space_per_worker"),
+    ({"bidder_space_per_worker": -2}, "bidder_space_per_worker"),
+    ({"auction_window": -5}, "auction_window"),
+    ({"auction_window": 0}, "auction_window"),
+    ({"num_hot_keys": 0}, "num_hot_keys"),
+    ({"auction_window": float("nan")}, "auction_window"),
+])
+def test_config_rejects_an_empty_key_space_by_name(fields, named):
+    with pytest.raises(ValueError, match=named):
+        GeneratorConfig(**fields)
+
+
 @pytest.mark.parametrize("rate, until", [
     (float("nan"), 1.0), (float("inf"), 1.0), (10.0, float("nan")),
     (10.0, float("inf")), (-5.0, 1.0), (10.0, 0.0),

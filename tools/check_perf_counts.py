@@ -23,13 +23,14 @@ from __future__ import annotations
 import json
 import sys
 
-#: ``paper``, Python calls per offered record: ~5 % above the 54.78 that
-#: staging each destination as its message's batch landed at on CPython
-#: 3.11 (the message hop without its helper frames read 55.14,
-#: journal-only admission 60.74, the cut batch constants 63.10, the
-#: generators drawing columns 69.56, the columnar input log 71.6, the
-#: shortened hop 77.6, the commit before it 119.1)
-CALLS_PER_RECORD_CEILING = 57.5
+#: ``paper``, Python calls per offered record: ~5 % above the 54.17 that
+#: array timestamps, column hot keys and inline cyclic draws landed at on
+#: CPython 3.11 (staging each destination as its message's batch read
+#: 54.78, the message hop without its helper frames 55.14, journal-only
+#: admission 60.74, the cut batch constants 63.10, the generators drawing
+#: columns 69.56, the columnar input log 71.6, the shortened hop 77.6,
+#: the commit before it 119.1)
+CALLS_PER_RECORD_CEILING = 56.8
 #: ``dense``, Python calls per offered record: 17.15 landed (17.28 with a
 #: buffer object per staged destination, 17.31 while every admission
 #: probed a set, 18.44 before the kernels folded a batch in one pass);
@@ -40,12 +41,12 @@ DENSE_CALLS_PER_RECORD_CEILING = 17.9
 #: one checked ``append`` per record reads 1.0 and a row object per
 #: record on top of it 5.12, where the row-object log stood
 STORAGE_CALLS_PER_RECORD_CEILING = 0.5
-#: ``inputs``, calls in the generators per generated record: the NexMark
-#: generators draw and build whole columns (2.79 with the cyclic query's
-#: row-wise draws, the shaped arrival emitters and the hot-key hook in the
-#: mix); a generator drawing or constructing record by record again reads
-#: 5 or more, and 6.59 is where the row loops stood
-GENERATOR_CALLS_PER_RECORD_CEILING = 4.0
+#: ``inputs``, calls in the generators per generated record: ~5 % above
+#: the 1.00 landed once shaped timestamps and hot keys became array work
+#: and the cyclic query's draws ``getrandbits`` loops (2.79 with a resumed
+#: emitter frame per shaped event, a hook call per hot row and
+#: ``randrange``'s two frames per draw; 6.59 where the row loops stood)
+GENERATOR_CALLS_PER_RECORD_CEILING = 1.05
 #: simulated traffic that no host-side optimisation may move:
 #: metric -> (expected at seed 7, tolerance = display rounding)
 PINNED = {
