@@ -1,7 +1,7 @@
 """Tests of the Z-path / Z-cycle analysis and the paper's domino claims."""
 
 from repro.core.base import CheckpointMeta, initial_checkpoint
-from repro.core.zpaths import ExecutionHistory
+from tests.oracles import ExecutionHistory
 
 from tests.conftest import run_count_job
 

