@@ -9,14 +9,14 @@ feeds results back into the JOIN — a true dataflow cycle:
   marker would have to originate from the operator itself: deadlock);
 * runs UNC and CIC, reporting checkpoint time, restart time and invalid
   checkpoints (paper Table IV);
-* analyses the execution with the Z-path machinery to demonstrate the
-  paper's surprise: the uncoordinated protocol exhibits **no domino
-  effect** even on a cyclic query.
+* finds every checkpoint on a Z-cycle (one pass over checkpoint
+  intervals) to demonstrate the paper's surprise: the uncoordinated
+  protocol exhibits **no domino effect** even on a cyclic query, and
+  CIC's forced checkpoints leave no useless checkpoint at all.
 
 Run:  python examples/cyclic_reachability.py
 """
 
-from repro.core.zpaths import ExecutionHistory
 from repro.dataflow.graph import UnsupportedTopologyError
 from repro.dataflow.runtime import Job
 from repro.metrics.report import format_table
@@ -66,10 +66,9 @@ def main() -> None:
 
     # 3. Z-cycle analysis: is there a domino effect?
     for protocol, job in jobs.items():
-        history = ExecutionHistory.from_job(job)
-        useless = history.useless_checkpoints()
-        print(f"{protocol}: useless checkpoints (on a Z-cycle): {len(useless)}, "
-              f"domino depth: {history.domino_depth()}")
+        zcycles = job.protocol.zcycle_analysis()
+        print(f"{protocol}: useless checkpoints (on a Z-cycle): "
+              f"{len(zcycles.useless)}, domino depth: {zcycles.domino_depth}")
     print()
     print("Depth 0-1 means recovery never cascades: the paper's conclusion is")
     print("that the theoretical domino effect does not bite in practice, so")

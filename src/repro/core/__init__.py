@@ -26,9 +26,8 @@ from repro.core.coordinated import CoordinatedProtocol
 from repro.core.unaligned import UnalignedCoordinatedProtocol
 from repro.core.uncoordinated import UncoordinatedProtocol
 from repro.core.cic import CommunicationInducedProtocol
-from repro.core.checkpoint_graph import CheckpointGraph, rollback_propagation
+from repro.core.checkpoint_graph import CheckpointGraph
 from repro.core.recovery import build_replay_sets
-from repro.core import zpaths
 
 __all__ = [
     "CheckpointMeta",
@@ -43,7 +42,5 @@ __all__ = [
     "UncoordinatedProtocol",
     "CommunicationInducedProtocol",
     "CheckpointGraph",
-    "rollback_propagation",
     "build_replay_sets",
-    "zpaths",
 ]

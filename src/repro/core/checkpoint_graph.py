@@ -1,33 +1,25 @@
-"""Checkpoint graph and the rollback propagation algorithm (paper Alg. 1).
+"""Checkpoint graph: the recovery line and the useless checkpoints of a run.
 
-The checkpoint graph (Wang et al. [47]) has checkpoints as nodes and a
-directed edge ``c(i,x) -> c(j,y)`` when
+A :class:`CheckpointGraph` holds every checkpoint of every instance (with
+the per-channel sequence cursors captured in each) and the channels
+between instances.  It answers two questions, one algorithm each:
 
-* ``i != j`` and at least one *orphan* message exists: sent by operator
-  instance ``i`` **after** ``c(i,x)`` and processed by ``j`` **before**
-  ``c(j,y)``; with per-channel sequence cursors captured in every
-  checkpoint this reduces to the pure cursor comparison
-  ``c(j,y).received > c(i,x).sent`` on some channel ``i -> j``; or
-* ``i == j`` and ``y == x + 1`` (consecutive checkpoints of one instance).
-
-Two equivalent recovery-line algorithms are provided:
-
-* :func:`rollback_propagation` — the paper's Algorithm 1, literally: root
-  set of freshest checkpoints, mark members strictly reachable from other
-  members, replace marked members with their predecessor, repeat.
-* :func:`maximal_consistent_line` — a direct fixpoint on cursor
-  comparisons.  Consistent lines are closed under component-wise maximum,
-  so greedily rolling back any receiver that observes an orphan converges
-  to the unique most-recent consistent line.
-
-The property-based tests assert both return identical lines on random
-executions; the runtime uses the fixpoint (linear-ish) variant while the
-graph variant documents fidelity to the paper.
+* :func:`maximal_consistent_line` — the recovery line.  A line is
+  consistent when no receiver's checkpoint counts a message its sender's
+  checkpoint has not sent (``received > sent`` on a channel is an orphan).
+  Consistent lines are closed under component-wise maximum, so greedily
+  rolling back any receiver that observes an orphan converges to the
+  unique most-recent consistent line — the one the paper's Algorithm 1
+  finds by rollback propagation (tests hold the two equal).
+* :func:`zcycle_analysis` — the checkpoints no consistent line can contain
+  (Netzer and Xu's *useless* checkpoints, the ones on a Z-cycle), from one
+  strongly-connected-components pass over checkpoint intervals.  Analysis
+  only: no run calls it (DESIGN.md section 8).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.base import CheckpointMeta, InstanceKey
 from repro.metrics.collectors import KIND_INITIAL
@@ -48,10 +40,6 @@ class CheckpointGraph:
     checkpoints: dict[InstanceKey, list[CheckpointMeta]]
     #: channels between instances: (channel, sender_key, receiver_key)
     channels: list[tuple[ChannelId, InstanceKey, InstanceKey]]
-    _by_sender: dict[InstanceKey, list[tuple[ChannelId, InstanceKey]]] = field(
-        default_factory=dict
-    )
-    _memo: dict[Node, frozenset[Node]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for instance, metas in self.checkpoints.items():
@@ -60,67 +48,6 @@ class CheckpointGraph:
             ids = [m.checkpoint_id for m in metas]
             if ids != sorted(ids):
                 raise ValueError(f"checkpoints of {instance} not ordered: {ids}")
-        for channel, sender, receiver in self.channels:
-            self._by_sender.setdefault(sender, []).append((channel, receiver))
-
-    # -- graph structure (computed lazily) -------------------------------- #
-
-    def _meta(self, node: Node) -> CheckpointMeta:
-        instance, ckpt_id = node
-        for meta in self.checkpoints[instance]:
-            if meta.checkpoint_id == ckpt_id:
-                return meta
-        raise KeyError(f"unknown checkpoint {node}")
-
-    def successors(self, node: Node) -> frozenset[Node]:
-        """Outgoing edges: orphan edges plus the same-instance successor edge."""
-        cached = self._memo.get(node)
-        if cached is not None:
-            return cached
-        instance, ckpt_id = node
-        meta = self._meta(node)
-        out: set[Node] = set()
-        for channel, receiver in self._by_sender.get(instance, ()):
-            sent = meta.sent_cursor(channel)
-            for r_meta in self.checkpoints[receiver]:
-                if r_meta.received_cursor(channel) > sent:
-                    out.add((receiver, r_meta.checkpoint_id))
-        ids = [m.checkpoint_id for m in self.checkpoints[instance]]
-        position = ids.index(ckpt_id)
-        if position + 1 < len(ids):
-            out.add((instance, ids[position + 1]))
-        result = frozenset(out)
-        self._memo[node] = result
-        return result
-
-    def orphan_edges(self) -> dict[Node, set[Node]]:
-        """All orphan edges (successor edges excluded) — test/analysis helper."""
-        edges: dict[Node, set[Node]] = {}
-        for instance, metas in self.checkpoints.items():
-            ids = [m.checkpoint_id for m in metas]
-            for meta in metas:
-                node = (instance, meta.checkpoint_id)
-                position = ids.index(meta.checkpoint_id)
-                succ = set(self.successors(node))
-                if position + 1 < len(ids):
-                    succ.discard((instance, ids[position + 1]))
-                if succ:
-                    edges[node] = succ
-        return edges
-
-    def reachable_from(self, start: Node) -> set[Node]:
-        """All nodes strictly reachable from ``start`` (path length >= 1)."""
-        seen: set[Node] = set()
-        frontier = list(self.successors(start))
-        while frontier:
-            node = frontier.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            frontier.extend(self.successors(node))
-        return seen
-
-    # -- consistency -------------------------------------------------------- #
 
     def line_is_consistent(self, line: dict[InstanceKey, CheckpointMeta]) -> bool:
         """No-orphan check of a candidate recovery line (Definition 5)."""
@@ -138,48 +65,6 @@ class RecoveryLineResult:
     line: dict[InstanceKey, CheckpointMeta]
     #: checkpoints discarded while searching (the run's invalid checkpoints)
     pruned: list[Node]
-
-
-def rollback_propagation(graph: CheckpointGraph) -> RecoveryLineResult:
-    """Paper Algorithm 1 on the checkpoint graph."""
-    by_instance = {
-        instance: {m.checkpoint_id: m for m in metas}
-        for instance, metas in graph.checkpoints.items()
-    }
-    ordered_ids = {
-        instance: [m.checkpoint_id for m in metas]
-        for instance, metas in graph.checkpoints.items()
-    }
-    # step 1: freshest checkpoint of every instance forms the root set
-    root: dict[InstanceKey, int] = {
-        instance: ids[-1] for instance, ids in ordered_ids.items()
-    }
-    pruned: list[Node] = []
-    while True:
-        root_nodes = sorted((instance, ckpt_id) for instance, ckpt_id in root.items())
-        marked: set[InstanceKey] = set()
-        for node in root_nodes:
-            for other in root_nodes:
-                if other == node:
-                    continue
-                if node in graph.reachable_from(other):
-                    marked.add(node[0])
-                    break
-        if not marked:
-            break
-        for instance in sorted(marked):
-            ids = ordered_ids[instance]
-            position = ids.index(root[instance])
-            if position == 0:
-                raise RuntimeError(
-                    f"rollback propagation fell past the initial checkpoint of {instance}"
-                )
-            pruned.append((instance, root[instance]))
-            root[instance] = ids[position - 1]
-    line = {
-        instance: by_instance[instance][ckpt_id] for instance, ckpt_id in root.items()
-    }
-    return RecoveryLineResult(line=line, pruned=pruned)
 
 
 def maximal_consistent_line(graph: CheckpointGraph) -> RecoveryLineResult:
@@ -205,27 +90,6 @@ def maximal_consistent_line(graph: CheckpointGraph) -> RecoveryLineResult:
     return RecoveryLineResult(line=line, pruned=pruned)
 
 
-def reclaimable_checkpoints(graph: CheckpointGraph) -> list[Node]:
-    """Checkpoints strictly older than the current maximal consistent line.
-
-    The classic reclamation result (Wang et al. [47]): once a consistent
-    line ``L`` exists, rollback propagation never moves below it —
-    rolling an instance back to its ``L`` checkpoint leaves no orphans
-    against any combination of newer checkpoints, because sent-cursors
-    are monotone — so nothing older than ``L`` is ever restored again.
-    An analysis result only: no run collects anything (DESIGN.md
-    section 8).  The implicit initial checkpoints are never reported
-    (there is nothing stored for them).
-    """
-    line = maximal_consistent_line(graph).line
-    return [
-        (instance, meta.checkpoint_id)
-        for instance, metas in graph.checkpoints.items()
-        for meta in metas
-        if 0 < meta.checkpoint_id < line[instance].checkpoint_id
-    ]
-
-
 def invalid_checkpoint_count(
     graph: CheckpointGraph, line: dict[InstanceKey, CheckpointMeta]
 ) -> int:
@@ -241,3 +105,124 @@ def invalid_checkpoint_count(
             1 for m in metas if m.checkpoint_id > chosen and m.kind != KIND_INITIAL
         )
     return count
+
+
+@dataclass
+class ZCycleResult:
+    """The useless checkpoints of a history and how deep they run."""
+    #: (instance, checkpoint id) of every checkpoint on a Z-cycle, in
+    #: graph order (instances as listed, oldest checkpoint first)
+    useless: list[Node]
+    #: longest run of consecutive useless checkpoints on one instance
+    domino_depth: int
+
+
+def zcycle_analysis(graph: CheckpointGraph,
+                    delivered: dict[ChannelId, int]) -> ZCycleResult:
+    """Every useless checkpoint, from one SCC pass over checkpoint intervals.
+
+    Interval ``k`` of an instance runs from its ``k``-th checkpoint (the
+    initial one is number 0) to the next; the last interval is still
+    open.  The graph has an edge from each interval to the next one of
+    the same instance, and one from each delivered message's send
+    interval to its receive interval.  ``delivered[channel]`` is how many
+    messages the channel's receiver has processed (its live receive
+    cursor), so message ``seq <= delivered`` was sent in the interval
+    after the last sender checkpoint whose sent cursor is below ``seq``,
+    and received likewise: one merge of the two cursor lists per channel
+    finds every message edge.
+
+    A path in this graph is a zigzag path (a message may leave an
+    interval before another one arrives in it), so checkpoint ``k >= 1``
+    lies on a Z-cycle exactly when interval ``k`` reaches interval
+    ``k - 1``, i.e. when the two share a strongly connected component
+    (Netzer and Xu 1995, in the interval form of Wang 1997).  A message
+    still in flight has no receive event and is on no zigzag path.
+    """
+    base: dict[InstanceKey, int] = {}
+    size = 0
+    for instance, metas in graph.checkpoints.items():
+        base[instance] = size
+        size += len(metas)
+    adjacency: list[list[int]] = [[] for _ in range(size)]
+    for instance, metas in graph.checkpoints.items():
+        first = base[instance]
+        for node in range(first, first + len(metas) - 1):
+            adjacency[node].append(node + 1)
+    for channel, sender, receiver in graph.channels:
+        count = delivered.get(channel, 0)
+        sent = [m.sent_cursor(channel) for m in graph.checkpoints[sender][1:]]
+        received = [m.received_cursor(channel) for m in graph.checkpoints[receiver][1:]]
+        # messages (seq, next_seq] share one send and one receive interval
+        send_iv = receive_iv = seq = 0
+        while seq < count:
+            while send_iv < len(sent) and sent[send_iv] <= seq:
+                send_iv += 1
+            while receive_iv < len(received) and received[receive_iv] <= seq:
+                receive_iv += 1
+            adjacency[base[sender] + send_iv].append(base[receiver] + receive_iv)
+            seq = min(count,
+                      sent[send_iv] if send_iv < len(sent) else count,
+                      received[receive_iv] if receive_iv < len(received) else count)
+    component = _components(adjacency)
+    useless: list[Node] = []
+    depth = 0
+    for instance, metas in graph.checkpoints.items():
+        first = base[instance]
+        run = 0
+        for k in range(1, len(metas)):
+            if component[first + k] == component[first + k - 1]:
+                useless.append((instance, metas[k].checkpoint_id))
+                run += 1
+                depth = max(depth, run)
+            else:
+                run = 0
+    return ZCycleResult(useless=useless, domino_depth=depth)
+
+
+def _components(adjacency: list[list[int]]) -> list[int]:
+    """Strongly connected component of every node (Tarjan, iterative).
+
+    Each node is labelled with its component's root; two nodes share a
+    component exactly when their labels are equal.
+    """
+    size = len(adjacency)
+    index = [-1] * size
+    low = [0] * size
+    component = [-1] * size
+    on_stack = [False] * size
+    stack: list[int] = []
+    counter = 0
+    for root in range(size):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(adjacency[root]))]
+        while work:
+            node, edges = work[-1]
+            for succ in edges:
+                if index[succ] < 0:
+                    index[succ] = low[succ] = counter
+                    counter += 1
+                    stack.append(succ)
+                    on_stack[succ] = True
+                    work.append((succ, iter(adjacency[succ])))
+                    break
+                if on_stack[succ] and index[succ] < low[node]:
+                    low[node] = index[succ]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    while True:
+                        member = stack.pop()
+                        on_stack[member] = False
+                        component[member] = node
+                        if member == node:
+                            break
+    return component

@@ -29,8 +29,10 @@ from repro.core.base import (
 )
 from repro.core.checkpoint_graph import (
     CheckpointGraph,
+    ZCycleResult,
     invalid_checkpoint_count,
     maximal_consistent_line,
+    zcycle_analysis,
 )
 from repro.core.recovery import build_replay_sets
 from repro.dataflow.channels import ChannelId, Message
@@ -189,6 +191,18 @@ class UncoordinatedProtocol(CheckpointProtocol):
             for channel, (sender, receiver) in endpoints.items()
         ]
         return CheckpointGraph(checkpoints=checkpoints, channels=channels)
+
+    def zcycle_analysis(self) -> ZCycleResult:
+        """The useless checkpoints of the run so far (analysis only).
+
+        Every registered checkpoint, and each channel's messages up to its
+        receiver's live receive cursor (DESIGN.md section 8).
+        """
+        delivered = {
+            channel: receiver.last_received.get(channel, 0)
+            for channel, receiver in self.job.channel_dst.items()
+        }
+        return zcycle_analysis(self.build_checkpoint_graph(), delivered)
 
     def build_recovery_plan(self, now: float) -> RecoveryPlan:
         """Run the recovery-line search (or the weaker-semantics shortcut)."""

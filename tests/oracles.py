@@ -11,7 +11,11 @@ literal forms the tests compare them with (DESIGN.md section 8):
 * :func:`reclaimable_checkpoints` — everything strictly below the
   maximal consistent line;
 * :class:`ExecutionHistory` — Netzer and Xu's Z-path search: interval
-  edges rebuilt from the send log, one search per checkpoint.
+  edges rebuilt from the send log, one search per checkpoint.  It places
+  a logged message its receiver has not processed in the receiver's open
+  interval; ``zcycle_analysis`` counts delivered messages only, so the
+  two are compared on histories without messages in flight
+  (:func:`delivered_history`, :func:`graph_of`).
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ from repro.core.base import CheckpointMeta, InstanceKey
 from repro.core.checkpoint_graph import (
     CheckpointGraph,
     RecoveryLineResult,
+    ZCycleResult,
     maximal_consistent_line,
+    zcycle_analysis,
 )
 from repro.dataflow.channels import ChannelId
 
@@ -275,3 +281,54 @@ class ExecutionHistory:
                 else:
                     run = 0
         return worst
+
+
+def delivered_history(job: "Job") -> ExecutionHistory:
+    """The job's history without the messages still in flight."""
+    history = ExecutionHistory.from_job(job)
+    received = {
+        channel: receiver.last_received.get(channel, 0)
+        for channel, receiver in job.channel_dst.items()
+    }
+    return ExecutionHistory(
+        checkpoints=history.checkpoints,
+        messages=[(channel, seq) for channel, seq in history.messages
+                  if seq <= received[channel]],
+        endpoints=history.endpoints,
+    )
+
+
+def graph_of(history: ExecutionHistory
+             ) -> tuple[CheckpointGraph, dict[ChannelId, int]]:
+    """The history as ``zcycle_analysis`` reads it: the checkpoints, the
+    channels, and every logged message delivered (each channel's log must
+    number its messages 1..n)."""
+    seqs: dict[ChannelId, list[int]] = {}
+    for channel, seq in history.messages:
+        seqs.setdefault(channel, []).append(seq)
+    for channel, logged in seqs.items():
+        assert sorted(logged) == list(range(1, len(logged) + 1)), channel
+    channels = [
+        (channel, sender, receiver)
+        for channel, (sender, receiver) in history.endpoints.items()
+    ]
+    delivered = {channel: len(logged) for channel, logged in seqs.items()}
+    return CheckpointGraph(history.checkpoints, channels), delivered
+
+
+def assert_scc_agrees(history: ExecutionHistory) -> ZCycleResult:
+    """``zcycle_analysis`` finds the useless set and the domino depth the
+    Z-path search finds, every logged message delivered."""
+    result = zcycle_analysis(*graph_of(history))
+    assert result.useless == history.useless_checkpoints()
+    assert result.domino_depth == history.domino_depth()
+    return result
+
+
+def assert_job_agrees(job: "Job") -> ZCycleResult:
+    """The same on a real run, over the messages delivered so far."""
+    result = job.protocol.zcycle_analysis()
+    history = delivered_history(job)
+    assert result.useless == history.useless_checkpoints()
+    assert result.domino_depth == history.domino_depth()
+    return result

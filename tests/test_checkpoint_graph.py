@@ -10,8 +10,10 @@ from repro.core.checkpoint_graph import (
     CheckpointGraph,
     invalid_checkpoint_count,
     maximal_consistent_line,
+    zcycle_analysis,
 )
 from tests.oracles import (
+    ExecutionHistory,
     orphan_edges,
     reachable_from,
     reclaimable_checkpoints,
@@ -211,6 +213,37 @@ def test_algorithm1_equals_fixpoint(graph):
     fix = maximal_consistent_line(graph)
     assert {k: m.checkpoint_id for k, m in alg1.line.items()} == \
            {k: m.checkpoint_id for k, m in fix.line.items()}
+
+
+def assert_zcycles_agree(graph):
+    """Both Z-cycle computations read any monotone cursors the same way,
+    each channel's receiver having processed what its newest checkpoint
+    counts."""
+    delivered = {
+        ch: graph.checkpoints[r][-1].received_cursor(ch) for ch, _, r in graph.channels
+    }
+    search = ExecutionHistory(
+        checkpoints=graph.checkpoints,
+        messages=[(ch, seq) for ch, n in delivered.items() for seq in range(1, n + 1)],
+        endpoints={ch: (s, r) for ch, s, r in graph.channels},
+    )
+    result = zcycle_analysis(graph, delivered)
+    assert result.useless == search.useless_checkpoints()
+    assert result.domino_depth == search.domino_depth()
+
+
+@pytest.mark.parametrize("a_sent,b_received", [
+    ([5], [0]), ([5], [3]), ([5], [5]), ([5], [3, 7]), ([0], [2]),
+])
+def test_zcycle_analysis_equals_the_zpath_search_on_two_processes(a_sent, b_received):
+    assert_zcycles_agree(two_process_graph(a_sent, b_received))
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_execution())
+def test_zcycle_analysis_equals_the_zpath_search_on_cursor_histories(graph):
+    """Cursors drawn independently are no causal run; the two still agree."""
+    assert_zcycles_agree(graph)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,7 +1,17 @@
-"""Tests of the Z-path / Z-cycle analysis and the paper's domino claims."""
+"""Tests of the Z-cycle analysis and the paper's domino claims.
+
+``zcycle_analysis`` (one SCC pass over checkpoint intervals) is held to
+the Z-path search of ``tests.oracles`` on every history built here.
+"""
 
 from repro.core.base import CheckpointMeta, initial_checkpoint
-from tests.oracles import ExecutionHistory
+from repro.core.checkpoint_graph import zcycle_analysis
+from tests.oracles import (
+    ExecutionHistory,
+    assert_job_agrees,
+    assert_scc_agrees,
+    graph_of,
+)
 
 from tests.conftest import run_count_job
 
@@ -36,11 +46,13 @@ def test_interval_reconstruction():
     assert (B, 0) in edges[(A, 0)]
     # seq 3: sent after A's ckpt 1 (interval 1), received after B's ckpt 1
     assert (B, 1) in edges[(A, 1)]
+    assert_scc_agrees(h)
 
 
 def test_initial_checkpoint_never_on_zcycle():
     h = history([initial_checkpoint(A)], [initial_checkpoint(B)], [(AB, 1)])
     assert not h.has_zcycle(A, 0)
+    assert_scc_agrees(h)
 
 
 def test_causal_roundtrip_creates_zcycle():
@@ -61,6 +73,7 @@ def test_causal_roundtrip_creates_zcycle():
     h = history(a, b, messages)
     assert h.has_zcycle(A, 1)
     assert ((A, 1)) in [u for u in h.useless_checkpoints()]
+    assert_scc_agrees(h)
 
 
 def test_no_zcycle_on_forward_only_chain():
@@ -69,6 +82,7 @@ def test_no_zcycle_on_forward_only_chain():
     h = history(a, b, [(AB, s) for s in range(1, 6)])
     assert h.useless_checkpoints() == []
     assert h.domino_depth() == 0
+    assert_scc_agrees(h)
 
 
 def test_domino_depth_counts_consecutive_useless():
@@ -80,6 +94,26 @@ def test_domino_depth_counts_consecutive_useless():
     b = [initial_checkpoint(B), meta(B, 1, sent={BA: 9}, received={AB: 9})]
     h = history(a, b, [(AB, 1), (BA, 1), (BA, 2)])
     assert h.domino_depth() >= 1
+    assert_scc_agrees(h)
+
+
+def test_a_message_in_flight_is_on_no_zigzag_path():
+    """The one reading the two computations differ on, decided for the
+    SCC pass: a message sent but not yet processed has no receive event,
+    so it is on no zigzag path.  The search reads the send log and puts
+    it in its receiver's open interval."""
+    a = [initial_checkpoint(A), meta(A, 1, sent={AB: 0}, received={BA: 1})]
+    b = [initial_checkpoint(B)]
+    # A sends m1 after its checkpoint; B sent m2 in its (open) interval 0
+    # and A processed m2 before its checkpoint
+    h = history(a, b, [(AB, 1), (BA, 1)])
+    graph, _ = graph_of(h)
+    assert h.useless_checkpoints() == [(A, 1)]
+    in_flight = zcycle_analysis(graph, {AB: 0, BA: 1})
+    assert in_flight.useless == []
+    assert in_flight.domino_depth == 0
+    # once B processes m1, the zigzag m1 -> m2 closes
+    assert zcycle_analysis(graph, {AB: 1, BA: 1}).useless == [(A, 1)]
 
 
 # --------------------------------------------------------------------- #
@@ -92,12 +126,14 @@ def test_unc_acyclic_run_has_no_useless_checkpoints():
     job, _ = run_count_job("unc", failure_at=None, duration=16.0)
     h = ExecutionHistory.from_job(job)
     assert h.useless_checkpoints() == []
+    assert assert_job_agrees(job).useless == []
 
 
 def test_cic_acyclic_run_has_no_useless_checkpoints():
     job, _ = run_count_job("cic", failure_at=None, duration=16.0)
     h = ExecutionHistory.from_job(job)
     assert h.useless_checkpoints() == []
+    assert assert_job_agrees(job).useless == []
 
 
 def test_unc_cyclic_run_no_domino_effect():
@@ -119,3 +155,4 @@ def test_unc_cyclic_run_no_domino_effect():
     job.run()
     h = ExecutionHistory.from_job(job)
     assert h.domino_depth() <= 1
+    assert assert_job_agrees(job).domino_depth <= 1

@@ -1,7 +1,11 @@
-"""Additional Z-path analysis coverage (interval edges, cyclic runs)."""
+"""Additional Z-cycle analysis coverage (interval edges, cyclic runs,
+random causal histories)."""
+
+from hypothesis import given, settings, strategies as st
 
 from repro.core.base import CheckpointMeta, initial_checkpoint
-from tests.oracles import ExecutionHistory
+from repro.core.checkpoint_graph import CheckpointGraph, zcycle_analysis
+from tests.oracles import ExecutionHistory, assert_job_agrees, assert_scc_agrees
 
 A, B, C = ("a", 0), ("b", 0), ("c", 0)
 AB = (0, 0, 0)
@@ -45,11 +49,13 @@ def test_ring_zcycle_detected():
         endpoints={AB: (A, B), BC: (B, C), CA: (C, A)},
     )
     assert history.has_zcycle(A, 1)
+    assert assert_scc_agrees(history).useless == [(A, 1)]
 
 
 def test_ring_without_back_edge_is_clean():
     history = ring_history([(AB, 1)])
     assert history.useless_checkpoints() == []
+    assert_scc_agrees(history)
 
 
 def test_interval_edges_cache_is_stable():
@@ -64,6 +70,7 @@ def test_domino_depth_zero_for_empty_history():
                                messages=[], endpoints={})
     assert history.domino_depth() == 0
     assert history.useless_checkpoints() == []
+    assert_scc_agrees(history)
 
 
 def test_cic_prevents_zcycles_on_cyclic_query():
@@ -79,3 +86,61 @@ def test_cic_prevents_zcycles_on_cyclic_query():
     job.run()
     history = ExecutionHistory.from_job(job)
     assert history.useless_checkpoints() == []
+    assert assert_job_agrees(job).useless == []
+
+
+@st.composite
+def causal_history(draw):
+    """A random message-passing run: sends, FIFO deliveries and
+    checkpoints interleaved on 2-4 instances over random channels.
+
+    Returns the checkpoint graph, each channel's delivered count and the
+    number of messages sent on it (the rest are in flight)."""
+    n = draw(st.integers(2, 4))
+    instances = [(f"p{i}", 0) for i in range(n)]
+    pairs = [(s, r) for s in instances for r in instances if s != r]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    channels = [((cid, 0, 0), s, r) for cid, (s, r) in enumerate(chosen)]
+    sent = {channel: 0 for channel, _, _ in channels}
+    delivered = dict(sent)
+    checkpoints = {inst: [initial_checkpoint(inst)] for inst in instances}
+    steps = draw(st.lists(st.tuples(st.sampled_from("ssrrc"),
+                                    st.integers(0, 2**16)), max_size=40))
+    for kind, pick in steps:
+        if kind == "s":
+            sent[channels[pick % len(channels)][0]] += 1
+        elif kind == "r":
+            pending = [ch for ch, _, _ in channels if delivered[ch] < sent[ch]]
+            if pending:
+                delivered[pending[pick % len(pending)]] += 1
+        else:
+            inst = instances[pick % n]
+            metas = checkpoints[inst]
+            metas.append(meta(
+                inst, len(metas),
+                sent={ch: sent[ch] for ch, s, _ in channels if s == inst},
+                received={ch: delivered[ch] for ch, _, r in channels if r == inst},
+            ))
+    return CheckpointGraph(checkpoints, channels), delivered, sent
+
+
+def history_of(graph, counts):
+    """The Z-path search's view of a graph: messages 1..counts[channel]."""
+    return ExecutionHistory(
+        checkpoints=graph.checkpoints,
+        messages=[(ch, seq) for ch, n in counts.items() for seq in range(1, n + 1)],
+        endpoints={ch: (s, r) for ch, s, r in graph.channels},
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(causal_history())
+def test_zcycle_analysis_equals_the_zpath_search(drawn):
+    graph, delivered, sent = drawn
+    result = zcycle_analysis(graph, delivered)
+    search = history_of(graph, delivered)
+    assert result.useless == search.useless_checkpoints()
+    assert result.domino_depth == search.domino_depth()
+    # counting the messages in flight too only adds zigzag paths
+    with_in_flight = history_of(graph, sent).useless_checkpoints()
+    assert set(result.useless) <= set(with_in_flight)
