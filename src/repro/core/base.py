@@ -118,6 +118,18 @@ class CheckpointRegistry:
         """Instances with at least one durable checkpoint."""
         return list(self._by_instance)
 
+    def roll_back_to(self, line: dict[InstanceKey, CheckpointMeta]) -> None:
+        """Forget every checkpoint newer than ``line``.
+
+        A rollback abandons the timeline those checkpoints belong to:
+        their blobs stay restorable, but no later recovery line may
+        restore one of them.
+        """
+        for instance, entries in self._by_instance.items():
+            keep = line[instance].checkpoint_id
+            while entries and entries[-1].checkpoint_id > keep:
+                entries.pop()
+
     def clear(self) -> None:
         """Forget every checkpoint (a rescaled redeploy starts a new epoch:
         pre-rescale metadata describes instances that no longer exist)."""

@@ -34,7 +34,6 @@ def build_replay_sets(
             m for m in messages if receiver_cursor < m.seq <= sender_cursor
         ]
         if selected:
-            selected.sort(key=lambda m: m.seq)
             replay[channel] = selected
     return replay
 

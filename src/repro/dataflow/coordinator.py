@@ -38,22 +38,27 @@ class Coordinator:
     # Control-plane messaging (byte-accounted)
     # ------------------------------------------------------------------ #
 
-    def send_metadata(self, meta: CheckpointMeta) -> None:
+    def send_metadata(self, meta: CheckpointMeta, epoch: int = 0) -> None:
         """A worker reports a durable checkpoint to the coordinator.
 
         The metadata message crosses the network (protocol bytes; UNC's
-        only overhead in Table II) and registers after the delay.
+        only overhead in Table II) and registers after the delay, unless a
+        recovery began after the checkpoint was taken in recovery
+        ``epoch``: a rollback abandoned it.
         """
         cost_model = self.job.cost
         size = cost_model.metadata_message_bytes
         self.job.metrics.record_message(0, size, 0)
         delay = cost_model.network_delay(size)
         self.job.sim.schedule(delay, self._on_metadata, meta,
-                              self.job.deploy_epoch)
+                              self.job.deploy_epoch, epoch)
 
-    def _on_metadata(self, meta: CheckpointMeta, deploy_epoch: int = 0) -> None:
+    def _on_metadata(self, meta: CheckpointMeta, deploy_epoch: int = 0,
+                     epoch: int = 0) -> None:
         if deploy_epoch != self.job.deploy_epoch:
             return  # metadata of a pre-rescale instance that no longer exists
+        if epoch != self.job.epoch:
+            return  # taken before a rollback that abandoned it
         self.registry.register(meta)
         for listener in self._metadata_listeners:
             listener(meta)

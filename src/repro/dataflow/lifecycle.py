@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
-from repro.core.base import CheckpointMeta, RecoveryPlan
+from repro.core.base import CheckpointMeta, InstanceKey, RecoveryPlan
 from repro.dataflow.batch import RecordBatch, group_indices
 from repro.dataflow.channels import ChannelId, DATA, Message, Partitioner, hash_key
 from repro.dataflow.graph import Partitioning, validate_rescale
@@ -304,6 +304,7 @@ class LifecycleManager:
             return
         for key, meta in plan.line.items():
             job.instance(key).restore(self.line_payloads(meta))
+        self.abandon_rolled_back_timeline(plan.line)
         job.transport.reset()
         for worker in job.workers:
             worker.alive = True  # replacement container
@@ -318,6 +319,25 @@ class LifecycleManager:
             for msg in plan.replay[channel]:
                 job.transport.transmit(channel, msg)
         self.resume_after_recovery()
+
+    def abandon_rolled_back_timeline(
+            self, line: dict[InstanceKey, CheckpointMeta]) -> None:
+        """Keep only the timeline ``line`` lies on.
+
+        The registry stops offering the checkpoints newer than the line,
+        and each channel's send log is cut to what the sender's line
+        checkpoint had sent: the restored sender sends the rest again
+        under the same sequence numbers, so every log stays one strictly
+        increasing timeline.
+        """
+        job = self.job
+        job.registry.roll_back_to(line)
+        edges_by_id = {edge.edge_id: edge for edge in job.graph.edges}
+        for channel, messages in job.send_log.items():
+            sender = (edges_by_id[channel[0]].src, channel[1])
+            sent = line[sender].sent_cursor(channel)
+            while messages and messages[-1].seq > sent:
+                messages.pop()
 
     def resume_after_recovery(self) -> None:
         """Restart source polling and worker CPUs after a rollback."""

@@ -492,13 +492,15 @@ class Job:
         at = max(self.sim.now + delay,
                  instance.durable_floor + self.cost.channel_epsilon)
         instance.durable_floor = at
-        # the callee is handed the deploy epoch and drops itself if a
-        # rescaled redeploy came in between
+        # the callee is handed both epochs: it drops itself if a rescaled
+        # redeploy came in between, and a recovery in between keeps the
+        # checkpoint out of the registry (it belongs to the timeline the
+        # rollback abandoned)
         self.sim.schedule_at(at, self._checkpoint_durable, meta, payload,
-                             self.deploy_epoch)
+                             self.deploy_epoch, self.epoch)
 
     def _checkpoint_durable(self, meta: CheckpointMeta, payload: dict[str, Any],
-                            deploy_epoch: int) -> None:
+                            deploy_epoch: int, epoch: int) -> None:
         """The one commit: the upload is acknowledged, the checkpoint exists."""
         if deploy_epoch != self.deploy_epoch:
             return  # upload outlived a rescaled redeploy; its instance is gone
@@ -519,7 +521,7 @@ class Job:
                 round_id=durable.round_id,
             )
         )
-        self.coordinator.send_metadata(durable)
+        self.coordinator.send_metadata(durable, epoch)
         if durable.kind in UNCOORDINATED_KINDS:
             # the uncoordinated family's unit of checkpoint cost; the
             # coordinated family reports round durations instead

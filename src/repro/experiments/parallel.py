@@ -66,8 +66,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: bump when RunResult / metrics layout or the entry encoding changes so
 #: stale cache entries from an older code revision are never served; v8 =
 #: compacted results in zlib-compressed entries (older plain-pickle dirs
-#: read as misses, never as errors)
-CACHE_VERSION = 8
+#: read as misses, never as errors); v9 = same format, but a recovery no
+#: longer restores a timeline an earlier one abandoned, so v8 results of
+#: multi-failure runs are wrong
+CACHE_VERSION = 9
 
 
 # --------------------------------------------------------------------- #

@@ -4,11 +4,13 @@ Like the exactly-once suite, this doubles as a differential harness for
 the checkpoint state backends: repeated failures exercise the changelog
 backend's forced-base-after-restore rule several times per run, and the
 differential test asserts both backends pick identical recovery lines at
-every one of them (DESIGN.md section 10).
+every one of them (DESIGN.md section 10).  Every run ends at the drain
+barrier, so final counts compare a quiescent pipeline.
 """
 
 import pytest
 
+from repro.dataflow.lifecycle import LifecycleManager
 from repro.dataflow.runtime import Job
 from repro.sim.costs import RuntimeConfig
 
@@ -16,17 +18,18 @@ from tests.conftest import build_count_graph, canonical_state_bytes, make_event_
 
 
 def run_with_failures(protocol, failures, duration=24.0, seed=3,
-                      parallelism=3, rate=300.0, state_backend="full"):
+                      parallelism=3, rate=300.0, state_backend="full",
+                      checkpoint_interval=3.0):
     first_at, first_worker = failures[0]
     config = RuntimeConfig(
-        checkpoint_interval=3.0, duration=duration, warmup=2.0,
+        checkpoint_interval=checkpoint_interval, duration=duration, warmup=2.0,
         failure_at=first_at, failure_worker=first_worker,
         extra_failures=tuple(failures[1:]), seed=seed,
         state_backend=state_backend,
     )
     log = make_event_log(rate, duration - 4.0, parallelism, seed=seed)
     job = Job(build_count_graph(), protocol, parallelism, {"events": log}, config)
-    result = job.run(rate=rate)
+    result = job.run(rate=rate, drain=True)
     expected = {}
     for partition in log.partitions:
         for r in partition.records:
@@ -106,3 +109,45 @@ def test_output_continues_after_last_recovery():
     _, result, _, _ = run_with_failures("coor", [(5.0, 0), (12.0, 2)])
     last_second = max(result.metrics.sink_counts)
     assert last_second >= int(result.warmup + 16.0)
+
+
+@pytest.mark.parametrize("protocol,seed,interval,failures", [
+    ("unc", 2, 3.0, [(4.0, 0), (8.0, 1), (12.0, 2), (16.0, 0)]),
+    ("unc", 3, 2.0, [(3.0, 0), (6.0, 0), (9.0, 1), (12.0, 2), (15.0, 1)]),
+    ("cic", 2, 3.0, [(4.0, 0), (8.0, 1), (12.0, 2), (16.0, 0)]),
+    ("cic", 3, 2.0, [(3.0, 0), (6.0, 0), (9.0, 1), (12.0, 2), (15.0, 1)]),
+])
+def test_a_rollback_abandons_the_timeline_it_rolled_past(
+        monkeypatch, protocol, seed, interval, failures):
+    """A recovery leaves nothing of the timeline it rolled back for a
+    later one: no later line restores a checkpoint newer than an earlier
+    line (one an instance had taken by then), and every channel's send
+    log is one strictly increasing timeline — the restored senders send
+    again under the sequence numbers they were rolled past.  Without
+    that, these runs lose records."""
+    applied = []
+    apply_recovery = LifecycleManager.apply_recovery
+
+    def recording(self, plan):
+        applied.append((
+            {key: meta.checkpoint_id for key, meta in plan.line.items()},
+            {key: self.job.instance(key).checkpoint_counter for key in plan.line},
+        ))
+        apply_recovery(self, plan)
+
+    monkeypatch.setattr(LifecycleManager, "apply_recovery", recording)
+    job, _, expected, measured = run_with_failures(
+        protocol, failures, seed=seed, checkpoint_interval=interval)
+    assert len(applied) >= 3
+    assert measured == expected
+    restored_abandoned = [
+        (key, later[key])
+        for k, (line, taken) in enumerate(applied)
+        for later, _ in applied[k + 1:]
+        for key in line
+        if line[key] < later[key] <= taken[key]
+    ]
+    assert restored_abandoned == []
+    for channel, messages in job.send_log.items():
+        seqs = [m.seq for m in messages]
+        assert all(a < b for a, b in zip(seqs, seqs[1:])), channel

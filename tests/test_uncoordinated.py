@@ -133,13 +133,6 @@ def test_replay_from_initial_checkpoints_is_empty():
     assert build_replay_sets(line, log, {CH: (A, B)}) == {}
 
 
-def test_replay_sorted_by_seq():
-    line = {A: _meta(A, 1, sent={CH: 4}), B: _meta(B, 1, received={CH: 0})}
-    log = {CH: [_msg(3), _msg(1), _msg(4), _msg(2)]}
-    replay = build_replay_sets(line, log, {CH: (A, B)})
-    assert [m.seq for m in replay[CH]] == [1, 2, 3, 4]
-
-
 def test_rollback_distance_counts_records():
     msgs = [
         Message(channel=CH, seq=1, kind=DATA,

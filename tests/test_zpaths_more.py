@@ -89,6 +89,22 @@ def test_cic_prevents_zcycles_on_cyclic_query():
     assert assert_job_agrees(job).useless == []
 
 
+def test_cic_leaves_no_useless_checkpoint_through_failures():
+    """HMNR's guarantee on a cyclic run that recovers twice: every
+    checkpoint the registry still offers is useful."""
+    from repro.dataflow.runtime import Job
+    from repro.sim.costs import RuntimeConfig
+    from repro.workloads.cyclic import REACHABILITY
+
+    config = RuntimeConfig(duration=16.0, warmup=2.0, checkpoint_interval=2.0,
+                           failure_at=6.0, extra_failures=((11.0, 1),))
+    inputs = REACHABILITY.make_job_inputs(400.0, 19.0, 2, 0.0, 7)
+    job = Job(REACHABILITY.build_graph(2), "cic", 2, inputs, config)
+    job.run()
+    assert job.recoveries_applied == 2
+    assert assert_job_agrees(job).useless == []
+
+
 @st.composite
 def causal_history(draw):
     """A random message-passing run: sends, FIFO deliveries and
