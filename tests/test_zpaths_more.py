@@ -4,7 +4,11 @@ random causal histories)."""
 from hypothesis import given, settings, strategies as st
 
 from repro.core.base import CheckpointMeta, initial_checkpoint
-from repro.core.checkpoint_graph import CheckpointGraph, zcycle_analysis
+from repro.core.checkpoint_graph import (
+    CheckpointGraph,
+    maximal_consistent_line,
+    zcycle_analysis,
+)
 from tests.oracles import ExecutionHistory, assert_job_agrees, assert_scc_agrees
 
 A, B, C = ("a", 0), ("b", 0), ("c", 0)
@@ -160,3 +164,31 @@ def test_zcycle_analysis_equals_the_zpath_search(drawn):
     # counting the messages in flight too only adds zigzag paths
     with_in_flight = history_of(graph, sent).useless_checkpoints()
     assert set(result.useless) <= set(with_in_flight)
+
+
+@settings(max_examples=150, deadline=None)
+@given(causal_history())
+def test_useless_means_no_consistent_line_holds_it(drawn):
+    """What "useless" means, by the recovery-line fixpoint instead of a
+    path search: a checkpoint is useless exactly when the newest
+    consistent line that may not go past it on its instance (every other
+    instance may also use its current state, a final checkpoint with the
+    live cursors) does not contain it.  Messages in flight are no
+    orphans, so they cannot make a checkpoint useless."""
+    graph, delivered, sent = drawn
+    final = {
+        inst: meta(inst, metas[-1].checkpoint_id + 1,
+                   sent={ch: sent[ch] for ch, s, _ in graph.channels if s == inst},
+                   received={ch: delivered[ch] for ch, _, r in graph.channels if r == inst})
+        for inst, metas in graph.checkpoints.items()
+    }
+    by_lines = []
+    for inst, metas in graph.checkpoints.items():
+        for k in range(1, len(metas)):
+            bounded = {other: [*others, final[other]]
+                       for other, others in graph.checkpoints.items()}
+            bounded[inst] = metas[:k + 1]
+            line = maximal_consistent_line(CheckpointGraph(bounded, graph.channels)).line
+            if line[inst].checkpoint_id != metas[k].checkpoint_id:
+                by_lines.append((inst, metas[k].checkpoint_id))
+    assert zcycle_analysis(graph, delivered).useless == by_lines
