@@ -140,30 +140,28 @@ def zcycle_analysis(graph: CheckpointGraph,
     still in flight has no receive event and is on no zigzag path.
     """
     base: dict[InstanceKey, int] = {}
-    size = 0
+    adjacency: list[list[int]] = []
     for instance, metas in graph.checkpoints.items():
-        base[instance] = size
-        size += len(metas)
-    adjacency: list[list[int]] = [[] for _ in range(size)]
-    for instance, metas in graph.checkpoints.items():
-        first = base[instance]
-        for node in range(first, first + len(metas) - 1):
-            adjacency[node].append(node + 1)
+        base[instance] = first = len(adjacency)
+        # each interval leads to the next one of its instance
+        adjacency.extend([first + k + 1] for k in range(len(metas) - 1))
+        adjacency.append([])
     for channel, sender, receiver in graph.channels:
         count = delivered.get(channel, 0)
+        # each list ends in ``count``, the bound of the open interval
         sent = [m.sent_cursor(channel) for m in graph.checkpoints[sender][1:]]
         received = [m.received_cursor(channel) for m in graph.checkpoints[receiver][1:]]
-        # messages (seq, next_seq] share one send and one receive interval
+        sent.append(count)
+        received.append(count)
+        # messages (seq, next seq] share one send and one receive interval
         send_iv = receive_iv = seq = 0
         while seq < count:
-            while send_iv < len(sent) and sent[send_iv] <= seq:
+            while sent[send_iv] <= seq:
                 send_iv += 1
-            while receive_iv < len(received) and received[receive_iv] <= seq:
+            while received[receive_iv] <= seq:
                 receive_iv += 1
             adjacency[base[sender] + send_iv].append(base[receiver] + receive_iv)
-            seq = min(count,
-                      sent[send_iv] if send_iv < len(sent) else count,
-                      received[receive_iv] if receive_iv < len(received) else count)
+            seq = min(sent[send_iv], received[receive_iv], count)
     component = _components(adjacency)
     useless: list[Node] = []
     depth = 0

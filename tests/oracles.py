@@ -298,6 +298,18 @@ def delivered_history(job: "Job") -> ExecutionHistory:
     )
 
 
+def history_of(graph: CheckpointGraph,
+               counts: dict[ChannelId, int]) -> ExecutionHistory:
+    """The search's view of ``graph`` when each channel carried messages
+    ``1..counts[channel]``."""
+    return ExecutionHistory(
+        checkpoints=graph.checkpoints,
+        messages=[(channel, seq) for channel, n in counts.items()
+                  for seq in range(1, n + 1)],
+        endpoints={channel: (s, r) for channel, s, r in graph.channels},
+    )
+
+
 def graph_of(history: ExecutionHistory
              ) -> tuple[CheckpointGraph, dict[ChannelId, int]]:
     """The history as ``zcycle_analysis`` reads it: the checkpoints, the

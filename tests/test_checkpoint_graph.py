@@ -12,8 +12,9 @@ from repro.core.checkpoint_graph import (
     maximal_consistent_line,
     zcycle_analysis,
 )
+
 from tests.oracles import (
-    ExecutionHistory,
+    history_of,
     orphan_edges,
     reachable_from,
     reclaimable_checkpoints,
@@ -222,11 +223,7 @@ def assert_zcycles_agree(graph):
     delivered = {
         ch: graph.checkpoints[r][-1].received_cursor(ch) for ch, _, r in graph.channels
     }
-    search = ExecutionHistory(
-        checkpoints=graph.checkpoints,
-        messages=[(ch, seq) for ch, n in delivered.items() for seq in range(1, n + 1)],
-        endpoints={ch: (s, r) for ch, s, r in graph.channels},
-    )
+    search = history_of(graph, delivered)
     result = zcycle_analysis(graph, delivered)
     assert result.useless == search.useless_checkpoints()
     assert result.domino_depth == search.domino_depth()

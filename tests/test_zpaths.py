@@ -6,14 +6,14 @@ the Z-path search of ``tests.oracles`` on every history built here.
 
 from repro.core.base import CheckpointMeta, initial_checkpoint
 from repro.core.checkpoint_graph import zcycle_analysis
+
+from tests.conftest import run_count_job
 from tests.oracles import (
     ExecutionHistory,
     assert_job_agrees,
     assert_scc_agrees,
     graph_of,
 )
-
-from tests.conftest import run_count_job
 
 A, B = ("a", 0), ("b", 0)
 AB = (0, 0, 0)  # A -> B

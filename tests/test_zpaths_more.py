@@ -9,7 +9,13 @@ from repro.core.checkpoint_graph import (
     maximal_consistent_line,
     zcycle_analysis,
 )
-from tests.oracles import ExecutionHistory, assert_job_agrees, assert_scc_agrees
+
+from tests.oracles import (
+    ExecutionHistory,
+    assert_job_agrees,
+    assert_scc_agrees,
+    history_of,
+)
 
 A, B, C = ("a", 0), ("b", 0), ("c", 0)
 AB = (0, 0, 0)
@@ -142,15 +148,6 @@ def causal_history(draw):
                 received={ch: delivered[ch] for ch, _, r in channels if r == inst},
             ))
     return CheckpointGraph(checkpoints, channels), delivered, sent
-
-
-def history_of(graph, counts):
-    """The Z-path search's view of a graph: messages 1..counts[channel]."""
-    return ExecutionHistory(
-        checkpoints=graph.checkpoints,
-        messages=[(ch, seq) for ch, n in counts.items() for seq in range(1, n + 1)],
-        endpoints={ch: (s, r) for ch, s, r in graph.channels},
-    )
 
 
 @settings(max_examples=300, deadline=None)
