@@ -11,8 +11,8 @@ literal forms the tests compare them with (DESIGN.md section 8):
 * :func:`reclaimable_checkpoints` — everything strictly below the
   maximal consistent line;
 * :class:`ExecutionHistory` — Netzer and Xu's Z-path search: interval
-  edges rebuilt from the send log, one search per checkpoint.  It places
-  a logged message its receiver has not processed in the receiver's open
+  edges rebuilt from every message sent, one search per checkpoint.  It
+  places a message its receiver has not processed in the receiver's open
   interval; ``zcycle_analysis`` counts delivered messages only, so the
   two are compared on histories without messages in flight
   (:func:`delivered_history`, :func:`graph_of`).
@@ -177,16 +177,18 @@ class ExecutionHistory:
 
     @classmethod
     def from_job(cls, job: "Job") -> "ExecutionHistory":
-        """Collect the history of a finished job from its send log."""
+        """Collect the history of a finished job from its cursors: each
+        channel carried messages 1 up to its sender's live ``last_sent``
+        (the send log keeps only what a recovery could still replay)."""
         edges_by_id = {edge.edge_id: edge for edge in job.graph.edges}
         endpoints = {
             channel: ((edges_by_id[channel[0]].src, channel[1]), dst.key)
             for channel, dst in job.channel_dst.items()
         }
         messages = [
-            (channel, msg.seq)
-            for channel, msgs in job.send_log.items()
-            for msg in msgs
+            (channel, seq)
+            for channel, (sender, _) in endpoints.items()
+            for seq in range(1, job.instance(sender).out_seq.get(channel, 0) + 1)
         ]
         checkpoints = {
             key: job.registry.with_initial(key) for key in job.instance_keys()

@@ -82,10 +82,15 @@ def test_exactly_once_state_after_failure():
 
 
 def test_replay_happens_on_recovery():
+    """The counts of this failure point, pinned: the line rolls five
+    checkpoints back and replays what was in flight across it."""
     _, result = run_count_job("unc", failure_at=6.0, rate=500.0)
-    assert result.metrics.replayed_messages >= 0
-    assert result.metrics.invalid_checkpoints >= 0
-    assert result.metrics.total_checkpoints_at_failure > 0
+    metrics = result.metrics
+    assert metrics.n_recoveries == 1
+    assert metrics.replayed_messages == 495
+    assert metrics.replayed_records == 2058
+    assert metrics.invalid_checkpoints == 5
+    assert metrics.total_checkpoints_at_failure == 26
 
 
 def test_metadata_overhead_is_tiny():
