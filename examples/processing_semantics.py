@@ -91,7 +91,7 @@ def main() -> None:
                    else "LOST %d" % (expected - measured) if measured < expected
                    else "DUPLICATED %d" % (measured - expected))
         rows.append([semantics, expected, measured, verdict,
-                     "yes" if job.send_log else "no"])
+                     "yes" if job.protocol.logs_messages else "no"])
     print(format_table(
         ["semantics", "input records", "state effects", "verdict", "logged?"],
         rows,

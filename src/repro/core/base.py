@@ -9,7 +9,9 @@ comparison" property the paper built its testbed for (Section IV).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any
 
 from repro.dataflow.channels import ChannelId, Message
@@ -19,6 +21,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
     from repro.dataflow.runtime import Job, InstanceRuntime
 
 InstanceKey = tuple[str, int]
+
+_CHECKPOINT_ID = attrgetter("checkpoint_id")
 
 
 @dataclass(frozen=True)
@@ -110,13 +114,16 @@ class CheckpointRegistry:
         entries = self._by_instance.get(instance)
         return entries[-1] if entries else None
 
+    def since(self, floor: CheckpointMeta) -> list[CheckpointMeta]:
+        """``floor`` and every checkpoint of its instance newer than it,
+        oldest first (``floor`` may be the initial checkpoint)."""
+        entries = self._by_instance.get(floor.instance, [])
+        return [floor, *entries[bisect_right(entries, floor.checkpoint_id,
+                                             key=_CHECKPOINT_ID):]]
+
     def total(self) -> int:
         """Durable checkpoints across all instances."""
         return sum(len(v) for v in self._by_instance.values())
-
-    def instances(self) -> list[InstanceKey]:
-        """Instances with at least one durable checkpoint."""
-        return list(self._by_instance)
 
     def roll_back_to(self, line: dict[InstanceKey, CheckpointMeta]) -> None:
         """Forget every checkpoint newer than ``line``.
@@ -184,6 +191,9 @@ class CheckpointProtocol:
         #: its weaker processing-semantics modes (paper Definitions 1-3).
         #: Fixed at construction — the data path reads it on every batch
         self.requires_dedup: bool = self.requires_logging
+        #: does the protocol append every DATA message to the durable
+        #: send log?  The uncoordinated family's at-most-once mode does not
+        self.logs_messages: bool = self.requires_logging
         # the data path calls a per-message hook only where the class
         # overrides it: the base hooks are no-ops (DESIGN.md section 19)
         cls = type(self)

@@ -68,17 +68,25 @@ class RecoveryLineResult:
 
 
 def maximal_consistent_line(graph: CheckpointGraph) -> RecoveryLineResult:
-    """Direct fixpoint: roll back any receiver that observes an orphan."""
-    ordered = {instance: list(metas) for instance, metas in graph.checkpoints.items()}
+    """Direct fixpoint: roll back any receiver that observes an orphan.
+
+    UNC and CIC run it once per round of checkpoint registrations, over
+    every channel, so the orphan test reads the cursor dicts without a
+    call (a channel missing from a dict has cursor 0).
+    """
+    ordered = graph.checkpoints
     position = {instance: len(metas) - 1 for instance, metas in ordered.items()}
     pruned: list[Node] = []
     changed = True
     while changed:
         changed = False
         for channel, sender, receiver in graph.channels:
-            s_meta = ordered[sender][position[sender]]
             r_meta = ordered[receiver][position[receiver]]
-            if r_meta.received_cursor(channel) > s_meta.sent_cursor(channel):
+            received = r_meta.last_received
+            if channel not in received:
+                continue  # received nothing: cannot observe an orphan
+            sent = ordered[sender][position[sender]].last_sent
+            if received[channel] > (sent[channel] if channel in sent else 0):
                 if position[receiver] == 0:
                     raise RuntimeError(
                         f"no consistent line: cannot roll {receiver} past initial"

@@ -9,12 +9,23 @@ messages of the line are exactly those with
 rollback) but not yet incorporated in the receiver's checkpoint.  Replaying
 them and deduplicating by lineage id restores the channel state required by
 the no-dropping half of Definition 5 with exactly-once effects.
+
+Each log is one timeline, increasing in ``seq``, that starts above the
+floor line (DESIGN.md section 8), so a window is two bisections and a
+slice, and no window of a later line reaches below the log's start.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from operator import attrgetter
+
 from repro.core.base import CheckpointMeta, InstanceKey
 from repro.dataflow.channels import ChannelId, Message
+
+#: the key each channel's log is sorted by (``bisect_right(log, seq,
+#: key=message_seq)`` counts the logged messages up to ``seq``)
+message_seq = attrgetter("seq")
 
 
 def build_replay_sets(
@@ -30,14 +41,9 @@ def build_replay_sets(
         receiver_cursor = line[receiver].received_cursor(channel)
         if sender_cursor <= receiver_cursor:
             continue
-        selected = [
-            m for m in messages if receiver_cursor < m.seq <= sender_cursor
-        ]
+        selected = messages[
+            bisect_right(messages, receiver_cursor, key=message_seq):
+            bisect_right(messages, sender_cursor, key=message_seq)]
         if selected:
             replay[channel] = selected
     return replay
-
-
-def rollback_distance_records(replay: dict[ChannelId, list[Message]]) -> int:
-    """Total records that will be re-delivered (reporting helper)."""
-    return sum(m.record_count for messages in replay.values() for m in messages)

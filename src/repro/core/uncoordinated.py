@@ -6,7 +6,11 @@ implemented here or in the runtime:
 
 * **message logging** — every data message is appended to a durable
   per-channel send log at send time (upstream backup); the CPU tax of the
-  append is the protocol's main failure-free cost;
+  append is the protocol's main failure-free cost.  Once per round of
+  checkpoint registrations the log drops every message at or below its
+  receiver's cursor in the *floor line*, the maximal consistent line of
+  the registered checkpoints: no later recovery replays one
+  (DESIGN.md section 8);
 * **recovery-line search** — the rollback propagation fixpoint over the
   checkpoint graph built from per-channel cursors
   (:mod:`repro.core.checkpoint_graph`);
@@ -19,11 +23,14 @@ only message overhead, which is why Table II shows ~1.00–1.01x for UNC.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import TYPE_CHECKING
 
 from repro.core.base import (
     initial_checkpoint,
+    CheckpointMeta,
     CheckpointProtocol,
+    InstanceKey,
     RecoveryPlan,
     register_protocol,
 )
@@ -34,7 +41,7 @@ from repro.core.checkpoint_graph import (
     maximal_consistent_line,
     zcycle_analysis,
 )
-from repro.core.recovery import build_replay_sets
+from repro.core.recovery import build_replay_sets, message_seq
 from repro.dataflow.channels import ChannelId, Message
 from repro.metrics.collectors import KIND_LOCAL
 
@@ -82,8 +89,18 @@ class UncoordinatedProtocol(CheckpointProtocol):
         #: the configured processing guarantee
         self.semantics: str = semantics
         #: does this semantics mode append to the durable send log?
-        self.logs_messages: bool = semantics != "at-most-once"
+        self.logs_messages = semantics != "at-most-once"
         self.requires_dedup = semantics == "exactly-once"
+        #: the floor line: the maximal consistent line of the registered
+        #: checkpoints when the send logs were last truncated (the initial
+        #: checkpoints until then)
+        self.floor: dict[InstanceKey, CheckpointMeta] = {}
+        #: registrations until the next truncation
+        self._registrations_left = 0
+        #: ``(deploy epoch, *_wiring())`` of the last deployment asked about
+        self._wired: tuple[
+            int, dict[ChannelId, tuple[InstanceKey, InstanceKey]],
+            list[tuple[ChannelId, InstanceKey, InstanceKey]]] = (-1, {}, [])
 
     # ------------------------------------------------------------------ #
     # Local checkpoint timers
@@ -125,7 +142,11 @@ class UncoordinatedProtocol(CheckpointProtocol):
         return None, phase
 
     def on_job_start(self) -> None:
-        """Install one local checkpoint timer per participating instance."""
+        """Install one local checkpoint timer per participating instance,
+        and collect the send log as checkpoints register."""
+        self._reset_floor()
+        if self.logs_messages:
+            self.job.coordinator.add_metadata_listener(self._on_metadata)
         self._start_timers()
 
     def _start_timers(self) -> None:
@@ -152,7 +173,10 @@ class UncoordinatedProtocol(CheckpointProtocol):
                          deploy_epoch)
 
     def on_rescaled(self, plan: RecoveryPlan) -> None:
-        """Start local checkpoint timers for the replacement instances."""
+        """Start local checkpoint timers for the replacement instances; the
+        floor restarts with the registry and the logs, which the redeploy
+        cleared."""
+        self._reset_floor()
         self._start_timers()
 
     # ------------------------------------------------------------------ #
@@ -167,30 +191,75 @@ class UncoordinatedProtocol(CheckpointProtocol):
         job.send_log.setdefault(channel, []).append(msg)
         return job.cost.log_append_cost(len(msg.records.rids), msg.payload_bytes)
 
+    def _reset_floor(self) -> None:
+        """Start the floor line at the deployment's initial checkpoints."""
+        self.floor = {key: initial_checkpoint(key)
+                      for key in self.job.instance_keys()}
+        self._registrations_left = len(self.floor)
+
+    def _on_metadata(self, meta: CheckpointMeta) -> None:
+        """Once per round of registrations (as many as the deployment has
+        instances), raise the floor line and truncate the logs below it."""
+        self._registrations_left -= 1
+        if not self._registrations_left:
+            self._registrations_left = len(self.floor)
+            self.floor = self.floor_line()
+            self.truncate_logs(self.floor)
+
+    def floor_line(self) -> dict[InstanceKey, CheckpointMeta]:
+        """The maximal consistent line of the registered checkpoints.
+
+        It never falls (DESIGN.md section 8), so each instance's search
+        starts at its checkpoint in the current floor, not at the initial
+        one.
+        """
+        registry = self.job.registry
+        graph = CheckpointGraph(
+            checkpoints={key: registry.since(meta)
+                         for key, meta in self.floor.items()},
+            channels=self._wiring()[1])
+        return maximal_consistent_line(graph).line
+
+    def truncate_logs(self, floor: dict[InstanceKey, CheckpointMeta]) -> None:
+        """Drop every logged message that its receiver's checkpoint in
+        ``floor`` already counts: no later replay window reaches it."""
+        endpoints = self._wiring()[0]
+        for channel, messages in self.job.send_log.items():
+            received = floor[endpoints[channel][1]].last_received
+            if channel in received:
+                del messages[:bisect_right(messages, received[channel],
+                                           key=message_seq)]
+
     # ------------------------------------------------------------------ #
     # Recovery
     # ------------------------------------------------------------------ #
 
-    def _channel_endpoints(self) -> dict[ChannelId, tuple]:
-        edges_by_id = {edge.edge_id: edge for edge in self.job.graph.edges}
-        endpoints = {}
-        for channel, dst_instance in self.job.channel_dst.items():
-            edge = edges_by_id[channel[0]]
-            endpoints[channel] = ((edge.src, channel[1]), dst_instance.key)
-        return endpoints
+    def _wiring(self) -> tuple[dict[ChannelId, tuple[InstanceKey, InstanceKey]],
+                               list[tuple[ChannelId, InstanceKey, InstanceKey]]]:
+        """The deployment's channels, as ``channel -> (sender, receiver)``
+        and as ``(channel, sender, receiver)`` in the same order, built
+        once per deploy epoch."""
+        job = self.job
+        epoch, endpoints, channels = self._wired
+        if epoch != job.deploy_epoch:
+            edges_by_id = {edge.edge_id: edge for edge in job.graph.edges}
+            endpoints = {
+                channel: ((edges_by_id[channel[0]].src, channel[1]), receiver.key)
+                for channel, receiver in job.channel_dst.items()
+            }
+            channels = [(channel, sender, receiver)
+                        for channel, (sender, receiver) in endpoints.items()]
+            self._wired = (job.deploy_epoch, endpoints, channels)
+        return endpoints, channels
 
     def build_checkpoint_graph(self) -> CheckpointGraph:
         """Assemble the rollback-propagation graph from cursors."""
         job = self.job
-        endpoints = self._channel_endpoints()
         checkpoints = {
             key: job.registry.with_initial(key) for key in job.instance_keys()
         }
-        channels = [
-            (channel, sender, receiver)
-            for channel, (sender, receiver) in endpoints.items()
-        ]
-        return CheckpointGraph(checkpoints=checkpoints, channels=channels)
+        return CheckpointGraph(checkpoints=checkpoints,
+                               channels=self._wiring()[1])
 
     def zcycle_analysis(self) -> ZCycleResult:
         """The useless checkpoints of the run so far (analysis only).
@@ -221,7 +290,7 @@ class UncoordinatedProtocol(CheckpointProtocol):
             line = result.line
             invalid = invalid_checkpoint_count(graph, line)
         if self.logs_messages:
-            replay = build_replay_sets(line, job.send_log, self._channel_endpoints())
+            replay = build_replay_sets(line, job.send_log, self._wiring()[0])
         else:
             replay = {}  # at-most-once: in-flight messages are simply gone
         return RecoveryPlan(

@@ -596,9 +596,10 @@ class Job:
         job, operator -> its context, the poll task naming its own
         instance, the transport's bound arrival seam, timers and callbacks
         pending in the event queue — so dropping the last outside
-        reference to a job frees nothing: send log, operator state and
-        dedup sets wait for whenever a full collection next happens to
-        run (DESIGN.md section 20).  This cuts every such edge at the few
+        reference to a job frees nothing: operator state, dedup sets and
+        what the send log still holds (the messages above the floor line
+        under UNC/CIC, DESIGN.md section 8) wait for whenever a full
+        collection next happens to run (DESIGN.md section 20).  This cuts every such edge at the few
         hubs they all pass through; the pieces then go as the caller's
         reference does.  The :class:`RunResult` holds only the metrics and
         stays valid; the job itself is unusable afterwards, so only the

@@ -37,7 +37,7 @@ def test_rendered_table_lists_features():
 def test_logging_trait_matches_runtime_behaviour():
     for name, expect_log in [("coor", False), ("unc", True), ("cic", True)]:
         job, _ = run_count_job(name, failure_at=None, duration=10.0)
-        assert bool(job.send_log) == expect_log, name
+        assert job.protocol.logs_messages == expect_log, name
         assert features_of(name).inflight_logging == expect_log
 
 

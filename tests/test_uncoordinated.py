@@ -1,24 +1,104 @@
 """Tests of the uncoordinated protocol (UNC)."""
 
+import pytest
 
-from repro.core.recovery import build_replay_sets, rollback_distance_records
+from repro.core.checkpoint_graph import maximal_consistent_line
+from repro.core.recovery import build_replay_sets
+from repro.core.uncoordinated import UncoordinatedProtocol
 from repro.dataflow.channels import DATA, Message
 from repro.core.base import CheckpointMeta, initial_checkpoint
 
 from tests.conftest import run_count_job
+from tests.test_recovery_pin import run_case, run_count
+
+
+def logs_hold_floor_to_last_sent(job) -> int:
+    """Assert each channel's log holds exactly the consecutive seqs
+    ``(floor, last_sent]``: from its receiver's cursor in the floor line
+    to its sender's live cursor.  Returns the floors' sum."""
+    edges = {edge.edge_id: edge for edge in job.graph.edges}
+    floor = job.protocol.floor
+    truncated = 0
+    for channel, receiver in job.channel_dst.items():
+        sender = job.instance((edges[channel[0]].src, channel[1]))
+        low = floor[receiver.key].received_cursor(channel)
+        high = sender.out_seq.get(channel, 0)
+        seqs = [m.seq for m in job.send_log.get(channel, [])]
+        assert seqs == list(range(low + 1, high + 1)), channel
+        truncated += low
+    return truncated
 
 
 def test_send_log_has_sequential_seqs_per_channel():
     job, _ = run_count_job("unc", failure_at=None)
     assert job.send_log, "UNC must log data messages"
-    for channel, messages in job.send_log.items():
-        assert [m.seq for m in messages] == list(range(1, len(messages) + 1))
+    assert logs_hold_floor_to_last_sent(job) > 0, "the floor never rose"
 
 
-def test_logged_messages_cover_all_sent_records():
-    job, result = run_count_job("unc", failure_at=None)
-    logged_records = sum(m.record_count for v in job.send_log.values() for m in v)
-    assert logged_records == result.metrics.records_sent
+@pytest.mark.parametrize("case", [
+    "unc-s3-i2-B", "cic-s2-i3-A", "unc-changelog-s4-i2-A",
+    "unc-at-least-once-s2-i2-B", "q8-cic-rescale-4-6"])
+def test_send_log_holds_the_seqs_above_the_floor_through_failures(case):
+    """Rollbacks cut the log's head, rescales clear it, truncations its
+    tail: between them it is always ``(floor, last_sent]``."""
+    job, _ = run_case(case)
+    assert logs_hold_floor_to_last_sent(job) > 0
+
+
+@pytest.mark.parametrize("case", [
+    "unc-s3-i2-B", "cic-s7-i1-B", "unc-at-least-once-s3-i3-1",
+    "q8-unc-rescale-4-6"])
+def test_the_floor_is_the_maximal_consistent_line(monkeypatch, case):
+    """Searched from the previous floor up, the floor is the line a search
+    over every registered checkpoint finds, at every truncation."""
+    agreed = []
+    truncate = UncoordinatedProtocol.truncate_logs
+
+    def checked(self, floor):
+        agreed.append(
+            floor == maximal_consistent_line(self.build_checkpoint_graph()).line)
+        truncate(self, floor)
+
+    monkeypatch.setattr(UncoordinatedProtocol, "truncate_logs", checked)
+    run_case(case)
+    assert len(agreed) >= 3 and all(agreed)
+
+
+def test_retained_messages_do_not_grow_with_run_length(monkeypatch):
+    """A run four times as long keeps as many messages in its logs at the
+    peak (just before a truncation) as the short one."""
+    peaks = []
+    truncate = UncoordinatedProtocol.truncate_logs
+
+    def measured(self, floor):
+        peaks[-1] = max(peaks[-1], sum(map(len, self.job.send_log.values())))
+        truncate(self, floor)
+
+    monkeypatch.setattr(UncoordinatedProtocol, "truncate_logs", measured)
+    sent = []
+    for duration in (30.0, 120.0):
+        peaks.append(0)
+        _, result = run_count_job("unc", failure_at=None, rate=100.0,
+                                  duration=duration)
+        sent.append(result.metrics.messages_sent)
+    assert sent[1] > 4 * sent[0]
+    assert 0 < peaks[1] <= 1.1 * peaks[0]
+
+
+def test_a_floor_from_the_latest_checkpoints_loses_records(monkeypatch):
+    """Mutation: truncating below each receiver's *latest* checkpoint
+    instead of the floor line deletes messages that grid point
+    ``unc-s2-i3-A``'s recoveries must replay, and records are lost."""
+    truncate = UncoordinatedProtocol.truncate_logs
+
+    def latest(self, floor):
+        registry = self.job.registry
+        truncate(self, {key: registry.latest(key) or meta
+                        for key, meta in floor.items()})
+
+    monkeypatch.setattr(UncoordinatedProtocol, "truncate_logs", latest)
+    _, _, expected, measured = run_count("unc-s2-i3-A")
+    assert sum(measured.values()) < sum(expected.values())
 
 
 def test_checkpoints_are_independent_per_instance():
@@ -138,10 +218,10 @@ def test_replay_from_initial_checkpoints_is_empty():
     assert build_replay_sets(line, log, {CH: (A, B)}) == {}
 
 
-def test_rollback_distance_counts_records():
-    msgs = [
-        Message(channel=CH, seq=1, kind=DATA,
-                records=[object(), object()], payload_bytes=1),
-        Message(channel=CH, seq=2, kind=DATA, records=[object()], payload_bytes=1),
-    ]
-    assert rollback_distance_records({CH: msgs}) == 3
+def test_replay_reads_a_truncated_log():
+    """A log truncated below its floor starts above seq 1; the window is
+    found by position, not by counting from 1."""
+    line = {A: _meta(A, 2, sent={CH: 9}), B: _meta(B, 2, received={CH: 6})}
+    log = {CH: [_msg(s) for s in range(5, 12)]}
+    replay = build_replay_sets(line, log, {CH: (A, B)})
+    assert [m.seq for m in replay[CH]] == [7, 8, 9]
