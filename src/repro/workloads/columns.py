@@ -38,7 +38,10 @@ def rows_from_columns(cls: type[T], *columns: Sequence[Any]) -> list[T]:
     ``repr``, ``hash``, pickle bytes, ``FrozenInstanceError`` on
     assignment).  A numpy column is converted with ``tolist()`` first, so
     fields hold Python ``int``/``float`` and never a numpy scalar, whose
-    ``repr`` differs.
+    ``repr`` differs.  An object-array column hands over its own objects
+    (``tolist()`` copies references): the NexMark generator gathers its
+    drawn ``int`` columns from one shared table that way (DESIGN.md
+    section 20).
     """
     names: tuple[str, ...] = cls.__slots__  # type: ignore[attr-defined]
     if len(columns) != len(names):

@@ -65,8 +65,10 @@ class CyclicConfig:
     p_del_source: float = 0.05
 
     def __post_init__(self) -> None:
-        # an int: node ids are drawn as ``getrandbits(num_nodes.bit_length())``
-        if not (isinstance(self.num_nodes, int) and self.num_nodes >= 1):
+        # an int: node ids are drawn as ``getrandbits(num_nodes.bit_length())``;
+        # not a bool, an int that means a one-node graph
+        if isinstance(self.num_nodes, bool) or not (
+                isinstance(self.num_nodes, int) and self.num_nodes >= 1):
             raise ValueError(
                 f"num_nodes must be a positive int, got {self.num_nodes!r}")
         for name in ("p_new_link", "p_new_source", "p_del_link",

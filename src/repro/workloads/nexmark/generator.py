@@ -72,11 +72,15 @@ class GeneratorConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.hot_ratio <= 1.0:
             raise ValueError("hot_ratio must be in [0, 1]")
+        # counts: ``range``, the draws' bounds and the shared int table
+        # need an int, and a bool is an int that means 1
         for name in ("num_hot_keys", "bidder_space_per_worker",
                      "auction_window"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be positive, "
-                                 f"got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, int)
+                                               and value >= 1):
+                raise ValueError(f"{name} must be a positive int, "
+                                 f"got {value!r}")
         if not 0.0 < self.person_share <= 1.0:
             raise ValueError("person_share must be in (0, 1]")
 
@@ -101,21 +105,21 @@ class NexmarkGenerator:
     # Topic builders
     # ------------------------------------------------------------------ #
 
-    def _place_hot_keys(self, process: ArrivalProcess, keys: list[int],
-                        times: list[float], tests: NDArray[numpy.float64],
-                        picks: NDArray[numpy.float64]) -> None:
-        """Overwrite ``keys[row]`` with a hot key where ``tests[row]`` says so.
+    def _hot_keys_at(self, process: ArrivalProcess, times: list[float],
+                     tests: NDArray[numpy.float64],
+                     picks: NDArray[numpy.float64],
+                     ) -> tuple[NDArray[numpy.intp], list[int]]:
+        """The rows ``tests`` makes hot, and the hot key placed at each.
 
         ``process.pick_hot_keys`` is a column hook: it takes the hot rows'
         times and their one uniform draw each, once per block.
         """
         hot = numpy.flatnonzero(tests < self.config.hot_ratio)
-        rows = hot.tolist()
-        placed = process.pick_hot_keys(list(map(times.__getitem__, rows)),
+        placed = process.pick_hot_keys(list(map(times.__getitem__,
+                                                hot.tolist())),
                                        picks[hot], self.hot_keys,
                                        self.parallelism)
-        for row, key in zip(rows, placed):
-            keys[row] = key
+        return hot, placed
 
     def bids_log(self, rate: float, until: float, topic: str = "bids",
                  arrival: ArrivalProcess | None = None) -> PartitionedLog:
@@ -148,16 +152,18 @@ class NexmarkGenerator:
                                              columns.BLOCK_EVENTS)):
                 draws = uniform_block(
                     rng, width * len(block_times)).reshape(-1, width)
-                bidders = (10_000 + _below(draws[:, -3], bidder_space)).tolist()
+                bidders = 10_000 + _below(draws[:, -3], bidder_space)
                 if hot_mode:
-                    self._place_hot_keys(process, bidders, block_times,
-                                         draws[:, 0], draws[:, 1])
+                    hot, placed = self._hot_keys_at(
+                        process, block_times, draws[:, 0], draws[:, 1])
+                    bidders[hot] = placed
                 times += block_times
                 bids += rows_from_columns(
                     Bid,
-                    5000 + _below(draws[:, -2], self.config.auction_window),
-                    bidders,
-                    100 + _below(draws[:, -1], 10_000),
+                    _shared_ints(5000 + _below(draws[:, -2],
+                                               self.config.auction_window)),
+                    _shared_ints(bidders),
+                    _shared_ints(100 + _below(draws[:, -1], 10_000)),
                     block_times)
             return PartitionedLog.round_robin(
                 topic, self.parallelism, times, bids, BID_SIZE)
@@ -261,8 +267,10 @@ class NexmarkGenerator:
                 sellers = list(map(pool.__getitem__,
                                    _below(seller_draw, pool_size).tolist()))
                 if hot_mode:
-                    self._place_hot_keys(process, sellers, opened_times,
-                                         draws[opened + 1], seller_draw)
+                    hot, placed = self._hot_keys_at(
+                        process, opened_times, draws[opened + 1], seller_draw)
+                    for row, key in zip(hot.tolist(), placed):
+                        sellers[row] = key
                 auction_times += opened_times
                 auctions += rows_from_columns(
                     Auction,
@@ -270,7 +278,7 @@ class NexmarkGenerator:
                           len(auctions) + 1 + len(sellers)),
                     sellers,
                     _below(category_draw, NUM_CATEGORIES),
-                    100 + _below(price_draw, 1_000),
+                    _shared_ints(100 + _below(price_draw, 1_000)),
                     opened_times)
             # an event is available the moment it was created
             return (
@@ -281,6 +289,27 @@ class NexmarkGenerator:
                     auctions_topic, self.parallelism, auction_times,
                     auctions, AUCTION_SIZE),
             )
+
+
+#: ``_INTS[v]`` is the one ``int`` object of value ``v`` that every
+#: generated bid's auction, bidder and price and every auction's initial
+#: bid hold, process-wide (DESIGN.md section 20)
+_INTS: NDArray[numpy.object_] = numpy.empty(0, dtype=object)
+
+
+def _shared_ints(values: NDArray[numpy.int64]) -> NDArray[numpy.object_]:
+    """The shared ``int`` object of each of ``values`` (none negative).
+
+    ``take`` on an object array copies references, so every row of one
+    value, in every log of the process, holds one object.  The table grows
+    to the largest value asked for and keeps the objects it handed out.
+    """
+    global _INTS
+    top = int(values.max()) + 1 if len(values) else 0
+    if top > len(_INTS):
+        _INTS = numpy.concatenate(
+            (_INTS, numpy.arange(len(_INTS), top).astype(object)))
+    return _INTS.take(values)
 
 
 def _below(draws: NDArray[numpy.float64],

@@ -21,7 +21,10 @@ from repro.workloads.arrivals import ArrivalProcess, parse_arrival
 #: it weighs less than the row object the log used to keep.
 #: Both bounds guard memory: few entries, and no memoisation at all for
 #: full-scale logs (millions of records each — pinning several of those
-#: would add GBs of resident state per process).
+#: would add GBs of resident state per process).  A generated record
+#: weighs 112 bytes as a bid and 152 as an auction (traced; a bid's three
+#: ints and an auction's initial bid are shared objects), so an entry at
+#: the record bound holds ~245 MB of q12 bids.
 #: entries are (build_inputs callable, generated logs) — see identity check
 _INPUT_MEMO: OrderedDict[tuple, tuple[Callable, dict[str, PartitionedLog]]] = OrderedDict()
 _INPUT_MEMO_LIMIT = 3

@@ -65,6 +65,8 @@ def test_generator_probabilities_validated():
     ({"num_nodes": 0}, "num_nodes"),
     ({"num_nodes": -3}, "num_nodes"),
     ({"num_nodes": 1e6}, "num_nodes"),
+    # a bool is an int, and built a one-node graph
+    ({"num_nodes": True}, "num_nodes"),
 ])
 def test_config_rejects_a_nonsense_field_by_name(fields, named):
     with pytest.raises(ValueError, match=named):

@@ -1,20 +1,24 @@
 """Tests for the NexMark generator (uniform and hot-item modes)."""
 
 import dataclasses
+import gc
 import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.experiments.parallel import resolve_spec
 from repro.storage.kafka import PartitionedLog
 from repro.workloads import columns
 from repro.workloads.arrivals import parse_arrival
 from repro.workloads.columns import rows_from_columns
+from repro.workloads.nexmark import generator
 from repro.workloads.nexmark.generator import GeneratorConfig, NexmarkGenerator
 from repro.workloads.nexmark.model import (
     Auction,
@@ -173,6 +177,16 @@ def test_invalid_config_rejected():
 def test_config_rejects_an_empty_key_space_by_name(fields, named):
     with pytest.raises(ValueError, match=named):
         GeneratorConfig(**fields)
+
+
+@pytest.mark.parametrize("name", [
+    "num_hot_keys", "bidder_space_per_worker", "auction_window"])
+@pytest.mark.parametrize("value", [True, 2.0, 200.5])
+def test_config_rejects_a_count_that_is_not_an_int_by_name(name, value):
+    # auction_window=True put every bid on auction 5000; a float count
+    # passed ``>= 1`` and failed deep in generation or in ``range``
+    with pytest.raises(ValueError, match=f"{name} must be a positive int"):
+        GeneratorConfig(**{name: value})
 
 
 @pytest.mark.parametrize("rate, until", [
@@ -354,3 +368,87 @@ def test_generating_and_running_never_imports_numpy_random():
                           env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+# --------------------------------------------------------------------- #
+# One int object per value (DESIGN.md section 20, identity hazard 1)
+# --------------------------------------------------------------------- #
+
+#: case -> (query, parallelism, hot_ratio, arrival spec)
+_SHARING_CASES = {
+    "q12-steady": ("q12", 4, 0.0, None),
+    "q12-hot": ("q12", 4, 0.3, None),
+    "q12-drift-p16": ("q12", 16, 0.2, "drift:period=4,zipf=1.2"),
+    # hot keys above 256, which CPython does not cache
+    "q12-hot-p128": ("q12", 128, 0.3, None),
+    "q8-steady": ("q8", 4, 0.0, None),
+    "q8-hot": ("q8", 4, 0.3, None),
+    "q8-drift-p16": ("q8", 16, 0.2, "drift:period=4,zipf=1.2"),
+}
+
+#: topic -> the fields drawn from the process's shared int table
+_SHARED_FIELDS = {
+    "bids": ("auction", "bidder", "price"),
+    "auctions": ("initial_bid",),
+}
+
+
+def generated_logs(query, parallelism, hot_ratio, arrival, rate, until):
+    """``QuerySpec.build_inputs`` of ``query`` at seed 7."""
+    process = parse_arrival(arrival) if arrival else None
+    return resolve_spec(query).build_inputs(rate, until, parallelism,
+                                            hot_ratio, 7, process)
+
+
+@pytest.mark.parametrize("case", sorted(_SHARING_CASES))
+def test_a_drawn_column_holds_one_int_object_per_value(case):
+    logs = generated_logs(*_SHARING_CASES[case], 3000.0, 4.0)
+    checked = 0
+    for topic, fields in _SHARED_FIELDS.items():
+        if topic not in logs:
+            continue
+        payloads = [r for p in logs[topic].partitions for r in p.payloads]
+        for name in fields:
+            values = [getattr(row, name) for row in payloads]
+            assert all(type(v) is int for v in values), name
+            assert len({id(v) for v in values}) == len(set(values)), name
+            checked += 1
+    assert checked
+
+
+def test_logs_of_one_process_share_the_objects_of_a_value(monkeypatch):
+    # the second log grows the table: the first's objects must survive it
+    monkeypatch.setattr(generator, "_INTS", numpy.empty(0, dtype=object))
+    first = generated_logs("q12", 4, 0.0, None, 500.0, 2.0)["bids"]
+    second = generated_logs("q12", 8, 0.0, None, 500.0, 2.0)["bids"]
+    objects = {}
+    for log in (first, second):
+        for partition in log.partitions:
+            for bid in partition.payloads:
+                for value in (bid.auction, bid.bidder, bid.price):
+                    assert objects.setdefault(value, value) is value
+
+
+#: bytes a record of a 40,000-event log holds, traced, at p = 4 and seed
+#: 7, the table's growth included: q12 122.7 landed (207.6 with three
+#: fresh ints per bid, 154 with one), q3 166.1 (185.6).  The counts
+#: repeat per interpreter version, like the call-count gates
+_BYTES_PER_RECORD = {"q12": 130.0, "q3": 170.0}
+
+
+@pytest.mark.parametrize("query", sorted(_BYTES_PER_RECORD))
+def test_bytes_per_generated_record_ratchet(query, monkeypatch):
+    # what a first generation allocates once per process is not the log's
+    generated_logs(query, 4, 0.0, None, 100.0, 1.0)
+    # an empty table: its growth is counted, whatever ran before
+    monkeypatch.setattr(generator, "_INTS", numpy.empty(0, dtype=object))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        logs = generated_logs(query, 4, 0.0, None, 4000.0, 10.0)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    records = sum(len(log) for log in logs.values())
+    assert records == 40_000
+    assert held / records <= _BYTES_PER_RECORD[query]
