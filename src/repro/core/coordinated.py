@@ -10,7 +10,8 @@ aligned checkpoints:
   buffers its traffic (*alignment*); once markers arrived on **all**
   inbound channels it snapshots, forwards markers, and unblocks;
 * the round is complete when every instance's checkpoint is durable; only
-  completed rounds are valid recovery lines.
+  completed rounds are valid recovery lines, so completing one collects
+  every older checkpoint (DESIGN.md section 8).
 
 No message logging, no dedup, zero invalid checkpoints — and no support
 for cyclic graphs (an operator would wait forever for a marker that must
@@ -155,6 +156,8 @@ class CoordinatedProtocol(CheckpointProtocol):
         )
         if self._active_round == round_id:
             self._active_round = None
+        # recovery restores the newest complete round: nothing older is read
+        job.collect_below(self._round_metas[round_id])
         # the coordinated family's unit of checkpoint cost is the round:
         # the adaptive interval controller sizes its Young–Daly C term
         # from start-of-round to all-instances-durable

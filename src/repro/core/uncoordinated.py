@@ -9,8 +9,9 @@ implemented here or in the runtime:
   append is the protocol's main failure-free cost.  Once per round of
   checkpoint registrations the log drops every message at or below its
   receiver's cursor in the *floor line*, the maximal consistent line of
-  the registered checkpoints: no later recovery replays one
-  (DESIGN.md section 8);
+  the registered checkpoints: no later recovery replays one, and none
+  reads a checkpoint below it, so those blobs and the dedup history
+  they stand on are collected too (DESIGN.md section 8);
 * **recovery-line search** — the rollback propagation fixpoint over the
   checkpoint graph built from per-channel cursors
   (:mod:`repro.core.checkpoint_graph`);
@@ -199,12 +200,14 @@ class UncoordinatedProtocol(CheckpointProtocol):
 
     def _on_metadata(self, meta: CheckpointMeta) -> None:
         """Once per round of registrations (as many as the deployment has
-        instances), raise the floor line and truncate the logs below it."""
+        instances), raise the floor line, truncate the logs below it and
+        collect the checkpoints below it."""
         self._registrations_left -= 1
         if not self._registrations_left:
             self._registrations_left = len(self.floor)
             self.floor = self.floor_line()
             self.truncate_logs(self.floor)
+            self.job.collect_below(self.floor)
 
     def floor_line(self) -> dict[InstanceKey, CheckpointMeta]:
         """The maximal consistent line of the registered checkpoints.

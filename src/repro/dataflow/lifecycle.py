@@ -516,12 +516,18 @@ class LifecycleManager:
         so it uploads nothing, becomes durable immediately and records no
         metrics event.  Senders' cursors cover the re-injected replay
         messages while receivers' are empty, so those messages sit inside
-        the baseline's replay windows.
+        the baseline's replay windows.  No recovery passes below the
+        baseline, so every blob of the old topology is deleted first
+        (DESIGN.md section 8).
         """
         job = self.job
+        store = job.coordinator.blobstore
+        for resident in job.resident.values():
+            for blob_key, _ in resident:
+                store.delete(blob_key)
+        job.resident.clear()
         metas: dict = {}
         now = job.sim.now
-        store = job.coordinator.blobstore
         for instance in job.instances():
             meta, payload = job.capture_checkpoint(instance, KIND_RESCALE, None)
             if job.protocol.channel_state_in_snapshot:
@@ -530,6 +536,6 @@ class LifecycleManager:
                     for channel, messages in injected.items()
                     if job.channel_dst.get(channel) is instance
                 }
-            store.put(meta.blob_key, payload, meta.state_bytes, now)
+            job.store_checkpoint(meta, payload, meta.state_bytes)
             metas[instance.key] = replace(meta, durable_at=now)
         job.protocol.install_rescale_baseline(metas)

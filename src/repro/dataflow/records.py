@@ -13,6 +13,7 @@ batch boundaries shift between the original run and the replay.
 from __future__ import annotations
 
 import zlib
+from array import array
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -135,17 +136,17 @@ def derived_rids(op_name: str, parent_rids: Sequence[int],
     return result
 
 
-def source_rids_from_prefix(prefix: int, offsets: Sequence[int]) -> list[int]:
-    """Column form of :func:`source_rid_from_prefix` (one poll's offsets)."""
-    if len(offsets) < _VECTOR_MIN:
-        return [source_rid_from_prefix(prefix, offset) for offset in offsets]
-    acc = _np.array(offsets, dtype=_np.uint64)
+def source_rid_column(prefix: int, length: int) -> array:
+    """Column form of :func:`source_rid_from_prefix` over offsets
+    ``0 .. length - 1``: 8-byte words (``array('Q')``), computed with
+    numpy uint64 arithmetic (wraparound multiply is the ``& _MASK64``
+    masking) and built without an ``int`` object per offset."""
+    acc = _np.arange(length, dtype=_np.uint64)
     acc += _np.uint64(1)
     acc ^= _np.uint64(prefix)
     acc *= _np.uint64(_PRIME)
     acc ^= acc >> _np.uint64(29)
-    result: list[int] = acc.tolist()
-    return result
+    return array("Q", acc.tobytes())
 
 
 def joined_rid(op_name: str, left_rid: int, right_rid: int) -> int:

@@ -25,6 +25,7 @@ kill workers mid-run and detection triggers the protocol's recovery plan.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import replace
 from heapq import heappush
 from typing import Any
@@ -41,12 +42,13 @@ from repro.dataflow.graph import (
 )
 from repro.dataflow.keygroups import validate_key_space
 from repro.dataflow.lifecycle import LifecycleManager
-from repro.dataflow.records import StreamRecord, source_rids_from_prefix
+from repro.dataflow.records import StreamRecord, source_rid_column
 from repro.dataflow.results import RunResult
 from repro.dataflow.state import ChainTracker
 from repro.dataflow.transport import Transport
 from repro.dataflow.worker import InstanceRuntime, WorkerRuntime
 from repro.metrics.collectors import (
+    KIND_INITIAL,
     KIND_RESCALE,
     UNCOORDINATED_KINDS,
     CheckpointEvent,
@@ -62,7 +64,7 @@ __all__ = ["InstanceKey", "Job"]
 InstanceKey = tuple[str, int]
 
 
-def source_rids(partition: Partition, prefix: int) -> list[int]:
+def source_rids(partition: Partition, prefix: int) -> array:
     """The lineage id of every offset of ``partition``, derived once.
 
     The ids are a function of ``prefix`` (topic and partition index) and
@@ -72,12 +74,17 @@ def source_rids(partition: Partition, prefix: int) -> list[int]:
     beside the column, so a job naming the topic differently derives its
     own instead of reading another's; the partition drops the cache on
     every write.
+
+    The column is an ``array('Q')`` of 8-byte words, not a list of
+    ``int`` objects: a poll turns its slice into ints
+    (``rids[cursor:end].tolist()``), so the only ints a source rid keeps
+    alive are the ones the dedup history still holds, and a cut at the
+    floor line frees them (DESIGN.md section 8).
     """
     cached = partition.rid_cache
     if cached is None or cached[0] != prefix:
         cached = partition.rid_cache = (
-            prefix,
-            source_rids_from_prefix(prefix, range(len(partition.times))))
+            prefix, source_rid_column(prefix, len(partition.times)))
     return cached[1]
 
 
@@ -152,6 +159,9 @@ class Job:
         ]
         #: durable per-channel send log (UNC/CIC upstream backup)
         self.send_log: dict[ChannelId, list[Message]] = {}
+        #: per instance, the ``(blob key, payload)`` of every resident
+        #: checkpoint blob, oldest first (:meth:`collect_below` frees them)
+        self.resident: dict[InstanceKey, list[tuple[str, dict[str, Any]]]] = {}
         self.channel_dst: dict[ChannelId, InstanceRuntime] = {}
         self._partitioners: dict[int, Partitioner] = {}
         #: :meth:`_enqueue_poll` bound once: the callback every poll
@@ -332,7 +342,7 @@ class Job:
             self.metrics.record_ingest(now, end - cursor)
             rids = source_rids(partition, instance.rid_prefixes[part_index])
             batch = RecordBatch(
-                rids[cursor:end],
+                rids[cursor:end].tolist(),
                 partition.payloads[cursor:end],
                 partition.times[cursor:end],
                 partition.sizes[cursor:end],
@@ -506,10 +516,7 @@ class Job:
             return  # upload outlived a rescaled redeploy; its instance is gone
         now = self.sim.now
         durable = replace(meta, durable_at=now)
-        self.coordinator.blobstore.put(
-            durable.blob_key, payload, durable.upload_bytes, now,
-            base_key=durable.base_key, chain_length=durable.chain_length,
-        )
+        self.store_checkpoint(durable, payload, durable.upload_bytes)
         self.metrics.record_checkpoint(
             CheckpointEvent(
                 instance=durable.instance,
@@ -526,6 +533,51 @@ class Job:
             # the uncoordinated family's unit of checkpoint cost; the
             # coordinated family reports round durations instead
             self.note_checkpoint_duration(now - durable.started_at)
+
+    def store_checkpoint(self, meta: CheckpointMeta, payload: dict[str, Any],
+                         size_bytes: int) -> None:
+        """Put a checkpoint's payload in the blob store, billed
+        ``size_bytes``, and keep it resident until :meth:`collect_below`."""
+        self.coordinator.blobstore.put(
+            meta.blob_key, payload, size_bytes, self.sim.now,
+            base_key=meta.base_key, chain_length=meta.chain_length,
+        )
+        self.resident.setdefault(meta.instance, []).append(
+            (meta.blob_key, payload))
+
+    def collect_below(self, line: dict[InstanceKey, CheckpointMeta]) -> None:
+        """Free what no recovery can read below ``line`` any more.
+
+        ``line`` is one no later recovery passes below: the floor line of
+        UNC/CIC, or COOR's newest complete round.  Per instance, every
+        resident blob strictly older than its checkpoint in ``line`` is
+        deleted, except the chain that checkpoint stands on, and the
+        dedup history is cut at that checkpoint
+        (:meth:`InstanceRuntime.cut_rids`; DESIGN.md section 8).  The
+        registry and the checkpoint events stay: ``zcycle_analysis`` and
+        the figures read them.  No virtual time is charged.
+        """
+        store = self.coordinator.blobstore
+        for key, meta in line.items():
+            if meta.kind == KIND_INITIAL:
+                continue
+            resident = self.resident[key]
+            position = [blob_key for blob_key, _ in resident].index(meta.blob_key)
+            payload = resident[position][1]
+            if position:
+                chain = store.chain_keys(meta.blob_key)
+                kept = []
+                for entry in resident[:position]:
+                    if entry[0] in chain:
+                        kept.append(entry)
+                    else:
+                        store.delete(entry[0])
+                resident[:position] = kept
+            # the rids this checkpoint sealed: a delta's segment, or the
+            # snapshot node's own (a node already cut holds a new list)
+            self.instance(key).cut_rids(
+                payload["new_rids"] if meta.base_key is not None
+                else payload["processed_rids"].added)
 
     # ------------------------------------------------------------------ #
     # Failure and recovery (delegated to the lifecycle layer)

@@ -24,17 +24,23 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class RidSnapshot:
-    """An immutable dedup set, stored as what it added to its parent's.
+    """A dedup set, stored as what it added to its parent's.
 
     A checkpoint payload holds one node; the set it stands for is the
     union of ``added`` along the ``parent`` links.  ``added`` is the
     instance's rid journal at the moment of the checkpoint, handed over
     rather than copied, so taking a checkpoint costs what was admitted
     since the previous one and every checkpoint of an instance shares its
-    history with the ones before it.  Nodes are never changed after
-    construction: a rollback continues from the node it restored, and the
-    checkpoints of the timeline it abandoned stay restorable
-    (DESIGN.md section 21).
+    history with the ones before it.  A rollback continues from the node
+    it restored, and the checkpoints of the timeline it abandoned stay
+    restorable (DESIGN.md section 21).
+
+    The one change a node ever sees is :meth:`cut`, at the floor line:
+    no recovery reaches below it, so the rids the node stands for are
+    never offered again.  A cut node keeps its ``count``; the bottom
+    node of a chain stands for ``count - len(added)`` rids it no longer
+    holds (:meth:`forgotten`), and ``count`` is still the size of the
+    set (DESIGN.md section 8).
     """
 
     __slots__ = ("parent", "added", "count")
@@ -47,9 +53,10 @@ class RidSnapshot:
         self.count = count
 
     @classmethod
-    def root(cls, rids: set[int]) -> "RidSnapshot":
-        """A self-contained node standing for ``rids``."""
-        return cls(None, sorted(rids), len(rids))
+    def root(cls, rids: set[int], forgotten: int = 0) -> "RidSnapshot":
+        """A self-contained node standing for ``rids`` and ``forgotten``
+        more that a cut dropped."""
+        return cls(None, sorted(rids), len(rids) + forgotten)
 
     def extend(self, added: list[int]) -> "RidSnapshot":
         """The node standing for this set plus the new rids ``added``."""
@@ -66,8 +73,20 @@ class RidSnapshot:
         return segments
 
     def materialize(self) -> set[int]:
-        """A fresh ``set`` of the rids."""
+        """A fresh ``set`` of the rids the chain still holds."""
         return set().union(*self.segments())
+
+    def forgotten(self) -> int:
+        """How many of the rids this node stands for a cut dropped."""
+        node = self
+        while node.parent is not None:
+            node = node.parent
+        return node.count - len(node.added)
+
+    def cut(self) -> None:
+        """Drop the rids this node stands for; keep their number."""
+        self.parent = None
+        self.added = []
 
 
 #: the dedup set of an instance that has processed nothing
@@ -180,6 +199,8 @@ class InstanceRuntime(OperatorContext):
         #: exactly that segment)
         self.rid_journal: list[int] = []
         #: the dedup set as of the last checkpoint or restore
+        #: (its bottom node counts the rids a cut at the floor line
+        #: dropped: ``rid_head.forgotten()``, DESIGN.md section 8)
         self.rid_head = NO_RIDS
         self.checkpoint_counter = 0
         #: monotone floor for checkpoint durability: a later checkpoint of
@@ -257,8 +278,9 @@ class InstanceRuntime(OperatorContext):
             rids = self.rid_head.materialize()
             rids.update(self.rid_journal)
             journaled = self.rid_head.count + len(self.rid_journal)
-            if len(rids) != journaled:
-                raise RepeatedRidError(self.key, journaled, len(rids))
+            distinct = self.rid_head.forgotten() + len(rids)
+            if distinct != journaled:
+                raise RepeatedRidError(self.key, journaled, distinct)
             self.rid_set = rids
         return rids
 
@@ -268,12 +290,14 @@ class InstanceRuntime(OperatorContext):
 
         The dedup set is charged 8 bytes per lineage id whether or not
         the host holds it as a set: before the first restore its size is
-        that of the sealed history plus the journal.
+        that of the sealed history plus the journal, and a cut at the
+        floor line changes neither (the head's bottom node counts what
+        it dropped).
         """
         base = self.operator.state_bytes
         rids = self.rid_set
-        base += (self.rid_head.count + len(self.rid_journal)
-                 if rids is None else len(rids)) * 8
+        base += (self.rid_head.count + len(self.rid_journal) if rids is None
+                 else self.rid_head.forgotten() + len(rids)) * 8
         base += (len(self.out_seq) + len(self.last_received)) * 12
         return base
 
@@ -294,10 +318,11 @@ class InstanceRuntime(OperatorContext):
         head = self.rid_head
         journal = self.rid_journal
         rids = self.rid_set
-        if rids is None or head.count + len(journal) == len(rids):
+        if (rids is None
+                or head.count + len(journal) == head.forgotten() + len(rids)):
             head = head.extend(journal)
         else:
-            head = RidSnapshot.root(rids)
+            head = RidSnapshot.root(rids, head.forgotten())
         self.rid_head = head
         self.rid_journal = []
         return head
@@ -312,11 +337,35 @@ class InstanceRuntime(OperatorContext):
         (:class:`RepeatedRidError`).
         """
         rids = head.materialize()
-        if self.rid_set is None and len(rids) != head.count:
-            raise RepeatedRidError(self.key, head.count, len(rids))
+        cut = head.forgotten()
+        if self.rid_set is None and cut + len(rids) != head.count:
+            raise RepeatedRidError(self.key, head.count, cut + len(rids))
         self.rid_set = rids
         self.rid_head = head
         self.rid_journal = []
+
+    def cut_rids(self, segment: list[int]) -> None:
+        """Cut the dedup history at the checkpoint that sealed ``segment``.
+
+        That checkpoint is the instance's in the floor line: every rid
+        admitted at or before it arrived at or below the instance's
+        cursors there, no later replay window reaches such a message and
+        no sender re-executes below the line, so none of them is offered
+        again (DESIGN.md section 8).  The node on the live chain that
+        holds ``segment`` drops its parent and its rids but keeps its
+        count, and the live set drops the same rids.  A segment no longer
+        on the live chain (already cut, or below a root) cuts nothing.
+        """
+        node: RidSnapshot | None = self.rid_head
+        while node is not None and node.added is not segment:
+            node = node.parent
+        if node is None:
+            return
+        rids = self.rid_set
+        if rids is not None:
+            for dropped in node.segments():
+                rids.difference_update(dropped)
+        node.cut()
 
     def capture_snapshot(self) -> dict[str, Any]:
         """Copy everything a rollback needs to reinstall this instance."""
@@ -410,13 +459,16 @@ class InstanceRuntime(OperatorContext):
         self.out_seq = {}
         self.last_received = {}
         rids: set[int] = set()
+        cut = 0
         for part in parts:
             rids.update(*part["processed_rids"].segments())
+            cut += part["processed_rids"].forgotten()
         # the union has no history in the new topology: a root of its
-        # own (and no count to hold it to — after an earlier rescale the
-        # contributors overlap by construction)
+        # own, counting what the contributors' cuts dropped (and no count
+        # to hold it to — after an earlier rescale the contributors
+        # overlap by construction)
         self.rid_set = rids
-        self.rid_head = RidSnapshot.root(rids)
+        self.rid_head = RidSnapshot.root(rids, cut)
         self.rid_journal = []
         if self.spec.is_source:
             self.source_cursors = {

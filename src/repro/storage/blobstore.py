@@ -10,8 +10,15 @@ Incremental (changelog) checkpoints store **delta blobs** that are only
 meaningful relative to a predecessor: ``BlobMeta.base_key`` links a delta
 to the blob it chains onto and ``chain_length`` counts the hops back to the
 self-contained base (DESIGN.md section 10).  :meth:`BlobStore.chain_keys`
-walks that chain so recovery can plan a base+delta restore.  Blobs are
-never deleted (DESIGN.md section 8), so every link of a chain is there.
+walks that chain so recovery can plan a base+delta restore.
+
+A blob is deleted once no recovery can read it: the runtime collects every
+blob strictly older than an instance's checkpoint in the floor line (UNC,
+CIC) or in the newest complete round (COOR), except the chain that
+checkpoint stands on (DESIGN.md section 8).  ``bytes_written -
+bytes_deleted == total_bytes()`` holds after any sequence of puts,
+overwrites and deletes: an overwrite bills the new write and counts the
+bytes it replaced as deleted.
 """
 
 from __future__ import annotations
@@ -41,16 +48,21 @@ class BlobStore:
     _meta: dict[str, BlobMeta] = field(default_factory=dict)
     bytes_written: int = 0
     bytes_read: int = 0
+    #: billed bytes no longer resident: deleted, or replaced by an overwrite
+    bytes_deleted: int = 0
 
     def put(self, key: str, value: Any, size_bytes: int, now: float,
             base_key: str | None = None, chain_length: int = 0) -> BlobMeta:
-        """Store ``value`` under ``key``; overwrites are allowed."""
+        """Store ``value`` under ``key``; an overwrite deletes the old blob."""
         if size_bytes < 0:
             raise ValueError("size_bytes must be non-negative")
         if base_key is not None and base_key not in self._blobs:
             raise KeyError(
                 f"delta blob {key!r} chains onto missing base {base_key!r}"
             )
+        replaced = self._meta.get(key)
+        if replaced is not None:
+            self.bytes_deleted += replaced.size_bytes
         meta = BlobMeta(key, size_bytes, now, base_key, chain_length)
         self._blobs[key] = value
         self._meta[key] = meta
@@ -62,6 +74,11 @@ class BlobStore:
         value = self._blobs[key]
         self.bytes_read += self._meta[key].size_bytes
         return value
+
+    def delete(self, key: str) -> None:
+        """Drop a blob no recovery can read; KeyError if missing."""
+        del self._blobs[key]
+        self.bytes_deleted += self._meta.pop(key).size_bytes
 
     def meta(self, key: str) -> BlobMeta:
         """Metadata of ``key`` (raises KeyError if absent)."""
@@ -97,6 +114,3 @@ class BlobStore:
         chain.reverse()
         return chain
 
-    def chain_bytes(self, key: str) -> int:
-        """Total stored bytes a restore of ``key`` fetches (base + deltas)."""
-        return sum(self._meta[k].size_bytes for k in self.chain_keys(key))

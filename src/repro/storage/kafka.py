@@ -15,6 +15,7 @@ Section V: "from the moment it is available in the input queue").
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -90,9 +91,10 @@ class Partition:
         self.payloads: list[Any] = []
         self.sizes: list[int] = []
         #: the consuming engine's ``(rid prefix, lineage id per offset)``,
-        #: derived on first poll and shared by every run replaying this
-        #: log; any write drops it, so a short column is never served
-        self.rid_cache: tuple[int, list[int]] | None = None
+        #: the ids as an ``array('Q')`` of 8-byte words, derived on first
+        #: poll and shared by every run replaying this log; any write
+        #: drops it, so a short column is never served
+        self.rid_cache: tuple[int, array] | None = None
 
     def __len__(self) -> int:
         return len(self.times)

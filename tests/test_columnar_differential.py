@@ -39,8 +39,8 @@ from repro.dataflow.records import (
     derived_rid,
     derived_rids,
     source_rid_from_prefix,
+    source_rid_column,
     source_rid_prefix,
-    source_rids_from_prefix,
 )
 from repro.dataflow.runtime import Job
 
@@ -116,12 +116,15 @@ def test_derived_rids_bit_identical_to_scalar(parent_rids, emission_index):
     ]
 
 
-@given(st.lists(st.integers(min_value=0, max_value=2**32), max_size=48),
-       st.integers(min_value=0, max_value=7))
-def test_source_rids_bit_identical_to_scalar(offsets, partition):
-    prefix = source_rid_prefix("events", partition)
-    assert source_rids_from_prefix(prefix, offsets) == [
-        source_rid_from_prefix(prefix, offset) for offset in offsets
+@given(st.integers(min_value=0, max_value=48),
+       st.one_of(st.integers(min_value=0, max_value=7).map(
+           lambda partition: source_rid_prefix("events", partition)),
+                 st.integers(min_value=0, max_value=2**64 - 1)))
+def test_source_rids_bit_identical_to_scalar(length, prefix):
+    """The column a source polls equals the scalar mix at every offset,
+    for the prefixes of real partitions and for any 64-bit prefix."""
+    assert source_rid_column(prefix, length).tolist() == [
+        source_rid_from_prefix(prefix, offset) for offset in range(length)
     ]
 
 

@@ -96,18 +96,30 @@ def test_the_first_read_builds_the_set_and_admission_probes_from_then_on():
 # --------------------------------------------------------------------- #
 
 def _assert_no_set_then_build_them(job: Job) -> int:
-    """No instance probed; then build every set, which checks it."""
+    """No instance probed; then build every set, which checks it.
+
+    The set holds what was admitted above the cut at the floor line; the
+    cut is the instance's checkpoint in that line, never one above it,
+    and it keeps the number of rids it dropped.
+    """
     assert job.metrics.duplicates_skipped == 0
     for instance in job.instances():
         assert instance.rid_set is None, instance.key
-    admitted = sealed = 0
+    store = job.coordinator.blobstore
+    admitted = sealed = cut = 0
     for instance in job.instances():
         history = instance.rid_head.count + len(instance.rid_journal)
+        floor = job.protocol.floor[instance.key]
+        at_floor = (0 if floor.kind == KIND_INITIAL else
+                    store.get(floor.blob_key)["processed_rids"].count)
+        assert instance.rid_head.forgotten() == at_floor, instance.key
         # a repeated rid raises RepeatedRidError here
-        assert len(instance.processed_rids) == history, instance.key
+        assert len(instance.processed_rids) == history - at_floor, instance.key
         admitted += history
         sealed += instance.rid_head.count
+        cut += at_floor
     assert sealed > 0, "no checkpoint sealed anything: the run was too short"
+    assert cut > 0, "no floor line cut anything: the run was too short"
     return admitted
 
 

@@ -41,7 +41,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.dataflow.records import source_rid_prefix, source_rids_from_prefix
+from repro.dataflow.records import source_rid_from_prefix, source_rid_prefix
 from repro.experiments.parallel import resolve_spec
 from repro.experiments.sharding import shard_inputs
 from repro.storage.kafka import PartitionedLog
@@ -95,7 +95,8 @@ def build_case(case: str) -> dict[str, PartitionedLog]:
 
 def rid_column(topic: str, index: int, offsets: list[int]) -> list[int]:
     """The lineage ids a source assigns to ``offsets`` of one partition."""
-    return source_rids_from_prefix(source_rid_prefix(topic, index), offsets)
+    prefix = source_rid_prefix(topic, index)
+    return [source_rid_from_prefix(prefix, offset) for offset in offsets]
 
 
 def _sha(parts: list[str]) -> str:

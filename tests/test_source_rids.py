@@ -1,16 +1,18 @@
 """The source lineage-id column, engine side (DESIGN.md section 20).
 
 A source poll slices a per-partition rid column that is derived once and
-cached on the partition.  These tests hold the three sharing claims that
-makes safe: a rescaled deployment reads the same ids for the same
-offsets, a sharded slice derives its own column and never inherits its
-parent's, and the runs replaying one memoised log derive it once.
+cached on the partition, as an ``array('Q')`` of 8-byte words.  These
+tests hold the three sharing claims that makes safe: a rescaled
+deployment reads the same ids for the same offsets, a sharded slice
+derives its own column and never inherits its parent's, and the runs
+replaying one memoised log derive it once.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -19,7 +21,7 @@ from repro.dataflow import runtime as runtime_module
 from repro.dataflow.records import (
     source_rid,
     source_rid_prefix,
-    source_rids_from_prefix,
+    source_rid_column,
 )
 from repro.dataflow.runtime import Job, source_rids
 from repro.experiments.parallel import RunRequest, execute_request, resolve_spec
@@ -31,12 +33,14 @@ from tests.test_inputs_golden import CASES, FIXTURE, SHARD_CASE, build_case
 
 @pytest.mark.parametrize("case", CASES[:6] + [SHARD_CASE])
 def test_cached_column_is_the_pinned_one(case):
-    """The column a poll slices hashes to what the fixture recorded from
-    ``source_rids_from_prefix`` over the row-object log's offsets."""
+    """The column a poll slices hashes to what the fixture recorded over
+    the row-object log's offsets, and holds them as 8-byte words, not
+    ``int`` objects."""
     expected = json.loads(FIXTURE.read_text())[case]
     for topic, log in build_case(case).items():
         column = source_rids(log.partitions[0], source_rid_prefix(topic, 0))
-        digest = hashlib.sha256(repr(column).encode()).hexdigest()
+        assert isinstance(column, array) and column.typecode == "Q"
+        digest = hashlib.sha256(repr(column.tolist()).encode()).hexdigest()
         assert digest == expected[f"rids:{topic}[0]"]
 
 
@@ -94,18 +98,19 @@ def test_sharded_log_never_inherits_its_parents_column():
     assert 0 < len(sliced) < len(parent)
     # renumbered offsets: the slice's ids are those of 0..len-1, not the
     # ids its records carried in the parent
-    assert source_rids(sliced, prefix) == parent_column[:len(sliced)]
+    assert (source_rids(sliced, prefix).tolist()
+            == parent_column[:len(sliced)].tolist())
     assert source_rids(parent, prefix) is parent_column
 
 
 def test_runs_sharing_a_memoised_log_derive_the_column_once(monkeypatch):
     derived: list[int] = []
 
-    def counting(prefix, offsets):
+    def counting(prefix, length):
         derived.append(prefix)
-        return source_rids_from_prefix(prefix, offsets)
+        return source_rid_column(prefix, length)
 
-    monkeypatch.setattr(runtime_module, "source_rids_from_prefix", counting)
+    monkeypatch.setattr(runtime_module, "source_rid_column", counting)
     monkeypatch.setattr(spec_module, "_INPUT_MEMO", type(spec_module._INPUT_MEMO)())
     request = RunRequest(query="q12", protocol="coor", parallelism=3,
                          rate=600.0, duration=3.0, warmup=1.0,

@@ -213,23 +213,31 @@ def test_create_state_backend():
 
 @pytest.mark.parametrize("max_chain", [1, 2, 4])
 def test_chain_cadence_and_compaction_bound(max_chain):
-    """Blob metadata shows base / delta / ... / base with bounded chains."""
-    job, _ = run_count_job("unc", failure_at=None, duration=16.0,
-                           state_backend="changelog",
-                           changelog_max_chain=max_chain)
+    """Blob metadata shows base / delta / ... / base with bounded chains.
+
+    The collector deletes what the floor line leaves behind, so each
+    checkpoint's blob is read while it is resident: as its metadata
+    registers, when every link of its chain is resident too.
+    """
+    job = _count_job("changelog", 16.0, changelog_max_chain=max_chain)
     store = job.coordinator.blobstore
-    saw_delta = False
-    for instance in job.instance_keys():
-        metas = job.registry.for_instance(instance)
-        for meta in metas:
-            blob = store.meta(meta.blob_key)
-            assert blob.chain_length <= max_chain
-            assert (blob.base_key is None) == (blob.chain_length == 0)
-            saw_delta = saw_delta or blob.chain_length > 0
-            # chain metadata in the registry mirrors the store
-            assert meta.chain_length == blob.chain_length
-            assert meta.base_key == blob.base_key
-    assert saw_delta
+    registered = []
+
+    def check(meta) -> None:
+        assert all(key in store for key in store.chain_keys(meta.blob_key))
+        blob = store.meta(meta.blob_key)
+        assert blob.chain_length <= max_chain
+        assert (blob.base_key is None) == (blob.chain_length == 0)
+        # chain metadata in the registry mirrors the store
+        assert meta.chain_length == blob.chain_length
+        assert meta.base_key == blob.base_key
+        registered.append(blob.chain_length)
+
+    job.coordinator.add_metadata_listener(check)
+    job.run(rate=300.0, query_name="count")
+    assert len(registered) == job.registry.total()
+    assert max(registered) > 0  # saw a delta
+    assert store.bytes_deleted > 0
 
 
 def test_first_checkpoint_after_recovery_is_a_base():
@@ -246,6 +254,16 @@ def test_first_checkpoint_after_recovery_is_a_base():
             assert first.chain_length == 0
 
 
+def _count_job(backend: str, duration: float, **config) -> Job:
+    """The counting pipeline of ``run_count_job``, failure-free and not
+    yet run."""
+    return Job(build_count_graph(), "unc", 3,
+               {"events": make_event_log(300.0, duration - 2.0, 3, seed=3)},
+               RuntimeConfig(checkpoint_interval=3.0, duration=duration,
+                             warmup=2.0, failure_at=None, seed=3,
+                             state_backend=backend, **config))
+
+
 def checkpoint_rids(store, blob_key):
     """The dedup set a restore of ``blob_key`` installs (base + deltas)."""
     payloads = [store.get(key) for key in store.chain_keys(blob_key)]
@@ -255,35 +273,67 @@ def checkpoint_rids(store, blob_key):
     return head.materialize()
 
 
-def test_every_backend_journals_rids_and_checkpoints_complete_dedup_sets():
+def test_every_backend_journals_rids_and_checkpoints_complete_dedup_sets(
+        monkeypatch):
     """The journal belongs to the instance, not to a backend.
 
     Both backends leave a plain list on every instance, whose head node
-    plus journal is the live set; every durable checkpoint materialises
-    to a set the run really went through (failure-free: nested, growing
-    with the checkpoint id); and both end in the same dedup sets.
+    plus journal is the live set, counted with what the cut at the floor
+    line dropped; every checkpoint, read while resident (as it
+    registers), materialises together with what a cut had dropped from
+    its chain to a set the run really went through (failure-free:
+    nested, growing with the checkpoint id); and both end in the same
+    dedup sets.
     """
+    dropped: dict[RidSnapshot, set[int]] = {}
+
+    def whole(node: RidSnapshot) -> set[int]:
+        bottom = node
+        while bottom.parent is not None:
+            bottom = bottom.parent
+        return node.materialize() | dropped.get(bottom, set())
+
+    cut = RidSnapshot.cut
+
+    def recording_cut(node: RidSnapshot) -> None:
+        dropped[node] = whole(node)
+        cut(node)
+
+    monkeypatch.setattr(RidSnapshot, "cut", recording_cut)
     final = {}
     for backend in ("full", "changelog"):
-        job, _ = run_count_job("unc", failure_at=None, duration=10.0,
-                               state_backend=backend)
+        job = _count_job(backend, 10.0)
         store = job.coordinator.blobstore
+        stood: dict[tuple, list[set[int]]] = {}
+
+        def registered(meta) -> None:
+            payloads = [store.get(key)
+                        for key in store.chain_keys(meta.blob_key)]
+            rids = whole(payloads[0]["processed_rids"])
+            for delta in payloads[1:]:
+                rids |= set(delta["new_rids"])
+            stood.setdefault(meta.instance, []).append(rids)
+
+        job.coordinator.add_metadata_listener(registered)
+        job.run(rate=300.0, query_name="count")
         saw_rids = False
         for instance in job.instances():
             assert type(instance.rid_journal) is list
             head = instance.rid_head
-            assert head.count + len(instance.rid_journal) == len(
-                instance.processed_rids)
-            assert (head.materialize() | set(instance.rid_journal)
-                    == instance.processed_rids)
+            live = instance.processed_rids
+            assert head.count + len(instance.rid_journal) == (
+                instance.rid_head.forgotten() + len(live))
+            assert head.materialize() | set(instance.rid_journal) == live
+            everything = whole(head) | set(instance.rid_journal)
+            assert len(everything) == instance.rid_head.forgotten() + len(live)
             previous: set[int] = set()
-            for meta in job.registry.for_instance(instance.key):
-                rids = checkpoint_rids(store, meta.blob_key)
-                assert previous <= rids <= instance.processed_rids
+            for rids in stood[instance.key]:
+                assert previous <= rids <= everything
                 previous = rids
             saw_rids = saw_rids or bool(previous)
+            final.setdefault(backend, {})[instance.key] = everything
         assert saw_rids
-        final[backend] = {i.key: set(i.processed_rids) for i in job.instances()}
+        assert any(dropped)
     assert final["full"] == final["changelog"]
 
 
@@ -850,7 +900,8 @@ def test_checkpoints_of_a_run_share_their_history():
                 nodes[id(node)] = node
                 node = node.parent
         stored = sum(len(node.added) for node in nodes.values())
-        admitted = len(instance.processed_rids)  # failure-free: no re-admission
+        # failure-free: no re-admission; a cut keeps the number it dropped
+        admitted = instance.rid_head.forgotten() + len(instance.processed_rids)
         assert stored <= admitted
         eager = sum(head.count for head in snapshots)
         if admitted:

@@ -250,7 +250,7 @@ def test_rid_column_never_served_short(steps):
         elif step == "extend":
             p.extend_columns([t, t + 0.5], ["y", "z"], [1, 1])
         else:
-            assert source_rids(p, prefix) == [
+            assert source_rids(p, prefix).tolist() == [
                 source_rid("topic", 3, offset) for offset in range(len(p))]
     assert source_rids(p, prefix) is source_rids(p, prefix)
     assert len(source_rids(p, prefix)) == len(p)
@@ -261,7 +261,8 @@ def test_rid_column_is_per_prefix():
     p = _filled([1.0, 2.0, 3.0])
     mine = source_rids(p, source_rid_prefix("t", 0))
     theirs = source_rids(p, source_rid_prefix("other", 0))
-    assert theirs == [source_rid("other", 0, offset) for offset in range(3)]
+    assert theirs.tolist() == [
+        source_rid("other", 0, offset) for offset in range(3)]
     assert mine != theirs
 
 
@@ -353,6 +354,7 @@ def test_blobstore_accounting_across_overwrite_and_get():
     store.get("a")                       # reads the overwritten size
     store.get("a")
     assert store.bytes_written == 200
+    assert store.bytes_deleted == 100    # what the overwrite replaced
     assert store.bytes_read == 120
     assert store.total_bytes() == 100    # the live overwrite and b
     assert len(store) == 2
@@ -361,6 +363,48 @@ def test_blobstore_accounting_across_overwrite_and_get():
 def test_blobstore_negative_size_rejected():
     with pytest.raises(ValueError):
         BlobStore().put("k", "v", -1, now=1.0)
+
+
+def test_blobstore_delete_frees_the_blob_and_counts_its_bytes():
+    store = BlobStore()
+    store.put("a", "x", 10, now=1.0)
+    store.put("b", "y", 30, now=1.0)
+    store.delete("a")
+    assert "a" not in store and store.keys() == ["b"]
+    assert store.bytes_deleted == 10 and store.total_bytes() == 30
+    with pytest.raises(KeyError):
+        store.get("a")
+    with pytest.raises(KeyError):
+        store.delete("a")
+    assert store.bytes_deleted == 10
+
+
+@given(st.lists(st.tuples(st.sampled_from(["put", "delete"]),
+                          st.integers(0, 3), st.integers(0, 100)),
+                max_size=30))
+def test_blobstore_accepted_minus_deleted_is_resident(ops):
+    """Property: over any sequence of puts, overwrites and deletes, what
+    the store accepted minus what it deleted (an overwrite deletes what
+    it replaces) is what it holds."""
+    store = BlobStore()
+    model: dict[str, int] = {}
+    accepted = 0
+    for op, index, size in ops:
+        key = f"k{index}"
+        if op == "put":
+            store.put(key, size, size, now=0.0)
+            model[key] = size
+            accepted += size
+        elif key in model:
+            store.delete(key)
+            del model[key]
+        else:
+            with pytest.raises(KeyError):
+                store.delete(key)
+        assert store.bytes_written == accepted
+        assert (store.bytes_written - store.bytes_deleted
+                == store.total_bytes() == sum(model.values()))
+        assert sorted(store.keys()) == sorted(model)
 
 
 # --------------------------------------------------------------------- #
@@ -374,7 +418,6 @@ def test_chain_keys_walks_base_links_base_first():
     store.put("d2", {"delta": 2}, 10, now=3.0, base_key="d1", chain_length=2)
     assert store.chain_keys("d2") == ["base", "d1", "d2"]
     assert store.chain_keys("base") == ["base"]
-    assert store.chain_bytes("d2") == 120
     assert store.meta("d2").chain_length == 2
     assert store.meta("base").base_key is None
 

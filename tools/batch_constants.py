@@ -95,10 +95,10 @@ def _batches(n: int, calls: int, first_rid: int = 1,
              payload: Callable[[int], Any] = _payload) -> list[Any]:
     """``calls`` batches of ``n`` rows; every rid distinct, real 64-bit ids."""
     from repro.dataflow.batch import RecordBatch
-    from repro.dataflow.records import source_rids_from_prefix
+    from repro.dataflow.records import source_rid_from_prefix
 
-    rids = source_rids_from_prefix(
-        0x9E3779B97F4A7C15, range(first_rid, first_rid + n * calls))
+    rids = [source_rid_from_prefix(0x9E3779B97F4A7C15, offset)
+            for offset in range(first_rid, first_rid + n * calls)]
     return [
         RecordBatch(rids[lo:lo + n],
                     [payload(i) for i in range(lo, lo + n)],
@@ -141,15 +141,14 @@ def _process_records(protocol: str, resident: int | None = None) -> Stage:
     rids — real 64-bit ids from another prefix than the batches'."""
     def build(n: int, calls: int) -> Callable[[], None]:
         from repro.dataflow.batch import RecordBatch
-        from repro.dataflow.records import source_rids_from_prefix
+        from repro.dataflow.records import source_rid_column
 
         job = _deployed(protocol)
         instance = job.instance(("probe", 0))
         if resident is not None:
             # admitted through the real path, then rolled back to where
             # it stands: what a recovery leaves behind
-            rids = source_rids_from_prefix(
-                0xD1B54A32D192ED03, range(resident))
+            rids = source_rid_column(0xD1B54A32D192ED03, resident).tolist()
             job.process_records(instance, RecordBatch(
                 rids, [None] * resident, [0.0] * resident, [0] * resident),
                 "in")

@@ -10,8 +10,8 @@ set-up, ``gc.collect()`` before every timed section — and reports per
 case the wall time, the collector's time and collections by generation
 (``gc.callbacks``), the time and number of
 ``InstanceRuntime.capture_snapshot`` calls, and what the exactly-once
-dedup history cost the host: how many non-empty dedup sets were built and
-how many lineage ids were journaled (DESIGN.md section 23)::
+dedup history cost the host: how many dedup sets were installed and how
+many lineage ids were journaled (DESIGN.md section 23)::
 
     python tools/host_overheads.py dense
     python tools/host_overheads.py paper --events
@@ -22,9 +22,10 @@ how many lineage ids were journaled (DESIGN.md section 23)::
 record by callback, how many task completions found an empty queue and
 how many arrivals landed on an idle CPU.  The ``--max-*-share`` bounds
 are shares of the timed wall, not times, so a slow host cannot flake
-them; ``--check-dedup-sets`` holds every case to "a dedup set is built
-if and only if a recovery was applied under a protocol that dedups" — a
-count, which repeats exactly.  Failing a bound or the check exits 1.
+them; ``--check-dedup-sets`` holds every case to "a dedup set is
+installed if and only if a recovery was applied under a protocol that
+dedups" — a count, which repeats exactly.  Failing a bound or the check
+exits 1.
 """
 
 from __future__ import annotations
@@ -85,9 +86,12 @@ class SnapshotClock:
 class DedupLedger:
     """Count what the dedup history makes the host do, by wrapping.
 
-    ``sets`` — non-empty dedup sets built: every set comes out of
-    ``RidSnapshot.materialize`` (a restore, or a read of
-    ``processed_rids``) or ``InstanceRuntime.restore_rescaled``;
+    ``sets`` — dedup sets installed under a protocol that dedups: by a
+    restore (``InstanceRuntime.install_rids``), a rescaled restore
+    (``restore_rescaled``) or the first read of ``processed_rids``.
+    Installed, not non-empty: a restore at the floor line installs an
+    empty set, because the cut there dropped every rid it held
+    (DESIGN.md section 8);
     ``journaled`` — lineage ids handed to a checkpoint by ``seal_rids``
     plus the journals' tails when ``Job.run`` returns (a tail dropped by
     a rollback is not counted);
@@ -107,22 +111,27 @@ class DedupLedger:
     def install(self) -> None:
         from repro.dataflow.lifecycle import LifecycleManager
         from repro.dataflow.runtime import Job
-        from repro.dataflow.worker import InstanceRuntime, RidSnapshot
+        from repro.dataflow.worker import InstanceRuntime
 
-        materialize = RidSnapshot.materialize
+        install_rids = InstanceRuntime.install_rids
         restore_rescaled = InstanceRuntime.restore_rescaled
+        processed_rids = InstanceRuntime.processed_rids.fget
         seal_rids = InstanceRuntime.seal_rids
         run = Job.run
         apply_recovery = LifecycleManager.apply_recovery
 
-        def counted_materialize(node: Any) -> Any:
-            rids = materialize(node)
-            self.sets += bool(rids)
-            return rids
+        def counted_install(instance: Any, head: Any) -> None:
+            install_rids(instance, head)
+            self.sets += instance.job.protocol.requires_dedup
 
         def counted_rescaled(instance: Any, *args: Any) -> None:
             restore_rescaled(instance, *args)
-            self.sets += bool(instance.rid_set)
+            self.sets += instance.job.protocol.requires_dedup
+
+        def counted_read(instance: Any) -> Any:
+            if instance.rid_set is None:
+                self.sets += instance.job.protocol.requires_dedup
+            return processed_rids(instance)
 
         def counted_seal(instance: Any) -> Any:
             self.journaled += len(instance.rid_journal)
@@ -138,7 +147,8 @@ class DedupLedger:
             self.recoveries += lifecycle.job.protocol.requires_dedup
             apply_recovery(lifecycle, plan)
 
-        RidSnapshot.materialize = counted_materialize  # type: ignore[method-assign]
+        InstanceRuntime.install_rids = counted_install  # type: ignore[method-assign]
+        InstanceRuntime.processed_rids = property(counted_read)  # type: ignore[method-assign]
         InstanceRuntime.restore_rescaled = counted_rescaled  # type: ignore[method-assign]
         InstanceRuntime.seal_rids = counted_seal  # type: ignore[method-assign]
         Job.run = counted_run  # type: ignore[method-assign]
@@ -257,8 +267,8 @@ def check_dedup_sets(rows: list[dict[str, Any]]) -> bool:
     ok = True
     for row in rows:
         if (row["sets"] > 0) != (row["recoveries"] > 0):
-            print(f"FAILED: {row['id']}: {row['sets']} non-empty dedup sets "
-                  f"built over {row['recoveries']} recoveries under a "
+            print(f"FAILED: {row['id']}: {row['sets']} dedup sets "
+                  f"installed over {row['recoveries']} recoveries under a "
                   "protocol that dedups")
             ok = False
     return ok
@@ -292,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-collector-share", type=float, default=None)
     parser.add_argument("--max-snapshot-share", type=float, default=None)
     parser.add_argument("--check-dedup-sets", action="store_true",
-                        help="fail unless dedup sets are built exactly in "
+                        help="fail unless dedup sets are installed exactly in "
                              "the cases that recover under a protocol that "
                              "dedups")
     args = parser.parse_args(argv)
