@@ -94,9 +94,10 @@ def main() -> None:
     print()
     print(f"outputs delivered : {sum(result.metrics.sink_counts.values())}")
     print(f"restart time      : {result.restart_time() * 1000:.0f} ms")
-    print(f"replayed messages : {result.metrics.replayed_messages}")
+    first = result.metrics.first_failure()
+    print(f"replayed messages : {first.replayed_messages}")
     print(f"checkpoints       : {result.total_checkpoints()} "
-          f"(invalid at failure: {result.metrics.invalid_checkpoints})")
+          f"(invalid at failure: {first.invalid_checkpoints})")
 
     # exactly-once audit: recompute balances from the input log
     expected: dict[int, int] = {}

@@ -15,7 +15,7 @@ Run:  python examples/failure_recovery.py
 
 from repro.experiments.runner import run_query
 from repro.metrics.mst import find_mst
-from repro.metrics.report import format_failure_records, format_series, format_table
+from repro.metrics.report import format_recoveries, format_series, format_table
 from repro.workloads.nexmark import QUERIES
 
 
@@ -38,19 +38,18 @@ def main() -> None:
             f"failure at t=18s — p50 per second",
             series.seconds, series.p50, step=3,
         ))
-        # every injected kill produces one FailureRecord; repeated kills
-        # accumulate instead of overwriting, so multi-failure runs show
-        # their full history here
-        print(format_failure_records(result.metrics.failure_records))
+        # one line per recovery: a multi-failure run shows every one
+        print(format_recoveries(result.metrics.recoveries))
+        first = result.metrics.first_failure()
         print()
         rows.append([
             protocol,
             round(mst),
             result.restart_time() * 1000.0,
             result.recovery_time(),
-            result.metrics.invalid_checkpoints,
-            result.metrics.total_checkpoints_at_failure,
-            result.metrics.replayed_messages,
+            first.invalid_checkpoints,
+            first.total_checkpoints,
+            first.replayed_messages,
         ])
     print(format_table(
         ["protocol", "MST (rec/s)", "restart (ms)", "recovery (s)",

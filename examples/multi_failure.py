@@ -7,14 +7,14 @@ checkpoint interval and once with the adaptive (Young–Daly) policy that
 retunes the interval to ``sqrt(2 * MTBF * checkpoint_cost)`` from the
 observed failure gaps and checkpoint durations (DESIGN.md §12).
 
-Prints every injected failure, the availability and goodput of both
+Prints every recovery, the availability and goodput of both
 runs, and the adaptive controller's interval trajectory.
 
 Run:  python examples/multi_failure.py
 """
 
 from repro.experiments.runner import run_query
-from repro.metrics.report import format_failure_records, format_table
+from repro.metrics.report import format_recoveries, format_table
 from repro.workloads.nexmark import QUERIES
 
 SCENARIO = "poisson:mtbf=8,min_gap=5"
@@ -36,7 +36,7 @@ def main() -> None:
         )
         m = result.metrics
         print(f"--- {policy} interval policy, scenario {SCENARIO!r}")
-        print(format_failure_records(m.failure_records))
+        print(format_recoveries(m.recoveries))
         if policy == "adaptive" and m.interval_updates:
             trajectory = " -> ".join(
                 f"{interval:.2f}s@t={t:.0f}" for t, interval in m.interval_updates[:6]

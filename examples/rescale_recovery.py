@@ -38,15 +38,17 @@ def main() -> None:
                 rescale_to=target,
             )
             m = result.metrics
-            post = m.total_sink_records(start=m.restart_completed_at + 1.0)
-            span = result.warmup + result.duration - (m.restart_completed_at + 1.0)
+            resumed = m.first_failure().applied_at + 1.0
+            post = m.total_sink_records(start=resumed)
+            span = result.warmup + result.duration - resumed
             rows.append([
                 protocol,
                 f"{parallelism}->{result.final_parallelism}",
                 result.restart_time() * 1000.0,
                 result.recovery_time(),
                 post / max(span, 1e-9),
-                f"{m.group_imbalance():.2f}x" if result.rescaled else "-",
+                (f"{m.first_failure(rescaled=True).group_imbalance():.2f}x"
+                 if result.rescaled else "-"),
             ])
     print(format_table(
         ["protocol", "workers", "restart (ms)", "recovery (s)",

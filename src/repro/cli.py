@@ -38,7 +38,7 @@ import traceback
 from repro.experiments import figures
 from repro.experiments.config import scale_by_name
 from repro.experiments.parallel import ParallelRunner, RunRequest
-from repro.metrics.report import format_failure_records
+from repro.metrics.report import format_recoveries
 from repro.metrics.series import percentile
 from repro.sim.costs import RuntimeConfig
 from repro.sim.failure import SCENARIOS, scenario_from_config
@@ -386,23 +386,25 @@ def _cmd_query(args) -> int:
                   "taken modulo the live parallelism)")
         print(f"  failures injected: {m.n_failures} "
               f"({m.n_recoveries} recoveries)")
-        if m.failure_records:
-            print(format_failure_records(m.failure_records))
+        if m.recoveries:
+            print(format_recoveries(m.recoveries))
         print(f"  availability     : {result.availability():.1%}")
         print(f"  goodput          : {result.goodput():.0f} rec/s of uptime")
         if result.restart_time() >= 0:
             print(f"  restart time     : {result.restart_time() * 1000:.0f} ms")
         if result.recovery_time() >= 0:
             print(f"  recovery time    : {result.recovery_time():.1f} s")
-        if m.total_checkpoints_at_failure >= 0:
-            print(f"  invalid ckpts    : {m.invalid_checkpoints} "
-                  f"of {m.total_checkpoints_at_failure}")
-        print(f"  replayed messages: {m.replayed_messages}")
+        first = m.first_failure()
+        if first is not None and first.detected_at is not None:
+            print(f"  invalid ckpts    : {first.invalid_checkpoints} "
+                  f"of {first.total_checkpoints}")
+        print(f"  replayed messages: "
+              f"{first.replayed_messages if first is not None else 0}")
     if result.rescaled:
-        m = result.metrics
-        print(f"  rescaled         : {m.rescale_from} -> {m.rescale_to} "
-              f"workers at t={m.rescaled_at:.1f}s "
-              f"(group imbalance {m.group_imbalance():.2f}x)")
+        rescale = result.metrics.first_failure(rescaled=True)
+        print(f"  rescaled         : {rescale.rescale[0]} -> "
+              f"{rescale.rescale[1]} workers at t={rescale.applied_at:.1f}s "
+              f"(group imbalance {rescale.group_imbalance():.2f}x)")
     return 0
 
 

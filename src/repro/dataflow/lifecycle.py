@@ -21,7 +21,7 @@ from repro.dataflow.channels import ChannelId, DATA, Message, Partitioner, hash_
 from repro.dataflow.graph import Partitioning, validate_rescale
 from repro.dataflow.keygroups import group_range, key_group
 from repro.dataflow.worker import InstanceRuntime, WorkerRuntime, folded_snapshot
-from repro.metrics.collectors import KIND_INITIAL, KIND_RESCALE
+from repro.metrics.collectors import KIND_INITIAL, KIND_RESCALE, RecoveryRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dataflow.runtime import Job
@@ -189,11 +189,12 @@ class LifecycleManager:
     def on_fail(self, worker_index: int) -> None:
         """A failure event fired: kill the targeted worker."""
         job = self.job
+        recoveries = job.metrics.recoveries
+        if not recoveries or recoveries[-1].applied_at is not None:
+            recoveries.append(RecoveryRecord(killed_at=job.sim.now))
+        recoveries[-1].workers.append(worker_index)  # a folded kill appends
         if job.recovering:
             return  # the pipeline is already down; fold into this recovery
-        if job.metrics.failure_at < 0:
-            job.metrics.failure_at = job.sim.now
-        job.metrics.record_outage_start(job.sim.now)
         if job.interval_controller is not None:
             job.interval_controller.observe_failure(job.sim.now)
             self.sync_interval_updates()
@@ -204,7 +205,8 @@ class LifecycleManager:
         """The target parallelism if the upcoming recovery must rescale."""
         job = self.job
         plan = job.rescale_plan
-        if plan is None or job.recoveries_applied + 1 != plan.at_recovery:
+        # the open record is the upcoming recovery (all earlier ones applied)
+        if plan is None or len(job.metrics.recoveries) != plan.at_recovery:
             return None
         if plan.rescale_to == job.parallelism:
             return None
@@ -218,7 +220,9 @@ class LifecycleManager:
             return  # folded into an in-flight recovery / already replaced
         plan = job.protocol.build_recovery_plan(job.sim.now)
         plan.rescale_to = self.pending_rescale_target()
-        job.metrics.record_recovery_line(
+        record = job.metrics.recoveries[-1]
+        record.detected_at = job.sim.now
+        record.line = (
             tuple(sorted(
                 (key, meta.checkpoint_id, meta.kind)
                 for key, meta in plan.line.items()
@@ -228,14 +232,10 @@ class LifecycleManager:
                 for channel, messages in plan.replay.items() if messages
             )),
         )
-        # the paper's failure metrics describe the FIRST failure of a run;
-        # later failures still recover but do not overwrite the stamps
-        if job.metrics.detected_at < 0:
-            job.metrics.detected_at = job.sim.now
-            job.metrics.invalid_checkpoints = plan.invalid_checkpoints
-            job.metrics.total_checkpoints_at_failure = plan.total_checkpoints
-            job.metrics.replayed_messages = plan.replayed_messages
-            job.metrics.replayed_records = plan.replayed_records
+        record.invalid_checkpoints = plan.invalid_checkpoints
+        record.total_checkpoints = plan.total_checkpoints
+        record.replayed_messages = plan.replayed_messages
+        record.replayed_records = plan.replayed_records
         job.recovering = True
         job.epoch += 1
         for worker in job.workers:
@@ -308,11 +308,8 @@ class LifecycleManager:
         job.transport.reset()
         for worker in job.workers:
             worker.alive = True  # replacement container
-        if job.metrics.restart_completed_at < 0:
-            job.metrics.restart_completed_at = job.sim.now
-        job.metrics.record_outage_end(job.sim.now)
+        job.metrics.recoveries[-1].applied_at = job.sim.now
         job.recovering = False
-        job.recoveries_applied += 1
         job.protocol.on_recovery_applied(plan)
         # replay in-flight messages (UNC/CIC): deterministic channel order
         for channel in sorted(plan.replay):
@@ -384,23 +381,21 @@ class LifecycleManager:
         job.protocol.on_rescaled(plan)
         for worker in job.workers:
             worker.alive = True
-        if job.metrics.restart_completed_at < 0:
-            job.metrics.restart_completed_at = job.sim.now
-        job.metrics.record_outage_end(job.sim.now)
+        record = job.metrics.recoveries[-1]
+        record.applied_at = job.sim.now
         job.recovering = False
-        job.recoveries_applied += 1
         # re-route the line's in-flight messages through the new topology,
         # then stamp the synthetic baseline *after* the senders' cursors
         # advanced: a later rollback to the baseline finds the re-injected
         # messages inside its replay windows instead of losing them
         injected = self.reinject_replay(plan, p_new)
         self.install_rescale_baseline(injected)
-        group_sizes: dict[int, int] = {}
+        record.rescale = (p_old, p_new)
         for instance in job.instances():
             for group, nbytes in instance.operator.states.group_sizes(
                     job.max_key_groups).items():
-                group_sizes[group] = group_sizes.get(group, 0) + nbytes
-        job.metrics.record_rescale(job.sim.now, p_old, p_new, group_sizes)
+                record.group_state_bytes[group] = (
+                    record.group_state_bytes.get(group, 0) + nbytes)
         job.protocol.on_recovery_applied(plan)
         self.resume_after_recovery()
 

@@ -171,22 +171,23 @@ class RunResult:
 
     def invalid_percentage(self) -> float:
         """Invalid checkpoints at the failure as a percentage (Table III)."""
-        total = self.metrics.total_checkpoints_at_failure
-        invalid = self.metrics.invalid_checkpoints
-        if total <= 0 or invalid < 0:
+        first = self.metrics.first_failure()
+        if first is None or first.total_checkpoints <= 0:
             return 0.0
-        return 100.0 * invalid / total
+        return 100.0 * first.invalid_checkpoints / first.total_checkpoints
 
     def restart_time(self) -> float:
-        """Detection -> ready-to-process duration (paper Fig. 11)."""
-        return self.metrics.restart_time
+        """Detection -> ready-to-process duration (paper Fig. 11), or -1.0."""
+        first = self.metrics.first_failure()
+        restart = first.restart_time if first is not None else None
+        return -1.0 if restart is None else restart
 
     def recovery_time(self) -> float:
         """Seconds until latency re-entered its stable band (paper Fig. 9)."""
-        if self.metrics.detected_at < 0:
+        first = self.metrics.first_failure()
+        if first is None or first.detected_at is None:
             return -1.0
-        detected_rel = self.metrics.detected_at - self.warmup
-        return self.latency_series().recovery_time(detected_rel)
+        return self.latency_series().recovery_time(first.detected_at - self.warmup)
 
     def availability(self) -> float:
         """Fraction of the measured window the pipeline was up (1.0 = no

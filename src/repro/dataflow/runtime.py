@@ -129,7 +129,6 @@ class Job:
         #: bumped on every rescaled redeploy; stale durability callbacks
         #: from the previous topology check it and drop themselves
         self.deploy_epoch = 0
-        self.recoveries_applied = 0
         self.completed_rounds: set[int] = set()
 
         self.protocol = create_protocol(protocol, self)

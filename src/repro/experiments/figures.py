@@ -460,7 +460,8 @@ def _table3_checks(measured, scale, results) -> list[tuple[str, bool]]:
     operators = {q: len(resolve_spec(q).build_graph(2).operators)
                  for q in NEXMARK_ORDER}
     invalid_counts = {
-        (w, q, proto): (result.metrics.invalid_checkpoints, operators[q] * w)
+        (w, q, proto): (result.metrics.first_failure().invalid_checkpoints,
+                        operators[q] * w)
         for (w, q, proto), result in results.items()
     }
     return [
@@ -776,15 +777,16 @@ def _rescale_point(scale: ExperimentScale, protocol: str,
 
 
 def _rescale_measure(result, scale, *cell) -> dict:
+    rescale = result.metrics.first_failure(rescaled=True)
     return {
         "restart_ms": result.restart_time() * 1000.0,
         "recovery_s": result.recovery_time(),
         "post_records": result.metrics.total_sink_records(
-            start=result.metrics.restart_completed_at + 1.0
+            start=result.metrics.first_failure().applied_at + 1.0
         ),
         "final_parallelism": result.final_parallelism,
-        "rescaled_at": result.metrics.rescaled_at,
-        "imbalance": result.metrics.group_imbalance(),
+        "rescaled_at": rescale.applied_at if rescale else -1.0,
+        "imbalance": rescale.group_imbalance() if rescale else 1.0,
     }
 
 

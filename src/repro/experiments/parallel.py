@@ -68,8 +68,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: compacted results in zlib-compressed entries (older plain-pickle dirs
 #: read as misses, never as errors); v9 = same format, but a recovery no
 #: longer restores a timeline an earlier one abandoned, so v8 results of
-#: multi-failure runs are wrong
-CACHE_VERSION = 9
+#: multi-failure runs are wrong; v10 = the collector keeps one
+#: RecoveryRecord per recovery instead of first-failure stamps
+CACHE_VERSION = 10
 
 
 # --------------------------------------------------------------------- #

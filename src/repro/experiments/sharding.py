@@ -37,7 +37,6 @@ sharded run is therefore something a caller asks for by count
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import fields, is_dataclass, replace
 from typing import TYPE_CHECKING, Any
@@ -195,30 +194,13 @@ def shard_requests(request: "RunRequest",
 # Merging
 # --------------------------------------------------------------------- #
 
-def _merge_outages(parts: list[MetricsCollector]) -> list[list[float]]:
-    """Union of the shards' outage spans (down if *any* shard is down)."""
-    spans = sorted(
-        (span for metrics in parts for span in metrics.outages),
-        key=lambda span: span[0],
-    )
-    merged: list[list[float]] = []
-    for start, end in spans:
-        close = math.inf if end < 0 else end
-        if merged and start <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], close)
-        else:
-            merged.append([start, close])
-    return [[start, -1.0 if end == math.inf else end]
-            for start, end in merged]
-
-
 def merge_metrics(parts: list[MetricsCollector]) -> MetricsCollector:
     """Merge per-shard collectors into one run-level collector.
 
     Record-additive fields — the only ones that equal the unsharded
     run's, because every record lives in exactly one shard: sink/ingest
     counts, the latency sample *population*, records sent, data bytes,
-    per-group state bytes.
+    per-group state bytes after a rescale.
 
     Per-shard sums that do **not** equal the unsharded run's: each shard
     is a full deployment on its own checkpoint schedule, so checkpoint
@@ -231,10 +213,11 @@ def merge_metrics(parts: list[MetricsCollector]) -> MetricsCollector:
     each shard saw at ``1/shard_count`` of the load.
 
     Best-effort fields (shards are separate processes, so no global
-    instant exists): failure stamps take the earliest detection and the
-    latest restart; outages merge as the interval union; queue peaks
-    report the worst single shard; recovery lines concatenate in shard
-    order.
+    instant exists): recovery records concatenate in shard order and
+    ``first_failure()`` folds those of the earliest kill (the earliest
+    detection, the latest restore, checkpoint and replay counts and
+    group bytes summed); outages are the interval union of the records'
+    spans; queue peaks report the worst single shard.
 
     Compacted collectors (latency digests instead of raw samples) are
     rejected: per-shard percentiles are not mergeable, which is exactly
@@ -270,10 +253,8 @@ def merge_metrics(parts: list[MetricsCollector]) -> MetricsCollector:
         merged.checkpoint_bytes_materialized += (
             metrics.checkpoint_bytes_materialized
         )
-        merged.replayed_messages += metrics.replayed_messages
-        merged.replayed_records += metrics.replayed_records
-        merged.recovery_lines.extend(metrics.recovery_lines)
         merged.failure_records.extend(metrics.failure_records)
+        merged.recoveries.extend(metrics.recoveries)
         merged.interval_updates.extend(metrics.interval_updates)
         for channel, blocked in metrics.blocked_time_by_channel.items():
             merged.blocked_time_by_channel[channel] = (
@@ -289,30 +270,7 @@ def merge_metrics(parts: list[MetricsCollector]) -> MetricsCollector:
             merged.peak_total_in_flight_bytes,
             metrics.peak_total_in_flight_bytes,
         )
-        for group, state_bytes in metrics.group_state_bytes.items():
-            merged.group_state_bytes[group] = (
-                merged.group_state_bytes.get(group, 0) + state_bytes
-            )
     merged.interval_updates.sort(key=lambda update: update[0])
-    merged.outages = _merge_outages(parts)
-    merged.failure_at = max((m.failure_at for m in parts), default=-1.0)
-    detections = [m.detected_at for m in parts if m.detected_at >= 0]
-    merged.detected_at = min(detections) if detections else -1.0
-    restarts = [m.restart_completed_at for m in parts
-                if m.restart_completed_at >= 0]
-    merged.restart_completed_at = max(restarts) if restarts else -1.0
-    invalid = [m.invalid_checkpoints for m in parts
-               if m.invalid_checkpoints >= 0]
-    merged.invalid_checkpoints = sum(invalid) if invalid else -1
-    totals = [m.total_checkpoints_at_failure for m in parts
-              if m.total_checkpoints_at_failure >= 0]
-    merged.total_checkpoints_at_failure = sum(totals) if totals else -1
-    rescaled = [m for m in parts if m.rescaled_at >= 0]
-    if rescaled:
-        earliest = min(rescaled, key=lambda m: m.rescaled_at)
-        merged.rescaled_at = earliest.rescaled_at
-        merged.rescale_from = earliest.rescale_from
-        merged.rescale_to = earliest.rescale_to
     return merged
 
 

@@ -8,6 +8,7 @@ recovery detection) happens in :mod:`repro.metrics.series` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 # --------------------------------------------------------------------- #
@@ -65,6 +66,43 @@ class CheckpointEvent:
 
 
 @dataclass
+class RecoveryRecord:
+    """One recovery: ``LifecycleManager`` opens it at the kill, fills the
+    plan in at the detection and closes it when the restore is applied."""
+
+    killed_at: float
+    #: workers killed while the recovery was open (a folded kill appends)
+    workers: list[int] = field(default_factory=list)
+    detected_at: float | None = None
+    applied_at: float | None = None
+    #: canonical (line, replay) signature of the recovery plan
+    line: tuple | None = None
+    invalid_checkpoints: int = 0
+    total_checkpoints: int = 0
+    replayed_messages: int = 0
+    replayed_records: int = 0
+    #: (from, to) parallelism of a rescaled restore, None otherwise
+    rescale: tuple[int, int] | None = None
+    #: keyed-state bytes per key group right after a rescaled restore
+    group_state_bytes: dict[int, int] = field(default_factory=dict)
+
+    @property
+    def restart_time(self) -> float | None:
+        """Detection -> ready-to-process duration (paper's restart time)."""
+        if self.detected_at is None or self.applied_at is None:
+            return None
+        return self.applied_at - self.detected_at
+
+    def group_imbalance(self) -> float:
+        """max/mean of per-group state bytes after the rescale (1.0 = even)."""
+        sizes = [v for v in self.group_state_bytes.values() if v > 0]
+        if not sizes:
+            return 1.0
+        mean = sum(sizes) / len(sizes)
+        return max(sizes) / mean if mean > 0 else 1.0
+
+
+@dataclass
 class MetricsCollector:
     """Accumulates everything a run produces."""
 
@@ -100,22 +138,12 @@ class MetricsCollector:
     checkpoint_bytes_materialized: int = 0
 
     # -- failure / recovery --------------------------------------------------- #
-    failure_at: float = -1.0
-    detected_at: float = -1.0
-    restart_completed_at: float = -1.0
-    invalid_checkpoints: int = -1
-    total_checkpoints_at_failure: int = -1
-    replayed_messages: int = 0
-    replayed_records: int = 0
-    #: canonical (line, replay) signature of every recovery, in order —
-    #: the differential backend tests compare these across state backends
-    recovery_lines: list[tuple] = field(default_factory=list)
     #: one FailureRecord per injected kill, in injection order (the
     #: injector appends; repeated kills accumulate, never overwrite)
     failure_records: list = field(default_factory=list)
-    #: [start, end] spans during which the pipeline was down (kill ->
-    #: recovery applied); an unfinished outage has end == -1.0
-    outages: list[list[float]] = field(default_factory=list)
+    #: one RecoveryRecord per recovery, in kill order (a merged run holds
+    #: each shard's records, shard after shard)
+    recoveries: list[RecoveryRecord] = field(default_factory=list)
     #: (virtual time, interval) trajectory of the adaptive checkpoint-
     #: interval controller; empty under the fixed policy
     interval_updates: list[tuple[float, float]] = field(default_factory=list)
@@ -138,16 +166,6 @@ class MetricsCollector:
     peak_in_flight_bytes: dict = field(default_factory=dict)
     #: peak of the total in-flight bytes across all channels
     peak_total_in_flight_bytes: int = 0
-
-    # -- rescale-on-recovery ------------------------------------------------ #
-    #: when the (first) rescaled restore was applied, -1 if none happened
-    rescaled_at: float = -1.0
-    #: parallelism before / after that rescaled restore
-    rescale_from: int = -1
-    rescale_to: int = -1
-    #: keyed-state bytes per key group right after the rescaled restore —
-    #: the repartitioning balance the figure harness reports on
-    group_state_bytes: dict[int, int] = field(default_factory=dict)
 
     # ------------------------------------------------------------------ #
     # Recording
@@ -179,22 +197,6 @@ class MetricsCollector:
             self.checkpoint_bytes_uploaded += event.upload_bytes
             self.checkpoint_bytes_materialized += event.state_bytes
 
-    def record_recovery_line(self, line_signature: tuple,
-                             replay_signature: tuple) -> None:
-        """Append one recovery's canonical (line, replay) signature."""
-        self.recovery_lines.append((line_signature, replay_signature))
-
-    def record_outage_start(self, now: float) -> None:
-        """The pipeline went down (first kill of an outage)."""
-        if self.outages and self.outages[-1][1] < 0:
-            return  # a later kill folded into the outage already open
-        self.outages.append([now, -1.0])
-
-    def record_outage_end(self, now: float) -> None:
-        """Recovery was applied; the pipeline is processing again."""
-        if self.outages and self.outages[-1][1] < 0:
-            self.outages[-1][1] = now
-
     def record_interval_update(self, now: float, interval: float) -> None:
         """The adaptive controller changed the checkpoint interval."""
         self.interval_updates.append((now, interval))
@@ -223,34 +225,54 @@ class MetricsCollector:
         if total_bytes > self.peak_total_in_flight_bytes:
             self.peak_total_in_flight_bytes = total_bytes
 
-    def record_rescale(self, now: float, from_parallelism: int,
-                       to_parallelism: int,
-                       group_state_bytes: dict[int, int]) -> None:
-        """Stamp a rescaled restore (the first one wins, like failure stamps)."""
-        if self.rescaled_at < 0:
-            self.rescaled_at = now
-            self.rescale_from = from_parallelism
-            self.rescale_to = to_parallelism
-            self.group_state_bytes = dict(group_state_bytes)
-
-    def group_imbalance(self) -> float:
-        """max/mean of per-group state bytes after the rescale (1.0 = even)."""
-        sizes = [v for v in self.group_state_bytes.values() if v > 0]
-        if not sizes:
-            return 1.0
-        mean = sum(sizes) / len(sizes)
-        return max(sizes) / mean if mean > 0 else 1.0
-
     # ------------------------------------------------------------------ #
     # Derived values
     # ------------------------------------------------------------------ #
 
+    def first_failure(self, rescaled: bool = False) -> RecoveryRecord | None:
+        """The paper's first-failure view: the records of the earliest kill.
+
+        With ``rescaled`` only rescaled recoveries count.  A plain run has
+        one record per kill instant; a merged run has one per shard,
+        folded here: the earliest detection, the latest restore, and
+        checkpoint, replay and group-byte counts summed.  ``None`` if the
+        run had no such recovery.
+        """
+        records = [r for r in self.recoveries if not rescaled or r.rescale]
+        if not records:
+            return None
+        killed_at = min(r.killed_at for r in records)
+        first = [r for r in records if r.killed_at == killed_at]
+        if len(first) == 1:
+            return first[0]
+        group_bytes: dict[int, int] = {}
+        for record in first:
+            for group, nbytes in record.group_state_bytes.items():
+                group_bytes[group] = group_bytes.get(group, 0) + nbytes
+        return RecoveryRecord(
+            killed_at, [worker for r in first for worker in r.workers],
+            min((r.detected_at for r in first if r.detected_at is not None),
+                default=None),
+            max((r.applied_at for r in first if r.applied_at is not None),
+                default=None),
+            invalid_checkpoints=sum(r.invalid_checkpoints for r in first),
+            total_checkpoints=sum(r.total_checkpoints for r in first),
+            replayed_messages=sum(r.replayed_messages for r in first),
+            replayed_records=sum(r.replayed_records for r in first),
+            rescale=first[0].rescale, group_state_bytes=group_bytes,
+        )
+
     @property
-    def restart_time(self) -> float:
-        """Detection -> ready-to-process duration (paper's restart time)."""
-        if self.restart_completed_at < 0 or self.detected_at < 0:
-            return -1.0
-        return self.restart_completed_at - self.detected_at
+    def replayed_records(self) -> int:
+        """Records the first failure's recovery replayed (0 without one)."""
+        first = self.first_failure()
+        return first.replayed_records if first is not None else 0
+
+    @property
+    def recovery_lines(self) -> list[tuple]:
+        """The (line, replay) signature of every planned recovery, in order."""
+        return [record.line for record in self.recoveries
+                if record.line is not None]
 
     @property
     def n_failures(self) -> int:
@@ -259,21 +281,26 @@ class MetricsCollector:
 
     @property
     def n_recoveries(self) -> int:
-        """Recoveries actually applied (folded kills share one)."""
+        """Recoveries planned (folded kills share one), applied or not."""
         return len(self.recovery_lines)
 
-    def downtime(self, start: float, end: float) -> float:
-        """Virtual seconds of ``[start, end)`` spent down or recovering.
+    def outages(self) -> list[list[float]]:
+        """Interval union of the recoveries' ``[killed_at, applied_at]``
+        spans in time order; a span the run ended inside ends at inf."""
+        union: list[list[float]] = []
+        for record in sorted(self.recoveries, key=lambda r: r.killed_at):
+            end = math.inf if record.applied_at is None else record.applied_at
+            if union and record.killed_at <= union[-1][1]:
+                union[-1][1] = max(union[-1][1], end)
+            else:
+                union.append([record.killed_at, end])
+        return union
 
-        An outage spans kill -> recovery-applied; an outage still open
-        when the run ends is clipped at ``end``.
-        """
-        total = 0.0
-        for outage_start, outage_end in self.outages:
-            if outage_end < 0:
-                outage_end = end
-            total += max(0.0, min(outage_end, end) - max(outage_start, start))
-        return total
+    def downtime(self, start: float, end: float) -> float:
+        """Virtual seconds of ``[start, end)`` spent down or recovering
+        (an outage still open when the run ends is clipped at ``end``)."""
+        return sum((max(0.0, min(stop, end) - max(begin, start))
+                    for begin, stop in self.outages()), 0.0)
 
     def availability(self, start: float, end: float) -> float:
         """Fraction of ``[start, end)`` the pipeline was up (1.0 = no outage)."""

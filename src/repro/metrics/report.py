@@ -53,19 +53,31 @@ def shape_report(title: str, assertions: Sequence[tuple[str, bool]]) -> str:
     return "\n".join(lines)
 
 
-def format_failure_records(records, indent: str = "    ") -> str:
-    """One line per injected kill: who failed when, and detection.
+def format_recoveries(records, indent: str = "    ") -> str:
+    """One line per recovery: who failed when, detection, restore, cost.
 
-    ``records`` are :class:`~repro.sim.failure.FailureRecord`-shaped
-    objects; a negative ``detected_at`` means the run ended before the
-    heartbeat declared the worker dead.  The CLI and the failure
-    examples all share this rendering.
+    ``records`` are :class:`~repro.metrics.collectors.RecoveryRecord`
+    objects in kill order; a recovery the run ended inside says so.  The
+    CLI and the failure examples all share this rendering.
     """
     lines = []
-    for record in records:
-        detected = (f"detected at t={record.detected_at:.2f}s"
-                    if record.detected_at >= 0
-                    else "not detected before the run ended")
-        lines.append(f"{indent}worker {record.worker_index} failed at "
-                     f"t={record.failed_at:.2f}s, {detected}")
+    for number, record in enumerate(records, 1):
+        workers = ", ".join(map(str, record.workers))
+        parts = [f"{indent}recovery {number}: worker"
+                 f"{'s' * (len(record.workers) > 1)} {workers} failed at "
+                 f"t={record.killed_at:.2f}s"]
+        if record.detected_at is None:
+            parts.append("not detected before the run ended")
+        else:
+            parts.append(f"detected t={record.detected_at:.2f}s")
+            parts.append(
+                "not applied before the run ended" if record.applied_at is None
+                else f"applied t={record.applied_at:.2f}s "
+                     f"(restart {record.restart_time * 1000:.0f} ms)")
+            parts.append(f"invalid {record.invalid_checkpoints} of "
+                         f"{record.total_checkpoints}, replayed "
+                         f"{record.replayed_messages} messages")
+            if record.rescale is not None:
+                parts.append("rescaled {} -> {}".format(*record.rescale))
+        lines.append(", ".join(parts))
     return "\n".join(lines)

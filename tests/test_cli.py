@@ -69,6 +69,25 @@ def test_query_with_failure_scenario(capsys):
     assert out.count("failed at") == 2
 
 
+def test_query_prints_one_line_per_recovery(capsys):
+    code = main([
+        "query", "q12", "--protocol", "unc", "--parallelism", "4",
+        "--rate", "300", "--duration", "20", "--warmup", "2",
+        "--failure-scenario", "trace:3@0;9@1;15@2",
+    ])
+    assert code == 0
+    lines = re.findall(r"^ +(recovery \d+: .*)$", capsys.readouterr().out,
+                       re.MULTILINE)
+    assert [line.split(":")[0] for line in lines] == [
+        "recovery 1", "recovery 2", "recovery 3"]
+    assert lines[0].startswith("recovery 1: worker 0 failed at t=5.00s, "
+                               "detected t=6.00s, applied t=6.12s "
+                               "(restart 118 ms), invalid 8 of 12, "
+                               "replayed 570 messages")
+    assert all("restart" in line and " of " in line and "replayed" in line
+               for line in lines)
+
+
 def test_query_with_adaptive_interval(capsys):
     code = main([
         "query", "q1", "--protocol", "unc", "--parallelism", "2",

@@ -72,15 +72,16 @@ def test_markers_counted_as_protocol_bytes():
 
 def test_recovery_uses_latest_completed_round():
     job, result = coor_job(duration=16.0, failure_at=8.0)
-    assert result.metrics.invalid_checkpoints == 0
-    assert result.metrics.replayed_messages == 0
+    first = result.metrics.first_failure()
+    assert first.invalid_checkpoints == 0
+    assert first.replayed_messages == 0
     assert result.restart_time() > 0
 
 
 def test_recovery_without_any_completed_round_restarts_from_scratch():
     # failure before the first round completes
     job, result = coor_job(duration=12.0, failure_at=0.5, interval=50.0)
-    assert result.metrics.detected_at > 0
+    assert result.metrics.first_failure().detected_at > 0
     # everything reprocessed from offset 0: sink totals still correct
     sink = sum(result.metrics.sink_counts.values())
     assert sink > 0
@@ -110,9 +111,10 @@ def test_coor_rejects_cyclic_graph():
 
 def test_rounds_resume_after_recovery():
     job, result = coor_job(duration=20.0, failure_at=5.0, interval=3.0)
+    applied_at = result.metrics.first_failure().applied_at
     post = [
         e for e in result.metrics.checkpoints
-        if e.kind == "round" and e.started_at > result.metrics.restart_completed_at
+        if e.kind == "round" and e.started_at > applied_at
     ]
     assert post, "rounds must resume after the rollback"
 

@@ -427,17 +427,17 @@ def test_availability_and_goodput_reflect_outages():
     assert clean.availability() == 1.0
     assert clean.metrics.downtime(0.0, 30.0) == 0.0
     assert 0.0 < failed.availability() < 1.0
-    assert len(failed.metrics.outages) == 2
-    for start, end in failed.metrics.outages:
+    assert len(failed.metrics.outages()) == 2
+    for start, end in failed.metrics.outages():
         assert end > start
     assert failed.goodput() > 0
 
 
 def test_outage_spans_kill_to_recovery_applied():
     _, result, _, _ = run_scenario_job("coor", "single:at=5")
-    ((start, end),) = result.metrics.outages
+    ((start, end),) = result.metrics.outages()
     assert start == pytest.approx(7.0)
-    assert end >= result.metrics.restart_completed_at
+    assert end >= result.metrics.first_failure().applied_at
     downtime = result.metrics.downtime(result.warmup,
                                        result.warmup + result.duration)
     assert downtime == pytest.approx(end - start)

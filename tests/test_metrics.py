@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.metrics.collectors import CheckpointEvent, MetricsCollector
+from repro.metrics.collectors import (
+    CheckpointEvent,
+    MetricsCollector,
+    RecoveryRecord,
+)
 from repro.metrics.report import format_series, format_table, shape_report
 from repro.metrics.series import LatencySeries, percentile
 
@@ -92,14 +96,16 @@ def test_avg_checkpoint_time_filters_kinds():
 
 def test_restart_time_requires_both_stamps():
     m = MetricsCollector()
-    assert m.restart_time() == -1.0 if callable(m.restart_time) else True
+    assert m.first_failure() is None
+    m.recoveries.append(RecoveryRecord(killed_at=9.0, detected_at=10.0))
+    assert m.first_failure().restart_time is None
 
 
 def test_restart_time_computed():
     m = MetricsCollector()
-    m.detected_at = 10.0
-    m.restart_completed_at = 10.4
-    assert m.restart_time == pytest.approx(0.4)
+    m.recoveries.append(RecoveryRecord(killed_at=9.0, detected_at=10.0,
+                                       applied_at=10.4))
+    assert m.first_failure().restart_time == pytest.approx(0.4)
 
 
 def test_throughput_window():

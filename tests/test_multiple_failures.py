@@ -91,10 +91,10 @@ def test_backends_differential_across_repeated_failures(protocol):
 
 def test_metrics_stamp_first_failure_only():
     _, result, _, _ = run_with_failures("unc", [(5.0, 0), (13.0, 1)])
-    m = result.metrics
-    assert m.failure_at == pytest.approx(7.0)       # warmup 2 + 5
-    assert m.detected_at == pytest.approx(8.0)      # + heartbeat
-    assert m.restart_completed_at < 15.0            # first restart, not second
+    first = result.metrics.first_failure()
+    assert first.killed_at == pytest.approx(7.0)    # warmup 2 + 5
+    assert first.detected_at == pytest.approx(8.0)  # + heartbeat
+    assert first.applied_at < 15.0                  # first restart, not second
 
 
 def test_failure_during_detection_window_is_folded():

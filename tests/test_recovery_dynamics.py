@@ -52,7 +52,7 @@ def test_none_protocol_restarts_from_scratch():
                                 input_until=10.0)
     assert measured_counts(job) == expected_counts(job)
     # sources were rewound to the very beginning
-    assert result.metrics.detected_at > 0
+    assert result.metrics.first_failure().detected_at > 0
 
 
 def test_coor_rounds_never_overlap():
@@ -91,7 +91,8 @@ def test_windowed_operator_survives_recovery():
     job = Job(spec.build_graph(2), "unc", 2, inputs, config)
     result = job.run(rate=400.0, query_name="q12")
     # outputs keep flowing well after the recovery
-    post = result.metrics.total_sink_records(start=result.metrics.restart_completed_at + 2)
+    post = result.metrics.total_sink_records(
+        start=result.metrics.first_failure().applied_at + 2)
     assert post > 0
     # window state only contains live windows (sweeps kept working)
     for idx in range(2):
@@ -102,9 +103,9 @@ def test_windowed_operator_survives_recovery():
 
 def test_failure_detection_and_restart_stamps_ordered():
     _, result = run_count_job("unc", failure_at=6.0)
-    m = result.metrics
-    assert m.failure_at < m.detected_at < m.restart_completed_at
-    assert m.detected_at - m.failure_at == pytest.approx(1.0)  # heartbeat
+    first = result.metrics.first_failure()
+    assert first.killed_at < first.detected_at < first.applied_at
+    assert first.detected_at - first.killed_at == pytest.approx(1.0)  # heartbeat
 
 
 def test_throughput_recovers_after_failure():
@@ -126,6 +127,6 @@ def test_all_protocols_deliver_after_recovery(protocol):
     _, result = run_count_job(protocol, rate=250.0, duration=20.0,
                               failure_at=6.0)
     post = result.metrics.total_sink_records(
-        start=result.metrics.restart_completed_at + 1.0
+        start=result.metrics.first_failure().applied_at + 1.0
     )
     assert post > 0

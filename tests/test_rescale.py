@@ -102,7 +102,7 @@ def test_second_failure_after_rescale_still_exactly_once(protocol,
     log = make_event_log(300.0, 20.0, 4, seed=3)
     job = Job(build_count_graph(), protocol, 4, {"events": log}, config)
     job.run(rate=300.0)
-    assert job.recoveries_applied == 2
+    assert sum(r.applied_at is not None for r in job.metrics.recoveries) == 2
     assert job.parallelism == 6
     assert merged_counts(job) == expected_counts(job)
 
@@ -119,22 +119,23 @@ def test_rescale_at_second_recovery():
     result = job.run(rate=300.0)
     assert job.parallelism == 6
     # the first recovery kept p=4; only the second rescaled
-    assert result.metrics.rescaled_at > result.metrics.detected_at + 1.0
+    rescale = result.metrics.first_failure(rescaled=True)
+    assert rescale.applied_at > result.metrics.first_failure().detected_at + 1.0
     assert merged_counts(job) == expected_counts(job)
 
 
 def test_rescale_records_group_metrics_and_restart_premium():
     _, plain = run_count_job("unc", parallelism=4)
     job, rescaled = run_count_job("unc", parallelism=4, rescale_to=6)
-    m = rescaled.metrics
-    assert m.rescale_from == 4 and m.rescale_to == 6
+    m = rescaled.metrics.first_failure(rescaled=True)
+    assert m.rescale == (4, 6)
     assert m.group_state_bytes  # per-group sizes captured at the rescale
     assert all(0 <= g < job.max_key_groups for g in m.group_state_bytes)
     assert m.group_imbalance() >= 1.0
     # the rescaled restore pays extra orchestration + group-range fan-in
     assert rescaled.restart_time() > plain.restart_time()
     # plain runs never stamp rescale fields
-    assert plain.metrics.rescaled_at < 0
+    assert plain.metrics.first_failure(rescaled=True) is None
     assert not plain.rescaled
 
 
@@ -150,7 +151,7 @@ def test_rescale_with_windowed_join_value_state():
     )
     assert result.final_parallelism == 6
     post = result.metrics.total_sink_records(
-        start=result.metrics.restart_completed_at + 1.0
+        start=result.metrics.first_failure().applied_at + 1.0
     )
     assert post > 0  # windows keep closing and joining after the rescale
 

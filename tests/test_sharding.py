@@ -10,6 +10,7 @@ cache's address.
 """
 
 import hashlib
+import math
 import pickle
 
 import pytest
@@ -18,7 +19,7 @@ from repro.dataflow.graph import GraphError, LogicalGraph, Partitioning
 from repro.dataflow.keygroups import group_range
 from repro.dataflow.operators import MapOperator, SinkOperator, SourceOperator
 from repro.dataflow.runtime import Job
-from repro.metrics.collectors import MetricsCollector
+from repro.metrics.collectors import MetricsCollector, RecoveryRecord
 from repro.sim.costs import RuntimeConfig
 from repro.workloads.spec import QuerySpec
 from repro.experiments.parallel import (
@@ -234,24 +235,30 @@ def test_merge_metrics_additive_and_best_effort_fields():
     a.latencies = {3: [0.1]}
     b.latencies = {3: [0.2], 5: [0.3]}
     a.data_bytes, b.data_bytes = 100, 50
-    a.outages = [[5.0, 7.0]]
-    b.outages = [[6.0, -1.0]]  # open outage swallows everything after
-    a.detected_at, b.detected_at = 6.5, 6.0
-    a.restart_completed_at, b.restart_completed_at = 7.0, 8.5
+    a.recoveries = [RecoveryRecord(killed_at=5.0, detected_at=6.5,
+                                   applied_at=7.0, invalid_checkpoints=1,
+                                   total_checkpoints=4)]
+    b.recoveries = [
+        RecoveryRecord(killed_at=5.0, detected_at=6.0, applied_at=8.5,
+                       invalid_checkpoints=2, total_checkpoints=4),
+        # killed as the first recovery applied: an open outage that
+        # swallows everything after
+        RecoveryRecord(killed_at=8.5),
+    ]
     a.peak_total_in_flight_bytes, b.peak_total_in_flight_bytes = 300, 200
-    a.invalid_checkpoints, b.invalid_checkpoints = 1, 2
-    a.total_checkpoints_at_failure, b.total_checkpoints_at_failure = 4, 4
 
     merged = merge_metrics([a, b])
     assert merged.sink_counts == {3: 10, 4: 7}
     assert merged.latencies == {3: [0.1, 0.2], 5: [0.3]}
     assert merged.data_bytes == 150
-    assert merged.outages == [[5.0, -1.0]]
-    assert merged.detected_at == 6.0
-    assert merged.restart_completed_at == 8.5
+    assert merged.recoveries == a.recoveries + b.recoveries
+    assert merged.outages() == [[5.0, math.inf]]
+    first = merged.first_failure()
+    assert first.detected_at == 6.0
+    assert first.applied_at == 8.5
     assert merged.peak_total_in_flight_bytes == 300
-    assert merged.invalid_checkpoints == 3
-    assert merged.total_checkpoints_at_failure == 8
+    assert first.invalid_checkpoints == 3
+    assert first.total_checkpoints == 8
 
 
 def test_merge_shard_results_requires_results():
@@ -328,8 +335,8 @@ def test_run_sharded_matches_unsharded_through_runner(tmp_path):
 #: sha256 of ``pickle.dumps`` of the merged result of a 2-way split of
 #: q12 at 240 rec/s, by protocol
 _MERGED_PICKLES = {
-    "unc": "04a13b587fb83c3facb51cc1d3f0d1c8e395af62b6025ab839b1e25fd9aac6ee",
-    "none": "405341c51dd18df66f957942dedbbb979ab3777966ded60d3357afa1e5f22b2b",
+    "unc": "1a8afda47b8a2a6e5ef029643e19a81a60500430004288f0c0f4c8addcdaef0a",
+    "none": "ab3608362d731e58fc16533d24e5868affea668741af58468e9a5e9175545c70",
 }
 
 

@@ -157,7 +157,7 @@ def test_q5_not_in_paper_experiment_grid():
 def test_q5_survives_failure(protocol):
     job, result = run_q5(protocol=protocol, failure_at=6.0)
     post = result.metrics.total_sink_records(
-        start=result.metrics.restart_completed_at + 1.0
+        start=result.metrics.first_failure().applied_at + 1.0
     )
     assert post > 0
     # leader values never exceed the window's total bid count

@@ -244,7 +244,7 @@ def test_first_checkpoint_after_recovery_is_a_base():
     job, _ = run_count_job("unc", failure_at=6.0, duration=16.0,
                            state_backend="changelog")
     store = job.coordinator.blobstore
-    detected = job.metrics.detected_at
+    detected = job.metrics.first_failure().detected_at
     for instance in job.instance_keys():
         post = [m for m in job.registry.for_instance(instance)
                 if m.started_at > detected]

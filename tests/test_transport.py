@@ -276,7 +276,8 @@ def test_fifo_order_preserved_under_credit_exhaustion():
             # a rollback rewinds the senders' cursors, so sequences are
             # gapless *within* a recovery epoch; the first message of a
             # new epoch re-baselines the expectation
-            epoch = job.recoveries_applied
+            epoch = sum(r.applied_at is not None
+                        for r in job.metrics.recoveries)
             last = seen.get(channel)
             if last is not None and last[0] == epoch:
                 assert msg.seq == last[1] + 1, (

@@ -111,7 +111,7 @@ def test_cic_leaves_no_useless_checkpoint_through_failures():
     inputs = REACHABILITY.make_job_inputs(400.0, 19.0, 2, 0.0, 7)
     job = Job(REACHABILITY.build_graph(2), "cic", 2, inputs, config)
     job.run()
-    assert job.recoveries_applied == 2
+    assert sum(r.applied_at is not None for r in job.metrics.recoveries) == 2
     assert assert_job_agrees(job).useless == []
 
 
