@@ -40,8 +40,11 @@ from repro.experiments.config import scale_by_name
 from repro.experiments.parallel import ParallelRunner, RunRequest
 from repro.metrics.report import format_recoveries
 from repro.metrics.series import percentile
-from repro.sim.costs import RuntimeConfig
-from repro.sim.failure import SCENARIOS, scenario_from_config
+from repro.sim.failure import (
+    SCENARIOS,
+    AdaptiveIntervalController,
+    scenario_from_config,
+)
 from repro.sim.specs import usage
 from repro.workloads.arrivals import ARRIVALS, parse_arrival
 from repro.workloads.cyclic import REACHABILITY
@@ -141,10 +144,11 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument("--rescale-to", type=int, default=None,
                        help="restore the recovery at this parallelism "
                             "instead of the checkpoint's (requires "
-                            "--failure-at; DESIGN.md §11)")
+                            "--failure-at or --failure-scenario; "
+                            "DESIGN.md §11)")
     query.add_argument("--rescale-at", type=int, default=1,
-                       help="which recovery applies the rescale (default: "
-                            "the first failure's)")
+                       help="which recovery applies the rescale, from 1 "
+                            "(default: the first failure's)")
     query.add_argument("--max-key-groups", type=int, default=128,
                        help="size of the key-group address space keyed "
                             "routing and state are partitioned over")
@@ -313,10 +317,6 @@ def _cmd_query(args) -> int:
         scenario = scenario_from_config(request.effective_config())
         arrival_banner = (parse_arrival(args.arrival).describe()
                           if args.arrival is not None else None)
-        if args.rescale_to is not None and scenario is None:
-            raise ValueError(
-                "--rescale-to requires --failure-at or --failure-scenario "
-                "(the rescale is applied by a recovery)")
         for flag, workers in (("--parallelism", args.parallelism),
                               ("--rescale-to", args.rescale_to)):
             if workers is not None \
@@ -370,11 +370,10 @@ def _cmd_query(args) -> int:
         if updates:
             final = updates[-1][1]
         else:
-            # no adjustment was recorded: the controller held its initial
-            # interval, which it clamps to the configured bounds
-            defaults = RuntimeConfig()
-            final = min(max(args.checkpoint_interval, defaults.interval_min),
-                        defaults.interval_max)
+            # no adjustment was recorded: the controller held its
+            # initial interval, clamped to its bounds
+            final = AdaptiveIntervalController(
+                initial_interval=args.checkpoint_interval).interval
         print(f"  adaptive interval: {final:.2f} s "
               f"({len(updates)} adjustments)")
     if scenario is not None:

@@ -50,6 +50,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.dataflow.runtime import Job
     from repro.dataflow.worker import InstanceRuntime
 
+#: a local timer first fires at ``interval * (0.5 + U(0, TIMER_JITTER))``,
+#: so the instances' checkpoints do not all land on one instant
+TIMER_JITTER = 0.25
+
 
 @register_protocol
 class UncoordinatedProtocol(CheckpointProtocol):
@@ -138,8 +142,7 @@ class UncoordinatedProtocol(CheckpointProtocol):
             return interval, phase
         rng = self.job.rng.stream("unc-timers")
         interval = self.job.checkpoint_interval_now()
-        jitter = config.checkpoint_jitter
-        phase = interval * (0.5 + rng.uniform(0.0, max(jitter, 0.01)))
+        phase = interval * (0.5 + rng.uniform(0.0, TIMER_JITTER))
         return None, phase
 
     def on_job_start(self) -> None:

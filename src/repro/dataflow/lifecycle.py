@@ -25,7 +25,7 @@ from repro.metrics.collectors import KIND_INITIAL, KIND_RESCALE, RecoveryRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dataflow.runtime import Job
-    from repro.sim.failure import AdaptiveIntervalController, RescalePlan
+    from repro.sim.failure import AdaptiveIntervalController
 
 
 class LifecycleManager:
@@ -49,19 +49,6 @@ class LifecycleManager:
     # Deployment wiring
     # ------------------------------------------------------------------ #
 
-    def build_rescale_plan(self) -> RescalePlan | None:
-        """The deployment's planned rescale-on-recovery, if configured."""
-        from repro.sim.failure import RescalePlan
-
-        job = self.job
-        if job.config.rescale_to is None:
-            return None
-        plan = RescalePlan(rescale_to=job.config.rescale_to,
-                           at_recovery=job.config.rescale_at)
-        validate_rescale(job.graph, job.parallelism, plan.rescale_to,
-                         job.max_key_groups)
-        return plan
-
     def build_interval_controller(self) -> AdaptiveIntervalController | None:
         """The Young–Daly controller, or None under the fixed policy."""
         from repro.sim.failure import AdaptiveIntervalController
@@ -76,10 +63,7 @@ class LifecycleManager:
             return None
         return AdaptiveIntervalController(
             initial_interval=config.checkpoint_interval,
-            assumed_mtbf=config.assumed_mtbf,
-            alpha=config.interval_ema_alpha,
-            min_interval=config.interval_min,
-            max_interval=config.interval_max,
+            updates=self.job.metrics.interval_updates,
         )
 
     def wire_topology(self) -> None:
@@ -134,7 +118,6 @@ class LifecycleManager:
             detection_delay=job.cost.detection_delay,
             on_fail=job._on_fail,
             on_detect=job._on_detect,
-            records=job.metrics.failure_records,
             # resolve a scenario's raw worker draw against the LIVE
             # parallelism (a rescale may have changed it by kill time)
             worker_resolver=lambda index: index % job.parallelism,
@@ -169,18 +152,6 @@ class LifecycleManager:
         if job.interval_controller is None:
             return
         job.interval_controller.observe_checkpoint(job.sim.now, duration)
-        self.sync_interval_updates()
-
-    def sync_interval_updates(self) -> None:
-        """Mirror the controller's trajectory into the run's metrics.
-
-        The controller's ``updates`` list is the single source of truth
-        for when the interval changed; metrics copy whatever is new.
-        """
-        job = self.job
-        recorded = job.metrics.interval_updates
-        for entry in job.interval_controller.updates[len(recorded):]:
-            job.metrics.record_interval_update(*entry)
 
     # ------------------------------------------------------------------ #
     # Failure and recovery
@@ -197,20 +168,18 @@ class LifecycleManager:
             return  # the pipeline is already down; fold into this recovery
         if job.interval_controller is not None:
             job.interval_controller.observe_failure(job.sim.now)
-            self.sync_interval_updates()
         # a planned kill may target an index beyond a downscaled deployment
         job.workers[worker_index % job.parallelism].kill()
 
     def pending_rescale_target(self) -> int | None:
         """The target parallelism if the upcoming recovery must rescale."""
         job = self.job
-        plan = job.rescale_plan
+        config = job.config
         # the open record is the upcoming recovery (all earlier ones applied)
-        if plan is None or len(job.metrics.recoveries) != plan.at_recovery:
+        if (config.rescale_to is None or config.rescale_to == job.parallelism
+                or len(job.metrics.recoveries) != config.rescale_at):
             return None
-        if plan.rescale_to == job.parallelism:
-            return None
-        return plan.rescale_to
+        return config.rescale_to
 
     def on_detect(self, worker_index: int) -> None:
         """Detection fired: plan the recovery and schedule its application."""

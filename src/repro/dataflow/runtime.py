@@ -39,6 +39,7 @@ from repro.dataflow.graph import (
     LogicalGraph,
     Partitioning,
     UnsupportedTopologyError,
+    validate_rescale,
 )
 from repro.dataflow.keygroups import validate_key_space
 from repro.dataflow.lifecycle import LifecycleManager
@@ -119,8 +120,10 @@ class Job:
             self.config.state_backend, self.config.changelog_max_chain,
             self.cost.delta_overhead_bytes,
         )
+        if self.config.rescale_to is not None:
+            validate_rescale(graph, parallelism, self.config.rescale_to,
+                             self.max_key_groups)
         self.lifecycle = LifecycleManager(self)
-        self.rescale_plan = self.lifecycle.build_rescale_plan()
         #: Young–Daly interval controller (None under the fixed policy);
         #: protocols consult checkpoint_interval_now() each tick
         self.interval_controller = self.lifecycle.build_interval_controller()

@@ -253,7 +253,6 @@ def merge_metrics(parts: list[MetricsCollector]) -> MetricsCollector:
         merged.checkpoint_bytes_materialized += (
             metrics.checkpoint_bytes_materialized
         )
-        merged.failure_records.extend(metrics.failure_records)
         merged.recoveries.extend(metrics.recoveries)
         merged.interval_updates.extend(metrics.interval_updates)
         for channel, blocked in metrics.blocked_time_by_channel.items():

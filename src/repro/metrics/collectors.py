@@ -138,14 +138,12 @@ class MetricsCollector:
     checkpoint_bytes_materialized: int = 0
 
     # -- failure / recovery --------------------------------------------------- #
-    #: one FailureRecord per injected kill, in injection order (the
-    #: injector appends; repeated kills accumulate, never overwrite)
-    failure_records: list = field(default_factory=list)
     #: one RecoveryRecord per recovery, in kill order (a merged run holds
     #: each shard's records, shard after shard)
     recoveries: list[RecoveryRecord] = field(default_factory=list)
     #: (virtual time, interval) trajectory of the adaptive checkpoint-
-    #: interval controller; empty under the fixed policy
+    #: interval controller, which appends to this list; empty under the
+    #: fixed policy
     interval_updates: list[tuple[float, float]] = field(default_factory=list)
 
     # -- transport backpressure (bounded channels, DESIGN.md §13) ---------- #
@@ -196,10 +194,6 @@ class MetricsCollector:
         if event.kind != KIND_ROUND:
             self.checkpoint_bytes_uploaded += event.upload_bytes
             self.checkpoint_bytes_materialized += event.state_bytes
-
-    def record_interval_update(self, now: float, interval: float) -> None:
-        """The adaptive controller changed the checkpoint interval."""
-        self.interval_updates.append((now, interval))
 
     def record_blocked_time(self, channel, elapsed: float,
                             aligned_elapsed: float = 0.0) -> None:
@@ -277,7 +271,7 @@ class MetricsCollector:
     @property
     def n_failures(self) -> int:
         """Injected kills over the whole run (one per worker hit)."""
-        return len(self.failure_records)
+        return sum(len(record.workers) for record in self.recoveries)
 
     @property
     def n_recoveries(self) -> int:

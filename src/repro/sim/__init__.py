@@ -15,7 +15,6 @@ from repro.sim.failure import (
     AdaptiveIntervalController,
     FailureEvent,
     FailureInjector,
-    FailureRecord,
     FailureScenario,
     parse_scenario,
     scenario_from_config,
@@ -31,7 +30,6 @@ __all__ = [
     "AdaptiveIntervalController",
     "FailureEvent",
     "FailureInjector",
-    "FailureRecord",
     "FailureScenario",
     "parse_scenario",
     "scenario_from_config",

@@ -160,8 +160,6 @@ class RuntimeConfig:
     #: checkpoint interval for all protocols (coordinated round period /
     #: local timer period), seconds
     checkpoint_interval: float = 5.0
-    #: jitter fraction applied to UNC/CIC local timers (phase offsets)
-    checkpoint_jitter: float = 0.25
     #: whether stateless non-source operators take UNC checkpoints
     unc_checkpoint_stateless: bool = True
     #: per-operator (interval, phase) overrides for UNC/CIC local timers —
@@ -206,21 +204,13 @@ class RuntimeConfig:
     #: 'adaptive' retunes it to the Young–Daly optimum from observed
     #: checkpoint costs and inter-failure gaps (DESIGN.md section 12)
     interval_policy: str = "fixed"
-    #: adaptive policy: hard floor/ceiling on the chosen interval
-    interval_min: float = 0.5
-    interval_max: float = 30.0
-    #: adaptive policy: EMA smoothing factor for both estimators
-    interval_ema_alpha: float = 0.3
-    #: adaptive policy: MTBF prior used until a failure gap is observed
-    assumed_mtbf: float = 30.0
     #: restore at this parallelism instead of the checkpoint's when the
     #: ``rescale_at``-th recovery is applied (None: never rescale)
     rescale_to: int | None = None
-    #: which recovery applies the rescale (1 = the first failure's)
+    #: which recovery applies the rescale (1 = the first failure's); an
+    #: int >= 1, and ``rescale_to`` needs ``failure_at`` or
+    #: ``failure_scenario`` set (DESIGN.md section 11)
     rescale_at: int = 1
-    #: additional (offset, worker) failures after the first; each must leave
-    #: enough room for the previous recovery to finish (detection + restart)
-    extra_failures: tuple = ()
     #: random seed for generators and jitter
     seed: int = 7
     cost_model: CostModel = field(default_factory=CostModel)
@@ -251,6 +241,17 @@ class RuntimeConfig:
         if self.failure_at is not None and not math.isfinite(self.failure_at):
             raise ValueError("failure_at must be a finite number, "
                              f"got {self.failure_at!r}")
+        # recoveries count from 1, and only a run that fails recovers: a
+        # rescale no recovery applies would otherwise be skipped silently
+        if (isinstance(self.rescale_at, bool)
+                or not isinstance(self.rescale_at, int) or self.rescale_at < 1):
+            raise ValueError("rescale_at must be an int >= 1, "
+                             f"got {self.rescale_at!r}")
+        if (self.rescale_to is not None and self.failure_at is None
+                and not self.failure_scenario):
+            raise ValueError(
+                f"rescale_to={self.rescale_to!r} requires failure_at or "
+                "failure_scenario (the rescale is applied by a recovery)")
         # a spec that cannot be parsed would otherwise surface when the
         # run arms its injector — or, for a NaN, never; so would a kill
         # planned outside the measured window, which can never fire

@@ -13,9 +13,9 @@ section 12):
   kill, a scripted multi-kill trace, seeded Poisson/MTBF-driven repeated
   failures, correlated multi-worker kills, and a slow-recovery "flaky
   node" mode;
-* :class:`FailureInjector` arms those events in virtual time, models the
-  (possibly slowed) detection delay, and **accumulates** one
-  :class:`FailureRecord` per injected kill;
+* :class:`FailureInjector` arms those events in virtual time and models
+  the (possibly slowed) detection delay; what each kill did to the job is
+  the lifecycle's recovery record, not the injector's;
 * :class:`AdaptiveIntervalController` retunes the checkpoint interval to
   ``sqrt(2 * MTBF * checkpoint_cost)`` from clamped EMAs of observed
   checkpoint durations and inter-failure gaps.
@@ -43,23 +43,6 @@ if TYPE_CHECKING:  # annotation-only: scenarios draw from registry streams
 
 
 @dataclass(frozen=True)
-class RescalePlan:
-    """Elastic rescale-on-recovery: restore at a different parallelism.
-
-    Production engines repartition state when a failed job is redeployed
-    at a new scale (Flink restoring a savepoint with ``-p``); the plan
-    says *which* recovery performs that redeployment and at what target.
-    The runtime validates the target against the key-group space and the
-    graph's reshardability before the run starts.
-    """
-
-    #: target parallelism of the rescaled restore
-    rescale_to: int
-    #: which recovery applies it: 1 = the first failure's recovery
-    at_recovery: int = 1
-
-
-@dataclass(frozen=True)
 class FailureEvent:
     """One kill instant produced by a scenario (absolute virtual time)."""
 
@@ -72,15 +55,6 @@ class FailureEvent:
     #: scenario's "slow recovery" knob (a wedged-but-not-dead container
     #: takes several missed heartbeats to be declared failed)
     detection_delay_factor: float = 1.0
-
-
-@dataclass
-class FailureRecord:
-    """What actually happened to one worker (filled in by the injector)."""
-
-    failed_at: float = -1.0
-    detected_at: float = -1.0
-    worker_index: int = -1
 
 
 # --------------------------------------------------------------------- #
@@ -308,19 +282,16 @@ def parse_scenario(spec: str) -> FailureScenario:
 def scenario_from_config(config: RuntimeConfig) -> FailureScenario | None:
     """The scenario a :class:`~repro.sim.costs.RuntimeConfig` asks for.
 
-    ``failure_scenario`` (a spec string) wins; otherwise the legacy
-    ``failure_at``/``failure_worker``/``extra_failures`` knobs fold into
-    an equivalent deterministic trace; otherwise None (no failures).
+    ``failure_scenario`` (a spec string) wins; otherwise
+    ``failure_at``/``failure_worker`` name a single kill; otherwise None
+    (no failures).
     """
     if config.failure_scenario:
         return parse_scenario(config.failure_scenario)
     if config.failure_at is None:
         return None
-    kills = [(config.failure_at, config.failure_worker)]
-    kills.extend(config.extra_failures)
-    if len(kills) == 1:
-        return SingleKillScenario(at=kills[0][0], worker=kills[0][1])
-    return TraceScenario(tuple(kills))
+    return SingleKillScenario(at=config.failure_at,
+                              worker=config.failure_worker)
 
 
 # --------------------------------------------------------------------- #
@@ -332,10 +303,9 @@ class FailureInjector:
 
     ``on_fail(worker_index)`` runs at each failure instant (the worker
     stops processing and its in-flight messages are lost); ``on_detect``
-    runs ``detection_delay * event.detection_delay_factor`` later and
-    normally starts the recovery procedure.  One :class:`FailureRecord`
-    is **appended** to :attr:`records` per injected (event, worker) pair
-    — repeated kills never overwrite earlier records.
+    runs ``detection_delay * event.detection_delay_factor`` later, once
+    per worker the event killed, and normally starts the recovery
+    procedure.
     """
 
     def __init__(
@@ -345,7 +315,6 @@ class FailureInjector:
         detection_delay: float,
         on_fail: Callable[[int], None],
         on_detect: Callable[[int], None],
-        records: list[FailureRecord] | None = None,
         worker_resolver: Callable[[int], int] | None = None,
     ) -> None:
         self._sim = sim
@@ -356,9 +325,6 @@ class FailureInjector:
         #: maps a scenario's raw worker draw to the live worker it kills
         #: (the runtime passes ``index % parallelism``); identity if None
         self._worker_resolver = worker_resolver or (lambda index: index)
-        #: one record per injected kill, in injection order; callers may
-        #: pass a shared list (the runtime hands in its metrics sink)
-        self.records: list[FailureRecord] = records if records is not None else []
 
     def arm(self) -> None:
         """Schedule every kill event of the scenario."""
@@ -367,22 +333,18 @@ class FailureInjector:
 
     def _fail(self, event: FailureEvent) -> None:
         """Kill every worker the event names and schedule the detection."""
-        hit: list[FailureRecord] = []
+        hit: list[int] = []
         for raw_index in event.worker_indices:
             worker_index = self._worker_resolver(raw_index)
-            record = FailureRecord(failed_at=self._sim.now,
-                                   worker_index=worker_index)
-            self.records.append(record)
-            hit.append(record)
+            hit.append(worker_index)
             self._on_fail(worker_index)
         delay = self._detection_delay * event.detection_delay_factor
         self._sim.schedule(delay, self._detect, hit)
 
-    def _detect(self, hit: list[FailureRecord]) -> None:
-        """Stamp detection and hand each dead worker to the recovery."""
-        for record in hit:
-            record.detected_at = self._sim.now
-            self._on_detect(record.worker_index)
+    def _detect(self, hit: list[int]) -> None:
+        """Hand each dead worker to the recovery."""
+        for worker_index in hit:
+            self._on_detect(worker_index)
 
 
 # --------------------------------------------------------------------- #
@@ -412,14 +374,16 @@ class AdaptiveIntervalController:
     ``[min_interval, max_interval]``.
 
     Until a failure is observed the MTBF estimate is ``assumed_mtbf``
-    (the operator's prior); until a checkpoint completes the controller
-    keeps its initial interval.
+    (the prior); until a checkpoint completes the controller keeps its
+    initial interval.  A run's controller takes every default below: the
+    prior, the smoothing and the bounds are constants of the model, not
+    run settings.
     """
 
     #: interval used before any checkpoint-cost observation exists
     initial_interval: float
     #: MTBF prior used until the first inter-failure gap is observed
-    assumed_mtbf: float
+    assumed_mtbf: float = 30.0
     #: EMA smoothing factor for both estimators
     alpha: float = 0.3
     #: hard floor/ceiling on the chosen interval
@@ -428,7 +392,8 @@ class AdaptiveIntervalController:
     #: per-observation clamp: a new sample moves at most this factor
     #: away from the current EMA in either direction
     clamp_factor: float = 4.0
-    #: (virtual time, new interval) trajectory, for metrics/figures
+    #: (virtual time, new interval) trajectory; a run hands in its
+    #: metrics' ``interval_updates`` list, so there is one copy
     updates: list[tuple[float, float]] = field(default_factory=list)
 
     def __post_init__(self) -> None:

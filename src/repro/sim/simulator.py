@@ -24,14 +24,13 @@ class SimulationError(RuntimeError):
 class Simulator:
     """Deterministic single-threaded discrete-event loop."""
 
-    __slots__ = ("now", "_queue", "_running", "_stopped", "_executed")
+    __slots__ = ("now", "_queue", "_running", "_stopped")
 
     def __init__(self) -> None:
         self.now: float = 0.0
         self._queue = EventQueue()
         self._running = False
         self._stopped = False
-        self._executed = 0
 
     # ------------------------------------------------------------------ #
     # Scheduling
@@ -79,11 +78,6 @@ class Simulator:
     # ------------------------------------------------------------------ #
 
     @property
-    def events_executed(self) -> int:
-        """Total number of events executed so far (monitoring/tests)."""
-        return self._executed
-
-    @property
     def pending_events(self) -> int:
         """Events still scheduled (cancelled ones excluded)."""
         return len(self._queue)
@@ -113,7 +107,6 @@ class Simulator:
                     if entry is None:
                         break
                     self.now = entry[0]
-                    self._executed += 1
                     entry[2](*entry[3])
         finally:
             self._running = False

@@ -80,6 +80,15 @@ def make_event_log(rate: float, until: float, parallelism: int,
     return log
 
 
+def trace_spec(kills) -> str | None:
+    """The ``trace:`` failure scenario killing ``(offset, worker)`` for
+    each pair (None for no kill); every offset is written as its
+    ``repr``, so it parses back to the same float."""
+    if not kills:
+        return None
+    return "trace:" + ";".join(f"{at!r}@{worker}" for at, worker in kills)
+
+
 def run_count_job(protocol: str, parallelism: int = 3, rate: float = 300.0,
                   duration: float = 14.0, warmup: float = 2.0,
                   failure_at: float | None = 6.0, input_until: float | None = None,

@@ -120,6 +120,16 @@ def test_query_rejects_rescale_without_failure(capsys):
     assert code == 2
 
 
+def test_query_rejects_a_rescale_no_recovery_applies(capsys):
+    code = main([
+        "query", "q12", "--protocol", "unc", "--parallelism", "4",
+        "--rate", "300", "--duration", "8", "--warmup", "2",
+        "--failure-at", "3", "--rescale-to", "6", "--rescale-at", "0",
+    ])
+    assert code == 2
+    assert "rescale_at must be an int >= 1, got 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--rate", "nan"), ("--rate", "inf"), ("--rate", "-5"), ("--rate", "0"),
     ("--rate", "fast"), ("--duration", "nan"), ("--duration", "inf"),

@@ -38,7 +38,12 @@ from repro.sim.costs import RuntimeConfig
 from repro.storage.blobstore import BlobStore
 
 from tests import test_recovery_pin
-from tests.conftest import build_count_graph, make_event_log, run_count_job
+from tests.conftest import (
+    build_count_graph,
+    make_event_log,
+    run_count_job,
+    trace_spec,
+)
 from tests.test_multiple_failures import run_with_failures
 
 
@@ -204,10 +209,7 @@ def test_after_every_floor_raise_nothing_at_or_below_it_is_held(
     kills = sorted(kills)
     config = RuntimeConfig(
         checkpoint_interval=interval, duration=16.0, warmup=2.0, seed=seed,
-        state_backend=backend,
-        failure_at=kills[0][0] if kills else None,
-        failure_worker=kills[0][1] if kills else 0,
-        extra_failures=tuple(kills[1:]))
+        state_backend=backend, failure_scenario=trace_spec(kills))
     job = Job(build_count_graph(), protocol, 3,
               {"events": make_event_log(300.0, 12.0, 3, seed=seed)}, config)
     #: a cut node -> every rid its chain stood for when it was cut

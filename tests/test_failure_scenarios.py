@@ -304,7 +304,7 @@ def test_a_trace_file_is_not_opened_when_the_request_is_hashed(tmp_path):
     (dict(failure_scenario="trace:5@0;30@1"), "+30s can never fire"),
     (dict(failure_scenario="correlated:at=1e9,k=2"), "+1e+09s can never"),
     (dict(failure_at=24.0), "at +24s': a kill at +24s can never fire"),
-    (dict(failure_at=5.0, extra_failures=((40.0, 1),)), "+40s can never"),
+    (dict(failure_scenario="trace:5.0@0;40.0@1"), "+40s can never"),
 ])
 def test_a_planned_kill_outside_the_window_cannot_be_configured(knobs, names):
     """Decision (ROADMAP, small and open): an offset the spec fixes and
@@ -330,7 +330,7 @@ def test_a_worker_index_beyond_the_deployment_wraps_and_says_so():
     _, result, expected, measured = run_scenario_job(
         "coor", "single:at=6,worker=9")
     assert measured == expected
-    assert [r.worker_index for r in result.metrics.failure_records] == [0]
+    assert [r.workers for r in result.metrics.recoveries] == [[0]]
 
 
 def test_a_trace_kill_without_a_worker_field_hits_worker_zero():
@@ -342,11 +342,6 @@ def test_scenario_from_config_legacy_mapping():
     single = scenario_from_config(RuntimeConfig(failure_at=6.0, failure_worker=1))
     assert isinstance(single, SingleKillScenario)
     assert (single.at, single.worker) == (6.0, 1)
-    trace = scenario_from_config(
-        RuntimeConfig(failure_at=5.0, extra_failures=((13.0, 1),))
-    )
-    assert isinstance(trace, TraceScenario)
-    assert trace.kills == ((5.0, 0), (13.0, 1))
 
 
 def test_scenario_spec_overrides_legacy_knobs():
@@ -400,10 +395,11 @@ def test_flaky_scenario_slows_detection():
         "unc", "flaky:worker=1,mtbf=8,slowdown=3,min_gap=6", duration=30.0,
     )
     assert measured == expected
-    detected = [r for r in result.metrics.failure_records if r.detected_at >= 0]
+    detected = [r for r in result.metrics.recoveries
+                if r.detected_at is not None]
     assert detected
     # cost model detection delay is 1s; the flaky node triples it
-    assert all(r.detected_at - r.failed_at == pytest.approx(3.0)
+    assert all(r.detected_at - r.killed_at == pytest.approx(3.0)
                for r in detected)
 
 
@@ -413,12 +409,12 @@ def test_flaky_scenario_slows_detection():
 
 def test_failure_records_accumulate_in_metrics():
     _, result, _, _ = run_scenario_job("unc", "trace:5@0;13@1")
-    records = result.metrics.failure_records
-    assert [r.worker_index for r in records] == [0, 1]
-    assert records[0].failed_at == pytest.approx(7.0)   # warmup 2 + 5
+    records = result.metrics.recoveries
+    assert [r.workers for r in records] == [[0], [1]]
+    assert records[0].killed_at == pytest.approx(7.0)   # warmup 2 + 5
     assert records[0].detected_at == pytest.approx(8.0)
-    assert records[1].failed_at == pytest.approx(15.0)
-    assert all(r.detected_at > r.failed_at for r in records)
+    assert records[1].killed_at == pytest.approx(15.0)
+    assert all(r.detected_at > r.killed_at for r in records)
 
 
 def test_availability_and_goodput_reflect_outages():

@@ -66,7 +66,7 @@ def test_effective_config_preserves_every_field():
     RuntimeConfig knob can never be silently dropped by probe runs."""
     base = RuntimeConfig(
         checkpoint_interval=2.5,
-        checkpoint_jitter=0.1,
+        changelog_max_chain=2,
         unc_checkpoint_stateless=False,
         per_operator_schedules={"count": (2.0, 1.0)},
         unc_semantics="at-least-once",
@@ -74,7 +74,6 @@ def test_effective_config_preserves_every_field():
         warmup=33.0,
         failure_at=5.0,
         failure_worker=1,
-        extra_failures=((1.0, 0),),
         seed=11,
     )
     request = RunRequest(

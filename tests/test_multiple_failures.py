@@ -14,17 +14,20 @@ from repro.dataflow.lifecycle import LifecycleManager
 from repro.dataflow.runtime import Job
 from repro.sim.costs import RuntimeConfig
 
-from tests.conftest import build_count_graph, canonical_state_bytes, make_event_log
+from tests.conftest import (
+    build_count_graph,
+    canonical_state_bytes,
+    make_event_log,
+    trace_spec,
+)
 
 
 def run_with_failures(protocol, failures, duration=24.0, seed=3,
                       parallelism=3, rate=300.0, state_backend="full",
                       checkpoint_interval=3.0):
-    first_at, first_worker = failures[0]
     config = RuntimeConfig(
         checkpoint_interval=checkpoint_interval, duration=duration, warmup=2.0,
-        failure_at=first_at, failure_worker=first_worker,
-        extra_failures=tuple(failures[1:]), seed=seed,
+        failure_scenario=trace_spec(failures), seed=seed,
         state_backend=state_backend,
     )
     log = make_event_log(rate, duration - 4.0, parallelism, seed=seed)

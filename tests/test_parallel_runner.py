@@ -45,7 +45,7 @@ def test_request_key_is_stable_and_sensitive():
 def test_request_key_sees_config_changes():
     """A new RuntimeConfig knob can never alias an older cache entry."""
     plain = req()
-    tweaked = req(config=RuntimeConfig(checkpoint_jitter=0.5))
+    tweaked = req(config=RuntimeConfig(unc_checkpoint_stateless=False))
     scheduled = req(config=RuntimeConfig(
         per_operator_schedules={"count": (2.0, 1.0)}))
     keys = {request_key(plain), request_key(tweaked), request_key(scheduled)}

@@ -32,7 +32,12 @@ from repro.dataflow.runtime import Job
 from repro.experiments.parallel import RunRequest, resolve_spec
 from repro.sim.costs import RuntimeConfig
 
-from tests.conftest import build_count_graph, canonical_state_bytes, make_event_log
+from tests.conftest import (
+    build_count_graph,
+    canonical_state_bytes,
+    make_event_log,
+    trace_spec,
+)
 
 FIXTURE = Path(__file__).parent / "data" / "recovery_pin.json"
 
@@ -75,11 +80,9 @@ def run_count(case: str) -> tuple[Job, Any, dict[int, int], dict[int, int]]:
     """One keyed-count run through its kill trace, drained; returns the
     job, its result, the expected and the measured counts per key."""
     protocol, seed, interval, kills, knobs = COUNT_CASES[case]
-    (first_at, first_worker), rest = kills[0], kills[1:]
     config = RuntimeConfig(
         checkpoint_interval=interval, duration=24.0, warmup=2.0,
-        failure_at=first_at, failure_worker=first_worker,
-        extra_failures=tuple(rest), seed=seed, **knobs,
+        failure_scenario=trace_spec(kills), seed=seed, **knobs,
     )
     log = make_event_log(300.0, 20.0, 3, seed=seed)
     job = Job(build_count_graph(), protocol, 3, {"events": log}, config)

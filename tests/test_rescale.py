@@ -13,6 +13,8 @@ Both directions (up 4->6, down 6->4) run for all four protocols and both
 state backends.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.dataflow.graph import (
@@ -23,6 +25,7 @@ from repro.dataflow.graph import (
     validate_rescale,
 )
 from repro.dataflow.runtime import Job
+from repro.experiments.parallel import RunRequest
 from repro.sim.costs import RuntimeConfig
 from tests.conftest import (
     CountPerKeyOperator,
@@ -33,6 +36,27 @@ from tests.conftest import (
 
 ALL_PROTOCOLS = ["coor", "coor-unaligned", "unc", "cic"]
 BACKENDS = ["full", "changelog"]
+
+
+RESCALE_REQUEST = RunRequest("q12", "unc", 4, 300.0, duration=8.0, warmup=2.0,
+                             failure_at=3.0, rescale_to=6)
+
+
+@pytest.mark.parametrize("knobs, names", [
+    (dict(rescale_at=0), "rescale_at must be an int >= 1, got 0"),
+    (dict(rescale_at=-1), "rescale_at must be an int >= 1, got -1"),
+    (dict(rescale_at=True), "rescale_at must be an int >= 1, got True"),
+    (dict(rescale_at=1.0), "rescale_at must be an int >= 1, got 1.0"),
+    (dict(failure_at=None), "rescale_to=6 requires failure_at or "
+                            "failure_scenario"),
+])
+def test_a_rescale_no_recovery_applies_cannot_be_configured(knobs, names):
+    """Each of these used to run to the end at p = 4 without a word: no
+    recovery is numbered 0 or -1, and a run that never fails never
+    recovers."""
+    with pytest.raises(ValueError) as raised:
+        replace(RESCALE_REQUEST, **knobs).effective_config()
+    assert names in str(raised.value)
 
 
 def expected_counts(job) -> dict[int, int]:
@@ -96,7 +120,7 @@ def test_second_failure_after_rescale_still_exactly_once(protocol,
     """The synthetic baseline must anchor recoveries of the new topology."""
     config = RuntimeConfig(
         checkpoint_interval=3.0, duration=24.0, warmup=2.0,
-        failure_at=5.0, extra_failures=((13.0, 1),), seed=3,
+        failure_scenario="trace:5.0@0;13.0@1", seed=3,
         state_backend=state_backend, rescale_to=6,
     )
     log = make_event_log(300.0, 20.0, 4, seed=3)
@@ -111,7 +135,7 @@ def test_rescale_at_second_recovery():
     """rescale_at selects which recovery performs the redeploy."""
     config = RuntimeConfig(
         checkpoint_interval=3.0, duration=24.0, warmup=2.0,
-        failure_at=5.0, extra_failures=((13.0, 1),), seed=3,
+        failure_scenario="trace:5.0@0;13.0@1", seed=3,
         rescale_to=6, rescale_at=2,
     )
     log = make_event_log(300.0, 20.0, 4, seed=3)

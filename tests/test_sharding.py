@@ -335,8 +335,8 @@ def test_run_sharded_matches_unsharded_through_runner(tmp_path):
 #: sha256 of ``pickle.dumps`` of the merged result of a 2-way split of
 #: q12 at 240 rec/s, by protocol
 _MERGED_PICKLES = {
-    "unc": "1a8afda47b8a2a6e5ef029643e19a81a60500430004288f0c0f4c8addcdaef0a",
-    "none": "ab3608362d731e58fc16533d24e5868affea668741af58468e9a5e9175545c70",
+    "unc": "ca05be684f0552b726cc6715900f5c6c79f0a45d5b8ccdd9d8a8eae852d50d72",
+    "none": "9def06620cbe4dc77c2fe1e2a72f83c311475b9a181a2f251b08f18734ad4a7f",
 }
 
 

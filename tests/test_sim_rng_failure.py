@@ -82,82 +82,51 @@ def test_uniform_block_rejects_a_negative_length():
     assert stream.getstate() == before
 
 
-def test_failure_fires_at_planned_time():
+def injected(events, detection_delay, arm=True):
+    """``(what, when, worker)`` of every ``on_fail`` / ``on_detect`` call
+    an injector makes for ``events`` by t = 10."""
     sim = Simulator()
-    events = []
+    calls = []
     injector = FailureInjector(
-        sim, [FailureEvent(at=5.0, worker_indices=(2,))], detection_delay=1.0,
-        on_fail=lambda w: events.append(("fail", sim.now, w)),
-        on_detect=lambda w: events.append(("detect", sim.now, w)),
+        sim, events, detection_delay=detection_delay,
+        on_fail=lambda w: calls.append(("fail", sim.now, w)),
+        on_detect=lambda w: calls.append(("detect", sim.now, w)),
     )
-    injector.arm()
+    if arm:
+        injector.arm()
     sim.run_until(10.0)
-    assert events == [("fail", 5.0, 2), ("detect", 6.0, 2)]
+    return calls
+
+
+def test_failure_fires_at_planned_time():
+    assert injected([FailureEvent(at=5.0, worker_indices=(2,))], 1.0) == [
+        ("fail", 5.0, 2), ("detect", 6.0, 2)]
 
 
 def test_failure_record_populated():
-    sim = Simulator()
-    injector = FailureInjector(
-        sim, [FailureEvent(at=3.0, worker_indices=(1,))], detection_delay=0.5,
-        on_fail=lambda w: None, on_detect=lambda w: None,
-    )
-    injector.arm()
-    sim.run_until(10.0)
-    assert injector.records[-1].failed_at == 3.0
-    assert injector.records[-1].detected_at == 3.5
-    assert injector.records[-1].worker_index == 1
+    assert injected([FailureEvent(at=3.0, worker_indices=(1,))], 0.5) == [
+        ("fail", 3.0, 1), ("detect", 3.5, 1)]
 
 
 def test_repeated_kills_accumulate_records():
-    """Regression: a second kill must append a record, not overwrite."""
-    sim = Simulator()
-    injector = FailureInjector(
-        sim,
-        [FailureEvent(at=2.0, worker_indices=(0,)),
-         FailureEvent(at=6.0, worker_indices=(1,))],
-        detection_delay=1.0,
-        on_fail=lambda w: None, on_detect=lambda w: None,
-    )
-    injector.arm()
-    sim.run_until(10.0)
-    assert [(r.failed_at, r.detected_at, r.worker_index)
-            for r in injector.records] == [(2.0, 3.0, 0), (6.0, 7.0, 1)]
+    """Regression: a second kill is a second fail and detect, not a
+    replacement of the first."""
+    assert injected([FailureEvent(at=2.0, worker_indices=(0,)),
+                     FailureEvent(at=6.0, worker_indices=(1,))], 1.0) == [
+        ("fail", 2.0, 0), ("detect", 3.0, 0),
+        ("fail", 6.0, 1), ("detect", 7.0, 1)]
 
 
 def test_correlated_event_records_every_worker():
-    sim = Simulator()
-    killed = []
-    injector = FailureInjector(
-        sim, [FailureEvent(at=4.0, worker_indices=(1, 2, 3))],
-        detection_delay=0.5,
-        on_fail=killed.append, on_detect=lambda w: None,
-    )
-    injector.arm()
-    sim.run_until(10.0)
-    assert killed == [1, 2, 3]
-    assert [r.worker_index for r in injector.records] == [1, 2, 3]
-    assert all(r.failed_at == 4.0 and r.detected_at == 4.5
-               for r in injector.records)
+    assert injected([FailureEvent(at=4.0, worker_indices=(1, 2, 3))], 0.5) == [
+        ("fail", 4.0, 1), ("fail", 4.0, 2), ("fail", 4.0, 3),
+        ("detect", 4.5, 1), ("detect", 4.5, 2), ("detect", 4.5, 3)]
 
 
 def test_detection_delay_factor_slows_detection():
-    sim = Simulator()
-    injector = FailureInjector(
-        sim, [FailureEvent(at=2.0, detection_delay_factor=3.0)],
-        detection_delay=1.0,
-        on_fail=lambda w: None, on_detect=lambda w: None,
-    )
-    injector.arm()
-    sim.run_until(10.0)
-    assert injector.records[-1].detected_at == 5.0
+    assert injected([FailureEvent(at=2.0, detection_delay_factor=3.0)], 1.0) == [
+        ("fail", 2.0, 0), ("detect", 5.0, 0)]
 
 
 def test_unarmed_injector_does_nothing():
-    sim = Simulator()
-    injector = FailureInjector(
-        sim, [FailureEvent(at=1.0)], detection_delay=1.0,
-        on_fail=lambda w: (_ for _ in ()).throw(AssertionError),
-        on_detect=lambda w: None,
-    )
-    sim.run_until(5.0)
-    assert injector.records == []
+    assert injected([FailureEvent(at=1.0)], 1.0, arm=False) == []

@@ -107,7 +107,7 @@ def test_cic_leaves_no_useless_checkpoint_through_failures():
     from repro.workloads.cyclic import REACHABILITY
 
     config = RuntimeConfig(duration=16.0, warmup=2.0, checkpoint_interval=2.0,
-                           failure_at=6.0, extra_failures=((11.0, 1),))
+                           failure_scenario="trace:6.0@0;11.0@1")
     inputs = REACHABILITY.make_job_inputs(400.0, 19.0, 2, 0.0, 7)
     job = Job(REACHABILITY.build_graph(2), "cic", 2, inputs, config)
     job.run()
