@@ -170,15 +170,15 @@ class CommunicationInducedProtocol(UncoordinatedProtocol):
     # ------------------------------------------------------------------ #
 
     def on_send(self, instance: "InstanceRuntime", channel: ChannelId, msg: Message) -> float:
-        """Attach the piggyback, log the message, note the destination."""
-        cost = super().on_send(instance, channel, msg)  # upstream backup log
+        """Attach the piggyback, note the destination, log the message
+        as sent."""
         state: CicState = instance.proto
         state.sent_to.add(self._receiver_ordinal[channel])
         msg.piggyback = state.snapshot()
         # one piggyback per logical (per-record) message — see CostModel
         msg.protocol_bytes += self._piggyback_per_record * max(
             1, len(msg.records.rids))
-        return cost
+        return super().on_send(instance, channel, msg)  # upstream backup log
 
     def on_data_received(self, instance: "InstanceRuntime", channel: ChannelId,
                          msg: Message) -> float:

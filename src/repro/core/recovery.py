@@ -1,4 +1,4 @@
-"""Replay-set computation for log-based recovery (UNC/CIC).
+"""The UNC/CIC send log and replay-set computation for log-based recovery.
 
 Given a recovery line and the durable per-channel send logs, the in-flight
 messages of the line are exactly those with
@@ -13,37 +13,171 @@ the no-dropping half of Definition 5 with exactly-once effects.
 Each log is one timeline, increasing in ``seq``, that starts above the
 floor line (DESIGN.md section 8), so a window is two bisections and a
 slice, and no window of a later line reaches below the log's start.
+
+A :class:`ChannelLog` keeps what a replay needs of each message in
+columns, not as the ``Message`` itself (DESIGN.md section 8, "The send
+log is columnar").
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from operator import attrgetter
+from bisect import bisect_left, bisect_right
+from typing import Any
 
 from repro.core.base import CheckpointMeta, InstanceKey
-from repro.dataflow.channels import ChannelId, Message
+from repro.dataflow.batch import RecordBatch
+from repro.dataflow.channels import DATA, ChannelId, Message
 
-#: the key each channel's log is sorted by (``bisect_right(log, seq,
-#: key=message_seq)`` counts the logged messages up to ``seq``)
-message_seq = attrgetter("seq")
+#: a message of at least this many records is kept as its own segment
+#: (its batch, not a copy); a shorter one is copied into the open one
+ADOPT_MIN = 16
+
+
+class ChannelLog:
+    """One channel's logged DATA messages, increasing in ``seq``.
+
+    Message ``i`` has ``seqs[i]``, ``payload_bytes[i]``,
+    ``protocol_bytes[i]`` and ``piggybacks[i]`` (held by reference), and
+    its records are the offsets ``[ends[i - 1], ends[i])`` of the
+    channel's record stream (``[head, ends[0])`` for the first).  Offsets
+    are absolute — counted from the log's creation — so a cut at either
+    end never rewrites them.  The records live in ``segments``, each a
+    :class:`RecordBatch` whose first row has offset ``starts[k]``: a
+    message of :data:`ADOPT_MIN` or more records is its own segment, the
+    others are appended to the open segment (``_open``, always the last
+    one), so a message never spans two segments and only an open-style
+    segment is ever trimmed part-way.
+    """
+
+    __slots__ = ("seqs", "ends", "payload_bytes", "protocol_bytes",
+                 "piggybacks", "segments", "starts", "head", "end", "_open")
+
+    def __init__(self) -> None:
+        self.seqs: list[int] = []
+        self.ends: list[int] = []
+        self.payload_bytes: list[int] = []
+        self.protocol_bytes: list[int] = []
+        self.piggybacks: list[Any] = []
+        self.segments: list[RecordBatch] = []
+        self.starts: list[int] = []
+        #: offset of the first retained message's first record
+        self.head = 0
+        #: offset just past the last logged record
+        self.end = 0
+        self._open: RecordBatch | None = None
+
+    def __len__(self) -> int:
+        """Number of logged messages."""
+        return len(self.seqs)
+
+    def append(self, msg: Message) -> None:
+        """Log one DATA message as sent (piggyback and protocol bytes
+        included)."""
+        records = msg.records
+        n = len(records.rids)
+        start = self.end
+        if n >= ADOPT_MIN:
+            self.segments.append(records)
+            self.starts.append(start)
+            self._open = None
+        else:
+            segment = self._open
+            if segment is None:
+                segment = self._open = RecordBatch([], [], [], [])
+                self.segments.append(segment)
+                self.starts.append(start)
+            segment.extend(records)
+        self.end = end = start + n
+        self.seqs.append(msg.seq)
+        self.ends.append(end)
+        self.payload_bytes.append(msg.payload_bytes)
+        self.protocol_bytes.append(msg.protocol_bytes)
+        self.piggybacks.append(msg.piggyback)
+
+    def drop_through(self, seq: int) -> None:
+        """Forget every message with a sequence number ``<= seq``."""
+        k = bisect_right(self.seqs, seq)
+        if not k:
+            return
+        head = self.head = self.ends[k - 1]
+        del self.seqs[:k], self.ends[:k], self.payload_bytes[:k]
+        del self.protocol_bytes[:k], self.piggybacks[:k]
+        segments, starts = self.segments, self.starts
+        # the segments before the one holding the new head end at or
+        # before it; that one goes too if it is spent, unless it is the
+        # open one, which stays (trimmed, possibly to nothing)
+        first = max(bisect_right(starts, head) - 1, 0)
+        if (first < len(segments) and segments[first] is not self._open
+                and starts[first] + len(segments[first].rids) <= head):
+            first += 1
+        del segments[:first], starts[:first]
+        if segments and starts[0] < head:
+            cut = head - starts[0]
+            segment = segments[0]
+            del segment.rids[:cut], segment.payloads[:cut]
+            del segment.source_ts[:cut], segment.sizes[:cut]
+            starts[0] = head
+
+    def drop_after(self, seq: int) -> None:
+        """Forget every message with a sequence number ``> seq``."""
+        k = bisect_right(self.seqs, seq)
+        if k == len(self.seqs):
+            return
+        end = self.end = self.ends[k - 1] if k else self.head
+        del self.seqs[k:], self.ends[k:], self.payload_bytes[k:]
+        del self.protocol_bytes[k:], self.piggybacks[k:]
+        segments, starts = self.segments, self.starts
+        keep = bisect_left(starts, end)
+        del segments[keep:], starts[keep:]
+        if segments:
+            segment = segments[-1]
+            cut = end - starts[-1]
+            del segment.rids[cut:], segment.payloads[cut:]
+            del segment.source_ts[cut:], segment.sizes[cut:]
+            if segment is self._open:
+                return
+        self._open = None
+
+    def window(self, channel: ChannelId, after: int,
+               through: int) -> list[Message]:
+        """The logged messages with ``after < seq <= through``, rebuilt
+        as sent."""
+        seqs, ends, starts, segments = (self.seqs, self.ends, self.starts,
+                                        self.segments)
+        first = bisect_right(seqs, after)
+        last = bisect_right(seqs, through)
+        messages = []
+        start = ends[first - 1] if first else self.head
+        for i in range(first, last):
+            end = ends[i]
+            k = bisect_right(starts, start) - 1
+            segment = segments[k]
+            lo = start - starts[k]
+            hi = end - starts[k]
+            messages.append(Message(
+                channel, seqs[i], DATA,
+                RecordBatch(segment.rids[lo:hi], segment.payloads[lo:hi],
+                            segment.source_ts[lo:hi], segment.sizes[lo:hi]),
+                self.payload_bytes[i], self.protocol_bytes[i],
+                self.piggybacks[i], None))
+            start = end
+        return messages
 
 
 def build_replay_sets(
     line: dict[InstanceKey, CheckpointMeta],
-    send_log: dict[ChannelId, list[Message]],
+    send_log: dict[ChannelId, ChannelLog],
     channel_endpoints: dict[ChannelId, tuple[InstanceKey, InstanceKey]],
 ) -> dict[ChannelId, list[Message]]:
     """Select the logged messages each channel must replay for this line."""
     replay: dict[ChannelId, list[Message]] = {}
-    for channel, messages in send_log.items():
+    for channel, log in send_log.items():
         sender, receiver = channel_endpoints[channel]
         sender_cursor = line[sender].sent_cursor(channel)
         receiver_cursor = line[receiver].received_cursor(channel)
         if sender_cursor <= receiver_cursor:
             continue
-        selected = messages[
-            bisect_right(messages, receiver_cursor, key=message_seq):
-            bisect_right(messages, sender_cursor, key=message_seq)]
+        selected = log.window(channel, receiver_cursor, sender_cursor)
         if selected:
             replay[channel] = selected
     return replay

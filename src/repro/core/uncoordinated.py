@@ -24,7 +24,6 @@ only message overhead, which is why Table II shows ~1.00–1.01x for UNC.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import TYPE_CHECKING
 
 from repro.core.base import (
@@ -42,7 +41,7 @@ from repro.core.checkpoint_graph import (
     maximal_consistent_line,
     zcycle_analysis,
 )
-from repro.core.recovery import build_replay_sets, message_seq
+from repro.core.recovery import ChannelLog, build_replay_sets
 from repro.dataflow.channels import ChannelId, Message
 from repro.metrics.collectors import KIND_LOCAL
 
@@ -192,7 +191,10 @@ class UncoordinatedProtocol(CheckpointProtocol):
         if not self.logs_messages:
             return 0.0
         job = self.job
-        job.send_log.setdefault(channel, []).append(msg)
+        log = job.send_log.get(channel)
+        if log is None:
+            log = job.send_log[channel] = ChannelLog()
+        log.append(msg)
         return job.cost.log_append_cost(len(msg.records.rids), msg.payload_bytes)
 
     def _reset_floor(self) -> None:
@@ -230,11 +232,10 @@ class UncoordinatedProtocol(CheckpointProtocol):
         """Drop every logged message that its receiver's checkpoint in
         ``floor`` already counts: no later replay window reaches it."""
         endpoints = self._wiring()[0]
-        for channel, messages in self.job.send_log.items():
+        for channel, log in self.job.send_log.items():
             received = floor[endpoints[channel][1]].last_received
             if channel in received:
-                del messages[:bisect_right(messages, received[channel],
-                                           key=message_seq)]
+                log.drop_through(received[channel])
 
     # ------------------------------------------------------------------ #
     # Recovery

@@ -299,11 +299,9 @@ class LifecycleManager:
         job = self.job
         job.registry.roll_back_to(line)
         edges_by_id = {edge.edge_id: edge for edge in job.graph.edges}
-        for channel, messages in job.send_log.items():
+        for channel, log in job.send_log.items():
             sender = (edges_by_id[channel[0]].src, channel[1])
-            sent = line[sender].sent_cursor(channel)
-            while messages and messages[-1].seq > sent:
-                messages.pop()
+            log.drop_after(line[sender].sent_cursor(channel))
 
     def resume_after_recovery(self) -> None:
         """Restart source polling and worker CPUs after a rollback."""

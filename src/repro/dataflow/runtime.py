@@ -31,8 +31,9 @@ from heapq import heappush
 from typing import Any
 
 from repro.core.base import CheckpointMeta, CheckpointRegistry, create_protocol
+from repro.core.recovery import ChannelLog
 from repro.dataflow.batch import RecordBatch
-from repro.dataflow.channels import ChannelId, Message, Partitioner
+from repro.dataflow.channels import ChannelId, Partitioner
 from repro.dataflow.coordinator import Coordinator
 from repro.dataflow.graph import (
     EdgeSpec,
@@ -160,7 +161,7 @@ class Job:
             WorkerRuntime(self, i) for i in range(parallelism)
         ]
         #: durable per-channel send log (UNC/CIC upstream backup)
-        self.send_log: dict[ChannelId, list[Message]] = {}
+        self.send_log: dict[ChannelId, ChannelLog] = {}
         #: per instance, the ``(blob key, payload)`` of every resident
         #: checkpoint blob, oldest first (:meth:`collect_below` frees them)
         self.resident: dict[InstanceKey, list[tuple[str, dict[str, Any]]]] = {}

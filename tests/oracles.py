@@ -15,12 +15,18 @@ literal forms the tests compare them with (DESIGN.md section 8):
   places a message its receiver has not processed in the receiver's open
   interval; ``zcycle_analysis`` counts delivered messages only, so the
   two are compared on histories without messages in flight
-  (:func:`delivered_history`, :func:`graph_of`).
+  (:func:`delivered_history`, :func:`graph_of`);
+* :class:`MessageListLog` — one channel's send log as the sent
+  ``Message`` objects themselves, the representation
+  :class:`~repro.core.recovery.ChannelLog` replaced (DESIGN.md
+  section 8, "The send log is columnar").
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.core.base import CheckpointMeta, InstanceKey
@@ -31,7 +37,7 @@ from repro.core.checkpoint_graph import (
     maximal_consistent_line,
     zcycle_analysis,
 )
-from repro.dataflow.channels import ChannelId
+from repro.dataflow.channels import ChannelId, Message
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dataflow.runtime import Job
@@ -346,3 +352,37 @@ def assert_job_agrees(job: "Job") -> ZCycleResult:
     assert result.useless == history.useless_checkpoints()
     assert result.domino_depth == history.domino_depth()
     return result
+
+
+# --------------------------------------------------------------------- #
+# The send log as a list of messages
+# --------------------------------------------------------------------- #
+
+class MessageListLog:
+    """One channel's send log kept as the sent messages, in ``seq`` order,
+    with :class:`~repro.core.recovery.ChannelLog`'s operations."""
+
+    def __init__(self) -> None:
+        self.messages: list[Message] = []
+
+    def __len__(self) -> int:
+        return len(self.messages)
+
+    @property
+    def seqs(self) -> list[int]:
+        return [msg.seq for msg in self.messages]
+
+    def append(self, msg: Message) -> None:
+        self.messages.append(msg)
+
+    def drop_through(self, seq: int) -> None:
+        del self.messages[:bisect_right(self.messages, seq,
+                                        key=attrgetter("seq"))]
+
+    def drop_after(self, seq: int) -> None:
+        while self.messages and self.messages[-1].seq > seq:
+            self.messages.pop()
+
+    def window(self, channel: ChannelId, after: int,
+               through: int) -> list[Message]:
+        return [msg for msg in self.messages if after < msg.seq <= through]

@@ -16,20 +16,29 @@ These tests hold the three claims that rest on:
   rid admitted at or before its floor checkpoint, its live set holds
   none either, and the cut keeps exactly that many in its count.
 
-Run as a module it is the retention gate of CI: the blobs resident at
-the end of a 120 s q3/cic run (p = 4, 0.6 x capacity, 5 s interval)::
+The send log is held to the same: it keeps no ``Message`` and as many
+containers after 120 s as after 30 s.
 
-    PYTHONPATH=src python -m tests.test_collection --max-resident-blobs 40
+Run as a module it is the retention gate of CI: the blobs resident and
+the containers reachable from the send log at the end of a 120 s q3/cic
+run (p = 4, 0.6 x capacity, 5 s interval)::
+
+    PYTHONPATH=src python -m tests.test_collection --max-resident-blobs 40 \\
+        --max-log-containers 570
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.recovery import ChannelLog
+from repro.dataflow.batch import RecordBatch
+from repro.dataflow.channels import Message
 from repro.dataflow.runtime import Job
 from repro.dataflow.worker import RidSnapshot
 from repro.experiments.parallel import resolve_spec
@@ -132,6 +141,31 @@ def test_no_multi_failure_run_restores_a_collected_key(
 # Retention is flat
 # --------------------------------------------------------------------- #
 
+#: the types :func:`log_containers` counts and walks into
+LOG_CONTAINERS = (dict, list, tuple, Message, RecordBatch, ChannelLog)
+
+
+def log_containers(send_log: dict) -> list:
+    """The containers reachable from ``send_log``: itself, its logs and
+    whatever of the types in :data:`LOG_CONTAINERS` they hold.  A record
+    batch's four columns count but are not entered, and neither are the
+    dict's keys, so record payloads and piggybacks are not counted."""
+    seen = {id(send_log): send_log}
+    stack: list = list(send_log.values())
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, RecordBatch):
+            for column in (obj.rids, obj.payloads, obj.source_ts, obj.sizes):
+                seen[id(column)] = column
+        else:
+            stack.extend(ref for ref in gc.get_referents(obj)
+                         if isinstance(ref, LOG_CONTAINERS))
+    return list(seen.values())
+
+
 def resident_history(job: Job) -> int:
     """Dedup-history nodes reachable from a live head or a resident
     payload."""
@@ -181,6 +215,21 @@ def test_retention_is_flat(query, protocol):
                 == max(after[measure] for after in short))
     store = job.coordinator.blobstore
     assert store.bytes_written - store.bytes_deleted == store.total_bytes()
+
+
+def test_the_send_log_holds_no_message_and_does_not_grow():
+    """The logs keep columns, not the messages sent, and as many
+    containers at the end of a 120 s q3/cic run as at the end of a 30 s
+    one (every message retained at either end is short, so each channel
+    holds one record segment)."""
+    counts = []
+    for duration in (30.0, 120.0):
+        job, _ = long_run("q3", "cic", duration)
+        containers = log_containers(job.send_log)
+        assert sum(map(len, job.send_log.values())) > 0
+        assert not any(isinstance(obj, Message) for obj in containers)
+        counts.append(len(containers))
+    assert counts[0] == counts[1]
 
 
 # --------------------------------------------------------------------- #
@@ -266,20 +315,30 @@ def test_after_every_floor_raise_nothing_at_or_below_it_is_held(
 
 
 def main(argv: list[str] | None = None) -> int:
-    """The retention gate (see the module docstring)."""
+    """The retention gates (see the module docstring)."""
     parser = argparse.ArgumentParser(description=main.__doc__)
-    parser.add_argument("--max-resident-blobs", type=int, required=True)
+    parser.add_argument("--max-resident-blobs", type=int)
+    parser.add_argument("--max-log-containers", type=int)
     args = parser.parse_args(argv)
+    if args.max_resident_blobs is None and args.max_log_containers is None:
+        parser.error("give --max-resident-blobs, --max-log-containers "
+                     "or both")
     job, after = long_run("q3", "cic", 120.0)
     resident = len(job.coordinator.blobstore)
+    containers = len(log_containers(job.send_log))
     print(f"q3/cic 120 s: {resident} resident blobs at the end, at most "
           f"{max(blobs for blobs, _ in after)} after a collection, "
-          f"{len(after)} collections")
-    if resident > args.max_resident_blobs:
-        print(f"FAILED: {resident} resident blobs exceed "
-              f"{args.max_resident_blobs}")
-        return 1
-    return 0
+          f"{len(after)} collections; the send log holds "
+          f"{sum(map(len, job.send_log.values()))} messages of "
+          f"{len(job.send_log)} channels in {containers} containers")
+    failed = False
+    for measured, bound, what in (
+            (resident, args.max_resident_blobs, "resident blobs"),
+            (containers, args.max_log_containers, "send-log containers")):
+        if bound is not None and measured > bound:
+            print(f"FAILED: {measured} {what} exceed {bound}")
+            failed = True
+    return int(failed)
 
 
 if __name__ == "__main__":

@@ -151,6 +151,6 @@ def test_a_rollback_abandons_the_timeline_it_rolled_past(
         if line[key] < later[key] <= taken[key]
     ]
     assert restored_abandoned == []
-    for channel, messages in job.send_log.items():
-        seqs = [m.seq for m in messages]
+    for channel, log in job.send_log.items():
+        seqs = log.seqs
         assert all(a < b for a, b in zip(seqs, seqs[1:])), channel

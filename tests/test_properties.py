@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.base import CheckpointMeta, initial_checkpoint
 from repro.core.checkpoint_graph import CheckpointGraph, maximal_consistent_line
-from repro.core.recovery import build_replay_sets
+from repro.core.recovery import ChannelLog, build_replay_sets
 from repro.dataflow.batch import RecordBatch
 from repro.dataflow.channels import DATA, Message, Partitioner, hash_key
 from repro.dataflow.graph import EdgeSpec, Partitioning
@@ -57,8 +57,11 @@ def test_replay_window_bounds(recv, sent, n_log):
         b: CheckpointMeta(b, 1, "local", None, 0, 0, 0, "", {}, {ch: recv}, None,
                           0, 0),
     }
-    log = {ch: [Message(channel=ch, seq=s, kind=DATA, records=[], payload_bytes=0)
-                for s in range(1, n_log + 1)]}
+    log = {ch: ChannelLog()}
+    for s in range(1, n_log + 1):
+        log[ch].append(Message(channel=ch, seq=s, kind=DATA,
+                               records=RecordBatch([], [], [], []),
+                               payload_bytes=0))
     replay = build_replay_sets(line, log, {ch: (a, b)})
     seqs = [m.seq for m in replay.get(ch, [])]
     assert seqs == [s for s in range(1, n_log + 1) if recv < s <= sent]

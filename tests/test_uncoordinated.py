@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core.checkpoint_graph import maximal_consistent_line
-from repro.core.recovery import build_replay_sets
+from repro.core.recovery import ChannelLog, build_replay_sets
 from repro.core.uncoordinated import UncoordinatedProtocol
+from repro.dataflow.batch import RecordBatch
 from repro.dataflow.channels import DATA, Message
 from repro.core.base import CheckpointMeta, initial_checkpoint
 
@@ -23,7 +24,8 @@ def logs_hold_floor_to_last_sent(job) -> int:
         sender = job.instance((edges[channel[0]].src, channel[1]))
         low = floor[receiver.key].received_cursor(channel)
         high = sender.out_seq.get(channel, 0)
-        seqs = [m.seq for m in job.send_log.get(channel, [])]
+        log = job.send_log.get(channel)
+        seqs = log.seqs if log is not None else []
         assert seqs == list(range(low + 1, high + 1)), channel
         truncated += low
     return truncated
@@ -196,26 +198,32 @@ def _meta(instance, cid, sent=None, received=None):
     )
 
 
-def _msg(seq):
-    return Message(channel=CH, seq=seq, kind=DATA, records=[], payload_bytes=10)
+def _log(seqs):
+    """A channel log of one-record messages with these seqs."""
+    log = ChannelLog()
+    for seq in seqs:
+        log.append(Message(channel=CH, seq=seq, kind=DATA,
+                           records=RecordBatch([seq], [None], [0.0], [10]),
+                           payload_bytes=10))
+    return log
 
 
 def test_replay_selects_inflight_window():
     line = {A: _meta(A, 1, sent={CH: 5}), B: _meta(B, 1, received={CH: 2})}
-    log = {CH: [_msg(s) for s in range(1, 9)]}
+    log = {CH: _log(range(1, 9))}
     replay = build_replay_sets(line, log, {CH: (A, B)})
     assert [m.seq for m in replay[CH]] == [3, 4, 5]
 
 
 def test_replay_empty_when_receiver_caught_up():
     line = {A: _meta(A, 1, sent={CH: 5}), B: _meta(B, 1, received={CH: 5})}
-    log = {CH: [_msg(s) for s in range(1, 6)]}
+    log = {CH: _log(range(1, 6))}
     assert build_replay_sets(line, log, {CH: (A, B)}) == {}
 
 
 def test_replay_from_initial_checkpoints_is_empty():
     line = {A: initial_checkpoint(A), B: initial_checkpoint(B)}
-    log = {CH: [_msg(1)]}
+    log = {CH: _log([1])}
     assert build_replay_sets(line, log, {CH: (A, B)}) == {}
 
 
@@ -223,6 +231,6 @@ def test_replay_reads_a_truncated_log():
     """A log truncated below its floor starts above seq 1; the window is
     found by position, not by counting from 1."""
     line = {A: _meta(A, 2, sent={CH: 9}), B: _meta(B, 2, received={CH: 6})}
-    log = {CH: [_msg(s) for s in range(5, 12)]}
+    log = {CH: _log(range(5, 12))}
     replay = build_replay_sets(line, log, {CH: (A, B)})
     assert [m.seq for m in replay[CH]] == [7, 8, 9]
