@@ -52,10 +52,14 @@ from repro.workloads.nexmark import QUERIES
 
 
 def _count_or_auto(value: str) -> int | str:
-    """Parse ``--jobs``: an integer count or ``auto``."""
+    """Parse ``--jobs``: a count of at least zero, or ``auto``."""
     if value == "auto":
         return value
-    return int(value)
+    number = int(value)
+    if number < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be >= 0 or 'auto', got {value!r}")
+    return number
 
 
 def _positive_int(value: str) -> int:

@@ -374,8 +374,23 @@ def test_jobs_arg_accepts_auto_and_integers():
 
     assert cli._count_or_auto("auto") == "auto"
     assert cli._count_or_auto("3") == 3
+    assert cli._count_or_auto("0") == 0
     with pytest.raises(ValueError):
         cli._count_or_auto("many")
+
+
+@pytest.mark.parametrize("argv", [
+    ["query", "q12", "--protocol", "unc", "--shards", "2"],
+    ["run", "table2", "--scale", "quick"],
+    ["all", "--scale", "quick"],
+])
+def test_a_negative_jobs_is_a_usage_error(capsys, argv):
+    # it used to run serially and exit 0 (the runner clamped it to one)
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--jobs", "-1"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --jobs: must be >= 0 or 'auto', got '-1'" in err
 
 
 def test_query_jobs_auto_banner(capsys):
