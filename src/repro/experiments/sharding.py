@@ -38,6 +38,7 @@ sharded run is therefore something a caller asks for by count
 from __future__ import annotations
 
 import sys
+from array import array
 from dataclasses import fields, is_dataclass, replace
 from typing import TYPE_CHECKING, Any
 
@@ -233,7 +234,7 @@ def merge_metrics(parts: list[MetricsCollector]) -> MetricsCollector:
     merged = MetricsCollector()
     for metrics in parts:
         for second, values in metrics.latencies.items():
-            merged.latencies.setdefault(second, []).extend(values)
+            merged.latencies.setdefault(second, array("d")).extend(values)
         for second, count in metrics.sink_counts.items():
             merged.sink_counts[second] = (
                 merged.sink_counts.get(second, 0) + count

@@ -9,6 +9,7 @@ recovery detection) happens in :mod:`repro.metrics.series` and
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 # --------------------------------------------------------------------- #
@@ -107,8 +108,9 @@ class MetricsCollector:
     """Accumulates everything a run produces."""
 
     # -- latency / throughput ------------------------------------------- #
-    #: per-second sink latencies: second -> list of end-to-end latencies
-    latencies: dict[int, list[float]] = field(default_factory=dict)
+    #: per-second sink latencies: second -> end-to-end latencies, as a
+    #: float64 column (8 bytes a sample)
+    latencies: dict[int, array] = field(default_factory=dict)
     #: per-second latency digests (sample count, p50, p99) standing in for
     #: the raw ``latencies`` samples after
     #: :meth:`repro.dataflow.results.RunResult.compact` folded them (cache
@@ -173,7 +175,10 @@ class MetricsCollector:
         """Count a batch of sink records and their end-to-end latencies
         (one call per batch delivered to a sink, values in column order)."""
         second = int(now)
-        self.latencies.setdefault(second, []).extend([now - ts for ts in source_ts])
+        samples = self.latencies.get(second)
+        if samples is None:
+            samples = self.latencies[second] = array("d")
+        samples.fromlist([now - ts for ts in source_ts])
         self.sink_counts[second] = self.sink_counts.get(second, 0) + len(source_ts)
 
     def record_ingest(self, now: float, count: int) -> None:
