@@ -10,9 +10,10 @@ rollback) but not yet incorporated in the receiver's checkpoint.  Replaying
 them and deduplicating by lineage id restores the channel state required by
 the no-dropping half of Definition 5 with exactly-once effects.
 
-Each log is one timeline, increasing in ``seq``, that starts above the
-floor line (DESIGN.md section 8), so a window is two bisections and a
-slice, and no window of a later line reaches below the log's start.
+Each log is one timeline of consecutive seqs that starts above the
+floor line (DESIGN.md section 8), so a window is a slice found by
+subtraction, and no window of a later line reaches below the log's
+start.
 
 A :class:`ChannelLog` keeps what a replay needs of each message in
 columns, not as the ``Message`` itself (DESIGN.md section 8, "The send
@@ -34,26 +35,35 @@ ADOPT_MIN = 16
 
 
 class ChannelLog:
-    """One channel's logged DATA messages, increasing in ``seq``.
+    """One channel's logged DATA messages.
 
-    Message ``i`` has ``seqs[i]``, ``payload_bytes[i]``,
-    ``protocol_bytes[i]`` and ``piggybacks[i]`` (held by reference), and
-    its records are the offsets ``[ends[i - 1], ends[i])`` of the
-    channel's record stream (``[head, ends[0])`` for the first).  Offsets
-    are absolute — counted from the log's creation — so a cut at either
-    end never rewrites them.  The records live in ``segments``, each a
-    :class:`RecordBatch` whose first row has offset ``starts[k]``: a
-    message of :data:`ADOPT_MIN` or more records is its own segment, the
-    others are appended to the open segment (``_open``, always the last
-    one), so a message never spans two segments and only an open-style
-    segment is ever trimmed part-way.
+    A sender numbers a channel's messages 1, 2, 3, ... and logs every
+    one; a truncation forgets a prefix of the log, a rollback a suffix
+    that the restored sender then sends again under the same numbers.
+    So the retained seqs are consecutive, ``first`` up to
+    ``next_seq - 1`` (:meth:`append` refuses a gap), and message ``seq``
+    is at index ``seq - first``: no seq is stored and no cut searches.
+
+    Message ``i`` has ``payload_bytes[i]``, ``protocol_bytes[i]`` and
+    ``piggybacks[i]`` (held by reference), and its records are the
+    offsets ``[ends[i - 1], ends[i])`` of the channel's record stream
+    (``[head, ends[0])`` for the first).  Offsets are absolute — counted
+    from the log's creation — so a cut at either end never rewrites
+    them.  The records live in ``segments``, each a :class:`RecordBatch`
+    whose first row has offset ``starts[k]``: a message of
+    :data:`ADOPT_MIN` or more records is its own segment, the others are
+    appended to the open segment (``_open``, always the last one), so a
+    message never spans two segments and only an open-style segment is
+    ever trimmed part-way.
     """
 
-    __slots__ = ("seqs", "ends", "payload_bytes", "protocol_bytes",
+    __slots__ = ("next_seq", "ends", "payload_bytes", "protocol_bytes",
                  "piggybacks", "segments", "starts", "head", "end", "_open")
 
-    def __init__(self) -> None:
-        self.seqs: list[int] = []
+    def __init__(self, first: int = 1) -> None:
+        """An empty log whose first message will carry seq ``first``."""
+        #: the seq the next logged message must carry
+        self.next_seq = first
         self.ends: list[int] = []
         self.payload_bytes: list[int] = []
         self.protocol_bytes: list[int] = []
@@ -68,11 +78,25 @@ class ChannelLog:
 
     def __len__(self) -> int:
         """Number of logged messages."""
-        return len(self.seqs)
+        return len(self.ends)
 
-    def append(self, msg: Message) -> None:
+    @property
+    def seqs(self) -> list[int]:
+        """The retained messages' sequence numbers, oldest first."""
+        return list(range(self.next_seq - len(self.ends), self.next_seq))
+
+    def _through(self, seq: int) -> int:
+        """How many retained messages have a sequence number ``<= seq``."""
+        kept = len(self.ends)
+        return min(max(seq - self.next_seq + kept + 1, 0), kept)
+
+    def append(self, msg: Message) -> int:
         """Log one DATA message as sent (piggyback and protocol bytes
-        included)."""
+        included); returns its record count."""
+        if msg.seq != self.next_seq:
+            raise ValueError(f"channel {msg.channel}: logged message "
+                             f"{msg.seq}, expected {self.next_seq}")
+        self.next_seq += 1
         records = msg.records
         n = len(records.rids)
         start = self.end
@@ -86,21 +110,25 @@ class ChannelLog:
                 segment = self._open = RecordBatch([], [], [], [])
                 self.segments.append(segment)
                 self.starts.append(start)
-            segment.extend(records)
+            # ``+=`` extends in place without a method call per column
+            segment.rids += records.rids
+            segment.payloads += records.payloads
+            segment.source_ts += records.source_ts
+            segment.sizes += records.sizes
         self.end = end = start + n
-        self.seqs.append(msg.seq)
         self.ends.append(end)
         self.payload_bytes.append(msg.payload_bytes)
         self.protocol_bytes.append(msg.protocol_bytes)
         self.piggybacks.append(msg.piggyback)
+        return n
 
     def drop_through(self, seq: int) -> None:
         """Forget every message with a sequence number ``<= seq``."""
-        k = bisect_right(self.seqs, seq)
+        k = self._through(seq)
         if not k:
             return
         head = self.head = self.ends[k - 1]
-        del self.seqs[:k], self.ends[:k], self.payload_bytes[:k]
+        del self.ends[:k], self.payload_bytes[:k]
         del self.protocol_bytes[:k], self.piggybacks[:k]
         segments, starts = self.segments, self.starts
         # the segments before the one holding the new head end at or
@@ -119,12 +147,14 @@ class ChannelLog:
             starts[0] = head
 
     def drop_after(self, seq: int) -> None:
-        """Forget every message with a sequence number ``> seq``."""
-        k = bisect_right(self.seqs, seq)
-        if k == len(self.seqs):
+        """Forget every message with a sequence number ``> seq``: the
+        restored sender sends ``seq + 1`` next."""
+        if seq >= self.next_seq - 1:
             return
+        k = self._through(seq)
+        self.next_seq = seq + 1
         end = self.end = self.ends[k - 1] if k else self.head
-        del self.seqs[k:], self.ends[k:], self.payload_bytes[k:]
+        del self.ends[k:], self.payload_bytes[k:]
         del self.protocol_bytes[k:], self.piggybacks[k:]
         segments, starts = self.segments, self.starts
         keep = bisect_left(starts, end)
@@ -142,10 +172,10 @@ class ChannelLog:
                through: int) -> list[Message]:
         """The logged messages with ``after < seq <= through``, rebuilt
         as sent."""
-        seqs, ends, starts, segments = (self.seqs, self.ends, self.starts,
-                                        self.segments)
-        first = bisect_right(seqs, after)
-        last = bisect_right(seqs, through)
+        ends, starts, segments = self.ends, self.starts, self.segments
+        first = self._through(after)
+        last = self._through(through)
+        seq = self.next_seq - len(ends) + first
         messages = []
         start = ends[first - 1] if first else self.head
         for i in range(first, last):
@@ -155,11 +185,12 @@ class ChannelLog:
             lo = start - starts[k]
             hi = end - starts[k]
             messages.append(Message(
-                channel, seqs[i], DATA,
+                channel, seq, DATA,
                 RecordBatch(segment.rids[lo:hi], segment.payloads[lo:hi],
                             segment.source_ts[lo:hi], segment.sizes[lo:hi]),
                 self.payload_bytes[i], self.protocol_bytes[i],
                 self.piggybacks[i], None))
+            seq += 1
             start = end
         return messages
 

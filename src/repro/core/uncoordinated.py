@@ -191,11 +191,11 @@ class UncoordinatedProtocol(CheckpointProtocol):
         if not self.logs_messages:
             return 0.0
         job = self.job
-        log = job.send_log.get(channel)
-        if log is None:
+        try:
+            log = job.send_log[channel]
+        except KeyError:
             log = job.send_log[channel] = ChannelLog()
-        log.append(msg)
-        return job.cost.log_append_cost(len(msg.records.rids), msg.payload_bytes)
+        return job.cost.log_append_cost(log.append(msg), msg.payload_bytes)
 
     def _reset_floor(self) -> None:
         """Start the floor line at the deployment's initial checkpoints."""

@@ -11,6 +11,7 @@ as sent, field by field, piggyback identity included.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.recovery import ADOPT_MIN, ChannelLog
@@ -85,12 +86,24 @@ def test_channel_log_replays_what_the_message_list_replays(ops):
             after, through = sorted((seq - back, seq - other))
             assert_same_messages(log.window(CH, after, through),
                                  oracle.window(CH, after, through))
-        assert list(log.seqs) == oracle.seqs
+        assert log.seqs == oracle.seqs
         assert len(log) == len(oracle)
     assert_same_messages(log.window(CH, -1, seq), oracle.messages)
     # a batch the log kept as its own segment is never trimmed
     for records, (rids, sizes) in sent:
         assert (records.rids, records.sizes) == (rids, sizes)
+
+
+def test_a_gap_in_the_seqs_is_refused():
+    log = ChannelLog()
+    records = RecordBatch([1], ["a"], [0.0], [4])
+    log.append(Message(CH, 1, DATA, records, 4))
+    with pytest.raises(ValueError, match="logged message 3, expected 2"):
+        log.append(Message(CH, 3, DATA, records, 4))
+    log.drop_after(0)  # a rollback to before the first message
+    assert len(log) == 0 and log.next_seq == 1
+    log.append(Message(CH, 1, DATA, records, 4))
+    assert log.seqs == [1]
 
 
 def test_long_messages_are_kept_short_ones_copied():

@@ -24,7 +24,7 @@ the containers reachable from the send log at the end of a 120 s q3/cic
 run (p = 4, 0.6 x capacity, 5 s interval)::
 
     PYTHONPATH=src python -m tests.test_collection --max-resident-blobs 40 \\
-        --max-log-containers 570
+        --max-log-containers 530
 """
 
 from __future__ import annotations

@@ -199,8 +199,9 @@ def _meta(instance, cid, sent=None, received=None):
 
 
 def _log(seqs):
-    """A channel log of one-record messages with these seqs."""
-    log = ChannelLog()
+    """A channel log of one-record messages with these (consecutive)
+    seqs."""
+    log = ChannelLog(first=seqs[0])
     for seq in seqs:
         log.append(Message(channel=CH, seq=seq, kind=DATA,
                            records=RecordBatch([seq], [None], [0.0], [10]),
