@@ -40,9 +40,9 @@ class ChannelLog:
     A sender numbers a channel's messages 1, 2, 3, ... and logs every
     one; a truncation forgets a prefix of the log, a rollback a suffix
     that the restored sender then sends again under the same numbers.
-    So the retained seqs are consecutive, ``first`` up to
-    ``next_seq - 1`` (:meth:`append` refuses a gap), and message ``seq``
-    is at index ``seq - first``: no seq is stored and no cut searches.
+    So the retained seqs are consecutive, ending at ``next_seq - 1``
+    (:meth:`append` refuses a gap), and a seq's index is found by
+    subtraction: no seq is stored and no cut searches.
 
     Message ``i`` has ``payload_bytes[i]``, ``protocol_bytes[i]`` and
     ``piggybacks[i]`` (held by reference), and its records are the
