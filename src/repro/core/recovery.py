@@ -60,10 +60,10 @@ class ChannelLog:
     __slots__ = ("next_seq", "ends", "payload_bytes", "protocol_bytes",
                  "piggybacks", "segments", "starts", "head", "end", "_open")
 
-    def __init__(self, first: int = 1) -> None:
-        """An empty log whose first message will carry seq ``first``."""
+    def __init__(self) -> None:
+        """An empty log whose first message will carry seq 1."""
         #: the seq the next logged message must carry
-        self.next_seq = first
+        self.next_seq = 1
         self.ends: list[int] = []
         self.payload_bytes: list[int] = []
         self.protocol_bytes: list[int] = []

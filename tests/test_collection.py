@@ -317,12 +317,9 @@ def test_after_every_floor_raise_nothing_at_or_below_it_is_held(
 def main(argv: list[str] | None = None) -> int:
     """The retention gates (see the module docstring)."""
     parser = argparse.ArgumentParser(description=main.__doc__)
-    parser.add_argument("--max-resident-blobs", type=int)
-    parser.add_argument("--max-log-containers", type=int)
+    parser.add_argument("--max-resident-blobs", type=int, required=True)
+    parser.add_argument("--max-log-containers", type=int, required=True)
     args = parser.parse_args(argv)
-    if args.max_resident_blobs is None and args.max_log_containers is None:
-        parser.error("give --max-resident-blobs, --max-log-containers "
-                     "or both")
     job, after = long_run("q3", "cic", 120.0)
     resident = len(job.coordinator.blobstore)
     containers = len(log_containers(job.send_log))
@@ -332,12 +329,14 @@ def main(argv: list[str] | None = None) -> int:
           f"{sum(map(len, job.send_log.values()))} messages of "
           f"{len(job.send_log)} channels in {containers} containers")
     failed = False
-    for measured, bound, what in (
-            (resident, args.max_resident_blobs, "resident blobs"),
-            (containers, args.max_log_containers, "send-log containers")):
-        if bound is not None and measured > bound:
-            print(f"FAILED: {measured} {what} exceed {bound}")
-            failed = True
+    if resident > args.max_resident_blobs:
+        print(f"FAILED: {resident} resident blobs exceed "
+              f"{args.max_resident_blobs}")
+        failed = True
+    if containers > args.max_log_containers:
+        print(f"FAILED: {containers} send-log containers exceed "
+              f"{args.max_log_containers}")
+        failed = True
     return int(failed)
 
 

@@ -20,6 +20,7 @@ from tests.conftest import (
     make_event_log,
     trace_spec,
 )
+from tests.test_uncoordinated import logs_hold_floor_to_last_sent
 
 
 def run_with_failures(protocol, failures, duration=24.0, seed=3,
@@ -125,9 +126,9 @@ def test_a_rollback_abandons_the_timeline_it_rolled_past(
     """A recovery leaves nothing of the timeline it rolled back for a
     later one: no later line restores a checkpoint newer than an earlier
     line (one an instance had taken by then), and every channel's send
-    log is one strictly increasing timeline — the restored senders send
-    again under the sequence numbers they were rolled past.  Without
-    that, these runs lose records."""
+    log holds exactly the seqs from its floor to its sender's live
+    cursor — the restored senders send again under the sequence numbers
+    they were rolled past.  Without that, these runs lose records."""
     applied = []
     apply_recovery = LifecycleManager.apply_recovery
 
@@ -151,6 +152,4 @@ def test_a_rollback_abandons_the_timeline_it_rolled_past(
         if line[key] < later[key] <= taken[key]
     ]
     assert restored_abandoned == []
-    for channel, log in job.send_log.items():
-        seqs = log.seqs
-        assert all(a < b for a, b in zip(seqs, seqs[1:])), channel
+    logs_hold_floor_to_last_sent(job)

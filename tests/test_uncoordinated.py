@@ -198,11 +198,10 @@ def _meta(instance, cid, sent=None, received=None):
     )
 
 
-def _log(seqs):
-    """A channel log of one-record messages with these (consecutive)
-    seqs."""
-    log = ChannelLog(first=seqs[0])
-    for seq in seqs:
+def _log(last):
+    """A channel log of one-record messages with seqs ``1..last``."""
+    log = ChannelLog()
+    for seq in range(1, last + 1):
         log.append(Message(channel=CH, seq=seq, kind=DATA,
                            records=RecordBatch([seq], [None], [0.0], [10]),
                            payload_bytes=10))
@@ -211,20 +210,20 @@ def _log(seqs):
 
 def test_replay_selects_inflight_window():
     line = {A: _meta(A, 1, sent={CH: 5}), B: _meta(B, 1, received={CH: 2})}
-    log = {CH: _log(range(1, 9))}
+    log = {CH: _log(8)}
     replay = build_replay_sets(line, log, {CH: (A, B)})
     assert [m.seq for m in replay[CH]] == [3, 4, 5]
 
 
 def test_replay_empty_when_receiver_caught_up():
     line = {A: _meta(A, 1, sent={CH: 5}), B: _meta(B, 1, received={CH: 5})}
-    log = {CH: _log(range(1, 6))}
+    log = {CH: _log(5)}
     assert build_replay_sets(line, log, {CH: (A, B)}) == {}
 
 
 def test_replay_from_initial_checkpoints_is_empty():
     line = {A: initial_checkpoint(A), B: initial_checkpoint(B)}
-    log = {CH: _log([1])}
+    log = {CH: _log(1)}
     assert build_replay_sets(line, log, {CH: (A, B)}) == {}
 
 
@@ -232,6 +231,7 @@ def test_replay_reads_a_truncated_log():
     """A log truncated below its floor starts above seq 1; the window is
     found by position, not by counting from 1."""
     line = {A: _meta(A, 2, sent={CH: 9}), B: _meta(B, 2, received={CH: 6})}
-    log = {CH: _log(range(5, 12))}
+    log = {CH: _log(11)}
+    log[CH].drop_through(4)
     replay = build_replay_sets(line, log, {CH: (A, B)})
     assert [m.seq for m in replay[CH]] == [7, 8, 9]
