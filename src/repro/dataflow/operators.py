@@ -357,9 +357,10 @@ class WindowedJoinOperator(Operator):
 class WindowedCountOperator(Operator):
     """Tumbling processing-time windowed count per key (NexMark Q12), running.
 
-    Emits the updated count on every arrival; per-key counters reset when
-    the record's window differs from the stored one, and an expiry timer
-    sweeps stale keys so state does not grow unboundedly.
+    Emits the updated count on every arrival as a ``(key, window, count)``
+    tuple; per-key counters reset when the record's window differs from
+    the stored one, and an expiry timer sweeps stale keys so state does
+    not grow unboundedly.
     """
 
     cpu_per_record = 0.0018
@@ -419,7 +420,7 @@ class WindowedCountOperator(Operator):
                 stored = stored_count(key)
                 count = 0 if stored is None or stored[0] != current else stored[1]
             running[key] = count = count + 1
-            payloads.append({"key": key, "window": current, "count": count})
+            payloads.append((key, current, count))
         counts.put_many([(key, (current, count), 40)
                          for key, count in running.items()])
         return RecordBatch(derived_rids(ctx.op_name, batch.rids), payloads,
@@ -432,7 +433,8 @@ class SlidingWindowCountOperator(Operator):
     A record at time ``t`` belongs to every window ``w`` with
     ``w*slide <= t < w*slide + range``; all their counters are updated, and
     the running update is emitted for the *newest* window (one output per
-    input).  An expiry timer sweeps windows whose range has passed.
+    input) as a ``(key, window, count)`` tuple.  An expiry timer sweeps
+    windows whose range has passed.
     """
 
     cpu_per_record = 0.0022
@@ -511,7 +513,7 @@ class SlidingWindowCountOperator(Operator):
                     stored = 0
                 pair = running[key] = [stored, stored]
             pair[1] = count = pair[1] + 1
-            payloads.append({"key": key, "window": newest, "count": count})
+            payloads.append((key, newest, count))
         puts: list[tuple[Any, Any, int]] = []
         for key, (base, count) in running.items():
             arrivals = count - base
@@ -525,9 +527,10 @@ class SlidingWindowCountOperator(Operator):
 
 
 class MaxPerKeyOperator(Operator):
-    """Track the maximum 'count' seen per grouping key; emit on improvement.
+    """Track the maximum value seen per grouping key; emit on improvement.
 
-    The second stage of NexMark Q5: per window, which item leads.
+    The second stage of NexMark Q5: per window, which item leads.  An
+    improving record is emitted as a ``(group, item, value)`` tuple.
     """
 
     cpu_per_record = 0.0012
@@ -581,7 +584,7 @@ class MaxPerKeyOperator(Operator):
             local[group] = (value, item)
             rids.append(rid)
             ts_col.append(ts)
-            out_payloads.append({"group": group, "item": item, "value": value})
+            out_payloads.append((group, item, value))
         if not rids:
             return None
         best.put_many([(g, vi, 32) for g, vi in local.items()])

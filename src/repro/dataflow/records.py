@@ -72,11 +72,6 @@ def source_rid_from_prefix(prefix: int, offset: int) -> int:
     return acc ^ (acc >> 29)
 
 
-def source_rid(topic: str, partition: int, offset: int) -> int:
-    """Lineage id of a raw input record."""
-    return source_rid_from_prefix(source_rid_prefix(topic, partition), offset)
-
-
 def derived_rid(op_name: str, parent_rid: int, emission_index: int = 0) -> int:
     """Lineage id of a record produced while processing ``parent_rid``."""
     return mix_rid(_name_hash(op_name), parent_rid, emission_index + 1)

@@ -164,11 +164,6 @@ class KeyedMapState:
 
     # -- batch kernels (DESIGN.md section 16) ------------------------------ #
 
-    def get_many(self, keys: Sequence[Any], default: Any = None) -> list[Any]:
-        """Values stored under ``keys`` (``default`` where absent), aligned."""
-        data_get = self._data.get
-        return [data_get(key, default) for key in keys]
-
     def put_many(self, entries: Sequence[tuple[Any, Any, int]]) -> None:
         """Batch :meth:`put` over ``(key, value, size_bytes)`` triples.
 

@@ -39,19 +39,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 import pickle
 import signal
 import struct
 import tempfile
 import zlib
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    wait,
-)
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -60,6 +53,8 @@ from repro.sim.collector import collector_paused
 from repro.sim.costs import RuntimeConfig
 
 if TYPE_CHECKING:  # pragma: no cover
+    from concurrent.futures import ProcessPoolExecutor
+
     from repro.dataflow.results import RunResult
     from repro.workloads.spec import QuerySpec
 
@@ -543,7 +538,14 @@ class RunCache:
 
 def _mp_context():
     """Fork keeps worker start cheap and inherits the spec registries; fall
-    back to the platform default where fork is unavailable."""
+    back to the platform default where fork is unavailable.
+
+    ``multiprocessing`` and ``concurrent.futures`` are imported here and
+    on the pool's other paths, not at module top: a run that never
+    builds a pool never loads them (DESIGN.md section 9).
+    """
+    import multiprocessing
+
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -595,6 +597,9 @@ class ParallelRunner:
 
     ``jobs=1`` degrades to serial in-process execution (still cached), so
     the same code path serves the CI smoke sweep and a 32-way grid sweep.
+    ``jobs`` must be an ``int`` of at least 1: a bool, any other type or
+    a smaller count is a ``ValueError`` naming it (the CLI resolves its
+    ``0`` / ``auto`` to a CPU count first).
     Results are additionally memoised in-process, so repeated ``run()``
     calls inside one harness invocation never touch the disk twice.
 
@@ -612,7 +617,9 @@ class ParallelRunner:
     """
 
     def __init__(self, jobs: int = 1, cache_dir: str | os.PathLike | None = None):
-        self.jobs = max(1, int(jobs))
+        if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+            raise ValueError(f"jobs must be an int >= 1, got {jobs!r}")
+        self.jobs = jobs
         self.cache = RunCache(cache_dir) if cache_dir is not None else None
         self._memory: dict[str, Any] = {}
         self._pool: ProcessPoolExecutor | None = None
@@ -674,6 +681,8 @@ class ParallelRunner:
         process group, and it is the parent that decides what happens to
         them (:meth:`close`).
         """
+        from concurrent.futures import ProcessPoolExecutor
+
         return ProcessPoolExecutor(
             max_workers=self.jobs, mp_context=_mp_context(),
             initializer=signal.signal,
@@ -768,6 +777,8 @@ class ParallelRunner:
         """Block until at least one future completes (test seam: the
         scheduler-determinism suite overrides this to force arbitrary
         completion interleavings)."""
+        from concurrent.futures import FIRST_COMPLETED, wait
+
         done, _ = wait(futures, return_when=FIRST_COMPLETED)
         return done
 
@@ -786,6 +797,8 @@ class ParallelRunner:
         """
         if not self._inflight:
             raise RuntimeError("scheduler drain with nothing in flight")
+        from concurrent.futures import BrokenExecutor
+
         done = self._wait_any(set(self._inflight))
         failed: RunFailed | None = None
         # resolve in submission order so callback order is deterministic

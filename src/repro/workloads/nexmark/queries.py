@@ -62,7 +62,11 @@ def build_q1(parallelism: int) -> LogicalGraph:
 
 
 def build_q3(parallelism: int) -> LogicalGraph:
-    """persons (filtered by state) ⋈ auctions (by seller), incremental."""
+    """persons (filtered by state) ⋈ auctions (by seller), incremental.
+
+    A match is emitted as a ``(name, state, auction, category)`` tuple:
+    the person's name and state, the auction's id and category.
+    """
     graph = LogicalGraph("q3")
     graph.add_source("source_persons", "persons", SourceOperator)
     graph.add_source("source_auctions", "auctions", SourceOperator)
@@ -75,12 +79,8 @@ def build_q3(parallelism: int) -> LogicalGraph:
         lambda: IncrementalJoinOperator(
             left_key=lambda person: person.id,
             right_key=lambda auction: auction.seller,
-            combine=lambda person, auction: {
-                "name": person.name,
-                "state": person.state,
-                "auction": auction.id,
-                "category": auction.category,
-            },
+            combine=lambda person, auction: (
+                person.name, person.state, auction.id, auction.category),
         ),
         stateful=True,
     )
@@ -95,7 +95,11 @@ def build_q3(parallelism: int) -> LogicalGraph:
 
 
 def build_q8(parallelism: int) -> LogicalGraph:
-    """persons ⋈ auctions within a tumbling processing-time window."""
+    """persons ⋈ auctions within a tumbling processing-time window.
+
+    A match is emitted as a ``(person, name, auction)`` tuple: the
+    person's id and name, the auction's id.
+    """
     graph = LogicalGraph("q8")
     graph.add_source("source_persons", "persons", SourceOperator)
     graph.add_source("source_auctions", "auctions", SourceOperator)
@@ -104,11 +108,8 @@ def build_q8(parallelism: int) -> LogicalGraph:
         lambda: WindowedJoinOperator(
             left_key=lambda person: person.id,
             right_key=lambda auction: auction.seller,
-            combine=lambda person, auction: {
-                "person": person.id,
-                "name": person.name,
-                "auction": auction.id,
-            },
+            combine=lambda person, auction: (
+                person.id, person.name, auction.id),
             window=WINDOW_SECONDS,
         ),
         stateful=True,
@@ -127,7 +128,10 @@ def build_q5(parallelism: int) -> LogicalGraph:
 
     Extension beyond the paper's evaluated set (which stops at Q1/Q3/Q8/
     Q12): Q5 is the canonical *sliding*-window NexMark query — per-auction
-    bid counts over a hopping window, then a per-window maximum.
+    bid counts over a hopping window, then a per-window maximum.  The
+    count emits ``(auction, window, count)`` tuples, which the maximum
+    and its KEY edge read by index; the maximum emits ``(window,
+    auction, count)``.
     """
     graph = LogicalGraph("q5")
     graph.add_source("source_bids", "bids", SourceOperator)
@@ -142,9 +146,9 @@ def build_q5(parallelism: int) -> LogicalGraph:
     graph.add_operator(
         "max_per_window",
         lambda: MaxPerKeyOperator(
-            group_fn=lambda update: update["window"],
-            value_fn=lambda update: update["count"],
-            item_fn=lambda update: update["key"],
+            group_fn=lambda update: update[1],
+            value_fn=lambda update: update[2],
+            item_fn=lambda update: update[0],
         ),
         stateful=True,
     )
@@ -152,7 +156,7 @@ def build_q5(parallelism: int) -> LogicalGraph:
     graph.connect("source_bids", "count_sliding", Partitioning.KEY,
                   key_fn=lambda bid: bid.auction)
     graph.connect("count_sliding", "max_per_window", Partitioning.KEY,
-                  key_fn=lambda update: update["window"])
+                  key_fn=lambda update: update[1])
     graph.connect("max_per_window", "sink", Partitioning.FORWARD)
     return graph
 

@@ -3,7 +3,7 @@
 Two acceptance properties ride on this file:
 
 * **kernel equivalence** — every batch kernel on the state layer
-  (``get_many``/``put_many``/``delete_many``/``append_many``) must be
+  (``put_many``/``delete_many``/``append_many``) must be
   indistinguishable from the equivalent sequence of scalar calls under
   random interleavings with ``mark_clean``: identical data and insertion
   order, byte accounting, dirty/deleted tracking, ``snapshot_delta``
@@ -97,10 +97,6 @@ def test_keyed_map_batch_kernels_equal_scalar_sequence(ops):
         assert batched._deleted == scalar._deleted
         assert batched.snapshot_delta() == scalar.snapshot_delta()
         assert batched.delta_bytes() == scalar.delta_bytes()
-    probe = list(range(10))
-    assert batched.get_many(probe) == [scalar.get(key) for key in probe]
-    assert batched.get_many(probe, -1) == [scalar.get(key, -1)
-                                           for key in probe]
 
 
 @given(_MAP_OPS)
@@ -172,7 +168,6 @@ def test_empty_batch_kernels_are_no_ops():
     state.mark_clean()
     state.put_many([])
     state.delete_many([])
-    assert state.get_many([]) == []
     assert state.snapshot_delta() is None
     lists = KeyedListState()
     lists.mark_clean()

@@ -17,14 +17,17 @@ These tests hold the three claims that rest on:
   none either, and the cut keeps exactly that many in its count.
 
 The send log is held to the same: it keeps no ``Message`` and as many
-containers after 120 s as after 30 s.
+containers after 120 s as after 30 s.  What it keeps per record is the
+emitter's payload, so a windowed-count output it logs is a 64-byte
+tuple, not a 184-byte dict.
 
-Run as a module it is the retention gate of CI: the blobs resident and
-the containers reachable from the send log at the end of a 120 s q3/cic
-run (p = 4, 0.6 x capacity, 5 s interval)::
+Run as a module it is the retention gate of CI: the blobs resident, the
+containers reachable from the send log, and the ``sys.getsizeof`` sum
+of the payloads logged on the join -> sink channels at the end of a
+120 s q3/cic run (p = 4, 0.6 x capacity, 5 s interval)::
 
     PYTHONPATH=src python -m tests.test_collection --max-resident-blobs 40 \\
-        --max-log-containers 530
+        --max-log-containers 530 --max-log-payload-bytes BYTES
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from tests.conftest import (
     run_count_job,
     trace_spec,
 )
+from tests.test_emitter_pin import dense_graph
 from tests.test_multiple_failures import run_with_failures
 
 
@@ -166,6 +170,16 @@ def log_containers(send_log: dict) -> list:
     return list(seen.values())
 
 
+def logged_payloads(job: Job, src: str, dst: str) -> list:
+    """The payloads the send log holds on the ``src -> dst`` channels."""
+    edges = {edge.edge_id for edge in job.graph.edges
+             if (edge.src, edge.dst) == (src, dst)}
+    return [payload
+            for channel, log in job.send_log.items() if channel[0] in edges
+            for msg in log.window(channel, 0, log.next_seq)
+            for payload in msg.records.payloads]
+
+
 def resident_history(job: Job) -> int:
     """Dedup-history nodes reachable from a live head or a resident
     payload."""
@@ -230,6 +244,20 @@ def test_the_send_log_holds_no_message_and_does_not_grow():
         assert not any(isinstance(obj, Message) for obj in containers)
         counts.append(len(containers))
     assert counts[0] == counts[1]
+
+
+def test_a_logged_windowed_count_output_is_a_small_tuple():
+    """What UNC logs per windowed-count output is the emitter's payload
+    itself: a ``(key, window, count)`` tuple of at most 64 bytes (a
+    three-key dict is 184)."""
+    config = RuntimeConfig(checkpoint_interval=2.0, duration=6.0,
+                           warmup=1.0, seed=3)
+    log = make_event_log(600.0, 7.0, 2, seed=3)
+    job = Job(dense_graph(), "unc", 2, {"events": log}, config)
+    job.run(rate=600.0)
+    counts = logged_payloads(job, "count", "sink")
+    assert counts and max(map(sys.getsizeof, counts)) <= 64
+    assert all(type(p) is tuple and len(p) == 3 for p in counts)
 
 
 # --------------------------------------------------------------------- #
@@ -319,15 +347,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=main.__doc__)
     parser.add_argument("--max-resident-blobs", type=int, required=True)
     parser.add_argument("--max-log-containers", type=int, required=True)
+    parser.add_argument("--max-log-payload-bytes", type=int, required=True)
     args = parser.parse_args(argv)
     job, after = long_run("q3", "cic", 120.0)
     resident = len(job.coordinator.blobstore)
     containers = len(log_containers(job.send_log))
+    joined = logged_payloads(job, "join_incremental", "sink")
+    payload_bytes = sum(map(sys.getsizeof, joined))
     print(f"q3/cic 120 s: {resident} resident blobs at the end, at most "
           f"{max(blobs for blobs, _ in after)} after a collection, "
           f"{len(after)} collections; the send log holds "
           f"{sum(map(len, job.send_log.values()))} messages of "
-          f"{len(job.send_log)} channels in {containers} containers")
+          f"{len(job.send_log)} channels in {containers} containers; "
+          f"{len(joined)} join outputs on join -> sink in "
+          f"{payload_bytes} payload bytes")
     failed = False
     if resident > args.max_resident_blobs:
         print(f"FAILED: {resident} resident blobs exceed "
@@ -336,6 +369,10 @@ def main(argv: list[str] | None = None) -> int:
     if containers > args.max_log_containers:
         print(f"FAILED: {containers} send-log containers exceed "
               f"{args.max_log_containers}")
+        failed = True
+    if payload_bytes > args.max_log_payload_bytes:
+        print(f"FAILED: {payload_bytes} logged join payload bytes exceed "
+              f"{args.max_log_payload_bytes}")
         failed = True
     return int(failed)
 

@@ -7,7 +7,7 @@ emitters are the library's windowed count (q12 and a dense-style keyed
 count at 256-record batches), sliding-window count and per-key maximum
 (both q5), and the join ``combine`` functions of q3 and q8.
 
-Each output is read by field name, in this order:
+Each output is a tuple in its documented field order:
 
 * windowed and sliding-window count: ``(key, window, count)``;
 * per-key maximum: ``(group, item, value)``;
@@ -72,9 +72,9 @@ CASES = sorted([*(f"{query}-unc" for query in QUERY_TAPS), DENSE])
 
 def fields(emitter: str, payload: Any) -> tuple:
     """One output's field values, in the emitter's documented order."""
-    assert type(payload) is dict, (emitter, payload)
+    assert type(payload) is tuple, (emitter, payload)
     assert len(payload) == len(FIELDS[emitter]), (emitter, payload)
-    return tuple(payload[name] for name in FIELDS[emitter])
+    return payload
 
 
 def tap(graph: LogicalGraph, name: str,

@@ -211,7 +211,7 @@ def test_window_count_increments_within_window():
     op, ctx = make_count()
     ctx.time = 1.0
     outs = [process_one(op, rec({"k": "a"}, rid=i), "in")[0] for i in range(3)]
-    assert [o.payload["count"] for o in outs] == [1, 2, 3]
+    assert [o.payload for o in outs] == [("a", 0, 1), ("a", 0, 2), ("a", 0, 3)]
 
 
 def test_window_count_resets_across_windows():
@@ -220,8 +220,7 @@ def test_window_count_resets_across_windows():
     process_one(op, rec({"k": "a"}, rid=1), "in")
     ctx.time = 12.0
     out = process_one(op, rec({"k": "a"}, rid=2), "in")
-    assert out[0].payload["count"] == 1
-    assert out[0].payload["window"] == 1
+    assert out[0].payload == ("a", 1, 1)
 
 
 def test_window_count_separate_keys():
@@ -229,7 +228,7 @@ def test_window_count_separate_keys():
     ctx.time = 1.0
     process_one(op, rec({"k": "a"}, rid=1), "in")
     out = process_one(op, rec({"k": "b"}, rid=2), "in")
-    assert out[0].payload["count"] == 1
+    assert out[0].payload == ("b", 0, 1)
 
 
 def test_window_count_sweep_timer_drops_stale_keys():

@@ -1,6 +1,10 @@
 """Parallel experiment executor and content-addressed run cache."""
 
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,8 @@ from repro.experiments.parallel import (
 from repro.sim.costs import RuntimeConfig
 
 from tests.test_scheduler_determinism import InterleavedRunner, _FakePool
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def req(**overrides) -> RunRequest:
@@ -237,6 +243,26 @@ def test_map_preserves_request_order():
     requests = [req(rate=r) for r in (250.0, 350.0, 300.0)]
     results = runner.map(requests)
     assert [r.rate for r in results] == [250.0, 350.0, 300.0]
+
+
+@pytest.mark.parametrize("jobs", [0, -3, 2.7, "2", True, False, None])
+def test_a_worker_count_that_is_not_a_positive_int_is_rejected(jobs):
+    """No clamping: -3 does not become a serial run, nor 2.7 two workers."""
+    with pytest.raises(ValueError, match=f"got {jobs!r}"):
+        ParallelRunner(jobs=jobs)
+
+
+def test_importing_the_harness_does_not_load_the_pool_modules():
+    """The pool's modules load when a runner builds a pool, not before."""
+    code = ("import sys\n"
+            "import repro.experiments.parallel, repro.experiments.runner\n"
+            "import repro.dataflow.runtime\n"
+            "print(sorted(name for name in sys.modules if name in\n"
+            "      ('multiprocessing', 'concurrent.futures')))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 # --------------------------------------------------------------------- #

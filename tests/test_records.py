@@ -7,8 +7,16 @@ from repro.dataflow.records import (
     derived_rid,
     joined_rid,
     mix_rid,
-    source_rid,
+    source_rid_column,
+    source_rid_prefix,
 )
+
+
+def source_rid(topic: str, partition: int, offset: int) -> int:
+    """The id a source poll gives the record at ``offset`` of a
+    partition: the entry of the partition's rid column."""
+    return source_rid_column(source_rid_prefix(topic, partition),
+                             offset + 1)[offset]
 
 
 def test_source_rid_deterministic():

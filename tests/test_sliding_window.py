@@ -56,8 +56,8 @@ def test_emits_newest_window_running_count():
     ctx.time = 4.5
     first = process_one(op, rec({"k": "a"}, rid=1), "in")[0]
     second = process_one(op, rec({"k": "a"}, rid=2), "in")[0]
-    assert first.payload == {"key": "a", "window": 2, "count": 1}
-    assert second.payload["count"] == 2
+    assert first.payload == ("a", 2, 1)
+    assert second.payload == ("a", 2, 2)
 
 
 def test_sliding_counts_roll_off():
@@ -67,8 +67,7 @@ def test_sliding_counts_roll_off():
     process_one(op, rec({"k": "a"}, rid=1), "in")
     ctx.time = 11.0  # newest window = 5, starts at 10: old record outside
     out = process_one(op, rec({"k": "a"}, rid=2), "in")[0]
-    assert out.payload["window"] == 5
-    assert out.payload["count"] == 1
+    assert out.payload == ("a", 5, 1)
 
 
 def test_sweep_timer_drops_expired_windows():
@@ -85,7 +84,7 @@ def test_distinct_keys_counted_separately():
     ctx.time = 1.0
     process_one(op, rec({"k": "a"}, rid=1), "in")
     out = process_one(op, rec({"k": "b"}, rid=2), "in")[0]
-    assert out.payload["count"] == 1
+    assert out.payload == ("b", 0, 1)
 
 
 # --------------------------------------------------------------------- #
@@ -94,9 +93,9 @@ def test_distinct_keys_counted_separately():
 
 def make_max():
     op = MaxPerKeyOperator(
-        group_fn=lambda p: p["window"],
-        value_fn=lambda p: p["count"],
-        item_fn=lambda p: p["key"],
+        group_fn=lambda p: p[1],
+        value_fn=lambda p: p[2],
+        item_fn=lambda p: p[0],
     )
     ctx = StubContext("max")
     op.open(ctx)
@@ -105,18 +104,18 @@ def make_max():
 
 def test_max_emits_only_on_improvement():
     op = make_max()
-    out1 = process_one(op, rec({"window": 0, "key": "a", "count": 3}, rid=1), "in")
-    out2 = process_one(op, rec({"window": 0, "key": "b", "count": 2}, rid=2), "in")
-    out3 = process_one(op, rec({"window": 0, "key": "b", "count": 5}, rid=3), "in")
-    assert len(out1) == 1 and out1[0].payload["item"] == "a"
+    out1 = process_one(op, rec(("a", 0, 3), rid=1), "in")
+    out2 = process_one(op, rec(("b", 0, 2), rid=2), "in")
+    out3 = process_one(op, rec(("b", 0, 5), rid=3), "in")
+    assert [o.payload for o in out1] == [(0, "a", 3)]
     assert out2 == []  # 2 < 3: not a new leader
-    assert len(out3) == 1 and out3[0].payload["item"] == "b"
+    assert [o.payload for o in out3] == [(0, "b", 5)]
 
 
 def test_max_tracks_groups_independently():
     op = make_max()
-    process_one(op, rec({"window": 0, "key": "a", "count": 9}, rid=1), "in")
-    out = process_one(op, rec({"window": 1, "key": "b", "count": 1}, rid=2), "in")
+    process_one(op, rec(("a", 0, 9), rid=1), "in")
+    out = process_one(op, rec(("b", 1, 1), rid=2), "in")
     assert len(out) == 1  # first value of a new group always leads
 
 

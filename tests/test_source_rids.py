@@ -18,11 +18,7 @@ from dataclasses import replace
 import pytest
 
 from repro.dataflow import runtime as runtime_module
-from repro.dataflow.records import (
-    source_rid,
-    source_rid_prefix,
-    source_rid_column,
-)
+from repro.dataflow.records import source_rid_column, source_rid_prefix
 from repro.dataflow.runtime import Job, source_rids
 from repro.experiments.parallel import RunRequest, execute_request, resolve_spec
 from repro.experiments.sharding import shard_inputs
@@ -48,7 +44,7 @@ def test_cached_column_is_the_pinned_one(case):
 def test_rescaled_deployment_reads_identical_rids(rescale_to):
     """``q8-unc-failure-rescale``: whichever instance owns a partition
     after the rescale — one of several (4 -> 2) or at most one (4 -> 6) —
-    every polled batch carries ``source_rid(topic, partition, offset)``."""
+    every polled batch carries the partition's rid column at its offsets."""
     spec = resolve_spec("q8")
     request = RunRequest(query="q8", protocol="unc", parallelism=4,
                          rate=800.0, duration=7.0, warmup=1.0,
@@ -58,9 +54,9 @@ def test_rescaled_deployment_reads_identical_rids(rescale_to):
     job = Job(spec.build_graph(4), "unc", 4, inputs,
               request.effective_config())
     expected = {
-        (topic, partition.index): [
-            source_rid(topic, partition.index, offset)
-            for offset in range(len(partition))]
+        (topic, partition.index): source_rid_column(
+            source_rid_prefix(topic, partition.index),
+            len(partition)).tolist()
         for topic, log in inputs.items() for partition in log.partitions
     }
     polled: list[tuple[int, int]] = []  # (deployed parallelism, owned partitions)

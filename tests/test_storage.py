@@ -7,7 +7,7 @@ from operator import lt
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.dataflow.records import source_rid, source_rid_prefix
+from repro.dataflow.records import source_rid_column, source_rid_prefix
 from repro.dataflow.runtime import source_rids
 from repro.storage.blobstore import BlobStore
 from repro.storage.kafka import LogRecord, Partition, PartitionedLog
@@ -250,8 +250,8 @@ def test_rid_column_never_served_short(steps):
         elif step == "extend":
             p.extend_columns([t, t + 0.5], ["y", "z"], [1, 1])
         else:
-            assert source_rids(p, prefix).tolist() == [
-                source_rid("topic", 3, offset) for offset in range(len(p))]
+            assert source_rids(p, prefix) == source_rid_column(
+                source_rid_prefix("topic", 3), len(p))
     assert source_rids(p, prefix) is source_rids(p, prefix)
     assert len(source_rids(p, prefix)) == len(p)
 
@@ -261,8 +261,7 @@ def test_rid_column_is_per_prefix():
     p = _filled([1.0, 2.0, 3.0])
     mine = source_rids(p, source_rid_prefix("t", 0))
     theirs = source_rids(p, source_rid_prefix("other", 0))
-    assert theirs.tolist() == [
-        source_rid("other", 0, offset) for offset in range(3)]
+    assert theirs == source_rid_column(source_rid_prefix("other", 0), 3)
     assert mine != theirs
 
 
