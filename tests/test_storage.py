@@ -250,8 +250,7 @@ def test_rid_column_never_served_short(steps):
         elif step == "extend":
             p.extend_columns([t, t + 0.5], ["y", "z"], [1, 1])
         else:
-            assert source_rids(p, prefix) == source_rid_column(
-                source_rid_prefix("topic", 3), len(p))
+            assert source_rids(p, prefix) == source_rid_column(prefix, len(p))
     assert source_rids(p, prefix) is source_rids(p, prefix)
     assert len(source_rids(p, prefix)) == len(p)
 
