@@ -14,8 +14,7 @@ contents are cleared when it expires (Section VI, Q8/Q12).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro.dataflow.batch import RecordBatch
 from repro.dataflow.records import StreamRecord, derived_rid, derived_rids, joined_rid
@@ -601,88 +600,3 @@ class SinkOperator(Operator):
         """Report the whole batch as final pipeline output (one metrics call)."""
         self.ctx.record_outputs(batch.source_ts)
         return None
-
-
-# --------------------------------------------------------------------- #
-# Operator fusion for stateless chains (DESIGN.md section 15)
-# --------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True, slots=True)
-class MapStage:
-    """One 1-to-1 stage of a fused stateless chain.
-
-    ``name`` is the stage's *operator name for lineage purposes*: outputs
-    derive their rids against it, exactly as an unfused
-    :class:`MapOperator` deployed under that name would.
-    """
-
-    name: str
-    fn: Callable[[Any], Any]
-    out_size: Callable[[Any], int] | None = None
-
-
-@dataclass(frozen=True, slots=True)
-class FilterStage:
-    """One predicate stage of a fused stateless chain.
-
-    Filters forward surviving records unchanged (same rid), so the stage
-    ``name`` is only documentation — it never enters lineage derivation.
-    """
-
-    name: str
-    predicate: Callable[[Any], bool]
-
-
-class FusedStatelessOperator(Operator):
-    """A chain of stateless map/filter stages processed in one call.
-
-    Fusion rules (DESIGN.md section 15): only stateless 1-to-1 map and
-    filter stages fuse — they need no state registry, no timers, and no
-    re-keying, so a FORWARD chain of them collapses into one operator
-    without changing channel topology.  Each map stage keeps its own
-    operator name for lineage derivation, making fusion *rid-transparent*:
-    the fused pipeline emits records byte-identical to the unfused chain's
-    final output, so checkpoints, dedup sets and recovery lines cannot
-    tell the difference.  Stateful, 1-to-N, or re-keying operators end a
-    fusible segment and stay standalone.
-    """
-
-    def __init__(self, stages: Sequence[MapStage | FilterStage],
-                 cpu_per_record: float | None = None) -> None:
-        super().__init__()
-        if not stages:
-            raise ValueError("a fused chain needs at least one stage")
-        self.stages = tuple(stages)
-        if cpu_per_record is None:
-            # the fused operator still pays every stage's per-record CPU:
-            # fusion removes routing/flush overhead, not modelled work
-            cpu_per_record = sum(
-                MapOperator.cpu_per_record if type(stage) is MapStage
-                else FilterOperator.cpu_per_record
-                for stage in self.stages
-            )
-        self.cpu_per_record = cpu_per_record
-
-    def process_batch(self, batch: RecordBatch, port: str) -> RecordBatch | None:
-        """Apply every stage column-wise; the batch crosses the chain once."""
-        for stage in self.stages:
-            if not len(batch.rids):
-                return None
-            if type(stage) is FilterStage:
-                predicate = stage.predicate
-                payloads = batch.payloads
-                keep = [i for i in range(len(payloads))
-                        if predicate(payloads[i])]
-                if len(keep) != len(payloads):
-                    batch = batch.select(keep)
-            else:
-                payloads = list(map(stage.fn, batch.payloads))
-                out_size = stage.out_size
-                batch = RecordBatch(
-                    derived_rids(stage.name, batch.rids),
-                    payloads,
-                    batch.source_ts,
-                    list(map(out_size, payloads)) if out_size else batch.sizes,
-                )
-        return batch if len(batch.rids) else None

@@ -8,9 +8,8 @@ from the per-record engine this codebase used to carry next to the
 batch engine (``RuntimeConfig.columnar=False``, asserted against both
 in the commit that added it) and covers the matrix that engine was the
 reference for — count job and q12 x 4 protocols x 2 backends through a
-failure, rescaled recoveries, marker-split partial batches, a fused and
-an unfused stateless chain, the two-port joins and the
-sliding-window/max chain.
+failure, rescaled recoveries, marker-split partial batches, a stateless
+map/filter chain, the two-port joins and the sliding-window/max chain.
 
 ``tests/test_columnar_differential.py`` runs every case against the
 fixture.  Regenerate after an *intentional* semantic change with
@@ -31,10 +30,7 @@ from typing import Callable
 from repro.dataflow.graph import LogicalGraph, Partitioning
 from repro.dataflow.operators import (
     FilterOperator,
-    FilterStage,
-    FusedStatelessOperator,
     MapOperator,
-    MapStage,
     SinkOperator,
     SourceOperator,
 )
@@ -102,12 +98,9 @@ def run_marker_split_count_case(protocol: str) -> Job:
     return job
 
 
-def chain_graph(fused: bool) -> LogicalGraph:
-    """src -> [m1 -> keep -> m2] -> count -> sink, fused or standalone.
-
-    The fused chain's stages reuse the standalone operator names, so its
-    outputs must be byte-identical — same rids, same payload values.
-    """
+def chain_graph() -> LogicalGraph:
+    """src -> m1 -> keep -> m2 -> count -> sink, the stateless operators
+    joined by FORWARD channels."""
     def enrich(e):
         return KeyedEvent(e.key, e.value + 7)
 
@@ -117,37 +110,27 @@ def chain_graph(fused: bool) -> LogicalGraph:
     def project(e):
         return KeyedEvent(e.key, e.value * 2)
 
-    graph = LogicalGraph("fusion_probe")
+    graph = LogicalGraph("stateless_chain")
     graph.add_source("src", "events", SourceOperator)
-    if fused:
-        graph.add_operator("chain", lambda: FusedStatelessOperator([
-            MapStage("m1", enrich),
-            FilterStage("keep", keep),
-            MapStage("m2", project),
-        ]))
-        graph.connect("src", "chain", Partitioning.FORWARD)
-        previous = "chain"
-    else:
-        graph.add_operator("m1", lambda: MapOperator(enrich))
-        graph.add_operator("keep", lambda: FilterOperator(keep))
-        graph.add_operator("m2", lambda: MapOperator(project))
-        graph.connect("src", "m1", Partitioning.FORWARD)
-        graph.connect("m1", "keep", Partitioning.FORWARD)
-        graph.connect("keep", "m2", Partitioning.FORWARD)
-        previous = "m2"
+    graph.add_operator("m1", lambda: MapOperator(enrich))
+    graph.add_operator("keep", lambda: FilterOperator(keep))
+    graph.add_operator("m2", lambda: MapOperator(project))
+    graph.connect("src", "m1", Partitioning.FORWARD)
+    graph.connect("m1", "keep", Partitioning.FORWARD)
+    graph.connect("keep", "m2", Partitioning.FORWARD)
     graph.add_operator("count", CountPerKeyOperator, stateful=True)
     graph.add_operator("sink", SinkOperator)
-    graph.connect(previous, "count", Partitioning.KEY, key_fn=lambda e: e.key)
+    graph.connect("m2", "count", Partitioning.KEY, key_fn=lambda e: e.key)
     graph.connect("count", "sink", Partitioning.FORWARD)
     return graph
 
 
-def run_chain_case(fused: bool) -> Job:
+def run_chain_case() -> Job:
     """The stateless chain under UNC through a failure + dedup-heavy replay."""
     config = RuntimeConfig(checkpoint_interval=3.0, duration=16.0,
                            warmup=2.0, failure_at=6.0, seed=5)
     log = make_event_log(150.0, 10.0, 2, seed=5)
-    job = Job(chain_graph(fused), "unc", 2, {"events": log}, config)
+    job = Job(chain_graph(), "unc", 2, {"events": log}, config)
     job.run(drain=True)
     return job
 
@@ -207,8 +190,7 @@ for _protocol in ("coor", "unc"):
             run_spec_case, _query, _protocol, state_backend="changelog")
 for _protocol in ("coor-unaligned", "cic"):
     CASES[f"q5-{_protocol}"] = partial(run_spec_case, "q5", _protocol)
-CASES["chain-fused"] = partial(run_chain_case, True)
-CASES["chain-unfused"] = partial(run_chain_case, False)
+CASES["chain-unfused"] = run_chain_case
 
 
 def main() -> None:

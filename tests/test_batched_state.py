@@ -28,12 +28,9 @@ import repro.dataflow.operators as operators
 from repro.dataflow.batch import RecordBatch
 from repro.dataflow.operators import (
     FilterOperator,
-    FilterStage,
     FlatMapOperator,
-    FusedStatelessOperator,
     IncrementalJoinOperator,
     MapOperator,
-    MapStage,
     MaxPerKeyOperator,
     Operator,
     OperatorContext,
@@ -247,11 +244,6 @@ _LIBRARY_OPERATORS = {
     "max_per_key": (lambda: MaxPerKeyOperator(_key, _value,
                                               lambda p: p["v"] % 3), ("in",)),
     "sink": (SinkOperator, ("in",)),
-    "fused": (lambda: FusedStatelessOperator([
-        MapStage("m1", _bump),
-        FilterStage("keep", _keep),
-        MapStage("m2", _bump, out_size=_sized),
-    ]), ("in",)),
 }
 
 _PAYLOADS = st.fixed_dictionaries({"k": st.integers(0, 3),
@@ -303,7 +295,7 @@ def test_split_invariance_table_covers_every_library_operator():
         and "process_batch" in vars(cls)
     }
     covered = {type(factory()) for factory, _ in _LIBRARY_OPERATORS.values()}
-    assert covered == kernels and len(kernels) == 11
+    assert covered == kernels and len(kernels) == 10
 
 
 @pytest.mark.parametrize("name", sorted(_LIBRARY_OPERATORS))

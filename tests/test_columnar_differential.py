@@ -2,7 +2,7 @@
 
 Every case of the matrix in ``tests/golden.py`` — count job and q12 x 4
 protocols x 2 state backends through a failure, rescaled recoveries,
-marker-split partial batches, fused and unfused stateless chains, the
+marker-split partial batches, a stateless map/filter chain, the
 two-port joins, the sliding-window/max chain — must reproduce its entry
 in ``tests/data/engine_golden.json`` exactly: final operator state bytes,
 recovery lines, sink/message/duplicate totals and virtual time.  The
@@ -15,27 +15,15 @@ cannot pass by agreeing with a recorded mistake.
 (The module keeps its historical file name: the test ids are pinned by
 the test-floor list.)
 
-The suite also locks the two constructions the batch kernels rely on:
-
-* the vectorized rid kernels are bit-identical to the scalar mix loops
-  (numpy uint64 wraparound arithmetic vs Python big-int masking);
-* operator fusion is rid-transparent — a fused stateless chain emits
-  records byte-identical to the unfused chain, so fusing is invisible to
-  checkpoints, dedup sets and recovery.
+The suite also locks the construction the batch kernels rely on: the
+vectorized rid kernels are bit-identical to the scalar mix loops (numpy
+uint64 wraparound arithmetic vs Python big-int masking).
 """
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.dataflow.operators import (
-    FilterOperator,
-    FilterStage,
-    FusedStatelessOperator,
-    MapOperator,
-    MapStage,
-)
 from repro.dataflow.records import (
-    StreamRecord,
     derived_rid,
     derived_rids,
     source_rid_from_prefix,
@@ -44,7 +32,6 @@ from repro.dataflow.records import (
 )
 from repro.dataflow.runtime import Job
 
-from tests.conftest import KeyedEvent, process_one
 from tests.golden import ALL_PROTOCOLS, BACKENDS, CASES, load_golden, signature
 from tests.test_exactly_once import expected_counts, measured_counts
 
@@ -129,58 +116,15 @@ def test_source_rids_bit_identical_to_scalar(length, prefix):
 
 
 # --------------------------------------------------------------------- #
-# Fusion is rid-transparent
+# A stateless map/filter chain
 # --------------------------------------------------------------------- #
 
 
-def test_fused_chain_state_matches_unfused_across_failure():
-    """Fused and unfused chains end in identical keyed state through a
-    failure + dedup-heavy replay — rids must agree or UNC's dedup would
-    double-count or drop records on one side."""
-    def count_states(job):
-        return [job.instance(("count", idx)).operator.states["counts"]._data
-                for idx in range(job.parallelism)]
-
-    # the counting operator's state must be byte-identical per instance —
-    # fusion upstream cannot shift a single key or count
-    assert (count_states(golden_job("chain-fused"))
-            == count_states(golden_job("chain-unfused")))
-
-
-def test_fused_chain_emits_identical_records_per_record_level():
-    """Unit-level rid transparency: one record through the fused operator
-    produces the same records as chaining the standalone operators by hand."""
-    def enrich(e):
-        return KeyedEvent(e.key, e.value + 7)
-
-    def keep(e):
-        return e.value % 3 != 0
-
-    def project(e):
-        return KeyedEvent(e.key, e.value * 2)
-
-    class _Ctx:
-        def __init__(self, name):
-            self.op_name = name
-
-    fused = FusedStatelessOperator([
-        MapStage("m1", enrich),
-        FilterStage("keep", keep),
-        MapStage("m2", project),
-    ])
-    fused.ctx = _Ctx("chain")
-    m1, f, m2 = MapOperator(enrich), FilterOperator(keep), MapOperator(project)
-    for op, name in ((m1, "m1"), (f, "keep"), (m2, "m2")):
-        op.ctx = _Ctx(name)
-
-    for value in range(12):
-        record = StreamRecord(rid=value + 1, payload=KeyedEvent(value % 4, value),
-                              source_ts=0.5, size_bytes=40)
-        via_fused = process_one(fused, record, "in")
-        via_chain = [record]
-        for op in (m1, f, m2):
-            via_chain = [out for r in via_chain for out in process_one(op, r, "in")]
-        assert via_fused == via_chain
+def test_stateless_chain_through_failure():
+    """src -> map -> filter -> map -> count under UNC through a failure
+    and a dedup-heavy replay: the FORWARD chain derives its rids per
+    operator, so the counts downstream must not move."""
+    golden_job("chain-unfused")
 
 
 # --------------------------------------------------------------------- #

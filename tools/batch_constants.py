@@ -201,10 +201,9 @@ def _library_operators() -> dict[str, tuple[Callable[[], Any], str]]:
     """name -> (factory, the port batches arrive on), one per kernel."""
     import repro.dataflow.operators as operators
     from repro.dataflow.operators import (
-        FilterOperator, FilterStage, FlatMapOperator, FusedStatelessOperator,
-        IncrementalJoinOperator, MapOperator, MapStage, MaxPerKeyOperator,
-        Operator, SinkOperator, SlidingWindowCountOperator, SourceOperator,
-        WindowedCountOperator, WindowedJoinOperator)
+        FilterOperator, FlatMapOperator, IncrementalJoinOperator, MapOperator,
+        MaxPerKeyOperator, Operator, SinkOperator, SlidingWindowCountOperator,
+        SourceOperator, WindowedCountOperator, WindowedJoinOperator)
 
     table: dict[str, tuple[Callable[[], Any], str]] = {
         "source": (SourceOperator, "in"),
@@ -224,9 +223,6 @@ def _library_operators() -> dict[str, tuple[Callable[[], Any], str]]:
         "max_per_key": (
             lambda: MaxPerKeyOperator(_key, _index, _key), "in"),
         "sink": (SinkOperator, "in"),
-        "fused": (lambda: FusedStatelessOperator(
-            [MapStage("m1", _bump), FilterStage("keep", _keep),
-             MapStage("m2", _bump)]), "in"),
     }
     kernels = {
         cls for _, cls in inspect.getmembers(operators, inspect.isclass)
