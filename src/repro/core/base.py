@@ -101,10 +101,6 @@ class CheckpointRegistry:
             )
         entries.append(meta)
 
-    def for_instance(self, instance: InstanceKey) -> list[CheckpointMeta]:
-        """All durable checkpoints of ``instance``, oldest first (no initial)."""
-        return list(self._by_instance.get(instance, []))
-
     def with_initial(self, instance: InstanceKey) -> list[CheckpointMeta]:
         """Checkpoints including the implicit initial one, oldest first."""
         return [initial_checkpoint(instance)] + self._by_instance.get(instance, [])

@@ -310,15 +310,6 @@ class RouterBuffer:
         if buf is not None and len(buf.rids) >= self._batch_max:
             self._n_ready -= 1
 
-    def is_blocked(self, edge_id: int, dst: int) -> bool:
-        """Is ``(edge, dst)`` currently parked by credit exhaustion?"""
-        return (edge_id, dst) in self._blocked
-
-    @property
-    def blocked_keys(self) -> frozenset:
-        """The parked ``(edge, dst)`` pairs (introspection/tests)."""
-        return frozenset(self._blocked)
-
     def _pop(self, edge_id: int, dst: int, count: int, blocked: bool) -> None:
         """Remove a drained buffer of ``count`` records; settle the counters."""
         del self._by_edge[edge_id][dst]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 
 class GraphError(ValueError):
@@ -261,10 +261,3 @@ def validate_rescale(graph: LogicalGraph, from_parallelism: int,
                 f"{edge.partitioning.value} edge from {edge.src!r}; only "
                 "key-addressed state can be repartitioned"
             )
-
-
-def iter_instance_keys(graph: LogicalGraph, parallelism: int) -> Iterable[tuple[str, int]]:
-    """All (operator, index) instance keys in deterministic order."""
-    for name in graph.operator_order():
-        for idx in range(parallelism):
-            yield (name, idx)

@@ -117,10 +117,8 @@ class Job:
         self.sim = Simulator()
         self.metrics = MetricsCollector()
         self.rng = RngRegistry(self.config.seed)
-        self.chain_tracker = ChainTracker(
-            self.config.state_backend, self.config.changelog_max_chain,
-            self.cost.delta_overhead_bytes,
-        )
+        self.chain_tracker = ChainTracker(self.config.state_backend,
+                                          self.cost.delta_overhead_bytes)
         if self.config.rescale_to is not None:
             validate_rescale(graph, parallelism, self.config.rescale_to,
                              self.max_key_groups)

@@ -14,7 +14,7 @@ blob.  Restoring a delta checkpoint fetches its snapshot plus every delta
 in between and folds them in order.  :class:`ChainTracker` decides which
 one the next checkpoint is; the two state backends are two bounds on the
 chain's length (``full``: no deltas, the default and the paper's
-behaviour; ``changelog``: at most ``changelog_max_chain``; DESIGN.md
+behaviour; ``changelog``: at most :data:`CHANGELOG_MAX_CHAIN`; DESIGN.md
 section 10).
 
 Both backends produce byte-identical restored state — the differential
@@ -663,6 +663,11 @@ class _Chain:
         self.restore_bytes = restore_bytes
 
 
+#: changelog compaction threshold: after this many deltas the next
+#: checkpoint is a fresh self-contained snapshot
+CHANGELOG_MAX_CHAIN = 4
+
+
 class ChainTracker:
     """What an instance's next checkpoint uploads: a snapshot or a delta.
 
@@ -671,14 +676,13 @@ class ChainTracker:
     the next checkpoint a snapshot again once it holds ``max_chain``
     deltas, and after every rollback.  The two backends are two bounds:
     ``full`` is a chain of no deltas, ``changelog`` one of at most
-    ``changelog_max_chain`` (at least 1).  Under ``full`` nothing ever
-    arms the state primitives' change tracking, so the state kernels
-    stay on their untracked arm.
+    :data:`CHANGELOG_MAX_CHAIN`.  Under ``full`` nothing ever arms the
+    state primitives' change tracking, so the state kernels stay on
+    their untracked arm.
     """
 
-    def __init__(self, backend: str, changelog_max_chain: int,
-                 delta_overhead_bytes: int) -> None:
-        bounds = {"full": 0, "changelog": max(1, changelog_max_chain)}
+    def __init__(self, backend: str, delta_overhead_bytes: int) -> None:
+        bounds = {"full": 0, "changelog": CHANGELOG_MAX_CHAIN}
         if backend not in bounds:
             raise ValueError(f"unknown state backend {backend!r}; "
                              f"known: {sorted(bounds)}")

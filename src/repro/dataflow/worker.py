@@ -560,11 +560,6 @@ class WorkerRuntime:
         if not self._busy and self._tasks:
             self._start_next()
 
-    @property
-    def queued_tasks(self) -> int:
-        """Tasks currently waiting for this worker's CPU."""
-        return len(self._tasks)
-
     def pending_data_messages(self, channel: ChannelId) -> list[Message]:
         """Arrived-but-unprocessed data messages of one channel, in order.
 

@@ -108,12 +108,6 @@ def _mst_request(query: str, protocol: str, parallelism: int,
     )
 
 
-def get_mst(query: str, protocol: str, parallelism: int,
-            scale: ExperimentScale) -> float:
-    """Maximum sustainable throughput for one combination (memoised)."""
-    return _fetch(_mst_request(query, protocol, parallelism, scale)).mst
-
-
 # --------------------------------------------------------------------- #
 # Specs and the driver
 # --------------------------------------------------------------------- #

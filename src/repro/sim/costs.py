@@ -175,9 +175,6 @@ class RuntimeConfig:
     #: every checkpoint, 'changelog' uploads only the writes since the last
     #: checkpoint as a delta chained onto it (DESIGN.md section 10)
     state_backend: str = "full"
-    #: changelog compaction threshold: after this many deltas the next
-    #: checkpoint is folded into a fresh self-contained base
-    changelog_max_chain: int = 4
     #: measured run duration (paper: 60 s)
     duration: float = 60.0
     #: warmup before measurement starts (paper: 30 s)

@@ -412,11 +412,6 @@ class AdaptiveIntervalController:
         """Current MTBF estimate (prior until a gap was observed)."""
         return self._mtbf_ema if self._mtbf_ema is not None else self.assumed_mtbf
 
-    @property
-    def checkpoint_cost_estimate(self) -> float:
-        """Current per-checkpoint cost estimate (0 until observed)."""
-        return self._cost_ema if self._cost_ema is not None else 0.0
-
     def _clamped(self, value: float) -> float:
         return min(max(value, self.min_interval), self.max_interval)
 

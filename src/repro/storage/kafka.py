@@ -173,10 +173,6 @@ class Partition:
         end = self.poll_end(offset, now, max_records)
         return self.records[offset:end] if end > offset else []
 
-    def available_by(self, now: float) -> int:
-        """Number of records available at time ``now`` (high-watermark)."""
-        return bisect_right(self.times, now)
-
 
 class PartitionedLog:
     """A topic with N partitions (one per parallel source instance)."""
@@ -211,7 +207,3 @@ class PartitionedLog:
     def partition(self, index: int) -> Partition:
         """The partition at ``index``."""
         return self.partitions[index]
-
-    def total_available_by(self, now: float) -> int:
-        """Records whose availability time is <= ``now`` across partitions."""
-        return sum(p.available_by(now) for p in self.partitions)

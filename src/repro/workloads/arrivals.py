@@ -63,32 +63,6 @@ class RateSegment:
         return 0.5 * (self.r0 + self.r1) * (self.t1 - self.t0)
 
 
-def rate_at(segments: list[RateSegment], t: float) -> float:
-    """Instantaneous rate at ``t``; exact at segment endpoints.
-
-    Before the first segment the first rate holds, past the last segment
-    the last rate holds (trace replay semantics).
-    """
-    if not segments:
-        return 0.0
-    if t <= segments[0].t0:
-        return segments[0].r0
-    for seg in segments:
-        if t < seg.t1:
-            if t <= seg.t0:
-                return seg.r0
-            span = seg.t1 - seg.t0
-            if span <= 0.0:
-                return seg.r1
-            return seg.r0 + (seg.r1 - seg.r0) * (t - seg.t0) / span
-    return segments[-1].r1
-
-
-def total_intensity(segments: list[RateSegment]) -> float:
-    """Integral of the rate over all segments (expected event count)."""
-    return sum(seg.area for seg in segments)
-
-
 def emit_timestamps(segments: list[RateSegment]) -> Iterator[float]:
     """Event times by inverting the cumulative intensity Lambda(t).
 

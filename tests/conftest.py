@@ -93,7 +93,7 @@ def run_count_job(protocol: str, parallelism: int = 3, rate: float = 300.0,
                   duration: float = 14.0, warmup: float = 2.0,
                   failure_at: float | None = 6.0, input_until: float | None = None,
                   checkpoint_interval: float = 3.0, seed: int = 3,
-                  state_backend: str = "full", changelog_max_chain: int = 4,
+                  state_backend: str = "full",
                   rescale_to: int | None = None, rescale_at: int = 1,
                   channel_capacity_bytes: int = 0):
     """Run the counting pipeline; input stops early so queues drain."""
@@ -106,7 +106,6 @@ def run_count_job(protocol: str, parallelism: int = 3, rate: float = 300.0,
         failure_at=failure_at,
         seed=seed,
         state_backend=state_backend,
-        changelog_max_chain=changelog_max_chain,
         rescale_to=rescale_to,
         rescale_at=rescale_at,
         channel_capacity_bytes=channel_capacity_bytes,

@@ -56,11 +56,11 @@ def test_outlier_observations_are_clamped():
     controller = make_controller()
     for t in range(1, 20):
         controller.observe_checkpoint(float(t), 0.05)
-    settled = controller.checkpoint_cost_estimate
+    settled = controller._cost_ema
     controller.observe_checkpoint(21.0, 500.0)  # one freak stall
     # the sample was clamped to clamp_factor x the EMA before mixing
-    assert controller.checkpoint_cost_estimate <= settled * controller.clamp_factor
-    assert controller.checkpoint_cost_estimate < 1.0
+    assert controller._cost_ema <= settled * controller.clamp_factor
+    assert controller._cost_ema < 1.0
 
 
 def test_updates_record_the_trajectory():

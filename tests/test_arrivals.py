@@ -28,8 +28,6 @@ from repro.workloads.arrivals import (
     SteadyArrivals,
     TraceArrivals,
     parse_arrival,
-    rate_at,
-    total_intensity,
 )
 
 FIXTURE_TRACE = str(pathlib.Path(__file__).parent / "data" / "arrival_trace.csv")
@@ -104,7 +102,7 @@ def _stream(seed, name="arrivals.test"):
 def test_rate_integral_matches_event_count(spec, rate, until, seed):
     process = parse_arrival(spec)
     n = sum(1 for _ in process.timestamps(rate, until, _stream(seed)))
-    lam = total_intensity(process.segments(rate, until, _stream(seed)))
+    lam = sum(s.area for s in process.segments(rate, until, _stream(seed)))
     assert abs(n - lam) <= 1.0 + 1e-6 * lam
 
 
@@ -199,6 +197,17 @@ def test_drift_hot_keys_stay_in_the_shifted_key_set(period, zipf, t, u, parallel
 # Invariant 6 — trace interpolation exact at knots
 # --------------------------------------------------------------------- #
 
+def _rate_at(segments, t):
+    """Oracle: the instantaneous rate at ``t``, linear inside a segment;
+    past the last segment the last rate holds (trace replay semantics)."""
+    for seg in segments:
+        if t < seg.t1:
+            if t <= seg.t0:
+                return seg.r0
+            return seg.r0 + (seg.r1 - seg.r0) * (t - seg.t0) / (seg.t1 - seg.t0)
+    return segments[-1].r1
+
+
 @settings(max_examples=250, deadline=None)
 @given(rate=RATES,
        knots=st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(0.0, 5.0)),
@@ -216,9 +225,9 @@ def test_trace_interpolation_exact_at_knots(rate, knots):
     until = times[-1] + 5.0
     segments = process.segments(rate, until, None)
     for t, r in rows:
-        assert rate_at(segments, t) == pytest.approx(rate * r, rel=1e-9)
+        assert _rate_at(segments, t) == pytest.approx(rate * r, rel=1e-9)
     # beyond the last knot the final rate holds
-    assert rate_at(segments, until) == pytest.approx(rate * rows[-1][1])
+    assert _rate_at(segments, until) == pytest.approx(rate * rows[-1][1])
 
 
 def test_trace_fixture_replays_with_hot_shifts():

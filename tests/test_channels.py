@@ -335,7 +335,7 @@ def _router_state(router):
     staged = {(edge_id, dst): router.staged_for(edge_id, dst)
               for edge_id in range(3) for dst in range(_SPLIT_PARALLELISM)}
     return (staged, router._n_ready, router.staged_records,
-            router.staged_bytes, router.blocked_keys)
+            router.staged_bytes, frozenset(router._blocked))
 
 
 def _drained(ready):

@@ -317,15 +317,15 @@ def test_line_never_regresses_when_execution_extends(seed):
     assert line2[B].checkpoint_id >= line1[B].checkpoint_id
 
 
-def test_compaction_never_moves_the_line_backwards():
+def test_compaction_never_moves_the_line_backwards(monkeypatch):
     """Observed recovery lines are monotone while chains compact."""
     from repro.dataflow.runtime import Job
     from repro.sim.costs import RuntimeConfig
     from tests.conftest import build_count_graph, make_event_log
 
     config = RuntimeConfig(checkpoint_interval=2.0, duration=16.0, warmup=2.0,
-                           failure_at=None, seed=3, state_backend="changelog",
-                           changelog_max_chain=1)
+                           failure_at=None, seed=3, state_backend="changelog")
+    monkeypatch.setattr("repro.dataflow.state.CHANGELOG_MAX_CHAIN", 1)
     log = make_event_log(300.0, 12.0, 3, seed=3)
     job = Job(build_count_graph(), "unc", 3, {"events": log}, config)
     observed: list[dict] = []

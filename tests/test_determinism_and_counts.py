@@ -95,4 +95,4 @@ def test_poll_never_returns_future_records(times, now):
         partition.append(t, i, 1)
     batch = partition.poll(0, now=now, max_records=1000)
     assert all(r.available_at <= now for r in batch)
-    assert len(batch) == partition.available_by(now)
+    assert len(batch) == partition.poll_end(0, now, len(partition))

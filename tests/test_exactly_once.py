@@ -81,12 +81,12 @@ def test_backends_differential_equivalence(protocol, failure_at):
 
 
 @pytest.mark.parametrize("protocol", ["unc", "cic"])
-def test_backends_differential_under_short_chains(protocol):
+def test_backends_differential_under_short_chains(protocol, monkeypatch):
     """Aggressive compaction (max_chain=1) must not change outcomes."""
+    monkeypatch.setattr("repro.dataflow.state.CHANGELOG_MAX_CHAIN", 1)
     job_full, res_full = run_count_job(protocol, failure_at=6.0)
     job_chg, res_chg = run_count_job(protocol, failure_at=6.0,
-                                     state_backend="changelog",
-                                     changelog_max_chain=1)
+                                     state_backend="changelog")
     assert canonical_state_bytes(job_full) == canonical_state_bytes(job_chg)
     assert res_full.metrics.recovery_lines == res_chg.metrics.recovery_lines
 

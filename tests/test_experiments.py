@@ -60,11 +60,14 @@ def test_run_query_cost_model_is_shorthand_for_a_config_carrying_it(monkeypatch)
 
 
 def test_get_mst_is_cached():
+    """The figures' MST search, fetched twice, simulates once."""
     runner = figures.get_runner()
-    first = figures.get_mst("q1", "none", QUICK.parallelism_grid[0], QUICK)
+    request = figures._mst_request("q1", "none", QUICK.parallelism_grid[0],
+                                   QUICK)
+    first = figures._fetch(request).mst
     assert runner.misses > 0
     misses = runner.misses
-    second = figures.get_mst("q1", "none", QUICK.parallelism_grid[0], QUICK)
+    second = figures._fetch(request).mst
     assert first == second
     assert runner.misses == misses  # the second search simulated nothing
 

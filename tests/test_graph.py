@@ -6,7 +6,6 @@ from repro.dataflow.graph import (
     GraphError,
     LogicalGraph,
     Partitioning,
-    iter_instance_keys,
 )
 from repro.dataflow.operators import MapOperator, SinkOperator, SourceOperator
 
@@ -135,13 +134,6 @@ def test_edge_ids_unique_and_sequential():
 def test_describe_mentions_operators_and_edges():
     text = simple_graph().describe()
     assert "src" in text and "map -> sink" in text
-
-
-def test_iter_instance_keys():
-    keys = list(iter_instance_keys(simple_graph(), 2))
-    assert keys == [
-        ("src", 0), ("src", 1), ("map", 0), ("map", 1), ("sink", 0), ("sink", 1)
-    ]
 
 
 def test_multi_input_ports():

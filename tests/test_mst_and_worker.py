@@ -78,9 +78,9 @@ def test_blocked_channel_buffers_and_releases_in_order():
     ]
     for m in msgs:
         arrive(job, channel, m)
-    assert worker.queued_tasks == 0  # all buffered
+    assert len(worker._tasks) == 0  # all buffered
     worker.unblock_channel(channel)
-    assert worker.queued_tasks in (2, 3)  # first may already be running
+    assert len(worker._tasks) in (2, 3)  # first may already be running
     # drain the simulated CPU and verify order via cursor
     job.sim.run()
     instance = job.channel_dst[channel]
@@ -93,7 +93,7 @@ def test_kill_clears_tasks_and_refuses_new_work():
     worker.kill()
     assert not worker.alive
     worker.enqueue(("flush",))
-    assert worker.queued_tasks == 0
+    assert len(worker._tasks) == 0
 
 
 def test_dead_worker_drops_deliveries():
@@ -104,7 +104,7 @@ def test_dead_worker_drops_deliveries():
     arrive(job, channel, Message(channel=channel, seq=1, kind=DATA,
                                  records=RecordBatch([], [], [], []),
                                  payload_bytes=0))
-    assert worker.queued_tasks == 0
+    assert len(worker._tasks) == 0
 
 
 def test_reset_for_recovery_clears_buffers():
@@ -117,7 +117,7 @@ def test_reset_for_recovery_clears_buffers():
                                  payload_bytes=0))
     worker.reset_for_recovery()
     assert worker.blocked == set()
-    assert worker.queued_tasks == 0
+    assert len(worker._tasks) == 0
 
 
 def test_marker_messages_bypass_data_queue():

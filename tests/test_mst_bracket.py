@@ -66,7 +66,6 @@ def test_effective_config_preserves_every_field():
     RuntimeConfig knob can never be silently dropped by probe runs."""
     base = RuntimeConfig(
         checkpoint_interval=2.5,
-        changelog_max_chain=2,
         unc_checkpoint_stateless=False,
         per_operator_schedules={"count": (2.0, 1.0)},
         unc_semantics="at-least-once",
@@ -150,7 +149,8 @@ def test_get_mst_raises_clearly_on_exhausted_bracket(monkeypatch):
     figures.set_runner(ParallelRunner(jobs=1))  # nothing memoised yet
     try:
         with pytest.raises(RuntimeError, match="exhausted its bracket") as err:
-            figures.get_mst("q1", "unc", 2, scale_by_name("quick"))
+            figures._fetch(figures._mst_request("q1", "unc", 2,
+                                                scale_by_name("quick")))
     finally:
         figures.set_runner(None)
     assert "q1/unc/p=2" in str(err.value)

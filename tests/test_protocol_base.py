@@ -54,7 +54,7 @@ def test_checkpoint_registry_orders_and_validates():
     reg.register(meta(cid=2))
     with pytest.raises(ValueError):
         reg.register(meta(cid=2))  # ids must strictly increase
-    assert [m.checkpoint_id for m in reg.for_instance(("op", 0))] == [1, 2]
+    assert [m.checkpoint_id for m in reg.with_initial(("op", 0))[1:]] == [1, 2]
     assert reg.latest(("op", 0)).checkpoint_id == 2
     assert reg.total() == 2
 
@@ -69,7 +69,7 @@ def test_registry_with_initial_prepends_virtual_checkpoint():
 
 def test_registry_unknown_instance():
     reg = CheckpointRegistry()
-    assert reg.for_instance(("ghost", 0)) == []
+    assert reg.with_initial(("ghost", 0))[1:] == []
     assert reg.latest(("ghost", 0)) is None
     assert reg.with_initial(("ghost", 0))[0].kind == "initial"
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro.dataflow.batch import RecordBatch
 from repro.dataflow.runtime import Job
 from repro.dataflow.state import (
+    CHANGELOG_MAX_CHAIN,
     ChainTracker,
     KeyedListState,
     KeyedMapState,
@@ -200,26 +201,26 @@ def test_list_base_plus_deltas_equals_direct_snapshot(ops):
 
 def test_create_state_backend():
     """A backend is a bound on the chain: none, or at least one delta."""
-    assert ChainTracker("full", 4, 64).max_chain == 0
-    assert ChainTracker("changelog", 7, 64).max_chain == 7
-    assert ChainTracker("changelog", 0, 64).max_chain == 1
+    assert ChainTracker("full", 64).max_chain == 0
+    assert ChainTracker("changelog", 64).max_chain == CHANGELOG_MAX_CHAIN == 4
     with pytest.raises(ValueError, match="unknown state backend 'rocksdb'"):
-        ChainTracker("rocksdb", 4, 64)
+        ChainTracker("rocksdb", 64)
     with pytest.raises(ValueError, match="known: .'changelog', 'full'."):
         Job(build_count_graph(), "unc", 2,
             {"events": make_event_log(10.0, 1.0, 2)},
             RuntimeConfig(state_backend="bogus"))
 
 
-@pytest.mark.parametrize("max_chain", [1, 2, 4])
-def test_chain_cadence_and_compaction_bound(max_chain):
+@pytest.mark.parametrize("max_chain", [1, 2, 3, 4])
+def test_chain_cadence_and_compaction_bound(max_chain, monkeypatch):
     """Blob metadata shows base / delta / ... / base with bounded chains.
 
     The collector deletes what the floor line leaves behind, so each
     checkpoint's blob is read while it is resident: as its metadata
     registers, when every link of its chain is resident too.
     """
-    job = _count_job("changelog", 16.0, changelog_max_chain=max_chain)
+    monkeypatch.setattr("repro.dataflow.state.CHANGELOG_MAX_CHAIN", max_chain)
+    job = _count_job("changelog", 16.0)
     store = job.coordinator.blobstore
     registered = []
 
@@ -236,7 +237,7 @@ def test_chain_cadence_and_compaction_bound(max_chain):
     job.coordinator.add_metadata_listener(check)
     job.run(rate=300.0, query_name="count")
     assert len(registered) == job.registry.total()
-    assert max(registered) > 0  # saw a delta
+    assert max(registered) == max_chain  # chains grew to the bound
     assert store.bytes_deleted > 0
 
 
@@ -246,7 +247,7 @@ def test_first_checkpoint_after_recovery_is_a_base():
     store = job.coordinator.blobstore
     detected = job.metrics.first_failure().detected_at
     for instance in job.instance_keys():
-        post = [m for m in job.registry.for_instance(instance)
+        post = [m for m in job.registry.with_initial(instance)[1:]
                 if m.started_at > detected]
         if post:
             first = min(post, key=lambda m: m.checkpoint_id)
@@ -254,14 +255,14 @@ def test_first_checkpoint_after_recovery_is_a_base():
             assert first.chain_length == 0
 
 
-def _count_job(backend: str, duration: float, **config) -> Job:
+def _count_job(backend: str, duration: float) -> Job:
     """The counting pipeline of ``run_count_job``, failure-free and not
     yet run."""
     return Job(build_count_graph(), "unc", 3,
                {"events": make_event_log(300.0, duration - 2.0, 3, seed=3)},
                RuntimeConfig(checkpoint_interval=3.0, duration=duration,
                              warmup=2.0, failure_at=None, seed=3,
-                             state_backend=backend, **config))
+                             state_backend=backend))
 
 
 def checkpoint_rids(store, blob_key):
@@ -368,7 +369,7 @@ def test_rid_snapshot_nodes():
 
 def _dedup_job(backend: str) -> Job:
     config = RuntimeConfig(duration=8.0, warmup=1.0, failure_at=None,
-                           state_backend=backend, changelog_max_chain=3)
+                           state_backend=backend)
     return Job(build_count_graph(), "unc", 2,
                {"events": make_event_log(10.0, 1.0, 2)}, config)
 

@@ -70,12 +70,13 @@ def test_poll_is_replayable_same_records():
 
 
 def test_available_by():
+    """A poll from offset 0 ends at the records available by ``now``."""
     p = Partition("t", 0)
     p.append(1.0, "a", 1)
     p.append(2.0, "b", 1)
-    assert p.available_by(0.5) == 0
-    assert p.available_by(1.0) == 1
-    assert p.available_by(9.0) == 2
+    assert p.poll_end(0, 0.5, len(p)) == 0
+    assert p.poll_end(0, 1.0, len(p)) == 1
+    assert p.poll_end(0, 9.0, len(p)) == 2
 
 
 def test_extend_bulk_append():
@@ -298,7 +299,7 @@ def test_partitioned_log_totals():
     log.partition(1).append(1.0, "b", 1)
     log.partition(1).append(2.0, "c", 1)
     assert len(log) == 3
-    assert log.total_available_by(1.5) == 2
+    assert sum(p.poll_end(0, 1.5, len(p)) for p in log.partitions) == 2
 
 
 # --------------------------------------------------------------------- #

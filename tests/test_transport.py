@@ -92,13 +92,13 @@ def test_blocked_key_skipped_by_gated_drains_but_forced_out():
     [(edge_id, dst, _, _)] = router.take_ready()
     router.route_batch(_batch([0, 0, 0]))
     router.block(edge_id, dst)
-    assert router.is_blocked(edge_id, dst)
+    assert (edge_id, dst) in router._blocked
     assert router.take_ready() == []          # blocked: gated drain skips
     assert router.take_all(gate=lambda *a: True) == []
     before = router.staged_records
     drained = router.take_edge(edge_id)       # forced: marker path
     assert sum(len(r) for _, _, r, _ in drained) == before
-    assert not router.is_blocked(edge_id, dst)
+    assert (edge_id, dst) not in router._blocked
     assert router.staged_records == 0
 
 
@@ -128,7 +128,7 @@ def test_ungated_take_all_drains_everything_and_settles_the_counters():
     assert all(nbytes == 40 * len(records) for _, _, records, nbytes in drained)
     assert (router.staged_records, router.staged_bytes, router._n_ready) \
         == (0, 0, 0)
-    assert router.blocked_keys == {(second, idle)}
+    assert router._blocked == {(second, idle)}
     router.route_batch(_batch([0, 0]))
     assert router._n_ready == 2 and router.staged_records == 4
     assert len(router.take_ready()) == 2
@@ -159,7 +159,7 @@ def test_send_all_is_the_ungated_take_all_without_the_list():
     for drained in routers:
         assert (drained.staged_records, drained.staged_bytes,
                 drained._n_ready) == (0, 0, 0)
-    assert router.blocked_keys == reference.blocked_keys == {idle}
+    assert router._blocked == reference._blocked == {idle}
 
 
 def test_gate_refusal_blocks_in_place():
@@ -167,12 +167,12 @@ def test_gate_refusal_blocks_in_place():
     router.route_batch(_batch([0, 0]))
     refused = router.take_ready(gate=lambda eid, dst, nbytes, nrecords: False)
     assert refused == []
-    [(eid, dst)] = list(router.blocked_keys)
+    [(eid, dst)] = list(router._blocked)
     assert router.staged_for(eid, dst)[0] == 80
     # credit returns: the whole buffer leaves as one message
     records, nbytes = router.take_channel(eid, dst)
     assert len(records) == 2 and nbytes == 80
-    assert router.staged_records == 0 and not router.blocked_keys
+    assert router.staged_records == 0 and not router._blocked
 
 
 @settings(max_examples=150, deadline=None)
@@ -233,7 +233,7 @@ def test_router_never_loses_or_duplicates_records(ops):
             collect(router.take_edge(edge.edge_id))
         else:
             dst = key % 3
-            if router.is_blocked(edge.edge_id, dst):
+            if (edge.edge_id, dst) in router._blocked:
                 taken = router.take_channel(edge.edge_id, dst)
                 if taken is not None:
                     records, nbytes = taken
