@@ -1,8 +1,4 @@
-"""Tests for per-operator checkpoint schedules (UNC configurability).
-
-The export half of this file went with ``repro.metrics.export``; the
-file keeps its name so the four schedule tests keep their ids.
-"""
+"""Tests for per-operator checkpoint schedules (UNC configurability)."""
 
 from repro.dataflow.runtime import Job
 from repro.sim.costs import RuntimeConfig
