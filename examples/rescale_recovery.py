@@ -9,7 +9,7 @@ at a different parallelism:
 
 * keyed state moves along its key groups (crc32 group -> owning instance),
 * the four input-log partitions re-spread over the new source instances,
-* in-flight messages are re-routed through the new partitioners,
+* in-flight messages are re-routed to their key groups' new owners,
 * a synthetic baseline checkpoint anchors the new topology's recoveries.
 
 Printed per (protocol, factor): restart time, recovery time, post-recovery

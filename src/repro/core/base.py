@@ -239,6 +239,9 @@ class CheckpointProtocol:
         """Hook at snapshot capture; returns extra CPU cost (e.g. markers)."""
         return 0.0
 
+    def on_metadata(self, meta: CheckpointMeta) -> None:
+        """A checkpoint's metadata reached the coordinator and registered."""
+
     # -- recovery ---------------------------------------------------------- #
 
     def build_recovery_plan(self, now: float) -> RecoveryPlan:

@@ -66,8 +66,7 @@ class CoordinatedProtocol(CheckpointProtocol):
     # ------------------------------------------------------------------ #
 
     def on_job_start(self) -> None:
-        """Subscribe to checkpoint metadata and start the round timer."""
-        self.job.coordinator.add_metadata_listener(self._on_metadata)
+        """Start the round timer."""
         self.job.sim.schedule(self.job.checkpoint_interval_now(), self._round_tick)
 
     def _round_tick(self) -> None:
@@ -129,7 +128,8 @@ class CoordinatedProtocol(CheckpointProtocol):
     # Round completion
     # ------------------------------------------------------------------ #
 
-    def _on_metadata(self, meta: CheckpointMeta) -> None:
+    def on_metadata(self, meta: CheckpointMeta) -> None:
+        """Count a round's durable checkpoints; complete it on the last."""
         if meta.kind != KIND_COOR or meta.round_id not in self._round_durable:
             return
         round_id = meta.round_id

@@ -80,11 +80,6 @@ class ChannelLog:
         """Number of logged messages."""
         return len(self.ends)
 
-    @property
-    def seqs(self) -> list[int]:
-        """The retained messages' sequence numbers, oldest first."""
-        return list(range(self.next_seq - len(self.ends), self.next_seq))
-
     def _through(self, seq: int) -> int:
         """How many retained messages have a sequence number ``<= seq``."""
         kept = len(self.ends)

@@ -145,11 +145,8 @@ class UncoordinatedProtocol(CheckpointProtocol):
         return None, phase
 
     def on_job_start(self) -> None:
-        """Install one local checkpoint timer per participating instance,
-        and collect the send log as checkpoints register."""
+        """Install one local checkpoint timer per participating instance."""
         self._reset_floor()
-        if self.logs_messages:
-            self.job.coordinator.add_metadata_listener(self._on_metadata)
         self._start_timers()
 
     def _start_timers(self) -> None:
@@ -203,10 +200,12 @@ class UncoordinatedProtocol(CheckpointProtocol):
                       for key in self.job.instance_keys()}
         self._registrations_left = len(self.floor)
 
-    def _on_metadata(self, meta: CheckpointMeta) -> None:
+    def on_metadata(self, meta: CheckpointMeta) -> None:
         """Once per round of registrations (as many as the deployment has
         instances), raise the floor line, truncate the logs below it and
-        collect the checkpoints below it."""
+        collect the checkpoints below it — only where messages are logged."""
+        if not self.logs_messages:
+            return
         self._registrations_left -= 1
         if not self._registrations_left:
             self._registrations_left = len(self.floor)

@@ -1,4 +1,4 @@
-"""Channels, messages, partitioners and outbound batching.
+"""Channels, messages, key routing and outbound batching.
 
 A *channel* is the FIFO link between one producer instance and one consumer
 instance of an edge: ``ChannelId = (edge_id, src_index, dst_index)``.  The
@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.dataflow.batch import RecordBatch
-from repro.dataflow.graph import EdgeSpec, GraphError, Partitioning
-from repro.dataflow.keygroups import DEFAULT_MAX_KEY_GROUPS, key_group
-from repro.dataflow.records import StreamRecord
+from repro.dataflow.graph import EdgeSpec, Partitioning
+from repro.dataflow.keygroups import key_group
 
 ChannelId = tuple[int, int, int]
 
@@ -74,7 +73,10 @@ def hash_key(key: Any) -> int:
 class KeyDestinations:
     """``routing key -> destination instance`` for one key-space shape.
 
-    The mapping ``group_owner(key_group(hash_key(key), G), p, G)`` is a
+    KEY edges route in two hops, ``key -> crc32 group -> owning
+    instance`` (:mod:`repro.dataflow.keygroups`), so a rescaled
+    deployment moves group ranges and never re-hashes a key.  The mapping
+    ``group_owner(key_group(hash_key(key), G), p, G)`` is a
     pure function of the key and of ``(p, G)``, so it is derived once per
     distinct key *per process* — not once per router per run: every
     router of every job deployed at the same shape reads the one table
@@ -132,35 +134,6 @@ def key_destinations(parallelism: int,
     return table
 
 
-class Partitioner:
-    """Maps an output record to destination instance indices for one edge.
-
-    KEY edges route in two hops — ``key -> crc32 group -> owning instance``
-    (:mod:`repro.dataflow.keygroups`) — so the same record lands on whoever
-    owns its group at the *current* parallelism; a rescaled deployment only
-    moves group ranges, never re-hashes keys.
-    """
-
-    def __init__(self, edge: EdgeSpec, parallelism: int,
-                 max_key_groups: int = DEFAULT_MAX_KEY_GROUPS) -> None:
-        self.edge = edge
-        self.parallelism = parallelism
-        self.max_key_groups = max_key_groups
-
-    def destinations(self, src_index: int, record: StreamRecord) -> list[int]:
-        """Destination instance indices for one record on this edge."""
-        mode = self.edge.partitioning
-        if mode is Partitioning.FORWARD:
-            return [src_index]
-        if mode is Partitioning.KEY:
-            key = self.edge.key_fn(record.payload)
-            group = key_group(hash_key(key), self.max_key_groups)
-            return [group * self.parallelism // self.max_key_groups]
-        if mode is Partitioning.BROADCAST:
-            return list(range(self.parallelism))
-        raise GraphError(f"unhandled partitioning {mode}")
-
-
 class RouterBuffer:
     """Outbound batching for one producer instance.
 
@@ -200,8 +173,8 @@ class RouterBuffer:
     __slots__ = ("_batch_max", "_by_edge", "_plans", "_staged", "_n_ready",
                  "_blocked")
 
-    def __init__(self, edges: list[EdgeSpec], partitioners: dict[int, Partitioner],
-                 src_index: int, batch_max: int) -> None:
+    def __init__(self, edges: list[EdgeSpec], src_index: int, parallelism: int,
+                 max_key_groups: int, batch_max: int) -> None:
         self._batch_max = batch_max
         #: edge_id -> dst -> staged batch (created lazily per dst)
         self._by_edge: dict[int, dict[int, RecordBatch]] = {
@@ -214,16 +187,14 @@ class RouterBuffer:
         self._plans: list[tuple[int, dict, tuple[int, ...] | None, Any,
                                Any, Any]] = []
         for edge in edges:
-            partitioner = partitioners[edge.edge_id]
             static: tuple[int, ...] | None = None
             lookup = derive = None
             if edge.partitioning is Partitioning.FORWARD:
                 static = (src_index,)
             elif edge.partitioning is Partitioning.BROADCAST:
-                static = tuple(range(partitioner.parallelism))
+                static = tuple(range(parallelism))
             else:
-                table = key_destinations(partitioner.parallelism,
-                                         partitioner.max_key_groups)
+                table = key_destinations(parallelism, max_key_groups)
                 lookup, derive = table.entries.get, table.derive
             self._plans.append(
                 (edge.edge_id, self._by_edge[edge.edge_id], static,
@@ -458,12 +429,6 @@ class RouterBuffer:
     def staged_records(self) -> int:
         """Records currently staged across all buffers."""
         return self._staged
-
-    @property
-    def staged_bytes(self) -> int:
-        """Bytes currently staged across all buffers (summed on demand)."""
-        return sum(sum(records.sizes) for buffers in self._by_edge.values()
-                   for records in buffers.values())
 
     def clear(self) -> None:
         """Drop every staged buffer (rollback/rescale reset)."""

@@ -27,12 +27,6 @@ class Coordinator:
         self.job = job
         self.registry = CheckpointRegistry()
         self.blobstore = BlobStore()
-        #: callbacks invoked when a checkpoint's metadata arrives
-        self._metadata_listeners: list[Callable[[CheckpointMeta], None]] = []
-
-    def add_metadata_listener(self, fn: Callable[[CheckpointMeta], None]) -> None:
-        """Subscribe to durable-checkpoint metadata arrivals."""
-        self._metadata_listeners.append(fn)
 
     # ------------------------------------------------------------------ #
     # Control-plane messaging (byte-accounted)
@@ -60,8 +54,7 @@ class Coordinator:
         if epoch != self.job.epoch:
             return  # taken before a rollback that abandoned it
         self.registry.register(meta)
-        for listener in self._metadata_listeners:
-            listener(meta)
+        self.job.protocol.on_metadata(meta)
 
     def send_control_to_worker(self, worker_index: int, size_bytes: int,
                                fn: Callable[[], None]) -> None:

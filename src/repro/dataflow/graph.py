@@ -129,11 +129,6 @@ class LogicalGraph:
         """Operator specs marked as sources."""
         return [spec for spec in self.operators.values() if spec.is_source]
 
-    def sinks(self) -> list[OperatorSpec]:
-        """Operators with no outgoing edges."""
-        with_out = {e.src for e in self.edges}
-        return [spec for spec in self.operators.values() if spec.name not in with_out]
-
     def operator_order(self) -> list[str]:
         """Stable order of operator names (insertion order)."""
         return list(self.operators)

@@ -62,12 +62,6 @@ def group_owner(group: int, parallelism: int, max_key_groups: int) -> int:
     return group * parallelism // max_key_groups
 
 
-def assignment(parallelism: int, max_key_groups: int) -> list[range]:
-    """All group ranges, by instance index (a partition of ``[0, G)``)."""
-    return [group_range(i, parallelism, max_key_groups)
-            for i in range(parallelism)]
-
-
 def validate_key_space(parallelism: int, max_key_groups: int,
                        context: str = "deployment") -> None:
     """Reject deployments that cannot spread groups over all instances."""

@@ -17,9 +17,9 @@ from typing import TYPE_CHECKING
 
 from repro.core.base import CheckpointMeta, InstanceKey, RecoveryPlan
 from repro.dataflow.batch import RecordBatch, group_indices
-from repro.dataflow.channels import ChannelId, DATA, Message, Partitioner, hash_key
+from repro.dataflow.channels import ChannelId, DATA, Message, key_destinations
 from repro.dataflow.graph import Partitioning, validate_rescale
-from repro.dataflow.keygroups import group_range, key_group
+from repro.dataflow.keygroups import group_range
 from repro.dataflow.worker import InstanceRuntime, WorkerRuntime, folded_snapshot
 from repro.metrics.collectors import KIND_INITIAL, KIND_RESCALE, RecoveryRecord
 
@@ -67,8 +67,8 @@ class LifecycleManager:
         )
 
     def wire_topology(self) -> None:
-        """Deploy instances, partitioners, routers and channels at the
-        job's current parallelism (initial deploy and rescaled redeploys)."""
+        """Deploy instances, routers and channels at the job's current
+        parallelism (initial deploy and rescaled redeploys)."""
         from repro.dataflow.channels import RouterBuffer
 
         job = self.job
@@ -76,17 +76,13 @@ class LifecycleManager:
             for idx in range(job.parallelism):
                 job.workers[idx].instances[name] = InstanceRuntime(
                     job, spec, idx, job.workers[idx])
-        for edge in job.graph.edges:
-            job._partitioners[edge.edge_id] = Partitioner(
-                edge, job.parallelism, job.max_key_groups
-            )
         for worker in job.workers:
             for instance in worker.instances.values():
                 out_edges = job.graph.out_edges(instance.op_name)
                 instance.out_edges = out_edges
                 instance.router = RouterBuffer(
-                    out_edges, job._partitioners, instance.index,
-                    job.cost.batch_max_records,
+                    out_edges, instance.index, job.parallelism,
+                    job.max_key_groups, job.cost.batch_max_records,
                 )
                 for edge in job.graph.in_edges(instance.op_name):
                     instance.in_port_by_edge[edge.edge_id] = edge.port
@@ -322,7 +318,7 @@ class LifecycleManager:
         The checkpoints of the line were taken by ``p_old`` instances; the
         replacement deployment runs ``p_new``.  Keyed state moves along its
         key groups, source cursors along their input partitions, replayed
-        in-flight records are re-routed through the new partitioners, and a
+        in-flight records are re-routed to the groups' new owners, and a
         synthetic baseline checkpoint per new instance becomes the recovery
         floor of the new topology (everything older describes instances
         that no longer exist).
@@ -403,7 +399,6 @@ class LifecycleManager:
         job.send_log.clear()
         job.transport.reset()
         job.channel_dst.clear()
-        job._partitioners = {}
         job.workers = [WorkerRuntime(job, i) for i in range(p_new)]
         self.wire_topology()
         for name, spec in job.graph.operators.items():
@@ -428,7 +423,9 @@ class LifecycleManager:
         """
         job = self.job
         edges_by_id = {edge.edge_id: edge for edge in job.graph.edges}
-        groups = job.max_key_groups
+        # the new shape's routing table, probed as a router probes it
+        table = key_destinations(p_new, job.max_key_groups)
+        entries, derive = table.entries, table.derive
         buckets: dict[tuple[int, int, int], RecordBatch] = {}
         for channel in sorted(plan.replay):
             edge = edges_by_id[channel[0]]
@@ -438,8 +435,8 @@ class LifecycleManager:
                 if not batch:
                     continue
                 if edge.partitioning is Partitioning.KEY:
-                    dsts = [key_group(hash_key(edge.key_fn(p)), groups)
-                            * p_new // groups for p in batch.payloads]
+                    dsts = [entries[key] if key in entries else derive(key)
+                            for key in map(edge.key_fn, batch.payloads)]
                     for dst, idxs in group_indices(dsts).items():
                         buckets.setdefault(
                             (edge.edge_id, src, dst),

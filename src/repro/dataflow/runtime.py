@@ -33,7 +33,7 @@ from typing import Any
 from repro.core.base import CheckpointMeta, CheckpointRegistry, create_protocol
 from repro.core.recovery import ChannelLog
 from repro.dataflow.batch import RecordBatch
-from repro.dataflow.channels import ChannelId, Partitioner
+from repro.dataflow.channels import ChannelId
 from repro.dataflow.coordinator import Coordinator
 from repro.dataflow.graph import (
     EdgeSpec,
@@ -164,7 +164,6 @@ class Job:
         #: checkpoint blob, oldest first (:meth:`collect_below` frees them)
         self.resident: dict[InstanceKey, list[tuple[str, dict[str, Any]]]] = {}
         self.channel_dst: dict[ChannelId, InstanceRuntime] = {}
-        self._partitioners: dict[int, Partitioner] = {}
         #: :meth:`_enqueue_poll` bound once: the callback every poll
         #: reschedule pushes (:meth:`release` clears it with the rest)
         self._poll_callback = self._enqueue_poll

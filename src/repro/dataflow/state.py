@@ -34,9 +34,10 @@ def _state_key_group(key: Any, max_key_groups: int) -> int:
     """Key group of a keyed-state entry (same mapping as KEY routing).
 
     Rescaled restores split keyed snapshots along this mapping, so it must
-    agree with :class:`~repro.dataflow.channels.Partitioner`: for operators
-    whose state keys equal their routing keys (every keyed operator in the
-    workload library) a group's state always lives where its records land.
+    agree with :class:`~repro.dataflow.channels.KeyDestinations`, which
+    routes KEY edges: for operators whose state keys equal their routing
+    keys (every keyed operator in the workload library) a group's state
+    always lives where its records land.
     """
     from repro.dataflow.channels import hash_key
     from repro.dataflow.keygroups import key_group

@@ -568,10 +568,6 @@ class RunHandle:
         self._error: RunFailed | None = None
         self._done = False
 
-    def done(self) -> bool:
-        """Has the result (or the failure) landed?"""
-        return self._done
-
     def result(self) -> Any:
         """The resolved value, draining the scheduler until it lands.
 

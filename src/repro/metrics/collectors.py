@@ -328,10 +328,3 @@ class MetricsCollector:
         return sum(
             count for second, count in self.sink_counts.items() if start <= second < end
         )
-
-    def throughput(self, start: float, end: float) -> float:
-        """Average sink records/second over [start, end)."""
-        span = end - start
-        if span <= 0:
-            return 0.0
-        return self.total_sink_records(start, end) / span

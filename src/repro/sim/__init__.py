@@ -7,7 +7,7 @@ clock time, which is what lets the benchmark harness sweep the paper's
 parameter grid on a laptop.
 """
 
-from repro.sim.events import EventHandle, EventQueue
+from repro.sim.events import EventQueue
 from repro.sim.simulator import Simulator
 from repro.sim.costs import CostModel
 from repro.sim.rng import RngRegistry
@@ -22,7 +22,6 @@ from repro.sim.failure import (
 )
 
 __all__ = [
-    "EventHandle",
     "EventQueue",
     "Simulator",
     "CostModel",

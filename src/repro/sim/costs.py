@@ -132,15 +132,11 @@ class CostModel:
         """Asynchronous upload duration until the store acks durability."""
         return self.blob_latency + size_bytes / self.blob_bandwidth
 
-    def blob_restore_delay(self, size_bytes: int) -> float:
-        """Duration to fetch a checkpoint blob during restart."""
-        return self.blob_latency + size_bytes / self.blob_bandwidth
-
     def chain_restore_delay(self, total_bytes: int, n_blobs: int) -> float:
         """Duration to fetch and materialize a base+delta checkpoint chain.
 
-        ``n_blobs == 1`` degenerates to :meth:`blob_restore_delay`, so the
-        full-snapshot backend pays exactly what it always did.
+        ``n_blobs == 1`` is one blob's fetch, latency plus bytes over
+        bandwidth: what the full-snapshot backend pays.
         """
         return (
             n_blobs * self.blob_latency

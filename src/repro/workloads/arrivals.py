@@ -156,9 +156,9 @@ class ArrivalProcess:
     """Base arrival process: shaped timestamps plus hot-key placement.
 
     Subclasses implement :meth:`segments` (the piecewise-linear rate
-    profile) and may override :meth:`timestamps` (exact closed forms),
-    :meth:`pick_hot_keys` / :meth:`hot_seed_keys` (key-popularity drift)
-    and :meth:`uses_rng` (whether :meth:`timestamps` consumes draws).
+    profile) and may override :meth:`timestamps` (exact closed forms)
+    and :meth:`pick_hot_keys` / :meth:`hot_seed_keys` (key-popularity
+    drift).  Only :class:`MmppArrivals` draws from the ``rng`` stream.
     """
 
     #: spec-grammar kind (``steady``, ``diurnal``, ...)
@@ -174,10 +174,6 @@ class ArrivalProcess:
         """Per-event timestamps in ``[0, until]``, nondecreasing."""
         return emit_timestamps(self.segments(mean_rate, until, rng))
 
-    def uses_rng(self) -> bool:
-        """Does :meth:`timestamps`/:meth:`segments` consume RNG draws?"""
-        return False
-
     def pick_hot_keys(self, times: Sequence[float],
                       draws: NDArray[numpy.float64], hot_keys: list[int],
                       parallelism: int) -> list[int]:
@@ -189,10 +185,6 @@ class ArrivalProcess:
         ``hot_keys``, all routed to worker 0.
         """
         return _uniform_picks(draws, hot_keys).tolist()
-
-    def hot_weights(self, t: float, num_hot: int) -> list[float]:
-        """Popularity weights over hot-key ranks at ``t`` (sum to 1)."""
-        return [1.0 / num_hot] * num_hot
 
     def hot_seed_keys(self, hot_keys: list[int],
                       parallelism: int) -> list[int]:
@@ -361,10 +353,6 @@ class MmppArrivals(ArrivalProcess):
         self.dwell_low = dwell_low
         self.dwell_high = dwell_high
 
-    def uses_rng(self) -> bool:
-        """Dwell times are drawn from the arrival stream."""
-        return True
-
     def segments(self, mean_rate: float, until: float,
                  rng: random.Random) -> list[RateSegment]:
         """Piecewise-constant segments following the modulating chain."""
@@ -424,12 +412,6 @@ class DriftArrivals(ArrivalProcess):
         raw = [(i + 1) ** -self.zipf for i in range(num_hot)]
         total = sum(raw)
         return [w / total for w in raw]
-
-    def hot_weights(self, t: float, num_hot: int) -> list[float]:
-        """Zipf weights over ranks, rotated by the phase at ``t``."""
-        weights = self._zipf_weights(num_hot)
-        rot = int(((t / self.period) % 1.0) * num_hot) % num_hot
-        return weights[-rot:] + weights[:-rot] if rot else weights
 
     def pick_hot_keys(self, times: Sequence[float],
                       draws: NDArray[numpy.float64], hot_keys: list[int],

@@ -13,6 +13,7 @@ fails with an actionable message.
 
 import math
 import pathlib
+from collections import Counter
 
 import numpy
 import pytest
@@ -138,7 +139,7 @@ def test_determinism_across_fresh_streams(spec, rate, until, seed):
        seed_a=SEEDS, seed_b=SEEDS)
 def test_rng_free_processes_ignore_the_stream(spec, rate, until, seed_a, seed_b):
     process = parse_arrival(spec)
-    if process.uses_rng():
+    if process.kind == "mmpp":
         return  # only mmpp consumes draws; its dependence is the point
     a = list(process.timestamps(rate, until, _stream(seed_a)))
     b = list(process.timestamps(rate, until, _stream(seed_b, "other.name")))
@@ -171,12 +172,17 @@ def test_segments_tile_window_with_nonnegative_rates(spec, rate, until, seed):
        num_hot=st.integers(1, 8))
 def test_drift_preserves_total_key_mass(period, zipf, t_a, t_b, num_hot):
     process = DriftArrivals(period=period, zipf=zipf)
-    w_a = process.hot_weights(t_a, num_hot)
-    w_b = process.hot_weights(t_b, num_hot)
-    assert math.isclose(sum(w_a), 1.0, rel_tol=1e-9)
-    assert math.isclose(sum(w_b), 1.0, rel_tol=1e-9)
-    # the profile rotates but never gains or loses mass on any rank
-    assert sorted(w_a) == pytest.approx(sorted(w_b))
+    assert math.isclose(sum(process._zipf_weights(num_hot)), 1.0,
+                        rel_tol=1e-9)
+    # the same evenly spread draws at two instants: the profile rotates
+    # and shifts which keys are hot, but every key's share of the draws
+    # is some rank's share at both, so the multiset of shares is equal
+    hot_keys = [4 * (i + 1) for i in range(num_hot)]
+    draws = (numpy.arange(1000) + 0.5) / 1000
+    shares = [sorted(Counter(process.pick_hot_keys(
+        [t] * len(draws), draws, hot_keys, 4)).values()) for t in (t_a, t_b)]
+    assert shares[0] == shares[1]
+    assert sum(shares[0]) == len(draws)
 
 
 @settings(max_examples=250, deadline=None)

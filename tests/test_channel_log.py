@@ -86,7 +86,8 @@ def test_channel_log_replays_what_the_message_list_replays(ops):
             after, through = sorted((seq - back, seq - other))
             assert_same_messages(log.window(CH, after, through),
                                  oracle.window(CH, after, through))
-        assert log.seqs == oracle.seqs
+        assert list(range(log.next_seq - len(log), log.next_seq)) \
+            == oracle.seqs
         assert len(log) == len(oracle)
     assert_same_messages(log.window(CH, -1, seq), oracle.messages)
     # a batch the log kept as its own segment is never trimmed
@@ -103,7 +104,7 @@ def test_a_gap_in_the_seqs_is_refused():
     log.drop_after(0)  # a rollback to before the first message
     assert len(log) == 0 and log.next_seq == 1
     log.append(Message(CH, 1, DATA, records, 4))
-    assert log.seqs == [1]
+    assert (log.next_seq, len(log)) == (2, 1)
 
 
 def test_long_messages_are_kept_short_ones_copied():

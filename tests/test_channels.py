@@ -7,11 +7,11 @@ from repro.dataflow.batch import RecordBatch
 from repro.dataflow.channels import (
     DATA,
     Message,
-    Partitioner,
     RouterBuffer,
     hash_key,
 )
 from repro.dataflow.graph import EdgeSpec, Partitioning
+from repro.dataflow.keygroups import DEFAULT_MAX_KEY_GROUPS
 from repro.dataflow.records import StreamRecord
 
 
@@ -25,6 +25,15 @@ def batch(*keys: int) -> RecordBatch:
 
 def make_edge(partitioning, key_fn=None, edge_id=0):
     return EdgeSpec(edge_id, "a", "b", partitioning, key_fn, "in")
+
+
+def routed_dsts(edge, src_index, parallelism, record,
+                groups=DEFAULT_MAX_KEY_GROUPS):
+    """The destinations one record lands on, routed alone through a
+    router of ``edge``."""
+    router = RouterBuffer([edge], src_index, parallelism, groups, 1000)
+    router.route_batch(RecordBatch.from_records([record]))
+    return [dst for _, dst, _, _ in router.take_all()]
 
 
 # --------------------------------------------------------------------- #
@@ -56,25 +65,23 @@ def test_hash_key_rejects_unhashable_types():
 @given(st.integers(min_value=0), st.integers(min_value=1, max_value=64))
 def test_int_keys_route_deterministically(key, parallelism):
     edge = make_edge(Partitioning.KEY, key_fn=lambda p: p)
-    part = Partitioner(edge, parallelism)
     record = rec(key)
-    dest = part.destinations(0, record)
-    assert dest == part.destinations(3, record)  # source index irrelevant
+    dest = routed_dsts(edge, 0, parallelism, record)
+    assert dest == routed_dsts(edge, 3, parallelism, record)  # source index irrelevant
     assert 0 <= dest[0] < parallelism
 
 
 # --------------------------------------------------------------------- #
-# Partitioner
+# Destinations per partitioning
 # --------------------------------------------------------------------- #
 
 def test_forward_routes_to_same_index():
-    part = Partitioner(make_edge(Partitioning.FORWARD), 4)
-    assert part.destinations(2, rec(99)) == [2]
+    assert routed_dsts(make_edge(Partitioning.FORWARD), 2, 4, rec(99)) == [2]
 
 
 def test_broadcast_routes_everywhere():
-    part = Partitioner(make_edge(Partitioning.BROADCAST), 3)
-    assert part.destinations(0, rec(1)) == [0, 1, 2]
+    assert routed_dsts(make_edge(Partitioning.BROADCAST), 0, 3, rec(1)) \
+        == [0, 1, 2]
 
 
 def test_key_routing_follows_key_groups():
@@ -82,10 +89,9 @@ def test_key_routing_follows_key_groups():
     from repro.dataflow.keygroups import group_owner, group_range, key_group
 
     parallelism, groups = 10, 128
-    part = Partitioner(make_edge(Partitioning.KEY, key_fn=lambda p: p),
-                       parallelism, max_key_groups=groups)
+    edge = make_edge(Partitioning.KEY, key_fn=lambda p: p)
     for key in (0, 25, 30, 127, 128, 10**9):
-        (dst,) = part.destinations(0, rec(key))
+        (dst,) = routed_dsts(edge, 0, parallelism, rec(key), groups)
         group = key_group(hash_key(key), groups)
         assert dst == group_owner(group, parallelism, groups)
         assert group in group_range(dst, parallelism, groups)
@@ -97,7 +103,7 @@ def test_key_routing_follows_key_groups():
 
 def make_router(batch_max=3, partitioning=Partitioning.KEY):
     edge = make_edge(partitioning, key_fn=(lambda p: p) if partitioning is Partitioning.KEY else None)
-    return RouterBuffer([edge], {0: Partitioner(edge, 2)}, src_index=0, batch_max=batch_max), edge
+    return RouterBuffer([edge], 0, 2, DEFAULT_MAX_KEY_GROUPS, batch_max), edge
 
 
 def test_router_batches_until_threshold():
@@ -123,11 +129,7 @@ def test_router_take_all_flushes_partial():
 def test_router_take_edge_only_flushes_that_edge():
     edge0 = make_edge(Partitioning.FORWARD, edge_id=0)
     edge1 = make_edge(Partitioning.FORWARD, edge_id=1)
-    router = RouterBuffer(
-        [edge0, edge1],
-        {0: Partitioner(edge0, 2), 1: Partitioner(edge1, 2)},
-        src_index=0, batch_max=100,
-    )
+    router = RouterBuffer([edge0, edge1], 0, 2, DEFAULT_MAX_KEY_GROUPS, 100)
     router.route_batch(batch(5))
     drained = router.take_edge(0)
     assert len(drained) == 1
@@ -138,11 +140,7 @@ def test_router_routes_to_all_outgoing_edges():
     """An operator's output stream feeds every outgoing edge."""
     edge0 = make_edge(Partitioning.FORWARD, edge_id=0)
     edge1 = make_edge(Partitioning.FORWARD, edge_id=1)
-    router = RouterBuffer(
-        [edge0, edge1],
-        {0: Partitioner(edge0, 2), 1: Partitioner(edge1, 2)},
-        src_index=1, batch_max=1,
-    )
+    router = RouterBuffer([edge0, edge1], 1, 2, DEFAULT_MAX_KEY_GROUPS, 1)
     router.route_batch(batch(9))
     ready = router.take_ready()
     assert {(e, d) for e, d, _, _ in ready} == {(0, 1), (1, 1)}
@@ -179,10 +177,7 @@ _ROUTING_KEYS = [
 
 def _key_router(parallelism, groups=128, batch_max=1000):
     edge = make_edge(Partitioning.KEY, key_fn=lambda p: p)
-    router = RouterBuffer(
-        [edge], {0: Partitioner(edge, parallelism, max_key_groups=groups)},
-        src_index=0, batch_max=batch_max)
-    return router
+    return RouterBuffer([edge], 0, parallelism, groups, batch_max)
 
 
 def _routed(router, keys):
@@ -319,9 +314,8 @@ def _three_edge_router(batch_max, blocked):
     edges = [make_edge(Partitioning.KEY, key_fn=lambda p: p, edge_id=0),
              make_edge(Partitioning.FORWARD, edge_id=1),
              make_edge(Partitioning.BROADCAST, edge_id=2)]
-    router = RouterBuffer(
-        edges, {e.edge_id: Partitioner(e, _SPLIT_PARALLELISM) for e in edges},
-        src_index=1, batch_max=batch_max)
+    router = RouterBuffer(edges, 1, _SPLIT_PARALLELISM, DEFAULT_MAX_KEY_GROUPS,
+                          batch_max)
     for edge_id, dst in blocked:
         router.block(edge_id, dst)
     return router
@@ -335,7 +329,7 @@ def _router_state(router):
     staged = {(edge_id, dst): router.staged_for(edge_id, dst)
               for edge_id in range(3) for dst in range(_SPLIT_PARALLELISM)}
     return (staged, router._n_ready, router.staged_records,
-            router.staged_bytes, frozenset(router._blocked))
+            frozenset(router._blocked))
 
 
 def _drained(ready):
@@ -359,7 +353,7 @@ def _drained(ready):
 def test_route_batch_is_split_invariant(rows, cuts, batch_max, blocked):
     """Property: a batch routed whole, cut at arbitrary points, or record
     by record leaves identical buffers (contents and destination creation
-    order), ``_n_ready``, ``staged_records`` and ``staged_bytes`` — with
+    order), ``_n_ready`` and ``staged_records`` — with
     parked ``(edge, dst)`` keys and zero-size records in play — and the
     same ``take_ready`` messages, then the same ``take_all`` messages, so
     sequence numbers and checkpoint cursors do not depend on how a
@@ -382,16 +376,15 @@ def test_route_batch_is_split_invariant(rows, cuts, batch_max, blocked):
         ready = _drained(router.take_ready())
         after = _router_state(router)
         drains[name] = (ready, after, _drained(router.take_all()))
-        assert _router_state(router)[1:4] == (0, 0, 0)
+        assert _router_state(router)[1:3] == (0, 0)
     assert states["cut"] == states["whole"]
     assert states["singletons"] == states["whole"]
     assert drains["cut"] == drains["whole"]
     assert drains["singletons"] == drains["whole"]
     # the counters are the truth about the buffers, not just consistent
-    staged, n_ready, staged_records, staged_bytes, _ = states["whole"]
+    staged, n_ready, staged_records, _ = states["whole"]
     assert staged_records == sum(n for _, n in staged.values()) == len(
         records) * (2 + _SPLIT_PARALLELISM)
-    assert staged_bytes == sum(nbytes for nbytes, _ in staged.values())
     assert n_ready == sum(1 for pair, (_, n) in staged.items()
                           if n >= batch_max and pair not in blocked)
     # and every record staged leaves by one drain or the other

@@ -32,13 +32,16 @@ def test_metadata_arrives_after_network_delay():
 
 
 def test_metadata_listeners_invoked_in_order():
+    """The protocol hears of each checkpoint in arrival order, once it
+    is in the registry."""
     job = make_job()
     calls = []
-    job.coordinator.add_metadata_listener(lambda m: calls.append(("a", m.checkpoint_id)))
-    job.coordinator.add_metadata_listener(lambda m: calls.append(("b", m.checkpoint_id)))
-    job.coordinator.send_metadata(meta())
+    job.protocol.on_metadata = lambda m: calls.append(
+        (m.checkpoint_id, job.registry.total()))
+    job.coordinator.send_metadata(meta(1))
+    job.coordinator.send_metadata(meta(2))
     job.sim.run()
-    assert calls == [("a", 1), ("b", 1)]
+    assert calls == [(1, 1), (2, 2)]
 
 
 def test_metadata_message_bytes_are_counted():

@@ -72,7 +72,7 @@ def test_out_and_in_edges():
 def test_sources_and_sinks():
     g = simple_graph()
     assert [s.name for s in g.sources()] == ["src"]
-    assert [s.name for s in g.sinks()] == ["sink"]
+    assert [name for name in g.operators if not g.out_edges(name)] == ["sink"]
 
 
 def test_operator_order_is_insertion_order():

@@ -7,7 +7,6 @@ from repro.dataflow.channels import hash_key
 from repro.dataflow.graph import GraphError
 from repro.dataflow.keygroups import (
     DEFAULT_MAX_KEY_GROUPS,
-    assignment,
     group_owner,
     group_range,
     key_group,
@@ -20,7 +19,8 @@ from repro.dataflow.keygroups import (
 def test_assignment_is_balanced_contiguous_partition(parallelism, max_groups):
     """For all (groups, p): ranges are contiguous, cover [0, G) exactly
     once, and their sizes differ by at most one."""
-    ranges = assignment(parallelism, max_groups)
+    ranges = [group_range(i, parallelism, max_groups)
+              for i in range(parallelism)]
     assert len(ranges) == parallelism
     # contiguous cover: each range starts where the previous ended
     assert ranges[0].start == 0

@@ -522,7 +522,7 @@ def _duplicate_of_a_pending_key(entry, jobs, tmp_path):
     # pending there, and the duplicate is a memo hit
     with ParallelRunner(jobs=jobs) as runner:
         pending = runner.submit(_short())
-        assert pending.done() == (jobs == 1)
+        assert pending._done == (jobs == 1)
         assert _enter(runner, entry, _short()) is pending.result()
         return runner
 

@@ -8,8 +8,9 @@ from repro.core.base import CheckpointMeta, initial_checkpoint
 from repro.core.checkpoint_graph import CheckpointGraph, maximal_consistent_line
 from repro.core.recovery import ChannelLog, build_replay_sets
 from repro.dataflow.batch import RecordBatch
-from repro.dataflow.channels import DATA, Message, Partitioner, hash_key
+from repro.dataflow.channels import DATA, Message, RouterBuffer, hash_key
 from repro.dataflow.graph import EdgeSpec, Partitioning
+from repro.dataflow.keygroups import DEFAULT_MAX_KEY_GROUPS
 from repro.dataflow.records import StreamRecord
 from repro.metrics.series import LatencySeries, percentile
 
@@ -24,13 +25,24 @@ from repro.metrics.series import LatencySeries, percentile
 )
 def test_key_partitioning_is_total_and_stable(keys, parallelism):
     edge = EdgeSpec(0, "a", "b", Partitioning.KEY, lambda p: p, "in")
-    partitioner = Partitioner(edge, parallelism)
-    for key in keys:
-        record = StreamRecord(rid=key, payload=key, source_ts=0.0, size_bytes=1)
-        dests = partitioner.destinations(0, record)
-        assert len(dests) == 1
-        assert 0 <= dests[0] < parallelism
-        assert dests == partitioner.destinations(5, record)
+
+    def routed(src_index):
+        """rid -> every destination it landed on, from one source index."""
+        router = RouterBuffer([edge], src_index, parallelism,
+                              DEFAULT_MAX_KEY_GROUPS, 10**9)
+        router.route_batch(RecordBatch(list(range(len(keys))), list(keys),
+                                       [0.0] * len(keys), [1] * len(keys)))
+        landed: dict[int, list[int]] = {}
+        for _, dst, records, _ in router.take_all():
+            for rid in records.rids:
+                landed.setdefault(rid, []).append(dst)
+        return landed
+
+    landed = routed(0)
+    assert sorted(landed) == list(range(len(keys)))
+    assert all(len(dests) == 1 and 0 <= dests[0] < parallelism
+               for dests in landed.values())
+    assert landed == routed(5)
 
 
 @given(st.one_of(st.integers(), st.text(max_size=20),

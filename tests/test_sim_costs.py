@@ -38,7 +38,7 @@ def test_snapshot_sync_cost_scales_with_state(cost_model):
 
 def test_blob_delays_positive(cost_model):
     assert cost_model.blob_upload_delay(0) > 0
-    assert cost_model.blob_restore_delay(1000) >= cost_model.blob_latency
+    assert cost_model.chain_restore_delay(1000, 1) >= cost_model.blob_latency
 
 
 def test_cic_piggyback_grows_with_instances(cost_model):

@@ -1,42 +1,58 @@
 """Unit tests for the event queue primitives.
 
-A handle is the heap entry itself, ``[time, seq, fn, args]``; it is
-cancelled through the queue that holds it.
+An event is its heap entry, ``[time, seq, fn, args]``, pushed by a
+scheduling call of the :class:`Simulator` that owns the queue; the tests
+schedule through ``Simulator.schedule_at`` and read the queue's ``pop``
+sequence.
 """
 
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.events import EventHandle, EventQueue
+from repro.sim.events import EventQueue
+from repro.sim.simulator import Simulator
 
 TIME, SEQ, FN, ARGS = range(4)
 
 
+def _queue():
+    """A fresh simulator and its queue."""
+    sim = Simulator()
+    return sim, sim._queue
+
+
+def _newest(q):
+    """The entry the last scheduling call pushed."""
+    return next(entry for entry in q._heap if entry[SEQ] == q._seq - 1)
+
+
 def test_push_pop_orders_by_time():
-    q = EventQueue()
+    sim, q = _queue()
     order = []
-    q.push(3.0, order.append, ("c",))
-    q.push(1.0, order.append, ("a",))
-    q.push(2.0, order.append, ("b",))
+    sim.schedule_at(3.0, order.append, "c")
+    sim.schedule_at(1.0, order.append, "a")
+    sim.schedule_at(2.0, order.append, "b")
     while (h := q.pop()) is not None:
         h[FN](*h[ARGS])
     assert order == ["a", "b", "c"]
 
 
 def test_ties_break_by_insertion_order():
-    q = EventQueue()
-    first = q.push(1.0, lambda: None)
-    second = q.push(1.0, lambda: None)
+    sim, q = _queue()
+    sim.schedule_at(1.0, lambda: None)
+    first = _newest(q)
+    sim.schedule_at(1.0, lambda: None)
+    second = _newest(q)
     assert q.pop() is first
     assert q.pop() is second
 
 
 def test_len_counts_entries():
-    q = EventQueue()
+    sim, q = _queue()
     assert len(q) == 0
-    q.push(1.0, lambda: None)
-    q.push(2.0, lambda: None)
+    sim.schedule_at(1.0, lambda: None)
+    sim.schedule_at(2.0, lambda: None)
     assert len(q) == 2
 
 
@@ -45,43 +61,18 @@ def test_pop_empty_returns_none():
     assert EventQueue().pop(5.0) is None
 
 
-def test_cancelled_events_are_skipped():
-    q = EventQueue()
-    h1 = q.push(1.0, lambda: None)
-    h2 = q.push(2.0, lambda: None)
-    q.cancel(h1)
-    assert q.pop() is h2
-    assert q.pop() is None
-
-
-def test_cancel_all_leaves_queue_empty_on_pop():
-    q = EventQueue()
-    handles = [q.push(float(i), lambda: None) for i in range(5)]
-    for h in handles:
-        q.cancel(h)
-    assert q.pop() is None
-
-
-def test_pop_limit_skips_cancelled_heads():
-    q = EventQueue()
-    h1 = q.push(1.0, lambda: None)
-    h2 = q.push(2.0, lambda: None)
-    q.cancel(h1)
-    assert q.pop(1.5) is None  # the only live event lies after the limit
-    assert len(q) == 1
-    assert q.pop(2.0) is h2
-
-
 def test_pop_at_exactly_the_limit_returns_the_event():
     """The ``run_until`` contract: events at ``t_end`` execute."""
-    q = EventQueue()
-    h = q.push(1.0, lambda: None)
+    sim, q = _queue()
+    sim.schedule_at(1.0, lambda: None)
+    h = _newest(q)
     assert q.pop(1.0) is h
 
 
 def test_pop_beyond_limit_does_not_remove():
-    q = EventQueue()
-    h = q.push(1.0, lambda: None)
+    sim, q = _queue()
+    sim.schedule_at(1.0, lambda: None)
+    h = _newest(q)
     assert q.pop(0.5) is None
     assert q.pop(0.5) is None
     assert len(q) == 1
@@ -90,36 +81,33 @@ def test_pop_beyond_limit_does_not_remove():
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.lists(st.tuples(st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
-                       st.booleans()), max_size=48),
+    st.lists(st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+             max_size=48),
     st.lists(st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
              max_size=8),
 )
 def test_pop_limit_never_returns_a_later_event(plan, limits):
     """Property: draining under a rising sequence of limits yields only
-    live events, none later than the limit in force, in (time, seq) order,
-    and leaves exactly the live events beyond the last limit."""
-    q = EventQueue()
-    live = []
-    for time, cancel in plan:
-        h = q.push(time, lambda: None)
-        if cancel:
-            q.cancel(h)
-        else:
-            live.append((time, h[SEQ]))
+    events no later than the limit in force, in (time, seq) order, and
+    leaves exactly the events beyond the last limit."""
+    sim, q = _queue()
+    scheduled = []
+    for time in plan:
+        sim.schedule_at(time, lambda: None)
+        scheduled.append((time, q._seq - 1))
     popped = []
     for limit in sorted(limits):
         while (h := q.pop(limit)) is not None:
-            assert h[FN] is not None and h[TIME] <= limit
+            assert h[TIME] <= limit
             popped.append((h[TIME], h[SEQ]))
     reach = max(limits, default=-1.0)
-    assert popped == sorted(key for key in live if key[0] <= reach)
-    assert len(q) == len(live) - len(popped)
+    assert popped == sorted(key for key in scheduled if key[0] <= reach)
+    assert len(q) == len(scheduled) - len(popped)
 
 
 def test_clear_drops_everything():
-    q = EventQueue()
-    q.push(1.0, lambda: None)
+    sim, q = _queue()
+    sim.schedule_at(1.0, lambda: None)
     q.clear()
     assert len(q) == 0
     assert q.pop() is None
@@ -127,98 +115,34 @@ def test_clear_drops_everything():
 
 def test_handle_ordering_operator():
     """Entries order by (time, seq) and never compare their callbacks."""
-    q = EventQueue()
-    a = q.push(1.0, lambda: None)
-    b = q.push(1.0, lambda: None)
-    c = q.push(0.5, lambda: None)
+    sim, q = _queue()
+    sim.schedule_at(1.0, lambda: None)
+    a = _newest(q)
+    sim.schedule_at(1.0, lambda: None)
+    b = _newest(q)
+    sim.schedule_at(0.5, lambda: None)
+    c = _newest(q)
     assert c < a < b
 
 
 def test_args_are_preserved():
-    q = EventQueue()
+    sim, q = _queue()
     seen = []
-    q.push(1.0, lambda a, b: seen.append((a, b)), (1, 2))
+    sim.schedule_at(1.0, lambda a, b: seen.append((a, b)), 1, 2)
     h = q.pop()
     h[FN](*h[ARGS])
     assert seen == [(1, 2)]
 
 
 def test_many_events_stay_sorted():
-    q = EventQueue()
+    sim, q = _queue()
     import random
 
     rng = random.Random(0)
     times = [rng.random() for _ in range(500)]
     for t in times:
-        q.push(t, lambda: None)
+        sim.schedule_at(t, lambda: None)
     popped = []
     while (h := q.pop()) is not None:
         popped.append(h[TIME])
     assert popped == sorted(times)
-
-
-# --------------------------------------------------------------------- #
-# Threshold-triggered compaction
-# --------------------------------------------------------------------- #
-
-class _EagerQueue(EventQueue):
-    """EventQueue with the compaction floor lowered so small property-test
-    workloads actually cross it."""
-
-    COMPACT_MIN_CANCELLED = 4
-
-
-def _drain(queue: EventQueue) -> list[int]:
-    out = []
-    while (h := queue.pop()) is not None:
-        out.append(h[SEQ])
-    return out
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(
-    st.tuples(st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-              st.booleans()),
-    max_size=64,
-))
-def test_compaction_never_changes_live_event_order(plan):
-    """Property: under any push/cancel sequence, a compacting queue pops
-    exactly the live events a never-compacting queue pops, in the same
-    order, and its live ``len()`` tracks the reference throughout."""
-    compacting, reference = _EagerQueue(), EventQueue()
-    live_reference: list[EventHandle] = []
-    for time, cancel in plan:
-        a = compacting.push(time, lambda: None)
-        b = reference.push(time, lambda: None)
-        if cancel:
-            compacting.cancel(a)
-            reference.cancel(b)
-        else:
-            live_reference.append(b)
-        assert len(compacting) == len(live_reference)
-    assert _drain(compacting) == _drain(reference)
-    assert len(compacting) == 0
-
-
-def test_compaction_fires_and_shrinks_the_heap():
-    q = _EagerQueue()
-    handles = [q.push(float(i), lambda: None) for i in range(16)]
-    for h in handles[:12]:
-        q.cancel(h)
-    # 12 cancelled >= floor(4) and >= half of 16: the heap was rebuilt
-    assert len(q._heap) == 4
-    assert q._cancelled == 0
-    assert len(q) == 4
-    assert [h[SEQ] for h in iter(q.pop, None)] == [12, 13, 14, 15]
-
-
-def test_double_cancel_counts_once():
-    q = _EagerQueue()
-    keep = q.push(1.0, lambda: None)
-    victim = q.push(2.0, lambda: None)
-    q.cancel(victim)
-    q.cancel(victim)  # idempotent: debt counted once, no double decrement
-    assert q._cancelled == 1
-    assert len(q) == 1
-    assert q.pop() is keep
-    assert q.pop() is None

@@ -211,6 +211,18 @@ def test_create_state_backend():
             RuntimeConfig(state_backend="bogus"))
 
 
+def watch_metadata(job: Job, fn) -> None:
+    """Call ``fn(meta)`` for every checkpoint that registers, before the
+    protocol's ``on_metadata`` (which may collect blobs below its floor)."""
+    protocol_hook = job.protocol.on_metadata
+
+    def both(meta) -> None:
+        fn(meta)
+        protocol_hook(meta)
+
+    job.protocol.on_metadata = both
+
+
 @pytest.mark.parametrize("max_chain", [1, 2, 3, 4])
 def test_chain_cadence_and_compaction_bound(max_chain, monkeypatch):
     """Blob metadata shows base / delta / ... / base with bounded chains.
@@ -234,7 +246,7 @@ def test_chain_cadence_and_compaction_bound(max_chain, monkeypatch):
         assert meta.base_key == blob.base_key
         registered.append(blob.chain_length)
 
-    job.coordinator.add_metadata_listener(check)
+    watch_metadata(job, check)
     job.run(rate=300.0, query_name="count")
     assert len(registered) == job.registry.total()
     assert max(registered) == max_chain  # chains grew to the bound
@@ -315,7 +327,7 @@ def test_every_backend_journals_rids_and_checkpoints_complete_dedup_sets(
                 rids |= set(delta["new_rids"])
             stood.setdefault(meta.instance, []).append(rids)
 
-        job.coordinator.add_metadata_listener(registered)
+        watch_metadata(job, registered)
         job.run(rate=300.0, query_name="count")
         saw_rids = False
         for instance in job.instances():

@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dataflow.batch import RecordBatch
-from repro.dataflow.channels import Partitioner, RouterBuffer
+from repro.dataflow.channels import RouterBuffer, key_destinations
 from repro.dataflow.graph import LogicalGraph, Partitioning, UnsupportedTopologyError
+from repro.dataflow.keygroups import DEFAULT_MAX_KEY_GROUPS
 from repro.dataflow.operators import SinkOperator, SourceOperator
 from repro.dataflow.records import StreamRecord
 
@@ -65,8 +66,16 @@ def _make_router(n_edges: int = 3, parallelism: int = 4, batch_max: int = 4):
         graph.add_operator(f"op{i}", SinkOperator)
         graph.connect("src", f"op{i}", Partitioning.KEY, key_fn=lambda e: e.key)
     edges = graph.out_edges("src")
-    partitioners = {e.edge_id: Partitioner(e, parallelism) for e in edges}
-    return RouterBuffer(edges, partitioners, 0, batch_max), edges
+    return RouterBuffer(edges, 0, parallelism, DEFAULT_MAX_KEY_GROUPS,
+                        batch_max), edges
+
+
+def _staged_bytes(router) -> int:
+    """Bytes staged across every buffer, read as the transport reads
+    them: ``staged_for`` per ``(edge, dst)``."""
+    return sum(router.staged_for(edge_id, dst)[0]
+               for edge_id, buffers in router._by_edge.items()
+               for dst in buffers)
 
 
 def _batch(keys) -> RecordBatch:
@@ -108,8 +117,8 @@ def test_ungated_take_all_drains_everything_and_settles_the_counters():
     stays parked, and the counters read zero — for what is routed next."""
     router, edges = _make_router(n_edges=2, batch_max=2)
     first, second = edges[0].edge_id, edges[1].edge_id
-    owner = {key: Partitioner(edges[0], 4).destinations(
-        0, StreamRecord(0, KeyedEvent(key, 0), 0.0, 40))[0] for key in range(9)}
+    table = key_destinations(4, DEFAULT_MAX_KEY_GROUPS)
+    owner = {key: table.derive(key) for key in range(9)}
     hot = owner[0]
     lone = next(key for key in owner if owner[key] != hot)
     idle = next(d for d in range(4) if d not in (hot, owner[lone]))
@@ -126,7 +135,7 @@ def test_ungated_take_all_drains_everything_and_settles_the_counters():
     assert [(eid, dst, records.rids) for eid, dst, records, _ in drained] \
         == [(eid, dst, rids) for (eid, dst), rids in staged.items()]
     assert all(nbytes == 40 * len(records) for _, _, records, nbytes in drained)
-    assert (router.staged_records, router.staged_bytes, router._n_ready) \
+    assert (router.staged_records, _staged_bytes(router), router._n_ready) \
         == (0, 0, 0)
     assert router._blocked == {(second, idle)}
     router.route_batch(_batch([0, 0]))
@@ -157,7 +166,7 @@ def test_send_all_is_the_ungated_take_all_without_the_list():
     assert router.send_all(send, "instance") == 0.5 * len(expected)
     assert sent == expected and len(sent) > 2
     for drained in routers:
-        assert (drained.staged_records, drained.staged_bytes,
+        assert (drained.staged_records, _staged_bytes(drained),
                 drained._n_ready) == (0, 0, 0)
     assert router._blocked == reference._blocked == {idle}
 
@@ -193,7 +202,7 @@ def test_router_never_loses_or_duplicates_records(ops):
     (the record counter, not just the byte counter, must track them).
     """
     router, edges = _make_router(n_edges=3, parallelism=3, batch_max=3)
-    partitioner = Partitioner(edges[0], 3)
+    table = key_destinations(3, DEFAULT_MAX_KEY_GROUPS)
     routed: dict[tuple[int, int], list[int]] = {}
     drained: dict[tuple[int, int], list[int]] = {}
     next_rid = [0]
@@ -208,7 +217,7 @@ def test_router_never_loses_or_duplicates_records(ops):
         size = (key % 3) * 20
         record = StreamRecord(rid=rid, payload=KeyedEvent(key, rid),
                               source_ts=0.0, size_bytes=size)
-        [dst] = partitioner.destinations(0, record)
+        dst = table.derive(key)
         for e in edges:  # every edge routes each record once
             routed.setdefault((e.edge_id, dst), []).append(rid)
         routed_bytes[0] += size * len(edges)
@@ -244,9 +253,9 @@ def test_router_never_loses_or_duplicates_records(ops):
         staged = sum(len(v) for v in routed.values()) - sum(
             len(v) for v in drained.values())
         assert router.staged_records == staged
-        assert router.staged_bytes == routed_bytes[0] - drained_bytes[0]
+        assert _staged_bytes(router) == routed_bytes[0] - drained_bytes[0]
     collect(router.take_all())
-    assert router.staged_records == 0 and router.staged_bytes == 0
+    assert router.staged_records == 0 and _staged_bytes(router) == 0
     for key in routed:
         assert drained.get(key, []) == routed[key], f"order/loss on {key}"
 
@@ -319,7 +328,7 @@ def test_queue_depth_accounting_invariant_at_every_event():
                 <= job.metrics.peak_total_in_flight_bytes)
         # queue depth = staged (router) + in flight (wire), never negative
         for instance in job.instances():
-            assert instance.router.staged_bytes >= 0
+            assert _staged_bytes(instance.router) >= 0
         original(channel, msg, deploy_epoch)
 
     job.transport.arrive = checking_deliver
@@ -583,4 +592,4 @@ def test_a_message_carries_its_records_bytes_and_a_drained_job_stages_none(
     routers = [i.router for i in job.instances() if i.router is not None]
     assert routers
     for router in routers:
-        assert (router.staged_records, router.staged_bytes) == (0, 0)
+        assert (router.staged_records, _staged_bytes(router)) == (0, 0)

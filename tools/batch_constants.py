@@ -268,14 +268,15 @@ _cold_blocks = itertools.count(1)
 
 def _route(partitioning_name: str, cold: bool = False) -> Stage:
     def build(n: int, calls: int) -> Callable[[], None]:
-        from repro.dataflow.channels import Partitioner, RouterBuffer
+        from repro.dataflow.channels import RouterBuffer
         from repro.dataflow.graph import EdgeSpec, Partitioning
+        from repro.dataflow.keygroups import DEFAULT_MAX_KEY_GROUPS
         from repro.sim.costs import CostModel
 
         partitioning = Partitioning[partitioning_name]
         key_fn = _key if partitioning is Partitioning.KEY else None
         edge = EdgeSpec(0, "a", "b", partitioning, key_fn, "in")
-        router = RouterBuffer([edge], {0: Partitioner(edge, 4)}, 0,
+        router = RouterBuffer([edge], 0, 4, DEFAULT_MAX_KEY_GROUPS,
                               CostModel().batch_max_records)
         if cold:
             base = next(_cold_blocks) << 32
