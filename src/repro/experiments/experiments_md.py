@@ -17,8 +17,8 @@ from repro.experiments.figures import SPECS
 _HEADER = """# EXPERIMENTS — paper vs measured
 
 Every table and figure of the paper's evaluation (Section VII),
-regenerated by this repository's benchmark harness
-(`pytest benchmarks/bench_*.py --benchmark-only`, or `python -m repro all`).
+regenerated by this repository's figure harness
+(`python -m repro all --scale <scale> --out <dir>` writes this file).
 
 Absolute numbers are simulation-scale (the substrate is a discrete-event
 simulator, not the authors' cluster — see DESIGN.md section 2); the
