@@ -7,22 +7,24 @@ list
     sweeps and ablations).
 run EXPERIMENT [--scale quick|default|full] [--out DIR] [--jobs N]
         [--cache-dir DIR]
-    Regenerate one artifact and print the paper-vs-measured table.
-    ``--jobs N`` fans independent runs (sweeps, MST searches)
-    across N worker processes; ``--cache-dir`` reuses finished runs from
-    a content-addressed on-disk cache across invocations.
+    Regenerate one artifact at ``--scale`` (default: ``default``) and
+    print the paper-vs-measured table.  ``--jobs N`` fans independent
+    runs (sweeps, MST searches) across N worker processes;
+    ``--cache-dir`` reuses finished runs from a content-addressed
+    on-disk cache across invocations.
 all [--scale ...] [--out DIR] [--jobs N] [--cache-dir DIR]
-    Regenerate every table and figure (EXPERIMENTS.md is written from
-    these outputs).
+    Regenerate every table and figure through one runner, then write
+    ``DIR/EXPERIMENTS.md`` from these outputs.
 query NAME --protocol P [--parallelism N] [--rate R] [--failure-at T] ...
     Run a single configuration and print its summary (exploration tool).
 cache-stats DIR
     Inspect a run-cache directory: entries, bytes, compression ratio.
 
 ``--jobs 0`` (or ``--jobs auto``) resolves to ``os.cpu_count()`` on
-``run``/``all``/``query``, announced in a banner.  Ctrl-C on any of the
-three prints ``interrupted: <n> finished, <m> in flight abandoned`` on
-stderr and exits 130; finished runs stay in ``--cache-dir``.
+``run``/``all`` and on a ``query --shards N`` above 1, announced in a
+banner.  Ctrl-C on any of the three prints ``interrupted: <n> finished,
+<m> in flight abandoned`` on stderr and exits 130; finished runs stay in
+``--cache-dir``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import sys
 import time
 import traceback
 
-from repro.experiments import figures
+from repro.experiments import experiments_md, figures
 from repro.experiments.config import scale_by_name
 from repro.experiments.parallel import ParallelRunner, RunRequest
 from repro.metrics.report import format_recoveries
@@ -109,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list available experiments")
 
     run = sub.add_parser("run", help="regenerate one paper table/figure")
-    run.add_argument("experiment", choices=sorted(figures.ALL_EXPERIMENTS))
+    run.add_argument("experiment", choices=sorted(figures.SPECS))
     _add_common(run)
 
     everything = sub.add_parser("all", help="regenerate every table and figure")
@@ -181,9 +183,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--scale", default=None,
+    sub.add_argument("--scale", default="default",
                      choices=["quick", "default", "full"],
-                     help="overrides CHECKMATE_SCALE")
+                     help="parameter grid (default: default)")
     sub.add_argument("--out", default="results",
                      help="directory for the rendered text blocks")
     sub.add_argument("--jobs", type=_count_or_auto, default=1,
@@ -191,15 +193,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                           "(default: 1; 0 or 'auto': one per CPU)")
     sub.add_argument("--cache-dir", default=None,
                      help="content-addressed run cache shared across invocations")
-
-
-def _resolve_scale(args):
-    if args.scale:
-        os.environ["CHECKMATE_SCALE"] = args.scale
-        return scale_by_name(args.scale)
-    from repro.experiments.config import current_scale
-
-    return current_scale()
 
 
 def _cmd_list() -> int:
@@ -211,35 +204,25 @@ def _cmd_list() -> int:
     return 0
 
 
+def _write(out_dir: str, filename: str, text: str) -> pathlib.Path:
+    directory = pathlib.Path(out_dir)
+    directory.mkdir(exist_ok=True)
+    path = directory / filename
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
 def _emit(out_dir: str, name: str, text: str) -> None:
     print(text)
     print()
-    directory = pathlib.Path(out_dir)
-    directory.mkdir(exist_ok=True)
-    (directory / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
+    _write(out_dir, f"{name}.txt", text + "\n")
 
 
-def _install_runner(args) -> ParallelRunner | None:
-    """Wire a parallel executor / run cache into the figure harness.
-
-    Returns None when neither is asked for: the harness then runs on its
-    own serial runner.
-    """
-    jobs = _resolve_jobs(args.jobs)
-    if jobs <= 1 and args.cache_dir is None:
-        return None
-    runner = ParallelRunner(jobs=jobs, cache_dir=args.cache_dir)
-    figures.set_runner(runner)
-    return runner
-
-
-def _teardown_runner(runner: ParallelRunner | None) -> None:
-    if runner is None:
-        return
-    figures.set_runner(None)
-    runner.close()
-    print(f"[cache] served={runner.hits} simulated={runner.misses} "
-          f"hit-ratio={runner.hit_ratio:.0%}")
+def _print_cache(args, runner: ParallelRunner) -> None:
+    """The run cache's tally, under ``--cache-dir``."""
+    if args.cache_dir is not None:
+        print(f"[cache] served={runner.hits} simulated={runner.misses} "
+              f"hit-ratio={runner.hit_ratio:.0%}")
 
 
 def _interrupted(runner: ParallelRunner) -> int:
@@ -251,16 +234,16 @@ def _interrupted(runner: ParallelRunner) -> int:
 
 
 def _cmd_run(args) -> int:
-    scale = _resolve_scale(args)
-    runner = _install_runner(args)
-    fn = figures.ALL_EXPERIMENTS[args.experiment]
+    scale = scale_by_name(args.scale)
     started = time.time()
-    try:
-        out = fn(scale)
-    except KeyboardInterrupt:
-        return _interrupted(figures.get_runner())
-    finally:
-        _teardown_runner(runner)
+    with ParallelRunner(jobs=_resolve_jobs(args.jobs),
+                        cache_dir=args.cache_dir) as runner:
+        try:
+            out = figures.run_figure(figures.SPECS[args.experiment], scale,
+                                     runner)
+        except KeyboardInterrupt:
+            return _interrupted(runner)
+    _print_cache(args, runner)
     _emit(args.out, args.experiment, out["text"])
     print(f"[{args.experiment}] scale={scale.name} "
           f"wall={time.time() - started:.1f}s")
@@ -268,31 +251,36 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_all(args) -> int:
-    scale = _resolve_scale(args)
-    runner = _install_runner(args)
+    scale = scale_by_name(args.scale)
     status = 0
-    try:
-        for name, fn in figures.ALL_EXPERIMENTS.items():
-            started = time.time()
-            try:
-                out = fn(scale)
-            except Exception as exc:  # one broken figure must not kill the sweep
-                # str() of an AssertionError or KeyError is empty or one
-                # word: name the type here, the place on stderr.  A run
-                # that died arrives as RunFailed, whose message names the
-                # request (query, protocol, parallelism, seed, rate, shard)
-                print(f"[{name}] FAILED: {type(exc).__name__}: {exc}\n")
-                traceback.print_exc()
-                status = 1
-                continue
-            _emit(args.out, name, out["text"])
-            print(f"[{name}] scale={scale.name} wall={time.time() - started:.1f}s\n")
-            if not all(ok for _, ok in out["checks"]):
-                status = 1
-    except KeyboardInterrupt:
-        return _interrupted(figures.get_runner())
-    finally:
-        _teardown_runner(runner)
+    with ParallelRunner(jobs=_resolve_jobs(args.jobs),
+                        cache_dir=args.cache_dir) as runner:
+        try:
+            for name, spec in figures.SPECS.items():
+                started = time.time()
+                try:
+                    out = figures.run_figure(spec, scale, runner)
+                except Exception as exc:  # one broken figure must not kill the sweep
+                    # str() of an AssertionError or KeyError is empty or
+                    # one word: name the type here, the place on stderr.
+                    # A run that died arrives as RunFailed, whose message
+                    # names the request (query, protocol, parallelism,
+                    # seed, rate, shard)
+                    print(f"[{name}] FAILED: {type(exc).__name__}: {exc}\n")
+                    traceback.print_exc()
+                    status = 1
+                    continue
+                _emit(args.out, name, out["text"])
+                print(f"[{name}] scale={scale.name} "
+                      f"wall={time.time() - started:.1f}s\n")
+                if not all(ok for _, ok in out["checks"]):
+                    status = 1
+        except KeyboardInterrupt:
+            return _interrupted(runner)
+    _print_cache(args, runner)
+    path = _write(args.out, "EXPERIMENTS.md",
+                  experiments_md.assemble(args.out, scale.name))
+    print(f"[all] wrote {path}")
     return status
 
 
@@ -331,7 +319,9 @@ def _cmd_query(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    jobs = min(_resolve_jobs(args.jobs), args.shards)
+    # without --shards the run is one process: there is nothing to resolve
+    jobs = (min(_resolve_jobs(args.jobs), args.shards) if args.shards > 1
+            else 1)
     with ParallelRunner(jobs=jobs) as runner:
         try:
             result = (run_sharded(request, args.shards, runner)

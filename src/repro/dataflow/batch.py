@@ -73,13 +73,6 @@ class RecordBatch:
         self.source_ts = source_ts
         self.sizes = sizes
 
-    @classmethod
-    def from_records(cls, records: Iterable[StreamRecord]) -> "RecordBatch":
-        """Decompose per-record objects into a columnar batch."""
-        batch = cls([], [], [], [])
-        batch.extend_records(records)
-        return batch
-
     # -- sizing ----------------------------------------------------------- #
 
     def __len__(self) -> int:

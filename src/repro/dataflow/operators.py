@@ -144,9 +144,8 @@ class Operator:
                 out.extend_records(outputs)
         return out if len(out.rids) else None
 
-    def on_timer(self, tag: Any) -> list[StreamRecord]:
-        """Handle a previously registered timer."""
-        return []
+    def on_timer(self, tag: Any) -> None:
+        """Handle a previously registered timer (it emits no records)."""
 
     @property
     def state_bytes(self) -> int:
@@ -330,10 +329,9 @@ class WindowedJoinOperator(Operator):
             self._window_id.set(current, 8)
             self.ctx.register_timer((current + 1) * self.window, ("window", current + 1))
 
-    def on_timer(self, tag: Any) -> list[StreamRecord]:
+    def on_timer(self, tag: Any) -> None:
         """Roll the window forward at its boundary."""
         self._roll_window()
-        return []
 
     def on_restore(self) -> None:
         """Re-register the window-boundary timer after recovery."""
@@ -381,13 +379,12 @@ class WindowedCountOperator(Operator):
         current = int(self.ctx.now() // self.window)
         self.ctx.register_timer((current + 1) * self.window, ("sweep", current + 1))
 
-    def on_timer(self, tag: Any) -> list[StreamRecord]:
+    def on_timer(self, tag: Any) -> None:
         """Sweep counters of closed windows and reschedule."""
         kind, window_id = tag
         stale = [k for k, (w, _) in self._counts.items() if w < window_id]
         self._counts.delete_many(stale)
         self.ctx.register_timer((window_id + 1) * self.window, ("sweep", window_id + 1))
-        return []
 
     def process_batch(self, batch: RecordBatch, port: str) -> RecordBatch | None:
         """Fold the batch per key; one state get/put per distinct key.
@@ -470,12 +467,11 @@ class SlidingWindowCountOperator(Operator):
         current = int(self.ctx.now() // self.slide)
         self._schedule_sweep(current)
 
-    def on_timer(self, tag: Any) -> list[StreamRecord]:
+    def on_timer(self, tag: Any) -> None:
         """Drop slots of windows that slid out of range."""
         _, window_id = tag
         stale = [k for k in self._counts.keys() if k[0] <= window_id]
         self._counts.delete_many(stale)
-        return []
 
     def process_batch(self, batch: RecordBatch, port: str) -> RecordBatch | None:
         """Fold the batch per key; one put per touched (window, key) slot.

@@ -44,7 +44,7 @@ from repro.dataflow.graph import (
 )
 from repro.dataflow.keygroups import validate_key_space
 from repro.dataflow.lifecycle import LifecycleManager
-from repro.dataflow.records import StreamRecord, source_rid_column
+from repro.dataflow.records import source_rid_column
 from repro.dataflow.results import RunResult
 from repro.dataflow.state import ChainTracker
 from repro.dataflow.transport import Transport
@@ -297,11 +297,6 @@ class Job:
         if len(keep) == len(batch.rids):
             return batch
         return batch.select(keep)
-
-    def route_outputs(self, instance: InstanceRuntime,
-                      outputs: list[StreamRecord]) -> None:
-        """Stage per-record outputs produced outside the data path (timers)."""
-        instance.router.route_batch(RecordBatch.from_records(outputs))
 
     # -- sources ----------------------------------------------------------- #
 
@@ -601,9 +596,8 @@ class Job:
         holds queued/deferred data tasks, alignment buffers or staged
         router output, and every source cursor has consumed its whole
         partition.  Perpetual poll/linger chains and pending checkpoints
-        are deliberately ignored — they carry no records.  (Operators
-        that emit records *from timers* would not be covered; none of the
-        library operators do.)
+        are deliberately ignored — they carry no records, and neither
+        does a timer (:meth:`Operator.on_timer` emits nothing).
         """
         if self.recovering or self.transport.pending_data:
             return False

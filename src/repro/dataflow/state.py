@@ -204,15 +204,6 @@ class KeyedMapState:
             self._dirty.difference_update(removed)
             self._deleted.update(removed)
 
-    def delete(self, key: Any) -> None:
-        """Remove ``key`` if present (tracked as a deletion)."""
-        if key in self._data:
-            self._total -= self._sizes.pop(key)
-            del self._data[key]
-            if self._tracked:
-                self._dirty.discard(key)
-                self._deleted.add(key)
-
     def keys(self) -> Iterator[Any]:
         """Iterator over stored keys."""
         return iter(self._data)
@@ -220,15 +211,6 @@ class KeyedMapState:
     def items(self) -> Iterator[tuple[Any, Any]]:
         """Iterator over (key, value) pairs."""
         return iter(self._data.items())
-
-    def clear(self) -> None:
-        """Drop every entry (the next delta degenerates to full)."""
-        self._data.clear()
-        self._sizes.clear()
-        self._total = 0
-        self._dirty.clear()
-        self._deleted.clear()
-        self._all_dirty = True
 
     @property
     def size_bytes(self) -> int:
@@ -441,10 +423,6 @@ class KeyedListState:
                     self._deleted.add(key)
                     self._key_bytes.pop(key, None)
         return removed
-
-    def keys(self) -> Iterator[Any]:
-        """Iterator over stored keys."""
-        return iter(self._data)
 
     def clear(self) -> None:
         """Drop every entry (the next delta degenerates to full)."""

@@ -704,12 +704,8 @@ class WorkerRuntime:
         job = self.job
         if epoch != job.epoch:
             return 1e-6  # stale timer from before a rollback
-        outputs = instance.operator.on_timer(tag)
-        cost = 0.0002
-        if outputs:
-            job.route_outputs(instance, outputs)
-        cost += job.transport.flush_ready(instance)
-        return cost
+        instance.operator.on_timer(tag)
+        return 0.0002 + job.transport.flush_ready(instance)
 
     def _run_flush(self) -> float:
         """Linger flush: drain every router that has something staged."""

@@ -1,12 +1,14 @@
 """Experiment harness: one entry point per paper table and figure.
 
-See :mod:`repro.experiments.figures` for the experiment functions and
-DESIGN.md section 5 for the experiment index.  Scale selection (quick /
-default / full parameter grids) is controlled by the ``CHECKMATE_SCALE``
-environment variable (:mod:`repro.experiments.config`).
+See :mod:`repro.experiments.figures` for the spec table and its one
+driver, ``run_figure(spec, scale, runner)``, and DESIGN.md section 5 for
+the experiment index.  The scale (quick / default / full parameter
+grids, :mod:`repro.experiments.config`) and the runner are arguments:
+``repro run|all --scale`` picks the one, ``--jobs`` / ``--cache-dir``
+build the other.
 """
 
-from repro.experiments.config import ExperimentScale, current_scale
+from repro.experiments.config import ExperimentScale
 from repro.experiments.runner import run_query
 
-__all__ = ["ExperimentScale", "current_scale", "run_query"]
+__all__ = ["ExperimentScale", "run_query"]

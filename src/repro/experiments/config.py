@@ -4,15 +4,14 @@ The paper's grid (parallelism 5..100, 60-second runs) is expensive in a
 pure-Python simulation, so three scales are provided:
 
 * ``quick``   — CI smoke: tiny grids, short windows (seconds of wall time);
-* ``default`` — the shape-reproducing grid used by ``pytest benchmarks/``;
+* ``default`` — the shape-reproducing grid (minutes of wall time);
 * ``full``    — the paper's exact grid (tens of minutes of wall time).
 
-Select with ``CHECKMATE_SCALE=quick|default|full``.
+Select one with ``repro run|all --scale quick|default|full``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 
@@ -87,17 +86,6 @@ _SCALES = {
         mst_iterations=4,
     ),
 }
-
-
-def current_scale() -> ExperimentScale:
-    """The scale selected by ``CHECKMATE_SCALE`` (default: 'default')."""
-    name = os.environ.get("CHECKMATE_SCALE", "default").lower()
-    try:
-        return _SCALES[name]
-    except KeyError:
-        raise ValueError(
-            f"CHECKMATE_SCALE={name!r} unknown; choose one of {sorted(_SCALES)}"
-        ) from None
 
 
 def scale_by_name(name: str) -> ExperimentScale:

@@ -1,10 +1,10 @@
 """Assemble EXPERIMENTS.md from the rendered result blocks.
 
-``python -m repro all`` (or the benchmark harness) writes one text block
-per artifact into ``results/``; this module stitches them into the
-EXPERIMENTS.md deliverable, recording paper-vs-measured for every table
-and figure plus the extension sweeps and ablations — one section per
-entry of the spec table, in its order.
+``python -m repro all`` writes one text block per artifact into its
+``--out`` directory, then stitches them through :func:`assemble` into
+the EXPERIMENTS.md deliverable next to them: paper-vs-measured for every
+table and figure plus the extension sweeps and ablations — one section
+per entry of the spec table, in its order.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import pathlib
 from datetime import date
 
-from repro.experiments.figures import SPECS
+from repro.experiments import figures
 
 _HEADER = """# EXPERIMENTS — paper vs measured
 
@@ -35,7 +35,7 @@ def assemble(results_dir: str = "results", scale: str = "default") -> str:
     directory = pathlib.Path(results_dir)
     # repro-lint: disable=RL003 -- document timestamp for the reader; runs post-simulation, never on simulated time
     parts = [_HEADER.format(scale=scale, generated=date.today().isoformat())]
-    for spec in SPECS.values():
+    for spec in figures.SPECS.values():
         path = directory / f"{spec.name}.txt"
         parts.append(f"\n## {spec.heading}\n")
         parts.append(f"{spec.note}\n")
@@ -46,17 +46,3 @@ def assemble(results_dir: str = "results", scale: str = "default") -> str:
             parts.append("_(not regenerated in the latest run)_\n")
     return "\n".join(parts)
 
-
-def write(results_dir: str = "results", output: str = "EXPERIMENTS.md",
-          scale: str = "default") -> pathlib.Path:
-    """Assemble and write EXPERIMENTS.md; returns the output path."""
-    path = pathlib.Path(output)
-    path.write_text(assemble(results_dir, scale), encoding="utf-8")
-    return path
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    target = write(scale=sys.argv[1] if len(sys.argv) > 1 else "default")
-    print(f"wrote {target}")

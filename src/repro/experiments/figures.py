@@ -5,24 +5,23 @@ A spec states what differs between figures — the grid of cells, the
 operating point of each cell, what is measured there, how a row shows it
 and which shape claims are checked — and :func:`run_figure` does the rest
 for all of them: prefetch the MST searches and runs the grid needs, fetch
-them through the harness runner, check, render.  ``ALL_EXPERIMENTS`` maps
-each spec's name to a callable returning ``{name, rows, measured, checks,
-text}``.
+them through the runner it is handed, check, render.  ``SPECS`` maps each
+spec's name to its spec.
 
-Every run goes through one :class:`ParallelRunner` — the one installed
-with :func:`set_runner`, else a serial one created on first use — whose
-in-process memo, keyed by ``request_key``, is what lets Figs. 9, 10 and 11
-share failure runs and every MST-relative figure share MST searches.
+Every run of one ``run_figure`` call goes through its
+:class:`ParallelRunner`, whose in-process memo, keyed by ``request_key``,
+is what lets Figs. 9, 10 and 11 share failure runs and every
+MST-relative figure share MST searches when the caller passes the same
+runner to each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Any, Callable, Iterable
 
 from repro.experiments import paper_reference as ref
-from repro.experiments.config import ExperimentScale, current_scale
+from repro.experiments.config import ExperimentScale
 from repro.experiments.parallel import (
     MstRequest,
     ParallelRunner,
@@ -37,38 +36,14 @@ from repro.workloads.nexmark.queries import WINDOW_SECONDS
 PROTOCOL_ORDER = ("coor", "unc", "cic")
 NEXMARK_ORDER = ("q1", "q3", "q8", "q12")
 
-#: parallel executor + run cache installed by the CLI's
-#: ``--jobs/--cache-dir`` flags (or tests) via :func:`set_runner`
-_installed: ParallelRunner | None = None
 
-#: the runner used while none is installed: serial, created on first use
-_serial: ParallelRunner | None = None
-
-
-def set_runner(runner: ParallelRunner | None) -> None:
-    """Route every figure/table run through ``runner`` (None: back to
-    the serial default)."""
-    global _installed
-    _installed = runner
-
-
-def get_runner() -> ParallelRunner:
-    """The runner every figure/table run goes through."""
-    global _serial
-    if _installed is not None:
-        return _installed
-    if _serial is None:
-        _serial = ParallelRunner(jobs=1)
-    return _serial
-
-
-def _fetch(request: RunRequest | MstRequest) -> Any:
-    """One result, through the runner (memo, then disk cache, then run).
+def _fetch(request: RunRequest | MstRequest, runner: ParallelRunner) -> Any:
+    """One result, through ``runner`` (memo, then disk cache, then run).
 
     A request is always executed as itself: what a figure reports never
     depends on the runner's worker count (DESIGN.md section 16).
     """
-    result = get_runner().run(request)
+    result = runner.run(request)
     if isinstance(request, MstRequest) and result.bracket_exhausted:
         # fail here with the real cause — an MST of 0.0 would otherwise
         # surface as a cryptic "rate must be positive" deep in the
@@ -83,7 +58,8 @@ def _fetch(request: RunRequest | MstRequest) -> Any:
     return result
 
 
-def _prefetch(requests: Iterable[RunRequest | MstRequest]) -> None:
+def _prefetch(requests: Iterable[RunRequest | MstRequest],
+              runner: ParallelRunner) -> None:
     """Stream a batch of independent requests through the shared scheduler.
 
     Results land in the runner's memo, so the per-cell :func:`_fetch`
@@ -92,7 +68,6 @@ def _prefetch(requests: Iterable[RunRequest | MstRequest]) -> None:
     serial runner, which computes each request on first use (an MST
     search then routes its probes through the cache one by one).
     """
-    runner = get_runner()
     if runner.jobs > 1:
         runner.map(list(requests))
 
@@ -196,27 +171,29 @@ def _mst_of(point: Point, scale: ExperimentScale) -> MstRequest:
     return _mst_request(run.query, run.protocol, run.parallelism, scale)
 
 
-def _resolve(point: Point, scale: ExperimentScale) -> RunRequest | MstRequest:
+def _resolve(point: Point, scale: ExperimentScale,
+             runner: ParallelRunner) -> RunRequest | MstRequest:
     if not isinstance(point, AtMst):
         return point
-    return replace(point.run,
-                   rate=_fetch(_mst_of(point, scale)).mst * point.fraction)
+    mst = _fetch(_mst_of(point, scale), runner).mst
+    return replace(point.run, rate=mst * point.fraction)
 
 
-def run_figure(spec: FigureSpec, scale: ExperimentScale | None = None) -> dict:
-    """Regenerate one artifact: prefetch, collect, check, render."""
-    scale = scale or current_scale()
+def run_figure(spec: FigureSpec, scale: ExperimentScale,
+               runner: ParallelRunner) -> dict:
+    """Regenerate one artifact at ``scale``, every run through ``runner``:
+    prefetch, collect, check, render."""
     cells = list(spec.cells(scale))
     points = [spec.point(scale, *cell) for cell in cells]
     groups = [p if isinstance(p, tuple) else (p,) for p in points]
-    _prefetch(_mst_of(p, scale) for group in groups for p in group
-              if not isinstance(p, RunRequest))
-    groups = [[_resolve(p, scale) for p in group] for group in groups]
-    _prefetch(r for group in groups for r in group
-              if isinstance(r, RunRequest))
+    _prefetch((_mst_of(p, scale) for group in groups for p in group
+               if not isinstance(p, RunRequest)), runner)
+    groups = [[_resolve(p, scale, runner) for p in group] for group in groups]
+    _prefetch((r for group in groups for r in group
+               if isinstance(r, RunRequest)), runner)
     rows, measured, results = [], {}, {}
     for cell, point, group in zip(cells, points, groups):
-        fetched = [_fetch(request) for request in group]
+        fetched = [_fetch(request, runner) for request in group]
         result = tuple(fetched) if isinstance(point, tuple) else fetched[0]
         results[cell] = result
         measured[cell] = spec.measure(result, scale, *cell)
@@ -1391,7 +1368,3 @@ SPECS: dict[str, FigureSpec] = {spec.name: spec for spec in (
     ABLATION_INTERVAL, ABLATION_LOGGING, ABLATION_PARTICIPATION,
     ABLATION_SCHEDULES, ABLATION_UNALIGNED,
 )}
-
-#: the registry: ``name -> callable(scale=None)`` regenerating one artifact
-ALL_EXPERIMENTS = {name: partial(run_figure, spec)
-                   for name, spec in SPECS.items()}

@@ -745,11 +745,6 @@ class ParallelRunner:
         key = request_key(request)
         return self._claim(key) or self._launch(key, request)
 
-    def drain(self) -> None:
-        """Block until every in-flight submission has resolved."""
-        while self._inflight:
-            self._wait_some()
-
     def _launch(self, key: str, request: "RunRequest | MstRequest",
                 retry_of: RunHandle | None = None) -> RunHandle:
         handle = retry_of or RunHandle(key, self)

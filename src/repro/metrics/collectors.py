@@ -314,15 +314,6 @@ class MetricsCollector:
             return float("inf") if self.protocol_bytes else 1.0
         return (self.data_bytes + self.protocol_bytes) / self.data_bytes
 
-    def avg_checkpoint_time(self, kinds: tuple[str, ...] | None = None) -> float:
-        """Mean checkpoint duration in seconds over the selected kinds."""
-        events = [
-            e for e in self.checkpoints if kinds is None or e.kind in kinds
-        ]
-        if not events:
-            return 0.0
-        return sum(e.duration for e in events) / len(events)
-
     def total_sink_records(self, start: float = 0.0, end: float = float("inf")) -> int:
         """Sink records whose second falls in [start, end)."""
         return sum(

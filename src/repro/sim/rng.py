@@ -24,11 +24,6 @@ class RngRegistry:
         self._seed = seed
         self._streams: dict[str, random.Random] = {}
 
-    @property
-    def seed(self) -> int:
-        """The experiment seed every stream derives from."""
-        return self._seed
-
     def stream(self, name: str) -> random.Random:
         """Return the stream for ``name``, creating it deterministically."""
         rng = self._streams.get(name)

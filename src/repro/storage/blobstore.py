@@ -80,14 +80,6 @@ class BlobStore:
         del self._blobs[key]
         self.bytes_deleted += self._meta.pop(key).size_bytes
 
-    def meta(self, key: str) -> BlobMeta:
-        """Metadata of ``key`` (raises KeyError if absent)."""
-        return self._meta[key]
-
-    def keys(self) -> list[str]:
-        """Keys of every stored blob."""
-        return list(self._blobs)
-
     def __contains__(self, key: str) -> bool:
         return key in self._blobs
 

@@ -21,12 +21,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import count
 from operator import lt
-from typing import Any, Iterable, Iterator, overload
+from typing import Any, Iterator, overload
 
 
 @dataclass(slots=True)
 class LogRecord:
-    """One record of a partition, as ``Partition.records``/``poll`` show it.
+    """One record of a partition, as ``Partition.records`` shows it.
 
     ``available_at`` is the virtual time at which the record exists for
     consumers; ``payload`` is the workload event; ``size_bytes`` drives the
@@ -154,12 +154,6 @@ class Partition:
         self.sizes.extend(sizes)
         self.rid_cache = None
 
-    def extend(self, items: Iterable[tuple[float, Any, int]]) -> None:
-        """Bulk append of ``(available_at, payload, size_bytes)`` tuples."""
-        columns = [list(column) for column in zip(*items)]
-        if columns:
-            self.extend_columns(*columns)
-
     def poll_end(self, offset: int, now: float, max_records: int) -> int:
         """One past the last offset a poll from ``offset`` may read at ``now``.
 
@@ -167,11 +161,6 @@ class Partition:
         a result ``<= offset`` means there is nothing to read.
         """
         return min(bisect_right(self.times, now), offset + max_records)
-
-    def poll(self, offset: int, now: float, max_records: int) -> list[LogRecord]:
-        """Read up to ``max_records`` records from ``offset`` available by ``now``."""
-        end = self.poll_end(offset, now, max_records)
-        return self.records[offset:end] if end > offset else []
 
 
 class PartitionedLog:

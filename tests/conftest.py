@@ -7,6 +7,7 @@ exactly-once audits in ``test_exactly_once.py``.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import pytest
@@ -17,6 +18,7 @@ from repro.dataflow.operators import Operator, OperatorContext, SinkOperator, So
 from repro.dataflow.records import StreamRecord
 from repro.dataflow.runtime import Job
 from repro.dataflow.state import KeyedMapState
+from repro.experiments.parallel import ParallelRunner
 from repro.sim.costs import CostModel, RuntimeConfig
 from repro.storage.kafka import PartitionedLog
 
@@ -49,9 +51,16 @@ class CountPerKeyOperator(Operator):
         return [record.derive(self.ctx.op_name, payload, 40)]
 
 
+def batch_of(records: Iterable[StreamRecord]) -> RecordBatch:
+    """A columnar batch of ``records``, in order."""
+    batch = RecordBatch([], [], [], [])
+    batch.extend_records(records)
+    return batch
+
+
 def process_one(op: Operator, record: StreamRecord, port: str) -> list[StreamRecord]:
     """Feed one record through ``op.process_batch``; the output records."""
-    out = op.process_batch(RecordBatch.from_records([record]), port)
+    out = op.process_batch(batch_of([record]), port)
     return list(out) if out is not None else []
 
 
@@ -150,3 +159,13 @@ def canonical_state_bytes(job) -> bytes:
 @pytest.fixture
 def cost_model() -> CostModel:
     return CostModel()
+
+
+@pytest.fixture(scope="session")
+def harness_runner() -> Iterator[ParallelRunner]:
+    """The serial runner every figure a test regenerates goes through:
+    its memo is per session, so every distinct simulation is paid for
+    once, whichever test module asks first (Figs. 9-11 share failure
+    runs, the MST-relative figures share MST searches)."""
+    with ParallelRunner(jobs=1) as runner:
+        yield runner

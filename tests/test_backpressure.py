@@ -90,8 +90,9 @@ def test_capacity_is_part_of_the_cache_key():
     assert request_key(base) != request_key(bounded)
 
 
-def test_backpressure_figure_structure():
-    out = figures.ALL_EXPERIMENTS["backpressure"](scale_by_name("quick"))
+def test_backpressure_figure_structure(harness_runner):
+    out = figures.run_figure(figures.BACKPRESSURE, scale_by_name("quick"),
+                             harness_runner)
     protocols = {p for (p, _, _) in out["measured"]}
     assert protocols == {"coor", "coor-unaligned", "unc"}
     labels = {label for (_, label, _) in out["measured"]}

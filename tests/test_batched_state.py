@@ -72,7 +72,7 @@ def _apply_map_ops(ops, batched: KeyedMapState, scalar: KeyedMapState):
         elif tag == "delete":
             batched.delete_many(arg)
             for key in arg:
-                scalar.delete(key)
+                scalar.delete_many([key])
         else:
             batched.mark_clean()
             scalar.mark_clean()

@@ -14,13 +14,15 @@ from repro.dataflow.graph import EdgeSpec, Partitioning
 from repro.dataflow.keygroups import DEFAULT_MAX_KEY_GROUPS
 from repro.dataflow.records import StreamRecord
 
+from tests.conftest import batch_of
+
 
 def rec(key: int, size: int = 10) -> StreamRecord:
     return StreamRecord(rid=key, payload=key, source_ts=0.0, size_bytes=size)
 
 
 def batch(*keys: int) -> RecordBatch:
-    return RecordBatch.from_records([rec(key) for key in keys])
+    return batch_of([rec(key) for key in keys])
 
 
 def make_edge(partitioning, key_fn=None, edge_id=0):
@@ -32,7 +34,7 @@ def routed_dsts(edge, src_index, parallelism, record,
     """The destinations one record lands on, routed alone through a
     router of ``edge``."""
     router = RouterBuffer([edge], src_index, parallelism, groups, 1000)
-    router.route_batch(RecordBatch.from_records([record]))
+    router.route_batch(batch_of([record]))
     return [dst for _, dst, _, _ in router.take_all()]
 
 
@@ -371,7 +373,7 @@ def test_route_batch_is_split_invariant(rows, cuts, batch_max, blocked):
     for name, pieces in splits.items():
         router = _three_edge_router(batch_max, sorted(blocked))
         for piece in pieces:
-            router.route_batch(RecordBatch.from_records(piece))
+            router.route_batch(batch_of(piece))
         states[name] = _router_state(router)
         ready = _drained(router.take_ready())
         after = _router_state(router)

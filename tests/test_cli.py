@@ -205,13 +205,22 @@ def test_query_cyclic_with_unc(capsys):
     assert code == 0
 
 
-def test_run_command_writes_results(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CHECKMATE_SCALE", "quick")
-    code = main(["run", "table4", "--out", str(tmp_path)])
+def test_run_command_writes_results(tmp_path, capsys):
+    code = main(["run", "table4", "--scale", "quick", "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert "Table IV" in out
     assert (tmp_path / "table4.txt").exists()
     assert code == 0  # deterministic per seed; every check holds at quick scale
+
+
+def _spec(name, cells, point=None):
+    """A figure spec with one column; ``point(scale)`` is the one request
+    of a one-cell grid."""
+    return figures.FigureSpec(
+        name=name, heading=name, note="", title=f"{name} table",
+        headers=("result",), cells=cells, point=point,
+        measure=lambda result, scale: result,
+        row=lambda entry, result, scale: [entry], shapes=("all is well",))
 
 
 def test_all_names_what_killed_a_figure_and_keeps_going(tmp_path, capsys,
@@ -219,20 +228,17 @@ def test_all_names_what_killed_a_figure_and_keeps_going(tmp_path, capsys,
     """``str()`` of an AssertionError is empty and of a KeyError one word:
     the sweep prints the exception type, the traceback goes to stderr,
     the remaining figures still run, and the exit status says 1."""
-    from repro.experiments import figures
-
     def silent(scale):
         assert scale is None, ""
 
     def missing(scale):
         return {}["rate"]
 
-    monkeypatch.setenv("CHECKMATE_SCALE", "quick")
-    monkeypatch.setattr(figures, "ALL_EXPERIMENTS", {
-        "silent": silent, "missing": missing,
-        "fine": lambda scale: {"text": "all is well", "checks": []},
+    monkeypatch.setattr(figures, "SPECS", {
+        "silent": _spec("silent", silent), "missing": _spec("missing", missing),
+        "fine": _spec("fine", lambda scale: []),
     })
-    assert main(["all", "--out", str(tmp_path)]) == 1
+    assert main(["all", "--scale", "quick", "--out", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert "[silent] FAILED: AssertionError: \n" in captured.out
     assert "[missing] FAILED: KeyError: 'rate'\n" in captured.out
@@ -249,22 +255,17 @@ def test_all_names_the_request_that_killed_a_figure(tmp_path, capsys,
     with the same real error, by a later figure sharing the request: the
     sweep keeps one runner across figures, which a failure must not
     poison."""
-    from repro.experiments import figures
     from repro.experiments.parallel import RunRequest
 
     bad = RunRequest(query="q1", protocol="nope", parallelism=2, rate=220.0,
                      duration=3.0, warmup=1.0)
-
-    def broken(scale):
-        figures._prefetch([bad])
-        return figures._fetch(bad)
-
-    monkeypatch.setenv("CHECKMATE_SCALE", "quick")
-    monkeypatch.setattr(figures, "ALL_EXPERIMENTS", {
-        "first": broken, "second": broken,
-        "fine": lambda scale: {"text": "all is well", "checks": []},
+    monkeypatch.setattr(figures, "SPECS", {
+        "first": _spec("first", lambda scale: [()], lambda scale: bad),
+        "second": _spec("second", lambda scale: [()], lambda scale: bad),
+        "fine": _spec("fine", lambda scale: []),
     })
-    assert main(["all", "--jobs", jobs, "--cache-dir", str(tmp_path / "cache"),
+    assert main(["all", "--scale", "quick", "--jobs", jobs,
+                 "--cache-dir", str(tmp_path / "cache"),
                  "--out", str(tmp_path)]) == 1
     out = capsys.readouterr().out
     for name in ("first", "second"):
@@ -394,13 +395,25 @@ def test_a_negative_jobs_is_a_usage_error(capsys, argv):
 
 
 def test_query_jobs_auto_banner(capsys):
-    # --jobs defaults to 0 == auto: the banner announces the resolution
+    # --jobs defaults to 0 == auto: with shards to spread, the banner
+    # announces the resolution
+    code = main([
+        "query", "q12", "--protocol", "unc", "--parallelism", "2",
+        "--rate", "200", "--duration", "6", "--warmup", "2", "--shards", "2",
+    ])
+    assert code == 0
+    assert "[jobs] resolved to" in capsys.readouterr().out
+
+
+def test_a_plain_query_resolves_no_jobs(capsys):
+    # one unsharded run is one process, whatever --jobs says: a banner
+    # announcing N workers would be false
     code = main([
         "query", "q1", "--protocol", "unc", "--parallelism", "2",
         "--rate", "200", "--duration", "6", "--warmup", "2",
     ])
     assert code == 0
-    assert "[jobs] resolved to" in capsys.readouterr().out
+    assert "[jobs]" not in capsys.readouterr().out
 
 
 def test_query_explicit_jobs_prints_no_banner(capsys):
@@ -456,7 +469,7 @@ def test_ctrl_c_ends_a_sweep_cleanly_and_leaves_the_cache_reusable(tmp_path):
     sweep = subprocess.Popen(command, env=env, text=True,
                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                              start_new_session=True)
-    first = next(iter(figures.ALL_EXPERIMENTS))
+    first = next(iter(figures.SPECS))
     for line in sweep.stdout:
         if line.startswith(f"[{first}] scale=quick"):
             break  # the first figure block is out; the second is running
@@ -494,7 +507,6 @@ def test_ctrl_c_on_a_serial_sweep_counts_the_run_it_interrupted(
         return execute_request(request)
 
     monkeypatch.setattr(parallel, "execute_request", interrupted_third)
-    monkeypatch.setattr(figures, "_serial", None)  # a fresh serial runner
     status = main(["run", "table2", "--scale", "quick", "--jobs", "1",
                    "--out", str(tmp_path)])
     assert status == 130

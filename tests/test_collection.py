@@ -90,13 +90,11 @@ def reads(monkeypatch) -> dict[str, list[str]]:
         return get(store, key)
 
     def spying_chain_keys(store, key):
-        node = key
-        while node is not None:
-            if node not in store:
-                seen["missing"].append(node)
-                break
-            node = store.meta(node).base_key
-        return chain_keys(store, key)
+        try:
+            return chain_keys(store, key)
+        except KeyError as gone:  # the first link of the chain that is gone
+            seen["missing"].append(gone.args[0])
+            raise
 
     monkeypatch.setattr(BlobStore, "get", spying_get)
     monkeypatch.setattr(BlobStore, "chain_keys", spying_chain_keys)

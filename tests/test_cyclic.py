@@ -232,8 +232,9 @@ def test_exactly_once_link_state_on_cyclic_query(failure_at):
     measured: list[tuple[int, int]] = []
     for idx in range(2):
         links_state = job.instance(("join_reach", idx)).operator.states["links"]
-        for key in links_state.keys():
-            for dst, _rid in links_state.get(key):
+        links, _ = links_state.snapshot()
+        for key, values in links.items():
+            for dst, _rid in values:
                 measured.append((key, dst))
     measured_set = set(measured)
     # exactly-once: no duplicated entries at all

@@ -75,11 +75,11 @@ def test_chunked_polls_cover_partition_exactly_once(times, chunk):
     offset = 0
     seen = []
     while True:
-        batch = partition.poll(offset, now=1e9, max_records=chunk)
-        if not batch:
+        end = partition.poll_end(offset, now=1e9, max_records=chunk)
+        if end <= offset:
             break
-        seen.extend(r.payload for r in batch)
-        offset = batch[-1].offset + 1
+        seen.extend(partition.payloads[offset:end])
+        offset = end
     assert seen == list(range(len(times)))
 
 
@@ -93,6 +93,6 @@ def test_poll_never_returns_future_records(times, now):
     partition = Partition("t", 0)
     for i, t in enumerate(sorted(times)):
         partition.append(t, i, 1)
-    batch = partition.poll(0, now=now, max_records=1000)
-    assert all(r.available_at <= now for r in batch)
-    assert len(batch) == partition.poll_end(0, now, len(partition))
+    end = partition.poll_end(0, now=now, max_records=1000)
+    assert all(t <= now for t in partition.times[:end])
+    assert end == partition.poll_end(0, now, len(partition))

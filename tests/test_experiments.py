@@ -3,17 +3,17 @@
 import pytest
 
 from repro.experiments import figures
-from repro.experiments.config import current_scale, scale_by_name
+from repro.experiments.config import scale_by_name
 from repro.experiments.runner import run_query
 from repro.workloads.nexmark import QUERIES
 
 QUICK = scale_by_name("quick")
 
 
-def run(name: str) -> dict:
-    """Regenerate one registry entry at quick scale (the harness runner's
-    memo is per-process, so tests and modules share every run)."""
-    return figures.ALL_EXPERIMENTS[name](QUICK)
+def run(name: str, runner) -> dict:
+    """Regenerate one spec at quick scale through ``runner`` (the
+    session's ``harness_runner``, so tests and modules share every run)."""
+    return figures.run_figure(figures.SPECS[name], QUICK, runner)
 
 
 def test_scales_are_well_formed():
@@ -22,14 +22,6 @@ def test_scales_are_well_formed():
         assert scale.duration > scale.failure_at
         assert scale.probe_duration > 0
         assert all(p > 0 for p in scale.parallelism_grid)
-
-
-def test_current_scale_env(monkeypatch):
-    monkeypatch.setenv("CHECKMATE_SCALE", "quick")
-    assert current_scale().name == "quick"
-    monkeypatch.setenv("CHECKMATE_SCALE", "bogus")
-    with pytest.raises(ValueError):
-        current_scale()
 
 
 def test_run_query_basic():
@@ -59,21 +51,21 @@ def test_run_query_cost_model_is_shorthand_for_a_config_carrying_it(monkeypatch)
                   config=RuntimeConfig())
 
 
-def test_get_mst_is_cached():
+def test_get_mst_is_cached(harness_runner):
     """The figures' MST search, fetched twice, simulates once."""
-    runner = figures.get_runner()
+    runner = harness_runner
     request = figures._mst_request("q1", "none", QUICK.parallelism_grid[0],
                                    QUICK)
-    first = figures._fetch(request).mst
+    first = figures._fetch(request, runner).mst
     assert runner.misses > 0
     misses = runner.misses
-    second = figures._fetch(request).mst
+    second = figures._fetch(request, runner).mst
     assert first == second
     assert runner.misses == misses  # the second search simulated nothing
 
 
-def test_fig7_structure():
-    out = run("fig7")
+def test_fig7_structure(harness_runner):
+    out = run("fig7", harness_runner)
     assert out["rows"]
     assert "Figure 7" in out["text"]
     # every (query, protocol, parallelism) combination present
@@ -82,50 +74,50 @@ def test_fig7_structure():
     assert all(0.0 <= v <= 1.0 for v in out["measured"].values())
 
 
-def test_table2_structure():
-    out = run("table2")
+def test_table2_structure(harness_runner):
+    out = run("table2", harness_runner)
     assert all(ratio >= 1.0 for (_, _, _), ratio in out["measured"].items())
     assert "Table II" in out["text"]
 
 
-def test_fig8_unc_cic_fast():
-    out = run("fig8")
+def test_fig8_unc_cic_fast(harness_runner):
+    out = run("fig8", harness_runner)
     for (query, protocol, parallelism), ct in out["measured"].items():
         if protocol in ("unc", "cic"):
             assert ct < 50.0, (query, protocol, ct)
 
 
-def test_fig9_and_fig10_share_runs():
-    runner = figures.get_runner()
+def test_fig9_and_fig10_share_runs(harness_runner):
+    runner = harness_runner
     before = runner.misses
-    run("fig9")
+    run("fig9", runner)
     mid = runner.misses
-    run("fig10")
+    run("fig10", runner)
     after = runner.misses
     assert mid > before
     assert after == mid  # p99 reuses the p50 runs: nothing simulated
 
 
-def test_fig11_restart_positive():
-    out = run("fig11")
+def test_fig11_restart_positive(harness_runner):
+    out = run("fig11", harness_runner)
     assert all(rt > 0 for rt in out["measured"].values())
 
 
-def test_table3_coor_never_invalid():
-    out = run("table3")
+def test_table3_coor_never_invalid(harness_runner):
+    out = run("table3", harness_runner)
     for (workers, query, protocol), (total, invalid) in out["measured"].items():
         if protocol == "coor":
             assert invalid == 0.0
 
 
-def test_table4_runs_unc_and_cic_only():
-    out = run("table4")
+def test_table4_runs_unc_and_cic_only(harness_runner):
+    out = run("table4", harness_runner)
     protocols = {p for p, _ in out["measured"]}
     assert protocols == {"unc", "cic"}
 
 
 def test_all_experiments_registry():
-    assert set(figures.ALL_EXPERIMENTS) == {
+    assert set(figures.SPECS) == {
         "fig7", "table2", "fig8", "fig9", "fig10", "fig11",
         "table3", "fig12", "fig13", "table4", "state_size", "rescale",
         "multi_failure", "backpressure", "arrivals",
@@ -134,8 +126,8 @@ def test_all_experiments_registry():
     }
 
 
-def test_rescale_figure_structure():
-    out = run("rescale")
+def test_rescale_figure_structure(harness_runner):
+    out = run("rescale", harness_runner)
     factors = {f for (_, f) in out["measured"]}
     assert factors == {"down", "same", "up"}
     protocols = {p for (p, _) in out["measured"]}
@@ -149,8 +141,8 @@ def test_rescale_figure_structure():
             assert m["rescaled_at"] > 0
 
 
-def test_multi_failure_figure_structure():
-    out = run("multi_failure")
+def test_multi_failure_figure_structure(harness_runner):
+    out = run("multi_failure", harness_runner)
     protocols = {p for (p, _, _) in out["measured"]}
     assert protocols == {"coor", "coor-unaligned", "unc", "cic"}
     labels = {label for (_, label, _) in out["measured"]}
@@ -162,8 +154,8 @@ def test_multi_failure_figure_structure():
     assert all(ok for _, ok in out["checks"]), out["checks"]
 
 
-def test_state_size_figure_structure():
-    out = run("state_size")
+def test_state_size_figure_structure(harness_runner):
+    out = run("state_size", harness_runner)
     backends = {b for (_, _, b) in out["measured"]}
     assert backends == {"full", "changelog"}
     # the acceptance check of the backend figure must hold at smoke scale
@@ -176,8 +168,8 @@ def test_state_size_figure_structure():
             assert m["uploaded"] < m["materialized"]
 
 
-def test_arrivals_figure_structure():
-    out = run("arrivals")
+def test_arrivals_figure_structure(harness_runner):
+    out = run("arrivals", harness_runner)
     protocols = {p for (p, _, _) in out["measured"]}
     assert protocols == {"coor", "coor-unaligned", "unc", "cic"}
     labels = {label for (_, label, _) in out["measured"]}
@@ -232,11 +224,7 @@ def test_a_figure_request_is_executed_as_itself_whatever_the_worker_count():
         row=lambda entry, result, scale, query: [query, entry],
     )
     runner = _RecordingRunner()
-    figures.set_runner(runner)
-    try:
-        out = figures.run_figure(spec, QUICK)
-    finally:
-        figures.set_runner(None)
+    out = figures.run_figure(spec, QUICK, runner)
     assert out["measured"] == {("q12",): "canned"}
     assert {request_key(asked) for asked in runner.asked} \
         == {request_key(request)}

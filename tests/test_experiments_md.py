@@ -3,8 +3,10 @@
 import pathlib
 import re
 
+from repro.cli import main
 from repro.experiments import figures
-from repro.experiments.experiments_md import assemble, write
+from repro.experiments.experiments_md import assemble
+from repro.experiments.parallel import RunRequest
 
 
 def test_assemble_includes_available_blocks(tmp_path):
@@ -22,14 +24,6 @@ def test_assemble_mentions_every_paper_artifact(tmp_path):
                   "Figure 11", "Table III", "Figure 12", "Figure 13",
                   "Table IV"]:
         assert title in text
-
-
-def test_write_creates_file(tmp_path):
-    (tmp_path / "table4.txt").write_text("TAB4\n")
-    out = tmp_path / "EXPERIMENTS.md"
-    path = write(results_dir=str(tmp_path), output=str(out), scale="quick")
-    assert path.exists()
-    assert "TAB4" in path.read_text()
 
 
 #: every section EXPERIMENTS.md carries, in document order
@@ -56,28 +50,31 @@ def test_assemble_matches_the_recorded_document(tmp_path):
     assert _assemble_over_fixture_dir(tmp_path) == GOLDEN.read_text()
 
 
-def test_bench_emits_the_files_assemble_reads(tmp_path, monkeypatch):
-    """``pytest benchmarks/`` feeds EXPERIMENTS.md: for every registry
-    name, the block the figure bench writes is the block ``assemble``
-    reads (the per-figure benches used to write ``fig07_mst.txt`` & co.,
-    which nothing read)."""
-    from benchmarks import bench_figures
+def _one_run_spec(name: str) -> figures.FigureSpec:
+    """A one-cell spec: the sink records of a two-second q1 run."""
+    return figures.FigureSpec(
+        name=name, heading=f"{name} heading", note=f"{name} note",
+        title=f"{name} table", headers=("sink records",),
+        cells=lambda scale: [()],
+        point=lambda scale: RunRequest("q1", "none", 2, 100.0, duration=2.0,
+                                       warmup=1.0, seed=scale.seed),
+        measure=lambda result, scale: sum(result.metrics.sink_counts.values()),
+        row=lambda entry, result, scale: [entry],
+        checks=lambda measured, scale, results: [
+            ("the run reaches the sink", measured[()] > 0)])
 
-    class Once:
-        """Stands in for the ``benchmark`` fixture: one plain call."""
 
-        @staticmethod
-        def pedantic(fn, rounds, iterations):
-            return fn()
-
-    monkeypatch.setattr(bench_figures, "RESULTS_DIR", tmp_path)
-    for name in figures.ALL_EXPERIMENTS:
-        monkeypatch.setitem(
-            figures.ALL_EXPERIMENTS, name,
-            lambda name=name: {"rows": [[name]], "checks": [],
-                               "text": f"{name} block"})
-        bench_figures.test_figure(Once, name)
-    text = assemble(results_dir=str(tmp_path))
-    for name in figures.ALL_EXPERIMENTS:
-        assert f"```\n{name} block\n```" in text
-    assert "_(not regenerated in the latest run)_" not in text
+def test_all_writes_the_blocks_and_the_document_it_assembles(tmp_path,
+                                                             monkeypatch):
+    """``repro all`` is the one driver: every spec's block lands in
+    ``--out`` as ``<name>.txt``, and EXPERIMENTS.md next to them carries
+    each of them under the scale the sweep ran at."""
+    monkeypatch.setattr(figures, "SPECS", {
+        name: _one_run_spec(name) for name in ("alpha", "beta")})
+    assert main(["all", "--scale", "quick", "--out", str(tmp_path)]) == 0
+    document = (tmp_path / "EXPERIMENTS.md").read_text()
+    for name in ("alpha", "beta"):
+        block = (tmp_path / f"{name}.txt").read_text()
+        assert f"```\n{block.rstrip()}\n```" in document
+    assert "Scale: `quick`" in document
+    assert "not regenerated" not in document

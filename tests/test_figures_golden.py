@@ -1,6 +1,6 @@
 """Every figure and table, pinned at quick scale.
 
-``tests/data/figures_golden.json`` holds, per ``ALL_EXPERIMENTS`` name,
+``tests/data/figures_golden.json`` holds, per ``SPECS`` name,
 what the figure must produce at quick scale: the rendered ``text``, the
 measured mapping (``repr`` of its canonically sorted items), the
 ``(claim, verdict)`` list and the sorted set of ``request_key``s the
@@ -13,9 +13,9 @@ they joined the table).  Below it: the spec-table invariants that
 hand-written code could break silently (a prefetch list drifting from its
 collection loop, an empty grid, two cells on one request).
 
-All figures run through one recording runner that adopts the harness's
-process-wide memo, so every distinct simulation is paid for once per
-session, whichever test module asks first.  Regenerate
+All figures run through one recording runner that adopts the memo of
+the session's ``harness_runner``, so every distinct simulation is paid
+for once per session, whichever test module asks first.  Regenerate
 after an *intentional* change of a figure with
 
     PYTHONPATH=src python -m tests.test_figures_golden
@@ -79,7 +79,7 @@ def _canonical(value):
 def snapshot(name: str, runner: RecordingRunner) -> dict:
     """Run figure ``name`` at quick scale; what the fixture pins of it."""
     runner.issued.clear()
-    out = figures.ALL_EXPERIMENTS[name](QUICK)
+    out = figures.run_figure(figures.SPECS[name], QUICK, runner)
     return {
         "text": out["text"],
         "measured": repr(_canonical(out["measured"])),
@@ -89,22 +89,20 @@ def snapshot(name: str, runner: RecordingRunner) -> dict:
 
 
 @pytest.fixture(scope="module")
-def recorder():
-    """One recording runner installed for the whole module."""
+def recorder(harness_runner):
+    """One recording runner for the whole module."""
     runner = RecordingRunner()
-    # adopt the process memo: what other modules already simulated is a
+    # adopt the session memo: what other modules already simulated is a
     # hit here, and what this module simulates serves the tests after it
-    runner._memory = figures.get_runner()._memory
-    figures.set_runner(runner)
-    yield runner
-    figures.set_runner(None)
+    runner._memory = harness_runner._memory
+    return runner
 
 
 def test_golden_fixture_lists_exactly_the_registered_figures():
-    assert sorted(json.loads(FIXTURE.read_text())) == sorted(figures.ALL_EXPERIMENTS)
+    assert sorted(json.loads(FIXTURE.read_text())) == sorted(figures.SPECS)
 
 
-@pytest.mark.parametrize("name", list(figures.ALL_EXPERIMENTS))
+@pytest.mark.parametrize("name", list(figures.SPECS))
 def test_figure_matches_golden(name, recorder):
     expected = json.loads(FIXTURE.read_text())[name]
     actual = snapshot(name, recorder)
@@ -149,11 +147,7 @@ def test_every_fetched_key_was_prefetched(name, recorder):
     submitted — otherwise ``--jobs N`` silently degrades to serial."""
     runner = PrefetchRecorder()
     runner._memory = recorder._memory
-    figures.set_runner(runner)
-    try:
-        figures.ALL_EXPERIMENTS[name](QUICK)
-    finally:
-        figures.set_runner(recorder)
+    figures.run_figure(figures.SPECS[name], QUICK, runner)
     assert runner.fetched and runner.fetched <= runner.submitted
 
 
@@ -172,7 +166,7 @@ def test_every_cell_runs_at_its_own_request(name, recorder):
     for cell in spec.cells(QUICK):
         point = spec.point(QUICK, *cell)
         group = point if isinstance(point, tuple) else (point,)
-        keys.append(tuple(request_key(figures._resolve(p, QUICK))
+        keys.append(tuple(request_key(figures._resolve(p, QUICK, recorder))
                           for p in group))
     assert len(set(keys)) == len(keys) > 0
 
@@ -180,12 +174,7 @@ def test_every_cell_runs_at_its_own_request(name, recorder):
 def record() -> None:
     """Re-record the fixture from the current code."""
     runner = RecordingRunner()
-    figures.set_runner(runner)
-    try:
-        golden = {name: snapshot(name, runner)
-                  for name in figures.ALL_EXPERIMENTS}
-    finally:
-        figures.set_runner(None)
+    golden = {name: snapshot(name, runner) for name in figures.SPECS}
     FIXTURE.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n",
                        encoding="utf-8")
     checks = sum(len(entry["checks"]) for entry in golden.values())

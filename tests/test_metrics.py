@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dataflow.results import RunResult
 from repro.metrics.collectors import (
     CheckpointEvent,
     MetricsCollector,
@@ -84,14 +85,23 @@ def test_checkpoint_event_duration():
 
 
 def test_avg_checkpoint_time_filters_kinds():
+    """A run averages its protocol's own kinds: local and forced
+    checkpoints under UNC, completed rounds under COOR."""
     m = MetricsCollector()
     m.record_checkpoint(CheckpointEvent(("a", 0), "local", 0.0, 0.1, 0, 0))
     m.record_checkpoint(CheckpointEvent(("a", 0), "forced", 0.0, 0.3, 0, 0))
-    m.record_checkpoint(CheckpointEvent(None, "round", 0.0, 1.0, 0, 0))
-    assert m.avg_checkpoint_time(("local",)) == pytest.approx(0.1)
-    assert m.avg_checkpoint_time(("local", "forced")) == pytest.approx(0.2)
-    assert m.avg_checkpoint_time(("round",)) == pytest.approx(1.0)
-    assert m.avg_checkpoint_time(("coor",)) == 0.0
+    m.record_checkpoint(CheckpointEvent(None, "round", 0.0, 1.0, 0, 0,
+                                        round_id=1))
+
+    def result(protocol: str, completed_rounds: set[int]) -> RunResult:
+        return RunResult(
+            query="synthetic", protocol=protocol, parallelism=1, rate=1.0,
+            warmup=0.0, duration=10.0, metrics=m, checkpoint_interval=5.0,
+            completed_rounds=completed_rounds)
+
+    assert result("unc", set()).avg_checkpoint_time() == pytest.approx(0.2)
+    assert result("coor", {1}).avg_checkpoint_time() == pytest.approx(1.0)
+    assert result("coor", set()).avg_checkpoint_time() == 0.0
 
 
 def test_restart_time_requires_both_stamps():

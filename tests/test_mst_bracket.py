@@ -146,11 +146,8 @@ def test_get_mst_raises_clearly_on_exhausted_bracket(monkeypatch):
         lambda *a, **k: MstResult(query="q1", protocol="unc", parallelism=2,
                                   mst=0.0, bracket_exhausted=True),
     )
-    figures.set_runner(ParallelRunner(jobs=1))  # nothing memoised yet
-    try:
-        with pytest.raises(RuntimeError, match="exhausted its bracket") as err:
-            figures._fetch(figures._mst_request("q1", "unc", 2,
-                                                scale_by_name("quick")))
-    finally:
-        figures.set_runner(None)
+    with pytest.raises(RuntimeError, match="exhausted its bracket") as err:
+        figures._fetch(figures._mst_request("q1", "unc", 2,
+                                            scale_by_name("quick")),
+                       ParallelRunner(jobs=1))  # nothing memoised yet
     assert "q1/unc/p=2" in str(err.value)

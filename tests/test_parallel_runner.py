@@ -283,7 +283,10 @@ def test_a_run_raising_in_a_pool_worker_names_its_request_and_poisons_nothing():
             f"key={request_key(bad)[:12]}: ValueError: unknown protocol")
         assert isinstance(failure.__cause__, ValueError)
         assert request_key(bad) not in runner._pending
-        runner.drain()  # the good run was never part of the failure
+        # the good run was never part of the failure: what is still in
+        # flight of it resolves
+        for handle in list(runner._pending.values()):
+            assert handle.result().query == "q1"
         assert runner._pending == {} and runner._inflight == {}
         # the same request again is a fresh miss with the real error
         with pytest.raises(RunFailed, match="unknown protocol 'nope'"):

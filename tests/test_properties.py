@@ -160,7 +160,7 @@ def test_dedup_processing_is_idempotent(seed):
     A batch is replayed to an instance only after a rollback, so the
     instance is restored (to where it stands) before the repeat.
     """
-    from tests.conftest import build_count_graph, make_event_log
+    from tests.conftest import batch_of, build_count_graph, make_event_log
     from repro.dataflow.runtime import Job
     from repro.sim.costs import RuntimeConfig
 
@@ -168,7 +168,7 @@ def test_dedup_processing_is_idempotent(seed):
     job = Job(build_count_graph(), "unc", 1, {"events": log},
               RuntimeConfig(duration=2.0, warmup=0.5))
     instance = job.instance(("count", 0))
-    records = RecordBatch.from_records(
+    records = batch_of(
         StreamRecord(rid=1000 + i, payload=r.payload, source_ts=0.0,
                      size_bytes=r.size_bytes)
         for i, r in enumerate(log.partition(0).records[:5])

@@ -39,7 +39,7 @@ def test_map_put_get_delete():
     m.put("k", 1, 10)
     assert m.get("k") == 1
     assert "k" in m and len(m) == 1
-    m.delete("k")
+    m.delete_many(["k"])
     assert m.get("k") is None
     assert len(m) == 0
 
@@ -49,13 +49,13 @@ def test_map_size_accounting_updates_on_overwrite():
     m.put("k", 1, 10)
     m.put("k", 2, 30)
     assert m.size_bytes == 30
-    m.delete("k")
+    m.delete_many(["k"])
     assert m.size_bytes == 0
 
 
 def test_map_delete_missing_is_noop():
     m = KeyedMapState()
-    m.delete("ghost")
+    m.delete_many(["ghost"])
     assert m.size_bytes == 0
 
 
@@ -87,13 +87,6 @@ def test_map_iteration():
     m.put("b", 2, 1)
     assert dict(m.items()) == {"a": 1, "b": 2}
     assert set(m.keys()) == {"a", "b"}
-
-
-def test_map_clear():
-    m = KeyedMapState()
-    m.put("a", 1, 5)
-    m.clear()
-    assert len(m) == 0 and m.size_bytes == 0
 
 
 # --------------------------------------------------------------------- #
@@ -138,7 +131,7 @@ def test_list_remove_value_empties_key():
     s = KeyedListState(entry_bytes=10)
     s.append("k", 1)
     s.remove_value("k", lambda v: True)
-    assert "k" not in list(s.keys())
+    assert "k" not in s.snapshot()[0]
 
 
 def test_list_remove_value_missing_key():

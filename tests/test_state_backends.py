@@ -54,7 +54,7 @@ def test_keyed_map_delta_tracks_writes_and_deletes():
     assert s.snapshot_delta() is None
     s.put("b", 3, 12)
     s.put("c", 4, 10)
-    s.delete("a")
+    s.delete_many(["a"])
     replica = KeyedMapState()
     replica.put("a", 1, 10)
     replica.put("b", 2, 10)
@@ -63,16 +63,16 @@ def test_keyed_map_delta_tracks_writes_and_deletes():
     # deleting a freshly written key removes it from the written set too
     s.mark_clean()
     s.put("d", 9, 10)
-    s.delete("d")
+    s.delete_many(["d"])
     kind, written, deleted, _ = s.snapshot_delta()
     assert "d" not in written and "d" in deleted
 
 
-def test_keyed_map_clear_degenerates_to_full_delta():
+def test_keyed_map_restore_degenerates_to_full_delta():
     s = KeyedMapState()
     s.put("a", 1, 10)
     s.mark_clean()
-    s.clear()
+    s.restore(({}, {}, 0))  # what a restore of the initial state installs
     s.put("b", 2, 10)
     delta = s.snapshot_delta()
     assert delta[0] == "full"
@@ -142,8 +142,9 @@ def test_registry_delta_roundtrip_and_sparseness():
 def test_map_base_plus_deltas_equals_direct_snapshot(ops):
     """Property: base snapshot + periodic deltas == direct snapshot.
 
-    Random put/delete/clear sequences with checkpoints sprinkled between —
-    the replica only ever sees the base and the deltas, never the state.
+    Random put/delete/delete-all sequences with checkpoints sprinkled
+    between — the replica only ever sees the base and the deltas, never
+    the state.
     """
     state = KeyedMapState()
     replica = KeyedMapState()
@@ -151,9 +152,9 @@ def test_map_base_plus_deltas_equals_direct_snapshot(ops):
     state.mark_clean()
     for op, key, value in ops:
         if op == 0:
-            state.delete(key)
+            state.delete_many([key])
         elif op == 6 and value < 5:
-            state.clear()
+            state.delete_many(list(state.keys()))
         else:
             state.put(key, value, 8 + (value % 3))
         if value % 7 == 0:  # checkpoint: ship a delta
@@ -237,14 +238,14 @@ def test_chain_cadence_and_compaction_bound(max_chain, monkeypatch):
     registered = []
 
     def check(meta) -> None:
-        assert all(key in store for key in store.chain_keys(meta.blob_key))
-        blob = store.meta(meta.blob_key)
-        assert blob.chain_length <= max_chain
-        assert (blob.base_key is None) == (blob.chain_length == 0)
+        chain = store.chain_keys(meta.blob_key)
+        assert all(key in store for key in chain)
+        length = len(chain) - 1
+        assert length <= max_chain
         # chain metadata in the registry mirrors the store
-        assert meta.chain_length == blob.chain_length
-        assert meta.base_key == blob.base_key
-        registered.append(blob.chain_length)
+        assert meta.chain_length == length
+        assert meta.base_key == (chain[-2] if length else None)
+        registered.append(length)
 
     watch_metadata(job, check)
     job.run(rate=300.0, query_name="count")
@@ -784,8 +785,7 @@ def test_restore_reinstalls_what_the_checkpoint_held(backend, checkpoints):
     assert instance.rid_journal == []
     assert not instance.router.staged_records
     following = _checkpoint(job, instance)
-    assert store.meta(following).base_key is None
-    assert store.meta(following).chain_length == 0
+    assert store.chain_keys(following) == [following]  # a base
 
 
 def _windowed_job() -> Job:

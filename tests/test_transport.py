@@ -23,7 +23,7 @@ from repro.dataflow.keygroups import DEFAULT_MAX_KEY_GROUPS
 from repro.dataflow.operators import SinkOperator, SourceOperator
 from repro.dataflow.records import StreamRecord
 
-from tests.conftest import KeyedEvent, run_count_job
+from tests.conftest import KeyedEvent, batch_of, run_count_job
 from tests.test_exactly_once import expected_counts, measured_counts
 
 TIGHT = 1500  # ~one full 32-record batch of 40-byte events, plus headroom
@@ -79,7 +79,7 @@ def _staged_bytes(router) -> int:
 
 
 def _batch(keys) -> RecordBatch:
-    return RecordBatch.from_records(
+    return batch_of(
         [StreamRecord(rid=i, payload=KeyedEvent(k, i), source_ts=0.0,
                       size_bytes=40)
          for i, k in enumerate(keys)])
@@ -232,9 +232,9 @@ def test_router_never_loses_or_duplicates_records(ops):
     for action, key, edge_sel in ops:
         edge = edges[edge_sel]
         if action <= 1:  # route one record (weighted: most common op)
-            router.route_batch(RecordBatch.from_records([make_record(key)]))
+            router.route_batch(batch_of([make_record(key)]))
         elif action == 2:  # route a batch of 2..4 records over several keys
-            router.route_batch(RecordBatch.from_records(
+            router.route_batch(batch_of(
                 [make_record((key + 5 * i) % 8) for i in range(2 + edge_sel)]))
         elif action == 3:
             collect(router.take_ready())
@@ -359,7 +359,7 @@ def test_zero_size_records_consume_credit_units():
                             size_bytes=0) for i in range(10)]
     assert transport.has_credit(channel, 0, 10)  # empty channel accepts
     msg = Message(channel=channel, seq=1, kind=DATA,
-                  records=RecordBatch.from_records(records),
+                  records=batch_of(records),
                   payload_bytes=0)
     transport.transmit(channel, msg)
     # ten zero-byte records hold ten credit units, not zero
@@ -470,7 +470,7 @@ def test_release_instance_never_runs_tasks_synchronously():
     record = StreamRecord(rid=1, payload=KeyedEvent(0, 1), source_ts=0.0,
                           size_bytes=40)
     msg = Message(channel=channel, seq=1, kind=DATA,
-                  records=RecordBatch.from_records([record]),
+                  records=batch_of([record]),
                   payload_bytes=40)
     count.credit_blocked = True
     worker._tasks.append(("data", channel, msg))
