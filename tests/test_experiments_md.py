@@ -64,11 +64,10 @@ def _one_run_spec(name: str) -> figures.FigureSpec:
             ("the run reaches the sink", measured[()] > 0)])
 
 
-def test_all_writes_the_blocks_and_the_document_it_assembles(tmp_path,
-                                                             monkeypatch):
+def test_bench_emits_the_files_assemble_reads(tmp_path, monkeypatch):
     """``repro all`` is the one driver: every spec's block lands in
-    ``--out`` as ``<name>.txt``, and EXPERIMENTS.md next to them carries
-    each of them under the scale the sweep ran at."""
+    ``--out`` as ``<name>.txt``, the name ``assemble`` reads, and
+    EXPERIMENTS.md next to them carries each of them."""
     monkeypatch.setattr(figures, "SPECS", {
         name: _one_run_spec(name) for name in ("alpha", "beta")})
     assert main(["all", "--scale", "quick", "--out", str(tmp_path)]) == 0
@@ -76,5 +75,18 @@ def test_all_writes_the_blocks_and_the_document_it_assembles(tmp_path,
     for name in ("alpha", "beta"):
         block = (tmp_path / f"{name}.txt").read_text()
         assert f"```\n{block.rstrip()}\n```" in document
-    assert "Scale: `quick`" in document
     assert "not regenerated" not in document
+
+
+def test_write_creates_file(tmp_path, monkeypatch):
+    """``repro all`` creates EXPERIMENTS.md in a fresh ``--out``
+    directory, stamped with the scale the sweep ran at."""
+    monkeypatch.setattr(figures, "SPECS", {"gamma": _one_run_spec("gamma")})
+    out = tmp_path / "results"
+    assert main(["all", "--scale", "quick", "--out", str(out)]) == 0
+    path = out / "EXPERIMENTS.md"
+    assert path.exists()
+    document = path.read_text()
+    assert "gamma heading" in document
+    assert (out / "gamma.txt").read_text().rstrip() in document
+    assert "Scale: `quick`" in document
