@@ -258,6 +258,9 @@ def _cmd_all(args) -> int:
         try:
             for name, spec in figures.SPECS.items():
                 started = time.time()
+                # an earlier sweep's block must not stand in for a figure
+                # that fails in this one (EXPERIMENTS.md reads every file)
+                pathlib.Path(args.out, f"{name}.txt").unlink(missing_ok=True)
                 try:
                     out = figures.run_figure(spec, scale, runner)
                 except Exception as exc:  # one broken figure must not kill the sweep

@@ -22,10 +22,10 @@ whole MST searches all go into this one shared pool — no nested pools,
 no per-figure pool churn; a dependent group (the shards of one run) is a
 ``map()`` batch whose results its caller merges.
 
-What moves between processes is slimmed and compressed: workers compact
-top-level results (:meth:`repro.dataflow.results.RunResult.compact`),
-persist the cache entry themselves (zlib-compressed, format v8) and
-return only the key, so big pickles never cross the pipe.
+A worker returns its compacted result
+(:meth:`repro.dataflow.results.RunResult.compact`) through the pipe, a
+few kilobytes per run; the runner stores it (:meth:`ParallelRunner._store`
+is the one writer of the cache directory, zlib-compressed, format v8).
 Byte-identical results to serial execution stay the invariant:
 scheduling order may change, result content may not.
 
@@ -243,13 +243,6 @@ def execute_mst(request: MstRequest, runner: "ParallelRunner | None" = None):
     )
 
 
-def execute_any(request: "RunRequest | MstRequest") -> Any:
-    """Worker-process entry point: dispatch on the request type."""
-    if isinstance(request, MstRequest):
-        return execute_mst(request)
-    return execute_request(request)
-
-
 class RunFailed(RuntimeError):
     """A request raised, or its worker died, instead of returning a result.
 
@@ -356,20 +349,8 @@ def estimate_cost(request: "RunRequest | MstRequest") -> float:
 
 
 # --------------------------------------------------------------------- #
-# Worker-side execution + cache write
+# Execution (a pool worker or inline)
 # --------------------------------------------------------------------- #
-
-@dataclass(frozen=True)
-class StoredResult:
-    """Marker a worker returns instead of a full result.
-
-    The worker already persisted the entry under ``key`` in the shared
-    cache directory; only this key crosses the IPC pipe.  The parent
-    loads the entry from disk on admission.
-    """
-
-    key: str
-
 
 def compact_result(request: "RunRequest | MstRequest", result: Any) -> Any:
     """Compact a finished result if (and only if) it is safe to.
@@ -384,20 +365,14 @@ def compact_result(request: "RunRequest | MstRequest", result: Any) -> Any:
     return result
 
 
-def execute_and_store(request: "RunRequest | MstRequest",
-                      cache_dir: str | None) -> Any:
-    """Worker entry point: execute, compact, persist, return a marker.
-
-    With a shared cache directory the worker writes the (compressed)
-    entry itself and ships back only a :class:`StoredResult`; without one
-    the compacted result crosses the pipe whole.
-    """
-    result = compact_result(request, execute_any(request))
-    if cache_dir is None:
-        return result
-    key = request_key(request)
-    RunCache(cache_dir).put(key, result)
-    return StoredResult(key=key)
+def execute(request: "RunRequest | MstRequest",
+            probes: "ParallelRunner | None" = None) -> Any:
+    """Run one request to its compacted result: what a pool worker and
+    the inline path both call.  An MST search sends its probes through
+    ``probes`` when given."""
+    if isinstance(request, MstRequest):
+        return execute_mst(request, runner=probes)
+    return compact_result(request, execute_request(request))
 
 
 # --------------------------------------------------------------------- #
@@ -416,10 +391,12 @@ class RunCache:
     """Content-addressed compressed store: one file per request hash.
 
     Entries are compacted results pickled and zlib-compressed (format v8,
-    see :data:`_ENTRY_MAGIC`).  Writes are atomic (tempfile + rename), so
-    concurrent workers and concurrent sweeps can share a cache directory;
-    an older-format file reads as a miss and is overwritten, a corrupt or
-    truncated v8 entry reads as a miss and is quarantined (:meth:`get`).
+    see :data:`_ENTRY_MAGIC`).  Within a sweep only the runner's parent
+    process writes (:meth:`ParallelRunner._store`); writes are atomic
+    (tempfile + rename), so concurrent sweeps can share a directory and
+    a reader never sees half an entry.  An older-format file reads as a
+    miss and is overwritten, a corrupt or truncated v8 entry reads as a
+    miss and is quarantined (:meth:`get`).
     """
 
     def __init__(self, directory: str | os.PathLike):
@@ -473,9 +450,7 @@ class RunCache:
         raw = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         payload = (_ENTRY_MAGIC + _ENTRY_HEADER.pack(len(raw))
                    + zlib.compress(raw, 6))
-        # the writer's pid in the name: see discard_partial
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp",
-                                   prefix=f"{os.getpid()}-")
+        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(payload)
@@ -486,12 +461,6 @@ class RunCache:
             except OSError:
                 pass
             raise
-
-    def discard_partial(self, pid: int | None) -> None:
-        """Remove the temp files of a writer process that is gone (one
-        killed inside :meth:`put` cannot unlink its own)."""
-        for path in self.directory.glob(f"{pid}-*.tmp"):
-            path.unlink(missing_ok=True)
 
     def stats(self) -> dict[str, float]:
         """One directory scan: entry count, bytes, compression ratio.
@@ -641,11 +610,12 @@ class ParallelRunner:
 
         Nothing is in flight when a sweep ends normally.  After Ctrl-C or
         a failure that ended the sweep something may be, and nobody will
-        read it: queued futures are cancelled, the workers terminated,
-        and what a worker killed inside ``RunCache.put`` left behind is
-        removed.  Finished entries stay; the directory is reusable.  A
-        run the interrupt caught executing inline (``jobs=1``, or
-        :meth:`run`) is dropped too, and counted.
+        read it: queued futures are cancelled and the workers terminated;
+        a result a worker finished but the runner had not drained yet is
+        not stored.  Workers never write the cache, so there is nothing
+        of theirs to clean up: stored entries stay and the directory is
+        reusable.  A run the interrupt caught executing inline
+        (``jobs=1``, or :meth:`run`) is dropped too, and counted.
         """
         abandoned = len(self._inflight) + self._inline
         self._inline = 0
@@ -660,8 +630,6 @@ class ParallelRunner:
             worker.terminate()
         for worker in workers:
             worker.join()
-            if self.cache is not None:
-                self.cache.discard_partial(worker.pid)
         return abandoned
 
     def __enter__(self) -> "ParallelRunner":
@@ -698,9 +666,12 @@ class ParallelRunner:
         return False, None
 
     def _store(self, key: str, value: Any) -> None:
-        self._memory[key] = value
+        """Write a finished result's cache entry, then memoise it: the one
+        caller of :meth:`RunCache.put`, always in this process.  A write
+        that raises memoises nothing, so the key stays a miss."""
         if self.cache is not None:
             self.cache.put(key, value)
+        self._memory[key] = value
 
     @property
     def finished(self) -> int:
@@ -754,11 +725,9 @@ class ParallelRunner:
             handle._resolve(value)
             return handle
         self._pending[key] = handle
-        cache_dir = (str(self.cache.directory)
-                     if self.cache is not None else None)
         if self._pool is None:
             self._pool = self._make_pool()
-        future = self._pool.submit(execute_and_store, request, cache_dir)
+        future = self._pool.submit(execute, request)
         self._inflight[future] = (self._submit_seq, key, request, handle,
                                   self._pool, retry_of is not None)
         self._submit_seq += 1
@@ -782,6 +751,8 @@ class ParallelRunner:
         miss), its handle resolves with a :class:`RunFailed` that every
         waiter re-raises, and once everything that landed in this wait
         is settled the first such failure is raised to whoever drains.
+        Storing the result is part of the same step, so a cache write
+        that fails is a :class:`RunFailed` as well.
         A dead worker fails every run its pool had in flight, so one that
         failed with ``BrokenExecutor`` is first resubmitted, once, to a
         rebuilt pool (not a second miss); nothing else is retried.
@@ -798,7 +769,8 @@ class ParallelRunner:
             _, key, request, handle, pool, retried = self._inflight.pop(future)
             self._pending.pop(key, None)
             try:
-                value = self._admit(key, request, future.result())
+                value = future.result()
+                self._store(key, value)
             except Exception as exc:
                 if isinstance(exc, BrokenExecutor):
                     if pool is self._pool:
@@ -817,22 +789,6 @@ class ParallelRunner:
                 handle._resolve(value)
         if failed is not None:
             raise failed
-
-    def _admit(self, key: str, request: Any, value: Any) -> Any:
-        """Turn a worker's return into the cached result value."""
-        if isinstance(value, StoredResult):
-            found, loaded = (self.cache.get(value.key)
-                             if self.cache is not None else (False, None))
-            if found:
-                self._memory[key] = loaded
-                return loaded
-            # the entry vanished between the worker's write and our read
-            # (e.g. a concurrent cache prune); the marker alone cannot
-            # rebuild the result, so recompute inline — correctness over
-            # speed on this cold path
-            value = compact_result(request, execute_any(request))
-        self._store(key, value)
-        return value
 
     # -- execution ------------------------------------------------------ #
 
@@ -865,10 +821,7 @@ class ParallelRunner:
         """
         self._inline += 1
         try:
-            if isinstance(request, MstRequest):
-                value = execute_mst(request, runner=probes)
-            else:
-                value = compact_result(request, execute_request(request))
+            value = execute(request, probes)
         except Exception as exc:
             self._inline -= 1
             if isinstance(exc, RunFailed):

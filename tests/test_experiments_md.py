@@ -2,6 +2,7 @@
 
 import pathlib
 import re
+from dataclasses import replace
 
 from repro.cli import main
 from repro.experiments import figures
@@ -90,3 +91,21 @@ def test_write_creates_file(tmp_path, monkeypatch):
     assert "gamma heading" in document
     assert (out / "gamma.txt").read_text().rstrip() in document
     assert "Scale: `quick`" in document
+
+
+def test_a_figure_that_fails_shows_no_earlier_sweeps_block(tmp_path,
+                                                          monkeypatch):
+    """A figure that raises in this sweep reads "not regenerated", never
+    the block an earlier sweep left in ``--out``."""
+
+    def broken(scale):
+        raise RuntimeError("cells broke")
+
+    spec = replace(_one_run_spec("delta"), cells=broken)
+    monkeypatch.setattr(figures, "SPECS", {"delta": spec})
+    (tmp_path / "delta.txt").write_text("AN EARLIER SWEEP'S BLOCK\n")
+    assert main(["all", "--scale", "quick", "--out", str(tmp_path)]) == 1
+    document = (tmp_path / "EXPERIMENTS.md").read_text()
+    assert "AN EARLIER SWEEP'S BLOCK" not in document
+    assert "_(not regenerated in the latest run)_" in document
+    assert not (tmp_path / "delta.txt").exists()

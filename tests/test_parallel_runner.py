@@ -209,6 +209,27 @@ def test_parallel_map_matches_serial_byte_for_byte(tmp_path):
         assert pickle.dumps(a.metrics) == pickle.dumps(b.metrics)
 
 
+def test_only_the_parent_writes_the_cache(tmp_path, monkeypatch):
+    """Workers return their results; the runner stores them.  ``put`` is
+    wrapped before the pool forks, so a worker that wrote would log its
+    own pid."""
+    writers = tmp_path / "writers"
+    put = RunCache.put
+
+    def logged_put(cache, key, value):
+        with open(writers, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        put(cache, key, value)
+
+    monkeypatch.setattr(RunCache, "put", logged_put)
+    requests = [req(duration=2.0, warmup=1.0, protocol=p)
+                for p in ("none", "coor", "unc")]
+    with ParallelRunner(jobs=2, cache_dir=tmp_path / "cache") as runner:
+        runner.map(requests)
+    assert writers.read_text().split() == [str(os.getpid())] * 3
+    assert len(list((tmp_path / "cache").glob("*.pkl"))) == 3
+
+
 def test_compact_results_keep_derived_metrics_identical():
     """The executor compacts results (drops raw latency samples); every
     derived metric must equal the raw in-process run's."""
@@ -427,9 +448,9 @@ class _LoggingPool(_FakePool):
     def __init__(self) -> None:
         self.launched: list[RunRequest] = []
 
-    def submit(self, fn, request, cache_dir):
+    def submit(self, fn, request):
         self.launched.append(request)
-        return super().submit(fn, request, cache_dir)
+        return super().submit(fn, request)
 
 
 def test_map_launches_longest_first_ties_in_request_order():

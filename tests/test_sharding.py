@@ -17,7 +17,7 @@ import pytest
 
 from repro.dataflow.graph import GraphError, LogicalGraph, Partitioning
 from repro.dataflow.keygroups import group_range
-from repro.dataflow.operators import MapOperator, SinkOperator, SourceOperator
+from repro.dataflow.operators import SinkOperator, SourceOperator
 from repro.dataflow.runtime import Job
 from repro.metrics.collectors import MetricsCollector, RecoveryRecord
 from repro.sim.costs import RuntimeConfig
@@ -39,7 +39,6 @@ from repro.experiments.sharding import (
 
 from tests.conftest import (
     CountPerKeyOperator,
-    KeyedEvent,
     build_count_graph,
     make_event_log,
 )
