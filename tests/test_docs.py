@@ -1,8 +1,10 @@
 """The prose is held to the code where the two can drift.
 
 Links: every ``DESIGN.md#…`` anchor that README or a source file points
-at must resolve to a heading of DESIGN.md, so a section can be rewritten
-or renamed without leaving a dead link behind.  Grammars: DESIGN
+at, and every section number that README, CI or a source, tool or test
+file cites (``DESIGN.md section N``, ``sections N, M and K``, ``§N``),
+must resolve to a heading of DESIGN.md, so a section can be rewritten,
+renamed or renumbered without leaving a dead reference behind.  Grammars: DESIGN
 sections 12 and 17 each state their spec grammar once, as a table, and
 that table is the one in ``src``; every spec string the prose spells
 after a flag still parses.
@@ -41,6 +43,43 @@ def test_every_design_anchor_linked_from_readme_and_source_resolves():
     dead = [f"{path}: #{anchor}" for path, anchor in links
             if anchor not in anchors]
     assert not dead, "links to DESIGN.md headings that do not exist: " \
+        + "; ".join(dead)
+
+
+#: one citation of DESIGN sections by number: ``DESIGN.md section 8``,
+#: ``DESIGN sections 19, 20 and 22``, ``sections 19-21``, ``§23``, ``§5–6``
+_CITATION = re.compile(
+    r"DESIGN(?:\.md)?,? sections? (\d+(?:[–-]\d+)?"
+    r"(?:(?:, | and |, and )\d+(?:[–-]\d+)?)*)"
+    r"|§ ?(\d+(?:[–-]\d+)?)")
+
+
+def _cited_sections(text: str) -> list[int]:
+    """Every section number ``text`` cites; a range cites each number in
+    it.  Line breaks and the comment leaders after them are read as one
+    space, since a citation wraps where its line does."""
+    text = re.sub(r"\s*\n\s*(?:#:?\s*)?", " ", text)
+    numbers = []
+    for match in _CITATION.finditer(text):
+        for low, high in re.findall(r"(\d+)(?:[–-](\d+))?",
+                                    match.group(1) or match.group(2)):
+            numbers.extend(range(int(low), int(high or low) + 1))
+    return numbers
+
+
+def test_every_numbered_design_citation_resolves():
+    sections = {int(number) for number
+                in re.findall(r"^## (\d+)\. ", DESIGN, re.MULTILINE)}
+    citing = [ROOT / "README.md", ROOT / ".github" / "workflows" / "ci.yml",
+              *sorted(path for top in ("src", "tools", "tests")
+                      for path in (ROOT / top).rglob("*")
+                      if path.suffix in (".py", ".md"))]
+    cites = [(path.relative_to(ROOT), number) for path in citing
+             for number in _cited_sections(path.read_text(encoding="utf-8"))]
+    assert len(cites) >= 200  # src, tools, tests, CI and README cite ~230
+    dead = sorted({f"{path}: {number}" for path, number in cites
+                   if number not in sections})
+    assert not dead, "citations of DESIGN.md sections that do not exist: " \
         + "; ".join(dead)
 
 
