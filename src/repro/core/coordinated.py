@@ -67,7 +67,7 @@ class CoordinatedProtocol(CheckpointProtocol):
 
     def on_job_start(self) -> None:
         """Start the round timer."""
-        self.job.sim.schedule(self.job.checkpoint_interval_now(), self._round_tick)
+        self.job.sim.schedule(self.job.lifecycle.checkpoint_interval_now(), self._round_tick)
 
     def _round_tick(self) -> None:
         """Start a round if none is active; reschedule at the current
@@ -75,7 +75,7 @@ class CoordinatedProtocol(CheckpointProtocol):
         job = self.job
         if not job.recovering and self._active_round is None:
             self._start_round()
-        job.sim.schedule(job.checkpoint_interval_now(), self._round_tick)
+        job.sim.schedule(job.lifecycle.checkpoint_interval_now(), self._round_tick)
 
     def _start_round(self) -> None:
         job = self.job
@@ -161,7 +161,7 @@ class CoordinatedProtocol(CheckpointProtocol):
         # the coordinated family's unit of checkpoint cost is the round:
         # the adaptive interval controller sizes its Young–Daly C term
         # from start-of-round to all-instances-durable
-        job.note_checkpoint_duration(job.sim.now - self._round_started[round_id])
+        job.lifecycle.note_checkpoint_duration(job.sim.now - self._round_started[round_id])
 
     # ------------------------------------------------------------------ #
     # Recovery

@@ -140,7 +140,7 @@ class UncoordinatedProtocol(CheckpointProtocol):
             interval, phase = overrides[instance.op_name]
             return interval, phase
         rng = self.job.rng.stream("unc-timers")
-        interval = self.job.checkpoint_interval_now()
+        interval = self.job.lifecycle.checkpoint_interval_now()
         phase = interval * (0.5 + rng.uniform(0.0, TIMER_JITTER))
         return None, phase
 
@@ -168,7 +168,7 @@ class UncoordinatedProtocol(CheckpointProtocol):
             return  # timer chain of a pre-rescale deployment; let it die
         if instance.worker.alive and not job.recovering:
             job.enqueue_checkpoint(instance, KIND_LOCAL, None)
-        period = interval if interval is not None else job.checkpoint_interval_now()
+        period = interval if interval is not None else job.lifecycle.checkpoint_interval_now()
         job.sim.schedule(period, self._timer_tick, instance, interval,
                          deploy_epoch)
 

@@ -1,13 +1,13 @@
 """Failure, recovery and rescale orchestration for one deployed job.
 
-The :class:`LifecycleManager` owns the failure-to-recovery pipeline the
-runtime used to inline: kill handling, detection, restart-cost modelling,
-rollback application, in-flight replay, and the elastic
-rescale-on-recovery path (DESIGN.md section 11) that tears the physical
-topology down and re-wires it at a different parallelism.  The engine
-(:class:`~repro.dataflow.runtime.Job`) exposes thin ``_on_fail`` /
-``_on_detect`` delegates for the failure injector; everything downstream
-of those entry points lives here.
+The :class:`LifecycleManager` owns the failure-to-recovery pipeline:
+kill handling, detection, restart-cost modelling, rollback application,
+in-flight replay, and the elastic rescale-on-recovery path (DESIGN.md
+section 11) that tears the physical topology down and re-wires it at a
+different parallelism.  The failure injector calls its ``on_fail`` /
+``on_detect`` directly, and protocols read the checkpoint interval from
+``job.lifecycle`` and report durations to it; everything downstream of
+those entry points lives here.
 """
 
 from __future__ import annotations
@@ -112,8 +112,8 @@ class LifecycleManager:
         injector = FailureInjector(
             job.sim, events,
             detection_delay=job.cost.detection_delay,
-            on_fail=job._on_fail,
-            on_detect=job._on_detect,
+            on_fail=self.on_fail,
+            on_detect=self.on_detect,
             # resolve a scenario's raw worker draw against the LIVE
             # parallelism (a rescale may have changed it by kill time)
             worker_resolver=lambda index: index % job.parallelism,

@@ -124,7 +124,7 @@ class Job:
                              self.max_key_groups)
         self.lifecycle = LifecycleManager(self)
         #: Young–Daly interval controller (None under the fixed policy);
-        #: protocols consult checkpoint_interval_now() each tick
+        #: protocols consult lifecycle.checkpoint_interval_now() each tick
         self.interval_controller = self.lifecycle.build_interval_controller()
         self.recovering = False
         self.epoch = 0
@@ -387,17 +387,6 @@ class Job:
     # Checkpoint execution (shared by every protocol)
     # ------------------------------------------------------------------ #
 
-    def checkpoint_interval_now(self) -> float:
-        """The interval checkpoint timers should use for their next tick
-        (fixed constant or the adaptive controller's current Young–Daly
-        optimum — see :meth:`LifecycleManager.checkpoint_interval_now`)."""
-        return self.lifecycle.checkpoint_interval_now()
-
-    def note_checkpoint_duration(self, duration: float) -> None:
-        """Feed one completed checkpoint's duration to the adaptive
-        interval controller (no-op under the fixed policy)."""
-        self.lifecycle.note_checkpoint_duration(duration)
-
     def enqueue_checkpoint(self, instance: InstanceRuntime, kind: str,
                            round_id: int | None = None,
                            priority: bool = False) -> None:
@@ -527,7 +516,7 @@ class Job:
         if durable.kind in UNCOORDINATED_KINDS:
             # the uncoordinated family's unit of checkpoint cost; the
             # coordinated family reports round durations instead
-            self.note_checkpoint_duration(now - durable.started_at)
+            self.lifecycle.note_checkpoint_duration(now - durable.started_at)
 
     def store_checkpoint(self, meta: CheckpointMeta, payload: dict[str, Any],
                          size_bytes: int) -> None:
@@ -573,16 +562,6 @@ class Job:
             self.instance(key).cut_rids(
                 payload["new_rids"] if meta.base_key is not None
                 else payload["processed_rids"].added)
-
-    # ------------------------------------------------------------------ #
-    # Failure and recovery (delegated to the lifecycle layer)
-    # ------------------------------------------------------------------ #
-
-    def _on_fail(self, worker_index: int) -> None:
-        self.lifecycle.on_fail(worker_index)
-
-    def _on_detect(self, worker_index: int) -> None:
-        self.lifecycle.on_detect(worker_index)
 
     # ------------------------------------------------------------------ #
     # Run loop

@@ -231,18 +231,6 @@ def execute_request(request: RunRequest) -> "RunResult":
     return run_with_spec(resolve_spec(request.query), request)
 
 
-def execute_mst(request: MstRequest, runner: "ParallelRunner | None" = None):
-    """Run one MST search (its probes through ``runner`` when given)."""
-    from repro.metrics.mst import find_mst
-
-    return find_mst(
-        resolve_spec(request.query), request.protocol, request.parallelism,
-        probe_duration=request.probe_duration, warmup=request.warmup,
-        iterations=request.iterations, seed=request.seed,
-        config=request.config, runner=runner,
-    )
-
-
 class RunFailed(RuntimeError):
     """A request raised, or its worker died, instead of returning a result.
 
@@ -268,6 +256,11 @@ class RunFailed(RuntimeError):
         self.__cause__ = cause
         self.request = request
         self.key = key
+
+    def __reduce__(self):
+        # a pool worker's MST search raises its probe's RunFailed, which
+        # must cross the pipe to the parent whole
+        return type(self), (self.request, self.key, self.__cause__)
 
 
 def run_with_spec(spec: "QuerySpec", request: RunRequest) -> "RunResult":
@@ -352,27 +345,28 @@ def estimate_cost(request: "RunRequest | MstRequest") -> float:
 # Execution (a pool worker or inline)
 # --------------------------------------------------------------------- #
 
-def compact_result(request: "RunRequest | MstRequest", result: Any) -> Any:
-    """Compact a finished result if (and only if) it is safe to.
-
-    Top-level run results are compacted
-    (:meth:`~repro.dataflow.results.RunResult.compact`); shard partials
-    keep their raw latency samples because the shard merge concatenates
-    them before taking percentiles; MST results are already tiny.
-    """
-    if isinstance(request, RunRequest) and request.shard_index is None:
-        return result.compact()
-    return result
-
-
 def execute(request: "RunRequest | MstRequest",
             probes: "ParallelRunner | None" = None) -> Any:
-    """Run one request to its compacted result: what a pool worker and
-    the inline path both call.  An MST search sends its probes through
-    ``probes`` when given."""
+    """Run one request to the result the cache stores: what a pool worker
+    and the inline path both call.
+
+    An MST search runs its probes through ``probes`` (a serial runner of
+    its own when ``None``); its result is already tiny.  A run's result is
+    compacted (:meth:`~repro.dataflow.results.RunResult.compact`), except
+    a shard partial's: the shard merge concatenates the raw latency
+    samples before taking percentiles.
+    """
     if isinstance(request, MstRequest):
-        return execute_mst(request, runner=probes)
-    return compact_result(request, execute_request(request))
+        from repro.metrics.mst import find_mst
+
+        return find_mst(
+            resolve_spec(request.query), request.protocol, request.parallelism,
+            probe_duration=request.probe_duration, warmup=request.warmup,
+            iterations=request.iterations, seed=request.seed,
+            config=request.config, runner=probes,
+        )
+    result = execute_request(request)
+    return result.compact() if request.shard_index is None else result
 
 
 # --------------------------------------------------------------------- #
@@ -782,7 +776,9 @@ class ParallelRunner:
                     if not retried:
                         self._launch(key, request, retry_of=handle)
                         continue
-                error = RunFailed(request, key, exc)
+                # a probe's RunFailed already names what died
+                error = (exc if isinstance(exc, RunFailed)
+                         else RunFailed(request, key, exc))
                 handle._resolve(error=error)
                 failed = failed or error
             else:

@@ -7,8 +7,9 @@ capacity hint, expands it geometrically until it straddles the boundary,
 then bisects with short probe runs — one probe at a time, each deciding
 the next rate.
 
-When a :class:`~repro.experiments.parallel.ParallelRunner` is supplied,
-every probe goes through it, so the probe runs land in the runner's
+Every probe goes through a
+:class:`~repro.experiments.parallel.ParallelRunner` (the caller's, or a
+serial one of its own), so the probe runs land in the runner's
 content-addressed cache and a re-bracketing sweep reuses them.  If every
 probe of the bracket phase is unsustainable the search keeps shrinking; a
 bracket that never finds a sustainable rate returns ``mst=0.0`` with
@@ -19,9 +20,8 @@ validated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Callable
 
-from repro.dataflow.results import RunResult
 from repro.sim.costs import RuntimeConfig
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -67,8 +67,7 @@ def probe_request(
 ) -> "RunRequest":
     """One fixed-rate sustainability probe, as a request.
 
-    The one place a probe's configuration is spelled, whether the search
-    then runs it in-process or hands it to a runner.  The request's
+    The one place a probe's configuration is spelled.  The request's
     ``effective_config`` is a ``dataclasses.replace`` copy of ``config``
     — every knob (schedules, semantics, cost model, ...) survives into
     the probe; only the window, failure and seed scalars are overridden.
@@ -86,16 +85,6 @@ def probe_request(
     )
 
 
-def probe_run(spec: "QuerySpec", protocol: str, parallelism: int,
-              rate: float, **probe_fields: Any) -> RunResult:
-    """Run one :func:`probe_request` in this process (the seam the
-    bracket tests replace with a stub)."""
-    from repro.experiments.parallel import run_with_spec
-
-    return run_with_spec(spec, probe_request(spec, protocol, parallelism,
-                                             rate, **probe_fields))
-
-
 def find_mst(
     spec: "QuerySpec",
     protocol: str,
@@ -111,20 +100,20 @@ def find_mst(
 
     Every probe is the same :func:`probe_request` (including every
     ``RuntimeConfig`` knob and the ``seed``, which governs both input
-    generation and runtime jitter) whether it runs in-process or, with a
-    ``runner``, through the runner's cache — so the search settles on the
+    generation and runtime jitter), run by ``runner.run`` — a serial
+    ``ParallelRunner()`` when none is given — so the search settles on the
     same boundary no matter which executor ran it.
     """
+    from repro.experiments.parallel import ParallelRunner
+
+    runner = runner or ParallelRunner()
     probes: list[tuple[float, bool]] = []
     fields = dict(duration=probe_duration, warmup=warmup, seed=seed,
                   config=config)
 
     def probe(rate: float) -> bool:
-        if runner is not None:
-            result = runner.run(probe_request(spec, protocol, parallelism,
-                                              rate, **fields))
-        else:
-            result = probe_run(spec, protocol, parallelism, rate, **fields)
+        result = runner.run(probe_request(spec, protocol, parallelism,
+                                          rate, **fields))
         ok = result.sustainable(rate)
         probes.append((rate, ok))
         return ok

@@ -5,7 +5,8 @@ import pytest
 from repro.dataflow.batch import RecordBatch
 from repro.dataflow.channels import DATA, MARKER, Message
 from repro.dataflow.runtime import Job
-from repro.metrics.mst import MstResult, estimate_capacity, find_mst, probe_run
+from repro.experiments.parallel import run_with_spec
+from repro.metrics.mst import MstResult, estimate_capacity, find_mst, probe_request
 from repro.sim.costs import RuntimeConfig
 from repro.workloads.nexmark import QUERIES
 
@@ -22,8 +23,8 @@ def test_estimate_capacity_scales_with_parallelism():
 
 
 def test_probe_run_returns_result():
-    result = probe_run(QUERIES["q1"], "none", 2, rate=200.0,
-                       duration=6.0, warmup=2.0)
+    result = run_with_spec(QUERIES["q1"], probe_request(
+        QUERIES["q1"], "none", 2, rate=200.0, duration=6.0, warmup=2.0))
     assert result.query == "q1"
     assert sum(result.metrics.sink_counts.values()) > 0
 

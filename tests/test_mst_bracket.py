@@ -13,8 +13,8 @@ from dataclasses import fields
 import pytest
 
 import repro.metrics.mst as mst
-from repro.experiments.parallel import RunRequest
-from repro.metrics.mst import find_mst, probe_run
+from repro.experiments.parallel import RunRequest, run_with_spec
+from repro.metrics.mst import find_mst, probe_request
 from repro.sim.costs import RuntimeConfig
 from repro.workloads.nexmark import QUERIES
 
@@ -27,34 +27,44 @@ class _StubResult:
         return self._ok
 
 
-def test_exhausted_bracket_reports_zero_not_a_guess(monkeypatch):
+class _StubRunner:
+    """Answers every probe with ``sustainable(rate)`` instead of running
+    it, and keeps the requests it was handed."""
+
+    def __init__(self, sustainable):
+        self._sustainable = sustainable
+        self.requests: list[RunRequest] = []
+
+    def run(self, request: RunRequest) -> _StubResult:
+        self.requests.append(request)
+        return _StubResult(self._sustainable(request.rate))
+
+
+def test_exhausted_bracket_reports_zero_not_a_guess():
     """Seed bug: all-unsustainable brackets returned the last probed rate."""
-    monkeypatch.setattr(mst, "probe_run", lambda *a, **k: _StubResult(False))
-    result = find_mst(QUERIES["q1"], "unc", 2, iterations=2)
+    result = find_mst(QUERIES["q1"], "unc", 2, iterations=2,
+                      runner=_StubRunner(lambda rate: False))
     assert result.bracket_exhausted
     assert result.mst == 0.0
     assert result.probes and all(not ok for _, ok in result.probes)
 
 
-def test_exhausted_bracket_keeps_shrinking_before_giving_up(monkeypatch):
-    monkeypatch.setattr(mst, "probe_run", lambda *a, **k: _StubResult(False))
-    result = find_mst(QUERIES["q1"], "unc", 2, iterations=2)
+def test_exhausted_bracket_keeps_shrinking_before_giving_up():
+    result = find_mst(QUERIES["q1"], "unc", 2, iterations=2,
+                      runner=_StubRunner(lambda rate: False))
     rates = [rate for rate, _ in result.probes]
     assert len(rates) == mst.MAX_BRACKET_PROBES
     assert min(rates) < rates[0] / 4  # kept descending well below the hint
 
 
-def test_returned_mst_was_probed_sustainable(monkeypatch):
+def test_returned_mst_was_probed_sustainable():
     """The reported MST must be a rate that an actual probe validated —
     just above the capacity hint, and far above a low one: the bracket
     keeps expanding instead of capping the MST near the hint."""
     hint = mst.estimate_capacity(QUERIES["q1"], 2)
     for boundary, floor in ((hint * 1.1, hint), (hint * 3.0, hint * 1.8)):
-        monkeypatch.setattr(
-            mst, "probe_run",
-            lambda spec, protocol, parallelism, rate, **kwargs:
-                _StubResult(rate <= boundary))
-        result = find_mst(QUERIES["q1"], "unc", 2, iterations=3)
+        result = find_mst(QUERIES["q1"], "unc", 2, iterations=3,
+                          runner=_StubRunner(lambda rate: rate <= boundary))
         assert not result.bracket_exhausted
         sustainable = [rate for rate, ok in result.probes if ok]
         assert result.mst in sustainable
@@ -90,10 +100,11 @@ def test_effective_config_preserves_every_field():
 
 
 def test_probe_run_does_not_mutate_caller_config():
-    """Seed bug: probe_run wrote duration/warmup into the caller's config."""
+    """Seed bug: a probe wrote duration/warmup into the caller's config."""
     config = RuntimeConfig(duration=60.0, warmup=10.0, failure_at=7.0)
-    probe_run(QUERIES["q1"], "none", 2, rate=200.0,
-              duration=4.0, warmup=1.0, config=config)
+    run_with_spec(QUERIES["q1"], probe_request(
+        QUERIES["q1"], "none", 2, rate=200.0, duration=4.0, warmup=1.0,
+        config=config))
     assert config.duration == 60.0
     assert config.warmup == 10.0
     assert config.failure_at == 7.0
@@ -106,23 +117,15 @@ def test_find_mst_still_brackets_normally():
     assert not result.bracket_exhausted
 
 
-def test_probe_requests_preserve_config_knobs(monkeypatch):
+def test_probe_requests_preserve_config_knobs():
     """The RunRequest a probe ships must carry the caller's config —
-    interval, failure worker and the long tail — on every path."""
-    import repro.experiments.parallel as parallel
-
-    captured = []
-
-    def spy(spec, request):
-        captured.append(request)
-        return _StubResult(False)
-
-    monkeypatch.setattr(parallel, "run_with_spec", spy)
+    interval, failure worker and the long tail."""
+    runner = _StubRunner(lambda rate: False)
     config = RuntimeConfig(checkpoint_interval=2.0, failure_worker=1,
                            unc_semantics="at-least-once")
-    probe_run(QUERIES["q1"], "unc", 2, rate=100.0,
-              duration=4.0, warmup=1.0, seed=11, config=config)
-    effective = captured[0].effective_config()
+    find_mst(QUERIES["q1"], "unc", 2, probe_duration=4.0, warmup=1.0,
+             seed=11, config=config, runner=runner)
+    effective = runner.requests[0].effective_config()
     assert effective.checkpoint_interval == 2.0
     assert effective.failure_worker == 1
     assert effective.unc_semantics == "at-least-once"

@@ -442,6 +442,19 @@ def test_a_run_raising_inline_is_named_too():
     assert isinstance(raised.value.__cause__, ValueError)
 
 
+def test_a_pooled_search_names_the_probe_that_died_too():
+    """A worker's MST search probes through a runner of its own, so what
+    crosses the pipe is the probe's ``RunFailed``, rebuilt whole."""
+    search = MstRequest(query="q1", protocol="nope", parallelism=2,
+                        probe_duration=3.0, warmup=1.0, iterations=1)
+    runner = InterleavedRunner(picks=(), jobs=2)
+    with pytest.raises(RunFailed, match=r"protocol=nope .* rate=") as raised:
+        runner.submit(search).result()
+    assert isinstance(raised.value.request, RunRequest)
+    assert isinstance(raised.value.__cause__, ValueError)
+    assert runner.misses == 1 and runner._pending == {}
+
+
 class _LoggingPool(_FakePool):
     """The synchronous fake pool, logging the order requests arrive in."""
 
