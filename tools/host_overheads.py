@@ -15,7 +15,7 @@ many lineage ids were journaled (DESIGN.md section 23)::
 
     python tools/host_overheads.py dense
     python tools/host_overheads.py paper --events
-    python tools/host_overheads.py dense --max-collector-share 0.057 \
+    python tools/host_overheads.py dense --max-collector-share 0.0123 \
         --max-snapshot-share 0.02 --check-dedup-sets
 
 ``--events`` adds the event-kind ledger: simulator events per offered
