@@ -11,7 +11,9 @@ a drifting hot set at ``p=16``, a second seed, two long logs (24,000
 events, uniform and hot: several draw blocks, and for q3/q8 several
 stride carry-overs between them), hot keys under a flash crowd and under
 the replayed ``tests/data/arrival_trace.csv`` (past all five knots, so
-the trace's hot-key shifts show), and one sharded slice.
+the trace's hot-key shifts show), and one sharded slice.  The cyclic
+query has no hot keys, so it runs the variants without a hot ratio and
+replays the trace cold.
 
 Under ``payload_pickles`` it also holds, per case and partition, a sha256
 over ``pickle.dumps(partition.payloads, protocol=4)``.  ``repr`` cannot
@@ -71,14 +73,29 @@ VARIANTS = {
                   UNTIL),
 }
 
-CASES = [f"{query}-{variant}" for query in QUERIES for variant in VARIANTS]
+#: reachability has no hot keys (its builder rejects a hot ratio): it
+#: runs every variant without one, drops the variants that only add one,
+#: and replays the trace cold
+CYCLIC_VARIANTS = {
+    variant: (parallelism, 0.0, *rest)
+    for variant, (parallelism, _, *rest) in VARIANTS.items()
+    if not variant.endswith("hot")
+} | {"trace": (4, 0.0, f"trace:{TRACE}", 7, 500.0, 18.0)}
+
+
+def variants(query: str) -> dict[str, tuple]:
+    """The variant table of one query."""
+    return CYCLIC_VARIANTS if query == "reachability" else VARIANTS
+
+
+CASES = [f"{query}-{variant}" for query in QUERIES for variant in variants(query)]
 SHARD_CASE = "q12-shard-0-of-2"
 PICKLES = "payload_pickles"
 
 
 def generate(query: str, variant: str) -> dict[str, PartitionedLog]:
     """``build_inputs`` directly (no memo) for one case of the matrix."""
-    parallelism, hot_ratio, arrival, seed, rate, until = VARIANTS[variant]
+    parallelism, hot_ratio, arrival, seed, rate, until = variants(query)[variant]
     process = parse_arrival(arrival) if arrival is not None else None
     return resolve_spec(query).build_inputs(
         rate, until, parallelism, hot_ratio, seed, process)
