@@ -2,9 +2,10 @@
 
 Each oracle below is a test-local copy of a per-event formula the input
 generators are held to: the shaped-arrival timestamp loop, the three
-per-row hot-key picks (uniform, ``drift``, ``trace``) and ``randrange``
+per-row hot-key picks (uniform, ``drift``, ``trace``), ``randrange``
 as the rejection loop over ``getrandbits`` that the cyclic generator
-writes inline.  Production output must equal the oracle's by ``==`` —
+writes inline, and the cyclic generator's row loop over plain lists,
+whose ``pop(i)`` its live sets must match.  Production output must equal the oracle's by ``==`` —
 the same floats and ints, not approximately — because every generated
 log is pinned byte for byte (``tests/data/inputs_golden.json``).
 """
@@ -288,3 +289,64 @@ def test_the_inline_rejection_loop_is_randrange(n, seed):
         values.append(value)
     assert values == [reference.randrange(n) for _ in range(300)]
     assert inline.getstate() == reference.getstate()
+
+
+# --------------------------------------------------------------------- #
+# The cyclic row loop over plain lists
+# --------------------------------------------------------------------- #
+
+def cyclic_oracle(rate, until, seed):
+    """The cyclic event mix row by row: ``randrange`` draws and the live
+    links and sources as plain lists, one ``pop(i)`` per deletion.
+    Returns the ``links`` and ``srcnodes`` timelines as
+    ``(time, event)`` rows."""
+    from repro.workloads.cyclic import CyclicConfig
+    from repro.workloads.cyclic.generator import LinkEvent, SourceEvent
+
+    cfg = CyclicConfig()
+    rng = RngRegistry(seed).stream("workload.cyclic.events")
+    live_links, live_sources, links, sources = [], [], [], []
+    for k in range(int(rate * until)):
+        t = (k + 0.5) / rate
+        roll = rng.random()
+        if cfg.p_new_link <= roll < cfg.p_new_link + cfg.p_new_source:
+            node = rng.randrange(cfg.num_nodes)
+            live_sources.append(node)
+            sources.append((t, SourceEvent(node, True)))
+        elif (cfg.p_new_link + cfg.p_new_source <= roll
+              < cfg.p_new_link + cfg.p_new_source + cfg.p_del_link
+              and live_links):
+            src, dst = live_links.pop(rng.randrange(len(live_links)))
+            links.append((t, LinkEvent(src, dst, False)))
+        elif roll >= cfg.p_new_link + cfg.p_new_source and live_sources:
+            node = live_sources.pop(rng.randrange(len(live_sources)))
+            sources.append((t, SourceEvent(node, False)))
+        else:
+            src = rng.randrange(cfg.num_nodes)
+            dst = rng.randrange(cfg.num_nodes)
+            live_links.append((src, dst))
+            links.append((t, LinkEvent(src, dst, True)))
+    return links, sources
+
+
+def _timeline(log):
+    """A round-robin log's rows back on its one global timeline."""
+    parts = [list(zip(p.times, p.payloads)) for p in log.partitions]
+    return [row for k in range(len(log))
+            for row in [parts[k % len(parts)][k // len(parts)]]]
+
+
+@pytest.mark.parametrize("live_block", [None, 2, 5, 64])
+@pytest.mark.parametrize("seed, until", [(7, 2.0), (13, 9.0), (2**31 + 5, 20.0)])
+def test_the_live_sets_delete_what_a_list_pop_deletes(monkeypatch, live_block,
+                                                      seed, until):
+    """Each deletion removes the entry a plain list's ``pop(i)`` would,
+    while the live sets span one block or several hundred (the block
+    sizes below seal many blocks, and a Fenwick tree several levels
+    deep, over these short horizons)."""
+    from repro.workloads.cyclic import CyclicGenerator, generator
+
+    if live_block is not None:
+        monkeypatch.setattr(generator, "LIVE_BLOCK", live_block)
+    links, sources = CyclicGenerator(3, seed=seed).logs(600.0, until)
+    assert (_timeline(links), _timeline(sources)) == cyclic_oracle(600.0, until, seed)
