@@ -65,8 +65,7 @@ def _prefetch(requests: Iterable[RunRequest | MstRequest],
     Results land in the runner's memo, so the per-cell :func:`_fetch`
     calls that follow are pure hits: one ``map()`` — longest-first,
     duplicates folded, short runs backfilling the tail.  A no-op on a
-    serial runner, which computes each request on first use (an MST
-    search then routes its probes through the cache one by one).
+    serial runner, which computes each request on first use.
     """
     if runner.jobs > 1:
         runner.map(list(requests))

@@ -29,10 +29,9 @@ is the one writer of the cache directory, zlib-compressed, format v8).
 Byte-identical results to serial execution stay the invariant:
 scheduling order may change, result content may not.
 
-The MST search (:func:`repro.metrics.mst.find_mst`) and the figure
-harness (:mod:`repro.experiments.figures`) route their runs through a
-runner when one is installed; ``python -m repro run/all --jobs N
---cache-dir DIR`` wires one up from the CLI.
+The figure harness (:mod:`repro.experiments.figures`) routes its runs
+and MST searches (one cache entry each, :func:`execute`) through one
+runner; ``python -m repro run/all --jobs N --cache-dir DIR`` wires one up.
 """
 
 from __future__ import annotations
@@ -154,9 +153,8 @@ class MstRequest:
 
     A search is sequential — each probe decides the next rate — so the
     harness fans across independent searches, one per worker
-    (:meth:`ParallelRunner.map` / ``submit``); executed through
-    :meth:`ParallelRunner.run` its probes go through the runner's cache.
-    ``config`` carries the long-tail knobs into every probe.
+    (:meth:`ParallelRunner.map` / ``submit`` / ``run``), each one cache
+    miss and entry.  ``config`` carries the long-tail knobs into every probe.
     """
 
     query: str
@@ -345,16 +343,15 @@ def estimate_cost(request: "RunRequest | MstRequest") -> float:
 # Execution (a pool worker or inline)
 # --------------------------------------------------------------------- #
 
-def execute(request: "RunRequest | MstRequest",
-            probes: "ParallelRunner | None" = None) -> Any:
+def execute(request: "RunRequest | MstRequest") -> Any:
     """Run one request to the result the cache stores: what a pool worker
     and the inline path both call.
 
-    An MST search runs its probes through ``probes`` (a serial runner of
-    its own when ``None``); its result is already tiny.  A run's result is
-    compacted (:meth:`~repro.dataflow.results.RunResult.compact`), except
-    a shard partial's: the shard merge concatenates the raw latency
-    samples before taking percentiles.
+    An MST search probes through a serial runner of its own, so it is one
+    cache entry at any entry point.  A run's result is compacted
+    (:meth:`~repro.dataflow.results.RunResult.compact`), except a shard
+    partial's: the shard merge concatenates the raw latency samples
+    before taking percentiles.
     """
     if isinstance(request, MstRequest):
         from repro.metrics.mst import find_mst
@@ -363,7 +360,7 @@ def execute(request: "RunRequest | MstRequest",
             resolve_spec(request.query), request.protocol, request.parallelism,
             probe_duration=request.probe_duration, warmup=request.warmup,
             iterations=request.iterations, seed=request.seed,
-            config=request.config, runner=probes,
+            config=request.config,
         )
     result = execute_request(request)
     return result.compact() if request.shard_index is None else result
@@ -789,27 +786,19 @@ class ParallelRunner:
     # -- execution ------------------------------------------------------ #
 
     def run(self, request: "RunRequest | MstRequest") -> Any:
-        """Execute one request, cache-first, in this process.
-
-        A cache-missed :class:`MstRequest` runs the same search ``map()``
-        ships to workers; its probes route back through this runner,
-        landing in the shared run cache individually so a later
-        re-bracketing reuses them.
-        """
+        """Execute one request, cache-first, in this process."""
         key = request_key(request)
         claimed = self._claim(key)
         if claimed is not None:
             return claimed.result()  # a hit, or the wait for one in flight
-        result = self._execute_inline(key, request, probes=self)
+        result = self._execute_inline(key, request)
         self._store(key, result)
         return result
 
-    def _execute_inline(self, key: str, request: "RunRequest | MstRequest",
-                        probes: "ParallelRunner | None" = None) -> Any:
+    def _execute_inline(self, key: str, request: "RunRequest | MstRequest") -> Any:
         """Execute ``request`` in this process, counted while it runs.
 
-        An MST search sends its probes through ``probes`` when given.  An
-        exception becomes :class:`RunFailed` naming the request (a
+        An exception becomes :class:`RunFailed` naming the request (a
         probe's ``RunFailed`` already names what died and passes through)
         and the run stops counting; ``KeyboardInterrupt`` is not an
         ``Exception``, so an interrupted run stays counted for
@@ -817,7 +806,7 @@ class ParallelRunner:
         """
         self._inline += 1
         try:
-            value = execute(request, probes)
+            value = execute(request)
         except Exception as exc:
             self._inline -= 1
             if isinstance(exc, RunFailed):

@@ -9,8 +9,8 @@ the next rate.
 
 Every probe goes through a
 :class:`~repro.experiments.parallel.ParallelRunner` (the caller's, or a
-serial one of its own), so the probe runs land in the runner's
-content-addressed cache and a re-bracketing sweep reuses them.  If every
+serial one of its own, as for every search the harness runs as an
+:class:`~repro.experiments.parallel.MstRequest`).  If every
 probe of the bracket phase is unsustainable the search keeps shrinking; a
 bracket that never finds a sustainable rate returns ``mst=0.0`` with
 ``bracket_exhausted=True`` instead of reporting a rate that was never

@@ -524,7 +524,8 @@ def _short(**overrides) -> RunRequest:
     return req(rate=220.0, duration=3.0, warmup=1.0, **overrides)
 
 
-def _enter(runner: ParallelRunner, entry: str, request: RunRequest):
+def _enter(runner: ParallelRunner, entry: str,
+           request: RunRequest | MstRequest):
     """One request through one of the three public entries, to its value."""
     if entry == "run":
         return runner.run(request)
@@ -581,6 +582,17 @@ def _a_failed_run_resubmitted(entry, jobs, tmp_path):
         return runner
 
 
+def _one_mst_search(entry, jobs, tmp_path):
+    # the search probes through a serial runner of its own wherever it
+    # runs: one miss and one stored entry, never one per probe
+    search = MstRequest(query="q1", protocol="none", parallelism=2,
+                        probe_duration=5.0, warmup=2.0, iterations=1, seed=7)
+    with ParallelRunner(jobs=jobs, cache_dir=tmp_path) as runner:
+        assert _enter(runner, entry, search).mst > 0
+        assert runner.cache.stats()["entries"] == 1
+        return runner
+
+
 #: (scenario, entry) -> (hits, misses, deduped) at jobs=1, at jobs=2
 _ACCOUNTING = {
     (_cold_miss, "run"): ((0, 1, 0), (0, 1, 0)),
@@ -599,6 +611,9 @@ _ACCOUNTING = {
     (_a_failed_run_resubmitted, "run"): ((0, 2, 0), (0, 2, 0)),
     (_a_failed_run_resubmitted, "submit"): ((0, 2, 0), (0, 2, 0)),
     (_a_failed_run_resubmitted, "map"): ((0, 2, 0), (0, 2, 0)),
+    (_one_mst_search, "run"): ((0, 1, 0), (0, 1, 0)),
+    (_one_mst_search, "submit"): ((0, 1, 0), (0, 1, 0)),
+    (_one_mst_search, "map"): ((0, 1, 0), (0, 1, 0)),
 }
 
 
