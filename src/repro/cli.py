@@ -319,6 +319,9 @@ def _cmd_query(args) -> int:
                 raise ValueError(
                     f"{flag} must be between 1 and --max-key-groups "
                     f"({args.max_key_groups}), got {workers}")
+        if spec is REACHABILITY and args.hot_ratio:
+            raise ValueError(f"--hot-ratio must be 0: reachability has no "
+                             f"hot keys, got {args.hot_ratio}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

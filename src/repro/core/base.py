@@ -44,14 +44,11 @@ class CheckpointMeta:
     blob_key: str
     last_sent: dict[ChannelId, int]
     last_received: dict[ChannelId, int]
-    #: per owned input partition: next offset to read (sources; None else)
-    source_offsets: dict[int, int] | None
     #: bytes actually uploaded for this checkpoint (< state_bytes for a
     #: changelog delta, 0 for the baseline of a rescaled restore)
     upload_bytes: int
     #: total bytes a restore must fetch (the snapshot and every delta)
     restore_bytes: int
-    clock: int = 0
     #: blob this checkpoint's delta chains onto (None: self-contained)
     base_key: str | None = None
     #: delta hops back to the chain's base (0 for a full snapshot)
@@ -79,7 +76,6 @@ def initial_checkpoint(instance: InstanceKey) -> CheckpointMeta:
         blob_key="",
         last_sent={},
         last_received={},
-        source_offsets={},
         upload_bytes=0,
         restore_bytes=0,
     )
@@ -151,7 +147,6 @@ class RecoveryPlan:
     invalid_checkpoints: int = 0
     #: durable checkpoints existing when the plan was computed
     total_checkpoints: int = 0
-    computed_at: float = 0.0
     #: restore at this parallelism instead of the line's (elastic
     #: rescale-on-recovery); None keeps the checkpoint's parallelism
     rescale_to: int | None = None
@@ -230,10 +225,6 @@ class CheckpointProtocol:
     def restore_extra(self, instance: "InstanceRuntime", extra: Any) -> None:
         """Reinstall protocol-private state on recovery."""
 
-    def instance_clock(self, instance: "InstanceRuntime") -> int:
-        """Logical clock value recorded in checkpoint metadata."""
-        return 0
-
     def on_checkpoint_started(self, instance: "InstanceRuntime", kind: str,
                               round_id: int | None) -> float:
         """Hook at snapshot capture; returns extra CPU cost (e.g. markers)."""
@@ -244,12 +235,12 @@ class CheckpointProtocol:
 
     # -- recovery ---------------------------------------------------------- #
 
-    def build_recovery_plan(self, now: float) -> RecoveryPlan:
+    def build_recovery_plan(self) -> RecoveryPlan:
         """Pick the recovery line (and replay sets) after a failure."""
         line = {
             key: initial_checkpoint(key) for key in self.job.instance_keys()
         }
-        return RecoveryPlan(line=line, computed_at=now,
+        return RecoveryPlan(line=line,
                             total_checkpoints=self.job.registry.total())
 
     def on_recovery_applied(self, plan: RecoveryPlan) -> None:

@@ -59,15 +59,8 @@ class CheckpointGraph:
         return True
 
 
-@dataclass
-class RecoveryLineResult:
-    """Outcome of the recovery-line fixpoint: the chosen line per instance."""
-    line: dict[InstanceKey, CheckpointMeta]
-    #: checkpoints discarded while searching (the run's invalid checkpoints)
-    pruned: list[Node]
-
-
-def maximal_consistent_line(graph: CheckpointGraph) -> RecoveryLineResult:
+def maximal_consistent_line(
+        graph: CheckpointGraph) -> dict[InstanceKey, CheckpointMeta]:
     """Direct fixpoint: roll back any receiver that observes an orphan.
 
     UNC and CIC run it once per round of checkpoint registrations, over
@@ -76,13 +69,11 @@ def maximal_consistent_line(graph: CheckpointGraph) -> RecoveryLineResult:
     """
     ordered = graph.checkpoints
     position = {instance: len(metas) - 1 for instance, metas in ordered.items()}
-    pruned: list[Node] = []
     changed = True
     while changed:
         changed = False
         for channel, sender, receiver in graph.channels:
-            r_meta = ordered[receiver][position[receiver]]
-            received = r_meta.last_received
+            received = ordered[receiver][position[receiver]].last_received
             if channel not in received:
                 continue  # received nothing: cannot observe an orphan
             sent = ordered[sender][position[sender]].last_sent
@@ -91,11 +82,10 @@ def maximal_consistent_line(graph: CheckpointGraph) -> RecoveryLineResult:
                     raise RuntimeError(
                         f"no consistent line: cannot roll {receiver} past initial"
                     )
-                pruned.append((receiver, r_meta.checkpoint_id))
                 position[receiver] -= 1
                 changed = True
-    line = {instance: ordered[instance][position[instance]] for instance in ordered}
-    return RecoveryLineResult(line=line, pruned=pruned)
+    return {instance: ordered[instance][position[instance]]
+            for instance in ordered}
 
 
 def invalid_checkpoint_count(

@@ -236,12 +236,6 @@ class CommunicationInducedProtocol(UncoordinatedProtocol):
     # Checkpoint lifecycle
     # ------------------------------------------------------------------ #
 
-    def instance_clock(self, instance: "InstanceRuntime") -> int:
-        # on_checkpoint_started already advanced the clock for this checkpoint
-        """The instance's Lamport clock (stored in checkpoint metadata)."""
-        state: CicState = instance.proto
-        return state.lc
-
     def on_checkpoint_started(self, instance: "InstanceRuntime", kind: str,
                               round_id: int | None) -> float:
         """Advance the HMNR clock at snapshot capture."""

@@ -167,7 +167,7 @@ class CoordinatedProtocol(CheckpointProtocol):
     # Recovery
     # ------------------------------------------------------------------ #
 
-    def build_recovery_plan(self, now: float) -> RecoveryPlan:
+    def build_recovery_plan(self) -> RecoveryPlan:
         """Restore the latest *completed* round (nothing to replay)."""
         job = self.job
         usable = len(job.completed_rounds) * job.n_instances
@@ -183,7 +183,6 @@ class CoordinatedProtocol(CheckpointProtocol):
             replay={},
             invalid_checkpoints=0,
             total_checkpoints=usable,
-            computed_at=now,
         )
 
     def on_recovery_applied(self, plan: RecoveryPlan) -> None:

@@ -175,9 +175,9 @@ class UnalignedCoordinatedProtocol(CoordinatedProtocol):
     # Recovery — COOR's line plus channel-state replay
     # ------------------------------------------------------------------ #
 
-    def build_recovery_plan(self, now: float) -> RecoveryPlan:
+    def build_recovery_plan(self) -> RecoveryPlan:
         """Restore the latest completed round plus its channel state."""
-        plan = super().build_recovery_plan(now)
+        plan = super().build_recovery_plan()
         replay: dict[ChannelId, list[Message]] = {}
         for meta in plan.line.values():
             if meta.kind == KIND_INITIAL:

@@ -225,7 +225,7 @@ class UncoordinatedProtocol(CheckpointProtocol):
             checkpoints={key: registry.since(meta)
                          for key, meta in self.floor.items()},
             channels=self._wiring()[1])
-        return maximal_consistent_line(graph).line
+        return maximal_consistent_line(graph)
 
     def truncate_logs(self, floor: dict[InstanceKey, CheckpointMeta]) -> None:
         """Drop every logged message that its receiver's checkpoint in
@@ -279,7 +279,7 @@ class UncoordinatedProtocol(CheckpointProtocol):
         }
         return zcycle_analysis(self.build_checkpoint_graph(), delivered)
 
-    def build_recovery_plan(self, now: float) -> RecoveryPlan:
+    def build_recovery_plan(self) -> RecoveryPlan:
         """Run the recovery-line search (or the weaker-semantics shortcut)."""
         job = self.job
         graph = self.build_checkpoint_graph()
@@ -292,8 +292,7 @@ class UncoordinatedProtocol(CheckpointProtocol):
             }
             invalid = 0
         else:
-            result = maximal_consistent_line(graph)
-            line = result.line
+            line = maximal_consistent_line(graph)
             invalid = invalid_checkpoint_count(graph, line)
         if self.logs_messages:
             replay = build_replay_sets(line, job.send_log, self._wiring()[0])
@@ -304,5 +303,4 @@ class UncoordinatedProtocol(CheckpointProtocol):
             replay=replay,
             invalid_checkpoints=invalid,
             total_checkpoints=job.registry.total(),
-            computed_at=now,
         )

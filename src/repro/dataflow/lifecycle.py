@@ -183,7 +183,7 @@ class LifecycleManager:
         worker_index %= job.parallelism
         if job.recovering or job.workers[worker_index].alive:
             return  # folded into an in-flight recovery / already replaced
-        plan = job.protocol.build_recovery_plan(job.sim.now)
+        plan = job.protocol.build_recovery_plan()
         plan.rescale_to = self.pending_rescale_target()
         record = job.metrics.recoveries[-1]
         record.detected_at = job.sim.now

@@ -463,11 +463,8 @@ class Job:
             blob_key=blob_key,
             last_sent=dict(instance.out_seq),
             last_received=dict(instance.last_received),
-            source_offsets=(dict(instance.source_cursors)
-                            if instance.spec.is_source else None),
             upload_bytes=upload_bytes,
             restore_bytes=restore_bytes,
-            clock=self.protocol.instance_clock(instance),
             base_key=base_key,
             chain_length=chain_length,
         )
@@ -523,9 +520,7 @@ class Job:
         """Put a checkpoint's payload in the blob store, billed
         ``size_bytes``, and keep it resident until :meth:`collect_below`."""
         self.coordinator.blobstore.put(
-            meta.blob_key, payload, size_bytes, self.sim.now,
-            base_key=meta.base_key, chain_length=meta.chain_length,
-        )
+            meta.blob_key, payload, size_bytes, base_key=meta.base_key)
         self.resident.setdefault(meta.instance, []).append(
             (meta.blob_key, payload))
 

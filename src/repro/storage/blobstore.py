@@ -8,9 +8,9 @@ that Minio survives worker failures.
 
 Incremental (changelog) checkpoints store **delta blobs** that are only
 meaningful relative to a predecessor: ``BlobMeta.base_key`` links a delta
-to the blob it chains onto and ``chain_length`` counts the hops back to the
-self-contained base (DESIGN.md section 10).  :meth:`BlobStore.chain_keys`
-walks that chain so recovery can plan a base+delta restore.
+to the blob it chains onto (DESIGN.md section 10).
+:meth:`BlobStore.chain_keys` walks that chain back to the self-contained
+base so recovery can plan a base+delta restore.
 
 A blob is deleted once no recovery can read it: the runtime collects every
 blob strictly older than an instance's checkpoint in the floor line (UNC,
@@ -31,13 +31,9 @@ from typing import Any
 class BlobMeta:
     """Descriptor of one stored blob."""
 
-    key: str
     size_bytes: int
-    stored_at: float
     #: predecessor blob this delta chains onto (None: self-contained base)
     base_key: str | None = None
-    #: delta hops from this blob back to its base (0 for a base)
-    chain_length: int = 0
 
 
 @dataclass
@@ -47,12 +43,11 @@ class BlobStore:
     _blobs: dict[str, Any] = field(default_factory=dict)
     _meta: dict[str, BlobMeta] = field(default_factory=dict)
     bytes_written: int = 0
-    bytes_read: int = 0
     #: billed bytes no longer resident: deleted, or replaced by an overwrite
     bytes_deleted: int = 0
 
-    def put(self, key: str, value: Any, size_bytes: int, now: float,
-            base_key: str | None = None, chain_length: int = 0) -> BlobMeta:
+    def put(self, key: str, value: Any, size_bytes: int,
+            base_key: str | None = None) -> BlobMeta:
         """Store ``value`` under ``key``; an overwrite deletes the old blob."""
         if size_bytes < 0:
             raise ValueError("size_bytes must be non-negative")
@@ -63,7 +58,7 @@ class BlobStore:
         replaced = self._meta.get(key)
         if replaced is not None:
             self.bytes_deleted += replaced.size_bytes
-        meta = BlobMeta(key, size_bytes, now, base_key, chain_length)
+        meta = BlobMeta(size_bytes, base_key)
         self._blobs[key] = value
         self._meta[key] = meta
         self.bytes_written += size_bytes
@@ -71,9 +66,7 @@ class BlobStore:
 
     def get(self, key: str) -> Any:
         """Fetch a blob; KeyError if missing (a bug in the caller)."""
-        value = self._blobs[key]
-        self.bytes_read += self._meta[key].size_bytes
-        return value
+        return self._blobs[key]
 
     def delete(self, key: str) -> None:
         """Drop a blob no recovery can read; KeyError if missing."""

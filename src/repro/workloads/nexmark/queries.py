@@ -210,7 +210,6 @@ QUERIES: dict[str, QuerySpec] = {
         build_graph=build_q1,
         build_inputs=_bids_inputs,
         capacity_per_worker=220.0,
-        skew_sensitive=False,
     ),
     "q3": QuerySpec(
         name="q3",

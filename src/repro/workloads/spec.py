@@ -54,8 +54,6 @@ class QuerySpec:
     ]
     capacity_per_worker: float
     cyclic: bool = False
-    #: is the query affected by hot-item skew (Q1 is not — non-keyed)
-    skew_sensitive: bool = True
 
     def make_job_inputs(self, rate: float, until: float, parallelism: int,
                         hot_ratio: float = 0.0, seed: int = 7,

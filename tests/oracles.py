@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING
 from repro.core.base import CheckpointMeta, InstanceKey
 from repro.core.checkpoint_graph import (
     CheckpointGraph,
-    RecoveryLineResult,
     ZCycleResult,
     maximal_consistent_line,
     zcycle_analysis,
@@ -103,7 +102,8 @@ def reachable_from(graph: CheckpointGraph, start: Node) -> set[Node]:
     return seen
 
 
-def rollback_propagation(graph: CheckpointGraph) -> RecoveryLineResult:
+def rollback_propagation(
+        graph: CheckpointGraph) -> dict[InstanceKey, CheckpointMeta]:
     """Paper Algorithm 1: root set of freshest checkpoints, mark members
     strictly reachable from other members, replace marked members with
     their predecessor, repeat."""
@@ -118,7 +118,6 @@ def rollback_propagation(graph: CheckpointGraph) -> RecoveryLineResult:
     root: dict[InstanceKey, int] = {
         instance: ids[-1] for instance, ids in ordered_ids.items()
     }
-    pruned: list[Node] = []
     while True:
         root_nodes = sorted(root.items())
         marked: set[InstanceKey] = set()
@@ -138,12 +137,11 @@ def rollback_propagation(graph: CheckpointGraph) -> RecoveryLineResult:
                 raise RuntimeError(
                     f"rollback propagation fell past the initial checkpoint of {instance}"
                 )
-            pruned.append((instance, root[instance]))
             root[instance] = ids[position - 1]
     line = {
         instance: by_instance[instance][ckpt_id] for instance, ckpt_id in root.items()
     }
-    return RecoveryLineResult(line=line, pruned=pruned)
+    return line
 
 
 def reclaimable_checkpoints(graph: CheckpointGraph) -> list[Node]:
@@ -154,7 +152,7 @@ def reclaimable_checkpoints(graph: CheckpointGraph) -> list[Node]:
     ever restored again.  The implicit initial checkpoints are never
     reported.
     """
-    line = maximal_consistent_line(graph).line
+    line = maximal_consistent_line(graph)
     return [
         (instance, meta.checkpoint_id)
         for instance, metas in graph.checkpoints.items()

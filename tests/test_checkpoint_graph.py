@@ -32,7 +32,7 @@ def ckpt(instance, ckpt_id, sent=None, received=None):
         instance=instance, checkpoint_id=ckpt_id, kind="local", round_id=None,
         started_at=float(ckpt_id), durable_at=float(ckpt_id), state_bytes=0,
         blob_key=f"{instance}/{ckpt_id}", last_sent=sent or {},
-        last_received=received or {}, source_offsets=None,
+        last_received=received or {},
         upload_bytes=0, restore_bytes=0,
     )
 
@@ -100,23 +100,22 @@ def test_line_is_consistent_checks_orphans():
 def test_latest_checkpoints_chosen_when_consistent():
     g = two_process_graph([5], [5])
     result = rollback_propagation(g)
-    assert result.line[A].checkpoint_id == 1
-    assert result.line[B].checkpoint_id == 1
-    assert result.pruned == []
+    assert result[A].checkpoint_id == 1
+    assert result[B].checkpoint_id == 1
 
 
 def test_receiver_rolls_back_on_orphan():
     # B's latest ckpt saw 7 messages but A's latest only sent 5 -> B rolls back
     g = two_process_graph([5], [3, 7])
     result = rollback_propagation(g)
-    assert result.line[A].checkpoint_id == 1
-    assert result.line[B].checkpoint_id == 1  # received 3 <= sent 5
+    assert result[A].checkpoint_id == 1
+    assert result[B].checkpoint_id == 1  # received 3 <= sent 5
 
 
 def test_rollback_to_initial_when_needed():
     g = two_process_graph([0], [2])  # A never checkpointed a send
     result = rollback_propagation(g)
-    assert result.line[B].checkpoint_id == 0
+    assert result[B].checkpoint_id == 0
 
 
 def test_multi_hop_propagation():
@@ -135,16 +134,16 @@ def test_multi_hop_propagation():
         channels=[(CH, A, B), (CH2, B, C)],
     )
     result = maximal_consistent_line(g)
-    assert result.line[B].checkpoint_id == 1
+    assert result[B].checkpoint_id == 1
     # C saw 4 messages but B's surviving checkpoint only sent 1 -> C rolls back
-    assert result.line[C].checkpoint_id == 0
-    assert g.line_is_consistent(result.line)
+    assert result[C].checkpoint_id == 0
+    assert g.line_is_consistent(result)
 
 
 def test_invalid_checkpoint_count_excludes_initial():
     g = two_process_graph([0], [2])
     result = maximal_consistent_line(g)
-    assert invalid_checkpoint_count(g, result.line) == 1  # only B's real ckpt
+    assert invalid_checkpoint_count(g, result) == 1  # only B's real ckpt
 
 
 # --------------------------------------------------------------------- #
@@ -194,15 +193,15 @@ def _line_feasible(graph):
 @given(random_execution())
 def test_fixpoint_line_is_consistent_and_maximal(graph):
     result = maximal_consistent_line(graph)
-    assert graph.line_is_consistent(result.line)
+    assert graph.line_is_consistent(result)
     # maximality: bumping any single instance to its next checkpoint breaks
     # consistency (or there is no next checkpoint)
     for instance, metas in graph.checkpoints.items():
         ids = [m.checkpoint_id for m in metas]
-        chosen = result.line[instance].checkpoint_id
+        chosen = result[instance].checkpoint_id
         pos = ids.index(chosen)
         if pos + 1 < len(ids):
-            bumped = dict(result.line)
+            bumped = dict(result)
             bumped[instance] = metas[pos + 1]
             assert not graph.line_is_consistent(bumped)
 
@@ -212,8 +211,8 @@ def test_fixpoint_line_is_consistent_and_maximal(graph):
 def test_algorithm1_equals_fixpoint(graph):
     alg1 = rollback_propagation(graph)
     fix = maximal_consistent_line(graph)
-    assert {k: m.checkpoint_id for k, m in alg1.line.items()} == \
-           {k: m.checkpoint_id for k, m in fix.line.items()}
+    assert {k: m.checkpoint_id for k, m in alg1.items()} == \
+           {k: m.checkpoint_id for k, m in fix.items()}
 
 
 def assert_zcycles_agree(graph):
@@ -258,7 +257,7 @@ def test_line_dominates_every_consistent_line(graph):
         line = dict(zip(instances, combo))
         if graph.line_is_consistent(line):
             for inst in instances:
-                assert line[inst].checkpoint_id <= result.line[inst].checkpoint_id
+                assert line[inst].checkpoint_id <= result[inst].checkpoint_id
 
 
 # --------------------------------------------------------------------- #
@@ -307,11 +306,11 @@ def test_line_never_regresses_when_execution_extends(seed):
     sent, recv = {}, {}
     a1, b1 = extend(sent, recv, [initial_checkpoint(A)], [initial_checkpoint(B)], 1, 3)
     graph1 = CheckpointGraph(checkpoints={A: a1, B: b1}, channels=channels)
-    line1 = maximal_consistent_line(graph1).line
+    line1 = maximal_consistent_line(graph1)
 
     a2, b2 = extend(sent, recv, a1, b1, 4, 3)
     graph2 = CheckpointGraph(checkpoints={A: a2, B: b2}, channels=channels)
-    line2 = maximal_consistent_line(graph2).line
+    line2 = maximal_consistent_line(graph2)
 
     assert line2[A].checkpoint_id >= line1[A].checkpoint_id
     assert line2[B].checkpoint_id >= line1[B].checkpoint_id
@@ -331,7 +330,7 @@ def test_compaction_never_moves_the_line_backwards(monkeypatch):
     observed: list[dict] = []
 
     def probe() -> None:
-        plan = job.protocol.build_recovery_plan(job.sim.now)
+        plan = job.protocol.build_recovery_plan()
         observed.append({k: m.checkpoint_id for k, m in plan.line.items()})
 
     for at in (5.0, 8.0, 11.0, 14.0):

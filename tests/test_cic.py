@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.cic import CicState, CommunicationInducedProtocol, PiggybackSnapshot
+from repro.dataflow.runtime import Job
 
 from tests.conftest import run_count_job
 
@@ -184,9 +185,21 @@ def test_exactly_once_state_after_failure():
     assert measured == expected
 
 
-def test_clock_monotone_in_checkpoint_metadata():
+def test_clock_monotone_in_checkpoint_metadata(monkeypatch):
+    """The Lamport clock CIC stores with each checkpoint (the payload's
+    ``extra["lc"]``) never goes back, and counts that checkpoint."""
+    clocks: dict = {}
+    capture = Job.capture_checkpoint
+
+    def recording_capture(job, instance, kind, round_id):
+        meta, payload = capture(job, instance, kind, round_id)
+        clocks.setdefault(instance.key, []).append(payload["extra"]["lc"])
+        return meta, payload
+
+    monkeypatch.setattr(Job, "capture_checkpoint", recording_capture)
     job, _ = run_count_job("cic", failure_at=None, duration=16.0)
+    assert set(clocks) == set(job.instance_keys())
     for key in job.instance_keys():
-        clocks = [m.clock for m in job.registry.with_initial(key)[1:]]
-        assert clocks == sorted(clocks)
-        assert all(c >= 1 for c in clocks)
+        assert len(clocks[key]) == len(job.registry.with_initial(key)) - 1
+        assert clocks[key] == sorted(clocks[key])
+        assert all(c >= 1 for c in clocks[key])

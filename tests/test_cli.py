@@ -197,6 +197,18 @@ def test_query_rejects_a_malformed_failure_scenario_as_a_usage_error(
     assert "sink records" not in captured.out  # nothing ran
 
 
+def test_query_rejects_a_hot_ratio_on_reachability(capsys):
+    # it ran unskewed, exit 0, and cached under a key of its own
+    code = main(["query", "reachability", "--protocol", "unc",
+                 "--parallelism", "2", "--duration", "2", "--warmup", "1",
+                 "--hot-ratio", "0.3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: --hot-ratio") and "no hot keys" in line
+    assert "sink records" not in captured.out  # nothing ran
+
+
 def test_query_cyclic_with_unc(capsys):
     code = main([
         "query", "reachability", "--protocol", "unc", "--parallelism", "2",

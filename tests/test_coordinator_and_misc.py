@@ -18,7 +18,7 @@ def meta(cid=1):
     return CheckpointMeta(
         instance=("src", 0), checkpoint_id=cid, kind="local", round_id=None,
         started_at=0.0, durable_at=0.5, state_bytes=10, blob_key="k",
-        last_sent={}, last_received={}, source_offsets={0: 0},
+        last_sent={}, last_received={},
         upload_bytes=10, restore_bytes=10,
     )
 
@@ -93,5 +93,5 @@ def test_registry_property_shortcut():
 
 def test_blobstore_shared_via_coordinator():
     job = make_job()
-    job.coordinator.blobstore.put("x", 1, 8, now=0.0)
+    job.coordinator.blobstore.put("x", 1, 8)
     assert "x" in job.coordinator.blobstore

@@ -205,7 +205,15 @@ def test_reach_fact_size_grows_with_path():
 
 def test_spec_metadata():
     assert REACHABILITY.cyclic
-    assert not REACHABILITY.skew_sensitive
+
+
+@pytest.mark.parametrize("hot_ratio", [0.3, 1.0])
+def test_the_input_builder_rejects_a_hot_ratio(hot_ratio):
+    # the event mix draws nodes uniformly: a hot ratio would be ignored,
+    # and the run cached under a key of its own
+    with pytest.raises(ValueError, match="no hot keys"):
+        REACHABILITY.build_inputs(400.0, 2.0, 2, hot_ratio, 7, None)
+    assert REACHABILITY.build_inputs(400.0, 2.0, 2, 0.0, 7, None)
 
 
 @pytest.mark.parametrize("failure_at", [None, 5.0])

@@ -16,10 +16,22 @@ Dunder methods are called by the language and are exempt.  A name that
 only a test calls is weight the program carries for nothing; the test
 should read what the system itself reads instead.
 
+The same holds for state: every dataclass field, class attribute and
+``self.x`` assigned in ``__init__`` of a ``src/repro`` class must be
+*read* somewhere in the same four trees, as an attribute load
+(``x.name``, not ``x.name = ...`` or ``x.name += ...``) or through an
+identifier string (``getattr``, ``attrgetter``, a payload key).  A
+``__slots__`` entry declares a name and reads nothing.  A field that is
+written and never read is work every instance pays for nothing.  A
+``dataclasses.replace`` copy is no read either: it hands the value to
+another instance of the same class.
+
 Blind spot: an attribute is matched by its name alone, not by the type
 it is read on, so a method whose name another type also uses as an
 attribute passes — a ``Simulator.stop`` would pass on the strength of
-``range(...).stop``.
+``range(...).stop``, and a field passes the same way.  A class whose
+fields a generic walk reads (``asdict`` into a cache key) would need an
+``ALLOWED`` entry per field; none does today.
 """
 
 import ast
@@ -37,6 +49,17 @@ ALLOWED = {
     "pending_events",
     # the protocol feature table of core/features.py
     "feature_table",
+    # the event schema: a bid's auction carries it, the join emits it
+    "Auction.initial_bid",
+    "JoinPair.link_src",
+    # the row view: a poll reads records by position, a test by offset
+    "LogRecord.offset",
+    # bytes_written - bytes_deleted == total_bytes(), the blob-accounting
+    # invariant of ROADMAP item 1's audit
+    "BlobStore.bytes_written",
+    "BlobStore.bytes_deleted",
+    # what the error reports beside its message
+    "RepeatedRidError.distinct",
 }
 
 
@@ -92,3 +115,67 @@ def test_every_definition_is_named_outside_tests():
             if all(other == path and line in own for other, line in sites):
                 unreached.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert not unreached, "named only in tests:\n" + "\n".join(sorted(unreached))
+
+
+def _reads(tree: ast.AST):
+    """Every attribute name one module reads: attribute loads and
+    identifier strings outside ``__slots__`` and f-string literals."""
+    skipped = {id(part) for node in ast.walk(tree)
+               if isinstance(node, ast.JoinedStr) for part in node.values}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__slots__"
+                for target in node.targets):
+            skipped.update(id(part) for part in ast.walk(node.value))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier() and id(node) not in skipped:
+            yield node.value
+
+
+def _fields(tree: ast.AST):
+    """``(class, name, line)`` of every field, class attribute and
+    ``self.x`` that ``__init__`` assigns."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                yield cls.name, node.target.id, node.lineno
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            yield cls.name, name.id, node.lineno
+            elif isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                for step in ast.walk(node):
+                    if isinstance(step, ast.Assign):
+                        targets = step.targets
+                    elif isinstance(step, ast.AnnAssign):
+                        targets = [step.target]
+                    else:
+                        continue
+                    for target in targets:
+                        for attr in ast.walk(target):
+                            if isinstance(attr, ast.Attribute) \
+                                    and isinstance(attr.value, ast.Name) \
+                                    and attr.value.id == "self":
+                                yield cls.name, attr.attr, step.lineno
+
+
+def test_every_field_is_read_outside_tests():
+    read = set()
+    for top in SCANNED:
+        for path in (ROOT / top).rglob("*.py"):
+            read.update(_reads(ast.parse(path.read_text(encoding="utf-8"))))
+    unread = set()
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls, name, line in _fields(tree):
+            if name in read or f"{cls}.{name}" in ALLOWED \
+                    or (name.startswith("__") and name.endswith("__")):
+                continue
+            unread.add(f"{path.relative_to(ROOT)}:{line} {cls}.{name}")
+    assert not unread, "written, never read:\n" + "\n".join(sorted(unread))

@@ -111,8 +111,6 @@ def test_join_queries_have_two_sources_and_shuffle(name):
 
 
 def test_query_specs_metadata():
-    assert QUERIES["q1"].skew_sensitive is False
-    assert QUERIES["q3"].skew_sensitive is True
     for spec in QUERIES.values():
         assert spec.capacity_per_worker > 0
         assert not spec.cyclic

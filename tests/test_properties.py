@@ -64,9 +64,9 @@ def test_replay_window_bounds(recv, sent, n_log):
     a, b = ("a", 0), ("b", 0)
     ch = (0, 0, 0)
     line = {
-        a: CheckpointMeta(a, 1, "local", None, 0, 0, 0, "", {ch: sent}, {}, None,
+        a: CheckpointMeta(a, 1, "local", None, 0, 0, 0, "", {ch: sent}, {},
                           0, 0),
-        b: CheckpointMeta(b, 1, "local", None, 0, 0, 0, "", {}, {ch: recv}, None,
+        b: CheckpointMeta(b, 1, "local", None, 0, 0, 0, "", {}, {ch: recv},
                           0, 0),
     }
     log = {ch: ChannelLog()}
@@ -103,7 +103,7 @@ def test_recovery_line_idempotent(seed):
                 if r == inst:
                     recv[ch] = recv.get(ch, 0) + rng.randint(0, 4)
             metas.append(CheckpointMeta(inst, k, "local", None, 0, 0, 0, "",
-                                        dict(sent), dict(recv), None, 0, 0))
+                                        dict(sent), dict(recv), 0, 0))
         checkpoints[inst] = metas
     graph = CheckpointGraph(checkpoints=checkpoints, channels=channels)
     first = maximal_consistent_line(graph)
@@ -111,15 +111,14 @@ def test_recovery_line_idempotent(seed):
     restricted = CheckpointGraph(
         checkpoints={
             inst: [m for m in metas
-                   if m.checkpoint_id <= first.line[inst].checkpoint_id]
+                   if m.checkpoint_id <= first[inst].checkpoint_id]
             for inst, metas in checkpoints.items()
         },
         channels=channels,
     )
     second = maximal_consistent_line(restricted)
-    assert {k: m.checkpoint_id for k, m in second.line.items()} == \
-           {k: m.checkpoint_id for k, m in first.line.items()}
-    assert second.pruned == []
+    assert {k: m.checkpoint_id for k, m in second.items()} == \
+           {k: m.checkpoint_id for k, m in first.items()}
 
 
 # --------------------------------------------------------------------- #

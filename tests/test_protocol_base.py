@@ -17,7 +17,7 @@ def meta(instance=("op", 0), cid=1, **kw):
     defaults = dict(
         instance=instance, checkpoint_id=cid, kind="local", round_id=None,
         started_at=0.0, durable_at=1.0, state_bytes=10, blob_key="b",
-        last_sent={}, last_received={}, source_offsets=None,
+        last_sent={}, last_received={},
         upload_bytes=10, restore_bytes=10,
     )
     defaults.update(kw)
@@ -37,7 +37,6 @@ def test_initial_checkpoint_shape():
     init = initial_checkpoint(("op", 3))
     assert init.checkpoint_id == 0
     assert init.kind == "initial"
-    assert init.source_offsets == {}
     assert init.sent_cursor((0, 0, 0)) == 0
     assert init.received_cursor((9, 9, 9)) == 0
 
@@ -94,7 +93,7 @@ def test_base_protocol_recovery_plan_is_virgin_restart():
     log = make_event_log(100.0, 2.0, 2)
     job = Job(build_count_graph(), "none", 2, {"events": log},
               RuntimeConfig(duration=4.0, warmup=1.0))
-    plan = job.protocol.build_recovery_plan(0.0)
+    plan = job.protocol.build_recovery_plan()
     assert all(m.kind == "initial" for m in plan.line.values())
     assert plan.replay == {}
 

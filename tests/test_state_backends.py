@@ -416,8 +416,7 @@ def _checkpoint(job: Job, instance) -> str:
     blob durable at once; returns its key (``count/<index>/<n>``)."""
     meta, payload = job.capture_checkpoint(instance, "local", None)
     job.coordinator.blobstore.put(
-        meta.blob_key, payload, meta.upload_bytes, 0.0,
-        base_key=meta.base_key, chain_length=meta.chain_length)
+        meta.blob_key, payload, meta.upload_bytes, base_key=meta.base_key)
     return meta.blob_key
 
 

@@ -313,16 +313,15 @@ def test_partitioned_log_totals():
 
 def test_blobstore_put_get_roundtrip():
     store = BlobStore()
-    store.put("k", {"x": 1}, 100, now=1.0)
+    store.put("k", {"x": 1}, 100)
     assert store.get("k") == {"x": 1}
     assert "k" in store
 
 
 def test_blobstore_meta():
     store = BlobStore()
-    meta = store.put("k", "v", 77, now=2.5)
+    meta = store.put("k", "v", 77)
     assert meta.size_bytes == 77
-    assert meta.stored_at == 2.5
 
 
 def test_blobstore_missing_key_raises():
@@ -332,46 +331,44 @@ def test_blobstore_missing_key_raises():
 
 def test_blobstore_overwrite_allowed():
     store = BlobStore()
-    store.put("k", "v1", 10, now=1.0)
-    assert store.put("k", "v2", 20, now=2.0).size_bytes == 20
+    store.put("k", "v1", 10)
+    assert store.put("k", "v2", 20).size_bytes == 20
     assert store.get("k") == "v2"
     assert store.total_bytes() == 20
 
 
 def test_blobstore_byte_accounting():
     store = BlobStore()
-    store.put("a", "x", 10, now=1.0)
-    store.put("b", "y", 30, now=1.0)
+    store.put("a", "x", 10)
+    store.put("b", "y", 30)
     store.get("a")
     assert store.bytes_written == 40
-    assert store.bytes_read == 10
     assert store.total_bytes() == 40
 
 
 def test_blobstore_accounting_across_overwrite_and_get():
     """Every counter over a put/overwrite/get sequence."""
     store = BlobStore()
-    store.put("a", "v1", 100, now=1.0)
-    store.put("a", "v2", 60, now=2.0)   # overwrite: both writes billed
-    store.put("b", "w", 40, now=2.0)
+    store.put("a", "v1", 100)
+    store.put("a", "v2", 60)   # overwrite: both writes billed
+    store.put("b", "w", 40)
     store.get("a")                       # reads the overwritten size
     store.get("a")
     assert store.bytes_written == 200
     assert store.bytes_deleted == 100    # what the overwrite replaced
-    assert store.bytes_read == 120
     assert store.total_bytes() == 100    # the live overwrite and b
     assert len(store) == 2
 
 
 def test_blobstore_negative_size_rejected():
     with pytest.raises(ValueError):
-        BlobStore().put("k", "v", -1, now=1.0)
+        BlobStore().put("k", "v", -1)
 
 
 def test_blobstore_delete_frees_the_blob_and_counts_its_bytes():
     store = BlobStore()
-    store.put("a", "x", 10, now=1.0)
-    store.put("b", "y", 30, now=1.0)
+    store.put("a", "x", 10)
+    store.put("b", "y", 30)
     store.delete("a")
     assert "a" not in store and "b" in store and len(store) == 1
     assert store.bytes_deleted == 10 and store.total_bytes() == 30
@@ -395,7 +392,7 @@ def test_blobstore_accepted_minus_deleted_is_resident(ops):
     for op, index, size in ops:
         key = f"k{index}"
         if op == "put":
-            store.put(key, size, size, now=0.0)
+            store.put(key, size, size)
             model[key] = size
             accepted += size
         elif key in model:
@@ -417,17 +414,16 @@ def test_blobstore_accepted_minus_deleted_is_resident(ops):
 
 def test_chain_keys_walks_base_links_base_first():
     store = BlobStore()
-    base = store.put("base", {"full": True}, 100, now=1.0)
-    store.put("d1", {"delta": 1}, 10, now=2.0, base_key="base", chain_length=1)
-    d2 = store.put("d2", {"delta": 2}, 10, now=3.0, base_key="d1",
-                   chain_length=2)
+    base = store.put("base", {"full": True}, 100)
+    store.put("d1", {"delta": 1}, 10, base_key="base")
+    d2 = store.put("d2", {"delta": 2}, 10, base_key="d1")
     assert store.chain_keys("d2") == ["base", "d1", "d2"]
     assert store.chain_keys("base") == ["base"]
-    assert d2.chain_length == 2
+    assert d2.base_key == "d1"
     assert base.base_key is None
 
 
 def test_delta_put_requires_existing_base():
     store = BlobStore()
     with pytest.raises(KeyError):
-        store.put("d1", {}, 10, now=1.0, base_key="missing")
+        store.put("d1", {}, 10, base_key="missing")

@@ -60,7 +60,7 @@ def test_the_floor_is_the_maximal_consistent_line(monkeypatch, case):
 
     def checked(self, floor):
         agreed.append(
-            floor == maximal_consistent_line(self.build_checkpoint_graph()).line)
+            floor == maximal_consistent_line(self.build_checkpoint_graph()))
         truncate(self, floor)
 
     monkeypatch.setattr(UncoordinatedProtocol, "truncate_logs", checked)
@@ -146,7 +146,7 @@ def test_recovery_line_is_consistent():
     protocol = job.protocol
     assert isinstance(protocol, UncoordinatedProtocol)
     graph = protocol.build_checkpoint_graph()
-    plan_line = {k: m for k, m in protocol.build_recovery_plan(0.0).line.items()}
+    plan_line = {k: m for k, m in protocol.build_recovery_plan().line.items()}
     assert graph.line_is_consistent(plan_line)
 
 
@@ -195,7 +195,7 @@ def _meta(instance, cid, sent=None, received=None):
     return CheckpointMeta(
         instance=instance, checkpoint_id=cid, kind="local", round_id=None,
         started_at=0.0, durable_at=0.0, state_bytes=0, blob_key="",
-        last_sent=sent or {}, last_received=received or {}, source_offsets=None,
+        last_sent=sent or {}, last_received=received or {},
         upload_bytes=0, restore_bytes=0,
     )
 

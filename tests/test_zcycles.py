@@ -35,7 +35,7 @@ def meta(instance, cid, sent=None, received=None):
     return CheckpointMeta(
         instance=instance, checkpoint_id=cid, kind="local", round_id=None,
         started_at=0.0, durable_at=0.0, state_bytes=0, blob_key="",
-        last_sent=sent or {}, last_received=received or {}, source_offsets=None,
+        last_sent=sent or {}, last_received=received or {},
         upload_bytes=0, restore_bytes=0,
     )
 
@@ -326,7 +326,7 @@ def test_useless_means_no_consistent_line_holds_it(drawn):
             bounded = {other: [*others, final[other]]
                        for other, others in graph.checkpoints.items()}
             bounded[inst] = metas[:k + 1]
-            line = maximal_consistent_line(CheckpointGraph(bounded, graph.channels)).line
+            line = maximal_consistent_line(CheckpointGraph(bounded, graph.channels))
             if line[inst].checkpoint_id != metas[k].checkpoint_id:
                 by_lines.append((inst, metas[k].checkpoint_id))
     assert zcycle_analysis(graph, delivered).useless == by_lines
