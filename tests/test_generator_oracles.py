@@ -5,9 +5,10 @@ generators are held to: the shaped-arrival timestamp loop, the three
 per-row hot-key picks (uniform, ``drift``, ``trace``), ``randrange``
 as the rejection loop over ``getrandbits`` that the cyclic generator
 writes inline, and the cyclic generator's row loop over plain lists,
-whose ``pop(i)`` its live sets must match.  Production output must equal the oracle's by ``==`` —
-the same floats and ints, not approximately — because every generated
-log is pinned byte for byte (``tests/data/inputs_golden.json``).
+whose ``pop(i)`` its live sets must match.  Production output must
+equal the oracle's by ``==`` — the same floats and ints, not
+approximately — because every generated log is pinned byte for byte
+(``tests/data/inputs_golden.json``).
 """
 
 from __future__ import annotations
