@@ -94,7 +94,8 @@ class LiveList:
 
     def __init__(self) -> None:
         self.tail: list[Any] = []
-        #: entries; entries in sealed blocks; largest power of two <= blocks
+        #: live entries, those in sealed blocks, and the largest power of
+        #: two not above the number of sealed blocks
         self.size = self._sealed = self._top = 0
         self._blocks: list[list[Any]] = []
         #: 1-based Fenwick tree of the sealed blocks' sizes, padded to a

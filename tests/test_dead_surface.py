@@ -49,7 +49,7 @@ ALLOWED = {
     "pending_events",
     # the protocol feature table of core/features.py
     "feature_table",
-    # the event schema: a bid's auction carries it, the join emits it
+    # the event schema: fields no query happens to read
     "Auction.initial_bid",
     "JoinPair.link_src",
     # the row view: a poll reads records by position, a test by offset
