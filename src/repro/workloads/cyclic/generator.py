@@ -8,7 +8,6 @@ nodes to the ``srcnodes`` topic; both are round-robin partitioned.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import islice
 from typing import Any, TypeVar
@@ -26,8 +25,6 @@ T = TypeVar("T")
 
 LINK_SIZE = 64
 SOURCE_SIZE = 48
-#: entries the open block of a :class:`LiveList` takes before it is sealed
-LIVE_BLOCK = 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,57 +81,6 @@ class CyclicConfig:
             raise ValueError(f"probabilities must sum to 1, got {total}")
 
 
-class LiveList:
-    """Live links (or sources) in insertion order, deleted by rank: the
-    loop appends to the open block ``tail`` and counts ``size``, and
-    :meth:`pop` removes what a plain list's ``pop(i)`` would without
-    moving half the live set (DESIGN.md section 20)."""
-
-    __slots__ = ("tail", "size", "_blocks", "_tree", "_sealed", "_top")
-
-    def __init__(self) -> None:
-        self.tail: list[Any] = []
-        #: live entries, those in sealed blocks, and the largest power of
-        #: two not above the number of sealed blocks
-        self.size = self._sealed = self._top = 0
-        self._blocks: list[list[Any]] = []
-        #: 1-based Fenwick tree of the sealed blocks' sizes, padded to a
-        #: power of two with nodes no rank reaches
-        self._tree: list[float] = [0]
-
-    def pop(self, rank: int) -> Any:
-        """Remove and return the entry ``rank`` places after the oldest."""
-        tree, sealed, size = self._tree, self._sealed, self.size
-        if size - sealed >= LIVE_BLOCK:  # seal the open block
-            block = len(self._blocks) + 1
-            if block == len(tree):
-                tree += [math.inf] * block
-                self._top = block
-            total, child = size - sealed, block - 1
-            while child > block - (block & -block):  # sum its children
-                total += tree[child]
-                child -= child & -child
-            tree[block] = total
-            self._blocks.append(self.tail)
-            self.tail, sealed = [], size
-        self.size = size - 1
-        if rank >= sealed:
-            self._sealed = sealed
-            return self.tail.pop(rank - sealed)
-        self._sealed = sealed - 1
-        # the nodes the descent does not step past cover the rank's
-        # block, and they are the ones its removal decrements
-        block, step = 0, self._top
-        while step:
-            if tree[block + step] <= rank:
-                block += step
-                rank -= tree[block]
-            else:
-                tree[block + step] -= 1
-            step >>= 1
-        return self._blocks[block].pop(rank)
-
-
 class CyclicGenerator:
     """Builds the ``links`` and ``srcnodes`` logs on one global timeline."""
 
@@ -158,8 +104,8 @@ class CyclicGenerator:
         check_rate_and_horizon(rate, until)
         cfg = self.config
         rng = RngRegistry(self.seed).stream("workload.cyclic.events")
-        live_links = LiveList()
-        live_sources = LiveList()
+        live_links: list[tuple[int, int]] = []
+        live_sources: list[int] = []
         if arrival is None or arrival.kind == "steady":
             # the legacy closed form, bit-for-bit: this generator divides
             # ((k+0.5)/rate) where NexMark multiplies by 1/rate — a 1-ulp
@@ -167,8 +113,9 @@ class CyclicGenerator:
             # the steady path stays inline here.  As an array expression
             # it has the same operands in the same order, so the same
             # floats, and ``tolist`` hands back Python floats
-            timestamps = iter(
-                ((numpy.arange(int(rate * until)) + 0.5) / rate).tolist())
+            stamps: list[float] = (
+                (numpy.arange(int(rate * until)) + 0.5) / rate).tolist()
+            timestamps = iter(stamps)
         else:
             arrival_rng = RngRegistry(self.seed).stream(
                 "workload.arrivals.cyclic")
@@ -176,11 +123,15 @@ class CyclicGenerator:
         # both topics are built as columns on the one global timeline and
         # dealt out round-robin at the end (DESIGN.md section 20).  The
         # draws stay row by row: a deletion's range is the live set the
-        # rows before it left, and a draw rejects and redraws.  Each is
-        # ``randrange(n)`` written out, ``getrandbits(n.bit_length())``
-        # until it is below ``n`` (``tests/test_generator_oracles.py``).
-        # A row appends a ``(time, *fields)`` tuple; a block of them is
-        # turned into event objects column by column
+        # rows before it left, and a draw below ``n`` rejects and redraws,
+        # so no draw's place in the stream is known before the one before
+        # it was made.  Every such draw is ``randrange(n)`` written out —
+        # ``getrandbits(n.bit_length())`` until the value is below ``n``,
+        # what CPython's ``randrange`` runs in two Python frames (the same
+        # values and stream state, ``tests/test_generator_oracles.py``).
+        # What a row appends is a ``(time, *fields)`` tuple; a block of
+        # tuples is transposed and turned into event objects column by
+        # column
         link_times: list[float] = []
         link_events: list[LinkEvent] = []
         source_times: list[float] = []
@@ -205,21 +156,22 @@ class CyclicGenerator:
                         node = getrandbits(node_bits)
                         while node >= num_nodes:
                             node = getrandbits(node_bits)
-                        live_sources.tail.append(node)
-                        live_sources.size += 1
+                        live_sources.append(node)
                         add_source((t, node, True))
-                    elif roll >= new_source_below and (
-                            live := live_links if roll < del_link_below
-                            and live_links.size else live_sources).size:
-                        n = live.size
-                        bits = n.bit_length()
-                        i = getrandbits(bits)
+                    elif (new_source_below <= roll < del_link_below
+                          and live_links):
+                        n = len(live_links)
+                        i = getrandbits(n.bit_length())
                         while i >= n:
-                            i = getrandbits(bits)
-                        if live is live_links:
-                            add_link((t, *live.pop(i), False))
-                        else:
-                            add_source((t, live.pop(i), False))
+                            i = getrandbits(n.bit_length())
+                        src, dst = live_links.pop(i)
+                        add_link((t, src, dst, False))
+                    elif roll >= new_source_below and live_sources:
+                        n = len(live_sources)
+                        i = getrandbits(n.bit_length())
+                        while i >= n:
+                            i = getrandbits(n.bit_length())
+                        add_source((t, live_sources.pop(i), False))
                     else:  # a new link; also a deletion with nothing to delete
                         src = getrandbits(node_bits)
                         while src >= num_nodes:
@@ -227,8 +179,7 @@ class CyclicGenerator:
                         dst = getrandbits(node_bits)
                         while dst >= num_nodes:
                             dst = getrandbits(node_bits)
-                        live_links.tail.append((src, dst))
-                        live_links.size += 1
+                        live_links.append((src, dst))
                         add_link((t, src, dst, True))
                 _flush(link_rows, LinkEvent, link_times, link_events)
                 _flush(source_rows, SourceEvent, source_times, source_events)

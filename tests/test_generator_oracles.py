@@ -4,11 +4,10 @@ Each oracle below is a test-local copy of a per-event formula the input
 generators are held to: the shaped-arrival timestamp loop, the three
 per-row hot-key picks (uniform, ``drift``, ``trace``), ``randrange``
 as the rejection loop over ``getrandbits`` that the cyclic generator
-writes inline, and the cyclic generator's row loop over plain lists,
-whose ``pop(i)`` its live sets must match.  Production output must
-equal the oracle's by ``==`` — the same floats and ints, not
-approximately — because every generated log is pinned byte for byte
-(``tests/data/inputs_golden.json``).
+writes inline, and the cyclic generator's whole row loop with its live
+sets as plain lists.  Production output must equal the oracle's by
+``==`` — the same floats and ints, not approximately — because every
+generated log is pinned byte for byte (``tests/data/inputs_golden.json``).
 """
 
 from __future__ import annotations
@@ -337,17 +336,11 @@ def _timeline(log):
             for row in [parts[k % len(parts)][k // len(parts)]]]
 
 
-@pytest.mark.parametrize("live_block", [None, 2, 5, 64])
 @pytest.mark.parametrize("seed, until", [(7, 2.0), (13, 9.0), (2**31 + 5, 20.0)])
-def test_the_live_sets_delete_what_a_list_pop_deletes(monkeypatch, live_block,
-                                                      seed, until):
-    """Each deletion removes the entry a plain list's ``pop(i)`` would,
-    while the live sets span one block or several hundred (the block
-    sizes below seal many blocks, and a Fenwick tree several levels
-    deep, over these short horizons)."""
-    from repro.workloads.cyclic import CyclicGenerator, generator
+def test_the_live_sets_delete_what_a_list_pop_deletes(seed, until):
+    """The row loop's draws, deletions and columns give the reference
+    loop's two timelines, across seeds and horizons."""
+    from repro.workloads.cyclic import CyclicGenerator
 
-    if live_block is not None:
-        monkeypatch.setattr(generator, "LIVE_BLOCK", live_block)
     links, sources = CyclicGenerator(3, seed=seed).logs(600.0, until)
     assert (_timeline(links), _timeline(sources)) == cyclic_oracle(600.0, until, seed)
