@@ -37,6 +37,8 @@ import sys
 import time
 import traceback
 
+from repro.dataflow.keygroups import validate_key_space
+from repro.dataflow.runtime import check_topology
 from repro.experiments import experiments_md, figures
 from repro.experiments.config import scale_by_name
 from repro.experiments.parallel import ParallelRunner, RunRequest
@@ -291,7 +293,11 @@ def _cmd_query(args) -> int:
     spec = REACHABILITY if args.name == "reachability" else QUERIES[args.name]
     rate = (args.rate if args.rate is not None
             else spec.capacity_per_worker * args.parallelism * 0.6)
-    from repro.experiments.sharding import run_sharded
+    from repro.experiments.sharding import (
+        ShardingError,
+        run_sharded,
+        validate_shardable,
+    )
 
     request = RunRequest(
         query=spec.name, protocol=args.protocol,
@@ -322,6 +328,16 @@ def _cmd_query(args) -> int:
         if spec is REACHABILITY and args.hot_ratio:
             raise ValueError(f"--hot-ratio must be 0: reachability has no "
                              f"hot keys, got {args.hot_ratio}")
+        # what the run itself would refuse, refused before it starts
+        graph = spec.build_graph(args.parallelism)
+        check_topology(graph, args.protocol, args.channel_capacity)
+        if args.shards > 1:
+            validate_key_space(args.shards, args.max_key_groups,
+                               context="--shards")
+            try:
+                validate_shardable(graph)
+            except ShardingError as exc:
+                raise ValueError(f"--shards {args.shards}: {exc}") from None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

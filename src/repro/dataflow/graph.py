@@ -3,8 +3,8 @@
 A graph is a set of named operators and directed edges.  Edges carry a
 partitioning strategy (forward / key-hash / broadcast) and a destination
 *port* so multi-input operators (joins) can tell their inputs apart.
-Cycles are allowed only when explicitly requested — the coordinated
-protocol rejects them, exactly as in the paper (Section III-A drawbacks).
+A graph may have cycles; the coordinated protocols reject them at
+deployment, exactly as in the paper (Section III-A drawbacks).
 """
 
 from __future__ import annotations
@@ -156,8 +156,12 @@ class LogicalGraph:
                     ready.append(nxt)
         return peeled < len(self.operators)
 
-    def validate(self, allow_cycles: bool = False) -> None:
-        """Check structural invariants; raise :class:`GraphError` on problems."""
+    def validate(self) -> None:
+        """Check structural invariants; raise :class:`GraphError` on problems.
+
+        A cycle is no such problem: whether one can run depends on the
+        protocol and the channels (``repro.dataflow.runtime.check_topology``).
+        """
         if not self.operators:
             raise GraphError("graph has no operators")
         if not self.sources():
@@ -167,8 +171,6 @@ class LogicalGraph:
                 raise GraphError(f"source {spec.name!r} has inbound edges")
             if not spec.is_source and not self.in_edges(spec.name):
                 raise GraphError(f"operator {spec.name!r} is unreachable (no inputs)")
-        if not allow_cycles and self.has_cycle():
-            raise GraphError("graph has a cycle; pass allow_cycles=True if intended")
 
     def describe(self) -> str:
         """Human-readable topology summary (used by examples)."""
@@ -203,7 +205,7 @@ def validate_deployment(graph: LogicalGraph,
         if parallelism <= 0:
             raise GraphError(f"operator {name!r}: parallelism must be "
                              f"positive, got {parallelism}")
-        validate_key_space(parallelism, max_key_groups, context=f"operator {name!r}")
+        validate_key_space(parallelism, max_key_groups, context=f"operator {name!r} parallelism")
     for edge in graph.edges:
         if edge.partitioning is Partitioning.FORWARD:
             src_p = op_parallelism[edge.src]

@@ -63,13 +63,14 @@ def group_owner(group: int, parallelism: int, max_key_groups: int) -> int:
 
 
 def validate_key_space(parallelism: int, max_key_groups: int,
-                       context: str = "deployment") -> None:
-    """Reject deployments that cannot spread groups over all instances."""
+                       context: str = "parallelism") -> None:
+    """Reject deployments that cannot spread groups over all instances
+    (or shards); ``context`` names what ``parallelism`` counts."""
     if max_key_groups <= 0:
         raise GraphError(f"{context}: max_key_groups must be positive, "
                          f"got {max_key_groups}")
     if parallelism > max_key_groups:
         raise GraphError(
-            f"{context}: parallelism {parallelism} exceeds max_key_groups "
-            f"{max_key_groups}; some instances would own no key groups"
+            f"{context} {parallelism} exceeds max_key_groups "
+            f"{max_key_groups}; some would own no key groups"
         )

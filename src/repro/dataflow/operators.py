@@ -220,16 +220,15 @@ class FlatMapOperator(Operator):
 
     cpu_per_record = 0.0015
 
-    def __init__(self, fn: Callable[[Any], list], out_size: Callable[[Any], int] | None = None) -> None:
+    def __init__(self, fn: Callable[[Any], list]) -> None:
         super().__init__()
         self._fn = fn
-        self._out_size = out_size
 
     def process_batch(self, batch: RecordBatch, port: str) -> RecordBatch | None:
-        """Expand each record, building the output columns directly."""
+        """Expand each record, building the output columns directly; a
+        child is as large as its parent."""
         op = self.ctx.op_name
         fn = self._fn
-        out_size = self._out_size
         out = RecordBatch([], [], [], [])
         rids, payloads = out.rids, out.payloads
         ts_col, sizes = out.source_ts, out.sizes
@@ -240,7 +239,7 @@ class FlatMapOperator(Operator):
                 rids.append(derived_rid(op, parent, i))
                 payloads.append(payload)
                 ts_col.append(ts)
-                sizes.append(out_size(payload) if out_size else base)
+                sizes.append(base)
         return out if len(rids) else None
 
 
@@ -256,19 +255,19 @@ class IncrementalJoinOperator(Operator):
     """
 
     cpu_per_record = 0.0030
+    #: serialized size of one joined pair
+    out_size = 128
 
     def __init__(
         self,
         left_key: Callable[[Any], Any],
         right_key: Callable[[Any], Any],
         combine: Callable[[Any, Any], Any],
-        out_size: int = 128,
     ) -> None:
         super().__init__()
         self._left_key = left_key
         self._right_key = right_key
         self._combine = combine
-        self._out_size = out_size
         self._left: KeyedListState | None = None
         self._right: KeyedListState | None = None
 
@@ -282,7 +281,7 @@ class IncrementalJoinOperator(Operator):
         """Insert the whole batch on its side, then probe the other side."""
         return _join_batch(
             self.ctx.op_name, batch, port, self._left_key, self._right_key,
-            self._combine, self._left, self._right, self._out_size,
+            self._combine, self._left, self._right, self.out_size,
         )
 
 
@@ -294,6 +293,8 @@ class WindowedJoinOperator(Operator):
     """
 
     cpu_per_record = 0.0026
+    #: serialized size of one joined pair
+    out_size = 128
 
     def __init__(
         self,
@@ -301,14 +302,12 @@ class WindowedJoinOperator(Operator):
         right_key: Callable[[Any], Any],
         combine: Callable[[Any, Any], Any],
         window: float = 10.0,
-        out_size: int = 128,
     ) -> None:
         super().__init__()
         self._left_key = left_key
         self._right_key = right_key
         self._combine = combine
         self.window = window
-        self._out_size = out_size
         self._left: KeyedListState | None = None
         self._right: KeyedListState | None = None
         self._window_id: ValueState | None = None
@@ -347,7 +346,7 @@ class WindowedJoinOperator(Operator):
         self._roll_window()
         return _join_batch(
             self.ctx.op_name, batch, port, self._left_key, self._right_key,
-            self._combine, self._left, self._right, self._out_size,
+            self._combine, self._left, self._right, self.out_size,
         )
 
 
@@ -361,12 +360,13 @@ class WindowedCountOperator(Operator):
     """
 
     cpu_per_record = 0.0018
+    #: serialized size of one ``(key, window, count)`` update
+    out_size = 48
 
-    def __init__(self, key_fn: Callable[[Any], Any], window: float = 10.0, out_size: int = 48) -> None:
+    def __init__(self, key_fn: Callable[[Any], Any], window: float = 10.0) -> None:
         super().__init__()
         self._key_fn = key_fn
         self.window = window
-        self._out_size = out_size
         self._counts: KeyedMapState | None = None
 
     def open(self, ctx: OperatorContext) -> None:
@@ -420,7 +420,7 @@ class WindowedCountOperator(Operator):
         counts.put_many([(key, (current, count), 40)
                          for key, count in running.items()])
         return RecordBatch(derived_rids(ctx.op_name, batch.rids), payloads,
-                           batch.source_ts, [self._out_size] * n)
+                           batch.source_ts, [self.out_size] * n)
 
 
 class SlidingWindowCountOperator(Operator):
@@ -434,16 +434,17 @@ class SlidingWindowCountOperator(Operator):
     """
 
     cpu_per_record = 0.0022
+    #: serialized size of one ``(key, window, count)`` update
+    out_size = 56
 
     def __init__(self, key_fn: Callable[[Any], Any], window_range: float = 10.0,
-                 slide: float = 2.0, out_size: int = 56) -> None:
+                 slide: float = 2.0) -> None:
         super().__init__()
         if slide <= 0 or window_range < slide:
             raise ValueError("need slide > 0 and range >= slide")
         self._key_fn = key_fn
         self.window_range = window_range
         self.slide = slide
-        self._out_size = out_size
         self._counts: KeyedMapState | None = None
 
     def open(self, ctx: OperatorContext) -> None:
@@ -518,7 +519,7 @@ class SlidingWindowCountOperator(Operator):
             puts.append(((newest, key), count, 32))
         counts.put_many(puts)
         return RecordBatch(derived_rids(ctx.op_name, batch.rids), payloads,
-                           batch.source_ts, [self._out_size] * n)
+                           batch.source_ts, [self.out_size] * n)
 
 
 class MaxPerKeyOperator(Operator):
@@ -529,15 +530,16 @@ class MaxPerKeyOperator(Operator):
     """
 
     cpu_per_record = 0.0012
+    #: serialized size of one ``(group, item, value)`` improvement
+    out_size = 48
 
     def __init__(self, group_fn: Callable[[Any], Any],
                  value_fn: Callable[[Any], int],
-                 item_fn: Callable[[Any], Any], out_size: int = 48) -> None:
+                 item_fn: Callable[[Any], Any]) -> None:
         super().__init__()
         self._group_fn = group_fn
         self._value_fn = value_fn
         self._item_fn = item_fn
-        self._out_size = out_size
         self._best: KeyedMapState | None = None
 
     def open(self, ctx: OperatorContext) -> None:
@@ -584,7 +586,7 @@ class MaxPerKeyOperator(Operator):
             return None
         best.put_many([(g, vi, 32) for g, vi in local.items()])
         return RecordBatch(derived_rids(self.ctx.op_name, rids), out_payloads,
-                           ts_col, [self._out_size] * len(rids))
+                           ts_col, [self.out_size] * len(rids))
 
 
 class SinkOperator(Operator):

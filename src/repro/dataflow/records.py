@@ -97,9 +97,9 @@ def derived_rid_prefix(op_name: str) -> int:
     return acc
 
 
-def derived_rids(op_name: str, parent_rids: Sequence[int],
-                 emission_index: int = 0) -> list[int]:
-    """Column form of :func:`derived_rid`, bit-identical to the scalar loop.
+def derived_rids(op_name: str, parent_rids: Sequence[int]) -> list[int]:
+    """Column form of :func:`derived_rid` at emission index 0 (one child
+    per parent), bit-identical to the scalar loop.
 
     Vectorized with numpy uint64 arithmetic (wraparound multiply matches
     the ``& _MASK64`` masking) when the column is long enough to amortize
@@ -113,18 +113,17 @@ def derived_rids(op_name: str, parent_rids: Sequence[int],
     if prefix is None:
         prefix = derived_rid_prefix(op_name)
     if len(parent_rids) < _VECTOR_MIN:
-        emission = (emission_index + 1) & _MASK64
         rids = []
         for rid in parent_rids:
             mix = ((prefix ^ (rid & _MASK64)) * _PRIME) & _MASK64
-            mix = (((mix ^ (mix >> 29)) ^ emission) * _PRIME) & _MASK64
+            mix = (((mix ^ (mix >> 29)) ^ 1) * _PRIME) & _MASK64
             rids.append(mix ^ (mix >> 29))
         return rids
     acc = _np.array(parent_rids, dtype=_np.uint64)
     acc ^= _np.uint64(prefix)
     acc *= _np.uint64(_PRIME)
     acc ^= acc >> _np.uint64(29)
-    acc ^= _np.uint64((emission_index + 1) & _MASK64)
+    acc ^= _np.uint64(1)
     acc *= _np.uint64(_PRIME)
     acc ^= acc >> _np.uint64(29)
     result: list[int] = acc.tolist()
@@ -168,10 +167,10 @@ class StreamRecord:
     source_ts: float
     size_bytes: int
 
-    def derive(self, op_name: str, payload: Any, size_bytes: int, emission_index: int = 0) -> "StreamRecord":
-        """Create a child record preserving the origin timestamp."""
+    def derive(self, op_name: str, payload: Any, size_bytes: int) -> "StreamRecord":
+        """Create the record's one child, preserving the origin timestamp."""
         return StreamRecord(
-            rid=derived_rid(op_name, self.rid, emission_index),
+            rid=derived_rid(op_name, self.rid),
             payload=payload,
             source_ts=self.source_ts,
             size_bytes=size_bytes,

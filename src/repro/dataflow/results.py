@@ -218,20 +218,19 @@ class RunResult:
         """
         return self.metrics.blocked_time_total
 
-    def sustainable(self, expected_rate: float,
-                    latency_cap: float = 1.0) -> bool:
+    def sustainable(self, expected_rate: float) -> bool:
         """Backpressure check used by the MST search (DESIGN.md section 6)."""
         series = self.latency_series()
         third = int(self.duration / 3)
         if series.is_growing(third, int(self.duration)):
             return False
-        # absolute cap: seconds-deep queues mean the probe window was just
-        # too short to see the growth
+        # absolute cap of one second: seconds-deep queues mean the probe
+        # window was just too short to see the growth
         tail = [
             v for s, v in zip(series.seconds, series.p50)
             if s >= 2 * third and v > 0
         ]
-        if tail and percentile(tail, 50) > latency_cap:
+        if tail and percentile(tail, 50) > 1.0:
             return False
         # sources must keep up with the offered rate: compare ingest in the
         # second half of the window against the offered rate.

@@ -30,7 +30,7 @@ from dataclasses import replace
 from heapq import heappush
 from typing import Any
 
-from repro.core.base import CheckpointMeta, CheckpointRegistry, create_protocol
+from repro.core.base import PROTOCOLS, CheckpointMeta, CheckpointRegistry, create_protocol
 from repro.core.recovery import ChannelLog
 from repro.dataflow.batch import RecordBatch
 from repro.dataflow.channels import ChannelId
@@ -90,6 +90,25 @@ def source_rids(partition: Partition, prefix: int) -> array:
     return cached[1]
 
 
+def check_topology(graph: LogicalGraph, protocol: str,
+                   channel_capacity_bytes: int | None) -> None:
+    """Refuse a cyclic ``graph`` under a protocol or a channel bound it
+    cannot run with; :class:`Job` and ``repro query`` both ask this."""
+    if not graph.has_cycle():
+        return
+    if not PROTOCOLS[protocol].supports_cycles:
+        raise UnsupportedTopologyError(
+            f"protocol {protocol!r} cannot run on cyclic dataflows "
+            "(marker deadlock — paper Section III-A)"
+        )
+    if (channel_capacity_bytes or 0) > 0:
+        raise UnsupportedTopologyError(
+            f"channel_capacity_bytes={channel_capacity_bytes} cannot run on "
+            "cyclic dataflows: credit-based flow control on a cycle can "
+            "deadlock (DESIGN.md section 13)"
+        )
+
+
 class Job:
     """One deployed streaming query under one checkpointing protocol."""
 
@@ -109,7 +128,7 @@ class Job:
         self.config = config or RuntimeConfig()
         self.cost = self.config.cost_model
         self.max_key_groups = self.config.max_key_groups
-        validate_key_space(parallelism, self.max_key_groups, context="job deployment")
+        validate_key_space(parallelism, self.max_key_groups, context="job parallelism")
         #: input-log partitions per topic are fixed at deployment time; a
         #: rescaled recovery re-spreads them over the new source instances
         self.num_source_partitions = parallelism
@@ -134,18 +153,8 @@ class Job:
         self.completed_rounds: set[int] = set()
 
         self.protocol = create_protocol(protocol, self)
-        if graph.has_cycle() and not self.protocol.supports_cycles:
-            raise UnsupportedTopologyError(
-                f"protocol {protocol!r} cannot run on cyclic dataflows "
-                "(marker deadlock — paper Section III-A)"
-            )
-        if (self.config.channel_capacity_bytes or 0) > 0 and graph.has_cycle():
-            raise UnsupportedTopologyError(
-                "bounded channel capacity cannot run on cyclic dataflows: "
-                "credit-based flow control on a cycle can deadlock "
-                "(DESIGN.md section 13)"
-            )
-        graph.validate(allow_cycles=True)
+        check_topology(graph, protocol, self.config.channel_capacity_bytes)
+        graph.validate()
         for spec in graph.sources():
             if spec.source_topic not in inputs:
                 raise ValueError(f"missing input log for topic {spec.source_topic!r}")
@@ -587,26 +596,26 @@ class Job:
                         return False
         return True
 
-    def drain(self, step: float = 0.25, max_wait: float = 120.0) -> float:
+    def drain(self) -> float:
         """Deterministic drain barrier: run until :meth:`data_quiescent`.
 
         Replaces timing-dependent "run a bit longer and hope" windows in
-        tests: the simulator advances in ``step``-sized slices until every
+        tests: the simulator advances in 0.25 s slices until every
         produced record has landed (including post-failure replay), or
-        raises after ``max_wait`` virtual seconds — a wedged pipeline is a
-        bug, not a reason to widen a window.  Returns the virtual time at
+        raises after 120 virtual seconds — a wedged pipeline is a bug,
+        not a reason to widen a window.  Returns the virtual time at
         which quiescence was observed.
         """
-        deadline = self.sim.now + max_wait
+        deadline = self.sim.now + 120.0
         while not self.data_quiescent():
             if self.sim.now >= deadline:
                 raise RuntimeError(
-                    f"drain barrier: pipeline failed to quiesce within "
-                    f"{max_wait} virtual seconds (pending_data="
+                    f"drain barrier: pipeline failed to quiesce within 120 "
+                    f"virtual seconds (pending_data="
                     f"{self.transport.pending_data}, recovering="
                     f"{self.recovering})"
                 )
-            self.sim.run_until(min(self.sim.now + step, deadline))
+            self.sim.run_until(min(self.sim.now + 0.25, deadline))
         return self.sim.now
 
     def release(self) -> None:

@@ -14,12 +14,10 @@ from typing import Any
 
 from repro.dataflow.results import RunResult
 from repro.experiments.parallel import RunRequest, run_with_spec
-from repro.sim.costs import CostModel, RuntimeConfig
 from repro.workloads.spec import QuerySpec
 
 
 def run_query(spec: QuerySpec, protocol: str, parallelism: int, rate: float,
-              *, cost_model: CostModel | None = None,
               **request_fields: Any) -> RunResult:
     """Deploy ``spec`` under ``protocol`` and execute one measured run.
 
@@ -27,12 +25,9 @@ def run_query(spec: QuerySpec, protocol: str, parallelism: int, rate: float,
     partitions); input logs are pre-generated to cover the full run plus a
     safety margin so sources never starve artificially.
     ``request_fields`` are :class:`RunRequest` fields by name (``duration``,
-    ``failure_at``, ``arrival``, ...; an unknown one is a ``TypeError``);
-    ``cost_model`` is shorthand for ``config=RuntimeConfig(cost_model=...)``
-    (giving both is a ``TypeError`` too).
+    ``failure_at``, ``arrival``, ``config``, ...; an unknown one is a
+    ``TypeError``).
     """
-    shorthand = ({} if cost_model is None
-                 else {"config": RuntimeConfig(cost_model=cost_model)})
     return run_with_spec(spec, RunRequest(
         query=spec.name, protocol=protocol, parallelism=parallelism,
-        rate=rate, **shorthand, **request_fields))
+        rate=rate, **request_fields))

@@ -119,7 +119,7 @@ def shard_inputs(graph: LogicalGraph, inputs: dict[str, PartitionedLog],
         raise ShardingError(
             f"shard_index {shard_index} outside [0, {shard_count})"
         )
-    validate_key_space(shard_count, max_key_groups, context="sharding")
+    validate_key_space(shard_count, max_key_groups, context="shard count")
     groups = group_range(shard_index, shard_count, max_key_groups)
     sharded = dict(inputs)
     for spec in graph.sources():
@@ -186,7 +186,7 @@ def shard_requests(request: "RunRequest",
     if shard_count < 1:
         raise ShardingError(f"shard_count must be >= 1, got {shard_count}")
     validate_key_space(shard_count, request.max_key_groups,
-                       context="sharding")
+                       context="shard count")
     return [replace(request, shard_index=index, shard_count=shard_count)
             for index in range(shard_count)]
 

@@ -35,10 +35,11 @@ def _fmt(value: Any) -> str:
 
 
 def format_series(label: str, seconds: Sequence[int], values: Sequence[float],
-                  unit: str = "ms", scale: float = 1000.0, step: int = 5) -> str:
-    """Render a compact per-second series (used for Figs. 9/10 output)."""
+                  step: int = 5) -> str:
+    """Render a compact per-second series of latencies in seconds, in ms
+    (used for Figs. 9/10 output)."""
     points = [
-        f"t={s:>3}s {v * scale:8.1f}{unit}"
+        f"t={s:>3}s {v * 1000.0:8.1f}ms"
         for s, v in zip(seconds, values)
         if s % step == 0
     ]
@@ -53,7 +54,7 @@ def shape_report(title: str, assertions: Sequence[tuple[str, bool]]) -> str:
     return "\n".join(lines)
 
 
-def format_recoveries(records, indent: str = "    ") -> str:
+def format_recoveries(records) -> str:
     """One line per recovery: who failed when, detection, restore, cost.
 
     ``records`` are :class:`~repro.metrics.collectors.RecoveryRecord`
@@ -63,7 +64,7 @@ def format_recoveries(records, indent: str = "    ") -> str:
     lines = []
     for number, record in enumerate(records, 1):
         workers = ", ".join(map(str, record.workers))
-        parts = [f"{indent}recovery {number}: worker"
+        parts = [f"    recovery {number}: worker"
                  f"{'s' * (len(record.workers) > 1)} {workers} failed at "
                  f"t={record.killed_at:.2f}s"]
         if record.detected_at is None:

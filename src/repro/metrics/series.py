@@ -6,6 +6,11 @@ import math
 
 from dataclasses import dataclass
 
+#: a recovered series is back within this factor of its stable band ...
+RECOVERY_FACTOR = 1.6
+#: ... for this many consecutive seconds
+RECOVERY_SUSTAIN = 3
+
 
 def percentile(values: list[float], pct: float) -> float:
     """Nearest-rank percentile (rank = ceil(p/100 * N)); 0 for an empty list."""
@@ -50,37 +55,39 @@ class LatencySeries:
             return self.p99
         raise ValueError("only p50 and p99 series are tracked")
 
-    def stable_band(self, before: float, pct: int = 50) -> float:
-        """Median of the per-second percentile values before time ``before``."""
-        values = [v for s, v in zip(self.seconds, self.series(pct)) if s < before and v > 0]
+    def stable_band(self, before: float) -> float:
+        """Median of the per-second p50 values before time ``before``."""
+        values = [v for s, v in zip(self.seconds, self.p50) if s < before and v > 0]
         return percentile(values, 50) if values else 0.0
 
-    def recovery_time(self, detected_at: float, pct: int = 50,
-                      factor: float = 1.6, sustain: int = 3) -> float:
+    def recovery_time(self, detected_at: float) -> float:
         """Seconds from detection until the p50 returns to the stable band.
 
-        Returns -1 if the series never re-stabilises within the run — the
-        paper reports exactly this for high-skew runs ("none of the
-        protocols managed to recover within the time frame").
+        Back means within ``RECOVERY_FACTOR`` of the band for
+        ``RECOVERY_SUSTAIN`` consecutive seconds.  Returns -1 if the
+        series never re-stabilises within the run — the paper reports
+        exactly this for high-skew runs ("none of the protocols managed
+        to recover within the time frame").
         """
-        band = self.stable_band(detected_at, pct)
+        band = self.stable_band(detected_at)
         if band <= 0:
             return -1.0
-        threshold = band * factor
+        threshold = band * RECOVERY_FACTOR
         run = 0
-        for second, value in zip(self.seconds, self.series(pct)):
+        for second, value in zip(self.seconds, self.p50):
             if second <= detected_at:
                 continue
             if 0 < value <= threshold:
                 run += 1
-                if run >= sustain:
-                    return (second - sustain + 1) - detected_at
+                if run >= RECOVERY_SUSTAIN:
+                    return (second - RECOVERY_SUSTAIN + 1) - detected_at
             else:
                 run = 0
         return -1.0
 
-    def is_growing(self, start: int, end: int, ratio: float = 2.0) -> bool:
-        """Heuristic backpressure check: tail of the window much slower than head."""
+    def is_growing(self, start: int, end: int) -> bool:
+        """Heuristic backpressure check: the tail of the window's p50 more
+        than twice its head."""
         window = [
             v for s, v in zip(self.seconds, self.p50) if start <= s < end and v > 0
         ]
@@ -89,4 +96,4 @@ class LatencySeries:
         half = len(window) // 2
         head = percentile(window[:half], 50)
         tail = percentile(window[half:], 50)
-        return head > 0 and tail > head * ratio
+        return head > 0 and tail > head * 2.0

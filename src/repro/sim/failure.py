@@ -361,6 +361,18 @@ def young_daly_interval(mtbf: float, checkpoint_cost: float) -> float:
     return math.sqrt(2.0 * max(mtbf, 0.0) * max(checkpoint_cost, 0.0))
 
 
+#: MTBF prior the controller uses until the first inter-failure gap
+ASSUMED_MTBF = 30.0
+#: EMA smoothing factor for both of the controller's estimators
+ALPHA = 0.3
+#: hard floor/ceiling on the interval the controller chooses
+MIN_INTERVAL = 0.5
+MAX_INTERVAL = 30.0
+#: per-observation clamp: a new sample moves the controller's EMA at most
+#: this factor away from its current value in either direction
+CLAMP_FACTOR = 4.0
+
+
 @dataclass
 class AdaptiveIntervalController:
     """Retunes the checkpoint interval from observed costs and failures.
@@ -371,27 +383,16 @@ class AdaptiveIntervalController:
     a window around the current EMA keeps a single outlier (a skew-
     stretched alignment, one freak back-to-back failure) from yanking
     the interval around; the interval itself is clamped to
-    ``[min_interval, max_interval]``.
+    ``[MIN_INTERVAL, MAX_INTERVAL]``.
 
-    Until a failure is observed the MTBF estimate is ``assumed_mtbf``
+    Until a failure is observed the MTBF estimate is ``ASSUMED_MTBF``
     (the prior); until a checkpoint completes the controller keeps its
-    initial interval.  A run's controller takes every default below: the
-    prior, the smoothing and the bounds are constants of the model, not
-    run settings.
+    initial interval.  The prior, the smoothing and the bounds are the
+    module constants above: constants of the model, not run settings.
     """
 
     #: interval used before any checkpoint-cost observation exists
     initial_interval: float
-    #: MTBF prior used until the first inter-failure gap is observed
-    assumed_mtbf: float = 30.0
-    #: EMA smoothing factor for both estimators
-    alpha: float = 0.3
-    #: hard floor/ceiling on the chosen interval
-    min_interval: float = 0.5
-    max_interval: float = 30.0
-    #: per-observation clamp: a new sample moves at most this factor
-    #: away from the current EMA in either direction
-    clamp_factor: float = 4.0
     #: (virtual time, new interval) trajectory; a run hands in its
     #: metrics' ``interval_updates`` list, so there is one copy
     updates: list[tuple[float, float]] = field(default_factory=list)
@@ -410,17 +411,17 @@ class AdaptiveIntervalController:
     @property
     def mtbf_estimate(self) -> float:
         """Current MTBF estimate (prior until a gap was observed)."""
-        return self._mtbf_ema if self._mtbf_ema is not None else self.assumed_mtbf
+        return self._mtbf_ema if self._mtbf_ema is not None else ASSUMED_MTBF
 
     def _clamped(self, value: float) -> float:
-        return min(max(value, self.min_interval), self.max_interval)
+        return min(max(value, MIN_INTERVAL), MAX_INTERVAL)
 
     def _ema(self, prev: float | None, sample: float) -> float:
         if prev is None:
             return sample
-        lo, hi = prev / self.clamp_factor, prev * self.clamp_factor
+        lo, hi = prev / CLAMP_FACTOR, prev * CLAMP_FACTOR
         sample = min(max(sample, lo), hi)
-        return prev + self.alpha * (sample - prev)
+        return prev + ALPHA * (sample - prev)
 
     def observe_checkpoint(self, now: float, duration: float) -> None:
         """Feed one completed checkpoint's duration (capture→durable)."""

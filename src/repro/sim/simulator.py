@@ -9,7 +9,6 @@ seconds are free — only the *number* of events costs wall-clock time.
 
 from __future__ import annotations
 
-import math
 from heapq import heappush
 from typing import Any, Callable
 
@@ -102,7 +101,3 @@ class Simulator:
         self._loop(t_end)
         if self.now < t_end:
             self.now = t_end
-
-    def run(self) -> None:
-        """Execute until the event queue drains."""
-        self._loop(math.inf)

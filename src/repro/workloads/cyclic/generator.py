@@ -54,43 +54,24 @@ class SourceEvent:
         return SOURCE_SIZE
 
 
-@dataclass(frozen=True)
-class CyclicConfig:
-    """Event-mix probabilities and the node id space."""
-
-    num_nodes: int = 1_000_000
-    p_new_link: float = 0.60
-    p_new_source: float = 0.15
-    p_del_link: float = 0.20
-    p_del_source: float = 0.05
-
-    def __post_init__(self) -> None:
-        # an int: node ids are drawn as ``getrandbits(num_nodes.bit_length())``;
-        # not a bool, an int that means a one-node graph
-        if isinstance(self.num_nodes, bool) or not (
-                isinstance(self.num_nodes, int) and self.num_nodes >= 1):
-            raise ValueError(
-                f"num_nodes must be a positive int, got {self.num_nodes!r}")
-        for name in ("p_new_link", "p_new_source", "p_del_link",
-                     "p_del_source"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(
-                    f"{name} must be in [0, 1], got {getattr(self, name)!r}")
-        total = self.p_new_link + self.p_new_source + self.p_del_link + self.p_del_source
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"probabilities must sum to 1, got {total}")
+#: the static node id space
+NUM_NODES = 1_000_000
+#: the event mix as bounds on one uniform roll: a new link below the
+#: first, a new source below the second, a link deletion below the third
+#: and a source deletion (the remaining 5 %) above it
+NEW_LINK_BELOW = 0.60
+NEW_SOURCE_BELOW = 0.60 + 0.15
+DEL_LINK_BELOW = 0.60 + 0.15 + 0.20
 
 
 class CyclicGenerator:
     """Builds the ``links`` and ``srcnodes`` logs on one global timeline."""
 
-    def __init__(self, parallelism: int, seed: int = 7,
-                 config: CyclicConfig | None = None):
+    def __init__(self, parallelism: int, seed: int = 7):
         if parallelism <= 0:
             raise ValueError("parallelism must be positive")
         self.parallelism = parallelism
         self.seed = seed
-        self.config = config or CyclicConfig()
 
     def logs(self, rate: float, until: float,
              arrival: ArrivalProcess | None = None,
@@ -102,7 +83,6 @@ class CyclicGenerator:
         mix below rolls the same dice regardless of the process.
         """
         check_rate_and_horizon(rate, until)
-        cfg = self.config
         rng = RngRegistry(self.seed).stream("workload.cyclic.events")
         live_links: list[tuple[int, int]] = []
         live_sources: list[int] = []
@@ -142,11 +122,11 @@ class CyclicGenerator:
         add_source = source_rows.append
         random_ = rng.random
         getrandbits = rng.getrandbits
-        num_nodes = cfg.num_nodes
+        num_nodes = NUM_NODES
         node_bits = num_nodes.bit_length()
-        new_link_below = cfg.p_new_link
-        new_source_below = cfg.p_new_link + cfg.p_new_source
-        del_link_below = cfg.p_new_link + cfg.p_new_source + cfg.p_del_link
+        new_link_below = NEW_LINK_BELOW
+        new_source_below = NEW_SOURCE_BELOW
+        del_link_below = DEL_LINK_BELOW
         with collector_paused():
             while block_times := list(islice(timestamps,
                                              columns.BLOCK_EVENTS)):

@@ -34,7 +34,6 @@ from repro.dataflow.state import KeyedListState
 from repro.storage.kafka import PartitionedLog
 from repro.workloads.arrivals import ArrivalProcess
 from repro.workloads.cyclic.generator import (
-    CyclicConfig,
     CyclicGenerator,
     LinkEvent,
     SourceEvent,
@@ -196,7 +195,7 @@ def _cyclic_inputs(rate: float, until: float, parallelism: int,
                    arrival: ArrivalProcess | None = None) -> dict[str, PartitionedLog]:
     if hot_ratio:  # the event mix draws nodes uniformly: no key is hot
         raise ValueError(f"reachability has no hot keys, got {hot_ratio}")
-    generator = CyclicGenerator(parallelism, seed=seed, config=CyclicConfig())
+    generator = CyclicGenerator(parallelism, seed=seed)
     links, srcnodes = generator.logs(rate, until, arrival=arrival)
     return {"links": links, "srcnodes": srcnodes}
 

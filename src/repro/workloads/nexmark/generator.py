@@ -18,7 +18,6 @@ timestamps monotonic as the Kafka substrate requires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, islice
 from typing import TYPE_CHECKING
 
@@ -54,52 +53,35 @@ if TYPE_CHECKING:
 _STEADY = SteadyArrivals()
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
-    """Knobs of the generator."""
-
-    #: fraction of events that reference hot keys (0.0 = uniform)
-    hot_ratio: float = 0.0
-    #: how many distinct hot keys (all routed to instance 0)
-    num_hot_keys: int = 2
-    #: distinct bidders per worker (bounds Q12 keyed state)
-    bidder_space_per_worker: int = 200
-    #: bids reference one of the last N auctions
-    auction_window: int = 2000
-    #: persons share of a persons+auctions stream (NexMark ~1:3)
-    person_share: float = 0.25
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.hot_ratio <= 1.0:
-            raise ValueError("hot_ratio must be in [0, 1]")
-        # counts: ``range``, the draws' bounds and the shared int table
-        # need an int, and a bool is an int that means 1
-        for name in ("num_hot_keys", "bidder_space_per_worker",
-                     "auction_window"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, int)
-                                               and value >= 1):
-                raise ValueError(f"{name} must be a positive int, "
-                                 f"got {value!r}")
-        if not 0.0 < self.person_share <= 1.0:
-            raise ValueError("person_share must be in (0, 1]")
+#: how many distinct hot keys (all routed to instance 0)
+NUM_HOT_KEYS = 2
+#: distinct bidders per worker (bounds Q12 keyed state)
+BIDDER_SPACE_PER_WORKER = 200
+#: bids reference one of the last N auctions
+AUCTION_WINDOW = 2000
+#: persons share of a persons+auctions stream (NexMark ~1:3)
+PERSON_SHARE = 0.25
 
 
 class NexmarkGenerator:
-    """Builds replayable partitioned logs for the NexMark topics."""
+    """Builds replayable partitioned logs for the NexMark topics.
+
+    ``hot_ratio`` is the fraction of events that reference hot keys (0.0
+    = uniform), the one generator setting the paper varies.
+    """
 
     def __init__(self, parallelism: int, seed: int = 7,
-                 config: GeneratorConfig | None = None):
+                 hot_ratio: float = 0.0):
         if parallelism <= 0:
             raise ValueError("parallelism must be positive")
+        if not 0.0 <= hot_ratio <= 1.0:
+            raise ValueError("hot_ratio must be in [0, 1]")
         self.parallelism = parallelism
         self.seed = seed
-        self.config = config or GeneratorConfig()
+        self.hot_ratio = hot_ratio
         #: hot keys are non-zero multiples of the parallelism so that the
         #: modulo router sends them all to instance 0
-        self.hot_keys = [
-            parallelism * (i + 1) for i in range(self.config.num_hot_keys)
-        ]
+        self.hot_keys = [parallelism * (i + 1) for i in range(NUM_HOT_KEYS)]
 
     # ------------------------------------------------------------------ #
     # Topic builders
@@ -114,14 +96,14 @@ class NexmarkGenerator:
         ``process.pick_hot_keys`` is a column hook: it takes the hot rows'
         times and their one uniform draw each, once per block.
         """
-        hot = numpy.flatnonzero(tests < self.config.hot_ratio)
+        hot = numpy.flatnonzero(tests < self.hot_ratio)
         placed = process.pick_hot_keys(list(map(times.__getitem__,
                                                 hot.tolist())),
                                        picks[hot], self.hot_keys,
                                        self.parallelism)
         return hot, placed
 
-    def bids_log(self, rate: float, until: float, topic: str = "bids",
+    def bids_log(self, rate: float, until: float,
                  arrival: ArrivalProcess | None = None) -> PartitionedLog:
         """A pure bid stream (Q1, Q12) at aggregate ``rate`` events/second.
 
@@ -134,12 +116,11 @@ class NexmarkGenerator:
         # a named registry stream (crc32-derived, never hash()) keeps the
         # generated inputs reproducible across runs/workers and independent
         # of any other consumer of the experiment seed
-        rng = RngRegistry(self.seed).stream(f"workload.nexmark.{topic}")
+        rng = RngRegistry(self.seed).stream("workload.nexmark.bids")
         process = arrival if arrival is not None else _STEADY
-        arrival_rng = RngRegistry(self.seed).stream(
-            f"workload.arrivals.{topic}")
-        bidder_space = self.config.bidder_space_per_worker * self.parallelism
-        hot_mode = self.config.hot_ratio > 0.0
+        arrival_rng = RngRegistry(self.seed).stream("workload.arrivals.bids")
+        bidder_space = BIDDER_SPACE_PER_WORKER * self.parallelism
+        hot_mode = self.hot_ratio > 0.0
         # a bid takes a fixed number of draws — [hot test, hot pick or]
         # bidder, auction, price, in that order — so a block of draws is
         # a table with one row per bid (DESIGN.md section 20)
@@ -160,17 +141,15 @@ class NexmarkGenerator:
                 times += block_times
                 bids += rows_from_columns(
                     Bid,
-                    _shared_ints(5000 + _below(draws[:, -2],
-                                               self.config.auction_window)),
+                    _shared_ints(5000 + _below(draws[:, -2], AUCTION_WINDOW)),
                     _shared_ints(bidders),
                     _shared_ints(100 + _below(draws[:, -1], 10_000)),
                     block_times)
             return PartitionedLog.round_robin(
-                topic, self.parallelism, times, bids, BID_SIZE)
+                "bids", self.parallelism, times, bids, BID_SIZE)
 
     def person_auction_logs(
         self, rate: float, until: float,
-        persons_topic: str = "persons", auctions_topic: str = "auctions",
         arrival: ArrivalProcess | None = None,
     ) -> tuple[PartitionedLog, PartitionedLog]:
         """Interleaved persons+auctions streams (Q3, Q8) at aggregate ``rate``.
@@ -182,14 +161,11 @@ class NexmarkGenerator:
         hook can return, so migrated hot auctions still find a join partner.
         """
         check_rate_and_horizon(rate, until)
-        rng = RngRegistry(self.seed).stream(
-            f"workload.nexmark.{persons_topic}+{auctions_topic}"
-        )
+        rng = RngRegistry(self.seed).stream("workload.nexmark.persons+auctions")
         process = arrival if arrival is not None else _STEADY
         arrival_rng = RngRegistry(self.seed).stream(
-            f"workload.arrivals.{persons_topic}+{auctions_topic}"
-        )
-        hot_mode = self.config.hot_ratio > 0.0
+            "workload.arrivals.persons+auctions")
+        hot_mode = self.hot_ratio > 0.0
         # the ids an auction's seller is picked from: the hot persons,
         # pre-seeded at t=0 so hot auctions can join immediately, then
         # every person in order of creation.  The pre-seeded head the
@@ -220,7 +196,7 @@ class NexmarkGenerator:
                 # among them leave unread heads the next block
                 draws = numpy.concatenate((unread, uniform_block(
                     rng, max(0, stride * len(block_times) - len(unread)))))
-                person_at = draws < self.config.person_share
+                person_at = draws < PERSON_SHARE
                 if not pool:
                     # nobody to sell yet: the first event is a person
                     # whatever its test draw says, and keeps its two draws
@@ -283,10 +259,10 @@ class NexmarkGenerator:
             # an event is available the moment it was created
             return (
                 PartitionedLog.round_robin(
-                    persons_topic, self.parallelism, person_times, persons,
+                    "persons", self.parallelism, person_times, persons,
                     PERSON_SIZE),
                 PartitionedLog.round_robin(
-                    auctions_topic, self.parallelism, auction_times,
+                    "auctions", self.parallelism, auction_times,
                     auctions, AUCTION_SIZE),
             )
 

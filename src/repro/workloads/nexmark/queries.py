@@ -28,7 +28,7 @@ from repro.dataflow.operators import (
 )
 from repro.storage.kafka import PartitionedLog
 from repro.workloads.arrivals import ArrivalProcess
-from repro.workloads.nexmark.generator import GeneratorConfig, NexmarkGenerator
+from repro.workloads.nexmark.generator import NexmarkGenerator
 from repro.workloads.nexmark.model import BID_SIZE, Bid, Q3_STATES
 from repro.workloads.spec import QuerySpec
 
@@ -186,18 +186,14 @@ def build_q12(parallelism: int) -> LogicalGraph:
 def _bids_inputs(rate: float, until: float, parallelism: int,
                  hot_ratio: float, seed: int,
                  arrival: ArrivalProcess | None = None) -> dict[str, PartitionedLog]:
-    generator = NexmarkGenerator(
-        parallelism, seed=seed, config=GeneratorConfig(hot_ratio=hot_ratio)
-    )
+    generator = NexmarkGenerator(parallelism, seed=seed, hot_ratio=hot_ratio)
     return {"bids": generator.bids_log(rate, until, arrival=arrival)}
 
 
 def _person_auction_inputs(rate: float, until: float, parallelism: int,
                            hot_ratio: float, seed: int,
                            arrival: ArrivalProcess | None = None) -> dict[str, PartitionedLog]:
-    generator = NexmarkGenerator(
-        parallelism, seed=seed, config=GeneratorConfig(hot_ratio=hot_ratio)
-    )
+    generator = NexmarkGenerator(parallelism, seed=seed, hot_ratio=hot_ratio)
     persons, auctions = generator.person_auction_logs(rate, until,
                                                       arrival=arrival)
     return {"persons": persons, "auctions": auctions}

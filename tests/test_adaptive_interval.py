@@ -10,16 +10,20 @@ import random
 import pytest
 
 from repro.sim.costs import RuntimeConfig
-from repro.sim.failure import AdaptiveIntervalController, young_daly_interval
+from repro.sim.failure import (
+    ASSUMED_MTBF,
+    CLAMP_FACTOR,
+    MAX_INTERVAL,
+    MIN_INTERVAL,
+    AdaptiveIntervalController,
+    young_daly_interval,
+)
 
 from tests.test_failure_scenarios import run_scenario_job
 
 
-def make_controller(**kwargs):
-    defaults = dict(initial_interval=5.0, assumed_mtbf=30.0,
-                    min_interval=0.1, max_interval=100.0)
-    defaults.update(kwargs)
-    return AdaptiveIntervalController(**defaults)
+def make_controller():
+    return AdaptiveIntervalController(initial_interval=5.0)
 
 
 def test_young_daly_formula():
@@ -37,19 +41,25 @@ def test_keeps_initial_interval_until_cost_observed():
 
 
 def test_uses_assumed_mtbf_before_first_gap():
-    controller = make_controller(assumed_mtbf=50.0)
+    controller = make_controller()
     controller.observe_checkpoint(1.0, 0.04)
-    assert controller.interval == pytest.approx(young_daly_interval(50.0, 0.04))
+    assert controller.mtbf_estimate == ASSUMED_MTBF
+    assert controller.interval == pytest.approx(
+        young_daly_interval(ASSUMED_MTBF, 0.04))
+    assert MIN_INTERVAL < controller.interval < MAX_INTERVAL  # unclamped
 
 
 def test_interval_clamped_to_bounds():
-    low = make_controller(min_interval=2.0, max_interval=8.0, assumed_mtbf=0.5)
+    # under the prior, a microsecond checkpoint asks for ~8 ms and a
+    # 100 s one for ~77 s
+    low = make_controller()
     low.observe_checkpoint(1.0, 1e-6)
-    assert low.interval == 2.0
-    high = make_controller(min_interval=2.0, max_interval=8.0,
-                           assumed_mtbf=10_000.0)
-    high.observe_checkpoint(1.0, 10.0)
-    assert high.interval == 8.0
+    assert young_daly_interval(ASSUMED_MTBF, 1e-6) < MIN_INTERVAL
+    assert low.interval == MIN_INTERVAL
+    high = make_controller()
+    high.observe_checkpoint(1.0, 100.0)
+    assert young_daly_interval(ASSUMED_MTBF, 100.0) > MAX_INTERVAL
+    assert high.interval == MAX_INTERVAL
 
 
 def test_outlier_observations_are_clamped():
@@ -58,8 +68,8 @@ def test_outlier_observations_are_clamped():
         controller.observe_checkpoint(float(t), 0.05)
     settled = controller._cost_ema
     controller.observe_checkpoint(21.0, 500.0)  # one freak stall
-    # the sample was clamped to clamp_factor x the EMA before mixing
-    assert controller._cost_ema <= settled * controller.clamp_factor
+    # the sample was clamped to CLAMP_FACTOR x the EMA before mixing
+    assert controller._cost_ema <= settled * CLAMP_FACTOR
     assert controller._cost_ema < 1.0
 
 
@@ -77,7 +87,7 @@ def test_converges_within_20pct_of_young_daly_optimum():
     sqrt(2 * MTBF * C)."""
     mtbf, cost = 12.0, 0.06
     optimum = young_daly_interval(mtbf, cost)
-    controller = make_controller(initial_interval=5.0, assumed_mtbf=60.0)
+    controller = make_controller()
     rng = random.Random(11)
     now = 0.0
     next_failure = rng.expovariate(1.0 / mtbf)
@@ -114,7 +124,7 @@ def test_adaptive_run_stays_exactly_once(protocol):
     assert measured == expected
     assert result.metrics.interval_updates  # the controller reacted
     for _, interval in result.metrics.interval_updates:
-        assert 0.5 <= interval <= 30.0  # config clamp respected
+        assert MIN_INTERVAL <= interval <= MAX_INTERVAL
 
 
 def test_fixed_policy_records_no_interval_updates():
@@ -132,4 +142,4 @@ def test_adaptive_shortens_interval_under_frequent_failures():
     final = result.metrics.interval_updates[-1][1]
     # cheap checkpoints + MTBF ~6s put the optimum near (or below) the
     # 0.5s clamp floor — well under the configured 3s either way
-    assert 0.5 <= final < 3.0
+    assert MIN_INTERVAL <= final < 3.0

@@ -25,7 +25,7 @@ from repro.experiments.parallel import RunRequest, request_key, resolve_spec
 from repro.sim.costs import RuntimeConfig
 from repro.workloads.arrivals import parse_arrival
 from repro.workloads.cyclic.generator import CyclicGenerator
-from repro.workloads.nexmark.generator import GeneratorConfig, NexmarkGenerator
+from repro.workloads.nexmark.generator import NexmarkGenerator
 
 from tests.conftest import canonical_state_bytes
 
@@ -51,20 +51,18 @@ def _dump(log):
 
 @pytest.mark.parametrize("hot_ratio", [0.0, 0.3])
 def test_bids_log_steady_is_byte_identical_to_legacy(hot_ratio):
-    config = GeneratorConfig(hot_ratio=hot_ratio)
-    legacy = NexmarkGenerator(4, seed=11, config=config).bids_log(120.0, 9.0)
-    steady = NexmarkGenerator(4, seed=11, config=config).bids_log(
+    legacy = NexmarkGenerator(4, seed=11, hot_ratio=hot_ratio).bids_log(
+        120.0, 9.0)
+    steady = NexmarkGenerator(4, seed=11, hot_ratio=hot_ratio).bids_log(
         120.0, 9.0, arrival=STEADY)
     assert _dump(legacy) == _dump(steady)
 
 
 @pytest.mark.parametrize("hot_ratio", [0.0, 0.3])
 def test_person_auction_logs_steady_is_byte_identical_to_legacy(hot_ratio):
-    config = GeneratorConfig(hot_ratio=hot_ratio)
-    legacy = NexmarkGenerator(4, seed=11, config=config).person_auction_logs(
-        120.0, 9.0)
-    steady = NexmarkGenerator(4, seed=11, config=config).person_auction_logs(
-        120.0, 9.0, arrival=STEADY)
+    generator = NexmarkGenerator(4, seed=11, hot_ratio=hot_ratio)
+    legacy = generator.person_auction_logs(120.0, 9.0)
+    steady = generator.person_auction_logs(120.0, 9.0, arrival=STEADY)
     for log_a, log_b in zip(legacy, steady):
         assert _dump(log_a) == _dump(log_b)
 

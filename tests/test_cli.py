@@ -197,6 +197,32 @@ def test_query_rejects_a_malformed_failure_scenario_as_a_usage_error(
     assert "sink records" not in captured.out  # nothing ran
 
 
+@pytest.mark.parametrize("name, flags, names", [
+    # each ran, then died as a RunFailed / GraphError traceback (exit 1)
+    ("reachability", [], "protocol 'coor'"),
+    ("reachability", ["--protocol", "coor-unaligned"],
+     "protocol 'coor-unaligned'"),
+    ("reachability", ["--protocol", "unc", "--channel-capacity", "1024"],
+     "channel_capacity_bytes=1024"),
+    ("q1", ["--shards", "2"], "--shards 2: cannot shard"),
+    ("q3", ["--shards", "2"], "--shards 2: cannot shard"),
+    ("q5", ["--shards", "2"], "--shards 2: cannot shard"),
+    ("reachability", ["--protocol", "unc", "--shards", "2"],
+     "--shards 2: cannot shard"),
+    ("q12", ["--shards", "200"], "--shards 200 exceeds max_key_groups 128"),
+])
+def test_query_refuses_before_any_run_what_the_run_would_refuse(
+        capsys, name, flags, names):
+    code = main(["query", name, "--parallelism", "2", "--duration", "2",
+                 "--warmup", "1", *flags])
+    assert code == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and names in line
+    assert "Traceback" not in captured.err
+    assert "sink records" not in captured.out  # nothing ran
+
+
 def test_query_rejects_a_hot_ratio_on_reachability(capsys):
     # it ran unskewed, exit 0, and cached under a key of its own
     code = main(["query", "reachability", "--protocol", "unc",

@@ -93,13 +93,12 @@ def test_batch_split_mid_checkpoint_marker(protocol):
 # --------------------------------------------------------------------- #
 
 
-@given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=48),
-       st.integers(min_value=0, max_value=4))
-def test_derived_rids_bit_identical_to_scalar(parent_rids, emission_index):
+@given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=48))
+def test_derived_rids_bit_identical_to_scalar(parent_rids):
     """Covers both kernel arms: short columns take the pure-Python loop,
     long ones the numpy uint64 path — both must equal the scalar mix."""
-    assert derived_rids("opX", parent_rids, emission_index) == [
-        derived_rid("opX", rid, emission_index) for rid in parent_rids
+    assert derived_rids("opX", parent_rids) == [
+        derived_rid("opX", rid) for rid in parent_rids
     ]
 
 

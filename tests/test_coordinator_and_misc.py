@@ -27,7 +27,7 @@ def test_metadata_arrives_after_network_delay():
     job = make_job()
     job.coordinator.send_metadata(meta())
     assert job.registry.total() == 0  # not yet delivered
-    job.sim.run()
+    job.sim.run_until(1.0)
     assert job.registry.total() == 1
 
 
@@ -40,7 +40,7 @@ def test_metadata_listeners_invoked_in_order():
         (m.checkpoint_id, job.registry.total()))
     job.coordinator.send_metadata(meta(1))
     job.coordinator.send_metadata(meta(2))
-    job.sim.run()
+    job.sim.run_until(1.0)
     assert calls == [(1, 1), (2, 2)]
 
 
@@ -56,7 +56,7 @@ def test_control_to_dead_worker_is_dropped():
     fired = []
     job.workers[0].kill()
     job.coordinator.send_control_to_worker(0, 10, lambda: fired.append(1))
-    job.sim.run()
+    job.sim.run_until(1.0)
     assert fired == []
 
 
@@ -64,7 +64,7 @@ def test_control_to_live_worker_fires():
     job = make_job()
     fired = []
     job.coordinator.send_control_to_worker(1, 10, lambda: fired.append(1))
-    job.sim.run()
+    job.sim.run_until(1.0)
     assert fired == [1]
 
 

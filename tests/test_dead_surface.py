@@ -26,10 +26,26 @@ written and never read is work every instance pays for nothing.  A
 ``dataclasses.replace`` copy is no read either: it hands the value to
 another instance of the same class.
 
+And the same holds for settings: every defaulted parameter of a
+``src/repro`` function and every defaulted dataclass field must receive
+a value somewhere in the four trees, by keyword, by position, through
+``*`` / ``**`` or ``dataclasses.replace``, or as an identifier string
+outside its own definition (the spec-grammar tables name constructor
+parameters so).  A setting nothing but a test sets is a constant spelled
+as a knob, with the validation and the tests its other values need.
+Not settings: a field built by ``default_factory`` or assigned through
+an attribute anywhere (state), and the parameters of a function or
+class used as a value (a callback, a factory, a spec's ``point``), whose
+callers the syntax tree cannot see.  A call reaches a function by its
+name: ``f(...)``, ``x.f(...)``, ``C(...)`` for ``C.__init__``.
+
 Blind spot: an attribute is matched by its name alone, not by the type
 it is read on, so a method whose name another type also uses as an
 attribute passes — a ``Simulator.stop`` would pass on the strength of
-``range(...).stop``, and a field passes the same way.  A class whose
+``range(...).stop`` (``Simulator.run`` passed on ``ParallelRunner.run``
+until a census of every entry point found it), and a field passes the
+same way; a setting passes when a call of another function of the same
+name sets it.  A class whose
 fields a generic walk reads (``asdict`` into a cache key) would need an
 ``ALLOWED`` entry per field; none does today.
 """
@@ -60,6 +76,9 @@ ALLOWED = {
     "BlobStore.bytes_deleted",
     # what the error reports beside its message
     "RepeatedRidError.distinct",
+    # the probe runner: every program search uses a serial runner, and
+    # tests stub it to script each probe's verdict
+    "find_mst(runner)",
 }
 
 
@@ -179,3 +198,171 @@ def test_every_field_is_read_outside_tests():
                 continue
             unread.add(f"{path.relative_to(ROOT)}:{line} {cls}.{name}")
     assert not unread, "written, never read:\n" + "\n".join(sorted(unread))
+
+
+
+def _annotation_nodes(tree: ast.AST) -> set[int]:
+    """``id`` of every node inside an annotation: a type names no value."""
+    roots = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.AnnAssign, ast.arg)) and node.annotation:
+            roots.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.returns:
+            roots.append(node.returns)
+    return {id(part) for root in roots for part in ast.walk(root)}
+
+
+class _Settings(ast.NodeVisitor):
+    """What the scanned trees do with names: every call by the name it
+    reaches its function by, every name used as a value, every attribute
+    stored to, and every identifier string."""
+
+    def __init__(self):
+        #: ``f(...)`` and ``x.f(...)`` under ``f``; ``cls(...)`` in a class
+        #: body under the class
+        self.calls = defaultdict(list)
+        #: names used as a value (an argument, an element, a right-hand
+        #: side), never as a callee, a receiver or in an annotation
+        self.values = set()
+        #: ``x.name = ...`` and ``x.name += ...``
+        self.stored = set()
+        #: identifier string -> every (file, line) it appears at
+        self.strings = defaultdict(list)
+
+    def scan(self, path, tree):
+        self._path = path
+        self._classes = []
+        self._skip = _annotation_nodes(tree)
+        self._skip.update(id(part) for node in ast.walk(tree)
+                          if isinstance(node, ast.JoinedStr)
+                          for part in node.values)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                self._skip.add(id(node.func))
+            elif isinstance(node, ast.Attribute):
+                self._skip.add(id(node.value))
+        self.visit(tree)
+
+    def visit_ClassDef(self, node):
+        self._classes.append(node.name)
+        self.generic_visit(node)
+        self._classes.pop()
+
+    def visit_Call(self, node):
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            self.calls[func.attr].append(node)
+        elif isinstance(func, ast.Name):
+            cls = func.id == "cls" and self._classes
+            self.calls[self._classes[-1] if cls else func.id].append(node)
+        self.generic_visit(node)
+
+    def _reference(self, node, name):
+        if isinstance(node.ctx, ast.Store):
+            if isinstance(node, ast.Attribute):
+                self.stored.add(name)
+        elif id(node) not in self._skip:
+            self.values.add(name)
+
+    def visit_Name(self, node):
+        self._reference(node, node.id)
+
+    def visit_Attribute(self, node):
+        self._reference(node, node.attr)
+        self.generic_visit(node)
+
+    def visit_Constant(self, node):
+        if isinstance(node.value, str) and node.value.isidentifier() \
+                and id(node) not in self._skip:
+            self.strings[node.value].append((self._path, node.lineno))
+
+
+def _settings(tree: ast.AST):
+    """``(label, owner, callees, name, position, line, own)`` of every
+    defaulted parameter and defaulted dataclass field: the definition
+    that owns it, the names a call reaches it by, its positional index
+    (``None`` if keyword-only or not a parameter), and its own
+    definition's lines."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef) or not any(
+                ast.unparse(d).split("(")[0].endswith("dataclass")
+                for d in cls.decorator_list):
+            continue
+        own = range(cls.lineno, cls.end_lineno + 1)
+        position = 0
+        for node in cls.body:
+            if not isinstance(node, ast.AnnAssign) \
+                    or "ClassVar" in ast.unparse(node.annotation):
+                continue
+            factory = isinstance(node.value, ast.Call) and any(
+                k.arg == "default_factory" for k in node.value.keywords)
+            if node.value is not None and not factory:
+                yield (f"{cls.name}.{node.target.id}", cls.name,
+                       (cls.name, "replace"), node.target.id, position,
+                       node.lineno, own)
+            position += 1
+    for parent in ast.walk(tree):
+        for node in ast.iter_child_nodes(parent):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            in_class = isinstance(parent, ast.ClassDef)
+            if in_class and node.name == "__init__":
+                label = owner = parent.name
+                callees = (parent.name, "__init__")
+            else:
+                label = f"{parent.name}.{node.name}" if in_class else node.name
+                owner, callees = node.name, (node.name,)
+            args = node.args
+            positional = args.posonlyargs + args.args
+            bound = in_class and not any(
+                ast.unparse(d) == "staticmethod" for d in node.decorator_list)
+            own = range(node.lineno, node.end_lineno + 1)
+            first = len(positional) - len(args.defaults)
+            for index, arg in enumerate(positional[first:], first):
+                yield (f"{label}({arg.arg})", owner, callees, arg.arg,
+                       index - bound, node.lineno, own)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield (f"{label}({arg.arg})", owner, callees, arg.arg,
+                           None, node.lineno, own)
+
+
+def _receives(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether ``call`` hands ``name`` a value: by keyword, by position,
+    or through ``*`` / ``**``."""
+    if any(k.arg is None or k.arg == name for k in call.keywords):
+        return True
+    for index, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            return position is not None and index <= position
+        if index == position:
+            return True
+    return False
+
+
+def test_every_setting_is_set_outside_tests():
+    seen = _Settings()
+    for top in SCANNED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            seen.scan(path, ast.parse(path.read_text(encoding="utf-8")))
+    unset = []
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for label, owner, callees, name, position, line, own \
+                in _settings(tree):
+            is_field = "(" not in label
+            if label in ALLOWED or owner in ALLOWED or owner in seen.values \
+                    or (is_field and name in seen.stored):
+                continue
+            if any(_receives(call, name,
+                             # replace(obj, **changes): keywords only
+                             None if callee == "replace" else position)
+                   for callee in callees for call in seen.calls[callee]):
+                continue
+            if any(other != path or at not in own
+                   for other, at in seen.strings[name]):
+                continue
+            unset.append(f"{path.relative_to(ROOT)}:{line} {label}")
+    assert not unset, "set by no caller outside tests:\n" + "\n".join(
+        sorted(unset))

@@ -10,6 +10,7 @@ that table is the one in ``src``; every spec string the prose spells
 after a flag still parses.
 """
 
+import ast
 import pathlib
 import re
 
@@ -102,3 +103,52 @@ def test_every_spec_string_the_prose_spells_parses():
         parse_scenario(spec)
     for spec in arrivals:
         check_arrival(spec)  # README's trace path is an example, not a file
+
+
+def _members() -> dict[str, set[str]]:
+    """Every ``src/repro`` class by name, with what it or a base defines:
+    methods, class attributes, fields and ``self.x`` assignments."""
+    own: dict[str, set[str]] = {}
+    bases: dict[str, set[str]] = {}
+    for path in (ROOT / "src" / "repro").rglob("*.py"):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            names = own.setdefault(cls.name, set())
+            bases.setdefault(cls.name, set()).update(
+                ast.unparse(base).split(".")[-1] for base in cls.bases)
+            for node in ast.walk(cls):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.add(node.name)
+                elif isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                               ast.Store):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute) \
+                        and isinstance(node.ctx, ast.Store) \
+                        and isinstance(node.value, ast.Name) \
+                        and node.value.id == "self":
+                    names.add(node.attr)
+
+    def inherited(name: str, seen: frozenset = frozenset()) -> set[str]:
+        found = set(own[name])
+        for base in bases[name] - seen:
+            # a base outside src/repro (an Enum, an Exception) may define
+            # anything: nothing is checked against it
+            found |= inherited(base, seen | {name}) if base in own else {None}
+        return found
+
+    return {name: inherited(name) for name in own}
+
+
+def test_every_class_member_the_prose_names_exists():
+    """A backticked ``Class.member`` (or ``Class.member(...)``) in DESIGN
+    or README names a member that the ``src/repro`` class, or one of its
+    bases, defines; a method that moved leaves no stale name behind."""
+    members = _members()
+    cited = re.findall(r"`([A-Z]\w*)\.(\w+)(?:\([^`]*\))?`", README + DESIGN)
+    checked = [(cls, name) for cls, name in cited if cls in members]
+    assert len(checked) >= 100  # the prose names ~110 of them
+    stale = sorted({f"{cls}.{name}" for cls, name in checked
+                    if name not in members[cls] and None not in members[cls]})
+    assert not stale, "members the prose names that do not exist: " \
+        + "; ".join(stale)

@@ -36,21 +36,6 @@ def test_run_query_rejects_a_field_runrequest_does_not_have():
         run_query(QUERIES["q1"], "coor", 2, rate=200.0, not_a_field=1)
 
 
-def test_run_query_cost_model_is_shorthand_for_a_config_carrying_it(monkeypatch):
-    from repro.experiments import runner
-    from repro.sim.costs import CostModel, RuntimeConfig
-
-    sent = []
-    monkeypatch.setattr(runner, "run_with_spec",
-                        lambda spec, request: sent.append(request))
-    costly = CostModel(log_append_per_record=1e-3)
-    run_query(QUERIES["q1"], "unc", 2, rate=200.0, cost_model=costly)
-    assert sent[0].config == RuntimeConfig(cost_model=costly)
-    with pytest.raises(TypeError, match="config"):
-        run_query(QUERIES["q1"], "unc", 2, rate=200.0, cost_model=costly,
-                  config=RuntimeConfig())
-
-
 def test_get_mst_is_cached(harness_runner):
     """The figures' MST search, fetched twice, simulates once."""
     runner = harness_runner

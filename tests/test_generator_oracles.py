@@ -300,30 +300,32 @@ def cyclic_oracle(rate, until, seed):
     links and sources as plain lists, one ``pop(i)`` per deletion.
     Returns the ``links`` and ``srcnodes`` timelines as
     ``(time, event)`` rows."""
-    from repro.workloads.cyclic import CyclicConfig
     from repro.workloads.cyclic.generator import LinkEvent, SourceEvent
 
-    cfg = CyclicConfig()
+    # the paper's mix over 1M nodes (Section VII-B); a source deletion
+    # takes the remaining 5 %
+    p_new_link, p_new_source, p_del_link = 0.60, 0.15, 0.20
+    num_nodes = 1_000_000
     rng = RngRegistry(seed).stream("workload.cyclic.events")
     live_links, live_sources, links, sources = [], [], [], []
     for k in range(int(rate * until)):
         t = (k + 0.5) / rate
         roll = rng.random()
-        if cfg.p_new_link <= roll < cfg.p_new_link + cfg.p_new_source:
-            node = rng.randrange(cfg.num_nodes)
+        if p_new_link <= roll < p_new_link + p_new_source:
+            node = rng.randrange(num_nodes)
             live_sources.append(node)
             sources.append((t, SourceEvent(node, True)))
-        elif (cfg.p_new_link + cfg.p_new_source <= roll
-              < cfg.p_new_link + cfg.p_new_source + cfg.p_del_link
+        elif (p_new_link + p_new_source <= roll
+              < p_new_link + p_new_source + p_del_link
               and live_links):
             src, dst = live_links.pop(rng.randrange(len(live_links)))
             links.append((t, LinkEvent(src, dst, False)))
-        elif roll >= cfg.p_new_link + cfg.p_new_source and live_sources:
+        elif roll >= p_new_link + p_new_source and live_sources:
             node = live_sources.pop(rng.randrange(len(live_sources)))
             sources.append((t, SourceEvent(node, False)))
         else:
-            src = rng.randrange(cfg.num_nodes)
-            dst = rng.randrange(cfg.num_nodes)
+            src = rng.randrange(num_nodes)
+            dst = rng.randrange(num_nodes)
             live_links.append((src, dst))
             links.append((t, LinkEvent(src, dst, True)))
     return links, sources

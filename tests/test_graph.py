@@ -95,17 +95,6 @@ def test_cycle_detection():
     assert g.has_cycle()
 
 
-def test_validate_rejects_cycles_by_default():
-    g = LogicalGraph()
-    g.add_source("s", "t", SourceOperator)
-    g.add_operator("a", lambda: MapOperator(lambda x: x))
-    g.connect("s", "a")
-    g.connect("a", "a")
-    with pytest.raises(GraphError):
-        g.validate()
-    g.validate(allow_cycles=True)  # explicit opt-in is fine
-
-
 def test_validate_requires_source():
     g = LogicalGraph()
     g.add_operator("a", SinkOperator)

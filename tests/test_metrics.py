@@ -158,7 +158,7 @@ def test_recovery_time_detects_return_to_band():
     for s in range(15, 25):
         lat[s] = [0.11]  # recovered
     series = LatencySeries.from_latencies(lat, 0, 25)
-    rec = series.recovery_time(detected_at=10.0, sustain=3)
+    rec = series.recovery_time(detected_at=10.0)
     assert rec == pytest.approx(5.0)
 
 

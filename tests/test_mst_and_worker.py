@@ -83,7 +83,7 @@ def test_blocked_channel_buffers_and_releases_in_order():
     worker.unblock_channel(channel)
     assert len(worker._tasks) in (2, 3)  # first may already be running
     # drain the simulated CPU and verify order via cursor
-    job.sim.run()
+    job.sim.run_until(job.sim.now + 1.0)
     instance = job.channel_dst[channel]
     assert instance.last_received[channel] == 3
 

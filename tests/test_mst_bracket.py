@@ -23,7 +23,7 @@ class _StubResult:
     def __init__(self, ok: bool):
         self._ok = ok
 
-    def sustainable(self, rate: float, latency_cap: float = 1.0) -> bool:
+    def sustainable(self, rate: float) -> bool:
         return self._ok
 
 

@@ -19,7 +19,7 @@ from repro.workloads import columns
 from repro.workloads.arrivals import parse_arrival
 from repro.workloads.columns import rows_from_columns
 from repro.workloads.nexmark import generator
-from repro.workloads.nexmark.generator import GeneratorConfig, NexmarkGenerator
+from repro.workloads.nexmark.generator import NexmarkGenerator
 from repro.workloads.nexmark.model import (
     Auction,
     Bid,
@@ -84,8 +84,7 @@ def test_uniform_mode_spreads_bidders_across_instances():
 
 
 def test_hot_mode_concentrates_bidders_on_instance_zero():
-    config = GeneratorConfig(hot_ratio=0.3)
-    gen = NexmarkGenerator(10, seed=3, config=config)
+    gen = NexmarkGenerator(10, seed=3, hot_ratio=0.3)
     log = gen.bids_log(2000.0, 5.0)
     hot = sum(
         1 for p in log.partitions for r in p.records if r.payload.bidder % 10 == 0
@@ -95,7 +94,7 @@ def test_hot_mode_concentrates_bidders_on_instance_zero():
 
 
 def test_hot_keys_route_to_instance_zero():
-    gen = NexmarkGenerator(7, seed=1, config=GeneratorConfig(hot_ratio=0.5))
+    gen = NexmarkGenerator(7, seed=1, hot_ratio=0.5)
     assert all(k % 7 == 0 for k in gen.hot_keys)
 
 
@@ -118,8 +117,7 @@ def test_auctions_reference_existing_persons():
 
 
 def test_hot_persons_preseeded_with_q3_state():
-    config = GeneratorConfig(hot_ratio=0.2)
-    gen = NexmarkGenerator(5, seed=6, config=config)
+    gen = NexmarkGenerator(5, seed=6, hot_ratio=0.2)
     persons, _ = gen.person_auction_logs(500.0, 2.0)
     all_persons = [
         (r.available_at, r.payload)
@@ -137,8 +135,7 @@ def test_hot_persons_preseeded_with_q3_state():
 
 
 def test_hot_auctions_reference_hot_sellers():
-    config = GeneratorConfig(hot_ratio=0.4)
-    gen = NexmarkGenerator(5, seed=6, config=config)
+    gen = NexmarkGenerator(5, seed=6, hot_ratio=0.4)
     _, auctions = gen.person_auction_logs(2000.0, 4.0)
     hot = sum(
         1 for p in auctions.partitions for r in p.records
@@ -148,10 +145,9 @@ def test_hot_auctions_reference_hot_sellers():
 
 
 def test_invalid_config_rejected():
-    with pytest.raises(ValueError):
-        GeneratorConfig(hot_ratio=1.5)
-    with pytest.raises(ValueError):
-        GeneratorConfig(num_hot_keys=0)
+    for hot_ratio in (1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="hot_ratio"):
+            NexmarkGenerator(2, hot_ratio=hot_ratio)
     with pytest.raises(ValueError):
         NexmarkGenerator(0)
     gen = NexmarkGenerator(2)
@@ -159,34 +155,6 @@ def test_invalid_config_rejected():
         gen.bids_log(0.0, 1.0)
     with pytest.raises(ValueError):
         gen.person_auction_logs(10.0, -1.0)
-    for share in (0.0, 1.5, -0.25, float("nan")):
-        with pytest.raises(ValueError, match="person_share"):
-            GeneratorConfig(person_share=share)
-    GeneratorConfig(person_share=1.0)  # persons only: allowed
-
-
-@pytest.mark.parametrize("fields, named", [
-    # accepted, and every bid's bidder was 10000
-    ({"bidder_space_per_worker": 0}, "bidder_space_per_worker"),
-    ({"bidder_space_per_worker": -2}, "bidder_space_per_worker"),
-    ({"auction_window": -5}, "auction_window"),
-    ({"auction_window": 0}, "auction_window"),
-    ({"num_hot_keys": 0}, "num_hot_keys"),
-    ({"auction_window": float("nan")}, "auction_window"),
-])
-def test_config_rejects_an_empty_key_space_by_name(fields, named):
-    with pytest.raises(ValueError, match=named):
-        GeneratorConfig(**fields)
-
-
-@pytest.mark.parametrize("name", [
-    "num_hot_keys", "bidder_space_per_worker", "auction_window"])
-@pytest.mark.parametrize("value", [True, 2.0, 200.5])
-def test_config_rejects_a_count_that_is_not_an_int_by_name(name, value):
-    # auction_window=True put every bid on auction 5000; a float count
-    # passed ``>= 1`` and failed deep in generation or in ``range``
-    with pytest.raises(ValueError, match=f"{name} must be a positive int"):
-        GeneratorConfig(**{name: value})
 
 
 @pytest.mark.parametrize("rate, until", [
@@ -306,8 +274,7 @@ def test_block_size_does_not_show_in_the_logs(mode, monkeypatch):
     parallelism, hot_ratio, arrival = _MODES[mode]
 
     def generate():
-        gen = NexmarkGenerator(parallelism, seed=11,
-                               config=GeneratorConfig(hot_ratio=hot_ratio))
+        gen = NexmarkGenerator(parallelism, seed=11, hot_ratio=hot_ratio)
         process = parse_arrival(arrival) if arrival else None
         bids = gen.bids_log(900.0, 2.0, arrival=process)
         persons, auctions = gen.person_auction_logs(900.0, 2.0,
@@ -322,8 +289,7 @@ def test_block_size_does_not_show_in_the_logs(mode, monkeypatch):
 
 @pytest.mark.parametrize("hot_ratio", [0.0, 0.3])
 def test_generated_payloads_hold_python_values(hot_ratio):
-    gen = NexmarkGenerator(4, seed=3,
-                           config=GeneratorConfig(hot_ratio=hot_ratio))
+    gen = NexmarkGenerator(4, seed=3, hot_ratio=hot_ratio)
     logs = (gen.bids_log(500.0, 2.0), *gen.person_auction_logs(500.0, 2.0))
     expected = {"id": int, "seller": int, "category": int, "initial_bid": int,
                 "auction": int, "bidder": int, "price": int,

