@@ -9,15 +9,15 @@ Three families are implemented behind one interface:
 * :class:`~repro.core.cic.CommunicationInducedProtocol` (CIC) — UNC plus
   HMNR piggybacks and forced checkpoints.
 
-Plus the :class:`~repro.core.base.NoCheckpointProtocol` baseline used to
-normalise throughput in Figure 7.
+Plus the :class:`~repro.core.base.CheckpointProtocol` base class itself,
+registered as ``none``: the baseline used to normalise throughput in
+Figure 7.
 """
 
 from repro.core.base import (
     CheckpointMeta,
     CheckpointRegistry,
     CheckpointProtocol,
-    NoCheckpointProtocol,
     RecoveryPlan,
     PROTOCOLS,
     create_protocol,
@@ -33,7 +33,6 @@ __all__ = [
     "CheckpointMeta",
     "CheckpointRegistry",
     "CheckpointProtocol",
-    "NoCheckpointProtocol",
     "RecoveryPlan",
     "PROTOCOLS",
     "create_protocol",

@@ -267,12 +267,6 @@ class CheckpointProtocol:
             self.job.registry.register(metas[key])
 
 
-class NoCheckpointProtocol(CheckpointProtocol):
-    """Explicit alias of the baseline for readability at call sites."""
-
-    name = "none"
-
-
 PROTOCOLS: dict[str, type] = {}
 
 
@@ -282,7 +276,7 @@ def register_protocol(cls: type) -> type:
     return cls
 
 
-register_protocol(NoCheckpointProtocol)
+register_protocol(CheckpointProtocol)
 
 
 def create_protocol(name: str, job: "Job") -> CheckpointProtocol:

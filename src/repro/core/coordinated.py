@@ -53,9 +53,8 @@ class CoordinatedProtocol(CheckpointProtocol):
         self._round = 0
         self._active_round: int | None = None
         self._round_started: dict[int, float] = {}
-        #: instances whose checkpoint for the round is durable
-        self._round_durable: dict[int, set] = {}
-        #: round -> instance -> durable CheckpointMeta
+        #: round -> instance -> durable CheckpointMeta, from the newest
+        #: complete round on
         self._round_metas: dict[int, dict] = {}
         #: instance key -> {"round": id, "got": set of channels}
         self._align: dict = {}
@@ -83,7 +82,6 @@ class CoordinatedProtocol(CheckpointProtocol):
         round_id = self._round
         self._active_round = round_id
         self._round_started[round_id] = job.sim.now
-        self._round_durable[round_id] = set()
         self._round_metas[round_id] = {}
         size = job.cost.metadata_message_bytes
         for spec in job.graph.sources():
@@ -130,12 +128,12 @@ class CoordinatedProtocol(CheckpointProtocol):
 
     def on_metadata(self, meta: CheckpointMeta) -> None:
         """Count a round's durable checkpoints; complete it on the last."""
-        if meta.kind != KIND_COOR or meta.round_id not in self._round_durable:
+        if meta.kind != KIND_COOR or meta.round_id not in self._round_metas:
             return
         round_id = meta.round_id
-        self._round_durable[round_id].add(meta.instance)
-        self._round_metas[round_id][meta.instance] = meta
-        if len(self._round_durable[round_id]) == self.job.n_instances:
+        metas = self._round_metas[round_id]
+        metas[meta.instance] = meta
+        if len(metas) == self.job.n_instances:
             self._complete_round(round_id)
 
     def _complete_round(self, round_id: int) -> None:
@@ -158,6 +156,9 @@ class CoordinatedProtocol(CheckpointProtocol):
             self._active_round = None
         # recovery restores the newest complete round: nothing older is read
         job.collect_below(self._round_metas[round_id])
+        for older in [r for r in self._round_metas if r < round_id]:
+            del self._round_metas[older]
+            del self._round_started[older]
         # the coordinated family's unit of checkpoint cost is the round:
         # the adaptive interval controller sizes its Young–Daly C term
         # from start-of-round to all-instances-durable
@@ -186,7 +187,6 @@ class CoordinatedProtocol(CheckpointProtocol):
         )
 
     def on_recovery_applied(self, plan: RecoveryPlan) -> None:
-        # abort any round that was in flight when the failure hit
         """Abort any round that was in flight when the failure hit."""
         self._align.clear()
         self._active_round = None
@@ -212,7 +212,6 @@ class CoordinatedProtocol(CheckpointProtocol):
         self._round += 1
         round_id = self._round
         self._round_started[round_id] = job.sim.now
-        self._round_durable[round_id] = set(metas)
         self._round_metas[round_id] = dict(metas)
         job.completed_rounds.add(round_id)
         self._latest_complete = round_id

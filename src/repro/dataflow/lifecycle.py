@@ -268,7 +268,7 @@ class LifecycleManager:
             self.apply_rescaled_recovery(plan, target)
             return
         for key, meta in plan.line.items():
-            job.instance(key).restore(self.line_payloads(meta))
+            job.instance(key).restore(meta, self.line_payloads(meta))
         self.abandon_rolled_back_timeline(plan.line)
         job.transport.reset()
         for worker in job.workers:
@@ -339,8 +339,7 @@ class LifecycleManager:
         self.rebuild_topology(p_new)
         for name in graph.operators:
             for j in range(p_new):
-                job.instance((name, j)).restore_rescaled(
-                    parts[name], p_old, job.num_source_partitions)
+                job.instance((name, j)).restore_rescaled(parts[name], p_old)
         job.protocol.on_rescaled(plan)
         for worker in job.workers:
             worker.alive = True
@@ -407,7 +406,7 @@ class LifecycleManager:
                 instance.checkpoint_counter = carried[name]
                 if spec.is_source:
                     instance.assign_source_partitions(list(
-                        group_range(j, p_new, job.num_source_partitions)
+                        group_range(j, p_new, job.initial_parallelism)
                     ))
 
     def reinject_replay(self, plan: RecoveryPlan,

@@ -124,14 +124,14 @@ class Job:
             raise ValueError("parallelism must be positive")
         self.graph = graph
         self.parallelism = parallelism
+        #: the deployed parallelism, which is also the number of
+        #: input-log partitions per topic: fixed for the job's life, a
+        #: rescaled recovery re-spreads them over the new source instances
         self.initial_parallelism = parallelism
         self.config = config or RuntimeConfig()
         self.cost = self.config.cost_model
         self.max_key_groups = self.config.max_key_groups
         validate_key_space(parallelism, self.max_key_groups, context="job parallelism")
-        #: input-log partitions per topic are fixed at deployment time; a
-        #: rescaled recovery re-spreads them over the new source instances
-        self.num_source_partitions = parallelism
         self.inputs = inputs
         self.sim = Simulator()
         self.metrics = MetricsCollector()
@@ -561,11 +561,9 @@ class Job:
                     else:
                         store.delete(entry[0])
                 resident[:position] = kept
-            # the rids this checkpoint sealed: a delta's segment, or the
-            # snapshot node's own (a node already cut holds a new list)
-            self.instance(key).cut_rids(
-                payload["new_rids"] if meta.base_key is not None
-                else payload["processed_rids"].added)
+            # the rids this checkpoint sealed (a node already cut holds
+            # a new list)
+            self.instance(key).cut_rids(payload["processed_rids"].added)
 
     # ------------------------------------------------------------------ #
     # Run loop

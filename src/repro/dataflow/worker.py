@@ -20,6 +20,7 @@ from repro.dataflow.records import source_rid_prefix
 from repro.sim.simulator import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.base import CheckpointMeta
     from repro.dataflow.runtime import Job
 
 
@@ -119,8 +120,7 @@ class RepeatedRidError(RuntimeError):
 
 
 #: what the payload of an initial checkpoint would hold beside its state
-_NOTHING_DONE: dict[str, Any] = {
-    "out_seq": {}, "last_received": {}, "source_cursors": {}}
+_NOTHING_DONE: dict[str, Any] = {"source_cursors": {}}
 
 
 def fold_chain(spec: OperatorSpec, payloads: list[dict[str, Any]],
@@ -130,23 +130,22 @@ def fold_chain(spec: OperatorSpec, payloads: list[dict[str, Any]],
 
     ``[]`` is the initial checkpoint, ``[snapshot]`` a full one,
     ``[snapshot, *deltas]`` a changelog chain, base first: a fresh
-    operator opened against ``context``, the snapshot restored into it,
-    each delta's per-state diffs folded on top and its sealed rid
-    segment hung onto the snapshot's node.  Every restore starts here:
-    :meth:`InstanceRuntime.restore` keeps the operator, a rescaled
-    restore (``context=None``) reads the state back out of it and merges
-    several (DESIGN.md sections 10 and 11).
+    operator opened against ``context``, the snapshot restored into it
+    and each delta's per-state diffs folded on top.  The dedup history
+    is the node the last payload sealed, as any cut at the floor line
+    left it.  Every restore starts here: :meth:`InstanceRuntime.restore`
+    keeps the operator, a rescaled restore (``context=None``) reads the
+    state back out of it and merges several (DESIGN.md sections 10 and
+    11).
     """
     operator = spec.factory()
     operator.open(context)
-    head = NO_RIDS
-    if payloads:
-        operator.states.restore(payloads[0]["states"])
-        head = payloads[0]["processed_rids"]
-        for delta in payloads[1:]:
-            operator.states.apply_delta(delta["states"])
-            head = head.extend(delta["new_rids"])
-    return operator, head
+    if not payloads:
+        return operator, NO_RIDS
+    operator.states.restore(payloads[0]["states"])
+    for delta in payloads[1:]:
+        operator.states.apply_delta(delta["states"])
+    return operator, payloads[-1]["processed_rids"]
 
 
 def folded_snapshot(spec: OperatorSpec,
@@ -368,47 +367,46 @@ class InstanceRuntime(OperatorContext):
         node.cut()
 
     def capture_snapshot(self) -> dict[str, Any]:
-        """Copy everything a rollback needs to reinstall this instance."""
+        """Copy everything a rollback needs to reinstall this instance
+        that its checkpoint's metadata does not hold (the channel
+        cursors live there)."""
+        return self._payload(self.operator.states.snapshot())
+
+    def capture_delta(self) -> tuple[dict[str, Any], int]:
+        """Capture only what changed since the last checkpoint.
+
+        Returns ``(payload, delta_bytes)``: a payload of the snapshot's
+        shape whose operator states are per-state deltas.  Its sealed
+        node ships only the segment admitted since the last checkpoint,
+        and the channel cursors, shipped whole in the metadata, are
+        billed here beside it.  Tracking is reset, so the next delta
+        starts from this checkpoint.
+        """
+        states_delta, delta_bytes = self.operator.states.snapshot_delta()
+        payload = self._payload(states_delta)
+        delta_bytes += len(payload["processed_rids"].added) * 8
+        delta_bytes += (len(self.out_seq) + len(self.last_received)) * 12
+        self.operator.states.mark_clean()
+        return payload, delta_bytes
+
+    def _payload(self, states: Any) -> dict[str, Any]:
+        """The one payload format: ``states`` beside the sealed dedup
+        node, the source cursors and the protocol's extra."""
         return {
-            "states": self.operator.states.snapshot(),
-            "out_seq": dict(self.out_seq),
-            "last_received": dict(self.last_received),
+            "states": states,
             "processed_rids": self.seal_rids(),
             "source_cursors": dict(self.source_cursors),
             "extra": self.job.protocol.capture_extra(self),
         }
 
-    def capture_delta(self) -> tuple[dict[str, Any], int]:
-        """Capture only what changed since the last checkpoint.
-
-        Returns ``(payload, delta_bytes)``; cursors and protocol extras are
-        small and always shipped whole, operator states as per-state deltas
-        and the dedup set as the segment this checkpoint sealed.  Tracking
-        is reset, so the next delta starts from this checkpoint.
-        """
-        states_delta, delta_bytes = self.operator.states.snapshot_delta()
-        new_rids = self.seal_rids().added
-        payload = {
-            "delta": True,
-            "states": states_delta,
-            "new_rids": new_rids,
-            "out_seq": dict(self.out_seq),
-            "last_received": dict(self.last_received),
-            "source_cursors": dict(self.source_cursors),
-            "extra": self.job.protocol.capture_extra(self),
-        }
-        delta_bytes += len(new_rids) * 8
-        delta_bytes += (len(self.out_seq) + len(self.last_received)) * 12
-        self.operator.states.mark_clean()
-        return payload, delta_bytes
-
-    def restore(self, payloads: list[dict[str, Any]]) -> None:
-        """Roll back to the checkpoint ``payloads`` stands for.
+    def restore(self, meta: "CheckpointMeta",
+                payloads: list[dict[str, Any]]) -> None:
+        """Roll back to the checkpoint ``meta``, which ``payloads`` folds to.
 
         What :func:`fold_chain` folds becomes the operator and the dedup
-        set; cursors and protocol extras come from the last payload —
-        every payload carries them whole — and the chain the instance's
-        checkpoints were building is cut.  ``[]``, the initial
+        set, the channel cursors come from ``meta``, source cursors and
+        protocol extras from the last payload, and the chain the
+        instance's checkpoints were building is cut.  ``[]``, the initial
         checkpoint, puts a source back at the start of the partitions it
         owns and runs neither restore hook: no extra was captured, and
         the timer ``on_restore`` re-registers is one a freshly deployed
@@ -416,8 +414,8 @@ class InstanceRuntime(OperatorContext):
         """
         self.operator, head = fold_chain(self.spec, payloads, self)
         last = payloads[-1] if payloads else _NOTHING_DONE
-        self.out_seq = dict(last["out_seq"])
-        self.last_received = dict(last["last_received"])
+        self.out_seq = dict(meta.last_sent)
+        self.last_received = dict(meta.last_received)
         self.install_rids(head)
         cursors = last["source_cursors"]
         self.source_cursors = {q: cursors.get(q, 0)
@@ -429,8 +427,8 @@ class InstanceRuntime(OperatorContext):
             self.job.protocol.restore_extra(self, last["extra"])
             self.operator.on_restore()
 
-    def restore_rescaled(self, parts: list[dict[str, Any]], p_old: int,
-                         num_source_partitions: int) -> None:
+    def restore_rescaled(self, parts: list[dict[str, Any]],
+                         p_old: int) -> None:
         """Restore this instance from the *old* topology's checkpoints.
 
         ``parts`` holds the :func:`folded_snapshot` of each old instance
@@ -472,7 +470,7 @@ class InstanceRuntime(OperatorContext):
         self.rid_journal = []
         if self.spec.is_source:
             self.source_cursors = {
-                q: parts[group_owner(q, p_old, num_source_partitions)]
+                q: parts[group_owner(q, p_old, job.initial_parallelism)]
                 ["source_cursors"].get(q, 0)
                 for q in self.source_cursors
             }

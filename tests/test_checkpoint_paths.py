@@ -10,7 +10,14 @@ adds a second site has to come here and say why.
 import ast
 from pathlib import Path
 
+import pytest
+
 import repro
+from repro.dataflow.runtime import Job
+from repro.dataflow.worker import RidSnapshot
+from repro.sim.costs import RuntimeConfig
+
+from tests.conftest import build_count_graph, make_event_log
 
 #: every function of the package, as (file name, function name, node)
 FUNCTIONS = [
@@ -89,3 +96,38 @@ def test_the_chain_is_folded_once():
         and call.func.value.attr == "states"
     }
     assert folding == {("worker.py", "fold_chain")}
+
+
+#: what every checkpoint blob holds, a snapshot or a changelog delta
+PAYLOAD_KEYS = frozenset({"states", "processed_rids", "source_cursors",
+                          "extra"})
+
+
+@pytest.mark.parametrize("protocol", ["unc", "coor-unaligned"])
+def test_snapshots_and_deltas_are_one_payload_format(protocol):
+    """A snapshot and a delta differ in what ``"states"`` holds, not in
+    their keys: each carries the dedup node it sealed and no channel
+    cursor (its ``CheckpointMeta`` holds those).  Unaligned COOR adds the
+    channel state of the channels whose marker a capture waited for, so
+    only a receiving instance's blob has it."""
+    job = Job(build_count_graph(), protocol, 2,
+              {"events": make_event_log(300.0, 6.0, 2)},
+              RuntimeConfig(checkpoint_interval=1.0, duration=6.0,
+                            warmup=2.0, failure_at=None, seed=3,
+                            state_backend="changelog"))
+    store = job.coordinator.blobstore
+    put = store.put
+    shapes = set()
+
+    def recording_put(key, payload, size_bytes, base_key=None):
+        assert type(payload["processed_rids"]) is RidSnapshot
+        shapes.add((base_key is None, frozenset(payload)))
+        return put(key, payload, size_bytes, base_key=base_key)
+
+    store.put = recording_put
+    job.run(rate=300.0, query_name="count")
+    expected = {(True, PAYLOAD_KEYS), (False, PAYLOAD_KEYS)}
+    if protocol == "coor-unaligned":
+        expected |= {(base, PAYLOAD_KEYS | {"channel_state"})
+                     for base, _ in expected}
+    assert shapes == expected

@@ -340,6 +340,67 @@ def test_after_every_floor_raise_nothing_at_or_below_it_is_held(
     assert raises > 0
 
 
+@pytest.mark.parametrize("query,protocol", [("q3", "unc"), ("q12", "cic")])
+def test_a_restore_brings_back_no_rid_a_cut_dropped(query, protocol):
+    """Right after a recovery, no instance's dedup set holds a rid that a
+    floor-line cut had dropped from its history: no replay reaches below
+    the floor, so those rids are never offered again (DESIGN.md section
+    21).  Under the changelog backend the floor cut goes through deltas,
+    and the line restores chains stacked on them: a restore installs the
+    node the line checkpoint sealed, as the cut left it, not a set rebuilt
+    from the segments the chain's deltas were taken with.
+
+    A changelog run at p = 4, 0.5 x capacity and a 1 s interval with one
+    kill 12 s into its 20 s.
+    """
+    spec = resolve_spec(query)
+    rate = spec.capacity_per_worker * 4 * 0.5
+    job = Job(spec.build_graph(4), protocol, 4,
+              spec.make_job_inputs(rate, 24.0, 4, 0.0, 7),
+              RuntimeConfig(duration=20.0, warmup=2.0, checkpoint_interval=1.0,
+                            seed=7, failure_at=12.0,
+                            state_backend="changelog"))
+    #: sealed node -> the instance that sealed it, and whether in a delta
+    sealed: dict[RidSnapshot, tuple[tuple[str, int], bool]] = {}
+    #: instance -> every rid a cut dropped from its history
+    dropped: dict[tuple[str, int], set[int]] = {}
+    cut_deltas = 0
+    capture, apply_recovery = (job.capture_checkpoint,
+                               job.lifecycle.apply_recovery)
+    cut = RidSnapshot.cut
+
+    def capturing(instance, kind, round_id):
+        meta, payload = capture(instance, kind, round_id)
+        sealed[instance.rid_head] = (instance.key, meta.base_key is not None)
+        return meta, payload
+
+    def recording_cut(node):
+        nonlocal cut_deltas
+        key, delta = sealed[node]
+        dropped.setdefault(key, set()).update(node.materialize())
+        cut_deltas += delta
+        cut(node)
+
+    recoveries = 0
+
+    def checked(plan) -> None:
+        nonlocal recoveries
+        apply_recovery(plan)
+        recoveries += 1
+        for instance in job.instances():
+            assert instance.rid_set.isdisjoint(
+                dropped.get(instance.key, ())), instance.key
+
+    job.capture_checkpoint = capturing
+    job.lifecycle.apply_recovery = checked
+    RidSnapshot.cut = recording_cut
+    try:
+        job.run(rate=rate, query_name=query)
+    finally:
+        RidSnapshot.cut = cut
+    assert recoveries == 1 and cut_deltas > 0
+
+
 def main(argv: list[str] | None = None) -> int:
     """The retention gates (see the module docstring)."""
     parser = argparse.ArgumentParser(description=main.__doc__)

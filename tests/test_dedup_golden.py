@@ -5,8 +5,8 @@ size of the exactly-once dedup set a restore of that blob would have
 reinstalled when it became durable, and a sha256 over ``repr`` of its
 *sorted* members.  Every blob ever made durable is covered, the ones the
 collector deleted later and the ones of a timeline a rollback abandoned
-included.  A changelog delta stands for its base's set plus its
-``new_rids``.
+included.  Every blob, snapshot or changelog delta, stands for the set
+of the dedup node it sealed (``"processed_rids"``).
 
 The collector (DESIGN.md section 8) cuts an instance's dedup history at
 its checkpoint in the floor line: a cut node keeps its count and drops
@@ -125,11 +125,8 @@ def run_case(case: str) -> Recorded:
         delete(blob_key)
 
     def recording_store(meta, payload, size_bytes):
-        base = meta.base_key
-        recorded.blobs[meta.blob_key] = (payload, base, meta.instance)
-        recorded.durable[meta.blob_key] = (
-            whole(payload["processed_rids"]) if base is None
-            else recorded.durable[base] | set(payload["new_rids"]))
+        recorded.blobs[meta.blob_key] = (payload, meta.base_key, meta.instance)
+        recorded.durable[meta.blob_key] = whole(payload["processed_rids"])
         store_checkpoint(meta, payload, size_bytes)
 
     def recording_collect(line):
@@ -203,12 +200,8 @@ def assert_collected_below_the_line(recorded: Recorded) -> None:
     assert all(key in store for key in resident)
 
     def holds(key: str) -> tuple[set[int], RidSnapshot]:
-        payload, base, _ = recorded.blobs[key]
-        if base is None:
-            node = payload["processed_rids"]
-            return node.materialize(), _bottom(node)
-        rids, bottom = holds(base)
-        return rids | set(payload["new_rids"]), bottom
+        node = recorded.blobs[key][0]["processed_rids"]
+        return node.materialize(), _bottom(node)
 
     for key in resident:
         held, bottom = holds(key)
@@ -237,10 +230,12 @@ def test_the_cases_exercise_what_they_name():
     for case in ("q12-unc", "q12-cic", "q12-unc-failure"):
         assert max(size for size, _ in golden[case].values()) > 500
     assert all(size == 0 for size, _ in golden["q3-coor-unaligned"].values())
-    blobs = run_case("q3-unc-changelog-failure").blobs
-    deltas = [key for key, (payload, base, _) in blobs.items()
+    recorded = run_case("q3-unc-changelog-failure")
+    deltas = [(key, base) for key, (_, base, _) in recorded.blobs.items()
               if base is not None]
-    assert deltas and any(blobs[key][0]["new_rids"] for key in deltas)
+    # some delta sealed rids its base did not hold
+    assert deltas and any(recorded.durable[key] - recorded.durable[base]
+                          for key, base in deltas)
     # a rescale 4 -> 6 leaves blobs of instance indices 4 and 5, and its
     # baseline deletes blobs of the old topology no collection had
     assert any(key.split("/")[1] == "5"

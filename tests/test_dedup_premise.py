@@ -48,10 +48,10 @@ def test_a_rid_journaled_twice_is_named_at_the_first_restore():
     job = _dedup_job("full")
     instance = job.instance(("count", 0))
     instance.rid_journal.extend([11, 12, 11])  # what a broken engine would do
-    snapshot = instance.capture_snapshot()
+    meta, snapshot = job.capture_checkpoint(instance, "local", None)
     assert snapshot["processed_rids"].count == 3  # sealed blind, as journaled
     with pytest.raises(RepeatedRidError) as raised:
-        instance.restore([snapshot])
+        instance.restore(meta, [snapshot])
     error = raised.value
     assert (error.instance, error.journaled, error.distinct) == (
         ("count", 0), 3, 2)

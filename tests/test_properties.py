@@ -174,7 +174,8 @@ def test_dedup_processing_is_idempotent(seed):
     )
     job.process_records(instance, records, "in")
     total_after_first = sum(v for _, v in instance.operator.states["counts"].items())
-    instance.restore([instance.capture_snapshot()])
+    meta, snapshot = job.capture_checkpoint(instance, "local", None)
+    instance.restore(meta, [snapshot])
     job.process_records(instance, records, "in")  # replayed duplicate batch
     total_after_second = sum(v for _, v in instance.operator.states["counts"].items())
     assert total_after_first == total_after_second == len(records)

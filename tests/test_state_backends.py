@@ -7,11 +7,10 @@ bookkeeping of the chain tracker against a real job (base/delta
 cadence, compaction, forced base after recovery).
 """
 
-from types import SimpleNamespace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.base import CheckpointMeta, initial_checkpoint
 from repro.dataflow.batch import RecordBatch
 from repro.dataflow.runtime import Job
 from repro.dataflow.state import (
@@ -22,7 +21,8 @@ from repro.dataflow.state import (
     StateRegistry,
     ValueState,
 )
-from repro.dataflow.worker import NO_RIDS, RidSnapshot, folded_snapshot
+from repro.dataflow.worker import (
+    NO_RIDS, RidSnapshot, fold_chain, folded_snapshot)
 from repro.sim.costs import RuntimeConfig
 
 from tests.conftest import KeyedEvent, build_count_graph, make_event_log, run_count_job
@@ -278,13 +278,12 @@ def _count_job(backend: str, duration: float) -> Job:
                              state_backend=backend))
 
 
-def checkpoint_rids(store, blob_key):
-    """The dedup set a restore of ``blob_key`` installs (base + deltas)."""
-    payloads = [store.get(key) for key in store.chain_keys(blob_key)]
-    head = payloads[0]["processed_rids"]
-    for delta in payloads[1:]:
-        head = head.extend(delta["new_rids"])
-    return head.materialize()
+def checkpoint_rids(job: Job, meta) -> set[int]:
+    """The dedup set a restore of ``meta`` installs: what the one fold
+    makes of its chain (base + deltas)."""
+    payloads = job.lifecycle.line_payloads(meta)
+    return fold_chain(job.graph.operators[meta.instance[0]],
+                      payloads)[1].materialize()
 
 
 def test_every_backend_journals_rids_and_checkpoints_complete_dedup_sets(
@@ -321,11 +320,7 @@ def test_every_backend_journals_rids_and_checkpoints_complete_dedup_sets(
         stood: dict[tuple, list[set[int]]] = {}
 
         def registered(meta) -> None:
-            payloads = [store.get(key)
-                        for key in store.chain_keys(meta.blob_key)]
-            rids = whole(payloads[0]["processed_rids"])
-            for delta in payloads[1:]:
-                rids |= set(delta["new_rids"])
+            rids = whole(store.get(meta.blob_key)["processed_rids"])
             stood.setdefault(meta.instance, []).append(rids)
 
         watch_metadata(job, registered)
@@ -411,28 +406,29 @@ def _record_deliveries(instance) -> list[list[int]]:
     return delivered
 
 
-def _checkpoint(job: Job, instance) -> str:
+def _checkpoint(job: Job, instance) -> CheckpointMeta:
     """Checkpoint ``instance`` through the job's write step and make the
-    blob durable at once; returns its key (``count/<index>/<n>``)."""
+    blob durable at once; returns its metadata (blob key
+    ``count/<index>/<n>``)."""
     meta, payload = job.capture_checkpoint(instance, "local", None)
     job.coordinator.blobstore.put(
         meta.blob_key, payload, meta.upload_bytes, base_key=meta.base_key)
-    return meta.blob_key
+    return meta
 
 
-def _line_payloads(job: Job, blob_key: str | None) -> list[dict]:
-    """What a restore of the checkpoint stored under ``blob_key`` folds;
-    ``None`` is the initial checkpoint."""
-    return job.lifecycle.line_payloads(SimpleNamespace(
-        kind="initial" if blob_key is None else "local", blob_key=blob_key))
-
-
-def _restore(job: Job, instance, blob_key: str | None) -> list[dict]:
-    """Roll ``instance`` back as ``LifecycleManager.apply_recovery`` does.
-    Returns the payloads folded."""
-    payloads = _line_payloads(job, blob_key)
-    instance.restore(payloads)
+def _restore(job: Job, instance, meta: CheckpointMeta | None) -> list[dict]:
+    """Roll ``instance`` back as ``LifecycleManager.apply_recovery`` does;
+    ``None`` is the initial checkpoint.  Returns the payloads folded."""
+    meta = meta or initial_checkpoint(instance.key)
+    payloads = job.lifecycle.line_payloads(meta)
+    instance.restore(meta, payloads)
     return payloads
+
+
+def _restore_in_place(job: Job, instance) -> None:
+    """Checkpoint ``instance`` and roll it back to that checkpoint: where
+    it stands, as a recovery leaves it."""
+    _restore(job, instance, _checkpoint(job, instance))
 
 
 #: every shape of batch admission has to tell apart, against a dedup
@@ -471,7 +467,7 @@ def test_admission_drops_duplicates_first_occurrence_wins(backend, case):
     job = _dedup_job(backend)
     instance = job.instance(("count", 0))
     _admit(job, instance, [1, 2])
-    instance.restore([instance.capture_snapshot()])
+    _restore_in_place(job, instance)
     previous = instance.rid_head
     assert previous.materialize() == {1, 2}
     _admit(job, instance, [6])  # a journal that is not empty to begin with
@@ -575,11 +571,10 @@ def test_dedup_history_matches_eager_copies(backend, ops):
     from a restore of the (empty) initial state.
     """
     job = _dedup_job(backend)
-    store = job.coordinator.blobstore
     instance = job.instance(("count", 0))
-    instance.restore([instance.capture_snapshot()])
+    _restore_in_place(job, instance)
     model: set[int] = set()
-    taken: list[tuple[str, set[int]]] = []
+    taken: list[tuple[CheckpointMeta, set[int]]] = []
 
     for op, arg in ops:
         if op == "admit":
@@ -588,21 +583,22 @@ def test_dedup_history_matches_eager_copies(backend, ops):
         elif op == "seal":
             taken.append((_checkpoint(job, instance), set(model)))
         elif op == "restore" and taken:
-            blob_key, copy = taken[arg % len(taken)]
-            _restore(job, instance, blob_key)
+            meta, copy = taken[arg % len(taken)]
+            _restore(job, instance, meta)
             model = set(copy)
         elif op == "merge" and taken:
             picks = [taken[index % len(taken)] for index in arg]
-            parts = [folded_snapshot(instance.spec, _line_payloads(job, key))
-                     for key, _ in picks]
-            instance.restore_rescaled(parts, 2, job.num_source_partitions)
+            parts = [folded_snapshot(instance.spec,
+                                     job.lifecycle.line_payloads(meta))
+                     for meta, _ in picks]
+            instance.restore_rescaled(parts, 2)
             model = picks[0][1] | picks[1][1]
         assert instance.processed_rids == model
         assert (instance.rid_head.count + len(instance.rid_journal)
                 == len(model))
-    for blob_key, copy in taken:
-        assert checkpoint_rids(store, blob_key) == copy
-        _restore(job, instance, blob_key)
+    for meta, copy in taken:
+        assert checkpoint_rids(job, meta) == copy
+        _restore(job, instance, meta)
         assert instance.processed_rids == copy
 
 
@@ -646,13 +642,12 @@ def test_dedup_lifecycle_matches_an_eager_set_model(backend, ops):
     a ``state_bytes`` that forgets the journal while there is no set.
     """
     job = _dedup_job(backend)
-    store = job.coordinator.blobstore
     instance = job.instance(("count", 0))
     model: set[int] = set()
     restored = False
     skipped = 0
     offered: list[int] = []
-    taken: list[tuple[str, set[int]]] = []
+    taken: list[tuple[CheckpointMeta, set[int]]] = []
     delivered = _record_deliveries(instance)
     for op, arg in ops:
         if op == "offer":
@@ -677,15 +672,16 @@ def test_dedup_lifecycle_matches_an_eager_set_model(backend, ops):
             assert instance.rid_head.materialize() == model
             assert instance.rid_journal == []
         elif op == "restore" and taken:
-            blob_key, copy = taken[arg % len(taken)]
-            _restore(job, instance, blob_key)
+            meta, copy = taken[arg % len(taken)]
+            _restore(job, instance, meta)
             model, restored = set(copy), True
             delivered = _record_deliveries(instance)
         elif op == "merge" and taken:
             picks = [taken[index % len(taken)] for index in arg]
-            parts = [folded_snapshot(instance.spec, _line_payloads(job, key))
-                     for key, _ in picks]
-            instance.restore_rescaled(parts, 2, job.num_source_partitions)
+            parts = [folded_snapshot(instance.spec,
+                                     job.lifecycle.line_payloads(meta))
+                     for meta, _ in picks]
+            instance.restore_rescaled(parts, 2)
             model, restored = picks[0][1] | picks[1][1], True
             delivered = _record_deliveries(instance)
         assert (instance.rid_set is not None) == restored
@@ -695,8 +691,8 @@ def test_dedup_lifecycle_matches_an_eager_set_model(backend, ops):
         assert _dedup_bytes(instance) == 8 * len(model)
         assert (instance.rid_head.count + len(instance.rid_journal)
                 == len(model))
-    for blob_key, copy in taken:
-        assert checkpoint_rids(store, blob_key) == copy
+    for meta, copy in taken:
+        assert checkpoint_rids(job, meta) == copy
     # the first read builds (and checks) what was only journaled
     assert instance.processed_rids == model
     assert instance.rid_set is instance.processed_rids
@@ -706,19 +702,20 @@ def test_rollback_branches_and_the_abandoned_timeline_stays_restorable():
     job = _dedup_job("full")
     instance = job.instance(("count", 0))
     _admit(job, instance, [1, 2])
-    first = instance.capture_snapshot()
+    first_meta, first = job.capture_checkpoint(instance, "local", None)
     _admit(job, instance, [3])
-    abandoned = instance.capture_snapshot()
-    instance.restore([first])
+    abandoned_meta, abandoned = job.capture_checkpoint(
+        instance, "local", None)
+    instance.restore(first_meta, [first])
     _admit(job, instance, [4, 5])
-    kept = instance.capture_snapshot()
+    _, kept = job.capture_checkpoint(instance, "local", None)
     # both timelines hang off the same node, which neither changed
     assert abandoned["processed_rids"].parent is first["processed_rids"]
     assert kept["processed_rids"].parent is first["processed_rids"]
     assert first["processed_rids"].materialize() == {1, 2}
     assert abandoned["processed_rids"].materialize() == {1, 2, 3}
     assert kept["processed_rids"].materialize() == {1, 2, 4, 5}
-    instance.restore([abandoned])
+    instance.restore(abandoned_meta, [abandoned])
     assert instance.processed_rids == {1, 2, 3}
 
 
@@ -755,12 +752,12 @@ def test_restore_reinstalls_what_the_checkpoint_held(backend, checkpoints):
     store = job.coordinator.blobstore
     instance = job.instance(("count", 0))
     sent, received = (1, 0, 0), (0, 1, 0)
-    blob_key = None
+    meta = None
     for n in range(checkpoints):
         _admit(job, instance, [10 * n + 1, 10 * n + 2])
         instance.out_seq[sent] = n + 1
         instance.last_received[received] = 7 * (n + 1)
-        blob_key = _checkpoint(job, instance)
+        meta = _checkpoint(job, instance)
     held = _standing(instance)
     assert len(held["rids"]) == 2 * checkpoints
     before = instance.operator
@@ -771,19 +768,24 @@ def test_restore_reinstalls_what_the_checkpoint_held(backend, checkpoints):
         rids=[5], payloads=[KeyedEvent(1, 1)], source_ts=[0.0], sizes=[40]))
     assert instance.router.staged_records
 
-    payloads = _restore(job, instance, blob_key)
+    payloads = _restore(job, instance, meta)
 
     deltas = checkpoints - 1 if backend == "changelog" else 0
     assert len(payloads) == (1 + deltas if checkpoints else 0)
-    assert [bool(p.get("delta")) for p in payloads] == (
-        [False] + [True] * deltas if checkpoints else [])
+    if checkpoints:
+        # a base and the deltas chained onto it, each onto the one before
+        chain = store.chain_keys(meta.blob_key)
+        assert len(chain) == 1 + deltas
+        assert meta.base_key == (chain[-2] if deltas else None)
+        assert [store.chain_keys(key) for key in chain] == [
+            chain[:i + 1] for i in range(len(chain))]
     assert _standing(instance) == held
     assert instance.operator is not before
     assert instance.rid_set == held["rids"]          # a rollback: a live set
     assert instance.rid_head.count == len(held["rids"])
     assert instance.rid_journal == []
     assert not instance.router.staged_records
-    following = _checkpoint(job, instance)
+    following = _checkpoint(job, instance).blob_key
     assert store.chain_keys(following) == [following]  # a base
 
 
@@ -855,12 +857,11 @@ def test_a_set_changed_behind_the_journal_still_checkpoints_whole(backend):
     backend the *delta* ships the whole set, so its chain restores whole.
     """
     job = _dedup_job(backend)
-    store = job.coordinator.blobstore
     instance = job.instance(("count", 0))
-    keys = []
+    metas = []
 
     def checkpoint() -> None:
-        keys.append(_checkpoint(job, instance))
+        metas.append(_checkpoint(job, instance))
 
     _admit(job, instance, [200, 201])
     checkpoint()
@@ -870,13 +871,13 @@ def test_a_set_changed_behind_the_journal_still_checkpoints_whole(backend):
     expected = {200, 201, 300, *range(100)}
     assert instance.rid_head.parent is None
     assert instance.rid_head.added == sorted(expected)
-    assert checkpoint_rids(store, keys[-1]) == expected
+    assert checkpoint_rids(job, metas[-1]) == expected
     # and the history is sound again from here on
     _admit(job, instance, [301])
     checkpoint()
     assert instance.rid_head.parent is not None
-    assert checkpoint_rids(store, keys[-1]) == expected | {301}
-    assert checkpoint_rids(store, keys[0]) == {200, 201}
+    assert checkpoint_rids(job, metas[-1]) == expected | {301}
+    assert checkpoint_rids(job, metas[0]) == {200, 201}
 
 
 def test_checkpoints_of_a_run_share_their_history():

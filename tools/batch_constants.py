@@ -152,7 +152,8 @@ def _process_records(protocol: str, resident: int | None = None) -> Stage:
             job.process_records(instance, RecordBatch(
                 rids, [None] * resident, [0.0] * resident, [0] * resident),
                 "in")
-            instance.restore([instance.capture_snapshot()])
+            meta, snapshot = job.capture_checkpoint(instance, "local", None)
+            instance.restore(meta, [snapshot])
         batches = _batches(n, calls)
         process_records = job.process_records
 
