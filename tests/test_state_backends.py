@@ -21,8 +21,11 @@ from repro.dataflow.state import (
     StateRegistry,
     ValueState,
 )
+from repro.dataflow.keygroups import group_range
 from repro.dataflow.worker import (
     NO_RIDS, RidSnapshot, fold_chain, folded_snapshot)
+from repro.experiments.parallel import resolve_spec
+from repro.metrics.collectors import KIND_INITIAL, KIND_RESCALE
 from repro.sim.costs import RuntimeConfig
 
 from tests.conftest import KeyedEvent, build_count_graph, make_event_log, run_count_job
@@ -266,6 +269,94 @@ def test_first_checkpoint_after_recovery_is_a_base():
             first = min(post, key=lambda m: m.checkpoint_id)
             assert first.base_key is None
             assert first.chain_length == 0
+
+
+def _expected_restart(job: Job, plan, billed: dict[str, int]) -> float:
+    """:meth:`LifecycleManager.restart_duration` recomputed from what the
+    blob store holds: each line checkpoint's chain (``chain_keys``) and
+    every chain blob's billed size as it was put."""
+    store, cost = job.coordinator.blobstore, job.cost
+    groups = job.max_key_groups
+    p_old = 1 + max(idx for _, idx in plan.line)
+    p_new = plan.rescale_to or job.parallelism
+    new_ranges = [group_range(j, p_new, groups) for j in range(p_new)]
+    per_worker = [0.0] * p_new
+    for key, meta in plan.line.items():
+        if meta.kind == KIND_INITIAL:
+            continue
+        chain = store.chain_keys(meta.blob_key)
+        nbytes = sum(billed[blob] for blob in chain)
+        old_range = group_range(key[1], p_old, groups)
+        for j, new_range in enumerate(new_ranges):
+            overlap = (min(old_range.stop, new_range.stop)
+                       - max(old_range.start, new_range.start))
+            if overlap > 0:
+                per_worker[j] += cost.chain_restore_delay(
+                    int(nbytes * overlap / len(old_range)), len(chain))
+    for channel, messages in plan.replay.items():
+        if messages:
+            dst = channel[2] % p_new
+            per_worker[dst] += (sum(m.total_bytes for m in messages)
+                                / cost.log_fetch_bandwidth)
+            per_worker[dst] += len(messages) * cost.replay_prep_per_message
+    base = (cost.restart_base if p_new == p_old
+            else cost.restart_base + cost.rescale_base)
+    return (base + cost.restart_per_worker * max(p_old, p_new)
+            + max(per_worker))
+
+
+def _run_checking_restarts(protocol: str, backend: str,
+                           reached: dict[str, int]) -> None:
+    """One q12 run whose every restart time is held to
+    :func:`_expected_restart`; counts into ``reached`` the line blobs
+    holding channel state, on chains of two or more blobs, and the
+    rescale baselines."""
+    spec = resolve_spec("q12")
+    job = Job(spec.build_graph(4), protocol, 4,
+              spec.make_job_inputs(900.0, 18.0, 4, 0.3, 7),
+              RuntimeConfig(duration=16.0, warmup=2.0, checkpoint_interval=1.0,
+                            seed=7, failure_scenario="trace:3@0;7@1;11@2",
+                            rescale_to=6, state_backend=backend))
+    store = job.coordinator.blobstore
+    billed: dict[str, int] = {}
+    put, restart_duration = store.put, job.lifecycle.restart_duration
+
+    def billing_put(key, value, size_bytes, base_key=None):
+        billed[key] = size_bytes
+        return put(key, value, size_bytes, base_key)
+
+    def checked(plan) -> float:
+        duration = restart_duration(plan)
+        assert duration == _expected_restart(job, plan, billed)
+        for meta in plan.line.values():
+            if meta.kind == KIND_INITIAL:
+                continue
+            reached["channel_state"] += bool(
+                store.get(meta.blob_key).get("channel_state"))
+            reached["chain"] += len(store.chain_keys(meta.blob_key)) >= 2
+            reached["rescale"] += meta.kind == KIND_RESCALE
+        return duration
+
+    store.put = billing_put
+    job.lifecycle.restart_duration = checked
+    job.run(rate=900.0, query_name="q12")
+
+
+def test_restart_time_is_what_the_store_holds():
+    """Every restart time (paper Fig. 11) is what the line's chains in
+    the blob store cost to fetch: per line checkpoint, the blobs
+    ``chain_keys`` names and the bytes each was billed when it was put.
+
+    q12 at p = 4, 900 rec/s, hot 0.3, three kills and a rescale to 6 on
+    the first, under every protocol and both backends.  The runs reach a
+    line blob holding unaligned channel state, a chain of two or more
+    blobs and a rescale baseline, so the check is not vacuous.
+    """
+    reached = {"channel_state": 0, "chain": 0, "rescale": 0}
+    for protocol in ("coor", "coor-unaligned", "unc", "cic"):
+        for backend in ("full", "changelog"):
+            _run_checking_restarts(protocol, backend, reached)
+    assert all(reached.values()), reached
 
 
 def _count_job(backend: str, duration: float) -> Job:
