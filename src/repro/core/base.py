@@ -47,12 +47,8 @@ class CheckpointMeta:
     #: bytes actually uploaded for this checkpoint (< state_bytes for a
     #: changelog delta, 0 for the baseline of a rescaled restore)
     upload_bytes: int
-    #: total bytes a restore must fetch (the snapshot and every delta)
-    restore_bytes: int
     #: blob this checkpoint's delta chains onto (None: self-contained)
     base_key: str | None = None
-    #: delta hops back to the chain's base (0 for a full snapshot)
-    chain_length: int = 0
 
     def sent_cursor(self, channel: ChannelId) -> int:
         """Send cursor captured for ``channel`` (0 if never sent)."""
@@ -77,7 +73,6 @@ def initial_checkpoint(instance: InstanceKey) -> CheckpointMeta:
         last_sent={},
         last_received={},
         upload_bytes=0,
-        restore_bytes=0,
     )
 
 

@@ -147,12 +147,10 @@ class UnalignedCoordinatedProtocol(CoordinatedProtocol):
         }
         # channel state is always persisted whole — it is new by definition —
         # and enlarges the stored blob, so future deltas' chains include it
-        job.chain_tracker.note_extra_upload(instance, channel_bytes)
         meta = replace(
             pending.meta,
             state_bytes=pending.meta.state_bytes + channel_bytes,
             upload_bytes=pending.meta.upload_bytes + channel_bytes,
-            restore_bytes=pending.meta.restore_bytes + channel_bytes,
         )
         job.schedule_durable(
             instance, job.cost.blob_upload_delay(meta.upload_bytes),

@@ -229,12 +229,14 @@ class LifecycleManager:
         p_new = plan.rescale_to or job.parallelism
         new_ranges = [group_range(j, p_new, groups) for j in range(p_new)]
         per_worker = [0.0] * p_new
+        store = job.coordinator.blobstore
         for key, meta in plan.line.items():
             if meta.kind == KIND_INITIAL:
                 continue
             old_range = group_range(key[1], p_old, groups)
             if not len(old_range):
                 continue
+            n_blobs, chain_bytes = store.chain_size(meta.blob_key)
             for j, new_range in enumerate(new_ranges):
                 overlap = (min(old_range.stop, new_range.stop)
                            - max(old_range.start, new_range.start))
@@ -242,7 +244,7 @@ class LifecycleManager:
                     continue
                 share = overlap / len(old_range)
                 per_worker[j] += cost_model.chain_restore_delay(
-                    int(meta.restore_bytes * share), meta.chain_length + 1
+                    int(chain_bytes * share), n_blobs
                 )
         for channel, messages in plan.replay.items():
             if not messages:
@@ -481,7 +483,7 @@ class LifecycleManager:
         job = self.job
         store = job.coordinator.blobstore
         for resident in job.resident.values():
-            for blob_key, _ in resident:
+            for blob_key in resident:
                 store.delete(blob_key)
         job.resident.clear()
         metas: dict = {}

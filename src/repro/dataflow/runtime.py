@@ -169,9 +169,9 @@ class Job:
         ]
         #: durable per-channel send log (UNC/CIC upstream backup)
         self.send_log: dict[ChannelId, ChannelLog] = {}
-        #: per instance, the ``(blob key, payload)`` of every resident
-        #: checkpoint blob, oldest first (:meth:`collect_below` frees them)
-        self.resident: dict[InstanceKey, list[tuple[str, dict[str, Any]]]] = {}
+        #: per instance, the key of every resident checkpoint blob, oldest
+        #: first (:meth:`collect_below` frees them)
+        self.resident: dict[InstanceKey, list[str]] = {}
         self.channel_dst: dict[ChannelId, InstanceRuntime] = {}
         #: :meth:`_enqueue_poll` bound once: the callback every poll
         #: reschedule pushes (:meth:`release` clears it with the rest)
@@ -452,15 +452,12 @@ class Job:
         # capturing seals the rid journal and re-arms change tracking: it
         # moves no byte, so the size is read once, here
         state_bytes = instance.state_bytes
-        base_key: str | None = None
-        chain_length = 0
         if kind == KIND_RESCALE:
-            payload = instance.capture_snapshot()
-            upload_bytes, restore_bytes = 0, state_bytes
+            payload, upload_bytes, base_key = (
+                instance.capture_snapshot(), 0, None)
         else:
-            (payload, upload_bytes, base_key, chain_length,
-             restore_bytes) = self.chain_tracker.capture(
-                 instance, blob_key, state_bytes)
+            payload, upload_bytes, base_key = self.chain_tracker.capture(
+                instance, blob_key, state_bytes)
         meta = CheckpointMeta(
             instance=instance.key,
             checkpoint_id=instance.checkpoint_counter,
@@ -473,9 +470,7 @@ class Job:
             last_sent=dict(instance.out_seq),
             last_received=dict(instance.last_received),
             upload_bytes=upload_bytes,
-            restore_bytes=restore_bytes,
             base_key=base_key,
-            chain_length=chain_length,
         )
         return meta, payload
 
@@ -530,8 +525,7 @@ class Job:
         ``size_bytes``, and keep it resident until :meth:`collect_below`."""
         self.coordinator.blobstore.put(
             meta.blob_key, payload, size_bytes, base_key=meta.base_key)
-        self.resident.setdefault(meta.instance, []).append(
-            (meta.blob_key, payload))
+        self.resident.setdefault(meta.instance, []).append(meta.blob_key)
 
     def collect_below(self, line: dict[InstanceKey, CheckpointMeta]) -> None:
         """Free what no recovery can read below ``line`` any more.
@@ -550,20 +544,20 @@ class Job:
             if meta.kind == KIND_INITIAL:
                 continue
             resident = self.resident[key]
-            position = [blob_key for blob_key, _ in resident].index(meta.blob_key)
-            payload = resident[position][1]
+            position = resident.index(meta.blob_key)
             if position:
                 chain = store.chain_keys(meta.blob_key)
                 kept = []
-                for entry in resident[:position]:
-                    if entry[0] in chain:
-                        kept.append(entry)
+                for blob_key in resident[:position]:
+                    if blob_key in chain:
+                        kept.append(blob_key)
                     else:
-                        store.delete(entry[0])
+                        store.delete(blob_key)
                 resident[:position] = kept
             # the rids this checkpoint sealed (a node already cut holds
             # a new list)
-            self.instance(key).cut_rids(payload["processed_rids"].added)
+            self.instance(key).cut_rids(
+                store.get(meta.blob_key)["processed_rids"].added)
 
     # ------------------------------------------------------------------ #
     # Run loop

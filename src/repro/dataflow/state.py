@@ -631,15 +631,13 @@ class StateRegistry:
 class _Chain:
     """Where one instance's live chain stands."""
 
-    __slots__ = ("newest_key", "deltas", "restore_bytes")
+    __slots__ = ("newest_key", "deltas")
 
-    def __init__(self, newest_key: str, restore_bytes: int) -> None:
+    def __init__(self, newest_key: str) -> None:
         #: blob of the instance's latest checkpoint: the next delta's base
         self.newest_key = newest_key
         #: delta hops from that blob back to the chain's full snapshot
         self.deltas = 0
-        #: bytes a restore of that blob fetches (snapshot + every delta)
-        self.restore_bytes = restore_bytes
 
 
 #: changelog compaction threshold: after this many deltas the next
@@ -671,37 +669,28 @@ class ChainTracker:
 
     def capture(self, instance: "InstanceRuntime", blob_key: str,
                 state_bytes: int,
-                ) -> tuple[dict[str, Any], int, str | None, int, int]:
+                ) -> tuple[dict[str, Any], int, str | None]:
         """Capture the instance, whose state measures ``state_bytes``, for
         the checkpoint stored under ``blob_key``.
 
-        Returns ``(payload, upload_bytes, base_key, chain_length,
-        restore_bytes)``: what goes to the blob store verbatim, what
-        crosses the wire (and the store bills), the blob a delta chains
-        onto (``None`` for a snapshot), the delta hops back to the
-        snapshot, and the bytes a restore of this checkpoint fetches.
+        Returns ``(payload, upload_bytes, base_key)``: what goes to the
+        blob store verbatim, what crosses the wire (and the store bills),
+        and the blob a delta chains onto (``None`` for a snapshot).  What
+        a restore of the checkpoint fetches is the store's
+        :meth:`~repro.storage.blobstore.BlobStore.chain_size`.
         """
         chain = self._chains.get(instance.key)
         if chain is None or chain.deltas >= self.max_chain:
             payload = instance.capture_snapshot()
             if self.max_chain:
                 instance.operator.states.mark_clean()
-            self._chains[instance.key] = _Chain(blob_key, state_bytes)
-            return payload, state_bytes, None, 0, state_bytes
+            self._chains[instance.key] = _Chain(blob_key)
+            return payload, state_bytes, None
         payload, delta_bytes = instance.capture_delta()
-        upload_bytes = delta_bytes + self.delta_overhead_bytes
         base_key = chain.newest_key
         chain.newest_key = blob_key
         chain.deltas += 1
-        chain.restore_bytes += upload_bytes
-        return (payload, upload_bytes, base_key, chain.deltas,
-                chain.restore_bytes)
-
-    def note_extra_upload(self, instance: "InstanceRuntime",
-                          extra_bytes: int) -> None:
-        """Bytes a protocol appended to the last captured blob after the
-        fact (unaligned channel state): restores of the chain fetch them."""
-        self._chains[instance.key].restore_bytes += extra_bytes
+        return payload, delta_bytes + self.delta_overhead_bytes, base_key
 
     def on_restored(self, instance: "InstanceRuntime") -> None:
         """The instance was rolled back: its next checkpoint is a snapshot."""

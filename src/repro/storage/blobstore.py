@@ -10,7 +10,9 @@ Incremental (changelog) checkpoints store **delta blobs** that are only
 meaningful relative to a predecessor: ``BlobMeta.base_key`` links a delta
 to the blob it chains onto (DESIGN.md section 10).
 :meth:`BlobStore.chain_keys` walks that chain back to the self-contained
-base so recovery can plan a base+delta restore.
+base so recovery can plan a base+delta restore, and
+:meth:`BlobStore.chain_size` is what that restore fetches: the store is
+the one record of it.
 
 A blob is deleted once no recovery can read it: the runtime collects every
 blob strictly older than an instance's checkpoint in the floor line (UNC,
@@ -98,4 +100,10 @@ class BlobStore:
             meta = self._meta[meta.base_key]
         chain.reverse()
         return chain
+
+    def chain_size(self, key: str) -> tuple[int, int]:
+        """What a restore of ``key`` fetches: ``(blobs, billed bytes)``
+        of its whole chain."""
+        chain = self.chain_keys(key)
+        return len(chain), sum(self._meta[k].size_bytes for k in chain)
 

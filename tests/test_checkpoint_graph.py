@@ -33,7 +33,7 @@ def ckpt(instance, ckpt_id, sent=None, received=None):
         started_at=float(ckpt_id), durable_at=float(ckpt_id), state_bytes=0,
         blob_key=f"{instance}/{ckpt_id}", last_sent=sent or {},
         last_received=received or {},
-        upload_bytes=0, restore_bytes=0,
+        upload_bytes=0,
     )
 
 

@@ -24,7 +24,10 @@ tuple, not a 184-byte dict.
 Run as a module it is the retention gate of CI: the blobs resident, the
 containers reachable from the send log, and the ``sys.getsizeof`` sum
 of the payloads logged on the join -> sink channels at the end of a
-120 s q3/cic run (p = 4, 0.6 x capacity, 5 s interval)::
+120 s q3/cic run (p = 4, 0.6 x capacity, 5 s interval).  It also fails
+unless the store is the one record of what is resident: every key
+``Job.resident`` lists is stored, they number as many as the stored
+blobs, and ``bytes_written - bytes_deleted == total_bytes()``::
 
     PYTHONPATH=src python -m tests.test_collection --max-resident-blobs 40 \\
         --max-log-containers 530 --max-log-payload-bytes BYTES
@@ -104,7 +107,12 @@ def reads(monkeypatch) -> dict[str, list[str]]:
 @pytest.mark.parametrize("case", test_recovery_pin.CASES)
 def test_no_recovery_pin_point_restores_a_collected_key(reads, case):
     job, _ = test_recovery_pin.run_case(case)
-    assert reads["read"], "no recovery restored a checkpoint"
+    assert reads["read"], "no blob was read"
+    # the collector reads the line's blobs too: a recovery must have
+    # restored a checkpoint for the reads to include a restore's
+    assert any(kind != KIND_INITIAL for record in job.metrics.recoveries
+               for _, _, kind in record.line[0]), \
+        "no recovery restored a checkpoint"
     assert reads["missing"] == []
     assert job.coordinator.blobstore.bytes_deleted > 0
 
@@ -183,9 +191,9 @@ def resident_history(job: Job) -> int:
     payload."""
     nodes: set[int] = set()
     heads = [instance.rid_head for instance in job.instances()]
-    heads += [payload["processed_rids"]
-              for entries in job.resident.values()
-              for _, payload in entries if "processed_rids" in payload]
+    store = job.coordinator.blobstore
+    heads += [store.get(key)["processed_rids"]
+              for keys in job.resident.values() for key in keys]
     for node in heads:
         while node is not None and id(node) not in nodes:
             nodes.add(id(node))
@@ -409,7 +417,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-log-payload-bytes", type=int, required=True)
     args = parser.parse_args(argv)
     job, after = long_run("q3", "cic", 120.0)
-    resident = len(job.coordinator.blobstore)
+    store = job.coordinator.blobstore
+    resident = len(store)
+    listed = [key for keys in job.resident.values() for key in keys]
     containers = len(log_containers(job.send_log))
     joined = logged_payloads(job, "join_incremental", "sink")
     payload_bytes = sum(map(sys.getsizeof, joined))
@@ -421,6 +431,20 @@ def main(argv: list[str] | None = None) -> int:
           f"{len(joined)} join outputs on join -> sink in "
           f"{payload_bytes} payload bytes")
     failed = False
+    missing = [key for key in listed if key not in store]
+    if missing:
+        print(f"FAILED: {len(missing)} keys Job.resident lists are not "
+              f"stored, first {missing[0]!r}")
+        failed = True
+    if len(listed) != resident:
+        print(f"FAILED: Job.resident lists {len(listed)} keys for "
+              f"{resident} stored blobs")
+        failed = True
+    if store.bytes_written - store.bytes_deleted != store.total_bytes():
+        print(f"FAILED: {store.bytes_written} bytes written less "
+              f"{store.bytes_deleted} deleted is not the "
+              f"{store.total_bytes()} retained")
+        failed = True
     if resident > args.max_resident_blobs:
         print(f"FAILED: {resident} resident blobs exceed "
               f"{args.max_resident_blobs}")

@@ -19,7 +19,7 @@ def meta(cid=1):
         instance=("src", 0), checkpoint_id=cid, kind="local", round_id=None,
         started_at=0.0, durable_at=0.5, state_bytes=10, blob_key="k",
         last_sent={}, last_received={},
-        upload_bytes=10, restore_bytes=10,
+        upload_bytes=10,
     )
 
 

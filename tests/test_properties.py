@@ -65,9 +65,9 @@ def test_replay_window_bounds(recv, sent, n_log):
     ch = (0, 0, 0)
     line = {
         a: CheckpointMeta(a, 1, "local", None, 0, 0, 0, "", {ch: sent}, {},
-                          0, 0),
+                          0),
         b: CheckpointMeta(b, 1, "local", None, 0, 0, 0, "", {}, {ch: recv},
-                          0, 0),
+                          0),
     }
     log = {ch: ChannelLog()}
     for s in range(1, n_log + 1):
@@ -103,7 +103,7 @@ def test_recovery_line_idempotent(seed):
                 if r == inst:
                     recv[ch] = recv.get(ch, 0) + rng.randint(0, 4)
             metas.append(CheckpointMeta(inst, k, "local", None, 0, 0, 0, "",
-                                        dict(sent), dict(recv), 0, 0))
+                                        dict(sent), dict(recv), 0))
         checkpoints[inst] = metas
     graph = CheckpointGraph(checkpoints=checkpoints, channels=channels)
     first = maximal_consistent_line(graph)

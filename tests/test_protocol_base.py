@@ -18,7 +18,7 @@ def meta(instance=("op", 0), cid=1, **kw):
         instance=instance, checkpoint_id=cid, kind="local", round_id=None,
         started_at=0.0, durable_at=1.0, state_bytes=10, blob_key="b",
         last_sent={}, last_received={},
-        upload_bytes=10, restore_bytes=10,
+        upload_bytes=10,
     )
     defaults.update(kw)
     return CheckpointMeta(**defaults)

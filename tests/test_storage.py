@@ -423,6 +423,19 @@ def test_chain_keys_walks_base_links_base_first():
     assert base.base_key is None
 
 
+def test_chain_size_is_what_a_restore_fetches():
+    """Blobs and billed bytes of the whole chain; an overwrite bills the
+    chain its new size."""
+    store = BlobStore()
+    store.put("base", {}, 100)
+    store.put("d1", {}, 10, base_key="base")
+    store.put("d2", {}, 12, base_key="d1")
+    assert store.chain_size("base") == (1, 100)
+    assert store.chain_size("d2") == (3, 122)
+    store.put("d1", {}, 40, base_key="base")
+    assert store.chain_size("d2") == (3, 152)
+
+
 def test_delta_put_requires_existing_base():
     store = BlobStore()
     with pytest.raises(KeyError):

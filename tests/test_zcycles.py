@@ -36,7 +36,7 @@ def meta(instance, cid, sent=None, received=None):
         instance=instance, checkpoint_id=cid, kind="local", round_id=None,
         started_at=0.0, durable_at=0.0, state_bytes=0, blob_key="",
         last_sent=sent or {}, last_received=received or {},
-        upload_bytes=0, restore_bytes=0,
+        upload_bytes=0,
     )
 
 
