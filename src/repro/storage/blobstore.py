@@ -106,4 +106,3 @@ class BlobStore:
         of its whole chain."""
         chain = self.chain_keys(key)
         return len(chain), sum(self._meta[k].size_bytes for k in chain)
-
