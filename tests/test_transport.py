@@ -593,3 +593,37 @@ def test_a_message_carries_its_records_bytes_and_a_drained_job_stages_none(
     assert routers
     for router in routers:
         assert (router.staged_records, _staged_bytes(router)) == (0, 0)
+
+
+@pytest.mark.parametrize("protocol", ["coor", "coor-unaligned"])
+@pytest.mark.parametrize("bounded", [False, True])
+def test_a_marker_follows_an_empty_router(monkeypatch, protocol, bounded):
+    """Every marker is sent right after a forced flush of its instance:
+    aligned COOR through ``Job.execute_checkpoint``, unaligned COOR's
+    first marker and its sources alike.  So the router holds nothing when
+    ``Transport.send_marker`` runs, on open channels and on the q12
+    regime where senders run out of credit (0.8 x capacity, hot 0.3,
+    1 KiB channels)."""
+    from repro.dataflow.transport import Transport
+    from repro.experiments.parallel import resolve_spec
+    from repro.experiments.runner import run_query
+    from repro.metrics.mst import estimate_capacity
+
+    send_marker = Transport.send_marker
+    staged = []
+
+    def watching(transport, instance, round_id):
+        staged.append(instance.router.staged_records)
+        return send_marker(transport, instance, round_id)
+
+    monkeypatch.setattr(Transport, "send_marker", watching)
+    spec = resolve_spec("q12")
+    knobs = ({"hot_ratio": 0.3, "channel_capacity_bytes": 1024}
+             if bounded else {})
+    rate = (0.8 if bounded else 0.6) * estimate_capacity(spec, 4)
+    result = run_query(spec, protocol, 4, rate, duration=6.0, warmup=1.0,
+                       checkpoint_interval=2.0, seed=7, **knobs)
+    assert len(staged) > 20
+    assert set(staged) == {0}
+    if bounded:
+        assert result.metrics.sends_parked > 0  # the bound bit
