@@ -220,7 +220,7 @@ class CheckpointProtocol:
     def restore_extra(self, instance: "InstanceRuntime", extra: Any) -> None:
         """Reinstall protocol-private state on recovery."""
 
-    def on_checkpoint_started(self, instance: "InstanceRuntime", kind: str,
+    def on_checkpoint_started(self, instance: "InstanceRuntime",
                               round_id: int | None) -> float:
         """Hook at snapshot capture; returns extra CPU cost (e.g. markers)."""
         return 0.0

@@ -183,9 +183,7 @@ class CommunicationInducedProtocol(UncoordinatedProtocol):
     def on_data_received(self, instance: "InstanceRuntime", channel: ChannelId,
                          msg: Message) -> float:
         """Force a checkpoint on Z-cycle danger, then merge clocks."""
-        piggy: PiggybackSnapshot | None = msg.piggyback
-        if piggy is None:  # replayed pre-protocol message or test message
-            return 0.0
+        piggy: PiggybackSnapshot = msg.piggyback
         state: CicState = instance.proto
         cost = 0.0
         if self._must_force(state, piggy):
@@ -236,7 +234,7 @@ class CommunicationInducedProtocol(UncoordinatedProtocol):
     # Checkpoint lifecycle
     # ------------------------------------------------------------------ #
 
-    def on_checkpoint_started(self, instance: "InstanceRuntime", kind: str,
+    def on_checkpoint_started(self, instance: "InstanceRuntime",
                               round_id: int | None) -> float:
         """Advance the HMNR clock at snapshot capture."""
         state: CicState = instance.proto

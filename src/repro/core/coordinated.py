@@ -110,11 +110,9 @@ class CoordinatedProtocol(CheckpointProtocol):
         if len(state["got"]) == len(instance.in_channels):
             self.job.enqueue_checkpoint(instance, KIND_COOR, round_id)
 
-    def on_checkpoint_started(self, instance: "InstanceRuntime", kind: str,
+    def on_checkpoint_started(self, instance: "InstanceRuntime",
                               round_id: int | None) -> float:
         """Forward markers downstream and release the aligned channels."""
-        if kind != KIND_COOR:
-            return 0.0
         cost = self.job.transport.send_marker(instance, round_id)
         state = self._align.pop(instance.key, None)
         if state is not None:

@@ -160,11 +160,9 @@ class UnalignedCoordinatedProtocol(CoordinatedProtocol):
     # Checkpoint lifecycle (sources still go through execute_checkpoint)
     # ------------------------------------------------------------------ #
 
-    def on_checkpoint_started(self, instance: "InstanceRuntime", kind: str,
+    def on_checkpoint_started(self, instance: "InstanceRuntime",
                               round_id: int | None) -> float:
         """Unaligned capture happens at marker arrival, not here."""
-        if kind != KIND_COOR:
-            return 0.0
         # sources: snapshot (already captured by the runtime) then markers;
         # there are no inbound channels so nothing to unblock
         return self.job.transport.send_marker(instance, round_id)

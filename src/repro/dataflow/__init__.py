@@ -13,7 +13,6 @@ from repro.dataflow.operators import (
     SourceOperator,
     MapOperator,
     FilterOperator,
-    FlatMapOperator,
     IncrementalJoinOperator,
     WindowedJoinOperator,
     WindowedCountOperator,
@@ -32,7 +31,6 @@ __all__ = [
     "SourceOperator",
     "MapOperator",
     "FilterOperator",
-    "FlatMapOperator",
     "IncrementalJoinOperator",
     "WindowedJoinOperator",
     "WindowedCountOperator",

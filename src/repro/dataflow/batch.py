@@ -88,10 +88,6 @@ class RecordBatch:
             yield StreamRecord(rid=rid, payload=payload, source_ts=ts,
                                size_bytes=size)
 
-    def __repr__(self) -> str:
-        """Compact debugging form (count and byte total only)."""
-        return f"RecordBatch(n={len(self.rids)}, bytes={sum(self.sizes)})"
-
     # -- builders ----------------------------------------------------------- #
 
     def extend_records(self, records: Iterable[StreamRecord]) -> None:

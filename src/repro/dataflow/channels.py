@@ -138,8 +138,8 @@ class RouterBuffer:
     """Outbound batching for one producer instance.
 
     ``route_batch`` stages records; ``take_ready`` drains buffers that
-    reached the batch-size threshold; ``take_all`` (linger flush, markers,
-    shutdown) drains everything.
+    reached the batch-size threshold; ``take_all`` (linger flush, the forced
+    flush before a checkpoint and its markers, shutdown) drains everything.
 
     A staged destination *is* its message's batch: the
     :class:`RecordBatch` a buffer grows in place is the one the drain
@@ -159,15 +159,14 @@ class RouterBuffer:
     flush): a property would put a Python frame on every batch.
 
     Buffers are indexed **per edge** (``edge_id -> dst -> RecordBatch``),
-    so the marker-path ``take_edge`` — on the barrier-alignment hot path —
-    is O(destinations of that edge) instead of a scan over every staged
-    buffer of every edge.
+    so a credit return reaches its one channel's batch (``take_channel``)
+    in two lookups.
 
     Credit-based flow control (DESIGN.md section 13) parks batches here:
     a ``(edge, dst)`` pair whose channel is out of credits is *blocked* —
     gated drains skip it (the batch keeps growing in place, preserving
     per-channel FIFO) until the transport unblocks it on credit return or
-    a forced drain (checkpoint flush, marker emission) pushes it out.
+    a forced drain (the flush before a checkpoint) pushes it out.
     """
 
     __slots__ = ("_batch_max", "_by_edge", "_plans", "_staged", "_n_ready",
@@ -307,8 +306,6 @@ class RouterBuffer:
         batch_max = self._batch_max
         blocked = self._blocked
         for edge_id, buffers in self._by_edge.items():
-            if not buffers:
-                continue
             for dst in list(buffers):
                 records = buffers[dst]
                 count = len(records.rids)
@@ -345,8 +342,6 @@ class RouterBuffer:
             self._staged = self._n_ready = 0
             return drained
         for edge_id, buffers in self._by_edge.items():
-            if not buffers:
-                continue
             for dst in list(buffers):
                 if (edge_id, dst) in blocked:
                     continue
@@ -382,26 +377,6 @@ class RouterBuffer:
                 buffers.clear()
         self._staged = self._n_ready = 0
         return cost
-
-    def take_edge(self, edge_id: int) -> list[tuple[int, int, RecordBatch, int]]:
-        """Drain buffers of one edge (used before emitting a marker).
-
-        Always forced — a marker must follow every record produced before
-        the snapshot, so parked batches of the edge are pushed out (credit
-        overdraft) rather than left behind the marker.  O(destinations of
-        this edge) thanks to the per-edge index.
-        """
-        buffers = self._by_edge[edge_id]
-        if not buffers:
-            return []
-        blocked = self._blocked
-        drained = []
-        for dst in list(buffers):
-            records = buffers[dst]
-            self._pop(edge_id, dst, len(records.rids),
-                      blocked=(edge_id, dst) in blocked)
-            drained.append((edge_id, dst, records, sum(records.sizes)))
-        return drained
 
     def take_channel(self, edge_id: int, dst: int) -> tuple[RecordBatch, int] | None:
         """Forcibly drain one (edge, dst) buffer -> (records, bytes) or None.

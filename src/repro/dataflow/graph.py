@@ -167,8 +167,6 @@ class LogicalGraph:
         if not self.sources():
             raise GraphError("graph has no source operators")
         for spec in self.operators.values():
-            if spec.is_source and self.in_edges(spec.name):
-                raise GraphError(f"source {spec.name!r} has inbound edges")
             if not spec.is_source and not self.in_edges(spec.name):
                 raise GraphError(f"operator {spec.name!r} is unreachable (no inputs)")
 
@@ -202,9 +200,6 @@ def validate_deployment(graph: LogicalGraph,
     from repro.dataflow.keygroups import validate_key_space
 
     for name, parallelism in op_parallelism.items():
-        if parallelism <= 0:
-            raise GraphError(f"operator {name!r}: parallelism must be "
-                             f"positive, got {parallelism}")
         validate_key_space(parallelism, max_key_groups, context=f"operator {name!r} parallelism")
     for edge in graph.edges:
         if edge.partitioning is Partitioning.FORWARD:

@@ -234,8 +234,6 @@ class LifecycleManager:
             if meta.kind == KIND_INITIAL:
                 continue
             old_range = group_range(key[1], p_old, groups)
-            if not len(old_range):
-                continue
             n_blobs, chain_bytes = store.chain_size(meta.blob_key)
             for j, new_range in enumerate(new_ranges):
                 overlap = (min(old_range.stop, new_range.stop)
@@ -247,8 +245,6 @@ class LifecycleManager:
                     int(chain_bytes * share), n_blobs
                 )
         for channel, messages in plan.replay.items():
-            if not messages:
-                continue
             dst_worker = channel[2] % p_new
             nbytes = sum(m.total_bytes for m in messages)
             per_worker[dst_worker] += nbytes / cost_model.log_fetch_bandwidth
@@ -433,8 +429,6 @@ class LifecycleManager:
             src = channel[1] % p_new
             for msg in plan.replay[channel]:
                 batch = msg.records
-                if not batch:
-                    continue
                 if edge.partitioning is Partitioning.KEY:
                     dsts = [entries[key] if key in entries else derive(key)
                             for key in map(edge.key_fn, batch.payloads)]

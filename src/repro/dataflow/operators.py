@@ -1,4 +1,4 @@
-"""Operator library: map, filter, flat-map, joins, windows, sink.
+"""Operator library: map, filter, joins, windows, sink.
 
 These are the "fundamental processing operators in modern stream processing
 engines" the paper implements in its testbed (Section IV).  Operators are
@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.dataflow.batch import RecordBatch
-from repro.dataflow.records import StreamRecord, derived_rid, derived_rids, joined_rid
+from repro.dataflow.records import StreamRecord, derived_rids, joined_rid
 from repro.dataflow.state import KeyedListState, KeyedMapState, StateRegistry, ValueState
 
 
@@ -215,34 +215,6 @@ class FilterOperator(Operator):
         return batch.select(keep)
 
 
-class FlatMapOperator(Operator):
-    """1-to-N transformation."""
-
-    cpu_per_record = 0.0015
-
-    def __init__(self, fn: Callable[[Any], list]) -> None:
-        super().__init__()
-        self._fn = fn
-
-    def process_batch(self, batch: RecordBatch, port: str) -> RecordBatch | None:
-        """Expand each record, building the output columns directly; a
-        child is as large as its parent."""
-        op = self.ctx.op_name
-        fn = self._fn
-        out = RecordBatch([], [], [], [])
-        rids, payloads = out.rids, out.payloads
-        ts_col, sizes = out.source_ts, out.sizes
-        in_rids, in_ts, in_sizes = batch.rids, batch.source_ts, batch.sizes
-        for j, parent_payload in enumerate(batch.payloads):
-            parent, ts, base = in_rids[j], in_ts[j], in_sizes[j]
-            for i, payload in enumerate(fn(parent_payload)):
-                rids.append(derived_rid(op, parent, i))
-                payloads.append(payload)
-                ts_col.append(ts)
-                sizes.append(base)
-        return out if len(rids) else None
-
-
 class IncrementalJoinOperator(Operator):
     """Unbounded symmetric hash join (NexMark Q3).
 
@@ -398,8 +370,6 @@ class WindowedCountOperator(Operator):
         up front exactly as the first record would.
         """
         n = len(batch.rids)
-        if not n:
-            return None
         ctx = self.ctx
         current = int(ctx.now() // self.window)
         counts = self._counts
@@ -487,8 +457,6 @@ class SlidingWindowCountOperator(Operator):
         its key's newest slot.
         """
         n = len(batch.rids)
-        if not n:
-            return None
         ctx = self.ctx
         now = ctx.now()
         newest = int(now // self.slide)

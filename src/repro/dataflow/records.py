@@ -2,8 +2,9 @@
 
 Every record carries a *lineage id* (``rid``): a 64-bit value that is a
 deterministic function of the record's provenance.  Source records derive
-the rid from (topic, partition, offset); derived records mix the parents'
-rids with the producing operator and an emission index.  Because rids are
+the rid from (topic, partition, offset); derived records mix the parent's
+rid with the producing operator (one child per parent), joined records
+mix both parents' rids.  Because rids are
 regenerated identically when an operator re-processes the same inputs after
 a rollback, receiver-side deduplication by rid gives exactly-once semantics
 for the uncoordinated and communication-induced protocols even when message
@@ -72,9 +73,9 @@ def source_rid_from_prefix(prefix: int, offset: int) -> int:
     return acc ^ (acc >> 29)
 
 
-def derived_rid(op_name: str, parent_rid: int, emission_index: int = 0) -> int:
-    """Lineage id of a record produced while processing ``parent_rid``."""
-    return mix_rid(_name_hash(op_name), parent_rid, emission_index + 1)
+def derived_rid(op_name: str, parent_rid: int) -> int:
+    """Lineage id of the one record produced while processing ``parent_rid``."""
+    return mix_rid(_name_hash(op_name), parent_rid, 1)
 
 
 #: memoised per-operator partial accumulators for :func:`derived_rids`
@@ -98,8 +99,8 @@ def derived_rid_prefix(op_name: str) -> int:
 
 
 def derived_rids(op_name: str, parent_rids: Sequence[int]) -> list[int]:
-    """Column form of :func:`derived_rid` at emission index 0 (one child
-    per parent), bit-identical to the scalar loop.
+    """Column form of :func:`derived_rid` (one child per parent),
+    bit-identical to the scalar loop.
 
     Vectorized with numpy uint64 arithmetic (wraparound multiply matches
     the ``& _MASK64`` masking) when the column is long enough to amortize

@@ -223,7 +223,7 @@ class Job:
     # ------------------------------------------------------------------ #
 
     def process_records(self, instance: InstanceRuntime,
-                        batch: RecordBatch | None, port: str) -> float:
+                        batch: RecordBatch, port: str) -> float:
         """Run operator logic over a batch; returns virtual CPU cost.
 
         Every input — polled batches, delivered messages, replayed and
@@ -242,8 +242,6 @@ class Job:
         the outputs route once.  CPU is charged as
         ``cpu_per_record * records_processed``.
         """
-        if batch is None:
-            return 0.0
         rids = batch.rids
         n = len(rids)
         if not n:
@@ -374,7 +372,7 @@ class Job:
         def fire() -> None:
             worker = instance.worker
             if worker.alive and not self.recovering and epoch == self.epoch:
-                worker.enqueue(("timer", instance, tag, epoch))
+                worker.enqueue(("timer", instance, tag))
 
         self.sim.schedule_at(max(at, self.sim.now), fire)
 
@@ -416,7 +414,7 @@ class Job:
         no-dropping half of the consistency definition).
         """
         cost = self.transport.flush_all(instance, force=True)
-        cost += self.protocol.on_checkpoint_started(instance, kind, round_id)
+        cost += self.protocol.on_checkpoint_started(instance, round_id)
         meta, payload = self.capture_checkpoint(instance, kind, round_id)
         # the synchronous part serializes what gets written: a changelog
         # delta forks/encodes only the dirty entries

@@ -145,9 +145,6 @@ class KeyedMapState:
     def __len__(self) -> int:
         return len(self._data)
 
-    def __contains__(self, key: Any) -> bool:
-        return key in self._data
-
     def get(self, key: Any, default: Any = None) -> Any:
         """Value stored under ``key`` (or ``default``)."""
         return self._data.get(key, default)
@@ -328,9 +325,6 @@ class KeyedListState:
         self._all_dirty = False
         self._tracked = False
         self._key_bytes: dict[Any, int] = {}
-
-    def __len__(self) -> int:
-        return len(self._data)
 
     def append(self, key: Any, value: Any, size_bytes: int | None = None) -> None:
         """Append ``value`` under ``key``, billing ``size_bytes`` (or the estimate)."""

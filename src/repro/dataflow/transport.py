@@ -115,7 +115,8 @@ class Transport:
 
     def has_credit(self, channel: ChannelId, nbytes: int,
                    nrecords: int = 0) -> bool:
-        """May a batch of ``nbytes``/``nrecords`` be transmitted right now?
+        """May a batch of ``nbytes``/``nrecords`` be transmitted on a bounded
+        channel right now?
 
         An empty channel always accepts (a single batch larger than the
         whole budget must still be deliverable, or it could never leave);
@@ -123,8 +124,6 @@ class Transport:
         ``max(nbytes, nrecords)``, so zero-size records still pay — must
         fit the budget.
         """
-        if self.capacity <= 0:
-            return True
         in_flight = self.in_flight_bytes.get(channel, 0)
         cost = nbytes if nbytes >= nrecords else nrecords
         return in_flight == 0 or in_flight + cost <= self.capacity
@@ -158,9 +157,11 @@ class Transport:
         return channel[2] < len(workers) and channel in workers[channel[2]].blocked
 
     def _park(self, instance: "InstanceRuntime", channel: ChannelId) -> None:
-        """Record a credit-exhausted channel and block its sender."""
-        if channel in self._parked:
-            return
+        """Record a credit-exhausted channel and block its sender.
+
+        Only the gate parks, and gated drains skip a blocked pair, so a
+        parked channel is never asked again until its park closes.
+        """
         park = _Park(instance, self.job.sim.now)
         if self._aligned_now(channel):
             park.aligned_since = self.job.sim.now
@@ -219,7 +220,8 @@ class Transport:
             self._close_park(channel, park)
 
     def on_consumed(self, channel: ChannelId, msg: Message) -> None:
-        """The receiving worker started processing ``msg``: return credits.
+        """The receiving worker started processing DATA ``msg`` on a
+        bounded channel (its one caller checks both): return credits.
 
         If the freed channel has a parked batch that now fits, the park is
         claimed here and an ``unpark`` task jumps the sender's CPU queue —
@@ -228,8 +230,6 @@ class Transport:
         worker events.  The ledger entry stays open until the task runs:
         a recovery that wipes the queued task still finds and closes it.
         """
-        if self.capacity <= 0 or msg.kind != DATA:
-            return
         held = self.in_flight_bytes.get(channel, 0)
         if held <= 0:
             return  # transmitted before a recovery reset; nothing to return
@@ -362,21 +362,19 @@ class Transport:
         return cost
 
     def send_marker(self, instance: "InstanceRuntime", round_id: int) -> float:
-        """Flush staged data, then emit a marker on every outgoing channel.
+        """Emit a marker on every outgoing channel.
 
-        The flush is forced (parked batches overdraft their credits): FIFO
-        puts everything sent before the marker ahead of it, and the
-        receiver's checkpoint must cover exactly that prefix.  Markers
+        Every caller has just flushed the instance with force (parked
+        batches overdraft their credits: ``Job.execute_checkpoint``,
+        unaligned COOR's first-marker capture), so the router is empty
+        here and FIFO puts everything sent before the marker ahead of it:
+        the receiver's checkpoint covers exactly that prefix.  Markers
         themselves carry no payload and consume no credits.
         """
         job = self.job
         marker_bytes = job.cost.marker_bytes
         cost = 0.0
         for edge in instance.out_edges:
-            for edge_id, dst, records, nbytes in instance.router.take_edge(
-                    edge.edge_id):
-                self._settle_forced(instance, edge_id, dst)
-                cost += self.send_data(instance, edge_id, dst, records, nbytes)
             for dst in job.edge_channel_dsts(edge, instance.index):
                 channel = (edge.edge_id, instance.index, dst)
                 # meta = (round, sender's send-cursor): the cursor lets the

@@ -567,7 +567,8 @@ class WorkerRuntime:
         scan must also cover tasks *deferred by credit blocking* — they
         were popped off the CPU queue while the destination instance
         awaited channel credits and are older than anything still queued,
-        so they come first.
+        so they come first.  The alignment buffer holds none: unaligned
+        COOR never barrier-blocks a channel.
         """
         queued: list[Message] = []
         instance = self.job.channel_dst.get(channel)
@@ -582,9 +583,6 @@ class WorkerRuntime:
             task[2] for task in self._tasks
             if task[0] == "data" and task[1] == channel
         )
-        buffered = self._blocked_buf.get(channel)
-        if buffered:
-            queued.extend(buffered)
         return queued
 
     def _start_next(self) -> None:
@@ -663,7 +661,7 @@ class WorkerRuntime:
             _, instance, ckpt_kind, round_id = task
             return self.job.execute_checkpoint(instance, ckpt_kind, round_id)
         if kind == "timer":
-            return self._run_timer(task[1], task[2], task[3])
+            return self._run_timer(task[1], task[2])
         if kind == "flush":
             return self._run_flush()
         if kind == "cpu":
@@ -698,12 +696,11 @@ class WorkerRuntime:
                                     instance.in_port_by_edge[channel[0]])
         return cost
 
-    def _run_timer(self, instance: InstanceRuntime, tag: Any, epoch: int) -> float:
-        job = self.job
-        if epoch != job.epoch:
-            return 1e-6  # stale timer from before a rollback
+    def _run_timer(self, instance: InstanceRuntime, tag: Any) -> float:
+        # a timer task is queued only in the epoch it was registered in
+        # (Job.register_timer), and a rollback clears the queue
         instance.operator.on_timer(tag)
-        return 0.0002 + job.transport.flush_ready(instance)
+        return 0.0002 + self.job.transport.flush_ready(instance)
 
     def _run_flush(self) -> float:
         """Linger flush: drain every router that has something staged."""

@@ -28,7 +28,6 @@ import repro.dataflow.operators as operators
 from repro.dataflow.batch import RecordBatch
 from repro.dataflow.operators import (
     FilterOperator,
-    FlatMapOperator,
     IncrementalJoinOperator,
     MapOperator,
     MaxPerKeyOperator,
@@ -230,8 +229,6 @@ _LIBRARY_OPERATORS = {
     "source": (SourceOperator, ("in",)),
     "map": (lambda: MapOperator(_bump, out_size=_sized), ("in",)),
     "filter": (lambda: FilterOperator(_keep), ("in",)),
-    "flatmap": (lambda: FlatMapOperator(lambda p: [p] * (p["v"] % 3)),
-                ("in",)),
     "incremental_join": (lambda: IncrementalJoinOperator(_key, _key, _pair),
                          ("left", "right")),
     "windowed_join": (lambda: WindowedJoinOperator(_key, _key, _pair,
@@ -295,7 +292,7 @@ def test_split_invariance_table_covers_every_library_operator():
         and "process_batch" in vars(cls)
     }
     covered = {type(factory()) for factory, _ in _LIBRARY_OPERATORS.values()}
-    assert covered == kernels and len(kernels) == 10
+    assert covered == kernels and len(kernels) == 9
 
 
 @pytest.mark.parametrize("name", sorted(_LIBRARY_OPERATORS))

@@ -128,16 +128,6 @@ def test_router_take_all_flushes_partial():
     assert router.staged_records == 0
 
 
-def test_router_take_edge_only_flushes_that_edge():
-    edge0 = make_edge(Partitioning.FORWARD, edge_id=0)
-    edge1 = make_edge(Partitioning.FORWARD, edge_id=1)
-    router = RouterBuffer([edge0, edge1], 0, 2, DEFAULT_MAX_KEY_GROUPS, 100)
-    router.route_batch(batch(5))
-    drained = router.take_edge(0)
-    assert len(drained) == 1
-    assert router.staged_records == 1  # edge1's copy remains
-
-
 def test_router_routes_to_all_outgoing_edges():
     """An operator's output stream feeds every outgoing edge."""
     edge0 = make_edge(Partitioning.FORWARD, edge_id=0)

@@ -156,7 +156,7 @@ def test_source_deletion_removes_facts():
     job, result = run_reachability({"links": links, "srcnodes": srcnodes}, 1)
     assert sum(result.metrics.sink_counts.values()) == 0
     join = job.instance(("join_reach", 0)).operator
-    assert len(join.states["facts"]) == 0
+    assert join.states["facts"].snapshot()[0] == {}
 
 
 def test_graph_is_cyclic_and_validates():

@@ -47,7 +47,12 @@ until a census of every entry point found it), and a field passes the
 same way; a setting passes when a call of another function of the same
 name sets it.  A class whose
 fields a generic walk reads (``asdict`` into a cache key) would need an
-``ALLOWED`` entry per field; none does today.
+``ALLOWED`` entry per field; none does today.  And a name is all this
+sees: a branch of a used function that only a test reaches passes.  The
+line census, ``python -m tools.census --check`` (DESIGN.md section 14),
+sees those: it runs every entry point under a line tracer and fails on
+an unexecuted range of ``core/``, ``dataflow/`` or ``storage/`` that
+``tools/census_allow.txt`` does not list with its reason.
 """
 
 import ast

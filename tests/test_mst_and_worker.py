@@ -94,6 +94,7 @@ def test_kill_clears_tasks_and_refuses_new_work():
     worker.kill()
     assert not worker.alive
     worker.enqueue(("flush",))
+    worker.enqueue_front(("flush",))
     assert len(worker._tasks) == 0
 
 

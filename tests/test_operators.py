@@ -6,7 +6,6 @@ import pytest
 
 from repro.dataflow.operators import (
     FilterOperator,
-    FlatMapOperator,
     IncrementalJoinOperator,
     MapOperator,
     OperatorContext,
@@ -78,13 +77,6 @@ def test_filter_keeps_and_drops():
     op, _ = opened(FilterOperator(lambda x: x > 0))
     assert len(process_one(op, rec(5), "in")) == 1
     assert process_one(op, rec(-5), "in") == []
-
-
-def test_flatmap_emits_multiple_with_distinct_rids():
-    op, _ = opened(FlatMapOperator(lambda x: [x, x + 1, x + 2]))
-    out = process_one(op, rec(10), "in")
-    assert [o.payload for o in out] == [10, 11, 12]
-    assert len({o.rid for o in out}) == 3
 
 
 def test_sink_records_output():

@@ -35,7 +35,6 @@ def test_derived_rid_depends_on_parent_and_op():
     a = derived_rid("map", parent)
     assert a == derived_rid("map", parent)
     assert a != derived_rid("filter", parent)
-    assert a != derived_rid("map", parent, emission_index=1)
 
 
 def test_joined_rid_is_order_invariant():

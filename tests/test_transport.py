@@ -85,16 +85,6 @@ def _batch(keys) -> RecordBatch:
          for i, k in enumerate(keys)])
 
 
-def test_take_edge_returns_only_that_edge():
-    router, edges = _make_router()
-    router.route_batch(_batch([0, 1, 2, 3, 4, 5]))
-    drained = router.take_edge(edges[1].edge_id)
-    assert drained
-    assert all(eid == edges[1].edge_id for eid, *_ in drained)
-    # the other edges keep their records (6 per edge were staged)
-    assert router.staged_records == 12
-
-
 def test_blocked_key_skipped_by_gated_drains_but_forced_out():
     router, edges = _make_router(n_edges=1, batch_max=2)
     router.route_batch(_batch([0, 0, 0, 0]))  # one hot destination, full batch
@@ -105,7 +95,7 @@ def test_blocked_key_skipped_by_gated_drains_but_forced_out():
     assert router.take_ready() == []          # blocked: gated drain skips
     assert router.take_all(gate=lambda *a: True) == []
     before = router.staged_records
-    drained = router.take_edge(edge_id)       # forced: marker path
+    drained = router.take_all()               # forced: checkpoint flush
     assert sum(len(r) for _, _, r, _ in drained) == before
     assert (edge_id, dst) not in router._blocked
     assert router.staged_records == 0
@@ -186,7 +176,7 @@ def test_gate_refusal_blocks_in_place():
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(
-    st.tuples(st.integers(0, 5),            # action selector
+    st.tuples(st.integers(0, 4),            # action selector
               st.integers(0, 7),            # routing key
               st.integers(0, 2)),           # edge selector
     min_size=1, max_size=60,
@@ -196,7 +186,7 @@ def test_router_never_loses_or_duplicates_records(ops):
 
     Random interleavings of route_batch (one record, or a batch of two to
     four — up to past the batch threshold) / take_ready / take_all /
-    take_edge / block / unblock must conserve every record exactly once
+    block / unblock must conserve every record exactly once
     and keep per-destination FIFO order; the incremental counters must
     match the buffered reality at every step.  Records include size 0
     (the record counter, not just the byte counter, must track them).
@@ -238,8 +228,6 @@ def test_router_never_loses_or_duplicates_records(ops):
                 [make_record((key + 5 * i) % 8) for i in range(2 + edge_sel)]))
         elif action == 3:
             collect(router.take_ready())
-        elif action == 4:
-            collect(router.take_edge(edge.edge_id))
         else:
             dst = key % 3
             if (edge.edge_id, dst) in router._blocked:

@@ -202,7 +202,7 @@ def _library_operators() -> dict[str, tuple[Callable[[], Any], str]]:
     """name -> (factory, the port batches arrive on), one per kernel."""
     import repro.dataflow.operators as operators
     from repro.dataflow.operators import (
-        FilterOperator, FlatMapOperator, IncrementalJoinOperator, MapOperator,
+        FilterOperator, IncrementalJoinOperator, MapOperator,
         MaxPerKeyOperator, Operator, SinkOperator, SlidingWindowCountOperator,
         SourceOperator, WindowedCountOperator, WindowedJoinOperator)
 
@@ -210,7 +210,6 @@ def _library_operators() -> dict[str, tuple[Callable[[], Any], str]]:
         "source": (SourceOperator, "in"),
         "map": (lambda: MapOperator(_bump), "in"),
         "filter": (lambda: FilterOperator(_keep), "in"),
-        "flatmap": (lambda: FlatMapOperator(lambda p: [p]), "in"),
         "incremental_join": (
             lambda: IncrementalJoinOperator(_key, _key, _pair), "left"),
         "windowed_join": (
