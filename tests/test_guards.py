@@ -54,11 +54,9 @@ def _stale_calls(monkeypatch, owner, name):
     stale = []
 
     def watching(self, *args):
-        stale.append(args[-2] != self_job(self).deploy_epoch)
+        job = self if isinstance(self, Job) else self.job
+        stale.append(args[-2] != job.deploy_epoch)
         return original(self, *args)
-
-    def self_job(target):
-        return target if isinstance(target, Job) else target.job
 
     monkeypatch.setattr(owner, name, watching)
     return stale
