@@ -161,6 +161,8 @@ class LogicalGraph:
 
         A cycle is no such problem: whether one can run depends on the
         protocol and the channels (``repro.dataflow.runtime.check_topology``).
+        A source with inbound edges is not checked here: :meth:`connect`,
+        the only way to add an edge, refuses one.
         """
         if not self.operators:
             raise GraphError("graph has no operators")
@@ -200,6 +202,9 @@ def validate_deployment(graph: LogicalGraph,
     from repro.dataflow.keygroups import validate_key_space
 
     for name, parallelism in op_parallelism.items():
+        if parallelism <= 0:
+            raise GraphError(f"operator {name!r}: parallelism must be "
+                             f"positive, got {parallelism}")
         validate_key_space(parallelism, max_key_groups, context=f"operator {name!r} parallelism")
     for edge in graph.edges:
         if edge.partitioning is Partitioning.FORWARD:

@@ -134,7 +134,9 @@ class Operator:
         :meth:`process` on each, and re-columnarizes the outputs, while
         still letting the runtime route and flush once per batch.  Every
         library operator overrides it with a column-wise or grouped kernel
-        (DESIGN.md sections 15 and 16).
+        (DESIGN.md sections 15 and 16).  ``Job.process_records`` never
+        passes an empty batch, and the windowed kernels rely on that: given
+        one, they would arm a sweep timer no record asked for.
         """
         out = RecordBatch([], [], [], [])
         process = self.process
@@ -367,7 +369,8 @@ class WindowedCountOperator(Operator):
         so the one :meth:`put_many` creates state entries in exactly the
         order the per-record loop would; counters never shrink mid-batch,
         so the sweep-timer arming condition (state empty) is checked once
-        up front exactly as the first record would.
+        up front exactly as the first record would.  ``batch`` is never
+        empty (:meth:`Operator.process_batch`).
         """
         n = len(batch.rids)
         ctx = self.ctx
@@ -454,7 +457,8 @@ class SlidingWindowCountOperator(Operator):
         the key's arrivals in one addition each.  Slots are created in the
         same key-major, window-minor order as the per-record loop, and the
         expiry sweep is scheduled exactly when a record would first create
-        its key's newest slot.
+        its key's newest slot.  ``batch`` is never empty
+        (:meth:`Operator.process_batch`).
         """
         n = len(batch.rids)
         ctx = self.ctx

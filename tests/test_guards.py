@@ -3,9 +3,10 @@
 The line census (``python -m tools.census``, DESIGN.md section 14)
 finds these guards unexecuted by every real run and lists each in
 ``tools/census_allow.txt`` under the test here that shows its input:
-a stale upload or metadata message after a rescale, a poll interval
-turned NaN, a hand-built history no run can record, an operator used
-outside a runtime, a task kind the worker does not know.  The base
+a stale upload or metadata message after a rescale, a non-positive
+rescale target, a poll interval turned NaN, a hand-built history no
+run can record, an operator used outside a runtime, a task kind the
+worker does not know.  The base
 protocol hooks the engine elides are listed as the reference
 ``test_an_elided_hook_is_the_base_no_op`` compares the real path with.
 """
@@ -19,7 +20,7 @@ from repro.core.base import CheckpointMeta
 from repro.core.checkpoint_graph import CheckpointGraph, maximal_consistent_line
 from repro.dataflow.batch import RecordBatch
 from repro.dataflow.channels import MARKER, Message, RouterBuffer
-from repro.dataflow.graph import Partitioning
+from repro.dataflow.graph import GraphError, Partitioning
 from repro.dataflow.keygroups import DEFAULT_MAX_KEY_GROUPS
 from repro.dataflow.operators import Operator, OperatorContext, WindowedCountOperator
 from repro.dataflow.results import RunResult
@@ -114,6 +115,14 @@ def test_an_orphan_at_the_initial_checkpoint_is_refused():
         [(channel, sender, receiver)])
     with pytest.raises(RuntimeError, match="past initial"):
         maximal_consistent_line(graph)
+
+
+@pytest.mark.parametrize("target", [0, -1])
+def test_a_non_positive_rescale_target_is_refused(target):
+    """Only the CLI checks ``--rescale-to``: without this a library
+    caller's 0 would skip the rescale and a -1 fail mid-run."""
+    with pytest.raises(GraphError, match="parallelism must be positive"):
+        _job(failure_at=3.0, rescale_to=target)
 
 
 def test_a_run_down_for_its_whole_window_has_no_goodput():

@@ -1,15 +1,10 @@
 """Line census: the code in core/, dataflow/ and storage/ no entry point runs.
 
-``python -m tools.census`` prints every unexecuted line range of a function
-there with its reason in ``tools/census_allow.txt``; ``--check`` exits 1 on
-an unlisted range or on an entry whose range now runs (DESIGN.md section
-14).  Two child processes trace the entry points in-process and serially:
-``repro all --scale quick --jobs 1`` in one; the examples, CI's ``repro
-query`` lines, perfbench's paper/dense/inputs cases and ``QUERIES`` in the
-other.  Module and class bodies (and ``if TYPE_CHECKING:``) are not counted.
+Prints each unexecuted line range of a function there (module and class
+bodies, so ``if TYPE_CHECKING:``, are not counted) with its reason from
+``tools/census_allow.txt``; ``--check`` exits 1 on an unlisted range or a
+listed one that now runs (DESIGN.md section 14).
 """
-
-from __future__ import annotations
 
 import contextlib
 import json
@@ -18,7 +13,7 @@ import runpy
 import subprocess
 import sys
 import tempfile
-from collections import defaultdict
+from itertools import groupby
 from pathlib import Path
 from types import CodeType
 
@@ -29,36 +24,32 @@ EXCLUDED = {"core/features.py"}  # the protocol table docs and tests read
 ALLOW = ROOT / "tools" / "census_allow.txt"
 REASONS = ("guard", "reference", "analysis", "mechanism", "bug")
 PROTOCOLS = ("coor", "coor-unaligned", "unc", "cic")
-UNC = "q12 --protocol unc --warmup 2 --parallelism"
-CI_QUERIES = (  # (argv, exit code): CI's `repro query` lines, one process
-    (f"{UNC} 2 --rate 200 --duration 12 --shards 2 --jobs 1"
-     " --failure-scenario trace:3@0;7@1", 0),
-    (f"{UNC} 4 --rate 300 --duration 20 --failure-scenario trace:3@0;9@1;15@2", 0),
-    (f"{UNC} 4 --rate 300 --duration 8 --failure-at 3 --rescale-to 6 --rescale-at 0", 2),
-    (f"{UNC} 4 --rate 300 --duration 8 --rescale-to 6", 2),
-    ("reachability", 2), ("q1 --shards 2", 2))
+NEXMARK = ("q1", "q3", "q5", "q8", "q12")
 KILLS = " --parallelism 3 --duration 12 --warmup 2 --checkpoint-interval 2"
 TRACE = KILLS + " --failure-scenario trace:5@0;9@1"
-QUERIES = (  # two kills at a 2 s interval restore through changelog chains
-    [f"{q} --protocol none{TRACE}" for q in ("q1", "q3", "q5", "q8", "q12")]
+QUERIES = (  # CI's two query runs, then kills at a 2 s interval that restore chains
+    ["q12 --protocol unc --warmup 2 --parallelism 2 --rate 200 --duration 12 --shards 2"
+     " --jobs 1 --failure-scenario trace:3@0;7@1", "q12 --protocol unc --warmup 2"
+     " --parallelism 4 --rate 300 --duration 20 --failure-scenario trace:3@0;9@1;15@2"]
+    + [f"{q} --protocol none{TRACE}" for q in NEXMARK]
     + [f"{q} --protocol {p} --state-backend {b}{TRACE}"
-       for q in ("q1", "q3", "q5", "q8", "q12") for p in PROTOCOLS
-       for b in ("full", "changelog")]
+       for q in NEXMARK for p in PROTOCOLS for b in ("full", "changelog")]
     + [f"reachability --protocol {p} --state-backend {b}{TRACE}"
        for p in ("unc", "cic") for b in ("full", "changelog")]
-    + [f"q12 --protocol {p} --rescale-to {n}{TRACE}"
-       for p in PROTOCOLS for n in (2, 5)]
-    + [f"q12 --protocol {p} --rate 504 --hot-ratio 0.3 --channel-capacity"
-       f" 1024{TRACE}" for p in PROTOCOLS]  # 0.8 x capacity: senders park
-    + [f"q12 --protocol {p} --interval-policy adaptive{KILLS}"
-       " --failure-scenario poisson:mtbf=3" for p in ("coor", "unc")])
+    + [f"q12 --protocol {p} --rescale-to {n}{TRACE}" for p in PROTOCOLS for n in (2, 5)]
+    + [f"q12 --protocol {p} --rate 504 --hot-ratio 0.3 --channel-capacity 1024{TRACE}"
+       for p in PROTOCOLS]  # 0.8 x capacity: senders park
+    + [f"q12 --protocol {p} --interval-policy adaptive{KILLS} --failure-scenario poisson:mtbf=3"
+       for p in ("coor", "unc")])
+INLINED = {"<listcomp>", "<dictcomp>", "<setcomp>"}  # part of their function in 3.12
+MODULES = {str(path): path.relative_to(PACKAGE).as_posix()  # traced file -> module
+           for part in SCOPE for path in sorted((PACKAGE / part).glob("*.py"))
+           if path.relative_to(PACKAGE).as_posix() not in EXCLUDED}
 
 
 def _lines(code: CodeType) -> set[int]:
-    return {line for _, _, line in code.co_lines() if line is not None}
-
-
-INLINED = {"<listcomp>", "<dictcomp>", "<setcomp>"}  # part of their function in 3.12
+    """The body lines of ``code``; its first line runs at import or call."""
+    return {line for _, _, line in code.co_lines() if line} - {code.co_firstlineno}
 
 
 def _functions(code: CodeType):
@@ -70,101 +61,79 @@ def _functions(code: CodeType):
             yield from _functions(const)
 
 
-def _modules() -> dict[str, str]:
-    """Traced file name -> module path relative to ``src/repro``."""
-    return {str(path): path.relative_to(PACKAGE).as_posix()
-            for part in SCOPE for path in sorted((PACKAGE / part).glob("*.py"))
-            if path.relative_to(PACKAGE).as_posix() not in EXCLUDED}
-
-
-def _trace(files: set[str]) -> dict[str, set[int]]:
+def _trace(files: set[str]) -> dict[int, tuple[CodeType, set[int]]]:
     """Install the tracer; a function stops being traced once all its
     lines ran, so hot code runs at full speed after its first calls."""
-    hits: dict[str, set[int]] = defaultdict(set)
-    left: dict[int, tuple[CodeType, set[int]]] = {}
+    left: dict[int, tuple[CodeType, set[int]]] = {}  # the code keeps its id alive
 
     def on_call(frame, event, arg):
         code = frame.f_code
         if code.co_filename not in files:
             return None
-        entry = left.get(id(code))  # the tuple keeps the code (and id) alive
-        if entry is None:
-            entry = left[id(code)] = (code, _lines(code))
-        todo = entry[1]
+        if id(code) not in left:
+            left[id(code)] = (code, _lines(code))
+        todo = left[id(code)][1]  # the lines not yet run
         if not todo:
             return None
-        seen = hits[code.co_filename]
-        seen.add(code.co_firstlineno)
-        todo.discard(code.co_firstlineno)
 
         def on_line(frame, event, arg):
             if event == "line":
-                seen.add(frame.f_lineno)
                 todo.discard(frame.f_lineno)
             return on_line
         return on_line
 
     sys.settrace(on_call)
-    return hits
-
-
-def _repro(argv: str, expect: int = 0) -> None:
-    from repro.cli import main
-    assert main(argv.split()) == expect, argv
+    return left
 
 
 def child(part: int) -> None:
-    """Run one half of the entry points; print the executed lines as JSON."""
+    """Print as JSON the (file, line) pairs ``repro all --scale quick --jobs 1``
+    (part 0) or the examples, perfbench cases and ``QUERIES`` (part 1) run."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
-    hits = _trace(set(_modules()))
+    left = _trace(set(MODULES))
+    from repro.cli import main  # imported traced, as the examples are
     with tempfile.TemporaryDirectory() as tmp, open(os.devnull, "w") as null, \
             contextlib.redirect_stdout(null), contextlib.redirect_stderr(null):
-        if part == 0:
-            _repro(f"all --scale quick --jobs 1 --out {tmp}")
-        else:
+        runs = [f"all --scale quick --jobs 1 --out {tmp}"]
+        if part:
             for example in sorted((ROOT / "examples").glob("*.py")):
                 sys.argv = [str(example)]
                 runpy.run_path(str(example), run_name="__main__")
-            for argv, expect in CI_QUERIES:
-                _repro("query " + argv, expect)
             from perfbench import workloads
-            for build in (workloads.build_paper, workloads.build_dense,
-                          workloads.build_inputs):
+            for build in (workloads.build_paper, workloads.build_dense, workloads.build_inputs):
                 for case in build(7, Path(tmp)):
                     case.inspect(case.run())
-            for argv in QUERIES:
-                _repro("query " + argv)
+            runs = ["query " + argv for argv in QUERIES]
+        for argv in runs:
+            assert main(argv.split()) == 0, argv
     sys.settrace(None)
-    print(json.dumps({name: sorted(lines) for name, lines in hits.items()}))
+    print(json.dumps(sorted((code.co_filename, line) for code, todo in left.values()
+                            for line in _lines(code) - todo)))
 
 
-def ranges(hits: dict[str, set[int]]) -> list[tuple[str, str, str, int, int, int]]:
+def ranges(ran: set[tuple[str, int]]) -> list[tuple[str, str, str, int, int, int]]:
     """(module, qualified name, first source line, first, last, lines) of
     every unexecuted range, in source order."""
     found = []
-    for filename, module in _modules().items():
+    for filename, module in MODULES.items():
         text = Path(filename).read_text()
-        lines, ran = text.splitlines(), hits.get(filename, set())
+        lines = text.splitlines()
         for code in _functions(compile(text, filename, "exec")):
-            run: list[int] = []
-            for line in sorted(_lines(code)) + [0]:
-                if line and line not in ran:
-                    run.append(line)
-                elif run:
+            for hit, group in groupby(sorted(_lines(code)),
+                                      key=lambda line: (filename, line) in ran):
+                if not hit:
+                    run = list(group)
                     found.append((module, code.co_qualname, lines[run[0] - 1].strip(),
                                   run[0], run[-1], len(run)))
-                    run = []
     return sorted(found, key=lambda r: (r[0], r[3]))
 
 
 def load_allow(path: Path = ALLOW) -> dict[tuple[str, str, str], tuple[str, str]]:
     """(module, qualified name, first source line) -> (reason, evidence)."""
-    entries = {}
-    for raw in path.read_text().splitlines():
-        if raw.strip() and not raw.startswith("#"):
-            module, qualname, reason, evidence, first = raw.split(" | ", 4)
-            entries[module, qualname, first] = (reason, evidence)
-    return entries
+    rows = (raw.split(" | ", 4) for raw in path.read_text().splitlines()
+            if raw.strip() and not raw.startswith("#"))
+    return {(module, qualname, first): (reason, evidence)
+            for module, qualname, reason, evidence, first in rows}
 
 
 def main(argv: list[str]) -> int:
@@ -175,14 +144,13 @@ def main(argv: list[str]) -> int:
     halves = [subprocess.Popen(
         [sys.executable, "-c", f"from tools.census import child; child({part})"],
         cwd=ROOT, env=env, stdout=subprocess.PIPE, text=True) for part in (0, 1)]
-    hits: dict[str, set[int]] = defaultdict(set)
+    ran: set[tuple[str, int]] = set()
     for half in halves:
         out, _ = half.communicate()
         if half.returncode:
             sys.exit(f"census: an entry point failed (exit {half.returncode})")
-        for name, lines in json.loads(out).items():
-            hits[name].update(lines)
-    allow, found = load_allow(), ranges(hits)
+        ran.update(map(tuple, json.loads(out)))
+    allow, found = load_allow(), ranges(ran)
     for module, qualname, first, start, end, _ in found:
         reason = allow.get((module, qualname, first), ("UNLISTED",))[0]
         print(f"{module}:{start}-{end}  {qualname}  [{reason}]  {first}")
@@ -192,7 +160,7 @@ def main(argv: list[str]) -> int:
         print(f"stale: {module} {qualname} now runs: {first}")
     print(f"{len(found)} ranges, {sum(r[5] for r in found)} lines;"
           f" {len(unlisted)} unlisted, {len(stale)} stale")
-    return 1 if "--check" in argv and (unlisted or stale) else 0
+    return 1 if argv and (unlisted or stale) else 0
 
 
 if __name__ == "__main__":
