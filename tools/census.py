@@ -1,7 +1,6 @@
 """Line census: the code in core/, dataflow/ and storage/ no entry point runs.
 
-Prints each unexecuted line range of a function there (module and class
-bodies, so ``if TYPE_CHECKING:``, are not counted) with its reason from
+Prints each unexecuted line range of a function there with its reason from
 ``tools/census_allow.txt``; ``--check`` exits 1 on an unlisted range or a
 listed one that now runs (DESIGN.md section 14).
 """
@@ -21,21 +20,17 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
 SCOPE = ("core", "dataflow", "storage")
 EXCLUDED = {"core/features.py"}  # the protocol table docs and tests read
-ALLOW = ROOT / "tools" / "census_allow.txt"
-REASONS = ("guard", "reference", "analysis", "mechanism", "bug")
 PROTOCOLS = ("coor", "coor-unaligned", "unc", "cic")
 NEXMARK = ("q1", "q3", "q5", "q8", "q12")
+STATEFUL = [f"{p} --state-backend {b}" for p in PROTOCOLS for b in ("full", "changelog")]
 KILLS = " --parallelism 3 --duration 12 --warmup 2 --checkpoint-interval 2"
 TRACE = KILLS + " --failure-scenario trace:5@0;9@1"
 QUERIES = (  # CI's two query runs, then kills at a 2 s interval that restore chains
     ["q12 --protocol unc --warmup 2 --parallelism 2 --rate 200 --duration 12 --shards 2"
      " --jobs 1 --failure-scenario trace:3@0;7@1", "q12 --protocol unc --warmup 2"
      " --parallelism 4 --rate 300 --duration 20 --failure-scenario trace:3@0;9@1;15@2"]
-    + [f"{q} --protocol none{TRACE}" for q in NEXMARK]
-    + [f"{q} --protocol {p} --state-backend {b}{TRACE}"
-       for q in NEXMARK for p in PROTOCOLS for b in ("full", "changelog")]
-    + [f"reachability --protocol {p} --state-backend {b}{TRACE}"
-       for p in ("unc", "cic") for b in ("full", "changelog")]
+    + [f"{q} --protocol {p}{TRACE}" for q in NEXMARK for p in ("none", *STATEFUL)]
+    + [f"reachability --protocol {p}{TRACE}" for p in STATEFUL[4:]]  # unc, cic: no COOR
     + [f"q12 --protocol {p} --rescale-to {n}{TRACE}" for p in PROTOCOLS for n in (2, 5)]
     + [f"q12 --protocol {p} --rate 504 --hot-ratio 0.3 --channel-capacity 1024{TRACE}"
        for p in PROTOCOLS]  # 0.8 x capacity: senders park
@@ -57,54 +52,44 @@ def _functions(code: CodeType):
     for const in code.co_consts:
         if isinstance(const, CodeType):
             if const.co_flags & 1 and const.co_name not in INLINED:
-                yield const  # CO_OPTIMIZED: a function, not a module or class body
+                yield const  # CO_OPTIMIZED: a function, no module, class or TYPE_CHECKING body
             yield from _functions(const)
 
 
-def _trace(files: set[str]) -> dict[int, tuple[CodeType, set[int]]]:
-    """Install the tracer; a function stops being traced once all its
-    lines ran, so hot code runs at full speed after its first calls."""
+def child(part: int) -> None:
+    """Print as JSON the (file, line) pairs ``repro all --scale quick --jobs 1``
+    (part 0) or the examples, perfbench cases and ``QUERIES`` (part 1) run;
+    a function's tracing stops once all its lines ran, so hot code is fast."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     left: dict[int, tuple[CodeType, set[int]]] = {}  # the code keeps its id alive
 
     def on_call(frame, event, arg):
         code = frame.f_code
-        if code.co_filename not in files:
+        if code.co_filename not in MODULES:
             return None
         if id(code) not in left:
             left[id(code)] = (code, _lines(code))
         todo = left[id(code)][1]  # the lines not yet run
-        if not todo:
-            return None
 
         def on_line(frame, event, arg):
             if event == "line":
                 todo.discard(frame.f_lineno)
             return on_line
-        return on_line
+        return on_line if todo else None
 
     sys.settrace(on_call)
-    return left
-
-
-def child(part: int) -> None:
-    """Print as JSON the (file, line) pairs ``repro all --scale quick --jobs 1``
-    (part 0) or the examples, perfbench cases and ``QUERIES`` (part 1) run."""
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
-    left = _trace(set(MODULES))
     from repro.cli import main  # imported traced, as the examples are
     with tempfile.TemporaryDirectory() as tmp, open(os.devnull, "w") as null, \
             contextlib.redirect_stdout(null), contextlib.redirect_stderr(null):
-        runs = [f"all --scale quick --jobs 1 --out {tmp}"]
         if part:
             for example in sorted((ROOT / "examples").glob("*.py")):
-                sys.argv = [str(example)]
                 runpy.run_path(str(example), run_name="__main__")
             from perfbench import workloads
             for build in (workloads.build_paper, workloads.build_dense, workloads.build_inputs):
                 for case in build(7, Path(tmp)):
                     case.inspect(case.run())
-            runs = ["query " + argv for argv in QUERIES]
-        for argv in runs:
+        for argv in (["query " + query for query in QUERIES] if part
+                     else [f"all --scale quick --jobs 1 --out {tmp}"]):
             assert main(argv.split()) == 0, argv
     sys.settrace(None)
     print(json.dumps(sorted((code.co_filename, line) for code, todo in left.values()
@@ -128,9 +113,10 @@ def ranges(ran: set[tuple[str, int]]) -> list[tuple[str, str, str, int, int, int
     return sorted(found, key=lambda r: (r[0], r[3]))
 
 
-def load_allow(path: Path = ALLOW) -> dict[tuple[str, str, str], tuple[str, str]]:
+def load_allow() -> dict[tuple[str, str, str], tuple[str, str]]:
     """(module, qualified name, first source line) -> (reason, evidence)."""
-    rows = (raw.split(" | ", 4) for raw in path.read_text().splitlines()
+    text = (ROOT / "tools" / "census_allow.txt").read_text()
+    rows = (raw.split(" | ", 4) for raw in text.splitlines()
             if raw.strip() and not raw.startswith("#"))
     return {(module, qualname, first): (reason, evidence)
             for module, qualname, reason, evidence, first in rows}
@@ -140,16 +126,13 @@ def main(argv: list[str]) -> int:
     """Run both halves, print the report; ``--check`` gates on the list."""
     if argv not in ([], ["--check"]):
         sys.exit("usage: python -m tools.census [--check]")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     halves = [subprocess.Popen(
         [sys.executable, "-c", f"from tools.census import child; child({part})"],
-        cwd=ROOT, env=env, stdout=subprocess.PIPE, text=True) for part in (0, 1)]
-    ran: set[tuple[str, int]] = set()
-    for half in halves:
-        out, _ = half.communicate()
-        if half.returncode:
-            sys.exit(f"census: an entry point failed (exit {half.returncode})")
-        ran.update(map(tuple, json.loads(out)))
+        cwd=ROOT, stdout=subprocess.PIPE, text=True) for part in (0, 1)]
+    outs = [half.communicate()[0] for half in halves]  # both end before any exit
+    if any(half.returncode for half in halves):
+        sys.exit("census: an entry point failed")
+    ran = {tuple(pair) for out in outs for pair in json.loads(out)}
     allow, found = load_allow(), ranges(ran)
     for module, qualname, first, start, end, _ in found:
         reason = allow.get((module, qualname, first), ("UNLISTED",))[0]
