@@ -302,10 +302,12 @@ _SPLIT_PARALLELISM = 4
 
 
 def _three_edge_router(batch_max, blocked):
-    """KEY + FORWARD + BROADCAST edges, some (edge, dst) pairs parked."""
+    """KEY + FORWARD + a second KEY edge on another key, some (edge, dst)
+    pairs parked."""
     edges = [make_edge(Partitioning.KEY, key_fn=lambda p: p, edge_id=0),
              make_edge(Partitioning.FORWARD, edge_id=1),
-             make_edge(Partitioning.BROADCAST, edge_id=2)]
+             make_edge(Partitioning.KEY, key_fn=lambda p: (p, "b"),
+                       edge_id=2)]
     router = RouterBuffer(edges, 1, _SPLIT_PARALLELISM, DEFAULT_MAX_KEY_GROUPS,
                           batch_max)
     for edge_id, dst in blocked:
@@ -376,7 +378,7 @@ def test_route_batch_is_split_invariant(rows, cuts, batch_max, blocked):
     # the counters are the truth about the buffers, not just consistent
     staged, n_ready, staged_records, _ = states["whole"]
     assert staged_records == sum(n for _, n in staged.values()) == len(
-        records) * (2 + _SPLIT_PARALLELISM)
+        records) * 3
     assert n_ready == sum(1 for pair, (_, n) in staged.items()
                           if n >= batch_max and pair not in blocked)
     # and every record staged leaves by one drain or the other
