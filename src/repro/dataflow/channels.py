@@ -85,33 +85,23 @@ class KeyDestinations:
     (a plain ``dict.get``) and calls :meth:`derive` on a miss.  An
     unsupported key type raises ``TypeError`` from :func:`hash_key`
     before anything is stored, on every occurrence.
-
-    The table calls the two hash functions it was *created with* and is
-    registered under them, so its entries are only ever served to
-    routers whose ``hash_key`` / ``key_group`` are the ones that
-    computed them (a test replacing either gets a table of its own).
     """
 
-    __slots__ = ("entries", "_hash_key", "_key_group", "_parallelism",
-                 "_max_key_groups")
+    __slots__ = ("entries", "_parallelism", "_max_key_groups")
 
     #: entries a table may hold; one more distinct key empties it first,
     #: which bounds memory against pathological key cardinalities
     MAX_ENTRIES = 1 << 17
 
-    def __init__(self, hash_fn: Callable[[Any], int],
-                 group_fn: Callable[[int, int], int],
-                 parallelism: int, max_key_groups: int) -> None:
+    def __init__(self, parallelism: int, max_key_groups: int) -> None:
         self.entries: dict[Any, int] = {}
-        self._hash_key = hash_fn
-        self._key_group = group_fn
         self._parallelism = parallelism
         self._max_key_groups = max_key_groups
 
     def derive(self, routing_key: Any) -> int:
         """Derive, memoise and return the destination of a new key."""
         max_groups = self._max_key_groups
-        group = self._key_group(self._hash_key(routing_key), max_groups)
+        group = key_group(hash_key(routing_key), max_groups)
         dst = group * self._parallelism // max_groups  # = group_owner(...)
         entries = self.entries
         if len(entries) >= self.MAX_ENTRIES:
@@ -120,14 +110,14 @@ class KeyDestinations:
         return dst
 
 
-#: (hash_key, key_group, parallelism, max_key_groups) -> the one table
-_KEY_DESTINATIONS: dict[tuple[Any, Any, int, int], KeyDestinations] = {}
+#: (parallelism, max_key_groups) -> the one table
+_KEY_DESTINATIONS: dict[tuple[int, int], KeyDestinations] = {}
 
 
 def key_destinations(parallelism: int,
                      max_key_groups: int) -> KeyDestinations:
     """The process-wide :class:`KeyDestinations` of one key-space shape."""
-    shape = (hash_key, key_group, parallelism, max_key_groups)
+    shape = (parallelism, max_key_groups)
     table = _KEY_DESTINATIONS.get(shape)
     if table is None:
         table = _KEY_DESTINATIONS[shape] = KeyDestinations(*shape)
@@ -147,8 +137,8 @@ class RouterBuffer:
     are summed once, when it is gated or leaves — the drains return
     ``(edge, dst, records, bytes)`` — never per routed row.
 
-    Routing is precomputed per edge at construction: FORWARD and BROADCAST
-    destinations are constant, KEY edges read the process-wide
+    Routing is precomputed per edge at construction: a FORWARD edge's one
+    destination is the producer's own index, KEY edges read the process-wide
     :class:`KeyDestinations` table of the deployment's shape.  Staged and
     batch-ready record counts are tracked incrementally, so the per-message
     ``take_ready`` poll and the per-linger-tick staged check are O(1) when
@@ -181,22 +171,19 @@ class RouterBuffer:
         }
         #: (edge_id, dst) pairs parked by credit exhaustion
         self._blocked: set[tuple[int, int]] = set()
-        #: per edge: (edge_id, dst buffers, static destinations | None,
+        #: per edge: (edge_id, dst buffers, FORWARD destination | None,
         #: key_fn, memoised routing key -> destination, its miss handler)
-        self._plans: list[tuple[int, dict, tuple[int, ...] | None, Any,
-                               Any, Any]] = []
+        self._plans: list[tuple[int, dict, int | None, Any, Any, Any]] = []
         for edge in edges:
-            static: tuple[int, ...] | None = None
+            forward: int | None = None
             lookup = derive = None
             if edge.partitioning is Partitioning.FORWARD:
-                static = (src_index,)
-            elif edge.partitioning is Partitioning.BROADCAST:
-                static = tuple(range(parallelism))
+                forward = src_index
             else:
                 table = key_destinations(parallelism, max_key_groups)
                 lookup, derive = table.entries.get, table.derive
             self._plans.append(
-                (edge.edge_id, self._by_edge[edge.edge_id], static,
+                (edge.edge_id, self._by_edge[edge.edge_id], forward,
                  edge.key_fn, lookup, derive)
             )
         self._staged = 0
@@ -208,7 +195,7 @@ class RouterBuffer:
         Buffers are created in first-occurrence order of their destination
         and become ready exactly when a record crosses the batch threshold,
         so the staged state does not depend on how the producer's output
-        happened to be batched.  FORWARD/BROADCAST edges extend the
+        happened to be batched.  A FORWARD edge extends its one
         destination's four columns with the batch's; KEY edges append row
         by row onto them (one probe of the shared
         :class:`KeyDestinations` table per record).  At the paper's rates
@@ -229,21 +216,20 @@ class RouterBuffer:
         blocked = self._blocked
         n_ready = 0
         staged = 0
-        for edge_id, buffers, static, key_fn, lookup, derive in self._plans:
-            if static is not None:  # FORWARD / BROADCAST: constant destinations
-                for dst in static:
-                    buf = buffers.get(dst)
-                    if buf is None:
-                        buf = buffers[dst] = RecordBatch([], [], [], [])
-                    before = len(buf.rids)
-                    buf.rids.extend(rids)
-                    buf.payloads.extend(payloads)
-                    buf.source_ts.extend(source_ts)
-                    buf.sizes.extend(sizes)
-                    if before < batch_max <= before + n \
-                            and (edge_id, dst) not in blocked:
-                        n_ready += 1
-                staged += n * len(static)
+        for edge_id, buffers, forward, key_fn, lookup, derive in self._plans:
+            if forward is not None:  # FORWARD: instance i -> instance i
+                buf = buffers.get(forward)
+                if buf is None:
+                    buf = buffers[forward] = RecordBatch([], [], [], [])
+                before = len(buf.rids)
+                buf.rids.extend(rids)
+                buf.payloads.extend(payloads)
+                buf.source_ts.extend(source_ts)
+                buf.sizes.extend(sizes)
+                if before < batch_max <= before + n \
+                        and (edge_id, forward) not in blocked:
+                    n_ready += 1
+                staged += n
                 continue
             # KEY partitioning: one memoised probe and four appends per
             # row; the crc32 double hash (hash_key + key_group) runs once
@@ -364,16 +350,17 @@ class RouterBuffer:
         sending instance); returns the sum of what it returned.  The
         owner is passed through rather than bound with ``partial``, which
         measured 1.4 % of ``paper``.
+
+        Only for a router no gate drains: a pair is blocked only when a
+        credit gate refuses it, so on unbounded channels nothing is
+        parked and the blocked set needs no upkeep here.
         """
         cost = 0.0
-        blocked = self._blocked
         for edge_id, buffers in self._by_edge.items():
             if buffers:
                 for dst, records in buffers.items():
                     cost += send(owner, edge_id, dst, records,
                                  sum(records.sizes))
-                    if blocked:
-                        blocked.discard((edge_id, dst))
                 buffers.clear()
         self._staged = self._n_ready = 0
         return cost

@@ -1,7 +1,7 @@
 """Logical dataflow graphs.
 
 A graph is a set of named operators and directed edges.  Edges carry a
-partitioning strategy (forward / key-hash / broadcast) and a destination
+partitioning strategy (forward / key-hash) and a destination
 *port* so multi-input operators (joins) can tell their inputs apart.
 A graph may have cycles; the coordinated protocols reject them at
 deployment, exactly as in the paper (Section III-A drawbacks).
@@ -29,8 +29,6 @@ class Partitioning(enum.Enum):
     FORWARD = "forward"
     #: route by hash of a key extracted from the record payload
     KEY = "key"
-    #: every record goes to every consumer instance
-    BROADCAST = "broadcast"
 
 
 @dataclass(frozen=True)
@@ -185,70 +183,28 @@ class LogicalGraph:
         return "\n".join(lines)
 
 
-def validate_deployment(graph: LogicalGraph,
-                        op_parallelism: dict[str, int],
-                        max_key_groups: int) -> None:
-    """Check the physical-deployment invariants for a parallelism map.
-
-    ``op_parallelism`` gives the parallel instance count per operator (a
-    uniform job today, but the checks hold per operator so a future
-    per-operator rescale cannot silently violate them):
-
-    * every parallelism is positive and within the key-group space (an
-      instance with no key groups could never receive keyed records);
-    * a FORWARD edge connects equal parallelisms — instance ``i`` sends to
-      instance ``i``, which does not exist otherwise.
-    """
-    from repro.dataflow.keygroups import validate_key_space
-
-    for name, parallelism in op_parallelism.items():
-        if parallelism <= 0:
-            raise GraphError(f"operator {name!r}: parallelism must be "
-                             f"positive, got {parallelism}")
-        validate_key_space(parallelism, max_key_groups, context=f"operator {name!r} parallelism")
-    for edge in graph.edges:
-        if edge.partitioning is Partitioning.FORWARD:
-            src_p = op_parallelism[edge.src]
-            dst_p = op_parallelism[edge.dst]
-            if src_p != dst_p:
-                raise GraphError(
-                    f"FORWARD edge {edge.src}->{edge.dst} connects unequal "
-                    f"parallelisms {src_p} != {dst_p}; forward routing is "
-                    "instance i -> instance i"
-                )
-
-
 def validate_rescale(graph: LogicalGraph, from_parallelism: int,
                      to_parallelism: int, max_key_groups: int) -> None:
     """Check that a checkpoint taken at ``from_parallelism`` can be
     restored at ``to_parallelism``.
 
-    Beyond the deployment invariants of the target, rescaled restores can
-    only re-shard state that is addressed by key groups:
-
-    * a stateful non-source operator must be fed exclusively by KEY edges
-      (its keyed state is split/merged along the routing groups; state
-      behind a FORWARD edge has no key address to move it by);
-    * BROADCAST edges are rejected outright — every old instance saw every
-      record, so per-instance dedup sets cannot be re-sharded soundly.
+    The target must be a positive parallelism within the key-group space
+    (an instance with no key groups could never receive keyed records).
+    A rescaled restore can then only re-shard state that is addressed by
+    key groups: a stateful non-source operator must be fed exclusively by
+    KEY edges (its keyed state is split/merged along the routing groups;
+    state behind a FORWARD edge has no key address to move it by).
 
     Sources are exempt: their state is the per-partition input cursor,
     re-bound by the partition assignment instead of key groups.
     """
-    validate_deployment(
-        graph,
-        {name: to_parallelism for name in graph.operators},
-        max_key_groups,
-    )
+    from repro.dataflow.keygroups import validate_key_space
+
+    validate_key_space(to_parallelism, max_key_groups,
+                       context="rescale target parallelism")
     if to_parallelism == from_parallelism:
         return
     for edge in graph.edges:
-        if edge.partitioning is Partitioning.BROADCAST:
-            raise GraphError(
-                f"cannot rescale {from_parallelism}->{to_parallelism}: "
-                f"BROADCAST edge {edge.src}->{edge.dst} duplicates records "
-                "across instances, so their effects cannot be re-sharded"
-            )
         dst = graph.operators[edge.dst]
         if (dst.stateful and not dst.is_source
                 and edge.partitioning is not Partitioning.KEY):

@@ -62,15 +62,18 @@ def group_owner(group: int, parallelism: int, max_key_groups: int) -> int:
     return group * parallelism // max_key_groups
 
 
-def validate_key_space(parallelism: int, max_key_groups: int,
+def validate_key_space(count: int, max_key_groups: int,
                        context: str = "parallelism") -> None:
-    """Reject deployments that cannot spread groups over all instances
-    (or shards); ``context`` names what ``parallelism`` counts."""
+    """Reject a deployment that cannot spread groups over all ``count``
+    instances (or shards): a count that is not positive, or one above
+    the key-group space; ``context`` names what ``count`` counts."""
+    if count <= 0:
+        raise GraphError(f"{context} must be positive, got {count}")
     if max_key_groups <= 0:
         raise GraphError(f"{context}: max_key_groups must be positive, "
                          f"got {max_key_groups}")
-    if parallelism > max_key_groups:
+    if count > max_key_groups:
         raise GraphError(
-            f"{context} {parallelism} exceeds max_key_groups "
+            f"{context} {count} exceeds max_key_groups "
             f"{max_key_groups}; some would own no key groups"
         )

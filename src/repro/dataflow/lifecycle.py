@@ -437,7 +437,7 @@ class LifecycleManager:
                             (edge.edge_id, src, dst),
                             RecordBatch([], [], [], [])
                         ).extend_select(batch, idxs)
-                else:  # FORWARD (BROADCAST was rejected by validation)
+                else:  # FORWARD
                     buckets.setdefault(
                         (edge.edge_id, src, src),
                         RecordBatch([], [], [], [])).extend(batch)

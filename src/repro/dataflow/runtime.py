@@ -120,8 +120,6 @@ class Job:
         inputs: dict[str, PartitionedLog],
         config: RuntimeConfig | None = None,
     ) -> None:
-        if parallelism <= 0:
-            raise ValueError("parallelism must be positive")
         self.graph = graph
         self.parallelism = parallelism
         #: the deployed parallelism, which is also the number of

@@ -434,8 +434,8 @@ class InstanceRuntime(OperatorContext):
         ``parts`` holds the :func:`folded_snapshot` of each old instance
         of this operator, in instance order.  Keyed state is merged from
         the group slices this instance now owns; dedup sets are the union
-        of every contributor's (sound because a rescalable graph has no
-        BROADCAST edges: a lineage id was only ever processed where its
+        of every contributor's (sound because every edge routes a record
+        to one instance: a lineage id was only ever processed where its
         key routed, so a hit in the union implies the effect is in the
         merged state).  Channel cursors reset — the rescaled topology is a
         fresh channel epoch and exactly-once across it rests on rid dedup.

@@ -17,9 +17,7 @@ Soundness rests on key-group isolation, checked structurally by
   record" is exactly "which key-group range owns it";
 * no edge downstream of a source is KEY-partitioned — a re-keying
   exchange could merge records of *different* source keys into one
-  aggregate, which a key-group split would silently compute per shard;
-* no BROADCAST edges — a broadcast record's effects are duplicated
-  across instances and cannot be attributed to one key group.
+  aggregate, which a key-group split would silently compute per shard.
 
 Under those checks every input record's entire downstream effect (derived
 records, keyed state, sink outputs) stays inside its own shard, so for a
@@ -64,7 +62,7 @@ class ShardingError(GraphError):
 def validate_shardable(graph: LogicalGraph) -> None:
     """Reject topologies whose runs do not decompose along key groups.
 
-    The three structural conditions (module docstring) are *sufficient*
+    The two structural conditions (module docstring) are *sufficient*
     for records of different key groups to never meet: all keyed exchange
     happens on the source key, so the run is a disjoint union of per-group
     sub-runs.  Operators must additionally be key-local — their state and
@@ -73,12 +71,6 @@ def validate_shardable(graph: LogicalGraph) -> None:
     ``tests/test_sharding.py`` audit it for the shipped pipelines.
     """
     for edge in graph.edges:
-        if edge.partitioning is Partitioning.BROADCAST:
-            raise ShardingError(
-                f"cannot shard: BROADCAST edge {edge.src}->{edge.dst} "
-                "duplicates records across instances, so their effects "
-                "cannot be attributed to one key group"
-            )
         if graph.operators[edge.src].is_source:
             if edge.partitioning is not Partitioning.KEY:
                 raise ShardingError(
@@ -183,8 +175,6 @@ def shard_requests(request: "RunRequest",
             f"request is already shard {request.shard_index}/"
             f"{request.shard_count}; shards cannot be re-sharded"
         )
-    if shard_count < 1:
-        raise ShardingError(f"shard_count must be >= 1, got {shard_count}")
     validate_key_space(shard_count, request.max_key_groups,
                        context="shard count")
     return [replace(request, shard_index=index, shard_count=shard_count)

@@ -81,11 +81,6 @@ def test_forward_routes_to_same_index():
     assert routed_dsts(make_edge(Partitioning.FORWARD), 2, 4, rec(99)) == [2]
 
 
-def test_broadcast_routes_everywhere():
-    assert routed_dsts(make_edge(Partitioning.BROADCAST), 0, 3, rec(1)) \
-        == [0, 1, 2]
-
-
 def test_key_routing_follows_key_groups():
     """KEY routing is key -> crc32 group -> owning instance."""
     from repro.dataflow.keygroups import group_owner, group_range, key_group
@@ -254,40 +249,6 @@ def test_unsupported_key_type_raises_on_every_occurrence(key):
         assert key not in key_destinations(4, 128).entries
     except TypeError:
         pass  # unhashable: it cannot be in any dict
-
-
-def test_replaced_hash_functions_get_a_table_of_their_own(monkeypatch):
-    """The table is registered under the functions that fill it.
-
-    A test that swaps ``hash_key`` or ``key_group`` is never served a
-    destination the real ones derived, a router built before the swap
-    keeps deriving with the functions its table was created with, and
-    nothing the fakes derived is left behind for the next test.
-    """
-    import repro.dataflow.channels as channels
-
-    keys = list(range(300, 340))
-    real = _expected(keys, 4)
-    before = _key_router(4)
-    assert _routed(before, keys) == real  # the real table holds them now
-    real_table = channels.key_destinations(4, 128)
-
-    monkeypatch.setattr(channels, "hash_key", lambda key: 12345)
-    everything_on_one = _expected([12345], 4) * len(keys)
-    assert everything_on_one != real
-    assert _routed(_key_router(4), keys) == everything_on_one
-    assert channels.key_destinations(4, 128) is not real_table
-    # new keys through the router that predates the swap: the real hash
-    more = list(range(900, 940))
-    assert _routed(before, more) == _expected(more, 4)
-    monkeypatch.undo()
-
-    monkeypatch.setattr(channels, "key_group", lambda key_hash, groups: 127)
-    assert _routed(_key_router(4), keys) == [3] * len(keys)
-    monkeypatch.undo()
-
-    assert channels.key_destinations(4, 128) is real_table
-    assert _routed(_key_router(4), keys + more) == _expected(keys + more, 4)
 
 
 # --------------------------------------------------------------------- #

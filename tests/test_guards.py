@@ -4,11 +4,11 @@ The line census (``python -m tools.census``, DESIGN.md section 14)
 finds these guards unexecuted by every real run and lists each in
 ``tools/census_allow.txt`` under the test here that shows its input:
 a stale upload or metadata message after a rescale, a non-positive
-rescale target, a poll interval turned NaN, a hand-built history no
-run can record, an operator used outside a runtime, a task kind the
-worker does not know.  The base
-protocol hooks the engine elides are listed as the reference
-``test_an_elided_hook_is_the_base_no_op`` compares the real path with.
+rescale target or shard count, a poll interval turned NaN, a hand-built
+history no run can record, an operator used outside a runtime, a task
+kind the worker does not know.  The base protocol hooks the engine
+elides are listed as the reference ``test_an_elided_hook_is_the_base_no_op``
+compares the real path with.
 """
 
 import math
@@ -26,6 +26,8 @@ from repro.dataflow.operators import Operator, OperatorContext, WindowedCountOpe
 from repro.dataflow.results import RunResult
 from repro.dataflow.runtime import Job
 from repro.dataflow.records import StreamRecord
+from repro.experiments.parallel import RunRequest
+from repro.experiments.sharding import shard_requests
 from repro.metrics.collectors import KIND_COOR, MetricsCollector, RecoveryRecord
 from repro.sim.costs import CostModel, RuntimeConfig
 from repro.sim.simulator import SimulationError
@@ -123,6 +125,15 @@ def test_a_non_positive_rescale_target_is_refused(target):
     caller's 0 would skip the rescale and a -1 fail mid-run."""
     with pytest.raises(GraphError, match="parallelism must be positive"):
         _job(failure_at=3.0, rescale_to=target)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_a_non_positive_shard_count_is_refused(count):
+    """``--shards`` is parsed as a positive int, so only a library caller
+    reaches the key-space check with a count below one."""
+    request = RunRequest("q12", "unc", 2, 100.0)
+    with pytest.raises(GraphError, match="shard count must be positive"):
+        shard_requests(request, count)
 
 
 def test_a_run_down_for_its_whole_window_has_no_goodput():

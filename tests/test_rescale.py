@@ -21,7 +21,6 @@ from repro.dataflow.graph import (
     GraphError,
     LogicalGraph,
     Partitioning,
-    validate_deployment,
     validate_rescale,
 )
 from repro.dataflow.runtime import Job
@@ -226,24 +225,6 @@ def test_rescale_rejected_for_forward_fed_stateful_operator():
         validate_rescale(graph, 4, 6, 128)
     # restoring at the same parallelism needs no resharding: allowed
     validate_rescale(graph, 4, 4, 128)
-
-
-def test_rescale_rejected_for_broadcast_edges():
-    graph = LogicalGraph("bcast")
-    from repro.dataflow.operators import SinkOperator, SourceOperator
-
-    graph.add_source("src", "events", SourceOperator)
-    graph.add_operator("sink", SinkOperator)
-    graph.connect("src", "sink", Partitioning.BROADCAST)
-    with pytest.raises(GraphError, match="BROADCAST"):
-        validate_rescale(graph, 4, 6, 128)
-
-
-def test_validate_deployment_catches_forward_mismatch():
-    graph = build_count_graph()
-    with pytest.raises(GraphError, match="unequal parallelisms"):
-        validate_deployment(graph, {"src": 4, "count": 4, "sink": 6}, 128)
-    validate_deployment(graph, {"src": 4, "count": 4, "sink": 4}, 128)
 
 
 # --------------------------------------------------------------------- #

@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.dataflow.graph import LogicalGraph, Partitioning
-from repro.dataflow.operators import SinkOperator, SourceOperator
 from repro.dataflow.runtime import Job
 from repro.sim.costs import RuntimeConfig
 
@@ -154,19 +152,6 @@ def test_no_protocol_bytes_without_checkpoints():
     result = job.run()
     assert result.metrics.protocol_bytes == 0
     assert result.metrics.overhead_ratio() == 1.0
-
-
-def test_broadcast_edge_reaches_all_instances():
-    graph = LogicalGraph("bcast")
-    graph.add_source("src", "events", SourceOperator)
-    graph.add_operator("sink", SinkOperator)
-    graph.connect("src", "sink", Partitioning.BROADCAST)
-    log = make_event_log(100.0, 4.0, 2)
-    job = Job(graph, "none", 2, {"events": log},
-              RuntimeConfig(duration=6.0, warmup=1.0, failure_at=None))
-    result = job.run()
-    # every record is duplicated to both sink instances
-    assert sum(result.metrics.sink_counts.values()) == 2 * len(log)
 
 
 def test_sustainable_run_reports_sustainable():

@@ -134,7 +134,7 @@ def test_shard_inputs_reject_out_edges_that_disagree_on_the_owner():
 
 
 def _graph_with(source_partitioning=Partitioning.KEY,
-                rekeyed=False, broadcast=False) -> LogicalGraph:
+                rekeyed=False) -> LogicalGraph:
     graph = LogicalGraph("probe")
     graph.add_source("src", "events", SourceOperator)
     graph.add_operator("count", CountPerKeyOperator, stateful=True)
@@ -143,8 +143,6 @@ def _graph_with(source_partitioning=Partitioning.KEY,
     graph.connect("src", "count", source_partitioning, key_fn=key_fn)
     if rekeyed:
         graph.connect("count", "sink", Partitioning.KEY, key_fn=lambda e: e.value)
-    elif broadcast:
-        graph.connect("count", "sink", Partitioning.BROADCAST)
     else:
         graph.connect("count", "sink", Partitioning.FORWARD)
     return graph
@@ -162,11 +160,6 @@ def test_validate_shardable_rejects_forward_source_edge():
 def test_validate_shardable_rejects_downstream_rekeying():
     with pytest.raises(ShardingError, match="re-keys"):
         validate_shardable(_graph_with(rekeyed=True))
-
-
-def test_validate_shardable_rejects_broadcast():
-    with pytest.raises(ShardingError, match="BROADCAST"):
-        validate_shardable(_graph_with(broadcast=True))
 
 
 def test_sharding_error_is_a_graph_error():

@@ -21,7 +21,7 @@ as its context), KEY and FORWARD ``RouterBuffer.route_batch`` +
     python tools/batch_constants.py --calls --max-hop-calls 22 \
         --max-admit-calls 1 --max-restored-admit-calls 5 \
         --max-count-calls 20 --max-key-route-calls 17 \
-        --max-forward-route-calls 16
+        --max-forward-route-calls 15
 
 Without ``--calls`` it prints per stage the microseconds per call (the
 fastest of ``--reps`` repetitions) and the fitted ``a + b*n`` (least
