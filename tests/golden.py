@@ -10,6 +10,9 @@ in the commit that added it) and covers the matrix that engine was the
 reference for — count job and q12 x 4 protocols x 2 backends through a
 failure, rescaled recoveries, marker-split partial batches, a stateless
 map/filter chain, the two-port joins and the sliding-window/max chain.
+The two cyclic reachability cases (UNC and CIC through a kill at 6 s,
+the only protocols that run a cycle) were added later, recorded from
+the engine of their day.
 
 ``tests/test_columnar_differential.py`` runs every case against the
 fixture.  Regenerate after an *intentional* semantic change with
@@ -191,6 +194,9 @@ for _protocol in ("coor", "unc"):
 for _protocol in ("coor-unaligned", "cic"):
     CASES[f"q5-{_protocol}"] = partial(run_spec_case, "q5", _protocol)
 CASES["chain-unfused"] = run_chain_case
+for _protocol, _backend in (("unc", "full"), ("cic", "changelog")):
+    CASES[f"reachability-{_protocol}-{_backend}"] = partial(
+        run_spec_case, "reachability", _protocol, state_backend=_backend)
 
 
 def main() -> None:

@@ -3,9 +3,10 @@
 Every case of the matrix in ``tests/golden.py`` — count job and q12 x 4
 protocols x 2 state backends through a failure, rescaled recoveries,
 marker-split partial batches, a stateless map/filter chain, the
-two-port joins, the sliding-window/max chain — must reproduce its entry
-in ``tests/data/engine_golden.json`` exactly: final operator state bytes,
-recovery lines, sink/message/duplicate totals and virtual time.  The
+two-port joins, the sliding-window/max chain, the cyclic reachability
+query — must reproduce its entry in ``tests/data/engine_golden.json``
+exactly: final operator state bytes, recovery lines,
+sink/message/duplicate totals and virtual time.  The
 fixture was recorded from the per-record engine that used to be this
 suite's reference, so an engine change that moves any of it is a
 semantic change, not an optimisation.  The count-job cases are also
@@ -178,3 +179,15 @@ def test_marker_split_batches_through_keyed_window_operator(protocol):
     kernels."""
     job = golden_job(f"q12-marker-split-{protocol}")
     assert job.metrics.messages_sent > 0
+
+
+@pytest.mark.parametrize("case", ["reachability-unc-full",
+                                  "reachability-cic-changelog"])
+def test_cyclic_reachability_through_failure(case):
+    """The cyclic query of Fig. 6 (link/fact join, cycle guard, projection
+    fed back into the join) under both protocols that run a cycle, across
+    a kill at 6 s: the join's three list states — deletions included —
+    and everything the feedback loop sent end as recorded."""
+    job = golden_job(case)
+    assert len(job.metrics.recovery_lines) >= 1
+    assert job.metrics.total_sink_records() > 0
