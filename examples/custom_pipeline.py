@@ -6,12 +6,19 @@ operator, a hand-built dataflow graph with keyed shuffling, a replayable
 input log, and a run under the uncoordinated protocol with a failure —
 followed by an exactly-once audit of the final state.
 
+An operator is a batch kernel: ``process_batch`` loops over
+``batch.payloads`` in row order and returns a new ``RecordBatch``; a
+1-to-1 operator gives its outputs the rids ``derived_rids`` derives from
+the input's, so a replay after the crash regenerates them and the
+receiver's deduplication recognises them.
+
 Run:  python examples/custom_pipeline.py
 """
 
 import random
 from dataclasses import dataclass
 
+from repro.dataflow.batch import RecordBatch
 from repro.dataflow.graph import LogicalGraph, Partitioning
 from repro.dataflow.operators import (
     FilterOperator,
@@ -20,7 +27,7 @@ from repro.dataflow.operators import (
     SinkOperator,
     SourceOperator,
 )
-from repro.dataflow.records import StreamRecord
+from repro.dataflow.records import derived_rids
 from repro.dataflow.runtime import Job
 from repro.dataflow.state import KeyedMapState
 from repro.sim.costs import RuntimeConfig
@@ -46,12 +53,16 @@ class BalanceOperator(Operator):
         super().open(ctx)
         self.balances = self.states.register("balances", KeyedMapState())
 
-    def process(self, record: StreamRecord, port: str) -> list[StreamRecord]:
-        payment = record.payload
-        balance = self.balances.get(payment.account, 0) + payment.amount
-        self.balances.put(payment.account, balance, 24)
-        return [record.derive(self.ctx.op_name,
-                              {"account": payment.account, "balance": balance}, 40)]
+    def process_batch(self, batch: RecordBatch, port: str) -> RecordBatch | None:
+        # each output row keeps its input's origin timestamp (the column
+        # is shared: a routed batch is never mutated)
+        outputs = []
+        for payment in batch.payloads:
+            balance = self.balances.get(payment.account, 0) + payment.amount
+            self.balances.put(payment.account, balance, 24)
+            outputs.append({"account": payment.account, "balance": balance})
+        return RecordBatch(derived_rids(self.ctx.op_name, batch.rids), outputs,
+                           batch.source_ts, [40] * len(outputs))
 
 
 def build_graph() -> LogicalGraph:

@@ -18,9 +18,10 @@ Run:  python examples/processing_semantics.py
 import random
 from dataclasses import dataclass
 
+from repro.dataflow.batch import RecordBatch
 from repro.dataflow.graph import LogicalGraph, Partitioning
 from repro.dataflow.operators import Operator, OperatorContext, SinkOperator, SourceOperator
-from repro.dataflow.records import StreamRecord
+from repro.dataflow.records import derived_rids
 from repro.dataflow.runtime import Job
 from repro.dataflow.state import KeyedMapState
 from repro.metrics.report import format_table
@@ -44,10 +45,15 @@ class Counter(Operator):
         super().open(ctx)
         self.counts = self.states.register("counts", KeyedMapState())
 
-    def process(self, record: StreamRecord, port: str) -> list[StreamRecord]:
-        key = record.payload.key
-        self.counts.put(key, self.counts.get(key, 0) + 1, 24)
-        return [record.derive(self.ctx.op_name, record.payload, 40)]
+    def process_batch(self, batch: RecordBatch, port: str) -> RecordBatch | None:
+        # count each event in row order and pass it on: the outputs share
+        # the input's payload and timestamp columns, and derived_rids gives
+        # them the rids a replay regenerates
+        for event in batch.payloads:
+            self.counts.put(event.key, self.counts.get(event.key, 0) + 1, 24)
+        return RecordBatch(derived_rids(self.ctx.op_name, batch.rids),
+                           batch.payloads, batch.source_ts,
+                           [40] * len(batch.payloads))
 
 
 def build() -> LogicalGraph:

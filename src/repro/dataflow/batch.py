@@ -1,40 +1,38 @@
 """Columnar record batches: the engine's one data representation
 (DESIGN.md section 15).
 
-A :class:`RecordBatch` carries the four per-record fields of
-:class:`~repro.dataflow.records.StreamRecord` as parallel columns
-(``rids``, ``payloads``, ``source_ts``, ``sizes``) instead of a list of
-record objects.  Router buffers, messages, replay and channel state all
-hold batches, so the hot loops run on C-speed primitives — list
-``extend`` for routing, one ``set.isdisjoint`` probe and one
-``set.update`` insert for rid dedup
+A :class:`RecordBatch` carries the four fields of a record as parallel
+columns (``rids``, ``payloads``, ``source_ts``, ``sizes``); there is no
+record object.  ``source_ts`` is the availability timestamp of the
+record's *origin* input, kept across derivations — end-to-end latency is
+measured against it (paper Section V).  Router buffers, messages, replay
+and channel state all hold batches, so the hot loops run on C-speed
+primitives — list ``extend`` for routing, one ``set.isdisjoint`` probe
+and one ``set.update`` insert for rid dedup
 (:meth:`~repro.dataflow.runtime.Job.process_records`), numpy uint64
 kernels for lineage derivation
 (:func:`~repro.dataflow.records.derived_rids`).
 
-Two properties the rest of the engine relies on:
+A batch staged onto a :class:`~repro.dataflow.channels.RouterBuffer`
+makes a buffer ready at exactly the record that crosses the batch-size
+threshold, and destination buffers are created in first-occurrence
+order, so messages, sequence numbers and checkpoint cursors do not
+depend on how the producer's output happened to be batched.
 
-* **boundaries** — a batch staged onto a
-  :class:`~repro.dataflow.channels.RouterBuffer` makes a buffer ready at
-  exactly the record that crosses the batch-size threshold, and
-  destination buffers are created in first-occurrence order, so
-  messages, sequence numbers and checkpoint cursors do not depend on how
-  the producer's output happened to be batched;
-* **ordering** — iteration yields :class:`StreamRecord` views in column
-  order (the fallback for operators that only define ``process``).
-
-Batches are *logically immutable once routed*: the builder methods
-(``extend*``) are for constructing a batch; after a batch is handed to
-the router or a message, nothing mutates its columns, so downstream
-kernels may alias them (e.g. a map output sharing the input's
-``source_ts`` column).
+An operator kernel reads the columns in row order (``zip(batch.rids,
+batch.payloads, ...)`` or a loop over ``batch.payloads``) and returns a
+new batch: a 1-to-1 kernel takes its rids from
+:func:`~repro.dataflow.records.derived_rids` of the input's ``rids`` and
+may share the input's ``source_ts`` column.  Batches are *logically
+immutable once routed*: the builder methods (``extend*``) are for
+constructing a batch; after a batch is handed to the router or a
+message, nothing mutates its columns, so downstream kernels may alias
+them (e.g. a map output sharing the input's ``source_ts`` column).
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Sequence
-
-from repro.dataflow.records import StreamRecord
+from typing import Any, Sequence
 
 __all__ = ["RecordBatch", "group_indices"]
 
@@ -79,24 +77,7 @@ class RecordBatch:
         """Number of records in the batch."""
         return len(self.rids)
 
-    # -- record views ------------------------------------------------------ #
-
-    def __iter__(self) -> Iterator[StreamRecord]:
-        """Yield per-record views in column order (``process`` fallback)."""
-        for rid, payload, ts, size in zip(self.rids, self.payloads,
-                                          self.source_ts, self.sizes):
-            yield StreamRecord(rid=rid, payload=payload, source_ts=ts,
-                               size_bytes=size)
-
     # -- builders ----------------------------------------------------------- #
-
-    def extend_records(self, records: Iterable[StreamRecord]) -> None:
-        """Append per-record objects, decomposed into the columns."""
-        for record in records:
-            self.rids.append(record.rid)
-            self.payloads.append(record.payload)
-            self.source_ts.append(record.source_ts)
-            self.sizes.append(record.size_bytes)
 
     def extend(self, other: "RecordBatch") -> None:
         """Append every row of ``other`` (column-wise)."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.dataflow.batch import RecordBatch
-from repro.dataflow.records import StreamRecord, derived_rids, joined_rid
+from repro.dataflow.records import derived_rids, joined_rid
 from repro.dataflow.state import KeyedListState, KeyedMapState, StateRegistry, ValueState
 
 
@@ -96,9 +96,17 @@ class OperatorContext:
 
 
 class Operator:
-    """Base operator; subclasses override :meth:`process_batch` — or only
-    :meth:`process`, which the base :meth:`process_batch` loops over —
-    and maybe timers."""
+    """Base operator; subclasses override :meth:`process_batch` and maybe
+    timers.
+
+    ``process_batch`` is the one processing contract: a kernel walks the
+    batch's columns in row order (a loop over ``batch.payloads``, or a
+    ``zip`` of the columns it reads) and returns the output columns as a
+    new :class:`~repro.dataflow.batch.RecordBatch`.  A 1-to-1 kernel takes
+    its rids from :func:`~repro.dataflow.records.derived_rids` of the
+    input's, a join from :func:`~repro.dataflow.records.joined_rid` of
+    both parents, so a replay after a rollback regenerates them.
+    """
 
     #: virtual CPU seconds charged per processed record
     cpu_per_record: float = 0.0008
@@ -118,33 +126,16 @@ class Operator:
 
     # -- processing ------------------------------------------------------ #
 
-    def process(self, record: StreamRecord, port: str) -> list[StreamRecord]:
-        """Consume one record, return output records.
-
-        Only called by the base :meth:`process_batch`; the library
-        operators override that instead and define no ``process``.
-        """
-        raise NotImplementedError
-
     def process_batch(self, batch: RecordBatch, port: str) -> RecordBatch | None:
         """Consume a columnar batch, return an output batch (or None).
 
-        The base implementation is the fallback for operators that only
-        define :meth:`process`: it materializes record views, calls
-        :meth:`process` on each, and re-columnarizes the outputs, while
-        still letting the runtime route and flush once per batch.  Every
-        library operator overrides it with a column-wise or grouped kernel
-        (DESIGN.md sections 15 and 16).  ``Job.process_records`` never
-        passes an empty batch, and the windowed kernels rely on that: given
-        one, they would arm a sweep timer no record asked for.
+        Every operator overrides it with a column-wise, grouped or
+        row-order kernel (DESIGN.md sections 15 and 16).
+        ``Job.process_records`` never passes an empty batch, and the
+        windowed kernels rely on that: given one, they would arm a sweep
+        timer no record asked for.
         """
-        out = RecordBatch([], [], [], [])
-        process = self.process
-        for record in batch:
-            outputs = process(record, port)
-            if outputs:
-                out.extend_records(outputs)
-        return out if len(out.rids) else None
+        raise NotImplementedError
 
     def on_timer(self, tag: Any) -> None:
         """Handle a previously registered timer (it emits no records)."""

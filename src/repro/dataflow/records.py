@@ -1,10 +1,12 @@
-"""Stream records and deterministic lineage identifiers.
+"""Deterministic lineage identifiers of stream records.
 
-Every record carries a *lineage id* (``rid``): a 64-bit value that is a
+A record is one row of a :class:`~repro.dataflow.batch.RecordBatch`, and
+every record carries a *lineage id* (``rid``): a 64-bit value that is a
 deterministic function of the record's provenance.  Source records derive
 the rid from (topic, partition, offset); derived records mix the parent's
-rid with the producing operator (one child per parent), joined records
-mix both parents' rids.  Because rids are
+rid with the producing operator (one child per parent: a kernel takes
+the column :func:`derived_rids` gives its input's rids), joined records
+mix both parents' rids (:func:`joined_rid`).  Because rids are
 regenerated identically when an operator re-processes the same inputs after
 a rollback, receiver-side deduplication by rid gives exactly-once semantics
 for the uncoordinated and communication-induced protocols even when message
@@ -15,8 +17,7 @@ from __future__ import annotations
 
 import zlib
 from array import array
-from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as _np
 
@@ -73,11 +74,6 @@ def source_rid_from_prefix(prefix: int, offset: int) -> int:
     return acc ^ (acc >> 29)
 
 
-def derived_rid(op_name: str, parent_rid: int) -> int:
-    """Lineage id of the one record produced while processing ``parent_rid``."""
-    return mix_rid(_name_hash(op_name), parent_rid, 1)
-
-
 #: memoised per-operator partial accumulators for :func:`derived_rids`
 _DERIVE_PREFIXES: dict[str, int] = {}
 
@@ -85,9 +81,10 @@ _DERIVE_PREFIXES: dict[str, int] = {}
 def derived_rid_prefix(op_name: str) -> int:
     """Partial rid accumulator over the constant operator-name part.
 
-    :func:`derived_rid` mixes three components; the first (the operator
-    name) is constant per operator, so the columnar kernels precompute it
-    once and finish with two mix steps per record.
+    A derived rid is :func:`mix_rid` of three components (the operator
+    name's hash, the parent rid, 1); the first is constant per operator,
+    so :func:`derived_rids` precomputes it once and finishes with two
+    mix steps per record.
     """
     acc = _DERIVE_PREFIXES.get(op_name)
     if acc is None:
@@ -99,14 +96,15 @@ def derived_rid_prefix(op_name: str) -> int:
 
 
 def derived_rids(op_name: str, parent_rids: Sequence[int]) -> list[int]:
-    """Column form of :func:`derived_rid` (one child per parent),
-    bit-identical to the scalar loop.
+    """Lineage ids of the one child each parent rid has in an operator:
+    ``mix_rid(name hash, parent, 1)`` per row, bit-identical to that
+    scalar mix.
 
     Vectorized with numpy uint64 arithmetic (wraparound multiply matches
     the ``& _MASK64`` masking) when the column is long enough to amortize
     the array round-trip; results convert back to Python ints so dedup
-    sets, rid journals and pickled snapshots stay byte-identical to the
-    per-record path.  Below that length the two remaining mix steps run
+    sets, rid journals and pickled snapshots hold what the scalar mix
+    gives, byte for byte.  Below that length the two remaining mix steps run
     inline, row by row: most batches carry one to four rids, and a call
     per rid would cost more than the arithmetic.
     """
@@ -152,27 +150,3 @@ def joined_rid(op_name: str, left_rid: int, right_rid: int) -> int:
     """
     lo, hi = sorted((left_rid, right_rid))
     return mix_rid(_name_hash(op_name), lo, hi)
-
-
-@dataclass(slots=True)
-class StreamRecord:
-    """One record flowing through the dataflow.
-
-    ``source_ts`` is the availability timestamp of the *origin* input record
-    and is preserved across derivations — end-to-end latency is measured
-    against it (paper Section V).
-    """
-
-    rid: int
-    payload: Any
-    source_ts: float
-    size_bytes: int
-
-    def derive(self, op_name: str, payload: Any, size_bytes: int) -> "StreamRecord":
-        """Create the record's one child, preserving the origin timestamp."""
-        return StreamRecord(
-            rid=derived_rid(op_name, self.rid),
-            payload=payload,
-            source_ts=self.source_ts,
-            size_bytes=size_bytes,
-        )

@@ -20,24 +20,23 @@ node reachable from a source together with the path.  The execution graph::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
+from repro.dataflow.batch import RecordBatch
 from repro.dataflow.graph import LogicalGraph, Partitioning
 from repro.dataflow.operators import (
     FilterOperator,
+    MapOperator,
     Operator,
     OperatorContext,
     SinkOperator,
     SourceOperator,
 )
-from repro.dataflow.records import StreamRecord, joined_rid
+from repro.dataflow.records import joined_rid
 from repro.dataflow.state import KeyedListState
 from repro.storage.kafka import PartitionedLog
 from repro.workloads.arrivals import ArrivalProcess
-from repro.workloads.cyclic.generator import (
-    CyclicGenerator,
-    LinkEvent,
-    SourceEvent,
-)
+from repro.workloads.cyclic.generator import CyclicGenerator, SourceEvent
 from repro.workloads.spec import QuerySpec
 
 PAIR_SIZE = 96
@@ -80,87 +79,72 @@ class ReachJoinOperator(Operator):
     def open(self, ctx: OperatorContext) -> None:
         """Register the link and reachable-set states."""
         super().open(ctx)
-        #: start node -> [dst, ...]
+        #: start node -> [(dst, link rid), ...]
         self._links = self.states.register("links", KeyedListState(entry_bytes=24))
-        #: frontier node -> [(origin, path), ...]
+        #: frontier node -> [(fact rid, fact, source_ts), ...]
         self._facts = self.states.register("facts", KeyedListState(entry_bytes=64))
         #: origin -> [frontier keys holding facts of this origin] (delete index)
         self._origins = self.states.register("origins", KeyedListState(entry_bytes=16))
 
-    # -- helpers --------------------------------------------------------- #
+    def process_batch(self, batch: RecordBatch, port: str) -> RecordBatch | None:
+        """Join new links / facts and emit the newly reachable pairs.
 
-    def _emit_pair(self, fact_rid: int, fact: ReachFact, link_rid: int,
-                   src: int, dst: int, source_ts: float) -> StreamRecord:
-        pair = JoinPair(fact=fact, link_src=src, link_dst=dst)
-        return StreamRecord(
-            rid=joined_rid(self.ctx.op_name, fact_rid, link_rid),
-            payload=pair,
-            source_ts=source_ts,
-            size_bytes=pair.size_bytes,
-        )
-
-    def _store_fact(self, record: StreamRecord, fact: ReachFact) -> list[StreamRecord]:
-        self._facts.append(fact.reach, (record.rid, fact, record.source_ts),
-                           size_bytes=48 + 8 * len(fact.path))
-        self._origins.append(fact.origin, fact.reach)
-        outputs = []
-        for dst, link_rid in self._links.get(fact.reach):
-            outputs.append(
-                self._emit_pair(record.rid, fact, link_rid,
-                                fact.reach, dst, record.source_ts)
-            )
-        return outputs
-
-    # -- processing ------------------------------------------------------ #
-
-    def process(self, record: StreamRecord, port: str) -> list[StreamRecord]:
-        """Join new links/facts and emit newly reachable pairs."""
-        payload = record.payload
+        A batch arrives on one port and its rows run in column order, so
+        an add and a delete of one link or origin in the same batch act
+        as they would a message apart.  A pair's rid is the
+        order-invariant ``joined_rid`` of its fact and its link.
+        """
+        op = self.ctx.op_name
+        links, facts, origins = self._links, self._facts, self._origins
+        rids: list[int] = []
+        pairs: list[JoinPair] = []
+        times: list[float] = []
+        rows = zip(batch.rids, batch.payloads, batch.source_ts)
         if port == "link":
-            event: LinkEvent = payload
-            if event.add:
-                self._links.append(event.src, (event.dst, record.rid))
-                outputs = []
-                for fact_rid, fact, fact_ts in self._facts.get(event.src):
-                    outputs.append(
-                        self._emit_pair(fact_rid, fact, record.rid,
-                                        event.src, event.dst,
-                                        max(record.source_ts, fact_ts))
-                    )
-                return outputs
-            self._links.remove_value(event.src, lambda item: item[0] == event.dst)
-            return []
-        if port == "source":
-            if isinstance(payload, SourceEvent):
-                if payload.add:
-                    fact = ReachFact(payload.node, payload.node, (payload.node,))
-                    return self._store_fact(record, fact)
-                # deletion: drop every fact of this origin via the index
-                for frontier in self._origins.get(payload.node):
-                    self._facts.remove_value(
-                        frontier, lambda item: item[1].origin == payload.node
-                    )
-                self._origins.delete(payload.node)
-                return []
-            fact: ReachFact = payload  # feedback from PROJECT
-            return self._store_fact(record, fact)
-        raise ValueError(f"unknown port {port!r}")
+            for rid, event, ts in rows:
+                src, dst = event.src, event.dst
+                if not event.add:
+                    links.remove_value(src, lambda item: item[0] == dst)
+                    continue
+                links.append(src, (dst, rid))
+                for fact_rid, fact, fact_ts in facts.get(src):
+                    rids.append(joined_rid(op, fact_rid, rid))
+                    pairs.append(JoinPair(fact, src, dst))
+                    times.append(ts if ts >= fact_ts else fact_ts)
+        elif port == "source":
+            for rid, payload, ts in rows:
+                if isinstance(payload, SourceEvent):
+                    node = payload.node
+                    if not payload.add:
+                        # drop every fact of this origin via the index
+                        for frontier in origins.get(node):
+                            facts.remove_value(
+                                frontier, lambda item: item[1].origin == node)
+                        origins.delete(node)
+                        continue
+                    fact = ReachFact(node, node, (node,))
+                else:
+                    fact = payload  # feedback from PROJECT
+                reach = fact.reach
+                facts.append(reach, (rid, fact, ts),
+                             size_bytes=48 + 8 * len(fact.path))
+                origins.append(fact.origin, reach)
+                for dst, link_rid in links.get(reach):
+                    rids.append(joined_rid(op, rid, link_rid))
+                    pairs.append(JoinPair(fact, reach, dst))
+                    times.append(ts)
+        else:
+            raise ValueError(f"unknown port {port!r}")
+        if not rids:
+            return None
+        return RecordBatch(rids, pairs, times,
+                           [pair.size_bytes for pair in pairs])
 
 
-class ProjectOperator(Operator):
-    """Extend the path with the link end and emit the new reachability fact."""
-
-    cpu_per_record = 0.0015
-
-    def process(self, record: StreamRecord, port: str) -> list[StreamRecord]:
-        """Project join pairs back into reachability facts (the cycle)."""
-        pair: JoinPair = record.payload
-        fact = ReachFact(
-            origin=pair.fact.origin,
-            reach=pair.link_dst,
-            path=pair.fact.path + (pair.link_dst,),
-        )
-        return [record.derive(self.ctx.op_name, fact, fact.size_bytes)]
+def extend_path(pair: JoinPair) -> ReachFact:
+    """PROJECT: the fact extended by its link's end (the cycle's payload)."""
+    fact = pair.fact
+    return ReachFact(fact.origin, pair.link_dst, fact.path + (pair.link_dst,))
 
 
 def build_reachability(parallelism: int) -> LogicalGraph:
@@ -175,7 +159,9 @@ def build_reachability(parallelism: int) -> LogicalGraph:
             lambda pair: pair.link_dst not in pair.fact.path
         ),
     )
-    graph.add_operator("project_extend", ProjectOperator)
+    graph.add_operator("project_extend",
+                       lambda: MapOperator(extend_path,
+                                           out_size=attrgetter("size_bytes")))
     graph.add_operator("sink", SinkOperator)
     graph.connect("source_links", "join_reach", Partitioning.KEY,
                   key_fn=lambda e: e.src, port="link")

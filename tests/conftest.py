@@ -9,13 +9,14 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from typing import Any
 
 import pytest
 
 from repro.dataflow.batch import RecordBatch
 from repro.dataflow.graph import LogicalGraph, Partitioning
 from repro.dataflow.operators import Operator, OperatorContext, SinkOperator, SourceOperator
-from repro.dataflow.records import StreamRecord
+from repro.dataflow.records import derived_rids
 from repro.dataflow.runtime import Job
 from repro.dataflow.state import KeyedMapState
 from repro.experiments.parallel import ParallelRunner
@@ -44,24 +45,30 @@ class CountPerKeyOperator(Operator):
         super().open(ctx)
         self.counts = self.states.register("counts", KeyedMapState())
 
-    def process(self, record: StreamRecord, port: str) -> list[StreamRecord]:
-        key = record.payload.key
-        self.counts.put(key, self.counts.get(key, 0) + 1, 24)
-        payload = KeyedEvent(key, self.counts.get(key))
-        return [record.derive(self.ctx.op_name, payload, 40)]
+    def process_batch(self, batch: RecordBatch, port: str) -> RecordBatch | None:
+        counts = self.counts
+        outputs = []
+        for event in batch.payloads:
+            count = counts.get(event.key, 0) + 1
+            counts.put(event.key, count, 24)
+            outputs.append(KeyedEvent(event.key, count))
+        return RecordBatch(derived_rids(self.ctx.op_name, batch.rids), outputs,
+                           batch.source_ts, [40] * len(outputs))
 
 
-def batch_of(records: Iterable[StreamRecord]) -> RecordBatch:
-    """A columnar batch of ``records``, in order."""
-    batch = RecordBatch([], [], [], [])
-    batch.extend_records(records)
-    return batch
+def batch_of(rows: Iterable[tuple[int, Any, float, int]]) -> RecordBatch:
+    """A columnar batch of ``(rid, payload, source_ts, size_bytes)`` rows,
+    in order."""
+    columns = [list(column) for column in zip(*rows)]
+    return RecordBatch(*columns) if columns else RecordBatch([], [], [], [])
 
 
-def process_one(op: Operator, record: StreamRecord, port: str) -> list[StreamRecord]:
-    """Feed one record through ``op.process_batch``; the output records."""
-    out = op.process_batch(batch_of([record]), port)
-    return list(out) if out is not None else []
+def process_one(op: Operator, port: str, payload: Any, rid: int = 1,
+                ts: float = 0.0, size: int = 10) -> RecordBatch:
+    """Feed one row through ``op.process_batch``; its output batch (empty
+    when the kernel returns None)."""
+    out = op.process_batch(RecordBatch([rid], [payload], [ts], [size]), port)
+    return out if out is not None else RecordBatch([], [], [], [])
 
 
 def build_count_graph() -> LogicalGraph:

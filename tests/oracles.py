@@ -1,4 +1,5 @@
-"""Reference algorithms the suite holds ``repro.core`` to.
+"""Reference algorithms the suite holds ``repro.core`` and
+``repro.dataflow`` to.
 
 The runtime answers each question about a run's checkpoints with one
 algorithm in :mod:`repro.core.checkpoint_graph`.  This module keeps the
@@ -19,11 +20,15 @@ literal forms the tests compare them with (DESIGN.md section 8):
 * :class:`MessageListLog` — one channel's send log as the sent
   ``Message`` objects themselves, the representation
   :class:`~repro.core.recovery.ChannelLog` replaced (DESIGN.md
-  section 8, "The send log is columnar").
+  section 8, "The send log is columnar");
+* :func:`derived_rid` — the scalar lineage id of one derived record,
+  which :func:`~repro.dataflow.records.derived_rids` computes a column
+  at a time (DESIGN.md section 15).
 """
 
 from __future__ import annotations
 
+import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -37,6 +42,7 @@ from repro.core.checkpoint_graph import (
     zcycle_analysis,
 )
 from repro.dataflow.channels import ChannelId, Message
+from repro.dataflow.records import mix_rid
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dataflow.runtime import Job
@@ -384,3 +390,13 @@ class MessageListLog:
     def window(self, channel: ChannelId, after: int,
                through: int) -> list[Message]:
         return [msg for msg in self.messages if after < msg.seq <= through]
+
+
+# --------------------------------------------------------------------- #
+# The scalar derived rid
+# --------------------------------------------------------------------- #
+
+def derived_rid(op_name: str, parent_rid: int) -> int:
+    """Lineage id of the one record operator ``op_name`` derives from
+    ``parent_rid``: the operator name's crc32, the parent and 1, mixed."""
+    return mix_rid(zlib.crc32(op_name.encode("utf-8")), parent_rid, 1)

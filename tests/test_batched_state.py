@@ -10,10 +10,11 @@ Two acceptance properties ride on this file:
   payloads (which must also round-trip through ``apply_delta``) and
   ``delta_bytes`` — armed or unarmed, i.e. under both the full-snapshot
   and changelog backends' views of the state;
-* **split invariance** — every library operator's ``process_batch`` must
-  produce the same outputs, state, delta and timers whether a batch
-  arrives whole or cut into pieces (down to singletons), so a grouped
-  kernel can never diverge from the record-at-a-time fold it replaces.
+* **split invariance** — every library operator's ``process_batch``, and
+  the cyclic reachability query's join and projection, must produce the
+  same outputs, state, delta and timers whether a batch arrives whole or
+  cut into pieces (down to singletons), so a grouped kernel can never
+  diverge from the record-at-a-time fold it replaces.
 """
 
 from __future__ import annotations
@@ -40,6 +41,12 @@ from repro.dataflow.operators import (
     WindowedJoinOperator,
 )
 from repro.dataflow.state import KeyedListState, KeyedMapState
+from repro.workloads.cyclic.generator import LinkEvent, SourceEvent
+from repro.workloads.cyclic.reachability import (
+    JoinPair,
+    ReachFact,
+    build_reachability,
+)
 
 
 # --------------------------------------------------------------------- #
@@ -257,16 +264,16 @@ def _batch(rows, first_rid: int) -> RecordBatch:
     )
 
 
-def _feed(name, prefix, pieces, port, armed):
-    """Open a fresh operator, pre-populate it, feed ``pieces`` in order;
-    returns everything a batch boundary could possibly have changed."""
-    factory, ports = _LIBRARY_OPERATORS[name]
+def _feed(factory, seeds, pieces, port, armed):
+    """Open a fresh operator, pre-populate it with the ``(batch, port)``
+    seeds, feed ``pieces`` in order; returns everything a batch boundary
+    could possibly have changed."""
     op = factory()
     ctx = _FixedNowContext()
     op.open(ctx)
-    if len(prefix):
-        for side in ports:
-            op.process_batch(prefix, side)
+    for seed, side in seeds:
+        if len(seed):
+            op.process_batch(seed, side)
     if armed:
         op.states.mark_clean()
     out = RecordBatch([], [], [], [])
@@ -308,11 +315,61 @@ def test_process_batch_is_split_invariant(name, prefix, rows, cuts,
     joins, from empty and from pre-populated state, tracking armed or
     not.  This is "grouped kernel == sequential fold" without a second
     implementation to compare against."""
-    ports = _LIBRARY_OPERATORS[name][1]
+    factory, ports = _LIBRARY_OPERATORS[name]
     port = ports[-1] if right_port else ports[0]
-    seeded = _batch(prefix, first_rid=1)
-    batch = _batch(rows, first_rid=1000)
-    whole = _feed(name, seeded, [batch], port, armed)
-    assert _feed(name, seeded, _cut(batch, cuts), port, armed) == whole
-    assert _feed(name, seeded, _cut(batch, range(1, len(batch))),
+    seeds = [(_batch(prefix, first_rid=1), side) for side in ports]
+    _assert_split_invariant(factory, seeds, _batch(rows, first_rid=1000),
+                            cuts, port, armed)
+
+
+def _assert_split_invariant(factory, seeds, batch, cuts, port, armed):
+    """Fed whole, cut at ``cuts`` and one row at a time, ``batch`` leaves
+    the same outputs, state, delta, timers and sink timestamps."""
+    whole = _feed(factory, seeds, [batch], port, armed)
+    assert _feed(factory, seeds, _cut(batch, cuts), port, armed) == whole
+    assert _feed(factory, seeds, _cut(batch, range(1, len(batch))),
                  port, armed) == whole
+
+
+# --------------------------------------------------------------------- #
+# The cyclic reachability query's kernels are split-invariant too
+# --------------------------------------------------------------------- #
+
+_NODES = st.integers(0, 3)
+_FACTS = st.lists(_NODES, min_size=1, max_size=4).map(
+    lambda path: ReachFact(path[0], path[-1], tuple(path)))
+#: port -> (payload, size_bytes) rows of that port; four nodes make
+#: matches, repeated adds and deletes of a stored link or origin common
+_REACH_ROWS = {
+    "link": st.tuples(st.builds(LinkEvent, _NODES, _NODES, st.booleans()),
+                      _SIZES),
+    "source": st.tuples(st.one_of(st.builds(SourceEvent, _NODES,
+                                            st.booleans()), _FACTS),
+                        _SIZES),
+    "in": st.tuples(st.builds(JoinPair, _FACTS, _NODES, _NODES), _SIZES),
+}
+#: operator name in the graph -> its input ports
+_REACH_OPERATORS = {"join_reach": ("link", "source"),
+                    "project_extend": ("in",)}
+
+
+@pytest.mark.parametrize("name, port", [
+    (name, port) for name, ports in sorted(_REACH_OPERATORS.items())
+    for port in ports])
+@given(data=st.data(), cuts=st.sets(st.integers(1, 11)),
+       armed=st.booleans())
+def test_reachability_kernels_are_split_invariant(name, port, data, cuts,
+                                                  armed):
+    """The join of links and facts (on either port, over stored links,
+    facts and origins that the batch may add to or delete) and the
+    projection back into facts, as the reachability graph deploys them:
+    a batch fed whole, cut at random points, or one row at a time yields
+    the same output columns, state bytes and ``snapshot_delta``."""
+    factory = build_reachability(1).operators[name].factory
+    ports = _REACH_OPERATORS[name]
+    seeds = [(_batch(data.draw(st.lists(_REACH_ROWS[side], max_size=6)),
+                     first_rid=1 + 100 * i), side)
+             for i, side in enumerate(ports)]
+    rows = data.draw(st.lists(_REACH_ROWS[port], min_size=1, max_size=12))
+    _assert_split_invariant(factory, seeds, _batch(rows, first_rid=1000),
+                            cuts, port, armed)

@@ -12,13 +12,13 @@ from repro.dataflow.channels import (
 )
 from repro.dataflow.graph import EdgeSpec, Partitioning
 from repro.dataflow.keygroups import DEFAULT_MAX_KEY_GROUPS
-from repro.dataflow.records import StreamRecord
 
 from tests.conftest import batch_of
 
 
-def rec(key: int, size: int = 10) -> StreamRecord:
-    return StreamRecord(rid=key, payload=key, source_ts=0.0, size_bytes=size)
+def rec(key: int, size: int = 10) -> tuple[int, int, float, int]:
+    """The ``(rid, payload, source_ts, size_bytes)`` row of ``key``."""
+    return (key, key, 0.0, size)
 
 
 def batch(*keys: int) -> RecordBatch:
@@ -146,7 +146,7 @@ def test_router_preserves_record_order_per_destination():
     router.route_batch(batch(2, 3, 4))  # all key groups owned by dst 0
     drained = router.take_all()
     (edge_id, dst, out, _), = [d for d in drained if d[1] == 0]
-    assert [r.rid for r in out] == [2, 3, 4]
+    assert out.rids == [2, 3, 4]
 
 
 # --------------------------------------------------------------------- #
@@ -313,8 +313,7 @@ def test_route_batch_is_split_invariant(rows, cuts, batch_max, blocked):
     same ``take_ready`` messages, then the same ``take_all`` messages, so
     sequence numbers and checkpoint cursors do not depend on how a
     producer's output happened to be batched."""
-    records = [StreamRecord(rid=1000 + i, payload=key, source_ts=i * 0.5,
-                            size_bytes=size)
+    records = [(1000 + i, key, i * 0.5, size)
                for i, (key, size) in enumerate(rows)]
     bounds = [0, *sorted(c for c in cuts if c < len(records)), len(records)]
     splits = {

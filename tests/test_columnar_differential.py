@@ -25,7 +25,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.dataflow.records import (
-    derived_rid,
     derived_rids,
     source_rid_from_prefix,
     source_rid_column,
@@ -34,6 +33,7 @@ from repro.dataflow.records import (
 from repro.dataflow.runtime import Job
 
 from tests.golden import ALL_PROTOCOLS, BACKENDS, CASES, load_golden, signature
+from tests.oracles import derived_rid
 from tests.test_exactly_once import expected_counts, measured_counts
 
 

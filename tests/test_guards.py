@@ -25,7 +25,6 @@ from repro.dataflow.keygroups import DEFAULT_MAX_KEY_GROUPS
 from repro.dataflow.operators import Operator, OperatorContext, WindowedCountOperator
 from repro.dataflow.results import RunResult
 from repro.dataflow.runtime import Job
-from repro.dataflow.records import StreamRecord
 from repro.experiments.parallel import RunRequest
 from repro.experiments.sharding import shard_requests
 from repro.metrics.collectors import KIND_COOR, MetricsCollector, RecoveryRecord
@@ -33,7 +32,7 @@ from repro.sim.costs import CostModel, RuntimeConfig
 from repro.sim.simulator import SimulationError
 
 from tests.conftest import (
-    batch_of, build_count_graph, canonical_state_bytes, make_event_log)
+    build_count_graph, canonical_state_bytes, make_event_log)
 from tests.test_checkpoint_graph import ckpt
 from tests.test_channels import make_edge
 
@@ -187,8 +186,7 @@ def test_an_elided_hook_is_the_base_no_op(protocol):
 
 def test_an_operator_outside_a_runtime_is_refused():
     """The base context implements no time, timer or output hook, and an
-    operator that defines neither ``process`` nor ``process_batch`` has
-    nothing to run."""
+    operator that defines no ``process_batch`` has nothing to run."""
     context = OperatorContext()
     with pytest.raises(NotImplementedError):
         context.now()
@@ -228,8 +226,7 @@ def test_an_empty_batch_stages_nothing_and_blocking_twice_is_blocking_once():
     router = RouterBuffer([edge], 0, 2, DEFAULT_MAX_KEY_GROUPS, 1)
     router.route_batch(RecordBatch([], [], [], []))
     assert router.staged_records == 0 and router.take_all() == []
-    router.route_batch(batch_of([StreamRecord(rid=1, payload=7, source_ts=0.0,
-                                              size_bytes=8)]))
+    router.route_batch(RecordBatch([1], [7], [0.0], [8]))
     router.block(0, 0)
     router.block(0, 0)
     assert router._n_ready == 0

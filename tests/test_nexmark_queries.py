@@ -39,14 +39,12 @@ def test_q1_price_conversion_factor():
     graph = QUERIES["q1"].build_graph(1)
     op = graph.operators["map_convert"].factory()
     bid = Bid(auction=1, bidder=2, price=1000, created_at=0.0)
-    from repro.dataflow.records import StreamRecord
-
     class Ctx:
         op_name = "map_convert"
 
     op.ctx = Ctx()
-    out = process_one(op, StreamRecord(1, bid, 0.0, 100), "in")
-    assert out[0].payload.price == int(1000 * EXCHANGE_RATE)
+    out = process_one(op, "in", bid, size=100)
+    assert out.payloads[0].price == int(1000 * EXCHANGE_RATE)
 
 
 def test_q3_join_count_matches_reference():

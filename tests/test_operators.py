@@ -14,8 +14,6 @@ from repro.dataflow.operators import (
     WindowedCountOperator,
     WindowedJoinOperator,
 )
-from repro.dataflow.records import StreamRecord
-
 from tests.conftest import process_one
 
 
@@ -40,10 +38,6 @@ class StubContext(OperatorContext):
         self.outputs.extend(source_ts)
 
 
-def rec(payload, rid=1, ts=0.0, size=10):
-    return StreamRecord(rid=rid, payload=payload, source_ts=ts, size_bytes=size)
-
-
 def opened(op, name="op"):
     ctx = StubContext(name)
     op.open(ctx)
@@ -56,33 +50,33 @@ def opened(op, name="op"):
 
 def test_source_passes_through():
     op, _ = opened(SourceOperator())
-    r = rec("x")
-    assert process_one(op, r, "in") == [r]
+    out = process_one(op, "in", "x")
+    assert (out.rids, out.payloads, out.source_ts, out.sizes) \
+        == ([1], ["x"], [0.0], [10])
 
 
 def test_map_transforms_payload():
     op, _ = opened(MapOperator(lambda x: x * 2, out_size=lambda p: 99))
-    out = process_one(op, rec(21), "in")
-    assert [o.payload for o in out] == [42]
-    assert out[0].size_bytes == 99
+    out = process_one(op, "in", 21)
+    assert out.payloads == [42]
+    assert out.sizes[0] == 99
 
 
 def test_map_default_size_is_input_size():
     op, _ = opened(MapOperator(lambda x: x))
-    out = process_one(op, rec("v", size=33), "in")
-    assert out[0].size_bytes == 33
+    out = process_one(op, "in", "v", size=33)
+    assert out.sizes[0] == 33
 
 
 def test_filter_keeps_and_drops():
     op, _ = opened(FilterOperator(lambda x: x > 0))
-    assert len(process_one(op, rec(5), "in")) == 1
-    assert process_one(op, rec(-5), "in") == []
+    assert len(process_one(op, "in", 5)) == 1
+    assert len(process_one(op, "in", -5)) == 0
 
 
 def test_sink_records_output():
     op, ctx = opened(SinkOperator())
-    r = rec("done", ts=2.5)
-    assert process_one(op, r, "in") == []
+    assert len(process_one(op, "in", "done", ts=2.5)) == 0
     assert ctx.outputs == [2.5]
 
 
@@ -105,29 +99,29 @@ def make_inc_join():
 
 def test_inc_join_matches_across_sides():
     op, _ = make_inc_join()
-    assert process_one(op, rec({"id": 1}, rid=10), "left") == []
-    out = process_one(op, rec({"ref": 1}, rid=20), "right")
-    assert [o.payload for o in out] == [(1, 1)]
+    assert len(process_one(op, "left", {"id": 1}, rid=10)) == 0
+    out = process_one(op, "right", {"ref": 1}, rid=20)
+    assert out.payloads == [(1, 1)]
 
 
 def test_inc_join_emits_once_per_pair_regardless_of_order():
     op_lr, _ = make_inc_join()
-    process_one(op_lr, rec({"id": 1}, rid=10), "left")
-    out1 = process_one(op_lr, rec({"ref": 1}, rid=20), "right")
+    process_one(op_lr, "left", {"id": 1}, rid=10)
+    out1 = process_one(op_lr, "right", {"ref": 1}, rid=20)
 
     op_rl, _ = make_inc_join()
-    process_one(op_rl, rec({"ref": 1}, rid=20), "right")
-    out2 = process_one(op_rl, rec({"id": 1}, rid=10), "left")
+    process_one(op_rl, "right", {"ref": 1}, rid=20)
+    out2 = process_one(op_rl, "left", {"id": 1}, rid=10)
 
-    assert out1[0].rid == out2[0].rid  # order-invariant lineage
-    assert out1[0].payload == out2[0].payload
+    assert out1.rids[0] == out2.rids[0]  # order-invariant lineage
+    assert out1.payloads[0] == out2.payloads[0]
 
 
 def test_inc_join_retains_state_forever():
     op, _ = make_inc_join()
-    process_one(op, rec({"id": 1}, rid=1), "left")
-    process_one(op, rec({"id": 1}, rid=2), "left")  # two lefts, same key
-    out = process_one(op, rec({"ref": 1}, rid=3), "right")
+    process_one(op, "left", {"id": 1}, rid=1)
+    process_one(op, "left", {"id": 1}, rid=2)  # two lefts, same key
+    out = process_one(op, "right", {"ref": 1}, rid=3)
     assert len(out) == 2
     assert op.state_bytes > 0
 
@@ -135,15 +129,15 @@ def test_inc_join_retains_state_forever():
 def test_inc_join_unknown_port_rejected():
     op, _ = make_inc_join()
     with pytest.raises(ValueError):
-        process_one(op, rec({"id": 1}), "middle")
+        process_one(op, "middle", {"id": 1})
 
 
 def test_inc_join_output_ts_is_match_time():
     """Latency is attributed to the match-triggering (later) record."""
     op, _ = make_inc_join()
-    process_one(op, rec({"id": 1}, rid=1, ts=1.0), "left")
-    out = process_one(op, rec({"ref": 1}, rid=2, ts=9.0), "right")
-    assert out[0].source_ts == 9.0
+    process_one(op, "left", {"id": 1}, rid=1, ts=1.0)
+    out = process_one(op, "right", {"ref": 1}, rid=2, ts=9.0)
+    assert out.source_ts[0] == 9.0
 
 
 # --------------------------------------------------------------------- #
@@ -162,24 +156,24 @@ def make_win_join(window=10.0):
 def test_window_join_matches_within_window():
     op, ctx = make_win_join()
     ctx.time = 1.0
-    process_one(op, rec({"id": 7}, rid=1), "left")
-    out = process_one(op, rec({"ref": 7}, rid=2), "right")
+    process_one(op, "left", {"id": 7}, rid=1)
+    out = process_one(op, "right", {"ref": 7}, rid=2)
     assert len(out) == 1
 
 
 def test_window_join_clears_on_expiry():
     op, ctx = make_win_join(window=10.0)
     ctx.time = 1.0
-    process_one(op, rec({"id": 7}, rid=1), "left")
+    process_one(op, "left", {"id": 7}, rid=1)
     ctx.time = 11.0  # next tumbling window
-    out = process_one(op, rec({"ref": 7}, rid=2), "right")
-    assert out == []
+    out = process_one(op, "right", {"ref": 7}, rid=2)
+    assert len(out) == 0
 
 
 def test_window_join_registers_expiry_timer():
     op, ctx = make_win_join(window=10.0)
     ctx.time = 3.0
-    process_one(op, rec({"id": 1}, rid=1), "left")
+    process_one(op, "left", {"id": 1}, rid=1)
     assert (10.0, ("window", 1)) in ctx.timers
 
 
@@ -202,31 +196,32 @@ def make_count(window=10.0):
 def test_window_count_increments_within_window():
     op, ctx = make_count()
     ctx.time = 1.0
-    outs = [process_one(op, rec({"k": "a"}, rid=i), "in")[0] for i in range(3)]
-    assert [o.payload for o in outs] == [("a", 0, 1), ("a", 0, 2), ("a", 0, 3)]
+    outs = [process_one(op, "in", {"k": "a"}, rid=i).payloads[0]
+            for i in range(3)]
+    assert outs == [("a", 0, 1), ("a", 0, 2), ("a", 0, 3)]
 
 
 def test_window_count_resets_across_windows():
     op, ctx = make_count(window=10.0)
     ctx.time = 1.0
-    process_one(op, rec({"k": "a"}, rid=1), "in")
+    process_one(op, "in", {"k": "a"}, rid=1)
     ctx.time = 12.0
-    out = process_one(op, rec({"k": "a"}, rid=2), "in")
-    assert out[0].payload == ("a", 1, 1)
+    out = process_one(op, "in", {"k": "a"}, rid=2)
+    assert out.payloads[0] == ("a", 1, 1)
 
 
 def test_window_count_separate_keys():
     op, ctx = make_count()
     ctx.time = 1.0
-    process_one(op, rec({"k": "a"}, rid=1), "in")
-    out = process_one(op, rec({"k": "b"}, rid=2), "in")
-    assert out[0].payload == ("b", 0, 1)
+    process_one(op, "in", {"k": "a"}, rid=1)
+    out = process_one(op, "in", {"k": "b"}, rid=2)
+    assert out.payloads[0] == ("b", 0, 1)
 
 
 def test_window_count_sweep_timer_drops_stale_keys():
     op, ctx = make_count(window=10.0)
     ctx.time = 1.0
-    process_one(op, rec({"k": "a"}, rid=1), "in")
+    process_one(op, "in", {"k": "a"}, rid=1)
     ctx.time = 12.0
     op.on_timer(("sweep", 1))
     assert op.state_bytes == 0 or len(op.states["counts"]) == 0
@@ -236,6 +231,6 @@ def test_window_count_output_rid_deterministic():
     op1, ctx1 = make_count()
     op2, ctx2 = make_count()
     ctx1.time = ctx2.time = 1.0
-    a = process_one(op1, rec({"k": "a"}, rid=5), "in")[0].rid
-    b = process_one(op2, rec({"k": "a"}, rid=5), "in")[0].rid
+    a = process_one(op1, "in", {"k": "a"}, rid=5).rids[0]
+    b = process_one(op2, "in", {"k": "a"}, rid=5).rids[0]
     assert a == b

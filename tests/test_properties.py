@@ -11,7 +11,6 @@ from repro.dataflow.batch import RecordBatch
 from repro.dataflow.channels import DATA, Message, RouterBuffer, hash_key
 from repro.dataflow.graph import EdgeSpec, Partitioning
 from repro.dataflow.keygroups import DEFAULT_MAX_KEY_GROUPS
-from repro.dataflow.records import StreamRecord
 from repro.metrics.series import LatencySeries, percentile
 
 
@@ -168,8 +167,7 @@ def test_dedup_processing_is_idempotent(seed):
               RuntimeConfig(duration=2.0, warmup=0.5))
     instance = job.instance(("count", 0))
     records = batch_of(
-        StreamRecord(rid=1000 + i, payload=r.payload, source_ts=0.0,
-                     size_bytes=r.size_bytes)
+        (1000 + i, r.payload, 0.0, r.size_bytes)
         for i, r in enumerate(log.partition(0).records[:5])
     )
     job.process_records(instance, records, "in")

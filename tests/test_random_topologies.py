@@ -75,12 +75,10 @@ def passes_stages(graph: LogicalGraph, payload) -> bool:
             op_name = nxt
 
         operator.ctx = _Ctx()
-        from repro.dataflow.records import StreamRecord
-
-        outs = process_one(operator, StreamRecord(1, value, 0.0, 40), "in")
+        outs = process_one(operator, "in", value, size=40)
         if not outs:
             return False
-        value = outs[0].payload
+        value = outs.payloads[0]
         node = nxt
 
 

@@ -2,14 +2,16 @@
 
 from hypothesis import given, strategies as st
 
+from repro.dataflow.batch import RecordBatch
+from repro.dataflow.operators import MapOperator, OperatorContext
 from repro.dataflow.records import (
-    StreamRecord,
-    derived_rid,
     joined_rid,
     mix_rid,
     source_rid_column,
     source_rid_prefix,
 )
+
+from tests.oracles import derived_rid
 
 
 def source_rid(topic: str, partition: int, offset: int) -> int:
@@ -50,11 +52,16 @@ def test_joined_rid_distinguishes_pairs():
 
 
 def test_derive_preserves_source_ts():
-    rec = StreamRecord(rid=1, payload="x", source_ts=3.5, size_bytes=10)
-    child = rec.derive("op", "y", 20)
-    assert child.source_ts == 3.5
-    assert child.size_bytes == 20
-    assert child.rid == derived_rid("op", 1)
+    """A 1-to-1 kernel's child keeps its parent's origin timestamp, takes
+    its own size and the rid the scalar reference derives."""
+    op = MapOperator(lambda payload: "y", out_size=lambda payload: 20)
+    context = OperatorContext()
+    context.op_name = "op"
+    op.open(context)
+    child = op.process_batch(RecordBatch([1], ["x"], [3.5], [10]), "in")
+    assert child.source_ts == [3.5]
+    assert child.sizes == [20]
+    assert child.rids == [derived_rid("op", 1)]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=6))

@@ -3,17 +3,12 @@
 import pytest
 
 from repro.dataflow.operators import MaxPerKeyOperator, SlidingWindowCountOperator
-from repro.dataflow.records import StreamRecord
 from repro.dataflow.runtime import Job
 from repro.sim.costs import RuntimeConfig
 from repro.workloads.nexmark import QUERIES
 
 from tests.conftest import process_one
 from tests.test_operators import StubContext
-
-
-def rec(payload, rid=1):
-    return StreamRecord(rid=rid, payload=payload, source_ts=0.0, size_bytes=10)
 
 
 def make_sliding(window_range=10.0, slide=2.0):
@@ -39,7 +34,7 @@ def test_invalid_parameters_rejected():
 def test_record_updates_all_overlapping_windows():
     op, ctx = make_sliding(window_range=10.0, slide=2.0)
     ctx.time = 9.0  # windows 0..4 cover t=9 (starts 0,2,4,6,8)
-    process_one(op, rec({"k": "a"}, rid=1), "in")
+    process_one(op, "in", {"k": "a"}, rid=1)
     counts = op.states["counts"]
     assert {w for (w, k) in [key for key in counts.keys()]} == {0, 1, 2, 3, 4}
 
@@ -47,33 +42,33 @@ def test_record_updates_all_overlapping_windows():
 def test_early_records_do_not_create_negative_windows():
     op, ctx = make_sliding(window_range=10.0, slide=2.0)
     ctx.time = 1.0
-    process_one(op, rec({"k": "a"}, rid=1), "in")
+    process_one(op, "in", {"k": "a"}, rid=1)
     assert all(w >= 0 for (w, _) in op.states["counts"].keys())
 
 
 def test_emits_newest_window_running_count():
     op, ctx = make_sliding(window_range=10.0, slide=2.0)
     ctx.time = 4.5
-    first = process_one(op, rec({"k": "a"}, rid=1), "in")[0]
-    second = process_one(op, rec({"k": "a"}, rid=2), "in")[0]
-    assert first.payload == ("a", 2, 1)
-    assert second.payload == ("a", 2, 2)
+    first = process_one(op, "in", {"k": "a"}, rid=1)
+    second = process_one(op, "in", {"k": "a"}, rid=2)
+    assert first.payloads[0] == ("a", 2, 1)
+    assert second.payloads[0] == ("a", 2, 2)
 
 
 def test_sliding_counts_roll_off():
     """A record only counts in windows whose range still covers it."""
     op, ctx = make_sliding(window_range=10.0, slide=2.0)
     ctx.time = 1.0
-    process_one(op, rec({"k": "a"}, rid=1), "in")
+    process_one(op, "in", {"k": "a"}, rid=1)
     ctx.time = 11.0  # newest window = 5, starts at 10: old record outside
-    out = process_one(op, rec({"k": "a"}, rid=2), "in")[0]
-    assert out.payload == ("a", 5, 1)
+    out = process_one(op, "in", {"k": "a"}, rid=2)
+    assert out.payloads[0] == ("a", 5, 1)
 
 
 def test_sweep_timer_drops_expired_windows():
     op, ctx = make_sliding(window_range=10.0, slide=2.0)
     ctx.time = 1.0
-    process_one(op, rec({"k": "a"}, rid=1), "in")
+    process_one(op, "in", {"k": "a"}, rid=1)
     before = len(op.states["counts"])
     op.on_timer(("sweep", 4))  # everything through window 4 expires
     assert len(op.states["counts"]) < before
@@ -82,9 +77,9 @@ def test_sweep_timer_drops_expired_windows():
 def test_distinct_keys_counted_separately():
     op, ctx = make_sliding()
     ctx.time = 1.0
-    process_one(op, rec({"k": "a"}, rid=1), "in")
-    out = process_one(op, rec({"k": "b"}, rid=2), "in")[0]
-    assert out.payload == ("b", 0, 1)
+    process_one(op, "in", {"k": "a"}, rid=1)
+    out = process_one(op, "in", {"k": "b"}, rid=2)
+    assert out.payloads[0] == ("b", 0, 1)
 
 
 # --------------------------------------------------------------------- #
@@ -104,18 +99,18 @@ def make_max():
 
 def test_max_emits_only_on_improvement():
     op = make_max()
-    out1 = process_one(op, rec(("a", 0, 3), rid=1), "in")
-    out2 = process_one(op, rec(("b", 0, 2), rid=2), "in")
-    out3 = process_one(op, rec(("b", 0, 5), rid=3), "in")
-    assert [o.payload for o in out1] == [(0, "a", 3)]
-    assert out2 == []  # 2 < 3: not a new leader
-    assert [o.payload for o in out3] == [(0, "b", 5)]
+    out1 = process_one(op, "in", ("a", 0, 3), rid=1)
+    out2 = process_one(op, "in", ("b", 0, 2), rid=2)
+    out3 = process_one(op, "in", ("b", 0, 5), rid=3)
+    assert out1.payloads == [(0, "a", 3)]
+    assert len(out2) == 0  # 2 < 3: not a new leader
+    assert out3.payloads == [(0, "b", 5)]
 
 
 def test_max_tracks_groups_independently():
     op = make_max()
-    process_one(op, rec(("a", 0, 9), rid=1), "in")
-    out = process_one(op, rec(("b", 1, 1), rid=2), "in")
+    process_one(op, "in", ("a", 0, 9), rid=1)
+    out = process_one(op, "in", ("b", 1, 1), rid=2)
     assert len(out) == 1  # first value of a new group always leads
 
 

@@ -21,7 +21,6 @@ from repro.dataflow.channels import RouterBuffer, key_destinations
 from repro.dataflow.graph import LogicalGraph, Partitioning, UnsupportedTopologyError
 from repro.dataflow.keygroups import DEFAULT_MAX_KEY_GROUPS
 from repro.dataflow.operators import SinkOperator, SourceOperator
-from repro.dataflow.records import StreamRecord
 
 from tests.conftest import KeyedEvent, batch_of, run_count_job
 from tests.test_exactly_once import expected_counts, measured_counts
@@ -79,10 +78,8 @@ def _staged_bytes(router) -> int:
 
 
 def _batch(keys) -> RecordBatch:
-    return batch_of(
-        [StreamRecord(rid=i, payload=KeyedEvent(k, i), source_ts=0.0,
-                      size_bytes=40)
-         for i, k in enumerate(keys)])
+    return batch_of([(i, KeyedEvent(k, i), 0.0, 40)
+                     for i, k in enumerate(keys)])
 
 
 def test_blocked_key_skipped_by_gated_drains_but_forced_out():
@@ -206,8 +203,7 @@ def test_router_never_loses_or_duplicates_records(ops):
         # a third of all records are zero-size: byte accounting alone
         # would let them vanish from the staged counters
         size = (key % 3) * 20
-        record = StreamRecord(rid=rid, payload=KeyedEvent(key, rid),
-                              source_ts=0.0, size_bytes=size)
+        record = (rid, KeyedEvent(key, rid), 0.0, size)
         dst = table.derive(key)
         for e in edges:  # every edge routes each record once
             routed.setdefault((e.edge_id, dst), []).append(rid)
@@ -216,8 +212,8 @@ def test_router_never_loses_or_duplicates_records(ops):
 
     def collect(items):
         for edge_id, dst, records, nbytes in items:
-            assert nbytes == sum(r.size_bytes for r in records)
-            drained.setdefault((edge_id, dst), []).extend(r.rid for r in records)
+            assert nbytes == sum(records.sizes)
+            drained.setdefault((edge_id, dst), []).extend(records.rids)
             drained_bytes[0] += nbytes
 
     for action, key, edge_sel in ops:
@@ -344,8 +340,7 @@ def test_zero_size_records_consume_credit_units():
     transport = job.transport
     channel = (0, 0, 0)
 
-    records = [StreamRecord(rid=i, payload=KeyedEvent(0, i), source_ts=0.0,
-                            size_bytes=0) for i in range(10)]
+    records = [(i, KeyedEvent(0, i), 0.0, 0) for i in range(10)]
     assert transport.has_credit(channel, 0, 10)  # empty channel accepts
     msg = Message(channel=channel, seq=1, kind=DATA,
                   records=batch_of(records),
@@ -449,17 +444,14 @@ def test_release_instance_never_runs_tasks_synchronously():
     state.
     """
     from repro.dataflow.channels import DATA, Message
-    from repro.dataflow.records import StreamRecord
     from tests.conftest import KeyedEvent
 
     job = _fresh_bounded_job()
     count = job.instance(("count", 0))
     channel = count.in_channels[0]
     worker = count.worker
-    record = StreamRecord(rid=1, payload=KeyedEvent(0, 1), source_ts=0.0,
-                          size_bytes=40)
     msg = Message(channel=channel, seq=1, kind=DATA,
-                  records=batch_of([record]),
+                  records=RecordBatch([1], [KeyedEvent(0, 1)], [0.0], [40]),
                   payload_bytes=40)
     count.credit_blocked = True
     worker._tasks.append(("data", channel, msg))

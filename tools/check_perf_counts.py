@@ -23,14 +23,16 @@ from __future__ import annotations
 import json
 import sys
 
-#: ``paper``, Python calls per offered record: ~5 % above the 54.17 that
-#: array timestamps, column hot keys and inline cyclic draws landed at on
-#: CPython 3.11 (staging each destination as its message's batch read
-#: 54.78, the message hop without its helper frames 55.14, journal-only
-#: admission 60.74, the cut batch constants 63.10, the generators drawing
-#: columns 69.56, the columnar input log 71.6, the shortened hop 77.6,
-#: the commit before it 119.1)
-CALLS_PER_RECORD_CEILING = 56.8
+#: ``paper``, Python calls per offered record on CPython 3.11: 55.42 with
+#: the cyclic query's operators as batch kernels, the ceiling keeping the
+#: 0.94 it had over the 55.86 of their per-record ``process`` (it was set
+#: ~5 % above the 54.17 that array timestamps, column hot keys and inline
+#: cyclic draws landed at; staging each destination as its message's
+#: batch read 54.78, the message hop without its helper frames 55.14,
+#: journal-only admission 60.74, the cut batch constants 63.10, the
+#: generators drawing columns 69.56, the columnar input log 71.6, the
+#: shortened hop 77.6, the commit before it 119.1)
+CALLS_PER_RECORD_CEILING = 56.4
 #: ``dense``, Python calls per offered record: 17.15 landed (17.28 with a
 #: buffer object per staged destination, 17.31 while every admission
 #: probed a set, 18.44 before the kernels folded a batch in one pass);
